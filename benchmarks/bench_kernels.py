@@ -16,6 +16,8 @@ from kernel_workloads import (
     gcm_step,
     ulysses_alltoall_attention,
     window_attention_forward,
+    window_attention_long_window,
+    window_attention_quickstart,
     window_partition_roundtrip,
 )
 
@@ -45,6 +47,24 @@ def test_window_attention_forward_reference(benchmark):
     w = window_attention_forward()
     out = benchmark(w.reference)
     assert out.shape == (2, 16, 64, 64)
+
+
+def test_window_attention_quickstart(benchmark):
+    out = benchmark(window_attention_quickstart().optimized)
+    assert out.shape == (16, 32, 16, 32)
+
+
+def test_window_attention_quickstart_reference(benchmark):
+    benchmark(window_attention_quickstart().reference)
+
+
+def test_window_attention_long_window(benchmark):
+    out = benchmark(window_attention_long_window().optimized)
+    assert out.shape == (1, 2, 576, 32)
+
+
+def test_window_attention_long_window_reference(benchmark):
+    benchmark(window_attention_long_window().reference)
 
 
 def test_ulysses_alltoall_attention(benchmark):
@@ -87,8 +107,9 @@ def test_aeris_train_step_tiny_reference(benchmark):
 def test_optimized_paths_match_reference():
     """Spot-check (also held exhaustively by tests/kernels/test_golden.py):
     every paired workload's two callables agree bit-for-bit."""
-    for factory in (window_attention_forward, window_partition_roundtrip,
-                    aeris_forward_tiny):
+    for factory in (window_attention_forward, window_attention_quickstart,
+                    window_attention_long_window,
+                    window_partition_roundtrip, aeris_forward_tiny):
         w = factory()
         a, b = w.optimized(), w.reference()
         np.testing.assert_array_equal(a.numpy(), b.numpy(), err_msg=w.name)

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from repro.data import GcmConfig, LatLonGrid, StaticFields, ToyGCM
-from repro.kernels import disable_kernels
+from repro.kernels import disable_kernels, rope_tables
 from repro.model import TINY, Aeris
 from repro.nn import MultiHeadAttention
 from repro.parallel import SimCluster, shard_sequence, ulysses_attention
@@ -46,18 +46,41 @@ def _with_reference(fn: Callable[[], object]) -> Callable[[], object]:
     return run
 
 
-def window_attention_forward() -> Workload:
-    """The ISSUE's headline: fused windowed attention forward, no grad."""
+def _window_attention(name: str, dim: int, heads: int, lead: tuple[int, int],
+                      tokens: int, window: tuple[int, int] | None = None
+                      ) -> Workload:
+    """Fused vs reference ``MultiHeadAttention`` forward, no grad, on
+    ``lead + (tokens, dim)``; with ``window`` the Q/K RoPE is included."""
     rng = np.random.default_rng(0)
-    attn = MultiHeadAttention(64, 4, rng=rng)
-    x = Tensor(rng.normal(size=(2, 16, 64, 64)).astype(np.float32))
+    attn = MultiHeadAttention(dim, heads, rng=rng)
+    x = Tensor(rng.normal(size=(*lead, tokens, dim)).astype(np.float32))
+    rope = rope_tables(window, dim // heads) if window else ()
 
     def forward():
         with no_grad():
-            return attn(x)
+            return attn(x, *rope)
 
-    return Workload("window_attention_forward", forward,
-                    _with_reference(forward))
+    return Workload(name, forward, _with_reference(forward))
+
+
+def window_attention_forward() -> Workload:
+    """The original headline: 64-token windows, head_dim 16, no RoPE."""
+    return _window_attention("window_attention_forward", 64, 4, (2, 16), 64)
+
+
+def window_attention_quickstart() -> Workload:
+    """The shape every bench_e2e inference workload spends its time in:
+    4x4 windows (16 tokens), head_dim 8, 16 rows x 32 windows, with RoPE —
+    the short-row side of the softmax-max selection."""
+    return _window_attention("window_attention_quickstart", 32, 4, (16, 32),
+                             16, window=(4, 4))
+
+
+def window_attention_long_window() -> Workload:
+    """24x24 windows (576 tokens), with RoPE — the long-row side of the
+    softmax-max selection, where the transposed max would lose."""
+    return _window_attention("window_attention_long_window", 32, 4, (1, 2),
+                             576, window=(24, 24))
 
 
 def window_partition_roundtrip() -> Workload:
@@ -142,6 +165,8 @@ def gcm_step() -> Workload:
 #: name -> factory; ordered as they should run/report.
 WORKLOADS: dict[str, Callable[[], Workload]] = {
     "window_attention_forward": window_attention_forward,
+    "window_attention_quickstart": window_attention_quickstart,
+    "window_attention_long_window": window_attention_long_window,
     "window_partition_roundtrip": window_partition_roundtrip,
     "aeris_forward_tiny": aeris_forward_tiny,
     "aeris_train_step_tiny": aeris_train_step_tiny,

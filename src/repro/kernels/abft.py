@@ -94,6 +94,10 @@ def _verify_gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     which is what keeps the clean-path overhead inside the perf budget
     (bench_sdc.py).  A flipped output element shifts exactly one row sum.
     """
+    # b is read twice below; the attention kernels multiply strided views
+    # of the packed QKV projection, cheaper copied once than re-walked
+    # (a contiguous b passes through).
+    b = np.ascontiguousarray(b)
     with np.errstate(invalid="ignore", over="ignore"):
         # Both checksums reduce via batched GEMV against a ones vector —
         # BLAS beats np.sum by ~10x on small batched operands, and any

@@ -6,17 +6,34 @@ many fresh full-size temporaries per call.  The kernels here compute the same
 mathematics as a single node each, with in-place NumPy updates on
 arena-pooled scratch where the value cannot escape.
 
-Bit-exactness is a hard contract, enforced by golden tests: every ufunc is
-applied to the same operands in the same order as the reference graph, BF16
-emulation rounds exactly the matmul operands the reference rounds (including
-in backward, which reuses the *rounded* forward operands, as
+Bit-exactness is a hard contract, enforced by golden tests: BF16 emulation
+rounds exactly the matmul operands the reference rounds (including in
+backward, which reuses the *rounded* forward operands, as
 ``Tensor.__matmul__`` does), FLOP accounting mirrors the reference node for
-node, and float32 accumulation semantics are unchanged (NumPy matmul/BLAS,
-same layouts — no layout "optimizations" that could change the reduction
-order).
+node, and float32 accumulation semantics are unchanged.
+
+Layout rule.  The kernels are free to re-lay data out, and do, because on
+Swin windows the inner axes are 4–16 long and NumPy pays a fixed cost per
+inner loop (≈120 ns per row of a float ``maximum.reduce``, more for a
+stride-2 pair access under a broadcast table).  A re-layout is allowed iff
+every scalar operation keeps its operands and every sum and every GEMM
+K-reduction keeps its order:
+
+* the rotation runs full-width, ``x·C + swap(x)·S``, on the packed
+  ``(..., tokens, heads, head_dim)`` order the QKV projection is born in
+  (``x1·(−s) ≡ −(x1·s)`` and ``a + (−b) ≡ a − b`` exactly; the rest is
+  commutation);
+* ``max`` is exact in any order, so short rows are reduced through a
+  cache-blocked transposed copy;
+* GEMM operands may be copied contiguous and the output written in another
+  order — the K order of every dot product is untouched;
+* ``sum`` over the softmax axis is pairwise, hence order-sensitive: it keeps
+  its layout and algorithm.
 """
 
 from __future__ import annotations
+
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -26,9 +43,62 @@ from ..tensor.flops import add_flops, flops_enabled
 from ..tensor.tensor import _unbroadcast
 from ..tensor.workspace import arena
 from .abft import guard_gemm
+from .rope_cache import rotation_tables
 
 __all__ = ["fused_apply_rotary", "fused_dot_product_attention",
            "fused_swiglu_forward"]
+
+#: Softmax rows shorter than this take the transposed max.  Measured on the
+#: CI sandbox (DESIGN §10): 8x faster than ``max(axis=-1)`` at 16 tokens,
+#: 2.8x at 48, level at 64–96, 2.5x slower from 192 on.
+_TRANSPOSED_MAX_BELOW = 64
+
+#: Elements of the one flat scratch block both kernels work through —
+#: 256 KB of float32, L2-resident, so pooled scratch does not grow with
+#: the batch.
+_BLOCK = 1 << 16
+
+
+@contextmanager
+def _scratch(elems: int, dtype):
+    """A flat arena buffer of at least ``elems`` (and ``_BLOCK``) elements,
+    released on exit — also when the block raises."""
+    ws = arena()
+    buf = ws.get((max(_BLOCK, elems),), dtype)
+    try:
+        yield buf
+    finally:
+        ws.release(buf)
+
+
+def rotate_pairs(x: np.ndarray, cos: np.ndarray, sin: np.ndarray,
+                 inverse: bool = False) -> np.ndarray:
+    """Rotate the feature pairs of a raw array: ``(x0, x1) -> (x0·c − x1·s,
+    x0·s + x1·c)``, or the transposed rotation (the backward) if ``inverse``.
+
+    ``cos``/``sin`` broadcast against ``x.shape[:-1] + (head_dim // 2,)``.
+    Computed as ``x·C + swap(x)·S`` on full-width tables, so every ufunc
+    runs over the whole contiguous tail of ``x``.  Returns a fresh array.
+    """
+    c, s = rotation_tables(cos, sin, x.shape, inverse)
+    out = np.empty(x.shape, dtype=np.result_type(x, c))
+    # Batch axes flattened (a view of a packed or contiguous x), then
+    # walked a scratch block at a time.
+    windows = x.reshape((-1,) + c.shape)
+    rotated = out.reshape(windows.shape)
+    pairs = (-1,) + c.shape[:-1] + (c.shape[-1] // 2, 2)
+    step = max(1, _BLOCK // max(1, c.size))
+    with _scratch(c.size, out.dtype) as scratch:
+        for start in range(0, len(windows), step):
+            part = windows[start:start + step]
+            swapped = scratch[:part.size].reshape(part.shape)
+            src, dst = part.reshape(pairs), swapped.reshape(pairs)
+            dst[..., 0] = src[..., 1]
+            dst[..., 1] = src[..., 0]
+            np.multiply(part, c, out=rotated[start:start + step])
+            swapped *= s
+            rotated[start:start + step] += swapped
+    return out
 
 
 def fused_apply_rotary(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
@@ -36,41 +106,49 @@ def fused_apply_rotary(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
 
     Same contract as :func:`repro.nn.attention.apply_rotary`:
     ``x`` is ``(..., tokens, head_dim)``, ``cos``/``sin`` are
-    ``(tokens, head_dim // 2)``.
+    ``(tokens, head_dim // 2)`` — or anything that broadcasts the same way,
+    e.g. ``(tokens, 1, head_dim // 2)`` against a packed
+    ``(..., tokens, heads, head_dim)``.
     """
-    xa = x.data
-    half = xa.shape[-1] // 2
-    pair_shape = xa.shape[:-1] + (half, 2)
-    pairs = xa.reshape(pair_shape)
-    x0 = pairs[..., 0]
-    x1 = pairs[..., 1]
-    out = np.empty(pair_shape, dtype=np.result_type(xa, cos))
-    o0 = out[..., 0]
-    o1 = out[..., 1]
-    # r0 = x0*c - x1*s ; r1 = x0*s + x1*c  (identical ufunc order to the
-    # reference mul/sub/add chain; in-place only on freshly written slots).
-    np.multiply(x0, cos, out=o0)
-    o0 -= x1 * sin
-    np.multiply(x0, sin, out=o1)
-    o1 += x1 * cos
-    x_shape = xa.shape
-
     def backward(g):
-        gp = g.reshape(pair_shape)
-        g0 = gp[..., 0]
-        g1 = gp[..., 1]
-        gx = np.empty(pair_shape, dtype=g.dtype)
-        b0 = gx[..., 0]
-        b1 = gx[..., 1]
-        # d/dx0 = g0*c + g1*s ; d/dx1 = g1*c - g0*s (addition order differs
-        # from the reference only by commutations, which are exact).
-        np.multiply(g0, cos, out=b0)
-        b0 += g1 * sin
-        np.multiply(g1, cos, out=b1)
-        b1 -= g0 * sin
-        return (gx.reshape(x_shape),)
+        return (rotate_pairs(g, cos, sin, inverse=True),)
 
-    return Tensor._make(out.reshape(x_shape), (x,), backward)
+    return Tensor._make(rotate_pairs(x.data, cos, sin), (x,), backward)
+
+
+def _row_max(scores: np.ndarray) -> np.ndarray:
+    """``scores.max(axis=-1, keepdims=True)``; short rows go through a
+    blocked transposed copy so the reduction vectorizes across rows."""
+    tokens = scores.shape[-1]
+    if tokens >= _TRANSPOSED_MAX_BELOW:
+        return scores.max(axis=-1, keepdims=True)
+    flat = scores.reshape(-1, tokens)
+    out = np.empty(len(flat), dtype=scores.dtype)
+    step = _BLOCK // tokens
+    with _scratch(_BLOCK, scores.dtype) as scratch:
+        for start in range(0, len(flat), step):
+            part = flat[start:start + step]
+            columns = scratch[:part.size].reshape(tokens, len(part))
+            np.copyto(columns, part.T)
+            np.maximum.reduce(columns, axis=0, out=out[start:start + step])
+    return out.reshape(scores.shape[:-1] + (1,))
+
+
+def _matmul_transposed(a: np.ndarray, bT: np.ndarray, out: np.ndarray) -> None:
+    """``out[...] = a @ bT`` for a ``bT`` that is a transposed (strided)
+    view: copied contiguous a scratch block at a time, so the small GEMMs
+    take BLAS's plain NN path and the copy never leaves L2."""
+    if a.ndim < 3 or a.shape[:-2] != bT.shape[:-2]:
+        a, bT, out = a[None], bT[None], out[None]   # broadcasting: one slab
+    slab = bT[0].size
+    step = max(1, _BLOCK // max(1, slab))
+    with _scratch(slab, bT.dtype) as scratch:
+        for start in range(0, len(bT), step):
+            part = bT[start:start + step]
+            block = scratch[:part.size].reshape(part.shape)
+            np.copyto(block, part)
+            np.matmul(a[start:start + step], block,
+                      out=out[start:start + step])
 
 
 def fused_dot_product_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
@@ -78,7 +156,10 @@ def fused_dot_product_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
 
     Same contract as :func:`repro.nn.attention.dot_product_attention`:
     shapes ``(..., tokens, head_dim)`` in and out, float32 accumulation via
-    the same NumPy matmuls, max-subtracted softmax.
+    the same NumPy matmuls, max-subtracted softmax.  Operands may be any
+    strided views (the packed QKV projection hands over three); the result
+    is written token-major — ``(..., tokens, heads, head_dim)`` in memory —
+    so the caller's head merge is a view.
     """
     qa, ka, va = q.data, k.data, v.data
     bf16 = bf16_matmul_enabled()
@@ -86,54 +167,59 @@ def fused_dot_product_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
         qa_, ka_, va_ = round_bf16(qa), round_bf16(ka), round_bf16(va)
     else:
         qa_, ka_, va_ = qa, ka, va
-    kT = np.swapaxes(ka_, -1, -2)
+    tokens, head_dim = ka_.shape[-2:]
     # Matches the reference's `1.0 / np.sqrt(hd)` python-float -> fp32 coerce.
     scale = np.float32(1.0 / np.sqrt(qa.shape[-1]))
 
     grad_needed = is_grad_enabled() and (
         q.requires_grad or k.requires_grad or v.requires_grad)
-    scores_shape = np.broadcast_shapes(qa_.shape[:-2], kT.shape[:-2]) \
-        + (qa_.shape[-2], kT.shape[-1])
-    scores_dtype = np.result_type(qa_, kT)
-    ws = arena() if not grad_needed else None
-    if ws is not None:
-        scores = ws.get(scores_shape, scores_dtype)
-        np.matmul(qa_, kT, out=scores)
-    else:
-        scores = np.matmul(qa_, kT)
-    guard_gemm(qa_, kT, scores, "attention.scores")
-    if flops_enabled():
-        add_flops(2 * scores.size * qa_.shape[-1])
-    scores *= scale
-    scores -= scores.max(axis=-1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
-    probs = scores
-    probs_ = round_bf16(probs) if bf16 else probs
-    out = probs_ @ va_
-    guard_gemm(probs_, va_, out, "attention.out")
-    if flops_enabled():
-        add_flops(2 * out.size * probs_.shape[-1])
-    if ws is not None:
-        ws.release(scores)
+    scores_shape = np.broadcast_shapes(qa_.shape[:-2], ka_.shape[:-2]) \
+        + (qa_.shape[-2], tokens)
+    out_shape = np.broadcast_shapes(scores_shape[:-2], va_.shape[:-2]) \
+        + (scores_shape[-2], va_.shape[-1])
+    kT = np.swapaxes(ka_, -1, -2)
+    ws = arena()
+    # probs is captured by the backward closure, so it is pooled only when
+    # there is none.
+    scores = np.empty(scores_shape, np.result_type(qa_, ka_)) if grad_needed \
+        else ws.get(scores_shape, np.result_type(qa_, ka_))
+    try:
+        _matmul_transposed(qa_, kT, scores)
+        guard_gemm(qa_, kT, scores, "attention.scores")
+        if flops_enabled():
+            add_flops(2 * scores.size * head_dim)
+        scores *= scale
+        scores -= _row_max(scores)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=-1, keepdims=True)
+        probs = scores
+        probs_ = round_bf16(probs) if bf16 else probs
+        out = _empty_token_major(out_shape, np.result_type(probs_, va_))
+        np.matmul(probs_, va_, out=out)
+        guard_gemm(probs_, va_, out, "attention.out")
+        if flops_enabled():
+            add_flops(2 * out.size * tokens)
+    finally:
+        if not grad_needed:
+            ws.release(scores)
+    if not grad_needed:
         return Tensor._make(out, (q, k, v), lambda g: (None, None, None))
 
-    q_shape, k_shape, v_shape = qa.shape, ka.shape, va.shape
+    q_shape, v_shape = qa.shape, va.shape
     kT_shape = kT.shape
 
     def backward(g):
-        tokens = probs_.shape[-1]
-        head_dim = qa_.shape[-1]
         g_ = round_bf16(g) if bf16 else g
         # out = probs_ @ va_  (backward reuses the rounded forward operands,
         # exactly as Tensor.__matmul__ captures them).
         if flops_enabled():
             add_flops(4 * g.size * tokens)
-        g_probs = _unbroadcast(g_ @ np.swapaxes(va_, -1, -2), probs.shape)
+        g_scores = _unbroadcast(g_ @ np.swapaxes(va_, -1, -2), probs.shape)
         g_v = _unbroadcast(np.swapaxes(probs_, -1, -2) @ g_, v_shape)
-        # softmax backward (on the unrounded probabilities).
-        dot = (g_probs * probs).sum(axis=-1, keepdims=True)
-        g_scores = (g_probs - dot) * probs
+        # softmax backward (on the unrounded probabilities), in place on the
+        # freshly computed d(probs): (g - sum(g*p)) * p * scale.
+        g_scores -= (g_scores * probs).sum(axis=-1, keepdims=True)
+        g_scores *= probs
         g_scores *= scale
         g_scores_ = round_bf16(g_scores) if bf16 else g_scores
         # scores = qa_ @ kT  backward.
@@ -141,10 +227,18 @@ def fused_dot_product_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
             add_flops(4 * g_scores.size * head_dim)
         g_q = _unbroadcast(g_scores_ @ ka_, q_shape)
         g_kT = _unbroadcast(np.swapaxes(qa_, -1, -2) @ g_scores_, kT_shape)
-        g_k = np.swapaxes(g_kT, -1, -2)
-        return (g_q, g_k, g_v)
+        return (g_q, np.swapaxes(g_kT, -1, -2), g_v)
 
     return Tensor._make(out, (q, k, v), backward)
+
+
+def _empty_token_major(shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialized ``(..., heads, tokens, head_dim)`` array whose memory
+    order is ``(..., tokens, heads, head_dim)``."""
+    if len(shape) < 3:
+        return np.empty(shape, dtype=dtype)
+    memory = shape[:-3] + (shape[-2], shape[-3], shape[-1])
+    return np.swapaxes(np.empty(memory, dtype=dtype), -2, -3)
 
 
 def fused_swiglu_forward(x: Tensor, w_gate: np.ndarray, w_up: np.ndarray,

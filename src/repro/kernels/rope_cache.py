@@ -7,6 +7,11 @@ unshifted windows, all blocks of a model, and all models of a process can
 share one pair of read-only arrays.  The builder delegates to the canonical
 :func:`repro.model.rope.axial_rope_table`, so cached tables are bitwise
 identical to freshly built ones.
+
+The same cache holds the *full-width* forms the rotary kernel multiplies by
+(:func:`rotation_tables`): ``cos``/``sin`` spread over both slots of every
+feature pair and over the axes that sit inside the token axis in memory, so
+the kernel's ufuncs run over one long contiguous inner axis.
 """
 
 from __future__ import annotations
@@ -40,3 +45,45 @@ def rope_tables(window: tuple[int, int], head_dim: int, base: float = 100.0,
         return cos, sin
 
     return _ROPE_TABLES.get_or_build(key, build)
+
+
+def _address(a: np.ndarray) -> tuple:
+    return (a.__array_interface__["data"][0], a.shape, a.strides, a.dtype.str)
+
+
+def rotation_tables(cos: np.ndarray, sin: np.ndarray, shape: tuple[int, ...],
+                    inverse: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Full-width ``(C, S)`` with ``x*C + swap(x)*S`` the pair rotation of
+    an ``x`` of ``shape`` (``swap`` exchanges the two slots of each pair).
+
+    ``cos``/``sin`` broadcast against ``shape[:-1] + (shape[-1] // 2,)``.
+    ``C`` repeats ``cos`` into both slots and ``S`` is ``[-sin, +sin]``
+    (``[+sin, -sin]`` for the ``inverse`` rotation, i.e. the backward); both
+    are materialized over every axis of ``shape`` from the first one the
+    tables vary along, and stay broadcast over the axes before it.
+
+    Read-only inputs — what :func:`rope_tables` hands out, and views of it —
+    are memoized by memory address (the entry pins them, so the address
+    cannot be reused while it is cached); writable inputs are rebuilt.
+    """
+    def build() -> tuple:
+        first = next((i for i, n in enumerate(cos.shape[:-1]) if n != 1),
+                     cos.ndim - 1)
+        span = tuple(shape[len(shape) - cos.ndim + first:])
+        pairs = span[:-1] + (span[-1] // 2, 2)
+        dtype = np.result_type(cos, sin)
+        c = np.empty(pairs, dtype=dtype)
+        s = np.empty(pairs, dtype=dtype)
+        c[...] = cos.reshape(cos.shape[first:])[..., None]
+        s[...] = sin.reshape(sin.shape[first:])[..., None]
+        negated = s[..., int(inverse)]
+        np.negative(negated, out=negated)
+        c, s = c.reshape(span), s.reshape(span)
+        c.setflags(write=False)
+        s.setflags(write=False)
+        return c, s, cos, sin
+
+    if cos.flags.writeable or sin.flags.writeable:
+        return build()[:2]
+    key = (_address(cos), _address(sin), tuple(shape[-cos.ndim:]), inverse)
+    return _ROPE_TABLES.get_or_build(key, build)[:2]

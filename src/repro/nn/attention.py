@@ -90,24 +90,29 @@ class MultiHeadAttention(Module):
         *lead, tokens, dim = x.shape
         qkv = self.qkv(x)                                     # (..., T, 3D)
         qkv = qkv.reshape(*lead, tokens, 3, self.heads, self.head_dim)
-        # -> (3, ..., heads, tokens, head_dim)
-        perm = list(range(qkv.ndim))
-        # current axes: lead..., T, 3, H, hd ; want: 3, lead..., H, T, hd
-        n_lead = len(lead)
-        order = [n_lead + 1] + list(range(n_lead)) + [n_lead + 2, n_lead, n_lead + 3]
-        del perm
-        qkv = qkv.transpose(order)
-        q, k, v = qkv[0], qkv[1], qkv[2]
         # The fused kernels are drop-in (bit-exact) for the default core
         # only; a custom attn_core (e.g. sequence parallelism) keeps the
         # reference rotary so its sharded tables see identical math.
-        fused = kernels_enabled() and self.attn_core is dot_product_attention
-        if rope_cos is not None:
-            rotary = fused_apply_rotary if fused else apply_rotary
-            q = rotary(q, rope_cos, rope_sin)
-            k = rotary(k, rope_cos, rope_sin)
-        core = fused_dot_product_attention if fused else self.attn_core
-        out = core(q, k, v)                                   # (..., H, T, hd)
+        if kernels_enabled() and self.attn_core is dot_product_attention:
+            # Q and K are rotated together, in the packed order the
+            # projection produced; the core takes head-major *views*.
+            qk, v = qkv[..., :2, :, :], qkv[..., 2, :, :]
+            if rope_cos is not None:
+                qk = fused_apply_rotary(qk, rope_cos[:, None, None, :],
+                                        rope_sin[:, None, None, :])
+            q, k, v = (t.swapaxes(-2, -3)
+                       for t in (qk[..., 0, :, :], qk[..., 1, :, :], v))
+            out = fused_dot_product_attention(q, k, v)        # (..., H, T, hd)
+        else:
+            # current axes: lead..., T, 3, H, hd ; want: 3, lead..., H, T, hd
+            n_lead = len(lead)
+            qkv = qkv.transpose([n_lead + 1] + list(range(n_lead))
+                                + [n_lead + 2, n_lead, n_lead + 3])
+            q, k, v = qkv[0], qkv[1], qkv[2]
+            if rope_cos is not None:
+                q = apply_rotary(q, rope_cos, rope_sin)
+                k = apply_rotary(k, rope_cos, rope_sin)
+            out = self.attn_core(q, k, v)                     # (..., H, T, hd)
         # -> (..., T, H*hd)
         out = out.swapaxes(-2, -3).reshape(*lead, tokens, dim)
         return self.out(out)

@@ -24,25 +24,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..kernels import rope_tables
+from ..kernels.fused import rotate_pairs
 from .comm import SimCluster
 from .sequence_parallel import ulysses_attention
 from .topology import RankTopology
 from .window_parallel import window_sharding
 
 __all__ = ["swipe_window_attention"]
-
-
-def _apply_rotary_np(x: np.ndarray, cos: np.ndarray, sin: np.ndarray
-                     ) -> np.ndarray:
-    """NumPy mirror of :func:`repro.nn.attention.apply_rotary` for
-    ``(..., tokens, heads, head_dim)`` with tables ``(tokens, head_dim/2)``."""
-    pairs = x.reshape(x.shape[:-1] + (x.shape[-1] // 2, 2))
-    x0, x1 = pairs[..., 0], pairs[..., 1]
-    c = cos[:, None, :]  # broadcast over heads
-    s = sin[:, None, :]
-    r0 = x0 * c - x1 * s
-    r1 = x0 * s + x1 * c
-    return np.stack([r0, r1], axis=-1).reshape(x.shape)
 
 
 def swipe_window_attention(image: np.ndarray, attention, window: tuple[int, int],
@@ -100,19 +88,17 @@ def swipe_window_attention(image: np.ndarray, attention, window: tuple[int, int]
             qkv = shard @ w_qkv                 # (B, nW, T/SP, 3D)
             t_shard = shard.shape[2]
             qkv = qkv.reshape(b, n_win, t_shard, 3, heads, head_dim)
-            q = qkv[:, :, :, 0]
-            k = qkv[:, :, :, 1]
-            v = qkv[:, :, :, 2]
             # Rope uses the *global* within-window token coordinates owned
-            # by this SP shard.
-            q = _apply_rotary_np(q, rope_splits_cos[sp_rank],
-                                 rope_splits_sin[sp_rank])
-            k = _apply_rotary_np(k, rope_splits_cos[sp_rank],
-                                 rope_splits_sin[sp_rank])
+            # by this SP shard; Q and K rotate together, packed.
+            qk = rotate_pairs(qkv[:, :, :, :2],
+                              rope_splits_cos[sp_rank][:, None, None, :],
+                              rope_splits_sin[sp_rank][:, None, None, :])
             # ulysses expects (..., T/SP, H, hd): fold (B, nW) into leading.
-            q_shards.append(q.reshape(b * n_win, t_shard, heads, head_dim))
-            k_shards.append(k.reshape(b * n_win, t_shard, heads, head_dim))
-            v_shards.append(v.reshape(b * n_win, t_shard, heads, head_dim))
+            for shards, part in ((q_shards, qk[:, :, :, 0]),
+                                 (k_shards, qk[:, :, :, 1]),
+                                 (v_shards, qkv[:, :, :, 2])):
+                shards.append(part.reshape(b * n_win, t_shard, heads,
+                                           head_dim))
         attn_shards = ulysses_attention(cluster, sp_group, q_shards,
                                         k_shards, v_shards)
         # Output projection on each SP rank's token shard, then re-join.

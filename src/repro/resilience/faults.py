@@ -375,16 +375,19 @@ class FaultInjector:
         the detectable class of GEMM corruption (a transient that lands
         below the checksum noise floor is numerically indistinguishable
         from rounding and is out of the threat model)."""
-        flat = array.reshape(-1)
-        if not flat.size:
+        if not array.size:
             return
-        idx = int(self.rng.integers(flat.size))
+        # Indexed through the array's own strides: a GEMM may write its
+        # output into a non-contiguous view, which `reshape(-1)` would copy.
+        idx = np.unravel_index(int(self.rng.integers(array.size)),
+                               array.shape)
         if array.dtype == np.float64:
-            flat.view(np.uint64)[idx] ^= np.uint64(1) << np.uint64(62)
+            array.view(np.uint64)[idx] ^= np.uint64(1) << np.uint64(62)
         elif array.dtype == np.float32:
-            flat.view(np.uint32)[idx] ^= np.uint32(1) << np.uint32(30)
+            array.view(np.uint32)[idx] ^= np.uint32(1) << np.uint32(30)
         else:  # fall back to a sign flip for other real dtypes
-            flat[idx] = -flat[idx] if flat[idx] != 0 else flat.dtype.type(1)
+            array[idx] = -array[idx] if array[idx] != 0 \
+                else array.dtype.type(1)
 
     def poison_forecast(self, arrays) -> None:
         """Poison one seeded element of one forecast array *in place*

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.kernels import (
+    abft_guard,
     disable_kernels,
     fused_apply_rotary,
     fused_dot_product_attention,
@@ -28,8 +29,15 @@ from repro.tensor import (
     count_flops,
     no_grad,
 )
+from repro.train import Trainer, TrainerConfig
 
 rng = np.random.default_rng(7)
+
+#: The model every bench_e2e workload runs (repro.quickstart_components).
+QUICKSTART = AerisConfig(
+    name="quickstart", height=16, width=32, channels=9, forcing_channels=3,
+    dim=32, heads=4, ffn_dim=64, swin_layers=2, blocks_per_layer=2,
+    window=(4, 4), time_freqs=8)
 
 
 def _qkv(shape=(2, 3, 16, 8), seed=7):
@@ -106,6 +114,141 @@ class TestFusedRotary:
         np.testing.assert_array_equal(cos, ref_cos)
         np.testing.assert_array_equal(sin, ref_sin)
         assert not cos.flags.writeable and not sin.flags.writeable
+
+
+#: tokens -> window; 15/16/24 take the transposed max, 144/576 the row-wise
+#: one, and 15, 24 and 144 are not powers of two.
+WINDOWS = {15: (3, 5), 16: (4, 4), 24: (4, 6), 144: (12, 12), 576: (24, 24)}
+LAYOUTS = ("contiguous", "packed", "transposed")
+
+
+def _layout_views(base: Tensor, layout: str):
+    """``(q, k, v)`` of shape ``lead + (tokens, head_dim)`` cut from one
+    leaf, so the three input gradients arrive in ``base.grad``."""
+    if layout == "contiguous":      # base: (3,) + lead + (T, hd)
+        return base[0], base[1], base[2]
+    if layout == "transposed":      # base: (3,) + lead + (hd, T)
+        return tuple(base[i].swapaxes(-1, -2) for i in range(3))
+    # packed, as MultiHeadAttention holds it: lead[:-1] + (T, 3, H, hd) with
+    # H = lead[-1], or (T, 3, hd) without a head axis.
+    if base.ndim == 3:
+        return base[:, 0], base[:, 1], base[:, 2]
+    return tuple(base[..., i, :, :].swapaxes(-2, -3) for i in range(3))
+
+
+def _base_shape(layout, lead, tokens, head_dim):
+    if layout == "contiguous":
+        return (3, *lead, tokens, head_dim)
+    if layout == "transposed":
+        return (3, *lead, head_dim, tokens)
+    return (*lead[:-1], tokens, 3, *lead[-1:], head_dim)
+
+
+def _attend(base: Tensor, layout: str, cos, sin, fused: bool) -> Tensor:
+    """Rotary on Q and K, then the attention core — reference primitives
+    or the fused kernels (packed: Q and K rotated in one call, as
+    ``MultiHeadAttention`` does)."""
+    q, k, v = _layout_views(base, layout)
+    if not fused:
+        return dot_product_attention(apply_rotary(q, cos, sin),
+                                     apply_rotary(k, cos, sin), v)
+    if layout != "packed":
+        return fused_dot_product_attention(
+            fused_apply_rotary(q, cos, sin), fused_apply_rotary(k, cos, sin),
+            v)
+    if base.ndim == 3:
+        qk = fused_apply_rotary(base[:, :2], cos[:, None, :],
+                                sin[:, None, :])
+        return fused_dot_product_attention(qk[:, 0], qk[:, 1], v)
+    qk = fused_apply_rotary(base[..., :2, :, :], cos[:, None, None, :],
+                            sin[:, None, None, :])
+    q, k = (qk[..., i, :, :].swapaxes(-2, -3) for i in range(2))
+    return fused_dot_product_attention(q, k, v)
+
+
+class TestAttentionLayouts:
+    """Rotary + core against ``apply_rotary`` + ``dot_product_attention``
+    over input layout x tokens x head_dim x lead dims, each under BF16
+    on/off x ABFT guard on/off x grad/no_grad."""
+
+    @pytest.mark.parametrize("lead", [(), (1,), (2, 3)],
+                             ids=["lead0", "lead1", "lead2x3"])
+    @pytest.mark.parametrize("head_dim", [4, 8, 12])
+    @pytest.mark.parametrize("tokens", sorted(WINDOWS))
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_outputs_gradients_flops_bit_exact(self, layout, tokens,
+                                               head_dim, lead):
+        cos, sin = rope_tables(WINDOWS[tokens], head_dim)
+        local = np.random.default_rng(tokens * 31 + head_dim)
+        data = local.normal(size=_base_shape(
+            layout, lead, tokens, head_dim)).astype(np.float32)
+        g = local.normal(size=(*lead, tokens, head_dim)).astype(np.float32)
+        for bf16 in (False, True):
+            for guard in (False, True):
+                for grad in (True, False):
+                    got = {}
+                    for fused in (False, True):
+                        base = Tensor(data.copy(), requires_grad=grad)
+                        fc = FlopCounter()
+                        with autocast_bf16(bf16), abft_guard(guard), \
+                                count_flops(fc):
+                            if grad:
+                                out = _attend(base, layout, cos, sin, fused)
+                                out.backward(g)
+                            else:
+                                with no_grad():
+                                    out = _attend(base, layout, cos, sin,
+                                                  fused)
+                        got[fused] = (out.numpy(), base.grad, fc.total)
+                    case = f"bf16={bf16} guard={guard} grad={grad}"
+                    np.testing.assert_array_equal(
+                        got[True][0], got[False][0], err_msg=case)
+                    if grad:
+                        np.testing.assert_array_equal(
+                            got[True][1], got[False][1], err_msg=case)
+                    assert got[True][2] == got[False][2] > 0, case
+
+    @pytest.mark.parametrize("tokens", [16, 144])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_nonfinite_rows_match_position_for_position(self, layout,
+                                                        tokens):
+        head_dim, lead = 8, (2, 3)
+        cos, sin = rope_tables(WINDOWS[tokens], head_dim)
+        local = np.random.default_rng(tokens)
+        q, k, v = np.abs(local.normal(size=(
+            3, *lead, tokens, head_dim))).astype(np.float32) + 0.1
+        # Score rows holding a NaN, +inf everywhere, +inf in one column,
+        # and -inf everywhere (k > 0, so the sign of q decides).
+        q[0, 0, 0, 1] = np.nan
+        q[0, 1, 2] = np.inf
+        k[1, 0, 3] = np.inf
+        q[1, 2, 4] = -np.inf
+        data = np.stack([q, k, v])
+        if layout == "transposed":
+            data = np.ascontiguousarray(data.swapaxes(-1, -2))
+        elif layout == "packed":    # (3, a, H, T, hd) -> (a, T, 3, H, hd)
+            data = np.ascontiguousarray(data.transpose(1, 3, 0, 2, 4))
+        g = np.ones((*lead, tokens, head_dim), dtype=np.float32)
+        got = {}
+        with np.errstate(invalid="ignore"):
+            for fused in (False, True):
+                base = Tensor(data.copy(), requires_grad=True)
+                # Rotary is checked on its own below: rotating an all-inf
+                # row would turn the whole score matrix into NaN.
+                q_, k_, v_ = _layout_views(base, layout)
+                core = fused_dot_product_attention if fused \
+                    else dot_product_attention
+                out = core(q_, k_, v_)
+                out.backward(g)
+                with no_grad():
+                    plain = core(q_, k_, v_).numpy()
+                rot = (fused_apply_rotary if fused else apply_rotary)(
+                    q_, cos, sin)
+                got[fused] = (out.numpy(), plain, base.grad, rot.numpy())
+        assert np.isnan(got[False][0]).any() \
+            and np.isfinite(got[False][0]).any()
+        for a, b in zip(got[True], got[False]):
+            np.testing.assert_array_equal(a, b)     # NaN == NaN by position
 
 
 class TestFusedSwiGLU:
@@ -209,6 +352,40 @@ class TestModelGolden:
 
         # Bit-exactness of the whole graph: identical parameter gradients.
         for a, b in zip(grads(True), grads(False)):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("rows", [1, 16])
+    def test_quickstart_forward_bit_exact_at_1_and_16_rows(self, rows):
+        model = Aeris(QUICKSTART, seed=0)
+        local = np.random.default_rng(rows)
+        args = (Tensor(local.normal(size=(rows, 16, 32, 9)).astype(
+                    np.float32)),
+                Tensor(np.linspace(0.1, 1.5, rows, dtype=np.float32)),
+                Tensor(local.normal(size=(rows, 16, 32, 9)).astype(
+                    np.float32)),
+                Tensor(local.normal(size=(rows, 16, 32, 3)).astype(
+                    np.float32)))
+        with no_grad():
+            fast = model(*args).numpy()
+            with disable_kernels():
+                ref = model(*args).numpy()
+        np.testing.assert_array_equal(fast, ref)
+
+    def test_train_step_bit_exact_vs_reference_paths(self, tiny_archive):
+        def step(use_kernels):
+            trainer = Trainer(
+                Aeris(QUICKSTART, seed=0), tiny_archive,
+                TrainerConfig(batch_size=2, seed=0))
+            if use_kernels:
+                loss = trainer.train_step()
+            else:
+                with disable_kernels():
+                    loss = trainer.train_step()
+            return loss, [p.data.copy() for p in trainer.model.parameters()]
+
+        (loss_a, params_a), (loss_b, params_b) = step(True), step(False)
+        assert loss_a == loss_b
+        for a, b in zip(params_a, params_b):
             np.testing.assert_array_equal(a, b)
 
     def test_attention_module_with_custom_core_keeps_reference_path(self):

@@ -3,9 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, WorkspaceArena, arena, no_grad
+from repro.kernels import abft_guard, fused_dot_product_attention
+from repro.model import Aeris
 from repro.nn.attention import dot_product_attention
-from repro.kernels import fused_dot_product_attention
+from repro.resilience import (
+    ComputeCorruption,
+    ComputeFault,
+    FaultInjector,
+    FaultPlan,
+    inject_compute,
+)
+from repro.tensor import Tensor, WorkspaceArena, arena, no_grad
+
+from .test_golden import QUICKSTART
 
 
 class TestArenaPooling:
@@ -81,14 +91,79 @@ class TestArenaInKernels:
         assert stats["bytes_served"] > stats["bytes_allocated"]
 
     def test_training_attention_does_not_pool_graph_buffers(self):
+        """Whatever the taped forward leaves in the pool, a later call
+        reusing it must not reach the buffers backward still reads."""
         glob = arena()
         glob.clear()
         rng = np.random.default_rng(1)
-        q, k, v = (Tensor(rng.normal(size=(1, 2, 8, 4)).astype(np.float32),
-                          requires_grad=True) for _ in range(3))
-        out = fused_dot_product_attention(q, k, v)
-        pooled_before_backward = glob.pooled_bytes
-        out.sum().backward()
-        assert q.grad is not None
-        # The probs tensor lives in the graph; it must not have been pooled.
-        assert pooled_before_backward == 0
+        shape = (1, 2, 8, 4)
+        data = [rng.normal(size=shape).astype(np.float32) for _ in range(6)]
+        grads = {}
+        for name, core in (("ref", dot_product_attention),
+                           ("fused", fused_dot_product_attention)):
+            q, k, v = (Tensor(a.copy(), requires_grad=True)
+                       for a in data[:3])
+            out = core(q, k, v)
+            with no_grad():     # same shapes: takes every pooled buffer
+                fused_dot_product_attention(*(Tensor(a) for a in data[3:]))
+            out.sum().backward()
+            grads[name] = (q.grad, k.grad, v.grad)
+        for a, b in zip(grads["ref"], grads["fused"]):
+            np.testing.assert_array_equal(a, b)
+
+    def test_back_to_back_calls_do_not_alias(self):
+        rng = np.random.default_rng(2)
+        first, second = ([Tensor(rng.normal(size=(2, 4, 16, 8)).astype(
+            np.float32)) for _ in range(3)] for _ in range(2))
+        with no_grad():
+            a = fused_dot_product_attention(*first)
+            kept = a.numpy().copy()
+            b = fused_dot_product_attention(*second)
+        assert not np.shares_memory(a.numpy(), b.numpy())
+        np.testing.assert_array_equal(a.numpy(), kept)
+        assert not np.array_equal(a.numpy(), b.numpy())
+
+    @pytest.mark.parametrize("nth", [0, 1], ids=["scores", "out"])
+    def test_corruption_mid_kernel_keeps_scratch_pooled(self, nth):
+        """An ABFT ``ComputeCorruption`` raised inside the kernel must not
+        drop that call's buffers from the pool (released in ``finally``)."""
+        glob = arena()
+        glob.clear()
+        rng = np.random.default_rng(3)
+        q, k, v = (Tensor(rng.normal(size=(2, 4, 16, 8)).astype(np.float32))
+                   for _ in range(3))
+        with no_grad():
+            fused_dot_product_attention(q, k, v)
+            pooled = glob.pooled_bytes
+            assert pooled > 0
+            fault = FaultInjector(FaultPlan(events=(
+                ComputeFault(step=0, site="gemm", nth=nth),)))
+            fault.advance(0)
+            with abft_guard(), inject_compute(fault), \
+                    pytest.raises(ComputeCorruption):
+                fused_dot_product_attention(q, k, v)
+            assert glob.pooled_bytes == pooled
+            glob.reset_stats()
+            fused_dot_product_attention(q, k, v)
+        assert glob.stats()["misses"] == 0
+
+    def test_pooled_bytes_steady_and_budgeted_at_16_rows(self):
+        """The RSS guard: rotary, K^T and max scratch all go through one
+        256 KB block, so what a 16-row forward of the quickstart model
+        leaves pooled is that block, the score matrix (2 MB) and three
+        SwiGLU hidden buffers (6 MB) — settled after the first forward."""
+        model = Aeris(QUICKSTART, seed=0)
+        rng = np.random.default_rng(4)
+        args = (Tensor(rng.normal(size=(16, 16, 32, 9)).astype(np.float32)),
+                Tensor(np.full(16, 0.5, np.float32)),
+                Tensor(rng.normal(size=(16, 16, 32, 9)).astype(np.float32)),
+                Tensor(rng.normal(size=(16, 16, 32, 3)).astype(np.float32)))
+        glob = arena()
+        glob.clear()
+        pooled = []
+        with no_grad():
+            for _ in range(10):
+                model(*args)
+                pooled.append(glob.pooled_bytes)
+        assert len(set(pooled[1:])) == 1
+        assert pooled[-1] < 9 * 2 ** 20
