@@ -13,13 +13,17 @@ budget is expressed per step.  The headline is
 * ``derived.abft_enabled_speedup`` — off-time / on-time (≈1.0 when the
   checksums are cheap; gated higher-is-better by
   ``tools/check_bench_regression.py`` against the committed baseline);
-* ``derived.overhead_frac`` — on/off - 1 over the *minimum* round times
-  (the noise floor of each mode: the checksum work is deterministic, so
-  it shows up fully in the mins, while allocator/GC spikes inflate only
-  the medians), the fraction of a training step spent verifying
-  checksums.  ``--max-overhead 0.10`` turns the ISSUE's overhead budget
-  into a hard CI failure; ``derived.overhead_frac_p50`` is the
-  median-based view, informational.
+* ``derived.overhead_frac_paired`` — the median over rounds of the
+  per-round paired ratio ``on_i / off_i - 1``, the fraction of a training
+  step spent verifying checksums.  **This is the key ``--max-overhead``
+  reads** (``--max-overhead 0.10`` turns the ISSUE's overhead budget into
+  a hard CI failure): a round's two segments run back to back, so drift
+  cancels inside each ratio and one slow segment moves one ratio, not
+  the verdict — ``benchmarks/run_benches.py``'s discipline;
+* ``derived.overhead_frac`` (on/off - 1 over the *minimum* round times)
+  and ``derived.overhead_frac_p50`` (over the medians) — informational:
+  each is a ratio of two *independent* order statistics, so it can land
+  either side of the budget on an unchanged tree.
 
 Before timing, the benchmark proves the armed guard is *live* — it
 injects one GEMM bit flip and requires :class:`ComputeCorruption` — so
@@ -118,6 +122,7 @@ def report(times: dict, rounds: int, steps_per_round: int) -> dict:
         },
         "derived": {
             "abft_enabled_speedup": off_p50 / on_p50,
+            "overhead_frac_paired": float(np.median(on / off)) - 1.0,
             "overhead_frac": float(on.min()) / float(off.min()) - 1.0,
             "overhead_frac_p50": on_p50 / off_p50 - 1.0,
         },
@@ -132,7 +137,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--steps-per-round", type=int, default=4)
     parser.add_argument("--max-overhead", type=float, default=None,
                         metavar="FRAC",
-                        help="hard-fail if overhead_frac exceeds this")
+                        help="hard-fail if overhead_frac_paired exceeds "
+                             "this")
     parser.add_argument("--out", default=None, metavar="DIR",
                         help="sidecar directory (default: results/)")
     args = parser.parse_args(argv)
@@ -152,13 +158,13 @@ def main(argv: list[str] | None = None) -> int:
     print(f"abft overhead: off "
           f"{payload['data']['off_step_ms']['p50']:.2f} ms/step, on "
           f"{payload['data']['on_step_ms']['p50']:.2f} ms/step, "
-          f"overhead {d['overhead_frac']:+.2%} "
+          f"overhead {d['overhead_frac_paired']:+.2%} "
           f"(speedup x{d['abft_enabled_speedup']:.3f})")
     print(f"wrote {path}")
 
     if args.max_overhead is not None \
-            and d["overhead_frac"] > args.max_overhead:
-        print(f"FAIL: overhead {d['overhead_frac']:.2%} exceeds "
+            and d["overhead_frac_paired"] > args.max_overhead:
+        print(f"FAIL: overhead {d['overhead_frac_paired']:.2%} exceeds "
               f"--max-overhead {args.max_overhead:.2%}", file=sys.stderr)
         return 1
     return 0

@@ -34,7 +34,7 @@ from repro.registry import (GateConfig, ModelRegistry, build_scorecard,
 from repro.resilience import FailStop, FaultInjector, FaultPlan
 from repro.serve import (DeployConfig, DeploymentController, ForecastRequest,
                          ForecastService, ServiceConfig, TierPolicy,
-                         TierRouter)
+                         TierRouter, deploy_check)
 
 ROUTER = TierRouter().with_policy(TierPolicy(
     name="standard", priority=1, solver_config=SolverConfig(n_steps=4),
@@ -155,7 +155,7 @@ def main(argv=None) -> int:
     print(f"  registry live: {registry.live()}")
 
     report = TraceReport()
-    check = report.deploy_check(service, controller)
+    check = report.run(deploy_check, service, controller)
     print("\n" + "\n".join(line for line in report.render().splitlines()
                            if "deploy" in line or "OK" in line or "BAD"
                            in line))

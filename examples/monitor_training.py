@@ -22,8 +22,9 @@ import os
 
 from repro import obs, quickstart_components
 from repro.model import AerisConfig
-from repro.obs import (TraceReport, render_dashboard, write_events_jsonl,
-                       write_metrics_json, write_prometheus)
+from repro.obs import (TraceReport, health_check, render_dashboard,
+                       write_events_jsonl, write_metrics_json,
+                       write_prometheus)
 from repro.parallel import RankTopology
 from repro.resilience import BitFlip, Drop, FailStop, FaultPlan, Straggle
 from repro.resilience.supervisor import ElasticSupervisor, SupervisorConfig
@@ -92,7 +93,7 @@ def main() -> None:
 
         print("Reconciling alerts against the fault ledger ...")
         report = TraceReport(m.tracer, m.registry)
-        result = report.health_check(m.monitor, sup.injector)
+        result = report.run(health_check, m.monitor, sup.injector)
         for fault, row in result["per_fault"].items():
             mark = "ok" if row["match"] else "MISMATCH"
             print(f"  {fault:>10}: injected x{row['injected']}, "

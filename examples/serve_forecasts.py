@@ -13,7 +13,8 @@ import numpy as np
 from repro import obs, quickstart_components
 from repro.diffusion import ConsistencyConfig, ConsistencyDistiller
 from repro.model import Aeris
-from repro.serve import ForecastRequest, ForecastService, ServiceConfig
+from repro.serve import (ForecastRequest, ForecastService, ServiceConfig,
+                         serve_check)
 
 
 def distill_student(archive, trainer, n_steps=60):
@@ -83,7 +84,7 @@ def main() -> None:
     print(f"  cache {cache['entries']} entries, {cache['bytes']:,} B, "
           f"hit rate {cache['hit_rate']:.2f}")
     report = obs.TraceReport()
-    report.serve_check(service)
+    report.run(serve_check, service)
     print("\n" + report.render().splitlines()[1])
     obs.disable()
 

@@ -20,7 +20,8 @@ import numpy as np
 from repro import AerisConfig, obs
 from repro.data import ReanalysisConfig, SyntheticReanalysis
 from repro.model import ParallelLayout
-from repro.parallel import RankTopology, SwipeEngine
+from repro.parallel import (RankTopology, SwipeEngine, comm_check,
+                            pipeline_check)
 from repro.perf import AURORA, CommModel
 
 CONFIG = AerisConfig(
@@ -53,11 +54,11 @@ def main() -> None:
               "(per-rank 1F1B tracks are 'dp*/rank*').")
 
         report = obs.TraceReport(tracer, registry)
-        report.pipeline_check(pp=topo.pp, n_micro=4,
-                              track_prefix="dp0/rank")
+        report.run(pipeline_check, pp=topo.pp, n_micro=4,
+                   track_prefix="dp0/rank")
         comm = CommModel(CONFIG, AURORA, topo)
-        report.comm_check(
-            engine.cluster.stats,
+        report.run(
+            comm_check, engine.cluster.stats,
             predicted={"allreduce":
                        comm.grad_allreduce_bytes() * topo.pp * topo.dp})
         print()

@@ -65,13 +65,10 @@ class MultiHeadAttention(Module):
         Embedding dimension.
     heads:
         Number of attention heads; must divide ``dim``.
-    attn_core:
-        The kernel applied to per-head q/k/v. Swappable so sequence
-        parallelism can interpose all-to-all collectives.
     """
 
-    def __init__(self, dim: int, heads: int, rng: np.random.Generator | None = None,
-                 attn_core=dot_product_attention):
+    def __init__(self, dim: int, heads: int,
+                 rng: np.random.Generator | None = None):
         super().__init__()
         if dim % heads:
             raise ValueError(f"dim {dim} not divisible by heads {heads}")
@@ -82,7 +79,6 @@ class MultiHeadAttention(Module):
             raise ValueError("head_dim must be even for rotary embeddings")
         self.qkv = Linear(dim, 3 * dim, bias=False, rng=rng)
         self.out = Linear(dim, dim, bias=False, rng=rng)
-        self.attn_core = attn_core
 
     def forward(self, x: Tensor, rope_cos: np.ndarray | None = None,
                 rope_sin: np.ndarray | None = None) -> Tensor:
@@ -90,10 +86,7 @@ class MultiHeadAttention(Module):
         *lead, tokens, dim = x.shape
         qkv = self.qkv(x)                                     # (..., T, 3D)
         qkv = qkv.reshape(*lead, tokens, 3, self.heads, self.head_dim)
-        # The fused kernels are drop-in (bit-exact) for the default core
-        # only; a custom attn_core (e.g. sequence parallelism) keeps the
-        # reference rotary so its sharded tables see identical math.
-        if kernels_enabled() and self.attn_core is dot_product_attention:
+        if kernels_enabled():
             # Q and K are rotated together, in the packed order the
             # projection produced; the core takes head-major *views*.
             qk, v = qkv[..., :2, :, :], qkv[..., 2, :, :]
@@ -112,7 +105,7 @@ class MultiHeadAttention(Module):
             if rope_cos is not None:
                 q = apply_rotary(q, rope_cos, rope_sin)
                 k = apply_rotary(k, rope_cos, rope_sin)
-            out = self.attn_core(q, k, v)                     # (..., H, T, hd)
+            out = dot_product_attention(q, k, v)              # (..., H, T, hd)
         # -> (..., T, H*hd)
         out = out.swapaxes(-2, -3).reshape(*lead, tokens, dim)
         return self.out(out)

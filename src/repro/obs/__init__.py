@@ -9,7 +9,7 @@ The measurement substrate behind the reproduction's performance claims
   ``trace_event`` JSON (open in ``chrome://tracing`` / Perfetto) or a
   plain-text summary table;
 * :mod:`~repro.obs.profile` — global on/off switch plus the zero-cost
-  hooks instrumented code calls (``Scope`` / ``span`` / ``@profiled`` /
+  hooks instrumented code calls (``span`` / ``metrics`` /
   ``record_event``);
 * :mod:`~repro.obs.flight` — bounded ring-buffer flight recorder dumping
   JSONL post-mortems (on demand and on unhandled exceptions);
@@ -22,10 +22,11 @@ The measurement substrate behind the reproduction's performance claims
   export (atomic writes);
 * :mod:`~repro.obs.dashboard` — a deterministic terminal panel over the
   whole stack (CLI in ``tools/obs_dashboard.py``);
-* :mod:`~repro.obs.report` — :class:`TraceReport`, cross-checking
-  observed span totals, byte counters, fault accounting, and fired
-  alerts against the :mod:`repro.perf` / :mod:`repro.resilience`
-  ground truth.
+* :mod:`~repro.obs.report` — :class:`TraceReport`, collecting the
+  cross-checks each subsystem ships beside its own bookkeeping
+  (``report.run(serve_check, service)``): observed span totals, byte
+  counters, fault accounting, and fired alerts against the
+  :mod:`repro.perf` / :mod:`repro.resilience` ground truth.
 
 Everything is **off by default** and strictly free when off::
 
@@ -43,25 +44,26 @@ from .dashboard import render_dashboard
 from .export import (events_jsonl, prometheus_text, write_events_jsonl,
                      write_metrics_json, write_prometheus)
 from .flight import SEVERITIES, Event, FlightRecorder
-from .health import FAULT_ALERT_KINDS, HealthConfig, HealthMonitor
+from .health import (FAULT_ALERT_KINDS, FAULT_CLASSES, HealthConfig,
+                     HealthMonitor, health_check)
 from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                       merge_snapshots)
-from .profile import (MonitoredSession, Scope, disable, disable_health,
-                      enable, enable_health, flight, get_tracer, health,
-                      is_enabled, metrics, monitored, observed, profiled,
-                      record_event, span)
+from .profile import (MonitoredSession, disable, disable_health, enable,
+                      enable_health, flight, get_tracer, health, is_enabled,
+                      metrics, monitored, observed, record_event, span)
 from .report import TraceReport
 from .trace import Span, StepClock, Tracer
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "merge_snapshots",
     "Span", "StepClock", "Tracer",
-    "Scope", "span", "profiled",
+    "span",
     "enable", "disable", "is_enabled", "observed",
     "get_tracer", "metrics",
     "Event", "FlightRecorder", "SEVERITIES",
     "Alert", "AlertManager",
-    "HealthConfig", "HealthMonitor", "FAULT_ALERT_KINDS",
+    "HealthConfig", "HealthMonitor", "FAULT_CLASSES", "FAULT_ALERT_KINDS",
+    "health_check",
     "enable_health", "disable_health", "health", "flight",
     "record_event", "monitored", "MonitoredSession",
     "prometheus_text", "events_jsonl", "write_prometheus",

@@ -25,10 +25,11 @@ burn while the job is still running.  Detectors:
 * **SLO burn rate** — multi-window (fast/slow) error-budget burn per
   tier: page only when *both* the recent window and the long window burn
   the budget, the standard defence against paging on blips;
-* **fault classes** — transient comm faults, stragglers, and fail-stops
-  booked by the resilience layer, mapped 1:1 onto alert kinds so
-  :meth:`repro.obs.TraceReport.health_check` can reconcile fired alerts
-  against a :class:`~repro.resilience.FaultPlan`'s injected classes.
+* **fault classes** — transient comm faults, stragglers, fail-stops and
+  compute-domain corruption booked by the resilience layer, mapped 1:1
+  onto alert kinds by :data:`FAULT_CLASSES` so :func:`health_check` can
+  reconcile fired alerts against a
+  :class:`~repro.resilience.FaultPlan`'s injected classes.
 
 Everything funnels through one :class:`~repro.obs.alerts.AlertManager`
 (dedup + cooldown + routing into flight recorder and metrics).  The
@@ -42,24 +43,64 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .alerts import AlertManager
 
-__all__ = ["HealthConfig", "HealthMonitor", "FAULT_ALERT_KINDS"]
+__all__ = ["HealthConfig", "HealthMonitor", "FaultClass", "FAULT_CLASSES",
+           "FAULT_ALERT_KINDS", "health_check"]
 
-#: Injected fault class (``FaultInjector.injected`` keys) → the alert
-#: kind the matching detector fires.  ``TraceReport.health_check``
-#: reconciles chaos runs against exactly this mapping.
-FAULT_ALERT_KINDS = {
-    "flip": "comm.bitflip",
-    "drop": "comm.drop",
-    "straggler": "comm.straggler",
-    "failstop": "resilience.rank_failure",
-    "sdc_gemm": "compute.gemm_sdc",
-    "sdc_weight": "state.weight_sdc",
-    "sdc_opt": "state.optimizer_sdc",
-    "sdc_forecast": "serve.forecast_sdc",
+
+class FaultClass(NamedTuple):
+    """Where one injected fault class is detected and how it alerts."""
+
+    instrument: str   # registry accessor of the meter: counter | histogram
+    metric: str       # meter the detecting layer books into
+    labels: dict      # series of that meter counting this class
+    alert_kind: str
+    severity: str
+    subsystem: str
+
+    def detected(self, registry) -> float:
+        """Detections of this class booked in ``registry`` so far (a
+        histogram counts its observations)."""
+        if self.instrument == "histogram":
+            return sum(cell["count"] for cell in registry.histogram(
+                self.metric).series.values())
+        return registry.counter(self.metric).total(**self.labels)
+
+
+#: Injected fault class (``FaultInjector.injected`` keys) → its
+#: detection meter and its alert.  *The* place to add a fault class:
+#: :meth:`HealthMonitor.check_faults`, :func:`health_check`, the
+#: ``resilience_check`` / ``sdc_check`` reconciliations in
+#: :mod:`repro.resilience.faults` and the simtest invariants all read it.
+FAULT_CLASSES = {
+    "flip": FaultClass("counter", "comm.faults_detected", {"kind": "flip"},
+                       "comm.bitflip", "warning", "comm"),
+    "drop": FaultClass("counter", "comm.faults_detected", {"kind": "drop"},
+                       "comm.drop", "warning", "comm"),
+    "straggler": FaultClass("histogram", "comm.straggler_s", {},
+                            "comm.straggler", "warning", "comm"),
+    "failstop": FaultClass("counter", "resilience.dead_ranks", {},
+                           "resilience.rank_failure", "critical",
+                           "resilience"),
+    "sdc_gemm": FaultClass("counter", "resilience.sdc_detected",
+                           {"kind": "sdc_gemm"},
+                           "compute.gemm_sdc", "critical", "kernels"),
+    "sdc_weight": FaultClass("counter", "resilience.sdc_detected",
+                             {"kind": "sdc_weight"},
+                             "state.weight_sdc", "critical", "train"),
+    "sdc_opt": FaultClass("counter", "resilience.sdc_detected",
+                          {"kind": "sdc_opt"},
+                          "state.optimizer_sdc", "critical", "train"),
+    "sdc_forecast": FaultClass("counter", "serve.forecasts_quarantined", {},
+                               "serve.forecast_sdc", "critical", "serve"),
 }
+
+#: Fault class → alert kind, a view of :data:`FAULT_CLASSES`.
+FAULT_ALERT_KINDS = {fault: row.alert_kind
+                     for fault, row in FAULT_CLASSES.items()}
 
 #: Scale factor making the median absolute deviation a consistent
 #: estimator of the standard deviation for normal data.
@@ -232,36 +273,14 @@ class HealthMonitor:
 
         Each class fires iff the corresponding meter is non-zero, so a
         fault-free run fires none of these kinds — the property
-        :meth:`repro.obs.TraceReport.health_check` asserts.
+        :func:`health_check` asserts.
         """
-        sdc = registry.counter("resilience.sdc_detected")
-        counts = {
-            "flip": registry.counter("comm.faults_detected").total(
-                kind="flip"),
-            "drop": registry.counter("comm.faults_detected").total(
-                kind="drop"),
-            "straggler": sum(
-                cell["count"] for cell in registry.histogram(
-                    "comm.straggler_s").series.values()),
-            "failstop": registry.counter("resilience.dead_ranks").total(),
-            "sdc_gemm": sdc.total(kind="sdc_gemm"),
-            "sdc_weight": sdc.total(kind="sdc_weight"),
-            "sdc_opt": sdc.total(kind="sdc_opt"),
-            "sdc_forecast": registry.counter(
-                "serve.forecasts_quarantined").total(),
-        }
-        severities = {"flip": "warning", "drop": "warning",
-                      "straggler": "warning", "failstop": "critical",
-                      "sdc_gemm": "critical", "sdc_weight": "critical",
-                      "sdc_opt": "critical", "sdc_forecast": "critical"}
-        subsystems = {"failstop": "resilience", "sdc_gemm": "kernels",
-                      "sdc_weight": "train", "sdc_opt": "train",
-                      "sdc_forecast": "serve"}
-        for fault, n in counts.items():
+        counts = {}
+        for fault, row in FAULT_CLASSES.items():
+            n = counts[fault] = row.detected(registry)
             if n > 0:
                 self.alerts.fire(
-                    FAULT_ALERT_KINDS[fault], severities[fault],
-                    subsystems.get(fault, "comm"),
+                    row.alert_kind, row.severity, row.subsystem,
                     f"{int(n)} {fault} fault(s) observed",
                     data={"count": int(n)})
         skipped = registry.counter("train.skipped_steps").total()
@@ -301,14 +320,11 @@ class HealthMonitor:
                        track_prefix: str | None = None) -> dict | None:
         """Observed bubble fraction (trace geometry) vs the closed-form
         prediction; fires when the schedule loses real overlap."""
-        from ..perf.pipeline_model import bubble_fraction
+        from ..perf.pipeline_model import bubble_fraction, observed_bubble
         spans = tracer.select(category=category, track_prefix=track_prefix)
         if not spans:
             return None
-        tracks = {s.track for s in spans}
-        makespan = max(s.end for s in spans) - min(s.start for s in spans)
-        busy = sum(s.duration for s in spans)
-        observed = 1.0 - busy / (len(tracks) * makespan)
+        observed = observed_bubble(spans)[0]
         predicted = bubble_fraction(pp, n_micro, schedule)
         result = {"observed": observed, "predicted": predicted,
                   "margin": self.config.bubble_margin}
@@ -425,3 +441,44 @@ class HealthMonitor:
             "alert_kinds": sorted(self.alerts.kinds()),
             "alerts": self.alerts.summary(),
         }
+
+
+def health_check(report, monitor, injector=None) -> dict:
+    """Fired alerts must reconcile against injected fault classes.
+
+    Runs the monitor's pull detectors over the report's registry, then
+    checks the two directions of alert fidelity against
+    :data:`FAULT_CLASSES`:
+
+    * **coverage** — every fault class the injector dealt at least
+      once has its alert kind fired (a chaos run with silent fault
+      classes fails);
+    * **no false positives** — every fault class the injector never
+      dealt (all of them, when ``injector`` is ``None``: a clean
+      run) has its alert kind absent.
+
+    Detectors outside the fault mapping (loss plateau, SLO burn, …)
+    are deliberately out of scope — they alert on organic behaviour,
+    not injections.
+    """
+    monitor.check_faults(report.registry)
+    fired = monitor.alerts.kinds()
+    injected = dict(injector.injected) if injector is not None else {}
+    per_fault = {}
+    for fault, kind in sorted(FAULT_ALERT_KINDS.items()):
+        dealt = injected.get(fault, 0)
+        alerted = kind in fired
+        per_fault[fault] = {"injected": dealt, "alert_kind": kind,
+                            "alerted": alerted,
+                            "match": alerted == (dealt > 0)}
+    agrees = all(r["match"] for r in per_fault.values())
+    parts = [f"{fault} {r['injected']}/"
+             f"{'fired' if r['alerted'] else 'quiet'}"
+             for fault, r in per_fault.items()]
+    return {"check": "health_alerts", "per_fault": per_fault,
+            "alert_kinds_fired": sorted(fired),
+            "alerts_total": len(monitor.alerts.alerts),
+            "agrees": agrees,
+            "summary": f"health alerts (injected/alert): {', '.join(parts)}"
+                       f" | {len(monitor.alerts.alerts)} alert(s) | "
+                       f"{'OK' if agrees else 'MISMATCH'}"}

@@ -3,10 +3,8 @@
 Tracing/metrics are **off by default**.  Instrumented call sites go
 through the hooks here, which are strict no-ops while disabled:
 
-* :func:`span` / :class:`Scope` return a shared null context manager —
-  no :class:`~repro.obs.trace.Span` is allocated, no clock is read;
-* :func:`profiled` wraps a function with a two-attribute check before
-  falling through to the original call;
+* :func:`span` returns a shared null context manager — no
+  :class:`~repro.obs.trace.Span` is allocated, no clock is read;
 * :func:`metrics` returns ``None``, so call sites guard derived-value
   computation (e.g. gradient norms) behind the same check and skip it
   entirely when nobody is listening;
@@ -27,7 +25,6 @@ event) objects.
 
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple
 
 from .flight import FlightRecorder
@@ -36,7 +33,7 @@ from .metrics import MetricsRegistry
 from .trace import Tracer
 
 __all__ = ["enable", "disable", "is_enabled", "observed", "get_tracer",
-           "metrics", "span", "Scope", "profiled",
+           "metrics", "span",
            "enable_health", "disable_health", "health", "flight",
            "record_event", "monitored", "MonitoredSession"]
 
@@ -216,38 +213,3 @@ def span(name: str, track: str = "main", category: str | None = None,
     if _tracer is None:
         return _NULL
     return _tracer.span(name, track=track, category=category, **attrs)
-
-
-#: ``Scope`` is the context-manager spelling of :func:`span`:
-#: ``with Scope("eval.metric", metric="rmse"): ...``
-Scope = span
-
-
-def profiled(name: str | None = None, category: str | None = None):
-    """Decorator timing every call of a function as a span.
-
-    ::
-
-        @profiled()                 # span named after the function
-        def solve(...): ...
-
-        @profiled("io.load")        # explicit span name
-        def load(...): ...
-
-    While disabled the wrapper costs one global read and one ``if``.
-    """
-
-    def decorate(fn):
-        span_name = name if name is not None else fn.__qualname__
-
-        @functools.wraps(fn)
-        def wrapper(*args, **kwargs):
-            tracer = _tracer
-            if tracer is None:
-                return fn(*args, **kwargs)
-            with tracer.span(span_name, category=category):
-                return fn(*args, **kwargs)
-
-        return wrapper
-
-    return decorate

@@ -3,21 +3,19 @@
 The paper's performance numbers come from two places that must agree —
 timers (what actually ran) and the analytical model (what Section VI-D
 predicts).  :class:`TraceReport` closes that loop for the reproduction:
+it collects the results of *checks* over one traced run and renders them
+as a human-readable text block and as machine-readable JSON for
+benchmark artifacts.
 
-* **pipeline** — the per-rank 1F1B stage spans the pipeline engine lays
-  onto the trace are re-measured geometrically (busy time vs. makespan)
-  and compared against :func:`repro.perf.pipeline_model.bubble_fraction`
-  and a :func:`~repro.perf.pipeline_model.simulate_timeline` replay at the
-  measured stage costs;
-* **communication** — the per-(primitive, locality) byte counters the
-  metrics registry accumulated are compared against the cluster's
-  :class:`~repro.parallel.comm.CommStats` (they meter the same collectives
-  and must agree exactly) and, optionally, against analytical per-
-  primitive predictions (``M = b·s·h/SP/WP``-style formulas).
-
-Every check appends a structured result, so one report renders both as a
-human-readable text block and as machine-readable JSON for benchmark
-artifacts.
+A check is a plain function ``check(report, *subjects, **tolerances) ->
+dict`` that lives beside the bookkeeping it audits and reads
+``report.tracer`` / ``report.registry`` — e.g.
+:func:`repro.parallel.pipeline.pipeline_check` (observed vs. modelled
+bubble) or :func:`repro.serve.service.serve_check` (request
+conservation); DESIGN.md lists them all.  Its result carries at least
+``check`` (a name), ``agrees`` (the verdict) and ``summary`` (the text
+:meth:`TraceReport.render` prints; further lines are indented beneath
+the first), so a new check needs no edit here.
 """
 
 from __future__ import annotations
@@ -42,469 +40,12 @@ class TraceReport:
             raise ValueError("no tracer: pass one or obs.enable() first")
         self.checks: list[dict] = []
 
-    # -- pipeline bubble ---------------------------------------------------
-    def pipeline_check(self, pp: int, n_micro: int, schedule: str = "1f1b",
-                       category: str = "pp-1f1b",
-                       track_prefix: str | None = None,
-                       tol_simulated: float = 0.02,
-                       tol_closed_form: float = 0.2) -> dict:
-        """Observed bubble fraction (from the trace geometry) vs. the perf
-        model's closed form and a timeline replay at measured stage costs.
-
-        The closed form assumes uniform stages with ``t_bwd = 2 t_fwd``;
-        real stages are not uniform (I/O stages are thinner than Swin
-        stages), hence the looser ``tol_closed_form``.
-        """
-        from ..perf.pipeline_model import (bubble_fraction, schedule_1f1b,
-                                           schedule_gpipe, simulate_timeline)
-        spans = self.tracer.select(category=category,
-                                   track_prefix=track_prefix)
-        if not spans:
-            where = f"category {category!r}"
-            if track_prefix is not None:
-                where += f" on tracks starting with {track_prefix!r}"
-            raise ValueError(f"no spans with {where}")
-        tracks: dict[str, list] = {}
-        for s in spans:
-            tracks.setdefault(s.track, []).append(s)
-        n_tracks = len(tracks)
-        t0 = min(s.start for s in spans)
-        t1 = max(s.end for s in spans)
-        makespan = t1 - t0
-        busy = sum(s.duration for s in spans)
-        observed = 1.0 - busy / (n_tracks * makespan)
-
-        predicted_closed = bubble_fraction(pp, n_micro, schedule)
-        fwd = [s.duration for s in spans if s.attrs.get("phase") == "F"]
-        bwd = [s.duration for s in spans if s.attrs.get("phase") == "B"]
-        predicted_sim = None
-        if fwd and bwd:
-            maker = schedule_gpipe if schedule == "gpipe" else schedule_1f1b
-            predicted_sim = simulate_timeline(
-                maker(pp, n_micro), t_fwd=sum(fwd) / len(fwd),
-                t_bwd=sum(bwd) / len(bwd))["bubble"]
-        result = {
-            "check": "pipeline_bubble",
-            "pp": pp, "n_micro": n_micro, "schedule": schedule,
-            "n_tracks": n_tracks, "n_spans": len(spans),
-            "makespan_s": makespan,
-            "observed_bubble": observed,
-            "predicted_bubble_closed_form": predicted_closed,
-            "predicted_bubble_simulated": predicted_sim,
-            "abs_error_closed_form": abs(observed - predicted_closed),
-            "abs_error_simulated": (abs(observed - predicted_sim)
-                                    if predicted_sim is not None else None),
-            "agrees": (abs(observed - predicted_closed) <= tol_closed_form
-                       and (predicted_sim is None
-                            or abs(observed - predicted_sim)
-                            <= tol_simulated)),
-        }
-        self.checks.append(result)
-        return result
-
-    # -- communication volumes ---------------------------------------------
-    def comm_check(self, stats, predicted: dict[str, float] | None = None,
-                   rel_tol: float = 0.05) -> dict:
-        """Registry byte counters vs. ``CommStats``; optionally vs. an
-        analytical prediction ``{primitive: bytes}`` (e.g. from
-        :class:`repro.perf.comm_model.CommModel` or
-        ``SwipeEngine.attention_alltoall_bytes``).
-        """
+    def run(self, check, *subjects, **tolerances) -> dict:
+        """Run ``check(self, *subjects, **tolerances)``, keep its result
+        for :meth:`render` / :meth:`to_dict`, and return it."""
         if self.registry is None:
             raise ValueError("no metrics registry active")
-        counter = self.registry.counter("comm.bytes")
-        per_key = {}
-        agrees = True
-        for (primitive, locality), expected in sorted(stats.bytes.items()):
-            observed = counter.value(primitive=primitive, locality=locality)
-            match = observed == expected
-            agrees = agrees and match
-            per_key[f"{primitive}/{locality}"] = {
-                "registry_bytes": observed, "commstats_bytes": expected,
-                "match": match}
-        analytical = None
-        if predicted is not None:
-            analytical = {}
-            for primitive, expected in sorted(predicted.items()):
-                observed = stats.total_bytes(primitive)
-                err = (abs(observed - expected) / expected
-                       if expected else float(observed != 0))
-                within = err <= rel_tol
-                agrees = agrees and within
-                analytical[primitive] = {
-                    "observed_bytes": observed,
-                    "predicted_bytes": expected,
-                    "rel_error": err, "within_tolerance": within}
-        result = {"check": "comm_bytes",
-                  "registry_vs_commstats": per_key,
-                  "analytical": analytical, "agrees": agrees}
-        self.checks.append(result)
-        return result
-
-    # -- fault accounting ----------------------------------------------------
-    def resilience_check(self, injector) -> dict:
-        """Every fault the injector dealt must be *observed* somewhere.
-
-        Reconciles :attr:`FaultInjector.injected` against what the layers
-        booked: transient flips/drops against ``comm.faults_detected``,
-        stragglers against the ``comm.straggler_s`` histogram, fail-stops
-        against the supervisor's ``resilience.dead_ranks`` counter.  Spans
-        of category ``resilience`` are counted too — a silent fault (dealt
-        but never detected) fails the check.
-        """
-        if self.registry is None:
-            raise ValueError("no metrics registry active")
-        injected = dict(injector.injected)
-        detected = self.registry.counter("comm.faults_detected")
-        straggles = self.registry.histogram("comm.straggler_s")
-        per_kind = {}
-        agrees = True
-        for kind in ("flip", "drop"):
-            dealt = injected.get(kind, 0)
-            seen = detected.total(kind=kind)
-            match = seen == dealt
-            agrees = agrees and match
-            per_kind[kind] = {"injected": dealt, "detected": seen,
-                              "match": match}
-        dealt = injected.get("straggler", 0)
-        seen = sum(cell["count"] for cell in straggles.series.values())
-        per_kind["straggler"] = {"injected": dealt, "detected": seen,
-                                 "match": seen == dealt}
-        agrees = agrees and seen == dealt
-        dealt = injected.get("failstop", 0)
-        handled = self.registry.counter("resilience.dead_ranks").total()
-        per_kind["failstop"] = {"injected": dealt, "handled": handled,
-                                "match": handled == dealt}
-        agrees = agrees and handled == dealt
-        n_spans = len(self.tracer.select(category="resilience"))
-        result = {"check": "resilience_faults", "per_kind": per_kind,
-                  "resilience_spans": n_spans, "agrees": agrees}
-        self.checks.append(result)
-        return result
-
-    def sdc_check(self, injector) -> dict:
-        """Every *compute-domain* corruption dealt must be detected — and
-        every detection must have closed with a recovery.
-
-        The silent-data-corruption analogue of :meth:`resilience_check`:
-        injected GEMM flips (``sdc_gemm``) and state flips (``sdc_weight``
-        / ``sdc_opt``) reconcile against ``resilience.sdc_detected`` (the
-        ABFT checksums and the guarded step's CRC audit), and poisoned
-        forecasts (``sdc_forecast``) against
-        ``serve.forecasts_quarantined`` (the physical guardrails).  The
-        recovery loop must also close: the guarded trainer books one
-        ``train.step_retries`` rollback per compute/state detection, so a
-        detection that never rolled back — detected but *not* healed —
-        fails the check.
-        """
-        if self.registry is None:
-            raise ValueError("no metrics registry active")
-        injected = dict(injector.injected)
-        detected = self.registry.counter("resilience.sdc_detected")
-        per_kind = {}
-        agrees = True
-        for kind in ("sdc_gemm", "sdc_weight", "sdc_opt"):
-            dealt = injected.get(kind, 0)
-            seen = detected.total(kind=kind)
-            match = seen == dealt
-            agrees = agrees and match
-            per_kind[kind] = {"injected": dealt, "detected": seen,
-                              "match": match}
-        dealt = injected.get("sdc_forecast", 0)
-        quarantined = self.registry.counter(
-            "serve.forecasts_quarantined").total()
-        per_kind["sdc_forecast"] = {"injected": dealt,
-                                    "detected": quarantined,
-                                    "match": quarantined == dealt}
-        agrees = agrees and quarantined == dealt
-        retries = self.registry.counter("train.step_retries")
-        recovered = {
-            "step_retries": {cause: retries.total(cause=cause)
-                             for cause in ("gemm", "weight", "optimizer")},
-            "guardrail_reruns": self.registry.counter(
-                "serve.guardrail_reruns").total(),
-            "escalations": self.registry.counter(
-                "train.guard_escalations").total(),
-        }
-        compute_detections = sum(per_kind[k]["detected"]
-                                 for k in ("sdc_gemm", "sdc_weight",
-                                           "sdc_opt"))
-        recovery_closed = (sum(recovered["step_retries"].values())
-                           == compute_detections)
-        agrees = agrees and recovery_closed
-        n_spans = len(self.tracer.select(category="resilience"))
-        result = {"check": "sdc_faults", "per_kind": per_kind,
-                  "recovered": recovered,
-                  "recovery_closed": recovery_closed,
-                  "resilience_spans": n_spans, "agrees": agrees}
-        self.checks.append(result)
-        return result
-
-    # -- serving accounting --------------------------------------------------
-    def serve_check(self, service) -> dict:
-        """Every request the service admitted must be answered somewhere.
-
-        Reconciles a :class:`~repro.serve.ForecastService`'s request tally
-        against the ``serve.requests`` lifecycle counter and against the
-        conservation identities of the serving loop: ``submitted =
-        accepted + rejected`` and ``accepted = completed + timeout +
-        failed``.  A request that was admitted but never answered (lost in
-        the queue, dropped by a failover) breaks the identity and fails
-        the check — the serving analogue of a silent fault in
-        :meth:`resilience_check`.
-        """
-        if self.registry is None:
-            raise ValueError("no metrics registry active")
-        counter = self.registry.counter("serve.requests")
-        tally = dict(service.tally)
-        per_event = {}
-        agrees = True
-        for event in ("submitted", "accepted", "rejected",
-                      "completed", "timeout", "failed"):
-            tallied = tally.get(event, 0)
-            booked = counter.total(event=event)
-            match = booked == tallied
-            agrees = agrees and match
-            per_event[event] = {"tally": tallied, "counter": booked,
-                                "match": match}
-        conservation = {
-            "submitted_eq_accepted_plus_rejected":
-                tally["submitted"] == tally["accepted"] + tally["rejected"],
-            "accepted_eq_completed_plus_timeout_plus_failed":
-                tally["accepted"] == (tally["completed"] + tally["timeout"]
-                                      + tally["failed"]),
-        }
-        agrees = agrees and all(conservation.values())
-        n_spans = len(self.tracer.select(category="serve"))
-        result = {"check": "serve_requests", "per_event": per_event,
-                  "conservation": conservation, "serve_spans": n_spans,
-                  "cache": service.cache.stats(), "agrees": agrees}
-        self.checks.append(result)
-        return result
-
-    # -- deployment accounting -----------------------------------------------
-    def deploy_check(self, service, controller) -> dict:
-        """A rolling version swap must lose nothing and land somewhere
-        definite.
-
-        Three families of identities over a canary rollout driven by a
-        :class:`~repro.serve.DeploymentController`:
-
-        * **per-version request conservation** — for every version that
-          appeared in the lifecycle counters, ``accepted + reassigned_in
-          - reassigned_out = completed + timeout + failed``.  A request
-          admitted under the candidate and answered under the incumbent
-          after a rollback is *moved*, not lost; a request answered twice
-          breaks the identity from the other side.  Summed over versions
-          this must also equal the service tally, so no response escaped
-          version accounting.
-        * **controller ledger vs metrics** — the controller's transition
-          list and shadow count must match the ``deploy.transitions`` /
-          ``deploy.shadows`` counters exactly (the hook path booked every
-          decision it made).
-        * **terminal digest** — after a rollback the active binding's
-          weights digest equals the incumbent digest recorded at
-          controller construction (restored *exactly*, not approximately)
-          and the candidate is unloaded; after a promotion it equals the
-          candidate digest.  When a registry is attached, its notion of
-          the live/rolled-back version must agree.
-        """
-        if self.registry is None:
-            raise ValueError("no metrics registry active")
-        counter = self.registry.counter("serve.requests")
-        moved = self.registry.counter("serve.requests_reassigned")
-        versions = sorted({dict(key)["version"]
-                           for key in counter.series
-                           if "version" in dict(key)})
-        agrees = True
-        per_version = {}
-        sums = {"accepted": 0.0, "answered": 0.0}
-        for v in versions:
-            accepted = counter.total(event="accepted", version=v)
-            answered = {e: counter.total(event=e, version=v)
-                        for e in ("completed", "timeout", "failed")}
-            moved_in = moved.total(dst=v)
-            moved_out = moved.total(src=v)
-            conserved = (accepted + moved_in - moved_out
-                         == sum(answered.values()))
-            agrees = agrees and conserved
-            sums["accepted"] += accepted
-            sums["answered"] += sum(answered.values())
-            per_version[v] = {"accepted": accepted, **answered,
-                              "reassigned_in": moved_in,
-                              "reassigned_out": moved_out,
-                              "conserved": conserved}
-        tally = dict(service.tally)
-        covered = (sums["accepted"] == tally["accepted"]
-                   and sums["answered"] == tally["completed"]
-                   + tally["timeout"] + tally["failed"])
-        agrees = agrees and covered
-
-        transitions = self.registry.counter("deploy.transitions")
-        by_kind: dict[str, int] = {}
-        for t in controller.transitions:
-            by_kind[t["kind"]] = by_kind.get(t["kind"], 0) + 1
-        ledger = {
-            "transitions_match":
-                transitions.total() == len(controller.transitions)
-                and all(transitions.total(kind=k) == n
-                        for k, n in by_kind.items()),
-            "shadows_match":
-                self.registry.counter("deploy.shadows").total()
-                == controller.counts["shadows"],
-            "reassigned_match":
-                moved.total() == controller.counts["reassigned"],
-        }
-        agrees = agrees and all(ledger.values())
-
-        active = service.bindings[service.active_version]
-        terminal = {"state": controller.state,
-                    "active_version": service.active_version,
-                    "active_digest": active.weights_digest[:12]}
-        if controller.state == "rolled_back":
-            terminal["incumbent_restored"] = (
-                service.active_version == controller.incumbent
-                and active.weights_digest == controller.incumbent_digest)
-            terminal["candidate_unloaded"] = \
-                controller.candidate not in service.bindings
-            agrees = agrees and terminal["incumbent_restored"] \
-                and terminal["candidate_unloaded"]
-            if controller.registry is not None:
-                terminal["registry_agrees"] = (
-                    controller.registry.get(controller.candidate).status
-                    == "rolled_back"
-                    and controller.registry.live() != controller.candidate)
-                agrees = agrees and terminal["registry_agrees"]
-        elif controller.state == "promoted":
-            terminal["candidate_live"] = (
-                service.active_version == controller.candidate
-                and active.weights_digest == controller.candidate_digest)
-            agrees = agrees and terminal["candidate_live"]
-            if controller.registry is not None:
-                terminal["registry_agrees"] = (
-                    controller.registry.live() == controller.candidate)
-                agrees = agrees and terminal["registry_agrees"]
-        result = {"check": "deploy", "per_version": per_version,
-                  "tally_covered": covered, "ledger": ledger,
-                  "terminal": terminal,
-                  "counts": dict(controller.counts), "agrees": agrees}
-        self.checks.append(result)
-        return result
-
-    # -- alert fidelity ------------------------------------------------------
-    def health_check(self, monitor, injector=None) -> dict:
-        """Fired alerts must reconcile against injected fault classes.
-
-        Runs the monitor's pull detectors over this report's registry,
-        then checks the two directions of alert fidelity against
-        :data:`~repro.obs.health.FAULT_ALERT_KINDS`:
-
-        * **coverage** — every fault class the injector dealt at least
-          once has its alert kind fired (a chaos run with silent fault
-          classes fails);
-        * **no false positives** — every fault class the injector never
-          dealt (all of them, when ``injector`` is ``None``: a clean
-          run) has its alert kind absent.
-
-        Detectors outside the fault mapping (loss plateau, SLO burn, …)
-        are deliberately out of scope — they alert on organic behaviour,
-        not injections.
-        """
-        from .health import FAULT_ALERT_KINDS
-        if self.registry is None:
-            raise ValueError("no metrics registry active")
-        monitor.check_faults(self.registry)
-        fired = monitor.alerts.kinds()
-        injected = dict(injector.injected) if injector is not None else {}
-        per_fault = {}
-        agrees = True
-        for fault, kind in sorted(FAULT_ALERT_KINDS.items()):
-            dealt = injected.get(fault, 0)
-            alerted = kind in fired
-            match = alerted if dealt > 0 else not alerted
-            agrees = agrees and match
-            per_fault[fault] = {"injected": dealt, "alert_kind": kind,
-                                "alerted": alerted, "match": match}
-        result = {"check": "health_alerts", "per_fault": per_fault,
-                  "alert_kinds_fired": sorted(fired),
-                  "alerts_total": len(monitor.alerts.alerts),
-                  "agrees": agrees}
-        self.checks.append(result)
-        return result
-
-    # -- autotuned layout --------------------------------------------------
-    def autotune_check(self, plan, topology=None, config=None,
-                       machine=None) -> dict:
-        """The run must have executed the plan, and the plan must be sound.
-
-        Two directions:
-
-        * **executed = planned** — ``topology`` (the engine's live grid,
-          when given) must be exactly the plan's chosen layout; a run
-          that silently fell back to a hardcoded grid fails here;
-        * **pruning soundness** — the planner's recorded
-          infeasible-candidate examples are re-checked against a fresh
-          enumeration for the same inputs: none of them may appear in
-          today's feasible set (a pruned layout that would actually fit
-          means the pruning constraints drifted from the cost model),
-          and the chosen layout must still be feasible.
-
-        ``config``/``machine`` default to resolving the plan's names
-        (custom configs must be passed explicitly).
-        """
-        from ..parallel import autotune as _autotune
-        config = config if config is not None else (
-            _autotune.resolve_config(plan.config_name))
-        machine = machine if machine is not None else (
-            _autotune.resolve_machine(plan.machine_name))
-        feasible, _, _ = _autotune.enumerate_candidates(
-            config, machine, plan.world_size, plan.gbs,
-            pipeline=plan.pipeline, micro_batches=plan.micro_batches,
-            schedule=plan.schedule)
-        feasible_keys = {(c.dp, c.pp, tuple(c.wp_grid), c.sp, c.micro_batch)
-                         for c in feasible}
-        chosen = plan.chosen
-        chosen_feasible = (chosen.dp, chosen.pp, tuple(chosen.wp_grid),
-                           chosen.sp, chosen.micro_batch) in feasible_keys
-        topology_matches = None
-        if topology is not None:
-            topology_matches = (
-                topology.dp == chosen.dp and topology.pp == chosen.pp
-                and tuple(topology.wp_grid) == tuple(chosen.wp_grid)
-                and topology.sp == chosen.sp)
-        violations = []
-        for rec in plan.pruned:
-            # Each prune reason rules out an axis combination for *every*
-            # refinement of it, so the recheck matches at that granularity
-            # (an SP rejected for head divisibility must not appear on any
-            # feasible candidate at all, etc.).
-            reason, wp = rec["reason"], tuple(rec["wp_grid"])
-            if reason == "sequence":
-                hit = any(c.sp == rec["sp"] for c in feasible)
-            elif reason == "windows":
-                hit = any(tuple(c.wp_grid) == wp for c in feasible)
-            elif reason == "ranks":
-                hit = any(c.dp == rec["dp"] and tuple(c.wp_grid) == wp
-                          and c.sp == rec["sp"] for c in feasible)
-            elif reason == "batch":
-                hit = any(c.dp == rec["dp"]
-                          and c.micro_batch == rec["micro_batch"]
-                          for c in feasible)
-            else:  # memory: the exact candidate
-                hit = (rec["dp"], rec["pp"], wp, rec["sp"],
-                       rec["micro_batch"]) in feasible_keys
-            if hit:
-                violations.append(rec)
-        agrees = (chosen_feasible and not violations
-                  and topology_matches is not False)
-        result = {"check": "autotune_plan",
-                  "layout": chosen.layout_key,
-                  "topology_matches": topology_matches,
-                  "chosen_feasible": chosen_feasible,
-                  "n_feasible": len(feasible),
-                  "pruned_rechecked": len(plan.pruned),
-                  "pruned_violations": violations,
-                  "agrees": agrees}
+        result = check(self, *subjects, **tolerances)
         self.checks.append(result)
         return result
 
@@ -523,86 +64,7 @@ class TraceReport:
         """Human-readable report block."""
         lines = ["TraceReport"]
         for c in self.checks:
-            if c["check"] == "pipeline_bubble":
-                sim = c["predicted_bubble_simulated"]
-                lines.append(
-                    f"  pipeline bubble (PP={c['pp']}, M={c['n_micro']}, "
-                    f"{c['schedule']}): observed {c['observed_bubble']:.4f}"
-                    f" | closed-form {c['predicted_bubble_closed_form']:.4f}"
-                    + (f" | simulated {sim:.4f}" if sim is not None else "")
-                    + f" | {'OK' if c['agrees'] else 'MISMATCH'}")
-            elif c["check"] == "resilience_faults":
-                parts = []
-                for kind, r in c["per_kind"].items():
-                    seen = r.get("detected", r.get("handled"))
-                    parts.append(f"{kind} {r['injected']}/{seen}")
-                lines.append(
-                    f"  resilience faults (injected/observed): "
-                    f"{', '.join(parts)} | {c['resilience_spans']} spans | "
-                    f"{'OK' if c['agrees'] else 'MISMATCH'}")
-            elif c["check"] == "sdc_faults":
-                parts = [f"{kind} {r['injected']}/{r['detected']}"
-                         for kind, r in c["per_kind"].items()]
-                reruns = c["recovered"]["guardrail_reruns"]
-                lines.append(
-                    f"  sdc faults (injected/detected): "
-                    f"{', '.join(parts)} | retries "
-                    f"{sum(c['recovered']['step_retries'].values()):g}, "
-                    f"reruns {reruns:g} | recovery "
-                    f"{'closed' if c['recovery_closed'] else 'OPEN'} | "
-                    f"{'OK' if c['agrees'] else 'MISMATCH'}")
-            elif c["check"] == "serve_requests":
-                parts = [f"{event} {r['tally']}"
-                         for event, r in c["per_event"].items()]
-                lines.append(
-                    f"  serve requests (tally vs counters): "
-                    f"{', '.join(parts)} | cache hit rate "
-                    f"{c['cache']['hit_rate']:.2f} | "
-                    f"{c['serve_spans']} spans | "
-                    f"{'OK' if c['agrees'] else 'MISMATCH'}")
-            elif c["check"] == "deploy":
-                parts = [
-                    f"{v} {int(r['accepted']):d}acc"
-                    f"{'' if r['conserved'] else '!'}"
-                    for v, r in c["per_version"].items()]
-                t = c["terminal"]
-                lines.append(
-                    f"  deploy ({t['state']}): {', '.join(parts)} | "
-                    f"active {t['active_version']}@{t['active_digest']} | "
-                    f"ledger {'OK' if all(c['ledger'].values()) else 'BAD'}"
-                    f" | {'OK' if c['agrees'] else 'MISMATCH'}")
-            elif c["check"] == "health_alerts":
-                parts = [
-                    f"{fault} {r['injected']}/"
-                    f"{'fired' if r['alerted'] else 'quiet'}"
-                    for fault, r in c["per_fault"].items()]
-                lines.append(
-                    f"  health alerts (injected/alert): "
-                    f"{', '.join(parts)} | "
-                    f"{c['alerts_total']} alert(s) | "
-                    f"{'OK' if c['agrees'] else 'MISMATCH'}")
-            elif c["check"] == "autotune_plan":
-                topo = c["topology_matches"]
-                topo_s = ("-" if topo is None
-                          else "match" if topo else "DIVERGED")
-                lines.append(
-                    f"  autotune plan {c['layout']}: executed topology "
-                    f"{topo_s} | chosen "
-                    f"{'feasible' if c['chosen_feasible'] else 'INFEASIBLE'}"
-                    f" | {c['pruned_rechecked']} pruned rechecked, "
-                    f"{len(c['pruned_violations'])} violation(s) | "
-                    f"{'OK' if c['agrees'] else 'MISMATCH'}")
-            elif c["check"] == "comm_bytes":
-                n = len(c["registry_vs_commstats"])
-                lines.append(f"  comm bytes: {n} (primitive, locality) "
-                             f"series vs CommStats | "
-                             f"{'OK' if c['agrees'] else 'MISMATCH'}")
-                if c["analytical"]:
-                    for prim, a in c["analytical"].items():
-                        lines.append(
-                            f"    {prim}: observed {a['observed_bytes']:,} B"
-                            f" vs predicted {int(a['predicted_bytes']):,} B"
-                            f" (rel err {a['rel_error']:.3f})")
+            lines.extend("  " + line for line in c["summary"].splitlines())
         lines.append("  spans:")
         lines.extend("    " + line
                      for line in self.tracer.summary_table().splitlines())

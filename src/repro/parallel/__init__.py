@@ -1,9 +1,9 @@
 """SWiPe parallelism on a simulated, metered cluster."""
 
-from .comm import CommStats, SimCluster
+from .comm import CommStats, SimCluster, comm_check
 from .data_parallel import allreduce_gradients, replicate_model
 from .domain_parallel import DomainSharding
-from .pipeline import AerisPipeline
+from .pipeline import AerisPipeline, pipeline_check
 from .sequence_parallel import shard_sequence, ulysses_attention, unshard_sequence
 from .swipe import SwipeEngine
 from .swipe_attention import swipe_window_attention
@@ -20,14 +20,14 @@ from .zero import ZeroOptimizer
 _AUTOTUNE_EXPORTS = ("Candidate", "TunedPlan", "NoFeasibleLayout",
                      "enumerate_candidates", "plan_for", "calibrated_step_s",
                      "save_plan", "load_plan", "frontier_table",
-                     "verify_plan", "resolve_plan")
+                     "verify_plan", "resolve_plan", "autotune_check")
 
 __all__ = [
-    "SimCluster", "CommStats", "RankTopology",
+    "SimCluster", "CommStats", "comm_check", "RankTopology",
     "shard_sequence", "unshard_sequence", "ulysses_attention",
     "WindowSharding", "window_sharding", "shift_owner_change_bytes",
     "DomainSharding",
-    "AerisPipeline", "ZeroOptimizer",
+    "AerisPipeline", "pipeline_check", "ZeroOptimizer",
     "allreduce_gradients", "replicate_model",
     "SwipeEngine", "swipe_window_attention",
     *_AUTOTUNE_EXPORTS,

@@ -16,8 +16,8 @@ When :mod:`repro.obs` is enabled, every ``CommStats.add`` also increments
 the global metrics registry (``comm.bytes`` / ``comm.ops`` counters,
 labeled by primitive and locality) and every collective runs inside a
 tracer span — so the cluster's byte accounting and the observability
-layer meter the *same* events and :class:`repro.obs.TraceReport` can
-cross-check them exactly.
+layer meter the *same* events and :func:`comm_check` can cross-check
+them exactly.
 
 **Self-healing** (:mod:`repro.resilience`): when the cluster is built
 with a :class:`~repro.resilience.FaultInjector`, every logical transfer
@@ -54,7 +54,7 @@ from ..resilience.checksum import payload_checksum
 from ..resilience.faults import CommTimeout, MessageCorruption
 from ..resilience.retry import RetryPolicy
 
-__all__ = ["CommStats", "SimCluster"]
+__all__ = ["CommStats", "SimCluster", "comm_check"]
 
 
 @dataclass
@@ -345,3 +345,44 @@ class SimCluster:
                     self.transfer("broadcast", group[root_index], rank,
                                   array.nbytes, payload=array)
         return [array.copy() for _ in group]
+
+
+def comm_check(report, stats: CommStats,
+               predicted: dict[str, float] | None = None,
+               rel_tol: float = 0.05) -> dict:
+    """Registry byte counters vs. ``CommStats``; optionally vs. an
+    analytical prediction ``{primitive: bytes}`` (e.g. from
+    :class:`repro.perf.comm_model.CommModel` or
+    ``SwipeEngine.attention_alltoall_bytes``).
+
+    A :class:`repro.obs.TraceReport` check: both sides meter the same
+    collectives, so the first comparison must agree exactly.
+    """
+    counter = report.registry.counter("comm.bytes")
+    per_key = {}
+    for (primitive, locality), expected in sorted(stats.bytes.items()):
+        observed = counter.value(primitive=primitive, locality=locality)
+        per_key[f"{primitive}/{locality}"] = {
+            "registry_bytes": observed, "commstats_bytes": expected,
+            "match": observed == expected}
+    analytical = None if predicted is None else {}
+    lines = []
+    for primitive, expected in sorted((predicted or {}).items()):
+        observed = stats.total_bytes(primitive)
+        err = (abs(observed - expected) / expected
+               if expected else float(observed != 0))
+        analytical[primitive] = {
+            "observed_bytes": observed, "predicted_bytes": expected,
+            "rel_error": err, "within_tolerance": err <= rel_tol}
+        lines.append(f"  {primitive}: observed {observed:,} B vs predicted "
+                     f"{int(expected):,} B (rel err {err:.3f})")
+    agrees = (all(r["match"] for r in per_key.values())
+              and all(a["within_tolerance"]
+                      for a in (analytical or {}).values()))
+    lines.insert(0, f"comm bytes: {len(per_key)} (primitive, locality) "
+                    f"series vs CommStats | "
+                    f"{'OK' if agrees else 'MISMATCH'}")
+    return {"check": "comm_bytes",
+            "registry_vs_commstats": per_key,
+            "analytical": analytical, "agrees": agrees,
+            "summary": "\n".join(lines)}

@@ -35,7 +35,7 @@ from ..obs.profile import get_tracer, metrics as _obs_metrics
 from ..tensor import Tensor
 from .comm import SimCluster
 
-__all__ = ["AerisPipeline"]
+__all__ = ["AerisPipeline", "pipeline_check"]
 
 
 class _NullTimer:
@@ -237,3 +237,62 @@ class AerisPipeline:
             # `embed_out`; `grad` now holds dL/d(embedding output).
             embed_out.backward(grad)
         return loss.item()
+
+
+def pipeline_check(report, pp: int, n_micro: int, schedule: str = "1f1b",
+                   category: str = "pp-1f1b",
+                   track_prefix: str | None = None,
+                   tol_simulated: float = 0.02,
+                   tol_closed_form: float = 0.2) -> dict:
+    """Observed bubble fraction (from the trace geometry) vs. the perf
+    model's closed form and a timeline replay at measured stage costs.
+
+    A :class:`repro.obs.TraceReport` check over the per-rank ``pp-1f1b``
+    spans :class:`AerisPipeline` lays onto the trace.  The closed form
+    assumes uniform stages with ``t_bwd = 2 t_fwd``; real stages are not
+    uniform (I/O stages are thinner than Swin stages), hence the looser
+    ``tol_closed_form``.
+    """
+    from ..perf.pipeline_model import (bubble_fraction, observed_bubble,
+                                       schedule_1f1b, schedule_gpipe,
+                                       simulate_timeline)
+    spans = report.tracer.select(category=category,
+                                 track_prefix=track_prefix)
+    if not spans:
+        where = f"category {category!r}"
+        if track_prefix is not None:
+            where += f" on tracks starting with {track_prefix!r}"
+        raise ValueError(f"no spans with {where}")
+    observed, n_tracks, makespan = observed_bubble(spans)
+    predicted_closed = bubble_fraction(pp, n_micro, schedule)
+    fwd = [s.duration for s in spans if s.attrs.get("phase") == "F"]
+    bwd = [s.duration for s in spans if s.attrs.get("phase") == "B"]
+    predicted_sim = None
+    if fwd and bwd:
+        maker = schedule_gpipe if schedule == "gpipe" else schedule_1f1b
+        predicted_sim = simulate_timeline(
+            maker(pp, n_micro), t_fwd=sum(fwd) / len(fwd),
+            t_bwd=sum(bwd) / len(bwd))["bubble"]
+    err_closed = abs(observed - predicted_closed)
+    err_sim = (abs(observed - predicted_sim)
+               if predicted_sim is not None else None)
+    agrees = (err_closed <= tol_closed_form
+              and (err_sim is None or err_sim <= tol_simulated))
+    return {
+        "check": "pipeline_bubble",
+        "pp": pp, "n_micro": n_micro, "schedule": schedule,
+        "n_tracks": n_tracks, "n_spans": len(spans),
+        "makespan_s": makespan,
+        "observed_bubble": observed,
+        "predicted_bubble_closed_form": predicted_closed,
+        "predicted_bubble_simulated": predicted_sim,
+        "abs_error_closed_form": err_closed,
+        "abs_error_simulated": err_sim,
+        "agrees": agrees,
+        "summary": (
+            f"pipeline bubble (PP={pp}, M={n_micro}, {schedule}): "
+            f"observed {observed:.4f} | closed-form {predicted_closed:.4f}"
+            + (f" | simulated {predicted_sim:.4f}"
+               if predicted_sim is not None else "")
+            + f" | {'OK' if agrees else 'MISMATCH'}"),
+    }

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-__all__ = ["bubble_fraction", "Event", "schedule_gpipe", "schedule_1f1b",
-           "schedule_zb_h1", "simulate_timeline", "max_in_flight"]
+__all__ = ["bubble_fraction", "observed_bubble", "Event", "schedule_gpipe",
+           "schedule_1f1b", "schedule_zb_h1", "simulate_timeline",
+           "max_in_flight"]
 
 
 def bubble_fraction(pp: int, microbatches: int, schedule: str = "1f1b"
@@ -35,6 +36,17 @@ def bubble_fraction(pp: int, microbatches: int, schedule: str = "1f1b"
     if schedule == "zero-bubble":
         return base / 3.0
     raise ValueError(f"unknown schedule {schedule!r}")
+
+
+def observed_bubble(spans) -> tuple[float, int, float]:
+    """``(bubble, n_tracks, makespan)`` re-measured from the geometry of
+    one pipelined phase's stage-pass spans (one ``track`` per rank):
+    ``bubble = 1 − busy / (n_tracks · makespan)``, the quantity
+    :func:`simulate_timeline` reports for a modelled schedule."""
+    n_tracks = len({s.track for s in spans})
+    makespan = max(s.end for s in spans) - min(s.start for s in spans)
+    busy = sum(s.duration for s in spans)
+    return 1.0 - busy / (n_tracks * makespan), n_tracks, makespan
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,9 @@ routine there, as ORBIT's Frontier runs document):
   ranks and resumes from the last valid checkpoint.
 
 Every injected fault, detection, retry, and recovery is booked through
-:mod:`repro.obs`, and :meth:`repro.obs.TraceReport.resilience_check`
-reconciles the injector's tally against the observations.
+:mod:`repro.obs`, and the :class:`repro.obs.TraceReport` checks
+:func:`resilience_check` / :func:`sdc_check` reconcile the injector's
+tally against the observations.
 
 The supervisor is imported lazily (PEP 562): the low-level comm layer
 imports this package for the taxonomy/checksums, while the supervisor
@@ -37,7 +38,8 @@ from .checksum import (content_digest, payload_checksum, state_digest,
 from .faults import (BitFlip, ClusterFailure, CommTimeout, ComputeCorruption,
                      ComputeFault, Drop, FailStop, FaultInjector, FaultPlan,
                      MessageCorruption, RankFailure, ResilienceError,
-                     Straggle, compute_injector, inject_compute)
+                     Straggle, compute_injector, inject_compute,
+                     resilience_check, sdc_check)
 from .retry import RetryBudget, RetryPolicy
 
 _SUPERVISOR_EXPORTS = ("ElasticSupervisor", "SupervisorConfig")
@@ -53,6 +55,7 @@ __all__ = [
     "FailStop", "BitFlip", "Drop", "Straggle", "ComputeFault",
     "FaultPlan", "FaultInjector",
     "inject_compute", "compute_injector",
+    "resilience_check", "sdc_check",
     "RetryPolicy", "RetryBudget",
     *_SUPERVISOR_EXPORTS,
     *_SCRUB_EXPORTS,

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..obs.health import FAULT_CLASSES
 from ..obs.profile import metrics as _obs_metrics
 from ..obs.profile import record_event as _record_event
 
@@ -52,12 +53,12 @@ __all__ = [
     "FailStop", "BitFlip", "Drop", "Straggle", "ComputeFault",
     "FaultPlan", "FaultInjector",
     "inject_compute", "compute_injector",
-    "SDC_SITE_KINDS",
+    "SDC_SITE_KINDS", "resilience_check", "sdc_check",
 ]
 
 #: Injection/reconciliation kind per compute-fault site: the injector
-#: tallies these in ``injected`` and ``TraceReport.sdc_check`` matches
-#: them against the detections each defense layer booked.
+#: tallies these in ``injected`` and :func:`sdc_check` matches them
+#: against the detections each defense layer booked.
 SDC_SITE_KINDS = {
     "gemm": "sdc_gemm",
     "weight": "sdc_weight",
@@ -172,6 +173,11 @@ class ComputeFault:
     site: str = "gemm"
     nth: int = 0
 
+    def __post_init__(self):
+        if self.site not in SDC_SITE_KINDS:
+            raise ValueError(f"unknown compute-fault site {self.site!r}; "
+                             f"known: {sorted(SDC_SITE_KINDS)}")
+
 
 @dataclass(frozen=True)
 class FaultPlan:
@@ -209,8 +215,8 @@ class FaultInjector:
       drop, flip, or straggle?
 
     ``injected`` tallies every fault dealt (per kind), which
-    :meth:`repro.obs.TraceReport.resilience_check` reconciles against the
-    detections the comm layer booked — no fault may go unobserved.
+    :func:`resilience_check` reconciles against the detections the comm
+    layer booked — no fault may go unobserved.
     """
 
     def __init__(self, plan: FaultPlan = FaultPlan()):
@@ -334,7 +340,7 @@ class FaultInjector:
                 and self.rng.random() < self.plan.p_compute:
             fired = True
         if fired:
-            self._record_injected(SDC_SITE_KINDS.get(site, f"sdc_{site}"))
+            self._record_injected(SDC_SITE_KINDS[site])
         return fired
 
     def state_faults(self) -> list[str]:
@@ -368,7 +374,7 @@ class FaultInjector:
         raw = np.ascontiguousarray(arr).view(np.uint8).reshape(-1)
         pos = int(self.rng.integers(raw.size))
         raw[pos] ^= np.uint8(1 << int(self.rng.integers(8)))
-        self._record_injected(SDC_SITE_KINDS.get(site, f"sdc_{site}"))
+        self._record_injected(SDC_SITE_KINDS[site])
 
     def corrupt_compute(self, array: np.ndarray) -> None:
         """Flip the high exponent bit of one seeded element *in place* —
@@ -437,3 +443,93 @@ def inject_compute(injector: FaultInjector | None):
         yield injector
     finally:
         _COMPUTE_INJECTOR = previous
+
+
+# -- TraceReport checks: injected vs observed ----------------------------------
+def _reconcile(report, injector, kinds, handled=()):
+    """``{kind: {injected, detected, match}}`` for ``kinds``: what the
+    injector dealt against what the class's
+    :data:`~repro.obs.health.FAULT_CLASSES` meter booked (``handled``
+    kinds are survived rather than detected, and say so in their key)."""
+    per_kind = {}
+    for kind in kinds:
+        dealt = injector.injected.get(kind, 0)
+        seen = FAULT_CLASSES[kind].detected(report.registry)
+        per_kind[kind] = {
+            "injected": dealt,
+            "handled" if kind in handled else "detected": seen,
+            "match": seen == dealt}
+    return per_kind
+
+
+def resilience_check(report, injector: FaultInjector) -> dict:
+    """Every fault the injector dealt must be *observed* somewhere.
+
+    A :class:`repro.obs.TraceReport` check reconciling
+    :attr:`FaultInjector.injected` against what the layers booked:
+    transient flips/drops against ``comm.faults_detected``, stragglers
+    against the ``comm.straggler_s`` histogram, fail-stops against the
+    supervisor's ``resilience.dead_ranks`` counter.  Spans of category
+    ``resilience`` are counted too — a silent fault (dealt but never
+    detected) fails the check.
+    """
+    per_kind = _reconcile(
+        report, injector,
+        [k for k in FAULT_CLASSES if k not in SDC_SITE_KINDS.values()],
+        handled=("failstop",))
+    agrees = all(r["match"] for r in per_kind.values())
+    n_spans = len(report.tracer.select(category="resilience"))
+    parts = [f"{kind} {r['injected']}/{r.get('detected', r.get('handled'))}"
+             for kind, r in per_kind.items()]
+    return {"check": "resilience_faults", "per_kind": per_kind,
+            "resilience_spans": n_spans, "agrees": agrees,
+            "summary": f"resilience faults (injected/observed): "
+                       f"{', '.join(parts)} | {n_spans} spans | "
+                       f"{'OK' if agrees else 'MISMATCH'}"}
+
+
+def sdc_check(report, injector: FaultInjector) -> dict:
+    """Every *compute-domain* corruption dealt must be detected — and
+    every detection must have closed with a recovery.
+
+    The silent-data-corruption analogue of :func:`resilience_check`:
+    injected GEMM flips (``sdc_gemm``) and state flips (``sdc_weight``
+    / ``sdc_opt``) reconcile against ``resilience.sdc_detected`` (the
+    ABFT checksums and the guarded step's CRC audit), and poisoned
+    forecasts (``sdc_forecast``) against
+    ``serve.forecasts_quarantined`` (the physical guardrails).  The
+    recovery loop must also close: the guarded trainer books one
+    ``train.step_retries`` rollback per compute/state detection, so a
+    detection that never rolled back — detected but *not* healed —
+    fails the check.
+    """
+    registry = report.registry
+    per_kind = _reconcile(report, injector, SDC_SITE_KINDS.values())
+    # Forecast corruption heals by re-serving, everything else by a
+    # trainer rollback booked under the site's name.
+    retried = [site for site in SDC_SITE_KINDS if site != "forecast"]
+    retries = registry.counter("train.step_retries")
+    recovered = {
+        "step_retries": {cause: retries.total(cause=cause)
+                         for cause in retried},
+        "guardrail_reruns": registry.counter(
+            "serve.guardrail_reruns").total(),
+        "escalations": registry.counter("train.guard_escalations").total(),
+    }
+    recovery_closed = (
+        sum(recovered["step_retries"].values())
+        == sum(per_kind[SDC_SITE_KINDS[site]]["detected"]
+               for site in retried))
+    agrees = recovery_closed and all(r["match"] for r in per_kind.values())
+    n_spans = len(report.tracer.select(category="resilience"))
+    parts = [f"{kind} {r['injected']}/{r['detected']}"
+             for kind, r in per_kind.items()]
+    return {"check": "sdc_faults", "per_kind": per_kind,
+            "recovered": recovered, "recovery_closed": recovery_closed,
+            "resilience_spans": n_spans, "agrees": agrees,
+            "summary": f"sdc faults (injected/detected): {', '.join(parts)}"
+                       f" | retries "
+                       f"{sum(recovered['step_retries'].values()):g}, "
+                       f"reruns {recovered['guardrail_reruns']:g} | "
+                       f"recovery {'closed' if recovery_closed else 'OPEN'}"
+                       f" | {'OK' if agrees else 'MISMATCH'}"}

@@ -35,12 +35,12 @@ forecasts — not recomputing them — is what makes serving tractable):
 * :mod:`~repro.serve.deploy` — :class:`DeploymentController`: canary
   rollout of a registry-gated candidate version (hash-routed traffic
   split, shadow skill checks, auto-promote / auto-rollback), reconciled
-  end-to-end by :meth:`repro.obs.TraceReport.deploy_check`.
+  end-to-end by :func:`deploy_check`.
 
-Every stage is instrumented through :mod:`repro.obs`, and
-:meth:`repro.obs.TraceReport.serve_check` reconciles the request
-lifecycle (accepted = completed + timed out + failed) against the
-metrics the way ``resilience_check`` reconciles faults.
+Every stage is instrumented through :mod:`repro.obs`, and the
+:class:`repro.obs.TraceReport` check :func:`serve_check` reconciles the
+request lifecycle (accepted = completed + timed out + failed) against
+the metrics the way ``resilience_check`` reconciles faults.
 """
 
 from .api import (TIERS, ForecastRequest, ForecastResponse, Rejected,
@@ -48,12 +48,13 @@ from .api import (TIERS, ForecastRequest, ForecastResponse, Rejected,
 from .batcher import BatcherConfig, MemberTask, MicroBatch, MicroBatcher
 from .cache import (CacheEntry, ForecastCache, array_digest, forecast_key,
                     solver_digest, weights_digest)
-from .deploy import DeployConfig, DeploymentController
+from .deploy import DeployConfig, DeploymentController, deploy_check
 from .guardrails import BoundViolation, ForecastValidator
 from .queue import AdmissionQueue, PendingRequest, QueueConfig
 from .samplers import (OneStepForecaster, SloTracker, TierPolicy,
                        TierRouter, default_tiers)
-from .service import ForecastService, ModelBinding, ServiceConfig
+from .service import (ForecastService, ModelBinding, ServiceConfig,
+                      serve_check)
 from .worker import ServeWorkerPool, WorkerState
 
 __all__ = [
@@ -67,6 +68,6 @@ __all__ = [
     "default_tiers",
     "ServeWorkerPool", "WorkerState",
     "ForecastValidator", "BoundViolation",
-    "ForecastService", "ServiceConfig", "ModelBinding",
-    "DeployConfig", "DeploymentController",
+    "ForecastService", "ServiceConfig", "ModelBinding", "serve_check",
+    "DeployConfig", "DeploymentController", "deploy_check",
 ]

@@ -21,7 +21,7 @@ lifecycle (the offline half — scorecards and the skill gate — lives in
   failures, or shadow-skill regression — rollback unloads the candidate
   and re-routes its queued requests onto the incumbent, so no request is
   lost or double-served across the swap (reconciled by
-  :meth:`repro.obs.TraceReport.deploy_check`).
+  :func:`deploy_check`).
 
 Every transition is booked as ``deploy.*`` metrics and flight-recorder
 events; a rollback additionally fires a critical ``deploy.rollback``
@@ -38,6 +38,7 @@ heavier candidate.
 from __future__ import annotations
 
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +49,7 @@ from ..obs.profile import record_event as _record_event
 from .api import ForecastRequest, ForecastResponse
 from .service import ForecastService
 
-__all__ = ["DeployConfig", "DeploymentController"]
+__all__ = ["DeployConfig", "DeploymentController", "deploy_check"]
 
 
 @dataclass(frozen=True)
@@ -364,3 +365,103 @@ def _ens_rmse(forecast: np.ndarray, truth: np.ndarray) -> float:
     """Flat RMSE of the ensemble mean against a verifying trajectory."""
     err = forecast.astype(np.float64).mean(axis=0) - truth
     return float(np.sqrt(np.mean(err * err)))
+
+
+def deploy_check(report, service: ForecastService,
+                 controller: DeploymentController) -> dict:
+    """A rolling version swap must lose nothing and land somewhere
+    definite.
+
+    A :class:`repro.obs.TraceReport` check: three families of identities
+    over a canary rollout driven by a :class:`DeploymentController`:
+
+    * **per-version request conservation** — for every version that
+      appeared in the lifecycle counters, ``accepted + reassigned_in
+      - reassigned_out = completed + timeout + failed``.  A request
+      admitted under the candidate and answered under the incumbent
+      after a rollback is *moved*, not lost; a request answered twice
+      breaks the identity from the other side.  Summed over versions
+      this must also equal the service tally, so no response escaped
+      version accounting.
+    * **controller ledger vs metrics** — the controller's transition
+      list and shadow count must match the ``deploy.transitions`` /
+      ``deploy.shadows`` counters exactly (the hook path booked every
+      decision it made).
+    * **terminal digest** — after a rollback the active binding's
+      weights digest equals the incumbent digest recorded at
+      controller construction (restored *exactly*, not approximately)
+      and the candidate is unloaded; after a promotion it equals the
+      candidate digest.  When a registry is attached, its notion of
+      the live/rolled-back version must agree.
+    """
+    registry = report.registry
+    counter = registry.counter("serve.requests")
+    moved = registry.counter("serve.requests_reassigned")
+    answers = ("completed", "timeout", "failed")
+    per_version = {}
+    for v in sorted({dict(key)["version"] for key in counter.series
+                     if "version" in dict(key)}):
+        accepted = counter.total(event="accepted", version=v)
+        answered = {e: counter.total(event=e, version=v) for e in answers}
+        moved_in, moved_out = moved.total(dst=v), moved.total(src=v)
+        per_version[v] = {"accepted": accepted, **answered,
+                          "reassigned_in": moved_in,
+                          "reassigned_out": moved_out,
+                          "conserved": accepted + moved_in - moved_out
+                          == sum(answered.values())}
+    covered = (
+        sum(r["accepted"] for r in per_version.values())
+        == service.tally["accepted"]
+        and sum(r[e] for r in per_version.values() for e in answers)
+        == sum(service.tally[e] for e in answers))
+
+    transitions = registry.counter("deploy.transitions")
+    by_kind = Counter(t["kind"] for t in controller.transitions)
+    ledger = {
+        "transitions_match":
+            transitions.total() == len(controller.transitions)
+            and all(transitions.total(kind=k) == n
+                    for k, n in by_kind.items()),
+        "shadows_match":
+            registry.counter("deploy.shadows").total()
+            == controller.counts["shadows"],
+        "reassigned_match":
+            moved.total() == controller.counts["reassigned"],
+    }
+
+    active = service.bindings[service.active_version]
+    landed = {}  # the terminal state's verdicts
+    if controller.state == "rolled_back":
+        landed["incumbent_restored"] = (
+            service.active_version == controller.incumbent
+            and active.weights_digest == controller.incumbent_digest)
+        landed["candidate_unloaded"] = \
+            controller.candidate not in service.bindings
+        if controller.registry is not None:
+            landed["registry_agrees"] = (
+                controller.registry.get(controller.candidate).status
+                == "rolled_back"
+                and controller.registry.live() != controller.candidate)
+    elif controller.state == "promoted":
+        landed["candidate_live"] = (
+            service.active_version == controller.candidate
+            and active.weights_digest == controller.candidate_digest)
+        if controller.registry is not None:
+            landed["registry_agrees"] = (
+                controller.registry.live() == controller.candidate)
+    agrees = (all(r["conserved"] for r in per_version.values()) and covered
+              and all(ledger.values()) and all(landed.values()))
+    parts = [f"{v} {int(r['accepted']):d}acc{'' if r['conserved'] else '!'}"
+             for v, r in per_version.items()]
+    return {"check": "deploy", "per_version": per_version,
+            "tally_covered": covered, "ledger": ledger,
+            "terminal": {"state": controller.state,
+                         "active_version": service.active_version,
+                         "active_digest": active.weights_digest[:12],
+                         **landed},
+            "counts": dict(controller.counts), "agrees": agrees,
+            "summary": f"deploy ({controller.state}): {', '.join(parts)} | "
+                       f"active {service.active_version}"
+                       f"@{active.weights_digest[:12]} | ledger "
+                       f"{'OK' if all(ledger.values()) else 'BAD'} | "
+                       f"{'OK' if agrees else 'MISMATCH'}"}

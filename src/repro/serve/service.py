@@ -45,7 +45,8 @@ from .queue import AdmissionQueue, PendingRequest, QueueConfig
 from .samplers import OneStepForecaster, SloTracker, TierRouter
 from .worker import ServeWorkerPool
 
-__all__ = ["ServiceConfig", "ModelBinding", "ForecastService"]
+__all__ = ["ServiceConfig", "ModelBinding", "ForecastService",
+           "serve_check"]
 
 
 @dataclass(frozen=True)
@@ -69,8 +70,8 @@ class ModelBinding:
     the forecast, ``digests[tier]`` namespaces its cache entries, and
     ``weights_digest`` is the version's identity — the same SHA-256 the
     registry records, so "which weights are live" is answerable by digest
-    comparison alone (``TraceReport.deploy_check`` relies on this to
-    prove a rollback restored the incumbent exactly).
+    comparison alone (:func:`~repro.serve.deploy.deploy_check` relies on
+    this to prove a rollback restored the incumbent exactly).
     """
 
     version: str
@@ -603,3 +604,44 @@ class ForecastService:
                     "active": self.active_version,
                     "loaded": {v: b.weights_digest[:12]
                                for v, b in self.bindings.items()}}}
+
+
+def serve_check(report, service: ForecastService) -> dict:
+    """Every request the service admitted must be answered somewhere.
+
+    A :class:`repro.obs.TraceReport` check reconciling the service's
+    request tally against the ``serve.requests`` lifecycle counter and
+    against the conservation identities of the serving loop: ``submitted
+    = accepted + rejected`` and ``accepted = completed + timeout +
+    failed``.  A request that was admitted but never answered (lost in
+    the queue, dropped by a failover) breaks the identity and fails the
+    check — the serving analogue of a silent fault in
+    :func:`repro.resilience.faults.resilience_check`.
+    """
+    counter = report.registry.counter("serve.requests")
+    tally = service.tally
+    per_event = {}
+    for event in ("submitted", "accepted", "rejected",
+                  "completed", "timeout", "failed"):
+        booked = counter.total(event=event)
+        per_event[event] = {"tally": tally[event], "counter": booked,
+                            "match": booked == tally[event]}
+    conservation = {
+        "submitted_eq_accepted_plus_rejected":
+            tally["submitted"] == tally["accepted"] + tally["rejected"],
+        "accepted_eq_completed_plus_timeout_plus_failed":
+            tally["accepted"] == (tally["completed"] + tally["timeout"]
+                                  + tally["failed"]),
+    }
+    agrees = (all(r["match"] for r in per_event.values())
+              and all(conservation.values()))
+    n_spans = len(report.tracer.select(category="serve"))
+    cache = service.cache.stats()
+    parts = [f"{event} {r['tally']}" for event, r in per_event.items()]
+    return {"check": "serve_requests", "per_event": per_event,
+            "conservation": conservation, "serve_spans": n_spans,
+            "cache": cache, "agrees": agrees,
+            "summary": f"serve requests (tally vs counters): "
+                       f"{', '.join(parts)} | cache hit rate "
+                       f"{cache['hit_rate']:.2f} | {n_spans} spans | "
+                       f"{'OK' if agrees else 'MISMATCH'}"}

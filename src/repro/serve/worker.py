@@ -15,7 +15,7 @@ carry a wider layout and the pool simply occupies one rank per replica.
 
 Every failover and dead worker is booked through :mod:`repro.obs`
 (``serve.worker_failovers``, ``resilience.dead_ranks``) so a serve chaos
-run reconciles under :meth:`repro.obs.TraceReport.resilience_check` just
+run reconciles under :func:`repro.resilience.resilience_check` just
 like a training chaos run.
 """
 

@@ -3,11 +3,11 @@
 Every property a scenario run must satisfy is an :class:`Invariant`: a
 named predicate over the run's artifacts (injector, tracer, metrics
 registry, monitor, service/supervisor/controller handles, outcomes)
-returning a list of :class:`Violation`\\ s.  The default registry adapts
-every existing :class:`~repro.obs.TraceReport` cross-check
+returning a list of :class:`Violation`\\ s.  The default registry runs
+the :class:`~repro.obs.TraceReport` checks the subsystems ship
 (``resilience_check``, ``sdc_check``, ``serve_check``, ``deploy_check``,
-``health_check``) and adds the global invariants the one-off suites never
-stated explicitly:
+``health_check`` — each adapted by :func:`_reconciles`) and adds the
+global invariants the one-off suites never stated explicitly:
 
 * **request conservation** — every admitted request is answered exactly
   once, per version and in total;
@@ -41,7 +41,11 @@ from typing import Callable
 
 import numpy as np
 
+from ..obs.health import health_check
 from ..obs.report import TraceReport
+from ..resilience.faults import resilience_check, sdc_check
+from ..serve.deploy import deploy_check
+from ..serve.service import serve_check
 from .scenario import Scenario
 
 __all__ = ["Violation", "Invariant", "InvariantRegistry", "sanitize"]
@@ -154,20 +158,28 @@ class InvariantRegistry:
         reg = cls()
         reg.register(Invariant("scenario.clean_exit", _clean_exit,
                                outcomes=()))
-        reg.register(Invariant("resilience.faults_observed",
-                               _faults_observed, workloads=("train",)))
+        reg.register(_reconciles(
+            "resilience.faults_observed", resilience_check, ("injector",),
+            "injected faults do not reconcile with observed detections",
+            ("per_kind",), workloads=("train",)))
         reg.register(Invariant("train.transient_bit_exact",
                                _transient_bit_exact, workloads=("train",)))
         reg.register(Invariant(
             "train.checkpoint_monotonic", _checkpoint_monotonic,
             workloads=("train",),
             outcomes=("completed", "cluster_failure")))
-        reg.register(Invariant("obs.alert_fidelity", _alert_fidelity,
-                               workloads=("train", "guarded_train")))
-        reg.register(Invariant("sdc.recovery_closed", _sdc_closed,
-                               workloads=("guarded_train", "serve")))
-        reg.register(Invariant(
-            "serve.request_conservation", _request_conservation,
+        reg.register(_reconciles(
+            "obs.alert_fidelity", health_check, ("monitor", "injector"),
+            "fired alerts do not reconcile with injected fault classes",
+            ("per_fault",), workloads=("train", "guarded_train")))
+        reg.register(_reconciles(
+            "sdc.recovery_closed", sdc_check, ("injector",),
+            "compute-domain corruption not fully detected and healed",
+            ("per_kind", "recovered"), workloads=("guarded_train", "serve")))
+        reg.register(_reconciles(
+            "serve.request_conservation", serve_check, ("service",),
+            "request lifecycle accounting does not balance",
+            ("per_event", "conservation"),
             workloads=("serve", "serve_deploy")))
         reg.register(Invariant(
             "serve.responses_complete", _responses_complete,
@@ -184,9 +196,24 @@ class InvariantRegistry:
 
 
 # -- built-in invariant functions ----------------------------------------------
-def _report(artifacts: dict) -> TraceReport:
-    return TraceReport(tracer=artifacts["tracer"],
-                       registry=artifacts["registry"])
+def _run(art: dict, check, *keys) -> dict:
+    """One TraceReport check over the run's tracer/registry, its subjects
+    named by artifact key."""
+    return TraceReport(tracer=art["tracer"], registry=art["registry"]).run(
+        check, *(art[key] for key in keys))
+
+
+def _reconciles(name: str, check, keys: tuple, message: str,
+                details: tuple, **applicability) -> Invariant:
+    """The invariant "``check`` over artifacts ``keys`` agrees"; a
+    disagreement is one violation carrying the ``details`` result keys."""
+    def fn(scenario: Scenario, art: dict) -> list:
+        result = _run(art, check, *keys)
+        if result["agrees"]:
+            return []
+        return [Violation.of(name, message,
+                             **{key: result[key] for key in details})]
+    return Invariant(name, fn, **applicability)
 
 
 def _clean_exit(scenario: Scenario, art: dict) -> list:
@@ -199,16 +226,6 @@ def _clean_exit(scenario: Scenario, art: dict) -> list:
     return [Violation.of("scenario.clean_exit",
                          f"run ended with outcome {outcome!r}",
                          error=art.get("error", ""))]
-
-
-def _faults_observed(scenario: Scenario, art: dict) -> list:
-    check = _report(art).resilience_check(art["injector"])
-    if check["agrees"]:
-        return []
-    return [Violation.of(
-        "resilience.faults_observed",
-        "injected faults do not reconcile with observed detections",
-        per_kind=check["per_kind"])]
 
 
 def _transient_bit_exact(scenario: Scenario, art: dict) -> list:
@@ -261,37 +278,6 @@ def _checkpoint_monotonic(scenario: Scenario, art: dict) -> list:
     return bad
 
 
-def _alert_fidelity(scenario: Scenario, art: dict) -> list:
-    check = _report(art).health_check(art["monitor"], art["injector"])
-    if check["agrees"]:
-        return []
-    return [Violation.of(
-        "obs.alert_fidelity",
-        "fired alerts do not reconcile with injected fault classes",
-        per_fault=check["per_fault"])]
-
-
-def _sdc_closed(scenario: Scenario, art: dict) -> list:
-    check = _report(art).sdc_check(art["injector"])
-    if check["agrees"]:
-        return []
-    return [Violation.of(
-        "sdc.recovery_closed",
-        "compute-domain corruption not fully detected and healed",
-        per_kind=check["per_kind"], recovered=check["recovered"])]
-
-
-def _request_conservation(scenario: Scenario, art: dict) -> list:
-    check = _report(art).serve_check(art["service"])
-    if check["agrees"]:
-        return []
-    return [Violation.of(
-        "serve.request_conservation",
-        "request lifecycle accounting does not balance",
-        per_event=check["per_event"],
-        conservation=check["conservation"])]
-
-
 def _responses_complete(scenario: Scenario, art: dict) -> list:
     """Every submitted request gets exactly one response; completed
     responses carry a forecast the guardrails accept."""
@@ -339,9 +325,8 @@ def _forecast_sdc(scenario: Scenario, art: dict) -> list:
     injected forecast fault (a poisoned *candidate model* in a deploy
     scenario legitimately adds organic quarantines on top, so the deploy
     workload checks the weaker >= direction)."""
-    injected = art["injector"].injected.get("sdc_forecast", 0)
-    quarantined = art["registry"].counter(
-        "serve.forecasts_quarantined").total()
+    row = _run(art, sdc_check, "injector")["per_kind"]["sdc_forecast"]
+    injected, quarantined = row["injected"], row["detected"]
     exact = scenario.workload == "serve"
     ok = quarantined == injected if exact else quarantined >= injected
     if ok:
@@ -355,23 +340,23 @@ def _forecast_sdc(scenario: Scenario, art: dict) -> list:
 
 
 def _no_alert_without_cause(scenario: Scenario, art: dict) -> list:
-    from ..obs.health import FAULT_ALERT_KINDS
-    monitor = art["monitor"]
-    monitor.check_faults(art["registry"])
-    fired = monitor.alerts.kinds()
-    injected = art["injector"].injected
+    """The false-positive direction of ``health_check`` alone: coverage
+    is not owed here (a serve fail-stop on a worker never dispatched to
+    again is legitimately unobservable)."""
+    check = _run(art, health_check, "monitor", "injector")
+    fired = check["alert_kinds_fired"]
     bad: list[Violation] = []
-    for fault, kind in sorted(FAULT_ALERT_KINDS.items()):
-        if kind in fired and not injected.get(fault, 0):
+    for fault, row in check["per_fault"].items():
+        if row["alerted"] and not row["injected"]:
             # A poisoned candidate corrupts forecasts without the
             # injector's involvement — its quarantine alert has a cause.
-            if (kind == "serve.forecast_sdc"
+            if (fault == "sdc_forecast"
                     and scenario.workload == "serve_deploy"
                     and scenario.deploy.poison_candidate):
                 continue
             bad.append(Violation.of(
                 "obs.no_alert_without_cause",
-                f"alert {kind!r} fired with no injected "
+                f"alert {row['alert_kind']!r} fired with no injected "
                 f"{fault!r} fault"))
     if "deploy.rollback" in fired:
         controller = art.get("controller")
@@ -389,11 +374,7 @@ def _deploy_lifecycle(scenario: Scenario, art: dict) -> list:
         bad.append(Violation.of(
             "deploy.lifecycle",
             f"controller ended in unexpected state {controller.state!r}"))
-    check = _report(art).deploy_check(art["service"], controller)
-    if not check["agrees"]:
-        bad.append(Violation.of(
-            "deploy.lifecycle",
-            "deployment accounting does not reconcile",
-            per_version=check["per_version"], ledger=check["ledger"],
-            terminal=check["terminal"]))
-    return bad
+    return bad + _reconciles(
+        "deploy.lifecycle", deploy_check, ("service", "controller"),
+        "deployment accounting does not reconcile",
+        ("per_version", "ledger", "terminal")).fn(scenario, art)

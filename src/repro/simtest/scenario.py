@@ -171,9 +171,12 @@ class Scenario:
         if data["workload"] not in WORKLOADS:
             raise ValueError(f"unknown workload {data['workload']!r}")
         rates = dict(data["rates"])
+        events = tuple(dict(e) for e in data["events"])
+        for e in events:
+            event_from_dict(e)  # an inert event is rejected here, not mid-run
         return cls(
             seed=int(data["seed"]), workload=data["workload"],
-            events=tuple(dict(e) for e in data["events"]),
+            events=events,
             fault_seed=int(data["fault_seed"]),
             rates=tuple(sorted(
                 (k, float(rates[k]))

@@ -20,7 +20,7 @@ from repro.kernels import (
 from repro.model import Aeris, AerisConfig
 from repro.model.rope import axial_rope_table
 from repro.model.windows import cyclic_shift, window_merge, window_partition
-from repro.nn import MultiHeadAttention, SwiGLU
+from repro.nn import SwiGLU
 from repro.nn.attention import apply_rotary, dot_product_attention
 from repro.tensor import (
     FlopCounter,
@@ -387,16 +387,3 @@ class TestModelGolden:
         assert loss_a == loss_b
         for a, b in zip(params_a, params_b):
             np.testing.assert_array_equal(a, b)
-
-    def test_attention_module_with_custom_core_keeps_reference_path(self):
-        attn = MultiHeadAttention(16, 2, rng=np.random.default_rng(5))
-        calls = []
-
-        def spy_core(q, k, v):
-            calls.append(1)
-            return dot_product_attention(q, k, v)
-
-        attn.attn_core = spy_core
-        x = Tensor(rng.normal(size=(2, 8, 16)).astype(np.float32))
-        attn(x)
-        assert calls  # custom core (sequence parallelism) must still be used

@@ -11,7 +11,7 @@ import pytest
 
 from repro import obs
 from repro.model import AerisConfig
-from repro.obs import FAULT_ALERT_KINDS, TraceReport
+from repro.obs import FAULT_ALERT_KINDS, TraceReport, health_check
 from repro.parallel import RankTopology
 from repro.resilience import BitFlip, Drop, FailStop, FaultPlan, Straggle
 from repro.resilience.supervisor import ElasticSupervisor, SupervisorConfig
@@ -59,8 +59,8 @@ def _run(tmp_path, archive, plan, tag, check_injector=True):
         # Reconcile inside the scope so pull-detected alerts still route
         # into the session's flight recorder and metrics.
         report = TraceReport(m.tracer, m.registry)
-        result = report.health_check(
-            m.monitor, sup.injector if check_injector else None)
+        result = report.run(
+            health_check, m.monitor, sup.injector if check_injector else None)
     return sup, m, result
 
 

@@ -4,8 +4,10 @@ deterministic clocks so firings are exactly reproducible."""
 import pytest
 
 from repro import obs
-from repro.obs import (AlertManager, HealthConfig, HealthMonitor,
-                       MetricsRegistry, StepClock, Tracer)
+from repro.obs import (FAULT_ALERT_KINDS, FAULT_CLASSES, AlertManager,
+                       HealthConfig, HealthMonitor, MetricsRegistry,
+                       StepClock, Tracer)
+from repro.resilience.faults import SDC_SITE_KINDS
 
 
 @pytest.fixture(autouse=True)
@@ -96,6 +98,59 @@ class TestServeDetectors:
         assert mon.alerts.kinds() == set()
         mon.observe_queue_depth("fast", 9, 10)
         assert mon.alerts.kinds() == {"serve.queue_saturation"}
+
+
+class TestFaultClassTable:
+    def test_keys_are_exactly_the_injectable_classes(self):
+        assert set(FAULT_CLASSES) == (
+            {"flip", "drop", "straggler", "failstop"}
+            | set(SDC_SITE_KINDS.values()))
+
+    def test_alert_kinds_are_unique_and_the_view_is_unchanged(self):
+        kinds = [row.alert_kind for row in FAULT_CLASSES.values()]
+        assert len(set(kinds)) == len(kinds)
+        assert FAULT_ALERT_KINDS == {
+            "flip": "comm.bitflip",
+            "drop": "comm.drop",
+            "straggler": "comm.straggler",
+            "failstop": "resilience.rank_failure",
+            "sdc_gemm": "compute.gemm_sdc",
+            "sdc_weight": "state.weight_sdc",
+            "sdc_opt": "state.optimizer_sdc",
+            "sdc_forecast": "serve.forecast_sdc",
+        }
+
+    def test_check_faults_fires_each_row_as_the_hand_written_dicts_did(self):
+        """Kind, severity, subsystem and message per class, in firing
+        order, as ``check_faults`` fired them from its own three dicts."""
+        reg = MetricsRegistry()
+        reg.counter("comm.faults_detected").inc(2, kind="flip")
+        reg.counter("comm.faults_detected").inc(3, kind="drop")
+        reg.histogram("comm.straggler_s").observe(0.05, primitive="p2p")
+        reg.counter("resilience.dead_ranks").inc(1)
+        reg.counter("resilience.sdc_detected").inc(4, kind="sdc_gemm")
+        reg.counter("resilience.sdc_detected").inc(5, kind="sdc_weight")
+        reg.counter("resilience.sdc_detected").inc(6, kind="sdc_opt")
+        reg.counter("serve.forecasts_quarantined").inc(7, tier="fast")
+        mon = _monitor()
+        mon.check_faults(reg)
+        assert [(a.kind, a.severity, a.subsystem, a.message)
+                for a in mon.alerts.alerts] == [
+            ("comm.bitflip", "warning", "comm", "2 flip fault(s) observed"),
+            ("comm.drop", "warning", "comm", "3 drop fault(s) observed"),
+            ("comm.straggler", "warning", "comm",
+             "1 straggler fault(s) observed"),
+            ("resilience.rank_failure", "critical", "resilience",
+             "1 failstop fault(s) observed"),
+            ("compute.gemm_sdc", "critical", "kernels",
+             "4 sdc_gemm fault(s) observed"),
+            ("state.weight_sdc", "critical", "train",
+             "5 sdc_weight fault(s) observed"),
+            ("state.optimizer_sdc", "critical", "train",
+             "6 sdc_opt fault(s) observed"),
+            ("serve.forecast_sdc", "critical", "serve",
+             "7 sdc_forecast fault(s) observed"),
+        ]
 
 
 class TestPullDetectors:

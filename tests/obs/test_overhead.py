@@ -67,7 +67,7 @@ class TestDisabledIsFree:
     def test_disabled_hooks_share_one_null_scope(self):
         before = Span.allocated
         with obs.span("a", x=1):
-            with obs.Scope("b"):
+            with obs.span("b"):
                 pass
         assert Span.allocated == before
 

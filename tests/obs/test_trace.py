@@ -113,29 +113,15 @@ class TestHooks:
     def test_disabled_span_is_shared_null_scope(self):
         assert obs.get_tracer() is None
         a = obs.span("x")
-        b = obs.Scope("y", attr=1)
+        b = obs.span("y", attr=1)
         assert a is b  # the shared singleton: nothing allocated
 
     def test_enabled_scope_records(self):
         tracer, _ = obs.enable(Tracer(clock=StepClock()))
-        with obs.Scope("x", k="v"):
+        with obs.span("x", k="v"):
             pass
         assert tracer.spans[0].name == "x"
         assert tracer.spans[0].attrs == {"k": "v"}
-
-    def test_profiled_decorator(self):
-        calls = []
-
-        @obs.profiled("my.fn")
-        def fn(a, b=1):
-            calls.append((a, b))
-            return a + b
-
-        assert fn(1, b=2) == 3  # disabled: plain call
-        tracer, _ = obs.enable(Tracer(clock=StepClock()))
-        assert fn(4) == 5
-        assert [s.name for s in tracer.spans] == ["my.fn"]
-        assert calls == [(1, 2), (4, 1)]
 
     def test_observed_restores_previous_state(self):
         assert not obs.is_enabled()

@@ -3,15 +3,23 @@
 stage spans, and ``TraceReport`` shows observed bubble fraction and
 collective bytes agreeing with the :mod:`repro.perf` predictions."""
 
+import ast
 import json
+from pathlib import Path
+from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
+import repro.obs.report
 from repro import obs
-from repro.model import count_parameters
-from repro.parallel import RankTopology, SwipeEngine
+from repro.model import TINY, count_parameters
+from repro.parallel import (CommStats, RankTopology, SwipeEngine, comm_check,
+                            pipeline_check)
+from repro.parallel.autotune import autotune_check, plan_for
 from repro.perf import AURORA, CommModel, bubble_fraction
+from repro.perf.pipeline_model import schedule_1f1b, simulate_timeline
+from repro.resilience import resilience_check, sdc_check
+from repro.serve import deploy_check, serve_check
 from tests.train.test_trainer import TINY16
 
 GAS = 4  # microbatches: >= 4 per the acceptance criterion
@@ -84,8 +92,8 @@ class TestTraceReportChecks:
     def test_bubble_observed_vs_predicted(self, traced_run):
         tracer, registry, _, topo = traced_run
         report = obs.TraceReport(tracer, registry)
-        result = report.pipeline_check(pp=topo.pp, n_micro=GAS,
-                                       track_prefix="dp0/rank")
+        result = report.run(pipeline_check, pp=topo.pp, n_micro=GAS,
+                            track_prefix="dp0/rank")
         assert result["agrees"], result
         assert result["observed_bubble"] == pytest.approx(
             bubble_fraction(topo.pp, GAS), abs=0.02)
@@ -94,7 +102,7 @@ class TestTraceReportChecks:
     def test_comm_bytes_registry_matches_commstats_exactly(self, traced_run):
         tracer, registry, engine, _ = traced_run
         report = obs.TraceReport(tracer, registry)
-        result = report.comm_check(engine.cluster.stats)
+        result = report.run(comm_check, engine.cluster.stats)
         assert result["agrees"], result
         assert result["registry_vs_commstats"]  # non-empty
         for series in result["registry_vs_commstats"].values():
@@ -108,9 +116,9 @@ class TestTraceReportChecks:
         model = CommModel(TINY16, AURORA, topo)
         predicted = model.grad_allreduce_bytes() * topo.pp * topo.dp
         report = obs.TraceReport(tracer, registry)
-        result = report.comm_check(engine.cluster.stats,
-                                   predicted={"allreduce": predicted},
-                                   rel_tol=0.05)
+        result = report.run(comm_check, engine.cluster.stats,
+                            predicted={"allreduce": predicted},
+                            rel_tol=0.05)
         assert result["agrees"], result
         # Sanity: the prediction derives from the true parameter count.
         assert predicted == pytest.approx(
@@ -119,9 +127,9 @@ class TestTraceReportChecks:
     def test_report_renders_and_serializes(self, traced_run):
         tracer, registry, engine, topo = traced_run
         report = obs.TraceReport(tracer, registry)
-        report.pipeline_check(pp=topo.pp, n_micro=GAS,
-                              track_prefix="dp0/rank")
-        report.comm_check(engine.cluster.stats)
+        report.run(pipeline_check, pp=topo.pp, n_micro=GAS,
+                   track_prefix="dp0/rank")
+        report.run(comm_check, engine.cluster.stats)
         text = report.render()
         assert "pipeline bubble" in text and "OK" in text
         parsed = json.loads(report.to_json())
@@ -135,3 +143,135 @@ class TestTraceReportChecks:
         assert registry.counter("pp.microbatches").total() == topo.dp * GAS
         assert registry.gauge("pp.bubble").value(pipeline="dp0") == \
             pytest.approx(bubble_fraction(topo.pp, GAS), abs=0.02)
+
+
+#: What the eight ``TraceReport.*_check`` methods of the last commit that
+#: had them (5e75d12) returned, and what ``render()`` printed, for the
+#: subjects ``golden_report`` builds.
+GOLDEN = json.loads(
+    Path(__file__).with_name("golden_trace_report.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def golden_report():
+    """Every shipped check, run once over hand-built deterministic
+    subjects: a PP=2 x M=2 1F1B timeline, fixed counters, stub
+    service/controller/injector ledgers and a real tiny plan."""
+    tracer = obs.Tracer(clock=obs.StepClock())
+    registry = obs.MetricsRegistry()
+    for phase, stage, micro, start, end in simulate_timeline(
+            schedule_1f1b(2, 2), 1.0, 2.0)["events"]:
+        tracer.add_span(f"{phase}{micro}", start, end, track=f"rank{stage}",
+                        category="pp-1f1b", phase=phase, stage=stage,
+                        micro=micro)
+    tracer.add_span("retry", 0.0, 0.5, track="comm", category="resilience")
+    tracer.add_span("dispatch", 1.0, 3.0, track="serve", category="serve")
+
+    stats = CommStats()
+    stats.add("allreduce", "inter", 1000)
+    stats.add("p2p", "intra", 64)
+    registry.counter("comm.bytes").inc(1000, primitive="allreduce",
+                                       locality="inter")
+    registry.counter("comm.bytes").inc(64, primitive="p2p",
+                                       locality="intra")
+
+    injector = SimpleNamespace(injected={
+        "flip": 2, "straggler": 1, "failstop": 1, "sdc_gemm": 1,
+        "sdc_forecast": 1})
+    registry.counter("comm.faults_detected").inc(2, kind="flip")
+    registry.histogram("comm.straggler_s").observe(0.02, primitive="p2p")
+    registry.counter("resilience.dead_ranks").inc(1)
+    registry.counter("resilience.sdc_detected").inc(1, kind="sdc_gemm")
+    registry.counter("serve.forecasts_quarantined").inc(1)
+    registry.counter("train.step_retries").inc(1, cause="gemm")
+    registry.counter("serve.guardrail_reruns").inc(1)
+
+    requests = registry.counter("serve.requests")
+    requests.inc(5, event="submitted")
+    requests.inc(1, event="rejected")
+    requests.inc(3, event="accepted", version="v0")
+    requests.inc(2, event="completed", version="v0")
+    requests.inc(1, event="timeout", version="v0")
+    requests.inc(1, event="accepted", version="v1")
+    requests.inc(1, event="completed", version="v1")
+    digest = "c0ffee" * 11
+    service = SimpleNamespace(
+        tally={"submitted": 5, "accepted": 4, "rejected": 1, "completed": 3,
+               "timeout": 1, "failed": 0},
+        cache=SimpleNamespace(stats=lambda: {"hit_rate": 0.25, "hits": 1,
+                                             "misses": 3}),
+        bindings={"v1": SimpleNamespace(weights_digest=digest)},
+        active_version="v1")
+    registry.counter("deploy.transitions").inc(1, kind="start")
+    registry.counter("deploy.transitions").inc(1, kind="promote")
+    registry.counter("deploy.shadows").inc(2)
+    controller = SimpleNamespace(
+        transitions=[{"kind": "start"}, {"kind": "promote"}],
+        counts={"shadows": 2, "reassigned": 0}, state="promoted",
+        incumbent="v0", candidate="v1", candidate_digest=digest,
+        registry=None)
+    plan = plan_for(TINY, AURORA, 32, 8, micro_batches=(1, 2))
+
+    report = obs.TraceReport(tracer, registry)
+    report.run(pipeline_check, pp=2, n_micro=2)
+    report.run(comm_check, stats,
+               predicted={"allreduce": 1000.0, "p2p": 60.0})
+    report.run(resilience_check, injector)
+    report.run(sdc_check, injector)
+    report.run(serve_check, service)
+    report.run(deploy_check, service, controller)
+    report.run(obs.health_check, obs.HealthMonitor(clock=obs.StepClock()),
+               injector)
+    report.run(autotune_check, plan, topology=plan.chosen_topology)
+    return report
+
+
+class TestCheckProtocol:
+    def test_every_shipped_check_returns_the_uniform_result(self,
+                                                            golden_report):
+        assert len(golden_report.checks) == 8
+        for result in golden_report.checks:
+            assert isinstance(result["check"], str) and result["check"]
+            assert isinstance(result["agrees"], bool)
+            assert result["summary"].strip()
+
+    def test_result_dicts_match_the_method_era_output(self, golden_report):
+        """Same keys and values as the deleted methods, plus ``summary``."""
+        stripped = [{k: v for k, v in result.items() if k != "summary"}
+                    for result in golden_report.checks]
+        assert stripped == GOLDEN["checks"]
+
+    def test_render_is_text_identical_to_the_method_era(self, golden_report):
+        assert golden_report.render() == GOLDEN["text"]
+
+    def test_fourth_party_check_needs_no_edit_to_report(self, golden_report):
+        def budget_check(report, budget, slack=0):
+            used = len(report.tracer.spans)
+            return {"check": "span_budget", "agrees": used <= budget + slack,
+                    "summary": f"span budget: {used}/{budget}\nslack {slack}"}
+
+        report = obs.TraceReport(golden_report.tracer,
+                                 golden_report.registry)
+        result = report.run(budget_check, 4, slack=1)
+        assert result is report.checks[-1] and not result["agrees"]
+        assert report.render().splitlines()[:3] == [
+            "TraceReport", "  span budget: 10/4", "  slack 1"]
+        assert json.loads(report.to_json())["checks"][0]["check"] == \
+            "span_budget"
+
+    def test_run_requires_a_registry(self, golden_report):
+        report = obs.TraceReport(golden_report.tracer)  # obs is disabled
+        with pytest.raises(ValueError, match="no metrics registry"):
+            report.run(pipeline_check, pp=2, n_micro=2)
+
+    def test_report_module_imports_only_from_obs(self):
+        """Layering: ``obs`` is the bottom layer, so the collector may not
+        reach up into the packages whose checks it runs."""
+        tree = ast.parse(Path(repro.obs.report.__file__).read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert node.level == 1 or node.module == "__future__", \
+                    ast.unparse(node)
+            elif isinstance(node, ast.Import):
+                assert [a.name for a in node.names] == ["json"], \
+                    ast.unparse(node)

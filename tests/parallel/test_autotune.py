@@ -13,6 +13,7 @@ from repro.parallel.autotune import (
     CONFIGS,
     NoFeasibleLayout,
     TunedPlan,
+    autotune_check,
     calibrated_step_s,
     enumerate_candidates,
     frontier_table,
@@ -198,8 +199,8 @@ class TestAutotuneCheck:
     def test_passes_on_a_sound_plan(self, plan):
         with observed() as (tracer, registry):
             report = TraceReport(tracer=tracer, registry=registry)
-            result = report.autotune_check(plan,
-                                           topology=plan.chosen_topology)
+            result = report.run(autotune_check, plan,
+                                topology=plan.chosen_topology)
         assert result["agrees"]
         assert result["chosen_feasible"]
         assert result["pruned_violations"] == []
@@ -209,7 +210,7 @@ class TestAutotuneCheck:
         other = plan.frontier[1].topology
         with observed() as (tracer, registry):
             report = TraceReport(tracer=tracer, registry=registry)
-            result = report.autotune_check(plan, topology=other)
+            result = report.run(autotune_check, plan, topology=other)
         assert result["topology_matches"] is False
         assert not result["agrees"]
 
@@ -224,6 +225,6 @@ class TestAutotuneCheck:
             "micro_batch": c.micro_batch}]
         with observed() as (tracer, registry):
             report = TraceReport(tracer=tracer, registry=registry)
-            result = report.autotune_check(doctored)
+            result = report.run(autotune_check, doctored)
         assert result["pruned_violations"]
         assert not result["agrees"]

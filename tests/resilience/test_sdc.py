@@ -24,6 +24,7 @@ from repro.resilience import (
     FaultInjector,
     FaultPlan,
     inject_compute,
+    sdc_check,
 )
 from repro.train import Trainer, TrainerConfig
 from tests.train.test_trainer import TINY16
@@ -151,7 +152,7 @@ class TestSdcReconciliation:
         for cause in ("gemm", "weight", "optimizer"):
             assert registry.counter(
                 "train.step_retries").total(cause=cause) == 1
-        result = TraceReport().sdc_check(trainer.injector)
+        result = TraceReport().run(sdc_check, trainer.injector)
         assert result["agrees"], result
         assert result["recovery_closed"]
         for kind in ("sdc_gemm", "sdc_weight", "sdc_opt"):
@@ -168,7 +169,7 @@ class TestSdcReconciliation:
             tiny_archive,
             events=(ComputeFault(step=0, site="gemm", nth=1),))
         trainer.fit(1)  # guard disarmed: the flip lands silently
-        result = TraceReport().sdc_check(trainer.injector)
+        result = TraceReport().run(sdc_check, trainer.injector)
         assert not result["per_kind"]["sdc_gemm"]["match"]
         assert not result["agrees"]
 
@@ -177,7 +178,7 @@ class TestSdcReconciliation:
         with abft_guard():
             trainer.fit(5)
         report = TraceReport()
-        report.sdc_check(trainer.injector)
+        report.run(sdc_check, trainer.injector)
         text = report.render()
         assert "sdc faults" in text and "recovery closed" in text
         assert "OK" in text and "MISMATCH" not in text

@@ -14,6 +14,7 @@ import pytest
 from repro.model import AerisConfig
 from repro.obs import TraceReport, observed
 from repro.parallel import RankTopology
+from repro.parallel.autotune import autotune_check
 from repro.resilience import (
     BitFlip,
     ClusterFailure,
@@ -21,6 +22,7 @@ from repro.resilience import (
     FailStop,
     FaultPlan,
     Straggle,
+    resilience_check,
 )
 from repro.resilience.supervisor import ElasticSupervisor, SupervisorConfig
 from repro.train.checkpoint import list_checkpoints
@@ -123,7 +125,7 @@ class TestElasticRecovery:
         snapshot and the trace — the report's reconciliation agrees."""
         sup, _, _, tracer, registry = chaos_run
         report = TraceReport(tracer, registry)
-        check = report.resilience_check(sup.injector)
+        check = report.run(resilience_check, sup.injector)
         assert check["agrees"], check
         assert check["resilience_spans"] >= 3  # flip + straggle + recovery
         snapshot = registry.snapshot()
@@ -266,8 +268,8 @@ class TestAutotunedRecovery:
         the (re-tuned) plan on a full smoke run."""
         sup, _, tracer, registry = tuned_chaos
         report = TraceReport(tracer, registry)
-        result = report.autotune_check(sup.plan, topology=sup.topology,
-                                       config=MICRO)
+        result = report.run(autotune_check, sup.plan,
+                            topology=sup.topology, config=MICRO)
         assert result["agrees"], result
         assert result["topology_matches"] is True
         assert result["chosen_feasible"]

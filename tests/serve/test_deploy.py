@@ -9,10 +9,11 @@ from repro.model import Aeris
 from repro.obs import TraceReport
 from repro.parallel import SimCluster
 from repro.registry import ModelRegistry
-from repro.resilience import FailStop, FaultInjector, FaultPlan
+from repro.resilience import (FailStop, FaultInjector, FaultPlan,
+                              resilience_check)
 from repro.serve import (BatcherConfig, DeployConfig, DeploymentController,
                          ForecastRequest, ForecastService, ServiceConfig,
-                         TierPolicy, TierRouter)
+                         TierPolicy, TierRouter, deploy_check, serve_check)
 
 ROUTER = TierRouter().with_policy(TierPolicy(
     name="standard", priority=1, solver_config=SolverConfig(n_steps=2)))
@@ -71,7 +72,7 @@ class TestCleanRollout:
         assert svc.active_version == "v2"
         served = {r.version for r in responses}
         assert served == {"v1", "v2"}  # both sides actually took traffic
-        check = TraceReport().deploy_check(svc, controller)
+        check = TraceReport().run(deploy_check, svc, controller)
         assert check["agrees"]
         assert check["terminal"]["candidate_live"]
 
@@ -109,8 +110,8 @@ class TestCleanRollout:
         svc.run(traffic(serve_world, 10))
         assert controller.counts["shadows"] > 0
         report = TraceReport()
-        assert report.serve_check(svc)["agrees"]
-        assert report.deploy_check(svc, controller)["agrees"]
+        assert report.run(serve_check, svc)["agrees"]
+        assert report.run(deploy_check, svc, controller)["agrees"]
 
 
 class TestRollback:
@@ -134,7 +135,7 @@ class TestRollback:
             # unloaded the candidate.
             assert svc.active_version == "v1"
             assert "v2" not in svc.bindings
-            check = TraceReport().deploy_check(svc, controller)
+            check = TraceReport().run(deploy_check, svc, controller)
             assert check["agrees"]
             assert check["terminal"]["incumbent_restored"]
             assert check["terminal"]["candidate_unloaded"]
@@ -167,7 +168,7 @@ class TestRollback:
         # Everything completed on the surviving version.
         assert {r.version for r in responses if r.version != "v1"} \
             <= {"v2"}
-        check = TraceReport().deploy_check(svc, controller)
+        check = TraceReport().run(deploy_check, svc, controller)
         assert check["agrees"]
         v2 = check["per_version"]["v2"]
         assert v2["reassigned_out"] == controller.counts["reassigned"]
@@ -196,9 +197,9 @@ class TestRollback:
         assert all(r.ok for r in responses)
         assert svc.pool.stats()["live"] == 1
         report = TraceReport()
-        assert report.serve_check(svc)["agrees"]
-        assert report.deploy_check(svc, controller)["agrees"]
-        assert report.resilience_check(cluster.injector)["agrees"]
+        assert report.run(serve_check, svc)["agrees"]
+        assert report.run(deploy_check, svc, controller)["agrees"]
+        assert report.run(resilience_check, cluster.injector)["agrees"]
 
     def test_deploy_check_catches_wrong_restore(self, serve_world, obs_on):
         _, forecaster, _, _ = serve_world
@@ -212,7 +213,7 @@ class TestRollback:
         svc.run(traffic(serve_world, 12))
         assert controller.state == "rolled_back"
         controller.incumbent_digest = "0" * 64  # simulate a wrong restore
-        check = TraceReport().deploy_check(svc, controller)
+        check = TraceReport().run(deploy_check, svc, controller)
         assert not check["agrees"]
         assert not check["terminal"]["incumbent_restored"]
 
@@ -261,7 +262,7 @@ class TestRegistryIntegration:
         assert controller.state == "promoted"
         assert registry.live() == "v2"
         assert registry.get("v1").status == "retired"
-        check = TraceReport().deploy_check(svc, controller)
+        check = TraceReport().run(deploy_check, svc, controller)
         assert check["agrees"] and check["terminal"]["registry_agrees"]
 
     def test_rollback_updates_registry_lifecycle(self, tmp_path,
@@ -279,7 +280,7 @@ class TestRegistryIntegration:
         assert controller.state == "rolled_back"
         assert registry.get("v2").status == "rolled_back"
         assert registry.live() == "v1"
-        check = TraceReport().deploy_check(svc, controller)
+        check = TraceReport().run(deploy_check, svc, controller)
         assert check["agrees"] and check["terminal"]["registry_agrees"]
 
     def test_not_idle_twice(self, tmp_path, serve_world):

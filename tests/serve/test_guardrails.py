@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.obs import TraceReport
-from repro.resilience import ComputeFault, FaultInjector, FaultPlan
+from repro.resilience import (ComputeFault, FaultInjector, FaultPlan,
+                              sdc_check)
 from repro.serve import ForecastValidator, ServiceConfig
 from tests.serve.test_service import make_service, request
 
@@ -136,7 +137,7 @@ class TestGuardedService:
                            config=ServiceConfig(n_workers=2))
         resp = svc.serve(request(serve_world, seed=11))
         assert resp.status == "completed"
-        result = TraceReport().sdc_check(injector)
+        result = TraceReport().run(sdc_check, injector)
         assert result["agrees"], result
         assert result["per_kind"]["sdc_forecast"] == {
             "injected": 1, "detected": 1, "match": True}

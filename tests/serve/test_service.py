@@ -8,10 +8,11 @@ import pytest
 from repro.diffusion import SolverConfig
 from repro.obs import TraceReport
 from repro.parallel import SimCluster
-from repro.resilience import FailStop, FaultInjector, FaultPlan
+from repro.resilience import (FailStop, FaultInjector, FaultPlan,
+                              resilience_check)
 from repro.serve import (BatcherConfig, ForecastRequest, ForecastService,
                          OneStepForecaster, QueueConfig, ServeWorkerPool,
-                         ServiceConfig, TierPolicy, TierRouter)
+                         ServiceConfig, TierPolicy, TierRouter, serve_check)
 
 # A fast standard tier so solver-tier tests stay cheap; default high tier
 # kept for routing coverage.
@@ -228,8 +229,8 @@ class TestResilience:
         assert all(r.worker == 1 for r in resps)
         assert svc.pool.stats()["live"] == 1
         report = TraceReport()
-        assert report.serve_check(svc)["agrees"]
-        assert report.resilience_check(cluster.injector)["agrees"]
+        assert report.run(serve_check, svc)["agrees"]
+        assert report.run(resilience_check, cluster.injector)["agrees"]
 
     def test_total_capacity_loss_fails_requests(self, serve_world):
         plan = FaultPlan(events=(FailStop(rank=0, step=0),))
@@ -252,7 +253,7 @@ class TestObservability:
         svc.run([request(serve_world, seed=s, arrival_s=0.0)
                  for s in range(3)])
         report = TraceReport()
-        check = report.serve_check(svc)
+        check = report.run(serve_check, svc)
         assert check["agrees"]
         assert check["per_event"]["completed"]["counter"] == 1
         assert check["per_event"]["rejected"]["counter"] == 2
@@ -263,7 +264,7 @@ class TestObservability:
         svc = make_service(serve_world)
         svc.serve(request(serve_world))
         svc.tally["completed"] -= 1  # simulate a dropped response
-        assert not TraceReport().serve_check(svc)["agrees"]
+        assert not TraceReport().run(serve_check, svc)["agrees"]
 
     def test_stats_surface(self, serve_world):
         svc = make_service(serve_world)

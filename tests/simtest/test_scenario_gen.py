@@ -137,6 +137,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match="kind"):
             event_from_dict({"kind": "solar_flare"})
 
+    def test_inert_compute_site_rejected_at_construction_and_load(self):
+        with pytest.raises(ValueError, match="compute-fault site 'gem'"):
+            ComputeFault(site="gem")
+        data = ScenarioGen().scenario(0).to_dict()
+        data["events"] = [{"kind": "compute", "step": 0, "site": "gem",
+                           "nth": 0}]
+        with pytest.raises(ValueError, match="compute-fault site 'gem'"):
+            Scenario.from_dict(data)
+
     def test_fault_plan_materializes(self):
         gen = ScenarioGen()
         for seed in range(40):
