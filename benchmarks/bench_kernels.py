@@ -11,6 +11,8 @@ that runs the same computation with the kernel layer disabled, so a single
 import numpy as np
 
 from kernel_workloads import (
+    aeris_forward_quickstart_rows1,
+    aeris_forward_quickstart_rows16,
     aeris_forward_tiny,
     aeris_train_step_tiny,
     gcm_step,
@@ -96,6 +98,22 @@ def test_aeris_forward_tiny_reference(benchmark):
     benchmark(w.reference)
 
 
+def test_aeris_forward_quickstart_rows1(benchmark):
+    benchmark(aeris_forward_quickstart_rows1().optimized)
+
+
+def test_aeris_forward_quickstart_rows1_reference(benchmark):
+    benchmark(aeris_forward_quickstart_rows1().reference)
+
+
+def test_aeris_forward_quickstart_rows16(benchmark):
+    benchmark(aeris_forward_quickstart_rows16().optimized)
+
+
+def test_aeris_forward_quickstart_rows16_reference(benchmark):
+    benchmark(aeris_forward_quickstart_rows16().reference)
+
+
 def test_aeris_train_step_tiny(benchmark):
     benchmark(aeris_train_step_tiny().optimized)
 
@@ -109,7 +127,9 @@ def test_optimized_paths_match_reference():
     every paired workload's two callables agree bit-for-bit."""
     for factory in (window_attention_forward, window_attention_quickstart,
                     window_attention_long_window,
-                    window_partition_roundtrip, aeris_forward_tiny):
+                    window_partition_roundtrip, aeris_forward_tiny,
+                    aeris_forward_quickstart_rows1,
+                    aeris_forward_quickstart_rows16):
         w = factory()
         a, b = w.optimized(), w.reference()
         np.testing.assert_array_equal(a.numpy(), b.numpy(), err_msg=w.name)

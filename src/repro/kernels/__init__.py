@@ -10,26 +10,38 @@ layer).
 * :mod:`~repro.kernels.rope_cache` — memoized axial 2D RoPE tables keyed by
   ``(window, head_dim, base, dtype)``;
 * :mod:`~repro.kernels.fused` — single-node rotary and softmax(QKᵀ)·V
-  kernels (and an inference SwiGLU) that reuse
-  :mod:`repro.tensor.workspace` scratch.
+  kernels that reuse :mod:`repro.tensor.workspace` scratch, and the
+  tape-free (raw-array, in-place) form of every other chain of an inference
+  forward: norm-modulate, gate-residual, linear, SwiGLU, LayerNorm, the
+  time features and the embed concat.
 
 Every kernel is bit-exact against the reference implementation it replaces
-(golden tests); :func:`disable_kernels` flips the consumers
-(:class:`repro.nn.MultiHeadAttention`, :class:`repro.nn.SwiGLU`,
-:class:`repro.model.SwinBlock`) back to the reference paths, which is how
-the golden tests and the before/after benchmarks get both behaviors from
-one build.
+(golden tests); :func:`disable_kernels` flips the consumers (every layer of
+:mod:`repro.nn` the model uses, :class:`repro.model.SwinBlock`,
+:class:`repro.model.Aeris`) back to the reference paths, which is how the
+golden tests and the before/after benchmarks get both behaviors from one
+build.  The tape-free kernels additionally run only while no tape is being
+recorded — under ``no_grad`` — and the taped bodies of the modules are the
+reference they are held to.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 
+from ..tensor import is_grad_enabled
 from .abft import abft_enabled, abft_guard, abft_matmul, guard_gemm
 from .fused import (
     fused_apply_rotary,
+    fused_concat_add,
     fused_dot_product_attention,
+    fused_gate_residual,
+    fused_layer_norm,
+    fused_linear,
+    fused_norm_modulate,
+    fused_silu,
     fused_swiglu_forward,
+    fused_time_features,
 )
 from .plan_cache import LRUCache, clear_plan_caches, plan_cache_stats
 from .rope_cache import rope_tables
@@ -42,7 +54,9 @@ __all__ = [
     "WindowPlan", "window_plan", "plan_partition", "plan_merge",
     "rope_tables",
     "fused_apply_rotary", "fused_dot_product_attention",
-    "fused_swiglu_forward",
+    "fused_swiglu_forward", "fused_linear", "fused_silu",
+    "fused_norm_modulate", "fused_layer_norm", "fused_gate_residual",
+    "fused_time_features", "fused_concat_add",
 ]
 
 _ENABLED = True
@@ -51,6 +65,13 @@ _ENABLED = True
 def kernels_enabled() -> bool:
     """Whether consumers should take the planned/fused paths."""
     return _ENABLED
+
+
+def _tape_free() -> bool:
+    """Whether a module's ``forward`` should run its tape-free kernel: the
+    kernel layer is live and no graph is being recorded (``no_grad``), so
+    nothing needs the intermediates a fused in-place kernel never keeps."""
+    return _ENABLED and not is_grad_enabled()
 
 
 @contextmanager

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..kernels import _tape_free, fused_concat_add
 from ..nn import LayerNorm, Linear, Module, ModuleList, TimestepEmbedding
 from ..nn import pixel_positional_field
 from ..tensor import Tensor, concat
@@ -79,9 +80,12 @@ class Aeris(Module):
                     forcings: Tensor) -> Tensor:
         """First pipeline stage: concat conditioning, add posenc, patchify,
         embed."""
-        x = concat([x_t, condition, forcings], axis=-1)
-        pos = Tensor(self.posenc[None, :, :, None])
-        x = x + pos
+        pos = self.posenc[None, :, :, None]
+        if _tape_free():
+            x = Tensor(fused_concat_add(
+                [x_t.data, condition.data, forcings.data], pos))
+        else:
+            x = concat([x_t, condition, forcings], axis=-1) + Tensor(pos)
         return self.embed(self._patchify(x))
 
     def decode_stage(self, h: Tensor) -> Tensor:

@@ -6,6 +6,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..kernels import (
+    _tape_free,
+    fused_gate_residual,
     kernels_enabled,
     plan_merge,
     plan_partition,
@@ -19,7 +21,6 @@ from ..nn import (
     MultiHeadAttention,
     RMSNorm,
     SwiGLU,
-    modulate,
 )
 from ..tensor import Tensor
 from .config import AerisConfig
@@ -28,11 +29,15 @@ from .windows import cyclic_shift, window_merge, window_partition
 __all__ = ["SwinBlock", "SwinLayer"]
 
 
-def _gate(x: Tensor, gamma: Tensor) -> Tensor:
-    """Broadcast the adaLN gate ``gamma`` (B, D) over token axes of ``x``."""
-    extra = x.ndim - gamma.ndim
+def _gated_residual(x: Tensor, branch: Tensor, gamma: Tensor) -> Tensor:
+    """``x + branch · gamma``, the adaLN gate ``gamma`` (B, D) broadcast over
+    the token axes.  ``branch`` is a sub-layer output nobody else holds: the
+    inference kernel builds the sum in its memory; ``x`` is only read."""
+    if _tape_free():
+        return Tensor(fused_gate_residual(x.data, branch.data, gamma.data))
+    extra = branch.ndim - gamma.ndim
     shape = (gamma.shape[0],) + (1,) * extra + (gamma.shape[-1],)
-    return x * gamma.reshape(shape)
+    return x + branch * gamma.reshape(shape)
 
 
 class SwinBlock(Module):
@@ -83,14 +88,13 @@ class SwinBlock(Module):
         return h
 
     def forward(self, x: Tensor, t_emb: Tensor) -> Tensor:
-        alpha_a, beta_a, gamma_a = self.ada_attn(t_emb)
-        h = modulate(self.norm_attn(x), alpha_a, beta_a)
-        x = x + _gate(self.attend(h), gamma_a)
+        alpha, beta, gamma = self.ada_attn(t_emb)
+        h = self.norm_attn(x, alpha, beta)
+        x = _gated_residual(x, self.attend(h), gamma)
 
-        alpha_f, beta_f, gamma_f = self.ada_ffn(t_emb)
-        h = modulate(self.norm_ffn(x), alpha_f, beta_f)
-        x = x + _gate(self.ffn(h), gamma_f)
-        return x
+        alpha, beta, gamma = self.ada_ffn(t_emb)
+        h = self.norm_ffn(x, alpha, beta)
+        return _gated_residual(x, self.ffn(h), gamma)
 
 
 class SwinLayer(Module):

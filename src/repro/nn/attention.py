@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..kernels import (
+    _tape_free,
     fused_apply_rotary,
     fused_dot_product_attention,
     kernels_enabled,
@@ -85,6 +86,11 @@ class MultiHeadAttention(Module):
         """``x``: ``(batch, n_windows, tokens, dim)`` (or any leading axes)."""
         *lead, tokens, dim = x.shape
         qkv = self.qkv(x)                                     # (..., T, 3D)
+        tape_free = _tape_free()
+        if tape_free:
+            # Views of the raw array: no graph nodes to build, and the two
+            # kernels hand raw arrays straight back.
+            qkv = qkv.data
         qkv = qkv.reshape(*lead, tokens, 3, self.heads, self.head_dim)
         if kernels_enabled():
             # Q and K are rotated together, in the packed order the
@@ -108,4 +114,4 @@ class MultiHeadAttention(Module):
             out = dot_product_attention(q, k, v)              # (..., H, T, hd)
         # -> (..., T, H*hd)
         out = out.swapaxes(-2, -3).reshape(*lead, tokens, dim)
-        return self.out(out)
+        return self.out(Tensor(out) if tape_free else out)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..kernels import _tape_free, fused_silu, fused_time_features
 from ..tensor import Tensor
 from .linear import Linear
 from .module import Module
@@ -78,6 +79,9 @@ class TimestepEmbedding(Module):
 
     def forward(self, t: Tensor) -> Tensor:
         """``t`` of shape ``(batch,)`` -> embedding of shape ``(batch, dim)``."""
+        if _tape_free():
+            feats = Tensor(fused_time_features(t.data, self.freqs))
+            return Tensor(fused_silu(self.proj(feats).data))
         angles = t.reshape(-1, 1) * Tensor(self.freqs)
         feats_sin = angles.sin()
         feats_cos = angles.cos()

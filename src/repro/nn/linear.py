@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..kernels import _tape_free, fused_linear
 from ..tensor import Tensor
 from .init import scaled_init_std, trunc_normal, zeros
 from .module import Module, Parameter
@@ -35,6 +36,10 @@ class Linear(Module):
         self.bias = Parameter(zeros((out_features,)), name="bias") if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
+        if _tape_free():
+            return Tensor(fused_linear(
+                x.data, self.weight.data,
+                None if self.bias is None else self.bias.data))
         out = x @ self.weight
         if self.bias is not None:
             out = out + self.bias

@@ -6,6 +6,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..kernels import (
+    _tape_free,
+    fused_layer_norm,
+    fused_norm_modulate,
+    fused_silu,
+)
 from ..tensor import Tensor
 from .linear import Linear
 from .module import Module, Parameter
@@ -14,7 +20,10 @@ __all__ = ["RMSNorm", "LayerNorm", "AdaLNModulation", "modulate"]
 
 
 class RMSNorm(Module):
-    """Root-mean-square normalization over the last axis."""
+    """Root-mean-square normalization over the last axis, optionally
+    followed by the adaLN scale/shift (:func:`modulate`) — the pair every
+    Swin block applies back to back, so the inference path can run them as
+    one in-place kernel."""
 
     def __init__(self, dim: int, eps: float = 1e-6):
         super().__init__()
@@ -22,10 +31,18 @@ class RMSNorm(Module):
         self.eps = eps
         self.weight = Parameter(np.ones(dim, dtype=np.float32), name="weight")
 
-    def forward(self, x: Tensor) -> Tensor:
+    def forward(self, x: Tensor, alpha: Tensor | None = None,
+                beta: Tensor | None = None) -> Tensor:
+        """Normalize ``x``; given ``alpha`` and ``beta`` (``(batch, dim)``
+        each), also :func:`modulate` the result by them."""
+        if _tape_free():
+            mod = () if alpha is None else (alpha.data, beta.data)
+            return Tensor(fused_norm_modulate(
+                x.data, self.weight.data, self.eps, *mod))
         ms = (x * x).mean(axis=-1, keepdims=True)
         inv = (ms + self.eps) ** -0.5
-        return x * inv * self.weight
+        out = x * inv * self.weight
+        return out if alpha is None else modulate(out, alpha, beta)
 
 
 class LayerNorm(Module):
@@ -45,6 +62,10 @@ class LayerNorm(Module):
             self.bias = None
 
     def forward(self, x: Tensor) -> Tensor:
+        if _tape_free():
+            affine = () if self.weight is None \
+                else (self.weight.data, self.bias.data)
+            return Tensor(fused_layer_norm(x.data, self.eps, *affine))
         mu = x.mean(axis=-1, keepdims=True)
         centered = x - mu
         var = (centered * centered).mean(axis=-1, keepdims=True)
@@ -71,8 +92,12 @@ class AdaLNModulation(Module):
 
     def forward(self, t_emb: Tensor) -> tuple[Tensor, Tensor, Tensor]:
         """Returns (alpha, beta, gamma), each shaped ``(batch, dim)``."""
-        raw = self.proj(t_emb.silu())
         d = self.dim
+        if _tape_free():
+            raw = self.proj(Tensor(fused_silu(t_emb.data))).data
+            return (Tensor(raw[..., 0:d]), Tensor(raw[..., d:2 * d]),
+                    Tensor(raw[..., 2 * d:3 * d]))
+        raw = self.proj(t_emb.silu())
         return raw[..., 0:d], raw[..., d:2 * d], raw[..., 2 * d:3 * d]
 
 

@@ -32,6 +32,7 @@ from .flops import add_flops, backward_phase, flops_enabled
 __all__ = ["Tensor", "no_grad", "is_grad_enabled", "tensor", "zeros", "ones"]
 
 _GRAD_ENABLED = True
+_FLOAT32 = np.dtype(np.float32)
 
 
 @contextmanager
@@ -93,8 +94,14 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents", "name")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None, name: str = ""):
-        self.data = _as_array(data, dtype)
-        self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
+        # The common case — an ndarray already of the dtype it is to be
+        # stored in — is kept as is; everything else is converted.
+        if type(data) is np.ndarray and data.dtype is (
+                _FLOAT32 if dtype is None else dtype):
+            self.data = data
+        else:
+            self.data = _as_array(data, dtype)
+        self.requires_grad = _GRAD_ENABLED and bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._backward: Callable[[np.ndarray], None] | None = None
         self._parents: tuple[Tensor, ...] = ()
@@ -143,10 +150,11 @@ class Tensor:
     @staticmethod
     def _make(data: np.ndarray, parents: Sequence["Tensor"],
               backward: Callable[[np.ndarray], None]) -> "Tensor":
-        requires = _GRAD_ENABLED and any(p.requires_grad for p in parents)
-        out = Tensor(data, dtype=np.asarray(data).dtype)
-        out.requires_grad = requires
-        if requires:
+        if type(data) is not np.ndarray:    # a reduction to a NumPy scalar
+            data = np.asarray(data)
+        out = Tensor(data, dtype=data.dtype)
+        if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+            out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward
         return out

@@ -48,21 +48,20 @@ class WorkspaceArena:
         self.bytes_served = 0
         self.bytes_allocated = 0
 
-    @staticmethod
-    def _key(shape, dtype) -> tuple:
-        return (tuple(int(s) for s in shape), np.dtype(dtype).str)
-
     def get(self, shape, dtype=np.float32) -> np.ndarray:
         """An uninitialized C-contiguous buffer of exactly ``shape``/``dtype``
         — pooled if available, freshly allocated otherwise."""
-        key = self._key(shape, dtype)
+        # Equal shapes and equivalent dtypes compare and hash equal whatever
+        # they are spelled with (list or tuple, NumPy or Python ints, type
+        # or dtype instance), so the key needs no element-wise rebuild.
+        key = (tuple(shape), np.dtype(dtype))
         bucket = self._pool.get(key)
         if bucket:
             out = bucket.pop()
             self._pooled_bytes -= out.nbytes
             self.hits += 1
         else:
-            out = np.empty(key[0], dtype=np.dtype(dtype))
+            out = np.empty(*key)
             self.misses += 1
             self.bytes_allocated += out.nbytes
         self.bytes_served += out.nbytes
@@ -71,12 +70,11 @@ class WorkspaceArena:
     def release(self, buf: np.ndarray) -> None:
         """Return ``buf`` to the pool.  The caller must guarantee no live
         references to ``buf`` remain (see module docstring)."""
-        if not isinstance(buf, np.ndarray) or not buf.flags["OWNDATA"]:
+        if not isinstance(buf, np.ndarray) or not buf.flags.owndata:
             return  # views cannot be safely repooled
         if buf.nbytes > self.max_bytes:
             return
-        key = self._key(buf.shape, buf.dtype)
-        self._pool.setdefault(key, []).append(buf)
+        self._pool.setdefault((buf.shape, buf.dtype), []).append(buf)
         self._pooled_bytes += buf.nbytes
         self._shrink()
 

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from repro.kernels import (
+    abft,
     abft_guard,
     disable_kernels,
     fused_apply_rotary,
     fused_dot_product_attention,
+    fused_gate_residual,
     fused_swiglu_forward,
     kernels_enabled,
     plan_merge,
@@ -17,11 +19,20 @@ from repro.kernels import (
     rope_tables,
     window_plan,
 )
-from repro.model import Aeris, AerisConfig
+from repro.model import Aeris, AerisConfig, SwinBlock
 from repro.model.rope import axial_rope_table
 from repro.model.windows import cyclic_shift, window_merge, window_partition
-from repro.nn import SwiGLU
+from repro.nn import (
+    AdaLNModulation,
+    LayerNorm,
+    Linear,
+    MultiHeadAttention,
+    RMSNorm,
+    SwiGLU,
+    TimestepEmbedding,
+)
 from repro.nn.attention import apply_rotary, dot_product_attention
+from repro.resilience import inject_compute
 from repro.tensor import (
     FlopCounter,
     Tensor,
@@ -38,6 +49,36 @@ QUICKSTART = AerisConfig(
     name="quickstart", height=16, width=32, channels=9, forcing_channels=3,
     dim=32, heads=4, ffn_dim=64, swin_layers=2, blocks_per_layer=2,
     window=(4, 4), time_freqs=8)
+
+#: The guarded GEMMs of one Swin block, in execution order.  The SDC
+#: injector addresses compute faults by this ordinal, so the sequence is
+#: part of the kernels' contract.
+BLOCK_GUARD_LABELS = ["attention.scores", "attention.out", "swiglu.gate",
+                      "swiglu.up", "swiglu.down"]
+
+
+def unblind(model, seed: int = 11):
+    """Seeded fill of every all-zero parameter.  adaLN-Zero initialises the
+    gate projection to zero, so a fresh model computes ``x + branch·0`` and
+    a golden comparison of it never sees attention, SwiGLU or the norms."""
+    fill = np.random.default_rng(seed)
+    for p in model.parameters():
+        if not p.data.any():
+            p.data = fill.normal(scale=0.2, size=p.data.shape).astype(
+                np.float32)
+    return model
+
+
+def model_inputs(config, rows: int, seed: int | None = None):
+    local = np.random.default_rng(rows if seed is None else seed)
+    grid = (rows, config.height, config.width)
+    return (Tensor(local.normal(size=(*grid, config.channels)).astype(
+                np.float32)),
+            Tensor(np.linspace(0.1, 1.5, rows, dtype=np.float32)),
+            Tensor(local.normal(size=(*grid, config.channels)).astype(
+                np.float32)),
+            Tensor(local.normal(size=(*grid, config.forcing_channels)
+                                ).astype(np.float32)))
 
 
 def _qkv(shape=(2, 3, 16, 8), seed=7):
@@ -273,6 +314,253 @@ class TestFusedSwiGLU:
         assert ffn.gate.weight.grad is not None
 
 
+def _strided(shape, seed, layout):
+    """A float32 array of ``shape``: C-contiguous, or a view with a stride
+    in every axis (every other element of a larger array, last two axes
+    transposed in memory)."""
+    local = np.random.default_rng(seed)
+    if layout == "contiguous" or len(shape) < 2:
+        return local.normal(size=shape).astype(np.float32)
+    big = tuple(2 * n for n in shape[:-2]) + (2 * shape[-1], 2 * shape[-2])
+    base = local.normal(size=big).astype(np.float32)
+    view = base.swapaxes(-1, -2)[tuple(slice(None, None, 2) for _ in shape)]
+    assert view.shape == tuple(shape) and not view.flags.c_contiguous
+    return view
+
+
+def _poison(x):
+    """NaN, +inf and -inf planted in three different rows (last axis) of a
+    copy of ``x``, the rest left finite."""
+    x = x.copy()
+    rows = x.reshape(-1, x.shape[-1])
+    if len(rows) >= 4:
+        rows[0, 0], rows[1, -1], rows[2, 1] = np.nan, np.inf, -np.inf
+    return x.reshape(x.shape)
+
+
+def _fast_and_reference(fn):
+    """``(result, forward FLOPs)`` of ``fn()`` on the tape-free path and on
+    the reference path."""
+    with no_grad(), np.errstate(invalid="ignore", over="ignore"):
+        with count_flops() as fast_flops:
+            fast = fn()
+        with disable_kernels(), count_flops() as ref_flops:
+            ref = fn()
+    return (fast, fast_flops.forward), (ref, ref_flops.forward)
+
+
+TOKEN_AXES = [(), (1,), (2, 3)]
+TOKEN_IDS = ["lead0", "lead1", "lead2x3"]
+
+
+@pytest.mark.parametrize("bf16", [False, True], ids=["fp32", "bf16"])
+@pytest.mark.parametrize("layout", ["contiguous", "strided"])
+@pytest.mark.parametrize("tokens", TOKEN_AXES, ids=TOKEN_IDS)
+class TestTapeFreeKernels:
+    """Each tape-free kernel, through the module that calls it, against
+    that module's Tensor chain: token axes ``()``, ``(1,)``, ``(2, 3)``,
+    contiguous and strided activations, finite and NaN/±inf rows (compared
+    position for position), BF16 on and off, FLOPs equal."""
+
+    BATCH, DIM = 3, 8
+
+    def _x(self, tokens, layout, seed=0):
+        x = _strided((self.BATCH, *tokens, self.DIM), seed, layout)
+        return x, _poison(x)
+
+    def _check(self, fn, bf16):
+        with autocast_bf16(bf16):
+            (fast, fast_flops), (ref, ref_flops) = _fast_and_reference(fn)
+        if isinstance(fast, Tensor):
+            fast, ref = (fast,), (ref,)
+        for a, b in zip(fast, ref, strict=True):
+            np.testing.assert_array_equal(a.numpy(), b.numpy())
+        assert fast_flops == ref_flops
+
+    def test_norm_modulate(self, tokens, layout, bf16):
+        norm = RMSNorm(self.DIM)
+        norm.weight.data = _strided((self.DIM,), 1, "contiguous")
+        mod = _strided((2, self.BATCH, self.DIM), 2, "contiguous")
+        for x in self._x(tokens, layout):
+            for alpha, beta in ((None, None), (Tensor(mod[0]), Tensor(mod[1])),
+                                (Tensor(_poison(mod[0])), Tensor(mod[1]))):
+                self._check(lambda: norm(Tensor(x), alpha, beta), bf16)
+
+    def test_layer_norm(self, tokens, layout, bf16):
+        plain = LayerNorm(self.DIM, elementwise_affine=False)
+        affine = LayerNorm(self.DIM)
+        affine.weight.data = _strided((self.DIM,), 3, "contiguous")
+        affine.bias.data = _strided((self.DIM,), 4, "contiguous")
+        for x in self._x(tokens, layout):
+            for norm in (plain, affine):
+                self._check(lambda: norm(Tensor(x)), bf16)
+
+    def test_linear(self, tokens, layout, bf16):
+        local = np.random.default_rng(5)
+        biased = Linear(self.DIM, 6, rng=local)
+        biased.bias.data = _strided((6,), 6, "contiguous")
+        bare = Linear(self.DIM, 6, bias=False, rng=local)
+        for x in self._x(tokens, layout):
+            for linear in (biased, bare):
+                self._check(lambda: linear(Tensor(x)), bf16)
+
+    def test_swiglu(self, tokens, layout, bf16):
+        ffn = SwiGLU(self.DIM, 12, rng=np.random.default_rng(7))
+        for x in self._x(tokens, layout):
+            self._check(lambda: ffn(Tensor(x)), bf16)
+
+    def test_adaln_and_time_embedding(self, tokens, layout, bf16):
+        ada = unblind(AdaLNModulation(self.DIM, 4,
+                                      rng=np.random.default_rng(8)))
+        embed = TimestepEmbedding(self.DIM, n_freqs=4,
+                                  rng=np.random.default_rng(9))
+        t_emb = _strided((self.BATCH, self.DIM), 10, layout)
+        for t in (t_emb, _poison(np.tile(t_emb, (2, 1)))):
+            self._check(lambda: ada(Tensor(t)), bf16)
+        times = _strided((self.BATCH, 2), 11, layout)[:, 0]
+        self._check(lambda: embed(Tensor(times)), bf16)
+
+    def test_gate_residual(self, tokens, layout, bf16):
+        gamma = _strided((self.BATCH, self.DIM), 12, "contiguous")
+        for x in self._x(tokens, layout):
+            for g in (gamma, _poison(np.tile(gamma, (2, 1)))[:self.BATCH]):
+                branch = _strided(x.shape, 13, layout)
+                shape = (self.BATCH, *(1 for _ in tokens), self.DIM)
+                with np.errstate(invalid="ignore"):
+                    ref = x + branch * g.reshape(shape)
+                    kept = x.copy()
+                    out = fused_gate_residual(x, branch, g)
+                assert out is branch            # built in the branch's memory
+                np.testing.assert_array_equal(out, ref)
+                np.testing.assert_array_equal(x, kept)
+
+    def test_attention(self, tokens, layout, bf16):
+        """``MultiHeadAttention`` end to end: the raw view chain, in-place
+        rotary and raw attention core against the taped kernels' path and
+        against the reference primitives."""
+        attn = MultiHeadAttention(self.DIM, 2, rng=np.random.default_rng(14))
+        rope = rope_tables((2, 3), self.DIM // 2)
+        x = _strided((self.BATCH, *tokens, 6, self.DIM), 15, layout)
+        for rope_args in ((), rope):
+            self._check(lambda: attn(Tensor(x), *rope_args), bf16)
+            with autocast_bf16(bf16):
+                taped = attn(Tensor(x), *rope_args)
+                with no_grad():
+                    raw = attn(Tensor(x), *rope_args)
+            np.testing.assert_array_equal(raw.numpy(), taped.numpy())
+
+
+class TestRawKernelForms:
+    """The rotary and attention kernels handed raw arrays: same numbers as
+    handed Tensors, the rotation done in the array it was given."""
+
+    def test_rotary_rotates_a_raw_array_in_place(self):
+        cos, sin = rope_tables((4, 4), 8)
+        packed = rng.normal(size=(2, 5, 16, 3, 4, 8)).astype(np.float32)
+        expect = fused_apply_rotary(
+            Tensor(packed[..., :2, :, :]), cos[:, None, None, :],
+            sin[:, None, None, :]).numpy()
+        v = packed[..., 2, :, :].copy()
+        qk = packed[..., :2, :, :]
+        out = fused_apply_rotary(qk, cos[:, None, None, :],
+                                 sin[:, None, None, :])
+        assert out is qk
+        np.testing.assert_array_equal(qk, expect)
+        np.testing.assert_array_equal(packed[..., 2, :, :], v)
+
+    def test_rotary_in_place_on_an_array_with_no_flat_batch_view(self):
+        cos, sin = rope_tables((4, 4), 8)
+        base = rng.normal(size=(4, 6, 16, 8)).astype(np.float32)
+        x = base[::2, ::2]          # batch axes that reshape only by copy
+        expect = fused_apply_rotary(Tensor(x.copy()), cos, sin).numpy()
+        untouched = base[1::2].copy()
+        assert fused_apply_rotary(x, cos, sin) is x
+        np.testing.assert_array_equal(x, expect)
+        np.testing.assert_array_equal(base[1::2], untouched)
+
+    @pytest.mark.parametrize("bf16", [False, True])
+    def test_attention_core_on_raw_arrays(self, bf16):
+        q, k, v = _qkv()
+        with no_grad(), autocast_bf16(bf16), abft_guard():
+            expect = fused_dot_product_attention(q, k, v).numpy()
+            out = fused_dot_product_attention(q.data, k.data, v.data)
+        assert type(out) is np.ndarray
+        np.testing.assert_array_equal(out, expect)
+
+
+class TestModuleDispatch:
+    """A module called directly takes its tape-free kernel under ``no_grad``
+    and builds the reference graph otherwise."""
+
+    @staticmethod
+    def _case(name):
+        """``(module, call(x, t_emb) -> Tensor)`` for the named module."""
+        local = np.random.default_rng(21)
+        if name == "RMSNorm":
+            module = RMSNorm(16)
+            return module, lambda x, t: module(x, t, t)
+        if name == "Linear":
+            module = Linear(16, 8, rng=local)
+            return module, lambda x, t: module(x)
+        if name == "AdaLNModulation":
+            module = unblind(AdaLNModulation(16, 16, rng=local))
+            return module, lambda x, t: sum(module(t))
+        config = AerisConfig(
+            name="dispatch", height=8, width=8, channels=3,
+            forcing_channels=1, dim=16, heads=2, ffn_dim=32, swin_layers=1,
+            blocks_per_layer=2, window=(4, 4), time_freqs=4)
+        module = unblind(SwinBlock(config, shifted=True, rng=local))
+        return module, lambda x, t: module(x, t)
+
+    @pytest.mark.parametrize("name", ["RMSNorm", "Linear", "AdaLNModulation",
+                                      "SwinBlock"])
+    def test_fast_path_only_without_grad(self, name, monkeypatch):
+        import repro.kernels.fused as fused_module
+        module, call = self._case(name)
+        local = np.random.default_rng(22)
+        x = local.normal(size=(2, 8, 8, 16)).astype(np.float32)
+        t_emb = local.normal(size=(2, 16)).astype(np.float32)
+        gemms = []
+        gemm = fused_module._gemm
+        monkeypatch.setattr(
+            fused_module, "_gemm",
+            lambda *a, **k: (gemms.append(a[2:3]), gemm(*a, **k))[1])
+        created = []
+        init = Tensor.__init__
+        monkeypatch.setattr(
+            Tensor, "__init__",
+            lambda self, *a, **k: (created.append(1), init(self, *a, **k))[1])
+
+        def run(taped):
+            gemms.clear()
+            created.clear()
+            args = (Tensor(x), Tensor(t_emb))
+            if taped:
+                out = call(*args)
+            else:
+                with no_grad():
+                    out = call(*args)
+            return out, len(gemms), len(created)
+
+        module.zero_grad()
+        taped, taped_gemms, taped_nodes = run(taped=True)
+        free, free_gemms, free_nodes = run(taped=False)
+        np.testing.assert_array_equal(free.numpy(), taped.numpy())
+        assert free_nodes < taped_nodes
+        if name != "RMSNorm":                  # the one case with no GEMM
+            assert free_gemms > taped_gemms
+        # Under grad the graph — and so every parameter gradient — is the
+        # reference path's.
+        taped.sum().backward()
+        grads = [p.grad.copy() for p in module.parameters()]
+        assert all(g is not None for g in grads)
+        module.zero_grad()
+        with disable_kernels():
+            call(Tensor(x), Tensor(t_emb)).sum().backward()
+        for got, ref in zip(grads, (p.grad for p in module.parameters())):
+            np.testing.assert_array_equal(got, ref)
+
+
 class TestWindowPlans:
     @pytest.mark.parametrize("shift", [(0, 0), (2, 2), (1, 3)])
     def test_partition_merge_bit_exact(self, shift):
@@ -318,7 +606,7 @@ class TestModelGolden:
             name="golden", height=8, width=16, channels=4, forcing_channels=2,
             dim=16, heads=2, ffn_dim=32, swin_layers=1, blocks_per_layer=2,
             window=(4, 4), time_freqs=4)
-        model = Aeris(config, seed=0)
+        model = unblind(Aeris(config, seed=0))
         x = rng.normal(size=(2, 8, 16, 4)).astype(np.float32)
         c = rng.normal(size=(2, 8, 16, 4)).astype(np.float32)
         f = rng.normal(size=(2, 8, 16, 2)).astype(np.float32)
@@ -340,7 +628,7 @@ class TestModelGolden:
         t = np.array([0.7], dtype=np.float32)
 
         def grads(use_kernels):
-            model = Aeris(config, seed=1)
+            model = unblind(Aeris(config, seed=1))
             args = (Tensor(x), Tensor(t), Tensor(c), Tensor(f))
             if use_kernels:
                 out = model(*args)
@@ -354,27 +642,66 @@ class TestModelGolden:
         for a, b in zip(grads(True), grads(False)):
             np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.parametrize("rows", [1, 16])
-    def test_quickstart_forward_bit_exact_at_1_and_16_rows(self, rows):
-        model = Aeris(QUICKSTART, seed=0)
-        local = np.random.default_rng(rows)
-        args = (Tensor(local.normal(size=(rows, 16, 32, 9)).astype(
-                    np.float32)),
-                Tensor(np.linspace(0.1, 1.5, rows, dtype=np.float32)),
-                Tensor(local.normal(size=(rows, 16, 32, 9)).astype(
-                    np.float32)),
-                Tensor(local.normal(size=(rows, 16, 32, 3)).astype(
-                    np.float32)))
-        with no_grad():
-            fast = model(*args).numpy()
-            with disable_kernels():
+    def test_golden_fixture_sees_the_blocks(self):
+        """The guard on the fixture itself: a fresh adaLN-Zero model is
+        blind to a perturbed block weight, the unblinded one is not."""
+        args = model_inputs(QUICKSTART, 1)
+
+        def outputs(model):
+            with no_grad():
+                before = model(*args).numpy()
+                for layer in model.layers:
+                    for block in layer.blocks:
+                        block.attn.qkv.weight.data = \
+                            block.attn.qkv.weight.data + 0.5
+                        block.ffn.down.weight.data = \
+                            block.ffn.down.weight.data * 3.0
+                return before, model(*args).numpy()
+
+        before, after = outputs(Aeris(QUICKSTART, seed=0))
+        np.testing.assert_array_equal(before, after)
+        before, after = outputs(unblind(Aeris(QUICKSTART, seed=0)))
+        assert not np.array_equal(before, after)
+
+    @pytest.mark.parametrize("bf16", [False, True], ids=["fp32", "bf16"])
+    @pytest.mark.parametrize("rows", [1, 2, 4, 16])
+    def test_quickstart_forward_bit_exact(self, rows, bf16, monkeypatch):
+        """The tape-free forward against the reference paths: outputs, FLOP
+        totals, and — with ABFT armed — the guarded-GEMM sequence."""
+        model = unblind(Aeris(QUICKSTART, seed=0))
+        args = model_inputs(QUICKSTART, rows)
+        labels = []
+        verify = abft._verify_gemm
+        monkeypatch.setattr(
+            abft, "_verify_gemm",
+            lambda a, b, c, label: (labels.append(label),
+                                    verify(a, b, c, label)))
+
+        class CountingInjector:
+            consulted = 0
+
+            def compute_fault(self, site):
+                self.consulted += 1
+                return False
+
+        injector = CountingInjector()
+        with no_grad(), autocast_bf16(bf16):
+            with count_flops() as fast_flops:
+                fast = model(*args).numpy()
+            with disable_kernels(), count_flops() as ref_flops:
                 ref = model(*args).numpy()
+            with abft_guard(), inject_compute(injector):
+                guarded = model(*args).numpy()
         np.testing.assert_array_equal(fast, ref)
+        np.testing.assert_array_equal(guarded, ref)
+        assert fast_flops.forward == ref_flops.forward > 0
+        assert labels == BLOCK_GUARD_LABELS * QUICKSTART.n_blocks
+        assert injector.consulted == len(labels)
 
     def test_train_step_bit_exact_vs_reference_paths(self, tiny_archive):
         def step(use_kernels):
             trainer = Trainer(
-                Aeris(QUICKSTART, seed=0), tiny_archive,
+                unblind(Aeris(QUICKSTART, seed=0)), tiny_archive,
                 TrainerConfig(batch_size=2, seed=0))
             if use_kernels:
                 loss = trainer.train_step()

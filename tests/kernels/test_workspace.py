@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.kernels import abft_guard, fused_dot_product_attention
+from repro.kernels import (
+    abft_guard,
+    fused_dot_product_attention,
+    fused_swiglu_forward,
+)
 from repro.model import Aeris
 from repro.nn.attention import dot_product_attention
 from repro.resilience import (
@@ -15,7 +19,7 @@ from repro.resilience import (
 )
 from repro.tensor import Tensor, WorkspaceArena, arena, no_grad
 
-from .test_golden import QUICKSTART
+from .test_golden import QUICKSTART, model_inputs, unblind
 
 
 class TestArenaPooling:
@@ -147,11 +151,36 @@ class TestArenaInKernels:
             fused_dot_product_attention(q, k, v)
         assert glob.stats()["misses"] == 0
 
+    @pytest.mark.parametrize("nth", [0, 1, 2], ids=["gate", "up", "down"])
+    def test_corruption_mid_swiglu_keeps_scratch_pooled(self, nth):
+        """Same for the SwiGLU kernel's hidden-width buffers, whichever of
+        its three guarded GEMMs the corruption is caught in."""
+        glob = arena()
+        glob.clear()
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.normal(size=(2, 16, 8)).astype(np.float32))
+        w_gate, w_up = (rng.normal(size=(8, 24)).astype(np.float32)
+                        for _ in range(2))
+        w_down = rng.normal(size=(24, 8)).astype(np.float32)
+        fused_swiglu_forward(x, w_gate, w_up, w_down)
+        pooled = glob.pooled_bytes
+        assert pooled > 0
+        fault = FaultInjector(FaultPlan(events=(
+            ComputeFault(step=0, site="gemm", nth=nth),)))
+        fault.advance(0)
+        with abft_guard(), inject_compute(fault), \
+                pytest.raises(ComputeCorruption, match="swiglu"):
+            fused_swiglu_forward(x, w_gate, w_up, w_down)
+        assert glob.pooled_bytes == pooled
+        glob.reset_stats()
+        fused_swiglu_forward(x, w_gate, w_up, w_down)
+        assert glob.stats()["misses"] == 0
+
     def test_pooled_bytes_steady_and_budgeted_at_16_rows(self):
         """The RSS guard: rotary, K^T and max scratch all go through one
         256 KB block, so what a 16-row forward of the quickstart model
-        leaves pooled is that block, the score matrix (2 MB) and three
-        SwiGLU hidden buffers (6 MB) — settled after the first forward."""
+        leaves pooled is that block, the score matrix (2 MB) and two
+        SwiGLU hidden buffers (4 MB) — settled after the first forward."""
         model = Aeris(QUICKSTART, seed=0)
         rng = np.random.default_rng(4)
         args = (Tensor(rng.normal(size=(16, 16, 32, 9)).astype(np.float32)),
@@ -166,4 +195,66 @@ class TestArenaInKernels:
                 model(*args)
                 pooled.append(glob.pooled_bytes)
         assert len(set(pooled[1:])) == 1
-        assert pooled[-1] < 9 * 2 ** 20
+        assert pooled[-1] < 7 * 2 ** 20
+
+    def test_pooled_bytes_over_serving_batch_shapes(self):
+        """Pooled scratch is keyed by shape, so a service that sees many
+        batch sizes pays for each: the sequence below left 29 097 984 bytes
+        pooled before the tape-free kernels, and none of them may add to
+        it (their scratch is the one flat block)."""
+        model = Aeris(QUICKSTART, seed=0)
+        glob = arena()
+        glob.clear()
+        with no_grad():
+            for rows in (1, 2, 4, 14, 18, 16):
+                model(*model_inputs(QUICKSTART, rows))
+        assert glob.pooled_bytes <= 29_097_984
+
+
+class TestForwardAliasing:
+    """The memory rule of the tape-free forward: inputs and parameters are
+    only read, and what a forward returns is nobody else's memory."""
+
+    def test_inputs_and_parameters_unchanged_by_a_forward(self):
+        model = unblind(Aeris(QUICKSTART, seed=0))
+        args = model_inputs(QUICKSTART, 2)
+        inputs = [a.data.copy() for a in args]
+        params = [p.data.copy() for p in model.parameters()]
+        for a in args:
+            a.data.setflags(write=False)    # a write would raise, too
+        with no_grad():
+            model(*args)
+        for a, kept in zip(args, inputs):
+            np.testing.assert_array_equal(a.data, kept)
+        for p, kept in zip(model.parameters(), params):
+            np.testing.assert_array_equal(p.data, kept)
+
+    def test_consecutive_forwards_return_disjoint_memory(self):
+        model = unblind(Aeris(QUICKSTART, seed=0))
+        with no_grad():
+            first = model(*model_inputs(QUICKSTART, 4, seed=1)).numpy()
+            kept = first.copy()
+            second = model(*model_inputs(QUICKSTART, 4, seed=2)).numpy()
+        assert not np.shares_memory(first, second)
+        np.testing.assert_array_equal(first, kept)
+        assert not np.array_equal(first, second)
+        # ... and not the arena's either: nothing pooled overlaps a result.
+        for bucket in arena()._pool.values():
+            for buf in bucket:
+                assert not np.shares_memory(buf, first)
+                assert not np.shares_memory(buf, second)
+
+    def test_block_reads_its_residual_input_only(self):
+        """A caller may keep the residual stream it handed to a block (the
+        serve cache does): the gate-residual kernel builds the sum in the
+        branch's memory, never in ``x``."""
+        model = unblind(Aeris(QUICKSTART, seed=0))
+        block = model.layers[0].blocks[1]
+        rng = np.random.default_rng(6)
+        x = Tensor(rng.normal(size=(2, 16, 32, 32)).astype(np.float32))
+        t_emb = Tensor(rng.normal(size=(2, 32)).astype(np.float32))
+        kept = x.data.copy()
+        with no_grad():
+            out = block(x, t_emb)
+        np.testing.assert_array_equal(x.data, kept)
+        assert not np.shares_memory(out.numpy(), x.data)
