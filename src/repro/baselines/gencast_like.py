@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import SyntheticReanalysis, TOY_SET
-from ..diffusion import weighted_velocity_loss
+from ..diffusion import member_rngs, weighted_velocity_loss
 from ..model import Aeris
 from ..nn import EMA, AdamW, WarmupConstantDecay
 from ..tensor import Tensor, no_grad
@@ -204,7 +204,6 @@ class EdmForecaster:
                          start_index: int = 0) -> np.ndarray:
         out = np.empty((n_members, n_steps + 1) + state0.shape,
                        dtype=np.float32)
-        for m in range(n_members):
-            rng = np.random.default_rng(seed + 1000 * m)
+        for m, rng in enumerate(member_rngs(n_members, seed)):
             out[m] = self.rollout(state0, n_steps, rng, start_index)
         return out

@@ -28,7 +28,9 @@ from ..tensor import Tensor, no_grad
 from .solver import DpmSolver2S, SolverConfig
 from .trigflow import TrigFlow
 
-__all__ = ["ResidualForecaster", "Normalizer", "count_model_forwards"]
+__all__ = ["ResidualForecaster", "Normalizer", "count_model_forwards",
+           "member_seed", "member_rngs", "per_member_indices",
+           "conditioning_rows", "lockstep_rollout"]
 
 
 class Normalizer(Protocol):
@@ -50,6 +52,64 @@ def count_model_forwards(members: int) -> None:
                          "stacked model forward passes").inc()
         registry.counter("sampler.member_forwards",
                          "per-member model evaluations").inc(members)
+
+
+def member_seed(seed: int, m: int) -> int:
+    """Noise seed of member ``m`` of a forecast seeded ``seed`` — part of
+    every serving-cache key, so it is written here and nowhere else."""
+    return seed + 1000 * m
+
+
+def member_rngs(n_members: int, seed: int) -> list[np.random.Generator]:
+    return [np.random.default_rng(member_seed(seed, m))
+            for m in range(n_members)]
+
+
+def _normalized_forcings(forecaster, time_index: int) -> np.ndarray:
+    forcings = forecaster.forcing_fn(time_index)
+    if forecaster.forcing_norm is not None:
+        forcings = forecaster.forcing_norm.normalize(forcings)
+    return forcings
+
+
+def per_member_indices(states: np.ndarray,
+                       time_indices: int | Sequence[int], m: int
+                       ) -> Sequence[int]:
+    """One forcing-calendar index per member row: a shared index (an
+    ensemble advancing in lockstep) is broadcast, a sequence (coalesced
+    serving requests at different leads/init times) must be ``m`` long."""
+    if states.shape[0] != m:
+        raise ValueError("one state row per generator required")
+    if isinstance(time_indices, (int, np.integer)):
+        return [int(time_indices)] * m
+    if len(time_indices) != m:
+        raise ValueError("one time index per member required")
+    return time_indices
+
+
+def conditioning_rows(forecaster, states: np.ndarray,
+                      time_indices: Sequence[int]
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """``(cond, forc)`` rows of one stacked forward: the normalized
+    states and each member's normalized forcings (evaluated once per
+    distinct time index)."""
+    forc_cache: dict[int, np.ndarray] = {}
+    for idx in time_indices:
+        if idx not in forc_cache:
+            forc_cache[idx] = _normalized_forcings(forecaster, idx)
+    return (forecaster.state_norm.normalize(states),
+            np.stack([forc_cache[idx] for idx in time_indices]))
+
+
+def lockstep_rollout(stepper, out: np.ndarray, rngs, start_index: int
+                     ) -> np.ndarray:
+    """Fill ``out[:, 1:]`` from the initial states ``out[:, 0]``, one
+    ``stepper.step_members`` call per data step."""
+    states = out[:, 0].copy()
+    for i in range(out.shape[1] - 1):
+        states = stepper.step_members(states, start_index + i, rngs)
+        out[:, i + 1] = states
+    return out
 
 
 @dataclass
@@ -112,12 +172,6 @@ class ResidualForecaster:
 
         return velocity
 
-    def _normalized_forcings(self, time_index: int) -> np.ndarray:
-        forcings = self.forcing_fn(time_index)
-        if self.forcing_norm is not None:
-            forcings = self.forcing_norm.normalize(forcings)
-        return forcings
-
     def step(self, state: np.ndarray, time_index: int,
              rng: np.random.Generator) -> np.ndarray:
         """One data step: sample a residual by diffusion, add to the state.
@@ -127,7 +181,7 @@ class ResidualForecaster:
         with _span("sampler.step", category="diffusion",
                    time_index=time_index):
             cond = self.state_norm.normalize(state)
-            forcings = self._normalized_forcings(time_index)
+            forcings = _normalized_forcings(self, time_index)
             solver = DpmSolver2S(self.flow, self.solver_config)
             residual_std = solver.sample(self._velocity_fn(cond, forcings),
                                          state.shape, rng)
@@ -150,20 +204,10 @@ class ResidualForecaster:
         :meth:`step` calls.
         """
         m = len(rngs)
-        if states.shape[0] != m:
-            raise ValueError("one state row per generator required")
-        if isinstance(time_indices, (int, np.integer)):
-            time_indices = [int(time_indices)] * m
-        elif len(time_indices) != m:
-            raise ValueError("one time index per member required")
+        time_indices = per_member_indices(states, time_indices, m)
         with _span("sampler.step_members", category="diffusion",
                    members=m, time_index=int(time_indices[0])):
-            cond = self.state_norm.normalize(states)
-            forc_cache: dict[int, np.ndarray] = {}
-            for idx in time_indices:
-                if idx not in forc_cache:
-                    forc_cache[idx] = self._normalized_forcings(idx)
-            forc = np.stack([forc_cache[idx] for idx in time_indices])
+            cond, forc = conditioning_rows(self, states, time_indices)
             solver = DpmSolver2S(self.flow, self.solver_config)
             residual_std = solver.sample_members(
                 self._batched_velocity_fn(cond, forc), states.shape[1:],
@@ -201,10 +245,8 @@ class ResidualForecaster:
     def member_rngs(self, n_members: int,
                     seed: int) -> list[np.random.Generator]:
         """The per-member generator convention shared by both rollout paths
-        and the serving cache (member ``m`` streams from
-        ``default_rng(seed + 1000 m)``)."""
-        return [np.random.default_rng(seed + 1000 * m)
-                for m in range(n_members)]
+        and the serving cache (:func:`member_seed`)."""
+        return member_rngs(n_members, seed)
 
     def ensemble_rollout(self, state0: np.ndarray, n_steps: int,
                          n_members: int, seed: int = 0,
@@ -221,10 +263,6 @@ class ResidualForecaster:
         bit-identical (asserted by ``tests/diffusion``): every member's
         noise comes from its own seeded generator either way.
         """
-        if not batched:
-            return self._ensemble_rollout_sequential(
-                state0, n_steps, n_members, seed, start_index,
-                ic_perturbation)
         rngs = self.member_rngs(n_members, seed)
         out = np.empty((n_members, n_steps + 1) + state0.shape,
                        dtype=np.float32)
@@ -235,26 +273,11 @@ class ResidualForecaster:
                 start = self.perturbed_initial_condition(state0, rng,
                                                          ic_perturbation)
             out[m, 0] = start
+        if not batched:
+            for m, rng in enumerate(rngs):
+                out[m] = self.rollout(out[m, 0], n_steps, rng, start_index)
+            return out
         with _span("sampler.ensemble_rollout", category="diffusion",
                    n_steps=n_steps, members=n_members,
                    start_index=start_index):
-            states = out[:, 0].copy()
-            for i in range(n_steps):
-                states = self.step_members(states, start_index + i, rngs)
-                out[:, i + 1] = states
-        return out
-
-    def _ensemble_rollout_sequential(self, state0: np.ndarray, n_steps: int,
-                                     n_members: int, seed: int,
-                                     start_index: int,
-                                     ic_perturbation: float) -> np.ndarray:
-        out = np.empty((n_members, n_steps + 1) + state0.shape,
-                       dtype=np.float32)
-        for m, rng in enumerate(self.member_rngs(n_members, seed)):
-            start = state0
-            if ic_perturbation > 0.0 and m > 0:
-                # Member 0 stays unperturbed (the control member).
-                start = self.perturbed_initial_condition(state0, rng,
-                                                         ic_perturbation)
-            out[m] = self.rollout(start, n_steps, rng, start_index)
-        return out
+            return lockstep_rollout(self, out, rngs, start_index)

@@ -69,7 +69,7 @@ __all__ = [
     "plan_filename", "save_plan", "load_plan", "frontier_table",
     "verify_plan", "autotune_check",
     "resolve_config", "resolve_machine", "resolve_plan",
-    "CONFIGS", "MACHINES", "PLANS_DIR",
+    "book_observed_step", "CONFIGS", "MACHINES", "PLANS_DIR",
 ]
 
 SCHEMA_VERSION = 1
@@ -526,9 +526,6 @@ def plan_for(config: AerisConfig, machine: Machine, world_size: int,
             registry.counter("autotune.pruned",
                              "candidates pruned as infeasible").inc(
                 n, reason=reason)
-        registry.gauge("autotune.predicted_step_s",
-                       "chosen layout's predicted step time").set(
-            chosen.predicted_step_s)
     _record_event("autotune.plan", subsystem="autotune",
                   config=config.name, machine=machine.name,
                   world_size=world_size, layout=chosen.layout_key,
@@ -546,16 +543,18 @@ def resolve_plan(plan, config: AerisConfig, machine: Machine,
     :class:`TunedPlan` (e.g. loaded from a snapshot) is checked against
     the config/budget it is about to drive — a plan tuned for a
     different model, machine, rank count, or batch silently applied
-    would defeat the whole artifact, so mismatches raise.
+    would defeat the whole artifact, so mismatches raise.  The plan a run
+    is about to execute is what ``autotune.predicted_step_s`` reports, so
+    the gauge is booked here and nowhere else.
     """
     if isinstance(plan, str):
         if plan != "auto":
             raise ValueError(f"plan must be 'auto' or a TunedPlan, "
                              f"got {plan!r}")
-        return plan_for(config, machine, world_size, gbs,
+        plan = plan_for(config, machine, world_size, gbs,
                         pipeline=pipeline, micro_batches=micro_batches,
                         schedule=schedule)
-    if not isinstance(plan, TunedPlan):
+    elif not isinstance(plan, TunedPlan):
         raise TypeError(f"plan must be 'auto' or a TunedPlan, "
                         f"got {type(plan).__name__}")
     mismatches = []
@@ -570,7 +569,21 @@ def resolve_plan(plan, config: AerisConfig, machine: Machine,
     if mismatches:
         raise ValueError("tuned plan does not apply to this run — "
                          + "; ".join(mismatches))
+    registry = _obs_metrics()
+    if registry is not None:
+        registry.gauge("autotune.predicted_step_s",
+                       "chosen layout's predicted step time").set(
+            plan.chosen.predicted_step_s)
     return plan
+
+
+def book_observed_step(seconds: float) -> None:
+    """Book one measured step of a planned run — the observed half of the
+    ``autotune.plan_skew`` comparison (:mod:`repro.obs.health`)."""
+    registry = _obs_metrics()
+    if registry is not None:
+        registry.gauge("autotune.observed_step_s",
+                       "last measured training step wall time").set(seconds)
 
 
 # ---------------------------------------------------------------------------

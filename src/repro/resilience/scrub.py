@@ -8,8 +8,8 @@ scrubber walks every retained generation, re-verifies each array against
 the per-array CRC32s in the checkpoint manifest, and reports findings
 without raising, so one rotten generation never hides the health of the
 others (contrast :func:`repro.train.read_sharded_checkpoint`, which
-fail-stops on the first mismatch because its caller is about to *use*
-the arrays).
+fail-stops on the first of the same problems because its caller is about
+to *use* the arrays).
 
 Paired with N-replica retention (``TrainerConfig.keep_checkpoints`` /
 :func:`repro.train.prune_checkpoints`) and fall-back resume
@@ -22,18 +22,12 @@ intact generation exists, resume skips past the rotten one bit-exactly.
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from ..obs.profile import metrics as _obs_metrics
 from ..obs.profile import record_event as _record_event
-from ..train.checkpoint import (MANIFEST_NAME, CheckpointCorruption,
-                                CheckpointError, list_checkpoints,
-                                read_sharded_checkpoint)
-from .checksum import payload_checksum
+from ..train.checkpoint import (inspect_sharded_checkpoint,
+                                list_checkpoints, newest_valid_checkpoint)
 
 __all__ = ["ScrubFinding", "ScrubReport", "scrub_checkpoint",
            "scrub_checkpoints", "latest_valid_checkpoint"]
@@ -76,38 +70,11 @@ def scrub_checkpoint(directory: str) -> ScrubReport:
     Collects *all* findings instead of raising on the first, so an
     operator sees the full blast radius of a rotten generation.
     """
-    report = ScrubReport(directory=directory)
-    manifest_path = os.path.join(directory, MANIFEST_NAME)
-    try:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
-    except (OSError, ValueError) as exc:
-        report.findings.append(
-            ScrubFinding(MANIFEST_NAME, "-", f"manifest unreadable: {exc}"))
-        return report
-    for fname, entry in manifest.get("shards", {}).items():
-        fpath = os.path.join(directory, fname)
-        try:
-            with np.load(fpath) as data:
-                arrays = {name: data[name] for name in data.files}
-        except Exception as exc:
-            report.findings.append(
-                ScrubFinding(fname, "-", f"shard unreadable: {exc}"))
-            continue
-        for name, expected in entry.get("arrays", {}).items():
-            if name not in arrays:
-                report.findings.append(
-                    ScrubFinding(fname, name, "array missing from shard"))
-                continue
-            array = arrays[name]
-            report.n_arrays += 1
-            report.nbytes += int(array.nbytes)
-            observed = payload_checksum(array)
-            if observed != expected:
-                report.findings.append(ScrubFinding(
-                    fname, name,
-                    f"crc mismatch (manifest {expected}, shard {observed})"))
-    return report
+    shards, _, problems = inspect_sharded_checkpoint(directory)
+    arrays = [a for shard in shards.values() for a in shard.values()]
+    return ScrubReport(directory=directory, n_arrays=len(arrays),
+                       nbytes=sum(int(a.nbytes) for a in arrays),
+                       findings=[ScrubFinding(*p) for p in problems])
 
 
 def scrub_checkpoints(root: str) -> list[ScrubReport]:
@@ -138,10 +105,4 @@ def latest_valid_checkpoint(root: str) -> str | None:
     """The newest generation under ``root`` that fully reads back and
     verifies (the one :meth:`repro.train.Trainer.load_latest` would
     restore), or ``None`` when every generation is rotten."""
-    for directory in reversed(list_checkpoints(root)):
-        try:
-            read_sharded_checkpoint(directory, verify=True)
-        except (CheckpointError, CheckpointCorruption):
-            continue
-        return directory
-    return None
+    return newest_valid_checkpoint(root, "resilience")[0]

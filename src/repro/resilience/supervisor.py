@@ -44,8 +44,7 @@ from ..obs.profile import record_event as _record_event
 from ..obs.profile import span as _span
 from ..parallel.swipe import SwipeEngine
 from ..parallel.topology import RankTopology
-from ..train.checkpoint import (CheckpointCorruption, list_checkpoints,
-                                read_sharded_checkpoint,
+from ..train.checkpoint import (newest_valid_checkpoint,
                                 write_sharded_checkpoint)
 from ..train.trainer import evaluate_validation_loss
 from .faults import ClusterFailure, FaultInjector, FaultPlan, RankFailure
@@ -134,11 +133,6 @@ class ElasticSupervisor:
             registry.gauge("resilience.world_size",
                            "ranks in the current grid").set(
                 self.topology.world_size)
-            if self.plan is not None:
-                registry.gauge(
-                    "autotune.predicted_step_s",
-                    "chosen layout's predicted step time").set(
-                    self.plan.chosen.predicted_step_s)
 
     # -- main loop ---------------------------------------------------------
     def run(self, n_steps: int) -> dict:
@@ -181,12 +175,8 @@ class ElasticSupervisor:
         t0 = time.perf_counter() if self.plan is not None else 0.0
         loss = self.engine.train_step(x_t, t, v, cond, forc, gas=self.gas)
         if self.plan is not None:
-            registry = _obs_metrics()
-            if registry is not None:
-                registry.gauge(
-                    "autotune.observed_step_s",
-                    "last measured training step wall time").set(
-                    time.perf_counter() - t0)
+            from ..parallel.autotune import book_observed_step
+            book_observed_step(time.perf_counter() - t0)
         return loss
 
     # -- checkpointing -----------------------------------------------------
@@ -212,21 +202,13 @@ class ElasticSupervisor:
         """Load the newest checkpoint that verifies; corrupt ones fall
         back to the previous.  Returns the directory used (``None`` means
         restart from scratch)."""
-        registry = _obs_metrics()
-        for directory in reversed(list_checkpoints(self.cfg.checkpoint_root)):
-            try:
-                shards, extra = read_sharded_checkpoint(directory)
-            except CheckpointCorruption:
-                if registry is not None:
-                    registry.counter(
-                        "resilience.checkpoints_rejected",
-                        "checkpoints failing integrity checks").inc()
-                continue
+        directory, shards, extra = newest_valid_checkpoint(
+            self.cfg.checkpoint_root, "resilience")
+        if directory is not None:
             self.engine.restore(shards, extra.get("engine"))
-            self.history = [float(x) for x in extra.get("history", [])]
-            return directory
-        self.history = []  # no valid checkpoint: from-scratch restart
-        return None
+        # no valid checkpoint: empty history, a from-scratch restart
+        self.history = [float(x) for x in extra.get("history", [])]
+        return directory
 
     # -- recovery ----------------------------------------------------------
     def _recover(self, step: int, failure: RankFailure) -> None:
@@ -278,8 +260,8 @@ class ElasticSupervisor:
         from ..parallel import autotune as _autotune
         old_plan = self.plan
         try:
-            self.plan = _autotune.plan_for(
-                self.model_config, self.machine,
+            self.plan = _autotune.resolve_plan(
+                "auto", self.model_config, self.machine,
                 self.topology.world_size, self.cfg.global_batch,
                 pipeline=old_plan.pipeline,
                 micro_batches=old_plan.micro_batches,

@@ -13,7 +13,8 @@ forecasts — not recomputing them — is what makes serving tractable):
   per-tier depth caps (backpressure) and per-tier deadlines;
 * :mod:`~repro.serve.batcher` — dynamic micro-batching: compatible
   requests and their ensemble members coalesce into single stacked
-  model forwards;
+  model forwards, and :func:`execute_batch` runs an assembled batch
+  (cache prefix restore, lock-step stepping, cache fill);
 * :mod:`~repro.serve.cache` — content-addressed forecast cache keyed by
   ``(weights digest, init-state digest, member seed, solver config,
   lead)`` with LRU eviction under a byte budget;
@@ -45,7 +46,8 @@ the metrics the way ``resilience_check`` reconciles faults.
 
 from .api import (TIERS, ForecastRequest, ForecastResponse, Rejected,
                   ServeError, Timeout)
-from .batcher import BatcherConfig, MemberTask, MicroBatch, MicroBatcher
+from .batcher import (BatcherConfig, MemberTask, MicroBatch, MicroBatcher,
+                      execute_batch)
 from .cache import (CacheEntry, ForecastCache, array_digest, forecast_key,
                     solver_digest, weights_digest)
 from .deploy import DeployConfig, DeploymentController, deploy_check
@@ -62,6 +64,7 @@ __all__ = [
     "ServeError", "Rejected", "Timeout",
     "QueueConfig", "AdmissionQueue", "PendingRequest",
     "BatcherConfig", "MicroBatcher", "MicroBatch", "MemberTask",
+    "execute_batch",
     "ForecastCache", "CacheEntry",
     "array_digest", "weights_digest", "solver_digest", "forecast_key",
     "TierPolicy", "TierRouter", "SloTracker", "OneStepForecaster",

@@ -56,9 +56,10 @@ class ForecastRequest:
 
     ``init_state`` is a physical ``(H, W, C)`` field; ``start_index``
     positions it on the forcing calendar.  ``seed`` fixes the ensemble
-    noise (member ``m`` streams from ``default_rng(seed + 1000 m)`` — the
-    same convention as :meth:`ResidualForecaster.ensemble_rollout`, which
-    is what makes served forecasts bit-reproducible and cacheable).
+    noise (member ``m`` streams from ``default_rng(member_seed(seed, m))``,
+    :func:`repro.diffusion.member_seed` — the same convention as
+    :meth:`ResidualForecaster.ensemble_rollout`, which is what makes
+    served forecasts bit-reproducible and cacheable).
     ``variables`` optionally restricts the *returned* channels; compute
     and cache always cover the full state (the autoregression needs it).
     """

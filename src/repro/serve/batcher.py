@@ -13,6 +13,9 @@ cost the same one.
 
 Batches never mix tiers: the tier fixes the solver schedule (and which
 network runs), which must be uniform across the stack.
+
+:func:`execute_batch` runs an assembled batch to completion; it is the
+one place that speaks the cache's key format.
 """
 
 from __future__ import annotations
@@ -21,12 +24,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..diffusion.sampler import member_seed
 from ..obs.profile import metrics as _obs_metrics
 from ..obs.profile import span as _span
+from .cache import ForecastCache, forecast_key
 from .queue import AdmissionQueue, PendingRequest
 from .samplers import TierPolicy
 
-__all__ = ["BatcherConfig", "MemberTask", "MicroBatch", "MicroBatcher"]
+__all__ = ["BatcherConfig", "MemberTask", "MicroBatch", "MicroBatcher",
+           "execute_batch"]
 
 
 @dataclass(frozen=True)
@@ -49,23 +55,18 @@ class MemberTask:
     trajectory accumulated so far (prefix possibly restored from cache)."""
 
     pending: PendingRequest
-    member: int
     member_seed: int
     state: np.ndarray
     rng: np.random.Generator
     lead: int
     target: int
     trajectory: list = field(default_factory=list)
-    init_digest: str = ""
     cache_hits: int = 0
     cache_misses: int = 0
 
     @property
     def done(self) -> bool:
         return self.lead >= self.target
-
-    def time_index(self) -> int:
-        return self.pending.request.start_index + self.lead
 
 
 @dataclass(eq=False)
@@ -80,10 +81,6 @@ class MicroBatch:
     @property
     def n_members(self) -> int:
         return sum(p.request.n_members for p in self.requests)
-
-    @property
-    def max_lead(self) -> int:
-        return max(p.request.n_steps for p in self.requests)
 
 
 class MicroBatcher:
@@ -140,8 +137,8 @@ class MicroBatcher:
 
     @staticmethod
     def member_tasks(batch: MicroBatch) -> list[MemberTask]:
-        """Explode a batch into per-member tasks (cache state is attached
-        by the service before stepping)."""
+        """Explode a batch into per-member tasks, request by request in
+        ``batch.requests`` order and member by member within each."""
         tasks = []
         for pending in batch.requests:
             req = pending.request
@@ -149,10 +146,73 @@ class MicroBatcher:
             # trajectories are bit-identical to it from the IC onward.
             init = np.asarray(req.init_state, dtype=np.float32)
             for m in range(req.n_members):
-                seed = req.seed + 1000 * m
+                seed = member_seed(req.seed, m)
                 tasks.append(MemberTask(
-                    pending=pending, member=m, member_seed=seed,
+                    pending=pending, member_seed=seed,
                     state=init, rng=np.random.default_rng(seed),
                     lead=0, target=req.n_steps,
                     trajectory=[init]))
         return tasks
+
+
+def execute_batch(batch: MicroBatch, stepper, cache: ForecastCache,
+                  weights: str, solver: str) -> dict:
+    """Run one micro-batch to completion on ``stepper``: restore each
+    member's longest cached prefix, advance every unfinished member
+    through stacked forwards, cache each new step.  ``weights`` /
+    ``solver`` are the version's content digests.
+
+    Returns ``{"rows", "forwards", "members"}``; ``rows[i]`` holds the
+    :class:`~repro.serve.ForecastResponse` fields ``forecast`` (a fresh
+    float32 array), ``cache_hits``, ``cache_misses`` and ``quarantines``
+    (0 here) of ``batch.requests[i]``.
+    """
+    tasks = MicroBatcher.member_tasks(batch)
+
+    def key(task: MemberTask, lead: int) -> str:
+        return forecast_key(weights, task.pending.init_digest,
+                            task.member_seed, solver,
+                            task.pending.request.start_index, lead)
+
+    with _span("serve.cache", category="serve", tier=batch.policy.name,
+               members=len(tasks)):
+        # Walk the content-addressed prefix forward while cached, leaving
+        # the task's state/rng/trajectory positioned at the longest hit.
+        for task in tasks:
+            last = None
+            while not task.done:
+                entry = cache.get(key(task, task.lead + 1))
+                if entry is None:
+                    task.cache_misses += 1
+                    break
+                task.trajectory.append(entry.state)
+                task.lead += 1
+                task.cache_hits += 1
+                last = entry
+            if last is not None:
+                task.state = last.state
+                task.rng.bit_generator.state = last.rng_state
+    forwards = 0
+    while active := [t for t in tasks if not t.done]:
+        new_states = stepper.step_members(
+            np.stack([t.state for t in active]),
+            [t.pending.request.start_index + t.lead for t in active],
+            [t.rng for t in active])
+        forwards += batch.policy.forwards_per_data_step()
+        for task, state in zip(active, new_states):
+            task.state = state
+            task.lead += 1
+            task.trajectory.append(state)
+            cache.put(key(task, task.lead), state,
+                      task.rng.bit_generator.state)
+    rows = []
+    members = iter(tasks)
+    for pending in batch.requests:
+        mine = [next(members) for _ in range(pending.request.n_members)]
+        forecast = np.stack([np.stack(t.trajectory) for t in mine])
+        rows.append({
+            "forecast": forecast.astype(np.float32, copy=False),
+            "cache_hits": sum(t.cache_hits for t in mine),
+            "cache_misses": sum(t.cache_misses for t in mine),
+            "quarantines": 0})
+    return {"rows": rows, "forwards": forwards, "members": len(tasks)}

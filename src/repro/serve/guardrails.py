@@ -10,9 +10,10 @@ on (``mean ± z_max·std`` per channel, from a
 ``1e30`` or a NaN surface temperature is not a forecast — it is
 corruption, whatever produced it.
 
-:class:`ForecastValidator` is pure and read-only; the enforcement policy
-(quarantine the response, re-run the batch on a *different* worker,
-alert, fail the request if still absurd) lives in
+:class:`ForecastValidator` is pure and read-only and
+:func:`book_quarantine` books one detection; the enforcement policy
+(quarantine the response, re-run the batch on a *different* worker, fail
+the request if still absurd) lives in
 :class:`repro.serve.ForecastService`.  ``z_max`` defaults to 8 standard
 deviations: far outside any state the training distribution contains,
 far inside what a flipped exponent bit produces — so the guard never
@@ -25,7 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BoundViolation", "ForecastValidator"]
+from ..obs.profile import metrics as _obs_metrics
+from ..obs.profile import record_event as _record_event
+from ..obs.profile import span as _span
+
+__all__ = ["BoundViolation", "ForecastValidator", "book_quarantine"]
 
 
 @dataclass(frozen=True)
@@ -108,3 +113,19 @@ class ForecastValidator:
                     c, self.names[c], "above", n_above,
                     float(col[above[:, c]].max())))
         return violations
+
+
+def book_quarantine(tier: str, worker_rank: int,
+                    violations: list[BoundViolation]) -> None:
+    """Book one detection of the ``sdc_forecast`` fault class."""
+    registry = _obs_metrics()
+    if registry is not None:
+        registry.counter("serve.forecasts_quarantined",
+                         "forecasts failing physical guardrails").inc(
+            1, tier=tier)
+    _record_event("serve.forecast_quarantined", subsystem="serve",
+                  severity="critical", tier=tier, worker=worker_rank,
+                  violations="; ".join(v.render() for v in violations[:4]))
+    with _span("resilience.forecast_sdc", category="resilience",
+               tier=tier, worker=worker_rank):
+        pass

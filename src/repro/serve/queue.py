@@ -42,7 +42,10 @@ class PendingRequest:
     admission (canary routing happens *before* the queue, so a version
     swap mid-flight re-labels queued work explicitly via
     :meth:`AdmissionQueue.reassign_version` instead of silently serving
-    a different model than the one admitted against).
+    a different model than the one admitted against).  The service
+    stamps ``init_digest`` (content address of the float32 initial
+    state, part of every cache key of the request) and ``variables``
+    (channel indices of the requested subset) once, at admission.
     """
 
     request: ForecastRequest
@@ -50,6 +53,8 @@ class PendingRequest:
     enqueued_s: float
     seq: int
     version: str = ""
+    init_digest: str = ""
+    variables: list[int] | None = None
 
     def waited_s(self, now: float) -> float:
         return now - self.enqueued_s
@@ -142,10 +147,6 @@ class AdmissionQueue:
                 continue
             return pending, expired
         return None, expired
-
-    def peek_tier(self) -> str | None:
-        """Tier of the current head (what the next batch will serve)."""
-        return self._heap[0][2].request.tier if self._heap else None
 
     def pop_tier(self, tier: str,
                  version: str | None = None) -> PendingRequest | None:

@@ -20,21 +20,24 @@ books per-tier latency against each tier's objective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace as _dc_replace
 from typing import Sequence
 
 import numpy as np
 
 from ..diffusion import SolverConfig, TrigFlow
-from ..diffusion.sampler import Normalizer, count_model_forwards
+from ..diffusion.sampler import (Normalizer, conditioning_rows,
+                                 count_model_forwards, lockstep_rollout,
+                                 member_rngs, per_member_indices)
 from ..obs.profile import health as _obs_health
 from ..obs.profile import metrics as _obs_metrics
 from ..obs.profile import span as _span
 from ..tensor import Tensor, no_grad
 from .api import Rejected
+from .cache import solver_digest, weights_digest
 
 __all__ = ["TierPolicy", "TierRouter", "SloTracker", "OneStepForecaster",
-           "default_tiers"]
+           "ModelBinding", "default_tiers"]
 
 
 @dataclass(frozen=True)
@@ -172,32 +175,16 @@ class OneStepForecaster:
     forcing_norm: Normalizer | None = None
     flow: TrigFlow = field(default_factory=TrigFlow)
 
-    def _normalized_forcings(self, time_index: int) -> np.ndarray:
-        forcings = self.forcing_fn(time_index)
-        if self.forcing_norm is not None:
-            forcings = self.forcing_norm.normalize(forcings)
-        return forcings
-
     def step_members(self, states: np.ndarray,
                      time_indices: int | Sequence[int],
                      rngs: Sequence[np.random.Generator]) -> np.ndarray:
         """One data step for ``M`` members in one student forward."""
         m = len(rngs)
-        if states.shape[0] != m:
-            raise ValueError("one state row per generator required")
-        if isinstance(time_indices, (int, np.integer)):
-            time_indices = [int(time_indices)] * m
-        elif len(time_indices) != m:
-            raise ValueError("one time index per member required")
+        time_indices = per_member_indices(states, time_indices, m)
         sigma_d = self.flow.sigma_d
         with _span("sampler.one_step", category="diffusion", members=m,
                    time_index=int(time_indices[0])):
-            cond = self.state_norm.normalize(states)
-            forc_cache: dict[int, np.ndarray] = {}
-            for idx in time_indices:
-                if idx not in forc_cache:
-                    forc_cache[idx] = self._normalized_forcings(idx)
-            forc = np.stack([forc_cache[idx] for idx in time_indices])
+            cond, forc = conditioning_rows(self, states, time_indices)
             z = np.stack([rng.normal(0.0, sigma_d, size=states.shape[1:])
                           .astype(np.float32) for rng in rngs])
             t = np.full(m, np.pi / 2, dtype=np.float32)
@@ -213,28 +200,69 @@ class OneStepForecaster:
                                  "autoregressive data steps sampled").inc(m)
             return states + self.residual_norm.denormalize(residual_std)
 
-    def step(self, state: np.ndarray, time_index: int,
-             rng: np.random.Generator) -> np.ndarray:
-        return self.step_members(state[None], time_index, [rng])[0]
-
-    def member_rngs(self, n_members: int,
-                    seed: int) -> list[np.random.Generator]:
-        """Same seeding convention as the diffusion forecaster."""
-        return [np.random.default_rng(seed + 1000 * m)
-                for m in range(n_members)]
-
     def ensemble_rollout(self, state0: np.ndarray, n_steps: int,
                          n_members: int, seed: int = 0,
                          start_index: int = 0) -> np.ndarray:
         """``(n_members, n_steps + 1, H, W, C)`` one-step-student ensemble."""
-        rngs = self.member_rngs(n_members, seed)
         out = np.empty((n_members, n_steps + 1) + state0.shape,
                        dtype=np.float32)
         out[:, 0] = state0
         with _span("sampler.one_step_rollout", category="diffusion",
                    n_steps=n_steps, members=n_members):
-            states = out[:, 0].copy()
-            for i in range(n_steps):
-                states = self.step_members(states, start_index + i, rngs)
-                out[:, i + 1] = states
-        return out
+            return lockstep_rollout(self, out, member_rngs(n_members, seed),
+                                    start_index)
+
+
+@dataclass(eq=False)
+class ModelBinding:
+    """One servable model version: per-tier steppers + content digests.
+
+    The binding is what a request is routed *to*: ``steppers[tier]`` runs
+    the forecast, ``digests[tier]`` namespaces its cache entries, and
+    ``weights_digest`` is the version's identity — the same SHA-256 the
+    registry records, so "which weights are live" is answerable by digest
+    comparison alone (:func:`~repro.serve.deploy.deploy_check` relies on
+    this to prove a rollback restored the incumbent exactly).
+    """
+
+    version: str
+    steppers: dict[str, object]
+    digests: dict[str, tuple[str, str]]
+    weights_digest: str
+    weights_nbytes: int
+    field_shape: tuple | None
+
+    @classmethod
+    def build(cls, version: str, forecaster, student,
+              policies: dict[str, TierPolicy]) -> "ModelBinding":
+        """Per-tier steppers + content digests for one model version.
+        A tier whose model is missing (no student) simply isn't served
+        by this version."""
+        base_digest = weights_digest(forecaster.model)
+        steppers: dict[str, object] = {}
+        digests: dict[str, tuple[str, str]] = {}
+        for name, policy in policies.items():
+            if policy.solver_config is None:
+                if student is None:
+                    continue
+                steppers[name] = OneStepForecaster(
+                    model=student, state_norm=forecaster.state_norm,
+                    residual_norm=forecaster.residual_norm,
+                    forcing_fn=forecaster.forcing_fn,
+                    forcing_norm=forecaster.forcing_norm,
+                    flow=forecaster.flow)
+                digests[name] = (weights_digest(student),
+                                 solver_digest(None))
+            else:
+                steppers[name] = _dc_replace(
+                    forecaster, solver_config=policy.solver_config)
+                digests[name] = (base_digest,
+                                 solver_digest(policy.solver_config))
+        cfg = getattr(forecaster.model, "config", None)
+        field_shape = ((cfg.height, cfg.width, cfg.channels)
+                       if cfg is not None else None)
+        nbytes = sum(int(np.asarray(a).nbytes)
+                     for a in forecaster.model.state_dict().values())
+        return cls(version=version, steppers=steppers, digests=digests,
+                   weights_digest=base_digest, weights_nbytes=nbytes,
+                   field_shape=field_shape)

@@ -15,9 +15,10 @@ Serving pipeline per batch::
     queue (priority, admission, deadlines)
       → micro-batcher (coalesce same-tier requests; one stacked forward
         per solver evaluation serves every member)
-      → cache restore (longest content-addressed prefix per member)
-      → tier sampler (fast: consistency student; standard/high: DPM 2S)
-      → cache fill + response assembly
+      → worker dispatch of :func:`~repro.serve.batcher.execute_batch`
+        (cache prefix restore → tier sampler → cache fill → per-request
+        rows), re-dispatched elsewhere while a guardrail objects
+      → one response per request
 
 For a fixed seed the served forecast is **bit-identical** to a direct
 :meth:`ResidualForecaster.ensemble_rollout` at the same tier — batching
@@ -27,7 +28,7 @@ end-to-end by ``tests/serve``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace as _dc_replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -35,14 +36,13 @@ import numpy as np
 from ..diffusion import ResidualForecaster
 from ..obs.profile import metrics as _obs_metrics
 from ..obs.profile import record_event as _record_event
-from ..obs.profile import span as _span
 from ..resilience import ResilienceError, RetryPolicy
 from .api import ForecastRequest, ForecastResponse, Rejected, Timeout
-from .batcher import BatcherConfig, MemberTask, MicroBatch, MicroBatcher
-from .cache import ForecastCache, array_digest, forecast_key, \
-    solver_digest, weights_digest
+from .batcher import BatcherConfig, MicroBatch, MicroBatcher, execute_batch
+from .cache import ForecastCache, array_digest
+from .guardrails import book_quarantine
 from .queue import AdmissionQueue, PendingRequest, QueueConfig
-from .samplers import OneStepForecaster, SloTracker, TierRouter
+from .samplers import ModelBinding, SloTracker, TierRouter
 from .worker import ServeWorkerPool
 
 __all__ = ["ServiceConfig", "ModelBinding", "ForecastService",
@@ -60,26 +60,6 @@ class ServiceConfig:
     #: Re-dispatches a quarantined batch may attempt (on a *different*
     #: worker) before its still-invalid requests fail.
     guardrail_reruns: int = 1
-
-
-@dataclass(eq=False)
-class ModelBinding:
-    """One servable model version: per-tier steppers + content digests.
-
-    The binding is what a request is routed *to*: ``steppers[tier]`` runs
-    the forecast, ``digests[tier]`` namespaces its cache entries, and
-    ``weights_digest`` is the version's identity — the same SHA-256 the
-    registry records, so "which weights are live" is answerable by digest
-    comparison alone (:func:`~repro.serve.deploy.deploy_check` relies on
-    this to prove a rollback restored the incumbent exactly).
-    """
-
-    version: str
-    steppers: dict[str, object]
-    digests: dict[str, tuple[str, str]]
-    weights_digest: str
-    weights_nbytes: int
-    field_shape: tuple | None
 
 
 class ForecastService:
@@ -159,54 +139,20 @@ class ForecastService:
         #: response the event loop emits (the deployment controller's
         #: online observation point).
         self.response_hook = None
-        self.bindings[version] = self._build_binding(version, forecaster,
-                                                     student)
+        self.bindings[version] = ModelBinding.build(
+            version, forecaster, student, self.router.policies)
         self.tally = {"submitted": 0, "accepted": 0, "rejected": 0,
                       "completed": 0, "timeout": 0, "failed": 0}
 
     # -- model versions ------------------------------------------------------
-    def _build_binding(self, version: str,
-                       forecaster: ResidualForecaster,
-                       student=None) -> ModelBinding:
-        """Per-tier steppers + content digests for one model version.
-        A tier whose model is missing (no student) simply isn't served
-        by this version."""
-        base_digest = weights_digest(forecaster.model)
-        steppers: dict[str, object] = {}
-        digests: dict[str, tuple[str, str]] = {}
-        for name, policy in self.router.policies.items():
-            if policy.solver_config is None:
-                if student is None:
-                    continue
-                steppers[name] = OneStepForecaster(
-                    model=student, state_norm=forecaster.state_norm,
-                    residual_norm=forecaster.residual_norm,
-                    forcing_fn=forecaster.forcing_fn,
-                    forcing_norm=forecaster.forcing_norm,
-                    flow=forecaster.flow)
-                digests[name] = (weights_digest(student),
-                                 solver_digest(None))
-            else:
-                steppers[name] = _dc_replace(
-                    forecaster, solver_config=policy.solver_config)
-                digests[name] = (base_digest,
-                                 solver_digest(policy.solver_config))
-        cfg = getattr(forecaster.model, "config", None)
-        field_shape = ((cfg.height, cfg.width, cfg.channels)
-                       if cfg is not None else None)
-        nbytes = sum(int(np.asarray(a).nbytes)
-                     for a in forecaster.model.state_dict().values())
-        return ModelBinding(version=version, steppers=steppers,
-                            digests=digests, weights_digest=base_digest,
-                            weights_nbytes=nbytes, field_shape=field_shape)
-
     def add_version(self, version: str, forecaster: ResidualForecaster,
                     student=None) -> ModelBinding:
         """Load an additional servable version (does not shift traffic —
         routing is the ``version_router``'s / ``set_active``'s job)."""
         if version in self.bindings:
             raise ValueError(f"version {version!r} already loaded")
-        binding = self._build_binding(version, forecaster, student)
+        binding = ModelBinding.build(version, forecaster, student,
+                                     self.router.policies)
         active = self.bindings[self.active_version]
         if (binding.field_shape is not None
                 and active.field_shape is not None
@@ -314,32 +260,28 @@ class ForecastService:
                 raise Rejected("bad_shape",
                                f"want {binding.field_shape}, got "
                                f"{tuple(request.init_state.shape)}")
-            self._variable_indices(request)
-            self.queue.submit(request, now, version=version)
+            variables = self._variable_indices(request)
+            pending = self.queue.submit(request, now, version=version)
         except Rejected as exc:
             self._count("rejected", request.tier, reason=exc.reason)
             return ForecastResponse(request=request, status="rejected",
                                     error=str(exc))
+        # over the float32 bytes every member task of the request starts from
+        pending.init_digest = array_digest(
+            np.asarray(request.init_state, dtype=np.float32))
+        pending.variables = variables
         self._count("accepted", request.tier, version=version)
         return None
 
     # -- responses -----------------------------------------------------------
-    def _timeout_response(self, pending: PendingRequest,
-                          now: float) -> ForecastResponse:
-        err = Timeout(pending.waited_s(now), pending.policy.deadline_s)
-        self._count("timeout", pending.request.tier,
-                    version=pending.version)
-        return ForecastResponse(request=pending.request, status="timeout",
-                                error=str(err),
-                                queue_wait_s=pending.waited_s(now),
+    def _unserved(self, pending: PendingRequest, status: str, error: str,
+                  queue_wait_s: float = 0.0) -> ForecastResponse:
+        """The response of an accepted request that got no forecast
+        (``timeout`` / ``failed``)."""
+        self._count(status, pending.request.tier, version=pending.version)
+        return ForecastResponse(request=pending.request, status=status,
+                                error=error, queue_wait_s=queue_wait_s,
                                 version=pending.version)
-
-    def _failed_response(self, pending: PendingRequest,
-                         error: str) -> ForecastResponse:
-        self._count("failed", pending.request.tier,
-                    version=pending.version)
-        return ForecastResponse(request=pending.request, status="failed",
-                                error=error, version=pending.version)
 
     def _emit(self, responses: list, response: ForecastResponse,
               now: float) -> None:
@@ -350,165 +292,81 @@ class ForecastService:
         if self.response_hook is not None:
             self.response_hook(response, now)
 
-    # -- cache interaction ---------------------------------------------------
-    def _restore_prefix(self, task: MemberTask, weights: str,
-                        solver: str) -> None:
-        """Walk the content-addressed prefix forward while cached, leaving
-        the task's state/rng/trajectory positioned at the longest hit."""
-        req = task.pending.request
-        task.init_digest = array_digest(task.state)
-        last = None
-        while task.lead < task.target:
-            key = forecast_key(weights, task.init_digest, task.member_seed,
-                               solver, req.start_index, task.lead + 1)
-            entry = self.cache.get(key)
-            if entry is None:
-                task.cache_misses += 1
-                break
-            task.trajectory.append(entry.state)
-            task.lead += 1
-            task.cache_hits += 1
-            last = entry
-        if last is not None:
-            task.state = last.state
-            task.rng.bit_generator.state = last.rng_state
+    # -- one batch: dispatch → poison → validate → re-dispatch elsewhere -------
+    def _serve_batch(self, now: float, batch: MicroBatch):
+        """Dispatch ``batch`` under its version's weights (the pool
+        hot-swaps a worker holding a different version) and hold every
+        forecast to the physical guardrails: a violating batch is
+        quarantined and re-dispatched on a *different* worker while
+        re-runs remain.
 
-    # -- batch execution -----------------------------------------------------
-    def _dispatch(self, now: float, batch: MicroBatch,
-                  payload: np.ndarray, exclude: int | None = None):
-        """Dispatch a batch to the pool under its version's weights (the
-        pool hot-swaps the worker if it holds a different version)."""
+        Returns ``(worker, end, result)``, one row per request in
+        ``result["rows"]`` (:func:`~repro.serve.batcher.execute_batch`).
+        A row with an ``"error"`` failed: every row, with the fault's own
+        message and ``end = now``, when the first dispatch found no
+        capacity; the still-invalid rows after the last permitted re-run
+        (every row if that re-run could not be placed).
+        """
         binding = self.bindings[batch.version]
-        return self.pool.dispatch(
-            now, lambda: self._execute(batch), payload=payload,
-            exclude=exclude, version=batch.version,
-            weights_nbytes=binding.weights_nbytes)
-
-    def _execute(self, batch: MicroBatch) -> dict:
-        """Run one micro-batch to completion: restore cached prefixes,
-        advance every unfinished member through stacked forwards, cache
-        each new step.  Returns per-pending results."""
-        policy = batch.policy
-        binding = self.bindings[batch.version]
-        stepper = binding.steppers[policy.name]
-        weights, solver = binding.digests[policy.name]
-        tasks = MicroBatcher.member_tasks(batch)
-        with _span("serve.cache", category="serve", tier=policy.name,
-                   members=len(tasks)):
-            for task in tasks:
-                self._restore_prefix(task, weights, solver)
-        forwards = 0
-        while True:
-            active = [t for t in tasks if not t.done]
-            if not active:
-                break
-            states = np.stack([t.state for t in active])
-            indices = [t.time_index() for t in active]
-            rngs = [t.rng for t in active]
-            new_states = stepper.step_members(states, indices, rngs)
-            forwards += policy.forwards_per_data_step()
-            for k, task in enumerate(active):
-                task.state = new_states[k]
-                task.lead += 1
-                task.trajectory.append(task.state)
-                key = forecast_key(weights, task.init_digest,
-                                   task.member_seed, solver,
-                                   task.pending.request.start_index,
-                                   task.lead)
-                self.cache.put(key, task.state,
-                               task.rng.bit_generator.state)
-        # Assemble per-request forecasts.
-        by_pending: dict[int, list[MemberTask]] = {}
-        for task in tasks:
-            by_pending.setdefault(id(task.pending), []).append(task)
-        results = {}
-        for pending in batch.requests:
-            members = by_pending[id(pending)]
-            members.sort(key=lambda t: t.member)
-            forecast = np.stack([np.stack(t.trajectory) for t in members])
-            results[id(pending)] = {
-                "forecast": forecast.astype(np.float32, copy=False),
-                "cache_hits": sum(t.cache_hits for t in members),
-                "cache_misses": sum(t.cache_misses for t in members),
-            }
-        return {"per_request": results, "forwards": forwards,
-                "members": len(tasks)}
-
-    def _subset(self, request: ForecastRequest,
-                forecast: np.ndarray) -> np.ndarray:
-        indices = self._variable_indices(request)
-        return forecast if indices is None else forecast[..., indices]
-
-    # -- physical guardrails -------------------------------------------------
-    def _poison_result(self, batch: MicroBatch, result: dict) -> None:
-        """Compute-domain fault injection at the output boundary: when the
-        injector fires a ``forecast`` fault for this dispatch, poison the
-        assembled response arrays (copies — the cache stays clean, exactly
-        like hardware corrupting a response buffer after the fact)."""
+        stepper = binding.steppers[batch.policy.name]
+        weights, solver = binding.digests[batch.policy.name]
+        payload = np.stack([np.asarray(p.request.init_state,
+                                       dtype=np.float32)
+                            for p in batch.requests
+                            for _ in range(p.request.n_members)])
         inj = self.pool.injector
-        if inj is not None and inj.compute_fault("forecast"):
-            inj.poison_forecast([result["per_request"][id(p)]["forecast"]
-                                 for p in batch.requests])
-
-    def _record_quarantine(self, pending: PendingRequest, violations,
-                           worker_rank: int) -> None:
-        tier = pending.request.tier
-        registry = _obs_metrics()
-        if registry is not None:
-            registry.counter("serve.forecasts_quarantined",
-                             "forecasts failing physical guardrails").inc(
-                1, tier=tier)
-        _record_event("serve.forecast_quarantined", subsystem="serve",
-                      severity="critical", tier=tier, worker=worker_rank,
-                      violations="; ".join(v.render()
-                                           for v in violations[:4]))
-        with _span("resilience.forecast_sdc", category="resilience",
-                   tier=tier, worker=worker_rank):
-            pass
-
-    def _guard_result(self, batch: MicroBatch, payload: np.ndarray,
-                      worker, end: float, result: dict
-                      ) -> tuple[object, float, dict, dict, set]:
-        """Validate every per-request forecast against the physical
-        guardrails; quarantine + re-dispatch on a different worker while
-        re-runs remain.  Returns ``(worker, end, result, quarantine_counts,
-        failed_ids)`` — requests in ``failed_ids`` were still invalid after
-        the last permitted re-run."""
-        self._poison_result(batch, result)
-        if self.validator is None:
-            return worker, end, result, {}, set()
-        qcounts: dict[int, int] = {}
-        reruns = 0
-        while True:
-            bad = []
-            for pending in batch.requests:
-                per = result["per_request"][id(pending)]
-                violations = self.validator.validate(per["forecast"])
-                if violations:
-                    bad.append(pending)
-                    qcounts[id(pending)] = qcounts.get(id(pending), 0) + 1
-                    self._record_quarantine(pending, violations, worker.rank)
-            if not bad:
-                return worker, end, result, qcounts, set()
-            if reruns >= self.config.guardrail_reruns:
-                return worker, end, result, qcounts, {id(p) for p in bad}
-            reruns += 1
-            registry = _obs_metrics()
-            if registry is not None:
-                registry.counter("serve.guardrail_reruns",
-                                 "quarantined batches re-dispatched").inc(
-                    1, tier=batch.policy.name)
-            _record_event("serve.guardrail_rerun", subsystem="serve",
-                          severity="warning", tier=batch.policy.name,
-                          excluded_worker=worker.rank,
-                          quarantined=len(bad))
+        worker, end, result, bad = None, now, None, []
+        error = "forecast failed physical guardrails"
+        for rerun in range(self.config.guardrail_reruns + 1):
+            if rerun:
+                registry = _obs_metrics()
+                if registry is not None:
+                    registry.counter(
+                        "serve.guardrail_reruns",
+                        "quarantined batches re-dispatched").inc(
+                        1, tier=batch.policy.name)
+                _record_event("serve.guardrail_rerun", subsystem="serve",
+                              severity="warning", tier=batch.policy.name,
+                              excluded_worker=worker.rank,
+                              quarantined=len(bad))
             try:
-                worker, end, result = self._dispatch(
-                    end, batch, payload, exclude=worker.rank)
-            except ResilienceError:
-                return worker, end, result, qcounts, \
-                    {id(p) for p in batch.requests}
-            self._poison_result(batch, result)
+                worker, end, fresh = self.pool.dispatch(
+                    end, lambda: execute_batch(batch, stepper, self.cache,
+                                               weights, solver),
+                    payload=payload, version=batch.version,
+                    exclude=None if worker is None else worker.rank,
+                    weights_nbytes=binding.weights_nbytes)
+            except ResilienceError as exc:
+                if result is None:
+                    result = {"rows": [{} for _ in batch.requests]}
+                bad = result["rows"]
+                if not rerun:
+                    error = str(exc)
+                break
+            if rerun:  # the quarantine count follows the request
+                for row, old in zip(fresh["rows"], result["rows"]):
+                    row["quarantines"] = old["quarantines"]
+            result = fresh
+            rows = result["rows"]
+            # Compute-domain fault injection at the output boundary: poison
+            # the assembled response arrays (copies — the cache stays
+            # clean, like hardware corrupting a response buffer afterwards).
+            if inj is not None and inj.compute_fault("forecast"):
+                inj.poison_forecast([row["forecast"] for row in rows])
+            bad = []
+            if self.validator is not None:
+                for pending, row in zip(batch.requests, rows):
+                    violations = self.validator.validate(row["forecast"])
+                    if violations:
+                        bad.append(row)
+                        row["quarantines"] += 1
+                        book_quarantine(pending.request.tier, worker.rank,
+                                        violations)
+            if not bad:
+                break
+        for row in bad:
+            row["error"] = error
+        return worker, end, result
 
     # -- the event loop ------------------------------------------------------
     def run(self, requests: Sequence[ForecastRequest],
@@ -539,8 +397,8 @@ class ForecastService:
                 # Capacity is gone: answer everything still queued.
                 while len(self.queue):
                     pending = self.queue.pop()
-                    self._emit(responses, self._failed_response(
-                        pending, "no live serve workers"), now)
+                    self._emit(responses, self._unserved(
+                        pending, "failed", "no live serve workers"), now)
                 continue
             if free_at > now:
                 if i < len(arrivals) and arrivals[i].arrival_s < free_at:
@@ -550,47 +408,32 @@ class ForecastService:
                 continue
             batch, expired = self.batcher.next_batch(now)
             for pending in expired:
-                self._emit(responses, self._timeout_response(pending, now),
-                           now)
+                waited = pending.waited_s(now)
+                self._emit(responses, self._unserved(
+                    pending, "timeout",
+                    str(Timeout(waited, pending.policy.deadline_s)),
+                    queue_wait_s=waited), now)
             if batch is None:
                 continue
-            payload = np.stack([np.asarray(p.request.init_state,
-                                           dtype=np.float32)
-                                for p in batch.requests
-                                for _ in range(p.request.n_members)])
-            try:
-                worker, end, result = self._dispatch(now, batch, payload)
-            except ResilienceError as exc:
-                for pending in batch.requests:
-                    self._emit(responses,
-                               self._failed_response(pending, str(exc)),
-                               now)
-                continue
-            worker, end, result, qcounts, failed_ids = self._guard_result(
-                batch, payload, worker, end, result)
-            for pending in batch.requests:
+            worker, end, result = self._serve_batch(now, batch)
+            for pending, row in zip(batch.requests, result["rows"]):
                 req = pending.request
-                if id(pending) in failed_ids:
-                    self._emit(responses, self._failed_response(
-                        pending, "forecast failed physical guardrails"),
-                        end)
+                if "error" in row:
+                    self._emit(responses, self._unserved(
+                        pending, "failed", row["error"]), end)
                     continue
-                per = result["per_request"][id(pending)]
+                if pending.variables is not None:
+                    row["forecast"] = row["forecast"][..., pending.variables]
                 latency = end - req.arrival_s
                 self._count("completed", req.tier, version=batch.version)
                 self.slo.record(req.tier, latency)
                 self._emit(responses, ForecastResponse(
-                    request=req, status="completed",
-                    forecast=self._subset(req, per["forecast"]),
-                    latency_s=latency,
+                    request=req, status="completed", latency_s=latency,
                     queue_wait_s=batch.assembled_s - pending.enqueued_s,
                     worker=worker.rank,
                     batch_forwards=result["forwards"],
                     batch_members=result["members"],
-                    cache_hits=per["cache_hits"],
-                    cache_misses=per["cache_misses"],
-                    quarantines=qcounts.get(id(pending), 0),
-                    version=batch.version), end)
+                    version=batch.version, **row), end)
         return responses
 
     def serve(self, request: ForecastRequest) -> ForecastResponse:

@@ -30,6 +30,8 @@ import shutil
 import numpy as np
 
 from ..nn import EMA, AdamW, Module
+from ..obs.profile import metrics as _obs_metrics
+from ..obs.profile import record_event as _record_event
 from ..resilience.atomic import atomic_open
 from ..resilience.checksum import payload_checksum, state_digest
 
@@ -37,8 +39,9 @@ __all__ = [
     "CheckpointError", "CheckpointCorruption", "MANIFEST_NAME",
     "save_checkpoint", "load_checkpoint", "checkpoint_lineage",
     "write_sharded_checkpoint", "read_sharded_checkpoint",
+    "inspect_sharded_checkpoint",
     "save_sharded_checkpoint", "load_sharded_checkpoint",
-    "list_checkpoints", "prune_checkpoints",
+    "list_checkpoints", "prune_checkpoints", "newest_valid_checkpoint",
 ]
 
 MANIFEST_NAME = "manifest.json"
@@ -59,66 +62,60 @@ def _normalize_npz(path: str) -> str:
     return path if path.endswith(".npz") else path + ".npz"
 
 
-def _write_npz_atomic(path: str, payload: dict) -> None:
-    """Write ``payload`` to ``path`` crash-safely (temp + fsync +
-    ``os.replace``, via the shared :func:`repro.resilience.atomic_open`)."""
-    with atomic_open(path, "wb") as fh:
-        np.savez(fh, **payload)
-
-
-def _training_payload(model: Module, optimizer: AdamW | None,
-                      ema: EMA | None, images_seen: float
-                      ) -> dict[str, np.ndarray]:
-    payload: dict[str, np.ndarray] = {
-        "meta/images_seen": np.asarray(images_seen)}
-    for name, array in model.state_dict().items():
-        payload[f"model/{name}"] = array
+def training_shards(model: Module, optimizer: AdamW | None = None,
+                    ema: EMA | None = None, images_seen: float = 0.0
+                    ) -> dict[str, dict[str, np.ndarray]]:
+    """The training state as ``{section: {name: array}}`` (the shard
+    layout; the single-file format keys the same arrays
+    ``section/name``).  The arrays *alias* the live weights, moments and
+    EMA shadow: write them out at once or copy what you keep."""
+    shards = {"meta": {"images_seen": np.asarray(images_seen)},
+              "model": {name: p.data
+                        for name, p in model.named_parameters()}}
     if optimizer is not None:
-        payload["opt/step_count"] = np.asarray(optimizer.step_count)
-        for i, m in enumerate(optimizer.exp_avg):
-            payload[f"opt/m/{i}"] = m
-        for i, v in enumerate(optimizer.exp_avg_sq):
-            payload[f"opt/v/{i}"] = v
+        shards["opt"] = {"step_count": np.asarray(optimizer.step_count)}
+        for i, (m, v) in enumerate(zip(optimizer.exp_avg,
+                                       optimizer.exp_avg_sq)):
+            shards["opt"][f"m/{i}"] = m
+            shards["opt"][f"v/{i}"] = v
     if ema is not None:
-        for name, array in ema.state_dict().items():
-            payload[f"ema/{name}"] = array
-    return payload
+        shards["ema"] = dict(ema.shadow)
+    return shards
 
 
-def _restore_training_state(data, where: str, model: Module,
-                            optimizer: AdamW | None, ema: EMA | None
-                            ) -> float:
-    """Shared restore logic for both formats; ``data`` is any mapping of
-    flat ``section/name`` keys to arrays with a ``files``-like key view."""
-    keys = set(data)
-    model.load_state_dict({
-        name[len("model/"):]: data[name]
-        for name in keys if name.startswith("model/")})
+def restore_training_shards(shards: dict[str, dict[str, np.ndarray]],
+                            where: str, model: Module,
+                            optimizer: AdamW | None = None,
+                            ema: EMA | None = None) -> float:
+    """Inverse of :func:`training_shards` (values are copied in);
+    returns ``images_seen``."""
+    model.load_state_dict(shards.get("model", {}))
     if optimizer is not None:
-        if "opt/step_count" not in keys:
+        opt = shards.get("opt", {})
+        if "step_count" not in opt:
             raise CheckpointError(
                 f"checkpoint {where} has no optimizer state (it was saved "
                 "model-only, or with an older format) — pass optimizer=None "
                 "or re-save with the optimizer included")
-        optimizer.step_count = int(data["opt/step_count"])
+        optimizer.step_count = int(opt["step_count"])
         for i in range(len(optimizer.exp_avg)):
-            if f"opt/m/{i}" not in keys or f"opt/v/{i}" not in keys:
+            if f"m/{i}" not in opt or f"v/{i}" not in opt:
                 raise CheckpointError(
                     f"checkpoint {where} optimizer state is incomplete "
                     f"(missing moments for parameter {i})")
-            optimizer.exp_avg[i][...] = data[f"opt/m/{i}"]
-            optimizer.exp_avg_sq[i][...] = data[f"opt/v/{i}"]
+            optimizer.exp_avg[i][...] = opt[f"m/{i}"]
+            optimizer.exp_avg_sq[i][...] = opt[f"v/{i}"]
     if ema is not None:
-        missing = [name for name in ema.shadow
-                   if f"ema/{name}" not in keys]
+        saved = shards.get("ema", {})
+        missing = [name for name in ema.shadow if name not in saved]
         if missing:
             raise CheckpointError(
                 f"checkpoint {where} has no EMA state for "
                 f"{missing[0]!r}{' (and others)' if len(missing) > 1 else ''}"
                 " — pass ema=None or re-save with the EMA included")
-        for name in list(ema.shadow):
-            ema.shadow[name][...] = data[f"ema/{name}"]
-    return float(data["meta/images_seen"])
+        for name, shadow in ema.shadow.items():
+            shadow[...] = saved[name]
+    return float(shards["meta"]["images_seen"])
 
 
 # -- single-file format --------------------------------------------------------
@@ -129,8 +126,11 @@ def save_checkpoint(path: str, model: Module, optimizer: AdamW | None = None,
     Returns the (suffix-normalized) path actually written.
     """
     path = _normalize_npz(path)
-    _write_npz_atomic(path,
-                      _training_payload(model, optimizer, ema, images_seen))
+    shards = training_shards(model, optimizer, ema, images_seen)
+    with atomic_open(path, "wb") as fh:  # temp + fsync + os.replace
+        np.savez(fh, **{f"{section}/{name}": array
+                        for section, arrays in shards.items()
+                        for name, array in arrays.items()})
     return path
 
 
@@ -140,10 +140,12 @@ def load_checkpoint(path: str, model: Module, optimizer: AdamW | None = None,
     path = _normalize_npz(path)
     if not os.path.exists(path):
         raise CheckpointError(f"no checkpoint at {path}")
+    shards: dict[str, dict[str, np.ndarray]] = {}
     with np.load(path) as data:
-        return _restore_training_state(
-            {name: data[name] for name in data.files}, path, model,
-            optimizer, ema)
+        for key in data.files:
+            section, _, name = key.partition("/")
+            shards.setdefault(section, {})[name] = data[key]
+    return restore_training_shards(shards, path, model, optimizer, ema)
 
 
 # -- sharded format (manifest + per-array checksums) ---------------------------
@@ -187,41 +189,61 @@ def write_sharded_checkpoint(directory: str,
     return directory
 
 
+def inspect_sharded_checkpoint(directory: str, verify: bool = True
+                               ) -> tuple[dict[str, dict[str, np.ndarray]],
+                                          dict, list[tuple[str, str, str]]]:
+    """Read one generation against its manifest without raising:
+    ``(shards, extra, problems)``, one ``(shard file, array, reason)``
+    per defect — an unreadable or malformed manifest is one, like a bad
+    shard.  :func:`read_sharded_checkpoint` raises on the first problem,
+    the scrubber (:mod:`repro.resilience.scrub`) reports them all.
+    """
+    try:
+        with open(os.path.join(directory, MANIFEST_NAME)) as fh:
+            manifest = json.load(fh)
+        promised = {fname: entry["arrays"]
+                    for fname, entry in manifest["shards"].items()}
+        extra = manifest.get("extra", {})
+    except (OSError, ValueError, KeyError, TypeError,
+            AttributeError) as exc:
+        return {}, {}, [(MANIFEST_NAME, "-", f"manifest unreadable: {exc!r}")]
+    shards: dict[str, dict[str, np.ndarray]] = {}
+    problems: list[tuple[str, str, str]] = []
+    for fname, expected in promised.items():
+        try:
+            with np.load(os.path.join(directory, fname)) as data:
+                arrays = {name: data[name] for name in data.files}
+        except Exception as exc:
+            problems.append((fname, "-", f"shard unreadable: {exc}"))
+            continue
+        for name, crc in expected.items() if verify else ():
+            if name not in arrays:
+                problems.append((fname, name, "array missing from shard"))
+            elif payload_checksum(arrays[name]) != crc:
+                problems.append((
+                    fname, name, f"crc mismatch (manifest {crc}, shard "
+                                 f"{payload_checksum(arrays[name])})"))
+        shards[fname[:-len(".npz")]] = arrays
+    return shards, extra, problems
+
+
 def read_sharded_checkpoint(directory: str, verify: bool = True
                             ) -> tuple[dict[str, dict[str, np.ndarray]],
                                        dict]:
     """Load every shard, verifying each array against the manifest.
 
     Returns ``(shards, extra)``.  Raises :class:`CheckpointError` if the
-    directory/manifest is absent and :class:`CheckpointCorruption` if a
-    shard is unreadable, an array is missing, or a checksum mismatches.
+    directory/manifest is absent and :class:`CheckpointCorruption` on the
+    first problem :func:`inspect_sharded_checkpoint` finds.
     """
-    manifest_path = os.path.join(directory, MANIFEST_NAME)
-    if not os.path.isfile(manifest_path):
+    if not os.path.isfile(os.path.join(directory, MANIFEST_NAME)):
         raise CheckpointError(f"no sharded checkpoint at {directory} "
                               f"(missing {MANIFEST_NAME})")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    shards: dict[str, dict[str, np.ndarray]] = {}
-    for fname, entry in manifest["shards"].items():
-        fpath = os.path.join(directory, fname)
-        try:
-            with np.load(fpath) as data:
-                arrays = {name: data[name] for name in data.files}
-        except Exception as exc:
-            raise CheckpointCorruption(
-                f"{directory}: shard {fname} unreadable: {exc}") from exc
-        if verify:
-            for name, expected in entry["arrays"].items():
-                if name not in arrays:
-                    raise CheckpointCorruption(
-                        f"{directory}: shard {fname} lost array {name!r}")
-                if payload_checksum(arrays[name]) != expected:
-                    raise CheckpointCorruption(
-                        f"{directory}: checksum mismatch for "
-                        f"{fname}:{name}")
-        shards[fname[:-len(".npz")]] = arrays
-    return shards, manifest.get("extra", {})
+    shards, extra, problems = inspect_sharded_checkpoint(directory, verify)
+    if problems:
+        raise CheckpointCorruption(
+            f"{directory}: {':'.join(problems[0][:2])}: {problems[0][2]}")
+    return shards, extra
 
 
 def list_checkpoints(root: str) -> list[str]:
@@ -248,6 +270,30 @@ def prune_checkpoints(root: str, keep: int) -> list[str]:
         shutil.rmtree(directory)
         removed.append(directory)
     return removed
+
+
+def newest_valid_checkpoint(root: str, subsystem: str
+                            ) -> tuple[str | None, dict, dict]:
+    """``(directory, shards, extra)`` of the newest generation under
+    ``root`` that reads back and verifies (``(None, {}, {})`` when none
+    does).  Each corrupted generation stepped over is booked
+    (``<subsystem>.checkpoints_rejected`` + a critical
+    ``checkpoint.corrupt`` event)."""
+    for directory in reversed(list_checkpoints(root)):
+        try:
+            shards, extra = read_sharded_checkpoint(directory)
+        except CheckpointCorruption as exc:
+            registry = _obs_metrics()
+            if registry is not None:
+                registry.counter(
+                    f"{subsystem}.checkpoints_rejected",
+                    "corrupted generations skipped on resume").inc()
+            _record_event("checkpoint.corrupt", subsystem=subsystem,
+                          severity="critical", path=directory,
+                          detail=str(exc))
+            continue
+        return directory, shards, extra
+    return None, {}, {}
 
 
 def checkpoint_lineage(config, state_norm, residual_norm,
@@ -283,12 +329,9 @@ def save_sharded_checkpoint(directory: str, model: Module,
                             images_seen: float = 0.0,
                             extra: dict | None = None) -> str:
     """High-level sharded save mirroring :func:`save_checkpoint`'s API."""
-    flat = _training_payload(model, optimizer, ema, images_seen)
-    shards: dict[str, dict[str, np.ndarray]] = {}
-    for key, array in flat.items():
-        section, _, rest = key.partition("/")
-        shards.setdefault(section, {})[rest] = array
-    return write_sharded_checkpoint(directory, shards, extra=extra)
+    return write_sharded_checkpoint(
+        directory, training_shards(model, optimizer, ema, images_seen),
+        extra=extra)
 
 
 def load_sharded_checkpoint(directory: str, model: Module,
@@ -297,16 +340,5 @@ def load_sharded_checkpoint(directory: str, model: Module,
                             ) -> tuple[float, dict]:
     """High-level sharded load; returns ``(images_seen, extra)``."""
     shards, extra = read_sharded_checkpoint(directory, verify=verify)
-    flat = {f"{section}/{name}": array
-            for section, arrays in shards.items()
-            for name, array in arrays.items()}
-    if optimizer is not None and "opt" not in shards:
-        raise CheckpointError(
-            f"checkpoint {directory} has no optimizer shard — pass "
-            "optimizer=None or re-save with the optimizer included")
-    if ema is not None and "ema" not in shards:
-        raise CheckpointError(
-            f"checkpoint {directory} has no EMA shard — pass ema=None or "
-            "re-save with the EMA included")
-    images = _restore_training_state(flat, directory, model, optimizer, ema)
-    return images, extra
+    return restore_training_shards(shards, directory, model, optimizer,
+                                   ema), extra

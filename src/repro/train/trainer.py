@@ -21,27 +21,17 @@ run and a poisoned step —
   (recovering after a run of clean steps) — the standard large-run
   defence against one poisoned batch destroying the weights;
 * with ``TrainerConfig(guarded=True)`` every step runs under the **SDC
-  guard**: a retained micro-state (weights, optimizer moments, EMA,
-  counters, generator states) is kept from the end of the last clean
-  step, the live weight/optimizer shards are CRC-audited against it
-  before each step, and the step body executes inside an
-  :func:`repro.resilience.inject_compute` scope so the ABFT-guarded
-  kernels can detect a corrupted GEMM.  On
-  :class:`~repro.resilience.ComputeCorruption` (or a retryable
-  non-finite loss) the trainer rolls back to the retained micro-state
-  and recomputes — bounded by ``max_step_retries``, then escalates to
-  the :class:`~repro.resilience.ElasticSupervisor`.  A fault-free
-  guarded run is bit-exact with an unguarded one (the guard only reads
-  and copies), and a recovered run is bit-exact with a never-faulted
-  one (rollback restores the generator states, so the retry replays the
-  identical step).
+  guard** (:class:`repro.train.guard.StepGuard`): state audit, rollback
+  to the retained clean step boundary, bounded recompute, escalation.
+
+``save``, ``load`` and the guard's retain/rollback all go through the one
+:meth:`Trainer.state_payload` / :meth:`Trainer.restore` pair.
 """
 
 from __future__ import annotations
 
 import os
 import time
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,26 +49,14 @@ from ..obs.profile import health as _obs_health
 from ..obs.profile import metrics as _obs_metrics
 from ..obs.profile import record_event as _record_event
 from ..obs.profile import span as _span
-from ..resilience.faults import (SDC_SITE_KINDS, ComputeCorruption,
-                                 inject_compute)
 from ..tensor import Tensor
-from .checkpoint import (CheckpointCorruption, CheckpointError,
-                         checkpoint_lineage, list_checkpoints,
-                         load_sharded_checkpoint, prune_checkpoints,
-                         save_sharded_checkpoint)
+from .checkpoint import (CheckpointError, checkpoint_lineage,
+                         newest_valid_checkpoint, prune_checkpoints,
+                         read_sharded_checkpoint, restore_training_shards,
+                         training_shards, write_sharded_checkpoint)
+from .guard import NonFiniteLoss, StepGuard
 
 __all__ = ["TrainerConfig", "Trainer", "evaluate_validation_loss"]
-
-
-class _NonFiniteLoss(Exception):
-    """Internal: a guarded step produced a non-finite loss with retries
-    remaining — rolled back and recomputed (an SDC that slipped past the
-    ABFT net can poison the loss; a *deterministic* divergence reproduces
-    on retry and then falls through to the classic skip/LR-backoff)."""
-
-    def __init__(self, value: float):
-        self.value = value
-        super().__init__(f"non-finite loss {value!r}")
 
 
 @dataclass(frozen=True)
@@ -94,10 +72,6 @@ class TrainerConfig:
     weight_decay: float = 0.01
     betas: tuple[float, float] = (0.85, 0.9)
     seed: int = 0
-    #: autosave a sharded checkpoint every N steps during ``fit`` (0 = off).
-    save_every: int = 0
-    #: where autosaved checkpoints go (``step-<n>`` subdirectories).
-    checkpoint_root: str | None = None
     #: LR multiplier applied after a non-finite (skipped) step ...
     lr_backoff_factor: float = 0.5
     #: ... recovered one factor at a time after this many clean steps.
@@ -131,12 +105,6 @@ class Trainer:
             self.plan = _autotune.resolve_plan(
                 plan, model.config, machine, 1, config.batch_size,
                 pipeline=False, micro_batches=(config.batch_size,))
-            registry = _obs_metrics()
-            if registry is not None:
-                registry.gauge(
-                    "autotune.predicted_step_s",
-                    "chosen layout's predicted step time").set(
-                    self.plan.chosen.predicted_step_s)
         self.model = model
         self.archive = archive
         self.config = config
@@ -164,15 +132,14 @@ class Trainer:
         self.lr_backoff = 1.0
         self.skipped_steps = 0
         self._clean_streak = 0
-        # SDC-guard state (only exercised when config.guarded is set).
         self.injector = injector
         self.step_retries = 0
-        self._retained: dict | None = None
+        self.guard = StepGuard(self) if config.guarded else None
 
     # -- one optimization step ------------------------------------------------
     def train_step(self) -> float:
-        if self.config.guarded:
-            return self._guarded_step()
+        if self.guard is not None:
+            return self.guard.run(self._step_once)
         return self._step_once()
 
     def _step_once(self, allow_retry: bool = False) -> float:
@@ -200,7 +167,7 @@ class Trainer:
             value = loss.item()
             if not np.isfinite(value):
                 if allow_retry:
-                    raise _NonFiniteLoss(value)
+                    raise NonFiniteLoss(f"non-finite loss {value!r}")
                 # Poisoned step: skip the update entirely (no optimizer
                 # step, no EMA blend, no images consumed) and back the LR
                 # off so a marginal-stability run eases away from the edge.
@@ -217,167 +184,10 @@ class Trainer:
                 self._recover_lr_backoff()
         self.history.append(value)
         if self.plan is not None:
-            registry = _obs_metrics()
-            if registry is not None:
-                registry.gauge(
-                    "autotune.observed_step_s",
-                    "last measured training step wall time").set(
-                    time.perf_counter() - t0)
+            from ..parallel.autotune import book_observed_step
+            book_observed_step(time.perf_counter() - t0)
         self._record_step_metrics(value)
         return value
-
-    # -- SDC guard ------------------------------------------------------------
-    def _guarded_step(self) -> float:
-        """One step with rollback/recompute on detected corruption.
-
-        Ordering: retain a clean micro-state (first step only — later
-        steps refresh it on success), let the injector deal any scheduled
-        state faults, then loop: CRC-audit the live state, run the step
-        under the compute-fault scope, and on detection roll back and
-        retry.  Exhausted retries escalate as
-        :class:`~repro.resilience.ComputeCorruption` for the supervisor.
-        """
-        cfg = self.config
-        inj = self.injector
-        step = len(self.history)
-        if self._retained is None:
-            self._retain()
-        if inj is not None:
-            inj.advance(step)
-            for site in inj.state_faults():
-                inj.corrupt_state(self._state_arrays(site), site)
-        last: Exception | None = None
-        for attempt in range(cfg.max_step_retries + 1):
-            retries_left = attempt < cfg.max_step_retries
-            try:
-                self._audit_state(step)
-                with inject_compute(inj):
-                    value = self._step_once(allow_retry=retries_left)
-            except (ComputeCorruption, _NonFiniteLoss) as exc:
-                self._rollback(step, attempt, exc)
-                last = exc
-                continue
-            self._retain()
-            return value
-        registry = _obs_metrics()
-        if registry is not None:
-            registry.counter("train.guard_escalations",
-                             "steps still corrupt after bounded retries"
-                             ).inc()
-        _record_event("train.guard_escalation", subsystem="train",
-                      severity="critical", step=step,
-                      retries=cfg.max_step_retries, detail=str(last))
-        site = last.site if isinstance(last, ComputeCorruption) else "loss"
-        raise ComputeCorruption(
-            site, f"step {step} still corrupt after "
-                  f"{cfg.max_step_retries} rollback retries ({last})")
-
-    def _state_arrays(self, site: str) -> list[np.ndarray]:
-        if site == "weight":
-            return [p.data for p in self.model.parameters()]
-        return self.optimizer.exp_avg + self.optimizer.exp_avg_sq
-
-    @staticmethod
-    def _section_crc(arrays) -> int:
-        crc = 0
-        for a in arrays:
-            crc = zlib.crc32(np.ascontiguousarray(a).tobytes(), crc)
-        return crc
-
-    def _retain(self) -> None:
-        """Snapshot the complete micro-state of a *clean* step boundary."""
-        self._retained = {
-            "params": [p.data.copy() for p in self.model.parameters()],
-            "exp_avg": [m.copy() for m in self.optimizer.exp_avg],
-            "exp_avg_sq": [v.copy() for v in self.optimizer.exp_avg_sq],
-            "step_count": self.optimizer.step_count,
-            "lr": self.optimizer.lr,
-            "ema": {k: v.copy() for k, v in self.ema.shadow.items()},
-            "images_seen": self.images_seen,
-            "lr_backoff": self.lr_backoff,
-            "skipped_steps": self.skipped_steps,
-            "clean_streak": self._clean_streak,
-            "rng": (self.rng_batch.bit_generator.state,
-                    self.rng_t.bit_generator.state,
-                    self.rng_z.bit_generator.state),
-            "crc": {"weight": self._section_crc(
-                        p.data for p in self.model.parameters()),
-                    "optimizer": self._section_crc(
-                        self.optimizer.exp_avg + self.optimizer.exp_avg_sq)},
-        }
-
-    def _audit_state(self, step: int) -> None:
-        """CRC the live weight/optimizer shards against the retained
-        clean state — catches at-rest corruption before it is trained
-        into the trajectory.  Both sections are audited (and each
-        corrupted one booked as detected) before raising: a single
-        rollback heals weight *and* optimizer corruption together, so
-        stopping at the first mismatch would leave the second section's
-        corruption healed-but-never-counted."""
-        corrupted = [site for site in ("weight", "optimizer")
-                     if self._section_crc(self._state_arrays(site))
-                     != self._retained["crc"][site]]
-        for site in corrupted:
-            registry = _obs_metrics()
-            if registry is not None:
-                registry.counter("resilience.sdc_detected",
-                                 "compute-domain corruptions caught").inc(
-                    1, kind=SDC_SITE_KINDS[site])
-            _record_event("compute.sdc_detected", subsystem="train",
-                          severity="critical", site=site, step=step)
-            with _span("resilience.sdc", category="resilience", site=site,
-                       step=step):
-                pass
-        if corrupted:
-            raise ComputeCorruption(
-                corrupted[0],
-                f"state checksum mismatch in {' and '.join(corrupted)} "
-                f"section at step {step}", sites=corrupted)
-
-    def _rollback(self, step: int, attempt: int, exc: Exception) -> None:
-        """Restore the retained micro-state (weights, moments, EMA,
-        counters, generator states) so the retry replays the identical
-        step from clean inputs."""
-        r = self._retained
-        for p, saved in zip(self.model.parameters(), r["params"]):
-            np.copyto(p.data, saved)
-        for m, saved in zip(self.optimizer.exp_avg, r["exp_avg"]):
-            np.copyto(m, saved)
-        for v, saved in zip(self.optimizer.exp_avg_sq, r["exp_avg_sq"]):
-            np.copyto(v, saved)
-        self.optimizer.step_count = r["step_count"]
-        self.optimizer.lr = r["lr"]
-        for k, saved in r["ema"].items():
-            np.copyto(self.ema.shadow[k], saved)
-        self.images_seen = r["images_seen"]
-        self.lr_backoff = r["lr_backoff"]
-        self.skipped_steps = r["skipped_steps"]
-        self._clean_streak = r["clean_streak"]
-        batch_state, t_state, z_state = r["rng"]
-        self.rng_batch.bit_generator.state = batch_state
-        self.rng_t.bit_generator.state = t_state
-        self.rng_z.bit_generator.state = z_state
-        cause = exc.site if isinstance(exc, ComputeCorruption) \
-            else "nonfinite"
-        self.step_retries += 1
-        registry = _obs_metrics()
-        if registry is not None:
-            # one increment per *closed detection*, not per rollback: a
-            # single state audit can implicate several sites, and this
-            # one rollback heals them all (sdc_check reconciles retries
-            # against detections 1:1)
-            causes = (exc.sites if isinstance(exc, ComputeCorruption)
-                      else (cause,))
-            for site in causes:
-                registry.counter("train.step_retries",
-                                 "steps rolled back and recomputed").inc(
-                    1, cause=site)
-        _record_event("train.step_rollback", subsystem="train",
-                      severity="warning", step=step, attempt=attempt,
-                      cause=cause, detail=str(exc))
-        with _span("resilience.rollback", category="resilience", step=step,
-                   cause=cause):
-            pass
 
     # -- NaN/Inf guard --------------------------------------------------------
     def _skip_poisoned_step(self, value: float) -> None:
@@ -446,15 +256,10 @@ class Trainer:
         _record_event("train.step", subsystem="train", step=step,
                       loss=loss_value, grad_norm=grad_norm)
 
-    def fit(self, n_steps: int, save_every: int | None = None,
+    def fit(self, n_steps: int, save_every: int = 0,
             checkpoint_root: str | None = None) -> list[float]:
         """Run ``n_steps``; optionally autosave a sharded checkpoint every
-        ``save_every`` steps (defaults from the config) into
-        ``checkpoint_root/step-<n>``."""
-        save_every = self.config.save_every if save_every is None \
-            else save_every
-        checkpoint_root = self.config.checkpoint_root \
-            if checkpoint_root is None else checkpoint_root
+        ``save_every`` steps into ``checkpoint_root/step-<n>``."""
         for _ in range(n_steps):
             self.train_step()
             if save_every and checkpoint_root \
@@ -466,33 +271,60 @@ class Trainer:
                                       keep=self.config.keep_checkpoints)
         return self.history
 
-    # -- checkpoint / resume ---------------------------------------------------
-    def save(self, directory: str) -> str:
-        """Atomic sharded checkpoint of the *complete* loop state — weights,
-        optimizer, EMA, counters, NaN-guard state, and all three generator
-        states — so :meth:`load` + ``fit`` replays bit-exactly."""
+    # -- loop state: payload / restore, checkpoint / resume ---------------------
+    def _rngs(self) -> dict[str, np.random.Generator]:
+        return {"batch": self.rng_batch, "t": self.rng_t, "z": self.rng_z}
+
+    def state_payload(self) -> tuple[dict[str, dict[str, np.ndarray]], dict]:
+        """``(shards, extra)`` — the *complete* loop state: weights,
+        optimizer moments and step count, EMA, ``images_seen``, loss
+        history, NaN-guard state and all three generator states, so
+        :meth:`restore` + ``fit`` replays bit-exactly.  ``shards`` is the
+        :func:`~repro.train.write_sharded_checkpoint` layout and aliases
+        the live arrays (copy what you keep); ``extra`` is JSON-ready.
+        """
         extra = {
             "step": len(self.history),
-            "history": [float(v) for v in self.history],
+            "history": list(self.history),
             "lr_backoff": self.lr_backoff,
             "skipped_steps": self.skipped_steps,
             "clean_streak": self._clean_streak,
-            "step_retries": self.step_retries,
-            "rng": {
-                "batch": self.rng_batch.bit_generator.state,
-                "t": self.rng_t.bit_generator.state,
-                "z": self.rng_z.bit_generator.state,
-            },
-            # Registry lineage: config + digest-stamped normalizer stats,
-            # so `register_from_checkpoint` needs nothing but this dir.
-            "lineage": checkpoint_lineage(
-                self.model.config, self.state_norm, self.residual_norm,
-                self.forcing_norm, seed=self.config.seed),
+            "rng": {name: rng.bit_generator.state
+                    for name, rng in self._rngs().items()},
         }
-        path = save_sharded_checkpoint(directory, self.model, self.optimizer,
-                                       self.ema,
-                                       images_seen=self.images_seen,
-                                       extra=extra)
+        return training_shards(self.model, self.optimizer, self.ema,
+                               self.images_seen), extra
+
+    def restore(self, shards: dict[str, dict[str, np.ndarray]],
+                extra: dict, where: str = "payload") -> None:
+        """Load a :meth:`state_payload` into this trainer (values are
+        copied in).  A guarded trainer re-retains from the restored
+        state at its next step."""
+        self.images_seen = restore_training_shards(
+            shards, where, self.model, self.optimizer, self.ema)
+        self.history = [float(v) for v in extra.get("history", [])]
+        self.lr_backoff = float(extra.get("lr_backoff", 1.0))
+        self.skipped_steps = int(extra.get("skipped_steps", 0))
+        self._clean_streak = int(extra.get("clean_streak", 0))
+        for name, state in extra.get("rng", {}).items():
+            self._rngs()[name].bit_generator.state = state
+        # only a saved checkpoint carries the rollback tally: the guard
+        # restores a bare payload, so a rollback never rewinds its own count
+        self.step_retries = int(extra.get("step_retries", self.step_retries))
+        if self.guard is not None:
+            self.guard.retained = None
+
+    def save(self, directory: str) -> str:
+        """Atomic sharded checkpoint of :meth:`state_payload` plus the
+        rollback tally and the registry lineage (config + digest-stamped
+        normalizer stats, so ``register_from_checkpoint`` needs nothing
+        but this directory)."""
+        shards, extra = self.state_payload()
+        extra["step_retries"] = self.step_retries
+        extra["lineage"] = checkpoint_lineage(
+            self.model.config, self.state_norm, self.residual_norm,
+            self.forcing_norm, seed=self.config.seed)
+        path = write_sharded_checkpoint(directory, shards, extra=extra)
         registry = _obs_metrics()
         if registry is not None:
             registry.counter("train.checkpoints",
@@ -504,21 +336,8 @@ class Trainer:
     def load(self, directory: str) -> float:
         """Restore a :meth:`save` checkpoint (checksum-verified); returns
         ``images_seen``."""
-        images, extra = load_sharded_checkpoint(directory, self.model,
-                                                self.optimizer, self.ema)
-        self.images_seen = images
-        self.history = [float(v) for v in extra.get("history", [])]
-        self.lr_backoff = float(extra.get("lr_backoff", 1.0))
-        self.skipped_steps = int(extra.get("skipped_steps", 0))
-        self._clean_streak = int(extra.get("clean_streak", 0))
-        self.step_retries = int(extra.get("step_retries", 0))
-        rng = extra.get("rng")
-        if rng is not None:
-            self.rng_batch.bit_generator.state = rng["batch"]
-            self.rng_t.bit_generator.state = rng["t"]
-            self.rng_z.bit_generator.state = rng["z"]
-        self._retained = None  # re-retain from the restored state
-        return images
+        self.restore(*read_sharded_checkpoint(directory), where=directory)
+        return self.images_seen
 
     def load_latest(self, checkpoint_root: str) -> str:
         """Restore the newest *valid* checkpoint generation under
@@ -526,22 +345,13 @@ class Trainer:
         (each rejection is booked and alerted); returns the directory
         loaded.  Raises :class:`~repro.train.CheckpointError` when no
         generation survives."""
-        for directory in reversed(list_checkpoints(checkpoint_root)):
-            try:
-                self.load(directory)
-            except CheckpointCorruption as exc:
-                registry = _obs_metrics()
-                if registry is not None:
-                    registry.counter(
-                        "train.checkpoints_rejected",
-                        "corrupted generations skipped on resume").inc()
-                _record_event("checkpoint.corrupt", subsystem="train",
-                              severity="critical", path=directory,
-                              detail=str(exc))
-                continue
-            return directory
-        raise CheckpointError(
-            f"no valid checkpoint generation under {checkpoint_root}")
+        directory, shards, extra = newest_valid_checkpoint(checkpoint_root,
+                                                           "train")
+        if directory is None:
+            raise CheckpointError(
+                f"no valid checkpoint generation under {checkpoint_root}")
+        self.restore(shards, extra, where=directory)
+        return directory
 
     def validation_loss(self, n_batches: int = 4, seed: int = 1234) -> float:
         """Mean weighted diffusion loss over held-out validation samples.

@@ -104,6 +104,25 @@ class TestLatestValid:
         _rot_shard(generations[-1])
         assert latest_valid_checkpoint(str(tmp_path)) == generations[-2]
 
+    @pytest.mark.parametrize("content", ['{"format": 1, "sha', "{}"],
+                             ids=["truncated", "empty-object"])
+    def test_rotten_manifest_scrub_and_resume_agree(self, tmp_path,
+                                                    generations, content,
+                                                    capsys):
+        """The scrubber and the resume walk read one definition of a
+        rotten generation, so they cannot disagree about a manifest."""
+        with open(os.path.join(generations[-1], "manifest.json"), "w") as fh:
+            fh.write(content)
+        assert latest_valid_checkpoint(str(tmp_path)) == generations[-2]
+        report = scrub_checkpoint(generations[-1])
+        assert not report.ok
+        assert "manifest unreadable" in report.findings[0].reason
+        assert scrub_cli.main(["--root", str(tmp_path), "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["corrupt"] == 1
+        assert payload["latest_valid"] == generations[-2]
+        assert [r["ok"] for r in payload["reports"]] == [True, True, False]
+
     def test_none_when_everything_is_rotten(self, tmp_path, generations):
         for directory in generations:
             _rot_shard(directory)

@@ -182,3 +182,121 @@ class TestSdcReconciliation:
         text = report.render()
         assert "sdc faults" in text and "recovery closed" in text
         assert "OK" in text and "MISMATCH" not in text
+
+
+class TestStepGuardAlone:
+    """The guard object driven by a stub step: no forward, no backward —
+    only the ordering and the bookkeeping it owns."""
+
+    def _guard(self, tiny_archive, retries=2):
+        trainer = _trainer(tiny_archive, config=dataclasses.replace(
+            GUARDED, max_step_retries=retries))
+        return trainer, trainer.guard
+
+    @staticmethod
+    def _flip(array):
+        array.reshape(-1)[0] += 1.0
+
+    def test_audit_runs_before_the_step(self, tiny_archive):
+        """At-rest corruption is caught before the step body ever sees
+        it, and the step then runs once, on restored state."""
+        trainer, guard = self._guard(tiny_archive)
+        guard.run(lambda allow_retry: 0.0)  # retains a clean boundary
+        weight = next(iter(trainer.model.parameters()))
+        clean = weight.data.copy()
+        self._flip(weight.data)
+        seen = []
+
+        def step(allow_retry):
+            seen.append(next(iter(trainer.model.parameters())).data.copy())
+            return 1.5
+
+        assert guard.run(step) == 1.5
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], clean)
+        assert trainer.step_retries == 1
+
+    def test_both_sites_booked_before_one_rollback(self, tiny_archive,
+                                                   obs_on):
+        trainer, guard = self._guard(tiny_archive)
+        guard.run(lambda allow_retry: 0.0)
+        self._flip(next(iter(trainer.model.parameters())).data)
+        self._flip(trainer.optimizer.exp_avg_sq[0])
+        guard.run(lambda allow_retry: 0.0)
+        registry = obs.metrics()
+        detected = registry.counter("resilience.sdc_detected")
+        assert detected.total(kind="sdc_weight") == 1
+        assert detected.total(kind="sdc_opt") == 1
+        retries = registry.counter("train.step_retries")
+        assert retries.total(cause="weight") == 1
+        assert retries.total(cause="optimizer") == 1
+        assert trainer.step_retries == 1  # one rollback healed both
+        kinds = [e.kind for e in obs.flight().events()
+                 if e.kind in ("compute.sdc_detected", "train.step_rollback")]
+        assert kinds == ["compute.sdc_detected", "compute.sdc_detected",
+                         "train.step_rollback"]
+
+    def test_retry_budget_and_escalation_site(self, tiny_archive, obs_on):
+        """``max_step_retries`` rollbacks, the last attempt told it may
+        not retry, then a typed escalation naming the last site."""
+        trainer, guard = self._guard(tiny_archive, retries=2)
+        flags = []
+
+        def step(allow_retry):
+            flags.append(allow_retry)
+            raise ComputeCorruption("gemm", "stub")
+
+        with pytest.raises(ComputeCorruption, match="still corrupt") as info:
+            guard.run(step)
+        assert info.value.site == "gemm"
+        assert flags == [True, True, False]
+        assert trainer.step_retries == 3
+        assert obs.metrics().counter("train.guard_escalations").total() == 1
+
+    def test_nonfinite_loss_retries_then_escalates_as_loss(self,
+                                                           tiny_archive):
+        from repro.train.guard import NonFiniteLoss
+        trainer, guard = self._guard(tiny_archive, retries=1)
+        calls = []
+
+        def flaky(allow_retry):
+            calls.append(allow_retry)
+            if len(calls) == 1:
+                raise NonFiniteLoss("non-finite loss nan")
+            return 2.0
+
+        assert guard.run(flaky) == 2.0 and calls == [True, False]
+
+        def poisoned(allow_retry):
+            raise NonFiniteLoss("non-finite loss nan")
+
+        with pytest.raises(ComputeCorruption) as info:
+            guard.run(poisoned)
+        assert info.value.site == "loss"
+
+    def test_rollback_restores_the_whole_payload(self, tiny_archive):
+        """What the step scribbled over — weights, moments, EMA, counters,
+        a generator — is back before the retry."""
+        trainer, guard = self._guard(tiny_archive)
+        trainer.fit(1)
+        before = trainer.rng_t.bit_generator.state
+        ema_name = next(iter(trainer.ema.shadow))
+        ema = trainer.ema.shadow[ema_name].copy()
+        attempts = []
+
+        def step(allow_retry):
+            attempts.append(None)
+            if len(attempts) == 1:
+                trainer.rng_t.normal(size=8)
+                trainer.ema.shadow[ema_name] += 1.0
+                trainer.images_seen += 4
+                trainer.lr_backoff = 0.5
+                raise ComputeCorruption("gemm", "stub")
+            return 0.0
+
+        images = trainer.images_seen
+        guard.run(step)
+        assert trainer.rng_t.bit_generator.state == before
+        np.testing.assert_array_equal(trainer.ema.shadow[ema_name], ema)
+        assert trainer.images_seen == images and trainer.lr_backoff == 1.0
+        assert len(trainer.history) == 1  # the stub appended nothing

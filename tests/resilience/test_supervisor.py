@@ -158,6 +158,27 @@ class TestRecoveryEdgeCases:
         assert os.path.basename(restored) == "step-00000002"
         assert len(sup.history) == 2
 
+    @pytest.mark.parametrize("rot", ["truncated", "empty-object"])
+    def test_rotten_manifest_falls_back_and_is_alerted(self, tmp_path,
+                                                       tiny_archive, rot):
+        """Same walk as ``Trainer.load_latest``: a rotten manifest is
+        stepped over, counted, and leaves a ``checkpoint.corrupt`` event."""
+        from repro.obs import monitored
+        sup, _ = _run(tmp_path, tiny_archive, None, "ck", n_steps=3)
+        manifest = os.path.join(
+            list_checkpoints(sup.cfg.checkpoint_root)[-1], "manifest.json")
+        text = open(manifest).read()
+        with open(manifest, "w") as fh:
+            fh.write(text[:len(text) // 2] if rot == "truncated" else "{}")
+        with monitored() as session:
+            restored = sup._restore_latest()
+            assert session.registry.counter(
+                "resilience.checkpoints_rejected").total() == 1
+            assert len(session.recorder.events(
+                kind="checkpoint.corrupt", min_severity="critical")) == 1
+        assert os.path.basename(restored) == "step-00000002"
+        assert len(sup.history) == 2
+
     def test_restart_budget_exhausted(self, tmp_path, tiny_archive):
         plan = FaultPlan(events=(FailStop(rank=DEAD_RANK, step=1),))
         with pytest.raises(ClusterFailure):

@@ -122,3 +122,55 @@ class TestMicroBatcher:
         a = tasks[0].rng.normal()
         b = np.random.default_rng(7).normal()
         assert a == b
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("members", [1, 4])
+    def test_one_member_seed_convention_everywhere(self, seed, members):
+        """``member_seed`` is part of every cache key: the served member
+        tasks, the diffusion forecaster's generators and the one-step
+        student's noise must all draw member ``m`` from the same stream."""
+        from repro.diffusion import (ResidualForecaster, TrigFlow,
+                                     member_seed)
+        from repro.serve import OneStepForecaster
+        from repro.tensor import Tensor
+
+        expected = [member_seed(seed, m) for m in range(members)]
+        assert expected == [seed + 1000 * m for m in range(members)]
+        q = make_queue()
+        q.submit(req(members=members, seed=seed), 0.0)
+        batch, _ = MicroBatcher(q).next_batch(now=0.0)
+        tasks = MicroBatcher.member_tasks(batch)
+        assert [t.member_seed for t in tasks] == expected
+
+        flow = TrigFlow()
+        draws = [np.random.default_rng(s).normal(0.0, flow.sigma_d,
+                                                 size=STATE.shape)
+                 for s in expected]
+        for task, rng, want in zip(
+                tasks, ResidualForecaster.member_rngs(None, members, seed),
+                draws):
+            for stream in (task.rng, rng):
+                np.testing.assert_array_equal(
+                    stream.normal(0.0, flow.sigma_d, size=STATE.shape), want)
+
+        class Identity:
+            def normalize(self, x):
+                return x
+
+            def denormalize(self, x):
+                return x
+
+        seen = []
+
+        def student(x, t, cond, forc):
+            seen.append(x.numpy())
+            return Tensor(np.zeros_like(x.numpy()))
+
+        OneStepForecaster(
+            model=student, state_norm=Identity(), residual_norm=Identity(),
+            forcing_fn=lambda i: np.zeros(STATE.shape[:2] + (1,), np.float32),
+            flow=flow).ensemble_rollout(STATE, n_steps=1, n_members=members,
+                                        seed=seed)
+        np.testing.assert_array_equal(
+            seen[0], np.stack([d.astype(np.float32) for d in draws])
+            / flow.sigma_d)

@@ -2,6 +2,10 @@
 batch savings, backpressure/timeout behavior, and chaos under worker
 fail-stops."""
 
+import hashlib
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -274,3 +278,118 @@ class TestObservability:
         assert stats["cache"]["entries"] == 4
         assert stats["workers"]["dispatches"] == 1
         assert stats["slo"]["standard"]["count"] == 1
+
+
+# -- one pinned scenario, end to end -------------------------------------------
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                      "golden_service_scenario.json")
+
+#: request id -> (tier, members, steps, seed, state offset, arrival, variables)
+SCENARIO = {
+    "a": ("standard", 2, 2, 7, 0, 0.0, None),
+    "b": ("fast", 4, 2, 7, 0, 0.0, None),
+    "c": ("fast", 1, 3, 9, 3, 0.0, ("v2", "v5")),
+    "d": ("standard", 1, 1, 7, 0, 0.0, None),    # a's member 0, same batch
+    "e": ("standard", 3, 2, 11, 3, 0.01, None),
+    "f": ("fast", 4, 3, 7, 0, 0.04, None),        # resumes b's cached prefix
+    "g": ("standard", 2, 2, 7, 0, 0.05, None),    # repeat of a: all hits
+    "h": ("fast", 2, 1, 3, 0, 0.05, None),
+    "i": ("standard", 2, 1, 5, 3, 0.05, None),
+    "j": ("fast", 1, 1, 4, 0, 0.09, ("nope",)),   # rejected at the door
+    "k": ("standard", 1, 2, 13, 0, 0.09, None),
+    "l": ("fast", 2, 2, 21, 3, 0.09, None),
+}
+
+
+def _pinned_duration(result):
+    return result["forwards"] * (0.004 + 0.004 * result["members"])
+
+
+def scenario_requests(serve_world, ids=SCENARIO):
+    archive, _, _, idx = serve_world
+    return [ForecastRequest(
+        init_state=archive.fields[idx + off], start_index=idx + off,
+        n_steps=steps, n_members=members, tier=tier, seed=seed,
+        variables=variables, arrival_s=arrival, request_id=rid)
+        for rid, (tier, members, steps, seed, off, arrival, variables)
+        in SCENARIO.items() if rid in ids]
+
+
+def golden_record(serve_world):
+    """Serve SCENARIO on two workers under a validator, two seeded
+    forecast poisons on consecutive dispatches (the second batch is healed
+    by its re-run, the next one exhausts the re-run budget) and one worker
+    fail-stop, with the virtual clock pinned; every observable of every
+    response plus the final tally and cache stats."""
+    from repro.resilience import ComputeFault
+    from repro.serve import ForecastValidator
+    archive = serve_world[0]
+    plan = FaultPlan(seed=5, events=(
+        ComputeFault(step=1, site="forecast"),
+        ComputeFault(step=3, site="forecast"),
+        ComputeFault(step=4, site="forecast"),
+        FailStop(rank=0, step=6)))
+    svc = make_service(
+        serve_world, with_student=True,
+        config=ServiceConfig(n_workers=2,
+                             batcher=BatcherConfig(max_members=6)),
+        variable_names=[f"v{i}" for i in range(9)],
+        validator=ForecastValidator.from_normalizer(
+            archive.state_normalizer()),
+        injector=FaultInjector(plan), duration_fn=_pinned_duration)
+    rows = []
+    for r in svc.run(scenario_requests(serve_world)):
+        rows.append({
+            "id": r.request.request_id, "status": r.status,
+            "error": r.error, "version": r.version, "worker": r.worker,
+            "latency_s": r.latency_s, "queue_wait_s": r.queue_wait_s,
+            "batch_forwards": r.batch_forwards,
+            "batch_members": r.batch_members,
+            "cache_hits": r.cache_hits, "cache_misses": r.cache_misses,
+            "quarantines": r.quarantines,
+            "forecast_sha256": (None if r.forecast is None else
+                                hashlib.sha256(np.ascontiguousarray(
+                                    r.forecast).tobytes()).hexdigest())})
+    return {"responses": rows, "tally": dict(svc.tally),
+            "cache": svc.stats()["cache"],
+            "injected": dict(svc.pool.injector.injected)}
+
+
+class TestPinnedScenario:
+    def test_reproduces_the_committed_golden(self, serve_world):
+        """Status, error, version, worker, virtual times, batch shape,
+        cache accounting, quarantines and forecast bytes of every
+        response — recorded before the batch executor and the guardrail
+        loop moved, so any drift in either is a diff against this file."""
+        with open(GOLDEN) as fh:
+            golden = json.load(fh)
+        assert golden_record(serve_world) == golden
+
+    @pytest.mark.parametrize("config", [
+        ServiceConfig(n_workers=1), ServiceConfig(n_workers=3),
+        ServiceConfig(n_workers=2, batcher=BatcherConfig(max_members=4)),
+        # one byte: every put is refused, i.e. the cache is off
+        ServiceConfig(n_workers=2, cache_bytes=1)],
+        ids=["1-worker", "3-workers", "4-row-batches", "no-cache"])
+    def test_forecasts_do_not_depend_on_how_they_were_served(
+            self, serve_world, config):
+        """Metamorphic: worker count, batch budget and cache on/off move
+        batches, latencies and hit counts — never a forecast bit."""
+        names = [f"v{i}" for i in range(9)]
+        ids = set(SCENARIO) - {"j"}
+
+        def served(cfg):
+            svc = make_service(serve_world, with_student=True, config=cfg,
+                               variable_names=names,
+                               duration_fn=_pinned_duration)
+            out = {r.request.request_id: r
+                   for r in svc.run(scenario_requests(serve_world, ids))}
+            assert all(r.ok for r in out.values())
+            return out
+
+        reference = served(ServiceConfig(n_workers=2))
+        variant = served(config)
+        assert set(variant) == ids
+        for rid, resp in reference.items():
+            np.testing.assert_array_equal(variant[rid].forecast,
+                                          resp.forecast, err_msg=rid)
