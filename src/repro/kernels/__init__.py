@@ -9,20 +9,19 @@ layer).
   with the Swin cyclic shift folded in, keyed by ``(grid, window, shift)``;
 * :mod:`~repro.kernels.rope_cache` — memoized axial 2D RoPE tables keyed by
   ``(window, head_dim, base, dtype)``;
-* :mod:`~repro.kernels.fused` — single-node rotary and softmax(QKᵀ)·V
-  kernels that reuse :mod:`repro.tensor.workspace` scratch, and the
-  tape-free (raw-array, in-place) form of every other chain of an inference
-  forward: norm-modulate, gate-residual, linear, SwiGLU, LayerNorm, the
-  time features and the embed concat.
+* :mod:`~repro.kernels.fused` — one call per chain: rotary, softmax(QKᵀ)·V,
+  norm-modulate, gate-residual, linear and SwiGLU are one graph node with a
+  hand-written backward when handed Tensors and raw, in-place, on
+  :mod:`repro.tensor.workspace` scratch when handed arrays; LayerNorm, the
+  time features and the embed concat have the raw form alone.
 
 Every kernel is bit-exact against the reference implementation it replaces
 (golden tests); :func:`disable_kernels` flips the consumers (every layer of
 :mod:`repro.nn` the model uses, :class:`repro.model.SwinBlock`,
 :class:`repro.model.Aeris`) back to the reference paths, which is how the
 golden tests and the before/after benchmarks get both behaviors from one
-build.  The tape-free kernels additionally run only while no tape is being
-recorded — under ``no_grad`` — and the taped bodies of the modules are the
-reference they are held to.
+build.  The modules' Tensor chains are the reference every kernel, taped or
+tape-free, is held to.
 """
 
 from __future__ import annotations
@@ -68,9 +67,9 @@ def kernels_enabled() -> bool:
 
 
 def _tape_free() -> bool:
-    """Whether a module's ``forward`` should run its tape-free kernel: the
-    kernel layer is live and no graph is being recorded (``no_grad``), so
-    nothing needs the intermediates a fused in-place kernel never keeps."""
+    """Whether a module may hand its kernels raw arrays: the kernel layer
+    is live and no graph is being recorded (``no_grad``), so a kernel may
+    write in place on what the module owns, or has a raw form alone."""
     return _ENABLED and not is_grad_enabled()
 
 

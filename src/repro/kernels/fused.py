@@ -1,5 +1,6 @@
-"""Fused hot-path kernels: rotary embedding, softmax(QKᵀ)·V, and the
-tape-free forms of every other chain of an inference forward.
+"""Fused hot-path kernels: one call per chain of the forward — rotary
+embedding, softmax(QKᵀ)·V, norm-modulate, gate-residual, linear, SwiGLU —
+and the tape-free forms of the rest of an inference forward.
 
 The reference implementations in :mod:`repro.nn` build one autograd node per
 primitive — for the attention core that is six graph nodes and as many fresh
@@ -7,19 +8,28 @@ full-size temporaries per call.  The kernels here compute the same
 mathematics as a single node each, with in-place NumPy updates on
 arena-pooled scratch where the value cannot escape.
 
-The rotary and attention kernels serve both the taped and the tape-free
-forward: handed ``Tensor``s they return a graph node, handed raw arrays (what
-a module does when no tape is being recorded) they return a raw array.
-Everything below them — norm-modulate, gate-residual, linear, SwiGLU, … —
-is inference-only, raw arrays in and out, called by the owning module's
-``forward`` under ``kernels_enabled() and not is_grad_enabled()``.
+One convention serves the taped and the tape-free forward: handed
+``Tensor``s a kernel returns one graph node with a hand-written backward
+(a plain ``Tensor`` when nothing records a tape), handed raw arrays — what
+a module does to let the kernel write in place on memory the module owns —
+it returns a raw array.  Both run the same forward body; the taped call
+only may not overwrite what its backward reads.  LayerNorm, SiLU, the time
+features and the embed concat have the raw form alone.
 
-Memory rule of the tape-free kernels.  An array handed in is never written:
-the residual stream, a parameter or a cached state may be held by the
-caller.  In-place updates touch only what the kernel — or, for
-:func:`fused_gate_residual`'s ``branch`` and the packed projection a raw
-:func:`fused_apply_rotary` rotates, the calling module — just produced.
-No result is arena scratch: the sampler keeps model outputs across calls.
+Memory rule.  An array handed in is never written: the residual stream, a
+parameter or a cached state may be held by the caller.  In-place updates
+touch only what the kernel — or, for a raw :func:`fused_gate_residual`'s
+``branch`` and the packed projection a raw :func:`fused_apply_rotary`
+rotates, the calling module — just produced.  No result, and nothing a
+backward closure keeps, is arena scratch; a closure draws its temporaries
+from the arena and hands them back before it returns.
+
+Fan-in rule.  The sweep adds a node's contributions in reverse topological
+order, left to right over its parents, and float addition does not
+associate: a fused node whose input has other consumers (the residual
+stream feeds ``x·inv``, ``x·x`` twice and the residual add) lists that
+parent once per contribution of the chain it replaces, in the chain's
+order, never pre-summed.
 
 Bit-exactness is a hard contract, enforced by golden tests: BF16 emulation
 rounds exactly the matmul operands the reference rounds (including in
@@ -80,6 +90,12 @@ def _scratch(elems: int, dtype) -> np.ndarray:
     return arena().get((max(_BLOCK, elems),), dtype)
 
 
+def _taped(*tensors) -> bool:
+    """Whether a kernel handed these Tensors owes the tape a backward."""
+    return is_grad_enabled() and any(
+        t is not None and t.requires_grad for t in tensors)
+
+
 def _gemm_dtype(a: np.ndarray, b: np.ndarray):
     """The dtype :func:`_gemm` computes ``a @ b`` in."""
     if bf16_matmul_enabled():
@@ -112,6 +128,31 @@ def _gemm(a: np.ndarray, b: np.ndarray, label: str | None = None,
         # 2*m*k*n per output batch element (multiply + add).
         add_flops(2 * out.size * a.shape[-1])
     return out, a, b
+
+
+def _gemm_backward(g: np.ndarray, a: np.ndarray, b: np.ndarray,
+                   need_a: bool, need_b: bool) -> tuple:
+    """``(d a, d b)`` of an unguarded ``a @ b`` with a 2-D ``b`` — the
+    operands as :func:`_gemm` multiplied them — exactly as
+    ``Tensor.__matmul__`` computes and books them: ``g`` rounded under
+    autocast, both GEMMs' FLOPs whichever is taken, the weight gradient a
+    batched GEMM summed over its leading axes.  ``None`` where not needed.
+    """
+    gq = round_bf16(g) if bf16_matmul_enabled() else g
+    if flops_enabled():
+        add_flops((4 if a.ndim > 1 else 2) * g.size * a.shape[-1])
+    ga = gq @ b.T if need_a else None
+    if not need_b:
+        return ga, None
+    if a.ndim <= 2:
+        return ga, np.outer(a, gq) if a.ndim == 1 else a.T @ gq
+    ws = arena()
+    batched = ws.get(a.shape[:-2] + b.shape, np.result_type(a, gq))
+    try:
+        np.matmul(np.swapaxes(a, -1, -2), gq, out=batched)
+        return ga, _unbroadcast(batched, b.shape)
+    finally:
+        ws.release(batched)
 
 
 def rotate_pairs(x: np.ndarray, cos: np.ndarray, sin: np.ndarray,
@@ -244,8 +285,7 @@ def fused_dot_product_attention(q, k, v):
     # Matches the reference's `1.0 / np.sqrt(hd)` python-float -> fp32 coerce.
     scale = np.float32(1.0 / np.sqrt(qa.shape[-1]))
 
-    grad_needed = not raw and is_grad_enabled() and (
-        q.requires_grad or k.requires_grad or v.requires_grad)
+    grad_needed = not raw and _taped(q, k, v)
     scores_lead = out_lead = qa.shape[:-2]
     if not scores_lead == ka.shape[:-2] == va.shape[:-2]:
         scores_lead = np.broadcast_shapes(scores_lead, ka.shape[:-2])
@@ -286,21 +326,26 @@ def fused_dot_product_attention(q, k, v):
         # out = probs_ @ va_  (backward reuses the rounded forward operands,
         # exactly as Tensor.__matmul__ captures them).
         if flops_enabled():
-            add_flops(4 * g.size * tokens)
-        g_scores = _unbroadcast(g_ @ np.swapaxes(va_, -1, -2), probs.shape)
-        g_v = _unbroadcast(np.swapaxes(probs_, -1, -2) @ g_, v_shape)
-        # softmax backward (on the unrounded probabilities), in place on the
-        # freshly computed d(probs): (g - sum(g*p)) * p * scale.
-        g_scores -= (g_scores * probs).sum(axis=-1, keepdims=True)
-        g_scores *= probs
-        g_scores *= scale
-        g_scores_ = round_bf16(g_scores) if bf16 else g_scores
-        # scores = qa_ @ kT  backward.
-        if flops_enabled():
-            add_flops(4 * g_scores.size * head_dim)
-        g_q = _unbroadcast(g_scores_ @ ka_, q_shape)
-        g_kT = _unbroadcast(np.swapaxes(qa_, -1, -2) @ g_scores_, kT_shape)
-        return (g_q, np.swapaxes(g_kT, -1, -2), g_v)
+            add_flops(4 * g.size * tokens + 4 * probs.size * head_dim)
+        g_q = g_k = g_v = None
+        if v.requires_grad:
+            g_v = _unbroadcast(np.swapaxes(probs_, -1, -2) @ g_, v_shape)
+        if q.requires_grad or k.requires_grad:
+            g_scores = _unbroadcast(g_ @ np.swapaxes(va_, -1, -2),
+                                    probs.shape)
+            # softmax backward (on the unrounded probabilities), in place on
+            # the freshly computed d(probs): (g - sum(g*p)) * p * scale.
+            g_scores -= (g_scores * probs).sum(axis=-1, keepdims=True)
+            g_scores *= probs
+            g_scores *= scale
+            g_scores_ = round_bf16(g_scores) if bf16 else g_scores
+            # scores = qa_ @ kT  backward.
+            if q.requires_grad:
+                g_q = _unbroadcast(g_scores_ @ ka_, q_shape)
+            if k.requires_grad:
+                g_k = np.swapaxes(_unbroadcast(
+                    np.swapaxes(qa_, -1, -2) @ g_scores_, kT_shape), -1, -2)
+        return (g_q, g_k, g_v)
 
     return Tensor._make(out, (q, k, v), backward)
 
@@ -314,56 +359,114 @@ def _empty_token_major(shape: tuple[int, ...], dtype) -> np.ndarray:
     return np.swapaxes(np.empty(memory, dtype=dtype), -2, -3)
 
 
-# -- tape-free kernels: raw arrays in, a raw array that owns its memory out --
+# -- the other chains: Tensors in -> one graph node, raw arrays in -> a raw
+# -- array that owns its memory out ------------------------------------------
 
-def _silu_into(out: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """``out[...] = h · 1/(1 + exp(−h))`` — the ufunc chain of
-    ``Tensor.silu`` — for an ``out`` that does not alias ``h``."""
+def _sigmoid_into(out: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """``out[...] = 1/(1 + exp(−h))`` by the ufunc chain of ``Tensor.silu``,
+    for an ``out`` that does not alias ``h``."""
     np.negative(h, out=out)
     np.exp(out, out=out)
     out += 1.0
     np.divide(1.0, out, out=out)
-    out *= h
     return out
 
 
 def fused_silu(x: np.ndarray) -> np.ndarray:
     """``Tensor.silu`` of a raw array, into one fresh array."""
-    return _silu_into(np.empty_like(x), x)
-
-
-def fused_linear(x: np.ndarray, weight: np.ndarray,
-                 bias: np.ndarray | None = None) -> np.ndarray:
-    """``x @ weight + bias``, the bias added in place on the product."""
-    out = _gemm(x, weight)[0]
-    if bias is not None:
-        out += bias
+    out = _sigmoid_into(np.empty_like(x), x)
+    out *= x
     return out
 
 
-def fused_swiglu_forward(x: Tensor, w_gate: np.ndarray, w_up: np.ndarray,
-                         w_down: np.ndarray) -> np.ndarray:
-    """Inference-only SwiGLU ``(silu(x·Wg) * (x·Wu)) · Wd`` on raw arrays.
+def fused_linear(x, weight, bias=None):
+    """``x @ weight + bias``, the bias added in place on the product."""
+    raw = type(x) is np.ndarray
+    out, a, b = _gemm(*((x, weight) if raw else (x.data, weight.data)))
+    if bias is not None:
+        out += bias if raw else bias.data
+    if raw:
+        return out
 
-    The hidden-width intermediates live in two arena buffers (the sigmoid's
-    is reused for the up projection); only the (narrow) output is freshly
-    allocated.  Caller guarantees no-grad.
+    def backward(g):
+        g_bias = _unbroadcast(g, bias.shape) \
+            if bias is not None and bias.requires_grad else None
+        return _gemm_backward(g, a, b, x.requires_grad,
+                              weight.requires_grad) + (g_bias,)
+
+    return Tensor._make(
+        out, (x, weight) if bias is None else (x, weight, bias), backward)
+
+
+def fused_swiglu_forward(x, w_gate, w_up, w_down):
+    """SwiGLU ``(silu(x·Wg) * (x·Wu)) · Wd``.  Raw weight arrays in (with
+    ``x`` a Tensor or an array) is the tape-free call, a raw array out:
+    its three GEMMs are ABFT-guarded and the hidden-width intermediates
+    live in two arena buffers (the sigmoid's is reused for the product,
+    the gate's for the up projection).  Parameters in is one graph node
+    out — unguarded, as the ``Linear`` chain it replaces is — that keeps
+    the gate, its sigmoid and the up projection for its backward.
     """
-    xa = x.data
+    raw = type(w_gate) is np.ndarray
+    xa = x.data if isinstance(x, Tensor) else x
+    wg, wu, wd = (w_gate, w_up, w_down) if raw \
+        else (w_gate.data, w_up.data, w_down.data)
+    taped = not raw and _taped(x, w_gate, w_up, w_down)
     ws = arena()
-    hidden_shape = xa.shape[:-1] + (w_gate.shape[-1],)
-    dtype = _gemm_dtype(xa, w_gate)
-    gate = ws.get(hidden_shape, dtype)
-    other = ws.get(hidden_shape, dtype)
+    shape = xa.shape[:-1] + (wg.shape[-1],)
+    dtype = _gemm_dtype(xa, wg)
+    hidden = ws.get(shape, dtype)
+    if taped:
+        # What the backward reads is kept, so it is not arena scratch.
+        gate, sig, up = (np.empty(shape, dtype) for _ in range(3))
+    else:
+        gate = ws.get(shape, dtype)
+        sig, up = hidden, gate
     try:
-        _gemm(xa, w_gate, "swiglu.gate", gate)
-        hidden = _silu_into(other, gate)
-        _gemm(xa, w_up, "swiglu.up", gate)
-        hidden *= gate
-        return _gemm(hidden, w_down, "swiglu.down")[0]
+        _, x_, wg_ = _gemm(xa, wg, None if taped else "swiglu.gate", gate)
+        np.multiply(_sigmoid_into(sig, gate), gate, out=hidden)
+        wu_ = _gemm(xa, wu, None if taped else "swiglu.up", up)[2]
+        hidden *= up
+        out, _, wd_ = _gemm(hidden, wd, None if taped else "swiglu.down")
     finally:
-        ws.release(other)
-        ws.release(gate)
+        ws.release(hidden)
+        if not taped:
+            ws.release(gate)
+    if raw:
+        return out
+    if not taped:
+        return Tensor(out)
+    rounded = bf16_matmul_enabled()
+
+    def backward(g):
+        # Hidden-width temporaries, all consumed before this returns.
+        silu, work = ws.get(shape, dtype), ws.get(shape, dtype)
+        try:
+            np.multiply(gate, sig, out=silu)
+            hidden_ = np.multiply(silu, up, out=work)
+            if rounded:
+                hidden_ = round_bf16(hidden_)
+            g_hidden, g_down = _gemm_backward(g, hidden_, wd_, True,
+                                              w_down.requires_grad)
+            # d silu(gate): g · up · sig · (1 + gate · (1 − sig))
+            slope = np.subtract(1.0, sig, out=work)
+            slope *= gate
+            slope += 1.0
+            g_gate = g_hidden * up
+            g_gate *= sig
+            g_gate *= slope
+            g_x_gate, g_wg = _gemm_backward(
+                g_gate, x_, wg_, x.requires_grad, w_gate.requires_grad)
+            g_hidden *= silu
+            g_x_up, g_wu = _gemm_backward(
+                g_hidden, x_, wu_, x.requires_grad, w_up.requires_grad)
+        finally:
+            ws.release(work)
+            ws.release(silu)
+        # x twice: the gate's, then the up projection's (fan-in rule).
+        return (g_x_gate, g_x_up, g_wg, g_wu, g_down)
+
+    return Tensor._make(out, (x, x, w_gate, w_up, w_down), backward)
 
 
 def _over_tokens(per_sample: np.ndarray, ndim: int) -> np.ndarray:
@@ -374,19 +477,22 @@ def _over_tokens(per_sample: np.ndarray, ndim: int) -> np.ndarray:
                               + per_sample.shape[-1:])
 
 
-def _rsqrt_of_mean(sums: np.ndarray, count: int, eps: float) -> np.ndarray:
-    """``(sums / count + eps) ** -0.5`` in place on the (fresh) row sums,
-    rounded as ``Tensor.mean`` and the norms' scalar coercions round:
-    ``· float32(1/count)``, ``+ float32(eps)``, ``** -0.5``."""
+def _rsqrt_of_mean(sums: np.ndarray, count: int, eps: float,
+                   keep: bool = False) -> np.ndarray:
+    """``(sums / count + eps) ** -0.5`` on the (fresh) row sums, rounded as
+    ``Tensor.mean`` and the norms' scalar coercions round:
+    ``· float32(1/count)``, ``+ float32(eps)``, ``** -0.5``.  In place
+    throughout, unless a backward is to read ``sums / count + eps`` —
+    ``keep`` leaves that in ``sums`` and returns a new array."""
     sums *= np.float32(1.0 / count)
     sums += np.float32(eps)
+    if keep:
+        return sums ** -0.5
     sums **= -0.5
     return sums
 
 
-def fused_norm_modulate(x: np.ndarray, weight: np.ndarray, eps: float,
-                        alpha: np.ndarray | None = None,
-                        beta: np.ndarray | None = None) -> np.ndarray:
+def fused_norm_modulate(x, weight, eps: float, alpha=None, beta=None):
     """RMSNorm and, given ``(alpha, beta)``, the adaLN scale/shift:
     ``x · (mean(x²) + eps)^-½ · weight · (alpha + 1) + beta``.
 
@@ -394,14 +500,50 @@ def fused_norm_modulate(x: np.ndarray, weight: np.ndarray, eps: float,
     step updates in place — the operations, operands and order of
     ``RMSNorm.forward`` followed by ``modulate``.
     """
-    out = np.multiply(x, x)
-    inv = _rsqrt_of_mean(out.sum(axis=-1, keepdims=True), x.shape[-1], eps)
-    np.multiply(x, inv, out=out)
-    out *= weight
-    if alpha is not None:
-        out *= _over_tokens(alpha, x.ndim) + 1.0
-        out += _over_tokens(beta, x.ndim)
-    return out
+    raw = type(x) is np.ndarray
+    xa, wa, aa, ba = (t if raw or t is None else t.data
+                      for t in (x, weight, alpha, beta))
+    taped = not raw and _taped(x, weight, alpha, beta)
+    out = np.multiply(xa, xa)
+    mean_eps = out.sum(axis=-1, keepdims=True)
+    inv = _rsqrt_of_mean(mean_eps, xa.shape[-1], eps, keep=taped)
+    np.multiply(xa, inv, out=out)
+    out *= wa
+    if aa is not None:
+        scale = _over_tokens(aa, xa.ndim) + 1.0
+        out *= scale
+        out += _over_tokens(ba, xa.ndim)
+    if raw:
+        return out
+    if not taped:
+        return Tensor(out)
+    count = np.float32(1.0 / xa.shape[-1])
+
+    def backward(g):
+        # x·inv (and x·inv·w below) recomputed, not kept: full-size arrays
+        # the same multiplies give back.
+        normed = xa * inv
+        g_alpha = g_beta = g_weight = None
+        if alpha is not None:
+            if beta.requires_grad:
+                g_beta = _unbroadcast(g, scale.shape).reshape(ba.shape)
+            if alpha.requires_grad:
+                g_alpha = _unbroadcast(g * (normed * wa), scale.shape
+                                       ).reshape(aa.shape)
+            g = g * scale
+        if weight.requires_grad:
+            g_weight = _unbroadcast(g * normed, wa.shape)
+        if not x.requires_grad:
+            return (None, None, None, g_weight, g_alpha, g_beta)
+        g = g * wa
+        g_inv = _unbroadcast(g * xa, inv.shape)
+        g_square = (g_inv * -0.5 * mean_eps ** -1.5 * count) * xa
+        # x three times — the chain's `x * inv`, then `x * x` per operand —
+        # each contribution separate, in the chain's order (fan-in rule).
+        return (g * inv, g_square, g_square, g_weight, g_alpha, g_beta)
+
+    return Tensor._make(out, (x, x, x, weight, alpha, beta)
+                        if alpha is not None else (x, x, x, weight), backward)
 
 
 def fused_layer_norm(x: np.ndarray, eps: float,
@@ -421,14 +563,27 @@ def fused_layer_norm(x: np.ndarray, eps: float,
     return out
 
 
-def fused_gate_residual(x: np.ndarray, branch: np.ndarray,
-                        gamma: np.ndarray) -> np.ndarray:
-    """``x + branch · gamma`` (``gamma`` broadcast over the token axes),
-    computed in place on ``branch`` — which the caller must own outright —
-    as ``(branch · gamma) + x``; ``x`` is only read."""
-    branch *= _over_tokens(gamma, branch.ndim)
-    branch += x
-    return branch
+def fused_gate_residual(x, branch, gamma):
+    """``x + branch · gamma`` (``gamma`` broadcast over the token axes) as
+    ``(branch · gamma) + x``.  Raw arrays in: computed in place on
+    ``branch``, which the caller must own outright; ``x`` is only read.
+    Tensors in: one graph node on a fresh array, ``branch`` kept for the
+    gate's gradient."""
+    if type(x) is np.ndarray:
+        branch *= _over_tokens(gamma, branch.ndim)
+        branch += x
+        return branch
+    gate = _over_tokens(gamma.data, branch.ndim)
+    out = branch.data * gate
+    out += x.data
+
+    def backward(g):
+        return (g if x.requires_grad else None,
+                g * gate if branch.requires_grad else None,
+                _unbroadcast(g * branch.data, gate.shape).reshape(gamma.shape)
+                if gamma.requires_grad else None)
+
+    return Tensor._make(out, (x, branch, gamma), backward)
 
 
 def fused_time_features(t: np.ndarray, freqs: np.ndarray) -> np.ndarray:

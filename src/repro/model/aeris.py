@@ -81,7 +81,7 @@ class Aeris(Module):
         """First pipeline stage: concat conditioning, add posenc, patchify,
         embed."""
         pos = self.posenc[None, :, :, None]
-        if _tape_free():
+        if _tape_free():    # raw-only kernel: adds on the concat in place
             x = Tensor(fused_concat_add(
                 [x_t.data, condition.data, forcings.data], pos))
         else:

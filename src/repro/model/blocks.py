@@ -33,8 +33,10 @@ def _gated_residual(x: Tensor, branch: Tensor, gamma: Tensor) -> Tensor:
     """``x + branch · gamma``, the adaLN gate ``gamma`` (B, D) broadcast over
     the token axes.  ``branch`` is a sub-layer output nobody else holds: the
     inference kernel builds the sum in its memory; ``x`` is only read."""
-    if _tape_free():
+    if _tape_free():    # in place: only this caller knows it owns `branch`
         return Tensor(fused_gate_residual(x.data, branch.data, gamma.data))
+    if kernels_enabled():
+        return fused_gate_residual(x, branch, gamma)
     extra = branch.ndim - gamma.ndim
     shape = (gamma.shape[0],) + (1,) * extra + (gamma.shape[-1],)
     return x + branch * gamma.reshape(shape)

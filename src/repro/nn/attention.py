@@ -88,8 +88,9 @@ class MultiHeadAttention(Module):
         qkv = self.qkv(x)                                     # (..., T, 3D)
         tape_free = _tape_free()
         if tape_free:
-            # Views of the raw array: no graph nodes to build, and the two
-            # kernels hand raw arrays straight back.
+            # Views of the raw array: no graph nodes to build, rotary may
+            # rotate the projection in place, and the two kernels hand raw
+            # arrays straight back.
             qkv = qkv.data
         qkv = qkv.reshape(*lead, tokens, 3, self.heads, self.head_dim)
         if kernels_enabled():

@@ -79,7 +79,7 @@ class TimestepEmbedding(Module):
 
     def forward(self, t: Tensor) -> Tensor:
         """``t`` of shape ``(batch,)`` -> embedding of shape ``(batch, dim)``."""
-        if _tape_free():
+        if _tape_free():    # raw-only kernels: SiLU in place on its input
             feats = Tensor(fused_time_features(t.data, self.freqs))
             return Tensor(fused_silu(self.proj(feats).data))
         angles = t.reshape(-1, 1) * Tensor(self.freqs)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..kernels import _tape_free, fused_linear
+from ..kernels import fused_linear, kernels_enabled
 from ..tensor import Tensor
 from .init import scaled_init_std, trunc_normal, zeros
 from .module import Module, Parameter
@@ -36,10 +36,8 @@ class Linear(Module):
         self.bias = Parameter(zeros((out_features,)), name="bias") if bias else None
 
     def forward(self, x: Tensor) -> Tensor:
-        if _tape_free():
-            return Tensor(fused_linear(
-                x.data, self.weight.data,
-                None if self.bias is None else self.bias.data))
+        if kernels_enabled():
+            return fused_linear(x, self.weight, self.bias)
         out = x @ self.weight
         if self.bias is not None:
             out = out + self.bias

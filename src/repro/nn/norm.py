@@ -11,6 +11,7 @@ from ..kernels import (
     fused_layer_norm,
     fused_norm_modulate,
     fused_silu,
+    kernels_enabled,
 )
 from ..tensor import Tensor
 from .linear import Linear
@@ -35,10 +36,8 @@ class RMSNorm(Module):
                 beta: Tensor | None = None) -> Tensor:
         """Normalize ``x``; given ``alpha`` and ``beta`` (``(batch, dim)``
         each), also :func:`modulate` the result by them."""
-        if _tape_free():
-            mod = () if alpha is None else (alpha.data, beta.data)
-            return Tensor(fused_norm_modulate(
-                x.data, self.weight.data, self.eps, *mod))
+        if kernels_enabled():
+            return fused_norm_modulate(x, self.weight, self.eps, alpha, beta)
         ms = (x * x).mean(axis=-1, keepdims=True)
         inv = (ms + self.eps) ** -0.5
         out = x * inv * self.weight
@@ -62,7 +61,7 @@ class LayerNorm(Module):
             self.bias = None
 
     def forward(self, x: Tensor) -> Tensor:
-        if _tape_free():
+        if _tape_free():    # raw-only kernel: the centered copy is the output
             affine = () if self.weight is None \
                 else (self.weight.data, self.bias.data)
             return Tensor(fused_layer_norm(x.data, self.eps, *affine))
@@ -93,7 +92,7 @@ class AdaLNModulation(Module):
     def forward(self, t_emb: Tensor) -> tuple[Tensor, Tensor, Tensor]:
         """Returns (alpha, beta, gamma), each shaped ``(batch, dim)``."""
         d = self.dim
-        if _tape_free():
+        if _tape_free():    # raw SiLU keeps no sigmoid; slices are views
             raw = self.proj(Tensor(fused_silu(t_emb.data))).data
             return (Tensor(raw[..., 0:d]), Tensor(raw[..., d:2 * d]),
                     Tensor(raw[..., 2 * d:3 * d]))

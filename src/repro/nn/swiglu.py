@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..kernels import _tape_free, fused_swiglu_forward
+from ..kernels import fused_swiglu_forward, kernels_enabled
 from ..tensor import Tensor
 from .linear import Linear
 from .module import Module
@@ -22,9 +22,7 @@ class SwiGLU(Module):
         self.down = Linear(hidden_dim, dim, bias=False, rng=rng)
 
     def forward(self, x: Tensor) -> Tensor:
-        if _tape_free():
-            # Inference: hidden-width intermediates live in arena scratch.
-            return Tensor(fused_swiglu_forward(
-                x, self.gate.weight.data, self.up.weight.data,
-                self.down.weight.data))
+        if kernels_enabled():
+            return fused_swiglu_forward(x, self.gate.weight, self.up.weight,
+                                        self.down.weight)
         return self.down(self.gate(x).silu() * self.up(x))

@@ -79,6 +79,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _consumed(_grad):
+    """The ``_backward`` of a node a sweep has been through and released."""
+    raise RuntimeError("graph already consumed by backward()")
+
+
 class Tensor:
     """An n-dimensional array with reverse-mode autodiff.
 
@@ -159,19 +164,17 @@ class Tensor:
             out._backward = backward
         return out
 
-    def _accumulate(self, grad: np.ndarray) -> None:
-        if not self.requires_grad:
-            return
-        if self.grad is None:
-            self.grad = np.array(grad, dtype=self.data.dtype, copy=True)
-        else:
-            self.grad += grad
-
     def backward(self, grad=None) -> None:
         """Backpropagate from this tensor.
 
         ``grad`` defaults to ones (the tensor must then be a scalar to make
         mathematical sense, but any shape is accepted).
+
+        The tape keeps only what a leaf's gradient needs: ``.grad`` is
+        accumulated on leaves alone, closures return ``None`` for a parent
+        that takes no gradient, and a node's closure and parents are dropped
+        the moment it has been swept — so saved activations die during the
+        sweep, and the graph can be swept once.
         """
         if grad is None:
             grad = np.ones_like(self.data)
@@ -197,20 +200,40 @@ class Tensor:
         # later fan-in contributions accumulate into them in place instead
         # of allocating a fresh array per consumer.  Arrays handed back by
         # backward closures are never mutated — they may alias node grads.
+        # Contributions are added in sweep order, left to right over a
+        # node's parents: that association is part of the numerics.
         owned: set[int] = set()
         with backward_phase():
-            for node in reversed(topo):
+            while topo:
+                node = topo.pop()
                 node_grad = grads.pop(id(node), None)
                 if node_grad is None:
                     continue
-                node._accumulate(node_grad)
-                if node._backward is None:
+                if node._backward is None:      # a leaf: the only `.grad`s
+                    if node.requires_grad and node.grad is None:
+                        node.grad = np.array(
+                            node_grad, dtype=node.data.dtype, copy=True)
+                    elif node.requires_grad:
+                        node.grad += node_grad
                     continue
-                parent_grads = node._backward(node_grad)
-                for parent, pgrad in zip(node._parents, parent_grads):
+                parents, parent_grads = node._parents, node._backward(
+                    node_grad)
+                node._backward, node._parents = _consumed, ()
+                for parent, pgrad in zip(parents, parent_grads):
                     if pgrad is None or not parent.requires_grad:
                         continue
                     key = id(parent)
+                    if type(pgrad) is tuple:
+                        # (index, g): the gradient of `parent.data[index]`
+                        # alone, added into a buffer of zeros this sweep owns.
+                        index, part = pgrad
+                        if key in owned:
+                            grads[key][index] += part
+                            continue
+                        pgrad = np.zeros(parent.shape, dtype=part.dtype)
+                        pgrad[index] += part
+                        if key not in grads:
+                            owned.add(key)
                     if key not in grads:
                         grads[key] = pgrad
                     elif (key in owned and grads[key].shape == pgrad.shape
@@ -230,7 +253,8 @@ class Tensor:
         other = Tensor._coerce(other)
         data = self.data + other.data
         def backward(g):
-            return (_unbroadcast(g, self.shape), _unbroadcast(g, other.shape))
+            return (_unbroadcast(g, self.shape) if self.requires_grad else None,
+                    _unbroadcast(g, other.shape) if other.requires_grad else None)
         return Tensor._make(data, (self, other), backward)
 
     __radd__ = __add__
@@ -239,7 +263,8 @@ class Tensor:
         other = Tensor._coerce(other)
         data = self.data - other.data
         def backward(g):
-            return (_unbroadcast(g, self.shape), _unbroadcast(-g, other.shape))
+            return (_unbroadcast(g, self.shape) if self.requires_grad else None,
+                    _unbroadcast(-g, other.shape) if other.requires_grad else None)
         return Tensor._make(data, (self, other), backward)
 
     def __rsub__(self, other):
@@ -252,8 +277,10 @@ class Tensor:
         other = Tensor._coerce(other)
         data = self.data * other.data
         def backward(g):
-            return (_unbroadcast(g * other.data, self.shape),
-                    _unbroadcast(g * self.data, other.shape))
+            return (_unbroadcast(g * other.data, self.shape)
+                    if self.requires_grad else None,
+                    _unbroadcast(g * self.data, other.shape)
+                    if other.requires_grad else None)
         return Tensor._make(data, (self, other), backward)
 
     __rmul__ = __mul__
@@ -262,8 +289,10 @@ class Tensor:
         other = Tensor._coerce(other)
         data = self.data / other.data
         def backward(g):
-            return (_unbroadcast(g / other.data, self.shape),
-                    _unbroadcast(-g * self.data / (other.data ** 2), other.shape))
+            return (_unbroadcast(g / other.data, self.shape)
+                    if self.requires_grad else None,
+                    _unbroadcast(-g * self.data / (other.data ** 2), other.shape)
+                    if other.requires_grad else None)
         return Tensor._make(data, (self, other), backward)
 
     def __rtruediv__(self, other):
@@ -295,16 +324,23 @@ class Tensor:
             if flops_enabled():
                 k = a.shape[-1]
                 add_flops(4 * g.size * k if a.ndim > 1 and b.ndim > 1 else 2 * g.size * k)
-            if b.ndim == 1:
-                ga = np.outer(gq, b) if a.ndim > 1 else gq * b
-                gb = (a.reshape(-1, a.shape[-1]).T @ gq.reshape(-1)) if a.ndim > 1 else a * gq
-            elif a.ndim == 1:
-                ga = gq @ np.swapaxes(b, -1, -2)
-                gb = np.outer(a, gq)
-            else:
-                ga = gq @ np.swapaxes(b, -1, -2)
-                gb = np.swapaxes(a, -1, -2) @ gq
-            return (_unbroadcast(ga, self.shape), _unbroadcast(gb, other.shape))
+            ga = gb = None
+            if self.requires_grad:
+                if b.ndim == 1:
+                    ga = np.outer(gq, b) if a.ndim > 1 else gq * b
+                else:
+                    ga = gq @ np.swapaxes(b, -1, -2)
+                ga = _unbroadcast(ga, self.shape)
+            if other.requires_grad:
+                if b.ndim == 1:
+                    gb = (a.reshape(-1, a.shape[-1]).T @ gq.reshape(-1)) \
+                        if a.ndim > 1 else a * gq
+                elif a.ndim == 1:
+                    gb = np.outer(a, gq)
+                else:
+                    gb = np.swapaxes(a, -1, -2) @ gq
+                gb = _unbroadcast(gb, other.shape)
+            return (ga, gb)
         return Tensor._make(data, (self, other), backward)
 
     # -- elementwise functions ------------------------------------------
@@ -436,18 +472,17 @@ class Tensor:
 
     def __getitem__(self, index):
         data = self.data[index]
+        items = index if isinstance(index, tuple) else (index,)
+        if all(type(i) in (int, slice, type(Ellipsis), type(None))
+               for i in items):
+            # Basic indexing selects every element at most once: the sweep
+            # adds ``g`` into that part of this tensor's gradient, the same
+            # `0 + g` per element a zero-padded copy would carry.
+            return Tensor._make(data, (self,), lambda g: ((index, g),))
         shape = self.shape
         def backward(g):
             full = np.zeros(shape, dtype=g.dtype)
-            # Basic indexing selects every element at most once, so the
-            # scatter is a plain in-place add (same `0 + g` per element as
-            # `add.at`, which is an order of magnitude slower on slices).
-            items = index if isinstance(index, tuple) else (index,)
-            if all(type(i) in (int, slice, type(Ellipsis), type(None))
-                   for i in items):
-                full[index] += g
-            else:
-                np.add.at(full, index, g)
+            np.add.at(full, index, g)
             return (full,)
         return Tensor._make(data, (self,), backward)
 
@@ -501,10 +536,10 @@ def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     offsets = np.cumsum([0] + sizes)
     def backward(g):
         grads = []
-        for i in range(len(tensors)):
+        for i, t in enumerate(tensors):
             idx = [slice(None)] * g.ndim
             idx[axis] = slice(offsets[i], offsets[i + 1])
-            grads.append(g[tuple(idx)])
+            grads.append(g[tuple(idx)] if t.requires_grad else None)
         return tuple(grads)
     return Tensor._make(data, tensors, backward)
 
@@ -513,7 +548,8 @@ def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     tensors = list(tensors)
     data = np.stack([t.data for t in tensors], axis=axis)
     def backward(g):
-        return tuple(np.take(g, i, axis=axis) for i in range(len(tensors)))
+        return tuple(np.take(g, i, axis=axis) if t.requires_grad else None
+                     for i, t in enumerate(tensors))
     return Tensor._make(data, tensors, backward)
 
 
@@ -536,6 +572,8 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     cond = np.asarray(condition, dtype=bool)
     data = np.where(cond, a.data, b.data)
     def backward(g):
-        return (_unbroadcast(np.where(cond, g, 0.0), a.shape),
-                _unbroadcast(np.where(cond, 0.0, g), b.shape))
+        return (_unbroadcast(np.where(cond, g, 0.0), a.shape)
+                if a.requires_grad else None,
+                _unbroadcast(np.where(cond, 0.0, g), b.shape)
+                if b.requires_grad else None)
     return Tensor._make(data, (a, b), backward)

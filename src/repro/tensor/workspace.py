@@ -10,11 +10,17 @@ inference reuses the same memory on every step.
 Discipline — the arena does **no** liveness tracking:
 
 * only :meth:`~WorkspaceArena.release` buffers that cannot escape the
-  operation that requested them (in practice: inference/no-grad paths, or
-  scratch that is consumed before the op returns);
+  operation that requested them (inference/no-grad paths, scratch consumed
+  before the op returns, a backward closure's own temporaries);
 * a buffer that ends up referenced by an autograd closure or returned to the
   caller must simply not be released — leaking a buffer back to NumPy's
   allocator is always safe, double-use is not.
+
+The tape itself is never pooled.  What a taped step used to re-fault every
+step was not an allocator threshold to pool around but memory the sweep
+kept that nobody read (a ``.grad`` on every node, zero-padded slice
+gradients; DESIGN §10 has the numbers); the one open allocator note is the
+serve path's 14–18-row forwards.
 
 ``arena()`` returns the process-global instance; ``stats()`` feeds the
 benchmark sidecars (``bytes_served`` vs ``bytes_allocated`` is the reuse

@@ -20,6 +20,7 @@ from repro.kernels import (
     window_plan,
 )
 from repro.model import Aeris, AerisConfig, SwinBlock
+from repro.model.blocks import _gated_residual
 from repro.model.rope import axial_rope_table
 from repro.model.windows import cyclic_shift, window_merge, window_partition
 from repro.nn import (
@@ -305,13 +306,31 @@ class TestFusedSwiGLU:
                                          ffn.down.weight.data)
         np.testing.assert_array_equal(fused, ref)
 
-    def test_module_dispatches_to_fused_only_without_grad(self):
+    def test_module_dispatches_to_fused_iff_kernels_enabled(self,
+                                                            monkeypatch):
+        """Taped or not, the module calls the kernel whenever the kernel
+        layer is on: one graph node under grad, none under ``no_grad``."""
+        import repro.nn.swiglu as swiglu_module
+        calls = []
+        kernel = swiglu_module.fused_swiglu_forward
+        monkeypatch.setattr(
+            swiglu_module, "fused_swiglu_forward",
+            lambda *a: (calls.append(1), kernel(*a))[1])
         ffn = SwiGLU(8, 16, rng=np.random.default_rng(4))
         x = Tensor(rng.normal(size=(2, 8)).astype(np.float32),
                    requires_grad=True)
-        out = ffn(x)          # grad enabled -> reference path, graph intact
+        out = ffn(x)
+        assert calls == [1] and out._parents[0] is x    # the one node
         out.sum().backward()
-        assert ffn.gate.weight.grad is not None
+        assert ffn.gate.weight.grad is not None and x.grad is not None
+        with no_grad():
+            free = ffn(x)
+        assert calls == [1, 1] and free._backward is None
+        np.testing.assert_array_equal(free.numpy(), out.numpy())
+        with disable_kernels():
+            ref = ffn(x)
+        assert calls == [1, 1] and ref._parents[0] is not x
+        np.testing.assert_array_equal(ref.numpy(), out.numpy())
 
 
 def _strided(shape, seed, layout):
@@ -349,6 +368,44 @@ def _fast_and_reference(fn):
     return (fast, fast_flops.forward), (ref, ref_flops.forward)
 
 
+def _taped_and_reference(call, arrays, params=()):
+    """``call(*tensors)`` and a seeded-upstream backward on the taped kernel
+    path and on the ``disable_kernels()`` chain, ABFT armed: for each,
+    ``(outputs, input gradients, parameter gradients, forward FLOPs,
+    backward FLOPs, guard labels)``."""
+    import repro.kernels.fused as fused_module
+    results = []
+    for reference in (False, True):
+        inputs = [Tensor(a, requires_grad=True) for a in arrays]
+        for p in params:
+            p.zero_grad()
+        labels = []
+        guard = fused_module.guard_gemm
+        fused_module.guard_gemm = \
+            lambda a, b, c, label: (labels.append(label), c)[1]
+        try:
+            with abft_guard(), count_flops() as flops, \
+                    np.errstate(invalid="ignore", over="ignore"):
+                if reference:
+                    with disable_kernels():
+                        out = call(*inputs)
+                else:
+                    out = call(*inputs)
+                outs = out if isinstance(out, tuple) else (out,)
+                total = 0.0
+                for i, o in enumerate(outs):
+                    upstream = np.random.default_rng(100 + i).normal(
+                        size=o.shape).astype(np.float32)
+                    total = (o * Tensor(upstream)).sum() + total
+                total.backward()
+        finally:
+            fused_module.guard_gemm = guard
+        results.append(([o.numpy() for o in outs],
+                        [t.grad for t in inputs], [p.grad for p in params],
+                        flops.forward, flops.backward, labels))
+    return results
+
+
 TOKEN_AXES = [(), (1,), (2, 3)]
 TOKEN_IDS = ["lead0", "lead1", "lead2x3"]
 
@@ -377,6 +434,21 @@ class TestTapeFreeKernels:
             np.testing.assert_array_equal(a.numpy(), b.numpy())
         assert fast_flops == ref_flops
 
+    def _check_taped(self, call, arrays, bf16, params=(), guards=()):
+        """The ``grad=True`` axis: the kernel's one graph node against the
+        chain — outputs, every input and parameter gradient (NaN/inf
+        position for position), forward and backward FLOPs, and the guard
+        calls a taped step may make (``guards``; the chain makes none)."""
+        with autocast_bf16(bf16):
+            taped, ref = _taped_and_reference(call, arrays, params)
+        for got, want in zip(taped[:3], ref[:3]):
+            assert len(got) == len(want)
+            for a, b in zip(got, want):
+                assert a is not None and b is not None
+                np.testing.assert_array_equal(a, b)
+        assert taped[3:5] == ref[3:5]
+        assert taped[5] == list(guards) and ref[5] == []
+
     def test_norm_modulate(self, tokens, layout, bf16):
         norm = RMSNorm(self.DIM)
         norm.weight.data = _strided((self.DIM,), 1, "contiguous")
@@ -385,6 +457,10 @@ class TestTapeFreeKernels:
             for alpha, beta in ((None, None), (Tensor(mod[0]), Tensor(mod[1])),
                                 (Tensor(_poison(mod[0])), Tensor(mod[1]))):
                 self._check(lambda: norm(Tensor(x), alpha, beta), bf16)
+            self._check_taped(norm, [x], bf16, [norm.weight])
+            for alpha in (mod[0], _poison(mod[0])):
+                self._check_taped(norm, [x, alpha, mod[1]], bf16,
+                                  [norm.weight])
 
     def test_layer_norm(self, tokens, layout, bf16):
         plain = LayerNorm(self.DIM, elementwise_affine=False)
@@ -403,11 +479,14 @@ class TestTapeFreeKernels:
         for x in self._x(tokens, layout):
             for linear in (biased, bare):
                 self._check(lambda: linear(Tensor(x)), bf16)
+                self._check_taped(linear, [x], bf16,
+                                  list(linear.parameters()))
 
     def test_swiglu(self, tokens, layout, bf16):
         ffn = SwiGLU(self.DIM, 12, rng=np.random.default_rng(7))
         for x in self._x(tokens, layout):
             self._check(lambda: ffn(Tensor(x)), bf16)
+            self._check_taped(ffn, [x], bf16, list(ffn.parameters()))
 
     def test_adaln_and_time_embedding(self, tokens, layout, bf16):
         ada = unblind(AdaLNModulation(self.DIM, 4,
@@ -417,6 +496,7 @@ class TestTapeFreeKernels:
         t_emb = _strided((self.BATCH, self.DIM), 10, layout)
         for t in (t_emb, _poison(np.tile(t_emb, (2, 1)))):
             self._check(lambda: ada(Tensor(t)), bf16)
+            self._check_taped(ada, [t], bf16, list(ada.parameters()))
         times = _strided((self.BATCH, 2), 11, layout)[:, 0]
         self._check(lambda: embed(Tensor(times)), bf16)
 
@@ -433,6 +513,24 @@ class TestTapeFreeKernels:
                 assert out is branch            # built in the branch's memory
                 np.testing.assert_array_equal(out, ref)
                 np.testing.assert_array_equal(x, kept)
+                self._check_taped(_gated_residual,
+                                  [x, _strided(x.shape, 13, layout), g], bf16)
+
+    def test_shared_input_fan_in(self, tokens, layout, bf16):
+        """The block input feeds the norm (as ``x·inv`` and ``x·x`` twice)
+        *and* the residual add: four contributions to one gradient, whose
+        order of addition the fused nodes must keep."""
+        norm, linear = RMSNorm(self.DIM), Linear(
+            self.DIM, self.DIM, rng=np.random.default_rng(16))
+        norm.weight.data = _strided((self.DIM,), 1, "contiguous")
+        mod = _strided((3, self.BATCH, self.DIM), 17, "contiguous")
+
+        def half_block(x, alpha, beta, gamma):
+            return _gated_residual(x, linear(norm(x, alpha, beta)), gamma)
+
+        for x in self._x(tokens, layout):
+            self._check_taped(half_block, [x, *mod], bf16,
+                              [norm.weight, *linear.parameters()])
 
     def test_attention(self, tokens, layout, bf16):
         """``MultiHeadAttention`` end to end: the raw view chain, in-place
@@ -448,6 +546,10 @@ class TestTapeFreeKernels:
                 with no_grad():
                     raw = attn(Tensor(x), *rope_args)
             np.testing.assert_array_equal(raw.numpy(), taped.numpy())
+            self._check_taped(
+                lambda t: attn(t, *rope_args), [x], bf16,
+                list(attn.parameters()),
+                guards=["attention.scores", "attention.out"])
 
 
 class TestRawKernelForms:
@@ -489,8 +591,9 @@ class TestRawKernelForms:
 
 
 class TestModuleDispatch:
-    """A module called directly takes its tape-free kernel under ``no_grad``
-    and builds the reference graph otherwise."""
+    """A module called directly runs its kernels iff the kernel layer is on
+    — taped or not: under grad a handful of graph nodes in place of the
+    chain's, under ``no_grad`` none."""
 
     @staticmethod
     def _case(name):
@@ -514,51 +617,60 @@ class TestModuleDispatch:
 
     @pytest.mark.parametrize("name", ["RMSNorm", "Linear", "AdaLNModulation",
                                       "SwinBlock"])
-    def test_fast_path_only_without_grad(self, name, monkeypatch):
+    def test_kernels_iff_enabled_fewer_nodes_under_grad(self, name,
+                                                        monkeypatch):
         import repro.kernels.fused as fused_module
         module, call = self._case(name)
         local = np.random.default_rng(22)
         x = local.normal(size=(2, 8, 8, 16)).astype(np.float32)
         t_emb = local.normal(size=(2, 16)).astype(np.float32)
-        gemms = []
-        gemm = fused_module._gemm
+        gemms, nodes = [], []
+        gemm, make = fused_module._gemm, Tensor._make
         monkeypatch.setattr(
             fused_module, "_gemm",
-            lambda *a, **k: (gemms.append(a[2:3]), gemm(*a, **k))[1])
-        created = []
-        init = Tensor.__init__
-        monkeypatch.setattr(
-            Tensor, "__init__",
-            lambda self, *a, **k: (created.append(1), init(self, *a, **k))[1])
+            lambda *a, **k: (gemms.append(1), gemm(*a, **k))[1])
 
-        def run(taped):
+        def counting_make(data, parents, backward):
+            out = make(data, parents, backward)
+            if out._backward is not None:
+                nodes.append(1)
+            return out
+
+        monkeypatch.setattr(Tensor, "_make", staticmethod(counting_make))
+
+        def run(taped=True, kernels=True):
             gemms.clear()
-            created.clear()
+            nodes.clear()
+            module.zero_grad()
             args = (Tensor(x), Tensor(t_emb))
-            if taped:
+            if not kernels:
+                with disable_kernels():
+                    out = call(*args)
+            elif taped:
                 out = call(*args)
             else:
                 with no_grad():
                     out = call(*args)
-            return out, len(gemms), len(created)
+            return out, len(gemms), len(nodes)
 
-        module.zero_grad()
-        taped, taped_gemms, taped_nodes = run(taped=True)
+        taped, taped_gemms, taped_nodes = run()
         free, free_gemms, free_nodes = run(taped=False)
+        ref, ref_gemms, ref_nodes = run(kernels=False)
         np.testing.assert_array_equal(free.numpy(), taped.numpy())
-        assert free_nodes < taped_nodes
-        if name != "RMSNorm":                  # the one case with no GEMM
-            assert free_gemms > taped_gemms
-        # Under grad the graph — and so every parameter gradient — is the
-        # reference path's.
+        np.testing.assert_array_equal(ref.numpy(), taped.numpy())
+        # The kernel layer's GEMM helper runs whenever kernels are on, never
+        # on the reference chain (RMSNorm has no GEMM; a taped SwiGLU is
+        # three more kernel GEMMs per block, as tape-free).
+        assert ref_gemms == 0 and taped_gemms == free_gemms
+        assert (taped_gemms > 0) == (name != "RMSNorm")
+        assert free_nodes == 0 < taped_nodes < ref_nodes
+        # Every parameter gradient is the reference chain's.
         taped.sum().backward()
         grads = [p.grad.copy() for p in module.parameters()]
         assert all(g is not None for g in grads)
-        module.zero_grad()
-        with disable_kernels():
-            call(Tensor(x), Tensor(t_emb)).sum().backward()
-        for got, ref in zip(grads, (p.grad for p in module.parameters())):
-            np.testing.assert_array_equal(got, ref)
+        run(kernels=False)[0].sum().backward()
+        for got, want in zip(grads, (p.grad for p in module.parameters())):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestWindowPlans:
