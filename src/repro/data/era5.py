@@ -23,6 +23,9 @@ from .variables import TOY_SET
 
 __all__ = ["ReanalysisConfig", "SyntheticReanalysis"]
 
+#: Archive steps between internal-state snapshots (2-daily).
+CHECKPOINT_EVERY = 8
+
 
 @dataclass(frozen=True)
 class ReanalysisConfig:
@@ -35,7 +38,6 @@ class ReanalysisConfig:
     test_years: float = 1.0
     seed: int = 0
     spinup_steps: int = 240
-    checkpoint_every: int = 8      # internal-state snapshots (2-daily)
     gcm: GcmConfig = GcmConfig()
 
     @property
@@ -75,7 +77,7 @@ class SyntheticReanalysis:
         for i in range(1, n):
             self.gcm.step(state)
             self.fields[i] = self.gcm.diagnostics(state)
-            if i % cfg.checkpoint_every == 0:
+            if i % CHECKPOINT_EVERY == 0:
                 self._checkpoints[i] = state.clone()
         self._final_state = state
 
@@ -166,10 +168,9 @@ class SyntheticReanalysis:
         Replays from the nearest stored checkpoint — this is the truth state
         an operational system would approximate by data assimilation.
         """
-        every = self.config.checkpoint_every
-        base = (i // every) * every
+        base = (i // CHECKPOINT_EVERY) * CHECKPOINT_EVERY
         while base not in self._checkpoints and base > 0:
-            base -= every
+            base -= CHECKPOINT_EVERY
         state = self._checkpoints[base].clone()
         for _ in range(i - base):
             self.gcm.step(state)

@@ -22,7 +22,7 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
-from ..obs.profile import metrics as _obs_metrics
+from ..obs.profile import count as _count
 from ..obs.profile import span as _span
 from ..tensor import Tensor, no_grad
 from .solver import DpmSolver2S, SolverConfig
@@ -46,12 +46,16 @@ def count_model_forwards(members: int) -> None:
     (``sampler.model_forwards`` counts forward passes — what latency is
     made of; ``sampler.member_forwards`` counts member-evaluations — what
     the sequential path would have paid one forward each for)."""
-    registry = _obs_metrics()
-    if registry is not None:
-        registry.counter("sampler.model_forwards",
-                         "stacked model forward passes").inc()
-        registry.counter("sampler.member_forwards",
-                         "per-member model evaluations").inc(members)
+    _count("sampler.model_forwards", "stacked model forward passes")
+    _count("sampler.member_forwards", "per-member model evaluations",
+           members)
+
+
+def count_data_steps(members: int) -> None:
+    """Book one autoregressive data step of ``members`` members (the
+    diffusion and the one-step steppers both take them)."""
+    _count("sampler.data_steps", "autoregressive data steps sampled",
+           members)
 
 
 def member_seed(seed: int, m: int) -> int:
@@ -185,10 +189,7 @@ class ResidualForecaster:
             solver = DpmSolver2S(self.flow, self.solver_config)
             residual_std = solver.sample(self._velocity_fn(cond, forcings),
                                          state.shape, rng)
-            registry = _obs_metrics()
-            if registry is not None:
-                registry.counter("sampler.data_steps",
-                                 "autoregressive data steps sampled").inc()
+            count_data_steps(1)
             return state + self.residual_norm.denormalize(residual_std)
 
     def step_members(self, states: np.ndarray,
@@ -212,10 +213,7 @@ class ResidualForecaster:
             residual_std = solver.sample_members(
                 self._batched_velocity_fn(cond, forc), states.shape[1:],
                 list(rngs))
-            registry = _obs_metrics()
-            if registry is not None:
-                registry.counter("sampler.data_steps",
-                                 "autoregressive data steps sampled").inc(m)
+            count_data_steps(m)
             return states + self.residual_norm.denormalize(residual_std)
 
     def rollout(self, state0: np.ndarray, n_steps: int,

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..obs.profile import metrics as _obs_metrics
+from ..obs.profile import count as _count
 from ..obs.profile import span as _span
 from .trigflow import TrigFlow
 
@@ -29,6 +29,10 @@ __all__ = ["SolverConfig", "DpmSolver2S"]
 
 #: A velocity oracle: (x_t, t) -> sigma_d * F_theta(x_t / sigma_d, t).
 VelocityFn = Callable[[np.ndarray, float], np.ndarray]
+
+
+def _count_steps(members: int) -> None:
+    _count("solver.steps", "2S solver steps taken", members)
 
 
 @dataclass(frozen=True)
@@ -88,7 +92,6 @@ class DpmSolver2S:
         x = np.stack([rng.normal(0.0, self.flow.sigma_d, size=shape)
                       .astype(np.float32) for rng in rngs])
         ts = self.schedule()
-        registry = _obs_metrics()
         for i in range(len(ts) - 1):
             t, t_next = float(ts[i]), float(ts[i + 1])
             with _span("solver.step", category="diffusion", i=i, t=t,
@@ -108,9 +111,7 @@ class DpmSolver2S:
                     x = np.stack(rows)
                     t = t_churned
                 x = self._step(velocity_fn, x, t, t_next)
-            if registry is not None:
-                registry.counter("solver.steps",
-                                 "2S solver steps taken").inc(m)
+            _count_steps(m)
         t_last = float(ts[-1])
         with _span("solver.denoise", category="diffusion", t=t_last,
                    members=m):
@@ -123,7 +124,6 @@ class DpmSolver2S:
         ``t = pi/2`` to ``t_end`` and denoise the final state."""
         x = rng.normal(0.0, self.flow.sigma_d, size=shape).astype(np.float32)
         ts = self.schedule()
-        registry = _obs_metrics()
         for i in range(len(ts) - 1):
             t, t_next = float(ts[i]), float(ts[i + 1])
             with _span("solver.step", category="diffusion", i=i, t=t,
@@ -132,9 +132,7 @@ class DpmSolver2S:
                     delta = self.config.churn * (t - t_next)
                     x, t = self.churn_state(x, t, delta, rng)
                 x = self._step(velocity_fn, x, t, t_next)
-            if registry is not None:
-                registry.counter("solver.steps",
-                                 "2S solver steps taken").inc()
+            _count_steps(1)
         # Final denoise: read x0 off the velocity at the last time.
         t_last = float(ts[-1])
         with _span("solver.denoise", category="diffusion", t=t_last):

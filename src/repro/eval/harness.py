@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from ..data import SyntheticReanalysis, TOY_SET
-from ..obs.profile import get_tracer, metrics as _obs_metrics
+from ..obs.profile import get_tracer, observe as _observe
 from ..obs.profile import span as _span
 from .probabilistic import crps_ensemble, ensemble_mean_rmse, spread_skill_ratio
 
@@ -32,11 +32,8 @@ def _timed_metric(metric: str, fn, *args) -> float:
         return float(fn(*args))
     with tracer.span("eval.metric", category="eval", metric=metric):
         value = float(fn(*args))
-    registry = _obs_metrics()
-    if registry is not None:
-        registry.histogram("eval.metric_s",
-                           "per-metric scoring time").observe(
-            tracer.spans[-1].duration, metric=metric)
+    _observe("eval.metric_s", "per-metric scoring time",
+             tracer.spans[-1].duration, metric=metric)
     return value
 
 

@@ -39,10 +39,10 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from ..obs.profile import metrics as _obs_metrics
 from ..obs.profile import record_event as _record_event
 from ..obs.profile import span as _span
-from ..resilience.faults import ComputeCorruption, compute_injector
+from ..resilience.faults import (ComputeCorruption, compute_injector,
+                                 count_sdc_detected)
 
 __all__ = ["abft_enabled", "abft_guard", "guard_gemm", "abft_matmul"]
 
@@ -72,11 +72,7 @@ def abft_guard(enabled: bool = True):
 
 
 def _record_detected(label: str, detail: str) -> None:
-    registry = _obs_metrics()
-    if registry is not None:
-        registry.counter("resilience.sdc_detected",
-                         "compute-domain corruptions caught").inc(
-            1, kind="sdc_gemm")
+    count_sdc_detected("gemm")
     _record_event("compute.sdc_detected", subsystem="kernels",
                   severity="critical", site="gemm", label=label,
                   detail=detail)

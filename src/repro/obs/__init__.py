@@ -9,8 +9,8 @@ The measurement substrate behind the reproduction's performance claims
   ``trace_event`` JSON (open in ``chrome://tracing`` / Perfetto) or a
   plain-text summary table;
 * :mod:`~repro.obs.profile` — global on/off switch plus the zero-cost
-  hooks instrumented code calls (``span`` / ``metrics`` /
-  ``record_event``);
+  hooks instrumented code calls (``span`` / ``record_event`` /
+  ``count`` / ``gauge`` / ``observe``);
 * :mod:`~repro.obs.flight` — bounded ring-buffer flight recorder dumping
   JSONL post-mortems (on demand and on unhandled exceptions);
 * :mod:`~repro.obs.health` — online anomaly detectors (loss NaN/spike/
@@ -48,16 +48,17 @@ from .health import (FAULT_ALERT_KINDS, FAULT_CLASSES, HealthConfig,
                      HealthMonitor, health_check)
 from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                       merge_snapshots)
-from .profile import (MonitoredSession, disable, disable_health, enable,
-                      enable_health, flight, get_tracer, health, is_enabled,
-                      metrics, monitored, observed, record_event, span)
+from .profile import (MonitoredSession, count, disable, disable_health,
+                      enable, enable_health, flight, gauge, get_tracer,
+                      health, is_enabled, metrics, monitored, observe,
+                      observed, record_event, span)
 from .report import TraceReport
 from .trace import Span, StepClock, Tracer
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "merge_snapshots",
     "Span", "StepClock", "Tracer",
-    "span",
+    "span", "count", "gauge", "observe",
     "enable", "disable", "is_enabled", "observed",
     "get_tracer", "metrics",
     "Event", "FlightRecorder", "SEVERITIES",

@@ -111,20 +111,15 @@ class AlertManager:
     def _route(self, alert: Alert) -> None:
         """Book one (non-deduped) firing into flight + metrics."""
         # Lazy import: profile imports this module at load time.
-        from .profile import flight, metrics
+        from .profile import count, record_event
         self.routed += 1
-        recorder = flight()
-        if recorder is not None:
-            recorder.record("alert", subsystem=alert.subsystem,
-                            severity=alert.severity, alert_kind=alert.kind,
-                            message=alert.message,
-                            labels=dict(alert.labels), count=alert.count)
-        registry = metrics()
-        if registry is not None:
-            registry.counter("obs.alerts",
-                             "health alerts routed (post-dedup)").inc(
-                1, kind=alert.kind, severity=alert.severity,
-                subsystem=alert.subsystem)
+        record_event("alert", subsystem=alert.subsystem,
+                     severity=alert.severity, alert_kind=alert.kind,
+                     message=alert.message, labels=dict(alert.labels),
+                     count=alert.count)
+        count("obs.alerts", "health alerts routed (post-dedup)", 1,
+              kind=alert.kind, severity=alert.severity,
+              subsystem=alert.subsystem)
 
     # -- querying ----------------------------------------------------------
     def kinds(self) -> set[str]:

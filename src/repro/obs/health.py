@@ -106,6 +106,15 @@ FAULT_ALERT_KINDS = {fault: row.alert_kind
 #: estimator of the standard deviation for normal data.
 _MAD_TO_SIGMA = 1.4826
 
+#: Loss-plateau detector: fast / slow EWMA coefficients, and the
+#: fraction by which the fast one must undercut the slow one.
+EWMA_FAST = 0.3
+EWMA_SLOW = 0.03
+PLATEAU_MARGIN = 1e-3
+
+#: SLO burn: the fast window must burn this multiple of the error budget.
+BURN_FAST_THRESHOLD = 2.0
+
 
 def _median(values) -> float:
     s = sorted(values)
@@ -129,10 +138,7 @@ class HealthConfig:
     # loss detectors
     loss_window: int = 32          # rolling window for the spike z-score
     loss_spike_z: float = 8.0      # robust z above which a loss is a spike
-    ewma_fast: float = 0.3         # fast EWMA coefficient
-    ewma_slow: float = 0.03        # slow EWMA coefficient
     plateau_steps: int = 64        # min observations before plateau fires
-    plateau_margin: float = 1e-3   # fast must undercut slow by this frac
     # gradient detector
     grad_window: int = 32
     grad_explosion_z: float = 10.0
@@ -156,8 +162,7 @@ class HealthConfig:
     slo_error_budget: float = 0.05  # tolerated miss fraction
     burn_fast_window: int = 16
     burn_slow_window: int = 128
-    burn_fast_threshold: float = 2.0   # fast window burns 2x budget
-    burn_slow_threshold: float = 1.0   # and the slow window is over budget
+    burn_slow_threshold: float = 1.0   # the slow window is over budget
     # alerting
     cooldown_s: float = 60.0
 
@@ -207,11 +212,11 @@ class HealthMonitor:
         if self._ewma_fast is None:
             self._ewma_fast = self._ewma_slow = loss
         else:
-            self._ewma_fast += cfg.ewma_fast * (loss - self._ewma_fast)
-            self._ewma_slow += cfg.ewma_slow * (loss - self._ewma_slow)
+            self._ewma_fast += EWMA_FAST * (loss - self._ewma_fast)
+            self._ewma_slow += EWMA_SLOW * (loss - self._ewma_slow)
             if (self._loss_observed >= cfg.plateau_steps
                     and self._ewma_fast > self._ewma_slow
-                    * (1.0 - cfg.plateau_margin)):
+                    * (1.0 - PLATEAU_MARGIN)):
                 self.alerts.fire(
                     "train.loss_plateau", "info", "train",
                     f"fast EWMA {self._ewma_fast:.6g} no longer improving "
@@ -250,7 +255,7 @@ class HealthMonitor:
         budget = max(cfg.slo_error_budget, 1e-9)
         burn_fast = (sum(fast) / len(fast)) / budget
         burn_slow = (sum(slow) / len(slow)) / budget
-        if burn_fast >= cfg.burn_fast_threshold \
+        if burn_fast >= BURN_FAST_THRESHOLD \
                 and burn_slow >= cfg.burn_slow_threshold:
             self.alerts.fire(
                 "serve.slo_burn", "critical", "serve",

@@ -44,7 +44,7 @@ class Counter:
         self.help = help
         self.series: dict[LabelKey, float] = {}
 
-    def inc(self, value: float = 1.0, **labels) -> None:
+    def inc(self, value: float = 1.0, /, **labels) -> None:
         if value < 0:
             raise ValueError("counters only go up")
         key = _label_key(labels)
@@ -76,10 +76,10 @@ class Gauge(Counter):
 
     kind = "gauge"
 
-    def set(self, value: float, **labels) -> None:
+    def set(self, value: float, /, **labels) -> None:
         self.series[_label_key(labels)] = float(value)
 
-    def inc(self, value: float = 1.0, **labels) -> None:
+    def inc(self, value: float = 1.0, /, **labels) -> None:
         key = _label_key(labels)
         self.series[key] = self.series.get(key, 0) + value
 
@@ -115,7 +115,7 @@ class Histogram:
                                 "bucket_counts": [0] * (len(self.buckets) + 1)}
         return self.series[key]
 
-    def observe(self, value: float, **labels) -> None:
+    def observe(self, value: float, /, **labels) -> None:
         cell = self._cell(_label_key(labels))
         cell["count"] += 1
         cell["sum"] += value

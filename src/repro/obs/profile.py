@@ -5,9 +5,11 @@ through the hooks here, which are strict no-ops while disabled:
 
 * :func:`span` returns a shared null context manager — no
   :class:`~repro.obs.trace.Span` is allocated, no clock is read;
-* :func:`metrics` returns ``None``, so call sites guard derived-value
-  computation (e.g. gradient norms) behind the same check and skip it
-  entirely when nobody is listening;
+* :func:`count` / :func:`gauge` / :func:`observe` book into the active
+  registry and return at once when there is none.  *Writers call a hook,
+  readers get the registry*: :func:`metrics` returns ``None`` while
+  dark, for the checks and dashboards that read, and for the rare
+  writer that must skip a derived value (the gradient norm);
 * :func:`record_event` drops the event on the floor (no
   :class:`~repro.obs.flight.Event` is allocated) while no flight
   recorder is installed, and :func:`health` returns ``None`` so the
@@ -29,11 +31,11 @@ from typing import NamedTuple
 
 from .flight import FlightRecorder
 from .health import HealthConfig, HealthMonitor
-from .metrics import MetricsRegistry
+from .metrics import _DEFAULT_BUCKETS, MetricsRegistry
 from .trace import Tracer
 
 __all__ = ["enable", "disable", "is_enabled", "observed", "get_tracer",
-           "metrics", "span",
+           "metrics", "span", "count", "gauge", "observe",
            "enable_health", "disable_health", "health", "flight",
            "record_event", "monitored", "MonitoredSession"]
 
@@ -75,6 +77,30 @@ def get_tracer() -> Tracer | None:
 def metrics() -> MetricsRegistry | None:
     """The active metrics registry, or ``None`` while disabled."""
     return _registry
+
+
+# Hook parameters are positional-only: a label may be called ``name``.
+def count(name: str, help: str = "", value: float = 1, /, **labels) -> None:
+    """Add ``value`` to a counter while enabled; a no-op otherwise."""
+    registry = _registry
+    if registry is not None:
+        registry.counter(name, help).inc(value, **labels)
+
+
+def gauge(name: str, help: str, value: float, /, **labels) -> None:
+    """Set a gauge while enabled; a no-op otherwise."""
+    registry = _registry
+    if registry is not None:
+        registry.gauge(name, help).set(value, **labels)
+
+
+def observe(name: str, help: str, value: float, /, *,
+            buckets: tuple[float, ...] | None = None, **labels) -> None:
+    """Add ``value`` to a histogram while enabled; a no-op otherwise."""
+    registry = _registry
+    if registry is not None:
+        registry.histogram(name, help, buckets or _DEFAULT_BUCKETS) \
+            .observe(value, **labels)
 
 
 # -- active health layer (flight recorder + online detectors) ------------------

@@ -48,7 +48,8 @@ from dataclasses import dataclass, field
 
 from ..model import AerisConfig, count_parameters
 from ..model.config import SMALL, TABLE_II, TINY, config_to_dict
-from ..obs.profile import metrics as _obs_metrics
+from ..obs.profile import count as _count
+from ..obs.profile import gauge as _gauge
 from ..obs.profile import record_event as _record_event
 from ..perf.comm_model import CommModel
 from ..perf.flops import (forward_flops_per_sample, stage_forward_flops,
@@ -517,15 +518,11 @@ def plan_for(config: AerisConfig, machine: Machine, world_size: int,
                            pipeline=pipeline, micro_batches=micro_batches,
                            schedule=schedule),
         code=code_digest(), calibration=calibration)
-    registry = _obs_metrics()
-    if registry is not None:
-        registry.counter("autotune.plans", "layout plans derived").inc()
-        registry.counter("autotune.candidates",
-                         "feasible layout candidates").inc(len(ranked))
-        for reason, n in sorted(counts.items()):
-            registry.counter("autotune.pruned",
-                             "candidates pruned as infeasible").inc(
-                n, reason=reason)
+    _count("autotune.plans", "layout plans derived")
+    _count("autotune.candidates", "feasible layout candidates", len(ranked))
+    for reason, n in sorted(counts.items()):
+        _count("autotune.pruned", "candidates pruned as infeasible", n,
+               reason=reason)
     _record_event("autotune.plan", subsystem="autotune",
                   config=config.name, machine=machine.name,
                   world_size=world_size, layout=chosen.layout_key,
@@ -569,21 +566,17 @@ def resolve_plan(plan, config: AerisConfig, machine: Machine,
     if mismatches:
         raise ValueError("tuned plan does not apply to this run — "
                          + "; ".join(mismatches))
-    registry = _obs_metrics()
-    if registry is not None:
-        registry.gauge("autotune.predicted_step_s",
-                       "chosen layout's predicted step time").set(
-            plan.chosen.predicted_step_s)
+    _gauge("autotune.predicted_step_s",
+           "chosen layout's predicted step time",
+           plan.chosen.predicted_step_s)
     return plan
 
 
 def book_observed_step(seconds: float) -> None:
     """Book one measured step of a planned run — the observed half of the
     ``autotune.plan_skew`` comparison (:mod:`repro.obs.health`)."""
-    registry = _obs_metrics()
-    if registry is not None:
-        registry.gauge("autotune.observed_step_s",
-                       "last measured training step wall time").set(seconds)
+    _gauge("autotune.observed_step_s",
+           "last measured training step wall time", seconds)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..obs.profile import metrics as _obs_metrics
+from ..obs.profile import count as _count
+from ..obs.profile import observe as _observe
 from ..obs.profile import record_event as _record_event
 from ..obs.profile import span as _span
 from ..resilience.checksum import payload_checksum
@@ -67,14 +68,10 @@ class CommStats:
     def add(self, primitive: str, locality: str, nbytes: int) -> None:
         self.bytes[(primitive, locality)] += int(nbytes)
         self.ops[(primitive, locality)] += 1
-        registry = _obs_metrics()
-        if registry is not None:
-            registry.counter("comm.bytes",
-                             "bytes moved by simulated collectives").inc(
-                int(nbytes), primitive=primitive, locality=locality)
-            registry.counter("comm.ops",
-                             "simulated collective operations").inc(
-                1, primitive=primitive, locality=locality)
+        _count("comm.bytes", "bytes moved by simulated collectives",
+               int(nbytes), primitive=primitive, locality=locality)
+        _count("comm.ops", "simulated collective operations", 1,
+               primitive=primitive, locality=locality)
 
     def total_bytes(self, primitive: str | None = None,
                     locality: str | None = None) -> int:
@@ -188,27 +185,24 @@ class SimCluster:
                        f"still failing after {self.retry.max_retries} retries")
                 detail = f"{primitive} {src}->{dst} {why}"
                 if over_budget:
-                    registry = _obs_metrics()
-                    if registry is not None:
-                        registry.counter(
-                            "comm.budget_exhaustions",
-                            "transfers escalated on retry-budget spend").inc(
-                            1, primitive=primitive)
+                    _count("comm.budget_exhaustions",
+                           "transfers escalated on retry-budget spend", 1,
+                           primitive=primitive)
                 _record_event("comm.escalation", subsystem="comm",
                               severity="critical", primitive=primitive,
                               src=src, dst=dst, fault=fault,
                               retries=attempt - 1, reason=why)
                 raise (CommTimeout(detail) if fault == "drop"
                        else MessageCorruption(detail))
-            self._record_retry(primitive, attempt, backoff_s)
+            _count("comm.retries", "message re-sends after transient faults",
+                   1, primitive=primitive)
+            _observe("comm.backoff_s", "simulated exponential-backoff waits",
+                     backoff_s, primitive=primitive)
 
     def _record_straggler(self, primitive: str, src: int, dst: int,
                           delay_s: float) -> None:
-        registry = _obs_metrics()
-        if registry is not None:
-            registry.histogram("comm.straggler_s",
-                               "simulated late-delivery delays").observe(
-                delay_s, primitive=primitive)
+        _observe("comm.straggler_s", "simulated late-delivery delays",
+                 delay_s, primitive=primitive)
         _record_event("comm.straggler", subsystem="comm",
                       severity="warning", primitive=primitive, src=src,
                       dst=dst, delay_s=delay_s)
@@ -218,30 +212,14 @@ class SimCluster:
 
     def _record_detected(self, primitive: str, src: int, dst: int,
                          kind: str) -> None:
-        registry = _obs_metrics()
-        if registry is not None:
-            registry.counter("comm.faults_detected",
-                             "transient faults caught at delivery").inc(
-                1, primitive=primitive, kind=kind)
+        _count("comm.faults_detected", "transient faults caught at delivery",
+               1, primitive=primitive, kind=kind)
         _record_event("comm.fault_detected", subsystem="comm",
                       severity="warning", primitive=primitive, src=src,
                       dst=dst, fault=kind)
         with _span("resilience.fault", category="resilience", kind=kind,
                    primitive=primitive, src=src, dst=dst):
             pass
-
-    def _record_retry(self, primitive: str, attempt: int,
-                      backoff_s: float | None = None) -> None:
-        registry = _obs_metrics()
-        if registry is not None:
-            registry.counter("comm.retries",
-                             "message re-sends after transient faults").inc(
-                1, primitive=primitive)
-            if backoff_s is None:
-                backoff_s = self.retry.backoff_s(attempt)
-            registry.histogram("comm.backoff_s",
-                               "simulated exponential-backoff waits").observe(
-                backoff_s, primitive=primitive)
 
     def _check_group(self, group: list[int], primitive: str) -> None:
         if self.injector is not None:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..model import Aeris
-from ..obs.profile import get_tracer, metrics as _obs_metrics
+from ..obs.profile import count as _count, gauge as _gauge, get_tracer
 from ..tensor import Tensor
 from .comm import SimCluster
 
@@ -173,14 +173,10 @@ class AerisPipeline:
                             category="pp-1f1b", phase=phase, stage=stage,
                             micro=micro)
         self._virtual_clock = base + sim["makespan"]
-        registry = _obs_metrics()
-        if registry is not None:
-            registry.counter("pp.microbatches",
-                             "microbatches through the pipeline").inc(
-                n_micro, pipeline=self.name)
-            registry.gauge("pp.bubble",
-                           "1F1B bubble at measured stage costs").set(
-                sim["bubble"], pipeline=self.name)
+        _count("pp.microbatches", "microbatches through the pipeline",
+               n_micro, pipeline=self.name)
+        _gauge("pp.bubble", "1F1B bubble at measured stage costs",
+               sim["bubble"], pipeline=self.name)
 
     # -- single microbatch -------------------------------------------------
     def _one_microbatch(self, x_t, t, cond, forc, loss_fn,

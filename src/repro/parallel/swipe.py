@@ -31,7 +31,8 @@ import numpy as np
 from ..data import SyntheticReanalysis, TOY_SET
 from ..diffusion import TrigFlow, weighted_velocity_loss
 from ..model import Aeris, AerisConfig
-from ..obs.profile import metrics as _obs_metrics
+from ..obs.profile import count as _count
+from ..obs.profile import gauge as _gauge
 from ..obs.profile import span as _span
 from ..tensor import Tensor
 from .comm import SimCluster
@@ -152,13 +153,9 @@ class SwipeEngine:
                 for replica in self.replicas[1:]:
                     replica.load_state_dict(master)
         mean_loss = float(np.mean(losses))
-        registry = _obs_metrics()
-        if registry is not None:
-            registry.counter("swipe.steps", "SWiPe optimization steps").inc()
-            registry.counter("swipe.samples",
-                             "global-batch samples consumed").inc(batch)
-            registry.gauge("swipe.loss", "last SWiPe step loss").set(
-                mean_loss)
+        _count("swipe.steps", "SWiPe optimization steps")
+        _count("swipe.samples", "global-batch samples consumed", batch)
+        _gauge("swipe.loss", "last SWiPe step loss", mean_loss)
         return mean_loss
 
     # -- elastic checkpoint payload ---------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..obs.profile import metrics as _obs_metrics, record_event
+from ..obs.profile import count, record_event
 from .store import ModelRegistry, RegistryError
 
 __all__ = ["GateConfig", "GateDecision", "evaluate_gate", "gate_version"]
@@ -134,11 +134,8 @@ def gate_version(registry: ModelRegistry, candidate: str,
                 "against")
     decision = evaluate_gate(record.scorecard, incumbent_card, config,
                              candidate=candidate, incumbent=incumbent)
-    metrics = _obs_metrics()
-    if metrics is not None:
-        metrics.counter("registry.gate_decisions",
-                        "promotion-gate outcomes").inc(
-            1, outcome="pass" if decision.passed else "fail")
+    count("registry.gate_decisions", "promotion-gate outcomes", 1,
+          outcome="pass" if decision.passed else "fail")
     record_event("registry.gate", subsystem="registry",
                  severity="info" if decision.passed else "warning",
                  version=candidate, incumbent=incumbent or "",

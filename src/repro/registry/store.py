@@ -42,7 +42,7 @@ import numpy as np
 from ..data.normalize import FieldNormalizer
 from ..model import Aeris
 from ..model.config import AerisConfig, config_from_dict, config_to_dict
-from ..obs.profile import metrics as _obs_metrics, record_event
+from ..obs.profile import count, record_event
 from ..resilience.atomic import atomic_write
 from ..resilience.checksum import content_digest, state_digest
 
@@ -192,17 +192,11 @@ class ModelRegistry:
 
     # -- bookkeeping -------------------------------------------------------
     def _book(self, event: str, version: str, **data) -> None:
-        registry = _obs_metrics()
-        if registry is not None:
-            if event == "transition":
-                registry.counter(
-                    "registry.transitions",
-                    "version lifecycle transitions").inc(
-                    1, src=data.get("src", ""), dst=data.get("dst", ""))
-            else:
-                registry.counter(
-                    "registry.registrations",
-                    "versions registered").inc(1)
+        if event == "transition":
+            count("registry.transitions", "version lifecycle transitions", 1,
+                  src=data.get("src", ""), dst=data.get("dst", ""))
+        else:
+            count("registry.registrations", "versions registered")
         record_event(f"registry.{event}", subsystem="registry",
                      version=version, **data)
 

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..obs.health import FAULT_CLASSES
-from ..obs.profile import metrics as _obs_metrics
+from ..obs.profile import count as _count
 from ..obs.profile import record_event as _record_event
 
 __all__ = [
@@ -65,6 +65,24 @@ SDC_SITE_KINDS = {
     "optimizer": "sdc_opt",
     "forecast": "sdc_forecast",
 }
+
+
+#: Late-delivery delay of a background (``p_straggle``) straggler.
+STRAGGLE_DELAY_S = 0.02
+
+
+# Detections booked by more than one layer are written here, once, so
+# the metric's help text does not depend on which layer booked first.
+def count_sdc_detected(site: str) -> None:
+    """One detection by the ABFT checksums or the guarded step's audit."""
+    _count("resilience.sdc_detected", "compute-domain corruptions caught",
+           1, kind=SDC_SITE_KINDS[site])
+
+
+def count_dead_ranks(n: int, **labels) -> None:
+    """``n`` fail-stopped ranks handled (supervisor re-grid, serve
+    failover)."""
+    _count("resilience.dead_ranks", "ranks lost to fail-stop", n, **labels)
 
 
 # -- taxonomy of typed failures ------------------------------------------------
@@ -193,7 +211,6 @@ class FaultPlan:
     p_bitflip: float = 0.0
     p_drop: float = 0.0
     p_straggle: float = 0.0
-    straggle_delay_s: float = 0.02
     p_compute: float = 0.0
 
     @classmethod
@@ -298,7 +315,7 @@ class FaultInjector:
             fault = "drop"
         if not delay and plan.p_straggle \
                 and self.rng.random() < plan.p_straggle:
-            delay = plan.straggle_delay_s
+            delay = STRAGGLE_DELAY_S
         if fault is not None:
             self._record_injected(fault)
         if delay:
@@ -411,10 +428,8 @@ class FaultInjector:
     # -- bookkeeping -------------------------------------------------------
     def _record_injected(self, kind: str) -> None:
         self.injected[kind] += 1
-        registry = _obs_metrics()
-        if registry is not None:
-            registry.counter("resilience.faults_injected",
-                             "faults dealt by the injector").inc(1, kind=kind)
+        _count("resilience.faults_injected", "faults dealt by the injector",
+               1, kind=kind)
         _record_event("fault.injected", subsystem="resilience",
                       severity="warning", fault=kind, step=self.step)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..obs.profile import metrics as _obs_metrics
+from ..obs.profile import count as _count
 from ..obs.profile import record_event as _record_event
 from ..train.checkpoint import (inspect_sharded_checkpoint,
                                 list_checkpoints, newest_valid_checkpoint)
@@ -85,16 +85,12 @@ def scrub_checkpoints(root: str) -> list[ScrubReport]:
     for directory in list_checkpoints(root):
         report = scrub_checkpoint(directory)
         reports.append(report)
-        registry = _obs_metrics()
-        if registry is not None:
-            registry.counter("resilience.checkpoints_scrubbed",
-                             "checkpoint generations CRC-verified").inc()
-            if not report.ok:
-                registry.counter(
-                    "resilience.scrub_corruptions",
-                    "corrupted arrays found by the scrubber").inc(
-                    len(report.findings))
+        _count("resilience.checkpoints_scrubbed",
+               "checkpoint generations CRC-verified")
         if not report.ok:
+            _count("resilience.scrub_corruptions",
+                   "corrupted arrays found by the scrubber",
+                   len(report.findings))
             _record_event("checkpoint.scrub_corrupt", subsystem="resilience",
                           severity="critical", path=directory,
                           findings=len(report.findings))

@@ -38,8 +38,9 @@ import numpy as np
 
 from ..data import SyntheticReanalysis
 from ..model import AerisConfig
+from ..obs.profile import count as _count
+from ..obs.profile import gauge as _gauge
 from ..obs.profile import health as _obs_health
-from ..obs.profile import metrics as _obs_metrics
 from ..obs.profile import record_event as _record_event
 from ..obs.profile import span as _span
 from ..parallel.swipe import SwipeEngine
@@ -47,7 +48,8 @@ from ..parallel.topology import RankTopology
 from ..train.checkpoint import (newest_valid_checkpoint,
                                 write_sharded_checkpoint)
 from ..train.trainer import evaluate_validation_loss
-from .faults import ClusterFailure, FaultInjector, FaultPlan, RankFailure
+from .faults import (ClusterFailure, FaultInjector, FaultPlan, RankFailure,
+                     count_dead_ranks)
 
 __all__ = ["SupervisorConfig", "ElasticSupervisor"]
 
@@ -128,11 +130,8 @@ class ElasticSupervisor:
         self.engine = SwipeEngine(self.model_config, self.archive,
                                   self.topology, lr=self.cfg.lr,
                                   seed=self.cfg.seed, injector=self.injector)
-        registry = _obs_metrics()
-        if registry is not None:
-            registry.gauge("resilience.world_size",
-                           "ranks in the current grid").set(
-                self.topology.world_size)
+        _gauge("resilience.world_size", "ranks in the current grid",
+               self.topology.world_size)
 
     # -- main loop ---------------------------------------------------------
     def run(self, n_steps: int) -> dict:
@@ -190,10 +189,7 @@ class ElasticSupervisor:
                  "engine": engine_extra}
         path = write_sharded_checkpoint(
             self._checkpoint_dir(len(self.history)), shards, extra=extra)
-        registry = _obs_metrics()
-        if registry is not None:
-            registry.counter("resilience.checkpoints",
-                             "sharded checkpoints written").inc()
+        _count("resilience.checkpoints", "sharded checkpoints written")
         _record_event("checkpoint.save", subsystem="resilience", path=path,
                       step=len(self.history))
         return path
@@ -238,12 +234,8 @@ class ElasticSupervisor:
                   "resumed_at_step": len(self.history),
                   "restored_from": restored_from}
         self.recoveries.append(record)
-        registry = _obs_metrics()
-        if registry is not None:
-            registry.counter("resilience.recoveries",
-                             "elastic re-grid recoveries").inc()
-            registry.counter("resilience.dead_ranks",
-                             "fail-stopped ranks handled").inc(len(dead))
+        _count("resilience.recoveries", "elastic re-grid recoveries")
+        count_dead_ranks(len(dead))
         _record_event("resilience.recovery", subsystem="resilience",
                       severity="critical", step=step, dead_ranks=dead,
                       world_size=self.topology.world_size,
@@ -273,11 +265,7 @@ class ElasticSupervisor:
                 f"{step}") from exc
         self.topology = self.plan.chosen_topology
         self.gas = self.plan.chosen.gas
-        registry = _obs_metrics()
-        if registry is not None:
-            registry.counter("autotune.replans",
-                             "layout re-tunes after elastic re-grids"
-                             ).inc()
+        _count("autotune.replans", "layout re-tunes after elastic re-grids")
         _record_event("autotune.replan", subsystem="autotune", step=step,
                       world_size=self.topology.world_size,
                       layout=self.plan.chosen.layout_key,

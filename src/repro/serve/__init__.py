@@ -53,10 +53,9 @@ from .cache import (CacheEntry, ForecastCache, array_digest, forecast_key,
 from .deploy import DeployConfig, DeploymentController, deploy_check
 from .guardrails import BoundViolation, ForecastValidator
 from .queue import AdmissionQueue, PendingRequest, QueueConfig
-from .samplers import (OneStepForecaster, SloTracker, TierPolicy,
-                       TierRouter, default_tiers)
-from .service import (ForecastService, ModelBinding, ServiceConfig,
-                      serve_check)
+from .samplers import (ModelBinding, OneStepForecaster, SloTracker,
+                       TierPolicy, TierRouter, default_tiers)
+from .service import ForecastService, ServiceConfig, serve_check
 from .worker import ServeWorkerPool, WorkerState
 
 __all__ = [

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..diffusion.sampler import member_seed
-from ..obs.profile import metrics as _obs_metrics
+from ..obs.profile import count as _count
+from ..obs.profile import observe as _observe
 from ..obs.profile import span as _span
 from .cache import ForecastCache, forecast_key
 from .queue import AdmissionQueue, PendingRequest
@@ -125,14 +126,10 @@ class MicroBatcher:
                 members += nxt.request.n_members
             batch = MicroBatch(policy=head.policy, requests=requests,
                                assembled_s=now, version=head.version)
-            registry = _obs_metrics()
-            if registry is not None:
-                registry.counter("serve.batches",
-                                 "micro-batches assembled").inc(1, tier=tier)
-                registry.histogram("serve.batch_members",
-                                   "member rows per micro-batch",
-                                   buckets=(1, 2, 4, 8, 16, 32, 64, 128)
-                                   ).observe(members, tier=tier)
+            _count("serve.batches", "micro-batches assembled", 1, tier=tier)
+            _observe("serve.batch_members", "member rows per micro-batch",
+                     members, buckets=(1, 2, 4, 8, 16, 32, 64, 128),
+                     tier=tier)
             return batch, expired
 
     @staticmethod

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..obs.profile import metrics as _obs_metrics
+from ..obs.profile import count as _count
+from ..obs.profile import gauge as _gauge
 from ..resilience.checksum import content_digest, state_digest
 
 __all__ = ["array_digest", "weights_digest", "solver_digest",
@@ -104,28 +105,23 @@ class ForecastCache:
     def __contains__(self, key: str) -> bool:
         return key in self._entries
 
-    def _count(self, event: str) -> None:
-        registry = _obs_metrics()
-        if registry is not None:
-            registry.counter("serve.cache",
-                             "forecast-cache lookups and evictions").inc(
-                1, event=event)
-            registry.gauge("serve.cache_bytes",
-                           "resident forecast-cache bytes").set(
-                self.current_bytes)
-            registry.gauge("serve.cache_occupancy_frac",
-                           "resident bytes / byte budget").set(
-                self.current_bytes / self.max_bytes)
+    def _book(self, event: str) -> None:
+        _count("serve.cache", "forecast-cache lookups and evictions", 1,
+               event=event)
+        _gauge("serve.cache_bytes", "resident forecast-cache bytes",
+               self.current_bytes)
+        _gauge("serve.cache_occupancy_frac", "resident bytes / byte budget",
+               self.current_bytes / self.max_bytes)
 
     def get(self, key: str) -> CacheEntry | None:
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
-            self._count("miss")
+            self._book("miss")
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        self._count("hit")
+        self._book("hit")
         return entry
 
     def put(self, key: str, state: np.ndarray, rng_state: dict) -> bool:
@@ -133,7 +129,7 @@ class ForecastCache:
         nbytes = int(state.nbytes)
         if nbytes > self.max_bytes:
             self.oversize += 1
-            self._count("oversize")
+            self._book("oversize")
             return False
         old = self._entries.pop(key, None)
         if old is not None:
@@ -142,11 +138,11 @@ class ForecastCache:
             _, evicted = self._entries.popitem(last=False)
             self.current_bytes -= evicted.nbytes
             self.evictions += 1
-            self._count("evict")
+            self._book("evict")
         self._entries[key] = CacheEntry(key=key, state=np.array(state),
                                         rng_state=rng_state, nbytes=nbytes)
         self.current_bytes += nbytes
-        self._count("put")
+        self._book("put")
         return True
 
     def clear(self) -> None:

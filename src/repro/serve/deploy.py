@@ -43,13 +43,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..obs.profile import count as _count
 from ..obs.profile import health as _obs_health
-from ..obs.profile import metrics as _obs_metrics
 from ..obs.profile import record_event as _record_event
 from .api import ForecastRequest, ForecastResponse
 from .service import ForecastService
 
 __all__ = ["DeployConfig", "DeploymentController", "deploy_check"]
+
+
+#: Candidate SLO misses, guardrail quarantines and failed responses
+#: tolerated before rollback.
+MAX_SLO_MISSES = 2
+MAX_QUARANTINES = 0
+MAX_FAILURES = 0
 
 
 @dataclass(frozen=True)
@@ -62,12 +69,6 @@ class DeployConfig:
     shadow_fraction: float = 0.5
     #: Candidate completions required before auto-promotion.
     observation_window: int = 8
-    #: Candidate SLO misses tolerated before rollback.
-    max_slo_misses: int = 2
-    #: Candidate guardrail quarantines tolerated before rollback.
-    max_quarantines: int = 0
-    #: Candidate failed responses tolerated before rollback.
-    max_failures: int = 0
     #: Shadow skill: candidate ensemble-mean RMSE may exceed the
     #: incumbent's by at most this fraction (needs ``truth_fn``).
     shadow_skill_tol: float = 0.10
@@ -139,22 +140,16 @@ class DeploymentController:
                     **data) -> None:
         entry = {"kind": kind, "state": self.state, **data}
         self.transitions.append(entry)
-        registry = _obs_metrics()
-        if registry is not None:
-            registry.counter("deploy.transitions",
-                             "canary lifecycle transitions").inc(
-                1, kind=kind)
+        _count("deploy.transitions", "canary lifecycle transitions", 1,
+               kind=kind)
         _record_event(f"deploy.{kind}", subsystem="deploy",
                       severity=severity, **data)
 
     def _book_response(self, response: ForecastResponse) -> None:
         key = (response.version, response.status)
         self.observed[key] = self.observed.get(key, 0) + 1
-        registry = _obs_metrics()
-        if registry is not None:
-            registry.counter("deploy.requests",
-                             "responses observed during canary").inc(
-                1, version=response.version, status=response.status)
+        _count("deploy.requests", "responses observed during canary", 1,
+               version=response.version, status=response.status)
 
     # -- rollout -------------------------------------------------------------
     def start_canary(self, version: str, forecaster=None,
@@ -230,11 +225,11 @@ class DeploymentController:
         if self.state != "canary":
             return
         cfg, c = self.config, self.counts
-        if c["candidate_slo_miss"] > cfg.max_slo_misses:
+        if c["candidate_slo_miss"] > MAX_SLO_MISSES:
             self.rollback("slo_burn")
-        elif c["candidate_quarantined"] > cfg.max_quarantines:
+        elif c["candidate_quarantined"] > MAX_QUARANTINES:
             self.rollback("guardrail_quarantines")
-        elif c["candidate_failed"] > cfg.max_failures:
+        elif c["candidate_failed"] > MAX_FAILURES:
             self.rollback("candidate_failures")
         elif c["shadow_regressions"] >= cfg.max_shadow_regressions:
             self.rollback("shadow_skill_regression")
@@ -286,11 +281,8 @@ class DeploymentController:
                           f"{self.config.shadow_skill_tol:.0%})")
         if outcome != "clean":
             self.counts["shadow_regressions"] += 1
-        registry = _obs_metrics()
-        if registry is not None:
-            registry.counter("deploy.shadows",
-                             "candidate shadow forecasts").inc(
-                1, outcome=outcome)
+        _count("deploy.shadows", "candidate shadow forecasts", 1,
+               outcome=outcome)
         _record_event("deploy.shadow", subsystem="deploy",
                       severity="info" if outcome == "clean" else "warning",
                       version=self.candidate, outcome=outcome,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..obs.profile import metrics as _obs_metrics
+from ..obs.profile import count as _count
 from ..obs.profile import record_event as _record_event
 from ..obs.profile import span as _span
 
@@ -118,11 +118,8 @@ class ForecastValidator:
 def book_quarantine(tier: str, worker_rank: int,
                     violations: list[BoundViolation]) -> None:
     """Book one detection of the ``sdc_forecast`` fault class."""
-    registry = _obs_metrics()
-    if registry is not None:
-        registry.counter("serve.forecasts_quarantined",
-                         "forecasts failing physical guardrails").inc(
-            1, tier=tier)
+    _count("serve.forecasts_quarantined",
+           "forecasts failing physical guardrails", 1, tier=tier)
     _record_event("serve.forecast_quarantined", subsystem="serve",
                   severity="critical", tier=tier, worker=worker_rank,
                   violations="; ".join(v.render() for v in violations[:4]))

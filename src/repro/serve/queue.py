@@ -19,8 +19,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
+from ..obs.profile import gauge as _gauge
 from ..obs.profile import health as _obs_health
-from ..obs.profile import metrics as _obs_metrics
 from .api import ForecastRequest, Rejected
 from .samplers import TierPolicy, TierRouter
 
@@ -80,13 +80,10 @@ class AdmissionQueue:
     def depth(self, tier: str) -> int:
         return self.depths.get(tier, 0)
 
-    def _gauge(self) -> None:
-        registry = _obs_metrics()
-        if registry is not None:
-            for tier, depth in self.depths.items():
-                registry.gauge("serve.queue_depth",
-                               "requests waiting per tier").set(depth,
-                                                                tier=tier)
+    def _book_depths(self) -> None:
+        for tier, depth in self.depths.items():
+            _gauge("serve.queue_depth", "requests waiting per tier", depth,
+                   tier=tier)
 
     def submit(self, request: ForecastRequest,
                now: float, version: str = "") -> PendingRequest:
@@ -105,7 +102,7 @@ class AdmissionQueue:
         heapq.heappush(self._heap, (policy.priority, self._seq, pending))
         self._seq += 1
         self.depths[request.tier] = self.depth(request.tier) + 1
-        self._gauge()
+        self._book_depths()
         monitor = _obs_health()
         if monitor is not None:
             monitor.observe_queue_depth(request.tier,
@@ -121,11 +118,11 @@ class AdmissionQueue:
                        (pending.policy.priority, pending.seq, pending))
         self.depths[pending.request.tier] = \
             self.depth(pending.request.tier) + 1
-        self._gauge()
+        self._book_depths()
 
     def _remove(self, pending: PendingRequest) -> None:
         self.depths[pending.request.tier] -= 1
-        self._gauge()
+        self._book_depths()
 
     def pop(self) -> PendingRequest | None:
         """Highest-priority pending request (no deadline check)."""

@@ -27,10 +27,12 @@ import numpy as np
 
 from ..diffusion import SolverConfig, TrigFlow
 from ..diffusion.sampler import (Normalizer, conditioning_rows,
-                                 count_model_forwards, lockstep_rollout,
-                                 member_rngs, per_member_indices)
+                                 count_data_steps, count_model_forwards,
+                                 lockstep_rollout, member_rngs,
+                                 per_member_indices)
+from ..obs.profile import count as _count
 from ..obs.profile import health as _obs_health
-from ..obs.profile import metrics as _obs_metrics
+from ..obs.profile import observe as _observe
 from ..obs.profile import span as _span
 from ..tensor import Tensor, no_grad
 from .api import Rejected
@@ -119,15 +121,12 @@ class SloTracker:
     def record(self, tier: str, latency_s: float) -> None:
         self.latencies.setdefault(tier, []).append(latency_s)
         policy = self.policies.get(tier)
-        registry = _obs_metrics()
-        if registry is not None:
-            registry.histogram("serve.latency_s",
-                               "served-request latency").observe(
-                latency_s, tier=tier)
-            if policy is not None and latency_s > policy.slo_s:
-                registry.counter("serve.slo_misses",
-                                 "completed requests over their tier "
-                                 "objective").inc(1, tier=tier)
+        _observe("serve.latency_s", "served-request latency", latency_s,
+                 tier=tier)
+        if policy is not None and latency_s > policy.slo_s:
+            _count("serve.slo_misses",
+                   "completed requests over their tier objective", 1,
+                   tier=tier)
         monitor = _obs_health()
         if monitor is not None and policy is not None:
             monitor.observe_latency(tier, latency_s, policy.slo_s)
@@ -194,10 +193,7 @@ class OneStepForecaster:
                                  Tensor(cond), Tensor(forc))
             residual_std = self.flow.denoise_from_velocity(
                 z, sigma_d * out.numpy(), t)
-            registry = _obs_metrics()
-            if registry is not None:
-                registry.counter("sampler.data_steps",
-                                 "autoregressive data steps sampled").inc(m)
+            count_data_steps(m)
             return states + self.residual_norm.denormalize(residual_std)
 
     def ensemble_rollout(self, state0: np.ndarray, n_steps: int,

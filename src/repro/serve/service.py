@@ -34,7 +34,8 @@ from typing import Sequence
 import numpy as np
 
 from ..diffusion import ResidualForecaster
-from ..obs.profile import metrics as _obs_metrics
+from ..obs.profile import count as _count
+from ..obs.profile import gauge as _gauge
 from ..obs.profile import record_event as _record_event
 from ..resilience import ResilienceError, RetryPolicy
 from .api import ForecastRequest, ForecastResponse, Rejected, Timeout
@@ -45,8 +46,7 @@ from .queue import AdmissionQueue, PendingRequest, QueueConfig
 from .samplers import ModelBinding, SloTracker, TierRouter
 from .worker import ServeWorkerPool
 
-__all__ = ["ServiceConfig", "ModelBinding", "ForecastService",
-           "serve_check"]
+__all__ = ["ServiceConfig", "ForecastService", "serve_check"]
 
 
 @dataclass(frozen=True)
@@ -161,10 +161,7 @@ class ForecastService:
                 f"version {version!r} field shape {binding.field_shape} "
                 f"differs from active {active.field_shape}")
         self.bindings[version] = binding
-        registry = _obs_metrics()
-        if registry is not None:
-            registry.gauge("serve.loaded_versions",
-                           "model versions loaded").set(len(self.bindings))
+        self._gauge_versions()
         _record_event("serve.version_loaded", subsystem="serve",
                       version=version,
                       weights=binding.weights_digest[:12])
@@ -187,16 +184,11 @@ class ForecastService:
             raise ValueError(f"version {version!r} not loaded")
         del self.bindings[version]
         moved = self.queue.reassign_version(version, self.active_version)
-        registry = _obs_metrics()
-        if registry is not None:
-            registry.gauge("serve.loaded_versions",
-                           "model versions loaded").set(len(self.bindings))
-            if moved:
-                registry.counter(
-                    "serve.requests_reassigned",
-                    "queued requests re-routed off an unloaded "
-                    "version").inc(moved, src=version,
-                                   dst=self.active_version)
+        self._gauge_versions()
+        if moved:
+            _count("serve.requests_reassigned",
+                   "queued requests re-routed off an unloaded version",
+                   moved, src=version, dst=self.active_version)
         _record_event("serve.version_unloaded", subsystem="serve",
                       version=version, reassigned=moved)
         return moved
@@ -219,13 +211,14 @@ class ForecastService:
         return version
 
     # -- accounting ----------------------------------------------------------
-    def _count(self, event: str, tier: str, **labels) -> None:
+    def _gauge_versions(self) -> None:
+        _gauge("serve.loaded_versions", "model versions loaded",
+               len(self.bindings))
+
+    def _book(self, event: str, tier: str, **labels) -> None:
         self.tally[event] += 1
-        registry = _obs_metrics()
-        if registry is not None:
-            registry.counter("serve.requests",
-                             "request lifecycle events").inc(
-                1, event=event, tier=tier, **labels)
+        _count("serve.requests", "request lifecycle events", 1,
+               event=event, tier=tier, **labels)
         _record_event(f"serve.{event}", subsystem="serve",
                       severity=("warning" if event in ("rejected",
                                                        "timeout", "failed")
@@ -246,7 +239,7 @@ class ForecastService:
     def _admit(self, request: ForecastRequest,
                now: float) -> ForecastResponse | None:
         """Queue the request; a rejection becomes an immediate response."""
-        self._count("submitted", request.tier)
+        self._book("submitted", request.tier)
         try:
             version = self._route_version(request)
             binding = self.bindings[version]
@@ -263,14 +256,14 @@ class ForecastService:
             variables = self._variable_indices(request)
             pending = self.queue.submit(request, now, version=version)
         except Rejected as exc:
-            self._count("rejected", request.tier, reason=exc.reason)
+            self._book("rejected", request.tier, reason=exc.reason)
             return ForecastResponse(request=request, status="rejected",
                                     error=str(exc))
         # over the float32 bytes every member task of the request starts from
         pending.init_digest = array_digest(
             np.asarray(request.init_state, dtype=np.float32))
         pending.variables = variables
-        self._count("accepted", request.tier, version=version)
+        self._book("accepted", request.tier, version=version)
         return None
 
     # -- responses -----------------------------------------------------------
@@ -278,7 +271,7 @@ class ForecastService:
                   queue_wait_s: float = 0.0) -> ForecastResponse:
         """The response of an accepted request that got no forecast
         (``timeout`` / ``failed``)."""
-        self._count(status, pending.request.tier, version=pending.version)
+        self._book(status, pending.request.tier, version=pending.version)
         return ForecastResponse(request=pending.request, status=status,
                                 error=error, queue_wait_s=queue_wait_s,
                                 version=pending.version)
@@ -319,12 +312,9 @@ class ForecastService:
         error = "forecast failed physical guardrails"
         for rerun in range(self.config.guardrail_reruns + 1):
             if rerun:
-                registry = _obs_metrics()
-                if registry is not None:
-                    registry.counter(
-                        "serve.guardrail_reruns",
-                        "quarantined batches re-dispatched").inc(
-                        1, tier=batch.policy.name)
+                _count("serve.guardrail_reruns",
+                       "quarantined batches re-dispatched", 1,
+                       tier=batch.policy.name)
                 _record_event("serve.guardrail_rerun", subsystem="serve",
                               severity="warning", tier=batch.policy.name,
                               excluded_worker=worker.rank,
@@ -425,7 +415,7 @@ class ForecastService:
                 if pending.variables is not None:
                     row["forecast"] = row["forecast"][..., pending.variables]
                 latency = end - req.arrival_s
-                self._count("completed", req.tier, version=batch.version)
+                self._book("completed", req.tier, version=batch.version)
                 self.slo.record(req.tier, latency)
                 self._emit(responses, ForecastResponse(
                     request=req, status="completed", latency_s=latency,

@@ -27,10 +27,12 @@ from typing import Callable
 
 import numpy as np
 
-from ..obs.profile import metrics as _obs_metrics
+from ..obs.profile import count as _count
+from ..obs.profile import gauge as _gauge
 from ..obs.profile import record_event as _record_event
 from ..obs.profile import span as _span
 from ..resilience import ClusterFailure, RankFailure, RetryPolicy
+from ..resilience.faults import count_dead_ranks
 
 __all__ = ["WorkerState", "ServeWorkerPool"]
 
@@ -120,10 +122,8 @@ class ServeWorkerPool:
         else:
             n = max_workers
         n = max(1, min(max_workers, n))
-        registry = _obs_metrics()
-        if registry is not None:
-            registry.gauge("serve.plan_workers",
-                           "replica count sized from the tuned plan").set(n)
+        _gauge("serve.plan_workers",
+               "replica count sized from the tuned plan", n)
         _record_event("serve.plan_sized", subsystem="serve", n_workers=n,
                       layout=plan.chosen.layout_key,
                       memory_gb=plan.chosen.memory_gb)
@@ -142,14 +142,9 @@ class ServeWorkerPool:
 
     def _mark_dead(self, worker: WorkerState, primitive: str) -> None:
         worker.alive = False
-        registry = _obs_metrics()
-        if registry is not None:
-            registry.counter("resilience.dead_ranks",
-                             "workers lost to fail-stop").inc(
-                1, scope="serve")
-            registry.gauge("serve.live_workers",
-                           "replica workers still serving").set(
-                len(self.live_workers()))
+        count_dead_ranks(1, scope="serve")
+        _gauge("serve.live_workers", "replica workers still serving",
+               len(self.live_workers()))
         _record_event("serve.worker_dead", subsystem="serve",
                       severity="critical", rank=worker.rank,
                       primitive=primitive,
@@ -183,14 +178,11 @@ class ServeWorkerPool:
                                   weights_nbytes)
         worker.loaded_version = version
         worker.weight_swaps += 1
-        registry = _obs_metrics()
-        if registry is not None:
-            registry.counter("serve.weight_swaps",
-                             "model-version hot swaps on workers").inc(
-                1, version=version)
-            registry.counter("serve.weight_swap_bytes",
-                             "weight bytes shipped for hot swaps").inc(
-                weights_nbytes, version=version)
+        _count("serve.weight_swaps", "model-version hot swaps on workers",
+               1, version=version)
+        _count("serve.weight_swap_bytes",
+               "weight bytes shipped for hot swaps", weights_nbytes,
+               version=version)
         _record_event("serve.weight_swap", subsystem="serve",
                       rank=worker.rank, version=version,
                       previous=previous, nbytes=weights_nbytes)
@@ -234,11 +226,8 @@ class ServeWorkerPool:
                 if attempts > self.retry.max_retries:
                     raise ClusterFailure(
                         f"batch failed over {attempts} times") from None
-                registry = _obs_metrics()
-                if registry is not None:
-                    registry.counter("serve.worker_failovers",
-                                     "batches re-dispatched after a "
-                                     "worker fail-stop").inc()
+                _count("serve.worker_failovers",
+                       "batches re-dispatched after a worker fail-stop")
                 continue
             start = max(now, worker.free_at)
             wall0 = time.perf_counter()

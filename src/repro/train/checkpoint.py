@@ -30,7 +30,7 @@ import shutil
 import numpy as np
 
 from ..nn import EMA, AdamW, Module
-from ..obs.profile import metrics as _obs_metrics
+from ..obs.profile import count as _count
 from ..obs.profile import record_event as _record_event
 from ..resilience.atomic import atomic_open
 from ..resilience.checksum import payload_checksum, state_digest
@@ -283,11 +283,8 @@ def newest_valid_checkpoint(root: str, subsystem: str
         try:
             shards, extra = read_sharded_checkpoint(directory)
         except CheckpointCorruption as exc:
-            registry = _obs_metrics()
-            if registry is not None:
-                registry.counter(
-                    f"{subsystem}.checkpoints_rejected",
-                    "corrupted generations skipped on resume").inc()
+            _count(f"{subsystem}.checkpoints_rejected",
+                   "corrupted generations skipped on resume")
             _record_event("checkpoint.corrupt", subsystem=subsystem,
                           severity="critical", path=directory,
                           detail=str(exc))

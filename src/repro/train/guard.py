@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..obs.profile import metrics as _obs_metrics
+from ..obs.profile import count as _count
 from ..obs.profile import record_event as _record_event
 from ..obs.profile import span as _span
 from ..resilience.checksum import payload_checksum
-from ..resilience.faults import (SDC_SITE_KINDS, ComputeCorruption,
+from ..resilience.faults import (ComputeCorruption, count_sdc_detected,
                                  inject_compute)
 
 __all__ = ["StepGuard", "NonFiniteLoss"]
@@ -72,11 +72,8 @@ class StepGuard:
                 continue
             self._retain()
             return value
-        registry = _obs_metrics()
-        if registry is not None:
-            registry.counter("train.guard_escalations",
-                             "steps still corrupt after bounded retries"
-                             ).inc()
+        _count("train.guard_escalations",
+               "steps still corrupt after bounded retries")
         _record_event("train.guard_escalation", subsystem="train",
                       severity="critical", step=step,
                       retries=max_retries, detail=str(last))
@@ -115,11 +112,7 @@ class StepGuard:
         corrupted = [site for site, crcs in self._crcs().items()
                      if crcs != self.retained[2][site]]
         for site in corrupted:
-            registry = _obs_metrics()
-            if registry is not None:
-                registry.counter("resilience.sdc_detected",
-                                 "compute-domain corruptions caught").inc(
-                    1, kind=SDC_SITE_KINDS[site])
+            count_sdc_detected(site)
             _record_event("compute.sdc_detected", subsystem="train",
                           severity="critical", site=site, step=step)
             with _span("resilience.sdc", category="resilience", site=site,
@@ -141,18 +134,14 @@ class StepGuard:
         self.trainer.step_retries += 1
         cause = exc.site if isinstance(exc, ComputeCorruption) \
             else "nonfinite"
-        registry = _obs_metrics()
-        if registry is not None:
-            # one increment per *closed detection*, not per rollback: a
-            # single state audit can implicate several sites, and this
-            # one rollback heals them all (sdc_check reconciles retries
-            # against detections 1:1)
-            causes = (exc.sites if isinstance(exc, ComputeCorruption)
-                      else (cause,))
-            for site in causes:
-                registry.counter("train.step_retries",
-                                 "steps rolled back and recomputed").inc(
-                    1, cause=site)
+        # one increment per *closed detection*, not per rollback: a
+        # single state audit can implicate several sites, and this one
+        # rollback heals them all (sdc_check reconciles retries against
+        # detections 1:1)
+        for site in (exc.sites if isinstance(exc, ComputeCorruption)
+                     else (cause,)):
+            _count("train.step_retries", "steps rolled back and recomputed",
+                   1, cause=site)
         _record_event("train.step_rollback", subsystem="train",
                       severity="warning", step=step, attempt=attempt,
                       cause=cause, detail=str(exc))

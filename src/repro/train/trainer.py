@@ -45,8 +45,11 @@ from ..diffusion import (
 )
 from ..model import Aeris
 from ..nn import EMA, AdamW, WarmupConstantDecay
+from ..obs.profile import count as _count
+from ..obs.profile import gauge as _gauge
 from ..obs.profile import health as _obs_health
 from ..obs.profile import metrics as _obs_metrics
+from ..obs.profile import observe as _observe
 from ..obs.profile import record_event as _record_event
 from ..obs.profile import span as _span
 from ..tensor import Tensor
@@ -57,6 +60,10 @@ from .checkpoint import (CheckpointError, checkpoint_lineage,
 from .guard import NonFiniteLoss, StepGuard
 
 __all__ = ["TrainerConfig", "Trainer", "evaluate_validation_loss"]
+
+#: LR multiplier applied after a non-finite (skipped) step; recovered one
+#: factor at a time after ``TrainerConfig.lr_recover_steps`` clean steps.
+LR_BACKOFF_FACTOR = 0.5
 
 
 @dataclass(frozen=True)
@@ -72,9 +79,7 @@ class TrainerConfig:
     weight_decay: float = 0.01
     betas: tuple[float, float] = (0.85, 0.9)
     seed: int = 0
-    #: LR multiplier applied after a non-finite (skipped) step ...
-    lr_backoff_factor: float = 0.5
-    #: ... recovered one factor at a time after this many clean steps.
+    #: clean steps before one NaN-guard LR backoff factor is recovered.
     lr_recover_steps: int = 25
     #: run every step under the SDC guard (state audit + rollback/retry).
     guarded: bool = False
@@ -128,7 +133,7 @@ class Trainer:
         self.rng_z = np.random.default_rng(config.seed + 2)
         self.history: list[float] = []
         # NaN/Inf-guard state: 1.0 while healthy, multiplied by
-        # lr_backoff_factor per poisoned step, recovered gradually.
+        # LR_BACKOFF_FACTOR per poisoned step, recovered gradually.
         self.lr_backoff = 1.0
         self.skipped_steps = 0
         self._clean_streak = 0
@@ -191,16 +196,12 @@ class Trainer:
 
     # -- NaN/Inf guard --------------------------------------------------------
     def _skip_poisoned_step(self, value: float) -> None:
-        cfg = self.config
         self.skipped_steps += 1
         self._clean_streak = 0
-        self.lr_backoff *= cfg.lr_backoff_factor
-        registry = _obs_metrics()
-        if registry is not None:
-            registry.counter("train.skipped_steps",
-                             "updates skipped by the NaN/Inf guard").inc()
-            registry.gauge("train.lr_backoff",
-                           "NaN-guard LR multiplier").set(self.lr_backoff)
+        self.lr_backoff *= LR_BACKOFF_FACTOR
+        _count("train.skipped_steps", "updates skipped by the NaN/Inf guard")
+        _gauge("train.lr_backoff", "NaN-guard LR multiplier",
+               self.lr_backoff)
         _record_event("train.step_skipped", subsystem="train",
                       severity="warning", step=len(self.history),
                       loss=repr(value), lr_backoff=self.lr_backoff)
@@ -211,21 +212,19 @@ class Trainer:
     def _recover_lr_backoff(self) -> None:
         if self.lr_backoff >= 1.0:
             return
-        cfg = self.config
         self._clean_streak += 1
-        if self._clean_streak >= cfg.lr_recover_steps:
+        if self._clean_streak >= self.config.lr_recover_steps:
             self._clean_streak = 0
-            self.lr_backoff = min(1.0,
-                                  self.lr_backoff / cfg.lr_backoff_factor)
+            self.lr_backoff = min(1.0, self.lr_backoff / LR_BACKOFF_FACTOR)
 
     def _record_step_metrics(self, loss_value: float) -> None:
         """Per-step telemetry (loss / LR / grad norm / EMA decay) plus the
         online health detectors.  The gradient norm is only computed while
         metrics or health are enabled, so the disabled path stays exactly
         the seed numerics at zero extra cost."""
-        registry = _obs_metrics()
+        # The one derived-value guard: nobody listening, no gradient norm.
         monitor = _obs_health()
-        if registry is None and monitor is None:
+        if _obs_metrics() is None and monitor is None:
             return
         cfg = self.config
         sq = 0.0
@@ -234,23 +233,15 @@ class Trainer:
                 sq += float(np.sum(np.square(p.grad, dtype=np.float64)))
         grad_norm = float(np.sqrt(sq))
         step = len(self.history) - 1
-        if registry is not None:
-            registry.counter("train.steps", "optimization steps").inc()
-            registry.counter("train.images", "images consumed").inc(
-                cfg.batch_size)
-            registry.gauge("train.loss", "last training loss").set(
-                loss_value)
-            registry.gauge("train.lr", "current learning rate").set(
-                self.optimizer.lr)
-            registry.gauge("train.grad_norm",
-                           "global gradient L2 norm").set(grad_norm)
-            registry.gauge("train.ema_decay",
-                           "per-step EMA decay factor").set(
-                self.ema.decay_for(cfg.batch_size))
-            registry.histogram("train.loss_hist",
-                               "training loss distribution",
-                               buckets=(0.01, 0.1, 0.5, 1.0, 2.0, 5.0,
-                                        10.0, 100.0)).observe(loss_value)
+        _count("train.steps", "optimization steps")
+        _count("train.images", "images consumed", cfg.batch_size)
+        _gauge("train.loss", "last training loss", loss_value)
+        _gauge("train.lr", "current learning rate", self.optimizer.lr)
+        _gauge("train.grad_norm", "global gradient L2 norm", grad_norm)
+        _gauge("train.ema_decay", "per-step EMA decay factor",
+               self.ema.decay_for(cfg.batch_size))
+        _observe("train.loss_hist", "training loss distribution", loss_value,
+                 buckets=(0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 100.0))
         if monitor is not None:
             monitor.observe_step(step, loss_value, grad_norm=grad_norm)
         _record_event("train.step", subsystem="train", step=step,
@@ -325,10 +316,7 @@ class Trainer:
             self.model.config, self.state_norm, self.residual_norm,
             self.forcing_norm, seed=self.config.seed)
         path = write_sharded_checkpoint(directory, shards, extra=extra)
-        registry = _obs_metrics()
-        if registry is not None:
-            registry.counter("train.checkpoints",
-                             "sharded checkpoints written").inc()
+        _count("train.checkpoints", "sharded checkpoints written")
         _record_event("checkpoint.save", subsystem="train", path=path,
                       step=len(self.history))
         return path
@@ -364,9 +352,7 @@ class Trainer:
             self.var_weights, self.state_norm, self.residual_norm,
             self.forcing_norm, batch_size=self.config.batch_size,
             n_batches=n_batches, seed=seed)
-        registry = _obs_metrics()
-        if registry is not None:
-            registry.gauge("train.val_loss", "last validation loss").set(mean)
+        _gauge("train.val_loss", "last validation loss", mean)
         return mean
 
     # -- inference export ------------------------------------------------------

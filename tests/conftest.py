@@ -1,10 +1,13 @@
 """Shared fixtures: a small synthetic reanalysis reused across test modules
-(generation takes a few seconds, so it is session-scoped)."""
+(generation takes a few seconds, so it is session-scoped), and the small
+untrained model pair the serve tests share."""
 
 import numpy as np
 import pytest
 
+from repro import quickstart_components
 from repro.data import ReanalysisConfig, SyntheticReanalysis
+from repro.model import Aeris
 
 
 @pytest.fixture(scope="session")
@@ -23,3 +26,18 @@ def tiny_norms(tiny_archive):
         "residual": tiny_archive.residual_normalizer(),
         "forcing": tiny_archive.forcing_normalizer(),
     }
+
+
+@pytest.fixture(scope="session")
+def serve_world():
+    """``(archive, forecaster, student, test_index)`` over an 8x16 archive
+    (read-only: services get their own caches and queues).  Determinism,
+    batching, caching, and fault handling do not depend on forecast
+    skill, so nothing here calls ``fit()``."""
+    archive, trainer = quickstart_components(height=8, width=16,
+                                             train_years=0.2,
+                                             test_years=0.1)
+    forecaster = trainer.forecaster()
+    student = Aeris(forecaster.model.config, seed=3)
+    idx = int(archive.split_indices("test")[0])
+    return archive, forecaster, student, idx

@@ -2,6 +2,8 @@
 bit-identical numerics to an uninstrumented run and zero span allocations
 (the hot-path contract of :mod:`repro.obs.profile`)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,62 @@ class TestDisabledIsFree:
             with obs.span("b"):
                 pass
         assert Span.allocated == before
+
+
+def _book_everything():
+    obs.count("train.steps", "optimization steps")
+    obs.count("comm.bytes", "bytes moved", 4096, primitive="p2p",
+              locality="intra")
+    obs.gauge("train.loss", "last training loss", 0.25)
+    obs.observe("serve.batch_members", "member rows per micro-batch", 3,
+                buckets=(1, 2, 4), tier="fast")
+
+
+class TestBookingHooks:
+    def test_dark_hooks_create_no_instrument(self):
+        """A hook must not conjure a registry: ``metrics()`` stays ``None``
+        while dark, and nothing booked dark shows up once enabled."""
+        _book_everything()
+        assert obs.metrics() is None
+        with obs.observed() as (_, registry):
+            assert registry.instruments == {}
+            _book_everything()
+            assert sorted(registry.instruments) == [
+                "comm.bytes", "serve.batch_members", "train.loss",
+                "train.steps"]
+            assert registry.histogram(
+                "serve.batch_members", buckets=(1, 2, 4)).buckets == (1, 2, 4)
+        assert obs.metrics() is None
+
+    def test_dark_hooks_allocate_nothing(self):
+        """10 k dark rounds of every hook shape leave the traced heap flat
+        (a leak of one object per call would be hundreds of KB)."""
+        for _ in range(100):
+            _book_everything()  # warm caches, interned constants
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(10_000):
+                _book_everything()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 1024
+
+    def test_labels_may_shadow_the_hook_parameters(self):
+        """The hooks' own parameters are positional-only, so ``name``,
+        ``value``, ``metric`` and ``help`` are ordinary label keys."""
+        labels = {"name": "n", "value": "v", "metric": "m", "help": "h"}
+        with obs.observed() as (_, registry):
+            obs.count("obs.shadowed", "labels", 2, **labels)
+            obs.gauge("obs.shadowed_level", "labels", 0.5, **labels)
+            obs.observe("obs.shadowed_s", "labels", 0.25, **labels)
+        assert registry.counter("obs.shadowed").value(**labels) == 2
+        assert registry.gauge("obs.shadowed_level").value(**labels) == 0.5
+        assert registry.histogram("obs.shadowed_s").stats(
+            **labels)["count"] == 1
+        assert 'metric="m",name="n",value="v"' in obs.prometheus_text(
+            registry)
 
 
 class TestDisabledIsBitIdentical:

@@ -36,6 +36,11 @@ GUARDED = TrainerConfig(batch_size=4, peak_lr=3e-3, warmup_images=40,
                         guarded=True, max_step_retries=2)
 PLAIN = dataclasses.replace(GUARDED, guarded=False)
 
+#: An undetected GEMM flip reaches AdamW's second moment as a huge
+#: gradient (``nn/optim.py``: ``v += (1 - b2) * g * g``).
+UNDEFENDED_FLIP_OVERFLOWS = pytest.mark.filterwarnings(
+    "ignore:overflow encountered in multiply:RuntimeWarning")
+
 #: One scheduled fault per compute-domain site (gemm nth=1 exercises a
 #: mid-step kernel, not just the first guarded call).
 CHAOS_EVENTS = (ComputeFault(step=1, site="gemm", nth=1),
@@ -103,6 +108,7 @@ class TestGuardedRecovery:
                 dict(guarded.model.named_parameters())[name].data, p.data,
                 err_msg=name)
 
+    @UNDEFENDED_FLIP_OVERFLOWS
     def test_undefended_run_trains_in_the_corruption(self, tiny_archive):
         """The negative control: without the guard, the same injected GEMM
         flip silently lands in the loss — which is why the defense has to
@@ -161,6 +167,7 @@ class TestSdcReconciliation:
         assert result["per_kind"]["sdc_forecast"]["injected"] == 0
         assert result["recovered"]["escalations"] == 0
 
+    @UNDEFENDED_FLIP_OVERFLOWS
     def test_sdc_check_flags_undetected_injection(self, tiny_archive,
                                                   obs_on):
         """An injected flip that no defense layer observed (ABFT left

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.model import AerisConfig
-from repro.obs import TraceReport, observed
+from repro.obs import TraceReport, observed, prometheus_text
 from repro.parallel import RankTopology
 from repro.parallel.autotune import autotune_check
 from repro.resilience import (
@@ -20,11 +20,13 @@ from repro.resilience import (
     ClusterFailure,
     Drop,
     FailStop,
+    FaultInjector,
     FaultPlan,
     Straggle,
     resilience_check,
 )
 from repro.resilience.supervisor import ElasticSupervisor, SupervisorConfig
+from repro.serve import ServeWorkerPool
 from repro.train.checkpoint import list_checkpoints
 
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
@@ -192,6 +194,37 @@ class TestRecoveryEdgeCases:
         assert len(out["history"]) == 3
         assert out["recoveries"][0]["restored_from"] is None
         assert out["recoveries"][0]["resumed_at_step"] == 0
+
+
+class TestDeadRanksBookedOnce:
+    def test_export_does_not_depend_on_who_booked_first(self, tmp_path,
+                                                        tiny_archive):
+        """Regression: the supervisor and the serve pool each registered
+        ``resilience.dead_ranks`` with their own help text, so the
+        ``# HELP`` line depended on which fail-stop came first."""
+        def supervisor_recovery(tag):
+            _run(tmp_path, tiny_archive,
+                 FaultPlan(events=(FailStop(rank=DEAD_RANK, step=0),)),
+                 tag, n_steps=1)
+
+        def serve_failover(tag):
+            pool = ServeWorkerPool(2, injector=FaultInjector(FaultPlan(
+                events=(FailStop(rank=0, step=0),))),
+                duration_fn=lambda result: 0.25)
+            pool.dispatch(0.0, lambda: None)
+
+        texts = []
+        for first, second in ((supervisor_recovery, serve_failover),
+                              (serve_failover, supervisor_recovery)):
+            with observed() as (_, registry):
+                first(f"a{len(texts)}")
+                second(f"b{len(texts)}")
+            assert registry.counter("resilience.dead_ranks").total() == 2
+            # pp.bubble is laid out from measured wall-clock stage costs
+            texts.append([line for line in
+                          prometheus_text(registry).splitlines()
+                          if not line.startswith("pp_bubble{")])
+        assert texts[0] == texts[1]
 
 
 class TestTopologyDegrade:

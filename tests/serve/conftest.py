@@ -1,28 +1,7 @@
-"""Serving fixtures: a small untrained model pair (diffusion forecaster +
-one-step student) over an 8x16 synthetic archive.
-
-Determinism, batching, caching, and fault handling do not depend on
-forecast skill, so nothing here calls ``fit()`` — the session fixture
-stays cheap enough for every serve test to share.
-"""
+"""Serving fixtures (``serve_world`` itself lives in ``tests/conftest.py``:
+the golden-metrics scenario in ``tests/obs`` serves through it too)."""
 
 import pytest
-
-from repro import quickstart_components
-from repro.model import Aeris
-
-
-@pytest.fixture(scope="session")
-def serve_world():
-    """``(archive, forecaster, student, test_index)`` shared by the serve
-    tests (read-only: services get their own caches and queues)."""
-    archive, trainer = quickstart_components(height=8, width=16,
-                                             train_years=0.2,
-                                             test_years=0.1)
-    forecaster = trainer.forecaster()
-    student = Aeris(forecaster.model.config, seed=3)
-    idx = int(archive.split_indices("test")[0])
-    return archive, forecaster, student, idx
 
 
 @pytest.fixture

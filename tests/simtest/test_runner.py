@@ -61,6 +61,12 @@ class TestWorkloads:
         assert result.outcome == "completed"
         assert not result.violations, result.violations
 
+    # The poisoned candidate's 1e30 weights overflow its own forward
+    # (``kernels/fused.py``: the GEMM, then softmax's max-subtract and exp).
+    @pytest.mark.filterwarnings(
+        "ignore:overflow encountered in matmul:RuntimeWarning",
+        "ignore:invalid value encountered in subtract:RuntimeWarning",
+        "ignore:overflow encountered in exp:RuntimeWarning")
     def test_serve_deploy_with_poisoned_candidate(self, sim_runner):
         sc = _first("serve_deploy", lambda s: s.deploy.poison_candidate)
         result = sim_runner.run(sc)

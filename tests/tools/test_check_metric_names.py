@@ -1,6 +1,7 @@
 """Unit tests for the metric-name lint (``tools/check_metric_names.py``)."""
 
 import os
+import re
 import sys
 
 import pytest
@@ -46,10 +47,14 @@ class TestCheckName:
 
 
 class TestMetricViolations:
-    def _violations(self, tmp_path, source):
+    def _write(self, tmp_path, source):
         path = tmp_path / "mod.py"
         path.write_text(source)
-        return check_metric_names.metric_violations(str(path))
+        return str(path)
+
+    def _violations(self, tmp_path, source):
+        return check_metric_names.metric_violations(
+            self._write(tmp_path, source))
 
     def test_clean_file_has_none(self, tmp_path):
         assert self._violations(tmp_path, (
@@ -57,6 +62,38 @@ class TestMetricViolations:
             "    reg.counter('train.steps').inc(1)\n"
             "    reg.histogram('serve.latency_s', buckets=(1.0,))"
             ".observe(0.5, tier='fast')\n")) == []
+
+    def test_clean_hook_calls_have_none(self, tmp_path):
+        assert self._violations(tmp_path, (
+            "_count('train.steps')\n"
+            "_gauge('serve.queue_depth', 'waiting', 3, tier='fast')\n"
+            "obs.observe('serve.latency_s', '', 0.5, buckets=(1.0,),"
+            " tier='fast')\n")) == []
+
+    @pytest.mark.parametrize("call", [
+        "count('eval.metric_seconds', 'help')",
+        "_gauge('queue_depth', 'help', 2)",
+        "obs.observe('Serve.latency_s', 'help', 0.5)",
+    ])
+    def test_flags_bad_name_through_a_hook(self, tmp_path, call):
+        out = self._violations(tmp_path, call + "\n")
+        assert [line for line, _ in out] == [1]
+        assert "metric" in out[0][1]
+
+    @pytest.mark.parametrize("call", [
+        "_count('a.b', 'help', 1, Tier='fast')",
+        "gauge('a.b', 'help', 2, Tier='fast')",
+        "_observe('a.b', 'help', 0.5, buckets=(1.0,), Tier='fast')",
+        "_count(f'{subsystem}.b', 'help', 1, Tier='fast')",
+    ])
+    def test_flags_bad_label_through_a_hook(self, tmp_path, call):
+        out = self._violations(tmp_path, call + "\n")
+        assert len(out) == 1 and "Tier" in out[0][1]
+
+    def test_method_named_like_a_hook_is_not_a_booking(self, tmp_path):
+        assert check_metric_names.scan(self._write(tmp_path, (
+            "n = text.count('BAD NAME')\n"
+            "self._count('hit', Tier='fast')\n"))) == (0, [])
 
     def test_flags_bad_registration_name(self, tmp_path):
         out = self._violations(
@@ -97,7 +134,11 @@ class TestMain:
         err = capsys.readouterr().err
         assert "bad.py:1" in err and "queue_depth" in err
 
-    def test_repo_source_is_clean(self):
+    def test_repo_source_is_clean(self, capsys):
         root = os.path.dirname(TOOLS_DIR)
         assert check_metric_names.main(
             [os.path.join(root, "src", "repro")]) == 0
+        # The lint once matched registry chains only and would have passed
+        # a tree whose writers had all moved to the hooks: it must see them.
+        booked = re.search(r"(\d+) booking calls", capsys.readouterr().out)
+        assert int(booked.group(1)) >= 70

@@ -15,6 +15,7 @@ from repro.train import (
     load_checkpoint,
     save_checkpoint,
 )
+from repro.train.trainer import LR_BACKOFF_FACTOR
 from tests.train.test_trainer import TINY16
 
 CFG = TrainerConfig(batch_size=4, peak_lr=3e-3, warmup_images=40,
@@ -204,7 +205,7 @@ class TestNaNGuard:
         value = trainer.train_step()
         assert not np.isfinite(value)
         assert trainer.skipped_steps == 1
-        assert trainer.lr_backoff == CFG.lr_backoff_factor
+        assert trainer.lr_backoff == LR_BACKOFF_FACTOR
         assert trainer.images_seen == images_before  # no images consumed
         first.data[...] = saved
         for name, p in trainer.model.named_parameters():

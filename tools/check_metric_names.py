@@ -1,15 +1,17 @@
 #!/usr/bin/env python
 """Lint: metric names follow the ``subsystem.name_unit`` convention.
 
-Every instrument registered through the metrics registry
-(``.counter("...")`` / ``.gauge("...")`` / ``.histogram("...")`` with a
-string-literal name) must spell its name as ``subsystem.name``: one
-lowercase dotted namespace segment, then lowercase snake_case.  Metrics
-carrying a physical unit must use the canonical suffix — ``_s`` for
-seconds, ``_bytes`` for bytes, ``_frac`` for fractions — so dashboards
-and the Prometheus exporter never mix ``_ms`` with ``_seconds`` for the
-same quantity.  Label keys passed to ``.inc(...)`` / ``.set(...)`` /
-``.observe(...)`` chained directly on a registration must be lowercase
+Every instrument booked through the ``repro.obs`` hooks (``count("...")``
+/ ``gauge("...")`` / ``observe("...")``, under any ``_``-prefixed import
+alias) or registered on a metrics registry (``.counter("...")`` /
+``.gauge("...")`` / ``.histogram("...")``) with a string-literal name
+must spell its name as ``subsystem.name``: one lowercase dotted namespace
+segment, then lowercase snake_case.  Metrics carrying a physical unit
+must use the canonical suffix — ``_s`` for seconds, ``_bytes`` for bytes,
+``_frac`` for fractions — so dashboards and the Prometheus exporter never
+mix ``_ms`` with ``_seconds`` for the same quantity.  Label keys — a
+hook's keyword arguments, or those of ``.inc(...)`` / ``.set(...)`` /
+``.observe(...)`` chained directly on a registration — must be lowercase
 snake_case too.
 
 AST-based: only string-literal metric names are checkable (a computed
@@ -45,6 +47,10 @@ BAD_SUFFIXES = {
     "_pct": "_frac", "_percent": "_frac", "_ratio": "_frac",
 }
 
+#: The booking hooks of ``repro.obs.profile``: name is argument 0, every
+#: keyword but ``buckets`` is a label.
+HOOKS = ("count", "gauge", "observe")
+
 #: Registry methods that register an instrument by name.
 REGISTER_METHODS = ("counter", "gauge", "histogram")
 
@@ -64,32 +70,52 @@ def check_name(name: str) -> str | None:
     return None
 
 
+def _names_literal_metric(node: ast.Call) -> bool:
+    return (bool(node.args) and isinstance(node.args[0], ast.Constant)
+            and isinstance(node.args[0].value, str))
+
+
 def _is_register_call(node: ast.AST) -> bool:
     return (isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
             and node.func.attr in REGISTER_METHODS
-            and node.args
-            and isinstance(node.args[0], ast.Constant)
-            and isinstance(node.args[0].value, str))
+            and _names_literal_metric(node))
 
 
-def metric_violations(path: str) -> list[tuple[int, str]]:
-    """(line, message) pairs for one file."""
+def _is_hook_call(node: ast.AST) -> bool:
+    """``count(...)`` under its own name or a ``_``-prefixed alias, or
+    ``obs.count(...)`` — not ``text.count(...)``."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id.lstrip("_") in HOOKS
+    return (isinstance(func, ast.Attribute) and func.attr in HOOKS
+            and isinstance(func.value, ast.Name) and func.value.id == "obs")
+
+
+def scan(path: str) -> tuple[int, list[tuple[int, str]]]:
+    """``(booking calls visited, sorted (line, message) violations)`` for
+    one file; a booking call is a hook call or a write chained on a
+    string-literal registration."""
     with open(path, "rb") as fh:
         tree = ast.parse(fh.read(), filename=path)
+    n_bookings = 0
     out: list[tuple[int, str]] = []
     for node in ast.walk(tree):
-        if _is_register_call(node):
+        hook = _is_hook_call(node)
+        if (hook and _names_literal_metric(node)) or _is_register_call(node):
             message = check_name(node.args[0].value)
             if message:
                 out.append((node.lineno, message))
-        # Label kwargs only on calls chained directly off a registration
-        # (``registry.counter("x.y").inc(1, label=...)``): a bare
-        # ``.set(...)`` elsewhere is usually not a metric.
-        if (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in RECORD_METHODS
-                and _is_register_call(node.func.value)):
+        # Label kwargs: a hook's own, and those of calls chained directly
+        # off a registration (``registry.counter("x.y").inc(1, label=...)``)
+        # — a bare ``.set(...)`` elsewhere is usually not a metric.
+        if hook or (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in RECORD_METHODS
+                    and _is_register_call(node.func.value)):
+            n_bookings += 1
             for kw in node.keywords:
                 if kw.arg is None or kw.arg == "buckets":
                     continue
@@ -97,7 +123,12 @@ def metric_violations(path: str) -> list[tuple[int, str]]:
                     out.append((node.lineno,
                                 f"label {kw.arg!r} is not lowercase "
                                 "snake_case"))
-    return sorted(out)
+    return n_bookings, sorted(out)
+
+
+def metric_violations(path: str) -> list[tuple[int, str]]:
+    """(line, message) pairs for one file."""
+    return scan(path)[1]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -105,15 +136,18 @@ def main(argv: list[str] | None = None) -> int:
     if roots is None:
         return 2
     violations: list[str] = []
-    n_files = 0
+    n_files = n_bookings = 0
     for path in iter_python_files(roots):
         n_files += 1
-        for line, message in metric_violations(path):
+        seen, found = scan(path)
+        n_bookings += seen
+        for line, message in found:
             violations.append(f"{relpath(path)}:{line}: {message}")
     if violations:
         sys.stderr.write("\n".join(violations) + "\n")
         return 1
-    sys.stdout.write(f"check_metric_names: OK ({n_files} files)\n")
+    sys.stdout.write(f"check_metric_names: OK ({n_files} files, "
+                     f"{n_bookings} booking calls)\n")
     return 0
 
 
