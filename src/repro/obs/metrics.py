@@ -187,6 +187,9 @@ class MetricsRegistry:
         elif not isinstance(inst, cls) or type(inst) is not cls:
             raise TypeError(f"{name!r} already registered as "
                             f"{type(inst).__name__}")
+        elif not inst.help:
+            # A reader (``*_check``) may have asked before any writer booked.
+            inst.help = help
         return inst
 
     def counter(self, name: str, help: str = "") -> Counter:

@@ -15,7 +15,19 @@ Batches never mix tiers: the tier fixes the solver schedule (and which
 network runs), which must be uniform across the stack.
 
 :func:`execute_batch` runs an assembled batch to completion; it is the
-one place that speaks the cache's key format.
+one place that speaks the cache's key format.  That key *is* the identity
+of a member-state (weights | init digest | member seed | solver | start
+index | lead), so it also says when two tasks of a batch are about to
+compute the same thing — products of one forecast cycle asking for
+overlapping members of the same analysis.  Each stepping round is therefore
+**single flight on the content address**: the active tasks are grouped by
+the key of the state they compute next, one row per distinct key is
+stepped, and its result (and the leader's generator state afterwards: a
+follower may outlive its leader) goes to every task of the group and is
+``put`` once.  This is exact because a row's result does not depend on its
+batch (the batched-rollout and ``serve_*`` oracles assert it).  Budgets,
+``members`` and per-response cache accounting stay in *requested* member
+rows; forwards per batch are unchanged (a flight always has a leader).
 """
 
 from __future__ import annotations
@@ -156,13 +168,15 @@ def execute_batch(batch: MicroBatch, stepper, cache: ForecastCache,
                   weights: str, solver: str) -> dict:
     """Run one micro-batch to completion on ``stepper``: restore each
     member's longest cached prefix, advance every unfinished member
-    through stacked forwards, cache each new step.  ``weights`` /
-    ``solver`` are the version's content digests.
+    through stacked forwards — one row per distinct member-state (module
+    docstring) — and cache each new step.  ``weights`` / ``solver`` are the
+    version's content digests.
 
     Returns ``{"rows", "forwards", "members"}``; ``rows[i]`` holds the
     :class:`~repro.serve.ForecastResponse` fields ``forecast`` (a fresh
     float32 array), ``cache_hits``, ``cache_misses`` and ``quarantines``
-    (0 here) of ``batch.requests[i]``.
+    (0 here) of ``batch.requests[i]``; ``members`` counts requested member
+    rows, coalesced or not.
     """
     tasks = MicroBatcher.member_tasks(batch)
 
@@ -189,19 +203,32 @@ def execute_batch(batch: MicroBatch, stepper, cache: ForecastCache,
             if last is not None:
                 task.state = last.state
                 task.rng.bit_generator.state = last.rng_state
-    forwards = 0
+    forwards = coalesced = 0
     while active := [t for t in tasks if not t.done]:
+        # Single flight: tasks about to compute the same address share one
+        # row, led by the first of them in task order.
+        flights: dict[str, list[MemberTask]] = {}
+        for task in active:
+            flights.setdefault(key(task, task.lead + 1), []).append(task)
+        leaders = [flight[0] for flight in flights.values()]
         new_states = stepper.step_members(
-            np.stack([t.state for t in active]),
-            [t.pending.request.start_index + t.lead for t in active],
-            [t.rng for t in active])
+            np.stack([t.state for t in leaders]),
+            [t.pending.request.start_index + t.lead for t in leaders],
+            [t.rng for t in leaders])
         forwards += batch.policy.forwards_per_data_step()
-        for task, state in zip(active, new_states):
-            task.state = state
-            task.lead += 1
-            task.trajectory.append(state)
-            cache.put(key(task, task.lead), state,
-                      task.rng.bit_generator.state)
+        coalesced += len(active) - len(leaders)
+        for (address, flight), state in zip(flights.items(), new_states):
+            rng_state = flight[0].rng.bit_generator.state
+            cache.put(address, state, rng_state)
+            for task in flight:
+                task.state = state
+                task.lead += 1
+                task.trajectory.append(state)
+            for follower in flight[1:]:     # may outlive its leader
+                follower.rng.bit_generator.state = rng_state
+    _count("serve.coalesced_steps",
+           "member-steps answered by another member's row in the same batch",
+           coalesced, tier=batch.policy.name)
     rows = []
     members = iter(tasks)
     for pending in batch.requests:

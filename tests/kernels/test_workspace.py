@@ -28,25 +28,52 @@ class TestArenaPooling:
         buf = a.get((8, 8), np.float32)
         a.release(buf)
         again = a.get((8, 8), np.float32)
-        assert again is buf
+        assert np.shares_memory(again, buf)
+        assert again.shape == (8, 8) and again.dtype == np.float32
+        assert again.flags.c_contiguous and again.flags.writeable
         assert a.stats()["hits"] == 1 and a.stats()["misses"] == 1
 
-    def test_shape_and_dtype_key_separately(self):
+    def test_smallest_idle_buffer_that_fits_serves(self):
+        """Pooling is by capacity in bytes: another shape or dtype of no
+        more bytes reuses the memory, and of several idle buffers the
+        smallest that fits is taken."""
         a = WorkspaceArena(max_bytes=1 << 20)
-        buf = a.get((8, 8), np.float32)
-        a.release(buf)
-        assert a.get((8, 8), np.float64) is not buf
-        assert a.get((4, 16), np.float32) is not buf
+        small, large = a.get((8, 8), np.float32), a.get((64, 8), np.float32)
+        a.release(large)
+        a.release(small)
+        as_double = a.get((4, 8), np.float64)       # 256 bytes, like small
+        assert np.shares_memory(as_double, small)
+        assert as_double.shape == (4, 8) and as_double.dtype == np.float64
+        reshaped = a.get((4, 16, 2), np.float32)    # 512: only large fits
+        assert np.shares_memory(reshaped, large)
+        assert reshaped.shape == (4, 16, 2) and reshaped.nbytes == 512
+        assert a.stats()["misses"] == 2 and a.pooled_bytes == 0
+        a.release(reshaped)
+        assert a.pooled_bytes == large.nbytes       # capacity, not the view
 
-    def test_budget_drops_oldest_idle_buffers(self):
+    def test_miss_supersedes_the_largest_idle_buffer(self):
+        """Whatever the order of sizes, what stays pooled is one buffer per
+        request outstanding at once, each as large as the largest seen."""
+        for sizes in ((10, 20, 40, 80), (80, 40, 20, 10), (20, 80, 10, 40)):
+            a = WorkspaceArena(max_bytes=1 << 20)
+            for n in sizes:
+                a.release(a.get((n,), np.float32))
+            assert a.pooled_bytes == 80 * 4
+            for n in sizes:                          # two outstanding at once
+                x, y = a.get((n,), np.float32), a.get((n,), np.float32)
+                a.release(x)
+                a.release(y)
+            assert a.pooled_bytes == 2 * 80 * 4
+
+    def test_budget_drops_smallest_idle_buffers(self):
         a = WorkspaceArena(max_bytes=1000)
         first = a.get((100,), np.float32)   # 400 bytes
         second = a.get((100,), np.float64)  # 800 bytes
         a.release(first)
-        a.release(second)                   # 1200 pooled -> shrink drops first
-        assert a.pooled_bytes <= 1000
-        assert a.get((100,), np.float64) is second
-        assert a.get((100,), np.float32) is not first
+        a.release(second)                   # 1200 pooled -> first is dropped
+        assert a.pooled_bytes == 800
+        assert np.shares_memory(a.get((100,), np.float32), second)
+        assert a.pooled_bytes == 0
 
     def test_oversized_request_never_pooled(self):
         a = WorkspaceArena(max_bytes=100)
@@ -55,10 +82,17 @@ class TestArenaPooling:
         assert a.pooled_bytes == 0
 
     def test_views_are_refused(self):
+        """Only what ``get`` handed out comes back: not a foreign array, not
+        a view of one, not a view of a handed-out buffer."""
         a = WorkspaceArena(max_bytes=1 << 20)
         base = np.empty((16,), dtype=np.float32)
-        a.release(base[:8])
-        assert a.pooled_bytes == 0
+        mine = a.get((4, 4), np.float32)
+        for other in (base, base[:8], mine[:2], mine.reshape(-1), mine.T,
+                      mine.view(np.int32), None):
+            a.release(other)
+            assert a.pooled_bytes == 0
+        a.release(mine)
+        assert a.pooled_bytes == mine.nbytes
 
     def test_clear_and_stats(self):
         a = WorkspaceArena(max_bytes=1 << 20)
@@ -67,13 +101,34 @@ class TestArenaPooling:
         assert a.pooled_bytes == 0
         a.reset_stats()
         assert a.stats()["bytes_served"] == 0
+        assert set(a.stats()) == {"hits", "misses", "bytes_served",
+                                  "bytes_allocated", "pooled_bytes",
+                                  "max_bytes"}
 
     def test_rejects_non_positive_free_reuse_of_distinct_gets(self):
-        # Two outstanding gets of the same key must be distinct buffers.
+        # Two outstanding gets must be distinct memory, whether they miss,
+        # hit equal buffers, or hit one that could hold both.
         a = WorkspaceArena(max_bytes=1 << 20)
-        x = a.get((8,), np.float32)
-        y = a.get((8,), np.float32)
-        assert x is not y
+        for _ in range(2):
+            x = a.get((8,), np.float32)
+            y = a.get((8,), np.float32)
+            assert not np.shares_memory(x, y)
+            a.release(x)
+            a.release(y)
+        a.clear()
+        a.release(a.get((64,), np.float32))
+        x, y = a.get((8,), np.float32), a.get((8,), np.float32)
+        assert not np.shares_memory(x, y)
+
+    def test_shapes_without_elements_and_list_spellings(self):
+        a = WorkspaceArena(max_bytes=1 << 20)
+        empty = a.get((0, 3), np.float32)
+        assert empty.shape == (0, 3)
+        a.release(empty)
+        scalar = a.get((), np.float64)
+        assert scalar.shape == () and scalar.dtype == np.float64
+        listed = a.get([2, np.int64(3)], "float32")
+        assert listed.shape == (2, 3) and listed.dtype == np.float32
 
 
 class TestArenaInKernels:
@@ -178,9 +233,10 @@ class TestArenaInKernels:
 
     def test_pooled_bytes_steady_and_budgeted_at_16_rows(self):
         """The RSS guard: rotary, K^T and max scratch all go through one
-        256 KB block, so what a 16-row forward of the quickstart model
-        leaves pooled is that block, the score matrix (2 MB) and two
-        SwiGLU hidden buffers (4 MB) — settled after the first forward."""
+        256 KB block, and at most two requests are ever outstanding (score
+        matrix + block, or the two SwiGLU hidden buffers), so what a 16-row
+        forward of the quickstart model leaves pooled is two 2 MB buffers —
+        settled after the first forward."""
         model = Aeris(QUICKSTART, seed=0)
         rng = np.random.default_rng(4)
         args = (Tensor(rng.normal(size=(16, 16, 32, 9)).astype(np.float32)),
@@ -195,20 +251,30 @@ class TestArenaInKernels:
                 model(*args)
                 pooled.append(glob.pooled_bytes)
         assert len(set(pooled[1:])) == 1
-        assert pooled[-1] < 7 * 2 ** 20
+        assert pooled[-1] == 4 * 2 ** 20
 
     def test_pooled_bytes_over_serving_batch_shapes(self):
-        """Pooled scratch is keyed by shape, so a service that sees many
-        batch sizes pays for each: the sequence below left 29 097 984 bytes
-        pooled before the tape-free kernels, and none of them may add to
-        it (their scratch is the one flat block)."""
+        """Pooled scratch is served by capacity, so a service that sees
+        many batch sizes pays for the largest only: whatever the order,
+        no more stays pooled than 18 rows alone leave (a score matrix's
+        worth twice over — the two SwiGLU hidden buffers are that size, and
+        the 256 KB block fits in either).  Keyed by shape, this sequence
+        left 21 889 024 bytes."""
         model = Aeris(QUICKSTART, seed=0)
         glob = arena()
-        glob.clear()
-        with no_grad():
-            for rows in (1, 2, 4, 14, 18, 16):
-                model(*model_inputs(QUICKSTART, rows))
-        assert glob.pooled_bytes <= 29_097_984
+
+        def pooled_after(sequence):
+            glob.clear()
+            with no_grad():
+                for rows in sequence:
+                    model(*model_inputs(QUICKSTART, rows))
+            return glob.pooled_bytes
+
+        alone = pooled_after((18,))
+        assert alone <= 7.5 * 2 ** 20
+        for sequence in ((1, 2, 4, 14, 16, 18), (18, 16, 14, 4, 2, 1),
+                         (1, 2, 4, 14, 18, 16), (16, 2, 18, 1, 14, 4)):
+            assert pooled_after(sequence) <= alone
 
 
 class TestForwardAliasing:
@@ -239,10 +305,11 @@ class TestForwardAliasing:
         np.testing.assert_array_equal(first, kept)
         assert not np.array_equal(first, second)
         # ... and not the arena's either: nothing pooled overlaps a result.
-        for bucket in arena()._pool.values():
-            for buf in bucket:
-                assert not np.shares_memory(buf, first)
-                assert not np.shares_memory(buf, second)
+        idle = arena()._idle
+        assert idle
+        for _, buf in idle:
+            assert not np.shares_memory(buf.base, first)
+            assert not np.shares_memory(buf.base, second)
 
     def test_block_reads_its_residual_input_only(self):
         """A caller may keep the residual stream it handed to a block (the

@@ -66,6 +66,32 @@ class TestPrometheus:
         reg.counter("a.b").inc(1, path='x"y\\z')
         assert 'path="x\\"y\\\\z"' in prometheus_text(reg)
 
+    def test_help_survives_a_reader_that_asks_first(self):
+        """A ``*_check`` may read an instrument before any writer booked
+        it; the writer's help must still reach the export (a second,
+        different help does not replace the first)."""
+        def booked(reader_first: bool) -> str:
+            reg = MetricsRegistry()
+            with obs.observed(registry=reg):
+                if reader_first:
+                    assert reg.counter("serve.batches").total() == 0
+                    assert reg.gauge("serve.cache_bytes").value() == 0
+                    assert reg.histogram("serve.latency_s").help == ""
+                obs.count("serve.batches", "micro-batches assembled", 2,
+                          tier="fast")
+                obs.gauge("serve.cache_bytes", "resident bytes", 64)
+                obs.observe("serve.latency_s", "served-request latency", 0.5)
+                obs.count("serve.batches", "something else", 1, tier="fast")
+                if not reader_first:
+                    assert reg.counter("serve.batches").total() == 3
+            return prometheus_text(reg)
+
+        text = booked(reader_first=True)
+        assert text == booked(reader_first=False)
+        assert "# HELP serve_batches micro-batches assembled" in text
+        assert "# HELP serve_cache_bytes resident bytes" in text
+        assert "# HELP serve_latency_s served-request latency" in text
+
     def test_write_is_atomic_and_exact(self, tmp_path):
         path = str(tmp_path / "metrics.prom")
         assert write_prometheus(_registry(), path) == path

@@ -5,7 +5,12 @@ call sites wrote through ``registry.counter(...).inc(...)`` behind an
 ``if registry is not None`` (751c430).  The booking hooks
 (:func:`repro.obs.count` / ``gauge`` / ``observe``) must register the
 same instruments — name, kind, help, buckets, label keys — and count
-the same events.
+the same events.  Regenerated once since, for an intended change (PR 18,
+single flight in ``execute_batch``): request ``d`` of the serve scenario
+is member 0 of ``a`` in the same batch, so one member-step is no longer
+computed twice — ``sampler.data_steps`` 53 → 52, ``sampler.member_forwards``
+117 → 114, ``solver.steps`` 32 → 31, one ``serve.cache`` put fewer, and the
+new ``serve.coalesced_steps``.
 """
 
 import json

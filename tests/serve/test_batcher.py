@@ -174,3 +174,127 @@ class TestMicroBatcher:
         np.testing.assert_array_equal(
             seen[0], np.stack([d.astype(np.float32) for d in draws])
             / flow.sigma_d)
+
+
+class SpyStepper:
+    """Delegates to a tier's stepper, recording the rows of every call."""
+
+    def __init__(self, inner):
+        self.inner, self.rows = inner, []
+
+    def step_members(self, states, time_indices, rngs):
+        self.rows.append(len(states))
+        assert len(states) == len(time_indices) == len(rngs)
+        return self.inner.step_members(states, time_indices, rngs)
+
+
+class TestSingleFlight:
+    """Tasks of one batch about to compute the same content address share
+    one row (``execute_batch``): the forecasts, the per-response cache
+    accounting and ``members`` are what they were when every copy was
+    computed; only rows and ``put``\\ s fall."""
+
+    #: (members, lead), all on one (init, seed, start): in task order the
+    #: 4x1 request leads lead 1, the 2x2 request lead 2 of member 1, and the
+    #: 4x4 request — a follower until then — carries on alone.
+    REQUESTS = ((4, 1), (2, 2), (4, 4), (1, 4))
+    SEED = 7
+
+    def serve(self, serve_world, tier, warm, **config):
+        from repro.serve import ServiceConfig
+        from .test_service import make_service, request
+        svc = make_service(serve_world, with_student=True,
+                           config=ServiceConfig(**config))
+        if warm:    # member 0's first two leads are cached beforehand
+            svc.serve(request(serve_world, tier=tier, n_members=1,
+                              n_steps=2, seed=self.SEED))
+        steppers = svc.bindings[svc.active_version].steppers
+        spy = steppers[tier] = SpyStepper(steppers[tier])
+        puts = []
+        put = svc.cache.put
+
+        def counted_put(key, state, rng_state):
+            puts.append(key)
+            return put(key, state, rng_state)
+
+        svc.cache.put = counted_put
+        responses = svc.run([
+            request(serve_world, tier=tier, n_members=m, n_steps=n,
+                    seed=self.SEED, arrival_s=0.0)
+            for m, n in self.REQUESTS])
+        return svc, spy, puts, responses
+
+    def check_forecasts(self, serve_world, spy, responses):
+        archive, _, _, idx = serve_world
+        assert [r.status for r in responses] == ["completed"] * 4
+        for resp, (m, n) in zip(responses, self.REQUESTS):
+            direct = spy.inner.ensemble_rollout(
+                archive.fields[idx], n_steps=n, n_members=m, seed=self.SEED,
+                start_index=idx)
+            assert resp.forecast.dtype == np.float32
+            np.testing.assert_array_equal(resp.forecast, direct)
+            assert resp.batch_members == 11     # requested rows, as before
+
+    @pytest.mark.parametrize("tier", ["fast", "standard"])
+    def test_duplicates_never_change_a_forecast_bit(self, serve_world, tier,
+                                                    obs_on):
+        svc, spy, puts, responses = self.serve(serve_world, tier, warm=True)
+        self.check_forecasts(serve_world, spy, responses)
+        # Member 0 resumes at lead 2 in every request that goes further.
+        # Addresses per step: {m0 l3, m1-3 l1}, {m0 l4, m1-3 l2}, then
+        # members 1-3 of the 4x4 request alone, twice.
+        assert spy.rows == [4, 4, 3, 3]
+        assert len(puts) == len(set(puts)) == 14
+        assert svc.pool.n_dispatches == 2       # the warm-up and the batch
+        # Per-response accounting is per task, exactly as without flights.
+        assert [(r.cache_hits, r.cache_misses) for r in responses] \
+            == [(1, 3), (2, 1), (2, 4), (2, 1)]
+        steps = svc.router.route(tier).forwards_per_data_step()
+        assert {r.batch_forwards for r in responses} == {4 * steps}
+        coalesced = obs_on.metrics().counter("serve.coalesced_steps")
+        assert coalesced.value(tier=tier) == (9 - 4) + (6 - 4)
+        assert coalesced.total() == coalesced.value(tier=tier)
+
+    def test_flights_coalesce_with_the_cache_off(self, serve_world):
+        # one byte: every put is refused, so nothing is ever resumed
+        svc, spy, puts, responses = self.serve(serve_world, "fast",
+                                               warm=True, cache_bytes=1)
+        self.check_forecasts(serve_world, spy, responses)
+        assert spy.rows == [4, 4, 4, 4]
+        assert len(puts) == len(set(puts)) == 16 and len(svc.cache) == 0
+        assert [(r.cache_hits, r.cache_misses) for r in responses] \
+            == [(0, 4), (0, 2), (0, 4), (0, 1)]
+
+    def test_follower_continues_from_its_leaders_generator(self):
+        """``("fast", 2, 2)`` beside ``("fast", 4, 4)`` on one seed: the
+        short request leads members 0-1 through lead 2 and is done; the long
+        one's members — followers until then — must draw lead 3 from where
+        those generators stopped, not from their own, never advanced."""
+        from repro.diffusion import member_seed
+        from repro.serve import ForecastCache, execute_batch
+        q = make_queue()
+        for members, steps in ((2, 2), (4, 4)):
+            q.submit(req("fast", members=members, steps=steps, seed=7), 0.0)
+        batch, _ = MicroBatcher(q).next_batch(now=0.0)
+        fed = []    # per call, where every generator handed in stands
+
+        class Stepper:
+            def step_members(self, states, time_indices, rngs):
+                fed.append([rng.bit_generator.state["state"]
+                            for rng in rngs])
+                return states + np.stack([
+                    rng.normal(size=STATE.shape) for rng in rngs
+                ]).astype(np.float32)
+
+        cache = ForecastCache()
+        result = execute_batch(batch, Stepper(), cache, "weights", "solver")
+        lone = [np.random.default_rng(member_seed(7, m)) for m in range(4)]
+        assert len(fed) == 4
+        for step in fed:
+            assert step == [rng.bit_generator.state["state"] for rng in lone]
+            for rng in lone:
+                rng.normal(size=STATE.shape)
+        short, long = (row["forecast"] for row in result["rows"])
+        np.testing.assert_array_equal(short, long[:2, :3])
+        assert not np.shares_memory(short, long)
+        assert result["members"] == 6 and len(cache) == 16

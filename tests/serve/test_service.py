@@ -148,6 +148,66 @@ class TestBatching:
         assert registry.counter("sampler.member_forwards").total() == 48
 
 
+class TestCoalescedResponsesOwnTheirMemory:
+    """Requests of one batch that ask for the same members are answered
+    from one computed row (single flight) — in separate memory."""
+
+    def twins(self, serve_world, **kwargs):
+        svc = make_service(serve_world, with_student=True, **kwargs)
+        reqs = [request(serve_world, tier="fast", n_members=m, n_steps=n,
+                        seed=7, arrival_s=0.0)
+                for m, n in ((2, 2), (2, 2), (1, 1))]
+        direct = svc.stepper("fast").ensemble_rollout(
+            reqs[0].init_state, n_steps=2, n_members=2, seed=7,
+            start_index=reqs[0].start_index)
+        return svc, reqs, direct
+
+    def test_poisoning_one_response_leaves_twin_and_cache_clean(
+            self, serve_world):
+        from repro.resilience import FaultInjector, FaultPlan
+        svc, reqs, direct = self.twins(serve_world)
+        first, twin, short = svc.run(reqs)
+        assert svc.pool.n_dispatches == 1 and len(svc.cache) == 4
+        forecasts = [first.forecast, twin.forecast, short.forecast]
+        cached = [e.state for e in svc.cache._entries.values()]
+        for i, a in enumerate(forecasts):
+            assert a.flags.owndata
+            for b in forecasts[i + 1:] + cached:
+                assert not np.shares_memory(a, b)
+        inj = FaultInjector(FaultPlan(seed=0))
+        for _ in range(8):      # seeded elements of the first response only
+            inj.poison_forecast([first.forecast])
+        assert not np.array_equal(first.forecast, direct)
+        np.testing.assert_array_equal(twin.forecast, direct)
+        np.testing.assert_array_equal(short.forecast, direct[:1, :2])
+        again = svc.serve(reqs[0])
+        assert again.cache_hits == 4 and again.cache_misses == 0
+        np.testing.assert_array_equal(again.forecast, direct)
+
+    def test_quarantined_row_of_a_flight_is_rerun_and_healed(
+            self, serve_world):
+        """The validator catches the poisoned response of a flight; the
+        re-run on the other worker is answered from the (clean) cache.
+        ``golden_service_scenario.json`` pins the same thing on requests
+        ``a``/``d``."""
+        from repro.resilience import ComputeFault
+        from repro.serve import ForecastValidator
+        svc, reqs, direct = self.twins(
+            serve_world, config=ServiceConfig(n_workers=2),
+            validator=ForecastValidator.from_normalizer(
+                serve_world[0].state_normalizer()),
+            injector=FaultInjector(FaultPlan(seed=5, events=(
+                ComputeFault(step=0, site="forecast"),))))
+        responses = svc.run(reqs)
+        assert all(r.ok for r in responses) and svc.pool.n_dispatches == 2
+        assert sorted(r.quarantines for r in responses) == [0, 0, 1]
+        assert {r.batch_forwards for r in responses} == {0}     # the re-run
+        assert [r.cache_hits for r in responses] == [4, 4, 1]
+        for resp in responses[:2]:
+            np.testing.assert_array_equal(resp.forecast, direct)
+        np.testing.assert_array_equal(responses[2].forecast, direct[:1, :2])
+
+
 class TestBackpressure:
     def test_queue_full_rejection(self, serve_world):
         svc = make_service(serve_world,
