@@ -2,18 +2,13 @@
 """Observability overhead benchmark: trainer steps with the full health
 stack on vs. everything off.
 
-Times the same trainer configuration in paired interleaved rounds — one
-round alternates an *off* segment (no tracer, registry, monitor, or
-flight recorder) with an *on* segment (``obs.monitored()``: tracing +
-metrics + health detectors + flight recorder) — so CPU frequency drift
-biases both sides equally.  The headline is
-
-* ``derived.health_enabled_speedup`` — off-time / on-time (≈1.0 when
-  monitoring is cheap; gated higher-is-better by
-  ``tools/check_bench_regression.py`` against the committed baseline);
-* ``derived.overhead_frac`` — on/off - 1, the fraction of a training
-  step spent feeding the health stack.  ``--max-overhead 0.05`` turns
-  it into a hard CI failure.
+The *off* segments run dark (no tracer, registry, monitor, or flight
+recorder); the *on* segments run under ``obs.monitored()`` (tracing +
+metrics + health detectors + flight recorder).  ``--max-overhead 0.05``
+turns the fraction of a training step spent feeding the health stack
+into a hard CI failure on ``derived.overhead_frac_paired``.  The timing
+discipline, the sidecar schema (``BENCH_obs_health.json``) and the flags
+are ``overhead_gate.py``'s.
 
 Standalone::
 
@@ -23,120 +18,14 @@ Standalone::
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import platform
 import sys
-import time
-
-import numpy as np
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "src"))
 
-from repro import obs, quickstart_components  # noqa: E402
-
-
-def _build_trainer(seed: int):
-    _, trainer = quickstart_components(height=16, width=32,
-                                       train_years=0.3, seed=seed,
-                                       test_years=0.1)
-    return trainer
-
-
-def _segment_time(trainer, n_steps: int) -> float:
-    start = time.perf_counter()
-    trainer.fit(n_steps)
-    return (time.perf_counter() - start) / n_steps
-
-
-def run(rounds: int, steps_per_round: int, warmup: int) -> dict:
-    """Per-step times (seconds) for both modes, interleaved by round."""
-    obs.disable()
-    off_trainer = _build_trainer(seed=0)
-    on_trainer = _build_trainer(seed=0)
-    off_trainer.fit(warmup)
-    with obs.monitored():
-        on_trainer.fit(warmup)
-    off_times: list[float] = []
-    on_times: list[float] = []
-    for _ in range(rounds):
-        off_times.append(_segment_time(off_trainer, steps_per_round))
-        with obs.monitored():
-            on_times.append(_segment_time(on_trainer, steps_per_round))
-    obs.disable()
-    return {"off_s": off_times, "on_s": on_times}
-
-
-def report(times: dict, rounds: int, steps_per_round: int) -> dict:
-    # min over rounds is the noise floor; the paired ratio of medians is
-    # the headline.
-    off = np.asarray(times["off_s"])
-    on = np.asarray(times["on_s"])
-    off_p50 = float(np.median(off))
-    on_p50 = float(np.median(on))
-    return {
-        "bench": "BENCH_obs_health",
-        "env": {
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "machine": platform.machine(),
-        },
-        "config": {"rounds": rounds, "steps_per_round": steps_per_round},
-        "data": {
-            "off_step_ms": {"p50": off_p50 * 1e3,
-                            "min": float(off.min()) * 1e3},
-            "on_step_ms": {"p50": on_p50 * 1e3,
-                           "min": float(on.min()) * 1e3},
-        },
-        "derived": {
-            "health_enabled_speedup": off_p50 / on_p50,
-            "overhead_frac": on_p50 / off_p50 - 1.0,
-        },
-    }
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="fewer rounds (CI-friendly, same schema)")
-    parser.add_argument("--rounds", type=int, default=None)
-    parser.add_argument("--steps-per-round", type=int, default=4)
-    parser.add_argument("--max-overhead", type=float, default=None,
-                        metavar="FRAC",
-                        help="hard-fail if overhead_frac exceeds this")
-    parser.add_argument("--out", default=None, metavar="DIR",
-                        help="sidecar directory (default: results/)")
-    args = parser.parse_args(argv)
-
-    rounds = args.rounds if args.rounds else (6 if args.smoke else 20)
-    times = run(rounds, args.steps_per_round, warmup=2)
-    payload = report(times, rounds, args.steps_per_round)
-
-    out_dir = args.out or os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), "results")
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "BENCH_obs_health.json")
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-
-    d = payload["derived"]
-    print(f"obs health overhead: off "
-          f"{payload['data']['off_step_ms']['p50']:.2f} ms/step, on "
-          f"{payload['data']['on_step_ms']['p50']:.2f} ms/step, "
-          f"overhead {d['overhead_frac']:+.2%} "
-          f"(speedup x{d['health_enabled_speedup']:.3f})")
-    print(f"wrote {path}")
-
-    if args.max_overhead is not None \
-            and d["overhead_frac"] > args.max_overhead:
-        print(f"FAIL: overhead {d['overhead_frac']:.2%} exceeds "
-              f"--max-overhead {args.max_overhead:.2%}", file=sys.stderr)
-        return 1
-    return 0
-
+import overhead_gate  # noqa: E402  (puts src/ on the path)
+from repro import obs  # noqa: E402
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(overhead_gate.main("obs_health", "health", obs.monitored,
+                                description=__doc__.splitlines()[0]))

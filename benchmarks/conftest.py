@@ -74,17 +74,26 @@ def write_result(name: str, text: str, data=None) -> None:
 
 
 def _fit_cached(trainer, tag: str):
-    """Train once per (tag, steps) and cache weights + EMA on disk, so
-    re-running individual benches does not retrain."""
-    from repro.train import load_checkpoint, save_checkpoint
-    os.makedirs(CACHE_DIR, exist_ok=True)
-    path = os.path.join(CACHE_DIR, f"{tag}_{TRAIN_STEPS}.npz")
-    if os.path.exists(path):
-        load_checkpoint(path, trainer.model, ema=trainer.ema)
+    """Train once per tag and cache the checkpoint (``Trainer.save``) on
+    disk, so re-running individual benches does not retrain.  A cached
+    checkpoint is loaded only if it was trained for this model config,
+    seed and step count; anything else retrains and overwrites it."""
+    from repro.model.config import config_to_dict
+    from repro.train import CheckpointError, read_sharded_checkpoint
+    path = os.path.join(CACHE_DIR, tag)
+    try:
+        shards, extra = read_sharded_checkpoint(path)
+    except CheckpointError:
+        shards, extra = {}, {}
+    lineage = extra.get("lineage", {})
+    if (extra.get("step") == TRAIN_STEPS
+            and lineage.get("seed") == trainer.config.seed
+            and lineage.get("model_config")
+            == config_to_dict(trainer.model.config)):
+        trainer.restore(shards, extra, where=path)
         return trainer
     trainer.fit(TRAIN_STEPS)
-    save_checkpoint(path, trainer.model, ema=trainer.ema,
-                    images_seen=trainer.images_seen)
+    trainer.save(path)
     return trainer
 
 

@@ -147,35 +147,14 @@ def run_kernel_benches(rounds: int, warmup: int) -> dict:
     }
 
 
-def run_obs_health_bench(out_dir: str, smoke: bool) -> int:
-    """Run the observability-overhead bench (own process so the global
-    obs state it toggles cannot leak into other benches)."""
+def run_script_bench(script: str, out_dir: str, smoke: bool,
+                     *flags: str) -> int:
+    """Run a standalone bench script in its own process (so the global
+    obs / ABFT-guard / virtual-clock state it toggles cannot leak into
+    other benches); overhead budgets are enforced inside the script."""
     bench_dir = os.path.dirname(os.path.abspath(__file__))
-    cmd = [sys.executable, os.path.join(bench_dir, "bench_obs_health.py"),
-           "--out", os.path.abspath(out_dir), "--max-overhead", "0.05"]
-    if smoke:
-        cmd.append("--smoke")
-    return subprocess.run(cmd, cwd=bench_dir).returncode
-
-
-def run_sdc_bench(out_dir: str, smoke: bool) -> int:
-    """Run the ABFT-overhead bench (own process so the module-global
-    guard state it toggles cannot leak into other benches).  The ISSUE's
-    <=10% overhead budget is enforced inside the bench itself."""
-    bench_dir = os.path.dirname(os.path.abspath(__file__))
-    cmd = [sys.executable, os.path.join(bench_dir, "bench_sdc.py"),
-           "--out", os.path.abspath(out_dir), "--max-overhead", "0.10"]
-    if smoke:
-        cmd.append("--smoke")
-    return subprocess.run(cmd, cwd=bench_dir).returncode
-
-
-def run_deploy_bench(out_dir: str, smoke: bool) -> int:
-    """Run the rolling-swap serving bench (own process: it drives the
-    serving event loop's virtual clock and global obs-free services)."""
-    bench_dir = os.path.dirname(os.path.abspath(__file__))
-    cmd = [sys.executable, os.path.join(bench_dir, "bench_deploy.py"),
-           "--out", os.path.abspath(out_dir)]
+    cmd = [sys.executable, os.path.join(bench_dir, script),
+           "--out", os.path.abspath(out_dir), *flags]
     if smoke:
         cmd.append("--smoke")
     return subprocess.run(cmd, cwd=bench_dir).returncode
@@ -224,29 +203,25 @@ def main(argv: list[str] | None = None) -> int:
         json.dump(report, fh, indent=2, sort_keys=True)
     print(f"wrote {path}")
 
-    print("observability overhead bench:")
-    rc_obs = run_obs_health_bench(out_dir, smoke=args.smoke)
-    if rc_obs != 0:
-        print(f"obs health bench FAILED (exit {rc_obs})", file=sys.stderr)
-
-    print("abft overhead bench:")
-    rc_sdc = run_sdc_bench(out_dir, smoke=args.smoke)
-    if rc_sdc != 0:
-        print(f"abft sdc bench FAILED (exit {rc_sdc})", file=sys.stderr)
-
-    print("rolling-swap deploy bench:")
-    rc_deploy = run_deploy_bench(out_dir, smoke=args.smoke)
-    if rc_deploy != 0:
-        print(f"deploy bench FAILED (exit {rc_deploy})", file=sys.stderr)
-    rc_sdc = rc_sdc or rc_deploy
+    rc_scripts = 0
+    for label, script, flags in (
+            ("observability overhead", "bench_obs_health.py",
+             ("--max-overhead", "0.05")),
+            ("abft overhead", "bench_sdc.py", ("--max-overhead", "0.10")),
+            ("rolling-swap deploy", "bench_deploy.py", ())):
+        print(f"{label} bench:")
+        rc = run_script_bench(script, out_dir, args.smoke, *flags)
+        if rc != 0:
+            print(f"{label} bench FAILED (exit {rc})", file=sys.stderr)
+        rc_scripts = rc_scripts or rc
 
     if args.skip_figures:
-        return rc_obs or rc_sdc
+        return rc_scripts
     print("figure benches (pytest, single-shot):")
     rc = run_figure_benches(out_dir, FIGURE_BENCHES)
     if rc != 0:
         print(f"figure benches FAILED (exit {rc})", file=sys.stderr)
-    return rc or rc_obs or rc_sdc
+    return rc or rc_scripts
 
 
 if __name__ == "__main__":

@@ -14,82 +14,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..data import SyntheticReanalysis, TOY_SET
-from ..diffusion import weighted_velocity_loss
+from ..data import SyntheticReanalysis
 from ..model import Aeris
-from ..nn import EMA, AdamW, WarmupConstantDecay
 from ..tensor import Tensor, no_grad
-from ..train.trainer import TrainerConfig
+from ..train.trainer import Trainer, TrainerConfig
 
-__all__ = ["DeterministicTrainer", "DeterministicForecaster"]
+__all__ = ["PointRegression", "DeterministicTrainer", "DeterministicForecaster"]
 
 
-class DeterministicTrainer:
-    """MSE training of the AERIS backbone as a point forecaster.
+class PointRegression:
+    """The point-forecast objective as a parameterization: the diffusion
+    inputs are neutralized (``x_t = 0`` and ``t = 0``), so the network
+    sees exactly the conditioning (previous state + forcings) and
+    regresses the standardized residual.  Draws nothing."""
 
-    The diffusion inputs are neutralized: ``x_t = 0`` and ``t = 0``, so the
-    network sees exactly the conditioning (previous state + forcings) and
-    regresses the standardized residual.
-    """
+    def network_pair(self, x0: np.ndarray, rng_t, rng_z):
+        """``(x_in, t_in, target, out_scale)``, the shape of
+        :meth:`repro.diffusion.TrigFlow.network_pair`."""
+        return (np.zeros_like(x0), np.zeros(x0.shape[0], dtype=np.float32),
+                x0, 1.0)
+
+
+class DeterministicTrainer(Trainer):
+    """MSE training of the AERIS backbone as a point forecaster:
+    :class:`~repro.train.Trainer`'s loop (checkpoints, guards, telemetry)
+    with :class:`PointRegression` as the parameterization."""
 
     def __init__(self, model: Aeris, archive: SyntheticReanalysis,
                  config: TrainerConfig = TrainerConfig()):
-        if model.config.channels != len(TOY_SET):
-            raise ValueError("model channel count must match the archive")
-        self.model = model
-        self.archive = archive
-        self.config = config
-        self.state_norm = archive.state_normalizer()
-        self.residual_norm = archive.residual_normalizer()
-        self.forcing_norm = archive.forcing_normalizer()
-        self.optimizer = AdamW(model.parameters(), lr=config.peak_lr,
-                               betas=config.betas,
-                               weight_decay=config.weight_decay)
-        self.schedule = WarmupConstantDecay(
-            peak_lr=config.peak_lr, warmup_images=config.warmup_images,
-            total_images=config.total_images,
-            decay_images=config.decay_images)
-        self.ema = EMA(model, halflife_images=config.ema_halflife_images)
-        self.lat_weights = archive.grid.latitude_weights()
-        self.var_weights = np.asarray(TOY_SET.kappa_weights())
-        self.images_seen = 0.0
-        self.rng_batch = np.random.default_rng(config.seed)
-        self.history: list[float] = []
-
-    def train_step(self) -> float:
-        cfg = self.config
-        indices = self.rng_batch.choice(self.archive.split_indices("train"),
-                                        size=cfg.batch_size, replace=False)
-        cond, residual, forc = self.archive.training_batch(
-            indices, self.state_norm, self.residual_norm, self.forcing_norm)
-        zeros = np.zeros_like(residual)
-        t = np.zeros(cfg.batch_size, dtype=np.float32)
-        self.optimizer.zero_grad()
-        pred = self.model(Tensor(zeros), Tensor(t), Tensor(cond), Tensor(forc))
-        loss = weighted_velocity_loss(pred, residual, self.lat_weights,
-                                      self.var_weights)
-        loss.backward()
-        self.optimizer.lr = self.schedule.lr_at(self.images_seen)
-        self.optimizer.step()
-        self.images_seen += cfg.batch_size
-        self.ema.update(self.model, images_per_step=cfg.batch_size)
-        value = loss.item()
-        self.history.append(value)
-        return value
-
-    def fit(self, n_steps: int) -> list[float]:
-        for _ in range(n_steps):
-            self.train_step()
-        return self.history
+        super().__init__(model, archive, config, flow=PointRegression())
 
     def forecaster(self, use_ema: bool = True) -> "DeterministicForecaster":
-        inference = Aeris(self.model.config)
-        inference.load_state_dict(self.model.state_dict())
-        if use_ema:
-            self.ema.copy_to(inference)
-        inference.eval()
         return DeterministicForecaster(
-            model=inference, archive=self.archive,
+            model=self.inference_model(use_ema), archive=self.archive,
             state_norm=self.state_norm, residual_norm=self.residual_norm,
             forcing_norm=self.forcing_norm)
 

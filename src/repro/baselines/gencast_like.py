@@ -19,12 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..data import SyntheticReanalysis, TOY_SET
-from ..diffusion import member_rngs, weighted_velocity_loss
+from ..data import SyntheticReanalysis
+from ..diffusion import member_rngs
 from ..model import Aeris
-from ..nn import EMA, AdamW, WarmupConstantDecay
 from ..tensor import Tensor, no_grad
-from ..train.trainer import TrainerConfig
+from ..train.trainer import Trainer, TrainerConfig
 
 __all__ = ["EdmConfig", "EdmTrainer", "EdmForecaster"]
 
@@ -69,81 +68,36 @@ class EdmConfig:
                * (self.sigma_min ** inv - self.sigma_max ** inv)) ** self.rho
         return np.append(sig, 0.0)
 
+    def network_pair(self, x0: np.ndarray, rng_sigma: np.random.Generator,
+                     rng_z: np.random.Generator):
+        """``(x_in, t_in, target, out_scale)`` for a batch of clean
+        samples (the shape of :meth:`repro.diffusion.TrigFlow.network_pair`):
+        the network regresses the preconditioned residual target
+        ``(x0 − c_skip x) / c_out``, with unit effective weight."""
+        sigma = self.sample_sigma(rng_sigma, x0.shape[0])
+        z = rng_z.normal(size=x0.shape).astype(np.float32)
+        sig4 = sigma[:, None, None, None]
+        x_noisy = x0 + sig4 * z
+        target = (x0 - self.c_skip(sig4) * x_noisy) / self.c_out(sig4)
+        return self.c_in(sig4) * x_noisy, self.c_noise(sigma), target, 1.0
 
-class EdmTrainer:
-    """Trains the backbone as an EDM denoiser of standardized residuals."""
+
+class EdmTrainer(Trainer):
+    """Trains the backbone as an EDM denoiser of standardized residuals:
+    :class:`~repro.train.Trainer`'s loop (checkpoints, guards, telemetry)
+    with an :class:`EdmConfig` as the parameterization."""
 
     def __init__(self, model: Aeris, archive: SyntheticReanalysis,
                  config: TrainerConfig = TrainerConfig(),
                  edm: EdmConfig = EdmConfig()):
-        if model.config.channels != len(TOY_SET):
-            raise ValueError("model channel count must match the archive")
-        self.model = model
-        self.archive = archive
-        self.config = config
-        self.edm = edm
-        self.state_norm = archive.state_normalizer()
-        self.residual_norm = archive.residual_normalizer()
-        self.forcing_norm = archive.forcing_normalizer()
-        self.optimizer = AdamW(model.parameters(), lr=config.peak_lr,
-                               betas=config.betas,
-                               weight_decay=config.weight_decay)
-        self.schedule = WarmupConstantDecay(
-            peak_lr=config.peak_lr, warmup_images=config.warmup_images,
-            total_images=config.total_images,
-            decay_images=config.decay_images)
-        self.ema = EMA(model, halflife_images=config.ema_halflife_images)
-        self.lat_weights = archive.grid.latitude_weights()
-        self.var_weights = np.asarray(TOY_SET.kappa_weights())
-        self.images_seen = 0.0
-        self.rng_batch = np.random.default_rng(config.seed)
-        self.rng_sigma = np.random.default_rng(config.seed + 1)
-        self.rng_z = np.random.default_rng(config.seed + 2)
-        self.history: list[float] = []
-
-    def train_step(self) -> float:
-        cfg, edm = self.config, self.edm
-        indices = self.rng_batch.choice(self.archive.split_indices("train"),
-                                        size=cfg.batch_size, replace=False)
-        cond, x0, forc = self.archive.training_batch(
-            indices, self.state_norm, self.residual_norm, self.forcing_norm)
-        sigma = edm.sample_sigma(self.rng_sigma, cfg.batch_size)
-        z = self.rng_z.normal(size=x0.shape).astype(np.float32)
-        sig4 = sigma[:, None, None, None]
-        x_noisy = x0 + sig4 * z
-        # Precondition: the network regresses the residual target
-        # (x0 − c_skip x) / c_out, with unit effective weight.
-        target = (x0 - edm.c_skip(sig4) * x_noisy) / edm.c_out(sig4)
-        self.optimizer.zero_grad()
-        pred = self.model(Tensor(edm.c_in(sig4) * x_noisy),
-                          Tensor(edm.c_noise(sigma)),
-                          Tensor(cond), Tensor(forc))
-        loss = weighted_velocity_loss(pred, target, self.lat_weights,
-                                      self.var_weights)
-        loss.backward()
-        self.optimizer.lr = self.schedule.lr_at(self.images_seen)
-        self.optimizer.step()
-        self.images_seen += cfg.batch_size
-        self.ema.update(self.model, images_per_step=cfg.batch_size)
-        value = loss.item()
-        self.history.append(value)
-        return value
-
-    def fit(self, n_steps: int) -> list[float]:
-        for _ in range(n_steps):
-            self.train_step()
-        return self.history
+        super().__init__(model, archive, config, flow=edm)
 
     def forecaster(self, use_ema: bool = True) -> "EdmForecaster":
-        inference = Aeris(self.model.config)
-        inference.load_state_dict(self.model.state_dict())
-        if use_ema:
-            self.ema.copy_to(inference)
-        inference.eval()
-        return EdmForecaster(model=inference, archive=self.archive,
+        return EdmForecaster(model=self.inference_model(use_ema),
+                             archive=self.archive,
                              state_norm=self.state_norm,
                              residual_norm=self.residual_norm,
-                             forcing_norm=self.forcing_norm, edm=self.edm)
+                             forcing_norm=self.forcing_norm, edm=self.flow)
 
 
 @dataclass

@@ -94,10 +94,6 @@ class ForcingProvider:
         self.grid = grid
         self.static = static
 
-    @property
-    def n_channels(self) -> int:
-        return 3
-
     def __call__(self, step: int) -> np.ndarray:
         out = np.empty((self.grid.height, self.grid.width, 3), dtype=np.float32)
         out[..., 0] = toa_solar(self.grid, step)

@@ -102,3 +102,11 @@ class TrigFlow:
         x_t = self.interpolate(x0, z, t)
         v = self.velocity_target(x0, z, t)
         return x_t, t, v
+
+    def network_pair(self, x0: np.ndarray, rng_t: np.random.Generator,
+                     rng_z: np.random.Generator):
+        """``(x_in, t_in, target, out_scale)``: what a training loop feeds
+        the network and regresses ``prediction * out_scale`` against —
+        the one expression a parameterization owns."""
+        x_t, t, v = self.training_pair(x0, rng_t, rng_z)
+        return x_t / self.sigma_d, t, v, self.sigma_d

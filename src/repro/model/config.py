@@ -53,10 +53,6 @@ class ParallelLayout:
         """Nodes for a single model instance: WP × PP (paper Section VII-A)."""
         return self.wp * self.pp
 
-    @property
-    def tiles_per_instance(self) -> int:
-        return self.nodes_per_instance * self.sp
-
 
 @dataclass(frozen=True)
 class AerisConfig:

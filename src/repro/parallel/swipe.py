@@ -24,8 +24,6 @@ associativity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..data import SyntheticReanalysis, TOY_SET
@@ -42,15 +40,6 @@ from .topology import RankTopology
 from .zero import ZeroOptimizer
 
 __all__ = ["SwipeEngine"]
-
-
-@dataclass(frozen=True)
-class _Shapes:
-    """Per-step communication bookkeeping inputs."""
-
-    micro_batch: int
-    seq_len: int
-    hidden: int
 
 
 class SwipeEngine:

@@ -37,11 +37,6 @@ class CommModel:
         return (micro_batch * cfg.seq_len * cfg.dim * _BF16
                 // (topo.sp * topo.wp))
 
-    def pp_message_bytes(self, micro_batch: int) -> int:
-        """Stage-boundary activation: same M (each rank sends 1/SP of its
-        windows to the next stage)."""
-        return self.alltoall_message_bytes(micro_batch)
-
     def grad_allreduce_bytes(self) -> int:
         """FP32 gradient volume per rank: independent of WP (paper claim).
 
@@ -61,17 +56,3 @@ class CommModel:
         m = self.alltoall_message_bytes(micro_batch)
         bw = self.machine.scaleup_bw_gbs * 1e9
         return 3 * (4 * m) / bw  # fwd (4M) + bwd (8M) = 12M total
-
-    def pp_time_per_boundary(self, micro_batch: int) -> float:
-        """One activation send (forward) + one gradient send (backward),
-        across the inter-node network; overlappable in practice."""
-        m = self.pp_message_bytes(micro_batch)
-        bw = self.machine.network_bw_gbs * 1e9
-        return 2 * m / bw
-
-    def grad_allreduce_time(self) -> float:
-        if self.topology.dp <= 1:
-            return 0.0
-        bw = self.machine.network_bw_gbs * 1e9
-        latency = 2e-4 * self.topology.dp  # ring hop latencies
-        return self.grad_allreduce_bytes() / bw + latency

@@ -44,7 +44,7 @@ from ..model import Aeris
 from ..model.config import AerisConfig, config_from_dict, config_to_dict
 from ..obs.profile import count, record_event
 from ..resilience.atomic import atomic_write
-from ..resilience.checksum import content_digest, state_digest
+from ..resilience.checksum import state_digest
 
 __all__ = ["RegistryError", "ModelVersion", "ModelRegistry",
            "STATUSES", "TRANSITIONS"]
@@ -318,6 +318,11 @@ class ModelRegistry:
                 f"checkpoint {directory!r} predates lineage manifests; "
                 "re-save it with a current Trainer or use register_state "
                 "with explicit config + normalizers")
+        trained_as = lineage.get("parameterization", "TrigFlow")
+        if trained_as != "TrigFlow":
+            raise RegistryError(
+                f"checkpoint {directory!r} was trained as {trained_as!r}; "
+                "registry versions are served through the TrigFlow solver")
         config = config_from_dict(lineage["model_config"])
         norms: dict[str, FieldNormalizer | None] = {}
         for name in ("state", "residual", "forcing"):
@@ -372,14 +377,6 @@ class ModelRegistry:
         self._book("transition", version, src=src, dst=status,
                    reason=reason)
         return record
-
-    def attach_scorecard(self, version: str, scorecard: dict) -> None:
-        record = self.get(version)
-        record.scorecard = scorecard
-        self._index["versions"][version] = record.to_dict()
-        self._save_index()
-        self._book("scorecard", version,
-                   metrics=",".join(sorted(scorecard.get("summary", {}))))
 
     # -- materialization ---------------------------------------------------
     def load_state(self, version: str) -> dict:

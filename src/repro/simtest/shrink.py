@@ -37,10 +37,6 @@ class ShrinkResult:
     evals: int = 0              #: scenario executions spent
     steps: list = field(default_factory=list)  #: accepted reductions
 
-    @property
-    def n_events(self) -> int:
-        return len(self.scenario.events)
-
 
 class _Search:
     """Shared state: eval budget, memoized runs, current best."""

@@ -1,23 +1,17 @@
 """Checkpointing: model weights, optimizer state, and EMA shadow weights.
 
-Two formats, both crash-safe:
-
-* **single-file** (:func:`save_checkpoint` / :func:`load_checkpoint`) —
-  one ``.npz`` archive, written atomically (temp file + fsync +
-  ``os.replace``) so a crash mid-save can never leave a torn file where a
-  good checkpoint used to be;
-* **sharded** (:func:`save_sharded_checkpoint` /
-  :func:`load_sharded_checkpoint`, or the lower-level
-  :func:`write_sharded_checkpoint` / :func:`read_sharded_checkpoint`) — a
-  directory of per-group ``.npz`` shards plus a ``manifest.json``
-  carrying a CRC32 per array.  The directory is staged under a temp name
-  and atomically renamed into place; loads verify every array against the
-  manifest and raise :class:`CheckpointCorruption` on any mismatch, which
-  the elastic supervisor treats as "fall back to the previous
-  checkpoint".
+One format (:func:`write_sharded_checkpoint` /
+:func:`read_sharded_checkpoint` over :func:`training_shards` /
+:func:`restore_training_shards`): a directory of per-group ``.npz``
+shards plus a ``manifest.json`` carrying a CRC32 per array.  The
+directory is staged under a temp name and renamed into place (an
+overwritten generation is moved aside first and put back if the rename
+fails); loads verify every array against the manifest and raise
+:class:`CheckpointCorruption` on any mismatch, which the elastic
+supervisor treats as "fall back to the previous checkpoint".
 
 Typed errors: :class:`CheckpointError` for structural problems (missing
-file, a model-only checkpoint loaded with ``optimizer=``/``ema=``),
+directory, a model-only checkpoint restored with ``optimizer=``/``ema=``),
 :class:`CheckpointCorruption` (a subclass) for integrity failures.
 """
 
@@ -32,19 +26,18 @@ import numpy as np
 from ..nn import EMA, AdamW, Module
 from ..obs.profile import count as _count
 from ..obs.profile import record_event as _record_event
-from ..resilience.atomic import atomic_open
 from ..resilience.checksum import payload_checksum, state_digest
 
 __all__ = [
     "CheckpointError", "CheckpointCorruption", "MANIFEST_NAME",
-    "save_checkpoint", "load_checkpoint", "checkpoint_lineage",
-    "write_sharded_checkpoint", "read_sharded_checkpoint",
-    "inspect_sharded_checkpoint",
-    "save_sharded_checkpoint", "load_sharded_checkpoint",
+    "checkpoint_lineage", "write_sharded_checkpoint",
+    "read_sharded_checkpoint", "inspect_sharded_checkpoint",
     "list_checkpoints", "prune_checkpoints", "newest_valid_checkpoint",
 ]
 
 MANIFEST_NAME = "manifest.json"
+#: marks a save's staging / moved-aside directory; never a generation.
+_STAGING = ".tmp."
 
 
 class CheckpointError(RuntimeError):
@@ -55,20 +48,12 @@ class CheckpointCorruption(CheckpointError):
     """A checkpoint failed integrity verification (checksum / unreadable)."""
 
 
-def _normalize_npz(path: str) -> str:
-    """``np.savez`` appends ``.npz`` implicitly; normalize explicitly so
-    ``save_checkpoint(p)`` / ``load_checkpoint(p)`` round-trip for any
-    spelling of ``p``."""
-    return path if path.endswith(".npz") else path + ".npz"
-
-
 def training_shards(model: Module, optimizer: AdamW | None = None,
                     ema: EMA | None = None, images_seen: float = 0.0
                     ) -> dict[str, dict[str, np.ndarray]]:
     """The training state as ``{section: {name: array}}`` (the shard
-    layout; the single-file format keys the same arrays
-    ``section/name``).  The arrays *alias* the live weights, moments and
-    EMA shadow: write them out at once or copy what you keep."""
+    layout).  The arrays *alias* the live weights, moments and EMA
+    shadow: write them out at once or copy what you keep."""
     shards = {"meta": {"images_seen": np.asarray(images_seen)},
               "model": {name: p.data
                         for name, p in model.named_parameters()}}
@@ -118,43 +103,15 @@ def restore_training_shards(shards: dict[str, dict[str, np.ndarray]],
     return float(shards["meta"]["images_seen"])
 
 
-# -- single-file format --------------------------------------------------------
-def save_checkpoint(path: str, model: Module, optimizer: AdamW | None = None,
-                    ema: EMA | None = None, images_seen: float = 0.0) -> str:
-    """Serialize training state to a single ``.npz`` file, atomically.
-
-    Returns the (suffix-normalized) path actually written.
-    """
-    path = _normalize_npz(path)
-    shards = training_shards(model, optimizer, ema, images_seen)
-    with atomic_open(path, "wb") as fh:  # temp + fsync + os.replace
-        np.savez(fh, **{f"{section}/{name}": array
-                        for section, arrays in shards.items()
-                        for name, array in arrays.items()})
-    return path
-
-
-def load_checkpoint(path: str, model: Module, optimizer: AdamW | None = None,
-                    ema: EMA | None = None) -> float:
-    """Restore training state; returns ``images_seen``."""
-    path = _normalize_npz(path)
-    if not os.path.exists(path):
-        raise CheckpointError(f"no checkpoint at {path}")
-    shards: dict[str, dict[str, np.ndarray]] = {}
-    with np.load(path) as data:
-        for key in data.files:
-            section, _, name = key.partition("/")
-            shards.setdefault(section, {})[name] = data[key]
-    return restore_training_shards(shards, path, model, optimizer, ema)
-
-
 # -- sharded format (manifest + per-array checksums) ---------------------------
 def write_sharded_checkpoint(directory: str,
                              shards: dict[str, dict[str, np.ndarray]],
                              extra: dict | None = None) -> str:
     """Write shard groups (``{shard_name: {array_name: array}}``) plus a
     manifest with per-array CRC32s; the whole directory appears
-    atomically (staged as ``<directory>.tmp.<pid>``, then renamed).
+    atomically (staged as ``<directory>.tmp.<pid>``, then renamed).  A
+    generation being overwritten is moved aside first and moved back if
+    the rename fails, so one of the two always survives.
 
     ``extra`` must be JSON-serializable; it rides in the manifest (used
     for rng states, step counters, topology descriptors).
@@ -163,7 +120,8 @@ def write_sharded_checkpoint(directory: str,
     parent = os.path.dirname(directory)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    tmp = f"{directory}.tmp.{os.getpid()}"
+    tmp = f"{directory}{_STAGING}{os.getpid()}"
+    aside = tmp + ".old"
     manifest = {"format": 1, "extra": extra or {}, "shards": {}}
     try:
         os.makedirs(tmp)
@@ -181,11 +139,14 @@ def write_sharded_checkpoint(directory: str,
             fh.flush()
             os.fsync(fh.fileno())
         if os.path.isdir(directory):
-            shutil.rmtree(directory)
+            os.replace(directory, aside)
         os.replace(tmp, directory)
     except BaseException:
+        if os.path.isdir(aside) and not os.path.exists(directory):
+            os.replace(aside, directory)  # the publishing rename failed
         shutil.rmtree(tmp, ignore_errors=True)
         raise
+    shutil.rmtree(aside, ignore_errors=True)
     return directory
 
 
@@ -248,11 +209,13 @@ def read_sharded_checkpoint(directory: str, verify: bool = True
 
 def list_checkpoints(root: str) -> list[str]:
     """Sharded checkpoint directories under ``root``, oldest first (by
-    name — the supervisor names them ``step-<n>``, zero-padded)."""
+    name — the supervisor names them ``step-<n>``, zero-padded).  A
+    crashed save's ``.tmp.`` staging directory is not a generation."""
     if not os.path.isdir(root):
         return []
     return [os.path.join(root, name) for name in sorted(os.listdir(root))
-            if os.path.isfile(os.path.join(root, name, MANIFEST_NAME))]
+            if _STAGING not in name
+            and os.path.isfile(os.path.join(root, name, MANIFEST_NAME))]
 
 
 def prune_checkpoints(root: str, keep: int) -> list[str]:
@@ -294,7 +257,8 @@ def newest_valid_checkpoint(root: str, subsystem: str
 
 
 def checkpoint_lineage(config, state_norm, residual_norm,
-                       forcing_norm=None, seed: int = 0) -> dict:
+                       forcing_norm=None, seed: int = 0,
+                       parameterization: str = "TrigFlow") -> dict:
     """Lineage block for a checkpoint manifest's ``extra`` dict.
 
     Embeds the model config plus each normalizer's statistics *and* its
@@ -304,6 +268,9 @@ def checkpoint_lineage(config, state_norm, residual_norm,
     the stats were not altered in transit.  Manifests written before
     this field existed simply lack the ``lineage`` key — readers must
     treat its absence as "pre-lineage checkpoint", not an error.
+    ``parameterization`` is the class name of the objective the weights
+    were trained under (the registry serves only ``TrigFlow``; lineage
+    written before the key existed is TrigFlow).
     """
     from ..model.config import config_to_dict
     normalizers = {}
@@ -317,25 +284,5 @@ def checkpoint_lineage(config, state_norm, residual_norm,
             "digest": state_digest({"mean": norm.mean, "std": norm.std}),
         }
     return {"model_config": config_to_dict(config),
-            "normalizers": normalizers, "seed": int(seed)}
-
-
-def save_sharded_checkpoint(directory: str, model: Module,
-                            optimizer: AdamW | None = None,
-                            ema: EMA | None = None,
-                            images_seen: float = 0.0,
-                            extra: dict | None = None) -> str:
-    """High-level sharded save mirroring :func:`save_checkpoint`'s API."""
-    return write_sharded_checkpoint(
-        directory, training_shards(model, optimizer, ema, images_seen),
-        extra=extra)
-
-
-def load_sharded_checkpoint(directory: str, model: Module,
-                            optimizer: AdamW | None = None,
-                            ema: EMA | None = None, verify: bool = True
-                            ) -> tuple[float, dict]:
-    """High-level sharded load; returns ``(images_seen, extra)``."""
-    shards, extra = read_sharded_checkpoint(directory, verify=verify)
-    return restore_training_shards(shards, directory, model, optimizer,
-                                   ema), extra
+            "normalizers": normalizers, "seed": int(seed),
+            "parameterization": parameterization}

@@ -90,7 +90,12 @@ class TrainerConfig:
 
 
 class Trainer:
-    """Trains an :class:`~repro.model.Aeris` on a synthetic reanalysis."""
+    """Trains an :class:`~repro.model.Aeris` on a synthetic reanalysis.
+
+    ``flow`` is the parameterization, the one thing a baseline changes:
+    any value with ``network_pair(residual, rng_t, rng_z) -> (x_in, t_in,
+    target, out_scale)`` (:class:`TrigFlow`, and ``EdmConfig`` /
+    ``PointRegression`` in :mod:`repro.baselines`)."""
 
     def __init__(self, model: Aeris, archive: SyntheticReanalysis,
                  config: TrainerConfig = TrainerConfig(),
@@ -158,14 +163,14 @@ class Trainer:
                 cond, residual, forc = self.archive.training_batch(
                     indices, self.state_norm, self.residual_norm,
                     self.forcing_norm)
-                x_t, t, v_target = self.flow.training_pair(
+                x_in, t_in, target, out_scale = self.flow.network_pair(
                     residual, self.rng_t, self.rng_z)
             self.optimizer.zero_grad()
             with _span("train.forward", category="train"):
-                pred = self.model(Tensor(x_t / self.flow.sigma_d),
-                                  Tensor(t), Tensor(cond), Tensor(forc))
+                pred = self.model(Tensor(x_in), Tensor(t_in), Tensor(cond),
+                                  Tensor(forc))
                 loss = weighted_velocity_loss(
-                    pred * self.flow.sigma_d, v_target,
+                    pred * out_scale, target,
                     self.lat_weights, self.var_weights)
             with _span("train.backward", category="train"):
                 loss.backward()
@@ -314,7 +319,8 @@ class Trainer:
         extra["step_retries"] = self.step_retries
         extra["lineage"] = checkpoint_lineage(
             self.model.config, self.state_norm, self.residual_norm,
-            self.forcing_norm, seed=self.config.seed)
+            self.forcing_norm, seed=self.config.seed,
+            parameterization=type(self.flow).__name__)
         path = write_sharded_checkpoint(directory, shards, extra=extra)
         _count("train.checkpoints", "sharded checkpoints written")
         _record_event("checkpoint.save", subsystem="train", path=path,
@@ -356,17 +362,22 @@ class Trainer:
         return mean
 
     # -- inference export ------------------------------------------------------
+    def inference_model(self, use_ema: bool = True) -> Aeris:
+        """A copy of the model in ``eval()`` mode; by default with EMA
+        weights, per the paper ("using only these weights during
+        inference")."""
+        model = Aeris(self.model.config)
+        model.load_state_dict(self.model.state_dict())
+        if use_ema:
+            self.ema.copy_to(model)
+        model.eval()
+        return model
+
     def forecaster(self, solver_config: SolverConfig = SolverConfig(),
                    use_ema: bool = True) -> ResidualForecaster:
-        """Build a forecaster; by default with EMA weights, per the paper
-        ("using only these weights during inference")."""
-        inference_model = Aeris(self.model.config)
-        inference_model.load_state_dict(self.model.state_dict())
-        if use_ema:
-            self.ema.copy_to(inference_model)
-        inference_model.eval()
+        """The forecaster this parameterization samples with."""
         return ResidualForecaster(
-            model=inference_model,
+            model=self.inference_model(use_ema),
             state_norm=self.state_norm,
             residual_norm=self.residual_norm,
             forcing_fn=lambda i: self.archive.forcing_provider(
@@ -400,11 +411,12 @@ def evaluate_validation_loss(model: Aeris, archive: SyntheticReanalysis,
                                    replace=False)
         cond, residual, forc = archive.training_batch(
             indices, state_norm, residual_norm, forcing_norm)
-        x_t, t, v_target = flow.training_pair(residual, rng_t, rng_z)
+        x_in, t_in, target, out_scale = flow.network_pair(residual, rng_t,
+                                                          rng_z)
         with _span("train.validation_batch", category="train"), no_grad():
-            pred = model(Tensor(x_t / flow.sigma_d), Tensor(t),
-                         Tensor(cond), Tensor(forc))
+            pred = model(Tensor(x_in), Tensor(t_in), Tensor(cond),
+                         Tensor(forc))
             loss = weighted_velocity_loss(
-                pred * flow.sigma_d, v_target, lat_weights, var_weights)
+                pred * out_scale, target, lat_weights, var_weights)
         losses.append(loss.item())
     return float(np.mean(losses))

@@ -7,7 +7,7 @@ import pytest
 
 from repro.registry import ModelRegistry, RegistryError, TRANSITIONS
 from repro.resilience import state_digest
-from repro.train.checkpoint import save_sharded_checkpoint
+from repro.train.checkpoint import training_shards, write_sharded_checkpoint
 
 
 def register(registry, trainer, **kwargs):
@@ -158,7 +158,8 @@ class TestCheckpointRegistration:
     def test_pre_lineage_checkpoint_raises_typed_error(self, registry,
                                                        reg_world, tmp_path):
         _, trainer = reg_world
-        path = save_sharded_checkpoint(str(tmp_path / "old"), trainer.model)
+        path = write_sharded_checkpoint(str(tmp_path / "old"),
+                                        training_shards(trainer.model))
         with pytest.raises(RegistryError, match="lineage"):
             registry.register_from_checkpoint(path)
 
@@ -174,3 +175,27 @@ class TestCheckpointRegistration:
             trainer.state_norm, trainer.residual_norm, trainer.forcing_norm,
             version="direct")
         assert via_ckpt.weights_digest == direct.weights_digest
+
+    def test_baseline_checkpoint_is_refused(self, registry, reg_world,
+                                            tmp_path):
+        """``registry.forecaster()`` always builds the TrigFlow solver:
+        weights trained under another parameterization must not get in.
+        A lineage block without the key (every checkpoint written before
+        it existed) is TrigFlow."""
+        from repro.baselines import EdmTrainer
+        from repro.model import Aeris
+        from repro.train import read_sharded_checkpoint
+        archive, trainer = reg_world
+        edm = EdmTrainer(Aeris(trainer.model.config, seed=1), archive,
+                         trainer.config)
+        with pytest.raises(RegistryError, match="EdmConfig"):
+            registry.register_from_checkpoint(
+                edm.save(str(tmp_path / "edm")))
+        assert registry.versions() == []
+
+        shards, extra = read_sharded_checkpoint(
+            trainer.save(str(tmp_path / "ckpt")))
+        assert extra["lineage"].pop("parameterization") == "TrigFlow"
+        old = write_sharded_checkpoint(str(tmp_path / "old"), shards,
+                                       extra=extra)
+        assert registry.register_from_checkpoint(old).version == "v0001"

@@ -12,12 +12,12 @@ from repro.train import (
     CheckpointCorruption,
     CheckpointError,
     list_checkpoints,
-    load_sharded_checkpoint,
+    prune_checkpoints,
     read_sharded_checkpoint,
-    save_sharded_checkpoint,
     write_sharded_checkpoint,
 )
-from repro.train.checkpoint import MANIFEST_NAME
+from repro.train.checkpoint import (MANIFEST_NAME, restore_training_shards,
+                                    training_shards)
 
 
 def _shards():
@@ -56,6 +56,31 @@ class TestShardedRoundtrip:
         assert set(shards) == {"model"}
         # No staging leftovers beside the final directory.
         assert [p for p in os.listdir(tmp_path) if ".tmp." in p] == []
+
+    def test_failed_overwrite_keeps_the_old_generation(self, tmp_path,
+                                                       monkeypatch):
+        """The rename that publishes a re-saved generation fails: the
+        generation it was replacing still reads back and verifies."""
+        root = str(tmp_path)
+        where = os.path.join(root, "step-00000001")
+        write_sharded_checkpoint(where, _shards(), extra={"step": 1})
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if src == f"{where}.tmp.{os.getpid()}":  # the publishing rename
+                raise OSError("injected rename failure")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(OSError, match="injected"):
+            write_sharded_checkpoint(where, {"model": {"w": np.zeros(2)}})
+        monkeypatch.undo()
+        assert list_checkpoints(root) == [where]
+        shards, extra = read_sharded_checkpoint(where)
+        assert extra == {"step": 1}
+        np.testing.assert_array_equal(shards["model"]["w"],
+                                      _shards()["model"]["w"])
+        assert os.listdir(root) == ["step-00000001"]
 
 
 class TestCorruptionDetection:
@@ -103,9 +128,16 @@ class TestListCheckpoints:
             write_sharded_checkpoint(
                 os.path.join(root, f"step-{step:08d}"), _shards())
         os.makedirs(os.path.join(root, "not-a-checkpoint"))
+        # a crashed save's staging directory (it has a manifest) is not a
+        # generation, and retention must not count it against ``keep``
+        write_sharded_checkpoint(
+            os.path.join(root, "step-00000002.tmp.4242"), _shards())
         found = list_checkpoints(root)
         assert [os.path.basename(p) for p in found] == [
             "step-00000001", "step-00000002", "step-00000003"]
+        prune_checkpoints(root, keep=2)
+        assert [os.path.basename(p) for p in list_checkpoints(root)] == [
+            "step-00000002", "step-00000003"]
 
     def test_missing_root_is_empty(self, tmp_path):
         assert list_checkpoints(str(tmp_path / "absent")) == []
@@ -124,10 +156,12 @@ class TestHighLevelTrainingCheckpoint:
             p.grad = np.ones_like(p.data)
         opt.step()
         ema.update(model, images_per_step=4)
-        where = save_sharded_checkpoint(str(tmp_path / "ck"), model, opt,
-                                        ema, images_seen=4.0)
+        where = write_sharded_checkpoint(
+            str(tmp_path / "ck"),
+            training_shards(model, opt, ema, images_seen=4.0))
         model2, opt2, ema2 = self._training_trio(seed=1)
-        images, _ = load_sharded_checkpoint(where, model2, opt2, ema2)
+        images = restore_training_shards(read_sharded_checkpoint(where)[0],
+                                         where, model2, opt2, ema2)
         assert images == 4.0
         np.testing.assert_array_equal(model2.weight.data, model.weight.data)
         assert opt2.step_count == opt.step_count
@@ -138,11 +172,13 @@ class TestHighLevelTrainingCheckpoint:
 
     def test_model_only_checkpoint_gives_clear_error(self, tmp_path):
         model, opt, ema = self._training_trio()
-        where = save_sharded_checkpoint(str(tmp_path / "ck"), model)
+        where = write_sharded_checkpoint(str(tmp_path / "ck"),
+                                         training_shards(model))
+        shards, _ = read_sharded_checkpoint(where)
         model2, opt2, ema2 = self._training_trio()
         with pytest.raises(CheckpointError, match="optimizer"):
-            load_sharded_checkpoint(where, model2, opt2)
+            restore_training_shards(shards, where, model2, opt2)
         with pytest.raises(CheckpointError, match="EMA"):
-            load_sharded_checkpoint(where, model2, ema=ema2)
+            restore_training_shards(shards, where, model2, ema=ema2)
         # Model-only load still works.
-        load_sharded_checkpoint(where, model2)
+        restore_training_shards(shards, where, model2)

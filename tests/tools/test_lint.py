@@ -11,6 +11,7 @@ TOOLS_DIR = os.path.join(
 sys.path.insert(0, TOOLS_DIR)
 
 import check_bare_except  # noqa: E402
+import check_clones  # noqa: E402
 import check_no_print  # noqa: E402
 import check_seeded_rng  # noqa: E402
 import lint  # noqa: E402
@@ -146,7 +147,7 @@ class TestLintEntrypoint:
     def test_registry_covers_every_checker(self):
         assert set(lint.CHECKERS) == {"check_no_print", "check_bare_except",
                                       "check_metric_names",
-                                      "check_seeded_rng"}
+                                      "check_seeded_rng", "check_clones"}
 
 
 class TestCheckSeededRng:
@@ -198,3 +199,38 @@ class TestCheckSeededRng:
 
     def test_repo_src_is_clean(self):
         assert check_seeded_rng.main(None) == 0
+
+
+class TestCheckClones:
+    @staticmethod
+    def _block(n, comment=False):
+        return "".join(f"{'# ' if comment else ''}v{i} = compute({i})\n"
+                       for i in range(n))
+
+    def test_copied_block_fails_where_it_starts(self, tmp_path, capsys):
+        (tmp_path / "a.py").write_text("import x\n" + self._block(10))
+        # re-indented, re-commented and spread out, but the same 10 lines
+        copy = "def f():\n" + "".join(
+            f"    {line}\n\n    # again\n"
+            for line in self._block(10).splitlines())
+        (tmp_path / "b.py").write_text(copy)
+        assert check_clones.main([str(tmp_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1  # one long copy, one report
+        assert "b.py:2:" in err[0] and err[0].endswith("a.py:2")
+
+    def test_seven_lines_pass(self, tmp_path):
+        (tmp_path / "a.py").write_text("import x\n" + self._block(7))
+        (tmp_path / "b.py").write_text("import y\n" + self._block(7)
+                                       + "done = True\n")
+        assert check_clones.main([str(tmp_path)]) == 0
+
+    def test_block_repeated_only_in_comments_passes(self, tmp_path):
+        (tmp_path / "a.py").write_text(self._block(10, comment=True)
+                                       + "a = 1\n")
+        (tmp_path / "b.py").write_text(self._block(10, comment=True)
+                                       + "b = 2\n")
+        assert check_clones.main([str(tmp_path)]) == 0
+
+    def test_repo_src_is_clean(self):
+        assert check_clones.main([]) == 0

@@ -9,7 +9,8 @@ from repro.model.config import config_from_dict
 from repro.registry.store import normalizer_digest
 from repro.train import checkpoint_lineage
 from repro.train.checkpoint import (read_sharded_checkpoint,
-                                    save_sharded_checkpoint)
+                                    training_shards,
+                                    write_sharded_checkpoint)
 
 
 def small_trainer():
@@ -66,8 +67,9 @@ class TestBackwardCompatibility:
         """A checkpoint written without the lineage field reads back
         exactly as before — the field is additive."""
         trainer = small_trainer()
-        path = save_sharded_checkpoint(str(tmp_path / "old"), trainer.model,
-                                       extra={"step": 5})
+        path = write_sharded_checkpoint(str(tmp_path / "old"),
+                                        training_shards(trainer.model),
+                                        extra={"step": 5})
         shards, extra = read_sharded_checkpoint(path)
         assert "lineage" not in extra
         assert extra["step"] == 5

@@ -1,5 +1,6 @@
-"""Resume semantics: bit-exact continuation from an atomic checkpoint,
-suffix normalization, clear load errors, and the NaN/Inf step guard."""
+"""Resume semantics: bit-exact continuation from an atomic checkpoint —
+for every parameterization that shares ``Trainer``'s loop — and the
+NaN/Inf step guard."""
 
 import json
 import os
@@ -7,14 +8,9 @@ import os
 import numpy as np
 import pytest
 
+from repro.baselines import DeterministicTrainer, EdmTrainer
 from repro.model import Aeris
-from repro.train import (
-    CheckpointError,
-    Trainer,
-    TrainerConfig,
-    load_checkpoint,
-    save_checkpoint,
-)
+from repro.train import CheckpointError, Trainer, TrainerConfig
 from repro.train.trainer import LR_BACKOFF_FACTOR
 from tests.train.test_trainer import TINY16
 
@@ -22,8 +18,17 @@ CFG = TrainerConfig(batch_size=4, peak_lr=3e-3, warmup_images=40,
                     total_images=40_000, decay_images=400, seed=0)
 
 
-def _trainer(tiny_archive, seed=0):
-    return Trainer(Aeris(TINY16, seed=seed), tiny_archive, CFG)
+#: every class that runs ``Trainer``'s loop; ``Trainer`` keeps the bare id
+LOOPS = (Trainer, EdmTrainer, DeterministicTrainer)
+LOOP_CASES = [
+    pytest.param(cls, guarded, id="-".join(
+        ([] if cls is Trainer else [cls.__name__])
+        + ["guarded" if guarded else "unguarded"]))
+    for cls in LOOPS for guarded in (False, True)]
+
+
+def _trainer(tiny_archive, seed=0, cls=Trainer):
+    return cls(Aeris(TINY16, seed=seed), tiny_archive, CFG)
 
 
 def _state_arrays(trainer):
@@ -88,10 +93,9 @@ class TestBitExactResume:
                                           straight.ema.shadow[name],
                                           err_msg=f"ema/{name}")
 
-    @pytest.mark.parametrize("guarded", [False, True],
-                             ids=["unguarded", "guarded"])
+    @pytest.mark.parametrize("cls,guarded", LOOP_CASES)
     def test_resume_at_every_step_matches_uninterrupted(self, tiny_archive,
-                                                        guarded):
+                                                        cls, guarded):
         """``restore(state_payload())`` into a fresh trainer after *each*
         step of a 5-step run, then finish: weights, moments, EMA, history
         and all three generator states equal the uninterrupted run."""
@@ -99,7 +103,7 @@ class TestBitExactResume:
         cfg = dataclasses.replace(CFG, guarded=guarded)
 
         def fresh(seed):
-            return Trainer(Aeris(TINY16, seed=seed), tiny_archive, cfg)
+            return cls(Aeris(TINY16, seed=seed), tiny_archive, cfg)
 
         straight = fresh(0)
         straight.fit(5)
@@ -125,70 +129,37 @@ class TestBitExactResume:
     def test_payload_covers_every_loop_attribute(self, tiny_archive):
         """Completeness: scribble over a trainer, restore a payload taken
         before, and every attribute must be back.  A loop attribute added
-        to ``Trainer`` but not to ``state_payload``/``restore`` shows up
-        here as a difference in ``vars``."""
-        trainer = _trainer(tiny_archive)
-        trainer.fit(2)
-        trainer.lr_backoff, trainer._clean_streak = 0.25, 3
-        trainer.skipped_steps = 2
-        shards, extra = trainer.state_payload()
-        shards = {sec: {n: a.copy() for n, a in arrays.items()}
-                  for sec, arrays in shards.items()}
-        before = _snapshot(trainer)
+        to ``Trainer`` (or to a baseline) but not to ``state_payload`` /
+        ``restore`` shows up here as a difference in ``vars``."""
+        for cls in LOOPS:
+            trainer = _trainer(tiny_archive, cls=cls)
+            trainer.fit(2)
+            trainer.lr_backoff, trainer._clean_streak = 0.25, 3
+            trainer.skipped_steps = 2
+            shards, extra = trainer.state_payload()
+            shards = {sec: {n: a.copy() for n, a in arrays.items()}
+                      for sec, arrays in shards.items()}
+            before = _snapshot(trainer)
 
-        trainer.fit(1)  # moves weights, moments, EMA, counters, generators
-        for array in _state_arrays(trainer):
-            array += 1.0
-        trainer.lr_backoff, trainer._clean_streak = 1.0, 0
-        trainer.skipped_steps, trainer.images_seen = 0, -1.0
-        trainer.optimizer.step_count = 77
-        assert _snapshot(trainer).keys() == before.keys()
+            trainer.fit(1)  # moves weights, moments, EMA, counters, rngs
+            for array in _state_arrays(trainer):
+                array += 1.0
+            trainer.lr_backoff, trainer._clean_streak = 1.0, 0
+            trainer.skipped_steps, trainer.images_seen = 0, -1.0
+            trainer.optimizer.step_count = 77
+            assert _snapshot(trainer).keys() == before.keys()
 
-        trainer.restore(shards, extra)
-        after = _snapshot(trainer)
-        for name, want in before.items():
-            np.testing.assert_equal(after[name], want, err_msg=name)
+            trainer.restore(shards, extra)
+            after = _snapshot(trainer)
+            for name, want in before.items():
+                np.testing.assert_equal(after[name], want,
+                                        err_msg=f"{cls.__name__}.{name}")
 
     def test_autosave_during_fit(self, tmp_path, tiny_archive):
         trainer = _trainer(tiny_archive)
         trainer.fit(4, save_every=2, checkpoint_root=str(tmp_path))
         names = sorted(os.listdir(tmp_path))
         assert names == ["step-00000002", "step-00000004"]
-
-
-class TestSingleFileCheckpoint:
-    def test_suffix_normalized_roundtrip(self, tmp_path, tiny_archive):
-        """``np.savez`` appends ``.npz`` implicitly; save/load must agree
-        on the final name for any input spelling."""
-        trainer = _trainer(tiny_archive)
-        bare = str(tmp_path / "weights")
-        written = save_checkpoint(bare, trainer.model)
-        assert written == bare + ".npz"
-        assert os.path.exists(written)
-        # Loading via either spelling works.
-        load_checkpoint(bare, Aeris(TINY16))
-        load_checkpoint(written, Aeris(TINY16))
-
-    def test_no_temp_leftovers(self, tmp_path, tiny_archive):
-        trainer = _trainer(tiny_archive)
-        save_checkpoint(str(tmp_path / "ck.npz"), trainer.model)
-        assert [p for p in os.listdir(tmp_path) if ".tmp." in p] == []
-
-    def test_missing_file_is_clear_error(self, tmp_path):
-        with pytest.raises(CheckpointError, match="no checkpoint"):
-            load_checkpoint(str(tmp_path / "absent.npz"), Aeris(TINY16))
-
-    def test_model_only_checkpoint_rejects_optimizer_load(self, tmp_path,
-                                                          tiny_archive):
-        """A model-only file loaded with ``optimizer=`` must raise a
-        descriptive :class:`CheckpointError`, not a ``KeyError``."""
-        trainer = _trainer(tiny_archive)
-        where = save_checkpoint(str(tmp_path / "ck"), trainer.model)
-        fresh = _trainer(tiny_archive)
-        with pytest.raises(CheckpointError, match="optimizer"):
-            load_checkpoint(where, fresh.model, optimizer=fresh.optimizer)
-        with pytest.raises(CheckpointError, match="EMA"):
-            load_checkpoint(where, fresh.model, ema=fresh.ema)
 
 
 class TestNaNGuard:

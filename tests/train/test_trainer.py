@@ -7,7 +7,9 @@ import pytest
 from repro.diffusion import SolverConfig
 from repro.model import Aeris, AerisConfig, ParallelLayout
 from repro.nn import EMA, AdamW
-from repro.train import Trainer, TrainerConfig, load_checkpoint, save_checkpoint
+from repro.train import (Trainer, TrainerConfig, read_sharded_checkpoint,
+                         write_sharded_checkpoint)
+from repro.train.checkpoint import restore_training_shards, training_shards
 
 TINY16 = AerisConfig(
     name="tiny16", height=16, width=32, channels=9, forcing_channels=3,
@@ -95,13 +97,15 @@ class TestForecasterExport:
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path, trained):
-        path = str(tmp_path / "ckpt.npz")
-        save_checkpoint(path, trained.model, trained.optimizer, trained.ema,
-                        images_seen=trained.images_seen)
+        path = write_sharded_checkpoint(
+            str(tmp_path / "ckpt"),
+            training_shards(trained.model, trained.optimizer, trained.ema,
+                            images_seen=trained.images_seen))
         model2 = Aeris(TINY16, seed=99)
         opt2 = AdamW(model2.parameters())
         ema2 = EMA(model2)
-        images = load_checkpoint(path, model2, opt2, ema2)
+        images = restore_training_shards(read_sharded_checkpoint(path)[0],
+                                         path, model2, opt2, ema2)
         assert images == trained.images_seen
         for (n1, p1), (n2, p2) in zip(trained.model.named_parameters(),
                                       model2.named_parameters()):
@@ -114,9 +118,10 @@ class TestCheckpoint:
                                       trained.ema.shadow["embed.weight"])
 
     def test_model_only_checkpoint(self, tmp_path, trained):
-        path = str(tmp_path / "model.npz")
-        save_checkpoint(path, trained.model)
+        path = write_sharded_checkpoint(str(tmp_path / "model"),
+                                        training_shards(trained.model))
         model2 = Aeris(TINY16, seed=3)
-        load_checkpoint(path, model2)
+        restore_training_shards(read_sharded_checkpoint(path)[0], path,
+                                model2)
         np.testing.assert_array_equal(model2.decode.weight.data,
                                       trained.model.decode.weight.data)

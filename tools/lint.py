@@ -19,6 +19,7 @@ import sys
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
 import check_bare_except
+import check_clones
 import check_metric_names
 import check_no_print
 import check_seeded_rng
@@ -29,6 +30,7 @@ CHECKERS = {
     "check_bare_except": check_bare_except.main,
     "check_metric_names": check_metric_names.main,
     "check_seeded_rng": check_seeded_rng.main,
+    "check_clones": check_clones.main,
 }
 
 
