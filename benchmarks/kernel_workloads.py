@@ -1,8 +1,7 @@
 """Shared kernel-benchmark workload definitions.
 
 One place defines each hot-path workload as an *(optimized, reference)*
-callable pair — ``bench_kernels.py`` wraps them in pytest-benchmark tests,
-and ``run_benches.py`` times them directly (interleaved A/B, min-of-N) to
+callable pair; ``run_benches.py`` times them (interleaved A/B, min-of-N) to
 produce the ``BENCH_kernels.json`` sidecar the CI regression gate consumes.
 
 The reference callable runs the same computation with

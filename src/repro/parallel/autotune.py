@@ -18,23 +18,21 @@ and defend its own layouts:
    silently dropped — :func:`autotune_check` re-checks those
    records.
 3. **predict** — :func:`repro.perf.estimate_performance` (bubble + comm
-   + optimizer/allreduce tail) ranks the survivors; checkpointing
-   candidates carry the ~1/3 recompute overhead.
+   + optimizer/allreduce tail, both layouts) ranks the survivors;
+   checkpointing candidates carry the ~1/3 recompute overhead.
 4. **calibrate** — the top-K survivors (and the worst, for the margin
    claim) are re-timed through the dependency-driven 1F1B timeline
-   simulator at a *measured* sustained FLOP rate (the CLI measures the
-   ``aeris_train_step_tiny`` kernel workload).  Calibration is reported
-   alongside the prediction; it never changes the deterministic ranking,
-   so a plan re-derived in CI (no timers) reproduces the artifact
-   bit-for-bit.
+   simulator over the same :func:`repro.perf.step_terms` at a *measured*
+   sustained FLOP rate.  Calibration is reported alongside the
+   prediction; it never changes the deterministic ranking, so a plan
+   re-derived in CI (no timers) reproduces the artifact bit-for-bit.
 
-The result is a :class:`TunedPlan` — a content-addressed JSON artifact
-keyed by the config/machine/budget *and* a digest of the cost-model
-sources, written crash-safely via :func:`repro.resilience.atomic_write`.
-Committed snapshots under ``benchmarks/results/plans/`` are the CI drift
-oracle: ``tools/autotune_cli.py verify`` re-derives each plan and fails
-on any divergence in the chosen layout, the ranked frontier, or the key
-digest (a cost-model edit makes the artifact stale by construction).
+The result is a :class:`TunedPlan` — a JSON artifact addressed by its
+planning inputs, written crash-safely via
+:func:`repro.resilience.atomic_write`.  Committed snapshots under
+``benchmarks/results/plans/`` are the CI drift oracle:
+``tools/autotune_cli.py verify`` re-derives each and fails on any leaf
+that moved.
 """
 
 from __future__ import annotations
@@ -42,31 +40,29 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import re
 from dataclasses import dataclass, field
 
-from ..model import AerisConfig, count_parameters
+from ..model import AerisConfig
 from ..model.config import SMALL, TABLE_II, TINY, config_to_dict
 from ..obs.profile import count as _count
 from ..obs.profile import gauge as _gauge
 from ..obs.profile import record_event as _record_event
-from ..perf.comm_model import CommModel
-from ..perf.flops import (forward_flops_per_sample, stage_forward_flops,
-                          training_flops_per_sample)
 from ..perf.machine import AURORA, LUMI, Machine
 from ..perf.memory import CHECKPOINT_RECOMPUTE_OVERHEAD, MemoryModel
-from ..perf.pipeline_model import schedule_1f1b, simulate_timeline
-from ..perf.scaling import (ALLREDUCE_EFFICIENCY, OPT_SECONDS_PER_GPARAM,
-                            estimate_performance, kernel_efficiency)
+from ..perf.pipeline_model import (bubble_fraction, schedule_1f1b,
+                                   simulate_timeline)
+from ..perf.scaling import estimate_performance, step_terms
+from ..perf.tradeoff import checkpointing_plan
 from ..resilience.atomic import atomic_write
 from .topology import RankTopology
 from .window_parallel import window_sharding
 
 __all__ = [
     "Candidate", "TunedPlan", "NoFeasibleLayout",
-    "enumerate_candidates", "plan_for", "calibrated_step_s",
-    "code_digest", "plan_digest",
+    "enumerate_candidates", "plan_for", "calibrated_step_s", "plan_digest",
     "plan_filename", "save_plan", "load_plan", "frontier_table",
     "verify_plan", "autotune_check",
     "resolve_config", "resolve_machine", "resolve_plan",
@@ -82,19 +78,6 @@ PLANS_DIR = os.path.join("benchmarks", "results", "plans")
 #: passed explicitly to :func:`verify_plan`).
 CONFIGS: dict[str, AerisConfig] = {"tiny": TINY, "small": SMALL, **TABLE_II}
 MACHINES: dict[str, Machine] = {"aurora": AURORA, "lumi": LUMI}
-
-#: Cost-model sources whose content keys the plan digest: editing any of
-#: them invalidates every committed snapshot (stale by construction).
-_CODE_RELEVANT = (
-    "autotune.py",
-    os.path.join("..", "perf", "comm_model.py"),
-    os.path.join("..", "perf", "flops.py"),
-    os.path.join("..", "perf", "machine.py"),
-    os.path.join("..", "perf", "memory.py"),
-    os.path.join("..", "perf", "pipeline_model.py"),
-    os.path.join("..", "perf", "scaling.py"),
-    os.path.join("..", "perf", "tradeoff.py"),
-)
 
 #: Detailed pruned-candidate records kept per plan (full counts are
 #: always kept; examples are capped so huge sweeps stay small on disk).
@@ -128,12 +111,8 @@ class Candidate:
     windows_per_rank: int
 
     @property
-    def wp(self) -> int:
-        return self.wp_grid[0] * self.wp_grid[1]
-
-    @property
     def world_size(self) -> int:
-        return self.dp * self.pp * self.wp * self.sp
+        return self.topology.world_size
 
     @property
     def topology(self) -> RankTopology:
@@ -169,54 +148,7 @@ def _sort_key(c: Candidate):
 
 
 # ---------------------------------------------------------------------------
-# prediction
-
-
-def _predict(config: AerisConfig, machine: Machine, topo: RankTopology,
-             gbs: int, micro_batch: int, schedule: str) -> dict:
-    """Predicted (step_s, images_per_sec, mfu, bubble) for one layout.
-
-    Pipelined layouts (``pp == pp_stages``) go through
-    :func:`repro.perf.estimate_performance`; the monolithic layout
-    (``pp == 1``, the reference trainer) uses the same composition with
-    whole-model FLOPs and no bubble.
-    """
-    if topo.pp == config.pp_stages:
-        est = estimate_performance(config, machine, topo, gbs,
-                                   schedule=schedule,
-                                   micro_batch=micro_batch)
-        from ..perf.pipeline_model import bubble_fraction
-        gas = gbs // (topo.dp * micro_batch)
-        return {"step_s": est.step_time_s,
-                "images_per_sec": est.images_per_sec, "mfu": est.mfu,
-                "bubble": bubble_fraction(topo.pp, gas, schedule)}
-    if topo.pp != 1:
-        raise ValueError(f"pp must be 1 or pp_stages={config.pp_stages}, "
-                         f"got {topo.pp}")
-    gas = gbs // (topo.dp * micro_batch)
-    comm = CommModel(config, machine, topo)
-    tokens_per_tile = config.seq_len / (topo.sp * topo.wp)
-    eff = kernel_efficiency(tokens_per_tile)
-    tile_peak = machine.peak_tflops_tile_bf16 * 1e12
-    fwd_flops = forward_flops_per_sample(config) * micro_batch
-    t_fwd_compute = fwd_flops / (topo.wp * topo.sp * tile_peak * eff)
-    # One un-pipelined rank holds every block: blocks_per_layer per
-    # interior stage in scaling.py generalizes to n_blocks here.
-    t_a2a = (comm.alltoall_time_per_block(micro_batch)
-             * config.n_blocks / 3.0)
-    slot = 3.0 * t_fwd_compute + 3.0 * t_a2a
-    params = count_parameters(config)
-    t_opt = OPT_SECONDS_PER_GPARAM * params / 1e9
-    t_ar = (comm.grad_allreduce_bytes()
-            / (machine.network_bw_gbs * 1e9 * ALLREDUCE_EFFICIENCY)
-            + 2e-4 * topo.dp if topo.dp > 1 else 0.0)
-    step_s = gas * slot + t_opt + t_ar
-    flops_step = training_flops_per_sample(config) * gbs
-    tiles = topo.world_size
-    tflops_per_tile = flops_step / step_s / tiles / 1e12
-    return {"step_s": step_s, "images_per_sec": gbs / step_s,
-            "mfu": tflops_per_tile / machine.peak_tflops_tile_bf16,
-            "bubble": 0.0}
+# enumeration
 
 
 def _divisors(n: int) -> list[int]:
@@ -285,33 +217,30 @@ def enumerate_candidates(config: AerisConfig, machine: Machine,
                                    f"dp*mb={dp * mb}")
                             continue
                         mem = MemoryModel(config, topo)
-                        budget_gb = machine.tile_memory_gb
-                        if mem.fits(mb, budget_gb, checkpointing=False):
-                            ckpt = False
-                            total = mem.total_bytes_per_rank(mb)
-                        elif mem.fits(mb, budget_gb, checkpointing=True):
-                            ckpt = True
-                            total = mem.total_bytes_per_rank(
-                                mb, checkpointing=True)
-                        else:
+                        try:
+                            ckpt = checkpointing_plan(config, topo, machine,
+                                                      mb)
+                        except ValueError:
                             record("memory", dp, (a, b), sp, mb,
                                    f"{mem.total_bytes_per_rank(mb, True) / 1e9:.1f} GB "
-                                   f"> {budget_gb:.1f} GB tile budget even "
-                                   "with checkpointing")
+                                   f"> {machine.tile_memory_gb:.1f} GB tile "
+                                   "budget even with checkpointing")
                             continue
-                        pred = _predict(config, machine, topo, gbs, mb,
-                                        schedule)
-                        factor = (1.0 + CHECKPOINT_RECOMPUTE_OVERHEAD
-                                  if ckpt else 1.0)
+                        est = estimate_performance(config, machine, topo,
+                                                   gbs, schedule=schedule,
+                                                   micro_batch=mb)
+                        gas = gbs // (dp * mb)
+                        factor = 1.0 + ckpt.recompute_overhead
                         feasible.append(Candidate(
                             dp=dp, pp=pp, wp_grid=(a, b), sp=sp,
-                            micro_batch=mb, gas=gbs // (dp * mb),
-                            checkpointing=ckpt,
-                            predicted_step_s=pred["step_s"] * factor,
-                            images_per_sec=pred["images_per_sec"] / factor,
-                            mfu=pred["mfu"] / factor,
-                            bubble_frac=pred["bubble"],
-                            memory_gb=total / 1e9,
+                            micro_batch=mb, gas=gas,
+                            checkpointing=ckpt.required,
+                            predicted_step_s=est.step_time_s * factor,
+                            images_per_sec=est.images_per_sec / factor,
+                            mfu=est.mfu / factor,
+                            bubble_frac=bubble_fraction(pp, gas, schedule),
+                            memory_gb=mem.total_bytes_per_rank(
+                                mb, checkpointing=ckpt.required) / 1e9,
                             windows_per_rank=sharding.windows_per_rank))
     return feasible, pruned, counts
 
@@ -326,57 +255,34 @@ def calibrated_step_s(config: AerisConfig, machine: Machine,
     """Step time re-derived from a *measured* sustained FLOP rate.
 
     Replays the candidate's 1F1B schedule through the dependency-driven
-    timeline simulator with stage costs scaled to ``flops_per_s``
-    (instead of ``peak × kernel_efficiency``), then adds the same
-    optimizer/allreduce tail as the analytic model.  Deterministic given
-    the rate — the only wall-clock input is the rate measurement itself.
+    timeline simulator with :func:`repro.perf.step_terms` at
+    ``flops_per_s``, then adds the same optimizer/allreduce tail as the
+    analytic model.  Deterministic given the rate — the only wall-clock
+    input is the rate measurement itself.
     """
     if flops_per_s <= 0:
         raise ValueError("flops_per_s must be positive")
     topo = candidate.topology
-    comm = CommModel(config, machine, topo)
-    if topo.pp == config.pp_stages and topo.pp > 1:
-        interior = max(stage_forward_flops(config, s)
-                       for s in range(1, config.pp_stages - 1))
-    else:
-        interior = forward_flops_per_sample(config)
-    fwd_flops = interior * candidate.micro_batch
-    t_fwd_compute = fwd_flops / (topo.wp * topo.sp * flops_per_s)
-    blocks = (config.blocks_per_layer if topo.pp > 1 else config.n_blocks)
-    t_a2a = comm.alltoall_time_per_block(candidate.micro_batch) * blocks / 3.0
-    t_fwd = t_fwd_compute + t_a2a
-    t_bwd = 2.0 * t_fwd_compute + 2.0 * t_a2a
+    t_fwd, t_bwd, t_opt, t_ar = step_terms(
+        config, machine, topo, candidate.micro_batch, flops_per_s)
     timeline = simulate_timeline(schedule_1f1b(topo.pp, candidate.gas),
                                  t_fwd=t_fwd, t_bwd=t_bwd)
-    params_per_rank = count_parameters(config) / topo.pp
-    t_opt = OPT_SECONDS_PER_GPARAM * params_per_rank / 1e9
-    t_ar = (comm.grad_allreduce_bytes()
-            / (machine.network_bw_gbs * 1e9 * ALLREDUCE_EFFICIENCY)
-            + 2e-4 * topo.dp if topo.dp > 1 else 0.0)
     factor = (1.0 + CHECKPOINT_RECOMPUTE_OVERHEAD
               if candidate.checkpointing else 1.0)
     return timeline["makespan"] * factor + t_opt + t_ar
 
 
 # ---------------------------------------------------------------------------
-# digests
-
-
-def code_digest() -> str:
-    """SHA-256 over the cost-model sources (see ``_CODE_RELEVANT``)."""
-    h = hashlib.sha256()
-    here = os.path.dirname(os.path.abspath(__file__))
-    for rel in _CODE_RELEVANT:
-        with open(os.path.join(here, rel), "rb") as fh:
-            h.update(hashlib.sha256(fh.read()).digest())
-    return h.hexdigest()
+# the input digest
 
 
 def plan_digest(config: AerisConfig, machine: Machine, world_size: int,
                 gbs: int, *, pipeline: bool = True,
                 micro_batches: tuple[int, ...] = (1, 2, 4),
                 schedule: str = "1f1b") -> str:
-    """Content address of a plan: every planning input + the code digest."""
+    """Address of a plan's *inputs*: everything :func:`plan_for` is handed.
+    What the planner derives from them is checked by re-deriving it
+    (:func:`verify_plan`)."""
     key = {
         "schema": SCHEMA_VERSION,
         "config": config_to_dict(config),
@@ -386,7 +292,6 @@ def plan_digest(config: AerisConfig, machine: Machine, world_size: int,
         "pipeline": pipeline,
         "micro_batches": list(micro_batches),
         "schedule": schedule,
-        "code": code_digest(),
     }
     blob = json.dumps(key, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
@@ -402,8 +307,8 @@ class TunedPlan:
 
     ``calibration`` carries the measured-rate re-timings (predicted vs
     measured per top-K layout); it is *excluded* from the digest and from
-    snapshot verification, so a plan derived with and without timers is
-    the same content-addressed artifact.
+    snapshot verification, so a plan derived with and without timers
+    verifies the same.
     """
 
     config_name: str
@@ -420,7 +325,6 @@ class TunedPlan:
     pruned_counts: dict[str, int]
     pruned: list[dict]
     digest: str
-    code: str
     calibration: dict = field(default_factory=dict)
     schema: int = SCHEMA_VERSION
 
@@ -439,7 +343,6 @@ class TunedPlan:
             "micro_batches": list(self.micro_batches),
             "schedule": self.schedule,
             "digest": self.digest,
-            "code": self.code,
             "chosen": self.chosen.to_dict(),
             "frontier": [c.to_dict() for c in self.frontier],
             "n_feasible": self.n_feasible,
@@ -466,7 +369,7 @@ class TunedPlan:
             worst=Candidate.from_dict(d["worst"]),
             pruned_counts=dict(d["pruned_counts"]),
             pruned=list(d["pruned"]),
-            digest=d["digest"], code=d["code"],
+            digest=d["digest"],
             calibration=dict(d.get("calibration", {})),
             schema=d.get("schema", SCHEMA_VERSION))
 
@@ -517,7 +420,7 @@ def plan_for(config: AerisConfig, machine: Machine, world_size: int,
         digest=plan_digest(config, machine, world_size, gbs,
                            pipeline=pipeline, micro_batches=micro_batches,
                            schedule=schedule),
-        code=code_digest(), calibration=calibration)
+        calibration=calibration)
     _count("autotune.plans", "layout plans derived")
     _count("autotune.candidates", "feasible layout candidates", len(ranked))
     for reason, n in sorted(counts.items()):
@@ -530,7 +433,7 @@ def plan_for(config: AerisConfig, machine: Machine, world_size: int,
     return plan
 
 
-def resolve_plan(plan, config: AerisConfig, machine: Machine,
+def resolve_plan(plan, config: AerisConfig, machine: Machine | None,
                  world_size: int, gbs: int, *, pipeline: bool = True,
                  micro_batches: tuple[int, ...] = (1, 2, 4),
                  schedule: str = "1f1b") -> TunedPlan:
@@ -540,10 +443,13 @@ def resolve_plan(plan, config: AerisConfig, machine: Machine,
     :class:`TunedPlan` (e.g. loaded from a snapshot) is checked against
     the config/budget it is about to drive — a plan tuned for a
     different model, machine, rank count, or batch silently applied
-    would defeat the whole artifact, so mismatches raise.  The plan a run
-    is about to execute is what ``autotune.predicted_step_s`` reports, so
-    the gauge is booked here and nowhere else.
+    would defeat the whole artifact, so mismatches raise.  ``machine=None``
+    is Aurora.  The plan a run is about to execute is what
+    ``autotune.predicted_step_s`` reports, so the gauge is booked here and
+    nowhere else.
     """
+    if machine is None:
+        machine = AURORA
     if isinstance(plan, str):
         if plan != "auto":
             raise ValueError(f"plan must be 'auto' or a TunedPlan, "
@@ -602,8 +508,17 @@ def save_plan(plan: TunedPlan, directory: str = PLANS_DIR) -> str:
 
 
 def load_plan(path: str) -> TunedPlan:
-    with open(path) as fh:
-        return TunedPlan.from_dict(json.load(fh))
+    """Read a snapshot; anything but a whole plan of a known schema is a
+    ``ValueError`` naming ``path``."""
+    try:
+        with open(path) as fh:
+            plan = TunedPlan.from_dict(json.load(fh))
+        if plan.schema != SCHEMA_VERSION:
+            raise ValueError(f"unknown schema {plan.schema!r}")
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"unreadable plan snapshot {path}: "
+                         f"{type(exc).__name__}: {exc}") from exc
+    return plan
 
 
 def frontier_table(plan: TunedPlan) -> str:
@@ -656,56 +571,53 @@ def resolve_machine(name: str) -> Machine:
                        f"{sorted(MACHINES)}") from None
 
 
+def _leaves(node, path=""):
+    """``(json_path, leaf)`` pairs of a plan dict."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaves(value, f"{path}[{i}]")
+    else:
+        yield path, node
+
+
 def verify_plan(plan: TunedPlan, config: AerisConfig | None = None,
                 machine: Machine | None = None,
                 rel_tol: float = 1e-9) -> list[str]:
     """Re-derive ``plan`` from its inputs; return the drift findings.
 
     Empty list = the snapshot still describes what the planner would
-    choose today.  Calibration is ignored (wall-clock measurements are
-    not content).  Drift kinds: stale key digest (a planning input or a
-    cost-model source changed), a different chosen layout, a reordered
-    frontier, or predicted numbers off by more than ``rel_tol``.
+    derive today.  Two kinds of finding: a stale input digest (the
+    recorded address is not that of the inputs the snapshot names), and
+    one per leaf that the re-derivation does not reproduce, named by its
+    JSON path — floats to ``rel_tol``, every other leaf exactly.
+    Calibration is ignored (wall-clock measurements are not content).
     """
     config = config if config is not None else resolve_config(
         plan.config_name)
     machine = machine if machine is not None else resolve_machine(
         plan.machine_name)
-    drifts: list[str] = []
-    expect = plan_digest(config, machine, plan.world_size, plan.gbs,
-                         pipeline=plan.pipeline,
-                         micro_batches=plan.micro_batches,
-                         schedule=plan.schedule)
-    if expect != plan.digest:
-        drifts.append(f"stale digest: snapshot {plan.digest[:12]} vs "
-                      f"current {expect[:12]} (planning inputs or "
-                      "cost-model sources changed; refresh the snapshot)")
     fresh = plan_for(config, machine, plan.world_size, plan.gbs,
                      pipeline=plan.pipeline,
                      micro_batches=plan.micro_batches,
                      schedule=plan.schedule,
                      frontier_size=len(plan.frontier))
-    if fresh.chosen.layout_key != plan.chosen.layout_key:
-        drifts.append(f"chosen layout drifted: snapshot "
-                      f"{plan.chosen.layout_key} vs fresh "
-                      f"{fresh.chosen.layout_key}")
-    snap_keys = [c.layout_key for c in plan.frontier]
-    fresh_keys = [c.layout_key for c in fresh.frontier]
-    if snap_keys != fresh_keys:
-        drifts.append(f"frontier drifted: snapshot {snap_keys} vs fresh "
-                      f"{fresh_keys}")
-    else:
-        for old, new in zip(plan.frontier, fresh.frontier):
-            ref = max(abs(old.predicted_step_s), 1e-300)
-            if abs(old.predicted_step_s - new.predicted_step_s) / ref \
-                    > rel_tol:
-                drifts.append(
-                    f"{old.layout_key}: predicted_step_s "
-                    f"{old.predicted_step_s!r} -> "
-                    f"{new.predicted_step_s!r}")
-    if fresh.n_feasible != plan.n_feasible:
-        drifts.append(f"feasible count drifted: {plan.n_feasible} -> "
-                      f"{fresh.n_feasible}")
+    drifts: list[str] = []
+    if fresh.digest != plan.digest:
+        drifts.append(f"stale digest: snapshot {plan.digest[:12]} vs "
+                      f"current {fresh.digest[:12]} (planning inputs "
+                      "changed; refresh the snapshot)")
+    snap, new = dict(_leaves(plan.to_dict())), dict(_leaves(fresh.to_dict()))
+    for path in {**snap, **new}:
+        if path == "digest" or path.startswith("calibration."):
+            continue
+        old, now = snap.get(path, "<absent>"), new.get(path, "<absent>")
+        close = (isinstance(old, float) and isinstance(now, float)
+                 and math.isclose(old, now, rel_tol=rel_tol))
+        if old != now and not close:
+            drifts.append(f"{path}: snapshot {old!r} vs fresh {now!r}")
     return drifts
 
 

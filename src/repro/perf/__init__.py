@@ -27,6 +27,7 @@ from .scaling import (
     estimate_performance,
     kernel_efficiency,
     scaling_efficiency,
+    step_terms,
     strong_scaling_gas,
     strong_scaling_wp,
     weak_scaling_series,
@@ -40,7 +41,8 @@ __all__ = [
     "bubble_fraction", "schedule_gpipe", "schedule_1f1b", "schedule_zb_h1",
     "simulate_timeline", "max_in_flight", "Event",
     "PerfEstimate", "estimate_performance", "kernel_efficiency",
-    "weak_scaling_series", "strong_scaling_gas", "strong_scaling_wp",
+    "step_terms", "weak_scaling_series", "strong_scaling_gas",
+    "strong_scaling_wp",
     "scaling_efficiency", "KERNEL_EFF_MAX", "SATURATION_TOKENS",
     "time_to_train", "checkpointing_plan", "CheckpointingPlan",
 ]

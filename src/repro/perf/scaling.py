@@ -22,15 +22,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..model import AerisConfig
+from ..model import AerisConfig, count_parameters
 from ..parallel.topology import RankTopology
 from .comm_model import CommModel
-from .flops import stage_forward_flops, training_flops_per_sample
+from .flops import (forward_flops_per_sample, stage_forward_flops,
+                    training_flops_per_sample)
 from .machine import Machine
 from .pipeline_model import bubble_fraction
 
-__all__ = ["PerfEstimate", "kernel_efficiency", "estimate_performance",
-           "weak_scaling_series", "strong_scaling_gas", "strong_scaling_wp",
+__all__ = ["PerfEstimate", "kernel_efficiency", "step_terms",
+           "estimate_performance", "weak_scaling_series",
+           "strong_scaling_gas", "strong_scaling_wp",
            "KERNEL_EFF_MAX", "SATURATION_TOKENS"]
 
 KERNEL_EFF_MAX = 0.62
@@ -69,6 +71,47 @@ class PerfEstimate:
     ef_peak: float
 
 
+def step_terms(config: AerisConfig, machine: Machine,
+               topology: RankTopology, micro_batch: int,
+               flops_per_s: float | None = None
+               ) -> tuple[float, float, float, float]:
+    """``(t_fwd, t_bwd, t_opt, t_ar)``: one micro-batch's forward and
+    backward slot on the busiest rank, and the optimizer and gradient
+    allreduce that follow the pipelined phase.
+
+    ``pp == 1`` is the monolithic layout, one rank holding every block;
+    otherwise the interior stage dominates (uniform-stage approximation).
+    ``flops_per_s`` is a measured per-tile rate standing in for
+    ``tile peak × kernel_efficiency``.
+    """
+    comm = CommModel(config, machine, topology)
+    tiles_per_stage = topology.wp * topology.sp
+    if flops_per_s is None:
+        eff_k = kernel_efficiency(config.seq_len / tiles_per_stage)
+        tile_peak = machine.peak_tflops_tile_bf16 * 1e12
+        stage_flops_per_s = tiles_per_stage * tile_peak * eff_k
+    else:
+        stage_flops_per_s = tiles_per_stage * flops_per_s
+    if topology.pp == 1:
+        stage_flops, blocks = forward_flops_per_sample(config), config.n_blocks
+    else:
+        stage_flops = max(stage_forward_flops(config, s)
+                          for s in range(1, config.pp_stages - 1))
+        blocks = config.blocks_per_layer
+    t_fwd_compute = stage_flops * micro_batch / stage_flops_per_s
+    t_a2a = comm.alltoall_time_per_block(micro_batch) \
+        * blocks / 3.0  # model's fwd share of the 12M total
+    t_fwd = t_fwd_compute + t_a2a
+    t_bwd = 2.0 * t_fwd_compute + 2.0 * t_a2a
+
+    params_per_rank = count_parameters(config) / topology.pp
+    t_opt = OPT_SECONDS_PER_GPARAM * params_per_rank / 1e9
+    t_ar = (comm.grad_allreduce_bytes()
+            / (machine.network_bw_gbs * 1e9 * ALLREDUCE_EFFICIENCY)
+            + 2e-4 * topology.dp if topology.dp > 1 else 0.0)
+    return t_fwd, t_bwd, t_opt, t_ar
+
+
 def estimate_performance(config: AerisConfig, machine: Machine,
                          topology: RankTopology, gbs: int,
                          schedule: str = "1f1b",
@@ -77,33 +120,13 @@ def estimate_performance(config: AerisConfig, machine: Machine,
     if gbs % (topology.dp * micro_batch):
         raise ValueError("gbs must be divisible by dp * micro_batch")
     gas = gbs // (topology.dp * micro_batch)
-    comm = CommModel(config, machine, topology)
-
-    tokens_per_tile = config.seq_len / (topology.sp * topology.wp)
-    eff_k = kernel_efficiency(tokens_per_tile)
-    tile_peak = machine.peak_tflops_tile_bf16 * 1e12
-
-    # Interior stage dominates (uniform-stage approximation).
-    interior = max(stage_forward_flops(config, s)
-                   for s in range(1, config.pp_stages - 1)) * micro_batch
-    tiles_per_stage = topology.wp * topology.sp
-    t_fwd_compute = interior / (tiles_per_stage * tile_peak * eff_k)
-    t_a2a = comm.alltoall_time_per_block(micro_batch) \
-        * config.blocks_per_layer / 3.0  # model's fwd share of the 12M total
-    t_fwd = t_fwd_compute + t_a2a
-    t_bwd = 2.0 * t_fwd_compute + 2.0 * t_a2a
-
+    t_fwd, t_bwd, t_opt, t_ar = step_terms(config, machine, topology,
+                                           micro_batch)
     slot = t_fwd + t_bwd
     bubble = bubble_fraction(topology.pp, gas, schedule)
     phase_time = gas * slot / (1.0 - bubble)
 
     # Outside the pipelined phase: optimizer step + gradient reduction.
-    from ..model import count_parameters
-    params_per_rank = count_parameters(config) / topology.pp
-    t_opt = OPT_SECONDS_PER_GPARAM * params_per_rank / 1e9
-    t_ar = (comm.grad_allreduce_bytes()
-            / (machine.network_bw_gbs * 1e9 * ALLREDUCE_EFFICIENCY)
-            + 2e-4 * topology.dp if topology.dp > 1 else 0.0)
     sustained_time = phase_time + t_opt + t_ar
     peak_time = phase_time
 

@@ -126,8 +126,12 @@ class ModelRegistry:
     def _load_index(self) -> dict:
         if not os.path.exists(self.index_path):
             return {"format": _INDEX_FORMAT, "versions": {}}
-        with open(self.index_path) as fh:
-            index = json.load(fh)
+        try:
+            with open(self.index_path) as fh:
+                index = json.load(fh)
+        except ValueError as exc:
+            raise RegistryError(f"unreadable registry index "
+                                f"{self.index_path}: {exc}") from exc
         if index.get("format") != _INDEX_FORMAT:
             raise RegistryError(
                 f"unsupported registry index format {index.get('format')!r}")
@@ -168,8 +172,14 @@ class ModelRegistry:
         path = self._blob_path(digest, "arrays")
         if not os.path.exists(path):
             raise RegistryError(f"missing blob {digest[:12]} (npz)")
-        with np.load(path) as npz:
-            arrays = {k: npz[k] for k in npz.files}
+        import zipfile  # np.load imports it for every .npz anyway
+        try:
+            with np.load(path) as npz:
+                arrays = {k: npz[k] for k in npz.files}
+        except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise RegistryError(
+                f"unreadable blob {digest[:12]} at {path}: "
+                f"{type(exc).__name__}: {exc}") from exc
         actual = state_digest(arrays)
         if actual != digest:
             raise RegistryError(
@@ -181,9 +191,12 @@ class ModelRegistry:
         path = self._blob_path(digest, "json")
         if not os.path.exists(path):
             raise RegistryError(f"missing blob {digest[:12]} (json)")
-        with open(path) as fh:
-            text = fh.read()
-        obj = json.loads(text)
+        try:
+            with open(path) as fh:
+                obj = json.load(fh)
+        except ValueError as exc:
+            raise RegistryError(f"unreadable blob {digest[:12]} at {path}: "
+                                f"{exc}") from exc
         if _json_digest(obj) != digest:
             raise RegistryError(
                 f"blob {digest[:12]} content digest mismatch: "

@@ -89,8 +89,6 @@ class ElasticSupervisor:
         self.gas = config.gas
         if plan is not None:
             from ..parallel import autotune as _autotune
-            if self.machine is None:
-                self.machine = _autotune.MACHINES["aurora"]
             if world_size is None:
                 if topology is None and not isinstance(
                         plan, _autotune.TunedPlan):

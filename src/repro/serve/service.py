@@ -115,9 +115,6 @@ class ForecastService:
         if plan is not None:
             # A tuned plan overrides n_workers: pack as many replicas as
             # its memory estimate says fit on one node of ``machine``.
-            if machine is None:
-                from ..perf.machine import AURORA
-                machine = AURORA
             self.pool = ServeWorkerPool.from_plan(
                 plan, machine, cluster=cluster, injector=injector,
                 retry=retry, duration_fn=duration_fn)

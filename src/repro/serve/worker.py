@@ -31,6 +31,7 @@ from ..obs.profile import count as _count
 from ..obs.profile import gauge as _gauge
 from ..obs.profile import record_event as _record_event
 from ..obs.profile import span as _span
+from ..perf.machine import AURORA
 from ..resilience import ClusterFailure, RankFailure, RetryPolicy
 from ..resilience.faults import count_dead_ranks
 
@@ -102,7 +103,7 @@ class ServeWorkerPool:
         self.n_dispatches = 0
 
     @classmethod
-    def from_plan(cls, plan, machine, *, max_workers: int = 8,
+    def from_plan(cls, plan, machine=None, *, max_workers: int = 8,
                   cluster=None, injector=None,
                   retry: RetryPolicy | None = None,
                   duration_fn=None) -> "ServeWorkerPool":
@@ -112,8 +113,11 @@ class ServeWorkerPool:
         memory — the plan's per-rank footprint times the ranks per DP
         replica (a conservative bound: inference skips gradients and
         optimizer state).  The pool packs as many replicas as fit in one
-        node of ``machine``, clamped to ``[1, max_workers]``.
+        node of ``machine`` (Aurora when ``None``), clamped to
+        ``[1, max_workers]``.
         """
+        if machine is None:
+            machine = AURORA
         ranks_per_replica = plan.chosen.world_size // plan.chosen.dp
         per_replica_gb = plan.chosen.memory_gb * ranks_per_replica
         node_gb = machine.tiles_per_node * machine.tile_memory_gb

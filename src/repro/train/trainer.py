@@ -110,8 +110,6 @@ class Trainer:
         self.plan = None
         if plan is not None:
             from ..parallel import autotune as _autotune
-            if machine is None:
-                machine = _autotune.MACHINES["aurora"]
             self.plan = _autotune.resolve_plan(
                 plan, model.config, machine, 1, config.batch_size,
                 pipeline=False, micro_batches=(config.batch_size,))

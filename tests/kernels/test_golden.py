@@ -127,11 +127,15 @@ class TestFusedAttention:
         assert counts["fused"] == counts["ref"] > 0
 
     def test_inference_path_bit_exact(self):
-        q, k, v = _qkv()
-        with no_grad():
-            ref = dot_product_attention(q, k, v)
-            fused = fused_dot_product_attention(q, k, v)
-        np.testing.assert_array_equal(fused.numpy(), ref.numpy())
+        # The second shape is benchmarks' ``window_attention_forward``:
+        # rows of 64, the first length on the row-wise side of the
+        # softmax-max selector.
+        for shape in ((2, 3, 16, 8), (2, 16, 4, 64, 16)):
+            q, k, v = _qkv(shape)
+            with no_grad():
+                ref = dot_product_attention(q, k, v)
+                fused = fused_dot_product_attention(q, k, v)
+            np.testing.assert_array_equal(fused.numpy(), ref.numpy())
 
 
 class TestFusedRotary:

@@ -1,18 +1,28 @@
 """SWiPe layout autotuner: determinism, feasibility, calibration margin,
 snapshot roundtrip + drift detection, and stack wiring (Trainer
-``plan="auto"``, supervisor end-to-end with ``autotune_check``)."""
+``plan="auto"``, supervisor end-to-end with ``autotune_check``).
+
+``golden_plan_numbers.json`` was recorded from the commit *before* the
+step-time composition moved into :func:`repro.perf.step_terms`
+(``golden_record`` below, run against that commit's ``src``): every leaf
+of both committed snapshots' plans and of three monolithic plans, each
+calibrated at 3.0e9 FLOP/s.  Regenerate it only for an intended change to
+the cost model, from the parent commit's ``src``.
+"""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
-from repro.model import Aeris, TINY
+from repro.model import Aeris, TINY, count_parameters
 from repro.obs import TraceReport, observed
 from repro.parallel.autotune import (
     CONFIGS,
     NoFeasibleLayout,
     TunedPlan,
+    _leaves,
     autotune_check,
     calibrated_step_s,
     enumerate_candidates,
@@ -29,6 +39,29 @@ from repro.train import Trainer, TrainerConfig
 
 WORLD, GBS = 32, 8
 MB = (1, 2)
+
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden_plan_numbers.json")
+SNAPSHOTS = os.path.join(os.path.dirname(__file__), os.pardir, os.pardir,
+                         "benchmarks", "results", "plans")
+RATE = 3.0e9
+#: the inputs of the two snapshots under ``benchmarks/results/plans``
+PIPELINED = {"tiny_Aurora_w32_g8": (TINY, WORLD, GBS),
+             "1.3B_Aurora_w1152_g120": (CONFIGS["1.3B"], 1152, 120)}
+MONO_BATCHES = (2, 4, 8)
+
+
+def golden_record() -> dict:
+    record = {name: plan_for(config, AURORA, world, gbs, micro_batches=MB,
+                             measured_flops_per_s=RATE).to_dict()
+              for name, (config, world, gbs) in PIPELINED.items()}
+    for b in MONO_BATCHES:
+        record[f"mono_b{b}"] = plan_for(
+            TINY, AURORA, 1, b, pipeline=False,
+            measured_flops_per_s=RATE).to_dict()
+    for d in record.values():
+        d.pop("digest")          # the address of the inputs, not a number
+        d.pop("code", None)      # the parent's source hash
+    return record
 
 
 @pytest.fixture(scope="module")
@@ -135,13 +168,96 @@ class TestSnapshots:
         payload["chosen"] = payload["frontier"][1]
         perturbed = TunedPlan.from_dict(payload)
         drifts = verify_plan(perturbed)
-        assert any("chosen layout drifted" in d for d in drifts)
+        assert any(d.startswith("chosen.layout:") for d in drifts)
 
     def test_stale_digest_drifts(self, plan):
         stale = TunedPlan.from_dict(plan.to_dict())
         stale.digest = "0" * 64
         drifts = verify_plan(stale)
         assert any("stale digest" in d for d in drifts)
+
+    def test_snapshot_with_the_old_code_key_loads(self, plan, tmp_path):
+        # schema-1 files written while plans hashed their sources
+        payload = dict(plan.to_dict(), code="0" * 64)
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(payload))
+        assert verify_plan(load_plan(str(path))) == []
+
+    def test_cost_model_change_drifts(self, monkeypatch):
+        # The oracle is live: the committed snapshot against a planner
+        # whose optimizer constant moved.
+        snapshot = load_plan(os.path.join(SNAPSHOTS,
+                                          "tiny_Aurora_w32_g8.json"))
+        assert verify_plan(snapshot) == []
+        monkeypatch.setattr("repro.perf.scaling.OPT_SECONDS_PER_GPARAM", 1.2)
+        drifts = verify_plan(snapshot)
+        assert any(d.startswith("chosen.predicted_step_s:") for d in drifts)
+        assert not any("digest" in d for d in drifts)
+
+    @pytest.mark.parametrize("path, edit", [
+        ("worst.predicted_step_s",
+         lambda d: d["worst"].update(
+             predicted_step_s=d["worst"]["predicted_step_s"] * 1.001)),
+        ("pruned_counts.ranks",
+         lambda d: d["pruned_counts"].update(
+             ranks=d["pruned_counts"]["ranks"] + 1)),
+        ("frontier[2].memory_gb",
+         lambda d: d["frontier"][2].update(
+             memory_gb=d["frontier"][2]["memory_gb"] + 0.5)),
+    ])
+    def test_every_leaf_is_checked(self, plan, path, edit):
+        # The oracle is whole: any leaf, named by its JSON path.
+        payload = json.loads(plan.to_json())
+        edit(payload)
+        drifts = verify_plan(TunedPlan.from_dict(payload))
+        assert [d.split(":")[0] for d in drifts] == [path]
+
+
+class TestOneCostModel:
+    """The step-time composition exists once, in ``repro.perf.scaling``."""
+
+    def test_golden_numbers_reproduce(self):
+        with open(GOLDEN) as fh:
+            golden = json.load(fh)
+        fresh = json.loads(json.dumps(golden_record()))
+        for name in PIPELINED:
+            assert fresh[name] == golden[name]
+        for b in MONO_BATCHES:
+            old = dict(_leaves(golden[f"mono_b{b}"]))
+            new = dict(_leaves(fresh[f"mono_b{b}"]))
+            assert new.keys() == old.keys()
+            for path, want in old.items():
+                if path.endswith(".mfu"):
+                    # MFU is over whole nodes, as Table III's is; the
+                    # golden's was over ranks
+                    sp = old[path[:-len("mfu")] + "sp"]
+                    want *= sp / AURORA.tiles_per_node
+                if isinstance(want, float):
+                    assert new[path] == pytest.approx(want, rel=1e-12), path
+                else:
+                    assert new[path] == want, path
+
+    def test_one_constant_three_consumers(self, monkeypatch):
+        def numbers():
+            piped = plan_for(TINY, AURORA, WORLD, GBS, micro_batches=MB)
+            mono = plan_for(TINY, AURORA, 1, 2, pipeline=False,
+                            micro_batches=(2,))
+            assert not (piped.chosen.checkpointing
+                        or mono.chosen.checkpointing)
+            return (piped.chosen.predicted_step_s,
+                    mono.chosen.predicted_step_s,
+                    calibrated_step_s(TINY, AURORA, piped.chosen, RATE))
+
+        before = numbers()
+        delta = 0.1
+        monkeypatch.setattr("repro.perf.scaling.OPT_SECONDS_PER_GPARAM",
+                            1.1 + delta)
+        after = numbers()
+        params = count_parameters(TINY)
+        for got, base, pp in zip(after, before,
+                                 (TINY.pp_stages, 1, TINY.pp_stages)):
+            assert got - base == pytest.approx(delta * params / pp / 1e9,
+                                               rel=1e-6)
 
 
 class TestResolvePlan:

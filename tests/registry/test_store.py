@@ -139,6 +139,35 @@ class TestMaintenance:
         with pytest.raises(RegistryError, match="digest mismatch"):
             registry.load_state(record.version)
 
+    def test_truncated_blob_is_a_finding(self, registry, reg_world):
+        _, trainer = reg_world
+        record = register(registry, trainer)
+        path = registry._blob_path(record.weights_digest, "arrays")
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(blob[:len(blob) // 2])
+        findings = registry.verify()
+        assert len(findings) == 1
+        assert findings[0].startswith(f"{record.version}:weights: unreadable")
+        assert path in findings[0] and record.weights_digest[:12] in findings[0]
+        with pytest.raises(RegistryError, match="unreadable blob"):
+            registry.load_state(record.version)
+        with pytest.raises(RegistryError, match="unreadable blob"):
+            registry.forecaster(record.version, forcing_fn=None)
+
+    def test_torn_index_is_typed(self, registry, reg_world):
+        _, trainer = reg_world
+        register(registry, trainer)
+        with open(registry.index_path) as fh:
+            text = fh.read()
+        with open(registry.index_path, "w") as fh:
+            fh.write(text[:len(text) // 2])
+        with pytest.raises(RegistryError, match="unreadable registry index") \
+                as excinfo:
+            ModelRegistry(registry.root)
+        assert registry.index_path in str(excinfo.value)
+
 
 class TestCheckpointRegistration:
     def test_register_from_checkpoint_prefers_ema(self, registry,

@@ -78,7 +78,7 @@ class TestVerifyCommand:
         assert cli.main(["verify", "--plans", str(snapshot_dir)]) == 1
         captured = capsys.readouterr()
         assert "DRIFT" in captured.out
-        assert "chosen layout drifted" in captured.out
+        assert "- chosen.layout:" in captured.out
         assert "regenerate the snapshots" in captured.err
 
     def test_stale_digest_fails_the_gate(self, snapshot_dir, capsys):
@@ -88,6 +88,22 @@ class TestVerifyCommand:
         path.write_text(json.dumps(payload))
         assert cli.main(["verify", "--plans", str(snapshot_dir)]) == 1
         assert "stale digest" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("corrupt", [lambda text: text[:300],
+                                         lambda text: "{}"],
+                             ids=["truncated", "empty-object"])
+    def test_malformed_snapshot_is_one_finding(self, snapshot_dir, capsys,
+                                               corrupt):
+        """A snapshot that does not parse is reported by name and the
+        others are still verified."""
+        good = next(snapshot_dir.glob("*.json"))
+        bad = snapshot_dir / "a_broken.json"
+        bad.write_text(corrupt(good.read_text()))
+        assert cli.main(["verify", "--plans", str(snapshot_dir)]) == 1
+        captured = capsys.readouterr()
+        assert f"unreadable plan snapshot {bad}" in captured.out
+        assert f"OK  {good.name}" in captured.out
+        assert "1 drift finding(s)" in captured.err
 
     def test_empty_directory_fails(self, tmp_path, capsys):
         assert cli.main(["verify", "--plans", str(tmp_path)]) == 1

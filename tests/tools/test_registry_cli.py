@@ -97,3 +97,14 @@ class TestGc:
         np.savez(path, w=np.zeros(6, dtype=np.float32))
         code, _, err = run(["--root", root, "gc"], capsys)
         assert code == 1 and "CORRUPT" in err
+
+    def test_gc_reports_truncated_blob(self, root, capsys):
+        registry = ModelRegistry(root)
+        path = registry._blob_path(registry.get("a").weights_digest,
+                                   "arrays")
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(blob[:len(blob) // 2])
+        code, _, err = run(["--root", root, "gc"], capsys)
+        assert code == 1 and "CORRUPT a:weights: unreadable blob" in err

@@ -8,8 +8,8 @@ Subcommands over :mod:`repro.parallel.autotune`:
   calibrate the top-K with a measured kernel-workload FLOP rate, and
   optionally snapshot the plan JSON;
 * ``verify`` — re-derive every committed snapshot and fail on drift
-  (the CI gate): a changed chosen layout, reordered frontier, stale
-  digest, or shifted predictions all exit non-zero.
+  (the CI gate): an unreadable snapshot, a stale input digest, or any
+  leaf the re-derivation does not reproduce exits non-zero.
 
 Usage::
 
@@ -119,7 +119,12 @@ def cmd_verify(args) -> int:
         return 1
     failures = 0
     for path in paths:
-        plan = autotune.load_plan(path)
+        try:
+            plan = autotune.load_plan(path)
+        except ValueError as exc:
+            failures += 1
+            print(f"DRIFT  {os.path.basename(path)}\n       - {exc}")
+            continue
         drifts = autotune.verify_plan(plan)
         table = autotune.frontier_table(plan)
         if args.tables:
@@ -137,7 +142,7 @@ def cmd_verify(args) -> int:
     if failures:
         print(f"verify: {failures} drift finding(s) — regenerate the "
               f"snapshots with 'plan --out {directory}' and review the "
-              "layout change", file=sys.stderr)
+              "moved leaves", file=sys.stderr)
         return 1
     print(f"verify: {len(paths)} snapshot(s) clean")
     return 0
