@@ -88,7 +88,7 @@ def build_service(incumbent, candidate, alternate: bool):
         cluster=SimCluster(3),
         config=ServiceConfig(n_workers=1,
                              batcher=BatcherConfig(max_requests=1)))
-    svc.add_version("v2", candidate)
+    svc.versions.add("v2", candidate)
     if alternate:
         flip = {"n": 0}
 
@@ -96,9 +96,9 @@ def build_service(incumbent, candidate, alternate: bool):
             flip["n"] += 1
             return "v2" if flip["n"] % 2 else "v1"
 
-        svc.version_router = round_robin
+        svc.versions.router = round_robin
     else:
-        svc.version_router = lambda request: "v1"
+        svc.versions.router = lambda request: "v1"
     return svc
 
 
@@ -124,7 +124,7 @@ def run_phase(archive, incumbent, candidate, n_requests: int,
             "p50_s": float(np.median(latencies)),
             "virtual_rps": len(completed) / makespan,
             "completed": len(completed), "weight_swaps": swaps,
-            "swap_bytes": swaps * svc.bindings["v2"].weights_nbytes}
+            "swap_bytes": swaps * svc.versions.bindings["v2"].weights_nbytes}
 
 
 def run(rounds: int, n_requests: int) -> tuple[dict, dict]:

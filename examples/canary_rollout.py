@@ -150,8 +150,9 @@ def main(argv=None) -> int:
           f"{summary['counts']['reassigned']}")
     for t in summary["transitions"]:
         print(f"  transition {t['kind']:<14} {t.get('reason', '')}")
-    print(f"  active {service.active_version} @ "
-          f"{service.bindings[service.active_version].weights_digest[:12]}")
+    versions = service.versions
+    print(f"  active {versions.active} @ "
+          f"{versions.bindings[versions.active].weights_digest[:12]}")
     print(f"  registry live: {registry.live()}")
 
     report = TraceReport()

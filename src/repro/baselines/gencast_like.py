@@ -28,44 +28,48 @@ from ..train.trainer import Trainer, TrainerConfig
 __all__ = ["EdmConfig", "EdmTrainer", "EdmForecaster"]
 
 
+# EDM constants (Karras et al. defaults, as used by GenCast).
+SIGMA_DATA = 1.0
+SIGMA_MIN = 0.02
+SIGMA_MAX = 80.0
+P_MEAN = -1.2     # log-normal noise prior
+P_STD = 1.2
+RHO = 7.0
+
+
 @dataclass(frozen=True)
 class EdmConfig:
-    """EDM constants (Karras et al. defaults, as used by GenCast)."""
+    """The EDM parameterization at the constants above; what a caller
+    varies is the sampler's step count."""
 
-    sigma_data: float = 1.0
-    sigma_min: float = 0.02
-    sigma_max: float = 80.0
-    p_mean: float = -1.2     # log-normal noise prior
-    p_std: float = 1.2
-    rho: float = 7.0
     n_sample_steps: int = 10
 
     # -- preconditioning -----------------------------------------------------
     def c_skip(self, sigma: np.ndarray) -> np.ndarray:
-        return self.sigma_data ** 2 / (sigma ** 2 + self.sigma_data ** 2)
+        return SIGMA_DATA ** 2 / (sigma ** 2 + SIGMA_DATA ** 2)
 
     def c_out(self, sigma: np.ndarray) -> np.ndarray:
-        return sigma * self.sigma_data / np.sqrt(sigma ** 2 + self.sigma_data ** 2)
+        return sigma * SIGMA_DATA / np.sqrt(sigma ** 2 + SIGMA_DATA ** 2)
 
     def c_in(self, sigma: np.ndarray) -> np.ndarray:
-        return 1.0 / np.sqrt(sigma ** 2 + self.sigma_data ** 2)
+        return 1.0 / np.sqrt(sigma ** 2 + SIGMA_DATA ** 2)
 
     def c_noise(self, sigma: np.ndarray) -> np.ndarray:
         return np.log(sigma) / 4.0
 
     def loss_weight(self, sigma: np.ndarray) -> np.ndarray:
-        return (sigma ** 2 + self.sigma_data ** 2) / (sigma * self.sigma_data) ** 2
+        return (sigma ** 2 + SIGMA_DATA ** 2) / (sigma * SIGMA_DATA) ** 2
 
     def sample_sigma(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return np.exp(self.p_mean + self.p_std * rng.normal(size=n)
+        return np.exp(P_MEAN + P_STD * rng.normal(size=n)
                       ).astype(np.float32)
 
     def sigma_schedule(self) -> np.ndarray:
         """Decreasing rho-spaced sigmas, ending exactly at 0."""
         i = np.arange(self.n_sample_steps)
-        inv = 1.0 / self.rho
-        sig = (self.sigma_max ** inv + i / (self.n_sample_steps - 1)
-               * (self.sigma_min ** inv - self.sigma_max ** inv)) ** self.rho
+        inv = 1.0 / RHO
+        sig = (SIGMA_MAX ** inv + i / (self.n_sample_steps - 1)
+               * (SIGMA_MIN ** inv - SIGMA_MAX ** inv)) ** RHO
         return np.append(sig, 0.0)
 
     def network_pair(self, x0: np.ndarray, rng_sigma: np.random.Generator,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forcings import STEPS_PER_YEAR, ForcingProvider, StaticFields
-from .gcm import GcmConfig, GcmState, ToyGCM
+from .gcm import GcmState, ToyGCM
 from .grid import LatLonGrid
 from .normalize import FieldNormalizer
 from .variables import TOY_SET
@@ -38,7 +38,6 @@ class ReanalysisConfig:
     test_years: float = 1.0
     seed: int = 0
     spinup_steps: int = 240
-    gcm: GcmConfig = GcmConfig()
 
     @property
     def n_steps(self) -> int:
@@ -59,7 +58,7 @@ class SyntheticReanalysis:
         self.config = config
         self.grid = LatLonGrid(config.height, config.width)
         self.static = StaticFields.generate(self.grid)
-        self.gcm = ToyGCM(self.grid, self.static, config.gcm)
+        self.gcm = ToyGCM(self.grid, self.static)
         self.forcing_provider = ForcingProvider(self.grid, self.static)
         self._checkpoints: dict[int, GcmState] = {}
         self._generate()

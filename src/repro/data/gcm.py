@@ -39,29 +39,32 @@ __all__ = ["GcmConfig", "GcmState", "ToyGCM", "TropicalCyclone", "Heatwave"]
 _DT_DAYS = 1.0 / STEPS_PER_DAY  # 6h step
 
 
+# What no caller varies (every twin shares it), with its unit.
+N_LATENTS = 24                 # Lorenz-96 ring size
+L96_DT = 0.06                  # L96 time units per 6h step
+EASTERLY_SPEED = 6.0           # m/s tropical easterlies
+SMOOTH_PASSES = 1              # hyperdiffusion strength
+ENSO_PERIOD_YEARS = 3.7
+TC_RATE_PER_DAY = 0.10         # genesis rate in season
+TC_MAX_AMPLITUDE = 28.0        # hPa central pressure deficit scale
+TC_RADIUS_DEG = 9.0
+HEATWAVE_RATE_PER_DAY = 0.035
+HEATWAVE_AMPLITUDE = 7.5       # K
+HEATWAVE_RADIUS_DEG = 16.0
+SEED_SPATIAL = 1234            # basis-pattern seed (shared across twins)
+
+
 @dataclass(frozen=True)
 class GcmConfig:
-    """Tunable constants of the toy GCM (perturbed for the NWP baseline)."""
+    """The physics constants the perturbed-physics NWP baseline jitters
+    (:meth:`ToyGCM.perturbed_twin`); the rest are the constants above."""
 
-    n_latents: int = 24            # Lorenz-96 ring size
     l96_forcing: float = 8.0       # chaos strength
-    l96_dt: float = 0.06           # L96 time units per 6h step
     jet_speed: float = 28.0        # m/s midlatitude jet maximum
-    easterly_speed: float = 6.0    # m/s tropical easterlies
     anomaly_wind: float = 9.0      # m/s latent-driven wind variability
     forcing_amp: float = 0.065     # latent forcing injected per step
     relax_rate: float = 0.012      # anomaly damping per step (~20 day decay)
-    smooth_passes: int = 1         # hyperdiffusion strength
-    enso_period_years: float = 3.7
-    enso_damping: float = 0.02     # per month
     enso_coupling: float = 0.012   # latent noise into the ocean
-    tc_rate_per_day: float = 0.10  # genesis rate in season
-    tc_max_amplitude: float = 28.0 # hPa central pressure deficit scale
-    tc_radius_deg: float = 9.0
-    heatwave_rate_per_day: float = 0.035
-    heatwave_amplitude: float = 7.5  # K
-    heatwave_radius_deg: float = 16.0
-    seed_spatial: int = 1234       # basis-pattern seed (shared across twins)
 
 
 @dataclass
@@ -129,10 +132,9 @@ class ToyGCM:
 
     # -- fixed spatial structures ------------------------------------------
     def _build_patterns(self) -> None:
-        cfg = self.config
         g = self.grid
-        rng = np.random.default_rng(cfg.seed_spatial)
-        k = cfg.n_latents
+        rng = np.random.default_rng(SEED_SPATIAL)
+        k = N_LATENTS
         self.basis_q = self._smooth_bases(rng, k, cutoff=3.5)
         self.basis_theta = self._smooth_bases(rng, k, cutoff=3.0)
         self.basis_m = self._smooth_bases(rng, k, cutoff=4.0)
@@ -171,7 +173,7 @@ class ToyGCM:
         strength_sh = cfg.jet_speed * (1.0 + 0.30 * season)
         jet_nh = strength_nh * np.exp(-(((lats - 42.0) / 14.0) ** 2))
         jet_sh = strength_sh * np.exp(-(((lats + 42.0) / 14.0) ** 2))
-        easterly = -cfg.easterly_speed * np.exp(-((lats / 14.0) ** 2))
+        easterly = -EASTERLY_SPEED * np.exp(-((lats / 14.0) ** 2))
         return jet_nh + jet_sh + easterly
 
     def climatology(self, step: int) -> dict[str, np.ndarray]:
@@ -197,7 +199,7 @@ class ToyGCM:
     def initial_state(self, seed: int = 0, spinup_steps: int = 240) -> GcmState:
         rng = np.random.default_rng(seed)
         h, w = self.grid.height, self.grid.width
-        k = self.config.n_latents
+        k = N_LATENTS
         state = GcmState(
             step=0,
             latents=self.config.l96_forcing * (1.0 + 0.01 * rng.normal(size=k)),
@@ -251,7 +253,7 @@ class ToyGCM:
         cfg = self.config
         # 1) Latent chaos (RK4 Lorenz-96).
         x = state.latents
-        dt = cfg.l96_dt
+        dt = L96_DT
         k1 = _l96_tendency(x, cfg.l96_forcing)
         k2 = _l96_tendency(x + 0.5 * dt * k1, cfg.l96_forcing)
         k3 = _l96_tendency(x + 0.5 * dt * k2, cfg.l96_forcing)
@@ -262,7 +264,7 @@ class ToyGCM:
         # forcing from the fast latents (per-step increments).
         te, th = state.enso
         steps_per_year = DAYS_PER_YEAR / _DT_DAYS
-        omega = 2 * np.pi / (cfg.enso_period_years * steps_per_year)
+        omega = 2 * np.pi / (ENSO_PERIOD_YEARS * steps_per_year)
         damp = 1.0 / (2.5 * steps_per_year)  # ~2.5-year e-folding
         latn0 = (state.latents[0] - state.latents.mean()) \
             / max(state.latents.std(), 1e-6)
@@ -279,7 +281,7 @@ class ToyGCM:
             adv = self._advect(fld, u_deg, v_deg)
             forced = cfg.forcing_amp * np.tensordot(latn, basis, axes=(0, 0))
             new = (1.0 - cfg.relax_rate) * adv + forced
-            setattr(state, name, _smooth(new, cfg.smooth_passes))
+            setattr(state, name, _smooth(new, SMOOTH_PASSES))
 
         # 4) Events.
         self._step_cyclones(state)
@@ -295,11 +297,10 @@ class ToyGCM:
         return float(np.exp(-((dist / 45.0) ** 2)))
 
     def _step_cyclones(self, state: GcmState) -> None:
-        cfg = self.config
         g = self.grid
         # Genesis (seeded, hence deterministic along a trajectory).
         for hemi in (1, -1):
-            rate = cfg.tc_rate_per_day * _DT_DAYS * self._tc_season_weight(
+            rate = TC_RATE_PER_DAY * _DT_DAYS * self._tc_season_weight(
                 state.step, hemi)
             if state.rng.uniform() < rate:
                 lat = hemi * state.rng.uniform(8.0, 18.0)
@@ -332,18 +333,17 @@ class ToyGCM:
 
     # -- heatwaves ---------------------------------------------------------------
     def _step_heatwaves(self, state: GcmState) -> None:
-        cfg = self.config
         g = self.grid
         for hemi in (1, -1):
             # Summer-hemisphere genesis over midlatitude land.
             weight = self._tc_season_weight(state.step, hemi)  # same summer peak
-            if state.rng.uniform() < cfg.heatwave_rate_per_day * _DT_DAYS * weight:
+            if state.rng.uniform() < HEATWAVE_RATE_PER_DAY * _DT_DAYS * weight:
                 lat = hemi * state.rng.uniform(38.0, 58.0)
                 lon = state.rng.uniform(0.0, 360.0)
                 if self.static.land_mask[g.lat_index(lat), g.lon_index(lon)] > 0.5:
                     state.heatwaves.append(Heatwave(
                         lat=lat, lon=lon,
-                        amplitude=cfg.heatwave_amplitude * state.rng.uniform(0.6, 1.3),
+                        amplitude=HEATWAVE_AMPLITUDE * state.rng.uniform(0.6, 1.3),
                         duration_days=state.rng.uniform(6.0, 14.0)))
         survivors = []
         for hw in state.heatwaves:
@@ -371,7 +371,6 @@ class ToyGCM:
     # -- diagnostics -------------------------------------------------------------
     def diagnostics(self, state: GcmState) -> np.ndarray:
         """Synthesize the 9-channel observable fields ``(H, W, C)``."""
-        cfg = self.config
         g = self.grid
         clim = self.climatology(state.step)
         u_ms, v_ms, _, _ = self._winds_deg(state)
@@ -410,8 +409,8 @@ class ToyGCM:
 
         # Event imprints.
         for tc in state.cyclones:
-            blob = self._gaussian_blob(tc.lat, tc.lon, cfg.tc_radius_deg)
-            depth = cfg.tc_max_amplitude * tc.intensity
+            blob = self._gaussian_blob(tc.lat, tc.lon, TC_RADIUS_DEG)
+            depth = TC_MAX_AMPLITUDE * tc.intensity
             mslp = mslp - depth * blob
             z500 = z500 - 2.0 * depth * blob
             q700 = q700 + 2.5 * tc.intensity * blob
@@ -420,13 +419,13 @@ class ToyGCM:
             gx = np.gradient(blob, axis=1) / g.dlon / self.coslat
             # Counterclockwise (NH) tangential flow: with rows running
             # north->south, (u, v) ∝ −(∂blob/∂row, ∂blob/∂col).
-            spin = 16.0 * depth / cfg.tc_max_amplitude * tc.hemisphere
+            spin = 16.0 * depth / TC_MAX_AMPLITUDE * tc.hemisphere
             u10 = u10 - spin * gy
             v10 = v10 - spin * gx
             u850 = u850 - 1.3 * spin * gy
             v850 = v850 - 1.3 * spin * gx
         for hw in state.heatwaves:
-            blob = self._gaussian_blob(hw.lat, hw.lon, cfg.heatwave_radius_deg)
+            blob = self._gaussian_blob(hw.lat, hw.lon, HEATWAVE_RADIUS_DEG)
             env = self._event_envelope(hw.age_days, hw.duration_days)
             t2m = t2m + hw.amplitude * env * blob * land
             t850 = t850 + 0.6 * hw.amplitude * env * blob

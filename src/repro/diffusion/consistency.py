@@ -37,13 +37,16 @@ def consistency_jump(flow: TrigFlow, x_t: np.ndarray, velocity: np.ndarray,
     return flow.denoise_from_velocity(x_t, velocity, t)
 
 
+# Distillation hyperparameters.
+N_BOUNDARY_STEPS = 8      # discretization of [t_min, pi/2]
+LR = 1e-3
+EMA_HALFLIFE_IMAGES = 500.0
+
+
 @dataclass(frozen=True)
 class ConsistencyConfig:
-    """Distillation hyperparameters."""
+    """What a distillation run varies: the seed of its two generators."""
 
-    n_boundary_steps: int = 8      # discretization of [t_min, pi/2]
-    lr: float = 1e-3
-    ema_halflife_images: float = 500.0
     seed: int = 0
 
 
@@ -62,15 +65,14 @@ class ConsistencyDistiller:
         self.student = student
         self.flow = flow
         self.config = config
-        self.optimizer = AdamW(student.parameters(), lr=config.lr,
-                               weight_decay=0.0)
-        self.ema = EMA(student, halflife_images=config.ema_halflife_images)
+        self.optimizer = AdamW(student.parameters(), lr=LR, weight_decay=0.0)
+        self.ema = EMA(student, halflife_images=EMA_HALFLIFE_IMAGES)
         self.rng_t = np.random.default_rng(config.seed + 1)
         self.rng_z = np.random.default_rng(config.seed + 2)
         self.history: list[float] = []
         # Boundary times: log-uniform in tan(t), densest near t_min.
         taus = np.linspace(np.log(flow.sigma_min), np.log(flow.sigma_max),
-                           config.n_boundary_steps + 1)
+                           N_BOUNDARY_STEPS + 1)
         self.boundaries = flow.tau_to_t(taus)  # increasing
 
     # -- teacher utilities ---------------------------------------------------

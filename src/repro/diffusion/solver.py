@@ -41,7 +41,6 @@ class SolverConfig:
 
     n_steps: int = 10
     churn: float = 0.0          # fraction of each step re-noised (0 disables)
-    t_end: float | None = None  # defaults to the TrigFlow t_min
 
 
 class DpmSolver2S:
@@ -53,11 +52,9 @@ class DpmSolver2S:
 
     def schedule(self) -> np.ndarray:
         """Decreasing time grid: ``pi/2`` then log-uniform in ``tan(t)`` down
-        to ``t_end`` (matching the training prior's support)."""
-        t_end = (self.config.t_end if self.config.t_end is not None
-                 else self.flow.t_min)
+        to the flow's ``t_min`` (matching the training prior's support)."""
         taus = np.linspace(np.log(self.flow.sigma_max),
-                           np.log(np.tan(t_end) * self.flow.sigma_d),
+                           np.log(np.tan(self.flow.t_min) * self.flow.sigma_d),
                            self.config.n_steps)
         ts = self.flow.tau_to_t(taus)
         ts[0] = np.pi / 2  # exact pure-noise start
@@ -121,7 +118,7 @@ class DpmSolver2S:
     def sample(self, velocity_fn: VelocityFn, shape: tuple[int, ...],
                rng: np.random.Generator) -> np.ndarray:
         """Draw one sample: integrate from ``z ~ N(0, sigma_d^2)`` at
-        ``t = pi/2`` to ``t_end`` and denoise the final state."""
+        ``t = pi/2`` to ``t_min`` and denoise the final state."""
         x = rng.normal(0.0, self.flow.sigma_d, size=shape).astype(np.float32)
         ts = self.schedule()
         for i in range(len(ts) - 1):

@@ -22,6 +22,8 @@ class AdamW:
     :mod:`repro.parallel.zero` can shard it across data-parallel ranks.
     """
 
+    # betas / eps / weight decay: the paper's values (§VI-B), spelled here
+    # and nowhere else — callers that train the paper's way pass ``lr`` only.
     def __init__(self, params: list[Parameter], lr: float = 5e-4,
                  betas: tuple[float, float] = (0.85, 0.9), eps: float = 1e-8,
                  weight_decay: float = 0.01):

@@ -44,8 +44,8 @@ from .dashboard import render_dashboard
 from .export import (events_jsonl, prometheus_text, write_events_jsonl,
                      write_metrics_json, write_prometheus)
 from .flight import SEVERITIES, Event, FlightRecorder
-from .health import (FAULT_ALERT_KINDS, FAULT_CLASSES, HealthConfig,
-                     HealthMonitor, health_check)
+from .health import (FAULT_ALERT_KINDS, FAULT_CLASSES, HealthMonitor,
+                     health_check)
 from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
                       merge_snapshots)
 from .profile import (MonitoredSession, count, disable, disable_health,
@@ -63,8 +63,7 @@ __all__ = [
     "get_tracer", "metrics",
     "Event", "FlightRecorder", "SEVERITIES",
     "Alert", "AlertManager",
-    "HealthConfig", "HealthMonitor", "FAULT_CLASSES", "FAULT_ALERT_KINDS",
-    "health_check",
+    "HealthMonitor", "FAULT_CLASSES", "FAULT_ALERT_KINDS", "health_check",
     "enable_health", "disable_health", "health", "flight",
     "record_event", "monitored", "MonitoredSession",
     "prometheus_text", "events_jsonl", "write_prometheus",

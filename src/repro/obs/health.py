@@ -42,12 +42,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .alerts import AlertManager
 
-__all__ = ["HealthConfig", "HealthMonitor", "FaultClass", "FAULT_CLASSES",
+__all__ = ["HealthMonitor", "FaultClass", "FAULT_CLASSES",
            "FAULT_ALERT_KINDS", "health_check"]
 
 
@@ -106,14 +105,43 @@ FAULT_ALERT_KINDS = {fault: row.alert_kind
 #: estimator of the standard deviation for normal data.
 _MAD_TO_SIGMA = 1.4826
 
-#: Loss-plateau detector: fast / slow EWMA coefficients, and the
-#: fraction by which the fast one must undercut the slow one.
+# Detector thresholds, sized for toy runs.  Constants, not options: every
+# boundary is reachable by feeding more observations (DESIGN §11).
+#: Loss: rolling window and robust z of a spike; min observations, fast /
+#: slow EWMA coefficients and the fraction by which the fast one must
+#: undercut the slow one before a plateau fires.
+LOSS_WINDOW = 32
+LOSS_SPIKE_Z = 8.0
+PLATEAU_STEPS = 64
 EWMA_FAST = 0.3
 EWMA_SLOW = 0.03
 PLATEAU_MARGIN = 1e-3
-
-#: SLO burn: the fast window must burn this multiple of the error budget.
+#: Gradient-norm explosion.
+GRAD_WINDOW = 32
+GRAD_EXPLOSION_Z = 10.0
+#: Per-rank stragglers over tracer span tracks.
+STRAGGLER_Z = 4.0
+STRAGGLER_MIN_TRACKS = 3
+#: Observed pipeline bubble may exceed the predicted one by this.
+BUBBLE_MARGIN = 0.10
+#: Kernel plan caches and the serving forecast cache: lookups before a
+#: verdict, and the hit rate under which it is a collapse.
+PLAN_CACHE_MIN_LOOKUPS = 64
+PLAN_CACHE_MIN_HIT_RATE = 0.5
+FORECAST_CACHE_MIN_LOOKUPS = 64
+FORECAST_CACHE_MIN_HIT_RATE = 0.3
+#: Serve queue depth, as a fraction of the tier cap.
+QUEUE_SATURATION_FRAC = 0.9
+#: Observed step time may exceed a tuned plan's prediction by this
+#: fraction before the plan is considered stale.
+PLAN_SKEW_FRAC = 0.25
+#: SLO burn (multi-window): tolerated miss fraction; the fast window must
+#: burn ``BURN_FAST_THRESHOLD`` times it while the slow one is over budget.
+SLO_ERROR_BUDGET = 0.05
+BURN_FAST_WINDOW = 16
+BURN_SLOW_WINDOW = 128
 BURN_FAST_THRESHOLD = 2.0
+BURN_SLOW_THRESHOLD = 1.0
 
 
 def _median(values) -> float:
@@ -131,57 +159,20 @@ def _robust_z(value: float, window) -> float:
     return (value - med) / scale
 
 
-@dataclass(frozen=True)
-class HealthConfig:
-    """Thresholds for every detector (defaults sized for toy runs)."""
-
-    # loss detectors
-    loss_window: int = 32          # rolling window for the spike z-score
-    loss_spike_z: float = 8.0      # robust z above which a loss is a spike
-    plateau_steps: int = 64        # min observations before plateau fires
-    # gradient detector
-    grad_window: int = 32
-    grad_explosion_z: float = 10.0
-    # per-rank straggler detector (tracer span tracks)
-    straggler_z: float = 4.0
-    straggler_min_tracks: int = 3
-    # pipeline bubble regression
-    bubble_margin: float = 0.10    # observed may exceed predicted by this
-    # plan caches
-    plan_cache_min_lookups: int = 64
-    plan_cache_min_hit_rate: float = 0.5
-    # forecast cache (serving tier)
-    forecast_cache_min_lookups: int = 64
-    forecast_cache_min_hit_rate: float = 0.3
-    # serve queues
-    queue_saturation_frac: float = 0.9
-    # autotuned-plan skew: observed step time may exceed prediction by
-    # this fraction before the plan is considered stale
-    plan_skew_frac: float = 0.25
-    # SLO burn rate (multi-window)
-    slo_error_budget: float = 0.05  # tolerated miss fraction
-    burn_fast_window: int = 16
-    burn_slow_window: int = 128
-    burn_slow_threshold: float = 1.0   # the slow window is over budget
-    # alerting
-    cooldown_s: float = 60.0
-
-
 class HealthMonitor:
     """Runs the detector suite; fires through one :class:`AlertManager`.
 
     Online observations (``observe_*``) are called from instrumented hot
-    paths while health is enabled; pull checks (``check_*``) inspect the
-    registry/tracer on demand (dashboard render, end of run, CI).
+    paths while health is enabled; a pull check (``check_*``) runs when
+    whoever holds the monitor calls it with a registry / tracer —
+    :func:`health_check` calls ``check_faults``, nothing else is wired.
     """
 
-    def __init__(self, config: HealthConfig = HealthConfig(),
-                 alerts: AlertManager | None = None, clock=None):
-        self.config = config
-        self.alerts = alerts if alerts is not None else AlertManager(
-            cooldown_s=config.cooldown_s, clock=clock)
-        self._loss_window: deque[float] = deque(maxlen=config.loss_window)
-        self._grad_window: deque[float] = deque(maxlen=config.grad_window)
+    def __init__(self, alerts: AlertManager | None = None, clock=None):
+        self.alerts = alerts if alerts is not None \
+            else AlertManager(clock=clock)
+        self._loss_window: deque[float] = deque(maxlen=LOSS_WINDOW)
+        self._grad_window: deque[float] = deque(maxlen=GRAD_WINDOW)
         self._ewma_fast: float | None = None
         self._ewma_slow: float | None = None
         self._loss_observed = 0
@@ -193,16 +184,15 @@ class HealthMonitor:
     def observe_step(self, step: int, loss: float,
                      grad_norm: float | None = None) -> None:
         """Feed one training step's loss (and optionally gradient norm)."""
-        cfg = self.config
         self.observations += 1
         if not math.isfinite(loss):
             self.alerts.fire(
                 "train.loss_nonfinite", "critical", "train",
                 f"non-finite loss {loss!r} at step {step}", step=str(step))
             return  # a NaN would poison the windows
-        if len(self._loss_window) == cfg.loss_window:
+        if len(self._loss_window) == LOSS_WINDOW:
             z = _robust_z(loss, self._loss_window)
-            if z > cfg.loss_spike_z:
+            if z > LOSS_SPIKE_Z:
                 self.alerts.fire(
                     "train.loss_spike", "warning", "train",
                     f"loss {loss:.6g} is {z:.1f} MADs above the rolling "
@@ -214,7 +204,7 @@ class HealthMonitor:
         else:
             self._ewma_fast += EWMA_FAST * (loss - self._ewma_fast)
             self._ewma_slow += EWMA_SLOW * (loss - self._ewma_slow)
-            if (self._loss_observed >= cfg.plateau_steps
+            if (self._loss_observed >= PLATEAU_STEPS
                     and self._ewma_fast > self._ewma_slow
                     * (1.0 - PLATEAU_MARGIN)):
                 self.alerts.fire(
@@ -227,9 +217,9 @@ class HealthMonitor:
                 self.alerts.fire(
                     "train.grad_explosion", "critical", "train",
                     f"non-finite gradient norm at step {step}")
-            elif len(self._grad_window) == cfg.grad_window:
+            elif len(self._grad_window) == GRAD_WINDOW:
                 z = _robust_z(grad_norm, self._grad_window)
-                if z > cfg.grad_explosion_z:
+                if z > GRAD_EXPLOSION_Z:
                     self.alerts.fire(
                         "train.grad_explosion", "critical", "train",
                         f"gradient norm {grad_norm:.6g} is {z:.1f} MADs "
@@ -242,21 +232,19 @@ class HealthMonitor:
     def observe_latency(self, tier: str, latency_s: float,
                         slo_s: float) -> None:
         """Feed one completed request's latency into the burn windows."""
-        cfg = self.config
         self.observations += 1
         fast, slow = self._burn.setdefault(
-            tier, (deque(maxlen=cfg.burn_fast_window),
-                   deque(maxlen=cfg.burn_slow_window)))
+            tier, (deque(maxlen=BURN_FAST_WINDOW),
+                   deque(maxlen=BURN_SLOW_WINDOW)))
         miss = latency_s > slo_s
         fast.append(miss)
         slow.append(miss)
-        if len(fast) < cfg.burn_fast_window:
+        if len(fast) < BURN_FAST_WINDOW:
             return
-        budget = max(cfg.slo_error_budget, 1e-9)
-        burn_fast = (sum(fast) / len(fast)) / budget
-        burn_slow = (sum(slow) / len(slow)) / budget
+        burn_fast = (sum(fast) / len(fast)) / SLO_ERROR_BUDGET
+        burn_slow = (sum(slow) / len(slow)) / SLO_ERROR_BUDGET
         if burn_fast >= BURN_FAST_THRESHOLD \
-                and burn_slow >= cfg.burn_slow_threshold:
+                and burn_slow >= BURN_SLOW_THRESHOLD:
             self.alerts.fire(
                 "serve.slo_burn", "critical", "serve",
                 f"tier {tier!r} burning {burn_fast:.1f}x its error budget "
@@ -266,7 +254,7 @@ class HealthMonitor:
     def observe_queue_depth(self, tier: str, depth: int, cap: int) -> None:
         """Feed one admission-time queue depth against the tier cap."""
         self.observations += 1
-        if cap > 0 and depth >= self.config.queue_saturation_frac * cap:
+        if cap > 0 and depth >= QUEUE_SATURATION_FRAC * cap:
             self.alerts.fire(
                 "serve.queue_saturation", "warning", "serve",
                 f"tier {tier!r} queue at {depth}/{cap}", tier=tier,
@@ -301,16 +289,15 @@ class HealthMonitor:
                            track_prefix: str | None = None) -> dict:
         """Busy-time imbalance across tracks: a rank sitting ``z`` robust
         deviations above its peers is a straggler."""
-        cfg = self.config
         busy: dict[str, float] = {}
         for span in tracer.select(category=category,
                                   track_prefix=track_prefix):
             busy[span.track] = busy.get(span.track, 0.0) + span.duration
-        if len(busy) >= cfg.straggler_min_tracks:
+        if len(busy) >= STRAGGLER_MIN_TRACKS:
             values = list(busy.values())
             for track in sorted(busy):
                 z = _robust_z(busy[track], values)
-                if z > cfg.straggler_z:
+                if z > STRAGGLER_Z:
                     self.alerts.fire(
                         "pp.rank_straggler", "warning", "parallel",
                         f"track {track!r} busy {busy[track]:.6g}s, "
@@ -332,12 +319,12 @@ class HealthMonitor:
         observed = observed_bubble(spans)[0]
         predicted = bubble_fraction(pp, n_micro, schedule)
         result = {"observed": observed, "predicted": predicted,
-                  "margin": self.config.bubble_margin}
-        if observed > predicted + self.config.bubble_margin:
+                  "margin": BUBBLE_MARGIN}
+        if observed > predicted + BUBBLE_MARGIN:
             self.alerts.fire(
                 "pp.bubble_regression", "warning", "parallel",
                 f"observed bubble {observed:.3f} exceeds predicted "
-                f"{predicted:.3f} by more than {self.config.bubble_margin}",
+                f"{predicted:.3f} by more than {BUBBLE_MARGIN}",
                 data=result)
         return result
 
@@ -347,16 +334,15 @@ class HealthMonitor:
         if stats is None:
             from ..kernels import plan_cache_stats
             stats = plan_cache_stats()
-        cfg = self.config
         rates = {}
         for name in sorted(stats):
             cache = stats[name]
             lookups = cache["hits"] + cache["misses"]
-            if lookups < cfg.plan_cache_min_lookups:
+            if lookups < PLAN_CACHE_MIN_LOOKUPS:
                 continue
             rate = cache["hits"] / lookups
             rates[name] = rate
-            if rate < cfg.plan_cache_min_hit_rate:
+            if rate < PLAN_CACHE_MIN_HIT_RATE:
                 self.alerts.fire(
                     "kernels.plan_cache_collapse", "warning", "kernels",
                     f"plan cache {name!r} hit rate {rate:.2f} over "
@@ -375,18 +361,17 @@ class HealthMonitor:
         burn.  Reads the ``serve.cache`` lookup counter, so it works as
         a pull detector with no handle on the service itself.
         """
-        cfg = self.config
         counter = registry.counter("serve.cache")
         hits = counter.total(event="hit")
         misses = counter.total(event="miss")
         lookups = hits + misses
-        if lookups < cfg.forecast_cache_min_lookups:
+        if lookups < FORECAST_CACHE_MIN_LOOKUPS:
             return None
         rate = hits / lookups
         occupancy = registry.gauge("serve.cache_occupancy_frac").value()
         result = {"hit_rate": rate, "lookups": int(lookups),
                   "occupancy_frac": occupancy}
-        if rate < cfg.forecast_cache_min_hit_rate:
+        if rate < FORECAST_CACHE_MIN_HIT_RATE:
             self.alerts.fire(
                 "serve.cache_collapse", "warning", "serve",
                 f"forecast cache hit rate {rate:.2f} over {int(lookups)} "
@@ -399,12 +384,11 @@ class HealthMonitor:
         Compares ``autotune.observed_step_s`` (set per step by a
         plan-driven trainer/supervisor) with the plan's
         ``autotune.predicted_step_s``.  A sustained overshoot beyond
-        ``plan_skew_frac`` means the plan's cost model no longer
+        ``PLAN_SKEW_FRAC`` means the plan's cost model no longer
         describes the run (contention, a degraded grid, a stale
         snapshot) — the fix is a re-tune, so the alert is advisory, not
         a fault.  Returns ``None`` until both gauges have data.
         """
-        cfg = self.config
         predicted = registry.gauge("autotune.predicted_step_s").value()
         observed = registry.gauge("autotune.observed_step_s").value()
         if predicted <= 0.0 or observed <= 0.0:
@@ -412,29 +396,14 @@ class HealthMonitor:
         skew = observed / predicted - 1.0
         result = {"predicted_s": predicted, "observed_s": observed,
                   "skew_frac": skew}
-        if skew > cfg.plan_skew_frac:
+        if skew > PLAN_SKEW_FRAC:
             self.alerts.fire(
                 "autotune.plan_skew", "warning", "autotune",
                 f"observed step {observed:.4g}s is {skew:+.0%} off the "
                 f"plan's {predicted:.4g}s prediction (tolerance "
-                f"{cfg.plan_skew_frac:.0%}) — re-tune the layout",
+                f"{PLAN_SKEW_FRAC:.0%}) — re-tune the layout",
                 data=result)
         return result
-
-    # -- pull: everything registry-driven ----------------------------------
-    def check(self, registry=None, tracer=None) -> "HealthMonitor":
-        """Run every pull detector that has data available."""
-        from .profile import get_tracer, metrics
-        registry = registry if registry is not None else metrics()
-        tracer = tracer if tracer is not None else get_tracer()
-        if registry is not None:
-            self.check_faults(registry)
-            self.check_forecast_cache(registry)
-            self.check_plan_skew(registry)
-        self.check_plan_caches()
-        if tracer is not None:
-            self.check_rank_balance(tracer)
-        return self
 
     # -- reporting ---------------------------------------------------------
     def report(self) -> dict:

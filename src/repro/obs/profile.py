@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .flight import FlightRecorder
-from .health import HealthConfig, HealthMonitor
+from .health import HealthMonitor
 from .metrics import _DEFAULT_BUCKETS, MetricsRegistry
 from .trace import Tracer
 
@@ -106,15 +106,14 @@ def observe(name: str, help: str, value: float, /, *,
 # -- active health layer (flight recorder + online detectors) ------------------
 def enable_health(monitor: HealthMonitor | None = None,
                   recorder: FlightRecorder | None = None,
-                  config: HealthConfig | None = None,
                   clock=None) -> tuple[HealthMonitor, FlightRecorder]:
     """Install the flight recorder and health monitor (idempotent: an
     existing instance is kept unless an explicit one is passed)."""
     global _flight, _health
     _flight = recorder if recorder is not None \
         else (_flight or FlightRecorder(clock=clock))
-    _health = monitor if monitor is not None else (
-        _health or HealthMonitor(config or HealthConfig(), clock=clock))
+    _health = monitor if monitor is not None \
+        else (_health or HealthMonitor(clock=clock))
     return _health, _flight
 
 
@@ -194,19 +193,16 @@ class monitored:
     def __init__(self, tracer: Tracer | None = None,
                  registry: MetricsRegistry | None = None,
                  monitor: HealthMonitor | None = None,
-                 recorder: FlightRecorder | None = None,
-                 config: HealthConfig | None = None, clock=None):
-        self._incoming = (tracer, registry, monitor, recorder, config,
-                          clock)
+                 recorder: FlightRecorder | None = None, clock=None):
+        self._incoming = (tracer, registry, monitor, recorder, clock)
 
     def __enter__(self) -> MonitoredSession:
         self._saved = (_tracer, _registry, _flight, _health)
-        tracer, registry, monitor, recorder, config, clock = self._incoming
+        tracer, registry, monitor, recorder, clock = self._incoming
         pair = enable(tracer or Tracer(clock=clock),
                       registry or MetricsRegistry())
-        triple = enable_health(
-            monitor or HealthMonitor(config or HealthConfig(), clock=clock),
-            recorder or FlightRecorder(clock=clock))
+        triple = enable_health(monitor or HealthMonitor(clock=clock),
+                               recorder or FlightRecorder(clock=clock))
         return MonitoredSession(pair[0], pair[1], triple[0], triple[1])
 
     def __exit__(self, *exc) -> None:

@@ -24,9 +24,7 @@ class ZeroOptimizer:
     """
 
     def __init__(self, params: list[Parameter], cluster: SimCluster,
-                 dp_group: list[int], lr: float = 5e-4,
-                 betas: tuple[float, float] = (0.85, 0.9), eps: float = 1e-8,
-                 weight_decay: float = 0.01):
+                 dp_group: list[int], lr: float = 5e-4):
         self.params = list(params)
         self.cluster = cluster
         self.dp_group = dp_group
@@ -37,9 +35,7 @@ class ZeroOptimizer:
         for shard in range(self.dp):
             shard_params = [p for i, p in enumerate(self.params)
                             if self.shard_of[i] == shard]
-            self.shard_optimizers.append(
-                AdamW(shard_params, lr=lr, betas=betas, eps=eps,
-                      weight_decay=weight_decay))
+            self.shard_optimizers.append(AdamW(shard_params, lr=lr))
 
     @property
     def lr(self) -> float:

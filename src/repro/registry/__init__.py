@@ -16,13 +16,13 @@ registered here through ``servable → canary → live`` (or back).
 """
 
 from .gate import GateConfig, GateDecision, evaluate_gate, gate_version
-from .scorecard import ScorecardConfig, build_scorecard, scores_to_scorecard
+from .scorecard import build_scorecard, scores_to_scorecard
 from .store import (STATUSES, TRANSITIONS, ModelRegistry, ModelVersion,
                     RegistryError)
 
 __all__ = [
     "ModelRegistry", "ModelVersion", "RegistryError",
     "STATUSES", "TRANSITIONS",
-    "ScorecardConfig", "build_scorecard", "scores_to_scorecard",
+    "build_scorecard", "scores_to_scorecard",
     "GateConfig", "GateDecision", "evaluate_gate", "gate_version",
 ]

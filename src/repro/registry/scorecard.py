@@ -10,37 +10,29 @@ survives the JSON round trip through the registry index unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..eval.harness import EvalProtocol, MediumRangeEvaluator, Scores
 
-__all__ = ["ScorecardConfig", "build_scorecard", "scores_to_scorecard"]
+__all__ = ["build_scorecard", "scores_to_scorecard"]
 
 #: Metrics recorded per (variable, lead) cell.
 _METRICS = ("rmse", "crps", "ssr")
 
 
-@dataclass(frozen=True)
-class ScorecardConfig:
-    """How to score a candidate: eval protocol + ensemble settings.
-
-    The defaults are sized for the toy reanalysis (short leads, few ICs)
-    so gating stays cheap enough to run inside tests and examples; an
-    operational deployment would widen the protocol, not change the
-    schema.
-    """
-
-    protocol: EvalProtocol = EvalProtocol(
-        lead_days=(1,), variables=("Z500", "T2M"),
-        n_initial_conditions=2, steps_per_day=2, first_ic_offset=2)
-    n_members: int = 3
-    seed: int = 0
+# How a candidate is scored: eval protocol + ensemble settings, sized for
+# the toy reanalysis (short leads, few ICs) so gating stays cheap enough to
+# run inside tests and examples.  One protocol for every version, or the
+# cards the gate compares would not be comparable; an operational
+# deployment would widen it, not change the schema.
+PROTOCOL = EvalProtocol(
+    lead_days=(1,), variables=("Z500", "T2M"),
+    n_initial_conditions=2, steps_per_day=2, first_ic_offset=2)
+N_MEMBERS = 3
+SEED = 0
 
 
-def scores_to_scorecard(scores: Scores, config: ScorecardConfig,
-                        **extra) -> dict:
+def scores_to_scorecard(scores: Scores, **extra) -> dict:
     """Flatten harness :class:`Scores` into the registry's JSON schema."""
     cells: dict[str, dict[str, float]] = {}
     for metric in _METRICS:
@@ -54,12 +46,12 @@ def scores_to_scorecard(scores: Scores, config: ScorecardConfig,
             summary[metric] = float(np.mean(values))
     return {
         "protocol": {
-            "lead_days": list(config.protocol.lead_days),
-            "variables": list(config.protocol.variables),
-            "n_initial_conditions": config.protocol.n_initial_conditions,
-            "steps_per_day": config.protocol.steps_per_day,
-            "n_members": config.n_members,
-            "seed": config.seed,
+            "lead_days": list(PROTOCOL.lead_days),
+            "variables": list(PROTOCOL.variables),
+            "n_initial_conditions": PROTOCOL.n_initial_conditions,
+            "steps_per_day": PROTOCOL.steps_per_day,
+            "n_members": N_MEMBERS,
+            "seed": SEED,
         },
         "cells": cells,
         "summary": summary,
@@ -67,19 +59,17 @@ def scores_to_scorecard(scores: Scores, config: ScorecardConfig,
     }
 
 
-def build_scorecard(forecaster, archive,
-                    config: ScorecardConfig = ScorecardConfig()) -> dict:
+def build_scorecard(forecaster, archive) -> dict:
     """Evaluate ``forecaster`` on ``archive``'s held-out test split.
 
     Works for anything with the ``ensemble_rollout(state0, n_steps,
     n_members, seed, start_index)`` contract — both the diffusion
     :class:`ResidualForecaster` and the one-step consistency student.
     """
-    evaluator = MediumRangeEvaluator(archive, config.protocol)
+    evaluator = MediumRangeEvaluator(archive, PROTOCOL)
 
     def rollout(state0, n_steps, ic):
         return forecaster.ensemble_rollout(
-            state0, n_steps, n_members=config.n_members,
-            seed=config.seed, start_index=ic)
+            state0, n_steps, n_members=N_MEMBERS, seed=SEED, start_index=ic)
 
-    return scores_to_scorecard(evaluator.evaluate(rollout), config)
+    return scores_to_scorecard(evaluator.evaluate(rollout))

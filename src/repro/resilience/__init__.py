@@ -32,7 +32,7 @@ sits *above* :mod:`repro.parallel` — lazy loading keeps that layering
 acyclic.
 """
 
-from .atomic import atomic_open, atomic_write
+from .atomic import atomic_write
 from .checksum import (content_digest, payload_checksum, state_digest,
                        verify_payload)
 from .faults import (BitFlip, ClusterFailure, CommTimeout, ComputeCorruption,
@@ -48,7 +48,7 @@ _SCRUB_EXPORTS = ("ScrubFinding", "ScrubReport", "latest_valid_checkpoint",
                   "scrub_checkpoint", "scrub_checkpoints")
 
 __all__ = [
-    "atomic_open", "atomic_write",
+    "atomic_write",
     "payload_checksum", "verify_payload", "content_digest", "state_digest",
     "ResilienceError", "RankFailure", "MessageCorruption", "CommTimeout",
     "ClusterFailure", "ComputeCorruption",

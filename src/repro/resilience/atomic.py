@@ -17,27 +17,19 @@ repo, so :mod:`repro.obs` can use it without creating an import cycle
 
 from __future__ import annotations
 
-import contextlib
 import os
 
-__all__ = ["atomic_write", "atomic_open"]
+__all__ = ["atomic_write"]
 
 
-@contextlib.contextmanager
-def atomic_open(path: str, mode: str = "wb"):
-    """Context manager yielding a temp-file handle that replaces ``path``
-    only if the block completes; on any exception the temp file is
-    removed and the destination is left untouched.
-
-    ``mode`` must be a write mode (``"wb"`` or ``"w"``).  The handle is
-    flushed and fsynced before the rename.
-    """
-    if "w" not in mode:
-        raise ValueError(f"atomic_open needs a write mode, got {mode!r}")
+def atomic_write(path: str, data: bytes | str) -> str:
+    """Write ``data`` to ``path`` atomically; returns ``path``.  The temp
+    file is flushed and fsynced before the rename; on any exception it is
+    removed and the destination is left untouched."""
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
-        with open(tmp, mode) as fh:
-            yield fh
+        with open(tmp, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -45,11 +37,4 @@ def atomic_open(path: str, mode: str = "wb"):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
-
-
-def atomic_write(path: str, data: bytes | str) -> str:
-    """Write ``data`` to ``path`` atomically; returns ``path``."""
-    mode = "wb" if isinstance(data, bytes) else "w"
-    with atomic_open(path, mode) as fh:
-        fh.write(data)
     return path

@@ -57,13 +57,15 @@ __all__ = ["SupervisorConfig", "ElasticSupervisor"]
 #: other seeded stream in the run.
 _BATCH_STREAM = 7777
 
+#: Learning rate of every supervised run (constant: chaos runs are short).
+LR = 1e-3
+
 
 @dataclass(frozen=True)
 class SupervisorConfig:
     """Knobs for one supervised chaos run."""
 
     seed: int = 0
-    lr: float = 1e-3
     global_batch: int = 8
     gas: int = 2
     save_every: int = 1
@@ -126,7 +128,7 @@ class ElasticSupervisor:
                 f"global batch {self.cfg.global_batch} not divisible by "
                 f"DP={self.topology.dp}")
         self.engine = SwipeEngine(self.model_config, self.archive,
-                                  self.topology, lr=self.cfg.lr,
+                                  self.topology, lr=LR,
                                   seed=self.cfg.seed, injector=self.injector)
         _gauge("resilience.world_size", "ranks in the current grid",
                self.topology.world_size)

@@ -29,10 +29,11 @@ forecasts — not recomputing them — is what makes serving tractable):
   per-variable bounds (from archive statistics) + finiteness checks —
   the output-domain silent-data-corruption defense (quarantine, re-run
   on a different worker, alert);
+* :mod:`~repro.serve.versions` — :class:`VersionTable`: every loaded
+  model version is a :class:`ModelBinding`, and a request is pinned to
+  one at admission;
 * :mod:`~repro.serve.service` — :class:`ForecastService`: the
-  discrete-event serving loop gluing it all together, now multi-version:
-  every loaded model gets a :class:`ModelBinding` and requests are
-  pinned to a version at admission;
+  discrete-event serving loop gluing it all together;
 * :mod:`~repro.serve.deploy` — :class:`DeploymentController`: canary
   rollout of a registry-gated candidate version (hash-routed traffic
   split, shadow skill checks, auto-promote / auto-rollback), reconciled
@@ -53,9 +54,10 @@ from .cache import (CacheEntry, ForecastCache, array_digest, forecast_key,
 from .deploy import DeployConfig, DeploymentController, deploy_check
 from .guardrails import BoundViolation, ForecastValidator
 from .queue import AdmissionQueue, PendingRequest, QueueConfig
-from .samplers import (ModelBinding, OneStepForecaster, SloTracker,
-                       TierPolicy, TierRouter, default_tiers)
+from .samplers import (OneStepForecaster, SloTracker, TierPolicy,
+                       TierRouter, default_tiers)
 from .service import ForecastService, ServiceConfig, serve_check
+from .versions import ModelBinding, VersionTable
 from .worker import ServeWorkerPool, WorkerState
 
 __all__ = [
@@ -70,6 +72,7 @@ __all__ = [
     "default_tiers",
     "ServeWorkerPool", "WorkerState",
     "ForecastValidator", "BoundViolation",
-    "ForecastService", "ServiceConfig", "ModelBinding", "serve_check",
+    "ForecastService", "ServiceConfig", "serve_check",
+    "ModelBinding", "VersionTable",
     "DeployConfig", "DeploymentController", "deploy_check",
 ]

@@ -55,9 +55,9 @@ def solver_digest(solver_config) -> str:
     if solver_config is None:
         text = "consistency-one-step"
     else:
+        # ``|t_end=None`` is in the text of every stored key: it stays.
         text = (f"dpm2s|n_steps={solver_config.n_steps}"
-                f"|churn={solver_config.churn!r}"
-                f"|t_end={solver_config.t_end!r}")
+                f"|churn={solver_config.churn!r}|t_end=None")
     return hashlib.sha256(text.encode()).hexdigest()
 
 

@@ -93,7 +93,7 @@ class DeploymentController:
     Parameters
     ----------
     service:
-        The running :class:`ForecastService`; its ``active_version`` at
+        The running :class:`ForecastService`; its ``versions.active`` at
         construction time is the incumbent.
     registry:
         Optional :class:`~repro.registry.ModelRegistry`.  When given,
@@ -116,15 +116,16 @@ class DeploymentController:
                  config: DeployConfig | None = None, truth_fn=None,
                  validator=None):
         self.service = service
+        self.versions = service.versions
         self.registry = registry
         self.config = config if config is not None else DeployConfig()
         self.truth_fn = truth_fn
         self.validator = (validator if validator is not None
                           else service.validator)
         self.state = "idle"
-        self.incumbent = service.active_version
+        self.incumbent = self.versions.active
         self.incumbent_digest = \
-            service.bindings[self.incumbent].weights_digest
+            self.versions.bindings[self.incumbent].weights_digest
         self.candidate: str | None = None
         self.candidate_digest: str | None = None
         self.transitions: list[dict] = []
@@ -177,7 +178,7 @@ class DeploymentController:
                                  "materialize one from")
             forecaster = self.registry.forecaster(
                 version, forcing_fn=self.service.base.forcing_fn)
-        binding = self.service.add_version(version, forecaster, student)
+        binding = self.versions.add(version, forecaster, student)
         self.candidate = version
         self.candidate_digest = binding.weights_digest
         skew = (record is not None
@@ -190,7 +191,7 @@ class DeploymentController:
         if self.registry is not None:
             self.registry.set_status(version, "canary",
                                      reason="canary rollout started")
-        self.service.version_router = self._route
+        self.versions.router = self._route
         self.service.response_hook = self._on_response
         self.state = "canary"
         self._transition("canary_start", version=version,
@@ -202,11 +203,11 @@ class DeploymentController:
     def _route(self, request: ForecastRequest) -> str:
         if (self.state == "canary"
                 and request.tier in
-                self.service.bindings[self.candidate].steppers
+                self.versions.bindings[self.candidate].steppers
                 and _hash_fraction(f"route{self.config.seed}", request)
                 < self.config.canary_fraction):
             return self.candidate
-        return self.service.active_version
+        return self.versions.active
 
     # -- online observation --------------------------------------------------
     def _on_response(self, response: ForecastResponse,
@@ -240,8 +241,7 @@ class DeploymentController:
         c = self.counts
         if response.status == "completed":
             c["candidate_completed"] += 1
-            if response.quarantines > 0:
-                c["candidate_quarantined"] += response.quarantines
+            c["candidate_quarantined"] += response.quarantines
             policy = self.service.router.route(response.request.tier)
             if response.latency_s > policy.slo_s:
                 c["candidate_slo_miss"] += 1
@@ -253,14 +253,14 @@ class DeploymentController:
         out-of-band, and compare.  The shadow never enters the queue —
         request conservation across the service is untouched."""
         req = response.request
-        if req.tier not in self.service.bindings[self.candidate].steppers:
+        steppers = self.versions.bindings[self.candidate].steppers
+        if req.tier not in steppers:
             # The candidate cannot serve this tier (e.g. deployed without
             # a distilled student, so no "fast" sampler) — the router
             # never sends it such traffic, and the shadow must apply the
             # same guard instead of crashing the response hook.
             return
-        forecast = self.service.stepper(
-            req.tier, self.candidate).ensemble_rollout(
+        forecast = steppers[req.tier].ensemble_rollout(
             np.asarray(req.init_state, dtype=np.float32), req.n_steps,
             n_members=req.n_members, seed=req.seed,
             start_index=req.start_index)
@@ -293,8 +293,8 @@ class DeploymentController:
         """Candidate becomes the active (and registry-live) version."""
         if self.state != "canary":
             raise RuntimeError(f"cannot promote while {self.state!r}")
-        self.service.version_router = None
-        self.service.set_active(self.candidate)
+        self.versions.router = None
+        self.versions.activate(self.candidate)
         if self.registry is not None:
             if self.registry.live() == self.incumbent:
                 self.registry.set_status(
@@ -321,10 +321,10 @@ class DeploymentController:
         """
         if self.state != "canary":
             raise RuntimeError(f"cannot rollback while {self.state!r}")
-        self.service.version_router = None
-        if self.service.active_version != self.incumbent:
-            self.service.set_active(self.incumbent)
-        moved = self.service.remove_version(self.candidate)
+        self.versions.router = None
+        if self.versions.active != self.incumbent:
+            self.versions.activate(self.incumbent)
+        moved = self.versions.remove(self.candidate)
         self.counts["reassigned"] += moved
         if self.registry is not None:
             self.registry.set_status(self.candidate, "rolled_back",
@@ -421,14 +421,14 @@ def deploy_check(report, service: ForecastService,
             moved.total() == controller.counts["reassigned"],
     }
 
-    active = service.bindings[service.active_version]
+    active = service.versions.bindings[service.versions.active]
     landed = {}  # the terminal state's verdicts
     if controller.state == "rolled_back":
         landed["incumbent_restored"] = (
-            service.active_version == controller.incumbent
+            service.versions.active == controller.incumbent
             and active.weights_digest == controller.incumbent_digest)
         landed["candidate_unloaded"] = \
-            controller.candidate not in service.bindings
+            controller.candidate not in service.versions.bindings
         if controller.registry is not None:
             landed["registry_agrees"] = (
                 controller.registry.get(controller.candidate).status
@@ -436,7 +436,7 @@ def deploy_check(report, service: ForecastService,
                 and controller.registry.live() != controller.candidate)
     elif controller.state == "promoted":
         landed["candidate_live"] = (
-            service.active_version == controller.candidate
+            service.versions.active == controller.candidate
             and active.weights_digest == controller.candidate_digest)
         if controller.registry is not None:
             landed["registry_agrees"] = (
@@ -448,12 +448,12 @@ def deploy_check(report, service: ForecastService,
     return {"check": "deploy", "per_version": per_version,
             "tally_covered": covered, "ledger": ledger,
             "terminal": {"state": controller.state,
-                         "active_version": service.active_version,
+                         "active_version": service.versions.active,
                          "active_digest": active.weights_digest[:12],
                          **landed},
             "counts": dict(controller.counts), "agrees": agrees,
             "summary": f"deploy ({controller.state}): {', '.join(parts)} | "
-                       f"active {service.active_version}"
+                       f"active {service.versions.active}"
                        f"@{active.weights_digest[:12]} | ledger "
                        f"{'OK' if all(ledger.values()) else 'BAD'} | "
                        f"{'OK' if agrees else 'MISMATCH'}"}

@@ -20,7 +20,7 @@ books per-tier latency against each tier's objective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace as _dc_replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -36,10 +36,9 @@ from ..obs.profile import observe as _observe
 from ..obs.profile import span as _span
 from ..tensor import Tensor, no_grad
 from .api import Rejected
-from .cache import solver_digest, weights_digest
 
 __all__ = ["TierPolicy", "TierRouter", "SloTracker", "OneStepForecaster",
-           "ModelBinding", "default_tiers"]
+           "default_tiers"]
 
 
 @dataclass(frozen=True)
@@ -207,58 +206,3 @@ class OneStepForecaster:
                    n_steps=n_steps, members=n_members):
             return lockstep_rollout(self, out, member_rngs(n_members, seed),
                                     start_index)
-
-
-@dataclass(eq=False)
-class ModelBinding:
-    """One servable model version: per-tier steppers + content digests.
-
-    The binding is what a request is routed *to*: ``steppers[tier]`` runs
-    the forecast, ``digests[tier]`` namespaces its cache entries, and
-    ``weights_digest`` is the version's identity — the same SHA-256 the
-    registry records, so "which weights are live" is answerable by digest
-    comparison alone (:func:`~repro.serve.deploy.deploy_check` relies on
-    this to prove a rollback restored the incumbent exactly).
-    """
-
-    version: str
-    steppers: dict[str, object]
-    digests: dict[str, tuple[str, str]]
-    weights_digest: str
-    weights_nbytes: int
-    field_shape: tuple | None
-
-    @classmethod
-    def build(cls, version: str, forecaster, student,
-              policies: dict[str, TierPolicy]) -> "ModelBinding":
-        """Per-tier steppers + content digests for one model version.
-        A tier whose model is missing (no student) simply isn't served
-        by this version."""
-        base_digest = weights_digest(forecaster.model)
-        steppers: dict[str, object] = {}
-        digests: dict[str, tuple[str, str]] = {}
-        for name, policy in policies.items():
-            if policy.solver_config is None:
-                if student is None:
-                    continue
-                steppers[name] = OneStepForecaster(
-                    model=student, state_norm=forecaster.state_norm,
-                    residual_norm=forecaster.residual_norm,
-                    forcing_fn=forecaster.forcing_fn,
-                    forcing_norm=forecaster.forcing_norm,
-                    flow=forecaster.flow)
-                digests[name] = (weights_digest(student),
-                                 solver_digest(None))
-            else:
-                steppers[name] = _dc_replace(
-                    forecaster, solver_config=policy.solver_config)
-                digests[name] = (base_digest,
-                                 solver_digest(policy.solver_config))
-        cfg = getattr(forecaster.model, "config", None)
-        field_shape = ((cfg.height, cfg.width, cfg.channels)
-                       if cfg is not None else None)
-        nbytes = sum(int(np.asarray(a).nbytes)
-                     for a in forecaster.model.state_dict().values())
-        return cls(version=version, steppers=steppers, digests=digests,
-                   weights_digest=base_digest, weights_nbytes=nbytes,
-                   field_shape=field_shape)

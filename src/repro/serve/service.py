@@ -35,7 +35,6 @@ import numpy as np
 
 from ..diffusion import ResidualForecaster
 from ..obs.profile import count as _count
-from ..obs.profile import gauge as _gauge
 from ..obs.profile import record_event as _record_event
 from ..resilience import ResilienceError, RetryPolicy
 from .api import ForecastRequest, ForecastResponse, Rejected, Timeout
@@ -43,7 +42,8 @@ from .batcher import BatcherConfig, MicroBatch, MicroBatcher, execute_batch
 from .cache import ForecastCache, array_digest
 from .guardrails import book_quarantine
 from .queue import AdmissionQueue, PendingRequest, QueueConfig
-from .samplers import ModelBinding, SloTracker, TierRouter
+from .samplers import SloTracker, TierRouter
+from .versions import VersionTable
 from .worker import ServeWorkerPool
 
 __all__ = ["ServiceConfig", "ForecastService", "serve_check"]
@@ -124,94 +124,25 @@ class ForecastService:
                                         retry=retry,
                                         duration_fn=duration_fn)
         self.slo = SloTracker(self.router.policies)
-        # Model versions.  Every loaded version gets a ModelBinding;
-        # requests are pinned to a version at admission (by the optional
-        # version_router, else the active version) and a micro-batch
-        # never mixes versions.
-        self.bindings: dict[str, ModelBinding] = {}
-        self.active_version = version
-        #: Optional ``request -> version`` override (canary routing).
-        self.version_router = None
+        #: Which version answers which request (born serving ``version``).
+        self.versions = VersionTable(self.router.policies, self.queue)
+        self.versions.add(version, forecaster, student)
         #: Optional ``(response, now) -> None`` tap, called for every
         #: response the event loop emits (the deployment controller's
         #: online observation point).
         self.response_hook = None
-        self.bindings[version] = ModelBinding.build(
-            version, forecaster, student, self.router.policies)
         self.tally = {"submitted": 0, "accepted": 0, "rejected": 0,
                       "completed": 0, "timeout": 0, "failed": 0}
-
-    # -- model versions ------------------------------------------------------
-    def add_version(self, version: str, forecaster: ResidualForecaster,
-                    student=None) -> ModelBinding:
-        """Load an additional servable version (does not shift traffic —
-        routing is the ``version_router``'s / ``set_active``'s job)."""
-        if version in self.bindings:
-            raise ValueError(f"version {version!r} already loaded")
-        binding = ModelBinding.build(version, forecaster, student,
-                                     self.router.policies)
-        active = self.bindings[self.active_version]
-        if (binding.field_shape is not None
-                and active.field_shape is not None
-                and binding.field_shape != active.field_shape):
-            raise ValueError(
-                f"version {version!r} field shape {binding.field_shape} "
-                f"differs from active {active.field_shape}")
-        self.bindings[version] = binding
-        self._gauge_versions()
-        _record_event("serve.version_loaded", subsystem="serve",
-                      version=version,
-                      weights=binding.weights_digest[:12])
-        return binding
-
-    def set_active(self, version: str) -> None:
-        """Make ``version`` the default target for new admissions."""
-        if version not in self.bindings:
-            raise ValueError(f"version {version!r} not loaded")
-        previous, self.active_version = self.active_version, version
-        _record_event("serve.version_activated", subsystem="serve",
-                      version=version, previous=previous)
-
-    def remove_version(self, version: str) -> int:
-        """Unload a version; queued requests pinned to it are re-routed
-        to the active version (returned count) — no request is lost."""
-        if version == self.active_version:
-            raise ValueError("cannot remove the active version")
-        if version not in self.bindings:
-            raise ValueError(f"version {version!r} not loaded")
-        del self.bindings[version]
-        moved = self.queue.reassign_version(version, self.active_version)
-        self._gauge_versions()
-        if moved:
-            _count("serve.requests_reassigned",
-                   "queued requests re-routed off an unloaded version",
-                   moved, src=version, dst=self.active_version)
-        _record_event("serve.version_unloaded", subsystem="serve",
-                      version=version, reassigned=moved)
-        return moved
 
     def stepper(self, tier: str, version: str | None = None):
         """The stepper serving ``tier`` for ``version`` (default active).
         Useful for comparing served output against a direct rollout —
         they are bit-identical for the same seed."""
-        binding = self.bindings[version if version is not None
-                                else self.active_version]
-        return binding.steppers[tier]
-
-    def _route_version(self, request: ForecastRequest) -> str:
-        version = self.active_version
-        if self.version_router is not None:
-            version = self.version_router(request)
-        if version not in self.bindings:
-            raise Rejected("version_unavailable",
-                           f"version {version!r} not loaded")
-        return version
+        return self.versions.bindings[
+            version if version is not None
+            else self.versions.active].steppers[tier]
 
     # -- accounting ----------------------------------------------------------
-    def _gauge_versions(self) -> None:
-        _gauge("serve.loaded_versions", "model versions loaded",
-               len(self.bindings))
-
     def _book(self, event: str, tier: str, **labels) -> None:
         self.tally[event] += 1
         _count("serve.requests", "request lifecycle events", 1,
@@ -238,18 +169,7 @@ class ForecastService:
         """Queue the request; a rejection becomes an immediate response."""
         self._book("submitted", request.tier)
         try:
-            version = self._route_version(request)
-            binding = self.bindings[version]
-            if request.tier not in binding.steppers:
-                raise Rejected("tier_unavailable",
-                               f"tier {request.tier!r} has no model in "
-                               f"version {version!r}")
-            if (binding.field_shape is not None
-                    and tuple(request.init_state.shape)
-                    != binding.field_shape):
-                raise Rejected("bad_shape",
-                               f"want {binding.field_shape}, got "
-                               f"{tuple(request.init_state.shape)}")
+            version, _ = self.versions.admit(request)
             variables = self._variable_indices(request)
             pending = self.queue.submit(request, now, version=version)
         except Rejected as exc:
@@ -297,7 +217,7 @@ class ForecastService:
         capacity; the still-invalid rows after the last permitted re-run
         (every row if that re-run could not be placed).
         """
-        binding = self.bindings[batch.version]
+        binding = self.versions.bindings[batch.version]
         stepper = binding.steppers[batch.policy.name]
         weights, solver = binding.digests[batch.policy.name]
         payload = np.stack([np.asarray(p.request.init_state,
@@ -430,10 +350,7 @@ class ForecastService:
     def stats(self) -> dict:
         return {"tally": dict(self.tally), "cache": self.cache.stats(),
                 "workers": self.pool.stats(), "slo": self.slo.summary(),
-                "versions": {
-                    "active": self.active_version,
-                    "loaded": {v: b.weights_digest[:12]
-                               for v, b in self.bindings.items()}}}
+                "versions": self.versions.stats()}
 
 
 def serve_check(report, service: ForecastService) -> dict:

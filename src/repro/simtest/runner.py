@@ -48,6 +48,7 @@ from ..model import Aeris, AerisConfig
 from ..obs.profile import monitored
 from ..parallel.comm import SimCluster
 from ..parallel.topology import RankTopology
+from ..resilience.atomic import atomic_write
 from ..resilience.faults import (ClusterFailure, CommTimeout,
                                  ComputeCorruption, FaultInjector,
                                  FaultPlan, MessageCorruption,
@@ -395,12 +396,22 @@ def write_repro(path: str, result: RunResult, note: str = "") -> dict:
         "note": note,
     }
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return payload
 
 
 def load_repro(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    """Read a repro; anything but a whole one of a known schema is a
+    ``ValueError`` naming ``path``."""
+    try:
+        with open(path) as fh:
+            repro = json.load(fh)
+        missing = {"scenario", "violations", "fingerprint"} - set(repro)
+        if missing:
+            raise ValueError(f"missing {sorted(missing)}")
+        if repro.get("schema") != SCHEMA_VERSION:
+            raise ValueError(f"unknown schema {repro.get('schema')!r}")
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"unreadable simtest repro {path}: "
+                         f"{type(exc).__name__}: {exc}") from exc
+    return repro

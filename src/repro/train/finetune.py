@@ -27,13 +27,15 @@ from ..tensor import Tensor
 
 __all__ = ["MultistepConfig", "MultistepFinetuner"]
 
+#: Low-noise time at which the velocity is learned.
+T_EVAL = 0.3
+
 
 @dataclass(frozen=True)
 class MultistepConfig:
     rollout_steps: int = 2     # K: autoregressive depth during finetuning
     batch_size: int = 4
     lr: float = 5e-4
-    t_eval: float = 0.3        # low-noise time at which velocity is learned
     seed: int = 0
 
 
@@ -67,12 +69,11 @@ class MultistepFinetuner:
         ``x_t = 0`` (the prior mean) so the estimate is deterministic and
         gradients flow through every unroll step.
         """
-        t_val = self.config.t_eval
         batch = cond.shape[0]
         x_t = Tensor(np.zeros(cond.shape, dtype=np.float32))
-        t = Tensor(np.full(batch, t_val, dtype=np.float32))
+        t = Tensor(np.full(batch, T_EVAL, dtype=np.float32))
         v = self.model(x_t, t, cond, forc) * self.flow.sigma_d
-        return v * float(-np.sin(t_val))  # cos(t)·0 − sin(t)·v
+        return v * float(-np.sin(T_EVAL))  # cos(t)·0 − sin(t)·v
 
     def train_step(self) -> float:
         cfg = self.config

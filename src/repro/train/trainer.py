@@ -65,6 +65,9 @@ __all__ = ["TrainerConfig", "Trainer", "evaluate_validation_loss"]
 #: factor at a time after ``TrainerConfig.lr_recover_steps`` clean steps.
 LR_BACKOFF_FACTOR = 0.5
 
+#: EMA half-life in images (the paper's one value, rescaled for toy runs).
+EMA_HALFLIFE_IMAGES = 2_000.0
+
 
 @dataclass(frozen=True)
 class TrainerConfig:
@@ -75,9 +78,6 @@ class TrainerConfig:
     warmup_images: float = 200.0
     total_images: float = 20_000.0
     decay_images: float = 1_000.0
-    ema_halflife_images: float = 2_000.0
-    weight_decay: float = 0.01
-    betas: tuple[float, float] = (0.85, 0.9)
     seed: int = 0
     #: clean steps before one NaN-guard LR backoff factor is recovered.
     lr_recover_steps: int = 25
@@ -120,14 +120,12 @@ class Trainer:
         self.state_norm = archive.state_normalizer()
         self.residual_norm = archive.residual_normalizer()
         self.forcing_norm = archive.forcing_normalizer()
-        self.optimizer = AdamW(model.parameters(), lr=config.peak_lr,
-                               betas=config.betas,
-                               weight_decay=config.weight_decay)
+        self.optimizer = AdamW(model.parameters(), lr=config.peak_lr)
         self.schedule = WarmupConstantDecay(
             peak_lr=config.peak_lr, warmup_images=config.warmup_images,
             total_images=config.total_images,
             decay_images=config.decay_images)
-        self.ema = EMA(model, halflife_images=config.ema_halflife_images)
+        self.ema = EMA(model, halflife_images=EMA_HALFLIFE_IMAGES)
         self.lat_weights = archive.grid.latitude_weights()
         self.var_weights = np.asarray(TOY_SET.kappa_weights())
         self.images_seen = 0.0

@@ -12,6 +12,7 @@ from repro.baselines import (
     NumericalEnsembleConfig,
     persistence_forecast,
 )
+from repro.baselines.gencast_like import SIGMA_DATA, SIGMA_MAX
 from repro.data import TOY_SET
 from repro.model import Aeris
 from repro.train import TrainerConfig
@@ -143,10 +144,10 @@ class TestEdmBaseline:
         sig = np.linspace(0.05, 20, 200)
         # Var(c_in * (x0 + sigma z)) = c_in^2 (sigma_d^2 + sigma^2) = 1.
         np.testing.assert_allclose(edm.c_in(sig) ** 2
-                                   * (edm.sigma_data ** 2 + sig ** 2), 1.0,
+                                   * (SIGMA_DATA ** 2 + sig ** 2), 1.0,
                                    rtol=1e-6)
-        np.testing.assert_allclose(edm.c_skip(np.asarray(edm.sigma_data)), 0.5)
-        assert np.all(edm.c_out(sig) < edm.sigma_data + 1e-9)
+        np.testing.assert_allclose(edm.c_skip(np.asarray(SIGMA_DATA)), 0.5)
+        assert np.all(edm.c_out(sig) < SIGMA_DATA + 1e-9)
         # loss_weight * c_out^2 = 1 (unit effective weight).
         np.testing.assert_allclose(edm.loss_weight(sig) * edm.c_out(sig) ** 2,
                                    1.0, rtol=1e-6)
@@ -154,7 +155,7 @@ class TestEdmBaseline:
     def test_sigma_schedule_monotone(self):
         edm = EdmConfig(n_sample_steps=12)
         sched = edm.sigma_schedule()
-        assert sched[0] == pytest.approx(edm.sigma_max)
+        assert sched[0] == pytest.approx(SIGMA_MAX)
         assert sched[-1] == 0.0
         assert np.all(np.diff(sched) < 0)
 

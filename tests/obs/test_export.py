@@ -6,11 +6,10 @@ import json
 import pytest
 
 from repro import obs
-from repro.obs import (FlightRecorder, HealthConfig, HealthMonitor,
-                       MetricsRegistry, StepClock, Tracer, events_jsonl,
-                       prometheus_text, render_dashboard,
-                       write_events_jsonl, write_metrics_json,
-                       write_prometheus)
+from repro.obs import (FlightRecorder, HealthMonitor, MetricsRegistry,
+                       StepClock, Tracer, events_jsonl, prometheus_text,
+                       render_dashboard, write_events_jsonl,
+                       write_metrics_json, write_prometheus)
 
 
 @pytest.fixture(autouse=True)
@@ -147,7 +146,7 @@ class TestDashboard:
     def test_golden_render(self):
         registry = _registry()
         recorder = FlightRecorder(clock=StepClock())
-        monitor = HealthMonitor(HealthConfig(), clock=StepClock())
+        monitor = HealthMonitor(clock=StepClock())
         recorder.record("train.step", subsystem="train", step=3)
         # Route the alert into this recorder via the global hook.
         obs.enable_health(monitor=monitor, recorder=recorder)
@@ -163,7 +162,7 @@ class TestDashboard:
         assert a == b
 
     def test_no_alerts_section_says_none(self):
-        monitor = HealthMonitor(HealthConfig(), clock=StepClock())
+        monitor = HealthMonitor(clock=StepClock())
         panel = render_dashboard(registry=MetricsRegistry(),
                                  monitor=monitor, plan_caches={})
         assert "(none fired)" in panel

@@ -1,12 +1,15 @@
 """Health monitor detectors and the alert funnel, all under
-deterministic clocks so firings are exactly reproducible."""
+deterministic clocks so firings are exactly reproducible.  Every detector
+runs at its shipped threshold (the constants of ``repro.obs.health``): a
+boundary is reached by feeding observations, not by configuring it."""
 
 import pytest
 
 from repro import obs
 from repro.obs import (FAULT_ALERT_KINDS, FAULT_CLASSES, AlertManager,
-                       HealthConfig, HealthMonitor, MetricsRegistry,
-                       StepClock, Tracer)
+                       HealthMonitor, MetricsRegistry, StepClock, Tracer)
+from repro.obs.health import (BURN_SLOW_WINDOW, GRAD_WINDOW, LOSS_WINDOW,
+                              PLATEAU_STEPS)
 from repro.resilience.faults import SDC_SITE_KINDS
 
 
@@ -17,66 +20,68 @@ def _observability_off():
     obs.disable()
 
 
-def _monitor(**overrides) -> HealthMonitor:
-    return HealthMonitor(HealthConfig(**overrides), clock=StepClock())
+def _monitor() -> HealthMonitor:
+    return HealthMonitor(clock=StepClock())
 
 
 class TestLossDetectors:
     def test_nonfinite_is_critical_and_does_not_poison_windows(self):
-        mon = _monitor(loss_window=4)
-        for i in range(4):
+        mon = _monitor()
+        for i in range(LOSS_WINDOW):
             mon.observe_step(i, 1.0)
-        mon.observe_step(4, float("nan"))
+        mon.observe_step(LOSS_WINDOW, float("nan"))
         assert [a.severity for a in
                 mon.alerts.select("train.loss_nonfinite")] == ["critical"]
-        mon.observe_step(5, 1.0)  # window still usable after the NaN
+        # window still usable after the NaN
+        mon.observe_step(LOSS_WINDOW + 1, 1.0)
         assert "train.loss_spike" not in mon.alerts.kinds()
 
     def test_spike_via_robust_z(self):
-        mon = _monitor(loss_window=8, loss_spike_z=8.0, plateau_steps=10**6)
-        for i in range(8):
+        mon = _monitor()
+        for i in range(LOSS_WINDOW):
             mon.observe_step(i, 1.0 + 0.01 * (i % 2))
-        mon.observe_step(8, 50.0)
+        mon.observe_step(LOSS_WINDOW, 50.0)
         spikes = mon.alerts.select("train.loss_spike")
         assert len(spikes) == 1 and spikes[0].severity == "warning"
         assert spikes[0].data["z"] > 8.0
 
     def test_steady_decrease_never_spikes_or_plateaus(self):
-        mon = _monitor(loss_window=8, plateau_steps=16)
-        for i in range(64):
+        mon = _monitor()
+        for i in range(2 * PLATEAU_STEPS):  # past both boundaries
             mon.observe_step(i, 10.0 * (0.95 ** i))
         assert mon.alerts.kinds() == set()
 
     def test_plateau_needs_min_steps_then_fires_info(self):
-        mon = _monitor(plateau_steps=16)
-        for i in range(15):
+        mon = _monitor()
+        for i in range(PLATEAU_STEPS - 1):
             mon.observe_step(i, 1.0)
         assert "train.loss_plateau" not in mon.alerts.kinds()
-        mon.observe_step(15, 1.0)
+        mon.observe_step(PLATEAU_STEPS - 1, 1.0)
         plateau = mon.alerts.select("train.loss_plateau")
         assert len(plateau) == 1 and plateau[0].severity == "info"
 
 
 class TestGradDetector:
     def test_explosion_and_nonfinite(self):
-        mon = _monitor(grad_window=4, grad_explosion_z=10.0)
-        for i in range(4):
+        mon = _monitor()
+        for i in range(GRAD_WINDOW):
             mon.observe_step(i, 1.0, grad_norm=2.0 + 0.01 * i)
-        mon.observe_step(4, 1.0, grad_norm=500.0)
+        mon.observe_step(GRAD_WINDOW, 1.0, grad_norm=500.0)
         assert len(mon.alerts.select("train.grad_explosion")) == 1
-        mon.observe_step(5, 1.0, grad_norm=float("inf"))
+        mon.observe_step(GRAD_WINDOW + 1, 1.0, grad_norm=float("inf"))
         assert mon.alerts.select("train.grad_explosion")[0].count == 2
 
 
 class TestServeDetectors:
     def test_burn_needs_both_windows_over(self):
-        mon = _monitor(burn_fast_window=4, burn_slow_window=16,
-                       slo_error_budget=0.25)
-        for _ in range(16):
+        mon = _monitor()
+        for _ in range(BURN_SLOW_WINDOW):
             mon.observe_latency("fast", 0.1, slo_s=1.0)  # all hits
         assert "serve.slo_burn" not in mon.alerts.kinds()
-        for _ in range(16):
-            mon.observe_latency("fast", 5.0, slo_s=1.0)  # all misses
+        for _ in range(6):  # fast 6/16 = 7.5x budget, slow 6/128 = 0.94x
+            mon.observe_latency("fast", 5.0, slo_s=1.0)
+        assert "serve.slo_burn" not in mon.alerts.kinds()
+        mon.observe_latency("fast", 5.0, slo_s=1.0)  # slow 7/128 = 1.09x
         burns = mon.alerts.select("serve.slo_burn")
         assert burns and burns[0].severity == "critical"
         assert dict(burns[0].labels) == {"tier": "fast"}
@@ -84,16 +89,15 @@ class TestServeDetectors:
     def test_fast_blip_alone_does_not_page(self):
         """The multi-window defence: a short burst misses the fast window
         but the slow window stays under budget."""
-        mon = _monitor(burn_fast_window=4, burn_slow_window=64,
-                       slo_error_budget=0.25, burn_slow_threshold=1.0)
-        for _ in range(60):
+        mon = _monitor()
+        for _ in range(BURN_SLOW_WINDOW - 4):
             mon.observe_latency("std", 0.1, slo_s=1.0)
-        for _ in range(4):
-            mon.observe_latency("std", 5.0, slo_s=1.0)  # 4/64 = under
+        for _ in range(4):  # fast 4/16 = 5x budget, slow 4/128 = 0.63x
+            mon.observe_latency("std", 5.0, slo_s=1.0)
         assert "serve.slo_burn" not in mon.alerts.kinds()
 
     def test_queue_saturation_threshold(self):
-        mon = _monitor(queue_saturation_frac=0.9)
+        mon = _monitor()
         mon.observe_queue_depth("fast", 8, 10)
         assert mon.alerts.kinds() == set()
         mon.observe_queue_depth("fast", 9, 10)
@@ -205,7 +209,7 @@ class TestPullDetectors:
             busy = 10.0 if rank == 3 else 1.0
             tracer.add_span("stage", 0.0, busy, track=f"pp{rank}",
                             category="pp-1f1b")
-        mon = _monitor(straggler_z=4.0)
+        mon = _monitor()
         busy = mon.check_rank_balance(tracer)
         assert busy["pp3"] == 10.0
         alerts = mon.alerts.select("pp.rank_straggler")
@@ -215,7 +219,7 @@ class TestPullDetectors:
         tracer = Tracer(clock=StepClock())
         tracer.add_span("stage", 0.0, 1.0, track="pp0", category="pp-1f1b")
         tracer.add_span("stage", 0.0, 9.0, track="pp1", category="pp-1f1b")
-        mon = _monitor(straggler_min_tracks=3)
+        mon = _monitor()
         mon.check_rank_balance(tracer)
         assert mon.alerts.kinds() == set()
 
@@ -225,7 +229,7 @@ class TestPullDetectors:
         tracer = Tracer(clock=StepClock())
         tracer.add_span("F", 0.0, 1.0, track="pp0", category="pp-1f1b")
         tracer.add_span("F", 9.0, 10.0, track="pp1", category="pp-1f1b")
-        mon = _monitor(bubble_margin=0.10)
+        mon = _monitor()
         result = mon.check_pipeline(tracer, pp=2, n_micro=8)
         assert result["observed"] > result["predicted"] + 0.10
         assert mon.alerts.kinds() == {"pp.bubble_regression"}
@@ -243,8 +247,7 @@ class TestPullDetectors:
             "fresh": {"size": 1, "maxsize": 8, "hits": 0, "misses": 2,
                       "evictions": 0},  # under min lookups: ignored
         }
-        mon = _monitor(plan_cache_min_lookups=64,
-                       plan_cache_min_hit_rate=0.5)
+        mon = _monitor()
         rates = mon.check_plan_caches(stats)
         assert rates == {"hot": 0.9, "cold": 0.1}
         alerts = mon.alerts.select("kernels.plan_cache_collapse")
@@ -258,8 +261,7 @@ class TestPullDetectors:
         reg.counter("serve.cache").inc(10, event="hit")
         reg.counter("serve.cache").inc(90, event="miss")
         reg.gauge("serve.cache_occupancy_frac").set(0.8)
-        mon = _monitor(forecast_cache_min_lookups=64,
-                       forecast_cache_min_hit_rate=0.3)
+        mon = _monitor()
         result = mon.check_forecast_cache(reg)
         assert result == {"hit_rate": 0.1, "lookups": 100,
                           "occupancy_frac": 0.8}
@@ -270,7 +272,7 @@ class TestPullDetectors:
         reg = MetricsRegistry()
         reg.counter("serve.cache").inc(80, event="hit")
         reg.counter("serve.cache").inc(20, event="miss")
-        mon = _monitor(forecast_cache_min_lookups=64)
+        mon = _monitor()
         assert mon.check_forecast_cache(reg)["hit_rate"] == 0.8
         # Under the lookup floor: no verdict at all.
         quiet = MetricsRegistry()
@@ -282,7 +284,7 @@ class TestPullDetectors:
         reg = MetricsRegistry()
         reg.gauge("autotune.predicted_step_s").set(0.1)
         reg.gauge("autotune.observed_step_s").set(0.2)
-        mon = _monitor(plan_skew_frac=0.25)
+        mon = _monitor()
         result = mon.check_plan_skew(reg)
         assert result["skew_frac"] == pytest.approx(1.0)
         alerts = mon.alerts.select("autotune.plan_skew")
@@ -293,7 +295,7 @@ class TestPullDetectors:
         reg = MetricsRegistry()
         reg.gauge("autotune.predicted_step_s").set(0.1)
         reg.gauge("autotune.observed_step_s").set(0.11)
-        mon = _monitor(plan_skew_frac=0.25)
+        mon = _monitor()
         assert mon.check_plan_skew(reg)["skew_frac"] == pytest.approx(0.1)
         assert mon.alerts.kinds() == set()
         # An untuned run never sets the gauges: no verdict at all.

@@ -200,8 +200,9 @@ def golden_report():
                "timeout": 1, "failed": 0},
         cache=SimpleNamespace(stats=lambda: {"hit_rate": 0.25, "hits": 1,
                                              "misses": 3}),
-        bindings={"v1": SimpleNamespace(weights_digest=digest)},
-        active_version="v1")
+        versions=SimpleNamespace(
+            bindings={"v1": SimpleNamespace(weights_digest=digest)},
+            active="v1"))
     registry.counter("deploy.transitions").inc(1, kind="start")
     registry.counter("deploy.transitions").inc(1, kind="promote")
     registry.counter("deploy.shadows").inc(2)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.registry import (GateConfig, RegistryError, ScorecardConfig,
-                            build_scorecard, evaluate_gate, gate_version)
+from repro.registry import (GateConfig, RegistryError, build_scorecard,
+                            evaluate_gate, gate_version)
 
 
 def card(crps=1.0, rmse=1.0, **extra):

@@ -208,7 +208,7 @@ class TestSingleFlight:
         if warm:    # member 0's first two leads are cached beforehand
             svc.serve(request(serve_world, tier=tier, n_members=1,
                               n_steps=2, seed=self.SEED))
-        steppers = svc.bindings[svc.active_version].steppers
+        steppers = svc.versions.bindings[svc.versions.active].steppers
         spy = steppers[tier] = SpyStepper(steppers[tier])
         puts = []
         put = svc.cache.put

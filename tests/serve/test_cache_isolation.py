@@ -30,12 +30,12 @@ def two_version_service(serve_world, same_weights=False):
             forcing_fn=forecaster.forcing_fn,
             forcing_norm=forecaster.forcing_norm, flow=forecaster.flow,
             solver_config=forecaster.solver_config)
-    svc.add_version("v2", candidate)
+    svc.versions.add("v2", candidate)
     return svc, archive, idx
 
 
 def pin(svc, version):
-    svc.version_router = lambda request: version
+    svc.versions.router = lambda request: version
 
 
 def request(archive, idx, **kwargs):
@@ -97,5 +97,5 @@ class TestSameWeights:
         assert first.cache_hits == 0
         assert again.cache_hits == 4  # full hit through the other label
         assert np.array_equal(first.forecast, again.forecast)
-        assert svc.bindings["v1"].weights_digest \
-            == svc.bindings["v2"].weights_digest
+        bindings = svc.versions.bindings
+        assert bindings["v1"].weights_digest == bindings["v2"].weights_digest

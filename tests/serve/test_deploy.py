@@ -69,7 +69,7 @@ class TestCleanRollout:
         responses = svc.run(traffic(serve_world, 16))
         assert all(r.ok for r in responses)
         assert controller.state == "promoted"
-        assert svc.active_version == "v2"
+        assert svc.versions.active == "v2"
         served = {r.version for r in responses}
         assert served == {"v1", "v2"}  # both sides actually took traffic
         check = TraceReport().run(deploy_check, svc, controller)
@@ -133,8 +133,8 @@ class TestRollback:
             assert all(r.ok for r in responses)
             # The rollback restored the incumbent digest exactly and
             # unloaded the candidate.
-            assert svc.active_version == "v1"
-            assert "v2" not in svc.bindings
+            assert svc.versions.active == "v1"
+            assert "v2" not in svc.versions.bindings
             check = TraceReport().run(deploy_check, svc, controller)
             assert check["agrees"]
             assert check["terminal"]["incumbent_restored"]
@@ -256,7 +256,7 @@ class TestRegistryIntegration:
         # deployed digest equals the registered one by construction.
         controller.start_canary("v2")
         assert registry.get("v2").status == "canary"
-        assert svc.bindings["v2"].weights_digest \
+        assert svc.versions.bindings["v2"].weights_digest \
             == registry.get("v2").weights_digest
         svc.run(traffic(serve_world, 12))
         assert controller.state == "promoted"

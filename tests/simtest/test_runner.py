@@ -3,12 +3,13 @@ and bit-exact repro replay."""
 
 import dataclasses
 import json
+import os
 
 import pytest
 
-from repro.simtest import (InvariantRegistry, Scenario, ScenarioGen,
-                           SimRunner, TrainParams, Violation, load_repro,
-                           violations_fingerprint, write_repro)
+from repro.simtest import (InvariantRegistry, RunResult, Scenario,
+                           ScenarioGen, SimRunner, TrainParams, Violation,
+                           load_repro, violations_fingerprint, write_repro)
 
 GEN = ScenarioGen()
 
@@ -145,6 +146,48 @@ class TestReproFiles:
         text = json.dumps(load_repro(path))
         for leak in ("/tmp", "time", "hostname"):
             assert leak not in text
+
+    def test_failed_rename_leaves_the_previous_repro(self, tmp_path,
+                                                     monkeypatch):
+        """A run killed between the write and the rename must not tear
+        the file CI uploads (or a corpus entry being replaced)."""
+        path = str(tmp_path / "repro.json")
+        write_repro(path, RunResult(GEN.scenario(0), "ok"), note="first")
+        before = open(path).read()
+
+        def killed(src, dst):
+            raise OSError("killed mid-rename")
+        monkeypatch.setattr(os, "replace", killed)
+        with pytest.raises(OSError, match="killed"):
+            write_repro(path, RunResult(GEN.scenario(1), "ok"), note="second")
+        assert open(path).read() == before
+        assert os.listdir(tmp_path) == ["repro.json"]  # no temp file left
+
+    @pytest.mark.parametrize("damage", ["truncated", "empty", "schema"])
+    def test_unreadable_repro_is_a_value_error_naming_the_path(
+            self, tmp_path, damage):
+        path = str(tmp_path / f"{damage}.json")
+        payload = write_repro(path, RunResult(GEN.scenario(0), "ok"))
+        text = {"truncated": open(path).read()[:40], "empty": "{}",
+                "schema": json.dumps({**payload, "schema": 99})}[damage]
+        with open(path, "w") as fh:
+            fh.write(text)
+        with pytest.raises(ValueError, match=f"{damage}.json"):
+            load_repro(path)
+
+    def test_cli_replay_reports_a_torn_file_and_goes_on(
+            self, sim_runner, tmp_path, monkeypatch, capsys):
+        tools = os.path.join(os.path.dirname(__file__), "..", "..", "tools")
+        monkeypatch.syspath_prepend(os.path.abspath(tools))
+        import simtest_cli
+        monkeypatch.setattr(simtest_cli, "_runner", lambda: sim_runner)
+        result = sim_runner.run(_first("train", lambda s: not s.events))
+        write_repro(str(tmp_path / "b_good.json"), result)
+        (tmp_path / "a_torn.json").write_text('{"scenario": {"se')
+        assert simtest_cli.main(["replay", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "a_torn.json: UNREADABLE" in out and "b_good.json: ok" in out
+        assert "2 repro(s): 1 mismatching or unreadable" in out
 
 
 class TestExplore:

@@ -37,3 +37,6 @@ def test_every_line_parses_and_carries_the_keys():
         assert set(EXACT) <= set(row["exact_counts"])
         assert row["tier1"]["tests"] > 0 and row["tier1"]["wall_s"] > 0
         assert row["src_repro_loc"] > 0
+        # settable fields (``tools/check_options.py``), from PR 21 on
+        assert row.get("options", 1) > 0
+    assert "options" in json.loads(lines[-1])

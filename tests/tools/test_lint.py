@@ -13,6 +13,7 @@ sys.path.insert(0, TOOLS_DIR)
 import check_bare_except  # noqa: E402
 import check_clones  # noqa: E402
 import check_no_print  # noqa: E402
+import check_options  # noqa: E402
 import check_seeded_rng  # noqa: E402
 import lint  # noqa: E402
 import walklib  # noqa: E402
@@ -147,7 +148,8 @@ class TestLintEntrypoint:
     def test_registry_covers_every_checker(self):
         assert set(lint.CHECKERS) == {"check_no_print", "check_bare_except",
                                       "check_metric_names",
-                                      "check_seeded_rng", "check_clones"}
+                                      "check_seeded_rng", "check_clones",
+                                      "check_options"}
 
 
 class TestCheckSeededRng:
@@ -234,3 +236,44 @@ class TestCheckClones:
 
     def test_repo_src_is_clean(self):
         assert check_clones.main([]) == 0
+
+
+class TestCheckOptions:
+    """An option is a field somebody sets (field names here are ones no
+    ``replace(...)`` in the repo could name: setters match by name)."""
+
+    DECLARED = ("from dataclasses import dataclass, replace\n"
+                "@dataclass(frozen=True)\n"
+                "class XConfig:\n"
+                "    knob_a: int = 1\n"
+                "    knob_b: int = 2\n")
+
+    def test_field_nobody_sets_fails_until_it_is_a_constant(self, tmp_path,
+                                                            capsys):
+        (tmp_path / "x.py").write_text(self.DECLARED
+                                       + "cfg = XConfig(knob_a=3)\n")
+        assert check_options.main([str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "x.py:5: XConfig.knob_b has no setter" in err
+        assert "knob_a" not in err
+        (tmp_path / "x.py").write_text(
+            self.DECLARED.replace("    knob_b: int = 2\n", "")
+            + "KNOB_B = 2\ncfg = XConfig(knob_a=3)\n")
+        assert check_options.main([str(tmp_path)]) == 0
+        assert "options: 1 fields" in capsys.readouterr().out
+
+    def test_positional_and_replace_count_as_setters(self, tmp_path):
+        (tmp_path / "x.py").write_text(
+            self.DECLARED + "cfg = replace(XConfig(3), knob_b=4)\n")
+        assert check_options.main([str(tmp_path)]) == 0
+
+    def test_double_star_kwargs_set_nothing(self, tmp_path, capsys):
+        (tmp_path / "x.py").write_text(
+            self.DECLARED + "cfg = XConfig(**{'knob_a': 1, 'knob_b': 2})\n")
+        assert check_options.main([str(tmp_path)]) == 1
+        assert capsys.readouterr().err.count("has no setter") == 2
+
+    def test_repo_options_all_have_setters_and_stay_counted(self, capsys):
+        assert check_options.main(None) == 0
+        n_fields = int(capsys.readouterr().out.split()[1])
+        assert n_fields <= 94  # 143 before ISSUE 21; do not regrow

@@ -12,7 +12,12 @@ top-level keys.  Each leaf is classified by its key name:
   ``throughput``, ``images_per_sec``, ``eff`` (incl. ``ef_sustained`` /
   ``ef_peak`` / ``efficiency``), ``mfu``, ``tflops``, or ``hits`` — a
   regression is the current value falling below baseline;
-* anything else is informational and not gated.
+* anything else is informational and not gated — including ``*_ms_p50`` /
+  ``*_ms_p95``: a percentile of absolute wall time on a shared box moves
+  with the neighbours, not the code (p95 14 → 80 ms with no code change
+  while min-of-N read 12.8 / 13.6).  What gates a timing is its
+  ``*_ms_min`` (min-of-N is the noise-robust estimator) and the paired
+  ``*_speedup`` ratio; the percentiles stay in the sidecar to be read.
 
 Checks are one-sided: getting *faster* never fails the gate (refresh the
 baselines to bank an improvement — see DESIGN.md "Performance").
@@ -52,6 +57,8 @@ HIGHER_IS_BETTER = ("speedup", "throughput", "eff", "ef", "efficiency",
                     "mfu", "tflops", "hits")
 #: substring markers for compound names.
 HIGHER_SUBSTRINGS = ("images_per_sec", "img_per_s", "per_sec")
+#: percentiles of absolute wall time: informational, not gated.
+UNGATED_SUFFIXES = ("_ms_p50", "_ms_p95")
 
 
 @dataclass
@@ -74,6 +81,8 @@ def classify(key: str) -> str | None:
     if the leaf is not gated."""
     parts = key.lower().replace("-", "_").split("_")
     joined = "_".join(parts)
+    if joined.endswith(UNGATED_SUFFIXES):
+        return None
     if any(marker in parts for marker in LOWER_IS_BETTER):
         return "lower"
     if any(marker in parts for marker in HIGHER_IS_BETTER) \

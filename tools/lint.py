@@ -22,6 +22,7 @@ import check_bare_except
 import check_clones
 import check_metric_names
 import check_no_print
+import check_options
 import check_seeded_rng
 
 #: name -> main(argv) callable; extend to register a new checker.
@@ -31,6 +32,7 @@ CHECKERS = {
     "check_metric_names": check_metric_names.main,
     "check_seeded_rng": check_seeded_rng.main,
     "check_clones": check_clones.main,
+    "check_options": check_options.main,
 }
 
 

@@ -111,7 +111,12 @@ def cmd_replay(args) -> int:
         return 2
     bad = 0
     for path in paths:
-        repro = load_repro(path)
+        try:
+            repro = load_repro(path)
+        except ValueError as exc:
+            bad += 1
+            print(f"  {path}: UNREADABLE ({exc})")
+            continue
         result, expected, match = runner.replay(repro)
         if match:
             print(f"  {path}: ok ({len(expected)} violation(s) "
@@ -124,7 +129,8 @@ def cmd_replay(args) -> int:
               f"{sorted(v.invariant for v in result.violations)}")
         print(f"    fingerprint {repro['fingerprint'][:12]}... -> "
               f"{result.fingerprint()[:12]}...")
-    print(f"replayed {len(paths)} repro(s): {bad} mismatching")
+    print(f"replayed {len(paths)} repro(s): {bad} mismatching or "
+          f"unreadable")
     return 1 if bad else 0
 
 
