@@ -165,8 +165,13 @@ class SyntheticReanalysis:
         """Exact GCM state at archive index ``i`` (the 'analysis').
 
         Replays from the nearest stored checkpoint — this is the truth state
-        an operational system would approximate by data assimilation.
+        an operational system would approximate by data assimilation.  An
+        index past the end replays on from the last checkpoint (the numerical
+        baseline forecasts from late analysis times); ``i < 0`` raises.
         """
+        if i < 0:
+            raise IndexError(f"archive index {i}: the analysis exists for "
+                             f"0 <= i (archive length {len(self)})")
         base = (i // CHECKPOINT_EVERY) * CHECKPOINT_EVERY
         while base not in self._checkpoints and base > 0:
             base -= CHECKPOINT_EVERY

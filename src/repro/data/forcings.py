@@ -74,13 +74,13 @@ def toa_solar(grid: LatLonGrid, step: int) -> np.ndarray:
     day_of_year = (step // STEPS_PER_DAY) % DAYS_PER_YEAR
     hour_utc = (step % STEPS_PER_DAY) * 24.0 / STEPS_PER_DAY
     decl = np.deg2rad(-23.44) * np.cos(2 * np.pi * (day_of_year + 10) / DAYS_PER_YEAR)
-    lat = np.deg2rad(grid.lats)[:, None]
+    sin_lat, cos_lat, lon_hours = grid.solar_geometry
     # Local solar hour angle (radians): 0 at local noon.
-    hour_local = (hour_utc + grid.lons / 15.0) % 24.0
+    hour_local = (hour_utc + lon_hours) % 24.0
     hour_angle = np.deg2rad(15.0 * (hour_local - 12.0))[None, :]
-    cos_zenith = (np.sin(lat) * np.sin(decl)
-                  + np.cos(lat) * np.cos(decl) * np.cos(hour_angle))
-    return (_SOLAR_CONSTANT * np.clip(cos_zenith, 0.0, None)).astype(np.float64)
+    cos_zenith = (sin_lat * np.sin(decl)
+                  + cos_lat * np.cos(decl) * np.cos(hour_angle))
+    return _SOLAR_CONSTANT * np.maximum(cos_zenith, 0.0)
 
 
 class ForcingProvider:
@@ -93,10 +93,11 @@ class ForcingProvider:
     def __init__(self, grid: LatLonGrid, static: StaticFields):
         self.grid = grid
         self.static = static
+        self._template = np.empty((grid.height, grid.width, 3), dtype=np.float32)
+        self._template[..., 1] = static.orography
+        self._template[..., 2] = static.land_mask
 
     def __call__(self, step: int) -> np.ndarray:
-        out = np.empty((self.grid.height, self.grid.width, 3), dtype=np.float32)
+        out = self._template.copy()  # fresh memory: the caller may keep it
         out[..., 0] = toa_solar(self.grid, step)
-        out[..., 1] = self.static.orography
-        out[..., 2] = self.static.land_mask
         return out

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .forcings import DAYS_PER_YEAR, STEPS_PER_DAY, StaticFields, toa_solar
+from .forcings import (DAYS_PER_YEAR, STEPS_PER_DAY, StaticFields,
+                       _smooth_noise, toa_solar)
 from .grid import LatLonGrid
 from .variables import TOY_SET
 
@@ -52,6 +53,10 @@ HEATWAVE_RATE_PER_DAY = 0.035
 HEATWAVE_AMPLITUDE = 7.5       # K
 HEATWAVE_RADIUS_DEG = 16.0
 SEED_SPATIAL = 1234            # basis-pattern seed (shared across twins)
+
+# Ring neighbours of the Lorenz-96 tendency, rows [i+1, i-2, i-1].
+_L96_RING = (np.arange(N_LATENTS) + np.array([[1], [-2], [-1]])) % N_LATENTS
+_CHANNEL = {name: i for i, name in enumerate(TOY_SET.names)}
 
 
 @dataclass(frozen=True)
@@ -101,22 +106,29 @@ class GcmState:
         default_factory=lambda: np.random.default_rng(0))
 
     def clone(self) -> "GcmState":
-        return copy.deepcopy(self)
+        rng = np.random.Generator(type(self.rng.bit_generator)(0))
+        rng.bit_generator.state = self.rng.bit_generator.state
+        return replace(
+            self, latents=self.latents.copy(), enso=self.enso.copy(),
+            q=self.q.copy(), theta=self.theta.copy(),
+            moisture=self.moisture.copy(),
+            cyclones=[replace(tc) for tc in self.cyclones],
+            heatwaves=[replace(hw) for hw in self.heatwaves], rng=rng)
 
 
 def _l96_tendency(x: np.ndarray, forcing: float) -> np.ndarray:
-    return ((np.roll(x, -1) - np.roll(x, 2)) * np.roll(x, 1) - x + forcing)
+    ahead, behind2, behind = x[_L96_RING]
+    return (ahead - behind2) * behind - x + forcing
 
 
-def _smooth(f: np.ndarray, passes: int = 1) -> np.ndarray:
-    """Cheap 5-point smoother; zonally periodic, meridionally clamped."""
-    for _ in range(passes):
-        east = np.roll(f, 1, axis=1)
-        west = np.roll(f, -1, axis=1)
-        north = np.vstack([f[:1], f[:-1]])
-        south = np.vstack([f[1:], f[-1:]])
-        f = 0.5 * f + 0.125 * (east + west + north + south)
-    return f
+def _gradient(f: np.ndarray) -> np.ndarray:
+    """``np.gradient(f, axis=0)`` at unit spacing: centred differences
+    inside, one-sided at the two edges."""
+    out = np.empty_like(f)
+    out[1:-1] = (f[2:] - f[:-2]) / 2.0
+    out[0] = f[1] - f[0]
+    out[-1] = f[-1] - f[-2]
+    return out
 
 
 class ToyGCM:
@@ -132,30 +144,71 @@ class ToyGCM:
 
     # -- fixed spatial structures ------------------------------------------
     def _build_patterns(self) -> None:
+        """Every function of the grid and the geography alone; a
+        :meth:`perturbed_twin` shares these, so nothing here reads ``config``."""
         g = self.grid
+        h, w = g.height, g.width
         rng = np.random.default_rng(SEED_SPATIAL)
-        k = N_LATENTS
-        self.basis_q = self._smooth_bases(rng, k, cutoff=3.5)
-        self.basis_theta = self._smooth_bases(rng, k, cutoff=3.0)
-        self.basis_m = self._smooth_bases(rng, k, cutoff=4.0)
+        # Bases are held flat, (count, H*W): the operand of the per-step dot.
+        self.basis_q = self._smooth_bases(rng, N_LATENTS, cutoff=3.5)
+        self.basis_theta = self._smooth_bases(rng, N_LATENTS, cutoff=3.0)
+        self.basis_m = self._smooth_bases(rng, N_LATENTS, cutoff=4.0)
         self.basis_u = self._smooth_bases(rng, 4, cutoff=2.0)
         self.basis_v = self._smooth_bases(rng, 4, cutoff=2.0)
         lats = g.lats
-        latr = np.deg2rad(lats)
-        # ENSO SST pattern: equatorial central-east Pacific blob.
         lat2 = lats[:, None]
+        latr = np.deg2rad(lat2)
+        # ENSO SST pattern: equatorial central-east Pacific blob.
         lon2 = g.lons[None, :]
         dlon = np.minimum(np.abs(lon2 - 210.0), 360.0 - np.abs(lon2 - 210.0))
-        self.enso_pattern = (np.exp(-(lat2 / 10.0) ** 2)
-                             * np.exp(-(dlon / 40.0) ** 2))
-        self.coslat = np.clip(np.cos(latr), 0.2, None)[:, None]
-        self.latr = latr
+        self._enso_sst = 2.2 * (np.exp(-(lat2 / 10.0) ** 2)
+                                * np.exp(-(dlon / 40.0) ** 2))
+        self.coslat = np.clip(np.cos(latr), 0.2, None)
+        self._hemi_sign = np.sign(np.tan(latr))  # flips in SH
+        # Jet profiles; the season and the config only scale them.
+        self._jet_nh = np.exp(-(((lats - 42.0) / 14.0) ** 2))
+        self._jet_sh = np.exp(-(((lats + 42.0) / 14.0) ** 2))
+        self._easterly = -EASTERLY_SPEED * np.exp(-((lats / 14.0) ** 2))
+        # Climatology columns (H, 1); only ``seasonal_t`` moves with the step.
+        self._seasonal_amp = 14.0 * (np.abs(lat2) / 90.0)
+        self._hemis = np.tanh(lat2 / 25.0)
+        self._t850_mean = 248.0 + 42.0 * np.cos(latr) ** 2
+        self._sst_mean = 271.5 + 28.5 * np.cos(latr) ** 2
+        self._z500_mean = 5850.0 - 450.0 * np.sin(latr) ** 2
+        self._mslp_mean = (
+            1013.0 + 7.0 * np.exp(-(((np.abs(lat2) - 32.0) / 12.0) ** 2))
+            - 9.0 * np.exp(-(((np.abs(lat2) - 62.0) / 12.0) ** 2))
+            - 4.0 * np.exp(-((lat2 / 10.0) ** 2)))
+        self._q700_mean = 6.0 * np.exp(-((lat2 / 26.0) ** 2))
+        for shared in (self._mslp_mean, self._q700_mean):  # handed out as is
+            shared.setflags(write=False)
+        # Geography terms of T2M and the SST land proxy.
+        land = self.static.land_mask
+        self._is_land = land > 0.5
+        self._lapse = 0.0065 * self.static.orography
+        self._land_diurnal = 3.5 * land
+        self._land_theta = 2.0 * land * 6.5
+        # Flat gather indices of the smoother's [east, west, north, south]
+        # neighbours; the advection's undisplaced row / column of each cell.
+        cell = np.arange(h * w).reshape(h, w)
+        rows, cols = np.arange(h), np.arange(w)
+        self._neighbours = np.stack([
+            cell[:, (cols - 1) % w], cell[:, (cols + 1) % w],
+            cell[np.maximum(rows - 1, 0)], cell[np.minimum(rows + 1, h - 1)]])
+        self._row_of = rows[:, None].astype(np.float64)
+        self._col_of = cols[None, :].astype(np.float64)
 
     def _smooth_bases(self, rng, count: int, cutoff: float) -> np.ndarray:
-        from .forcings import _smooth_noise
         out = np.stack([_smooth_noise(rng, self.grid.height, self.grid.width,
                                       cutoff=cutoff) for _ in range(count)])
-        return out / np.sqrt(count)
+        return (out / np.sqrt(count)).reshape(count, -1)
+
+    def _smooth(self, f: np.ndarray, passes: int = 1) -> np.ndarray:
+        """Cheap 5-point smoother; zonally periodic, meridionally clamped."""
+        for _ in range(passes):
+            east, west, north, south = f.take(self._neighbours)
+            f = 0.5 * f + 0.125 * (east + west + north + south)
+        return f
 
     # -- climatological background -------------------------------------------
     def _season_phase(self, step: int) -> float:
@@ -166,34 +219,21 @@ class ToyGCM:
     def jet(self, step: int) -> np.ndarray:
         """Zonal-mean zonal wind u(lat) (m/s) with a seasonal swing."""
         cfg = self.config
-        lats = self.grid.lats
         season = self._season_phase(step)
         # Winter hemisphere jet is stronger.
         strength_nh = cfg.jet_speed * (1.0 - 0.30 * season)
         strength_sh = cfg.jet_speed * (1.0 + 0.30 * season)
-        jet_nh = strength_nh * np.exp(-(((lats - 42.0) / 14.0) ** 2))
-        jet_sh = strength_sh * np.exp(-(((lats + 42.0) / 14.0) ** 2))
-        easterly = -EASTERLY_SPEED * np.exp(-((lats / 14.0) ** 2))
-        return jet_nh + jet_sh + easterly
+        return (strength_nh * self._jet_nh + strength_sh * self._jet_sh
+                + self._easterly)
 
     def climatology(self, step: int) -> dict[str, np.ndarray]:
-        """Seasonal background fields (H, W) keyed by TOY variable name."""
-        g = self.grid
-        lats = g.lats[:, None]
-        latr = np.deg2rad(lats)
-        season = self._season_phase(step)
-        hemis = np.tanh(lats / 25.0)
-        seasonal_t = 14.0 * (np.abs(lats) / 90.0) * season * hemis
-        t850 = 248.0 + 42.0 * np.cos(latr) ** 2 + seasonal_t
-        sst = 271.5 + 28.5 * np.cos(latr) ** 2 + 0.5 * seasonal_t
-        z500 = 5850.0 - 450.0 * np.sin(latr) ** 2 - 12.0 * seasonal_t
-        mslp = (1013.0 + 7.0 * np.exp(-(((np.abs(lats) - 32.0) / 12.0) ** 2))
-                - 9.0 * np.exp(-(((np.abs(lats) - 62.0) / 12.0) ** 2))
-                - 4.0 * np.exp(-((lats / 10.0) ** 2)))
-        q700 = 6.0 * np.exp(-((lats / 26.0) ** 2))
-        ones = np.ones((g.height, g.width))
-        return {"T850": t850 * ones, "SST": sst * ones, "Z500": z500 * ones,
-                "MSLP": mslp * ones, "Q700": q700 * ones}
+        """Seasonal background keyed by TOY variable name: zonally uniform
+        ``(H, 1)`` columns that broadcast against ``(H, W)`` fields."""
+        seasonal_t = self._seasonal_amp * self._season_phase(step) * self._hemis
+        return {"T850": self._t850_mean + seasonal_t,
+                "SST": self._sst_mean + 0.5 * seasonal_t,
+                "Z500": self._z500_mean - 12.0 * seasonal_t,
+                "MSLP": self._mslp_mean, "Q700": self._q700_mean}
 
     # -- initialization -------------------------------------------------------
     def initial_state(self, seed: int = 0, spinup_steps: int = 240) -> GcmState:
@@ -214,39 +254,46 @@ class ToyGCM:
         return state
 
     # -- dynamics -------------------------------------------------------------
-    def _advect(self, f: np.ndarray, u_deg: np.ndarray, v_deg: np.ndarray
-                ) -> np.ndarray:
-        """Semi-Lagrangian advection: sample each cell at its departure
-        point (bilinear; zonally periodic, meridionally clamped)."""
+    def _advect_plan(self, u_deg: np.ndarray, v_deg: np.ndarray):
+        """Semi-Lagrangian departure points (displacements in grid-degrees
+        per step): flat indices of the four cells around each (zonally
+        periodic, meridionally clamped) and their bilinear weights."""
         g = self.grid
         h, w = g.height, g.width
-        rows = np.arange(h)[:, None] + v_deg / g.dlat     # departure row
-        cols = np.arange(w)[None, :] - u_deg / g.dlon     # departure col
-        rows = np.clip(rows, 0.0, h - 1.000001)
-        cols = cols % w
-        r0 = np.floor(rows).astype(np.int64)
-        c0 = np.floor(cols).astype(np.int64)
-        fr = rows - r0
-        fc = cols - c0
-        r1 = np.clip(r0 + 1, 0, h - 1)
+        rows = (self._row_of + v_deg / g.dlat).clip(0.0, h - 1.000001)
+        cols = (self._col_of - u_deg / g.dlon) % w
+        floor_r, floor_c = np.floor(rows), np.floor(cols)
+        fr, fc = rows - floor_r, cols - floor_c
+        gr, gc = 1 - fr, 1 - fc
+        r0, c0 = floor_r.astype(np.int64), floor_c.astype(np.int64)
+        r0w, r1w = r0 * w, np.minimum(r0 + 1, h - 1) * w
         c1 = (c0 + 1) % w
-        return ((1 - fr) * (1 - fc) * f[r0, c0] + (1 - fr) * fc * f[r0, c1]
-                + fr * (1 - fc) * f[r1, c0] + fr * fc * f[r1, c1])
+        return ((r0w + c0, r0w + c1, r1w + c0, r1w + c1),
+                (gr * gc, gr * fc, fr * gc, fr * fc))
 
-    def _winds_deg(self, state: GcmState) -> tuple[np.ndarray, np.ndarray,
-                                                   np.ndarray, np.ndarray]:
-        """(u, v) in m/s and in grid-degrees-per-step."""
+    @staticmethod
+    def _advect(f: np.ndarray, plan) -> np.ndarray:
+        """Sample ``f`` at the plan's departure points (bilinear)."""
+        (i00, i01, i10, i11), (w00, w01, w10, w11) = plan
+        return (w00 * f.take(i00) + w01 * f.take(i01)
+                + w10 * f.take(i10) + w11 * f.take(i11))
+
+    @staticmethod
+    def _standardized(latents: np.ndarray) -> np.ndarray:
+        """Standardized latents as the ``(1, K)`` row the basis dots take."""
+        latn = (latents - latents.mean()) / max(latents.std(), 1e-6)
+        return latn.reshape(1, -1)
+
+    def _winds(self, latn: np.ndarray, jet: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """(u, v) in m/s from the standardized latents and the zonal jet."""
         cfg = self.config
-        latn = (state.latents - state.latents.mean()) / max(state.latents.std(), 1e-6)
-        u = self.jet(state.step)[:, None] + cfg.anomaly_wind * np.tensordot(
-            latn[:4], self.basis_u, axes=(0, 0))
-        v = cfg.anomaly_wind * 0.6 * np.tensordot(
-            latn[4:8], self.basis_v, axes=(0, 0))
-        seconds = _DT_DAYS * 86400.0
-        deg_per_m = 1.0 / 111_000.0
-        u_deg = u * seconds * deg_per_m / self.coslat
-        v_deg = v * seconds * deg_per_m
-        return u, v, u_deg, v_deg
+        shape = (self.grid.height, self.grid.width)
+        u = jet[:, None] + cfg.anomaly_wind * np.dot(
+            latn[:, :4], self.basis_u).reshape(shape)
+        v = cfg.anomaly_wind * 0.6 * np.dot(
+            latn[:, 4:8], self.basis_v).reshape(shape)
+        return u, v
 
     def step(self, state: GcmState) -> GcmState:
         """Advance the state by one 6h step, in place; returns the state."""
@@ -259,6 +306,7 @@ class ToyGCM:
         k3 = _l96_tendency(x + 0.5 * dt * k2, cfg.l96_forcing)
         k4 = _l96_tendency(x + dt * k3, cfg.l96_forcing)
         state.latents = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        latn = self._standardized(state.latents)
 
         # 2) ENSO recharge-discharge oscillator, excited by zero-mean chaotic
         # forcing from the fast latents (per-step increments).
@@ -266,26 +314,30 @@ class ToyGCM:
         steps_per_year = DAYS_PER_YEAR / _DT_DAYS
         omega = 2 * np.pi / (ENSO_PERIOD_YEARS * steps_per_year)
         damp = 1.0 / (2.5 * steps_per_year)  # ~2.5-year e-folding
-        latn0 = (state.latents[0] - state.latents.mean()) \
-            / max(state.latents.std(), 1e-6)
-        forcing = cfg.enso_coupling * latn0
+        forcing = cfg.enso_coupling * latn[0, 0]
         state.enso = np.array([te + omega * th - damp * te + forcing,
                                th - omega * te - damp * th])
 
-        # 3) Advected anomaly scalars forced by latents.
-        latn = (state.latents - state.latents.mean()) / max(state.latents.std(), 1e-6)
-        _, _, u_deg, v_deg = self._winds_deg(state)
+        # 3) Advected anomaly scalars forced by latents, on one departure plan.
+        jet = self.jet(state.step)
+        u, v = self._winds(latn, jet)
+        seconds = _DT_DAYS * 86400.0
+        deg_per_m = 1.0 / 111_000.0
+        plan = self._advect_plan(u * seconds * deg_per_m / self.coslat,
+                                 v * seconds * deg_per_m)
         for name, basis in (("q", self.basis_q), ("theta", self.basis_theta),
                             ("moisture", self.basis_m)):
             fld = getattr(state, name)
-            adv = self._advect(fld, u_deg, v_deg)
-            forced = cfg.forcing_amp * np.tensordot(latn, basis, axes=(0, 0))
+            adv = self._advect(fld, plan)
+            forced = cfg.forcing_amp * np.dot(latn, basis).reshape(fld.shape)
             new = (1.0 - cfg.relax_rate) * adv + forced
-            setattr(state, name, _smooth(new, SMOOTH_PASSES))
+            setattr(state, name, self._smooth(new, SMOOTH_PASSES))
 
         # 4) Events.
-        self._step_cyclones(state)
-        self._step_heatwaves(state)
+        summer = {hemi: self._tc_season_weight(state.step, hemi)
+                  for hemi in (1, -1)}
+        self._step_cyclones(state, jet, summer)
+        self._step_heatwaves(state, summer)
         state.step += 1
         return state
 
@@ -296,12 +348,12 @@ class ToyGCM:
         dist = min(abs(doy - peak), DAYS_PER_YEAR - abs(doy - peak))
         return float(np.exp(-((dist / 45.0) ** 2)))
 
-    def _step_cyclones(self, state: GcmState) -> None:
+    def _step_cyclones(self, state: GcmState, jet: np.ndarray,
+                       summer: dict) -> None:
         g = self.grid
         # Genesis (seeded, hence deterministic along a trajectory).
         for hemi in (1, -1):
-            rate = TC_RATE_PER_DAY * _DT_DAYS * self._tc_season_weight(
-                state.step, hemi)
+            rate = TC_RATE_PER_DAY * _DT_DAYS * summer[hemi]
             if state.rng.uniform() < rate:
                 lat = hemi * state.rng.uniform(8.0, 18.0)
                 lon = state.rng.uniform(0.0, 360.0)
@@ -310,7 +362,6 @@ class ToyGCM:
                         lat=lat, lon=lon, intensity=0.15, hemisphere=hemi))
         # Motion + intensity.
         survivors = []
-        jet = self.jet(state.step)
         for tc in state.cyclones:
             li = g.lat_index(tc.lat)
             steering_u = 0.35 * jet[li] - 2.5  # m/s; easterly in tropics
@@ -332,12 +383,11 @@ class ToyGCM:
         state.cyclones = survivors
 
     # -- heatwaves ---------------------------------------------------------------
-    def _step_heatwaves(self, state: GcmState) -> None:
+    def _step_heatwaves(self, state: GcmState, summer: dict) -> None:
         g = self.grid
         for hemi in (1, -1):
-            # Summer-hemisphere genesis over midlatitude land.
-            weight = self._tc_season_weight(state.step, hemi)  # same summer peak
-            if state.rng.uniform() < HEATWAVE_RATE_PER_DAY * _DT_DAYS * weight:
+            # Summer-hemisphere genesis over midlatitude land (cyclone peak).
+            if state.rng.uniform() < HEATWAVE_RATE_PER_DAY * _DT_DAYS * summer[hemi]:
                 lat = hemi * state.rng.uniform(38.0, 58.0)
                 lon = state.rng.uniform(0.0, 360.0)
                 if self.static.land_mask[g.lat_index(lat), g.lon_index(lon)] > 0.5:
@@ -373,17 +423,17 @@ class ToyGCM:
         """Synthesize the 9-channel observable fields ``(H, W, C)``."""
         g = self.grid
         clim = self.climatology(state.step)
-        u_ms, v_ms, _, _ = self._winds_deg(state)
+        u_ms, v_ms = self._winds(self._standardized(state.latents),
+                                 self.jet(state.step))
 
-        z500 = clim["Z500"] + 120.0 * state.q
-        # Geostrophic-like winds from the Z500 anomaly.
         zanom = 120.0 * state.q
-        dzdy = np.gradient(zanom, axis=0) / (g.dlat * 111_000.0)
-        dzdx = np.gradient(zanom, axis=1) / (g.dlon * 111_000.0) / self.coslat
+        z500 = clim["Z500"] + zanom
+        # Geostrophic-like winds from the Z500 anomaly.
+        dzdy = _gradient(zanom) / (g.dlat * 111_000.0)
+        dzdx = _gradient(zanom.T).T / (g.dlon * 111_000.0) / self.coslat
         geo_scale = 9.81 / 1.0e-4  # g / f0
-        sign = np.sign(np.tan(self.latr))[:, None]  # flips in SH
-        u_geo = np.clip(-geo_scale * dzdy * sign * 0.10, -40, 40)
-        v_geo = np.clip(geo_scale * dzdx * sign * 0.10, -40, 40)
+        u_geo = (-geo_scale * dzdy * self._hemi_sign * 0.10).clip(-40, 40)
+        v_geo = (geo_scale * dzdx * self._hemi_sign * 0.10).clip(-40, 40)
 
         u850 = 0.75 * u_ms + 0.6 * u_geo
         v850 = 0.75 * v_ms + 0.6 * v_geo
@@ -391,21 +441,21 @@ class ToyGCM:
         v10 = 0.45 * v_ms + 0.35 * v_geo
 
         t850 = clim["T850"] + 6.5 * state.theta
-        mslp = clim["MSLP"] - 9.0 * _smooth(state.q, 1)
-        q700 = np.clip(clim["Q700"] * (1.0 + 0.55 * state.moisture), 0.0, None)
+        mslp = clim["MSLP"] - 9.0 * self._smooth(state.q, 1)
+        q700 = np.maximum(clim["Q700"] * (1.0 + 0.55 * state.moisture), 0.0)
 
-        sst_anom = 2.2 * self.enso_pattern * state.enso[0] \
-            + 0.8 * _smooth(state.theta, 2)
+        sst_anom = self._enso_sst * state.enso[0] \
+            + 0.8 * self._smooth(state.theta, 2)
         sst = clim["SST"] + sst_anom
         # SST relaxes to a fixed proxy over land (masked in evaluation).
-        sst = np.where(self.static.land_mask > 0.5, clim["SST"], sst)
+        sst = np.where(self._is_land, clim["SST"], sst)
 
         solar = toa_solar(g, state.step) / 1361.0
         land = self.static.land_mask
         t2m = (t850 + 6.0
-               - 0.0065 * self.static.orography
-               + 3.5 * land * (solar - 0.25)       # diurnal cycle over land
-               + 2.0 * land * 6.5 * state.theta * 0.3)
+               - self._lapse
+               + self._land_diurnal * (solar - 0.25)  # diurnal cycle over land
+               + self._land_theta * state.theta * 0.3)
 
         # Event imprints.
         for tc in state.cyclones:
@@ -415,8 +465,8 @@ class ToyGCM:
             z500 = z500 - 2.0 * depth * blob
             q700 = q700 + 2.5 * tc.intensity * blob
             # Cyclonic winds: tangential flow around the center.
-            gy = np.gradient(blob, axis=0) / g.dlat
-            gx = np.gradient(blob, axis=1) / g.dlon / self.coslat
+            gy = _gradient(blob) / g.dlat
+            gx = _gradient(blob.T).T / g.dlon / self.coslat
             # Counterclockwise (NH) tangential flow: with rows running
             # north->south, (u, v) ∝ −(∂blob/∂row, ∂blob/∂col).
             spin = 16.0 * depth / TC_MAX_AMPLITUDE * tc.hemisphere
@@ -433,15 +483,10 @@ class ToyGCM:
             mslp = mslp + 0.25 * hw.amplitude * env * blob
 
         out = np.empty((g.height, g.width, len(TOY_SET)), dtype=np.float32)
-        out[..., TOY_SET.index("T2M")] = t2m
-        out[..., TOY_SET.index("U10")] = u10
-        out[..., TOY_SET.index("V10")] = v10
-        out[..., TOY_SET.index("MSLP")] = mslp
-        out[..., TOY_SET.index("SST")] = sst
-        out[..., TOY_SET.index("Z500")] = z500
-        out[..., TOY_SET.index("T850")] = t850
-        out[..., TOY_SET.index("Q700")] = q700
-        out[..., TOY_SET.index("U850")] = u850
+        for name, fld in (("T2M", t2m), ("U10", u10), ("V10", v10),
+                          ("MSLP", mslp), ("SST", sst), ("Z500", z500),
+                          ("T850", t850), ("Q700", q700), ("U850", u850)):
+            out[..., _CHANNEL[name]] = fld
         return out
 
     # -- convenience -------------------------------------------------------------
@@ -453,12 +498,14 @@ class ToyGCM:
 
     def perturbed_twin(self, rel_error: float, seed: int) -> "ToyGCM":
         """An imperfect copy of this model: every tunable constant perturbed
-        by ``~rel_error`` relative noise (the NWP-baseline physics)."""
+        by ``~rel_error`` relative noise (the NWP-baseline physics).  The
+        twin shares this model's grid tables and differs in ``config`` only."""
         rng = np.random.default_rng(seed)
         cfg = self.config
         def jitter(v: float) -> float:
             return float(v * (1.0 + rel_error * rng.normal()))
-        twin_cfg = replace(
+        twin = copy.copy(self)
+        twin.config = replace(
             cfg,
             l96_forcing=jitter(cfg.l96_forcing),
             jet_speed=jitter(cfg.jet_speed),
@@ -467,4 +514,4 @@ class ToyGCM:
             relax_rate=jitter(cfg.relax_rate),
             enso_coupling=jitter(cfg.enso_coupling),
         )
-        return ToyGCM(self.grid, self.static, twin_cfg)
+        return twin

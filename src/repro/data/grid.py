@@ -9,6 +9,7 @@ training objective and of all latitude-weighted verification metrics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,16 +27,31 @@ class LatLonGrid:
     height: int
     width: int
 
-    @property
+    # Coordinates are computed once per grid and shared, hence read-only.
+    @cached_property
     def lats(self) -> np.ndarray:
         """Cell-center latitudes (degrees), shape ``(height,)``."""
         step = 180.0 / self.height
-        return (90.0 - step / 2 - step * np.arange(self.height)).astype(np.float64)
+        lats = 90.0 - step / 2 - step * np.arange(self.height)
+        lats.setflags(write=False)
+        return lats
 
-    @property
+    @cached_property
     def lons(self) -> np.ndarray:
         """Cell-center longitudes (degrees in [0, 360)), shape ``(width,)``."""
-        return (360.0 / self.width * np.arange(self.width)).astype(np.float64)
+        lons = 360.0 / self.width * np.arange(self.width)
+        lons.setflags(write=False)
+        return lons
+
+    @cached_property
+    def solar_geometry(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``sin(lat)`` and ``cos(lat)`` as ``(height, 1)`` columns and each
+        longitude's offset from UTC in hours (what ``toa_solar`` reads)."""
+        lat = np.deg2rad(self.lats)[:, None]
+        tables = (np.sin(lat), np.cos(lat), self.lons / 15.0)
+        for table in tables:
+            table.setflags(write=False)
+        return tables
 
     @property
     def dlat(self) -> float:
@@ -57,7 +73,7 @@ class LatLonGrid:
     # -- index helpers -------------------------------------------------------
     def lat_index(self, lat: float) -> int:
         """Row index of the cell containing ``lat``."""
-        return int(np.clip(np.argmin(np.abs(self.lats - lat)), 0, self.height - 1))
+        return int(np.argmin(np.abs(self.lats - lat)))
 
     def lon_index(self, lon: float) -> int:
         return int(np.round((lon % 360.0) / self.dlon)) % self.width

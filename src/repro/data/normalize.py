@@ -37,12 +37,3 @@ class FieldNormalizer:
 
     def denormalize(self, x: np.ndarray) -> np.ndarray:
         return (x * self.std + self.mean).astype(np.float32)
-
-    # -- persistence ---------------------------------------------------------
-    def save(self, path: str) -> None:
-        np.savez(path, mean=self.mean, std=self.std)
-
-    @classmethod
-    def load(cls, path: str) -> "FieldNormalizer":
-        with np.load(path) as data:
-            return cls(mean=data["mean"], std=data["std"])

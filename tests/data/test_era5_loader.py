@@ -24,15 +24,6 @@ class TestNormalizer:
         np.testing.assert_allclose(norm.denormalize(z), data, rtol=1e-3,
                                    atol=1e-3)
 
-    def test_save_load(self, tmp_path):
-        norm = FieldNormalizer(mean=np.array([1.0, 2.0], np.float32),
-                               std=np.array([3.0, 4.0], np.float32))
-        path = str(tmp_path / "stats.npz")
-        norm.save(path)
-        loaded = FieldNormalizer.load(path)
-        np.testing.assert_array_equal(loaded.mean, norm.mean)
-        np.testing.assert_array_equal(loaded.std, norm.std)
-
     def test_rejects_bad_std(self):
         with pytest.raises(ValueError):
             FieldNormalizer(mean=np.zeros(2, np.float32),
@@ -96,6 +87,21 @@ class TestArchive:
             state = tiny_archive.internal_state_at(i)
             np.testing.assert_allclose(tiny_archive.gcm.diagnostics(state),
                                        tiny_archive.fields[i], atol=1e-5)
+
+    def test_internal_state_rejects_negative_index(self, tiny_archive):
+        with pytest.raises(IndexError, match="0 <= i"):
+            tiny_archive.internal_state_at(-1)
+
+    def test_internal_state_replays_past_the_end(self, tiny_archive):
+        """The numerical baseline forecasts from late analysis times: an
+        index past the archive replays on from the last checkpoint."""
+        n = len(tiny_archive)
+        state = tiny_archive.internal_state_at(n + 3)
+        ahead = tiny_archive.internal_state_at(n - 1)
+        for _ in range(4):
+            tiny_archive.gcm.step(ahead)
+        assert state.step == tiny_archive.gcm_step(n + 3) == ahead.step
+        np.testing.assert_array_equal(state.q, ahead.q)
 
     def test_daily_climatology_shape(self, tiny_archive):
         clim = tiny_archive.daily_climatology()

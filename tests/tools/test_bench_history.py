@@ -39,4 +39,13 @@ def test_every_line_parses_and_carries_the_keys():
         assert row["src_repro_loc"] > 0
         # settable fields (``tools/check_options.py``), from PR 21 on
         assert row.get("options", 1) > 0
-    assert "options" in json.loads(lines[-1])
+    last = json.loads(lines[-1])
+    assert "options" in last
+    # from PR 22 on (ROADMAP 4f, 5a): the five slowest tier-1 entries and
+    # one ``simtest_cli run --time-budget 40``, parent and change
+    for side in ("parent", "change"):
+        slowest = last["tier1"]["slowest"][side]
+        assert len(slowest) == 5
+        assert all(isinstance(test_id, str) and seconds > 0
+                   for test_id, seconds in slowest)
+        assert last["simtest_scenarios_per_min"][side] > 0
