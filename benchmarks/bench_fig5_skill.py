@@ -61,7 +61,8 @@ def run_forecasts(archive, aeris_trainer, edm_trainer, det_trainer):
         out["GenCast-like"].append(gencast.ensemble_rollout(
             state0, N_STEPS, N_MEMBERS, seed=12, start_index=ic))
         out["IFS-like"].append(nwp.ensemble_rollout(ic, N_STEPS, N_MEMBERS))
-        out["Deterministic"].append(det.rollout(state0, N_STEPS, ic)[None])
+        out["Deterministic"].append(
+            det.rollout(state0, N_STEPS, start_index=ic)[None])
         out["Persistence"].append(persistence_forecast(state0, N_STEPS)[None])
         out["Climatology"].append(clim_fc.rollout(ic, N_STEPS)[None])
     return out

@@ -26,7 +26,8 @@ def run_rollouts(archive, aeris_trainer, det_trainer):
     fc = aeris_trainer.forecaster(SolverConfig(n_steps=4, churn=0.3))
     ens = fc.ensemble_rollout(archive.fields[ic], N_STEPS, N_MEMBERS,
                               seed=71, start_index=ic)
-    det = det_trainer.forecaster().rollout(archive.fields[ic], N_STEPS, ic)
+    det = det_trainer.forecaster().rollout(archive.fields[ic], N_STEPS,
+                                           start_index=ic)
     truth = archive.fields[ic:ic + N_STEPS + 1]
     return ic, ens, det, truth
 

@@ -8,8 +8,6 @@ and climatology over a 7-day rollout.
     python examples/medium_range_ensemble.py        (~3 minutes)
 """
 
-import numpy as np
-
 from repro import SolverConfig, quickstart_components
 from repro.baselines import (
     ClimatologyForecaster,
@@ -17,8 +15,9 @@ from repro.baselines import (
     NumericalEnsembleConfig,
     persistence_forecast,
 )
-from repro.data import TOY_SET
-from repro.eval import crps_ensemble, ensemble_mean_rmse, spread_skill_ratio
+from repro.eval import EvalProtocol, MediumRangeEvaluator
+
+MEMBERS = 4
 
 
 def main() -> None:
@@ -29,38 +28,23 @@ def main() -> None:
     nwp = NumericalEnsemble(archive, NumericalEnsembleConfig(seed=2))
     clim = ClimatologyForecaster(archive)
 
-    ic = int(archive.split_indices("test")[20])
-    n_steps, members = 28, 4  # 7 days, 6-hourly
-    state0 = archive.fields[ic]
-    truth = archive.fields[ic:ic + n_steps + 1]
+    # One initial condition, 7 days 6-hourly, scored at days 1 / 3 / 5 / 7.
+    evaluator = MediumRangeEvaluator(archive, EvalProtocol(
+        lead_days=(1, 3, 5, 7), variables=("Z500", "T2M"),
+        n_initial_conditions=1, first_ic_offset=20))
 
     print("Running the four systems ...")
-    systems = {
-        "AERIS": forecaster.ensemble_rollout(state0, n_steps, members,
-                                             seed=3, start_index=ic),
-        "IFS-like": nwp.ensemble_rollout(ic, n_steps, members),
-        "Persistence": persistence_forecast(state0, n_steps)[None],
-        "Climatology": clim.rollout(ic, n_steps)[None],
-    }
-
-    for var in ("Z500", "T2M"):
-        c = TOY_SET.index(var)
-        print(f"\n{var}  (lead: RMSE of the ensemble mean / CRPS / SSR)")
-        for name, ens in systems.items():
-            cells = []
-            for lead_days in (1, 3, 5, 7):
-                k = lead_days * 4
-                r = ensemble_mean_rmse(ens[:, k, ..., c], truth[k, ..., c],
-                                       archive.grid)
-                cr = crps_ensemble(ens[:, k, ..., c], truth[k, ..., c],
-                                   archive.grid)
-                if ens.shape[0] > 1:
-                    s = spread_skill_ratio(ens[:, k, ..., c],
-                                           truth[k, ..., c], archive.grid)
-                    cells.append(f"d{lead_days}: {r:6.2f}/{cr:6.2f}/{s:4.2f}")
-                else:
-                    cells.append(f"d{lead_days}: {r:6.2f}/{cr:6.2f}/  — ")
-            print(f"  {name:12s} " + "  ".join(cells))
+    results = evaluator.evaluate_systems({
+        "AERIS": lambda state0, n, ic: forecaster.ensemble_rollout(
+            state0, n, MEMBERS, seed=3, start_index=ic),
+        "IFS-like": lambda state0, n, ic: nwp.ensemble_rollout(
+            ic, n, MEMBERS),
+        "Persistence": lambda state0, n, ic: persistence_forecast(
+            state0, n)[None],
+        "Climatology": lambda state0, n, ic: clim.rollout(ic, n)[None],
+    })
+    print("\nRMSE of the ensemble mean / CRPS / SSR (nan for one member)")
+    print(evaluator.format_table(results))
     print("\nNote AERIS's SSR < 1 — under-dispersive, exactly as the paper "
           "reports for both AERIS and GenCast.")
 

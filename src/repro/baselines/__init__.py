@@ -1,14 +1,14 @@
 """Baselines the paper compares against (or that motivate its design)."""
 
 from .climatology import ClimatologyForecaster
-from .deterministic import DeterministicForecaster, DeterministicTrainer
-from .gencast_like import EdmConfig, EdmForecaster, EdmTrainer
+from .deterministic import DeterministicTrainer
+from .gencast_like import EdmConfig, EdmTrainer
 from .numerical import NumericalEnsemble, NumericalEnsembleConfig
 from .persistence import persistence_forecast
 
 __all__ = [
     "persistence_forecast", "ClimatologyForecaster",
-    "DeterministicTrainer", "DeterministicForecaster",
-    "EdmConfig", "EdmTrainer", "EdmForecaster",
+    "DeterministicTrainer",
+    "EdmConfig", "EdmTrainer",
     "NumericalEnsemble", "NumericalEnsembleConfig",
 ]

@@ -10,16 +10,13 @@ long-lead fields) under identical architecture and data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..data import SyntheticReanalysis
 from ..model import Aeris
-from ..tensor import Tensor, no_grad
 from ..train.trainer import Trainer, TrainerConfig
 
-__all__ = ["PointRegression", "DeterministicTrainer", "DeterministicForecaster"]
+__all__ = ["PointRegression", "DeterministicTrainer"]
 
 
 class PointRegression:
@@ -34,48 +31,23 @@ class PointRegression:
         return (np.zeros_like(x0), np.zeros(x0.shape[0], dtype=np.float32),
                 x0, 1.0)
 
+    def sample_residuals(self, network, shape: tuple[int, ...], rngs,
+                         solver_config) -> np.ndarray:
+        """The point forecast of each of ``len(rngs)`` rows in one forward
+        (the shape of :meth:`repro.diffusion.TrigFlow.sample_residuals`;
+        the generators are not read)."""
+        m = len(rngs)
+        return network(np.zeros((m,) + tuple(shape), dtype=np.float32),
+                       np.zeros(m, dtype=np.float32))
+
 
 class DeterministicTrainer(Trainer):
     """MSE training of the AERIS backbone as a point forecaster:
     :class:`~repro.train.Trainer`'s loop (checkpoints, guards, telemetry)
-    with :class:`PointRegression` as the parameterization."""
+    and forecaster with :class:`PointRegression` as the parameterization
+    (``forecaster().rollout(state0, n_steps, start_index=i)`` needs no
+    generator)."""
 
     def __init__(self, model: Aeris, archive: SyntheticReanalysis,
                  config: TrainerConfig = TrainerConfig()):
         super().__init__(model, archive, config, flow=PointRegression())
-
-    def forecaster(self, use_ema: bool = True) -> "DeterministicForecaster":
-        return DeterministicForecaster(
-            model=self.inference_model(use_ema), archive=self.archive,
-            state_norm=self.state_norm, residual_norm=self.residual_norm,
-            forcing_norm=self.forcing_norm)
-
-
-@dataclass
-class DeterministicForecaster:
-    """Single-forward-pass autoregressive point forecasts."""
-
-    model: Aeris
-    archive: SyntheticReanalysis
-    state_norm: object
-    residual_norm: object
-    forcing_norm: object
-
-    def step(self, state: np.ndarray, time_index: int) -> np.ndarray:
-        cond = self.state_norm.normalize(state)
-        forc = self.forcing_norm.normalize(
-            self.archive.forcing_provider(self.archive.gcm_step(time_index)))
-        zeros = np.zeros_like(cond)[None]
-        t = np.zeros(1, dtype=np.float32)
-        with no_grad():
-            pred = self.model(Tensor(zeros), Tensor(t), Tensor(cond[None]),
-                              Tensor(forc[None])).numpy()[0]
-        return state + self.residual_norm.denormalize(pred)
-
-    def rollout(self, state0: np.ndarray, n_steps: int,
-                start_index: int = 0) -> np.ndarray:
-        states = np.empty((n_steps + 1,) + state0.shape, dtype=np.float32)
-        states[0] = state0
-        for i in range(n_steps):
-            states[i + 1] = self.step(states[i], start_index + i)
-        return states

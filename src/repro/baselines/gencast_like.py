@@ -20,12 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..data import SyntheticReanalysis
-from ..diffusion import member_rngs
 from ..model import Aeris
-from ..tensor import Tensor, no_grad
 from ..train.trainer import Trainer, TrainerConfig
 
-__all__ = ["EdmConfig", "EdmTrainer", "EdmForecaster"]
+__all__ = ["EdmConfig", "EdmTrainer"]
 
 
 # EDM constants (Karras et al. defaults, as used by GenCast).
@@ -85,83 +83,46 @@ class EdmConfig:
         target = (x0 - self.c_skip(sig4) * x_noisy) / self.c_out(sig4)
         return self.c_in(sig4) * x_noisy, self.c_noise(sigma), target, 1.0
 
-
-class EdmTrainer(Trainer):
-    """Trains the backbone as an EDM denoiser of standardized residuals:
-    :class:`~repro.train.Trainer`'s loop (checkpoints, guards, telemetry)
-    with an :class:`EdmConfig` as the parameterization."""
-
-    def __init__(self, model: Aeris, archive: SyntheticReanalysis,
-                 config: TrainerConfig = TrainerConfig(),
-                 edm: EdmConfig = EdmConfig()):
-        super().__init__(model, archive, config, flow=edm)
-
-    def forecaster(self, use_ema: bool = True) -> "EdmForecaster":
-        return EdmForecaster(model=self.inference_model(use_ema),
-                             archive=self.archive,
-                             state_norm=self.state_norm,
-                             residual_norm=self.residual_norm,
-                             forcing_norm=self.forcing_norm, edm=self.flow)
-
-
-@dataclass
-class EdmForecaster:
-    """Heun-sampler ensemble forecaster (GenCast inference scheme)."""
-
-    model: Aeris
-    archive: SyntheticReanalysis
-    state_norm: object
-    residual_norm: object
-    forcing_norm: object
-    edm: EdmConfig = EdmConfig()
-
-    def _denoise(self, x: np.ndarray, sigma: float, cond: np.ndarray,
-                 forc: np.ndarray) -> np.ndarray:
-        edm = self.edm
+    # -- sampling ------------------------------------------------------------
+    def denoise(self, network, x: np.ndarray, sigma: float) -> np.ndarray:
+        """The preconditioned denoiser ``D(x; sigma)`` over ``(M, ...)``
+        rows; ``network(x_in, t_in)`` is the conditioned call of
+        :func:`repro.diffusion.sampler.bound_network`."""
         s = np.asarray(sigma, dtype=np.float32)
-        with no_grad():
-            f = self.model(Tensor((edm.c_in(s) * x)[None]),
-                           Tensor(np.array([edm.c_noise(s)], np.float32)),
-                           Tensor(cond[None]), Tensor(forc[None])).numpy()[0]
-        return edm.c_skip(s) * x + edm.c_out(s) * f
+        f = network(self.c_in(s) * x,
+                    np.full(x.shape[0], self.c_noise(s), dtype=np.float32))
+        return self.c_skip(s) * x + self.c_out(s) * f
 
-    def _sample_residual(self, cond: np.ndarray, forc: np.ndarray,
-                         rng: np.random.Generator) -> np.ndarray:
-        edm = self.edm
-        sigmas = edm.sigma_schedule()
-        x = (sigmas[0] * rng.normal(size=cond.shape)).astype(np.float32)
+    def sample_residuals(self, network, shape: tuple[int, ...], rngs,
+                         solver_config) -> np.ndarray:
+        """One standardized residual per generator, ``(M,) + shape``, by
+        Heun's second-order sampler over :meth:`sigma_schedule` (GenCast's
+        inference scheme; the shape of
+        :meth:`repro.diffusion.TrigFlow.sample_residuals` — the step count
+        is ``n_sample_steps``, not the TrigFlow solver's).  Each member
+        draws its initial noise from its own generator; every denoiser
+        evaluation is one stacked forward."""
+        sigmas = self.sigma_schedule()
+        x = np.stack([(sigmas[0] * rng.normal(size=shape)).astype(np.float32)
+                      for rng in rngs])
         for i in range(len(sigmas) - 1):
             s, s_next = float(sigmas[i]), float(sigmas[i + 1])
-            d = (x - self._denoise(x, s, cond, forc)) / s
+            d = (x - self.denoise(network, x, s)) / s
             x_euler = x + (s_next - s) * d
             if s_next > 0:
-                d2 = (x_euler - self._denoise(x_euler, s_next, cond, forc)) / s_next
+                d2 = (x_euler - self.denoise(network, x_euler, s_next)) / s_next
                 x = x + (s_next - s) * 0.5 * (d + d2)
             else:
                 x = x_euler
         return x
 
-    def step(self, state: np.ndarray, time_index: int,
-             rng: np.random.Generator) -> np.ndarray:
-        cond = self.state_norm.normalize(state)
-        forc = self.forcing_norm.normalize(
-            self.archive.forcing_provider(self.archive.gcm_step(time_index)))
-        residual = self._sample_residual(cond, forc, rng)
-        return state + self.residual_norm.denormalize(residual)
 
-    def rollout(self, state0: np.ndarray, n_steps: int,
-                rng: np.random.Generator, start_index: int = 0) -> np.ndarray:
-        states = np.empty((n_steps + 1,) + state0.shape, dtype=np.float32)
-        states[0] = state0
-        for i in range(n_steps):
-            states[i + 1] = self.step(states[i], start_index + i, rng)
-        return states
+class EdmTrainer(Trainer):
+    """Trains the backbone as an EDM denoiser of standardized residuals:
+    :class:`~repro.train.Trainer`'s loop (checkpoints, guards, telemetry)
+    and forecaster with an :class:`EdmConfig` as the parameterization."""
 
-    def ensemble_rollout(self, state0: np.ndarray, n_steps: int,
-                         n_members: int, seed: int = 0,
-                         start_index: int = 0) -> np.ndarray:
-        out = np.empty((n_members, n_steps + 1) + state0.shape,
-                       dtype=np.float32)
-        for m, rng in enumerate(member_rngs(n_members, seed)):
-            out[m] = self.rollout(state0, n_steps, rng, start_index)
-        return out
+    def __init__(self, model: Aeris, archive: SyntheticReanalysis,
+                 config: TrainerConfig = TrainerConfig(),
+                 edm: EdmConfig = EdmConfig()):
+        super().__init__(model, archive, config, flow=edm)

@@ -79,14 +79,3 @@ class ShardedWindowLoader:
         """Reference unsharded read (what a no-WP configuration would do on
         every node)."""
         return np.asarray(self.fields[t], dtype=np.float32)
-
-    def reassemble(self, shards: list[np.ndarray]) -> np.ndarray:
-        """Rebuild the full image from all ranks' shards (for testing and
-        for the output-writing pipeline stage)."""
-        wh, ww = self.window
-        h, w = self.grid_shape
-        full = np.empty((h, w, self.channels), dtype=np.float32)
-        for rank, shard in enumerate(shards):
-            for n, (i, j) in enumerate(self.windows_for_rank(rank)):
-                full[i * wh:(i + 1) * wh, j * ww:(j + 1) * ww, :] = shard[n]
-        return full

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..nn import EMA, AdamW, Module
-from ..tensor import Tensor, no_grad
+from ..tensor import Tensor
+from .sampler import bound_network
 from .solver import SolverConfig
 from .trigflow import TrigFlow
 
@@ -76,21 +77,21 @@ class ConsistencyDistiller:
         self.boundaries = flow.tau_to_t(taus)  # increasing
 
     # -- teacher utilities ---------------------------------------------------
-    def _teacher_velocity(self, x: np.ndarray, t: np.ndarray,
-                          cond: np.ndarray, forc: np.ndarray) -> np.ndarray:
-        with no_grad():
-            out = self.teacher(Tensor(x / self.flow.sigma_d), Tensor(t),
-                               Tensor(cond), Tensor(forc))
-        return self.flow.sigma_d * out.numpy()
+    def _velocity(self, model: Module, x: np.ndarray, t: np.ndarray,
+                  cond: np.ndarray, forc: np.ndarray) -> np.ndarray:
+        return self.flow.velocity(bound_network(model, cond, forc), x, t)
 
     def _teacher_ode_step(self, x_t: np.ndarray, t: np.ndarray,
                           s: np.ndarray, cond: np.ndarray,
                           forc: np.ndarray) -> np.ndarray:
-        """One midpoint step of the teacher PFODE from time t down to s."""
+        """One midpoint step of the teacher PFODE from time t down to s
+        (``DpmSolver2S._step`` at per-sample float32 times, with the
+        mid-time as ``0.5 * (t + s)`` — not bit-equal to ``t + 0.5 * h``
+        on every pair, so not folded into it)."""
         h = (s - t).reshape((-1,) + (1,) * (x_t.ndim - 1))
-        v1 = self._teacher_velocity(x_t, t, cond, forc)
+        v1 = self._velocity(self.teacher, x_t, t, cond, forc)
         x_mid = x_t + 0.5 * h * v1
-        v2 = self._teacher_velocity(x_mid, 0.5 * (t + s), cond, forc)
+        v2 = self._velocity(self.teacher, x_mid, 0.5 * (t + s), cond, forc)
         return x_t + h * v2
 
     def _student_jump(self, x: np.ndarray, t: np.ndarray, cond: np.ndarray,
@@ -101,10 +102,8 @@ class ConsistencyDistiller:
                                Tensor(cond), Tensor(forc))
             ct, st = TrigFlow._angles(t, x.ndim)
             return Tensor(ct * x) - Tensor(st) * (out * self.flow.sigma_d)
-        with no_grad():
-            out = self.student(Tensor(x / self.flow.sigma_d), Tensor(t),
-                               Tensor(cond), Tensor(forc))
-        return consistency_jump(self.flow, x, self.flow.sigma_d * out.numpy(), t)
+        return consistency_jump(
+            self.flow, x, self._velocity(self.student, x, t, cond, forc), t)
 
     # -- one distillation step -----------------------------------------------
     def train_step(self, x0: np.ndarray, cond: np.ndarray,
@@ -149,9 +148,11 @@ class ConsistencyDistiller:
         x = z if cond.ndim == 4 else z[None]
         c = cond if cond.ndim == 4 else cond[None]
         f = forc if forc.ndim == 4 else forc[None]
-        out = self._student_jump(x, t, c, f, grad=False)
-        if use_ema:
-            model.load_state_dict(saved)
+        try:
+            out = self._student_jump(x, t, c, f, grad=False)
+        finally:
+            if use_ema:   # also when the forward raised
+                model.load_state_dict(saved)
         return out if cond.ndim == 4 else out[0]
 
     def teacher_sample_cost(self, solver_config: SolverConfig) -> int:

@@ -6,13 +6,16 @@ The model estimates the *standardized residual* ``x_i − x_{i−1}``; a
 :class:`ResidualForecaster` owns the state/residual normalizations so users
 interact in physical units.
 
-Ensemble members are sampled **batched** by default: the model already
-accepts ``(B, H, W, C)`` inputs, so one stacked forward per solver
-evaluation serves every member at once (`ensemble_rollout`), bit-identical
-to the sequential per-member loop (each member keeps its own seeded
-generator, and per-row numerics of a stacked forward are exact).  The
-serving tier (:mod:`repro.serve`) batches across *requests* the same way
-via :meth:`ResidualForecaster.step_members`.
+There is one sampling path: :meth:`ResidualForecaster.step_members`
+advances ``M`` members through stacked forwards (the model accepts
+``(B, H, W, C)``; each member keeps its own seeded generator and a row's
+numerics do not depend on its batch), :func:`lockstep_rollout` repeats it,
+and a single member is that path at ``M = 1``.  *How* a residual is drawn
+from the network belongs to the parameterization
+(``flow.sample_residuals``): TrigFlow's DPM-Solver, the EDM baseline's
+Heun sampler and the point baseline's single forward all run under this
+forecaster.  The serving tier (:mod:`repro.serve`) batches across
+*requests* through the same :meth:`~ResidualForecaster.step_members`.
 """
 
 from __future__ import annotations
@@ -25,12 +28,12 @@ import numpy as np
 from ..obs.profile import count as _count
 from ..obs.profile import span as _span
 from ..tensor import Tensor, no_grad
-from .solver import DpmSolver2S, SolverConfig
+from .solver import SolverConfig
 from .trigflow import TrigFlow
 
-__all__ = ["ResidualForecaster", "Normalizer", "count_model_forwards",
-           "member_seed", "member_rngs", "per_member_indices",
-           "conditioning_rows", "lockstep_rollout"]
+__all__ = ["ResidualForecaster", "Normalizer", "bound_network",
+           "count_data_steps", "member_seed", "member_rngs",
+           "per_member_indices", "conditioning_rows", "lockstep_rollout"]
 
 
 class Normalizer(Protocol):
@@ -82,6 +85,8 @@ def per_member_indices(states: np.ndarray,
     """One forcing-calendar index per member row: a shared index (an
     ensemble advancing in lockstep) is broadcast, a sequence (coalesced
     serving requests at different leads/init times) must be ``m`` long."""
+    if m < 1:
+        raise ValueError("n_members must be >= 1")
     if states.shape[0] != m:
         raise ValueError("one state row per generator required")
     if isinstance(time_indices, (int, np.integer)):
@@ -103,6 +108,19 @@ def conditioning_rows(forecaster, states: np.ndarray,
             forc_cache[idx] = _normalized_forcings(forecaster, idx)
     return (forecaster.state_norm.normalize(states),
             np.stack([forc_cache[idx] for idx in time_indices]))
+
+
+def bound_network(model, cond: np.ndarray, forc: np.ndarray):
+    """The one network call of every inference regime,
+    ``(x_in, t_in) -> F(x_in, t_in, cond, forc)`` on arrays under
+    ``no_grad``, with one conditioning row per row of ``x_in``."""
+    cond_t, forc_t = Tensor(cond), Tensor(forc)
+
+    def network(x_in: np.ndarray, t_in: np.ndarray) -> np.ndarray:
+        with no_grad():
+            return model(Tensor(x_in), Tensor(t_in), cond_t, forc_t).numpy()
+
+    return network
 
 
 def lockstep_rollout(stepper, out: np.ndarray, rngs, start_index: int
@@ -130,6 +148,11 @@ class ResidualForecaster:
     forcing_fn:
         ``time_index -> (H, W, F)`` physical forcings; normalized internally
         by ``forcing_norm`` if provided.
+    flow:
+        The parameterization the model was trained under; its
+        ``sample_residuals(network, shape, rngs, solver_config)`` draws
+        the residuals (:class:`TrigFlow`, or ``EdmConfig`` /
+        ``PointRegression`` of :mod:`repro.baselines`).
     """
 
     model: object
@@ -140,57 +163,16 @@ class ResidualForecaster:
     flow: TrigFlow = field(default_factory=TrigFlow)
     solver_config: SolverConfig = field(default_factory=SolverConfig)
 
-    def _velocity_fn(self, cond: np.ndarray, forcings: np.ndarray):
-        """Bind conditioning into a velocity oracle for the ODE solver."""
-        cond_t = Tensor(cond[None])
-        forc_t = Tensor(forcings[None])
-        sigma_d = self.flow.sigma_d
+    def _network(self, cond: np.ndarray, forc: np.ndarray):
+        """:func:`bound_network` on this model, each call booked as one
+        stacked forward."""
+        network = bound_network(self.model, cond, forc)
 
-        def velocity(x_t: np.ndarray, t: float) -> np.ndarray:
-            count_model_forwards(1)
-            with no_grad():
-                out = self.model(Tensor(x_t[None] / sigma_d),
-                                 Tensor(np.array([t], dtype=np.float32)),
-                                 cond_t, forc_t)
-            return sigma_d * out.numpy()[0]
+        def booked(x_in: np.ndarray, t_in: np.ndarray) -> np.ndarray:
+            count_model_forwards(x_in.shape[0])
+            return network(x_in, t_in)
 
-        return velocity
-
-    def _batched_velocity_fn(self, cond: np.ndarray, forc: np.ndarray):
-        """Batched velocity oracle: ``cond`` / ``forc`` carry one row per
-        ensemble member, so members with *different* conditioning (states
-        diverge after step one; serving coalesces distinct requests) still
-        share a single stacked forward."""
-        cond_t = Tensor(cond)
-        forc_t = Tensor(forc)
-        sigma_d = self.flow.sigma_d
-
-        def velocity(x_t: np.ndarray, t: float) -> np.ndarray:
-            count_model_forwards(x_t.shape[0])
-            with no_grad():
-                out = self.model(Tensor(x_t / sigma_d),
-                                 Tensor(np.full(x_t.shape[0], t,
-                                                dtype=np.float32)),
-                                 cond_t, forc_t)
-            return sigma_d * out.numpy()
-
-        return velocity
-
-    def step(self, state: np.ndarray, time_index: int,
-             rng: np.random.Generator) -> np.ndarray:
-        """One data step: sample a residual by diffusion, add to the state.
-
-        ``state`` is physical ``(H, W, C)``; returns the next physical state.
-        """
-        with _span("sampler.step", category="diffusion",
-                   time_index=time_index):
-            cond = self.state_norm.normalize(state)
-            forcings = _normalized_forcings(self, time_index)
-            solver = DpmSolver2S(self.flow, self.solver_config)
-            residual_std = solver.sample(self._velocity_fn(cond, forcings),
-                                         state.shape, rng)
-            count_data_steps(1)
-            return state + self.residual_norm.denormalize(residual_std)
+        return booked
 
     def step_members(self, states: np.ndarray,
                      time_indices: int | Sequence[int],
@@ -201,31 +183,35 @@ class ResidualForecaster:
         Each member keeps its own generator and its own conditioning row;
         ``time_indices`` may be one shared index (an ensemble advancing in
         lockstep) or one per member (coalesced serving requests at
-        different leads/init times).  Bit-identical to ``M`` sequential
-        :meth:`step` calls.
+        different leads/init times).  A member's next state does not
+        depend on which other members it is stepped with.
         """
         m = len(rngs)
         time_indices = per_member_indices(states, time_indices, m)
         with _span("sampler.step_members", category="diffusion",
                    members=m, time_index=int(time_indices[0])):
             cond, forc = conditioning_rows(self, states, time_indices)
-            solver = DpmSolver2S(self.flow, self.solver_config)
-            residual_std = solver.sample_members(
-                self._batched_velocity_fn(cond, forc), states.shape[1:],
-                list(rngs))
+            residual_std = self.flow.sample_residuals(
+                self._network(cond, forc), states.shape[1:], list(rngs),
+                self.solver_config)
             count_data_steps(m)
             return states + self.residual_norm.denormalize(residual_std)
 
+    def step(self, state: np.ndarray, time_index: int,
+             rng: np.random.Generator | None = None) -> np.ndarray:
+        """One data step of one member: physical ``(H, W, C)`` in and out
+        (``rng`` may be omitted for a parameterization that draws
+        nothing)."""
+        return self.step_members(state[None], time_index, [rng])[0]
+
     def rollout(self, state0: np.ndarray, n_steps: int,
-                rng: np.random.Generator, start_index: int = 0) -> np.ndarray:
-        """Autoregressive forecast: ``(n_steps + 1, H, W, C)`` incl. IC."""
-        states = np.empty((n_steps + 1,) + state0.shape, dtype=np.float32)
-        states[0] = state0
-        with _span("sampler.rollout", category="diffusion", n_steps=n_steps,
-                   start_index=start_index):
-            for i in range(n_steps):
-                states[i + 1] = self.step(states[i], start_index + i, rng)
-        return states
+                rng: np.random.Generator | None = None,
+                start_index: int = 0) -> np.ndarray:
+        """Autoregressive forecast of one member on the caller's
+        generator: ``(n_steps + 1, H, W, C)`` incl. IC."""
+        out = np.empty((1, n_steps + 1) + state0.shape, dtype=np.float32)
+        out[0, 0] = state0
+        return lockstep_rollout(self, out, [rng], start_index)[0]
 
     def perturbed_initial_condition(self, state0: np.ndarray,
                                     rng: np.random.Generator,
@@ -242,8 +228,8 @@ class ResidualForecaster:
 
     def member_rngs(self, n_members: int,
                     seed: int) -> list[np.random.Generator]:
-        """The per-member generator convention shared by both rollout paths
-        and the serving cache (:func:`member_seed`)."""
+        """The per-member generator convention shared with the serving
+        cache (:func:`member_seed`)."""
         return member_rngs(n_members, seed)
 
     def ensemble_rollout(self, state0: np.ndarray, n_steps: int,
@@ -251,16 +237,19 @@ class ResidualForecaster:
                          start_index: int = 0,
                          ic_perturbation: float = 0.0,
                          batched: bool = True) -> np.ndarray:
-        """Ensemble by resampling the diffusion noise per member (and
-        optionally perturbing initial conditions):
+        """Ensemble by resampling the noise per member (and optionally
+        perturbing initial conditions):
         ``(n_members, n_steps + 1, H, W, C)``.
 
         ``batched=True`` (default) advances all members in lockstep through
-        one stacked model forward per solver evaluation; ``batched=False``
-        keeps the original per-member loop.  The two paths are
-        bit-identical (asserted by ``tests/diffusion``): every member's
-        noise comes from its own seeded generator either way.
+        one stacked model forward per network evaluation;
+        ``batched=False`` advances them one at a time through the same
+        path at ``M = 1`` — bit-identical (asserted by
+        ``tests/diffusion``), since every member's noise comes from its
+        own seeded generator either way.
         """
+        if n_members < 1:
+            raise ValueError("n_members must be >= 1")
         rngs = self.member_rngs(n_members, seed)
         out = np.empty((n_members, n_steps + 1) + state0.shape,
                        dtype=np.float32)
@@ -271,11 +260,11 @@ class ResidualForecaster:
                 start = self.perturbed_initial_condition(state0, rng,
                                                          ic_perturbation)
             out[m, 0] = start
-        if not batched:
-            for m, rng in enumerate(rngs):
-                out[m] = self.rollout(out[m, 0], n_steps, rng, start_index)
-            return out
         with _span("sampler.ensemble_rollout", category="diffusion",
                    n_steps=n_steps, members=n_members,
                    start_index=start_index):
-            return lockstep_rollout(self, out, rngs, start_index)
+            if batched:
+                return lockstep_rollout(self, out, rngs, start_index)
+            for m, rng in enumerate(rngs):
+                lockstep_rollout(self, out[m:m + 1], [rng], start_index)
+            return out

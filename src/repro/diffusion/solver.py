@@ -42,6 +42,12 @@ class SolverConfig:
     n_steps: int = 10
     churn: float = 0.0          # fraction of each step re-noised (0 disables)
 
+    def __post_init__(self):
+        if self.n_steps < 1:
+            raise ValueError("n_steps must be >= 1")
+        if self.churn < 0:
+            raise ValueError("churn must be >= 0")
+
 
 class DpmSolver2S:
     """Second-order single-step solver over the TrigFlow PFODE."""
@@ -73,15 +79,14 @@ class DpmSolver2S:
     def sample_members(self, velocity_fn: VelocityFn,
                        shape: tuple[int, ...],
                        rngs: list[np.random.Generator]) -> np.ndarray:
-        """Draw one sample per generator with *stacked* model evaluations.
+        """Draw one sample per generator: integrate each from
+        ``z ~ N(0, sigma_d^2)`` at ``t = pi/2`` to ``t_min`` and denoise
+        the final state, with *stacked* model evaluations.
 
         Per-member randomness (initial noise, churn) comes from each
-        member's own generator — the exact streams ``M`` sequential
-        :meth:`sample` calls would consume — while every velocity
-        evaluation runs once on the ``(M,) + shape`` batch.  Per-row
-        numerics are bit-identical to the sequential path, so this is a
-        pure batching optimization: one model forward serves ``M``
-        ensemble members per solver evaluation.
+        member's own generator while every velocity evaluation runs once
+        on the ``(M,) + shape`` batch.  A row's numerics do not depend on
+        its batch, so a single sample is this call with one generator.
 
         ``velocity_fn`` must accept/return batched ``(M,) + shape`` arrays.
         """
@@ -97,8 +102,8 @@ class DpmSolver2S:
                     delta = self.config.churn * (t - t_next)
                     # The churned time depends only on (t, delta), so every
                     # member lands on the same t; only the noise differs.
-                    # Restacking (not in-place assignment) keeps the same
-                    # dtype promotion as the sequential path.
+                    # Restacking (not in-place assignment) lets the float64
+                    # promotion of the rotation through.
                     t_churned = t
                     rows = []
                     for k, rng in enumerate(rngs):
@@ -112,27 +117,6 @@ class DpmSolver2S:
         t_last = float(ts[-1])
         with _span("solver.denoise", category="diffusion", t=t_last,
                    members=m):
-            v = velocity_fn(x, t_last)
-            return self.flow.denoise_from_velocity(x, v, np.asarray(t_last))
-
-    def sample(self, velocity_fn: VelocityFn, shape: tuple[int, ...],
-               rng: np.random.Generator) -> np.ndarray:
-        """Draw one sample: integrate from ``z ~ N(0, sigma_d^2)`` at
-        ``t = pi/2`` to ``t_min`` and denoise the final state."""
-        x = rng.normal(0.0, self.flow.sigma_d, size=shape).astype(np.float32)
-        ts = self.schedule()
-        for i in range(len(ts) - 1):
-            t, t_next = float(ts[i]), float(ts[i + 1])
-            with _span("solver.step", category="diffusion", i=i, t=t,
-                       t_next=t_next):
-                if self.config.churn > 0 and i > 0:
-                    delta = self.config.churn * (t - t_next)
-                    x, t = self.churn_state(x, t, delta, rng)
-                x = self._step(velocity_fn, x, t, t_next)
-            _count_steps(1)
-        # Final denoise: read x0 off the velocity at the last time.
-        t_last = float(ts[-1])
-        with _span("solver.denoise", category="diffusion", t=t_last):
             v = velocity_fn(x, t_last)
             return self.flow.denoise_from_velocity(x, v, np.asarray(t_last))
 

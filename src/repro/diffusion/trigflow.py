@@ -110,3 +110,23 @@ class TrigFlow:
         the one expression a parameterization owns."""
         x_t, t, v = self.training_pair(x0, rng_t, rng_z)
         return x_t / self.sigma_d, t, v, self.sigma_d
+
+    # -- inference -----------------------------------------------------------
+    def velocity(self, network, x_t: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """The learned PFODE velocity ``sigma_d * F(x_t / sigma_d, t)``;
+        ``network(x_in, t_in)`` is the conditioned call of
+        :func:`repro.diffusion.sampler.bound_network`."""
+        return self.sigma_d * network(x_t / self.sigma_d, t)
+
+    def sample_residuals(self, network, shape: tuple[int, ...], rngs,
+                         solver_config) -> np.ndarray:
+        """One standardized residual per generator, ``(M,) + shape``: the
+        other half of a parameterization's job (``EdmConfig`` and
+        ``PointRegression`` in :mod:`repro.baselines` have the same
+        method).  TrigFlow integrates the PFODE with DPM-Solver++ 2S."""
+        from .solver import DpmSolver2S   # solver.py imports this module
+        m = len(rngs)
+        return DpmSolver2S(self, solver_config).sample_members(
+            lambda x_t, t: self.velocity(
+                network, x_t, np.full(m, t, dtype=np.float32)),
+            shape, rngs)

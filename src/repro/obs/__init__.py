@@ -14,9 +14,9 @@ The measurement substrate behind the reproduction's performance claims
 * :mod:`~repro.obs.flight` — bounded ring-buffer flight recorder dumping
   JSONL post-mortems (on demand and on unhandled exceptions);
 * :mod:`~repro.obs.health` — online anomaly detectors (loss NaN/spike/
-  plateau, gradient explosion, rank stragglers, pipeline-bubble
-  regression, plan-cache collapse, queue saturation, multi-window SLO
-  burn) firing typed, deduplicated alerts;
+  plateau, gradient explosion, forecast-cache collapse, queue
+  saturation, multi-window SLO burn, injected fault classes) firing
+  typed, deduplicated alerts;
 * :mod:`~repro.obs.alerts` — the severity/dedup/cooldown alert funnel;
 * :mod:`~repro.obs.export` — Prometheus text exposition + JSONL event
   export (atomic writes);

@@ -167,9 +167,3 @@ class FlightRecorder:
 
         self._prev_excepthook = prev
         sys.excepthook = hook
-
-    def uninstall_excepthook(self) -> None:
-        """Restore the previous ``sys.excepthook`` (no-op if not installed)."""
-        if self._prev_excepthook is not None:
-            sys.excepthook = self._prev_excepthook
-            self._prev_excepthook = None

@@ -12,14 +12,8 @@ burn while the job is still running.  Detectors:
   when the fast average stops improving on the slow one, training has
   stalled);
 * **gradient norm** — explosion relative to the rolling median;
-* **per-rank stragglers** — busy-time imbalance across tracer span
-  tracks (a rank whose measured stage time sits z MADs above its peers);
-* **pipeline bubble** — observed bubble fraction from trace geometry vs
-  the :mod:`repro.perf` closed-form prediction (a regression means the
-  schedule is losing real overlap, not that the model was wrong);
-* **plan caches** — hit-rate collapse on the :mod:`repro.kernels` plan
-  caches (a serving process that stops hitting its plans is rebuilding
-  gathers on the hot path);
+* **forecast cache** — hit-rate collapse on the serving cache after a
+  version swap;
 * **serve queues** — per-tier depth saturation against the admission
   caps;
 * **SLO burn rate** — multi-window (fast/slow) error-budget burn per
@@ -119,22 +113,12 @@ PLATEAU_MARGIN = 1e-3
 #: Gradient-norm explosion.
 GRAD_WINDOW = 32
 GRAD_EXPLOSION_Z = 10.0
-#: Per-rank stragglers over tracer span tracks.
-STRAGGLER_Z = 4.0
-STRAGGLER_MIN_TRACKS = 3
-#: Observed pipeline bubble may exceed the predicted one by this.
-BUBBLE_MARGIN = 0.10
-#: Kernel plan caches and the serving forecast cache: lookups before a
-#: verdict, and the hit rate under which it is a collapse.
-PLAN_CACHE_MIN_LOOKUPS = 64
-PLAN_CACHE_MIN_HIT_RATE = 0.5
+#: The serving forecast cache: lookups before a verdict, and the hit
+#: rate under which it is a collapse.
 FORECAST_CACHE_MIN_LOOKUPS = 64
 FORECAST_CACHE_MIN_HIT_RATE = 0.3
 #: Serve queue depth, as a fraction of the tier cap.
 QUEUE_SATURATION_FRAC = 0.9
-#: Observed step time may exceed a tuned plan's prediction by this
-#: fraction before the plan is considered stale.
-PLAN_SKEW_FRAC = 0.25
 #: SLO burn (multi-window): tolerated miss fraction; the fast window must
 #: burn ``BURN_FAST_THRESHOLD`` times it while the slow one is over budget.
 SLO_ERROR_BUDGET = 0.05
@@ -163,9 +147,10 @@ class HealthMonitor:
     """Runs the detector suite; fires through one :class:`AlertManager`.
 
     Online observations (``observe_*``) are called from instrumented hot
-    paths while health is enabled; a pull check (``check_*``) runs when
-    whoever holds the monitor calls it with a registry / tracer —
-    :func:`health_check` calls ``check_faults``, nothing else is wired.
+    paths while health is enabled; the two pull checks run when whoever
+    holds the monitor calls them with a registry — :func:`health_check`
+    calls ``check_faults``, ``examples/canary_rollout.py`` calls
+    ``check_forecast_cache``.
     """
 
     def __init__(self, alerts: AlertManager | None = None, clock=None):
@@ -284,72 +269,6 @@ class HealthMonitor:
                 data={"skipped_steps": int(skipped)})
         return counts
 
-    # -- pull: per-rank stragglers from span tracks ------------------------
-    def check_rank_balance(self, tracer, category: str = "pp-1f1b",
-                           track_prefix: str | None = None) -> dict:
-        """Busy-time imbalance across tracks: a rank sitting ``z`` robust
-        deviations above its peers is a straggler."""
-        busy: dict[str, float] = {}
-        for span in tracer.select(category=category,
-                                  track_prefix=track_prefix):
-            busy[span.track] = busy.get(span.track, 0.0) + span.duration
-        if len(busy) >= STRAGGLER_MIN_TRACKS:
-            values = list(busy.values())
-            for track in sorted(busy):
-                z = _robust_z(busy[track], values)
-                if z > STRAGGLER_Z:
-                    self.alerts.fire(
-                        "pp.rank_straggler", "warning", "parallel",
-                        f"track {track!r} busy {busy[track]:.6g}s, "
-                        f"{z:.1f} MADs above its peers", track=track,
-                        data={"busy_s": busy[track], "z": z})
-        return busy
-
-    # -- pull: pipeline bubble vs the perf model ---------------------------
-    def check_pipeline(self, tracer, pp: int, n_micro: int,
-                       schedule: str = "1f1b",
-                       category: str = "pp-1f1b",
-                       track_prefix: str | None = None) -> dict | None:
-        """Observed bubble fraction (trace geometry) vs the closed-form
-        prediction; fires when the schedule loses real overlap."""
-        from ..perf.pipeline_model import bubble_fraction, observed_bubble
-        spans = tracer.select(category=category, track_prefix=track_prefix)
-        if not spans:
-            return None
-        observed = observed_bubble(spans)[0]
-        predicted = bubble_fraction(pp, n_micro, schedule)
-        result = {"observed": observed, "predicted": predicted,
-                  "margin": BUBBLE_MARGIN}
-        if observed > predicted + BUBBLE_MARGIN:
-            self.alerts.fire(
-                "pp.bubble_regression", "warning", "parallel",
-                f"observed bubble {observed:.3f} exceeds predicted "
-                f"{predicted:.3f} by more than {BUBBLE_MARGIN}",
-                data=result)
-        return result
-
-    # -- pull: kernel plan caches ------------------------------------------
-    def check_plan_caches(self, stats: dict | None = None) -> dict:
-        """Hit-rate collapse on the kernel plan caches."""
-        if stats is None:
-            from ..kernels import plan_cache_stats
-            stats = plan_cache_stats()
-        rates = {}
-        for name in sorted(stats):
-            cache = stats[name]
-            lookups = cache["hits"] + cache["misses"]
-            if lookups < PLAN_CACHE_MIN_LOOKUPS:
-                continue
-            rate = cache["hits"] / lookups
-            rates[name] = rate
-            if rate < PLAN_CACHE_MIN_HIT_RATE:
-                self.alerts.fire(
-                    "kernels.plan_cache_collapse", "warning", "kernels",
-                    f"plan cache {name!r} hit rate {rate:.2f} over "
-                    f"{lookups} lookups", cache=name,
-                    data={"hit_rate": rate, "lookups": lookups})
-        return rates
-
     # -- pull: forecast cache ----------------------------------------------
     def check_forecast_cache(self, registry) -> dict | None:
         """Hit-rate collapse on the serving forecast cache.
@@ -378,33 +297,6 @@ class HealthMonitor:
                 f"lookups (occupancy {occupancy:.2f})", data=result)
         return result
 
-    def check_plan_skew(self, registry) -> dict | None:
-        """Measured step time drifting away from the tuned plan.
-
-        Compares ``autotune.observed_step_s`` (set per step by a
-        plan-driven trainer/supervisor) with the plan's
-        ``autotune.predicted_step_s``.  A sustained overshoot beyond
-        ``PLAN_SKEW_FRAC`` means the plan's cost model no longer
-        describes the run (contention, a degraded grid, a stale
-        snapshot) — the fix is a re-tune, so the alert is advisory, not
-        a fault.  Returns ``None`` until both gauges have data.
-        """
-        predicted = registry.gauge("autotune.predicted_step_s").value()
-        observed = registry.gauge("autotune.observed_step_s").value()
-        if predicted <= 0.0 or observed <= 0.0:
-            return None
-        skew = observed / predicted - 1.0
-        result = {"predicted_s": predicted, "observed_s": observed,
-                  "skew_frac": skew}
-        if skew > PLAN_SKEW_FRAC:
-            self.alerts.fire(
-                "autotune.plan_skew", "warning", "autotune",
-                f"observed step {observed:.4g}s is {skew:+.0%} off the "
-                f"plan's {predicted:.4g}s prediction (tolerance "
-                f"{PLAN_SKEW_FRAC:.0%}) — re-tune the layout",
-                data=result)
-        return result
-
     # -- reporting ---------------------------------------------------------
     def report(self) -> dict:
         """JSON-friendly state rollup."""
@@ -420,7 +312,7 @@ class HealthMonitor:
 def health_check(report, monitor, injector=None) -> dict:
     """Fired alerts must reconcile against injected fault classes.
 
-    Runs the monitor's pull detectors over the report's registry, then
+    Runs ``check_faults`` over the report's registry, then
     checks the two directions of alert fidelity against
     :data:`FAULT_CLASSES`:
 

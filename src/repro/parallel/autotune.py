@@ -479,8 +479,8 @@ def resolve_plan(plan, config: AerisConfig, machine: Machine | None,
 
 
 def book_observed_step(seconds: float) -> None:
-    """Book one measured step of a planned run — the observed half of the
-    ``autotune.plan_skew`` comparison (:mod:`repro.obs.health`)."""
+    """Book one measured step of a planned run, to be read beside
+    ``autotune.predicted_step_s``."""
     _gauge("autotune.observed_step_s",
            "last measured training step wall time", seconds)
 

@@ -67,13 +67,6 @@ class RankTopology:
     def dp_group(self, pp: int, wp: int, sp: int) -> list[int]:
         return [self.rank_of(d, pp, wp, sp) for d in range(self.dp)]
 
-    def pp_neighbors(self, dp: int, pp: int, wp: int, sp: int
-                     ) -> tuple[int | None, int | None]:
-        """(previous-stage rank, next-stage rank) for PP send/recv."""
-        prev_rank = self.rank_of(dp, pp - 1, wp, sp) if pp > 0 else None
-        next_rank = self.rank_of(dp, pp + 1, wp, sp) if pp < self.pp - 1 else None
-        return prev_rank, next_rank
-
     def model_parallel_group(self, dp: int) -> list[int]:
         """All ranks of one model instance (shares the t-seed, per the
         paper's noise-seeding rule)."""

@@ -72,10 +72,6 @@ class WindowSharding:
     def windows_per_rank(self) -> int:
         return (self.n_win_h * self.n_win_w) // self.wp
 
-    def owned_windows(self, rank: int) -> np.ndarray:
-        """``(windows_per_rank, 2)`` window-grid coordinates, row-major."""
-        return self._owned[rank]
-
     # -- shard / unshard ------------------------------------------------------
     def shard(self, image: np.ndarray) -> list[np.ndarray]:
         """``(B, H, W, D)`` -> per-rank ``(B, n_own, wh*ww, D)`` stacks

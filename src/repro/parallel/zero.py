@@ -107,10 +107,3 @@ class ZeroOptimizer:
     # -- accounting ------------------------------------------------------------
     def state_bytes_on(self, shard: int) -> int:
         return self.shard_optimizers[shard].state_bytes()
-
-    def max_state_bytes(self) -> int:
-        return max(self.state_bytes_on(s) for s in range(self.dp))
-
-    def replicated_state_bytes(self) -> int:
-        """What a non-sharded optimizer would hold on every rank."""
-        return sum(2 * p.data.nbytes for p in self.params)

@@ -20,21 +20,18 @@ books per-tier latency against each tier's objective.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ..diffusion import SolverConfig, TrigFlow
-from ..diffusion.sampler import (Normalizer, conditioning_rows,
-                                 count_data_steps, count_model_forwards,
-                                 lockstep_rollout, member_rngs,
+from ..diffusion import ResidualForecaster, SolverConfig
+from ..diffusion.sampler import (conditioning_rows, count_data_steps,
                                  per_member_indices)
 from ..obs.profile import count as _count
 from ..obs.profile import health as _obs_health
 from ..obs.profile import observe as _observe
 from ..obs.profile import span as _span
-from ..tensor import Tensor, no_grad
 from .api import Rejected
 
 __all__ = ["TierPolicy", "TierRouter", "SloTracker", "OneStepForecaster",
@@ -158,20 +155,13 @@ class SloTracker:
 
 
 @dataclass
-class OneStepForecaster:
+class OneStepForecaster(ResidualForecaster):
     """The ``fast`` tier's stepper: one consistency-student evaluation per
     data step (TrigFlow jump from pure noise at ``t = π/2`` straight to
-    ``t = 0``), with the same stepping surface as
-    :class:`~repro.diffusion.ResidualForecaster` — per-member seeded
-    generators, stacked forwards, physical units in and out.
+    ``t = 0``).  Everything but the data step is
+    :class:`~repro.diffusion.ResidualForecaster`'s — fields, per-member
+    seeded generators, rollouts; ``solver_config`` is not read.
     """
-
-    model: object
-    state_norm: Normalizer
-    residual_norm: Normalizer
-    forcing_fn: object
-    forcing_norm: Normalizer | None = None
-    flow: TrigFlow = field(default_factory=TrigFlow)
 
     def step_members(self, states: np.ndarray,
                      time_indices: int | Sequence[int],
@@ -179,30 +169,15 @@ class OneStepForecaster:
         """One data step for ``M`` members in one student forward."""
         m = len(rngs)
         time_indices = per_member_indices(states, time_indices, m)
-        sigma_d = self.flow.sigma_d
+        flow = self.flow
         with _span("sampler.one_step", category="diffusion", members=m,
                    time_index=int(time_indices[0])):
             cond, forc = conditioning_rows(self, states, time_indices)
-            z = np.stack([rng.normal(0.0, sigma_d, size=states.shape[1:])
+            z = np.stack([rng.normal(0.0, flow.sigma_d,
+                                     size=states.shape[1:])
                           .astype(np.float32) for rng in rngs])
             t = np.full(m, np.pi / 2, dtype=np.float32)
-            count_model_forwards(m)
-            with no_grad():
-                out = self.model(Tensor(z / sigma_d), Tensor(t),
-                                 Tensor(cond), Tensor(forc))
-            residual_std = self.flow.denoise_from_velocity(
-                z, sigma_d * out.numpy(), t)
+            residual_std = flow.denoise_from_velocity(
+                z, flow.velocity(self._network(cond, forc), z, t), t)
             count_data_steps(m)
             return states + self.residual_norm.denormalize(residual_std)
-
-    def ensemble_rollout(self, state0: np.ndarray, n_steps: int,
-                         n_members: int, seed: int = 0,
-                         start_index: int = 0) -> np.ndarray:
-        """``(n_members, n_steps + 1, H, W, C)`` one-step-student ensemble."""
-        out = np.empty((n_members, n_steps + 1) + state0.shape,
-                       dtype=np.float32)
-        out[:, 0] = state0
-        with _span("sampler.one_step_rollout", category="diffusion",
-                   n_steps=n_steps, members=n_members):
-            return lockstep_rollout(self, out, member_rngs(n_members, seed),
-                                    start_index)

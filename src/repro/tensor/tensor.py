@@ -142,9 +142,6 @@ class Tensor:
         grad = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.dtype}{grad})"
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False)
-
     def copy(self) -> "Tensor":
         return Tensor(self.data.copy(), requires_grad=False)
 

@@ -94,8 +94,10 @@ class Trainer:
 
     ``flow`` is the parameterization, the one thing a baseline changes:
     any value with ``network_pair(residual, rng_t, rng_z) -> (x_in, t_in,
-    target, out_scale)`` (:class:`TrigFlow`, and ``EdmConfig`` /
-    ``PointRegression`` in :mod:`repro.baselines`)."""
+    target, out_scale)`` for training and ``sample_residuals(network,
+    shape, rngs, solver_config)`` for :meth:`forecaster`
+    (:class:`TrigFlow`, and ``EdmConfig`` / ``PointRegression`` in
+    :mod:`repro.baselines`)."""
 
     def __init__(self, model: Aeris, archive: SyntheticReanalysis,
                  config: TrainerConfig = TrainerConfig(),
@@ -371,7 +373,9 @@ class Trainer:
 
     def forecaster(self, solver_config: SolverConfig = SolverConfig(),
                    use_ema: bool = True) -> ResidualForecaster:
-        """The forecaster this parameterization samples with."""
+        """The forecaster this parameterization samples with
+        (``solver_config`` is the TrigFlow solver's; the baselines'
+        samplers do not read it)."""
         return ResidualForecaster(
             model=self.inference_model(use_ema),
             state_norm=self.state_norm,

@@ -115,8 +115,8 @@ class TestDeterministicBaseline:
     def test_rollout_is_deterministic(self, det, tiny_archive):
         fc = det.forecaster()
         start = int(tiny_archive.split_indices("test")[0])
-        a = fc.rollout(tiny_archive.fields[start], 3, start)
-        b = fc.rollout(tiny_archive.fields[start], 3, start)
+        a = fc.rollout(tiny_archive.fields[start], 3, start_index=start)
+        b = fc.rollout(tiny_archive.fields[start], 3, start_index=start)
         np.testing.assert_array_equal(a, b)
 
     def test_beats_persistence_one_step_t2m(self, det, tiny_archive):

@@ -49,7 +49,8 @@ def golden_record(archive) -> dict:
         fc = trainer.forecaster()
         forecast = (fc.ensemble_rollout(state0, n_steps=1, n_members=2,
                                         seed=0, start_index=start)
-                    if name == "edm" else fc.rollout(state0, 2, start))
+                    if name == "edm"
+                    else fc.rollout(state0, 2, start_index=start))
         record[name] = {
             "history": [repr(float(v)) for v in trainer.history],
             "weights_sha256": _sha256(

@@ -7,6 +7,7 @@ import pytest
 
 from repro.data import ShardedWindowLoader, TOY_SET
 from repro.eval import zonal_power_spectrum
+from tests.data.test_era5_loader import reassemble
 
 
 class TestSpectralStructure:
@@ -68,5 +69,5 @@ class TestStorageCompat:
         mm = np.load(path, mmap_mode="r")
         loader = ShardedWindowLoader(mm, window=(4, 4), wp_grid=(2, 2))
         shards = [loader.load(2, r) for r in range(4)]
-        np.testing.assert_array_equal(loader.reassemble(shards),
+        np.testing.assert_array_equal(reassemble(loader, shards),
                                       tiny_archive.fields[2])

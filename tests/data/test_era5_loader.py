@@ -132,6 +132,18 @@ class TestRoundRobin:
         assert np.all(a[:-1, :] != a[1:, :])
 
 
+def reassemble(loader: ShardedWindowLoader, shards) -> np.ndarray:
+    """Rebuild the full image from all ranks' shards: the oracle for
+    "the shards cover the image exactly"."""
+    wh, ww = loader.window
+    h, w = loader.grid_shape
+    full = np.empty((h, w, loader.channels), dtype=np.float32)
+    for rank, shard in enumerate(shards):
+        for n, (i, j) in enumerate(loader.windows_for_rank(rank)):
+            full[i * wh:(i + 1) * wh, j * ww:(j + 1) * ww, :] = shard[n]
+    return full
+
+
 class TestShardedLoader:
     @pytest.fixture()
     def loader(self, tiny_archive):
@@ -140,7 +152,7 @@ class TestShardedLoader:
 
     def test_shards_cover_image_exactly(self, loader, tiny_archive):
         shards = [loader.load(5, rank) for rank in range(4)]
-        full = loader.reassemble(shards)
+        full = reassemble(loader, shards)
         np.testing.assert_array_equal(full, tiny_archive.fields[5])
 
     def test_each_rank_reads_one_over_wp(self, loader):

@@ -2,10 +2,16 @@
 data, the PFODE integration must transport noise to the data distribution."""
 
 import numpy as np
+import pytest
 
 from repro.diffusion import DpmSolver2S, SolverConfig, TrigFlow
 
 flow = TrigFlow()
+
+
+def sample(solver, velocity_fn, shape, rng):
+    """One sample: the stacked entry point with one generator."""
+    return solver.sample_members(velocity_fn, shape, [rng])[0]
 
 
 def gaussian_velocity_fn(mu: float, s: float):
@@ -22,6 +28,21 @@ def gaussian_velocity_fn(mu: float, s: float):
         e_z = si * resid / denom
         return c * e_z - si * e_x0
     return velocity
+
+
+class TestSolverConfig:
+    def test_zero_steps_rejected_at_construction(self):
+        """``schedule()`` cannot run an empty grid (it died there with an
+        ``IndexError``); the config says so first."""
+        with pytest.raises(ValueError, match="n_steps"):
+            SolverConfig(n_steps=0)
+        assert len(DpmSolver2S(flow, SolverConfig(n_steps=1)).schedule()) == 1
+
+    def test_negative_churn_rejected_at_construction(self):
+        """A negative churn silently disabled churn."""
+        with pytest.raises(ValueError, match="churn"):
+            SolverConfig(churn=-1.0)
+        assert SolverConfig(churn=0.0).churn == 0.0
 
 
 class TestSchedule:
@@ -46,7 +67,7 @@ class TestGaussianTransport:
         mu, s = 2.0, 0.5
         solver = DpmSolver2S(flow, SolverConfig(n_steps=20))
         rng = np.random.default_rng(0)
-        samples = solver.sample(gaussian_velocity_fn(mu, s), (20_000,), rng)
+        samples = sample(solver, gaussian_velocity_fn(mu, s), (20_000,), rng)
         np.testing.assert_allclose(samples.mean(), mu, atol=0.05)
         np.testing.assert_allclose(samples.std(), s, atol=0.05)
 
@@ -54,10 +75,10 @@ class TestGaussianTransport:
         mu, s = -1.0, 1.5
         rng_a = np.random.default_rng(1)
         rng_b = np.random.default_rng(1)
-        coarse = DpmSolver2S(flow, SolverConfig(n_steps=4)).sample(
-            gaussian_velocity_fn(mu, s), (20_000,), rng_a)
-        fine = DpmSolver2S(flow, SolverConfig(n_steps=24)).sample(
-            gaussian_velocity_fn(mu, s), (20_000,), rng_b)
+        coarse = sample(DpmSolver2S(flow, SolverConfig(n_steps=4)),
+                        gaussian_velocity_fn(mu, s), (20_000,), rng_a)
+        fine = sample(DpmSolver2S(flow, SolverConfig(n_steps=24)),
+                      gaussian_velocity_fn(mu, s), (20_000,), rng_b)
         assert abs(fine.std() - s) <= abs(coarse.std() - s) + 0.02
 
     def test_churn_preserves_distribution(self):
@@ -65,22 +86,22 @@ class TestGaussianTransport:
         mu, s = 0.5, 1.0
         solver = DpmSolver2S(flow, SolverConfig(n_steps=20, churn=0.3))
         rng = np.random.default_rng(2)
-        samples = solver.sample(gaussian_velocity_fn(mu, s), (20_000,), rng)
+        samples = sample(solver, gaussian_velocity_fn(mu, s), (20_000,), rng)
         np.testing.assert_allclose(samples.mean(), mu, atol=0.07)
         np.testing.assert_allclose(samples.std(), s, atol=0.07)
 
     def test_different_noise_gives_different_samples(self):
         solver = DpmSolver2S(flow, SolverConfig(n_steps=10))
         vfn = gaussian_velocity_fn(0.0, 1.0)
-        a = solver.sample(vfn, (100,), np.random.default_rng(3))
-        b = solver.sample(vfn, (100,), np.random.default_rng(4))
+        a = sample(solver, vfn, (100,), np.random.default_rng(3))
+        b = sample(solver, vfn, (100,), np.random.default_rng(4))
         assert np.abs(a - b).max() > 0.1
 
     def test_deterministic_given_seed(self):
         solver = DpmSolver2S(flow, SolverConfig(n_steps=10, churn=0.2))
         vfn = gaussian_velocity_fn(0.0, 1.0)
-        a = solver.sample(vfn, (50,), np.random.default_rng(5))
-        b = solver.sample(vfn, (50,), np.random.default_rng(5))
+        a = sample(solver, vfn, (50,), np.random.default_rng(5))
+        b = sample(solver, vfn, (50,), np.random.default_rng(5))
         np.testing.assert_array_equal(a, b)
 
 

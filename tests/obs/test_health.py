@@ -7,7 +7,7 @@ import pytest
 
 from repro import obs
 from repro.obs import (FAULT_ALERT_KINDS, FAULT_CLASSES, AlertManager,
-                       HealthMonitor, MetricsRegistry, StepClock, Tracer)
+                       HealthMonitor, MetricsRegistry, StepClock)
 from repro.obs.health import (BURN_SLOW_WINDOW, GRAD_WINDOW, LOSS_WINDOW,
                               PLATEAU_STEPS)
 from repro.resilience.faults import SDC_SITE_KINDS
@@ -203,56 +203,6 @@ class TestPullDetectors:
         mon.check_faults(reg)
         assert mon.alerts.kinds() == {"train.loss_nonfinite"}
 
-    def test_rank_straggler_from_span_tracks(self):
-        tracer = Tracer(clock=StepClock())
-        for rank in range(4):
-            busy = 10.0 if rank == 3 else 1.0
-            tracer.add_span("stage", 0.0, busy, track=f"pp{rank}",
-                            category="pp-1f1b")
-        mon = _monitor()
-        busy = mon.check_rank_balance(tracer)
-        assert busy["pp3"] == 10.0
-        alerts = mon.alerts.select("pp.rank_straggler")
-        assert [dict(a.labels)["track"] for a in alerts] == ["pp3"]
-
-    def test_rank_straggler_needs_min_tracks(self):
-        tracer = Tracer(clock=StepClock())
-        tracer.add_span("stage", 0.0, 1.0, track="pp0", category="pp-1f1b")
-        tracer.add_span("stage", 0.0, 9.0, track="pp1", category="pp-1f1b")
-        mon = _monitor()
-        mon.check_rank_balance(tracer)
-        assert mon.alerts.kinds() == set()
-
-    def test_pipeline_bubble_regression(self):
-        # Two tracks over [0, 10]: busy 2 of 20 slots -> bubble 0.9,
-        # far above the 1F1B closed form for pp=2, M=8.
-        tracer = Tracer(clock=StepClock())
-        tracer.add_span("F", 0.0, 1.0, track="pp0", category="pp-1f1b")
-        tracer.add_span("F", 9.0, 10.0, track="pp1", category="pp-1f1b")
-        mon = _monitor()
-        result = mon.check_pipeline(tracer, pp=2, n_micro=8)
-        assert result["observed"] > result["predicted"] + 0.10
-        assert mon.alerts.kinds() == {"pp.bubble_regression"}
-
-    def test_pipeline_no_spans_returns_none(self):
-        mon = _monitor()
-        assert mon.check_pipeline(Tracer(), pp=2, n_micro=8) is None
-
-    def test_plan_cache_collapse(self):
-        stats = {
-            "hot": {"size": 3, "maxsize": 8, "hits": 90, "misses": 10,
-                    "evictions": 0},
-            "cold": {"size": 8, "maxsize": 8, "hits": 10, "misses": 90,
-                     "evictions": 40},
-            "fresh": {"size": 1, "maxsize": 8, "hits": 0, "misses": 2,
-                      "evictions": 0},  # under min lookups: ignored
-        }
-        mon = _monitor()
-        rates = mon.check_plan_caches(stats)
-        assert rates == {"hot": 0.9, "cold": 0.1}
-        alerts = mon.alerts.select("kernels.plan_cache_collapse")
-        assert [dict(a.labels)["cache"] for a in alerts] == ["cold"]
-
     def test_forecast_cache_collapse_after_version_swap(self):
         """A version swap cold-starts the content-addressed cache: the
         hit rate collapses and the pull detector pages before SLO burn
@@ -279,37 +229,6 @@ class TestPullDetectors:
         quiet.counter("serve.cache").inc(3, event="miss")
         assert mon.check_forecast_cache(quiet) is None
         assert mon.alerts.kinds() == set()
-
-    def test_plan_skew_fires_on_overshoot(self):
-        reg = MetricsRegistry()
-        reg.gauge("autotune.predicted_step_s").set(0.1)
-        reg.gauge("autotune.observed_step_s").set(0.2)
-        mon = _monitor()
-        result = mon.check_plan_skew(reg)
-        assert result["skew_frac"] == pytest.approx(1.0)
-        alerts = mon.alerts.select("autotune.plan_skew")
-        assert len(alerts) == 1 and alerts[0].severity == "warning"
-        assert "re-tune" in alerts[0].message
-
-    def test_plan_skew_quiet_within_tolerance_or_without_data(self):
-        reg = MetricsRegistry()
-        reg.gauge("autotune.predicted_step_s").set(0.1)
-        reg.gauge("autotune.observed_step_s").set(0.11)
-        mon = _monitor()
-        assert mon.check_plan_skew(reg)["skew_frac"] == pytest.approx(0.1)
-        assert mon.alerts.kinds() == set()
-        # An untuned run never sets the gauges: no verdict at all.
-        assert mon.check_plan_skew(MetricsRegistry()) is None
-        # Faster than predicted is fine too (negative skew).
-        fast = MetricsRegistry()
-        fast.gauge("autotune.predicted_step_s").set(0.2)
-        fast.gauge("autotune.observed_step_s").set(0.05)
-        assert mon.check_plan_skew(fast)["skew_frac"] < 0
-        assert mon.alerts.kinds() == set()
-
-    def test_plan_skew_is_advisory_not_a_fault(self):
-        from repro.obs.health import FAULT_ALERT_KINDS
-        assert "autotune.plan_skew" not in FAULT_ALERT_KINDS
 
     def test_report_shape(self):
         mon = _monitor()

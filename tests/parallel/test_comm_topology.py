@@ -113,13 +113,6 @@ class TestRankTopology:
                     seen.update(topo.sp_group(dp, pp, wp))
         assert seen == set(range(topo.world_size))
 
-    def test_pp_neighbors(self):
-        topo = RankTopology(dp=1, pp=3, wp_grid=(1, 1), sp=1)
-        prev, nxt = topo.pp_neighbors(0, 0, 0, 0)
-        assert prev is None and nxt == topo.rank_of(0, 1, 0, 0)
-        prev, nxt = topo.pp_neighbors(0, 2, 0, 0)
-        assert nxt is None and prev == topo.rank_of(0, 1, 0, 0)
-
     def test_model_parallel_group_size(self):
         topo = RankTopology(dp=3, pp=2, wp_grid=(2, 2), sp=2)
         group = topo.model_parallel_group(1)

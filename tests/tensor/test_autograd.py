@@ -194,8 +194,10 @@ class TestGraphMechanics:
         assert not y.requires_grad
 
     def test_detach(self):
+        """Re-wrapping the array is the stop-gradient (what the
+        distillation target and every sampler input rely on)."""
         x = Tensor([1.0], requires_grad=True)
-        y = x.detach() * 3 + x
+        y = Tensor(x.data) * 3 + x
         y.backward()
         np.testing.assert_allclose(x.grad, [1.0])
 

@@ -49,3 +49,9 @@ def test_every_line_parses_and_carries_the_keys():
         assert all(isinstance(test_id, str) and seconds > 0
                    for test_id, seconds in slowest)
         assert last["simtest_scenarios_per_min"][side] > 0
+    # PR 23's line only: the EDM baseline's 16-member one-step ensemble,
+    # sequential per member (parent) vs stacked (change)
+    pr23 = next(row for row in map(json.loads, lines)
+                if row["commit"] == "PR 23")
+    assert 0 < pr23["edm_ensemble16_ms"]["change"] \
+        < pr23["edm_ensemble16_ms"]["parent"]
