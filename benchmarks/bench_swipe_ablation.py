@@ -12,8 +12,14 @@ from conftest import write_result
 
 from repro.data import ShardedWindowLoader
 from repro.model import TABLE_II
-from repro.parallel import DomainSharding, RankTopology, SimCluster, WindowSharding
-from repro.parallel.window_parallel import shift_owner_change_bytes
+from repro.parallel import (
+    DomainSharding,
+    RankTopology,
+    SimCluster,
+    WindowSharding,
+    shift_owner_change_bytes,
+)
+from repro.parallel.domain_parallel import blocked_assignment
 from repro.perf import (
     AURORA,
     CommModel,
@@ -26,14 +32,6 @@ from repro.perf import (
 )
 
 CFG = TABLE_II["40B"]
-
-
-def blocked_assignment(n_win_h, n_win_w, wp_grid):
-    """Contiguous-block window assignment (the alternative to round-robin)."""
-    a, b = wp_grid
-    rows = np.arange(n_win_h) * a // n_win_h
-    cols = np.arange(n_win_w) * b // n_win_w
-    return (rows[:, None] * b + cols[None, :]).astype(np.int64)
 
 
 def run_ablations():
@@ -58,18 +56,11 @@ def run_ablations():
     report["io"] = {"full_read_KB": full / 1e3,
                     "per_rank_KB": int(loader.bytes_read[0]) / 1e3}
     # -- round-robin vs blocked shift traffic ----------------------------------
-    sharding_rr = WindowSharding((24, 48), (4, 4), (2, 2))
-    moved_rr = shift_owner_change_bytes(sharding_rr, 4)
-
-    class _Blocked(WindowSharding):
-        def __init__(self):
-            super().__init__((24, 48), (4, 4), (2, 2))
-            self.assignment = blocked_assignment(self.n_win_h, self.n_win_w,
-                                                 (2, 2))
-            self._owned = [np.argwhere(self.assignment == r)
-                           for r in range(self.wp)]
-
-    moved_blocked = shift_owner_change_bytes(_Blocked(), 4)
+    moved_rr = shift_owner_change_bytes(
+        WindowSharding((24, 48), (4, 4), (2, 2)), 4)
+    moved_blocked = shift_owner_change_bytes(
+        WindowSharding((24, 48), (4, 4), (2, 2),
+                       blocked_assignment(6, 12, (2, 2))), 4)
     report["shift"] = {"round_robin_bytes": moved_rr,
                        "blocked_bytes": moved_blocked}
     # -- schedules ------------------------------------------------------------
@@ -104,10 +95,8 @@ def run_ablations():
     wp = WindowSharding((24, 48), (4, 4), (2, 2))
     dom = DomainSharding((24, 48), (4, 4), (2, 2))
     cl_wp, cl_dom = SimCluster(4), SimCluster(4)
-    wp.parallel_apply(image, lambda s: s, cluster=cl_wp,
-                      wp_group=[0, 1, 2, 3], shifted=True)
-    dom.apply_windowed(image, lambda s: s, shifted=True, cluster=cl_dom,
-                       group=[0, 1, 2, 3])
+    wp.parallel_apply(image, lambda s: s, cluster=cl_wp, shifted=True)
+    dom.apply_windowed(image, lambda s: s, shifted=True, cluster=cl_dom)
     report["domain"] = {
         "wp_shift_bytes": cl_wp.stats.total_bytes(),
         "halo_shift_bytes": cl_dom.stats.total_bytes(),

@@ -330,8 +330,7 @@ def comm_check(report, stats: CommStats,
                rel_tol: float = 0.05) -> dict:
     """Registry byte counters vs. ``CommStats``; optionally vs. an
     analytical prediction ``{primitive: bytes}`` (e.g. from
-    :class:`repro.perf.comm_model.CommModel` or
-    ``SwipeEngine.attention_alltoall_bytes``).
+    :class:`repro.perf.comm_model.CommModel`).
 
     A :class:`repro.obs.TraceReport` check: both sides meter the same
     collectives, so the first comparison must agree exactly.

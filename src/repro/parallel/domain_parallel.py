@@ -23,16 +23,30 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..kernels import plan_merge, plan_partition, window_plan
 from ..model.windows import window_grid_shape
+from ..tensor import Tensor
 from .comm import SimCluster
+from .window_parallel import WindowSharding
 
-__all__ = ["DomainSharding"]
+__all__ = ["DomainSharding", "blocked_assignment"]
+
+
+def blocked_assignment(n_win_h: int, n_win_w: int, tile_grid: tuple[int, int]
+                       ) -> np.ndarray:
+    """Contiguous-block window assignment (the alternative to round-robin):
+    rank of each window, ``(n_win_h, n_win_w)``."""
+    a, b = tile_grid
+    rows = np.arange(n_win_h) * a // n_win_h
+    cols = np.arange(n_win_w) * b // n_win_w
+    return (rows[:, None] * b + cols[None, :]).astype(np.int64)
 
 
 class DomainSharding:
-    """Contiguous spatial tiling of ``(B, H, W, D)`` over a rank grid.
+    """Contiguous spatial tiling of ``(B, H, W, D)`` over a rank grid: the
+    blocked owner table over the window plan (``windows``).
 
-    Tiles must align with the window grid so that unshifted windows never
+    Tiles align with the window grid so that unshifted windows never
     straddle tiles; the *shifted* pass then needs a halo of half a window
     from the south and east neighbours (cyclic), which is the exchange the
     paper says WP avoids.
@@ -40,34 +54,22 @@ class DomainSharding:
 
     def __init__(self, grid: tuple[int, int], window: tuple[int, int],
                  tile_grid: tuple[int, int]):
-        self.grid = grid
         self.window = window
-        self.tile_grid = tile_grid
-        n_win_h, n_win_w = window_grid_shape(grid[0], grid[1], window)
-        if n_win_h % tile_grid[0] or n_win_w % tile_grid[1]:
-            raise ValueError("window grid must divide evenly into tiles")
         self.tile_h = grid[0] // tile_grid[0]
         self.tile_w = grid[1] // tile_grid[1]
-        self.n_ranks = tile_grid[0] * tile_grid[1]
-
-    def tile_slices(self, rank: int) -> tuple[slice, slice]:
-        ti, tj = divmod(rank, self.tile_grid[1])
-        return (slice(ti * self.tile_h, (ti + 1) * self.tile_h),
-                slice(tj * self.tile_w, (tj + 1) * self.tile_w))
+        self.windows = WindowSharding(grid, window, tile_grid, blocked_assignment(
+            *window_grid_shape(grid[0], grid[1], window), tile_grid))
+        # A rank's windows, merged, are its tile: a window plan of its own.
+        self._tile = window_plan((self.tile_h, self.tile_w), window)
 
     def shard(self, image: np.ndarray) -> list[np.ndarray]:
-        return [image[:, si, sj, :].copy()
-                for si, sj in map(self.tile_slices, range(self.n_ranks))]
+        """Per-rank contiguous ``(B, tile_h, tile_w, D)`` tiles."""
+        return [plan_merge(Tensor(stack), self._tile).data
+                for stack in self.windows.shard(image)]
 
     def unshard(self, shards: list[np.ndarray]) -> np.ndarray:
-        b = shards[0].shape[0]
-        d = shards[0].shape[-1]
-        out = np.empty((b, self.grid[0], self.grid[1], d),
-                       dtype=shards[0].dtype)
-        for rank, shard in enumerate(shards):
-            si, sj = self.tile_slices(rank)
-            out[:, si, sj, :] = shard
-        return out
+        return self.windows.unshard(
+            [plan_partition(Tensor(tile), self._tile).data for tile in shards])
 
     # -- halo machinery -----------------------------------------------------
     def halo_bytes_per_exchange(self, batch: int, channels: int,
@@ -80,46 +82,24 @@ class DomainSharding:
         east = hw * self.tile_h
         corner = hh * hw
         per_rank = (south + east + corner) * batch * channels * itemsize
-        return per_rank * self.n_ranks
+        return per_rank * self.windows.wp
 
     def apply_windowed(self, image: np.ndarray, window_fn,
                        shifted: bool = False,
-                       cluster: SimCluster | None = None,
-                       group: list[int] | None = None) -> np.ndarray:
+                       cluster: SimCluster | None = None) -> np.ndarray:
         """Windowed operation under domain sharding.
 
         For the shifted pass each rank gathers halos from its (cyclic)
         south/east neighbours, processes the windows it owns in the shifted
-        frame, and the results are re-assembled.  Functionally verified to
-        equal unsharded shifted-window attention.
+        frame, and the results are re-assembled; a cluster meters the halo
+        in and out.  Functionally verified to equal unsharded
+        shifted-window attention.
         """
-        sh, sw = (self.window[0] // 2, self.window[1] // 2) if shifted \
-            else (0, 0)
-        work = np.roll(image, (-sh, -sw), axis=(1, 2)) if shifted else image
-        if shifted and cluster is not None and group is not None:
-            moved = self.halo_bytes_per_exchange(
-                image.shape[0], image.shape[-1], image.dtype.itemsize)
-            cluster.stats.add("p2p", "inter", moved)
-        shards = self.shard(work)
-        out_shards = []
-        wh, ww = self.window
-        for shard in shards:
-            b, th, tw, d = shard.shape
-            nh, nw = th // wh, tw // ww
-            windows = shard.reshape(b, nh, wh, nw, ww, d) \
-                .transpose(0, 1, 3, 2, 4, 5).reshape(b, nh * nw, wh * ww, d)
-            processed = window_fn(windows)
-            dd = processed.shape[-1]
-            back = processed.reshape(b, nh, nw, wh, ww, dd) \
-                .transpose(0, 1, 3, 2, 4, 5).reshape(b, th, tw, dd)
-            out_shards.append(back)
-        out = self.unshard(out_shards)
-        if shifted:
-            out = np.roll(out, (sh, sw), axis=(1, 2))
-            if cluster is not None and group is not None:
-                moved = self.halo_bytes_per_exchange(
-                    image.shape[0], out.shape[-1], out.dtype.itemsize)
-                cluster.stats.add("p2p", "inter", moved)
+        out = self.windows.parallel_apply(image, window_fn, shifted=shifted)
+        if shifted and cluster is not None:
+            for moved in (image, out):
+                cluster.stats.add("p2p", "inter", self.halo_bytes_per_exchange(
+                    image.shape[0], moved.shape[-1], moved.dtype.itemsize))
         return out
 
     def resharding_points_per_block(self, shifted: bool) -> int:

@@ -16,8 +16,9 @@ Execution order inside one process is sequential; the 1F1B/GPipe *timing*
 (bubble fraction) is modeled in :mod:`repro.perf.pipeline_model`, which is
 also where the schedules live.
 
-Tracing (:mod:`repro.obs`): when enabled, every stage pass is timed as an
-execution span, and after each ``forward_backward`` the measured mean
+Tracing (:mod:`repro.obs`): when enabled, every stage pass is an
+``obs.span`` (category ``pp-exec``), and after each ``forward_backward`` the
+measured mean
 stage costs are replayed through
 :func:`repro.perf.pipeline_model.simulate_timeline` onto **per-rank
 1F1B tracks** (category ``pp-1f1b``) — the exported Chrome trace then
@@ -32,59 +33,11 @@ import numpy as np
 
 from ..model import Aeris
 from ..obs.profile import count as _count, gauge as _gauge, get_tracer
+from ..obs.profile import span as _span
 from ..tensor import Tensor
 from .comm import SimCluster
 
 __all__ = ["AerisPipeline", "pipeline_check"]
-
-
-class _NullTimer:
-    """Disabled fast path: ``timer(phase, stage)`` is a no-op context."""
-
-    __slots__ = ()
-
-    def __call__(self, phase: str, stage: int) -> "_NullTimer":
-        return self
-
-    def __enter__(self) -> "_NullTimer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        return None
-
-
-_NO_TIMER = _NullTimer()
-
-
-class _StageTimer:
-    """Times one (phase, stage) pass per use; also emits execution spans."""
-
-    __slots__ = ("tracer", "name", "micro", "durations", "_phase", "_stage",
-                 "_start")
-
-    def __init__(self, tracer, name: str):
-        self.tracer = tracer
-        self.name = name
-        self.micro = 0
-        self.durations: dict[str, list[float]] = {"F": [], "B": []}
-
-    def __call__(self, phase: str, stage: int) -> "_StageTimer":
-        self._phase = phase
-        self._stage = stage
-        return self
-
-    def __enter__(self) -> "_StageTimer":
-        self._start = self.tracer.clock()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        end = self.tracer.clock()
-        self.durations[self._phase].append(end - self._start)
-        self.tracer.add_span(
-            f"{self._phase} s{self._stage} m{self.micro}", self._start, end,
-            track=f"{self.name}/exec", category="pp-exec",
-            phase=self._phase, stage=self._stage, micro=self.micro)
-        return None
 
 
 class AerisPipeline:
@@ -138,28 +91,33 @@ class AerisPipeline:
             raise ValueError(f"batch {batch} not divisible into {n_micro} "
                              "microbatches")
         tracer = get_tracer()
-        timer = _StageTimer(tracer, self.name) if tracer is not None \
-            else _NO_TIMER
+        first = len(tracer.spans) if tracer is not None else 0
         mb = batch // n_micro
         total_loss = 0.0
         for m in range(n_micro):
-            if tracer is not None:
-                timer.micro = m
             sl = slice(m * mb, (m + 1) * mb)
             total_loss += self._one_microbatch(
                 x_t[sl], t[sl], cond[sl], forc[sl],
-                lambda pred: loss_fn(pred, sl), timer)
+                lambda pred: loss_fn(pred, sl), m)
         if tracer is not None:
-            self._replay_1f1b(tracer, timer, n_micro)
+            self._replay_1f1b(tracer, tracer.spans[first:], n_micro)
         return total_loss
 
+    def _pass(self, phase: str, stage: int, micro: int):
+        """The execution span of one (phase, stage) pass of a microbatch."""
+        return _span(f"{phase} s{stage} m{micro}", track=f"{self.name}/exec",
+                     category="pp-exec", phase=phase, stage=stage, micro=micro)
+
     # -- 1F1B timeline replay ----------------------------------------------
-    def _replay_1f1b(self, tracer, timer: _StageTimer, n_micro: int) -> None:
-        """Lay mean measured stage costs onto the 1F1B schedule as per-rank
-        virtual spans; consecutive calls extend the same virtual timeline
-        so multi-step bubbles stay geometrically exact."""
+    def _replay_1f1b(self, tracer, recorded: list, n_micro: int) -> None:
+        """Lay the mean stage costs of this call's ``pp-exec`` spans onto
+        the 1F1B schedule as per-rank virtual spans; consecutive calls
+        extend the same virtual timeline so multi-step bubbles stay
+        geometrically exact."""
         from ..perf.pipeline_model import schedule_1f1b, simulate_timeline
-        fwd, bwd = timer.durations["F"], timer.durations["B"]
+        passes = [s for s in recorded if s.category == "pp-exec"]
+        fwd, bwd = ([s.duration for s in passes if s.attrs["phase"] == phase]
+                    for phase in "FB")
         if not fwd or not bwd:
             return
         sim = simulate_timeline(schedule_1f1b(self.n_stages, n_micro),
@@ -180,11 +138,11 @@ class AerisPipeline:
 
     # -- single microbatch -------------------------------------------------
     def _one_microbatch(self, x_t, t, cond, forc, loss_fn,
-                        timer=_NO_TIMER) -> float:
+                        micro: int = 0) -> float:
         model = self.model
         # Stage 0: I/O + embedding (+ the shared time embedding, which is
         # broadcast to every interior stage).
-        with timer("F", 0):
+        with self._pass("F", 0, micro):
             embed_out = model.embed_stage(Tensor(x_t), Tensor(cond),
                                           Tensor(forc))
             t_emb = model.time_embed(Tensor(t))
@@ -194,7 +152,7 @@ class AerisPipeline:
         boundary_tembs: list[Tensor] = []
         stage_outputs: list[Tensor] = []
         for s, layer in enumerate(model.layers):
-            with timer("F", s + 1):
+            with self._pass("F", s + 1, micro):
                 inp = Tensor(act.numpy().copy(), requires_grad=True)
                 temb_in = Tensor(t_emb.numpy().copy(), requires_grad=True)
                 self._meter(s, inp.data.nbytes + temb_in.data.nbytes,
@@ -206,23 +164,23 @@ class AerisPipeline:
             act = out
         # Last stage: decode + loss; its backward runs down to the stage
         # boundary (``dec_in`` is the detached boundary tensor).
-        with timer("F", self.n_stages - 1):
+        with self._pass("F", self.n_stages - 1, micro):
             dec_in = Tensor(act.numpy().copy(), requires_grad=True)
             self._meter(self.n_stages - 2, dec_in.data.nbytes,
                         payload=dec_in.data)
             pred = model.decode_stage(dec_in)
             loss = loss_fn(pred)
-        with timer("B", self.n_stages - 1):
+        with self._pass("B", self.n_stages - 1, micro):
             loss.backward()
 
         # Backward through interior stages, routing boundary gradients.
         grad = dec_in.grad
         for s in range(len(model.layers) - 1, -1, -1):
-            with timer("B", s + 1):
+            with self._pass("B", s + 1, micro):
                 self._meter(s, grad.nbytes, payload=grad)
                 stage_outputs[s].backward(grad)
                 grad = boundary_inputs[s].grad
-        with timer("B", 0):
+        with self._pass("B", 0, micro):
             # Time-embedding gradients arrive from every interior stage.
             temb_grad = np.zeros_like(t_emb.numpy())
             for temb_in in boundary_tembs:

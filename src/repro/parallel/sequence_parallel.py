@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..kernels import fused_dot_product_attention
 from .comm import SimCluster
 
 __all__ = ["shard_sequence", "unshard_sequence", "ulysses_attention"]
@@ -31,17 +32,6 @@ def shard_sequence(tokens: np.ndarray, sp: int, axis: int = -3) -> list[np.ndarr
 
 def unshard_sequence(shards: list[np.ndarray], axis: int = -3) -> np.ndarray:
     return np.concatenate(shards, axis=axis)
-
-
-def _softmax_attention(q: np.ndarray, k: np.ndarray, v: np.ndarray
-                       ) -> np.ndarray:
-    """Reference kernel on ``(..., heads, T, hd)``."""
-    scale = np.float32(1.0 / np.sqrt(q.shape[-1]))  # keep FP32 (NumPy-2 promotion)
-    scores = np.einsum("...htd,...hsd->...hts", q, k) * scale
-    scores -= scores.max(axis=-1, keepdims=True)
-    np.exp(scores, out=scores)
-    scores /= scores.sum(axis=-1, keepdims=True)
-    return np.einsum("...hts,...hsd->...htd", scores, v)
 
 
 def ulysses_attention(cluster: SimCluster, sp_group: list[int],
@@ -60,28 +50,18 @@ def ulysses_attention(cluster: SimCluster, sp_group: list[int],
     if heads % sp:
         raise ValueError(f"heads {heads} not divisible by SP={sp}")
 
-    def forward_a2a(shards: list[np.ndarray]) -> list[np.ndarray]:
-        # chunks[i][j]: rank i's tokens for head-group j.
-        chunks = [list(np.split(s, sp, axis=-2)) for s in shards]
-        received = cluster.alltoall(sp_group, chunks)
-        # Rank j: concat over source ranks along the token axis.
-        return [np.concatenate(row, axis=-3) for row in received]
+    def alltoall(shards: list[np.ndarray], split: int, join: int):
+        # chunks[i][j]: what rank i holds for rank j, cut along ``split``;
+        # rank j joins what it received from every source along ``join``.
+        chunks = [np.split(s, sp, axis=split) for s in shards]
+        return [np.concatenate(row, axis=join)
+                for row in cluster.alltoall(sp_group, chunks)]
 
-    def backward_a2a(shards: list[np.ndarray]) -> list[np.ndarray]:
-        # chunks[j][i]: head-group j's tokens belonging to token-shard i.
-        chunks = [list(np.split(s, sp, axis=-3)) for s in shards]
-        received = cluster.alltoall(sp_group, chunks)
-        return [np.concatenate(row, axis=-2) for row in received]
-
-    q_full = forward_a2a(q_shards)   # per rank: all tokens, H/SP heads
-    k_full = forward_a2a(k_shards)
-    v_full = forward_a2a(v_shards)
-    out_headsharded = []
-    for q, k, v in zip(q_full, k_full, v_full):
-        # kernel expects (..., heads, T, hd)
-        qt = np.swapaxes(q, -2, -3)
-        kt = np.swapaxes(k, -2, -3)
-        vt = np.swapaxes(v, -2, -3)
-        out = _softmax_attention(qt, kt, vt)
-        out_headsharded.append(np.swapaxes(out, -2, -3))
-    return backward_a2a(out_headsharded)
+    # Token-sharded, all heads -> all tokens, H/SP heads.  The model's own
+    # attention core takes head-major views and writes token-major, so both
+    # swaps are views.
+    full = [alltoall(s, -2, -3) for s in (q_shards, k_shards, v_shards)]
+    return alltoall([
+        np.swapaxes(fused_dot_product_attention(
+            *(np.swapaxes(t, -2, -3) for t in qkv)), -2, -3)
+        for qkv in zip(*full)], -3, -2)

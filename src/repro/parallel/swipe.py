@@ -10,12 +10,11 @@ What runs *numerically* in the simulation:
   allreduce (:mod:`~repro.parallel.data_parallel`).
 * **ZeRO-1** — real sharded optimizer states + allgather accounting
   (:mod:`~repro.parallel.zero`).
-* **WP / SP** — the window/sequence sharded *attention numerics* are
-  verified in their own modules
-  (:mod:`~repro.parallel.window_parallel`,
-  :mod:`~repro.parallel.sequence_parallel`); inside the engine their
-  communication volumes follow the paper's analytical message size
-  ``M = b·s·h/SP/WP``, which those modules' meters validate.
+* **WP / SP** — the window/sequence sharded *attention numerics* run
+  composed in :mod:`~repro.parallel.swipe_attention`, ``np.array_equal``
+  to the single-process attention; its metered all-to-alls are the paper's
+  ``M = b·s·h/SP/WP`` (:class:`~repro.perf.CommModel`), by an executed
+  :func:`~repro.parallel.comm.comm_check`.
 
 The engine's gradient/weight trajectory is verified in tests to match the
 single-process reference trainer bit-for-bit (up to FP32 reduction
@@ -195,14 +194,3 @@ class SwipeEngine:
             for d, rng in enumerate(self.rngs_z):
                 if d < len(extra.get("rng_z", [])):
                     rng.bit_generator.state = extra["rng_z"][d]
-
-    # -- analytical per-layer WP/SP communication (paper formula) -------------
-    def attention_alltoall_bytes(self, micro_batch: int) -> int:
-        """Per-rank all-to-all payload for one attention: the paper's
-        ``M = b·s·h / SP / WP`` (FP32 activations in this simulation),
-        moved once before (q, k, v) and once after (output)."""
-        cfg = self.config
-        topo = self.topology
-        m = (micro_batch * cfg.seq_len * cfg.dim * 4  # bytes, fp32
-             // topo.sp // topo.wp)
-        return 4 * m  # 3M in (qkv) + M out

@@ -6,9 +6,9 @@ own windows.  Windows are assigned round-robin in both grid directions
 (Figure 2a), which balances load and batches the data movement caused by the
 alternating window *shift*.
 
-This module provides the sharding/unsharding bookkeeping, the metered
-shift exchange, and a window-parallel attention driver that is verified
-against unsharded attention.
+A sharding is an owner table over the rows of the model's own
+:class:`~repro.kernels.WindowPlan` (shift folded in): shard and unshard move
+each rank's rows, so a sharded pass sees the single-process windows.
 """
 
 from __future__ import annotations
@@ -16,116 +16,96 @@ from __future__ import annotations
 import numpy as np
 
 from ..data.loader import round_robin_assignment
-from ..kernels import LRUCache
-from ..model.windows import window_grid_shape
+from ..kernels import LRUCache, window_plan
+from ..model.windows import window_grid_shape, window_index_grid
 from .comm import SimCluster
 
 __all__ = ["WindowSharding", "window_sharding", "shift_owner_change_bytes"]
 
 
 class WindowSharding:
-    """Round-robin window sharding over a WP grid for ``(B, H, W, D)``
-    images (D = embedding or channel dim)."""
+    """Which WP rank owns which window of ``(B, H, W, D)`` images (D =
+    embedding or channel dim): ``assignment[i, j]`` is the owner of window
+    ``(i, j)`` — round-robin over ``wp_grid`` unless one is handed over."""
 
     def __init__(self, grid: tuple[int, int], window: tuple[int, int],
-                 wp_grid: tuple[int, int]):
+                 wp_grid: tuple[int, int],
+                 assignment: np.ndarray | None = None):
         self.grid = grid
         self.window = window
         self.wp_grid = wp_grid
         self.n_win_h, self.n_win_w = window_grid_shape(grid[0], grid[1], window)
         if self.n_win_h % wp_grid[0] or self.n_win_w % wp_grid[1]:
             raise ValueError("window grid not divisible by WP grid")
-        self.assignment = round_robin_assignment(self.n_win_h, self.n_win_w,
-                                                 wp_grid)
+        if assignment is None:
+            assignment = round_robin_assignment(self.n_win_h, self.n_win_w,
+                                                wp_grid)
         self.wp = wp_grid[0] * wp_grid[1]
-        self._owned = [np.argwhere(self.assignment == r) for r in range(self.wp)]
-        self._gather_plans: list[np.ndarray] | None = None
-        self._gather_source: object = None
+        self.windows_per_rank = self.n_win_h * self.n_win_w // self.wp
+        # Read-only: window_sharding() hands one instance to every caller.
+        self.assignment = np.array(assignment)
+        self.assignment.setflags(write=False)
+        #: Per rank, the plan rows (window ids, row-major) it owns.
+        self.owned = tuple(np.flatnonzero(self.assignment.reshape(-1) == r)
+                           for r in range(self.wp))
+        for own in self.owned:
+            own.setflags(write=False)
 
-    @property
-    def _gather(self) -> list[np.ndarray]:
-        # Lazy + keyed on the identity of `_owned`, so subclasses that
-        # replace the assignment after construction stay consistent.
-        if self._gather_plans is None or self._gather_source is not self._owned:
-            self._gather_plans = self._build_gather()
-            self._gather_source = self._owned
-        return self._gather_plans
+    def rows(self, shifted: bool = False) -> np.ndarray:
+        """The window plan as ``(n_windows, tokens)`` flat pixel indices."""
+        shift = (self.window[0] // 2, self.window[1] // 2) if shifted \
+            else (0, 0)
+        plan = window_plan(self.grid, self.window, shift)
+        return plan.gather.reshape(plan.n_windows, plan.tokens)
 
-    def _build_gather(self) -> list[np.ndarray]:
-        """Per-rank flat pixel indices (window-major, row-major in-window)
-        into the flattened ``H*W`` axis — shard/unshard as single gathers."""
-        h, w = self.grid
-        wh, ww = self.window
-        pixel = np.arange(h * w, dtype=np.intp).reshape(h, w)
-        plans = []
-        for own in self._owned:
-            idx = np.empty((len(own), wh * ww), dtype=np.intp)
-            for n, (i, j) in enumerate(own):
-                idx[n] = pixel[i * wh:(i + 1) * wh,
-                               j * ww:(j + 1) * ww].reshape(-1)
-            flat = idx.reshape(-1)
-            flat.setflags(write=False)
-            plans.append(flat)
-        return plans
-
-    @property
-    def windows_per_rank(self) -> int:
-        return (self.n_win_h * self.n_win_w) // self.wp
+    def _moved_rows(self, stack: np.ndarray, shifted: bool,
+                    cluster: SimCluster | None) -> np.ndarray:
+        """The plan rows a (shifted) pass moves a ``(B, ..., D)`` stack
+        over; a shifted one books its exchange on ``cluster`` — the
+        aggregate volume once (the real system sends 1/SP of a window per
+        transfer)."""
+        if shifted and cluster is not None:
+            cluster.stats.add("p2p", "inter", shift_owner_change_bytes(
+                self, stack.dtype.itemsize * stack.shape[0] * stack.shape[-1]))
+        return self.rows(shifted)
 
     # -- shard / unshard ------------------------------------------------------
-    def shard(self, image: np.ndarray) -> list[np.ndarray]:
-        """``(B, H, W, D)`` -> per-rank ``(B, n_own, wh*ww, D)`` stacks
-        (one planned gather per rank)."""
+    def shard(self, image: np.ndarray, shifted: bool = False,
+              cluster: SimCluster | None = None) -> list[np.ndarray]:
+        """``(B, H, W, D)`` -> per-rank ``(B, n_own, wh*ww, D)`` stacks of
+        the (shifted) windows each rank owns, one gather per rank; a shifted
+        pass meters its exchange on ``cluster``."""
         b, h, w, d = image.shape
-        wh, ww = self.window
         flat = image.reshape(b, h * w, d)
-        return [np.take(flat, idx, axis=1).reshape(b, len(own), wh * ww, d)
-                for own, idx in zip(self._owned, self._gather)]
+        rows = self._moved_rows(image, shifted, cluster)
+        return [np.take(flat, rows[own].reshape(-1), axis=1)
+                .reshape(b, len(own), rows.shape[1], d)
+                for own in self.owned]
 
-    def unshard(self, shards: list[np.ndarray]) -> np.ndarray:
+    def unshard(self, shards: list[np.ndarray], shifted: bool = False,
+                cluster: SimCluster | None = None) -> np.ndarray:
+        """Inverse of :meth:`shard` (the shift undone, and metered)."""
         b = shards[0].shape[0]
         d = shards[0].shape[-1]
-        h, w = self.grid
-        flat = np.empty((b, h * w, d), dtype=shards[0].dtype)
-        for stack, idx in zip(shards, self._gather):
-            flat[:, idx] = stack.reshape(b, -1, d)
-        return flat.reshape(b, h, w, d)
+        rows = self._moved_rows(shards[0], shifted, cluster)
+        flat = np.empty((b, rows.size, d), dtype=shards[0].dtype)
+        for stack, own in zip(shards, self.owned):
+            flat[:, rows[own].reshape(-1)] = stack.reshape(b, -1, d)
+        return flat.reshape(b, *self.grid, d)
 
-    # -- window-parallel attention ----------------------------------------------
     def parallel_apply(self, image: np.ndarray, window_fn,
                        cluster: SimCluster | None = None,
-                       wp_group: list[int] | None = None,
                        shifted: bool = False) -> np.ndarray:
         """Apply a per-window function under WP sharding.
 
         ``window_fn`` maps ``(B, n, tokens, D)`` -> ``(B, n, tokens, D')``
         and must treat windows independently (true for window attention).
-        When ``shifted``, the image is cyclically rolled by half a window
-        before sharding and unrolled afterwards; the inter-rank traffic this
-        causes is metered as p2p bytes if a cluster is given.
+        When ``shifted``, ranks own the windows of the half-window-shifted
+        frame; the inter-rank traffic this causes is metered as p2p bytes
+        if a cluster is given.
         """
-        sh, sw = self.window[0] // 2, self.window[1] // 2
-        work = image
-        if shifted:
-            work = np.roll(work, (-sh, -sw), axis=(1, 2))
-            if cluster is not None and wp_group is not None:
-                moved = shift_owner_change_bytes(self, image.dtype.itemsize
-                                                 * image.shape[0]
-                                                 * image.shape[-1])
-                # Each rank sends 1/SP of a window per transfer in the real
-                # system; here we meter the aggregate volume once.
-                cluster.stats.add("p2p", "inter", moved)
-        shards = self.shard(work)
-        out_shards = [window_fn(s) for s in shards]
-        out = self.unshard(out_shards)
-        if shifted:
-            out = np.roll(out, (sh, sw), axis=(1, 2))
-            if cluster is not None and wp_group is not None:
-                moved = shift_owner_change_bytes(self, image.dtype.itemsize
-                                                 * image.shape[0]
-                                                 * out.shape[-1])
-                cluster.stats.add("p2p", "inter", moved)
-        return out
+        shards = self.shard(image, shifted, cluster)
+        return self.unshard([window_fn(s) for s in shards], shifted, cluster)
 
 
 _SHARDINGS = LRUCache("window_shardings", maxsize=32)
@@ -133,11 +113,9 @@ _SHARDINGS = LRUCache("window_shardings", maxsize=32)
 
 def window_sharding(grid: tuple[int, int], window: tuple[int, int],
                     wp_grid: tuple[int, int]) -> WindowSharding:
-    """Memoized :class:`WindowSharding` — the assignment, owned-window lists,
-    and gather plans are pure functions of the key, so sharded attention
-    reuses one instance per ``(grid, window, wp_grid)``.  Callers must not
-    mutate the shared instance (subclass instead, as the ablation bench
-    does)."""
+    """Memoized round-robin :class:`WindowSharding` — the owner tables are
+    pure functions of the key (and read-only), so sharded attention reuses
+    one instance per ``(grid, window, wp_grid)``."""
     key = ((int(grid[0]), int(grid[1])), (int(window[0]), int(window[1])),
            (int(wp_grid[0]), int(wp_grid[1])))
     return _SHARDINGS.get_or_build(
@@ -155,16 +133,7 @@ def shift_owner_change_bytes(sharding: WindowSharding,
     is *regular*, which is what lets the real implementation batch the
     exchange.
     """
-    h, w = sharding.grid
-    wh, ww = sharding.window
-    sh, sw = wh // 2, ww // 2
-    rows = np.arange(h)
-    cols = np.arange(w)
-    owner_before = sharding.assignment[(rows[:, None] // wh) % sharding.n_win_h,
-                                       (cols[None, :] // ww) % sharding.n_win_w]
-    rows_s = (rows + sh) % h
-    cols_s = (cols + sw) % w
-    owner_after = sharding.assignment[(rows_s[:, None] // wh),
-                                      (cols_s[None, :] // ww)]
-    moved_pixels = int((owner_before != owner_after).sum())
-    return moved_pixels * bytes_per_pixel
+    owner = sharding.assignment.reshape(-1)
+    before = owner[window_index_grid(*sharding.grid, sharding.window)]
+    moved = before.reshape(-1)[sharding.rows(shifted=True)] != owner[:, None]
+    return int(moved.sum()) * bytes_per_pixel

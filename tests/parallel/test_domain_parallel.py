@@ -4,17 +4,11 @@ import numpy as np
 import pytest
 
 from repro.parallel import DomainSharding, SimCluster, WindowSharding
-from repro.parallel.sequence_parallel import _softmax_attention
+from repro.parallel.domain_parallel import blocked_assignment
+
+from .reference_sharding import parent_apply_windowed, toy_window_attention
 
 rng = np.random.default_rng(0)
-
-
-def toy_window_attention(w_proj):
-    def fn(stack):
-        x = stack @ w_proj
-        q = k = v = x[:, :, None]
-        return _softmax_attention(q, k, v)[:, :, 0]
-    return fn
 
 
 @pytest.fixture()
@@ -60,6 +54,21 @@ class TestFunctionalEquivalence:
         ref = ref_shard.parallel_apply(image, fn, shifted=True)
         np.testing.assert_allclose(out, ref, rtol=1e-5, atol=1e-6)
 
+    @pytest.mark.parametrize("shifted", [False, True])
+    def test_is_a_blocked_window_sharding(self, sharding, shifted):
+        """Equal arrays: to WP over the blocked owner table, and to the
+        parent's roll + tile-slice + reshape body."""
+        image = rng.normal(size=(2, 8, 16, 8)).astype(np.float32)
+        fn = toy_window_attention(
+            rng.normal(size=(8, 6)).astype(np.float32) * 0.3)
+        out = sharding.apply_windowed(image, fn, shifted=shifted)
+        blocked = WindowSharding((8, 16), (4, 4), (2, 2),
+                                 blocked_assignment(2, 4, (2, 2)))
+        np.testing.assert_array_equal(
+            out, blocked.parallel_apply(image, fn, shifted=shifted))
+        np.testing.assert_array_equal(out, parent_apply_windowed(
+            (8, 16), (4, 4), (2, 2), image, fn, shifted))
+
 
 class TestHaloCosts:
     def test_unshifted_pass_is_free(self, sharding):
@@ -67,15 +76,25 @@ class TestHaloCosts:
         cluster = SimCluster(4)
         image = rng.normal(size=(1, 8, 16, 4)).astype(np.float32)
         sharding.apply_windowed(image, lambda s: s, shifted=False,
-                                cluster=cluster, group=[0, 1, 2, 3])
+                                cluster=cluster)
         assert cluster.stats.total_bytes() == 0
 
     def test_shifted_pass_pays_halo(self, sharding):
         cluster = SimCluster(4)
         image = rng.normal(size=(1, 8, 16, 4)).astype(np.float32)
         sharding.apply_windowed(image, lambda s: s, shifted=True,
-                                cluster=cluster, group=[0, 1, 2, 3])
+                                cluster=cluster)
         assert cluster.stats.total_bytes("p2p") > 0
+
+    def test_a_cluster_meters(self, sharding):
+        """The halo in and out, with no ``group`` to forget (the parent
+        booked 0 B without one)."""
+        cluster = SimCluster(4)
+        image = rng.normal(size=(1, 8, 16, 4)).astype(np.float32)
+        sharding.apply_windowed(image, lambda s: s, True, cluster)
+        assert dict(cluster.stats.bytes) == {
+            ("p2p", "inter"): 2 * sharding.halo_bytes_per_exchange(1, 4)}
+        assert dict(cluster.stats.ops) == {("p2p", "inter"): 2}
 
     def test_halo_volume_formula(self, sharding):
         b, c, itemsize = 2, 5, 4

@@ -18,6 +18,7 @@ from repro.parallel import (
     allreduce_gradients,
     replicate_model,
 )
+from repro.perf import AURORA, CommModel
 from repro.tensor import Tensor
 from tests.train.test_trainer import TINY16
 
@@ -255,13 +256,13 @@ class TestSwipeEngine:
         assert stats.total_bytes("allreduce") > 0  # DP gradients
         assert stats.total_bytes("allgather") > 0  # ZeRO-1 params
 
-    def test_attention_alltoall_formula(self, tiny_archive):
-        """Engine-reported per-rank alltoall volume follows M = b·s·h/SP/WP."""
+    def test_attention_alltoall_formula(self):
+        """The per-rank alltoall message follows M = b·s·h/SP/WP (BF16 in
+        the perf model, the one place it is written)."""
         topo = RankTopology(dp=1, pp=TINY16.pp_stages, wp_grid=(2, 2), sp=2)
-        engine = SwipeEngine(TINY16, tiny_archive, topo, seed=0)
         mb = 2
-        m = mb * TINY16.seq_len * TINY16.dim * 4 // (topo.sp * topo.wp)
-        assert engine.attention_alltoall_bytes(mb) == 4 * m
+        m = mb * TINY16.seq_len * TINY16.dim * 2 // (topo.sp * topo.wp)
+        assert CommModel(TINY16, AURORA, topo).alltoall_message_bytes(mb) == m
 
     def test_shared_t_across_model_parallel(self, tiny_archive):
         """make_training_pairs: one t-stream per DP replica (the model-

@@ -5,6 +5,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.nn import dot_product_attention
 from repro.parallel import (
     RankTopology,
     SimCluster,
@@ -13,6 +14,7 @@ from repro.parallel import (
     ulysses_attention,
     unshard_sequence,
 )
+from repro.tensor import Tensor
 
 
 @st.composite
@@ -91,15 +93,14 @@ class TestUlyssesProperties:
         q = rng.normal(size=shape).astype(np.float32)
         k = rng.normal(size=shape).astype(np.float32)
         v = rng.normal(size=shape).astype(np.float32)
-        from repro.parallel.sequence_parallel import _softmax_attention
-        ref = np.swapaxes(_softmax_attention(
-            np.swapaxes(q, -2, -3), np.swapaxes(k, -2, -3),
-            np.swapaxes(v, -2, -3)), -2, -3)
+        ref = np.swapaxes(dot_product_attention(
+            *(Tensor(np.swapaxes(x, -2, -3)) for x in (q, k, v))).numpy(),
+            -2, -3)
         out = unshard_sequence(ulysses_attention(
             SimCluster(sp), list(range(sp)),
             shard_sequence(q, sp), shard_sequence(k, sp),
             shard_sequence(v, sp)))
-        np.testing.assert_allclose(out, ref, rtol=1e-4, atol=1e-5)
+        np.testing.assert_array_equal(out, ref)
 
 
 class TestWindowShardingProperties:

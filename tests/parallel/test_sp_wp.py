@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.model import TINY, window_partition
+from repro.nn import dot_product_attention
 from repro.parallel import (
     SimCluster,
     WindowSharding,
@@ -12,9 +13,15 @@ from repro.parallel import (
     shift_owner_change_bytes,
     ulysses_attention,
     unshard_sequence,
+    window_sharding,
 )
-from repro.parallel.sequence_parallel import _softmax_attention
+from repro.parallel.domain_parallel import blocked_assignment
 from repro.tensor import Tensor
+
+from .reference_sharding import (
+    parent_shift_owner_change_bytes,
+    toy_window_attention,
+)
 
 rng = np.random.default_rng(0)
 
@@ -27,8 +34,9 @@ class TestUlysses:
                 rng.normal(size=shape).astype(np.float32))
 
     def _reference(self, q, k, v):
-        qt, kt, vt = (np.swapaxes(x, -2, -3) for x in (q, k, v))
-        return np.swapaxes(_softmax_attention(qt, kt, vt), -2, -3)
+        """The reference Tensor chain the kernel contract names."""
+        qt, kt, vt = (Tensor(np.swapaxes(x, -2, -3)) for x in (q, k, v))
+        return np.swapaxes(dot_product_attention(qt, kt, vt).numpy(), -2, -3)
 
     @pytest.mark.parametrize("sp", [1, 2, 4])
     def test_equivalence_with_unsharded(self, sp):
@@ -40,8 +48,7 @@ class TestUlysses:
             shard_sequence(q, sp), shard_sequence(k, sp),
             shard_sequence(v, sp))
         out = unshard_sequence(out_shards)
-        np.testing.assert_allclose(out, self._reference(q, k, v),
-                                   rtol=1e-5, atol=1e-6)
+        np.testing.assert_array_equal(out, self._reference(q, k, v))
 
     def test_message_size_formula(self):
         """All-to-all volume per attention = (SP−1)/SP of the qkv+out data —
@@ -117,14 +124,7 @@ class TestWindowSharding:
         """WP-sharded window attention == unsharded window attention."""
         image = rng.normal(size=(2, 8, 16, 8)).astype(np.float32)
         w = rng.normal(size=(8, 8)).astype(np.float32) * 0.3
-
-        # A real per-window (single-head) attention with a tied projection.
-        def attention_fn(stack):
-            x = stack @ w  # (B, n, T, D)
-            q = k = v = x[:, :, None]  # single head: (B, n, 1, T, D)
-            out = _softmax_attention(q, k, v)
-            return out[:, :, 0]
-
+        attention_fn = toy_window_attention(w)
         parallel = sharding.parallel_apply(image, attention_fn)
         serial = sharding.unshard(
             [attention_fn(s) for s in sharding.shard(image)])
@@ -149,8 +149,18 @@ class TestWindowSharding:
         image = rng.normal(size=(1, 8, 16, 4)).astype(np.float32)
         cluster = SimCluster(4)
         sharding.parallel_apply(image, lambda s: s, cluster=cluster,
-                                wp_group=[0, 1, 2, 3], shifted=True)
+                                shifted=True)
         assert cluster.stats.total_bytes("p2p") > 0
+
+    def test_a_cluster_meters(self, sharding):
+        """A shifted pass handed a cluster books its exchange — shift out
+        and back, 3/4 of the pixels each (the parent booked 0 B unless a
+        ``wp_group`` it never read came along)."""
+        image = rng.normal(size=(1, 8, 16, 4)).astype(np.float32)
+        cluster = SimCluster(4)
+        sharding.parallel_apply(image, lambda s: s, cluster, shifted=True)
+        assert dict(cluster.stats.bytes) == {("p2p", "inter"): 3072}
+        assert dict(cluster.stats.ops) == {("p2p", "inter"): 2}
 
     def test_unshifted_apply_needs_no_comm(self, sharding):
         """The WP headline: unshifted window attention is communication-free
@@ -158,7 +168,7 @@ class TestWindowSharding:
         image = rng.normal(size=(1, 8, 16, 4)).astype(np.float32)
         cluster = SimCluster(4)
         sharding.parallel_apply(image, lambda s: s, cluster=cluster,
-                                wp_group=[0, 1, 2, 3], shifted=False)
+                                shifted=False)
         assert cluster.stats.total_bytes() == 0
 
     def test_owner_change_fraction(self, sharding):
@@ -170,6 +180,28 @@ class TestWindowSharding:
         moved = shift_owner_change_bytes(sharding, per_pixel)
         total = 8 * 16 * per_pixel
         assert 0.5 * total < moved <= total
+
+    @pytest.mark.parametrize("grid,window,wp_grid", [
+        ((8, 16), (4, 4), (2, 2)), ((24, 48), (4, 4), (2, 2)),
+        ((16, 32), (4, 8), (2, 4)), ((16, 32), (4, 4), (1, 2))])
+    def test_owner_change_is_the_parents(self, grid, window, wp_grid):
+        """Round-robin and blocked, read off the plan rows, against the
+        parent's own owner grids."""
+        nh, nw = grid[0] // window[0], grid[1] // window[1]
+        for assignment in (None, blocked_assignment(nh, nw, wp_grid)):
+            sharding = WindowSharding(grid, window, wp_grid, assignment)
+            assert shift_owner_change_bytes(sharding, 4) \
+                == parent_shift_owner_change_bytes(sharding, 4)
+
+    def test_memoized_sharding_is_read_only(self):
+        """The cached instance is every caller's (the autotuner reads
+        ``windows_per_rank`` off it): its owner tables cannot be written."""
+        sharding = window_sharding((8, 16), (4, 4), (2, 2))
+        with pytest.raises(ValueError, match="read-only"):
+            sharding.assignment[0, 0] = 3
+        with pytest.raises(ValueError, match="read-only"):
+            sharding.owned[0][0] = 3
+        assert window_sharding((8, 16), (4, 4), (2, 2)).assignment[0, 0] == 0
 
     def test_rejects_bad_wp_grid(self):
         with pytest.raises(ValueError):

@@ -55,3 +55,9 @@ def test_every_line_parses_and_carries_the_keys():
                 if row["commit"] == "PR 23")
     assert 0 < pr23["edm_ensemble16_ms"]["change"] \
         < pr23["edm_ensemble16_ms"]["parent"]
+    # PR 24's line only: the Ulysses kernel bench (min of 80), the package's
+    # own einsum core (parent) vs the model's attention kernel (change)
+    pr24 = next(row for row in map(json.loads, lines)
+                if row["commit"] == "PR 24")
+    assert 0 < pr24["ulysses_alltoall_attention_ms"]["change"] \
+        < pr24["ulysses_alltoall_attention_ms"]["parent"]
