@@ -18,8 +18,8 @@ class AdamW:
     """Decoupled-weight-decay Adam.
 
     State (exp_avg / exp_avg_sq, both FP32 like the paper's "model states")
-    is stored per-parameter and is exposed flat so
-    :mod:`repro.parallel.zero` can shard it across data-parallel ranks.
+    is one array per parameter, in parameter order;
+    :class:`repro.parallel.ZeroOptimizer` adds an owner per parameter.
     """
 
     # betas / eps / weight decay: the paper's values (§VI-B), spelled here
@@ -57,14 +57,6 @@ class AdamW:
             if self.weight_decay:
                 p.data *= 1.0 - self.lr * self.weight_decay
             p.data -= self.lr * update
-
-    # -- state access for ZeRO-1 sharding ---------------------------------
-    def state_arrays(self) -> list[np.ndarray]:
-        """All optimizer-state arrays, parameter-aligned (m then v)."""
-        return self.exp_avg + self.exp_avg_sq
-
-    def state_bytes(self) -> int:
-        return sum(a.nbytes for a in self.state_arrays())
 
 
 class EMA:

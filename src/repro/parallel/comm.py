@@ -2,22 +2,16 @@
 
 Real SWiPe runs on oneCCL/RCCL over Aurora's X^e-links and Slingshot; the
 reproduction executes the *same data movements* between per-rank NumPy
-buffers inside one process, and meters every byte, classified by
-
-* primitive (``alltoall`` / ``p2p`` / ``allreduce`` / ``allgather`` /
-  ``reduce_scatter`` / ``broadcast``), and
-* locality (intra-node vs inter-node), given a rank→node mapping.
-
-These counters are what the communication-model tests compare against the
-paper's analytical message sizes (``M = b·s·h / SP / WP``), and what the
-ablation bench reports.
+buffers inside one process, and meters every byte by primitive (``p2p`` /
+``alltoall`` / ``allreduce`` / ``allgather``) and by locality (intra- vs
+inter-node, given a rank→node mapping).  These counters are what the
+communication-model tests compare against the paper's analytical message
+sizes (``M = b·s·h / SP / WP``), and what the ablation bench reports.
 
 When :mod:`repro.obs` is enabled, every ``CommStats.add`` also increments
-the global metrics registry (``comm.bytes`` / ``comm.ops`` counters,
-labeled by primitive and locality) and every collective runs inside a
-tracer span — so the cluster's byte accounting and the observability
-layer meter the *same* events and :func:`comm_check` can cross-check
-them exactly.
+the ``comm.bytes`` / ``comm.ops`` counters (same labels) and every
+collective runs inside a tracer span, so :func:`comm_check` can
+cross-check the two meters exactly.
 
 **Self-healing** (:mod:`repro.resilience`): when the cluster is built
 with a :class:`~repro.resilience.FaultInjector`, every logical transfer
@@ -35,9 +29,6 @@ is routed through :meth:`SimCluster.transfer`, which
   metrics registry (``comm.retries``, ``comm.faults_detected``,
   ``comm.straggler_s``, ``comm.backoff_s``) plus ``resilience``-category
   trace spans.
-
-Without an injector the fault path is never entered and the byte
-accounting is exactly the seed behaviour.
 """
 
 from __future__ import annotations
@@ -292,37 +283,6 @@ class SimCluster:
                         self.transfer("allgather", group[i], group[j],
                                       arrays[i].nbytes, payload=arrays[i])
         return [[a.copy() for a in arrays] for _ in range(n)]
-
-    def reduce_scatter(self, group: list[int], chunks: list[list[np.ndarray]]
-                       ) -> list[np.ndarray]:
-        """``chunks[i][j]``: rank i's contribution to shard j; rank j gets
-        the sum over i."""
-        n = len(group)
-        self._check_group(group, "reduce_scatter")
-        out = []
-        with _span("comm.reduce_scatter", category="comm", group=n):
-            for j in range(n):
-                total = chunks[0][j].astype(np.float64)
-                for i in range(1, n):
-                    total = total + chunks[i][j]
-                out.append(total.astype(chunks[0][j].dtype))
-                for i in range(n):
-                    if i != j:
-                        self.transfer("reduce_scatter", group[i], group[j],
-                                      chunks[i][j].nbytes,
-                                      payload=chunks[i][j])
-        return out
-
-    def broadcast(self, group: list[int], root_index: int,
-                  array: np.ndarray) -> list[np.ndarray]:
-        self._check_group(group, "broadcast")
-        with _span("comm.broadcast", category="comm", group=len(group),
-                   nbytes=array.nbytes * (len(group) - 1)):
-            for j, rank in enumerate(group):
-                if j != root_index:
-                    self.transfer("broadcast", group[root_index], rank,
-                                  array.nbytes, payload=array)
-        return [array.copy() for _ in group]
 
 
 def comm_check(report, stats: CommStats,

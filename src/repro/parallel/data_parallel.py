@@ -14,14 +14,7 @@ import numpy as np
 from ..nn import Module
 from .comm import SimCluster
 
-__all__ = ["replicate_model", "allreduce_gradients"]
-
-
-def replicate_model(model: Module, factory) -> Module:
-    """Build a fresh replica via ``factory()`` and copy the weights."""
-    replica = factory()
-    replica.load_state_dict(model.state_dict())
-    return replica
+__all__ = ["allreduce_gradients"]
 
 
 def allreduce_gradients(cluster: SimCluster, dp_group: list[int],

@@ -32,6 +32,7 @@ from ..obs.profile import count as _count
 from ..obs.profile import gauge as _gauge
 from ..obs.profile import span as _span
 from ..tensor import Tensor
+from ..train.checkpoint import restore_training_shards, training_shards
 from .comm import SimCluster
 from .data_parallel import allreduce_gradients
 from .pipeline import AerisPipeline
@@ -148,19 +149,9 @@ class SwipeEngine:
 
     # -- elastic checkpoint payload ---------------------------------------------
     def state_payload(self) -> tuple[dict[str, dict[str, np.ndarray]], dict]:
-        """``(shards, extra)`` for :func:`write_sharded_checkpoint`.
-
-        Optimizer moments are stored flat in *parameter order* (see
-        :meth:`ZeroOptimizer.state_lists`) so the checkpoint restores into
-        an engine with a different DP degree after an elastic re-grid.
-        """
-        model = dict(self.replicas[0].state_dict())
-        exp_avg, exp_avg_sq = self.zero.state_lists()
-        opt: dict[str, np.ndarray] = {
-            "step_count": np.asarray(self.zero.step_count)}
-        for i, (m, v) in enumerate(zip(exp_avg, exp_avg_sq)):
-            opt[f"m/{i}"] = m
-            opt[f"v/{i}"] = v
+        """``(shards, extra)`` for :func:`write_sharded_checkpoint`: the
+        trainer's layout (:func:`~repro.train.checkpoint.training_shards`,
+        aliasing the live arrays) plus the topology and rng states."""
         extra = {
             "topology": {"dp": self.topology.dp, "pp": self.topology.pp,
                          "wp_grid": list(self.topology.wp_grid),
@@ -168,29 +159,20 @@ class SwipeEngine:
             "rng_t": [rng.bit_generator.state for rng in self.rngs_t],
             "rng_z": [rng.bit_generator.state for rng in self.rngs_z],
         }
-        return {"model": model, "opt": opt}, extra
+        return training_shards(self.replicas[0], self.zero), extra
 
     def restore(self, shards: dict[str, dict[str, np.ndarray]],
-                extra: dict | None = None) -> None:
+                extra: dict | None = None, where: str = "payload") -> None:
         """Load a :meth:`state_payload` checkpoint into this engine.
 
-        Works across topologies: all replicas get the model weights, the
-        flat optimizer moments re-shard under the current DP degree, and
-        rng states are restored for the replicas that still exist (a
-        degraded grid keeps the surviving replicas' streams bit-exact)."""
-        model_state = shards["model"]
-        for replica in self.replicas:
-            replica.load_state_dict(model_state)
-        opt = shards["opt"]
-        n = len(self.zero.params)
-        exp_avg = [opt[f"m/{i}"] for i in range(n)]
-        exp_avg_sq = [opt[f"v/{i}"] for i in range(n)]
-        self.zero.load_state_lists(exp_avg, exp_avg_sq,
-                                   int(opt["step_count"]))
-        if extra:
-            for d, rng in enumerate(self.rngs_t):
-                if d < len(extra.get("rng_t", [])):
-                    rng.bit_generator.state = extra["rng_t"][d]
-            for d, rng in enumerate(self.rngs_z):
-                if d < len(extra.get("rng_z", [])):
-                    rng.bit_generator.state = extra["rng_z"][d]
+        Works across topologies: the moments are parameter-ordered whatever
+        the DP degree, every replica gets the model weights, and rng states
+        are restored for the replicas that still exist (a degraded grid
+        keeps the surviving replicas' streams bit-exact).  A generation
+        that does not fit raises :class:`~repro.train.CheckpointError`."""
+        restore_training_shards(shards, where, self.replicas[0], self.zero)
+        for replica in self.replicas[1:]:
+            replica.load_state_dict(shards["model"])
+        for key, rngs in (("rng_t", self.rngs_t), ("rng_z", self.rngs_z)):
+            for rng, state in zip(rngs, (extra or {}).get(key, [])):
+                rng.bit_generator.state = state

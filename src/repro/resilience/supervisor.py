@@ -12,8 +12,8 @@ surfaces as :class:`~repro.resilience.faults.RankFailure` it
    grid is reset: survivors are renumbered),
 3. **reloads** the newest checkpoint that passes integrity verification
    (:class:`~repro.train.checkpoint.CheckpointCorruption` falls back to
-   the previous one), restoring weights, flat optimizer moments, and the
-   surviving replicas' rng streams,
+   the previous one), restoring weights, parameter-ordered optimizer
+   moments, and the surviving replicas' rng streams,
 4. and **continues** from the checkpointed step.
 
 Transient faults (bit flips, drops, stragglers) never reach the
@@ -201,7 +201,7 @@ class ElasticSupervisor:
         directory, shards, extra = newest_valid_checkpoint(
             self.cfg.checkpoint_root, "resilience")
         if directory is not None:
-            self.engine.restore(shards, extra.get("engine"))
+            self.engine.restore(shards, extra.get("engine"), where=directory)
         # no valid checkpoint: empty history, a from-scratch restart
         self.history = [float(x) for x in extra.get("history", [])]
         return directory

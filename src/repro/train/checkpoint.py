@@ -11,7 +11,8 @@ fails); loads verify every array against the manifest and raise
 supervisor treats as "fall back to the previous checkpoint".
 
 Typed errors: :class:`CheckpointError` for structural problems (missing
-directory, a model-only checkpoint restored with ``optimizer=``/``ema=``),
+directory, a model-only checkpoint restored with ``optimizer=``/``ema=``,
+a generation of another model),
 :class:`CheckpointCorruption` (a subclass) for integrity failures.
 """
 
@@ -73,8 +74,13 @@ def restore_training_shards(shards: dict[str, dict[str, np.ndarray]],
                             optimizer: AdamW | None = None,
                             ema: EMA | None = None) -> float:
     """Inverse of :func:`training_shards` (values are copied in);
-    returns ``images_seen``."""
-    model.load_state_dict(shards.get("model", {}))
+    returns ``images_seen``.  A generation that does not fit ``model``
+    or ``optimizer`` raises :class:`CheckpointError` naming ``where``."""
+    try:
+        model.load_state_dict(shards.get("model", {}))
+    except (KeyError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint {where} does not fit the model: "
+                              f"{exc.args[0]}") from exc
     if optimizer is not None:
         opt = shards.get("opt", {})
         if "step_count" not in opt:

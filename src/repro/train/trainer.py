@@ -254,10 +254,12 @@ class Trainer:
             checkpoint_root: str | None = None) -> list[float]:
         """Run ``n_steps``; optionally autosave a sharded checkpoint every
         ``save_every`` steps into ``checkpoint_root/step-<n>``."""
+        if save_every < 0 or (save_every and not checkpoint_root):
+            raise ValueError(f"save_every={save_every}: must be >= 0, and "
+                             "a positive value needs a checkpoint_root")
         for _ in range(n_steps):
             self.train_step()
-            if save_every and checkpoint_root \
-                    and len(self.history) % save_every == 0:
+            if save_every and len(self.history) % save_every == 0:
                 self.save(os.path.join(checkpoint_root,
                                        f"step-{len(self.history):08d}"))
                 if self.config.keep_checkpoints:

@@ -47,13 +47,6 @@ class TestAdamW:
         opt.step()
         np.testing.assert_allclose(abs(p.data[0]), 0.01, rtol=1e-4)
 
-    def test_state_arrays_shapes(self):
-        layer = Linear(3, 2)
-        opt = AdamW(layer.parameters())
-        arrays = opt.state_arrays()
-        assert len(arrays) == 2 * len(layer.parameters())
-        assert opt.state_bytes() == sum(a.nbytes for a in arrays)
-
 
 class TestEMA:
     def test_halflife_semantics(self):

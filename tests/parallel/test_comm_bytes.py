@@ -1,7 +1,6 @@
-"""Byte-accounting coverage for the remaining collectives
-(``reduce_scatter`` / ``broadcast``), the per-hop ring locality
-attribution of ``allreduce``, retry traffic under injected faults, and
-the ``CommStats`` helpers."""
+"""Byte-accounting coverage for the per-hop ring locality attribution of
+``allreduce``, retry traffic under injected faults, and the ``CommStats``
+helpers."""
 
 import numpy as np
 import pytest
@@ -9,65 +8,6 @@ import pytest
 from repro.obs import observed
 from repro.parallel import CommStats, SimCluster
 from repro.resilience import BitFlip, Drop, FaultInjector, FaultPlan
-
-
-def _chunks(n, size=4):
-    """n x n contribution matrix of float32 arrays (``size`` elements)."""
-    return [[np.full(size, 10.0 * i + j, dtype=np.float32)
-             for j in range(n)] for i in range(n)]
-
-
-class TestReduceScatterBytes:
-    def test_bytes_exclude_own_shard(self):
-        cluster = SimCluster(3)
-        chunk_bytes = 4 * 4  # 4 float32
-        cluster.reduce_scatter([0, 1, 2], _chunks(3))
-        # Each of 3 shards receives 2 remote contributions.
-        assert cluster.stats.total_bytes("reduce_scatter") == \
-            3 * 2 * chunk_bytes
-
-    def test_locality_split_across_nodes(self):
-        # Nodes: {0, 1} and {2, 3}; group of 4 -> for each shard j, the
-        # contribution from i is intra iff i and j share a node.
-        cluster = SimCluster(4, ranks_per_node=2)
-        chunk_bytes = 4 * 4
-        cluster.reduce_scatter([0, 1, 2, 3], _chunks(4))
-        # Per shard: 1 intra remote contribution + 2 inter.
-        assert cluster.stats.total_bytes("reduce_scatter", "intra") == \
-            4 * 1 * chunk_bytes
-        assert cluster.stats.total_bytes("reduce_scatter", "inter") == \
-            4 * 2 * chunk_bytes
-
-    def test_ops_counted_per_contribution(self):
-        cluster = SimCluster(2)
-        cluster.reduce_scatter([0, 1], _chunks(2))
-        assert sum(cluster.stats.ops[k] for k in cluster.stats.ops
-                   if k[0] == "reduce_scatter") == 2
-
-
-class TestBroadcastBytes:
-    def test_bytes_exclude_root(self):
-        cluster = SimCluster(4, ranks_per_node=4)
-        payload = np.zeros(25, dtype=np.float32)  # 100 bytes
-        cluster.broadcast([0, 1, 2, 3], 0, payload)
-        assert cluster.stats.total_bytes("broadcast") == 3 * 100
-        assert cluster.stats.total_bytes("broadcast", "intra") == 3 * 100
-
-    def test_locality_judged_from_root(self):
-        cluster = SimCluster(4, ranks_per_node=2)
-        payload = np.zeros(10, dtype=np.float32)  # 40 bytes
-        # Root is rank 1 (node 0); rank 0 is intra, ranks 2 and 3 inter.
-        cluster.broadcast([0, 1, 2, 3], 1, payload)
-        assert cluster.stats.total_bytes("broadcast", "intra") == 40
-        assert cluster.stats.total_bytes("broadcast", "inter") == 2 * 40
-
-    def test_non_contiguous_group(self):
-        cluster = SimCluster(8, ranks_per_node=2)
-        payload = np.zeros(1, dtype=np.float32)  # 4 bytes
-        # Group {0, 1, 6}: root 0 -> 1 intra (node 0), 6 inter (node 3).
-        cluster.broadcast([0, 1, 6], 0, payload)
-        assert cluster.stats.total_bytes("broadcast", "intra") == 4
-        assert cluster.stats.total_bytes("broadcast", "inter") == 4
 
 
 class TestAllreduceRingLocality:
@@ -179,7 +119,7 @@ class TestCommStatsHelpers:
         payload = np.zeros(10, dtype=np.float32)
         c1.send(0, 1, payload)
         c2.send(0, 1, payload)
-        c2.broadcast([0, 1], 0, payload)
+        c2.allreduce([0, 1], [payload, payload])
         merged = CommStats().merge(c1.stats).merge(c2.stats)
         assert merged.total_bytes("p2p") == \
             c1.stats.total_bytes("p2p") + c2.stats.total_bytes("p2p")

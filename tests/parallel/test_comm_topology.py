@@ -52,22 +52,6 @@ class TestSimCluster:
         # Ring: 2(n-1)/n per rank, summed over n ranks.
         assert cluster.stats.total_bytes("allreduce") == int(2 * 3 / 4 * 400) * 4
 
-    def test_reduce_scatter(self):
-        cluster = SimCluster(2)
-        chunks = [[np.array([1.0]), np.array([2.0])],
-                  [np.array([3.0]), np.array([4.0])]]
-        out = cluster.reduce_scatter([0, 1], chunks)
-        np.testing.assert_array_equal(out[0], [4.0])
-        np.testing.assert_array_equal(out[1], [6.0])
-
-    def test_broadcast(self):
-        cluster = SimCluster(3, ranks_per_node=3)
-        out = cluster.broadcast([0, 1, 2], 0, np.arange(4.0))
-        assert len(out) == 3
-        for o in out:
-            np.testing.assert_array_equal(o, np.arange(4.0))
-        assert cluster.stats.ops[("broadcast", "intra")] == 2
-
     def test_node_mapping(self):
         cluster = SimCluster(12, ranks_per_node=3)
         assert cluster.node_of(0) == 0

@@ -16,7 +16,6 @@ from repro.parallel import (
     SwipeEngine,
     ZeroOptimizer,
     allreduce_gradients,
-    replicate_model,
 )
 from repro.perf import AURORA, CommModel
 from repro.tensor import Tensor
@@ -114,10 +113,9 @@ class TestZeroOptimizer:
             layer_b.bias.grad = grad_b.copy()
             zero.step()
             plain.step()
-        np.testing.assert_allclose(layer_a.weight.data, layer_b.weight.data,
-                                   rtol=1e-6)
-        np.testing.assert_allclose(layer_a.bias.data, layer_b.bias.data,
-                                   rtol=1e-6)
+        np.testing.assert_array_equal(layer_a.weight.data,
+                                      layer_b.weight.data)
+        np.testing.assert_array_equal(layer_a.bias.data, layer_b.bias.data)
 
     def test_state_sharded(self):
         model = Aeris(TINY16, seed=0)
@@ -141,17 +139,25 @@ class TestZeroOptimizer:
         assert cluster.stats.total_bytes("allgather") > 0
 
     def test_lr_propagates(self):
-        layer = Linear(4, 4)
-        zero = ZeroOptimizer(layer.parameters(), SimCluster(2), [0, 1])
+        """An lr set after construction reaches every shard's update."""
+        layer_a = Linear(4, 4, rng=np.random.default_rng(1))
+        layer_b = Linear(4, 4, rng=np.random.default_rng(1))
+        zero = ZeroOptimizer(layer_a.parameters(), SimCluster(2), [0, 1])
+        plain = AdamW(layer_b.parameters(), lr=0.123)
         zero.lr = 0.123
-        assert all(opt.lr == 0.123 for opt in zero.shard_optimizers)
+        for p, q in zip(layer_a.parameters(), layer_b.parameters()):
+            p.grad = np.ones_like(p.data)
+            q.grad = np.ones_like(q.data)
+        zero.step()
+        plain.step()
+        for p, q in zip(layer_a.parameters(), layer_b.parameters()):
+            np.testing.assert_array_equal(p.data, q.data)
 
 
 class TestDataParallel:
     def test_allreduce_averages_grads(self):
         factory = lambda: Aeris(TINY16, seed=0)
-        model = factory()
-        replicas = [model, replicate_model(model, factory)]
+        replicas = [factory(), factory()]
         x_t, t, cond, forc, target = make_inputs(batch=4)
         # Each replica sees half of the batch.
         for i, replica in enumerate(replicas):
@@ -181,8 +187,7 @@ class TestDataParallel:
         the paper's claim that WP leaves it unchanged."""
         model = Aeris(TINY16, seed=0)
         n_bytes = sum(p.data.nbytes for p in model.parameters())
-        factory = lambda: Aeris(TINY16, seed=0)
-        replicas = [model, replicate_model(model, factory)]
+        replicas = [model, Aeris(TINY16, seed=0)]
         for replica in replicas:
             for p in replica.parameters():
                 p.grad = np.zeros_like(p.data)

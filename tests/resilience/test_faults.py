@@ -155,7 +155,7 @@ class TestSelfHealingTransfers:
         with pytest.raises(RankFailure):
             cluster.allreduce([0, 1, 2, 3], arrays)
         with pytest.raises(RankFailure):
-            cluster.broadcast([0, 1, 2, 3], 0, arrays[0])
+            cluster.alltoall([0, 1, 2, 3], [arrays] * 4)
         with pytest.raises(RankFailure):
             cluster.send(0, 1, arrays[0])
         cluster.send(0, 2, arrays[0])  # survivors keep talking

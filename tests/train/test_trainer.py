@@ -1,14 +1,18 @@
 """Training-loop tests: loss decreases, EMA/schedule wiring, forecaster
 export, checkpoint roundtrip, end-to-end forecast sanity."""
 
+import os
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.diffusion import SolverConfig
 from repro.model import Aeris, AerisConfig, ParallelLayout
 from repro.nn import EMA, AdamW
-from repro.train import (Trainer, TrainerConfig, read_sharded_checkpoint,
-                         write_sharded_checkpoint)
+from repro.train import (CheckpointError, Trainer, TrainerConfig,
+                         read_sharded_checkpoint, write_sharded_checkpoint)
 from repro.train.checkpoint import restore_training_shards, training_shards
 
 TINY16 = AerisConfig(
@@ -125,3 +129,45 @@ class TestCheckpoint:
                                 model2)
         np.testing.assert_array_equal(model2.decode.weight.data,
                                       trained.model.decode.weight.data)
+
+
+def _other_config_generation(archive, root, **changes):
+    """A verified generation saved by a trainer of another config."""
+    other = Trainer(Aeris(replace(TINY16, name="other", **changes)), archive)
+    return other.save(os.path.join(root, "step-00000001"))
+
+
+class TestCheckpointFit:
+    """A generation that verifies but does not fit the model fails typed,
+    naming the directory; ``fit`` rejects an autosave it cannot honour."""
+
+    def test_load_shape_mismatch_is_typed(self, tmp_path,
+                                          tiny_archive_module):
+        where = _other_config_generation(tiny_archive_module, str(tmp_path),
+                                         dim=16)
+        trainer = Trainer(Aeris(TINY16), tiny_archive_module)
+        with pytest.raises(CheckpointError, match=re.escape(where)):
+            trainer.load(where)
+
+    def test_load_latest_name_mismatch_is_typed(self, tmp_path,
+                                                tiny_archive_module):
+        where = _other_config_generation(tiny_archive_module, str(tmp_path),
+                                         swin_layers=1)
+        trainer = Trainer(Aeris(TINY16), tiny_archive_module)
+        with pytest.raises(CheckpointError, match=re.escape(where)):
+            trainer.load_latest(str(tmp_path))
+
+    def test_negative_save_every_rejected(self, tmp_path,
+                                          tiny_archive_module):
+        trainer = Trainer(Aeris(TINY16), tiny_archive_module,
+                          TrainerConfig(batch_size=2))
+        with pytest.raises(ValueError, match="save_every"):
+            trainer.fit(2, save_every=-2, checkpoint_root=str(tmp_path))
+        assert trainer.history == [] and not os.listdir(tmp_path)
+
+    def test_save_every_without_root_rejected(self, tiny_archive_module):
+        trainer = Trainer(Aeris(TINY16), tiny_archive_module,
+                          TrainerConfig(batch_size=2))
+        with pytest.raises(ValueError, match="checkpoint_root"):
+            trainer.fit(2, save_every=1)
+        assert trainer.history == []
