@@ -9,11 +9,13 @@ layer).
   with the Swin cyclic shift folded in, keyed by ``(grid, window, shift)``;
 * :mod:`~repro.kernels.rope_cache` — memoized axial 2D RoPE tables keyed by
   ``(window, head_dim, base, dtype)``;
-* :mod:`~repro.kernels.fused` — one call per chain: rotary, softmax(QKᵀ)·V,
-  norm-modulate, gate-residual, linear and SwiGLU are one graph node with a
-  hand-written backward when handed Tensors and raw, in-place, on
-  :mod:`repro.tensor.workspace` scratch when handed arrays; LayerNorm, the
-  time features and the embed concat have the raw form alone.
+* :mod:`~repro.kernels.fused` — one call per chain: softmax(QKᵀ)·V over
+  the packed QKV projection, norm-modulate, gate-residual, linear and
+  SwiGLU are one graph node with a hand-written backward when handed
+  Tensors and raw, in-place, on :mod:`repro.tensor.workspace` scratch when
+  handed arrays; the rotary (in place in the packed projection, its
+  backward inside the attention node's), LayerNorm, the time features and
+  the embed concat have the raw form alone.
 
 Every kernel is bit-exact against the reference implementation it replaces
 (golden tests); :func:`disable_kernels` flips the consumers (every layer of

@@ -14,13 +14,14 @@ One convention serves the taped and the tape-free forward: handed
 a module does to let the kernel write in place on memory the module owns —
 it returns a raw array.  Both run the same forward body; the taped call
 only may not overwrite what its backward reads.  LayerNorm, SiLU, the time
-features and the embed concat have the raw form alone.
+features, the embed concat and the rotary have the raw form alone (the
+taped attention core rotates its own gradient back).
 
 Memory rule.  An array handed in is never written: the residual stream, a
 parameter or a cached state may be held by the caller.  In-place updates
 touch only what the kernel — or, for a raw :func:`fused_gate_residual`'s
-``branch`` and the packed projection a raw :func:`fused_apply_rotary`
-rotates, the calling module — just produced.  No result, and nothing a
+``branch`` and the packed projection :func:`fused_apply_rotary` rotates,
+taped or not, the calling module — just produced.  No result, and nothing a
 backward closure keeps, is arena scratch; a closure draws its temporaries
 from the arena and hands them back before it returns.
 
@@ -51,7 +52,10 @@ K-reduction keeps its order:
 * ``max`` is exact in any order, so short rows are reduced through a
   cache-blocked transposed copy;
 * GEMM operands may be copied contiguous and the output written in another
-  order — the K order of every dot product is untouched;
+  order — the K order of every dot product is untouched — but an NN and an
+  NT BLAS call of one product can differ in the last bit, so a backward
+  multiplies operands in the layout the chain kept them (the forward's Kᵀ
+  copy is the exception: 1 ulp off the chain at FP32, head_dim 32);
 * ``sum`` over the softmax axis is pairwise, hence order-sensitive: it keeps
   its layout and algorithm.
 """
@@ -112,16 +116,19 @@ def _gemm(a: np.ndarray, b: np.ndarray, label: str | None = None,
     is), and that node's FLOPs.
 
     Returns ``(product, a, b)`` with the operands as multiplied — what a
-    backward has to reuse.
+    backward has to reuse.  Under autocast a transposed ``b`` is rounded as
+    the chain rounds its ``k.swapaxes(-1, -2)`` — ``bᵀ``, contiguous — and
+    handed back as that array's transposed view (the layout rule).
     """
-    if bf16_matmul_enabled():
-        a, b = round_bf16(a), round_bf16(b)
-    if transpose_b:
-        right = np.swapaxes(b, -1, -2)
+    rounded = bf16_matmul_enabled()
+    right = np.swapaxes(b, -1, -2) if transpose_b else b
+    if rounded:
+        a, right = round_bf16(a), round_bf16(right)
+        b = np.swapaxes(right, -1, -2) if transpose_b else right
+    if transpose_b and not rounded:
         out = _matmul_transposed(a, right, out)
     else:
-        right = b
-        out = np.matmul(a, b, out=out)
+        out = np.matmul(a, right, out=out)
     if label is not None:
         guard_gemm(a, right, out, label)
     if flops_enabled():
@@ -203,25 +210,15 @@ def rotate_pairs(x: np.ndarray, cos: np.ndarray, sin: np.ndarray,
     return out
 
 
-def fused_apply_rotary(x, cos: np.ndarray, sin: np.ndarray):
-    """Rotate feature pairs of ``x`` by per-token angles, as one graph node.
-
-    Same contract as :func:`repro.nn.attention.apply_rotary`:
-    ``x`` is ``(..., tokens, head_dim)``, ``cos``/``sin`` are
-    ``(tokens, head_dim // 2)`` — or anything that broadcasts the same way,
-    e.g. ``(tokens, 1, head_dim // 2)`` against a packed
-    ``(..., tokens, heads, head_dim)``.
-
-    A raw array in is the tape-free call: it is a projection the calling
-    module just produced and owns, so it is rotated in place and returned.
-    """
-    if type(x) is np.ndarray:
-        return rotate_pairs(x, cos, sin, out=x)
-
-    def backward(g):
-        return (rotate_pairs(g, cos, sin, inverse=True),)
-
-    return Tensor._make(rotate_pairs(x.data, cos, sin), (x,), backward)
+def fused_apply_rotary(x: np.ndarray, cos: np.ndarray,
+                       sin: np.ndarray) -> np.ndarray:
+    """Rotate feature pairs of ``x`` by per-token angles, in place, and
+    return it: :func:`repro.nn.attention.apply_rotary`'s rotation, with
+    ``cos``/``sin`` broadcasting against ``x.shape[:-1] + (head_dim // 2,)``
+    (``(tokens, 1, 1, head_dim // 2)`` against the Q/K part of a packed
+    projection).  ``x`` is a projection the calling module owns, taped or
+    not: the taped attention core rotates its gradient back."""
+    return rotate_pairs(x, cos, sin, out=x)
 
 
 def _row_max(scores: np.ndarray) -> np.ndarray:
@@ -268,35 +265,44 @@ def _matmul_transposed(a: np.ndarray, bT: np.ndarray,
     return full
 
 
-def fused_dot_product_attention(q, k, v):
-    """Softmax attention ``softmax(q·kᵀ/√d)·v`` as one graph node (raw
-    arrays in are the tape-free call: a raw array out).
+def _head_major(packed: np.ndarray, part: int) -> np.ndarray:
+    """Q (0), K (1) or V (2) of a packed ``(..., tokens, 3, heads, d)``
+    array as a ``(..., heads, tokens, d)`` view."""
+    return np.swapaxes(packed[..., part, :, :], -2, -3)
 
-    Same contract as :func:`repro.nn.attention.dot_product_attention`:
-    shapes ``(..., tokens, head_dim)`` in and out, float32 accumulation via
-    the same NumPy matmuls, max-subtracted softmax.  Operands may be any
-    strided views (the packed QKV projection hands over three); the result
-    is written token-major — ``(..., tokens, heads, head_dim)`` in memory —
-    so the caller's head merge is a view.
+
+def fused_dot_product_attention(qkv, rotary: tuple | None = None):
+    """Softmax attention ``softmax(q·kᵀ/√d)·v`` over a packed projection, as
+    one graph node (a raw array in is the tape-free call: a raw array out).
+
+    ``qkv`` is ``(..., tokens, 3, heads, head_dim)``, as the QKV projection
+    produces it; the result is ``(..., tokens, heads, head_dim)``.  Per
+    head, the contract of :func:`repro.nn.attention.dot_product_attention`:
+    float32 accumulation via the same NumPy matmuls, max-subtracted softmax.
+
+    Taped, the node's one parent is ``qkv`` and its backward hands back one
+    packed gradient: d(Q), d(K), d(V) written into their slots, d(Q), d(K)
+    rotated back in place by ``rotary`` — the ``(cos, sin)`` tables the
+    caller rotated Q and K by — then ``+ 0.0``, which makes it byte for
+    byte the ``0 + rot(0 + g)`` / ``0 + g`` of the slice chain it replaces.
     """
-    raw = type(q) is np.ndarray
-    qa, ka, va = (q, k, v) if raw else (q.data, k.data, v.data)
+    raw = type(qkv) is np.ndarray
+    packed = qkv if raw else qkv.data
+    qa, ka, va = (_head_major(packed, part) for part in range(3))
     tokens, head_dim = ka.shape[-2:]
     # Matches the reference's `1.0 / np.sqrt(hd)` python-float -> fp32 coerce.
-    scale = np.float32(1.0 / np.sqrt(qa.shape[-1]))
+    scale = np.float32(1.0 / np.sqrt(head_dim))
 
-    grad_needed = not raw and _taped(q, k, v)
-    scores_lead = out_lead = qa.shape[:-2]
-    if not scores_lead == ka.shape[:-2] == va.shape[:-2]:
-        scores_lead = np.broadcast_shapes(scores_lead, ka.shape[:-2])
-        out_lead = np.broadcast_shapes(scores_lead, va.shape[:-2])
-    scores_shape = scores_lead + (qa.shape[-2], tokens)
+    grad_needed = not raw and _taped(qkv)
+    scores_shape = qa.shape[:-1] + (tokens,)
     dtype = _gemm_dtype(qa, ka)
     ws = arena()
     # probs is captured by the backward closure, so it is pooled only when
     # there is none.
     scores = np.empty(scores_shape, dtype) if grad_needed \
         else ws.get(scores_shape, dtype)
+    out = np.empty(packed.shape[:-3] + packed.shape[-2:],
+                   _gemm_dtype(scores, va))
     try:
         _, qa_, ka_ = _gemm(qa, ka, "attention.scores", scores,
                             transpose_b=True)
@@ -305,58 +311,54 @@ def fused_dot_product_attention(q, k, v):
         np.exp(scores, out=scores)
         scores /= scores.sum(axis=-1, keepdims=True)
         probs = scores
-        out, probs_, va_ = _gemm(
-            probs, va, "attention.out", _empty_token_major(
-                out_lead + (qa.shape[-2], va.shape[-1]),
-                _gemm_dtype(probs, va)))
+        _, probs_, va_ = _gemm(probs, va, "attention.out",
+                               np.swapaxes(out, -2, -3))
     finally:
         if not grad_needed:
             ws.release(scores)
     if raw:
         return out
     if not grad_needed:
-        return Tensor._make(out, (q, k, v), lambda g: (None, None, None))
+        return Tensor(out)
 
     bf16 = bf16_matmul_enabled()
-    q_shape, v_shape = qa.shape, va.shape
-    kT_shape = ka.shape[:-2] + (head_dim, tokens)
 
     def backward(g):
-        g_ = round_bf16(g) if bf16 else g
+        # Head-major, as the chain's swapped views hand it over (and rounded
+        # in that order under autocast).
+        g_ = np.swapaxes(g, -2, -3)
+        if bf16:
+            g_ = round_bf16(g_)
         # out = probs_ @ va_  (backward reuses the rounded forward operands,
         # exactly as Tensor.__matmul__ captures them).
         if flops_enabled():
             add_flops(4 * g.size * tokens + 4 * probs.size * head_dim)
-        g_q = g_k = g_v = None
-        if v.requires_grad:
-            g_v = _unbroadcast(np.swapaxes(probs_, -1, -2) @ g_, v_shape)
-        if q.requires_grad or k.requires_grad:
-            g_scores = _unbroadcast(g_ @ np.swapaxes(va_, -1, -2),
-                                    probs.shape)
-            # softmax backward (on the unrounded probabilities), in place on
-            # the freshly computed d(probs): (g - sum(g*p)) * p * scale.
-            g_scores -= (g_scores * probs).sum(axis=-1, keepdims=True)
-            g_scores *= probs
-            g_scores *= scale
-            g_scores_ = round_bf16(g_scores) if bf16 else g_scores
-            # scores = qa_ @ kT  backward.
-            if q.requires_grad:
-                g_q = _unbroadcast(g_scores_ @ ka_, q_shape)
-            if k.requires_grad:
-                g_k = np.swapaxes(_unbroadcast(
-                    np.swapaxes(qa_, -1, -2) @ g_scores_, kT_shape), -1, -2)
-        return (g_q, g_k, g_v)
+        grad = np.empty(packed.shape, np.result_type(g_, probs_, qa_, va_))
+        g_q, g_k, g_v = (_head_major(grad, part) for part in range(3))
+        np.matmul(np.swapaxes(probs_, -1, -2), g_, out=g_v)
+        g_scores = g_ @ np.swapaxes(va_, -1, -2)
+        # softmax backward (on the unrounded probabilities), in place on
+        # the freshly computed d(probs): (g - sum(g*p)) * p * scale.
+        g_scores -= (g_scores * probs).sum(axis=-1, keepdims=True)
+        g_scores *= probs
+        g_scores *= scale
+        g_scores_ = round_bf16(g_scores) if bf16 else g_scores
+        # scores = qa_ @ kT  backward.  d(K)ᵀ is computed contiguous, as the
+        # chain's GEMM writes it, then copied into its slot.
+        np.matmul(g_scores_, ka_, out=g_q)
+        g_kT = ws.get(ka_.shape[:-2] + (head_dim, tokens), grad.dtype)
+        try:
+            np.matmul(np.swapaxes(qa_, -1, -2), g_scores_, out=g_kT)
+            np.copyto(g_k, np.swapaxes(g_kT, -1, -2))
+        finally:
+            ws.release(g_kT)
+        if rotary is not None:
+            qk = grad[..., :2, :, :]
+            rotate_pairs(qk, *rotary, inverse=True, out=qk)
+        grad += 0.0             # -0.0 -> +0.0, as the chain's `0 + g` sums
+        return (grad,)
 
-    return Tensor._make(out, (q, k, v), backward)
-
-
-def _empty_token_major(shape: tuple[int, ...], dtype) -> np.ndarray:
-    """An uninitialized ``(..., heads, tokens, head_dim)`` array whose memory
-    order is ``(..., tokens, heads, head_dim)``."""
-    if len(shape) < 3:
-        return np.empty(shape, dtype=dtype)
-    memory = shape[:-3] + (shape[-2], shape[-3], shape[-1])
-    return np.swapaxes(np.empty(memory, dtype=dtype), -2, -3)
+    return Tensor._make(out, (qkv,), backward)
 
 
 # -- the other chains: Tensors in -> one graph node, raw arrays in -> a raw

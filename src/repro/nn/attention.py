@@ -88,21 +88,22 @@ class MultiHeadAttention(Module):
         qkv = self.qkv(x)                                     # (..., T, 3D)
         tape_free = _tape_free()
         if tape_free:
-            # Views of the raw array: no graph nodes to build, rotary may
-            # rotate the projection in place, and the two kernels hand raw
-            # arrays straight back.
+            # A view of the raw array: no graph nodes to build, and the
+            # core hands a raw array straight back.
             qkv = qkv.data
         qkv = qkv.reshape(*lead, tokens, 3, self.heads, self.head_dim)
         if kernels_enabled():
-            # Q and K are rotated together, in the packed order the
-            # projection produced; the core takes head-major *views*.
-            qk, v = qkv[..., :2, :, :], qkv[..., 2, :, :]
+            rotary = None
             if rope_cos is not None:
-                qk = fused_apply_rotary(qk, rope_cos[:, None, None, :],
-                                        rope_sin[:, None, None, :])
-            q, k, v = (t.swapaxes(-2, -3)
-                       for t in (qk[..., 0, :, :], qk[..., 1, :, :], v))
-            out = fused_dot_product_attention(q, k, v)        # (..., H, T, hd)
+                # Q and K rotated together, in place in the packed order the
+                # projection produced — taped too: this module owns the
+                # projection, and fused_linear's backward reads only its
+                # input and weight.  The taped core rotates d(Q), d(K) back.
+                rotary = (rope_cos[:, None, None, :],
+                          rope_sin[:, None, None, :])
+                fused_apply_rotary(
+                    (qkv if tape_free else qkv.data)[..., :2, :, :], *rotary)
+            out = fused_dot_product_attention(qkv, rotary)    # (..., T, H, hd)
         else:
             # current axes: lead..., T, 3, H, hd ; want: 3, lead..., H, T, hd
             n_lead = len(lead)
@@ -113,6 +114,7 @@ class MultiHeadAttention(Module):
                 q = apply_rotary(q, rope_cos, rope_sin)
                 k = apply_rotary(k, rope_cos, rope_sin)
             out = dot_product_attention(q, k, v)              # (..., H, T, hd)
+            out = out.swapaxes(-2, -3)
         # -> (..., T, H*hd)
-        out = out.swapaxes(-2, -3).reshape(*lead, tokens, dim)
+        out = out.reshape(*lead, tokens, dim)
         return self.out(Tensor(out) if tape_free else out)

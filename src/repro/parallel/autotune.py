@@ -52,8 +52,7 @@ from ..obs.profile import gauge as _gauge
 from ..obs.profile import record_event as _record_event
 from ..perf.machine import AURORA, LUMI, Machine
 from ..perf.memory import CHECKPOINT_RECOMPUTE_OVERHEAD, MemoryModel
-from ..perf.pipeline_model import (bubble_fraction, schedule_1f1b,
-                                   simulate_timeline)
+from ..perf.pipeline_model import bubble_fraction, simulate_schedule
 from ..perf.scaling import estimate_performance, step_terms
 from ..perf.tradeoff import checkpointing_plan
 from ..resilience.atomic import atomic_write
@@ -254,18 +253,18 @@ def calibrated_step_s(config: AerisConfig, machine: Machine,
                       schedule: str = "1f1b") -> float:
     """Step time re-derived from a *measured* sustained FLOP rate.
 
-    Replays the candidate's 1F1B schedule through the dependency-driven
-    timeline simulator with :func:`repro.perf.step_terms` at
-    ``flops_per_s``, then adds the same optimizer/allreduce tail as the
-    analytic model.  Deterministic given the rate — the only wall-clock
-    input is the rate measurement itself.
+    Replays the candidate's pipeline under the named ``schedule``
+    (:func:`repro.perf.pipeline_model.simulate_schedule`) with
+    :func:`repro.perf.step_terms` at ``flops_per_s``, then adds the same
+    optimizer/allreduce tail as the analytic model.  Deterministic given
+    the rate — the only wall-clock input is the rate measurement itself.
     """
     if flops_per_s <= 0:
         raise ValueError("flops_per_s must be positive")
     topo = candidate.topology
     t_fwd, t_bwd, t_opt, t_ar = step_terms(
         config, machine, topo, candidate.micro_batch, flops_per_s)
-    timeline = simulate_timeline(schedule_1f1b(topo.pp, candidate.gas),
+    timeline = simulate_schedule(schedule, topo.pp, candidate.gas,
                                  t_fwd=t_fwd, t_bwd=t_bwd)
     factor = (1.0 + CHECKPOINT_RECOMPUTE_OVERHEAD
               if candidate.checkpointing else 1.0)

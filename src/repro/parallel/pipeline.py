@@ -208,8 +208,7 @@ def pipeline_check(report, pp: int, n_micro: int, schedule: str = "1f1b",
     ``tol_closed_form``.
     """
     from ..perf.pipeline_model import (bubble_fraction, observed_bubble,
-                                       schedule_1f1b, schedule_gpipe,
-                                       simulate_timeline)
+                                       simulate_schedule)
     spans = report.tracer.select(category=category,
                                  track_prefix=track_prefix)
     if not spans:
@@ -223,9 +222,8 @@ def pipeline_check(report, pp: int, n_micro: int, schedule: str = "1f1b",
     bwd = [s.duration for s in spans if s.attrs.get("phase") == "B"]
     predicted_sim = None
     if fwd and bwd:
-        maker = schedule_gpipe if schedule == "gpipe" else schedule_1f1b
-        predicted_sim = simulate_timeline(
-            maker(pp, n_micro), t_fwd=sum(fwd) / len(fwd),
+        predicted_sim = simulate_schedule(
+            schedule, pp, n_micro, t_fwd=sum(fwd) / len(fwd),
             t_bwd=sum(bwd) / len(bwd))["bubble"]
     err_closed = abs(observed - predicted_closed)
     err_sim = (abs(observed - predicted_sim)

@@ -57,11 +57,9 @@ def ulysses_attention(cluster: SimCluster, sp_group: list[int],
         return [np.concatenate(row, axis=join)
                 for row in cluster.alltoall(sp_group, chunks)]
 
-    # Token-sharded, all heads -> all tokens, H/SP heads.  The model's own
-    # attention core takes head-major views and writes token-major, so both
-    # swaps are views.
+    # Token-sharded, all heads -> all tokens, H/SP heads, then stacked (a
+    # local copy) into the packed layout the model's own attention core
+    # takes; it writes token-major.
     full = [alltoall(s, -2, -3) for s in (q_shards, k_shards, v_shards)]
-    return alltoall([
-        np.swapaxes(fused_dot_product_attention(
-            *(np.swapaxes(t, -2, -3) for t in qkv)), -2, -3)
-        for qkv in zip(*full)], -3, -2)
+    return alltoall([fused_dot_product_attention(np.stack(qkv, axis=-3))
+                     for qkv in zip(*full)], -3, -2)

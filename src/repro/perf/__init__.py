@@ -17,6 +17,7 @@ from .pipeline_model import (
     schedule_1f1b,
     schedule_gpipe,
     schedule_zb_h1,
+    simulate_schedule,
     simulate_timeline,
 )
 from .tradeoff import CheckpointingPlan, checkpointing_plan, time_to_train
@@ -39,7 +40,7 @@ __all__ = [
     "forward_flops_per_block_token", "stage_forward_flops",
     "CommModel", "MemoryModel", "CHECKPOINT_RECOMPUTE_OVERHEAD",
     "bubble_fraction", "schedule_gpipe", "schedule_1f1b", "schedule_zb_h1",
-    "simulate_timeline", "max_in_flight", "Event",
+    "simulate_schedule", "simulate_timeline", "max_in_flight", "Event",
     "PerfEstimate", "estimate_performance", "kernel_efficiency",
     "step_terms", "weak_scaling_series", "strong_scaling_gas",
     "strong_scaling_wp",

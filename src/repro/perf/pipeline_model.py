@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 __all__ = ["bubble_fraction", "observed_bubble", "Event", "schedule_gpipe",
-           "schedule_1f1b", "schedule_zb_h1", "simulate_timeline",
-           "max_in_flight"]
+           "schedule_1f1b", "schedule_zb_h1", "SCHEDULES",
+           "simulate_schedule", "simulate_timeline", "max_in_flight"]
 
 
 def bubble_fraction(pp: int, microbatches: int, schedule: str = "1f1b"
@@ -95,6 +95,27 @@ def schedule_zb_h1(pp: int, microbatches: int) -> list[list[Event]]:
     for s, events in enumerate(base):
         out.append(events + [Event(s, m, "W") for m in range(microbatches)])
     return out
+
+
+#: Schedule name -> (per-stage event lists, share of the backward its "B"
+#: pass does; a "W" pass does the rest).
+SCHEDULES = {"gpipe": (schedule_gpipe, 1.0), "1f1b": (schedule_1f1b, 1.0),
+             "zero-bubble": (schedule_zb_h1, 0.5)}
+
+
+def simulate_schedule(name: str, pp: int, microbatches: int, t_fwd: float,
+                      t_bwd: float) -> dict:
+    """:func:`simulate_timeline` of the named schedule at per-pass costs
+    ``t_fwd`` / ``t_bwd``.  ``"zero-bubble"`` replays :func:`schedule_zb_h1`
+    with the backward split evenly into its input-gradient ("B") and
+    weight-gradient ("W") passes, so the work per microbatch is unchanged;
+    an unknown name raises ``ValueError``."""
+    if name not in SCHEDULES:
+        raise ValueError(f"unknown schedule {name!r}")
+    maker, share = SCHEDULES[name]
+    return simulate_timeline(maker(pp, microbatches), t_fwd=t_fwd,
+                             t_bwd=t_bwd * share,
+                             t_w=t_bwd * (1.0 - share))
 
 
 def simulate_timeline(schedule: list[list[Event]], t_fwd: float,

@@ -9,7 +9,6 @@ from repro.kernels import (
     abft_enabled,
     abft_guard,
     abft_matmul,
-    fused_dot_product_attention,
     guard_gemm,
 )
 from repro.resilience import (
@@ -20,6 +19,8 @@ from repro.resilience import (
     inject_compute,
 )
 from repro.tensor import Tensor
+
+from .test_golden import packed_attention
 
 # Batched and plain shapes, plus cancellation-heavy operand pairs whose
 # products are rounding noise — the tolerance must come from the operand
@@ -150,9 +151,9 @@ class TestGuardedAttention:
 
     def test_bit_exact_under_guard(self):
         q, k, v = self._qkv()
-        ref = fused_dot_product_attention(q, k, v)
+        ref = packed_attention(q, k, v)
         with abft_guard():
-            guarded = fused_dot_product_attention(q, k, v)
+            guarded = packed_attention(q, k, v)
         np.testing.assert_array_equal(guarded.numpy(), ref.numpy())
 
     def test_injected_flip_in_attention_detected(self):
@@ -160,4 +161,4 @@ class TestGuardedAttention:
         for nth in (0, 1):  # scores GEMM, then the probs@V GEMM
             with abft_guard(), inject_compute(_gemm_fault(nth=nth)), \
                     pytest.raises(ComputeCorruption, match="attention"):
-                fused_dot_product_attention(q, k, v)
+                packed_attention(q, k, v)

@@ -19,7 +19,8 @@ from repro.kernels import (
     rope_tables,
     window_plan,
 )
-from repro.model import Aeris, AerisConfig, SwinBlock
+from repro.kernels.fused import rotate_pairs
+from repro.model import SMALL, Aeris, AerisConfig, SwinBlock
 from repro.model.blocks import _gated_residual
 from repro.model.rope import axial_rope_table
 from repro.model.windows import cyclic_shift, window_merge, window_partition
@@ -40,6 +41,7 @@ from repro.tensor import (
     autocast_bf16,
     count_flops,
     no_grad,
+    stack,
 )
 from repro.train import Trainer, TrainerConfig
 
@@ -90,13 +92,40 @@ def _qkv(shape=(2, 3, 16, 8), seed=7):
         for _ in range(3))
 
 
+def packed_attention(q, k, v, rope=None):
+    """Rotary (given ``rope = (cos, sin)``) on Q and K, then the attention
+    core, through the packed kernels as ``MultiHeadAttention`` calls them.
+
+    The head-major ``(..., H, T, hd)`` operands (``(T, hd)``: one head) of
+    :func:`dot_product_attention` are stacked into a fresh packed
+    ``(..., T, 3, H, hd)`` projection — a ``stack`` node for Tensors — Q
+    and K are rotated in place in it, and the output is handed back
+    head-major.
+    """
+    raw = type(q) is np.ndarray
+    one_head = q.ndim == 2
+    parts = [x.reshape(x.shape[0], 1, x.shape[1]) if one_head
+             else np.swapaxes(x, -2, -3) if raw else x.swapaxes(-2, -3)
+             for x in (q, k, v)]
+    packed = np.stack(parts, axis=-3) if raw else stack(parts, axis=-3)
+    rotary = None
+    if rope is not None:
+        rotary = tuple(table[:, None, None, :] for table in rope)
+        fused_apply_rotary((packed if raw else packed.data)[..., :2, :, :],
+                           *rotary)
+    out = fused_dot_product_attention(packed, rotary)
+    if one_head:
+        return out.reshape(out.shape[0], out.shape[-1])
+    return np.swapaxes(out, -2, -3) if raw else out.swapaxes(-2, -3)
+
+
 class TestFusedAttention:
     @pytest.mark.parametrize("bf16", [False, True])
     def test_forward_bit_exact(self, bf16):
         q, k, v = _qkv()
         with autocast_bf16(bf16):
             ref = dot_product_attention(q, k, v)
-            fused = fused_dot_product_attention(q, k, v)
+            fused = packed_attention(q, k, v)
         np.testing.assert_array_equal(fused.numpy(), ref.numpy())
 
     @pytest.mark.parametrize("bf16", [False, True])
@@ -105,7 +134,7 @@ class TestFusedAttention:
         g = rng.normal(size=shape).astype(np.float32)
         grads = {}
         for name, core in (("ref", dot_product_attention),
-                           ("fused", fused_dot_product_attention)):
+                           ("fused", packed_attention)):
             q, k, v = _qkv(shape)
             with autocast_bf16(bf16):
                 core(q, k, v).backward(g)
@@ -118,7 +147,7 @@ class TestFusedAttention:
         g = np.ones(shape, dtype=np.float32)
         counts = {}
         for name, core in (("ref", dot_product_attention),
-                           ("fused", fused_dot_product_attention)):
+                           ("fused", packed_attention)):
             q, k, v = _qkv(shape)
             fc = FlopCounter()
             with count_flops(fc):
@@ -134,25 +163,29 @@ class TestFusedAttention:
             q, k, v = _qkv(shape)
             with no_grad():
                 ref = dot_product_attention(q, k, v)
-                fused = fused_dot_product_attention(q, k, v)
+                fused = packed_attention(q, k, v)
             np.testing.assert_array_equal(fused.numpy(), ref.numpy())
 
 
 class TestFusedRotary:
     def test_forward_and_backward_bit_exact(self):
+        """The rotation in place, and the inverse rotation the attention
+        core's backward applies in place, against ``apply_rotary`` and its
+        chain's gradient."""
         window, head_dim = (4, 4), 8
         cos, sin = rope_tables(window, head_dim)
+        cos, sin = cos[:, None, :], sin[:, None, :]
         shape = (2, 5, 16, 3, head_dim)  # (..., tokens, heads, head_dim)
         g = rng.normal(size=shape).astype(np.float32)
         x_ref = Tensor(rng.normal(size=shape).astype(np.float32),
                        requires_grad=True)
-        x_fused = Tensor(x_ref.data.copy(), requires_grad=True)
-        ref = apply_rotary(x_ref, cos[:, None, :], sin[:, None, :])
-        fused = fused_apply_rotary(x_fused, cos[:, None, :], sin[:, None, :])
-        np.testing.assert_array_equal(fused.numpy(), ref.numpy())
+        ref = apply_rotary(x_ref, cos, sin)
+        fused = fused_apply_rotary(x_ref.data.copy(), cos, sin)
+        np.testing.assert_array_equal(fused, ref.numpy())
         ref.backward(g)
-        fused.backward(g)
-        np.testing.assert_array_equal(x_fused.grad, x_ref.grad)
+        back = g.copy()
+        rotate_pairs(back, cos, sin, inverse=True, out=back)
+        np.testing.assert_array_equal(back, x_ref.grad)
 
     def test_rope_tables_match_model_builder(self):
         cos, sin = rope_tables((4, 6), 8)
@@ -192,24 +225,12 @@ def _base_shape(layout, lead, tokens, head_dim):
 
 def _attend(base: Tensor, layout: str, cos, sin, fused: bool) -> Tensor:
     """Rotary on Q and K, then the attention core — reference primitives
-    or the fused kernels (packed: Q and K rotated in one call, as
-    ``MultiHeadAttention`` does)."""
+    or the packed kernels."""
     q, k, v = _layout_views(base, layout)
-    if not fused:
-        return dot_product_attention(apply_rotary(q, cos, sin),
-                                     apply_rotary(k, cos, sin), v)
-    if layout != "packed":
-        return fused_dot_product_attention(
-            fused_apply_rotary(q, cos, sin), fused_apply_rotary(k, cos, sin),
-            v)
-    if base.ndim == 3:
-        qk = fused_apply_rotary(base[:, :2], cos[:, None, :],
-                                sin[:, None, :])
-        return fused_dot_product_attention(qk[:, 0], qk[:, 1], v)
-    qk = fused_apply_rotary(base[..., :2, :, :], cos[:, None, None, :],
-                            sin[:, None, None, :])
-    q, k = (qk[..., i, :, :].swapaxes(-2, -3) for i in range(2))
-    return fused_dot_product_attention(q, k, v)
+    if fused:
+        return packed_attention(q, k, v, (cos, sin))
+    return dot_product_attention(apply_rotary(q, cos, sin),
+                                 apply_rotary(k, cos, sin), v)
 
 
 class TestAttentionLayouts:
@@ -224,7 +245,44 @@ class TestAttentionLayouts:
     @pytest.mark.parametrize("layout", LAYOUTS)
     def test_outputs_gradients_flops_bit_exact(self, layout, tokens,
                                                head_dim, lead):
-        cos, sin = rope_tables(WINDOWS[tokens], head_dim)
+        self._check(layout, WINDOWS[tokens], head_dim, lead)
+
+    def test_packed_64_tokens_head_dim_16(self):
+        """ROADMAP fact v's named case, ``SMALL``'s window and head_dim: the
+        BF16 d(Q) was 1 ulp off while the kernel rounded K rather than the
+        chain's Kᵀ (a GEMM in another BLAS layout)."""
+        self._check("packed", SMALL.window, SMALL.dim // SMALL.heads, (2, 4))
+
+    @pytest.mark.parametrize("bf16", [False, True], ids=["fp32", "bf16"])
+    def test_small_window_through_the_module(self, bf16):
+        """``MultiHeadAttention`` at ``SMALL``'s width, heads and window:
+        output, input and weight gradients of the taped kernels against the
+        ``disable_kernels()`` chain (BF16: two of them 1 ulp off before)."""
+        cos, sin = rope_tables(SMALL.window, SMALL.dim // SMALL.heads)
+        local = np.random.default_rng(5)
+        x = local.normal(size=(2, 3, 64, SMALL.dim)).astype(np.float32)
+        g = local.normal(size=x.shape).astype(np.float32)
+        got = []
+        for kernels in (True, False):
+            attn = MultiHeadAttention(SMALL.dim, SMALL.heads,
+                                      rng=np.random.default_rng(6))
+            leaf = Tensor(x, requires_grad=True)
+            with autocast_bf16(bf16), abft_guard():
+                if kernels:
+                    out = attn(leaf, cos, sin)
+                else:
+                    with disable_kernels():
+                        out = attn(leaf, cos, sin)
+                out.backward(g)
+            got.append([out.numpy(), leaf.grad]
+                       + [p.grad for p in attn.parameters()])
+        for a, b in zip(*got, strict=True):
+            np.testing.assert_array_equal(a, b)
+
+    @staticmethod
+    def _check(layout, window, head_dim, lead):
+        tokens = window[0] * window[1]
+        cos, sin = rope_tables(window, head_dim)
         local = np.random.default_rng(tokens * 31 + head_dim)
         data = local.normal(size=_base_shape(
             layout, lead, tokens, head_dim)).astype(np.float32)
@@ -282,15 +340,14 @@ class TestAttentionLayouts:
                 # Rotary is checked on its own below: rotating an all-inf
                 # row would turn the whole score matrix into NaN.
                 q_, k_, v_ = _layout_views(base, layout)
-                core = fused_dot_product_attention if fused \
-                    else dot_product_attention
+                core = packed_attention if fused else dot_product_attention
                 out = core(q_, k_, v_)
                 out.backward(g)
                 with no_grad():
                     plain = core(q_, k_, v_).numpy()
-                rot = (fused_apply_rotary if fused else apply_rotary)(
-                    q_, cos, sin)
-                got[fused] = (out.numpy(), plain, base.grad, rot.numpy())
+                rot = fused_apply_rotary(q_.data.copy(), cos, sin) if fused \
+                    else apply_rotary(q_, cos, sin).numpy()
+                got[fused] = (out.numpy(), plain, base.grad, rot)
         assert np.isnan(got[False][0]).any() \
             and np.isfinite(got[False][0]).any()
         for a, b in zip(got[True], got[False]):
@@ -557,13 +614,14 @@ class TestTapeFreeKernels:
 
 
 class TestRawKernelForms:
-    """The rotary and attention kernels handed raw arrays: same numbers as
-    handed Tensors, the rotation done in the array it was given."""
+    """The rotary and attention kernels handed raw arrays: the rotation
+    done in the array it was given, as ``apply_rotary`` computes it, and
+    the core's numbers those of its Tensor form."""
 
     def test_rotary_rotates_a_raw_array_in_place(self):
         cos, sin = rope_tables((4, 4), 8)
         packed = rng.normal(size=(2, 5, 16, 3, 4, 8)).astype(np.float32)
-        expect = fused_apply_rotary(
+        expect = apply_rotary(
             Tensor(packed[..., :2, :, :]), cos[:, None, None, :],
             sin[:, None, None, :]).numpy()
         v = packed[..., 2, :, :].copy()
@@ -578,7 +636,7 @@ class TestRawKernelForms:
         cos, sin = rope_tables((4, 4), 8)
         base = rng.normal(size=(4, 6, 16, 8)).astype(np.float32)
         x = base[::2, ::2]          # batch axes that reshape only by copy
-        expect = fused_apply_rotary(Tensor(x.copy()), cos, sin).numpy()
+        expect = apply_rotary(Tensor(x.copy()), cos, sin).numpy()
         untouched = base[1::2].copy()
         assert fused_apply_rotary(x, cos, sin) is x
         np.testing.assert_array_equal(x, expect)
@@ -588,8 +646,8 @@ class TestRawKernelForms:
     def test_attention_core_on_raw_arrays(self, bf16):
         q, k, v = _qkv()
         with no_grad(), autocast_bf16(bf16), abft_guard():
-            expect = fused_dot_product_attention(q, k, v).numpy()
-            out = fused_dot_product_attention(q.data, k.data, v.data)
+            expect = packed_attention(q, k, v).numpy()
+            out = packed_attention(q.data, k.data, v.data)
         assert type(out) is np.ndarray
         np.testing.assert_array_equal(out, expect)
 

@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.kernels import (
-    abft_guard,
-    fused_dot_product_attention,
-    fused_swiglu_forward,
-)
+from repro.kernels import abft_guard, fused_swiglu_forward
 from repro.model import Aeris
 from repro.nn.attention import dot_product_attention
 from repro.resilience import (
@@ -19,7 +15,7 @@ from repro.resilience import (
 )
 from repro.tensor import Tensor, WorkspaceArena, arena, no_grad
 
-from .test_golden import QUICKSTART, model_inputs, unblind
+from .test_golden import QUICKSTART, model_inputs, packed_attention, unblind
 
 
 class TestArenaPooling:
@@ -140,8 +136,8 @@ class TestArenaInKernels:
         q, k, v = (Tensor(rng.normal(size=(2, 4, 16, 8)).astype(np.float32))
                    for _ in range(3))
         with no_grad():
-            a = fused_dot_product_attention(q, k, v)
-            b = fused_dot_product_attention(q, k, v)
+            a = packed_attention(q, k, v)
+            b = packed_attention(q, k, v)
         np.testing.assert_array_equal(
             a.numpy(), dot_product_attention(q, k, v).numpy())
         np.testing.assert_array_equal(a.numpy(), b.numpy())
@@ -159,12 +155,12 @@ class TestArenaInKernels:
         data = [rng.normal(size=shape).astype(np.float32) for _ in range(6)]
         grads = {}
         for name, core in (("ref", dot_product_attention),
-                           ("fused", fused_dot_product_attention)):
+                           ("fused", packed_attention)):
             q, k, v = (Tensor(a.copy(), requires_grad=True)
                        for a in data[:3])
             out = core(q, k, v)
             with no_grad():     # same shapes: takes every pooled buffer
-                fused_dot_product_attention(*(Tensor(a) for a in data[3:]))
+                packed_attention(*(Tensor(a) for a in data[3:]))
             out.sum().backward()
             grads[name] = (q.grad, k.grad, v.grad)
         for a, b in zip(grads["ref"], grads["fused"]):
@@ -175,9 +171,9 @@ class TestArenaInKernels:
         first, second = ([Tensor(rng.normal(size=(2, 4, 16, 8)).astype(
             np.float32)) for _ in range(3)] for _ in range(2))
         with no_grad():
-            a = fused_dot_product_attention(*first)
+            a = packed_attention(*first)
             kept = a.numpy().copy()
-            b = fused_dot_product_attention(*second)
+            b = packed_attention(*second)
         assert not np.shares_memory(a.numpy(), b.numpy())
         np.testing.assert_array_equal(a.numpy(), kept)
         assert not np.array_equal(a.numpy(), b.numpy())
@@ -192,7 +188,7 @@ class TestArenaInKernels:
         q, k, v = (Tensor(rng.normal(size=(2, 4, 16, 8)).astype(np.float32))
                    for _ in range(3))
         with no_grad():
-            fused_dot_product_attention(q, k, v)
+            packed_attention(q, k, v)
             pooled = glob.pooled_bytes
             assert pooled > 0
             fault = FaultInjector(FaultPlan(events=(
@@ -200,10 +196,10 @@ class TestArenaInKernels:
             fault.advance(0)
             with abft_guard(), inject_compute(fault), \
                     pytest.raises(ComputeCorruption):
-                fused_dot_product_attention(q, k, v)
+                packed_attention(q, k, v)
             assert glob.pooled_bytes == pooled
             glob.reset_stats()
-            fused_dot_product_attention(q, k, v)
+            packed_attention(q, k, v)
         assert glob.stats()["misses"] == 0
 
     @pytest.mark.parametrize("nth", [0, 1, 2], ids=["gate", "up", "down"])

@@ -99,6 +99,19 @@ class TestTraceReportChecks:
             bubble_fraction(topo.pp, GAS), abs=0.02)
         assert result["abs_error_simulated"] < 0.02
 
+    def test_bubble_check_replays_the_named_schedule(self, traced_run):
+        """``"zero-bubble"`` replays ZB-H1, not 1F1B, at the measured stage
+        costs; an unknown name raises."""
+        tracer, registry, _, topo = traced_run
+        report = obs.TraceReport(tracer, registry)
+        run = dict(pp=topo.pp, n_micro=GAS, track_prefix="dp0/rank")
+        one_f_one_b = report.run(pipeline_check, **run)
+        zero_bubble = report.run(pipeline_check, schedule="zero-bubble", **run)
+        assert zero_bubble["predicted_bubble_simulated"] \
+            < one_f_one_b["predicted_bubble_simulated"]
+        with pytest.raises(ValueError, match="unknown schedule"):
+            report.run(pipeline_check, schedule="interleaved", **run)
+
     def test_comm_bytes_registry_matches_commstats_exactly(self, traced_run):
         tracer, registry, engine, _ = traced_run
         report = obs.TraceReport(tracer, registry)

@@ -10,6 +10,7 @@ calibrated at 3.0e9 FLOP/s.  Regenerate it only for an intended change to
 the cost model, from the parent commit's ``src``.
 """
 
+import dataclasses
 import json
 import os
 
@@ -146,6 +147,16 @@ class TestChosen:
         chosen = calibrated_step_s(TINY, AURORA, plan.chosen, rate)
         worst = calibrated_step_s(TINY, AURORA, plan.worst, rate)
         assert chosen < worst
+
+    def test_calibration_replays_the_named_schedule(self, plan):
+        """At PP 4 / GAS 4 a zero-bubble replay (the backward split evenly
+        into B and W) finishes before 1F1B's; an unknown name raises."""
+        candidate = dataclasses.replace(plan.chosen, pp=4, gas=4)
+        one_f_one_b = calibrated_step_s(TINY, AURORA, candidate, RATE)
+        assert calibrated_step_s(TINY, AURORA, candidate, RATE,
+                                 "zero-bubble") < one_f_one_b
+        with pytest.raises(ValueError, match="unknown schedule"):
+            calibrated_step_s(TINY, AURORA, candidate, RATE, "interleaved")
 
     def test_frontier_table_renders(self, plan):
         table = frontier_table(plan)

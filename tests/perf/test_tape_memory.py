@@ -15,6 +15,11 @@ import numpy as np
 import pytest
 
 from repro.diffusion.loss import weighted_velocity_loss
+from repro.kernels import (
+    fused_apply_rotary,
+    fused_dot_product_attention,
+    rope_tables,
+)
 from repro.model import Aeris
 from repro.parallel.topology import RankTopology
 from repro.perf import MemoryModel
@@ -74,10 +79,43 @@ def test_tape_memory_is_pinned_and_reconciled_with_the_model(step):
     assert peak <= tape + 4 * MB, (peak / MB, tape / MB)
     # The tape against MemoryModel's (4·d + 2·f) values per token per block,
     # at FP32 (the model books BF16): 4.8x with one graph node per
-    # primitive, under 3x with one per chain.
+    # primitive, 2.98x with one per chain, 2.72x with Q and K rotated in
+    # place in the packed projection (21.8 MB).
     model = MemoryModel(QUICKSTART, RankTopology(dp=1, pp=1, wp_grid=(1, 1),
                                                  sp=1))
     booked = (2 * model.activation_bytes_per_layer_per_sample()
               * QUICKSTART.swin_layers * BATCH)
     assert booked == 8 * MB
-    assert tape / booked <= 3.0, tape / booked
+    assert tape / booked <= 2.75, tape / booked
+
+
+def test_taped_rotary_allocates_nothing():
+    """One taped attention call between the projections — Q and K rotated
+    in place in the packed projection, then the core node — keeps the
+    probabilities and the output and nothing else: no rotated Q/K copy."""
+    cos, sin = rope_tables(QUICKSTART.window, 8)
+    rotary = (cos[:, None, None, :], sin[:, None, None, :])
+    packed = np.random.default_rng(0).normal(
+        size=(BATCH, 32, 16, 3, 4, 8)).astype(np.float32)
+
+    def attend():
+        qkv = Tensor(packed.copy(), requires_grad=True)
+        fused_apply_rotary(qkv.data[..., :2, :, :], *rotary)
+        return fused_dot_product_attention(qkv, rotary)
+
+    attend()                                # pooled scratch, cached tables
+    tracemalloc.start()
+    try:
+        qkv = Tensor(packed.copy(), requires_grad=True)
+        start = tracemalloc.get_traced_memory()[0]
+        fused_apply_rotary(qkv.data[..., :2, :, :], *rotary)
+        out = fused_dot_product_attention(qkv, rotary)
+        grown = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    # (…, heads, tokens, tokens) probabilities and the (…, tokens, heads,
+    # head_dim) output; a rotated Q/K copy would add 2/3 of the projection.
+    tokens, head_dim = packed.shape[2], packed.shape[-1]
+    kept = out.numpy().nbytes // head_dim * tokens + out.numpy().nbytes
+    assert kept <= grown <= kept + 4096, (grown, kept)
+    assert packed.nbytes * 2 // 3 > 4096

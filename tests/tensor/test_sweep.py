@@ -11,8 +11,9 @@ leaf gradients — the fan-in association is part of the numerics.
 import numpy as np
 import pytest
 
-from repro.kernels import disable_kernels
+from repro.kernels import disable_kernels, rope_tables
 from repro.model import Aeris
+from repro.nn import MultiHeadAttention
 from repro.tensor import (
     Tensor,
     autocast_bf16,
@@ -22,6 +23,7 @@ from repro.tensor import (
 )
 from repro.tensor.flops import backward_phase
 from repro.train import Trainer, TrainerConfig
+from tests.kernels.reference_attention import attention_forward
 from tests.kernels.test_golden import QUICKSTART, model_inputs, unblind
 
 
@@ -233,8 +235,27 @@ def test_only_leaves_hold_grad_after_a_model_sweep():
     loss, model = _quickstart_loss(kernels=True)
     inner = [n for n in graph_nodes(loss) if n._backward is not None]
     loss.backward()
-    assert len(inner) > 100 and all(n.grad is None for n in inner)
+    # 140 with twelve nodes between the projections of each of the four
+    # blocks, 104 with three.
+    assert len(inner) == 104 and all(n.grad is None for n in inner)
     assert all(p.grad is not None for p in model.parameters())
+
+
+def test_three_graph_nodes_between_the_projections(monkeypatch):
+    """Reshape, the attention core, reshape — where the previous path
+    built twelve (reshape, four getitems, four swapaxes, rotary, core,
+    reshape)."""
+    attn = MultiHeadAttention(16, 2, rng=np.random.default_rng(0))
+    cos, sin = rope_tables((2, 2), 8)
+    x = Tensor(np.ones((2, 3, 4, 16), np.float32), requires_grad=True)
+
+    def between():
+        out = attn(x, cos, sin)
+        return sum(n._backward is not None for n in graph_nodes(out)) - 2
+
+    assert between() == 3
+    monkeypatch.setattr(MultiHeadAttention, "forward", attention_forward)
+    assert between() == 12
 
 
 def test_closure_results_are_never_mutated():
