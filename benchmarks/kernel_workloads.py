@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.data import GcmConfig, LatLonGrid, StaticFields, ToyGCM
 from repro.kernels import disable_kernels, rope_tables
-from repro.model import TINY, Aeris, AerisConfig
+from repro.model import TINY, Aeris
 from repro.nn import MultiHeadAttention
 from repro.parallel import SimCluster, shard_sequence, ulysses_attention
 from repro.tensor import Tensor, no_grad
@@ -70,14 +70,14 @@ def window_attention_forward() -> Workload:
 def window_attention_quickstart() -> Workload:
     """The shape every bench_e2e inference workload spends its time in:
     4x4 windows (16 tokens), head_dim 8, 16 rows x 32 windows, with RoPE —
-    the short-row side of the softmax-max selection."""
+    the key-major side of the softmax layout selection."""
     return _window_attention("window_attention_quickstart", 32, 4, (16, 32),
                              16, window=(4, 4))
 
 
 def window_attention_long_window() -> Workload:
-    """24x24 windows (576 tokens), with RoPE — the long-row side of the
-    softmax-max selection, where the transposed max would lose."""
+    """24x24 windows (576 tokens), with RoPE — the row-wise side of the
+    softmax layout selection, where the key-major copy would lose."""
     return _window_attention("window_attention_long_window", 32, 4, (1, 2),
                              576, window=(24, 24))
 
@@ -101,57 +101,6 @@ def window_partition_roundtrip() -> Workload:
         return cyclic_shift(merged, shift, reverse=True)
 
     return Workload("window_partition_roundtrip", planned, reference)
-
-
-#: The model every bench_e2e workload runs (repro.quickstart_components).
-QUICKSTART = AerisConfig(
-    name="quickstart", height=16, width=32, channels=9, forcing_channels=3,
-    dim=32, heads=4, ffn_dim=64, swin_layers=2, blocks_per_layer=2,
-    window=(4, 4), time_freqs=8)
-
-
-def _aeris_forward(name: str, cfg: AerisConfig, rows: int, seed: int
-                   ) -> Workload:
-    """No-grad forward of a model whose all-zero parameters are filled: a
-    fresh adaLN-Zero model gates every branch with zero, so its output —
-    and the pair's equality check — would not depend on the blocks."""
-    rng = np.random.default_rng(seed)
-    model = Aeris(cfg, seed=0)
-    for p in model.parameters():
-        if not p.data.any():
-            p.data = rng.normal(scale=0.2, size=p.data.shape).astype(
-                np.float32)
-    x_t = Tensor(rng.normal(size=(rows, cfg.height, cfg.width, cfg.channels)
-                            ).astype(np.float32))
-    t = Tensor(np.linspace(0.1, 1.5, rows, dtype=np.float32))
-    cond = Tensor(rng.normal(size=x_t.shape).astype(np.float32))
-    forc = Tensor(rng.normal(
-        size=(rows, cfg.height, cfg.width, cfg.forcing_channels)
-    ).astype(np.float32))
-
-    def forward():
-        with no_grad():
-            return model(x_t, t, cond, forc)
-
-    return Workload(name, forward, _with_reference(forward))
-
-
-def aeris_forward_tiny() -> Workload:
-    return _aeris_forward("aeris_forward_tiny", TINY, 1, seed=2)
-
-
-def aeris_forward_quickstart_rows1() -> Workload:
-    """One row of the quickstart model — a standard-tier serve request is
-    19 of these: the Python call tax is at its largest share."""
-    return _aeris_forward("aeris_forward_quickstart_rows1", QUICKSTART, 1,
-                          seed=5)
-
-
-def aeris_forward_quickstart_rows16() -> Workload:
-    """Sixteen rows — the ensemble rollout's forward: the glue is memory
-    traffic, not call overhead."""
-    return _aeris_forward("aeris_forward_quickstart_rows16", QUICKSTART, 16,
-                          seed=6)
 
 
 def aeris_train_step_tiny() -> Workload:
@@ -199,9 +148,6 @@ WORKLOADS: dict[str, Callable[[], Workload]] = {
     "window_attention_quickstart": window_attention_quickstart,
     "window_attention_long_window": window_attention_long_window,
     "window_partition_roundtrip": window_partition_roundtrip,
-    "aeris_forward_tiny": aeris_forward_tiny,
-    "aeris_forward_quickstart_rows1": aeris_forward_quickstart_rows1,
-    "aeris_forward_quickstart_rows16": aeris_forward_quickstart_rows16,
     "aeris_train_step_tiny": aeris_train_step_tiny,
     "ulysses_alltoall_attention": ulysses_alltoall_attention,
     "gcm_step": gcm_step,

@@ -49,15 +49,14 @@ K-reduction keeps its order:
   ``(..., tokens, heads, head_dim)`` order the QKV projection is born in
   (``x1·(−s) ≡ −(x1·s)`` and ``a + (−b) ≡ a − b`` exactly; the rest is
   commutation);
-* ``max`` is exact in any order, so short rows are reduced through a
-  cache-blocked transposed copy;
-* GEMM operands may be copied contiguous and the output written in another
-  order — the K order of every dot product is untouched — but an NN and an
-  NT BLAS call of one product can differ in the last bit, so a backward
-  multiplies operands in the layout the chain kept them (the forward's Kᵀ
-  copy is the exception: 1 ulp off the chain at FP32, head_dim 32);
-* ``sum`` over the softmax axis is pairwise, hence order-sensitive: it keeps
-  its layout and algorithm.
+* a softmax over short rows runs key-major, on a cache-blocked transposed
+  copy, so each reduction and broadcast spans rows: ``max`` is exact in any
+  order, and the pairwise ``sum`` is :func:`_key_sum`, NumPy's own
+  accumulation order rebuilt across rows;
+* GEMM outputs may be written in another order — the K order of every dot
+  product is untouched — but an NN and an NT BLAS call of one product can
+  differ in the last bit, so every GEMM multiplies operands in the layout
+  the chain kept them (``q @ kᵀ`` on the transposed view, as the chain does).
 """
 
 from __future__ import annotations
@@ -77,9 +76,9 @@ __all__ = ["fused_apply_rotary", "fused_dot_product_attention",
            "fused_norm_modulate", "fused_layer_norm", "fused_gate_residual",
            "fused_time_features", "fused_concat_add"]
 
-#: Softmax rows shorter than this take the transposed max.  Measured on the
-#: CI sandbox (DESIGN §10): 8x faster than ``max(axis=-1)`` at 16 tokens,
-#: 2.8x at 48, level at 64–96, 2.5x slower from 192 on.
+#: Softmax rows shorter than this run key-major.  Measured (DESIGN §10): the
+#: transposed ``max`` alone beats ``max(axis=-1)`` 8x at 16 tokens, 2.8x at
+#: 48, is level at 64–96 and 2.5x slower from 192 on.
 _TRANSPOSED_MAX_BELOW = 64
 
 #: Elements of the one flat scratch block the kernels work through —
@@ -109,26 +108,21 @@ def _gemm_dtype(a: np.ndarray, b: np.ndarray):
 
 def _gemm(a: np.ndarray, b: np.ndarray, label: str | None = None,
           out: np.ndarray | None = None, transpose_b: bool = False) -> tuple:
-    """``a @ b`` — or, into a given ``out``, ``a @ bᵀ`` if ``transpose_b`` —
-    with everything a kernel GEMM owes the reference node it replaces:
-    operands rounded to BF16 under autocast, the fault hook and ABFT check
-    under ``label`` (``None``: unguarded, as a plain ``Tensor.__matmul__``
-    is), and that node's FLOPs.
+    """``a @ b`` — ``a @ bᵀ`` if ``transpose_b`` — with everything a kernel
+    GEMM owes the reference node it replaces: operands rounded to BF16
+    under autocast, the fault hook and ABFT check under ``label`` (``None``:
+    unguarded, as a plain ``Tensor.__matmul__`` is), and that node's FLOPs.
 
     Returns ``(product, a, b)`` with the operands as multiplied — what a
     backward has to reuse.  Under autocast a transposed ``b`` is rounded as
     the chain rounds its ``k.swapaxes(-1, -2)`` — ``bᵀ``, contiguous — and
     handed back as that array's transposed view (the layout rule).
     """
-    rounded = bf16_matmul_enabled()
     right = np.swapaxes(b, -1, -2) if transpose_b else b
-    if rounded:
+    if bf16_matmul_enabled():
         a, right = round_bf16(a), round_bf16(right)
         b = np.swapaxes(right, -1, -2) if transpose_b else right
-    if transpose_b and not rounded:
-        out = _matmul_transposed(a, right, out)
-    else:
-        out = np.matmul(a, right, out=out)
+    out = np.matmul(a, right, out=out)
     if label is not None:
         guard_gemm(a, right, out, label)
     if flops_enabled():
@@ -221,48 +215,88 @@ def fused_apply_rotary(x: np.ndarray, cos: np.ndarray,
     return rotate_pairs(x, cos, sin, out=x)
 
 
-def _row_max(scores: np.ndarray) -> np.ndarray:
-    """``scores.max(axis=-1, keepdims=True)``; short rows go through a
-    blocked transposed copy so the reduction vectorizes across rows."""
+def _key_sum(columns: np.ndarray, acc: np.ndarray,
+             out: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(x, axis=-1)`` of float rows handed over key-major
+    (``columns = xᵀ``, ``(keys ≤ 128, rows)``) into ``out``, in NumPy's own
+    pairwise order: eight accumulators ``r[j] = x[j] + x[8+j] + …``, the
+    tree ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, the other keys in order
+    (under eight keys: all of them), then ``+ 0.0`` — the reduction starts
+    from its identity, so an all ``-0.0`` row sums to ``+0.0``.  ``acc`` is
+    ``(12, rows)`` scratch; under 16 keys six rows of it, under 8 none."""
+    keys = len(columns)
+    body = keys - keys % 8
+    if not body:
+        np.add.reduce(columns, axis=0, out=out)
+    else:
+        eight = columns[:8]
+        if body > 8:
+            eight = np.add(eight, columns[8:16], out=acc[4:12])
+            for start in range(16, body, 8):
+                eight += columns[start:start + 8]
+        four = np.add(eight[::2], eight[1::2], out=acc[:4])
+        two = np.add(four[::2], four[1::2], out=acc[4:6])
+        np.add(two[0], two[1], out=out)
+        for row in columns[body:]:
+            out += row
+    out += 0.0
+    return out
+
+
+def _softmax(scores: np.ndarray, scale) -> np.ndarray:
+    """``softmax(scores · scale)`` over the last axis, in place.  Short rows
+    go key-major a block at a time: scaled in the transposed copy, then max,
+    shift, ``exp``, sum and divide each run across rows, and copied back."""
     tokens = scores.shape[-1]
     if tokens >= _TRANSPOSED_MAX_BELOW:
-        return scores.max(axis=-1, keepdims=True)
+        scores *= scale
+        scores -= scores.max(axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        scores /= scores.sum(axis=-1, keepdims=True)
+        return scores
     flat = scores.reshape(-1, tokens)
-    out = np.empty(len(flat), dtype=scores.dtype)
     step = _BLOCK // tokens
     scratch = _scratch(_BLOCK, scores.dtype)
     try:
         for start in range(0, len(flat), step):
             part = flat[start:start + step]
             columns = scratch[:part.size].reshape(tokens, len(part))
-            np.copyto(columns, part.T)
-            np.maximum.reduce(columns, axis=0, out=out[start:start + step])
+            np.multiply(part.T, scale, out=columns)
+            # Copied out, the block's own memory holds max, sum, accumulators.
+            spare = part.reshape(tokens, len(part))
+            np.maximum.reduce(columns, axis=0, out=spare[0])
+            columns -= spare[0]
+            np.exp(columns, out=columns)
+            columns /= _key_sum(columns, spare[1:], spare[0])
+            np.copyto(part, columns.T)
     finally:
         arena().release(scratch)
-    return out.reshape(scores.shape[:-1] + (1,))
+    return scores
 
 
-def _matmul_transposed(a: np.ndarray, bT: np.ndarray,
-                       out: np.ndarray) -> np.ndarray:
-    """``out[...] = a @ bT`` for a ``bT`` that is a transposed (strided)
-    view: copied contiguous a scratch block at a time, so the small GEMMs
-    take BLAS's plain NN path and the copy never leaves L2."""
-    full = out
-    if a.ndim < 3 or a.shape[:-2] != bT.shape[:-2]:
-        a, bT, out = a[None], bT[None], out[None]   # broadcasting: one slab
-    slab = bT[0].size
-    step = max(1, _BLOCK // max(1, slab))
-    scratch = _scratch(slab, bT.dtype)
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``(a * b).sum(axis=-1, keepdims=True)``; short rows multiplied a
+    block at a time, then summed key-major."""
+    tokens = a.shape[-1]
+    if tokens >= _TRANSPOSED_MAX_BELOW:
+        return (a * b).sum(axis=-1, keepdims=True)
+    flat_a, flat_b = a.reshape(-1, tokens), b.reshape(-1, tokens)
+    out = np.empty(len(flat_a), np.result_type(a, b))
+    step = _BLOCK // (2 * tokens)
+    scratch = _scratch(_BLOCK, out.dtype)
     try:
-        for start in range(0, len(bT), step):
-            part = bT[start:start + step]
-            block = scratch[:part.size].reshape(part.shape)
-            np.copyto(block, part)
-            np.matmul(a[start:start + step], block,
-                      out=out[start:start + step])
+        for start in range(0, len(out), step):
+            block = slice(start, start + step)
+            product, columns = scratch[:2 * out[block].size * tokens].reshape(
+                2, tokens, -1)
+            rowwise = np.multiply(flat_a[block], flat_b[block],
+                                  out=product.reshape(-1, tokens))
+            np.copyto(columns, rowwise.T)
+            # The product, copied out, makes room for the accumulators.
+            _key_sum(columns, product, out[block])
     finally:
         arena().release(scratch)
-    return full
+    return out.reshape(a.shape[:-1] + (1,))
 
 
 def _head_major(packed: np.ndarray, part: int) -> np.ndarray:
@@ -306,11 +340,7 @@ def fused_dot_product_attention(qkv, rotary: tuple | None = None):
     try:
         _, qa_, ka_ = _gemm(qa, ka, "attention.scores", scores,
                             transpose_b=True)
-        scores *= scale
-        scores -= _row_max(scores)
-        np.exp(scores, out=scores)
-        scores /= scores.sum(axis=-1, keepdims=True)
-        probs = scores
+        probs = _softmax(scores, scale)
         _, probs_, va_ = _gemm(probs, va, "attention.out",
                                np.swapaxes(out, -2, -3))
     finally:
@@ -339,7 +369,7 @@ def fused_dot_product_attention(qkv, rotary: tuple | None = None):
         g_scores = g_ @ np.swapaxes(va_, -1, -2)
         # softmax backward (on the unrounded probabilities), in place on
         # the freshly computed d(probs): (g - sum(g*p)) * p * scale.
-        g_scores -= (g_scores * probs).sum(axis=-1, keepdims=True)
+        g_scores -= _row_dot(g_scores, probs)
         g_scores *= probs
         g_scores *= scale
         g_scores_ = round_bf16(g_scores) if bf16 else g_scores

@@ -12,7 +12,6 @@ import numpy as np
 from repro.kernels.fused import (
     _gemm,
     _gemm_dtype,
-    _row_max,
     _taped,
     rotate_pairs,
 )
@@ -65,7 +64,7 @@ def fused_dot_product_attention(q, k, v):
         _, qa_, ka_ = _gemm(qa, ka, "attention.scores", scores,
                             transpose_b=True)
         scores *= scale
-        scores -= _row_max(scores)
+        scores -= scores.max(axis=-1, keepdims=True)
         np.exp(scores, out=scores)
         scores /= scores.sum(axis=-1, keepdims=True)
         probs = scores

@@ -19,7 +19,7 @@ from repro.kernels import (
     rope_tables,
     window_plan,
 )
-from repro.kernels.fused import rotate_pairs
+from repro.kernels.fused import _key_sum, rotate_pairs
 from repro.model import SMALL, Aeris, AerisConfig, SwinBlock
 from repro.model.blocks import _gated_residual
 from repro.model.rope import axial_rope_table
@@ -158,7 +158,7 @@ class TestFusedAttention:
     def test_inference_path_bit_exact(self):
         # The second shape is benchmarks' ``window_attention_forward``:
         # rows of 64, the first length on the row-wise side of the
-        # softmax-max selector.
+        # softmax layout selector.
         for shape in ((2, 3, 16, 8), (2, 16, 4, 64, 16)):
             q, k, v = _qkv(shape)
             with no_grad():
@@ -195,9 +195,14 @@ class TestFusedRotary:
         assert not cos.flags.writeable and not sin.flags.writeable
 
 
-#: tokens -> window; 15/16/24 take the transposed max, 144/576 the row-wise
-#: one, and 15, 24 and 144 are not powers of two.
+#: tokens -> window; 15/16/24 take the key-major softmax, 144/576 the
+#: row-wise one, and 15, 24 and 144 are not powers of two.
 WINDOWS = {15: (3, 5), 16: (4, 4), 24: (4, 6), 144: (12, 12), 576: (24, 24)}
+#: The key-major sum's branches: fewer than eight keys, one group of eight
+#: plus one, whole groups, groups plus a tail of 4 and of 7, and 64 — the
+#: first row length on the row-wise side of ``_TRANSPOSED_MAX_BELOW``.
+SOFTMAX_WINDOWS = {4: (2, 2), 9: (3, 3), 32: (4, 8), 36: (6, 6),
+                   48: (6, 8), 63: (7, 9), 64: (8, 8)}
 LAYOUTS = ("contiguous", "packed", "transposed")
 
 
@@ -254,6 +259,22 @@ class TestAttentionLayouts:
         self._check("packed", SMALL.window, SMALL.dim // SMALL.heads, (2, 4))
 
     @pytest.mark.parametrize("bf16", [False, True], ids=["fp32", "bf16"])
+    @pytest.mark.parametrize("tokens", [9, 15, 16, 24, 32, 36])
+    def test_packed_head_dim_32(self, tokens, bf16):
+        """ROADMAP fact v's FP32 half: the scores GEMM copied Kᵀ contiguous
+        (BLAS NN) where the chain multiplies the transposed view (NT) — 1
+        ulp apart at head_dim 32 for these windows.  BF16 rounds Kᵀ
+        contiguous on both sides."""
+        window = {**WINDOWS, **SOFTMAX_WINDOWS}[tokens]
+        self._check("packed", window, 32, (2, 3), bf16s=(bf16,))
+
+    @pytest.mark.parametrize("tokens", sorted(SOFTMAX_WINDOWS))
+    def test_softmax_row_lengths(self, tokens):
+        """Output and gradients at every branch of the key-major sum and on
+        both sides of ``_TRANSPOSED_MAX_BELOW``."""
+        self._check("packed", SOFTMAX_WINDOWS[tokens], 8, (2, 3))
+
+    @pytest.mark.parametrize("bf16", [False, True], ids=["fp32", "bf16"])
     def test_small_window_through_the_module(self, bf16):
         """``MultiHeadAttention`` at ``SMALL``'s width, heads and window:
         output, input and weight gradients of the taped kernels against the
@@ -280,14 +301,14 @@ class TestAttentionLayouts:
             np.testing.assert_array_equal(a, b)
 
     @staticmethod
-    def _check(layout, window, head_dim, lead):
+    def _check(layout, window, head_dim, lead, bf16s=(False, True)):
         tokens = window[0] * window[1]
         cos, sin = rope_tables(window, head_dim)
         local = np.random.default_rng(tokens * 31 + head_dim)
         data = local.normal(size=_base_shape(
             layout, lead, tokens, head_dim)).astype(np.float32)
         g = local.normal(size=(*lead, tokens, head_dim)).astype(np.float32)
-        for bf16 in (False, True):
+        for bf16 in bf16s:
             for guard in (False, True):
                 for grad in (True, False):
                     got = {}
@@ -352,6 +373,34 @@ class TestAttentionLayouts:
             and np.isfinite(got[False][0]).any()
         for a, b in zip(got[True], got[False]):
             np.testing.assert_array_equal(a, b)     # NaN == NaN by position
+
+
+def test_key_sum_is_numpys_row_sum():
+    """The short-row softmax sums key-major in NumPy's pairwise order, so
+    that order is pinned here, by name: ``_key_sum`` on ``xᵀ`` against
+    ``np.add.reduce(x, axis=-1)`` at every row length from 1 to 64, over
+    rows mixing ±0, subnormals, ±inf, NaN and magnitudes 1e-30 to 1e30 —
+    equal values, equal bytes wherever the sum is not NaN (signed zeros)."""
+    local = np.random.default_rng(27)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e-45, -1e-45,
+                        1e-39, -3e-39, 3e38, -3e38], np.float32)
+    rows = 256
+    for keys in range(1, 65):
+        x = (local.standard_normal((rows, keys))
+             * 10.0 ** local.uniform(-30, 30, (rows, keys))).astype(np.float32)
+        planted = local.random(x.shape) < 0.1
+        x[planted] = local.choice(special, planted.sum())
+        x[0], x[1] = -0.0, 0.0
+        x[2] = local.choice(special[:2], keys)
+        x[3] = local.choice(special[5:9], keys)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.add.reduce(x, axis=-1)
+            got = _key_sum(np.ascontiguousarray(x.T),
+                           np.empty((12, rows), np.float32),
+                           np.empty(rows, np.float32))
+        np.testing.assert_array_equal(got, want, err_msg=f"{keys} keys")
+        finite = ~np.isnan(want)
+        assert got[finite].tobytes() == want[finite].tobytes(), keys
 
 
 class TestFusedSwiGLU:
