@@ -106,7 +106,7 @@ def main(argv=None) -> int:
         print("candidate did not gate; nothing to canary")
         return 1
 
-    _, metrics = obs.enable()
+    obs.enable()
     monitor, recorder = obs.enable_health()
     cluster = None
     if args.regress:
@@ -154,12 +154,6 @@ def main(argv=None) -> int:
     print(f"  active {versions.active} @ "
           f"{versions.bindings[versions.active].weights_digest[:12]}")
     print(f"  registry live: {registry.live()}")
-    # A version swap cold-starts the content-addressed forecast cache;
-    # the pull detector alerts on a collapse before SLO burn would.
-    cache = monitor.check_forecast_cache(metrics)
-    print("  forecast cache: " + (
-        f"hit rate {cache['hit_rate']:.2f} over {cache['lookups']} lookups"
-        if cache else "too few lookups for a verdict"))
 
     report = TraceReport()
     check = report.run(deploy_check, service, controller)

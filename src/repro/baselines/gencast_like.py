@@ -55,9 +55,6 @@ class EdmConfig:
     def c_noise(self, sigma: np.ndarray) -> np.ndarray:
         return np.log(sigma) / 4.0
 
-    def loss_weight(self, sigma: np.ndarray) -> np.ndarray:
-        return (sigma ** 2 + SIGMA_DATA ** 2) / (sigma * SIGMA_DATA) ** 2
-
     def sample_sigma(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return np.exp(P_MEAN + P_STD * rng.normal(size=n)
                       ).astype(np.float32)

@@ -13,13 +13,7 @@ import numpy as np
 
 from ..tensor import Tensor
 
-__all__ = ["weighted_velocity_loss", "velocity_loss"]
-
-
-def velocity_loss(pred: Tensor, target: np.ndarray) -> Tensor:
-    """Plain (unweighted) TrigFlow objective ``|F_theta − v_t|^2``."""
-    diff = pred - Tensor(target)
-    return (diff * diff).mean()
+__all__ = ["weighted_velocity_loss"]
 
 
 def weighted_velocity_loss(pred: Tensor, target: np.ndarray,

@@ -33,9 +33,6 @@ class TrigFlow:
         """Map log-noise ``tau`` to the angular time ``t``."""
         return np.arctan(np.exp(tau) / self.sigma_d)
 
-    def t_to_tau(self, t: np.ndarray) -> np.ndarray:
-        return np.log(np.tan(t) * self.sigma_d)
-
     def sample_tau(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Log-uniform prior over noise levels."""
         u = rng.uniform(0.0, 1.0, size=n)
@@ -48,10 +45,6 @@ class TrigFlow:
     @property
     def t_min(self) -> float:
         return float(self.tau_to_t(np.log(self.sigma_min)))
-
-    @property
-    def t_max(self) -> float:
-        return float(self.tau_to_t(np.log(self.sigma_max)))
 
     # -- interpolant ---------------------------------------------------------
     def interpolate(self, x0: np.ndarray, z: np.ndarray, t: np.ndarray

@@ -31,7 +31,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 from ..tensor import is_grad_enabled
-from .abft import abft_enabled, abft_guard, abft_matmul, guard_gemm
+from .abft import abft_guard, guard_gemm
 from .fused import (
     fused_apply_rotary,
     fused_concat_add,
@@ -50,7 +50,7 @@ from .window_plans import WindowPlan, plan_merge, plan_partition, window_plan
 
 __all__ = [
     "kernels_enabled", "disable_kernels",
-    "abft_enabled", "abft_guard", "abft_matmul", "guard_gemm",
+    "abft_guard", "guard_gemm",
     "LRUCache", "plan_cache_stats", "clear_plan_caches",
     "WindowPlan", "window_plan", "plan_partition", "plan_merge",
     "rope_tables",

@@ -26,7 +26,7 @@ Numerical contract:
   :meth:`~repro.resilience.FaultInjector.corrupt_compute` flips the high
   exponent bit precisely so injected faults always clear the floor.
 
-The guard is off by default (``abft_enabled()`` is ``False``) and costs
+The guard is off by default and costs
 one module-global check per GEMM; :func:`abft_guard` arms it for a scope.
 Fault *injection* (via :func:`repro.resilience.inject_compute`) is
 consulted independently of the guard, so an undefended run can
@@ -44,7 +44,7 @@ from ..obs.profile import span as _span
 from ..resilience.faults import (ComputeCorruption, compute_injector,
                                  count_sdc_detected)
 
-__all__ = ["abft_enabled", "abft_guard", "guard_gemm", "abft_matmul"]
+__all__ = ["abft_guard", "guard_gemm"]
 
 #: Safety factor on the per-row rounding-noise bound.  The clean
 #: residual is ``<= ~(K+N)·eps·Σ|A||B|``; 8x keeps seeds of golden tests
@@ -52,11 +52,6 @@ __all__ = ["abft_enabled", "abft_guard", "guard_gemm", "abft_matmul"]
 _SAFETY = 8.0
 
 _ENABLED = False
-
-
-def abft_enabled() -> bool:
-    """Whether guarded GEMMs verify their checksums."""
-    return _ENABLED
 
 
 @contextmanager
@@ -145,15 +140,4 @@ def guard_gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray,
         inj.corrupt_compute(c)
     if _ENABLED:
         _verify_gemm(a, b, c, label)
-    return c
-
-
-def abft_matmul(a: np.ndarray, b: np.ndarray,
-                label: str = "matmul") -> np.ndarray:
-    """Checksum-guarded ``a @ b`` on raw arrays (always verifies)."""
-    c = np.matmul(a, b)
-    inj = compute_injector()
-    if inj is not None and inj.compute_fault("gemm"):
-        inj.corrupt_compute(c)
-    _verify_gemm(a, b, c, label)
     return c

@@ -17,7 +17,6 @@ from .module import Module
 
 __all__ = [
     "pixel_positional_field",
-    "sincos_2d",
     "TimestepEmbedding",
 ]
 
@@ -36,27 +35,6 @@ def pixel_positional_field(height: int, width: int, n_freqs: int = 4) -> np.ndar
         field += np.sin(2 * np.pi * k * y) / k + np.cos(2 * np.pi * k * x) / k
     field *= 0.1 / n_freqs
     return field.astype(np.float32)
-
-
-def sincos_2d(dim: int, height: int, width: int, temperature: float = 10_000.0
-              ) -> np.ndarray:
-    """Standard 2D sine-cosine position table, shape ``(height, width, dim)``.
-
-    Half of the channels encode the row index, half the column index, each
-    via interleaved sin/cos at geometrically spaced frequencies.
-    """
-    if dim % 4:
-        raise ValueError("sincos_2d requires dim divisible by 4")
-    quarter = dim // 4
-    omega = 1.0 / temperature ** (np.arange(quarter) / quarter)
-    ys = np.arange(height)[:, None] * omega[None, :]        # (H, q)
-    xs = np.arange(width)[:, None] * omega[None, :]         # (W, q)
-    y_emb = np.concatenate([np.sin(ys), np.cos(ys)], axis=-1)  # (H, 2q)
-    x_emb = np.concatenate([np.sin(xs), np.cos(xs)], axis=-1)  # (W, 2q)
-    out = np.zeros((height, width, dim), dtype=np.float32)
-    out[..., : 2 * quarter] = y_emb[:, None, :]
-    out[..., 2 * quarter:] = x_emb[None, :, :]
-    return out
 
 
 class TimestepEmbedding(Module):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["trunc_normal", "xavier_uniform", "zeros", "scaled_init_std"]
+__all__ = ["trunc_normal", "zeros", "scaled_init_std"]
 
 
 def trunc_normal(shape, std: float, rng: np.random.Generator,
@@ -22,12 +22,6 @@ def trunc_normal(shape, std: float, rng: np.random.Generator,
         out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
         bad = np.abs(out) > limit
     return out.astype(np.float32)
-
-
-def xavier_uniform(shape, rng: np.random.Generator) -> np.ndarray:
-    fan_in, fan_out = shape[0], shape[-1]
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(np.float32)
 
 
 def zeros(shape) -> np.ndarray:

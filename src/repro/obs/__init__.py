@@ -12,10 +12,9 @@ The measurement substrate behind the reproduction's performance claims
   hooks instrumented code calls (``span`` / ``record_event`` /
   ``count`` / ``gauge`` / ``observe``);
 * :mod:`~repro.obs.flight` — bounded ring-buffer flight recorder dumping
-  JSONL post-mortems (on demand and on unhandled exceptions);
+  JSONL post-mortems;
 * :mod:`~repro.obs.health` — online anomaly detectors (loss NaN/spike/
-  plateau, gradient explosion, forecast-cache collapse, queue
-  saturation, multi-window SLO burn, injected fault classes) firing
+  plateau, gradient explosion, queue saturation, multi-window SLO burn, injected fault classes) firing
   typed, deduplicated alerts;
 * :mod:`~repro.obs.alerts` — the severity/dedup/cooldown alert funnel;
 * :mod:`~repro.obs.export` — Prometheus text exposition + JSONL event
@@ -46,20 +45,19 @@ from .export import (events_jsonl, prometheus_text, write_events_jsonl,
 from .flight import SEVERITIES, Event, FlightRecorder
 from .health import (FAULT_ALERT_KINDS, FAULT_CLASSES, HealthMonitor,
                      health_check)
-from .metrics import (Counter, Gauge, Histogram, MetricsRegistry,
-                      merge_snapshots)
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .profile import (MonitoredSession, count, disable, disable_health,
                       enable, enable_health, flight, gauge, get_tracer,
-                      health, is_enabled, metrics, monitored, observe,
+                      health, metrics, monitored, observe,
                       observed, record_event, span)
 from .report import TraceReport
-from .trace import Span, StepClock, Tracer
+from .trace import Span, Tracer
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "merge_snapshots",
-    "Span", "StepClock", "Tracer",
+    "Counter", "Gauge", "Histogram", "MetricsRegistry",
+    "Span", "Tracer",
     "span", "count", "gauge", "observe",
-    "enable", "disable", "is_enabled", "observed",
+    "enable", "disable", "observed",
     "get_tracer", "metrics",
     "Event", "FlightRecorder", "SEVERITIES",
     "Alert", "AlertManager",

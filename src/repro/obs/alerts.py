@@ -14,8 +14,8 @@ detector fires through; it
   post-mortem dump and a Prometheus scrape both carry the alert history
   without any extra wiring at the detector call sites.
 
-The clock is injectable, so cooldown behaviour is deterministic under
-:class:`~repro.obs.StepClock` in tests.
+The clock is injectable, so cooldown behaviour is deterministic under a
+stepping clock in tests.
 """
 
 from __future__ import annotations

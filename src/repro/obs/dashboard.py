@@ -5,7 +5,7 @@ tracer, health monitor, flight recorder — and renders a deterministic
 plain-text panel (train / serve / resilience / kernels sections, fired
 alerts, the flight-recorder tail).  Deterministic means: section order,
 row order, and number formatting are all stable, so a render produced
-under :class:`~repro.obs.StepClock` can be pinned by a golden test and a
+under a stepping clock can be pinned by a golden test and a
 render produced in production can be diffed across scrapes.
 
 ``tools/obs_dashboard.py`` wraps this as a CLI over exported snapshot /

@@ -6,14 +6,9 @@ serve admissions and rejections, fault injections, checkpoint saves,
 fired alerts — survive as structured records.  The
 :class:`FlightRecorder` keeps exactly that: a ``deque(maxlen=capacity)``
 of :class:`Event` records (oldest events fall off the back, so memory is
-bounded no matter how long the run), dumped as JSONL
-
-* **on demand** — :meth:`FlightRecorder.dump` (atomic write, so a crash
-  mid-dump never truncates a previous post-mortem), and
-* **on unhandled exceptions** — :meth:`FlightRecorder.install_excepthook`
-  chains onto ``sys.excepthook`` and writes the post-mortem (including a
-  final ``crash`` event carrying the exception) before the traceback
-  prints.
+bounded no matter how long the run), dumped as JSONL by
+:meth:`FlightRecorder.dump` (an atomic write, so a crash mid-dump never
+truncates a previous post-mortem).
 
 Recording is routed through :func:`repro.obs.profile.record_event`,
 which is a strict no-op while the recorder is disabled — the same
@@ -25,9 +20,7 @@ pin it flat while disabled).
 from __future__ import annotations
 
 import json
-import sys
 import time
-import traceback
 from collections import deque
 
 __all__ = ["Event", "FlightRecorder", "SEVERITIES"]
@@ -78,8 +71,8 @@ class FlightRecorder:
         Retained event count; the oldest events are discarded first
         (``dropped`` counts how many fell off the back).
     clock:
-        Injectable timestamp source (e.g. :class:`~repro.obs.StepClock`
-        for deterministic tests); defaults to ``time.time``.
+        Injectable timestamp source (a stepping clock makes tests
+        deterministic); defaults to ``time.time``.
     """
 
     def __init__(self, capacity: int = 4096, clock=None):
@@ -90,7 +83,6 @@ class FlightRecorder:
         self._ring: deque[Event] = deque(maxlen=capacity)
         self._seq = 0
         self.dropped = 0
-        self._prev_excepthook = None
 
     def __len__(self) -> int:
         return len(self._ring)
@@ -136,34 +128,3 @@ class FlightRecorder:
         # hooks, so a module-level import here would be a cycle.
         from ..resilience.atomic import atomic_write
         return atomic_write(path, self.to_jsonl())
-
-    # -- crash hook --------------------------------------------------------
-    def install_excepthook(self, path: str) -> None:
-        """Dump the flight record to ``path`` on unhandled exceptions.
-
-        Chains the previously installed ``sys.excepthook`` (typically the
-        default traceback printer) after the dump.  A final ``crash``
-        event carrying the exception type/message/traceback is recorded
-        before writing, so the post-mortem ends with its own cause.
-        """
-        if self._prev_excepthook is not None:
-            raise RuntimeError("excepthook already installed")
-        prev = sys.excepthook
-
-        def hook(exc_type, exc, tb):
-            try:
-                self.record(
-                    "crash", subsystem="obs", severity="critical",
-                    exc_type=exc_type.__name__, message=str(exc),
-                    traceback="".join(
-                        traceback.format_exception(exc_type, exc, tb)))
-                self.dump(path)
-            except Exception as dump_exc:
-                # The hook must never mask the real crash — report the
-                # failed dump on stderr and fall through to the chain.
-                print(f"flight recorder post-mortem dump failed: "
-                      f"{dump_exc!r}", file=sys.stderr)
-            prev(exc_type, exc, tb)
-
-        self._prev_excepthook = prev
-        sys.excepthook = hook

@@ -12,8 +12,6 @@ burn while the job is still running.  Detectors:
   when the fast average stops improving on the slow one, training has
   stalled);
 * **gradient norm** — explosion relative to the rolling median;
-* **forecast cache** — hit-rate collapse on the serving cache after a
-  version swap;
 * **serve queues** — per-tier depth saturation against the admission
   caps;
 * **SLO burn rate** — multi-window (fast/slow) error-budget burn per
@@ -113,10 +111,6 @@ PLATEAU_MARGIN = 1e-3
 #: Gradient-norm explosion.
 GRAD_WINDOW = 32
 GRAD_EXPLOSION_Z = 10.0
-#: The serving forecast cache: lookups before a verdict, and the hit
-#: rate under which it is a collapse.
-FORECAST_CACHE_MIN_LOOKUPS = 64
-FORECAST_CACHE_MIN_HIT_RATE = 0.3
 #: Serve queue depth, as a fraction of the tier cap.
 QUEUE_SATURATION_FRAC = 0.9
 #: SLO burn (multi-window): tolerated miss fraction; the fast window must
@@ -147,10 +141,9 @@ class HealthMonitor:
     """Runs the detector suite; fires through one :class:`AlertManager`.
 
     Online observations (``observe_*``) are called from instrumented hot
-    paths while health is enabled; the two pull checks run when whoever
-    holds the monitor calls them with a registry — :func:`health_check`
-    calls ``check_faults``, ``examples/canary_rollout.py`` calls
-    ``check_forecast_cache``.
+    paths while health is enabled; the pull check ``check_faults`` runs
+    when whoever holds the monitor calls it with a registry
+    (:func:`health_check` does).
     """
 
     def __init__(self, alerts: AlertManager | None = None, clock=None):
@@ -268,34 +261,6 @@ class HealthMonitor:
                 f"{int(skipped)} step(s) skipped by the NaN/Inf guard",
                 data={"skipped_steps": int(skipped)})
         return counts
-
-    # -- pull: forecast cache ----------------------------------------------
-    def check_forecast_cache(self, registry) -> dict | None:
-        """Hit-rate collapse on the serving forecast cache.
-
-        The cache is content-addressed by weights digest, so a model
-        version swap silently invalidates every incumbent entry — a
-        rollout that shifts traffic to a cold version shows up here as a
-        hit-rate collapse (recompute storm) before it shows up as SLO
-        burn.  Reads the ``serve.cache`` lookup counter, so it works as
-        a pull detector with no handle on the service itself.
-        """
-        counter = registry.counter("serve.cache")
-        hits = counter.total(event="hit")
-        misses = counter.total(event="miss")
-        lookups = hits + misses
-        if lookups < FORECAST_CACHE_MIN_LOOKUPS:
-            return None
-        rate = hits / lookups
-        occupancy = registry.gauge("serve.cache_occupancy_frac").value()
-        result = {"hit_rate": rate, "lookups": int(lookups),
-                  "occupancy_frac": occupancy}
-        if rate < FORECAST_CACHE_MIN_HIT_RATE:
-            self.alerts.fire(
-                "serve.cache_collapse", "warning", "serve",
-                f"forecast cache hit rate {rate:.2f} over {int(lookups)} "
-                f"lookups (occupancy {occupancy:.2f})", data=result)
-        return result
 
     # -- reporting ---------------------------------------------------------
     def report(self) -> dict:

@@ -20,8 +20,7 @@ from __future__ import annotations
 import json
 import math
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "merge_snapshots"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
 LabelKey = tuple  # tuple of sorted (key, value) pairs
 
@@ -202,9 +201,6 @@ class MetricsRegistry:
                   buckets: tuple[float, ...] = _DEFAULT_BUCKETS) -> Histogram:
         return self._get(Histogram, name, help, buckets=buckets)
 
-    def reset(self) -> None:
-        self.instruments.clear()
-
     # -- snapshots ---------------------------------------------------------
     def snapshot(self) -> dict:
         """JSON-serializable dump of every instrument."""
@@ -247,11 +243,3 @@ class MetricsRegistry:
                  for r in rows]
         lines.insert(1, "  ".join("-" * w for w in widths))
         return "\n".join(lines)
-
-
-def merge_snapshots(*snaps: dict) -> dict:
-    """Merge snapshot dicts (e.g. loaded from per-rank JSON files)."""
-    reg = MetricsRegistry()
-    for snap in snaps:
-        reg.load_snapshot(snap, merge=True)
-    return reg.snapshot()

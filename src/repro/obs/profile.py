@@ -34,7 +34,7 @@ from .health import HealthMonitor
 from .metrics import _DEFAULT_BUCKETS, MetricsRegistry
 from .trace import Tracer
 
-__all__ = ["enable", "disable", "is_enabled", "observed", "get_tracer",
+__all__ = ["enable", "disable", "observed", "get_tracer",
            "metrics", "span", "count", "gauge", "observe",
            "enable_health", "disable_health", "health", "flight",
            "record_event", "monitored", "MonitoredSession"]
@@ -63,10 +63,6 @@ def disable() -> None:
     _tracer = None
     _registry = None
     disable_health()
-
-
-def is_enabled() -> bool:
-    return _tracer is not None
 
 
 def get_tracer() -> Tracer | None:
@@ -221,10 +217,6 @@ class _NullScope:
 
     def __exit__(self, *exc) -> None:
         return None
-
-    def set_attr(self, **attrs) -> None:
-        pass
-
 
 _NULL = _NullScope()
 

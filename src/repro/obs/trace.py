@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 import time
 
-__all__ = ["Span", "Tracer", "StepClock"]
+__all__ = ["Span", "Tracer"]
 
 
 class Span:
@@ -55,19 +55,6 @@ class Span:
                 f"track={self.track!r})")
 
 
-class StepClock:
-    """Deterministic clock: advances by ``step`` per reading (tests)."""
-
-    def __init__(self, step: float = 1.0):
-        self.now = 0.0
-        self.step = step
-
-    def __call__(self) -> float:
-        t = self.now
-        self.now += self.step
-        return t
-
-
 class _LiveSpan:
     """Context manager recording one live span into its tracer."""
 
@@ -85,9 +72,6 @@ class _LiveSpan:
         self.tracer._stack.append(self)
         self.start = self.tracer.clock()
         return self
-
-    def set_attr(self, **attrs) -> None:
-        self.attrs.update(attrs)
 
     def __exit__(self, *exc) -> None:
         end = self.tracer.clock()

@@ -4,7 +4,7 @@ from .comm import CommStats, SimCluster, comm_check
 from .data_parallel import allreduce_gradients
 from .domain_parallel import DomainSharding
 from .pipeline import AerisPipeline, pipeline_check
-from .sequence_parallel import shard_sequence, ulysses_attention, unshard_sequence
+from .sequence_parallel import shard_sequence, ulysses_attention
 from .swipe import SwipeEngine
 from .swipe_attention import swipe_window_attention
 from .topology import RankTopology
@@ -19,12 +19,12 @@ from .zero import ZeroOptimizer
 #: package's topology); lazy loading (PEP 562) keeps the layering acyclic.
 _AUTOTUNE_EXPORTS = ("Candidate", "TunedPlan", "NoFeasibleLayout",
                      "enumerate_candidates", "plan_for", "calibrated_step_s",
-                     "save_plan", "load_plan", "frontier_table",
+                     "load_plan",
                      "verify_plan", "resolve_plan", "autotune_check")
 
 __all__ = [
     "SimCluster", "CommStats", "comm_check", "RankTopology",
-    "shard_sequence", "unshard_sequence", "ulysses_attention",
+    "shard_sequence", "ulysses_attention",
     "WindowSharding", "window_sharding", "shift_owner_change_bytes",
     "DomainSharding",
     "AerisPipeline", "pipeline_check", "ZeroOptimizer",

@@ -28,8 +28,8 @@ and defend its own layouts:
    re-derived in CI (no timers) reproduces the artifact bit-for-bit.
 
 The result is a :class:`TunedPlan` — a JSON artifact addressed by its
-planning inputs, written crash-safely via
-:func:`repro.resilience.atomic_write`.  Committed snapshots under
+planning inputs (``tools/autotune_cli.py plan --out`` writes it
+crash-safely).  Committed snapshots under
 ``benchmarks/results/plans/`` are the CI drift oracle:
 ``tools/autotune_cli.py verify`` re-derives each and fails on any leaf
 that moved.
@@ -41,8 +41,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
-import re
 from dataclasses import dataclass, field
 
 from ..model import AerisConfig
@@ -55,23 +53,19 @@ from ..perf.memory import CHECKPOINT_RECOMPUTE_OVERHEAD, MemoryModel
 from ..perf.pipeline_model import bubble_fraction, simulate_schedule
 from ..perf.scaling import estimate_performance, step_terms
 from ..perf.tradeoff import checkpointing_plan
-from ..resilience.atomic import atomic_write
 from .topology import RankTopology
 from .window_parallel import window_sharding
 
 __all__ = [
     "Candidate", "TunedPlan", "NoFeasibleLayout",
     "enumerate_candidates", "plan_for", "calibrated_step_s", "plan_digest",
-    "plan_filename", "save_plan", "load_plan", "frontier_table",
+    "load_plan",
     "verify_plan", "autotune_check",
     "resolve_config", "resolve_machine", "resolve_plan",
-    "book_observed_step", "CONFIGS", "MACHINES", "PLANS_DIR",
+    "book_observed_step", "CONFIGS", "MACHINES",
 ]
 
 SCHEMA_VERSION = 1
-
-#: Default home of committed plan snapshots (the CI drift oracle).
-PLANS_DIR = os.path.join("benchmarks", "results", "plans")
 
 #: Resolvable names for snapshot verification (custom configs must be
 #: passed explicitly to :func:`verify_plan`).
@@ -488,24 +482,6 @@ def book_observed_step(seconds: float) -> None:
 # artifacts on disk
 
 
-def _sanitize(name: str) -> str:
-    return re.sub(r"[^A-Za-z0-9._-]+", "-", name).strip("-")
-
-
-def plan_filename(plan: TunedPlan) -> str:
-    """Stable snapshot name: one file per (config, machine, budget)."""
-    mono = "" if plan.pipeline else "_mono"
-    return (f"{_sanitize(plan.config_name)}_{_sanitize(plan.machine_name)}"
-            f"_w{plan.world_size}_g{plan.gbs}{mono}.json")
-
-
-def save_plan(plan: TunedPlan, directory: str = PLANS_DIR) -> str:
-    """Crash-safe snapshot write; returns the path."""
-    os.makedirs(directory, exist_ok=True)
-    path = os.path.join(directory, plan_filename(plan))
-    return atomic_write(path, plan.to_json())
-
-
 def load_plan(path: str) -> TunedPlan:
     """Read a snapshot; anything but a whole plan of a known schema is a
     ``ValueError`` naming ``path``."""
@@ -518,36 +494,6 @@ def load_plan(path: str) -> TunedPlan:
         raise ValueError(f"unreadable plan snapshot {path}: "
                          f"{type(exc).__name__}: {exc}") from exc
     return plan
-
-
-def frontier_table(plan: TunedPlan) -> str:
-    """Human-readable ranked frontier (the CI artifact)."""
-    header = (f"TunedPlan {plan.config_name} @ {plan.machine_name} | "
-              f"world={plan.world_size} gbs={plan.gbs} "
-              f"schedule={plan.schedule} | {plan.n_feasible} feasible, "
-              f"pruned {dict(sorted(plan.pruned_counts.items()))} | "
-              f"digest {plan.digest[:12]}")
-    cols = (f"{'rank':>4}  {'layout':<28} {'gas':>4} {'ckpt':>4} "
-            f"{'mem_gb':>8} {'bubble':>7} {'mfu':>6} {'pred_s':>10} "
-            f"{'meas_s':>10}")
-    lines = [header, cols, "-" * len(cols)]
-    measured = plan.calibration.get("measured_step_s", {})
-    for i, c in enumerate(plan.frontier):
-        meas = measured.get(c.layout_key)
-        meas_str = "-" if meas is None else f"{meas:.4g}"
-        lines.append(
-            f"{i:>4}  {c.layout_key:<28} {c.gas:>4} "
-            f"{'y' if c.checkpointing else '-':>4} {c.memory_gb:>8.2f} "
-            f"{c.bubble_frac:>7.3f} {c.mfu:>6.3f} "
-            f"{c.predicted_step_s:>10.4g} {meas_str:>10}")
-    if plan.n_feasible > len(plan.frontier):
-        lines.append(f"  ... {plan.n_feasible - len(plan.frontier)} more "
-                     "feasible candidate(s)")
-    w = plan.worst
-    lines.append(f"worst {w.layout_key}: pred {w.predicted_step_s:.4g} s"
-                 + (f", meas {measured[w.layout_key]:.4g} s"
-                    if w.layout_key in measured else ""))
-    return "\n".join(line.rstrip() for line in lines)
 
 
 # ---------------------------------------------------------------------------

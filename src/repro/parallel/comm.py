@@ -96,11 +96,6 @@ class CommStats:
         lines.insert(1, "  ".join("-" * w for w in widths))
         return "\n".join(lines)
 
-    def reset(self) -> None:
-        self.bytes.clear()
-        self.ops.clear()
-
-
 class SimCluster:
     """``n_ranks`` simulated ranks, ``ranks_per_node`` per node.
 

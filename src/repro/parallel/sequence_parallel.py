@@ -19,7 +19,7 @@ import numpy as np
 from ..kernels import fused_dot_product_attention
 from .comm import SimCluster
 
-__all__ = ["shard_sequence", "unshard_sequence", "ulysses_attention"]
+__all__ = ["shard_sequence", "ulysses_attention"]
 
 
 def shard_sequence(tokens: np.ndarray, sp: int, axis: int = -3) -> list[np.ndarray]:
@@ -28,10 +28,6 @@ def shard_sequence(tokens: np.ndarray, sp: int, axis: int = -3) -> list[np.ndarr
     if tokens.shape[axis] % sp:
         raise ValueError(f"token axis {tokens.shape[axis]} not divisible by SP={sp}")
     return [chunk.copy() for chunk in np.split(tokens, sp, axis=axis)]
-
-
-def unshard_sequence(shards: list[np.ndarray], axis: int = -3) -> np.ndarray:
-    return np.concatenate(shards, axis=axis)
 
 
 def ulysses_attention(cluster: SimCluster, sp_group: list[int],

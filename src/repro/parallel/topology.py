@@ -61,19 +61,8 @@ class RankTopology:
         """All SP ranks sharing one (dp, pp, wp) — one node."""
         return [self.rank_of(dp, pp, wp, s) for s in range(self.sp)]
 
-    def wp_group(self, dp: int, pp: int, sp: int) -> list[int]:
-        return [self.rank_of(dp, pp, w, sp) for w in range(self.wp)]
-
     def dp_group(self, pp: int, wp: int, sp: int) -> list[int]:
         return [self.rank_of(d, pp, wp, sp) for d in range(self.dp)]
-
-    def model_parallel_group(self, dp: int) -> list[int]:
-        """All ranks of one model instance (shares the t-seed, per the
-        paper's noise-seeding rule)."""
-        return [self.rank_of(dp, p, w, s)
-                for p in range(self.pp)
-                for w in range(self.wp)
-                for s in range(self.sp)]
 
     # -- elastic re-grid ---------------------------------------------------
     def degrade(self, dead_ranks) -> "RankTopology":

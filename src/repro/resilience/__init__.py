@@ -33,8 +33,7 @@ acyclic.
 """
 
 from .atomic import atomic_write
-from .checksum import (content_digest, payload_checksum, state_digest,
-                       verify_payload)
+from .checksum import content_digest, payload_checksum, state_digest
 from .faults import (BitFlip, ClusterFailure, CommTimeout, ComputeCorruption,
                      ComputeFault, Drop, FailStop, FaultInjector, FaultPlan,
                      MessageCorruption, RankFailure, ResilienceError,
@@ -49,7 +48,7 @@ _SCRUB_EXPORTS = ("ScrubFinding", "ScrubReport", "latest_valid_checkpoint",
 
 __all__ = [
     "atomic_write",
-    "payload_checksum", "verify_payload", "content_digest", "state_digest",
+    "payload_checksum", "content_digest", "state_digest",
     "ResilienceError", "RankFailure", "MessageCorruption", "CommTimeout",
     "ClusterFailure", "ComputeCorruption",
     "FailStop", "BitFlip", "Drop", "Straggle", "ComputeFault",

@@ -30,8 +30,7 @@ import zlib
 
 import numpy as np
 
-__all__ = ["payload_checksum", "verify_payload",
-           "content_digest", "state_digest"]
+__all__ = ["payload_checksum", "content_digest", "state_digest"]
 
 
 def payload_checksum(array: np.ndarray) -> int:
@@ -44,11 +43,6 @@ def payload_checksum(array: np.ndarray) -> int:
     a = np.ascontiguousarray(array)
     header = f"{a.dtype.str}:{a.shape}".encode()
     return zlib.crc32(a.tobytes(), zlib.crc32(header))
-
-
-def verify_payload(array: np.ndarray, expected: int) -> bool:
-    """True iff ``array`` hashes to ``expected``."""
-    return payload_checksum(array) == int(expected)
 
 
 def content_digest(array: np.ndarray) -> str:

@@ -213,15 +213,6 @@ class FaultPlan:
     p_straggle: float = 0.0
     p_compute: float = 0.0
 
-    @classmethod
-    def chaos(cls, seed: int, p_bitflip: float = 0.01, p_drop: float = 0.01,
-              p_straggle: float = 0.02, events: tuple = (),
-              p_compute: float = 0.0) -> "FaultPlan":
-        """A background-noise chaos plan (optionally with scheduled events)."""
-        return cls(events=tuple(events), seed=seed, p_bitflip=p_bitflip,
-                   p_drop=p_drop, p_straggle=p_straggle, p_compute=p_compute)
-
-
 class FaultInjector:
     """Applies a :class:`FaultPlan` to a stream of simulated transfers.
 

@@ -1,6 +1,6 @@
 """NumPy autograd engine with FLOP accounting and emulated-BF16 matmuls."""
 
-from .bf16 import autocast_bf16, bf16_matmul_enabled, bf16_ulp, round_bf16
+from .bf16 import autocast_bf16, bf16_matmul_enabled, round_bf16
 from .flops import FlopCounter, add_flops, count_flops, flops_enabled
 from .workspace import WorkspaceArena, arena
 from .tensor import (
@@ -11,15 +11,14 @@ from .tensor import (
     ones,
     split,
     stack,
-    tensor,
     where,
     zeros,
 )
 
 __all__ = [
-    "Tensor", "tensor", "zeros", "ones", "concat", "stack", "split", "where",
+    "Tensor", "zeros", "ones", "concat", "stack", "split", "where",
     "no_grad", "is_grad_enabled",
     "FlopCounter", "count_flops", "add_flops", "flops_enabled",
-    "round_bf16", "autocast_bf16", "bf16_matmul_enabled", "bf16_ulp",
+    "round_bf16", "autocast_bf16", "bf16_matmul_enabled",
     "WorkspaceArena", "arena",
 ]

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-__all__ = ["round_bf16", "bf16_matmul_enabled", "autocast_bf16", "bf16_ulp"]
+__all__ = ["round_bf16", "bf16_matmul_enabled", "autocast_bf16"]
 
 _BF16_MATMUL = False
 
@@ -41,17 +41,6 @@ def round_bf16(x: np.ndarray) -> np.ndarray:
     if nan_mask.any():
         out[nan_mask] = np.float32(np.nan)
     return out
-
-
-def bf16_ulp(x: float) -> float:
-    """Size of one BF16 unit-in-the-last-place at magnitude ``x``.
-
-    BF16 has 8 minte mantissa bits; the spacing near ``x`` is roughly
-    ``2**(floor(log2 |x|) - 7)``.
-    """
-    if x == 0:
-        return 2.0 ** -133
-    return 2.0 ** (np.floor(np.log2(abs(x))) - 7)
 
 
 def bf16_matmul_enabled() -> bool:

@@ -50,11 +50,6 @@ class FlopCounter:
         else:
             self.forward += int(n)
 
-    def reset(self) -> None:
-        self.forward = 0
-        self.backward = 0
-
-
 def flops_enabled() -> bool:
     """True when at least one counter is active."""
     return bool(_stack())

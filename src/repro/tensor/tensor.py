@@ -362,10 +362,6 @@ class Tensor:
         data = np.tanh(self.data)
         return Tensor._make(data, (self,), lambda g: (g * (1.0 - data * data),))
 
-    def sigmoid(self):
-        data = 1.0 / (1.0 + np.exp(-self.data))
-        return Tensor._make(data, (self,), lambda g: (g * data * (1.0 - data),))
-
     def silu(self):
         """SiLU/swish activation, the gate of SwiGLU."""
         sig = 1.0 / (1.0 + np.exp(-self.data))
@@ -373,10 +369,6 @@ class Tensor:
         def backward(g):
             return (g * sig * (1.0 + self.data * (1.0 - sig)),)
         return Tensor._make(data, (self,), backward)
-
-    def relu(self):
-        mask = self.data > 0
-        return Tensor._make(self.data * mask, (self,), lambda g: (g * mask,))
 
     def abs(self):
         sign = np.sign(self.data)
@@ -513,10 +505,6 @@ class Tensor:
 
 
 # -- module-level constructors and free functions ------------------------
-
-def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad, dtype=dtype)
-
 
 def zeros(shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=requires_grad)

@@ -122,10 +122,6 @@ class WorkspaceArena:
         while self._pooled_bytes > self.max_bytes:
             self._pooled_bytes -= idle.pop(0)[0]
 
-    @property
-    def pooled_bytes(self) -> int:
-        return self._pooled_bytes
-
     def clear(self) -> None:
         self._idle.clear()
         self._pooled_bytes = 0

@@ -148,8 +148,10 @@ class TestEdmBaseline:
                                    rtol=1e-6)
         np.testing.assert_allclose(edm.c_skip(np.asarray(SIGMA_DATA)), 0.5)
         assert np.all(edm.c_out(sig) < SIGMA_DATA + 1e-9)
-        # loss_weight * c_out^2 = 1 (unit effective weight).
-        np.testing.assert_allclose(edm.loss_weight(sig) * edm.c_out(sig) ** 2,
+        # EDM's loss weight (s^2 + sd^2) / (s sd)^2 times c_out^2 is 1:
+        # the preconditioned target carries unit effective weight.
+        weight = (sig ** 2 + SIGMA_DATA ** 2) / (sig * SIGMA_DATA) ** 2
+        np.testing.assert_allclose(weight * edm.c_out(sig) ** 2,
                                    1.0, rtol=1e-6)
 
     def test_sigma_schedule_monotone(self):

@@ -16,6 +16,7 @@ import os
 import numpy as np
 
 from repro.baselines import DeterministicTrainer, EdmConfig, EdmTrainer
+from repro.baselines.gencast_like import SIGMA_DATA
 from repro.diffusion import weighted_velocity_loss
 from repro.model import Aeris
 from repro.tensor import Tensor, no_grad
@@ -81,7 +82,8 @@ def _edm_loss(trainer, net, x0, rng_sigma, rng_z):
     x = x0 + sigma * rng_z.normal(size=x0.shape).astype(np.float32)
     denoised = edm.c_skip(sigma) * x + edm.c_out(sigma) * net(
         edm.c_in(sigma) * x, edm.c_noise(sigma[:, 0, 0, 0]))
-    return denoised, x0, edm.loss_weight(sigma)
+    return denoised, x0, \
+        (sigma ** 2 + SIGMA_DATA ** 2) / (sigma * SIGMA_DATA) ** 2
 
 
 def _point_loss(trainer, net, x0, rng_a, rng_b):

@@ -60,7 +60,8 @@ class TestDistiller:
     def test_boundaries_cover_range(self, distiller):
         b = distiller.boundaries
         assert b[0] == pytest.approx(flow.t_min, rel=1e-5)
-        assert b[-1] == pytest.approx(flow.t_max, rel=1e-5)
+        t_max = float(flow.tau_to_t(np.log(flow.sigma_max)))
+        assert b[-1] == pytest.approx(t_max, rel=1e-5)
         assert np.all(np.diff(b) > 0)
 
     def test_train_step_decreases_loss(self, distiller):

@@ -5,12 +5,7 @@ exponent-bit flips with row-level localization, and telemetry booking."""
 import numpy as np
 import pytest
 
-from repro.kernels import (
-    abft_enabled,
-    abft_guard,
-    abft_matmul,
-    guard_gemm,
-)
+from repro.kernels import abft_guard, guard_gemm
 from repro.resilience import (
     ComputeCorruption,
     ComputeFault,
@@ -45,6 +40,12 @@ def _gemm_fault(nth=0, step=0):
         events=(ComputeFault(step=step, site="gemm", nth=nth),)))
     injector.advance(step)
     return injector
+
+
+def abft_matmul(a, b, label="matmul"):
+    """``a @ b`` through :func:`guard_gemm` with the guard armed."""
+    with abft_guard():
+        return guard_gemm(a, b, np.matmul(a, b), label)
 
 
 class TestCleanPath:
@@ -134,13 +135,24 @@ class TestGuardToggle:
         assert not np.array_equal(corrupt, clean)  # silently wrong
 
     def test_guard_scope_nests_and_restores(self):
-        assert not abft_enabled()
+        a, b = _operands((16, 8), (8, 16), seed=9)
+        bad = np.matmul(a, b)
+        bad[0, 0] = np.nan
+
+        def armed():
+            try:
+                guard_gemm(a, b, bad)
+            except ComputeCorruption:
+                return True
+            return False
+
+        assert not armed()
         with abft_guard():
-            assert abft_enabled()
+            assert armed()
             with abft_guard(False):
-                assert not abft_enabled()
-            assert abft_enabled()
-        assert not abft_enabled()
+                assert not armed()
+            assert armed()
+        assert not armed()
 
 
 class TestGuardedAttention:

@@ -43,9 +43,9 @@ class TestArenaPooling:
         reshaped = a.get((4, 16, 2), np.float32)    # 512: only large fits
         assert np.shares_memory(reshaped, large)
         assert reshaped.shape == (4, 16, 2) and reshaped.nbytes == 512
-        assert a.stats()["misses"] == 2 and a.pooled_bytes == 0
+        assert a.stats()["misses"] == 2 and a.stats()["pooled_bytes"] == 0
         a.release(reshaped)
-        assert a.pooled_bytes == large.nbytes       # capacity, not the view
+        assert a.stats()["pooled_bytes"] == large.nbytes       # capacity, not the view
 
     def test_miss_supersedes_the_largest_idle_buffer(self):
         """Whatever the order of sizes, what stays pooled is one buffer per
@@ -54,12 +54,12 @@ class TestArenaPooling:
             a = WorkspaceArena(max_bytes=1 << 20)
             for n in sizes:
                 a.release(a.get((n,), np.float32))
-            assert a.pooled_bytes == 80 * 4
+            assert a.stats()["pooled_bytes"] == 80 * 4
             for n in sizes:                          # two outstanding at once
                 x, y = a.get((n,), np.float32), a.get((n,), np.float32)
                 a.release(x)
                 a.release(y)
-            assert a.pooled_bytes == 2 * 80 * 4
+            assert a.stats()["pooled_bytes"] == 2 * 80 * 4
 
     def test_budget_drops_smallest_idle_buffers(self):
         a = WorkspaceArena(max_bytes=1000)
@@ -67,15 +67,15 @@ class TestArenaPooling:
         second = a.get((100,), np.float64)  # 800 bytes
         a.release(first)
         a.release(second)                   # 1200 pooled -> first is dropped
-        assert a.pooled_bytes == 800
+        assert a.stats()["pooled_bytes"] == 800
         assert np.shares_memory(a.get((100,), np.float32), second)
-        assert a.pooled_bytes == 0
+        assert a.stats()["pooled_bytes"] == 0
 
     def test_oversized_request_never_pooled(self):
         a = WorkspaceArena(max_bytes=100)
         big = a.get((1000,), np.float32)
         a.release(big)
-        assert a.pooled_bytes == 0
+        assert a.stats()["pooled_bytes"] == 0
 
     def test_views_are_refused(self):
         """Only what ``get`` handed out comes back: not a foreign array, not
@@ -86,15 +86,15 @@ class TestArenaPooling:
         for other in (base, base[:8], mine[:2], mine.reshape(-1), mine.T,
                       mine.view(np.int32), None):
             a.release(other)
-            assert a.pooled_bytes == 0
+            assert a.stats()["pooled_bytes"] == 0
         a.release(mine)
-        assert a.pooled_bytes == mine.nbytes
+        assert a.stats()["pooled_bytes"] == mine.nbytes
 
     def test_clear_and_stats(self):
         a = WorkspaceArena(max_bytes=1 << 20)
         a.release(a.get((4,), np.float32))
         a.clear()
-        assert a.pooled_bytes == 0
+        assert a.stats()["pooled_bytes"] == 0
         a.reset_stats()
         assert a.stats()["bytes_served"] == 0
         assert set(a.stats()) == {"hits", "misses", "bytes_served",
@@ -189,7 +189,7 @@ class TestArenaInKernels:
                    for _ in range(3))
         with no_grad():
             packed_attention(q, k, v)
-            pooled = glob.pooled_bytes
+            pooled = glob.stats()["pooled_bytes"]
             assert pooled > 0
             fault = FaultInjector(FaultPlan(events=(
                 ComputeFault(step=0, site="gemm", nth=nth),)))
@@ -197,7 +197,7 @@ class TestArenaInKernels:
             with abft_guard(), inject_compute(fault), \
                     pytest.raises(ComputeCorruption):
                 packed_attention(q, k, v)
-            assert glob.pooled_bytes == pooled
+            assert glob.stats()["pooled_bytes"] == pooled
             glob.reset_stats()
             packed_attention(q, k, v)
         assert glob.stats()["misses"] == 0
@@ -214,7 +214,7 @@ class TestArenaInKernels:
                         for _ in range(2))
         w_down = rng.normal(size=(24, 8)).astype(np.float32)
         fused_swiglu_forward(x, w_gate, w_up, w_down)
-        pooled = glob.pooled_bytes
+        pooled = glob.stats()["pooled_bytes"]
         assert pooled > 0
         fault = FaultInjector(FaultPlan(events=(
             ComputeFault(step=0, site="gemm", nth=nth),)))
@@ -222,7 +222,7 @@ class TestArenaInKernels:
         with abft_guard(), inject_compute(fault), \
                 pytest.raises(ComputeCorruption, match="swiglu"):
             fused_swiglu_forward(x, w_gate, w_up, w_down)
-        assert glob.pooled_bytes == pooled
+        assert glob.stats()["pooled_bytes"] == pooled
         glob.reset_stats()
         fused_swiglu_forward(x, w_gate, w_up, w_down)
         assert glob.stats()["misses"] == 0
@@ -245,7 +245,7 @@ class TestArenaInKernels:
         with no_grad():
             for _ in range(10):
                 model(*args)
-                pooled.append(glob.pooled_bytes)
+                pooled.append(glob.stats()["pooled_bytes"])
         assert len(set(pooled[1:])) == 1
         assert pooled[-1] == 4 * 2 ** 20
 
@@ -264,7 +264,7 @@ class TestArenaInKernels:
             with no_grad():
                 for rows in sequence:
                     model(*model_inputs(QUICKSTART, rows))
-            return glob.pooled_bytes
+            return glob.stats()["pooled_bytes"]
 
         alone = pooled_after((18,))
         assert alone <= 7.5 * 2 ** 20

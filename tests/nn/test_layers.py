@@ -16,7 +16,6 @@ from repro.nn import (
     TimestepEmbedding,
     modulate,
     pixel_positional_field,
-    sincos_2d,
 )
 from repro.tensor import Tensor
 from tests.gradcheck import check_gradients
@@ -218,18 +217,6 @@ class TestEmbeddings:
         field = pixel_positional_field(16, 32)
         assert field.shape == (16, 32)
         assert np.abs(field).max() < 1.0
-
-    def test_sincos_2d_distinguishes_positions(self):
-        table = sincos_2d(16, 8, 8)
-        flat = table.reshape(-1, 16)
-        # All positions should have distinct embeddings.
-        dists = np.linalg.norm(flat[None] - flat[:, None], axis=-1)
-        np.fill_diagonal(dists, np.inf)
-        assert dists.min() > 1e-3
-
-    def test_sincos_requires_div4(self):
-        with pytest.raises(ValueError):
-            sincos_2d(10, 4, 4)
 
     def test_timestep_embedding_distinguishes_times(self):
         emb = TimestepEmbedding(16, rng=rng)

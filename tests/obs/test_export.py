@@ -7,9 +7,10 @@ import pytest
 
 from repro import obs
 from repro.obs import (FlightRecorder, HealthMonitor, MetricsRegistry,
-                       StepClock, Tracer, events_jsonl, prometheus_text,
+                       Tracer, events_jsonl, prometheus_text,
                        render_dashboard, write_events_jsonl,
                        write_metrics_json, write_prometheus)
+from tests.clock import StepClock
 
 
 @pytest.fixture(autouse=True)

@@ -1,13 +1,13 @@
 """Flight recorder: bounded ring, severity filtering, JSONL post-mortems
-(atomic, crash-hook driven), and the zero-cost ``record_event`` hook."""
+(atomic), and the zero-cost ``record_event`` hook."""
 
 import json
-import sys
 
 import pytest
 
 from repro import obs
-from repro.obs import Event, FlightRecorder, StepClock
+from repro.obs import Event, FlightRecorder
+from tests.clock import StepClock
 
 
 @pytest.fixture(autouse=True)
@@ -76,34 +76,6 @@ class TestJsonl:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f.jsonl"]
 
 
-class TestExcepthook:
-    def test_crash_dumps_postmortem_and_chains(self, tmp_path):
-        rec = FlightRecorder(clock=StepClock())
-        rec.record("train.step", subsystem="train")
-        path = str(tmp_path / "postmortem.jsonl")
-        seen = []
-        prev, sys.excepthook = sys.excepthook, \
-            lambda *a: seen.append(a[0].__name__)
-        try:
-            rec.install_excepthook(path)
-            with pytest.raises(RuntimeError):
-                rec.install_excepthook(path)  # double install refused
-            try:
-                raise ValueError("boom")
-            except ValueError:
-                sys.excepthook(*sys.exc_info())
-        finally:
-            sys.excepthook = prev
-        assert seen == ["ValueError"]  # previous hook still ran
-        events = [json.loads(line)
-                  for line in open(path).read().splitlines()]
-        assert events[-1]["kind"] == "crash"
-        assert events[-1]["severity"] == "critical"
-        assert events[-1]["data"]["exc_type"] == "ValueError"
-        assert "boom" in events[-1]["data"]["message"]
-        assert "ValueError" in events[-1]["data"]["traceback"]
-
-
 class TestRecordEventHook:
     def test_noop_and_allocation_free_while_disabled(self):
         before = Event.allocated
@@ -124,7 +96,7 @@ class TestRecordEventHook:
 
 class TestMonitoredScope:
     def test_yields_full_stack_and_restores(self):
-        assert not obs.is_enabled()
+        assert obs.get_tracer() is None
         with obs.monitored(clock=StepClock()) as m:
             assert obs.get_tracer() is m.tracer
             assert obs.metrics() is m.registry
@@ -132,7 +104,7 @@ class TestMonitoredScope:
             assert obs.flight() is m.recorder
             obs.record_event("tick")
             assert len(m.recorder) == 1
-        assert not obs.is_enabled()
+        assert obs.get_tracer() is None
         assert obs.health() is None and obs.flight() is None
 
     def test_alerts_route_into_flight_and_metrics(self):

@@ -25,6 +25,7 @@ from repro.resilience import ComputeFault, FaultInjector, FaultPlan
 from repro.serve import (BatcherConfig, DeployConfig, DeploymentController,
                          ForecastValidator, ServiceConfig)
 from repro.train import Trainer
+from tests.clock import StepClock
 from tests.resilience.test_sdc import CHAOS_EVENTS, GUARDED
 from tests.serve.test_deploy import candidate_forecaster
 from tests.serve.test_service import (_pinned_duration, make_service,
@@ -65,7 +66,7 @@ def golden_scenario(tiny_archive, serve_world, tmp_path) -> dict:
     canary that takes half the traffic, shadows the rest and is withdrawn
     at the end."""
     archive, forecaster = serve_world[0], serve_world[1]
-    with obs.monitored(clock=obs.StepClock()) as session:
+    with obs.monitored(clock=StepClock()) as session:
         trainer = Trainer(
             Aeris(TINY16, seed=0), tiny_archive, GUARDED,
             injector=FaultInjector(FaultPlan(events=CHAOS_EVENTS, seed=0)))

@@ -7,10 +7,11 @@ import pytest
 
 from repro import obs
 from repro.obs import (FAULT_ALERT_KINDS, FAULT_CLASSES, AlertManager,
-                       HealthMonitor, MetricsRegistry, StepClock)
+                       HealthMonitor, MetricsRegistry)
 from repro.obs.health import (BURN_SLOW_WINDOW, GRAD_WINDOW, LOSS_WINDOW,
                               PLATEAU_STEPS)
 from repro.resilience.faults import SDC_SITE_KINDS
+from tests.clock import StepClock
 
 
 @pytest.fixture(autouse=True)
@@ -202,33 +203,6 @@ class TestPullDetectors:
         mon = _monitor()
         mon.check_faults(reg)
         assert mon.alerts.kinds() == {"train.loss_nonfinite"}
-
-    def test_forecast_cache_collapse_after_version_swap(self):
-        """A version swap cold-starts the content-addressed cache: the
-        hit rate collapses and the pull detector pages before SLO burn
-        would."""
-        reg = MetricsRegistry()
-        reg.counter("serve.cache").inc(10, event="hit")
-        reg.counter("serve.cache").inc(90, event="miss")
-        reg.gauge("serve.cache_occupancy_frac").set(0.8)
-        mon = _monitor()
-        result = mon.check_forecast_cache(reg)
-        assert result == {"hit_rate": 0.1, "lookups": 100,
-                          "occupancy_frac": 0.8}
-        alerts = mon.alerts.select("serve.cache_collapse")
-        assert len(alerts) == 1 and alerts[0].severity == "warning"
-
-    def test_forecast_cache_healthy_or_quiet_stays_silent(self):
-        reg = MetricsRegistry()
-        reg.counter("serve.cache").inc(80, event="hit")
-        reg.counter("serve.cache").inc(20, event="miss")
-        mon = _monitor()
-        assert mon.check_forecast_cache(reg)["hit_rate"] == 0.8
-        # Under the lookup floor: no verdict at all.
-        quiet = MetricsRegistry()
-        quiet.counter("serve.cache").inc(3, event="miss")
-        assert mon.check_forecast_cache(quiet) is None
-        assert mon.alerts.kinds() == set()
 
     def test_report_shape(self):
         mon = _monitor()

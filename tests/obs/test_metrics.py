@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs import Counter, Gauge, Histogram, MetricsRegistry, merge_snapshots
+from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
 
 
 class TestCounter:
@@ -139,15 +139,6 @@ class TestRegistry:
         again = MetricsRegistry()
         again.load_snapshot(json.loads(merged.to_json()))
         assert again.snapshot() == merged.snapshot()
-
-    def test_merge_snapshots_helper(self):
-        a, b = MetricsRegistry(), MetricsRegistry()
-        a.counter("c").inc(1)
-        b.counter("c").inc(2)
-        merged = merge_snapshots(a.snapshot(), b.snapshot())
-        reg = MetricsRegistry()
-        reg.load_snapshot(merged)
-        assert reg.counter("c").value() == 3
 
     def test_as_table_lists_every_series(self):
         reg = MetricsRegistry()

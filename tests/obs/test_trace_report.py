@@ -20,6 +20,7 @@ from repro.perf import AURORA, CommModel, bubble_fraction
 from repro.perf.pipeline_model import schedule_1f1b, simulate_timeline
 from repro.resilience import resilience_check, sdc_check
 from repro.serve import deploy_check, serve_check
+from tests.clock import StepClock
 from tests.train.test_trainer import TINY16
 
 GAS = 4  # microbatches: >= 4 per the acceptance criterion
@@ -170,7 +171,7 @@ def golden_report():
     """Every shipped check, run once over hand-built deterministic
     subjects: a PP=2 x M=2 1F1B timeline, fixed counters, stub
     service/controller/injector ledgers and a real tiny plan."""
-    tracer = obs.Tracer(clock=obs.StepClock())
+    tracer = obs.Tracer(clock=StepClock())
     registry = obs.MetricsRegistry()
     for phase, stage, micro, start, end in simulate_timeline(
             schedule_1f1b(2, 2), 1.0, 2.0)["events"]:
@@ -234,7 +235,7 @@ def golden_report():
     report.run(sdc_check, injector)
     report.run(serve_check, service)
     report.run(deploy_check, service, controller)
-    report.run(obs.health_check, obs.HealthMonitor(clock=obs.StepClock()),
+    report.run(obs.health_check, obs.HealthMonitor(clock=StepClock()),
                injector)
     report.run(autotune_check, plan, topology=plan.chosen_topology)
     return report

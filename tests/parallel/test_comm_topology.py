@@ -97,12 +97,6 @@ class TestRankTopology:
                     seen.update(topo.sp_group(dp, pp, wp))
         assert seen == set(range(topo.world_size))
 
-    def test_model_parallel_group_size(self):
-        topo = RankTopology(dp=3, pp=2, wp_grid=(2, 2), sp=2)
-        group = topo.model_parallel_group(1)
-        assert len(group) == 2 * 4 * 2
-        assert len(set(group)) == len(group)
-
     def test_paper_configuration_40b(self):
         """40B config: WP=36, PP=20, SP=12 -> 720 nodes per instance; with
         DP=14 -> 10,080 nodes (the full-Aurora run)."""

@@ -12,7 +12,6 @@ from repro.parallel import (
     WindowSharding,
     shard_sequence,
     ulysses_attention,
-    unshard_sequence,
 )
 from repro.tensor import Tensor
 
@@ -47,14 +46,6 @@ class TestTopologyProperties:
                 for wp in range(topo.wp):
                     all_ranks.extend(topo.sp_group(dp, pp, wp))
         assert sorted(all_ranks) == list(range(topo.world_size))
-
-    @given(topologies())
-    @settings(max_examples=30, deadline=None)
-    def test_model_parallel_groups_disjoint(self, topo):
-        groups = [set(topo.model_parallel_group(d)) for d in range(topo.dp)]
-        union = set().union(*groups)
-        assert len(union) == sum(len(g) for g in groups)
-
 
 class TestCollectiveProperties:
     @given(st.integers(2, 6), st.integers(1, 20))
@@ -96,10 +87,10 @@ class TestUlyssesProperties:
         ref = np.swapaxes(dot_product_attention(
             *(Tensor(np.swapaxes(x, -2, -3)) for x in (q, k, v))).numpy(),
             -2, -3)
-        out = unshard_sequence(ulysses_attention(
+        out = np.concatenate(ulysses_attention(
             SimCluster(sp), list(range(sp)),
             shard_sequence(q, sp), shard_sequence(k, sp),
-            shard_sequence(v, sp)))
+            shard_sequence(v, sp)), axis=-3)
         np.testing.assert_array_equal(out, ref)
 
 

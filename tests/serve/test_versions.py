@@ -11,6 +11,7 @@ import pytest
 from repro import obs
 from repro.serve import (ForecastRequest, Rejected, VersionTable,
                          default_tiers)
+from tests.clock import StepClock
 
 SHAPE = (4, 8, 3)
 
@@ -61,7 +62,7 @@ def request(tier="standard", shape=SHAPE) -> ForecastRequest:
 
 class TestLoading:
     def test_first_version_is_active_and_silent(self):
-        with obs.monitored(clock=obs.StepClock()) as session:
+        with obs.monitored(clock=StepClock()) as session:
             versions = table()
         assert versions.active == "v1" and list(versions.bindings) == ["v1"]
         assert not session.recorder.events()
@@ -69,7 +70,7 @@ class TestLoading:
 
     def test_add_loads_without_shifting_traffic(self):
         versions = table()
-        with obs.monitored(clock=obs.StepClock()) as session:
+        with obs.monitored(clock=StepClock()) as session:
             binding = versions.add("v2", StubForecaster(StubModel(fill=1.0)))
         assert versions.active == "v1"
         assert versions.bindings["v2"] is binding
@@ -112,7 +113,7 @@ class TestActivateRemove:
         queue = StubQueue(["v1", "v2", "v2", "v1", "v2"])
         versions = table(queue)
         versions.add("v2", StubForecaster(StubModel(fill=1.0)))
-        with obs.monitored(clock=obs.StepClock()) as session:
+        with obs.monitored(clock=StepClock()) as session:
             assert versions.remove("v2") == 3
         assert queue.pinned == ["v1"] * 5
         assert list(versions.bindings) == ["v1"]

@@ -32,7 +32,7 @@ class TestElementwise:
     def test_neg(self):
         check_gradients(lambda ts: (-ts[0]).sum(), [rng.normal(size=(4,))])
 
-    @pytest.mark.parametrize("op", ["exp", "sin", "cos", "tanh", "sigmoid", "silu"])
+    @pytest.mark.parametrize("op", ["exp", "sin", "cos", "tanh", "silu"])
     def test_unary(self, op):
         check_gradients(lambda ts: getattr(ts[0], op)().sum(),
                         [rng.normal(size=(3, 4))])
@@ -41,11 +41,6 @@ class TestElementwise:
         x = rng.uniform(0.5, 2.0, size=(4,))
         check_gradients(lambda ts: ts[0].log().sum(), [x])
         check_gradients(lambda ts: ts[0].sqrt().sum(), [x])
-
-    def test_relu(self):
-        x = rng.normal(size=(10,))
-        x[np.abs(x) < 1e-2] = 0.5  # keep away from the kink
-        check_gradients(lambda ts: ts[0].relu().sum(), [x])
 
     def test_abs(self):
         x = rng.normal(size=(10,))

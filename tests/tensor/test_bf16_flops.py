@@ -132,10 +132,3 @@ class TestFlopCounter:
     def test_no_counter_no_cost(self):
         a, b = Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2)))
         _ = a @ b  # must not raise
-
-    def test_reset(self):
-        fc = FlopCounter()
-        with count_flops(fc):
-            _ = Tensor(np.ones((2, 2))) @ Tensor(np.ones((2, 2)))
-        fc.reset()
-        assert fc.total == 0

@@ -13,8 +13,29 @@ TOOLS_DIR = os.path.join(
 sys.path.insert(0, TOOLS_DIR)
 
 import autotune_cli as cli  # noqa: E402
+from repro.model import TINY  # noqa: E402
+from repro.parallel.autotune import load_plan, plan_for, verify_plan  # noqa: E402,E501
+from repro.perf import AURORA  # noqa: E402
 
 SMOKE_ARGS = ["plan", "--smoke", "--no-measure"]
+
+
+class TestPlanArtifacts:
+    @pytest.fixture(scope="class")
+    def plan(self):
+        return plan_for(TINY, AURORA, 32, 8, micro_batches=(1, 2))
+
+    def test_frontier_table_renders(self, plan):
+        table = cli.frontier_table(plan)
+        assert plan.chosen.layout_key in table
+        assert "worst" in table
+
+    def test_save_load_verify_roundtrip(self, plan, tmp_path):
+        path = cli.save_plan(plan, str(tmp_path))
+        assert os.path.basename(path) == "tiny_Aurora_w32_g8.json"
+        loaded = load_plan(path)
+        assert loaded.to_json() == plan.to_json()
+        assert verify_plan(loaded) == []
 
 
 class TestPlanCommand:

@@ -37,7 +37,7 @@ def test_every_line_parses_and_carries_the_keys():
         assert set(EXACT) <= set(row["exact_counts"])
         assert row["tier1"]["tests"] > 0 and row["tier1"]["wall_s"] > 0
         assert row["src_repro_loc"] > 0
-        # settable fields (``tools/check_options.py``), from PR 21 on
+        # settable fields (the options rule of ``tools/lint.py``), from PR 21 on
         assert row.get("options", 1) > 0
     last = json.loads(lines[-1])
     assert "options" in last

@@ -1,17 +1,10 @@
-"""Unit tests for the metric-name lint (``tools/check_metric_names.py``)."""
+"""Unit tests for the metric-name rule of ``tools/lint.py``."""
 
-import os
 import re
-import sys
 
 import pytest
 
-TOOLS_DIR = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__)))), "tools")
-sys.path.insert(0, TOOLS_DIR)
-
-import check_metric_names  # noqa: E402
+from .test_lint import lint, run_rule
 
 
 class TestCheckName:
@@ -20,7 +13,7 @@ class TestCheckName:
         "kernels.plan_cache_hits", "eval.metric_s", "obs.alerts",
     ])
     def test_canonical_names_pass(self, name):
-        assert check_metric_names.check_name(name) is None
+        assert lint.check_name(name) is None
 
     @pytest.mark.parametrize("name", [
         "steps",                 # no subsystem
@@ -31,7 +24,7 @@ class TestCheckName:
         "train_steps",           # underscore where the dot should be
     ])
     def test_shape_violations(self, name):
-        message = check_metric_names.check_name(name)
+        message = lint.check_name(name)
         assert message and "subsystem.name" in message
 
     @pytest.mark.parametrize("name,canonical", [
@@ -42,7 +35,7 @@ class TestCheckName:
         ("serve.hit_pct", "_frac"),
     ])
     def test_unit_suffix_violations(self, name, canonical):
-        message = check_metric_names.check_name(name)
+        message = lint.check_name(name)
         assert message and canonical in message
 
 
@@ -50,11 +43,10 @@ class TestMetricViolations:
     def _write(self, tmp_path, source):
         path = tmp_path / "mod.py"
         path.write_text(source)
-        return str(path)
+        return lint.Source(str(path))
 
     def _violations(self, tmp_path, source):
-        return check_metric_names.metric_violations(
-            self._write(tmp_path, source))
+        return lint.scan(self._write(tmp_path, source))[1]
 
     def test_clean_file_has_none(self, tmp_path):
         assert self._violations(tmp_path, (
@@ -91,7 +83,7 @@ class TestMetricViolations:
         assert len(out) == 1 and "Tier" in out[0][1]
 
     def test_method_named_like_a_hook_is_not_a_booking(self, tmp_path):
-        assert check_metric_names.scan(self._write(tmp_path, (
+        assert lint.scan(self._write(tmp_path, (
             "n = text.count('BAD NAME')\n"
             "self._count('hit', Tier='fast')\n"))) == (0, [])
 
@@ -124,21 +116,19 @@ class TestMetricViolations:
 
 
 class TestMain:
-    def test_main_clean_and_dirty(self, tmp_path, capsys):
+    def test_main_clean_and_dirty(self, tmp_path):
         (tmp_path / "good.py").write_text(
             "reg.counter('train.steps').inc(1)\n")
-        assert check_metric_names.main([str(tmp_path)]) == 0
+        assert run_rule("metric-names", tmp_path)[0] == []
         (tmp_path / "bad.py").write_text(
             "reg.gauge('queue_depth').set(2)\n")
-        assert check_metric_names.main([str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert "bad.py:1" in err and "queue_depth" in err
+        found = "\n".join(run_rule("metric-names", tmp_path)[0])
+        assert "bad.py:1" in found and "queue_depth" in found
 
-    def test_repo_source_is_clean(self, capsys):
-        root = os.path.dirname(TOOLS_DIR)
-        assert check_metric_names.main(
-            [os.path.join(root, "src", "repro")]) == 0
+    def test_repo_source_is_clean(self):
+        found, summary = run_rule("metric-names")
+        assert found == []
         # The lint once matched registry chains only and would have passed
         # a tree whose writers had all moved to the hooks: it must see them.
-        booked = re.search(r"(\d+) booking calls", capsys.readouterr().out)
+        booked = re.search(r"(\d+) booking calls", summary)
         assert int(booked.group(1)) >= 70

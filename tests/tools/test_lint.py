@@ -1,4 +1,5 @@
-"""Unit tests for the repo lint checkers and their shared walker."""
+"""Unit tests for the repo lint (``tools/lint.py``): its one walk, each row
+of its rule table, and the entry point."""
 
 import os
 import sys
@@ -10,13 +11,14 @@ TOOLS_DIR = os.path.join(
         os.path.abspath(__file__)))), "tools")
 sys.path.insert(0, TOOLS_DIR)
 
-import check_bare_except  # noqa: E402
-import check_clones  # noqa: E402
-import check_no_print  # noqa: E402
-import check_options  # noqa: E402
-import check_seeded_rng  # noqa: E402
 import lint  # noqa: E402
-import walklib  # noqa: E402
+
+
+def run_rule(name, *roots):
+    """``(findings, summary)`` of one row of ``lint.RULES`` over ``roots``
+    (default: ``src/repro``)."""
+    return dict(lint.RULES)[name](
+        lint.Tree([str(root) for root in roots] or [lint._src()]))
 
 
 @pytest.fixture
@@ -55,61 +57,65 @@ def tree(tmp_path):
 
 
 class TestWalklib:
+    """The lint's one walk over the tree."""
+
     def test_yields_only_python_sorted(self, tree):
-        files = list(walklib.iter_python_files([str(tree)]))
+        files = list(lint.iter_python_files([str(tree)]))
         names = [os.path.relpath(f, str(tree)) for f in files]
         assert names == sorted(names)
         assert all(n.endswith(".py") for n in names)
         assert os.path.join("sub", "printer.py") in names
 
-    def test_exempt_dirs_skipped(self, tree):
-        files = list(walklib.iter_python_files(
-            [str(tree)], exempt_dirs=[str(tree / "exempt")]))
-        rels = [os.path.relpath(f, str(tree)) for f in files]
-        assert rels and not any(r.startswith("exempt") for r in rels)
+    def test_exempt_dirs_skipped(self, tmp_path, monkeypatch):
+        """``print(`` is library output everywhere but ``src/repro/obs``."""
+        monkeypatch.setattr(lint, "REPO_ROOT", str(tmp_path))
+        pkg = tmp_path / "src" / "repro"
+        (pkg / "obs").mkdir(parents=True)
+        (pkg / "obs" / "export.py").write_text("print('allowed here')\n")
+        (pkg / "hot.py").write_text("print('not here')\n")
+        assert run_rule("no-print")[0] == [
+            os.path.join("src", "repro", "hot.py")
+            + ":1: print() call (route output through repro.obs)"]
 
     def test_resolve_roots_rejects_missing(self, tree, capsys):
-        assert walklib.resolve_roots([str(tree / "nope")]) is None
+        assert lint.main([str(tree / "nope")]) == 2
         assert "not a directory" in capsys.readouterr().err
-        assert walklib.resolve_roots([str(tree)]) == [str(tree)]
 
 
 class TestCheckNoPrint:
-    def test_finds_offender_not_docstrings(self, tree, capsys):
-        assert check_no_print.main([str(tree / "sub")]) == 1
-        err = capsys.readouterr().err
-        assert "printer.py:2" in err and "clean.py" not in err
+    def test_finds_offender_not_docstrings(self, tree):
+        found = "\n".join(run_rule("no-print", tree / "sub")[0])
+        assert "printer.py:2" in found and "clean.py" not in found
 
-    def test_clean_tree_passes(self, tree, capsys):
+    def test_clean_tree_passes(self, tree):
         (tree / "sub" / "printer.py").unlink()
-        assert check_no_print.main([str(tree / "sub")]) == 0
+        assert run_rule("no-print", tree / "sub") == (
+            [], "check_no_print: OK (1 root)")
 
     def test_repo_src_is_clean(self):
-        assert check_no_print.main(None) == 0
+        assert run_rule("no-print")[0] == []
 
 
 class TestCheckBareExcept:
-    def test_finds_offender_not_typed_handlers(self, tree, capsys):
-        assert check_bare_except.main([str(tree)]) == 1
-        err = capsys.readouterr().err
-        assert "swallow.py:4" in err and "clean.py" not in err
+    def test_finds_offender_not_typed_handlers(self, tree):
+        found = "\n".join(run_rule("bare-except", tree)[0])
+        assert "swallow.py:4" in found and "clean.py" not in found
 
     def test_clean_tree_passes(self, tree):
         (tree / "sub" / "swallow.py").unlink()
         (tree / "sub" / "eater.py").unlink()
-        assert check_bare_except.main([str(tree)]) == 0
+        assert run_rule("bare-except", tree)[0] == []
 
     def test_repo_src_is_clean(self):
-        assert check_bare_except.main(None) == 0
+        assert run_rule("bare-except")[0] == []
 
-    def test_except_pass_flagged(self, tree, capsys):
+    def test_except_pass_flagged(self, tree):
         """A typed handler whose whole body is ``pass`` destroys the
         fault's evidence — flagged even though the except is not bare."""
-        assert check_bare_except.main([str(tree)]) == 1
-        err = capsys.readouterr().err
-        assert "eater.py:4" in err and "except ...: pass" in err
+        found = "\n".join(run_rule("bare-except", tree)[0])
+        assert "eater.py:4: except ...: pass" in found
 
-    def test_handlers_that_handle_are_fine(self, tree, tmp_path):
+    def test_handlers_that_handle_are_fine(self, tree):
         """pass inside a *larger* handler body (evidence kept) and
         handlers that log/return are not flagged."""
         good = tree / "sub" / "good.py"
@@ -121,86 +127,97 @@ class TestCheckBareExcept:
             "    except ValueError as exc:\n"
             "        sys.stderr.write(repr(exc))\n"
             "        pass\n")
-        assert check_bare_except.swallowing_excepts(str(good)) == []
-        bad = tree / "sub" / "eater.py"
-        assert check_bare_except.swallowing_excepts(str(bad)) == [4]
+        assert lint.bare_excepts(lint.Source(str(good))) == []
+        bad = lint.Source(str(tree / "sub" / "eater.py"))
+        assert [line for line, _ in lint.bare_excepts(bad)] == [4]
 
     def test_unparseable_file_is_skipped(self, tmp_path):
-        broken = tmp_path / "broken.py"
-        broken.write_text("def (:\n")
-        assert check_bare_except.swallowing_excepts(str(broken)) == []
+        """No rule sees a file that does not parse: the walk reports it."""
+        (tmp_path / "broken.py").write_text("def (:\n")
+        tree = lint.Tree([str(tmp_path)])
+        assert tree.files == []
+        assert dict(lint.RULES)["bare-except"](tree)[0] == []
+        assert list(tree.broken) == [str(tmp_path / "broken.py")]
 
 
 class TestLintEntrypoint:
     def test_fails_if_any_checker_fails(self, tree, capsys):
         assert lint.main([str(tree)]) == 1
-        assert "FAILED" in capsys.readouterr().err
+        assert "FAILED: no-print, bare-except" in capsys.readouterr().err
 
-    def test_passes_on_clean_tree(self, tree):
-        # The exempt/ convention is specific to src/repro (repro/obs); in an
-        # arbitrary tree the lint entrypoint checks every file.
-        (tree / "sub" / "printer.py").unlink()
-        (tree / "sub" / "swallow.py").unlink()
-        (tree / "sub" / "eater.py").unlink()
-        (tree / "exempt" / "printer.py").unlink()
+    def test_passes_on_clean_tree(self, tree, capsys):
+        # The obs exemption is specific to src/repro/obs: in an arbitrary
+        # tree every file is checked.  The caller keeps ``f`` alive.
+        for name in ("sub/printer.py", "sub/swallow.py", "sub/eater.py",
+                     "exempt/printer.py"):
+            (tree / name).unlink()
+        (tree / "caller.py").write_text("from clean import f\n\nf()\n")
         assert lint.main([str(tree)]) == 0
+        assert capsys.readouterr().out.endswith("lint: OK (7 rules)\n")
 
     def test_registry_covers_every_checker(self):
-        assert set(lint.CHECKERS) == {"check_no_print", "check_bare_except",
-                                      "check_metric_names",
-                                      "check_seeded_rng", "check_clones",
-                                      "check_options"}
+        assert [name for name, _ in lint.RULES] == [
+            "no-print", "bare-except", "metric-names", "seeded-rng",
+            "clones", "options", "dead-names"]
+
+    def test_unparseable_file_is_one_finding(self, tmp_path, capsys):
+        """``def f(:`` is one finding and exit 1: not a traceback, and not
+        a file some rules pass."""
+        (tmp_path / "broken.py").write_text("def f(:\n")
+        (tmp_path / "draws.py").write_text("import random\n")
+        assert lint.main([str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        broken = os.path.relpath(str(tmp_path / "broken.py"), lint.REPO_ROOT)
+        assert f"{broken}:1: does not parse: " in err
+        assert err.count("broken.py") == 1 and "Traceback" not in err
+        assert "draws.py:1: import random" in err
+        assert err.endswith("lint: FAILED: seeded-rng, parse\n")
 
 
 class TestCheckSeededRng:
-    def test_flags_random_module_imports(self, tmp_path, capsys):
-        bad = tmp_path / "uses_random.py"
-        bad.write_text(
+    def test_flags_random_module_imports(self, tmp_path):
+        (tmp_path / "uses_random.py").write_text(
             "import random\n"
             "from random import choice\n"
             "def f():\n"
             "    return random.random() + len(str(choice([1])))\n")
-        assert check_seeded_rng.main([str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert "uses_random.py:1" in err and "uses_random.py:2" in err
+        found = "\n".join(run_rule("seeded-rng", tmp_path)[0])
+        assert "uses_random.py:1" in found and "uses_random.py:2" in found
 
-    def test_flags_global_numpy_generator(self, tmp_path, capsys):
-        bad = tmp_path / "legacy_np.py"
-        bad.write_text(
+    def test_flags_global_numpy_generator(self, tmp_path):
+        (tmp_path / "legacy_np.py").write_text(
             "import numpy as np\n"
             "def f():\n"
             "    np.random.seed(0)\n"
             "    return np.random.rand(3)\n")
-        assert check_seeded_rng.main([str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert "legacy_np.py:3" in err and "legacy_np.py:4" in err
+        found = "\n".join(run_rule("seeded-rng", tmp_path)[0])
+        assert "legacy_np.py:3" in found and "legacy_np.py:4" in found
 
     def test_seeded_constructs_pass(self, tmp_path):
-        good = tmp_path / "seeded.py"
-        good.write_text(
+        (tmp_path / "seeded.py").write_text(
             "import numpy as np\n"
             "def f(seed):\n"
             "    rng = np.random.default_rng(seed)\n"
             "    gen = np.random.Generator(np.random.PCG64(seed))\n"
             "    return rng.random() + gen.random()\n")
-        assert check_seeded_rng.main([str(tmp_path)]) == 0
+        assert run_rule("seeded-rng", tmp_path)[0] == []
 
     def test_word_random_in_other_contexts_is_fine(self, tmp_path):
-        good = tmp_path / "mentions.py"
-        good.write_text(
+        (tmp_path / "mentions.py").write_text(
             '"""import random would be bad."""\n'
             "# np.random.rand in a comment\n"
             "def f(rng):\n"
             "    return rng.random()\n")
-        assert check_seeded_rng.main([str(tmp_path)]) == 0
+        assert run_rule("seeded-rng", tmp_path)[0] == []
 
     def test_unparseable_file_is_skipped(self, tmp_path):
-        broken = tmp_path / "broken.py"
-        broken.write_text("def (:\n")
-        assert check_seeded_rng.unseeded_rng(str(broken)) == []
+        (tmp_path / "broken.py").write_text("def (:\n")
+        tree = lint.Tree([str(tmp_path)])
+        assert dict(lint.RULES)["seeded-rng"](tree)[0] == []
+        assert list(tree.broken) == [str(tmp_path / "broken.py")]
 
     def test_repo_src_is_clean(self):
-        assert check_seeded_rng.main(None) == 0
+        assert run_rule("seeded-rng")[0] == []
 
 
 class TestCheckClones:
@@ -209,33 +226,32 @@ class TestCheckClones:
         return "".join(f"{'# ' if comment else ''}v{i} = compute({i})\n"
                        for i in range(n))
 
-    def test_copied_block_fails_where_it_starts(self, tmp_path, capsys):
+    def test_copied_block_fails_where_it_starts(self, tmp_path):
         (tmp_path / "a.py").write_text("import x\n" + self._block(10))
         # re-indented, re-commented and spread out, but the same 10 lines
         copy = "def f():\n" + "".join(
             f"    {line}\n\n    # again\n"
             for line in self._block(10).splitlines())
         (tmp_path / "b.py").write_text(copy)
-        assert check_clones.main([str(tmp_path)]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1  # one long copy, one report
-        assert "b.py:2:" in err[0] and err[0].endswith("a.py:2")
+        found = run_rule("clones", tmp_path)[0]
+        assert len(found) == 1  # one long copy, one report
+        assert "b.py:2:" in found[0] and found[0].endswith("a.py:2")
 
     def test_seven_lines_pass(self, tmp_path):
         (tmp_path / "a.py").write_text("import x\n" + self._block(7))
         (tmp_path / "b.py").write_text("import y\n" + self._block(7)
                                        + "done = True\n")
-        assert check_clones.main([str(tmp_path)]) == 0
+        assert run_rule("clones", tmp_path)[0] == []
 
     def test_block_repeated_only_in_comments_passes(self, tmp_path):
         (tmp_path / "a.py").write_text(self._block(10, comment=True)
                                        + "a = 1\n")
         (tmp_path / "b.py").write_text(self._block(10, comment=True)
                                        + "b = 2\n")
-        assert check_clones.main([str(tmp_path)]) == 0
+        assert run_rule("clones", tmp_path)[0] == []
 
     def test_repo_src_is_clean(self):
-        assert check_clones.main([]) == 0
+        assert run_rule("clones")[0] == []
 
 
 class TestCheckOptions:
@@ -248,32 +264,104 @@ class TestCheckOptions:
                 "    knob_a: int = 1\n"
                 "    knob_b: int = 2\n")
 
-    def test_field_nobody_sets_fails_until_it_is_a_constant(self, tmp_path,
-                                                            capsys):
+    def test_field_nobody_sets_fails_until_it_is_a_constant(self, tmp_path):
         (tmp_path / "x.py").write_text(self.DECLARED
                                        + "cfg = XConfig(knob_a=3)\n")
-        assert check_options.main([str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert "x.py:5: XConfig.knob_b has no setter" in err
-        assert "knob_a" not in err
+        found = "\n".join(run_rule("options", tmp_path)[0])
+        assert "x.py:5: XConfig.knob_b has no setter" in found
+        assert "knob_a" not in found
         (tmp_path / "x.py").write_text(
             self.DECLARED.replace("    knob_b: int = 2\n", "")
             + "KNOB_B = 2\ncfg = XConfig(knob_a=3)\n")
-        assert check_options.main([str(tmp_path)]) == 0
-        assert "options: 1 fields" in capsys.readouterr().out
+        found, summary = run_rule("options", tmp_path)
+        assert found == [] and summary.startswith("options: 1 fields")
 
     def test_positional_and_replace_count_as_setters(self, tmp_path):
         (tmp_path / "x.py").write_text(
             self.DECLARED + "cfg = replace(XConfig(3), knob_b=4)\n")
-        assert check_options.main([str(tmp_path)]) == 0
+        assert run_rule("options", tmp_path)[0] == []
 
-    def test_double_star_kwargs_set_nothing(self, tmp_path, capsys):
+    def test_double_star_kwargs_set_nothing(self, tmp_path):
         (tmp_path / "x.py").write_text(
             self.DECLARED + "cfg = XConfig(**{'knob_a': 1, 'knob_b': 2})\n")
-        assert check_options.main([str(tmp_path)]) == 1
-        assert capsys.readouterr().err.count("has no setter") == 2
+        found = run_rule("options", tmp_path)[0]
+        assert len(found) == 2 and all("has no setter" in f for f in found)
 
-    def test_repo_options_all_have_setters_and_stay_counted(self, capsys):
-        assert check_options.main(None) == 0
-        n_fields = int(capsys.readouterr().out.split()[1])
-        assert n_fields <= 94  # 143 before ISSUE 21; do not regrow
+    def test_repo_options_all_have_setters_and_stay_counted(self):
+        found, summary = run_rule("options")
+        assert found == []
+        assert int(summary.split()[1]) <= 94  # 143 once; do not regrow
+
+
+class TestDeadNames:
+    """A def that nothing outside tests names is a finding, unless
+    ``KEEP`` lists it or ``PROBES`` patches it by name."""
+
+    MOD = os.path.join("src", "repro", "mod.py")
+
+    @pytest.fixture
+    def repo(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(lint, "REPO_ROOT", str(tmp_path))
+        monkeypatch.setattr(lint, "KEEP", {})
+        pkg = tmp_path / "src" / "repro"
+        pkg.mkdir(parents=True)
+        (pkg / "mod.py").write_text(
+            "def lonely():\n"
+            "    return 1\n"
+            "\n"
+            "\n"
+            "class Engine:\n"
+            "    def __init__(self):\n"
+            "        self.n = 0\n"
+            "\n"
+            "    def probed(self):\n"
+            "        return helper()\n"
+            "\n"
+            "\n"
+            "def helper():\n"
+            "    return Engine()\n")
+        (tmp_path / "bench_e2e").mkdir()
+        (tmp_path / "bench_e2e" / "trace.py").write_text(
+            "PROBES: tuple = (\n"
+            "    Probe('repro.mod', 'Engine.probed', 'engine.probed', 'x'),\n"
+            ")\n")
+        return tmp_path
+
+    def test_callerless_def_is_flagged(self, repo):
+        assert run_rule("dead-names") == (
+            [f"{self.MOD}:1: lonely has no caller outside tests (delete it, "
+             "or KEEP it with its mechanism)"],
+            "dead names: 1 flagged, 0 kept")
+
+    def test_def_called_only_from_tests_is_flagged(self, repo):
+        (repo / "tests").mkdir()
+        (repo / "tests" / "test_mod.py").write_text(
+            "from repro import mod\n\nmod.lonely()\n")
+        assert [f.split(": ")[1].split()[0]
+                for f in run_rule("dead-names")[0]] == ["lonely"]
+
+    def test_attribute_use_elsewhere_keeps_def_live(self, repo):
+        (repo / "examples").mkdir()
+        (repo / "examples" / "demo.py").write_text(
+            "def run(obj):\n    return obj.lonely()\n")
+        assert run_rule("dead-names") == ([], "dead names: 0 flagged, 0 kept")
+
+    def test_probes_name_is_exempt(self, repo):
+        assert "Engine.probed" not in "\n".join(run_rule("dead-names")[0])
+        (repo / "bench_e2e" / "trace.py").write_text("PROBES: tuple = ()\n")
+        assert f"{self.MOD}:9: Engine.probed has no caller" in "\n".join(
+            run_rule("dead-names")[0])
+
+    def test_stale_keep_entry_is_a_finding(self, repo, monkeypatch):
+        monkeypatch.setattr(lint, "KEEP", {
+            "mod.py::lonely": "a mechanism's sole entry point",
+            "mod.py::helper": "stale: helper has a caller",
+            "mod.py::gone": "stale: no such def"})
+        assert run_rule("dead-names") == (
+            [f"{self.MOD}:13: KEEP entry helper has a caller now (drop the "
+             "entry)", f"{self.MOD}:1: KEEP entry gone names no def"],
+            "dead names: 2 flagged, 1 kept")
+
+    def test_repo_has_no_dead_names(self):
+        found, summary = run_rule("dead-names")
+        assert found == [] and summary.endswith(f"{len(lint.KEEP)} kept")

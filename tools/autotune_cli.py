@@ -28,8 +28,8 @@ produce the same content-addressed artifact.
 from __future__ import annotations
 
 import argparse
-import json
 import os
+import re
 import sys
 import time
 
@@ -39,6 +39,59 @@ sys.path.insert(0, _ROOT)
 
 SMOKE = dict(config="tiny", machine="aurora", world=32, gbs=8,
              micro_batches=(1, 2))
+
+#: Home of the committed plan snapshots (the CI drift oracle).
+PLANS_DIR = os.path.join("benchmarks", "results", "plans")
+
+
+def _sanitize(name: str) -> str:
+    return re.sub(r"[^A-Za-z0-9._-]+", "-", name).strip("-")
+
+
+def plan_filename(plan) -> str:
+    """Stable snapshot name: one file per (config, machine, budget)."""
+    mono = "" if plan.pipeline else "_mono"
+    return (f"{_sanitize(plan.config_name)}_{_sanitize(plan.machine_name)}"
+            f"_w{plan.world_size}_g{plan.gbs}{mono}.json")
+
+
+def save_plan(plan, directory: str = PLANS_DIR) -> str:
+    """Crash-safe snapshot write; returns the path."""
+    from repro.resilience import atomic_write
+
+    os.makedirs(directory, exist_ok=True)
+    path = os.path.join(directory, plan_filename(plan))
+    return atomic_write(path, plan.to_json())
+
+
+def frontier_table(plan) -> str:
+    """Human-readable ranked frontier (the CI artifact)."""
+    header = (f"TunedPlan {plan.config_name} @ {plan.machine_name} | "
+              f"world={plan.world_size} gbs={plan.gbs} "
+              f"schedule={plan.schedule} | {plan.n_feasible} feasible, "
+              f"pruned {dict(sorted(plan.pruned_counts.items()))} | "
+              f"digest {plan.digest[:12]}")
+    cols = (f"{'rank':>4}  {'layout':<28} {'gas':>4} {'ckpt':>4} "
+            f"{'mem_gb':>8} {'bubble':>7} {'mfu':>6} {'pred_s':>10} "
+            f"{'meas_s':>10}")
+    lines = [header, cols, "-" * len(cols)]
+    measured = plan.calibration.get("measured_step_s", {})
+    for i, c in enumerate(plan.frontier):
+        meas = measured.get(c.layout_key)
+        meas_str = "-" if meas is None else f"{meas:.4g}"
+        lines.append(
+            f"{i:>4}  {c.layout_key:<28} {c.gas:>4} "
+            f"{'y' if c.checkpointing else '-':>4} {c.memory_gb:>8.2f} "
+            f"{c.bubble_frac:>7.3f} {c.mfu:>6.3f} "
+            f"{c.predicted_step_s:>10.4g} {meas_str:>10}")
+    if plan.n_feasible > len(plan.frontier):
+        lines.append(f"  ... {plan.n_feasible - len(plan.frontier)} more "
+                     "feasible candidate(s)")
+    w = plan.worst
+    lines.append(f"worst {w.layout_key}: pred {w.predicted_step_s:.4g} s"
+                 + (f", meas {measured[w.layout_key]:.4g} s"
+                    if w.layout_key in measured else ""))
+    return "\n".join(line.rstrip() for line in lines)
 
 
 def measure_flops_per_s(repeats: int = 3) -> float:
@@ -92,7 +145,7 @@ def cmd_plan(args) -> int:
     if args.json:
         print(plan.to_json(), end="")
     else:
-        print(autotune.frontier_table(plan))
+        print(frontier_table(plan))
         if rate is not None:
             measured = plan.calibration["measured_step_s"]
             chosen = measured[plan.chosen.layout_key]
@@ -101,7 +154,7 @@ def cmd_plan(args) -> int:
                   f"{chosen:.4g} s vs worst {worst:.4g} s "
                   f"({worst / chosen:.1f}x margin)")
     if args.out:
-        path = autotune.save_plan(plan, args.out)
+        path = save_plan(plan, args.out)
         print(f"snapshot written: {path}", file=sys.stderr)
     return 0
 
@@ -126,7 +179,7 @@ def cmd_verify(args) -> int:
             print(f"DRIFT  {os.path.basename(path)}\n       - {exc}")
             continue
         drifts = autotune.verify_plan(plan)
-        table = autotune.frontier_table(plan)
+        table = frontier_table(plan)
         if args.tables:
             os.makedirs(args.tables, exist_ok=True)
             name = os.path.splitext(os.path.basename(path))[0] + ".txt"
@@ -177,8 +230,7 @@ def main(argv=None) -> int:
     v = sub.add_parser("verify",
                        help="re-derive committed snapshots; fail on drift")
     v.add_argument("--plans",
-                   default=os.path.join(_ROOT, "benchmarks", "results",
-                                        "plans"),
+                   default=os.path.join(_ROOT, PLANS_DIR),
                    help="snapshot directory to verify")
     v.add_argument("--tables", default=None,
                    help="write per-plan frontier tables here (CI artifact)")

@@ -1,51 +1,495 @@
 #!/usr/bin/env python
-"""Single lint entrypoint: run every repo checker, fail if any fails.
-
-CI calls this one script instead of each checker individually; adding a
-checker here adds it everywhere.  Each checker is a module in ``tools/``
-exposing ``main(argv) -> int`` (0 = clean).
+"""The repo lint: one walk over the tree, a table of rules, exit 0 or 1.
 
 Usage::
 
-    python tools/lint.py                  # all checkers, default roots
-    python tools/lint.py src/repro/serve  # restrict to one package
+    python tools/lint.py                  # every rule over src/repro
+    python tools/lint.py src/repro/serve  # every rule over one package
+
+Each file is read once and parsed and tokenized at most once.  A per-file
+rule is a function of one parsed file returning ``(line, message)``
+findings; a whole-tree rule sees every parsed file.  A clean rule prints
+its summary line on stdout, a dirty one its ``path:line: message``
+findings on stderr.  A file that does not tokenize or parse is one finding,
+``path:line: does not parse: <error>``, and no rule sees it.  A new rule
+is one row of :data:`RULES`.
 """
 
 from __future__ import annotations
 
+import ast
+import functools
+import io
 import os
+import re
 import sys
+import tokenize
+from typing import Iterable, Iterator
 
-sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
-import check_bare_except
-import check_clones
-import check_metric_names
-import check_no_print
-import check_options
-import check_seeded_rng
+#: Production trees: what they name is used.  ``tests`` is read too, but
+#: only for option setters.
+CALLER_ROOTS = ("src", "tools", "benchmarks", "bench_e2e", "examples")
 
-#: name -> main(argv) callable; extend to register a new checker.
-CHECKERS = {
-    "check_no_print": check_no_print.main,
-    "check_bare_except": check_bare_except.main,
-    "check_metric_names": check_metric_names.main,
-    "check_seeded_rng": check_seeded_rng.main,
-    "check_clones": check_clones.main,
-    "check_options": check_options.main,
+#: Defs that stay with no production caller, ``"path under src/repro::
+#: qualname"`` -> the mechanism the name is the sole entry point of, and
+#: the test that pins it.  An entry that names no def, or whose def has a
+#: caller now, is itself a finding.
+KEEP = {
+    "parallel/autotune.py::autotune_check":
+        "the TraceReport check of an executed layout against its plan "
+        "(DESIGN §6, §14); tests/parallel/test_autotune.py",
+    "parallel/swipe_attention.py::swipe_window_attention":
+        "the SWiPe WP x SP sharded attention path (DESIGN §2, README); "
+        "tests/parallel/test_swipe_attention.py",
+    "parallel/comm.py::SimCluster.send":
+        "the simulated cluster's metered point-to-point send (DESIGN §1, "
+        "§2); tests/parallel/test_comm_topology.py",
+    "parallel/zero.py::ZeroOptimizer.state_bytes_on":
+        "ZeRO-1's per-rank moment bytes, what the owner table saves "
+        "(DESIGN §2); tests/parallel/test_pipeline_zero.py",
+    "train/trainer.py::Trainer.load_latest":
+        "fall-back resume past rotten checkpoint generations (DESIGN §8, "
+        "§12); tests/train/test_resume.py",
+    "train/trainer.py::Trainer.validation_loss":
+        "the fixed-seed held-out loss, booked as train.val_loss (DESIGN "
+        "§8); tests/test_public_api.py, tests/obs/test_golden_metrics.py",
+    "resilience/supervisor.py::ElasticSupervisor.validation_loss":
+        "the re-grid chaos run's validation-loss tolerance (DESIGN §8); "
+        "tests/resilience/test_supervisor.py",
+    "registry/store.py::ModelRegistry.register_from_checkpoint":
+        "a checkpoint lifted into the registry with its lineage checked "
+        "(DESIGN §13); tests/registry/test_store.py",
+    "perf/tradeoff.py::time_to_train":
+        "the paper's '~15 hours for 3M samples' (DESIGN §3); "
+        "tests/perf/test_tradeoff.py",
+    "tensor/bf16.py::autocast_bf16":
+        "BF16 autocast, the paper's mixed precision (DESIGN §1); "
+        "tests/tensor/test_bf16_flops.py",
+    "eval/metrics.py::mae":
+        "latitude-weighted MAE (DESIGN §2, README); "
+        "tests/eval/test_metrics.py",
+    "eval/probabilistic.py::rank_histogram":
+        "ensemble rank histograms (DESIGN §2, README); "
+        "tests/eval/test_metrics.py",
 }
 
 
+def _src(*parts: str) -> str:
+    return os.path.join(REPO_ROOT, "src", "repro", *parts)
+
+
+def iter_python_files(roots: Iterable[str]) -> Iterator[str]:
+    """``.py`` paths under ``roots`` in deterministic (sorted) order."""
+    for root in roots:
+        for dirpath, _dirnames, filenames in sorted(os.walk(root)):
+            for filename in sorted(filenames):
+                if filename.endswith(".py"):
+                    yield os.path.join(dirpath, filename)
+
+
+class Source:
+    """One file, read once; parsed and tokenized on first use."""
+
+    def __init__(self, path: str):
+        self.path, self.rel = path, os.path.relpath(path, REPO_ROOT)
+        with open(path, "rb") as fh:
+            self.data = fh.read()
+
+    @functools.cached_property
+    def tree(self) -> ast.Module:
+        return ast.parse(self.data, filename=self.path)
+
+    @functools.cached_property
+    def nodes(self) -> list[ast.AST]:
+        """Every node of :attr:`tree`, walked once for all rules."""
+        return list(ast.walk(self.tree))
+
+    @functools.cached_property
+    def tokens(self) -> list[tokenize.TokenInfo]:
+        return list(tokenize.tokenize(io.BytesIO(self.data).readline))
+
+    @functools.cached_property
+    def lines(self) -> list[str]:
+        return list(io.TextIOWrapper(io.BytesIO(self.data), encoding="utf-8"))
+
+
+class Tree:
+    """The files under ``roots``, parsed and tokenized; production files
+    parsed on first use.  What does not parse lands in ``broken``."""
+
+    def __init__(self, roots: list[str]):
+        self.roots, self.broken = roots, {}
+        self._read: dict[str, Source] = {}
+        self.files = self.parsed(iter_python_files(roots), tokens=True)
+
+    @functools.cached_property
+    def production(self) -> list[Source]:
+        return self.parsed(dict.fromkeys(iter_python_files(
+            self.roots + [os.path.join(REPO_ROOT, d) for d in CALLER_ROOTS])))
+
+    def read(self, path: str) -> Source:
+        if path not in self._read:
+            self._read[path] = Source(path)
+        return self._read[path]
+
+    def parsed(self, paths: Iterable[str],
+               tokens: bool = False) -> list[Source]:
+        out = []
+        for src in map(self.read, paths):
+            try:
+                src.tree, tokens and src.tokens
+            except (SyntaxError, ValueError, tokenize.TokenError) as exc:
+                line = getattr(exc, "lineno", None) or (
+                    exc.args[1][0] if isinstance(exc, tokenize.TokenError)
+                    else 1)
+                error = getattr(exc, "msg", None) or exc.args[0]
+                self.broken[src.path] = (
+                    f"{src.rel}:{line}: does not parse: {error}")
+                continue
+            out.append(src)
+        return out
+
+
+# -- per-file rules: (line, message) findings of one parsed file ------------
+
+def _name_then(src: Source, name: str, op: str) -> list[int]:
+    """Lines of token NAME ``name`` directly followed by OP ``op``."""
+    return [tok.start[0] for tok, nxt in zip(src.tokens, src.tokens[1:])
+            if tok.type == tokenize.NAME and tok.string == name
+            and nxt.type == tokenize.OP and nxt.string == op]
+
+
+def print_calls(src: Source) -> list[tuple[int, str]]:
+    """Library output flows through ``repro.obs``, not ``print(``."""
+    return [(line, "print() call (route output through repro.obs)")
+            for line in _name_then(src, "print", "(")]
+
+
+def bare_excepts(src: Source) -> list[tuple[int, str]]:
+    """A bare ``except:`` eats the typed fault escalations recovery
+    dispatches on; ``except ...: pass`` destroys the evidence."""
+    swallowing = sorted(
+        node.lineno for node in src.nodes
+        if isinstance(node, ast.ExceptHandler)
+        and len(node.body) == 1 and isinstance(node.body[0], ast.Pass))
+    return ([(line, "bare except: (catch a concrete exception type)")
+             for line in _name_then(src, "except", ":")]
+            + [(line, "except ...: pass (handle the exception or let it "
+                "propagate)") for line in swallowing])
+
+
+#: ``subsystem.name`` — exactly one dot, lowercase snake_case both sides.
+NAME_RE = re.compile(r"^[a-z][a-z0-9]*\.[a-z][a-z0-9_]*$")
+LABEL_RE = re.compile(r"^[a-z][a-z0-9_]*$")
+#: Non-canonical unit suffixes -> the canonical spelling.
+BAD_SUFFIXES = {
+    "_seconds": "_s", "_sec": "_s", "_secs": "_s", "_ms": "_s",
+    "_millis": "_s", "_us": "_s", "_ns": "_s",
+    "_kb": "_bytes", "_mb": "_bytes", "_gb": "_bytes", "_b": "_bytes",
+    "_pct": "_frac", "_percent": "_frac", "_ratio": "_frac",
+}
+#: ``repro.obs`` booking hooks (name is argument 0, every keyword but
+#: ``buckets`` a label), registry registrations, and the writes whose
+#: keywords are labels when chained on a registration.
+HOOKS = ("count", "gauge", "observe")
+REGISTER_METHODS = ("counter", "gauge", "histogram")
+RECORD_METHODS = ("inc", "set", "observe")
+
+
+def check_name(name: str) -> str | None:
+    """The violation message for one metric name, or ``None`` if clean."""
+    if not NAME_RE.match(name):
+        return (f"metric {name!r} does not match subsystem.name "
+                "(lowercase snake_case, exactly one dot)")
+    for suffix, canonical in BAD_SUFFIXES.items():
+        if name.endswith(suffix):
+            return (f"metric {name!r} uses non-canonical unit suffix "
+                    f"{suffix!r} (use {canonical!r})")
+    return None
+
+
+def _names_literal_metric(node: ast.Call) -> bool:
+    return (bool(node.args) and isinstance(node.args[0], ast.Constant)
+            and isinstance(node.args[0].value, str))
+
+
+def _is_register_call(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in REGISTER_METHODS
+            and _names_literal_metric(node))
+
+
+def _is_hook_call(node: ast.AST) -> bool:
+    """``count(...)`` under its own name or a ``_``-prefixed alias, or
+    ``obs.count(...)`` — not ``text.count(...)``."""
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id.lstrip("_") in HOOKS
+    return (isinstance(func, ast.Attribute) and func.attr in HOOKS
+            and isinstance(func.value, ast.Name) and func.value.id == "obs")
+
+
+def scan(src: Source) -> tuple[int, list[tuple[int, str]]]:
+    """``(booking calls, sorted findings)``: string-literal metric names
+    are ``subsystem.name_unit`` with a canonical unit suffix, and label
+    keys are snake_case.  A booking call is a hook call or a write chained
+    on a string-literal registration."""
+    n_bookings = 0
+    out: list[tuple[int, str]] = []
+    for node in src.nodes:
+        hook = _is_hook_call(node)
+        if (hook and _names_literal_metric(node)) or _is_register_call(node):
+            message = check_name(node.args[0].value)
+            if message:
+                out.append((node.lineno, message))
+        if hook or (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in RECORD_METHODS
+                    and _is_register_call(node.func.value)):
+            n_bookings += 1
+            out += [(node.lineno, f"label {kw.arg!r} is not lowercase "
+                     "snake_case") for kw in node.keywords
+                    if kw.arg not in (None, "buckets")
+                    and not LABEL_RE.match(kw.arg)]
+    return n_bookings, sorted(out)
+
+
+#: ``np.random`` attributes that are explicitly seeded constructs.
+SEEDED_CONSTRUCTS = frozenset({
+    "default_rng", "Generator", "BitGenerator", "SeedSequence",
+    "PCG64", "PCG64DXSM", "Philox", "MT19937", "SFC64",
+})
+
+
+def unseeded_rng(src: Source) -> list[tuple[int, str]]:
+    """Simtest replay needs every run a pure function of its seed: no
+    stdlib ``random``, no ``np.random.<draw>`` on the global generator."""
+    out: list[tuple[int, str]] = []
+    for node in src.nodes:
+        if isinstance(node, ast.Import):
+            out += [(node.lineno, "import random (global-state RNG; use "
+                     "np.random.default_rng(seed))") for alias in node.names
+                    if alias.name == "random"
+                    or alias.name.startswith("random.")]
+        elif (isinstance(node, ast.ImportFrom) and node.module == "random"
+              and node.level == 0):
+            out.append((node.lineno, "from random import ... (global-state "
+                        "RNG; use np.random.default_rng(seed))"))
+        elif (isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Attribute)
+              and node.value.attr == "random"
+              and isinstance(node.value.value, ast.Name)
+              and node.value.value.id in ("np", "numpy")
+              and node.attr not in SEEDED_CONSTRUCTS):
+            out.append((node.lineno, f"np.random.{node.attr} draws from the "
+                        "global generator (use np.random.default_rng(seed))"))
+    return sorted(out)
+
+
+def _per_file(tree: Tree, label: str, check,
+              exempt: str | None = None) -> tuple[list[str], str]:
+    found = [f"{src.rel}:{line}: {message}" for src in tree.files
+             if not (exempt and src.path.startswith(exempt + os.sep))
+             for line, message in check(src)]
+    n = len(tree.roots)
+    return found, f"{label}: OK ({n} root{'s' if n != 1 else ''})"
+
+
+def metric_names(tree: Tree) -> tuple[list[str], str]:
+    scans = [(src, *scan(src)) for src in tree.files]
+    found = [f"{src.rel}:{line}: {message}"
+             for src, _, out in scans for line, message in out]
+    return found, (f"check_metric_names: OK ({len(tree.files)} files, "
+                   f"{sum(n for _, n, _ in scans)} booking calls)")
+
+
+# -- whole-tree rules -------------------------------------------------------
+
+CLONE_WINDOW = 8
+
+
+def clones(tree: Tree) -> tuple[list[str], str]:
+    """No 8 consecutive code lines twice, compared stripped with blank and
+    ``#`` lines dropped; each repeat is listed once, where it starts."""
+    first: dict[tuple[str, ...], str] = {}
+    found: list[str] = []
+    for src in tree.files:
+        code = [(number, text)
+                for number, text in enumerate(map(str.strip, src.lines), 1)
+                if text and not text.startswith("#")]
+        in_clone = False
+        for i in range(len(code) - CLONE_WINDOW + 1):
+            here = f"{src.rel}:{code[i][0]}"
+            window = tuple(text for _, text in code[i:i + CLONE_WINDOW])
+            original = first.setdefault(window, here)
+            if original != here and not in_clone:
+                found.append(f"{here}: {CLONE_WINDOW} consecutive code lines "
+                             f"repeat {original}")
+            in_clone = original != here
+    return found, f"check_clones: OK ({len(first)} windows)"
+
+
+OPTION_CLASS = re.compile(r"(Config|Policy)$|^FaultPlan$")
+
+
+def options(tree: Tree) -> tuple[list[str], str]:
+    """Every field of a ``*Config`` / ``*Policy`` / ``FaultPlan``
+    dataclass is set somewhere, tests included: by keyword or position to
+    its constructor, or as a keyword of any ``replace(...)`` (matched by
+    field name).  ``**kwargs`` sets nothing.  A field with no setter is a
+    constant that looks like a choice."""
+    declared: dict[str, list[tuple[str, str]]] = {}  # class -> [(field, at)]
+    for src in tree.files:
+        for node in src.nodes:
+            if (isinstance(node, ast.ClassDef) and OPTION_CLASS.search(
+                    node.name) and any("dataclass" in ast.unparse(d)
+                                       for d in node.decorator_list)):
+                declared[node.name] = [
+                    (stmt.target.id, f"{src.rel}:{stmt.lineno}")
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)
+                    and "ClassVar" not in ast.unparse(stmt.annotation)]
+    # A call's callee is in the file's text: parse only files that could
+    # hold a setter.
+    callees = [name.encode() for name in (*declared, "replace")]
+    tests_root = os.path.join(REPO_ROOT, "tests") + os.sep
+    setters: dict[tuple[str, str], set[bool]] = {}  # -> {set from tests?}
+    paths = dict.fromkeys(iter_python_files(tree.roots + [
+        os.path.join(REPO_ROOT, d) for d in (*CALLER_ROOTS, "tests")]))
+    for src in tree.parsed(p for p in paths if any(
+            name in tree.read(p).data for name in callees)):
+        in_tests = src.path.startswith(tests_root)
+        for node in src.nodes:
+            if not isinstance(node, ast.Call):
+                continue
+            name = (getattr(node.func, "id", None)
+                    or getattr(node.func, "attr", None))
+            named = [kw.arg for kw in node.keywords if kw.arg]
+            if name == "replace":
+                hits = [(cls, f) for cls, fields in declared.items()
+                        for f, _ in fields if f in named]
+            elif name in declared:
+                fields = [f for f, _ in declared[name]]
+                n_pos = next((i for i, a in enumerate(node.args)
+                              if isinstance(a, ast.Starred)), len(node.args))
+                hits = [(name, f) for f in fields[:n_pos] + named]
+            else:
+                continue
+            for hit in hits:
+                setters.setdefault(hit, set()).add(in_tests)
+    found = [f"{at}: {cls}.{f} has no setter — make it a constant"
+             for cls, fields in declared.items()
+             for f, at in fields if (cls, f) not in setters]
+    tests_only = sum(setters.get((cls, f)) == {True}
+                     for cls, fields in declared.items() for f, _ in fields)
+    return found, (f"options: {sum(map(len, declared.values()))} fields "
+                   f"({tests_only} set only by tests)")
+
+
+def _probe_names(tree: Tree) -> set[str]:
+    """The ``Class.method`` / function names ``bench_e2e/trace.py``'s
+    ``PROBES`` patch by name: frozen API, exempt."""
+    trace = os.path.join(REPO_ROOT, "bench_e2e", "trace.py")
+    if not os.path.isfile(trace):
+        return set()
+    return {node.args[1].value
+            for src in tree.parsed([trace]) for stmt in src.tree.body
+            if isinstance(stmt, ast.AnnAssign)
+            and getattr(stmt.target, "id", None) == "PROBES"
+            for node in ast.walk(stmt) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", None) == "Probe"
+            and len(node.args) > 1 and isinstance(node.args[1], ast.Constant)}
+
+
+DUNDER = re.compile(r"^__\w+__$")
+
+
+def _defs(module: ast.Module) -> Iterator[tuple[str, ast.AST]]:
+    """``(qualname, node)`` of each top-level def/class and class-level
+    def, dunders excluded."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in module.body:
+        if isinstance(node, kinds) and not DUNDER.match(node.name):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item)
+                        for item in node.body if isinstance(item, kinds[:2])
+                        and not DUNDER.match(item.name))
+
+
+def dead_names(tree: Tree) -> tuple[list[str], str]:
+    """Every top-level def/class and class-level def under the roots is
+    named by production code — an ``ast.Name`` or ``ast.Attribute`` under
+    :data:`CALLER_ROOTS`; tests, imports and strings do not count — or is
+    a ``PROBES`` target, or is in :data:`KEEP`."""
+    used = {getattr(node, "id", None) or node.attr
+            for src in tree.production for node in src.nodes
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    probes, keep = _probe_names(tree), dict(KEEP)
+    found, kept = [], 0
+    for src in tree.files:
+        module = os.path.relpath(src.path, _src()).replace(os.sep, "/")
+        for qualname, node in _defs(src.tree):
+            at, live = f"{src.rel}:{node.lineno}", node.name in used
+            if keep.pop(f"{module}::{qualname}", None) is not None:
+                kept += not live
+                if live:
+                    found.append(f"{at}: KEEP entry {qualname} has a caller "
+                                 "now (drop the entry)")
+            elif not live and qualname not in probes:
+                found.append(f"{at}: {qualname} has no caller outside tests "
+                             "(delete it, or KEEP it with its mechanism)")
+    for entry in keep:
+        module, qualname = entry.split("::")
+        if any(_src(module).startswith(root + os.sep) for root in tree.roots):
+            found.append(f"{os.path.relpath(_src(module), REPO_ROOT)}:1: "
+                         f"KEEP entry {qualname} names no def")
+    return found, f"dead names: {len(found)} flagged, {kept} kept"
+
+
+#: ``(name, rule)``; a rule maps the parsed tree to ``(findings, summary)``.
+RULES = (
+    ("no-print", lambda tree: _per_file(tree, "check_no_print", print_calls,
+                                        exempt=_src("obs"))),
+    ("bare-except", lambda tree: _per_file(tree, "check_bare_except",
+                                           bare_excepts)),
+    ("metric-names", metric_names),
+    ("seeded-rng", lambda tree: _per_file(tree, "check_seeded_rng",
+                                          unseeded_rng)),
+    ("clones", clones),
+    ("options", options),
+    ("dead-names", dead_names),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
-    failed: list[str] = []
-    for name, checker in CHECKERS.items():
-        rc = checker(argv)
-        if rc != 0:
-            failed.append(f"{name} (exit {rc})")
+    roots = [os.path.abspath(p) for p in (argv or [])] or [_src()]
+    for root in roots:
+        if not os.path.isdir(root):
+            sys.stderr.write(f"lint: not a directory: {root}\n")
+            return 2
+    tree = Tree(roots)
+    failed = []
+    for name, rule in RULES:
+        found, summary = rule(tree)
+        if found:
+            failed.append(name)
+            sys.stderr.write("\n".join(found) + "\n")
+        else:
+            sys.stdout.write(summary + "\n")
+    if tree.broken:
+        failed.append("parse")
+        sys.stderr.write("\n".join(tree.broken.values()) + "\n")
     if failed:
         sys.stderr.write("lint: FAILED: " + ", ".join(failed) + "\n")
         return 1
-    sys.stdout.write(f"lint: OK ({len(CHECKERS)} checkers)\n")
+    sys.stdout.write(f"lint: OK ({len(RULES)} rules)\n")
     return 0
 
 

@@ -15,7 +15,7 @@ Usage::
         --flight flight.jsonl --tail 20 --out dashboard.txt
 
 Multiple ``--metrics`` files are merged (per-rank snapshots aggregate
-the way :func:`repro.obs.merge_snapshots` does).
+the way ``MetricsRegistry.load_snapshot(merge=True)`` does).
 """
 
 from __future__ import annotations
