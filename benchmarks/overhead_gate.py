@@ -16,6 +16,10 @@ to back, so CPU frequency drift biases both sides equally — and writes
   step the defence costs.  **This is the key ``--max-overhead`` reads**:
   drift cancels inside each ratio and one slow segment moves one ratio,
   not the verdict — ``benchmarks/run_benches.py``'s discipline;
+* ``derived.<what>_ms_per_guarded_gemm`` — when ``prove_live`` returns the
+  number of guarded GEMMs one step runs: the median of the paired
+  per-round ``on_i - off_i`` over that count, the defence's cost per
+  operation it guards (gated lower-is-better like any ``*_ms`` leaf);
 * ``derived.overhead_frac`` (on/off - 1 over the *minimum* round times)
   and ``derived.overhead_frac_p50`` (over the medians) — informational:
   each is a ratio of two *independent* order statistics, so it can land
@@ -23,7 +27,8 @@ to back, so CPU frequency drift biases both sides equally — and writes
 
 ``prove_live(trainer)``, when given, runs before any timing and must
 raise ``SystemExit`` if the armed defence is not actually running, so a
-"zero-overhead" result can never mean the check silently stopped.
+"zero-overhead" result can never mean the check silently stopped.  It
+returns the guarded GEMMs per step, or ``None``.
 """
 
 from __future__ import annotations
@@ -74,10 +79,10 @@ def run(armed_context, rounds: int, steps_per_round: int, warmup: int = 2
 
 
 def report(name: str, what: str, off: np.ndarray, on: np.ndarray,
-           steps_per_round: int) -> dict:
+           steps_per_round: int, guarded_gemms: int | None = None) -> dict:
     off_p50 = float(np.median(off))
     on_p50 = float(np.median(on))
-    return {
+    payload = {
         "bench": f"BENCH_{name}",
         "env": {
             "python": platform.python_version(),
@@ -98,6 +103,11 @@ def report(name: str, what: str, off: np.ndarray, on: np.ndarray,
             "overhead_frac_p50": on_p50 / off_p50 - 1.0,
         },
     }
+    if guarded_gemms:
+        payload["config"]["guarded_gemms_per_step"] = guarded_gemms
+        payload["derived"][f"{what}_ms_per_guarded_gemm"] = \
+            float(np.median(on - off)) * 1e3 / guarded_gemms
+    return payload
 
 
 def main(name: str, what: str, armed_context, prove_live=None,
@@ -115,11 +125,13 @@ def main(name: str, what: str, armed_context, prove_live=None,
                         help="sidecar directory (default: results/)")
     args = parser.parse_args()
 
+    guarded_gemms = None
     if prove_live is not None:
-        prove_live(_build_trainer(seed=1))
+        guarded_gemms = prove_live(_build_trainer(seed=1))
     rounds = args.rounds if args.rounds else (6 if args.smoke else 20)
     off, on = run(armed_context, rounds, args.steps_per_round)
-    payload = report(name, what, off, on, args.steps_per_round)
+    payload = report(name, what, off, on, args.steps_per_round,
+                     guarded_gemms)
 
     out_dir = args.out or os.path.join(
         os.path.dirname(os.path.abspath(__file__)), "results")
@@ -133,7 +145,10 @@ def main(name: str, what: str, armed_context, prove_live=None,
           f"{payload['data']['off_step_ms']['p50']:.2f} ms/step, on "
           f"{payload['data']['on_step_ms']['p50']:.2f} ms/step, "
           f"overhead {d['overhead_frac_paired']:+.2%} "
-          f"(speedup x{d[f'{what}_enabled_speedup']:.3f})")
+          f"(speedup x{d[f'{what}_enabled_speedup']:.3f})"
+          + (f", {d[f'{what}_ms_per_guarded_gemm'] * 1e3:.1f} us per "
+             f"guarded GEMM ({guarded_gemms} per step)"
+             if guarded_gemms else ""))
     print(f"wrote {path}")
 
     if args.max_overhead is not None \

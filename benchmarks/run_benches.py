@@ -207,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
     for label, script, flags in (
             ("observability overhead", "bench_obs_health.py",
              ("--max-overhead", "0.05")),
-            ("abft overhead", "bench_sdc.py", ("--max-overhead", "0.10")),
+            ("abft overhead", "bench_sdc.py", ()),
             ("rolling-swap deploy", "bench_deploy.py", ())):
         print(f"{label} bench:")
         rc = run_script_bench(script, out_dir, args.smoke, *flags)

@@ -20,8 +20,8 @@ is routed through :meth:`SimCluster.transfer`, which
 * raises :class:`~repro.resilience.RankFailure` if a participant is dead
   (fail-stop faults are permanent — the supervisor must re-grid);
 * verifies a per-message CRC32 on delivery and re-sends on mismatch or
-  drop, with exponential backoff from a
-  :class:`~repro.resilience.RetryPolicy` (transient faults heal
+  drop, with exponential backoff, at most
+  :data:`~repro.resilience.retry.MAX_RETRIES` times (transient faults heal
   bit-exactly: the payload is redelivered unmodified or an exception is
   raised — numerics are never silently perturbed);
 * books every retry attempt's bytes in :class:`CommStats` (retries cost
@@ -44,7 +44,7 @@ from ..obs.profile import record_event as _record_event
 from ..obs.profile import span as _span
 from ..resilience.checksum import payload_checksum
 from ..resilience.faults import CommTimeout, MessageCorruption
-from ..resilience.retry import RetryPolicy
+from ..resilience.retry import MAX_RETRIES, backoff_s
 
 __all__ = ["CommStats", "SimCluster", "comm_check"]
 
@@ -104,18 +104,13 @@ class SimCluster:
     """
 
     def __init__(self, n_ranks: int, ranks_per_node: int = 1,
-                 injector=None, retry: RetryPolicy | None = None):
+                 injector=None):
         if n_ranks % ranks_per_node:
             raise ValueError("n_ranks must be a multiple of ranks_per_node")
         self.n_ranks = n_ranks
         self.ranks_per_node = ranks_per_node
         self.stats = CommStats()
         self.injector = injector
-        self.retry = retry if retry is not None else RetryPolicy()
-        # Backoff-jitter stream (only drawn when the policy enables
-        # jitter) — separate from the injector's rng so enabling jitter
-        # cannot perturb the fault plan itself.
-        self._retry_rng = np.random.default_rng(0x6A77)
 
     def node_of(self, rank: int) -> int:
         return rank // self.ranks_per_node
@@ -132,8 +127,8 @@ class SimCluster:
         transfer is checked against the fault plan: dead participants
         raise :class:`~repro.resilience.RankFailure`; dropped or
         checksum-failing deliveries are re-sent (each attempt books its
-        bytes — retries cost fabric traffic) until clean or the
-        :class:`~repro.resilience.RetryPolicy` is exhausted, which raises
+        bytes — retries cost fabric traffic) until clean or past
+        ``MAX_RETRIES`` re-sends, which raises
         :class:`~repro.resilience.CommTimeout` /
         :class:`~repro.resilience.MessageCorruption`.  A healed transfer
         is bit-exact: the caller's payload is never modified.
@@ -145,7 +140,6 @@ class SimCluster:
             return
         inj.raise_if_dead((src, dst), primitive)
         expected = payload_checksum(payload) if payload is not None else None
-        budget = self.retry.budget()
         attempt = 0
         while True:
             self.stats.add(primitive, locality, nbytes)
@@ -159,31 +153,19 @@ class SimCluster:
                 return
             self._record_detected(primitive, src, dst, fault)
             attempt += 1
-            backoff_s = self.retry.backoff_s(attempt, rng=self._retry_rng) \
-                if attempt <= self.retry.max_retries else 0.0
-            over_budget = attempt <= self.retry.max_retries \
-                and not budget.charge(seconds=backoff_s, nbytes=nbytes)
-            if attempt > self.retry.max_retries or over_budget:
-                why = ("retry budget exhausted "
-                       f"(spent {budget.spent_s:.3f}s / "
-                       f"{budget.spent_bytes} retried bytes)"
-                       if over_budget else
-                       f"still failing after {self.retry.max_retries} retries")
-                detail = f"{primitive} {src}->{dst} {why}"
-                if over_budget:
-                    _count("comm.budget_exhaustions",
-                           "transfers escalated on retry-budget spend", 1,
-                           primitive=primitive)
+            if attempt > MAX_RETRIES:
+                why = f"still failing after {MAX_RETRIES} retries"
                 _record_event("comm.escalation", subsystem="comm",
                               severity="critical", primitive=primitive,
                               src=src, dst=dst, fault=fault,
                               retries=attempt - 1, reason=why)
+                detail = f"{primitive} {src}->{dst} {why}"
                 raise (CommTimeout(detail) if fault == "drop"
                        else MessageCorruption(detail))
             _count("comm.retries", "message re-sends after transient faults",
                    1, primitive=primitive)
             _observe("comm.backoff_s", "simulated exponential-backoff waits",
-                     backoff_s, primitive=primitive)
+                     backoff_s(attempt), primitive=primitive)
 
     def _record_straggler(self, primitive: str, src: int, dst: int,
                           delay_s: float) -> None:

@@ -47,7 +47,7 @@ class SwipeEngine:
 
     def __init__(self, config: AerisConfig, archive: SyntheticReanalysis,
                  topology: RankTopology, lr: float = 5e-4, seed: int = 0,
-                 flow: TrigFlow = TrigFlow(), injector=None, retry=None):
+                 flow: TrigFlow = TrigFlow(), injector=None):
         if config.channels != len(TOY_SET):
             raise ValueError("model channels must match the archive")
         self.config = config
@@ -57,7 +57,7 @@ class SwipeEngine:
         self.injector = injector
         self.cluster = SimCluster(topology.world_size,
                                   ranks_per_node=topology.sp,
-                                  injector=injector, retry=retry)
+                                  injector=injector)
         # DP replicas start from identical weights (same seed).
         self.replicas = [Aeris(config, seed=seed) for _ in range(topology.dp)]
         self.pipelines = [

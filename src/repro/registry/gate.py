@@ -2,11 +2,10 @@
 
 The gate is the registry's first line of defense: a candidate version
 only becomes ``servable`` if its scorecard is *no worse than the
-incumbent's* on the gated metrics within a relative tolerance.  Both
-CRPS and RMSE are lower-is-better; the spread/skill ratio (distance of
-SSR from 1) can be added for calibration-sensitive deployments.  A
-candidate with no incumbent to beat (first registration) passes by
-definition — there is nothing live to degrade.
+incumbent's* on the gated metrics, CRPS and RMSE (both lower-is-better),
+within a relative tolerance.  A candidate with no incumbent to beat
+(first registration) passes by definition — there is nothing live to
+degrade.
 
 Gating is *offline* evidence; the canary controller
 (:mod:`repro.serve.deploy`) is the online check.  A candidate must clear
@@ -24,20 +23,16 @@ from .store import ModelRegistry, RegistryError
 
 __all__ = ["GateConfig", "GateDecision", "evaluate_gate", "gate_version"]
 
-#: Metrics where smaller is better (skill scores).
-_LOWER_IS_BETTER = ("rmse", "crps")
+#: The scorecard aggregates a candidate must not regress (lower is better).
+GATED_METRICS = ("crps", "rmse")
 
 
 @dataclass(frozen=True)
 class GateConfig:
-    """Which scorecard aggregates to gate on, and how much slack."""
+    """How much slack the gate allows."""
 
-    metrics: tuple = ("crps", "rmse")
     #: Candidate may exceed the incumbent by at most this fraction.
     rel_tolerance: float = 0.02
-    #: Also bound the spread/skill ratio's distance from 1.
-    check_ssr: bool = False
-    ssr_tolerance: float = 0.25
 
 
 @dataclass
@@ -71,9 +66,7 @@ def evaluate_gate(candidate_card: dict, incumbent_card: dict | None,
     if incumbent_card is None:
         decision.reasons.append("no incumbent: candidate passes by default")
         return decision
-    for metric in config.metrics:
-        if metric not in _LOWER_IS_BETTER:
-            raise RegistryError(f"ungateable metric {metric!r}")
+    for metric in GATED_METRICS:
         cand = _aggregate(candidate_card, metric)
         inc = _aggregate(incumbent_card, metric)
         if cand is None or inc is None:
@@ -93,18 +86,6 @@ def evaluate_gate(candidate_card: dict, incumbent_card: dict | None,
                 f"{metric}: {cand:.4f} exceeds incumbent "
                 f"{inc:.4f} (+{config.rel_tolerance:.0%} bound "
                 f"{bound:.4f})")
-    if config.check_ssr:
-        cand = _aggregate(candidate_card, "ssr")
-        if cand is not None:
-            ok = abs(cand - 1.0) <= config.ssr_tolerance
-            decision.comparisons.append(
-                {"metric": "ssr", "candidate": cand, "incumbent": 1.0,
-                 "bound": config.ssr_tolerance, "ok": ok})
-            if not ok:
-                decision.passed = False
-                decision.reasons.append(
-                    f"ssr: {cand:.3f} further than "
-                    f"{config.ssr_tolerance} from 1")
     return decision
 
 

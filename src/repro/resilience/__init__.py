@@ -14,8 +14,8 @@ routine there, as ORBIT's Frontier runs document):
 * :mod:`~repro.resilience.checksum` — per-message / per-array CRC32
   binding dtype + shape, used by the self-healing collectives and the
   checkpoint manifest;
-* :mod:`~repro.resilience.retry` — :class:`RetryPolicy`: exponential
-  backoff for transient faults (metered, not slept);
+* :mod:`~repro.resilience.retry` — ``MAX_RETRIES`` and ``backoff_s``:
+  bounded exponential backoff for transient faults (metered, not slept);
 * :mod:`~repro.resilience.supervisor` — :class:`ElasticSupervisor`: runs
   SWiPe training under a fault plan, autosaves atomic sharded
   checkpoints, and on :class:`RankFailure` re-grids onto the surviving
@@ -39,7 +39,6 @@ from .faults import (BitFlip, ClusterFailure, CommTimeout, ComputeCorruption,
                      MessageCorruption, RankFailure, ResilienceError,
                      Straggle, compute_injector, inject_compute,
                      resilience_check, sdc_check)
-from .retry import RetryBudget, RetryPolicy
 
 _SUPERVISOR_EXPORTS = ("ElasticSupervisor", "SupervisorConfig")
 #: Checkpoint-scrub exports live above repro.train, so they are lazy too.
@@ -55,7 +54,6 @@ __all__ = [
     "FaultPlan", "FaultInjector",
     "inject_compute", "compute_injector",
     "resilience_check", "sdc_check",
-    "RetryPolicy", "RetryBudget",
     *_SUPERVISOR_EXPORTS,
     *_SCRUB_EXPORTS,
 ]

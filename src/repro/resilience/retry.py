@@ -1,106 +1,27 @@
-"""Retry policy for transient communication faults.
+"""Retry bounds for transient communication faults.
 
 Transient faults (dropped or corrupted messages) are healed by
-re-transmission with exponential backoff; the backoff waits are *virtual*
-in the simulation — no wall-clock sleeping — but they are metered
-(``comm.backoff_s`` histogram) so chaos runs report the latency a real
-fabric would have paid, mirroring how oneCCL/RCCL surface retransmit
-costs in their counters.
-
-Two refinements keep retries safe at scale:
-
-* **full-jitter backoff** (``jitter=1.0``): each wait is drawn uniformly
-  from ``[ (1-jitter)·cap, cap ]`` so ten thousand ranks hit by the same
-  fabric hiccup do not retry in lockstep (the classic thundering-herd
-  fix).  The draw comes from a caller-provided generator, so simulated
-  runs stay bit-reproducible;
-* a per-operation **retry budget** (:class:`RetryBudget`): a cap on the
-  total simulated seconds and re-sent bytes one logical transfer may
-  burn across retries.  A fault that keeps recurring escalates as soon
-  as the budget is spent instead of grinding through ``max_retries``
-  maximal backoffs — bounding the tail a single sick link can add to a
-  collective.
+re-transmission with exponential backoff, at most :data:`MAX_RETRIES`
+times per message.  The waits are *virtual* — no wall-clock sleeping —
+but metered (``comm.backoff_s``), so chaos runs report the latency a real
+fabric would have paid.  The serve pool's worker failovers per batch
+share the same bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+__all__ = ["MAX_RETRIES", "backoff_s"]
 
-__all__ = ["RetryPolicy", "RetryBudget"]
-
-
-@dataclass
-class RetryBudget:
-    """Mutable per-operation spend ledger for one retried transfer.
-
-    ``charge`` books the cost of one more retry and reports whether the
-    budget still has room; ``None`` caps mean unlimited (the default
-    policy — existing behaviour).
-    """
-
-    max_retry_s: float | None = None
-    max_retry_bytes: int | None = None
-    spent_s: float = field(default=0.0)
-    spent_bytes: int = field(default=0)
-
-    @property
-    def exhausted(self) -> bool:
-        if self.max_retry_s is not None and self.spent_s > self.max_retry_s:
-            return True
-        return (self.max_retry_bytes is not None
-                and self.spent_bytes > self.max_retry_bytes)
-
-    def charge(self, seconds: float = 0.0, nbytes: int = 0) -> bool:
-        """Book one retry's backoff + re-sent payload; ``False`` means
-        the budget is now exhausted and the caller must escalate."""
-        self.spent_s += seconds
-        self.spent_bytes += nbytes
-        return not self.exhausted
+MAX_RETRIES = 3
+BASE_BACKOFF_S = 0.004
+BACKOFF_FACTOR = 2.0
+MAX_BACKOFF_S = 1.0
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How many times to re-send a faulted message, and how long to wait.
-
-    ``backoff_s(attempt)`` is the simulated wait before retry ``attempt``
-    (1-based): ``base * factor**(attempt-1)``, capped at ``max_backoff_s``.
-    With ``jitter`` > 0 and a generator supplied, the wait is drawn
-    uniformly from ``[(1-jitter)·cap, cap]`` — ``jitter=1.0`` is full
-    jitter.  ``max_retry_s`` / ``max_retry_bytes`` seed the per-operation
-    :class:`RetryBudget` (``None`` = unlimited).
-    """
-
-    max_retries: int = 3
-    base_backoff_s: float = 0.004
-    backoff_factor: float = 2.0
-    max_backoff_s: float = 1.0
-    jitter: float = 0.0
-    max_retry_s: float | None = None
-    max_retry_bytes: int | None = None
-
-    def __post_init__(self):
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.base_backoff_s < 0 or self.backoff_factor < 1.0:
-            raise ValueError("backoff must be non-negative and non-shrinking")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
-
-    def backoff_s(self, attempt: int, rng=None) -> float:
-        if attempt < 1:
-            raise ValueError("attempt is 1-based")
-        cap = min(self.base_backoff_s * self.backoff_factor ** (attempt - 1),
-                  self.max_backoff_s)
-        if self.jitter and rng is not None:
-            return cap * (1.0 - self.jitter * float(rng.random()))
-        return cap
-
-    def schedule(self) -> list[float]:
-        """All backoff waits a fully-retried message would pay, in order
-        (jitter-free caps — the deterministic upper envelope)."""
-        return [self.backoff_s(a) for a in range(1, self.max_retries + 1)]
-
-    def budget(self) -> RetryBudget:
-        """A fresh per-operation budget for one logical transfer."""
-        return RetryBudget(max_retry_s=self.max_retry_s,
-                           max_retry_bytes=self.max_retry_bytes)
+def backoff_s(attempt: int) -> float:
+    """Simulated wait before retry ``attempt`` (1-based):
+    ``BASE_BACKOFF_S · BACKOFF_FACTOR**(attempt-1)``, capped."""
+    if attempt < 1:
+        raise ValueError("attempt is 1-based")
+    return min(BASE_BACKOFF_S * BACKOFF_FACTOR ** (attempt - 1),
+               MAX_BACKOFF_S)

@@ -53,7 +53,7 @@ from .cache import (CacheEntry, ForecastCache, array_digest, forecast_key,
                     solver_digest, weights_digest)
 from .deploy import DeployConfig, DeploymentController, deploy_check
 from .guardrails import BoundViolation, ForecastValidator
-from .queue import AdmissionQueue, PendingRequest, QueueConfig
+from .queue import AdmissionQueue, PendingRequest
 from .samplers import (OneStepForecaster, SloTracker, TierPolicy,
                        TierRouter, default_tiers)
 from .service import ForecastService, ServiceConfig, serve_check
@@ -63,7 +63,7 @@ from .worker import ServeWorkerPool, WorkerState
 __all__ = [
     "TIERS", "ForecastRequest", "ForecastResponse",
     "ServeError", "Rejected", "Timeout",
-    "QueueConfig", "AdmissionQueue", "PendingRequest",
+    "AdmissionQueue", "PendingRequest",
     "BatcherConfig", "MicroBatcher", "MicroBatch", "MemberTask",
     "execute_batch",
     "ForecastCache", "CacheEntry",

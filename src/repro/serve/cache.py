@@ -88,7 +88,7 @@ class ForecastCache:
     caller mutating its arrays cannot corrupt cached content.
     """
 
-    def __init__(self, max_bytes: int = 256 << 20):
+    def __init__(self, max_bytes: int):
         if max_bytes <= 0:
             raise ValueError("max_bytes must be positive")
         self.max_bytes = int(max_bytes)

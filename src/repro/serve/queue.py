@@ -4,8 +4,8 @@ Admission control happens at :meth:`AdmissionQueue.submit`: a request is
 either *accepted* (enters the priority heap) or *rejected* with a typed
 :class:`~repro.serve.Rejected` — a full queue sheds load at the door
 instead of letting latency grow without bound.  Two caps apply: a global
-``max_depth`` and each tier's ``max_queue_depth`` (so a burst of ``high``
-requests cannot starve the ``fast`` lane of queue slots).
+:data:`MAX_QUEUE_DEPTH` and each tier's ``max_queue_depth`` (so a burst of
+``high`` requests cannot starve the ``fast`` lane of queue slots).
 
 Ordering is ``(tier priority, arrival order)`` — cheap tiers first, FIFO
 within a tier.  Deadlines are enforced at *pop* time: a request that
@@ -24,14 +24,10 @@ from ..obs.profile import health as _obs_health
 from .api import ForecastRequest, Rejected
 from .samplers import TierPolicy, TierRouter
 
-__all__ = ["QueueConfig", "PendingRequest", "AdmissionQueue"]
+__all__ = ["PendingRequest", "AdmissionQueue"]
 
-
-@dataclass(frozen=True)
-class QueueConfig:
-    """Global queue-depth cap (per-tier caps live on the tier policies)."""
-
-    max_depth: int = 256
+#: Global queue-depth cap (per-tier caps live on the tier policies).
+MAX_QUEUE_DEPTH = 256
 
 
 @dataclass(eq=False)
@@ -66,10 +62,8 @@ class PendingRequest:
 class AdmissionQueue:
     """Bounded priority queue over :class:`PendingRequest`."""
 
-    def __init__(self, router: TierRouter,
-                 config: QueueConfig | None = None):
+    def __init__(self, router: TierRouter):
         self.router = router
-        self.config = config if config is not None else QueueConfig()
         self._heap: list[tuple[int, int, PendingRequest]] = []
         self._seq = 0
         self.depths: dict[str, int] = {}
@@ -89,9 +83,9 @@ class AdmissionQueue:
                now: float, version: str = "") -> PendingRequest:
         """Admit or raise :class:`Rejected` (the caller books the tally)."""
         policy = self.router.route(request.tier)
-        if len(self._heap) >= self.config.max_depth:
+        if len(self._heap) >= MAX_QUEUE_DEPTH:
             raise Rejected("queue_full",
-                           f"global depth cap {self.config.max_depth}")
+                           f"global depth cap {MAX_QUEUE_DEPTH}")
         if self.depth(request.tier) >= policy.max_queue_depth:
             raise Rejected("tier_queue_full",
                            f"tier {request.tier!r} cap "

@@ -36,17 +36,21 @@ import numpy as np
 from ..diffusion import ResidualForecaster
 from ..obs.profile import count as _count
 from ..obs.profile import record_event as _record_event
-from ..resilience import ResilienceError, RetryPolicy
+from ..resilience import ResilienceError
 from .api import ForecastRequest, ForecastResponse, Rejected, Timeout
 from .batcher import BatcherConfig, MicroBatch, MicroBatcher, execute_batch
 from .cache import ForecastCache, array_digest
 from .guardrails import book_quarantine
-from .queue import AdmissionQueue, PendingRequest, QueueConfig
+from .queue import AdmissionQueue, PendingRequest
 from .samplers import SloTracker, TierRouter
 from .versions import VersionTable
 from .worker import ServeWorkerPool
 
 __all__ = ["ServiceConfig", "ForecastService", "serve_check"]
+
+#: Re-dispatches a quarantined batch may attempt (on a *different* worker)
+#: before its still-invalid requests fail.
+GUARDRAIL_RERUNS = 1
 
 
 @dataclass(frozen=True)
@@ -55,11 +59,7 @@ class ServiceConfig:
 
     n_workers: int = 1
     cache_bytes: int = 64 << 20
-    queue: QueueConfig = field(default_factory=QueueConfig)
     batcher: BatcherConfig = field(default_factory=BatcherConfig)
-    #: Re-dispatches a quarantined batch may attempt (on a *different*
-    #: worker) before its still-invalid requests fail.
-    guardrail_reruns: int = 1
 
 
 class ForecastService:
@@ -78,7 +78,7 @@ class ForecastService:
     variable_names:
         Channel names of the state vector, enabling per-request variable
         subsetting (e.g. ``repro.data.TOY_SET.names``).
-    cluster / injector / retry:
+    cluster / injector:
         Resilience wiring for the worker pool (see
         :class:`~repro.serve.ServeWorkerPool`).
     duration_fn:
@@ -90,19 +90,17 @@ class ForecastService:
         Optional :class:`~repro.serve.ForecastValidator`.  When set,
         every served forecast is checked against per-variable physical
         bounds *before* the response leaves the service; a violating
-        batch is quarantined, re-run on a different worker (bounded by
-        ``ServiceConfig.guardrail_reruns``), and fails only if still
-        absurd.
+        batch is quarantined, re-run on a different worker (at most
+        ``GUARDRAIL_RERUNS`` times), and fails only if still absurd.
     """
 
     def __init__(self, forecaster: ResidualForecaster, student=None,
                  config: ServiceConfig | None = None,
                  router: TierRouter | None = None,
                  variable_names: Sequence[str] | None = None,
-                 cluster=None, injector=None,
-                 retry: RetryPolicy | None = None,
-                 validator=None, version: str = "v0",
-                 plan=None, machine=None, duration_fn=None):
+                 cluster=None, injector=None, validator=None,
+                 version: str = "v0", plan=None, machine=None,
+                 duration_fn=None):
         self.config = config if config is not None else ServiceConfig()
         self.router = router if router is not None else TierRouter()
         self.base = forecaster
@@ -110,18 +108,17 @@ class ForecastService:
         self.variable_names = (list(variable_names)
                                if variable_names is not None else None)
         self.cache = ForecastCache(self.config.cache_bytes)
-        self.queue = AdmissionQueue(self.router, self.config.queue)
+        self.queue = AdmissionQueue(self.router)
         self.batcher = MicroBatcher(self.queue, self.config.batcher)
         if plan is not None:
             # A tuned plan overrides n_workers: pack as many replicas as
             # its memory estimate says fit on one node of ``machine``.
             self.pool = ServeWorkerPool.from_plan(
                 plan, machine, cluster=cluster, injector=injector,
-                retry=retry, duration_fn=duration_fn)
+                duration_fn=duration_fn)
         else:
             self.pool = ServeWorkerPool(self.config.n_workers,
                                         cluster=cluster, injector=injector,
-                                        retry=retry,
                                         duration_fn=duration_fn)
         self.slo = SloTracker(self.router.policies)
         #: Which version answers which request (born serving ``version``).
@@ -227,7 +224,7 @@ class ForecastService:
         inj = self.pool.injector
         worker, end, result, bad = None, now, None, []
         error = "forecast failed physical guardrails"
-        for rerun in range(self.config.guardrail_reruns + 1):
+        for rerun in range(GUARDRAIL_RERUNS + 1):
             if rerun:
                 _count("serve.guardrail_reruns",
                        "quarantined batches re-dispatched", 1,

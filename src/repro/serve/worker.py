@@ -32,10 +32,14 @@ from ..obs.profile import gauge as _gauge
 from ..obs.profile import record_event as _record_event
 from ..obs.profile import span as _span
 from ..perf.machine import AURORA
-from ..resilience import ClusterFailure, RankFailure, RetryPolicy
+from ..resilience import ClusterFailure, RankFailure
 from ..resilience.faults import count_dead_ranks
+from ..resilience.retry import MAX_RETRIES
 
 __all__ = ["WorkerState", "ServeWorkerPool"]
+
+#: The most replicas :meth:`ServeWorkerPool.from_plan` packs on one node.
+MAX_PLAN_WORKERS = 8
 
 
 @dataclass(eq=False)
@@ -73,10 +77,9 @@ class ServeWorkerPool:
         Optional :class:`~repro.resilience.FaultInjector`; defaults to the
         cluster's.  ``injector.advance(k)`` is called once per dispatch,
         so fail-stop events scheduled at "step" ``k`` kill a worker before
-        its ``k``-th batch.
-    retry:
-        Bounds how many worker failovers one batch may attempt before the
-        pool escalates :class:`~repro.resilience.ClusterFailure`.
+        its ``k``-th batch.  One batch fails over at most ``MAX_RETRIES``
+        times before the pool escalates
+        :class:`~repro.resilience.ClusterFailure`.
     duration_fn:
         Optional ``result -> seconds`` mapping a finished batch result to
         its virtual service duration.  The default (``None``) charges the
@@ -87,7 +90,7 @@ class ServeWorkerPool:
     """
 
     def __init__(self, n_workers: int = 1, cluster=None, injector=None,
-                 retry: RetryPolicy | None = None, duration_fn=None):
+                 duration_fn=None):
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         if cluster is not None and cluster.n_ranks < n_workers + 1:
@@ -97,15 +100,12 @@ class ServeWorkerPool:
         self.cluster = cluster
         self.injector = injector if injector is not None else (
             cluster.injector if cluster is not None else None)
-        self.retry = retry if retry is not None else RetryPolicy()
         self.duration_fn = duration_fn
         self.dispatcher_rank = n_workers
         self.n_dispatches = 0
 
     @classmethod
-    def from_plan(cls, plan, machine=None, *, max_workers: int = 8,
-                  cluster=None, injector=None,
-                  retry: RetryPolicy | None = None,
+    def from_plan(cls, plan, machine=None, *, cluster=None, injector=None,
                   duration_fn=None) -> "ServeWorkerPool":
         """Size the replica pool from a :class:`TunedPlan` memory estimate.
 
@@ -114,7 +114,7 @@ class ServeWorkerPool:
         replica (a conservative bound: inference skips gradients and
         optimizer state).  The pool packs as many replicas as fit in one
         node of ``machine`` (Aurora when ``None``), clamped to
-        ``[1, max_workers]``.
+        ``[1, MAX_PLAN_WORKERS]``.
         """
         if machine is None:
             machine = AURORA
@@ -124,14 +124,14 @@ class ServeWorkerPool:
         if per_replica_gb > 0:
             n = int(node_gb // per_replica_gb)
         else:
-            n = max_workers
-        n = max(1, min(max_workers, n))
+            n = MAX_PLAN_WORKERS
+        n = max(1, min(MAX_PLAN_WORKERS, n))
         _gauge("serve.plan_workers",
                "replica count sized from the tuned plan", n)
         _record_event("serve.plan_sized", subsystem="serve", n_workers=n,
                       layout=plan.chosen.layout_key,
                       memory_gb=plan.chosen.memory_gb)
-        return cls(n, cluster=cluster, injector=injector, retry=retry,
+        return cls(n, cluster=cluster, injector=injector,
                    duration_fn=duration_fn)
 
     def live_workers(self) -> list[WorkerState]:
@@ -201,7 +201,7 @@ class ServeWorkerPool:
         Returns ``(worker, end_s, result)`` where ``end_s`` is the virtual
         completion time: ``max(now, worker.free_at)`` plus the measured
         wall duration of the stacked forwards.  A dead worker fails over
-        to the next live one (bounded by the retry policy); transient
+        to the next live one (at most ``MAX_RETRIES`` times); transient
         fabric faults that exhaust their retries propagate as the typed
         resilience errors.  ``exclude`` steers the batch away from one
         rank — a guardrail re-run must land on a *different* worker so a
@@ -227,7 +227,7 @@ class ServeWorkerPool:
             except RankFailure:
                 self._mark_dead(worker, "serve")
                 attempts += 1
-                if attempts > self.retry.max_retries:
+                if attempts > MAX_RETRIES:
                     raise ClusterFailure(
                         f"batch failed over {attempts} times") from None
                 _count("serve.worker_failovers",

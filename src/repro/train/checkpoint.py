@@ -156,7 +156,7 @@ def write_sharded_checkpoint(directory: str,
     return directory
 
 
-def inspect_sharded_checkpoint(directory: str, verify: bool = True
+def inspect_sharded_checkpoint(directory: str
                                ) -> tuple[dict[str, dict[str, np.ndarray]],
                                           dict, list[tuple[str, str, str]]]:
     """Read one generation against its manifest without raising:
@@ -183,7 +183,7 @@ def inspect_sharded_checkpoint(directory: str, verify: bool = True
         except Exception as exc:
             problems.append((fname, "-", f"shard unreadable: {exc}"))
             continue
-        for name, crc in expected.items() if verify else ():
+        for name, crc in expected.items():
             if name not in arrays:
                 problems.append((fname, name, "array missing from shard"))
             elif payload_checksum(arrays[name]) != crc:
@@ -194,7 +194,7 @@ def inspect_sharded_checkpoint(directory: str, verify: bool = True
     return shards, extra, problems
 
 
-def read_sharded_checkpoint(directory: str, verify: bool = True
+def read_sharded_checkpoint(directory: str
                             ) -> tuple[dict[str, dict[str, np.ndarray]],
                                        dict]:
     """Load every shard, verifying each array against the manifest.
@@ -206,7 +206,7 @@ def read_sharded_checkpoint(directory: str, verify: bool = True
     if not os.path.isfile(os.path.join(directory, MANIFEST_NAME)):
         raise CheckpointError(f"no sharded checkpoint at {directory} "
                               f"(missing {MANIFEST_NAME})")
-    shards, extra, problems = inspect_sharded_checkpoint(directory, verify)
+    shards, extra, problems = inspect_sharded_checkpoint(directory)
     if problems:
         raise CheckpointCorruption(
             f"{directory}: {':'.join(problems[0][:2])}: {problems[0][2]}")

@@ -62,8 +62,9 @@ from .guard import NonFiniteLoss, StepGuard
 __all__ = ["TrainerConfig", "Trainer", "evaluate_validation_loss"]
 
 #: LR multiplier applied after a non-finite (skipped) step; recovered one
-#: factor at a time after ``TrainerConfig.lr_recover_steps`` clean steps.
+#: factor at a time after ``LR_RECOVER_STEPS`` clean steps.
 LR_BACKOFF_FACTOR = 0.5
+LR_RECOVER_STEPS = 25
 
 #: EMA half-life in images (the paper's one value, rescaled for toy runs).
 EMA_HALFLIFE_IMAGES = 2_000.0
@@ -79,8 +80,6 @@ class TrainerConfig:
     total_images: float = 20_000.0
     decay_images: float = 1_000.0
     seed: int = 0
-    #: clean steps before one NaN-guard LR backoff factor is recovered.
-    lr_recover_steps: int = 25
     #: run every step under the SDC guard (state audit + rollback/retry).
     guarded: bool = False
     #: rollback-and-recompute attempts per step before escalating.
@@ -216,7 +215,7 @@ class Trainer:
         if self.lr_backoff >= 1.0:
             return
         self._clean_streak += 1
-        if self._clean_streak >= self.config.lr_recover_steps:
+        if self._clean_streak >= LR_RECOVER_STEPS:
             self._clean_streak = 0
             self.lr_backoff = min(1.0, self.lr_backoff / LR_BACKOFF_FACTOR)
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.registry import (GateConfig, RegistryError, build_scorecard,
                             evaluate_gate, gate_version)
+from repro.registry.gate import GATED_METRICS
 
 
 def card(crps=1.0, rmse=1.0, **extra):
@@ -35,18 +36,16 @@ class TestEvaluateGate:
         assert by_metric == {"crps": False, "rmse": True}
 
     def test_missing_aggregate_fails(self):
-        decision = evaluate_gate(card(crps=None), card(),
-                                 GateConfig(metrics=("crps",)))
+        decision = evaluate_gate(card(crps=None), card())
         assert not decision.passed and "missing" in decision.reasons[0]
 
     def test_ssr_bound(self):
-        config = GateConfig(metrics=(), check_ssr=True, ssr_tolerance=0.25)
-        assert evaluate_gate(card(ssr=1.2), card(), config).passed
-        assert not evaluate_gate(card(ssr=0.5), card(), config).passed
-
-    def test_ungateable_metric_raises(self):
-        with pytest.raises(RegistryError, match="ungateable"):
-            evaluate_gate(card(), card(), GateConfig(metrics=("ssr",)))
+        """The spread/skill ratio is on the scorecard but bounds nothing:
+        only :data:`GATED_METRICS` are compared."""
+        assert GATED_METRICS == ("crps", "rmse")
+        decision = evaluate_gate(card(ssr=0.1), card(ssr=1.0))
+        assert decision.passed
+        assert [c["metric"] for c in decision.comparisons] == ["crps", "rmse"]
 
 
 class TestGateVersion:

@@ -1,4 +1,4 @@
-"""Fault-injection unit coverage: checksums, retry policy, injector
+"""Fault-injection unit coverage: checksums, retry backoff, injector
 determinism, and the self-healing behaviour of ``SimCluster`` transfers."""
 
 import numpy as np
@@ -8,7 +8,6 @@ from repro.obs import observed
 from repro.parallel import SimCluster
 from repro.resilience import (
     BitFlip,
-    RetryBudget,
     CommTimeout,
     Drop,
     FailStop,
@@ -16,10 +15,10 @@ from repro.resilience import (
     FaultPlan,
     MessageCorruption,
     RankFailure,
-    RetryPolicy,
     Straggle,
     payload_checksum,
 )
+from repro.resilience.retry import MAX_BACKOFF_S, MAX_RETRIES, backoff_s
 
 
 class TestChecksum:
@@ -44,15 +43,12 @@ class TestChecksum:
 
 class TestRetryPolicy:
     def test_backoff_grows_exponentially(self):
-        policy = RetryPolicy(max_retries=4, base_backoff_s=0.01,
-                             backoff_factor=2.0, max_backoff_s=10.0)
-        waits = policy.schedule()
-        assert waits == [0.01, 0.02, 0.04, 0.08]
+        waits = [backoff_s(a) for a in range(1, 9)]
+        assert waits == [0.004, 0.008, 0.016, 0.032, 0.064, 0.128, 0.256,
+                         0.512]
 
     def test_backoff_capped(self):
-        policy = RetryPolicy(max_retries=6, base_backoff_s=1.0,
-                             backoff_factor=10.0, max_backoff_s=5.0)
-        assert policy.backoff_s(6) == 5.0
+        assert backoff_s(9) == backoff_s(60) == MAX_BACKOFF_S == 1.0
 
 
 class TestFaultInjector:
@@ -135,15 +131,13 @@ class TestSelfHealingTransfers:
 
     def test_permanent_corruption_raises_typed_error(self):
         inj = FaultInjector(FaultPlan(seed=0, p_bitflip=1.0))
-        cluster = SimCluster(2, injector=inj,
-                             retry=RetryPolicy(max_retries=2))
+        cluster = SimCluster(2, injector=inj)
         with pytest.raises(MessageCorruption):
             cluster.send(0, 1, np.ones(4, dtype=np.float32))
 
     def test_permanent_drop_raises_timeout(self):
         inj = FaultInjector(FaultPlan(seed=0, p_drop=1.0))
-        cluster = SimCluster(2, injector=inj,
-                             retry=RetryPolicy(max_retries=2))
+        cluster = SimCluster(2, injector=inj)
         with pytest.raises(CommTimeout):
             cluster.send(0, 1, np.ones(4, dtype=np.float32))
 
@@ -184,60 +178,35 @@ class TestSelfHealingTransfers:
 
 
 class TestJitterAndBudget:
-    def test_full_jitter_draws_inside_the_envelope(self):
-        policy = RetryPolicy(max_retries=5, base_backoff_s=0.01,
-                             backoff_factor=2.0, jitter=1.0)
-        rng = np.random.default_rng(0)
-        for attempt in range(1, 6):
-            cap = policy.base_backoff_s * 2.0 ** (attempt - 1)
-            draws = [policy.backoff_s(attempt, rng=rng)
-                     for _ in range(200)]
-            assert all(0.0 <= d <= cap for d in draws)
-            assert len(set(draws)) > 1  # actually jittered, not the cap
-
-    def test_partial_jitter_keeps_a_floor(self):
-        policy = RetryPolicy(base_backoff_s=0.01, jitter=0.25)
-        rng = np.random.default_rng(1)
-        draws = [policy.backoff_s(1, rng=rng) for _ in range(200)]
-        assert all(0.0075 <= d <= 0.01 for d in draws)
+    """The retry knobs are constants: no jittered draw, no spend cap."""
 
     def test_jitter_without_rng_is_the_deterministic_cap(self):
-        policy = RetryPolicy(base_backoff_s=0.01, jitter=1.0)
-        assert policy.backoff_s(1) == 0.01
-
-    def test_jitter_validated(self):
-        with pytest.raises(ValueError, match="jitter"):
-            RetryPolicy(jitter=1.5)
-
-    def test_budget_charges_until_exhausted(self):
-        budget = RetryPolicy(max_retry_s=0.1,
-                             max_retry_bytes=100).budget()
-        assert budget.charge(seconds=0.05, nbytes=40)
-        assert not budget.exhausted
-        assert not budget.charge(seconds=0.2)  # over the time cap
-        assert budget.exhausted
-
-    def test_budget_byte_cap(self):
-        budget = RetryBudget(max_retry_bytes=10)
-        assert budget.charge(nbytes=10)  # at the cap is still fine
-        assert not budget.charge(nbytes=1)
+        """Two clusters that retry the same faults book the same waits:
+        every wait is the cap of its attempt."""
+        waits = []
+        for _ in range(2):
+            cluster = SimCluster(2, injector=FaultInjector(
+                FaultPlan(seed=0, p_drop=1.0)))
+            with observed() as (_, registry):
+                with pytest.raises(CommTimeout):
+                    cluster.send(0, 1, np.ones(4, dtype=np.float32))
+                waits.append(registry.histogram("comm.backoff_s").stats(
+                    primitive="p2p"))
+            assert sum(cluster.stats.ops.values()) == MAX_RETRIES + 1
+        assert waits[0] == waits[1]
+        assert waits[0]["count"] == MAX_RETRIES
+        assert waits[0]["sum"] == sum(backoff_s(a)
+                                      for a in range(1, MAX_RETRIES + 1))
 
     def test_unlimited_budget_never_exhausts(self):
-        budget = RetryPolicy().budget()
-        assert budget.charge(seconds=1e9, nbytes=1 << 40)
-
-    def test_transfer_escalates_on_spent_budget(self):
-        """A sick link must stop grinding through max_retries once the
-        per-operation budget is gone — and the escalation is booked."""
-        inj = FaultInjector(FaultPlan(seed=0, p_drop=1.0))
-        cluster = SimCluster(2, injector=inj,
-                             retry=RetryPolicy(max_retries=50,
-                                               base_backoff_s=0.01,
-                                               max_retry_s=0.05))
+        """A payload of any size heals after a drop: re-sent bytes are
+        metered, never capped."""
+        inj = FaultInjector(FaultPlan(
+            events=(Drop(step=0, primitive="p2p", nth=0),)))
+        cluster = SimCluster(2, injector=inj)
+        payload = np.ones(1 << 16, dtype=np.float32)
         with observed() as (_, registry):
-            with pytest.raises(CommTimeout, match="budget exhausted"):
-                cluster.send(0, 1, np.ones(4, dtype=np.float32))
-            assert registry.counter("comm.budget_exhaustions").total(
-                primitive="p2p") == 1
-            # Far fewer than 50 retries were attempted.
-            assert registry.counter("comm.retries").total() < 20
+            np.testing.assert_array_equal(cluster.send(0, 1, payload),
+                                          payload)
+            assert registry.counter("comm.retries").total() == 1
+        assert cluster.stats.total_bytes("p2p") == 2 * payload.nbytes

@@ -1,115 +1,51 @@
-"""Retry-policy edge cases: budget exhaustion exactly at the boundary,
-full-jitter backoff bounds, and zero-byte transfer retries."""
+"""Retry edge cases: one deterministic backoff schedule, no spend cap, and
+zero-byte transfer retries."""
 
-import numpy as np
 import pytest
 
+from repro.obs import observed
 from repro.parallel.comm import SimCluster
-from repro.resilience import CommTimeout
 from repro.resilience.faults import Drop, FaultInjector, FaultPlan
-from repro.resilience.retry import RetryBudget, RetryPolicy
+from repro.resilience.retry import MAX_RETRIES, backoff_s
+
+
+class _DropsUntilTheLastRetry(FaultInjector):
+    def transfer_fault(self, primitive, src, dst, attempt):
+        return ("drop" if attempt < MAX_RETRIES else None), 0.0
 
 
 class TestBudgetBoundary:
-    """``exhausted`` uses strict ``>``: spending *exactly* the cap is
-    still within budget — the cap is the allowance, not the trip wire."""
-
-    def test_spend_exactly_the_seconds_cap_is_not_exhausted(self):
-        budget = RetryBudget(max_retry_s=0.1)
-        assert budget.charge(seconds=0.1)
-        assert not budget.exhausted
-
-    def test_epsilon_over_the_seconds_cap_is_exhausted(self):
-        budget = RetryBudget(max_retry_s=0.1)
-        assert not budget.charge(seconds=np.nextafter(0.1, 1.0))
-        assert budget.exhausted
-
-    def test_spend_exactly_the_bytes_cap_is_not_exhausted(self):
-        budget = RetryBudget(max_retry_bytes=1024)
-        assert budget.charge(nbytes=1024)
-        assert not budget.exhausted
-        assert not budget.charge(nbytes=1)
-
-    def test_cap_reached_across_multiple_charges(self):
-        budget = RetryBudget(max_retry_s=0.75, max_retry_bytes=300)
-        for _ in range(3):
-            assert budget.charge(seconds=0.25, nbytes=100)
-        assert not budget.exhausted
-        assert not budget.charge(seconds=1e-9)
-
     def test_unlimited_budget_never_exhausts(self):
-        budget = RetryBudget()
-        assert budget.charge(seconds=1e9, nbytes=2**62)
-        assert not budget.exhausted
-
-    def test_zero_cap_budget_tolerates_zero_cost_charges(self):
-        """A zero cap still admits zero-cost retries (0 > 0 is false) —
-        this is what lets zero-byte transfers retry under a bytes cap."""
-        budget = RetryBudget(max_retry_s=0.0, max_retry_bytes=0)
-        assert budget.charge(seconds=0.0, nbytes=0)
-        assert not budget.exhausted
-        assert not budget.charge(nbytes=1)
+        """Retries are bounded by count, not by spend: a message that
+        drops ``MAX_RETRIES`` times in a row still heals on the last
+        re-send, however many bytes the re-sends cost."""
+        cluster = SimCluster(2, injector=_DropsUntilTheLastRetry())
+        nbytes = 1 << 40
+        cluster.transfer("p2p", 0, 1, nbytes)
+        assert cluster.stats.total_bytes("p2p") == (MAX_RETRIES + 1) * nbytes
 
 
 class TestJitterBounds:
-    def test_full_jitter_stays_in_envelope(self):
-        policy = RetryPolicy(base_backoff_s=0.01, backoff_factor=2.0,
-                             max_backoff_s=0.05, jitter=1.0)
-        rng = np.random.default_rng(7)
-        for attempt in range(1, 8):
-            cap = min(0.01 * 2.0 ** (attempt - 1), 0.05)
-            for _ in range(50):
-                wait = policy.backoff_s(attempt, rng)
-                assert 0.0 <= wait <= cap
-
-    def test_partial_jitter_lower_bound(self):
-        policy = RetryPolicy(base_backoff_s=0.08, jitter=0.25)
-        rng = np.random.default_rng(3)
-        waits = [policy.backoff_s(1, rng) for _ in range(200)]
-        assert all(0.08 * 0.75 <= w <= 0.08 for w in waits)
-        assert len(set(waits)) > 1, "jitter drew no entropy"
-
     def test_no_rng_means_deterministic_cap(self):
-        policy = RetryPolicy(base_backoff_s=0.02, jitter=1.0)
-        assert policy.backoff_s(1) == 0.02
-        assert policy.schedule() == [0.02, 0.04, 0.08]
-
-    def test_jitter_outside_unit_interval_rejected(self):
-        with pytest.raises(ValueError, match="jitter"):
-            RetryPolicy(jitter=1.5)
+        """There is no jittered draw: every wait is the exponential cap."""
+        assert [backoff_s(a) for a in range(1, MAX_RETRIES + 1)] == [
+            0.004, 0.008, 0.016]
 
     def test_attempt_is_one_based(self):
         with pytest.raises(ValueError, match="1-based"):
-            RetryPolicy().backoff_s(0)
+            backoff_s(0)
 
 
 class TestZeroByteTransfers:
     """Zero-byte messages (barriers, empty shards) still traverse the
-    fault machinery: they can drop, retry, and heal — and their retries
-    cost nothing against a bytes budget."""
-
-    def _drop_plan(self):
-        return FaultPlan(events=(Drop(step=0, primitive="p2p", nth=0),),
-                         seed=1)
-
-    def test_zero_byte_drop_heals_under_zero_byte_budget(self):
-        cluster = SimCluster(
-            2, injector=FaultInjector(self._drop_plan()),
-            retry=RetryPolicy(max_retries=2, max_retry_bytes=0))
-        cluster.injector.advance(0)
-        cluster.transfer("p2p", 0, 1, 0)  # drops once, retries, heals
-        assert cluster.injector.injected["drop"] == 1
-
-    def test_nonzero_bytes_exhaust_a_zero_byte_budget(self):
-        cluster = SimCluster(
-            2, injector=FaultInjector(self._drop_plan()),
-            retry=RetryPolicy(max_retries=2, max_retry_bytes=0))
-        cluster.injector.advance(0)
-        with pytest.raises(CommTimeout, match="budget"):
-            cluster.transfer("p2p", 0, 1, 1)
+    fault machinery: they can drop, retry, and heal."""
 
     def test_zero_byte_retry_books_no_retried_bytes(self):
-        policy = RetryPolicy(max_retries=3, max_retry_bytes=10)
-        budget = policy.budget()
-        assert budget.charge(nbytes=0)
-        assert budget.spent_bytes == 0
+        cluster = SimCluster(2, injector=FaultInjector(FaultPlan(
+            events=(Drop(step=0, primitive="p2p", nth=0),), seed=1)))
+        with observed() as (_, registry):
+            cluster.transfer("p2p", 0, 1, 0)  # drops once, retries, heals
+            assert registry.counter("comm.retries").total() == 1
+        assert cluster.injector.injected["drop"] == 1
+        assert sum(cluster.stats.ops.values()) == 2
+        assert cluster.stats.total_bytes() == 0

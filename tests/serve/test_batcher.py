@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.serve import (AdmissionQueue, BatcherConfig, ForecastRequest,
-                         MicroBatcher, QueueConfig, Rejected, TierPolicy,
-                         TierRouter)
+                         MicroBatcher, Rejected, TierPolicy, TierRouter)
+from repro.serve.queue import MAX_QUEUE_DEPTH
 
 STATE = np.zeros((4, 8, 3), dtype=np.float32)
 
@@ -16,7 +16,7 @@ def req(tier="standard", members=1, steps=1, seed=0, arrival=0.0):
                            arrival_s=arrival)
 
 
-def make_queue(max_depth=256, **tier_overrides):
+def make_queue(**tier_overrides):
     router = TierRouter()
     for name, kwargs in tier_overrides.items():
         base = router.route(name)
@@ -27,7 +27,7 @@ def make_queue(max_depth=256, **tier_overrides):
             slo_s=base.slo_s,
             max_queue_depth=kwargs.get("max_queue_depth",
                                        base.max_queue_depth)))
-    return AdmissionQueue(router, QueueConfig(max_depth=max_depth))
+    return AdmissionQueue(router)
 
 
 class TestAdmissionQueue:
@@ -43,11 +43,13 @@ class TestAdmissionQueue:
         assert [r.seed for r in order if r.tier == "standard"] == [2, 4]
 
     def test_global_backpressure(self):
-        q = make_queue(max_depth=2)
-        q.submit(req(seed=0), 0.0)
-        q.submit(req(seed=1), 0.0)
+        """The global cap binds across tiers, even where every tier cap
+        has room."""
+        q = make_queue(standard={"max_queue_depth": 1000})
+        for seed in range(MAX_QUEUE_DEPTH):
+            q.submit(req(seed=seed), 0.0)
         with pytest.raises(Rejected) as info:
-            q.submit(req(seed=2), 0.0)
+            q.submit(req("fast"), 0.0)
         assert info.value.reason == "queue_full"
 
     def test_per_tier_backpressure(self):
@@ -286,7 +288,7 @@ class TestSingleFlight:
                     rng.normal(size=STATE.shape) for rng in rngs
                 ]).astype(np.float32)
 
-        cache = ForecastCache()
+        cache = ForecastCache(1 << 20)
         result = execute_batch(batch, Stepper(), cache, "weights", "solver")
         lone = [np.random.default_rng(member_seed(7, m)) for m in range(4)]
         assert len(fed) == 4

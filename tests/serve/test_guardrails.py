@@ -8,7 +8,7 @@ import pytest
 from repro.obs import TraceReport
 from repro.resilience import (ComputeFault, FaultInjector, FaultPlan,
                               sdc_check)
-from repro.serve import ForecastValidator, ServiceConfig
+from repro.serve import ForecastValidator, ServiceConfig, service
 from tests.serve.test_service import make_service, request
 
 
@@ -110,11 +110,13 @@ class TestGuardedService:
                                  min_severity="critical")
         assert events and "x1" in events[0].data["violations"]
 
-    def test_rerun_budget_zero_fails_the_request(self, serve_world):
+    def test_rerun_budget_zero_fails_the_request(self, serve_world,
+                                                 monkeypatch):
+        monkeypatch.setattr(service, "GUARDRAIL_RERUNS", 0)
         svc = make_service(
             serve_world, validator=_validator(serve_world),
             injector=_poison_injector(),
-            config=ServiceConfig(n_workers=2, guardrail_reruns=0))
+            config=ServiceConfig(n_workers=2))
         resp = svc.serve(request(serve_world, seed=11))
         assert resp.status == "failed"
         assert "guardrails" in resp.error

@@ -9,7 +9,7 @@ from repro.model import TINY
 from repro.obs import observed
 from repro.parallel.autotune import plan_for
 from repro.perf import AURORA
-from repro.serve import ForecastService, ServeWorkerPool
+from repro.serve import ForecastService, ServeWorkerPool, worker
 
 
 @pytest.fixture(scope="module")
@@ -23,17 +23,19 @@ def _with_memory(plan, memory_gb):
 
 
 class TestPoolSizing:
-    def test_counts_full_model_parallel_groups(self, tiny_plan):
-        pool = ServeWorkerPool.from_plan(tiny_plan, AURORA,
-                                         max_workers=64)
+    def test_counts_full_model_parallel_groups(self, tiny_plan,
+                                               monkeypatch):
+        monkeypatch.setattr(worker, "MAX_PLAN_WORKERS", 64)
+        pool = ServeWorkerPool.from_plan(tiny_plan, AURORA)
         ranks = tiny_plan.chosen.world_size // tiny_plan.chosen.dp
         per_replica = tiny_plan.chosen.memory_gb * ranks
         node = AURORA.tiles_per_node * AURORA.tile_memory_gb
         expected = max(1, min(64, int(node // per_replica)))
         assert len(pool.workers) == expected
 
-    def test_clamps_to_max_workers(self, tiny_plan):
-        pool = ServeWorkerPool.from_plan(tiny_plan, AURORA, max_workers=2)
+    def test_clamps_to_max_workers(self, tiny_plan, monkeypatch):
+        monkeypatch.setattr(worker, "MAX_PLAN_WORKERS", 2)
+        pool = ServeWorkerPool.from_plan(tiny_plan, AURORA)
         assert len(pool.workers) == 2
 
     def test_memory_hog_still_gets_one_replica(self, tiny_plan):
@@ -44,8 +46,7 @@ class TestPoolSizing:
 
     def test_sizing_is_booked(self, tiny_plan):
         with observed() as (tracer, registry):
-            pool = ServeWorkerPool.from_plan(tiny_plan, AURORA,
-                                             max_workers=4)
+            pool = ServeWorkerPool.from_plan(tiny_plan, AURORA)
             assert registry.gauge("serve.plan_workers").value() \
                 == len(pool.workers)
 

@@ -15,8 +15,8 @@ from repro.parallel import SimCluster
 from repro.resilience import (FailStop, FaultInjector, FaultPlan,
                               resilience_check)
 from repro.serve import (BatcherConfig, ForecastRequest, ForecastService,
-                         OneStepForecaster, QueueConfig, ServeWorkerPool,
-                         ServiceConfig, TierPolicy, TierRouter, serve_check)
+                         OneStepForecaster, ServeWorkerPool, ServiceConfig,
+                         TierPolicy, TierRouter, queue, serve_check)
 
 # A fast standard tier so solver-tier tests stay cheap; default high tier
 # kept for routing coverage.
@@ -209,10 +209,10 @@ class TestCoalescedResponsesOwnTheirMemory:
 
 
 class TestBackpressure:
-    def test_queue_full_rejection(self, serve_world):
+    def test_queue_full_rejection(self, serve_world, monkeypatch):
+        monkeypatch.setattr(queue, "MAX_QUEUE_DEPTH", 1)
         svc = make_service(serve_world,
                            config=ServiceConfig(
-                               queue=QueueConfig(max_depth=1),
                                batcher=BatcherConfig(max_requests=1)))
         reqs = [request(serve_world, seed=s, arrival_s=0.0)
                 for s in range(3)]
@@ -309,10 +309,10 @@ class TestResilience:
 
 
 class TestObservability:
-    def test_serve_check_reconciles(self, serve_world, obs_on):
+    def test_serve_check_reconciles(self, serve_world, obs_on, monkeypatch):
+        monkeypatch.setattr(queue, "MAX_QUEUE_DEPTH", 1)
         svc = make_service(serve_world,
                            config=ServiceConfig(
-                               queue=QueueConfig(max_depth=1),
                                batcher=BatcherConfig(max_requests=1)))
         svc.run([request(serve_world, seed=s, arrival_s=0.0)
                  for s in range(3)])

@@ -173,6 +173,39 @@ class TestGate:
                           "--current", str(tmp_path)]) == 2
 
 
+class TestSdcSidecar:
+    """The committed ``BENCH_sdc.json``: the ABFT guard's cost per guarded
+    GEMM gates, its share of a (shrinking) step does not."""
+
+    @pytest.fixture
+    def sdc(self, tmp_path):
+        with open(os.path.join(os.path.dirname(TOOLS_DIR), "benchmarks",
+                               "results", "BENCH_sdc.json")) as fh:
+            committed = json.load(fh)
+        _write(tmp_path / "baseline", "BENCH_sdc.json", committed)
+        return tmp_path, committed
+
+    def _gate(self, tmp_path, current):
+        _write(tmp_path / "current", "BENCH_sdc.json", current)
+        return gate.main(["--baseline", str(tmp_path / "baseline"),
+                          "--current", str(tmp_path / "current")])
+
+    def test_doubled_cost_per_guarded_gemm_fails(self, sdc, capsys):
+        tmp_path, committed = sdc
+        doubled = copy.deepcopy(committed)
+        doubled["derived"]["abft_ms_per_guarded_gemm"] *= 2
+        assert self._gate(tmp_path, doubled) == 1
+        assert "derived.abft_ms_per_guarded_gemm" in capsys.readouterr().err
+
+    def test_overhead_fraction_is_information(self, sdc):
+        tmp_path, committed = sdc
+        grown = copy.deepcopy(committed)
+        for key in ("overhead_frac_paired", "overhead_frac",
+                    "overhead_frac_p50"):
+            grown["derived"][key] *= 2
+        assert self._gate(tmp_path, grown) == 0
+
+
 class TestClassify:
     @pytest.mark.parametrize("key", ["opt_ms_min", "ref_ms_min",
                                      "opt_bytes_per_call", "bubble_1f1b"])

@@ -290,7 +290,56 @@ class TestCheckOptions:
     def test_repo_options_all_have_setters_and_stay_counted(self):
         found, summary = run_rule("options")
         assert found == []
-        assert int(summary.split()[1]) <= 94  # 143 once; do not regrow
+        assert int(summary.split()[1]) <= 78  # 143 once; do not regrow
+        assert summary.endswith(f"({len(lint.DEPLOYMENT)} deployment)")
+
+
+class TestTestsOnlyOptions:
+    """A field only tests set is a constant in waiting; production means
+    the roots plus ``CALLER_ROOTS``, and ``DEPLOYMENT`` names the site
+    capacities that stay settable anyway."""
+
+    MOD = os.path.join("src", "repro", "cfg.py")
+
+    @pytest.fixture
+    def repo(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(lint, "REPO_ROOT", str(tmp_path))
+        monkeypatch.setattr(lint, "DEPLOYMENT", {})
+        pkg = tmp_path / "src" / "repro"
+        pkg.mkdir(parents=True)
+        (pkg / "cfg.py").write_text(TestCheckOptions.DECLARED
+                                    + "cfg = XConfig(knob_a=3)\n")
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "test_cfg.py").write_text(
+            "from repro.cfg import XConfig\n\nXConfig(knob_b=5)\n")
+        return tmp_path
+
+    def test_field_set_only_by_tests_is_flagged(self, repo):
+        assert run_rule("options") == (
+            [f"{self.MOD}:5: XConfig.knob_b is set only by tests — make it "
+             "a constant"], "options: 2 fields (0 deployment)")
+
+    def test_one_production_setter_clears_it(self, repo):
+        (repo / "examples").mkdir()
+        (repo / "examples" / "demo.py").write_text(
+            "from repro.cfg import XConfig\n\nXConfig(1, 2)\n")
+        assert run_rule("options") == ([], "options: 2 fields (0 deployment)")
+
+    def test_deployment_entry_exempts_it(self, repo, monkeypatch):
+        monkeypatch.setattr(lint, "DEPLOYMENT", {
+            "cfg.py::XConfig.knob_b": "a site's capacity; tests/test_cfg.py"})
+        assert run_rule("options") == ([], "options: 2 fields (1 deployment)")
+
+    def test_stale_deployment_entry_is_a_finding(self, repo, monkeypatch):
+        monkeypatch.setattr(lint, "DEPLOYMENT", {
+            "cfg.py::XConfig.knob_a": "stale: cfg.py sets it",
+            "cfg.py::XConfig.knob_b": "a site's capacity",
+            "cfg.py::XConfig.gone": "stale: no such field"})
+        assert run_rule("options") == (
+            [f"{self.MOD}:4: DEPLOYMENT entry XConfig.knob_a has a "
+             "production setter now (drop the entry)",
+             f"{self.MOD}:1: DEPLOYMENT entry XConfig.gone names no field"],
+            "options: 2 fields (2 deployment)")
 
 
 class TestDeadNames:

@@ -11,7 +11,7 @@ import pytest
 from repro.baselines import DeterministicTrainer, EdmTrainer
 from repro.model import Aeris
 from repro.train import CheckpointError, Trainer, TrainerConfig
-from repro.train.trainer import LR_BACKOFF_FACTOR
+from repro.train.trainer import LR_BACKOFF_FACTOR, LR_RECOVER_STEPS
 from tests.train.test_trainer import TINY16
 
 CFG = TrainerConfig(batch_size=4, peak_lr=3e-3, warmup_images=40,
@@ -185,11 +185,12 @@ class TestNaNGuard:
 
     def test_backoff_recovers_after_clean_streak(self, tiny_archive):
         cfg = TrainerConfig(batch_size=4, peak_lr=3e-3, warmup_images=40,
-                            total_images=40_000, decay_images=400, seed=0,
-                            lr_recover_steps=3)
+                            total_images=40_000, decay_images=400, seed=0)
         trainer = Trainer(Aeris(TINY16, seed=0), tiny_archive, cfg)
         trainer.lr_backoff = 0.5
-        trainer.fit(3)
+        trainer.fit(LR_RECOVER_STEPS - 1)
+        assert trainer.lr_backoff == 0.5
+        trainer.fit(1)
         assert trainer.lr_backoff == 1.0
 
 

@@ -75,6 +75,22 @@ KEEP = {
         "tests/eval/test_metrics.py",
 }
 
+#: Option fields that stay settable with no production setter because they
+#: are a site's capacity, ``"path under src/repro::Class.field"`` -> why,
+#: and the test that varies it.  An entry whose field is gone, or which has
+#: a production setter now, is itself a finding.
+DEPLOYMENT = {
+    "serve/service.py::ServiceConfig.cache_bytes":
+        "the forecast cache's memory budget (DESIGN §11); "
+        "tests/serve/test_service.py::TestPinnedScenario",
+    "serve/batcher.py::BatcherConfig.max_members":
+        "member rows per stacked forward (DESIGN §11); "
+        "tests/obs/test_golden_metrics.py, tests/serve/test_service.py",
+    "train/trainer.py::TrainerConfig.keep_checkpoints":
+        "checkpoint generations retained on disk (DESIGN §8); "
+        "tests/train/test_resume.py",
+}
+
 
 def _src(*parts: str) -> str:
     return os.path.join(REPO_ROOT, "src", "repro", *parts)
@@ -310,6 +326,19 @@ def metric_names(tree: Tree) -> tuple[list[str], str]:
 
 # -- whole-tree rules -------------------------------------------------------
 
+def _unmatched(tree: Tree, table: str, entries: Iterable[str],
+               kind: str) -> list[str]:
+    """A finding for each ``KEEP`` / ``DEPLOYMENT`` entry left over after
+    the walk whose module lies under the roots: it names nothing."""
+    found = []
+    for entry in entries:
+        module, name = entry.split("::")
+        if any(_src(module).startswith(root + os.sep) for root in tree.roots):
+            found.append(f"{os.path.relpath(_src(module), REPO_ROOT)}:1: "
+                         f"{table} entry {name} names no {kind}")
+    return found
+
+
 CLONE_WINDOW = 8
 
 
@@ -339,16 +368,21 @@ OPTION_CLASS = re.compile(r"(Config|Policy)$|^FaultPlan$")
 
 def options(tree: Tree) -> tuple[list[str], str]:
     """Every field of a ``*Config`` / ``*Policy`` / ``FaultPlan``
-    dataclass is set somewhere, tests included: by keyword or position to
-    its constructor, or as a keyword of any ``replace(...)`` (matched by
-    field name).  ``**kwargs`` sets nothing.  A field with no setter is a
-    constant that looks like a choice."""
+    dataclass is set by production code — a file under the roots or
+    :data:`CALLER_ROOTS` — by keyword or position to its constructor, or
+    as a keyword of any ``replace(...)`` (matched by field name), or is in
+    :data:`DEPLOYMENT`.  ``**kwargs`` sets nothing.  A field with no
+    setter, or set only under ``tests/``, is a constant that looks like a
+    choice."""
     declared: dict[str, list[tuple[str, str]]] = {}  # class -> [(field, at)]
+    module: dict[str, str] = {}  # class -> path under src/repro
     for src in tree.files:
         for node in src.nodes:
             if (isinstance(node, ast.ClassDef) and OPTION_CLASS.search(
                     node.name) and any("dataclass" in ast.unparse(d)
                                        for d in node.decorator_list)):
+                module[node.name] = os.path.relpath(
+                    src.path, _src()).replace(os.sep, "/")
                 declared[node.name] = [
                     (stmt.target.id, f"{src.rel}:{stmt.lineno}")
                     for stmt in node.body
@@ -358,13 +392,13 @@ def options(tree: Tree) -> tuple[list[str], str]:
     # A call's callee is in the file's text: parse only files that could
     # hold a setter.
     callees = [name.encode() for name in (*declared, "replace")]
-    tests_root = os.path.join(REPO_ROOT, "tests") + os.sep
-    setters: dict[tuple[str, str], set[bool]] = {}  # -> {set from tests?}
-    paths = dict.fromkeys(iter_python_files(tree.roots + [
-        os.path.join(REPO_ROOT, d) for d in (*CALLER_ROOTS, "tests")]))
+    production = set(iter_python_files(tree.roots + [
+        os.path.join(REPO_ROOT, d) for d in CALLER_ROOTS]))
+    setters: dict[tuple[str, str], bool] = {}  # -> set by production code?
+    paths = dict.fromkeys([*production, *iter_python_files(
+        [os.path.join(REPO_ROOT, "tests")])])
     for src in tree.parsed(p for p in paths if any(
             name in tree.read(p).data for name in callees)):
-        in_tests = src.path.startswith(tests_root)
         for node in src.nodes:
             if not isinstance(node, ast.Call):
                 continue
@@ -382,14 +416,25 @@ def options(tree: Tree) -> tuple[list[str], str]:
             else:
                 continue
             for hit in hits:
-                setters.setdefault(hit, set()).add(in_tests)
-    found = [f"{at}: {cls}.{f} has no setter — make it a constant"
-             for cls, fields in declared.items()
-             for f, at in fields if (cls, f) not in setters]
-    tests_only = sum(setters.get((cls, f)) == {True}
-                     for cls, fields in declared.items() for f, _ in fields)
+                setters[hit] = setters.get(hit) or src.path in production
+    deployment, found = dict(DEPLOYMENT), []
+    for cls, fields in declared.items():
+        for f, at in fields:
+            by_production = setters.get((cls, f))  # None: no setter at all
+            if deployment.pop(f"{module[cls]}::{cls}.{f}", None) is not None:
+                if by_production:
+                    found.append(f"{at}: DEPLOYMENT entry {cls}.{f} has a "
+                                 "production setter now (drop the entry)")
+            elif by_production is None:
+                found.append(f"{at}: {cls}.{f} has no setter — make it a "
+                             "constant")
+            elif not by_production:
+                found.append(f"{at}: {cls}.{f} is set only by tests — make "
+                             "it a constant")
+    found += _unmatched(tree, "DEPLOYMENT", deployment, "field")
+    n_deployment = len(DEPLOYMENT) - len(deployment)
     return found, (f"options: {sum(map(len, declared.values()))} fields "
-                   f"({tests_only} set only by tests)")
+                   f"({n_deployment} deployment)")
 
 
 def _probe_names(tree: Tree) -> set[str]:
@@ -445,11 +490,7 @@ def dead_names(tree: Tree) -> tuple[list[str], str]:
             elif not live and qualname not in probes:
                 found.append(f"{at}: {qualname} has no caller outside tests "
                              "(delete it, or KEEP it with its mechanism)")
-    for entry in keep:
-        module, qualname = entry.split("::")
-        if any(_src(module).startswith(root + os.sep) for root in tree.roots):
-            found.append(f"{os.path.relpath(_src(module), REPO_ROOT)}:1: "
-                         f"KEEP entry {qualname} names no def")
+    found += _unmatched(tree, "KEEP", keep, "def")
     return found, f"dead names: {len(found)} flagged, {kept} kept"
 
 
