@@ -44,7 +44,7 @@ from ..obs.profile import span as _span
 from ..resilience.faults import (ComputeCorruption, compute_injector,
                                  count_sdc_detected)
 
-__all__ = ["abft_guard", "guard_gemm"]
+__all__ = ["abft_guard", "guard_gemm", "guards_live"]
 
 #: Safety factor on the per-row rounding-noise bound.  The clean
 #: residual is ``<= ~(K+N)·eps·Σ|A||B|``; 8x keeps seeds of golden tests
@@ -64,6 +64,13 @@ def abft_guard(enabled: bool = True):
         yield
     finally:
         _ENABLED = previous
+
+
+def guards_live() -> bool:
+    """Whether :func:`guard_gemm` does anything: ABFT is armed or a compute
+    fault injector is installed.  Both address GEMMs by their order in the
+    step, so a caller that would reorder guarded GEMMs keeps them serial."""
+    return _ENABLED or compute_injector() is not None
 
 
 def _record_detected(label: str, detail: str) -> None:

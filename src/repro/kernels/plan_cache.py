@@ -11,10 +11,15 @@ retained plans is bounded.
 Every cache self-registers in a module-level registry so
 :func:`plan_cache_stats` can expose hit/miss/eviction counts to benchmarks
 and :func:`clear_plan_caches` can reset the world between tests.
+
+A lookup runs under the cache's lock: the row-shard workers of
+:mod:`repro.model.aeris` look plans up at the same time as the calling
+thread, and the counters stay exact (hits + misses = lookups).
 """
 
 from __future__ import annotations
 
+import threading
 from collections import OrderedDict
 from typing import Callable, Hashable, TypeVar
 
@@ -49,6 +54,7 @@ class LRUCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self._lock = threading.Lock()
         _REGISTRY[name] = self
 
     def __len__(self) -> int:
@@ -60,22 +66,24 @@ class LRUCache:
     def get_or_build(self, key: Hashable, builder: Callable[[], V]) -> V:
         """Return the cached value for ``key``, building (and caching) it on
         a miss.  Builds happen at most once per resident key."""
-        try:
-            value = self._entries[key]
-        except KeyError:
-            self.misses += 1
-            value = builder()
-            self._entries[key] = value
-            if len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                self.evictions += 1
+        with self._lock:
+            try:
+                value = self._entries[key]
+            except KeyError:
+                self.misses += 1
+                value = builder()
+                self._entries[key] = value
+                if len(self._entries) > self.maxsize:
+                    self._entries.popitem(last=False)
+                    self.evictions += 1
+                return value
+            self._entries.move_to_end(key)
+            self.hits += 1
             return value
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return value
 
     def clear(self) -> None:
-        self._entries.clear()
+        with self._lock:
+            self._entries.clear()
 
     def reset_stats(self) -> None:
         self.hits = self.misses = self.evictions = 0

@@ -26,13 +26,17 @@ kept that nobody read (a ``.grad`` on every node, zero-padded slice
 gradients; DESIGN §10 has the numbers); the one open allocator note is the
 serve path's fresh multi-row forward intermediates.
 
-``arena()`` returns the process-global instance; ``stats()`` feeds the
-benchmark sidecars (``bytes_served`` vs ``bytes_allocated`` is the reuse
-win).
+``arena()`` returns the calling thread's instance: the main thread's is
+the module's ``_ARENA``, and every other thread (a row-shard worker of
+:mod:`repro.model.aeris`) gets one of its own, so a buffer is never handed
+to two threads.  ``stats()`` feeds the benchmark sidecars
+(``bytes_served`` vs ``bytes_allocated`` is the reuse win) and counts the
+main thread's arena only.
 """
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_left
 from math import prod
 
@@ -139,8 +143,15 @@ class WorkspaceArena:
 
 
 _ARENA = WorkspaceArena()
+_LOCAL = threading.local()
 
 
 def arena() -> WorkspaceArena:
-    """The process-global workspace arena."""
-    return _ARENA
+    """The calling thread's workspace arena (``_ARENA`` on the main
+    thread)."""
+    try:
+        return _LOCAL.arena
+    except AttributeError:
+        _LOCAL.arena = _ARENA if threading.current_thread() \
+            is threading.main_thread() else WorkspaceArena()
+        return _LOCAL.arena

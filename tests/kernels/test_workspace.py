@@ -5,6 +5,7 @@ import pytest
 
 from repro.kernels import abft_guard, fused_swiglu_forward
 from repro.model import Aeris
+from repro.model import aeris as aeris_mod
 from repro.nn.attention import dot_product_attention
 from repro.resilience import (
     ComputeCorruption,
@@ -227,12 +228,15 @@ class TestArenaInKernels:
         fused_swiglu_forward(x, w_gate, w_up, w_down)
         assert glob.stats()["misses"] == 0
 
-    def test_pooled_bytes_steady_and_budgeted_at_16_rows(self):
+    def test_pooled_bytes_steady_and_budgeted_at_16_rows(self, monkeypatch):
         """The RSS guard: rotary, K^T and max scratch all go through one
         256 KB block, and at most two requests are ever outstanding (score
         matrix + block, or the two SwiGLU hidden buffers), so what a 16-row
         forward of the quickstart model leaves pooled is two 2 MB buffers —
-        settled after the first forward."""
+        settled after the first forward.  One shard: the row-split forward's
+        two arenas hold half each
+        (``test_row_parallel.py::TestMemoryRule``)."""
+        monkeypatch.setattr(aeris_mod, "_CORES", 1)
         model = Aeris(QUICKSTART, seed=0)
         rng = np.random.default_rng(4)
         args = (Tensor(rng.normal(size=(16, 16, 32, 9)).astype(np.float32)),
