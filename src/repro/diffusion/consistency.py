@@ -60,11 +60,10 @@ class ConsistencyDistiller:
     """
 
     def __init__(self, teacher: Module, student: Module,
-                 flow: TrigFlow = TrigFlow(),
                  config: ConsistencyConfig = ConsistencyConfig()):
         self.teacher = teacher
         self.student = student
-        self.flow = flow
+        self.flow = TrigFlow()
         self.config = config
         self.optimizer = AdamW(student.parameters(), lr=LR, weight_decay=0.0)
         self.ema = EMA(student, halflife_images=EMA_HALFLIFE_IMAGES)
@@ -72,9 +71,10 @@ class ConsistencyDistiller:
         self.rng_z = np.random.default_rng(config.seed + 2)
         self.history: list[float] = []
         # Boundary times: log-uniform in tan(t), densest near t_min.
-        taus = np.linspace(np.log(flow.sigma_min), np.log(flow.sigma_max),
+        taus = np.linspace(np.log(self.flow.sigma_min),
+                           np.log(self.flow.sigma_max),
                            N_BOUNDARY_STEPS + 1)
-        self.boundaries = flow.tau_to_t(taus)  # increasing
+        self.boundaries = self.flow.tau_to_t(taus)  # increasing
 
     # -- teacher utilities ---------------------------------------------------
     def _velocity(self, model: Module, x: np.ndarray, t: np.ndarray,

@@ -19,6 +19,9 @@ from .module import Module, Parameter
 
 __all__ = ["RMSNorm", "LayerNorm", "AdaLNModulation", "modulate"]
 
+#: Variance floor of both norms.
+EPS = 1e-6
+
 
 class RMSNorm(Module):
     """Root-mean-square normalization over the last axis, optionally
@@ -26,10 +29,9 @@ class RMSNorm(Module):
     Swin block applies back to back, so the inference path can run them as
     one in-place kernel."""
 
-    def __init__(self, dim: int, eps: float = 1e-6):
+    def __init__(self, dim: int):
         super().__init__()
         self.dim = dim
-        self.eps = eps
         self.weight = Parameter(np.ones(dim, dtype=np.float32), name="weight")
 
     def forward(self, x: Tensor, alpha: Tensor | None = None,
@@ -37,9 +39,9 @@ class RMSNorm(Module):
         """Normalize ``x``; given ``alpha`` and ``beta`` (``(batch, dim)``
         each), also :func:`modulate` the result by them."""
         if kernels_enabled():
-            return fused_norm_modulate(x, self.weight, self.eps, alpha, beta)
+            return fused_norm_modulate(x, self.weight, EPS, alpha, beta)
         ms = (x * x).mean(axis=-1, keepdims=True)
-        inv = (ms + self.eps) ** -0.5
+        inv = (ms + EPS) ** -0.5
         out = x * inv * self.weight
         return out if alpha is None else modulate(out, alpha, beta)
 
@@ -49,10 +51,9 @@ class LayerNorm(Module):
     the final decode norm, which the paper describes as a "simple
     normalization")."""
 
-    def __init__(self, dim: int, eps: float = 1e-6, elementwise_affine: bool = True):
+    def __init__(self, dim: int, elementwise_affine: bool = True):
         super().__init__()
         self.dim = dim
-        self.eps = eps
         if elementwise_affine:
             self.weight = Parameter(np.ones(dim, dtype=np.float32), name="weight")
             self.bias = Parameter(np.zeros(dim, dtype=np.float32), name="bias")
@@ -64,11 +65,11 @@ class LayerNorm(Module):
         if _tape_free():    # raw-only kernel: the centered copy is the output
             affine = () if self.weight is None \
                 else (self.weight.data, self.bias.data)
-            return Tensor(fused_layer_norm(x.data, self.eps, *affine))
+            return Tensor(fused_layer_norm(x.data, EPS, *affine))
         mu = x.mean(axis=-1, keepdims=True)
         centered = x - mu
         var = (centered * centered).mean(axis=-1, keepdims=True)
-        out = centered * ((var + self.eps) ** -0.5)
+        out = centered * ((var + EPS) ** -0.5)
         if self.weight is not None:
             out = out * self.weight + self.bias
         return out

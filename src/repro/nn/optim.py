@@ -13,6 +13,10 @@ from .module import Module, Parameter
 
 __all__ = ["AdamW", "EMA"]
 
+#: AdamW's moment decays and denominator floor: the paper's values (§VI-B).
+BETAS = (0.85, 0.9)
+EPS = 1e-8
+
 
 class AdamW:
     """Decoupled-weight-decay Adam.
@@ -22,15 +26,12 @@ class AdamW:
     :class:`repro.parallel.ZeroOptimizer` adds an owner per parameter.
     """
 
-    # betas / eps / weight decay: the paper's values (§VI-B), spelled here
-    # and nowhere else — callers that train the paper's way pass ``lr`` only.
+    # weight decay: the paper's value (§VI-B), spelled here and nowhere
+    # else — callers that train the paper's way pass ``lr`` only.
     def __init__(self, params: list[Parameter], lr: float = 5e-4,
-                 betas: tuple[float, float] = (0.85, 0.9), eps: float = 1e-8,
                  weight_decay: float = 0.01):
         self.params = list(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self.exp_avg = [np.zeros_like(p.data) for p in self.params]
@@ -42,7 +43,7 @@ class AdamW:
 
     def step(self) -> None:
         self.step_count += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETAS
         bias1 = 1.0 - b1 ** self.step_count
         bias2 = 1.0 - b2 ** self.step_count
         for p, m, v in zip(self.params, self.exp_avg, self.exp_avg_sq):
@@ -53,7 +54,7 @@ class AdamW:
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * g * g
-            update = (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            update = (m / bias1) / (np.sqrt(v / bias2) + EPS)
             if self.weight_decay:
                 p.data *= 1.0 - self.lr * self.weight_decay
             p.data -= self.lr * update

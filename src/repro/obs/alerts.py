@@ -27,6 +27,11 @@ from .flight import SEVERITIES
 
 __all__ = ["Alert", "AlertManager"]
 
+#: Window within which repeated firings of one ``(kind, labels)`` only
+#: bump the existing alert.  A firing *after* the window re-routes (flight
+#: event + counter) but still accumulates into the same :class:`Alert`.
+COOLDOWN_S = 60.0
+
 
 @dataclass(eq=False)
 class Alert:
@@ -60,17 +65,11 @@ class AlertManager:
 
     Parameters
     ----------
-    cooldown_s:
-        Window within which repeated firings of one ``(kind, labels)``
-        only bump the existing alert.  A firing *after* the window
-        re-routes (flight event + counter) but still accumulates into
-        the same :class:`Alert` record.
     clock:
         Injectable timestamp source (defaults to ``time.time``).
     """
 
-    def __init__(self, cooldown_s: float = 60.0, clock=None):
-        self.cooldown_s = cooldown_s
+    def __init__(self, clock=None):
         self.clock = clock if clock is not None else time.time
         self.alerts: list[Alert] = []
         self._by_key: dict[tuple, Alert] = {}
@@ -91,7 +90,7 @@ class AlertManager:
         self.fired += 1
         alert = self._by_key.get(key)
         if alert is not None:
-            within_cooldown = (now - alert.last_ts) < self.cooldown_s
+            within_cooldown = (now - alert.last_ts) < COOLDOWN_S
             alert.count += 1
             alert.last_ts = now
             alert.message = message

@@ -28,6 +28,9 @@ __all__ = ["Event", "FlightRecorder", "SEVERITIES"]
 #: Ordered severities, least to most severe.
 SEVERITIES = ("info", "warning", "critical")
 
+#: Events a :class:`FlightRecorder` retains.
+CAPACITY = 4096
+
 
 class Event:
     """One structured flight-recorder record.
@@ -65,22 +68,19 @@ class Event:
 class FlightRecorder:
     """Bounded ring buffer of :class:`Event` records.
 
+    The newest ``CAPACITY`` events are retained; the oldest are discarded
+    first (``dropped`` counts how many fell off the back).
+
     Parameters
     ----------
-    capacity:
-        Retained event count; the oldest events are discarded first
-        (``dropped`` counts how many fell off the back).
     clock:
         Injectable timestamp source (a stepping clock makes tests
         deterministic); defaults to ``time.time``.
     """
 
-    def __init__(self, capacity: int = 4096, clock=None):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
+    def __init__(self, clock=None):
         self.clock = clock if clock is not None else time.time
-        self._ring: deque[Event] = deque(maxlen=capacity)
+        self._ring: deque[Event] = deque(maxlen=CAPACITY)
         self._seq = 0
         self.dropped = 0
 
@@ -94,7 +94,7 @@ class FlightRecorder:
         event = Event(self._seq, self.clock(), kind, subsystem,
                       severity, data)
         self._seq += 1
-        if len(self._ring) == self.capacity:
+        if len(self._ring) == self._ring.maxlen:
             self.dropped += 1
         self._ring.append(event)
         return event

@@ -146,9 +146,8 @@ class HealthMonitor:
     (:func:`health_check` does).
     """
 
-    def __init__(self, alerts: AlertManager | None = None, clock=None):
-        self.alerts = alerts if alerts is not None \
-            else AlertManager(clock=clock)
+    def __init__(self, clock=None):
+        self.alerts = AlertManager(clock=clock)
         self._loss_window: deque[float] = deque(maxlen=LOSS_WINDOW)
         self._grad_window: deque[float] = deque(maxlen=GRAD_WINDOW)
         self._ewma_fast: float | None = None

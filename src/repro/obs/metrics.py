@@ -38,7 +38,7 @@ class Counter:
 
     kind = "counter"
 
-    def __init__(self, name: str, help: str = ""):
+    def __init__(self, name: str, help: str):
         self.name = name
         self.help = help
         self.series: dict[LabelKey, float] = {}
@@ -100,8 +100,7 @@ class Histogram:
 
     kind = "histogram"
 
-    def __init__(self, name: str, help: str = "",
-                 buckets: tuple[float, ...] = _DEFAULT_BUCKETS):
+    def __init__(self, name: str, help: str, buckets: tuple[float, ...]):
         self.name = name
         self.help = help
         self.buckets = tuple(sorted(buckets))

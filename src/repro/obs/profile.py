@@ -158,15 +158,9 @@ class observed:
     Restores the previous global state on exit (including "disabled").
     """
 
-    def __init__(self, tracer: Tracer | None = None,
-                 registry: MetricsRegistry | None = None):
-        self._incoming = (tracer, registry)
-
     def __enter__(self) -> tuple[Tracer, MetricsRegistry]:
         self._saved = (_tracer, _registry)
-        tracer = self._incoming[0] or Tracer()
-        registry = self._incoming[1] or MetricsRegistry()
-        return enable(tracer, registry)
+        return enable(Tracer(), MetricsRegistry())
 
     def __exit__(self, *exc) -> None:
         global _tracer, _registry
@@ -186,19 +180,15 @@ class monitored:
     Restores the previous global state (of all four) on exit.
     """
 
-    def __init__(self, tracer: Tracer | None = None,
-                 registry: MetricsRegistry | None = None,
-                 monitor: HealthMonitor | None = None,
-                 recorder: FlightRecorder | None = None, clock=None):
-        self._incoming = (tracer, registry, monitor, recorder, clock)
+    def __init__(self, clock=None):
+        self._clock = clock
 
     def __enter__(self) -> MonitoredSession:
         self._saved = (_tracer, _registry, _flight, _health)
-        tracer, registry, monitor, recorder, clock = self._incoming
-        pair = enable(tracer or Tracer(clock=clock),
-                      registry or MetricsRegistry())
-        triple = enable_health(monitor or HealthMonitor(clock=clock),
-                               recorder or FlightRecorder(clock=clock))
+        clock = self._clock
+        pair = enable(Tracer(clock=clock), MetricsRegistry())
+        triple = enable_health(HealthMonitor(clock=clock),
+                               FlightRecorder(clock=clock))
         return MonitoredSession(pair[0], pair[1], triple[0], triple[1])
 
     def __exit__(self, *exc) -> None:

@@ -46,7 +46,6 @@ from dataclasses import dataclass, field
 from ..model import AerisConfig
 from ..model.config import SMALL, TABLE_II, TINY, config_to_dict
 from ..obs.profile import count as _count
-from ..obs.profile import gauge as _gauge
 from ..obs.profile import record_event as _record_event
 from ..perf.machine import AURORA, LUMI, Machine
 from ..perf.memory import CHECKPOINT_RECOMPUTE_OVERHEAD, MemoryModel
@@ -61,8 +60,7 @@ __all__ = [
     "enumerate_candidates", "plan_for", "calibrated_step_s", "plan_digest",
     "load_plan",
     "verify_plan", "autotune_check",
-    "resolve_config", "resolve_machine", "resolve_plan",
-    "book_observed_step", "CONFIGS", "MACHINES",
+    "resolve_config", "resolve_machine", "CONFIGS", "MACHINES",
 ]
 
 SCHEMA_VERSION = 1
@@ -321,10 +319,6 @@ class TunedPlan:
     calibration: dict = field(default_factory=dict)
     schema: int = SCHEMA_VERSION
 
-    @property
-    def chosen_topology(self) -> RankTopology:
-        return self.chosen.topology
-
     def to_dict(self) -> dict:
         return {
             "schema": self.schema,
@@ -424,58 +418,6 @@ def plan_for(config: AerisConfig, machine: Machine, world_size: int,
                   world_size=world_size, layout=chosen.layout_key,
                   predicted_step_s=chosen.predicted_step_s)
     return plan
-
-
-def resolve_plan(plan, config: AerisConfig, machine: Machine | None,
-                 world_size: int, gbs: int, *, pipeline: bool = True,
-                 micro_batches: tuple[int, ...] = (1, 2, 4),
-                 schedule: str = "1f1b") -> TunedPlan:
-    """Turn a ``plan=`` argument into a validated :class:`TunedPlan`.
-
-    ``"auto"`` derives a fresh plan for the given budget; a
-    :class:`TunedPlan` (e.g. loaded from a snapshot) is checked against
-    the config/budget it is about to drive — a plan tuned for a
-    different model, machine, rank count, or batch silently applied
-    would defeat the whole artifact, so mismatches raise.  ``machine=None``
-    is Aurora.  The plan a run is about to execute is what
-    ``autotune.predicted_step_s`` reports, so the gauge is booked here and
-    nowhere else.
-    """
-    if machine is None:
-        machine = AURORA
-    if isinstance(plan, str):
-        if plan != "auto":
-            raise ValueError(f"plan must be 'auto' or a TunedPlan, "
-                             f"got {plan!r}")
-        plan = plan_for(config, machine, world_size, gbs,
-                        pipeline=pipeline, micro_batches=micro_batches,
-                        schedule=schedule)
-    elif not isinstance(plan, TunedPlan):
-        raise TypeError(f"plan must be 'auto' or a TunedPlan, "
-                        f"got {type(plan).__name__}")
-    mismatches = []
-    for label, got, want in (("config", plan.config_name, config.name),
-                             ("machine", plan.machine_name, machine.name),
-                             ("world_size", plan.world_size, world_size),
-                             ("gbs", plan.gbs, gbs),
-                             ("pipeline", plan.pipeline, pipeline)):
-        if got != want:
-            mismatches.append(f"{label}: plan has {got!r}, run wants "
-                              f"{want!r}")
-    if mismatches:
-        raise ValueError("tuned plan does not apply to this run — "
-                         + "; ".join(mismatches))
-    _gauge("autotune.predicted_step_s",
-           "chosen layout's predicted step time",
-           plan.chosen.predicted_step_s)
-    return plan
-
-
-def book_observed_step(seconds: float) -> None:
-    """Book one measured step of a planned run, to be read beside
-    ``autotune.predicted_step_s``."""
-    _gauge("autotune.observed_step_s",
-           "last measured training step wall time", seconds)
 
 
 # ---------------------------------------------------------------------------

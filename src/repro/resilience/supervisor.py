@@ -31,7 +31,6 @@ very same batches it would have seen without the failure.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,41 +76,15 @@ class ElasticSupervisor:
     """Run SWiPe training to completion across injected failures."""
 
     def __init__(self, model_config: AerisConfig,
-                 archive: SyntheticReanalysis,
-                 topology: RankTopology | None = None,
+                 archive: SyntheticReanalysis, topology: RankTopology,
                  config: SupervisorConfig = SupervisorConfig(),
-                 fault_plan: FaultPlan | None = None,
-                 injector: FaultInjector | None = None,
-                 plan=None, machine=None, world_size: int | None = None):
+                 fault_plan: FaultPlan | None = None):
         self.model_config = model_config
         self.archive = archive
         self.cfg = config
-        self.machine = machine
-        self.plan = None
-        self.gas = config.gas
-        if plan is not None:
-            from ..parallel import autotune as _autotune
-            if world_size is None:
-                if topology is None and not isinstance(
-                        plan, _autotune.TunedPlan):
-                    raise ValueError(
-                        "plan='auto' needs a rank budget: pass world_size "
-                        "(or a topology to take it from)")
-                world_size = (plan.world_size
-                              if isinstance(plan, _autotune.TunedPlan)
-                              else topology.world_size)
-            self.plan = _autotune.resolve_plan(
-                plan, model_config, self.machine, world_size,
-                config.global_batch)
-            topology = self.plan.chosen_topology
-            self.gas = self.plan.chosen.gas
-        elif topology is None:
-            raise ValueError("pass a topology or plan='auto'")
         self.topology = topology
-        if injector is None:
-            injector = FaultInjector(fault_plan if fault_plan is not None
-                                     else FaultPlan())
-        self.injector = injector
+        self.injector = FaultInjector(fault_plan if fault_plan is not None
+                                      else FaultPlan())
         self.state_norm = archive.state_normalizer()
         self.residual_norm = archive.residual_normalizer()
         self.forcing_norm = archive.forcing_normalizer()
@@ -171,12 +144,8 @@ class ElasticSupervisor:
         cond, residual, forc = self.archive.training_batch(
             indices, self.state_norm, self.residual_norm, self.forcing_norm)
         x_t, t, v = self.engine.make_training_pairs(residual)
-        t0 = time.perf_counter() if self.plan is not None else 0.0
-        loss = self.engine.train_step(x_t, t, v, cond, forc, gas=self.gas)
-        if self.plan is not None:
-            from ..parallel.autotune import book_observed_step
-            book_observed_step(time.perf_counter() - t0)
-        return loss
+        return self.engine.train_step(x_t, t, v, cond, forc,
+                                      gas=self.cfg.gas)
 
     # -- checkpointing -----------------------------------------------------
     def _checkpoint_dir(self, step: int) -> str:
@@ -218,8 +187,6 @@ class ElasticSupervisor:
         with _span("resilience.recovery", category="resilience", step=step,
                    dead_ranks=str(dead), old_world=old.world_size):
             self.topology = old.degrade(dead)
-            if self.plan is not None:
-                self._replan(step)
             self.injector.reset_grid()
             self._build_engine()
             restored_from = self._restore_latest()
@@ -230,7 +197,6 @@ class ElasticSupervisor:
                              f".wp{self.topology.wp_grid[0]}x"
                              f"{self.topology.wp_grid[1]}"
                              f".sp{self.topology.sp}"),
-                  "replanned": self.plan is not None,
                   "resumed_at_step": len(self.history),
                   "restored_from": restored_from}
         self.recoveries.append(record)
@@ -240,36 +206,6 @@ class ElasticSupervisor:
                       severity="critical", step=step, dead_ranks=dead,
                       world_size=self.topology.world_size,
                       restored_from=restored_from)
-
-    def _replan(self, step: int) -> None:
-        """Re-tune the layout for the surviving ranks.
-
-        :meth:`RankTopology.degrade` picks a *safe* survivor layout; a
-        tuned run then asks the planner whether a different carve-up of
-        the same surviving ranks would be faster and adopts the plan's
-        choice (the engine is rebuilt from the checkpoint either way).
-        """
-        from ..parallel import autotune as _autotune
-        old_plan = self.plan
-        try:
-            self.plan = _autotune.resolve_plan(
-                "auto", self.model_config, self.machine,
-                self.topology.world_size, self.cfg.global_batch,
-                pipeline=old_plan.pipeline,
-                micro_batches=old_plan.micro_batches,
-                schedule=old_plan.schedule)
-        except _autotune.NoFeasibleLayout as exc:
-            raise ClusterFailure(
-                f"no feasible tuned layout on the "
-                f"{self.topology.world_size} surviving rank(s) at step "
-                f"{step}") from exc
-        self.topology = self.plan.chosen_topology
-        self.gas = self.plan.chosen.gas
-        _count("autotune.replans", "layout re-tunes after elastic re-grids")
-        _record_event("autotune.replan", subsystem="autotune", step=step,
-                      world_size=self.topology.world_size,
-                      layout=self.plan.chosen.layout_key,
-                      predicted_step_s=self.plan.chosen.predicted_step_s)
 
     # -- evaluation --------------------------------------------------------
     def validation_loss(self, batch_size: int = 8, n_batches: int = 2,

@@ -107,21 +107,17 @@ class DeploymentController:
         Optional ``request -> (n_steps + 1, H, W, C)`` verifying
         trajectory for shadow-skill scoring (e.g. the analysis that
         later became available for that initial condition).  Without it,
-        shadows still run the physical guardrails.
-    validator:
-        Guardrails for shadow outputs; defaults to the service's.
+        shadows still run the physical guardrails (the service's
+        validator).
     """
 
     def __init__(self, service: ForecastService, registry=None,
-                 config: DeployConfig | None = None, truth_fn=None,
-                 validator=None):
+                 config: DeployConfig | None = None, truth_fn=None):
         self.service = service
         self.versions = service.versions
         self.registry = registry
         self.config = config if config is not None else DeployConfig()
         self.truth_fn = truth_fn
-        self.validator = (validator if validator is not None
-                          else service.validator)
         self.state = "idle"
         self.incumbent = self.versions.active
         self.incumbent_digest = \
@@ -267,7 +263,8 @@ class DeploymentController:
         self.counts["shadows"] += 1
         outcome = "clean"
         detail = ""
-        if self.validator is not None and self.validator.validate(forecast):
+        validator = self.service.validator
+        if validator is not None and validator.validate(forecast):
             outcome = "guardrail_violation"
             detail = "candidate shadow violates physical bounds"
         elif self.truth_fn is not None and req.variables is None:

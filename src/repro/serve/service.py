@@ -33,6 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..data import TOY_SET
 from ..diffusion import ResidualForecaster
 from ..obs.profile import count as _count
 from ..obs.profile import record_event as _record_event
@@ -51,6 +52,10 @@ __all__ = ["ServiceConfig", "ForecastService", "serve_check"]
 #: Re-dispatches a quarantined batch may attempt (on a *different* worker)
 #: before its still-invalid requests fail.
 GUARDRAIL_RERUNS = 1
+
+#: Channel names a request's ``variables`` select from: the inventory of
+#: every model the repo trains.
+VARIABLE_NAMES = list(TOY_SET.names)
 
 
 @dataclass(frozen=True)
@@ -75,9 +80,6 @@ class ForecastService:
     student:
         Optional consistency-distilled one-step model (``fast`` tier).
         Without it, fast requests are rejected as ``tier_unavailable``.
-    variable_names:
-        Channel names of the state vector, enabling per-request variable
-        subsetting (e.g. ``repro.data.TOY_SET.names``).
     cluster / injector:
         Resilience wiring for the worker pool (see
         :class:`~repro.serve.ServeWorkerPool`).
@@ -97,29 +99,18 @@ class ForecastService:
     def __init__(self, forecaster: ResidualForecaster, student=None,
                  config: ServiceConfig | None = None,
                  router: TierRouter | None = None,
-                 variable_names: Sequence[str] | None = None,
                  cluster=None, injector=None, validator=None,
-                 version: str = "v0", plan=None, machine=None,
-                 duration_fn=None):
+                 version: str = "v0", duration_fn=None):
         self.config = config if config is not None else ServiceConfig()
         self.router = router if router is not None else TierRouter()
         self.base = forecaster
         self.validator = validator
-        self.variable_names = (list(variable_names)
-                               if variable_names is not None else None)
         self.cache = ForecastCache(self.config.cache_bytes)
         self.queue = AdmissionQueue(self.router)
         self.batcher = MicroBatcher(self.queue, self.config.batcher)
-        if plan is not None:
-            # A tuned plan overrides n_workers: pack as many replicas as
-            # its memory estimate says fit on one node of ``machine``.
-            self.pool = ServeWorkerPool.from_plan(
-                plan, machine, cluster=cluster, injector=injector,
-                duration_fn=duration_fn)
-        else:
-            self.pool = ServeWorkerPool(self.config.n_workers,
-                                        cluster=cluster, injector=injector,
-                                        duration_fn=duration_fn)
+        self.pool = ServeWorkerPool(self.config.n_workers, cluster=cluster,
+                                    injector=injector,
+                                    duration_fn=duration_fn)
         self.slo = SloTracker(self.router.policies)
         #: Which version answers which request (born serving ``version``).
         self.versions = VersionTable(self.router.policies, self.queue)
@@ -153,11 +144,8 @@ class ForecastService:
     def _variable_indices(self, request: ForecastRequest) -> list[int] | None:
         if request.variables is None:
             return None
-        if self.variable_names is None:
-            raise Rejected("unknown_variable",
-                           "service has no variable names configured")
         try:
-            return [self.variable_names.index(v) for v in request.variables]
+            return [VARIABLE_NAMES.index(v) for v in request.variables]
         except ValueError as exc:
             raise Rejected("unknown_variable", str(exc)) from None
 

@@ -31,15 +31,11 @@ from ..obs.profile import count as _count
 from ..obs.profile import gauge as _gauge
 from ..obs.profile import record_event as _record_event
 from ..obs.profile import span as _span
-from ..perf.machine import AURORA
 from ..resilience import ClusterFailure, RankFailure
 from ..resilience.faults import count_dead_ranks
 from ..resilience.retry import MAX_RETRIES
 
 __all__ = ["WorkerState", "ServeWorkerPool"]
-
-#: The most replicas :meth:`ServeWorkerPool.from_plan` packs on one node.
-MAX_PLAN_WORKERS = 8
 
 
 @dataclass(eq=False)
@@ -103,36 +99,6 @@ class ServeWorkerPool:
         self.duration_fn = duration_fn
         self.dispatcher_rank = n_workers
         self.n_dispatches = 0
-
-    @classmethod
-    def from_plan(cls, plan, machine=None, *, cluster=None, injector=None,
-                  duration_fn=None) -> "ServeWorkerPool":
-        """Size the replica pool from a :class:`TunedPlan` memory estimate.
-
-        One serving replica needs a full model-parallel group's worth of
-        memory — the plan's per-rank footprint times the ranks per DP
-        replica (a conservative bound: inference skips gradients and
-        optimizer state).  The pool packs as many replicas as fit in one
-        node of ``machine`` (Aurora when ``None``), clamped to
-        ``[1, MAX_PLAN_WORKERS]``.
-        """
-        if machine is None:
-            machine = AURORA
-        ranks_per_replica = plan.chosen.world_size // plan.chosen.dp
-        per_replica_gb = plan.chosen.memory_gb * ranks_per_replica
-        node_gb = machine.tiles_per_node * machine.tile_memory_gb
-        if per_replica_gb > 0:
-            n = int(node_gb // per_replica_gb)
-        else:
-            n = MAX_PLAN_WORKERS
-        n = max(1, min(MAX_PLAN_WORKERS, n))
-        _gauge("serve.plan_workers",
-               "replica count sized from the tuned plan", n)
-        _record_event("serve.plan_sized", subsystem="serve", n_workers=n,
-                      layout=plan.chosen.layout_key,
-                      memory_gb=plan.chosen.memory_gb)
-        return cls(n, cluster=cluster, injector=injector,
-                   duration_fn=duration_fn)
 
     def live_workers(self) -> list[WorkerState]:
         return [w for w in self.workers if w.alive]

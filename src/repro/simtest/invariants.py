@@ -120,9 +120,8 @@ class Invariant:
 class InvariantRegistry:
     """Ordered collection of invariants evaluated over one run."""
 
-    def __init__(self, invariants=None):
-        self.invariants: list[Invariant] = list(
-            invariants if invariants is not None else [])
+    def __init__(self):
+        self.invariants: list[Invariant] = []
 
     def register(self, invariant: Invariant) -> None:
         if invariant.name in self.names():

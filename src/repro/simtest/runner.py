@@ -169,12 +169,11 @@ class SimRunner:
     """Run scenarios, judge invariants, explore seed ranges."""
 
     def __init__(self, registry: InvariantRegistry | None = None,
-                 world: SimWorld | None = None,
-                 gen: ScenarioGen | None = None):
+                 world: SimWorld | None = None):
         self.registry = (registry if registry is not None
                          else InvariantRegistry.default())
         self.world = world if world is not None else SimWorld()
-        self.gen = gen if gen is not None else ScenarioGen()
+        self.gen = ScenarioGen()
 
     # -- single-scenario execution -----------------------------------------
     def run(self, scenario: Scenario) -> RunResult:

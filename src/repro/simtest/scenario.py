@@ -236,11 +236,6 @@ class ScenarioGen:
     independently agree on every sampled field.
     """
 
-    def __init__(self, schema: int = SCHEMA_VERSION):
-        if schema != SCHEMA_VERSION:
-            raise ValueError(f"unsupported generation schema {schema}")
-        self.schema = schema
-
     def scenario(self, seed: int) -> Scenario:
         seed = int(seed) % 2**64  # wrap into uint64 space
         rng = np.random.default_rng(seed)

@@ -54,20 +54,19 @@ class _Flat(np.ndarray):
     __slots__ = ()
 
 
+#: Budget for *pooled* (idle) bytes of one arena.  Requests larger than the
+#: budget are served but never pooled; when releases push the pool over
+#: budget, the smallest idle buffers are dropped (whatever they could
+#: serve, a larger one can).
+MAX_BYTES = 256 * 2 ** 20
+
+
 class WorkspaceArena:
-    """Pooled flat byte buffers, served by capacity.
+    """Pooled flat byte buffers, served by capacity, within
+    :data:`MAX_BYTES` of pooled (idle) bytes."""
 
-    Parameters
-    ----------
-    max_bytes:
-        Budget for *pooled* (idle) bytes.  Requests larger than the budget
-        are served but never pooled; when releases push the pool over
-        budget, the smallest idle buffers are dropped (whatever they could
-        serve, a larger one can).
-    """
-
-    def __init__(self, max_bytes: int = 256 * 2 ** 20):
-        self.max_bytes = int(max_bytes)
+    def __init__(self):
+        self.max_bytes = MAX_BYTES
         # ``(capacity, view)`` ascending by capacity; ``view`` is what the
         # buffer (its ``base``) was last handed out as.  Searched with a
         # 1-tuple, which orders before every entry of its capacity without

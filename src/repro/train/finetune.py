@@ -43,14 +43,13 @@ class MultistepFinetuner:
     """Finetunes a trained AERIS with K-step rollout losses."""
 
     def __init__(self, model: Aeris, archive: SyntheticReanalysis,
-                 config: MultistepConfig = MultistepConfig(),
-                 flow: TrigFlow = TrigFlow()):
+                 config: MultistepConfig = MultistepConfig()):
         if model.config.channels != len(TOY_SET):
             raise ValueError("model channels must match the archive")
         self.model = model
         self.archive = archive
         self.config = config
-        self.flow = flow
+        self.flow = TrigFlow()
         self.state_norm = archive.state_normalizer()
         self.residual_norm = archive.residual_normalizer()
         self.forcing_norm = archive.forcing_normalizer()

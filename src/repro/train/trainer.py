@@ -31,7 +31,6 @@ run and a poisoned step —
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,20 +99,9 @@ class Trainer:
 
     def __init__(self, model: Aeris, archive: SyntheticReanalysis,
                  config: TrainerConfig = TrainerConfig(),
-                 flow: TrigFlow = TrigFlow(), injector=None,
-                 plan=None, machine=None):
+                 flow: TrigFlow = TrigFlow(), injector=None):
         if model.config.channels != len(TOY_SET):
             raise ValueError("model channel count must match the archive")
-        # ``plan="auto"`` tunes the single-process layout (dp=pp=wp=sp=1,
-        # one batch-sized micro-batch) — the value here is the validated,
-        # content-addressed record of predicted step time and memory that
-        # obs/serve consume, not a different execution path.
-        self.plan = None
-        if plan is not None:
-            from ..parallel import autotune as _autotune
-            self.plan = _autotune.resolve_plan(
-                plan, model.config, machine, 1, config.batch_size,
-                pipeline=False, micro_batches=(config.batch_size,))
         self.model = model
         self.archive = archive
         self.config = config
@@ -151,7 +139,6 @@ class Trainer:
 
     def _step_once(self, allow_retry: bool = False) -> float:
         cfg = self.config
-        t0 = time.perf_counter() if self.plan is not None else 0.0
         with _span("train.step", category="train", step=len(self.history)):
             with _span("train.data", category="train"):
                 indices = self.rng_batch.choice(
@@ -190,9 +177,6 @@ class Trainer:
                                     images_per_step=cfg.batch_size)
                 self._recover_lr_backoff()
         self.history.append(value)
-        if self.plan is not None:
-            from ..parallel.autotune import book_observed_step
-            book_observed_step(time.perf_counter() - t0)
         self._record_step_metrics(value)
         return value
 

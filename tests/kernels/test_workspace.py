@@ -14,14 +14,14 @@ from repro.resilience import (
     FaultPlan,
     inject_compute,
 )
-from repro.tensor import Tensor, WorkspaceArena, arena, no_grad
+from repro.tensor import Tensor, WorkspaceArena, arena, no_grad, workspace
 
 from .test_golden import QUICKSTART, model_inputs, packed_attention, unblind
 
 
 class TestArenaPooling:
     def test_get_release_get_reuses_buffer(self):
-        a = WorkspaceArena(max_bytes=1 << 20)
+        a = WorkspaceArena()
         buf = a.get((8, 8), np.float32)
         a.release(buf)
         again = a.get((8, 8), np.float32)
@@ -34,7 +34,7 @@ class TestArenaPooling:
         """Pooling is by capacity in bytes: another shape or dtype of no
         more bytes reuses the memory, and of several idle buffers the
         smallest that fits is taken."""
-        a = WorkspaceArena(max_bytes=1 << 20)
+        a = WorkspaceArena()
         small, large = a.get((8, 8), np.float32), a.get((64, 8), np.float32)
         a.release(large)
         a.release(small)
@@ -52,7 +52,7 @@ class TestArenaPooling:
         """Whatever the order of sizes, what stays pooled is one buffer per
         request outstanding at once, each as large as the largest seen."""
         for sizes in ((10, 20, 40, 80), (80, 40, 20, 10), (20, 80, 10, 40)):
-            a = WorkspaceArena(max_bytes=1 << 20)
+            a = WorkspaceArena()
             for n in sizes:
                 a.release(a.get((n,), np.float32))
             assert a.stats()["pooled_bytes"] == 80 * 4
@@ -62,8 +62,9 @@ class TestArenaPooling:
                 a.release(y)
             assert a.stats()["pooled_bytes"] == 2 * 80 * 4
 
-    def test_budget_drops_smallest_idle_buffers(self):
-        a = WorkspaceArena(max_bytes=1000)
+    def test_budget_drops_smallest_idle_buffers(self, monkeypatch):
+        monkeypatch.setattr(workspace, "MAX_BYTES", 1000)
+        a = WorkspaceArena()
         first = a.get((100,), np.float32)   # 400 bytes
         second = a.get((100,), np.float64)  # 800 bytes
         a.release(first)
@@ -72,8 +73,9 @@ class TestArenaPooling:
         assert np.shares_memory(a.get((100,), np.float32), second)
         assert a.stats()["pooled_bytes"] == 0
 
-    def test_oversized_request_never_pooled(self):
-        a = WorkspaceArena(max_bytes=100)
+    def test_oversized_request_never_pooled(self, monkeypatch):
+        monkeypatch.setattr(workspace, "MAX_BYTES", 100)
+        a = WorkspaceArena()
         big = a.get((1000,), np.float32)
         a.release(big)
         assert a.stats()["pooled_bytes"] == 0
@@ -81,7 +83,7 @@ class TestArenaPooling:
     def test_views_are_refused(self):
         """Only what ``get`` handed out comes back: not a foreign array, not
         a view of one, not a view of a handed-out buffer."""
-        a = WorkspaceArena(max_bytes=1 << 20)
+        a = WorkspaceArena()
         base = np.empty((16,), dtype=np.float32)
         mine = a.get((4, 4), np.float32)
         for other in (base, base[:8], mine[:2], mine.reshape(-1), mine.T,
@@ -92,7 +94,7 @@ class TestArenaPooling:
         assert a.stats()["pooled_bytes"] == mine.nbytes
 
     def test_clear_and_stats(self):
-        a = WorkspaceArena(max_bytes=1 << 20)
+        a = WorkspaceArena()
         a.release(a.get((4,), np.float32))
         a.clear()
         assert a.stats()["pooled_bytes"] == 0
@@ -105,7 +107,7 @@ class TestArenaPooling:
     def test_rejects_non_positive_free_reuse_of_distinct_gets(self):
         # Two outstanding gets must be distinct memory, whether they miss,
         # hit equal buffers, or hit one that could hold both.
-        a = WorkspaceArena(max_bytes=1 << 20)
+        a = WorkspaceArena()
         for _ in range(2):
             x = a.get((8,), np.float32)
             y = a.get((8,), np.float32)
@@ -118,7 +120,7 @@ class TestArenaPooling:
         assert not np.shares_memory(x, y)
 
     def test_shapes_without_elements_and_list_spellings(self):
-        a = WorkspaceArena(max_bytes=1 << 20)
+        a = WorkspaceArena()
         empty = a.get((0, 3), np.float32)
         assert empty.shape == (0, 3)
         a.release(empty)

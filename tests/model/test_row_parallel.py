@@ -6,6 +6,9 @@ monkeypatching ``aeris._CORES``, so it runs the same on a 1-core box."""
 
 import multiprocessing
 import os
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 
@@ -191,6 +194,68 @@ def test_a_forked_child_starts_its_own_pool(model, monkeypatch):
         child.join()
         pytest.fail("the split forward in the forked child hung")
     assert child.exitcode == 0
+
+
+#: A process that leaves the row pool live: a split forward, then a split
+#: forward whose worker shard raises, then the end of the script.
+_LIVE_POOL_SCRIPT = textwrap.dedent("""
+    import threading
+
+    import numpy as np
+
+    from repro.model import Aeris, AerisConfig
+    from repro.model import aeris
+    from repro.tensor import Tensor, no_grad
+
+    aeris._CORES = 2
+    config = AerisConfig(
+        name="quickstart", height=16, width=32, channels=9,
+        forcing_channels=3, dim=32, heads=4, ffn_dim=64, swin_layers=2,
+        blocks_per_layer=2, window=(4, 4), time_freqs=8)
+    model = Aeris(config, seed=0)
+    rng = np.random.default_rng(0)
+    grid = (16, config.height, config.width)
+    args = (Tensor(rng.normal(size=(*grid, 9)).astype(np.float32)),
+            Tensor(np.linspace(0.1, 1.5, 16, dtype=np.float32)),
+            Tensor(rng.normal(size=(*grid, 9)).astype(np.float32)),
+            Tensor(rng.normal(size=(*grid, 3)).astype(np.float32)))
+    with no_grad():
+        model(*args)
+    layer, main = model.layers[0], threading.get_ident()
+    original = layer.forward
+
+    def flaky(h, t_emb):
+        if threading.get_ident() != main:
+            raise RuntimeError("worker shard failed")
+        return original(h, t_emb)
+
+    object.__setattr__(layer, "forward", flaky)
+    try:
+        with no_grad():
+            model(*args)
+    except RuntimeError as exc:
+        assert "worker shard failed" in str(exc)
+    else:
+        raise SystemExit("the worker shard's error was lost")
+    assert any(t.name.startswith("aeris-rows")
+               for t in threading.enumerate()), "no pool thread is live"
+""")
+
+
+def test_interpreter_exits_with_the_pool_live():
+    """The ``aeris-rows`` threads are not daemons; an interpreter whose
+    pool served a split forward and a failed one must still exit, and
+    exit 0."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__)))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    try:
+        done = subprocess.run([sys.executable, "-c", _LIVE_POOL_SCRIPT],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail("the interpreter did not exit within 60 s")
+    assert done.returncode == 0, done.stderr
 
 
 class TestMemoryRule:

@@ -71,8 +71,7 @@ class TestPrometheus:
         it; the writer's help must still reach the export (a second,
         different help does not replace the first)."""
         def booked(reader_first: bool) -> str:
-            reg = MetricsRegistry()
-            with obs.observed(registry=reg):
+            with obs.observed() as (_, reg):
                 if reader_first:
                     assert reg.counter("serve.batches").total() == 0
                     assert reg.gauge("serve.cache_bytes").value() == 0

@@ -79,7 +79,6 @@ def golden_scenario(tiny_archive, serve_world, tmp_path) -> dict:
             serve_world, with_student=True, version="v1",
             config=ServiceConfig(n_workers=2,
                                  batcher=BatcherConfig(max_members=6)),
-            variable_names=[f"v{i}" for i in range(9)],
             validator=ForecastValidator.from_normalizer(
                 archive.state_normalizer()),
             injector=FaultInjector(FaultPlan(seed=5, events=(

@@ -216,7 +216,7 @@ class TestPullDetectors:
 class TestAlertManager:
     def test_dedup_within_cooldown(self):
         clock = StepClock()  # 1s per reading << cooldown
-        mgr = AlertManager(cooldown_s=60.0, clock=clock)
+        mgr = AlertManager(clock=clock)
         for _ in range(5):
             mgr.fire("k", "warning", "train", "msg", tier="fast")
         assert len(mgr.alerts) == 1
@@ -225,7 +225,7 @@ class TestAlertManager:
 
     def test_refires_after_cooldown(self):
         clock = StepClock(step=100.0)  # every reading jumps past cooldown
-        mgr = AlertManager(cooldown_s=60.0, clock=clock)
+        mgr = AlertManager(clock=clock)
         mgr.fire("k", "warning", "train", "msg")
         mgr.fire("k", "warning", "train", "msg")
         assert len(mgr.alerts) == 1  # still one deduplicated record

@@ -9,7 +9,7 @@ from repro.obs import Counter, Gauge, Histogram, MetricsRegistry
 
 class TestCounter:
     def test_inc_and_value_per_label_set(self):
-        c = Counter("bytes")
+        c = Counter("bytes", "")
         c.inc(10, primitive="alltoall", locality="intra")
         c.inc(5, primitive="alltoall", locality="inter")
         c.inc(2, primitive="alltoall", locality="intra")
@@ -18,7 +18,7 @@ class TestCounter:
         assert c.value(primitive="p2p") == 0
 
     def test_total_filters_by_label_subset(self):
-        c = Counter("bytes")
+        c = Counter("bytes", "")
         c.inc(10, primitive="alltoall", locality="intra")
         c.inc(5, primitive="p2p", locality="intra")
         c.inc(7, primitive="p2p", locality="inter")
@@ -28,18 +28,18 @@ class TestCounter:
 
     def test_negative_increment_rejected(self):
         with pytest.raises(ValueError):
-            Counter("c").inc(-1)
+            Counter("c", "").inc(-1)
 
 
 class TestGauge:
     def test_set_overwrites(self):
-        g = Gauge("loss")
+        g = Gauge("loss", "")
         g.set(2.0)
         g.set(1.5)
         assert g.value() == 1.5
 
     def test_labeled_series_independent(self):
-        g = Gauge("lr")
+        g = Gauge("lr", "")
         g.set(0.1, group="a")
         g.set(0.2, group="b")
         assert g.value(group="a") == 0.1
@@ -48,7 +48,7 @@ class TestGauge:
 
 class TestHistogram:
     def test_stats(self):
-        h = Histogram("t", buckets=(0.1, 1.0, 10.0))
+        h = Histogram("t", "", (0.1, 1.0, 10.0))
         for v in (0.05, 0.5, 5.0):
             h.observe(v)
         s = h.stats()
@@ -58,14 +58,14 @@ class TestHistogram:
         assert s["mean"] == pytest.approx(5.55 / 3)
 
     def test_bucket_counts_including_overflow(self):
-        h = Histogram("t", buckets=(1.0, 2.0))
+        h = Histogram("t", "", (1.0, 2.0))
         for v in (0.5, 1.5, 3.0, 100.0):
             h.observe(v)
         cell = h.series[()]
         assert cell["bucket_counts"] == [1, 1, 2]
 
     def test_unseen_labels_zero_stats(self):
-        h = Histogram("t")
+        h = MetricsRegistry().histogram("t")
         assert h.stats(metric="rmse")["count"] == 0
 
 

@@ -237,7 +237,7 @@ def golden_report():
     report.run(deploy_check, service, controller)
     report.run(obs.health_check, obs.HealthMonitor(clock=StepClock()),
                injector)
-    report.run(autotune_check, plan, topology=plan.chosen_topology)
+    report.run(autotune_check, plan, topology=plan.chosen.topology)
     return report
 
 

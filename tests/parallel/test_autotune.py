@@ -1,6 +1,7 @@
 """SWiPe layout autotuner: determinism, feasibility, calibration margin,
-snapshot roundtrip + drift detection, and stack wiring (Trainer
-``plan="auto"``, supervisor end-to-end with ``autotune_check``).
+snapshot roundtrip + drift detection, and ``autotune_check`` against an
+executed layout (the supervisor end to end is in
+``tests/resilience/test_supervisor.py``).
 
 ``golden_plan_numbers.json`` was recorded from the commit *before* the
 step-time composition moved into :func:`repro.perf.step_terms`
@@ -14,10 +15,9 @@ import dataclasses
 import json
 import os
 
-import numpy as np
 import pytest
 
-from repro.model import Aeris, TINY, count_parameters
+from repro.model import TINY, count_parameters
 from repro.obs import TraceReport, observed
 from repro.parallel.autotune import (
     CONFIGS,
@@ -30,11 +30,9 @@ from repro.parallel.autotune import (
     load_plan,
     plan_digest,
     plan_for,
-    resolve_plan,
     verify_plan,
 )
 from repro.perf import AURORA, LUMI, MemoryModel
-from repro.train import Trainer, TrainerConfig
 
 WORLD, GBS = 32, 8
 MB = (1, 2)
@@ -256,63 +254,12 @@ class TestOneCostModel:
                                                rel=1e-6)
 
 
-class TestResolvePlan:
-    def test_auto_derives(self):
-        p = resolve_plan("auto", TINY, AURORA, WORLD, GBS,
-                         micro_batches=MB)
-        assert p.chosen.world_size <= WORLD
-
-    def test_mismatched_plan_rejected(self, plan):
-        with pytest.raises(ValueError, match="does not apply"):
-            resolve_plan(plan, TINY, AURORA, WORLD, GBS + 8)
-        with pytest.raises(ValueError, match="does not apply"):
-            resolve_plan(plan, CONFIGS["small"], AURORA, WORLD, GBS)
-
-    def test_bogus_plan_argument_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_plan("fastest", TINY, AURORA, WORLD, GBS)
-        with pytest.raises(TypeError):
-            resolve_plan(42, TINY, AURORA, WORLD, GBS)
-
-
-class TestTrainerWiring:
-    def test_trainer_plan_auto(self, tiny_archive):
-        model = Aeris(TINY, seed=0)
-        with observed() as (tracer, registry):
-            trainer = Trainer(model, tiny_archive,
-                              TrainerConfig(batch_size=2, seed=0),
-                              plan="auto")
-            assert trainer.plan is not None
-            assert trainer.plan.chosen.pp == 1
-            trainer.train_step()
-            assert registry.gauge("autotune.predicted_step_s").value() > 0
-            assert registry.gauge("autotune.observed_step_s").value() > 0
-
-    def test_trainer_plan_is_bit_exact_with_unplanned(self, tiny_archive):
-        # The plan only books telemetry; numerics must be untouched.
-        a = Trainer(Aeris(TINY, seed=0), tiny_archive,
-                    TrainerConfig(batch_size=2, seed=0))
-        b = Trainer(Aeris(TINY, seed=0), tiny_archive,
-                    TrainerConfig(batch_size=2, seed=0), plan="auto")
-        for _ in range(2):
-            la = a.train_step()
-            lb = b.train_step()
-            assert la == lb
-
-    def test_trainer_rejects_foreign_plan(self, tiny_archive, tmp_path):
-        foreign = plan_for(TINY, AURORA, 1, 4, pipeline=False,
-                           micro_batches=(4,))
-        with pytest.raises(ValueError, match="does not apply"):
-            Trainer(Aeris(TINY, seed=0), tiny_archive,
-                    TrainerConfig(batch_size=2, seed=0), plan=foreign)
-
-
 class TestAutotuneCheck:
     def test_passes_on_a_sound_plan(self, plan):
         with observed() as (tracer, registry):
             report = TraceReport(tracer=tracer, registry=registry)
             result = report.run(autotune_check, plan,
-                                topology=plan.chosen_topology)
+                                topology=plan.chosen.topology)
         assert result["agrees"]
         assert result["chosen_feasible"]
         assert result["pruned_violations"] == []

@@ -283,3 +283,18 @@ class TestSwipeEngine:
         np.testing.assert_array_equal(t_a, t_b)   # deterministic per seed
         # The two DP replicas draw *different* noise levels.
         assert np.abs(t_a[:2] - t_a[2:]).max() > 1e-6
+
+    def test_indivisible_batch_rejected_before_any_pair_is_drawn(
+            self, tiny_archive):
+        """A global batch DP does not divide would leave its last rows
+        as uninitialised memory: ``make_training_pairs`` refuses it with
+        ``train_step``'s own error, and draws nothing first."""
+        topo = RankTopology(dp=2, pp=TINY16.pp_stages, wp_grid=(1, 1), sp=1)
+        engine = SwipeEngine(TINY16, tiny_archive, topo, seed=7)
+        residual = np.zeros((5, TINY16.height, TINY16.width,
+                             TINY16.channels), dtype=np.float32)
+        before = [rng.bit_generator.state for rng in engine.rngs_t]
+        with pytest.raises(ValueError, match="global batch 5 not divisible "
+                           "by DP=2"):
+            engine.make_training_pairs(residual)
+        assert [rng.bit_generator.state for rng in engine.rngs_t] == before

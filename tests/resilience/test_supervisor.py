@@ -14,7 +14,8 @@ import pytest
 from repro.model import AerisConfig
 from repro.obs import TraceReport, observed, prometheus_text
 from repro.parallel import RankTopology
-from repro.parallel.autotune import autotune_check
+from repro.parallel.autotune import autotune_check, plan_for
+from repro.perf import AURORA
 from repro.resilience import (
     BitFlip,
     ClusterFailure,
@@ -263,78 +264,85 @@ class TestTopologyDegrade:
 
 
 class TestAutotunedRecovery:
-    """Satellite coverage: a ``plan="auto"`` run re-tunes its layout after
-    a fail-stop — the re-planned layout must fit the survivors and the
-    run must finish with the executed topology matching the plan."""
+    """A run on a tuned layout — the plan's chosen topology and GAS, as
+    ``tools/autotune_cli.py plan`` derives them — executes exactly the
+    plan, and after a fail-stop re-grids onto a layout that fits the
+    survivors."""
 
     WORLD = 12
 
-    def _tuned(self, tmp, archive, fault_plan, tag, n_steps=N_STEPS):
+    @pytest.fixture(scope="class")
+    def plan(self):
+        return plan_for(MICRO, AURORA, self.WORLD, 8)
+
+    def _tuned(self, tmp, archive, plan, fault_plan, tag, n_steps=N_STEPS):
         sup = ElasticSupervisor(
-            MICRO, archive,
-            config=SupervisorConfig(seed=0, global_batch=8,
-                                    save_every=1,
-                                    checkpoint_root=str(tmp / tag)),
-            fault_plan=fault_plan, plan="auto", world_size=self.WORLD)
+            MICRO, archive, plan.chosen.topology,
+            SupervisorConfig(seed=0, global_batch=8, gas=plan.chosen.gas,
+                             save_every=1, checkpoint_root=str(tmp / tag)),
+            fault_plan=fault_plan)
         out = sup.run(n_steps)
         return sup, out
 
     @pytest.fixture(scope="class")
-    def tuned_chaos(self, tmp_path_factory, tiny_archive):
+    def tuned_run(self, tmp_path_factory, tiny_archive, plan):
+        tmp = tmp_path_factory.mktemp("tuned")
+        with observed() as (tracer, registry):
+            sup, out = self._tuned(tmp, tiny_archive, plan, None, "ck",
+                                   n_steps=3)
+        return sup, out, tracer, registry
+
+    @pytest.fixture(scope="class")
+    def tuned_chaos(self, tmp_path_factory, tiny_archive, plan):
         tmp = tmp_path_factory.mktemp("tuned-chaos")
         # Rank 4 sits at (dp=0, pp=1, wp=0, sp=0) in the tuned
         # dp1.pp3.wp1x2.sp2 layout — a pipeline-spine rank whose death
         # the engine's collectives actually observe.
-        plan = FaultPlan(events=(FailStop(rank=4, step=2),))
-        with observed() as (tracer, registry):
-            sup, out = self._tuned(tmp, tiny_archive, plan, "ck")
-        return sup, out, tracer, registry
+        faults = FaultPlan(events=(FailStop(rank=4, step=2),))
+        return self._tuned(tmp, tiny_archive, plan, faults, "ck")
 
-    def test_replanned_layout_fits_survivors(self, tuned_chaos):
-        sup, out, _, _ = tuned_chaos
+    def test_regridded_layout_fits_survivors(self, plan, tuned_chaos):
+        sup, out = tuned_chaos
+        assert plan.chosen.layout_key.startswith("dp1.pp3.wp1x2.sp2")
         assert len(out["recoveries"]) == 1
         rec = out["recoveries"][0]
-        assert rec["replanned"] is True
         old_world, new_world = rec["world_size"]
         assert new_world < old_world <= self.WORLD
-        # The supervisor executes exactly the re-tuned plan's choice.
-        assert sup.topology == sup.plan.chosen_topology
-        assert sup.plan.chosen.world_size <= new_world
-        assert sup.gas == sup.plan.chosen.gas
+        assert sup.topology == plan.chosen.topology.degrade(
+            rec["dead_ranks"])
         assert rec["layout"].startswith(
             f"dp{sup.topology.dp}.pp{sup.topology.pp}")
+        # The re-grid left the plan: the check says so.
+        with observed() as (tracer, registry):
+            result = TraceReport(tracer, registry).run(
+                autotune_check, plan, topology=sup.topology, config=MICRO)
+        assert result["topology_matches"] is False and not result["agrees"]
 
-    def test_training_completes_under_the_new_plan(self, tuned_chaos):
-        sup, out, _, _ = tuned_chaos
+    def test_training_completes_on_the_degraded_grid(self, tuned_chaos):
+        sup, out = tuned_chaos
         assert len(out["history"]) == N_STEPS
         assert np.isfinite(out["history"]).all()
         assert np.isfinite(sup.validation_loss())
 
-    def test_replan_is_booked(self, tuned_chaos):
-        _, _, _, registry = tuned_chaos
-        assert registry.counter("autotune.replans").total() == 1
-        assert registry.counter("autotune.plans").total() == 2  # plan+replan
-        assert registry.gauge("autotune.predicted_step_s").value() > 0
-        assert registry.gauge("autotune.observed_step_s").value() > 0
-
-    def test_autotune_check_passes_end_to_end(self, tuned_chaos):
+    def test_autotune_check_passes_end_to_end(self, plan, tuned_run):
         """Acceptance: the report reconciles the executed topology with
-        the (re-tuned) plan on a full smoke run."""
-        sup, _, tracer, registry = tuned_chaos
+        the plan on a full smoke run."""
+        sup, _, tracer, registry = tuned_run
         report = TraceReport(tracer, registry)
-        result = report.run(autotune_check, sup.plan,
-                            topology=sup.topology, config=MICRO)
+        result = report.run(autotune_check, plan, topology=sup.topology,
+                            config=MICRO)
         assert result["agrees"], result
         assert result["topology_matches"] is True
         assert result["chosen_feasible"]
         assert "autotune plan" in report.render()
 
-    def test_tuned_runs_are_bit_exact(self, tmp_path, tiny_archive):
+    def test_tuned_runs_are_bit_exact(self, tmp_path, tiny_archive, plan,
+                                      tuned_run):
         """The plan changes scheduling inputs deterministically; two
         identical tuned runs reproduce the same trajectory bit-for-bit."""
-        _, out_a = self._tuned(tmp_path, tiny_archive, None, "a", n_steps=3)
-        _, out_b = self._tuned(tmp_path, tiny_archive, None, "b", n_steps=3)
-        np.testing.assert_array_equal(out_a["history"], out_b["history"])
+        _, out = self._tuned(tmp_path, tiny_archive, plan, None, "b",
+                             n_steps=3)
+        np.testing.assert_array_equal(out["history"], tuned_run[1]["history"])
 
 
 class TestDegradeFitsSurvivors:

@@ -73,11 +73,10 @@ class TestDeterminism:
         assert np.array_equal(resp.forecast, direct)
 
     def test_variable_subsetting(self, serve_world):
-        names = [f"v{i}" for i in range(9)]
-        svc = make_service(serve_world, variable_names=names)
+        svc = make_service(serve_world)
         full = svc.serve(request(serve_world, seed=3))
         subset = svc.serve(request(serve_world, seed=3,
-                                   variables=("v2", "v5")))
+                                   variables=("V10", "Z500")))
         assert subset.ok and subset.forecast.shape[-1] == 2
         assert np.array_equal(subset.forecast, full.forecast[..., [2, 5]])
 
@@ -232,8 +231,7 @@ class TestBackpressure:
         assert resp.status == "rejected" and "bad_shape" in resp.error
 
     def test_unknown_variable_rejected(self, serve_world):
-        svc = make_service(serve_world,
-                           variable_names=[f"v{i}" for i in range(9)])
+        svc = make_service(serve_world)
         resp = svc.serve(request(serve_world, variables=("nope",)))
         assert resp.status == "rejected"
         assert "unknown_variable" in resp.error
@@ -348,7 +346,7 @@ GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 SCENARIO = {
     "a": ("standard", 2, 2, 7, 0, 0.0, None),
     "b": ("fast", 4, 2, 7, 0, 0.0, None),
-    "c": ("fast", 1, 3, 9, 3, 0.0, ("v2", "v5")),
+    "c": ("fast", 1, 3, 9, 3, 0.0, ("V10", "Z500")),
     "d": ("standard", 1, 1, 7, 0, 0.0, None),    # a's member 0, same batch
     "e": ("standard", 3, 2, 11, 3, 0.01, None),
     "f": ("fast", 4, 3, 7, 0, 0.04, None),        # resumes b's cached prefix
@@ -393,7 +391,6 @@ def golden_record(serve_world):
         serve_world, with_student=True,
         config=ServiceConfig(n_workers=2,
                              batcher=BatcherConfig(max_members=6)),
-        variable_names=[f"v{i}" for i in range(9)],
         validator=ForecastValidator.from_normalizer(
             archive.state_normalizer()),
         injector=FaultInjector(plan), duration_fn=_pinned_duration)
@@ -435,12 +432,10 @@ class TestPinnedScenario:
             self, serve_world, config):
         """Metamorphic: worker count, batch budget and cache on/off move
         batches, latencies and hit counts — never a forecast bit."""
-        names = [f"v{i}" for i in range(9)]
         ids = set(SCENARIO) - {"j"}
 
         def served(cfg):
             svc = make_service(serve_world, with_student=True, config=cfg,
-                               variable_names=names,
                                duration_fn=_pinned_duration)
             out = {r.request.request_id: r
                    for r in svc.run(scenario_requests(serve_world, ids))}

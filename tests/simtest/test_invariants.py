@@ -8,6 +8,14 @@ from repro.simtest import (Invariant, InvariantRegistry, Scenario,
 from repro.simtest.invariants import sanitize
 
 TRAIN = Scenario(seed=0, workload="train", train=TrainParams())
+
+
+def registry_of(*invariants):
+    """An :class:`InvariantRegistry` holding ``invariants``, in order."""
+    reg = InvariantRegistry()
+    for inv in invariants:
+        reg.register(inv)
+    return reg
 SERVE_DICT = {"seed": 1, "workload": "serve", "events": [],
               "fault_seed": 0,
               "rates": {"p_bitflip": 0, "p_drop": 0, "p_straggle": 0,
@@ -62,22 +70,22 @@ class TestRegistry:
 
     def test_workload_gating(self):
         calls = []
-        reg = InvariantRegistry([
+        reg = registry_of(
             Invariant("train_only", lambda s, a: calls.append("t") or [],
                       workloads=("train",)),
             Invariant("serve_only", lambda s, a: calls.append("s") or [],
                       workloads=("serve",)),
-        ])
+        )
         reg.evaluate(TRAIN, {"outcome": "completed"})
         assert calls == ["t"]
 
     def test_outcome_gating(self):
-        reg = InvariantRegistry([
+        reg = registry_of(
             Invariant("completed_only", lambda s, a: [Violation.of(
                 "completed_only", "ran")]),
             Invariant("always", lambda s, a: [Violation.of(
                 "always", "ran")], outcomes=()),
-        ])
+        )
         names = [v.invariant for v in reg.evaluate(
             TRAIN, {"outcome": "cluster_failure"})]
         assert names == ["always"]
@@ -85,22 +93,22 @@ class TestRegistry:
     def test_crashing_invariant_becomes_violation(self):
         def boom(scenario, artifacts):
             raise KeyError("artifact the runner never produced")
-        reg = InvariantRegistry([Invariant("fragile", boom)])
+        reg = registry_of(Invariant("fragile", boom))
         out = reg.evaluate(TRAIN, {"outcome": "completed"})
         assert len(out) == 1
         assert out[0].invariant == "fragile"
         assert "crashed" in out[0].message
 
     def test_violations_deterministically_sorted(self):
-        reg = InvariantRegistry([
+        reg = registry_of(
             Invariant("zeta", lambda s, a: [Violation.of("zeta", "z")]),
             Invariant("alpha", lambda s, a: [Violation.of("alpha", "a")]),
-        ])
+        )
         out = reg.evaluate(TRAIN, {"outcome": "completed"})
         assert [v.invariant for v in out] == ["alpha", "zeta"]
 
     def test_needs(self):
-        reg = InvariantRegistry([Invariant("x", lambda s, a: [])])
+        reg = registry_of(Invariant("x", lambda s, a: []))
         assert reg.needs("x") and not reg.needs("y")
 
 

@@ -11,6 +11,8 @@ from repro.simtest import (InvariantRegistry, RunResult, Scenario,
                            ScenarioGen, SimRunner, TrainParams, Violation,
                            load_repro, violations_fingerprint, write_repro)
 
+from .test_invariants import registry_of
+
 GEN = ScenarioGen()
 
 
@@ -95,9 +97,9 @@ class TestInvariantsCatchSeededBugs:
                    for v in out)
 
     def test_nonmonotonic_checkpoints_flagged(self):
-        reg = InvariantRegistry([inv for inv in
-                                 InvariantRegistry.default().invariants
-                                 if inv.name == "train.checkpoint_monotonic"])
+        reg = registry_of(*[inv for inv in
+                            InvariantRegistry.default().invariants
+                            if inv.name == "train.checkpoint_monotonic"])
         sc = Scenario(seed=0, workload="train",
                       train=TrainParams(n_steps=3, save_every=1))
         out = reg.evaluate(sc, {

@@ -3,8 +3,10 @@ minimal scenario that still trips the same invariant."""
 
 import pytest
 
-from repro.simtest import (Invariant, InvariantRegistry, Scenario,
-                           SimRunner, TrainParams, Violation, shrink)
+from repro.simtest import (Invariant, Scenario, SimRunner, TrainParams,
+                           Violation, shrink)
+
+from .test_invariants import registry_of
 
 #: A "bug" with a known trigger: any injected straggler fault fails.
 #: Everything else in the scenario (flips, drops, extra steps) is noise
@@ -16,10 +18,9 @@ def _straggler_bug(scenario, artifacts):
     return []
 
 
-SYNTHETIC = InvariantRegistry([
+SYNTHETIC = registry_of(
     Invariant("synthetic.straggler_bug", _straggler_bug,
-              outcomes=("completed",)),
-])
+              outcomes=("completed",)))
 
 NOISY = Scenario(
     seed=99, workload="train",

@@ -129,6 +129,7 @@ class TestMain:
         found, summary = run_rule("metric-names")
         assert found == []
         # The lint once matched registry chains only and would have passed
-        # a tree whose writers had all moved to the hooks: it must see them.
+        # a tree whose writers had all moved to the hooks: it must see them
+        # (66 since the plan route's four bookings went).
         booked = re.search(r"(\d+) booking calls", summary)
-        assert int(booked.group(1)) >= 70
+        assert int(booked.group(1)) >= 66

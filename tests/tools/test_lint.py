@@ -290,8 +290,12 @@ class TestCheckOptions:
     def test_repo_options_all_have_setters_and_stay_counted(self):
         found, summary = run_rule("options")
         assert found == []
-        assert int(summary.split()[1]) <= 78  # 143 once; do not regrow
-        assert summary.endswith(f"({len(lint.DEPLOYMENT)} deployment)")
+        words = summary.split()
+        assert int(words[1]) <= 78  # 143 once; do not regrow
+        assert int(words[5]) <= 90  # 124 once; do not regrow
+        assert summary.endswith(
+            f"({len(lint.DEPLOYMENT)} deployment), {words[5]} parameters "
+            f"({len(lint.SEAMS)} seams)")
 
 
 class TestTestsOnlyOptions:
@@ -300,11 +304,13 @@ class TestTestsOnlyOptions:
     capacities that stay settable anyway."""
 
     MOD = os.path.join("src", "repro", "cfg.py")
+    SUMMARY = "options: 2 fields ({} deployment), 0 parameters (0 seams)"
 
     @pytest.fixture
     def repo(self, tmp_path, monkeypatch):
         monkeypatch.setattr(lint, "REPO_ROOT", str(tmp_path))
         monkeypatch.setattr(lint, "DEPLOYMENT", {})
+        monkeypatch.setattr(lint, "SEAMS", {})
         pkg = tmp_path / "src" / "repro"
         pkg.mkdir(parents=True)
         (pkg / "cfg.py").write_text(TestCheckOptions.DECLARED
@@ -317,18 +323,18 @@ class TestTestsOnlyOptions:
     def test_field_set_only_by_tests_is_flagged(self, repo):
         assert run_rule("options") == (
             [f"{self.MOD}:5: XConfig.knob_b is set only by tests — make it "
-             "a constant"], "options: 2 fields (0 deployment)")
+             "a constant"], self.SUMMARY.format(0))
 
     def test_one_production_setter_clears_it(self, repo):
         (repo / "examples").mkdir()
         (repo / "examples" / "demo.py").write_text(
             "from repro.cfg import XConfig\n\nXConfig(1, 2)\n")
-        assert run_rule("options") == ([], "options: 2 fields (0 deployment)")
+        assert run_rule("options") == ([], self.SUMMARY.format(0))
 
     def test_deployment_entry_exempts_it(self, repo, monkeypatch):
         monkeypatch.setattr(lint, "DEPLOYMENT", {
             "cfg.py::XConfig.knob_b": "a site's capacity; tests/test_cfg.py"})
-        assert run_rule("options") == ([], "options: 2 fields (1 deployment)")
+        assert run_rule("options") == ([], self.SUMMARY.format(1))
 
     def test_stale_deployment_entry_is_a_finding(self, repo, monkeypatch):
         monkeypatch.setattr(lint, "DEPLOYMENT", {
@@ -339,7 +345,101 @@ class TestTestsOnlyOptions:
             [f"{self.MOD}:4: DEPLOYMENT entry XConfig.knob_a has a "
              "production setter now (drop the entry)",
              f"{self.MOD}:1: DEPLOYMENT entry XConfig.gone names no field"],
-            "options: 2 fields (2 deployment)")
+            self.SUMMARY.format(2))
+
+
+class TestTestsOnlyParameters:
+    """A defaulted ``__init__`` parameter is an option too: production
+    must pass it somewhere, or ``SEAMS`` names the test seam it is."""
+
+    MOD = os.path.join("src", "repro", "eng.py")
+    ENGINE = ("class Engine:\n"
+              "    def __init__(self, size, knob=1, *, clock=None):\n"
+              "        self.size, self.knob, self.clock = size, knob, clock\n"
+              "\n"
+              "    @classmethod\n"
+              "    def small(cls):\n"
+              "        return cls(1)\n")
+
+    @pytest.fixture
+    def repo(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(lint, "REPO_ROOT", str(tmp_path))
+        monkeypatch.setattr(lint, "DEPLOYMENT", {})
+        monkeypatch.setattr(lint, "SEAMS", {})
+        pkg = tmp_path / "src" / "repro"
+        pkg.mkdir(parents=True)
+        (pkg / "eng.py").write_text(self.ENGINE)
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "test_eng.py").write_text(
+            "from repro.eng import Engine\n\n"
+            "Engine(2, knob=3, clock=lambda: 0.0)\n")
+        (tmp_path / "examples").mkdir()
+        return tmp_path
+
+    @staticmethod
+    def found():
+        """The options findings, ``path:line: `` stripped."""
+        return [f.split(": ", 1)[1] for f in run_rule("options")[0]]
+
+    def test_parameter_set_only_by_tests_is_flagged(self, repo):
+        assert self.found() == [
+            "Engine.knob is set only by tests — make it a constant",
+            "Engine.clock is set only by tests — make it a constant"]
+        (repo / "tests" / "test_eng.py").write_text("")
+        assert self.found() == [
+            "Engine.knob has no setter — make it a constant",
+            "Engine.clock has no setter — make it a constant"]
+
+    def test_keyword_and_position_clear_it(self, repo):
+        (repo / "examples" / "demo.py").write_text(
+            "from repro.eng import Engine\n\n"
+            "Engine(2, 5)\nEngine(size=2, clock=None)\n")
+        assert self.found() == []
+
+    def test_a_call_of_cls_in_a_classmethod_counts(self, repo):
+        (repo / "src" / "repro" / "eng.py").write_text(self.ENGINE.replace(
+            "cls(1)", "cls(1, clock=None)"))
+        assert self.found() == [
+            "Engine.knob is set only by tests — make it a constant"]
+
+    def test_super_init_in_a_subclass_clears_it(self, repo):
+        (repo / "examples" / "demo.py").write_text(
+            "from repro.eng import Engine\n\n"
+            "class Fast(Engine):\n"
+            "    def __init__(self):\n"
+            "        super().__init__(2, 7, clock=None)\n")
+        assert self.found() == []
+
+    def test_a_subclass_that_inherits_init_is_a_call_of_it(self, repo):
+        (repo / "src" / "repro" / "fast.py").write_text(
+            "from .eng import Engine\n\n\nclass Fast(Engine):\n"
+            "    pass\n\n\nFAST = Fast(2, knob=4, clock=None)\n")
+        assert self.found() == []
+
+    def test_star_kwargs_set_every_parameter(self, repo):
+        (repo / "examples" / "demo.py").write_text(
+            "from repro.eng import Engine\n\n"
+            "def build(**kw):\n    return Engine(2, **kw)\n")
+        assert self.found() == []
+
+    def test_seams_entry_exempts_it(self, repo, monkeypatch):
+        monkeypatch.setattr(lint, "SEAMS", {
+            "eng.py::Engine.clock": "a stepping clock; tests/test_eng.py"})
+        assert self.found() == [
+            "Engine.knob is set only by tests — make it a constant"]
+        assert run_rule("options")[1].endswith(", 2 parameters (1 seams)")
+
+    def test_stale_seams_entry_is_a_finding(self, repo, monkeypatch):
+        (repo / "examples" / "demo.py").write_text(
+            "from repro.eng import Engine\n\nEngine(2, knob=5)\n")
+        monkeypatch.setattr(lint, "SEAMS", {
+            "eng.py::Engine.knob": "stale: examples/demo.py sets it",
+            "eng.py::Engine.clock": "a stepping clock",
+            "eng.py::Engine.gone": "stale: no such parameter"})
+        assert run_rule("options")[0] == [
+            f"{self.MOD}:2: SEAMS entry Engine.knob has a production "
+            "setter now (drop the entry)",
+            f"{self.MOD}:1: SEAMS entry Engine.gone names no parameter"]
 
 
 class TestDeadNames:

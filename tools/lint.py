@@ -91,6 +91,28 @@ DEPLOYMENT = {
         "tests/train/test_resume.py",
 }
 
+#: Constructor parameters that stay settable with no production setter
+#: because tests substitute a collaborator through them, ``"path under
+#: src/repro::Class.param"`` -> the seam, and the test that substitutes
+#: through it.  An entry whose parameter is gone, or which has a
+#: production setter now, is itself a finding.
+SEAMS = {
+    "obs/profile.py::monitored.clock":
+        "a stepping clock makes every timestamp of a monitored session "
+        "deterministic (DESIGN §11); tests/obs/test_golden_metrics.py",
+    "simtest/runner.py::SimWorld.train_archive":
+        "the session's archive, shared instead of rebuilt per scenario "
+        "(DESIGN §15); tests/simtest/conftest.py",
+    "simtest/runner.py::SimWorld.serve_components":
+        "the session's trained serve stack, shared instead of retrained "
+        "(DESIGN §15); tests/simtest/conftest.py",
+    "simtest/runner.py::SimRunner.world":
+        "the shared world above; tests/simtest/conftest.py",
+    "simtest/runner.py::SimRunner.registry":
+        "a synthetic invariant the shrinker must reduce a scenario to "
+        "(DESIGN §15); tests/simtest/test_shrink.py",
+}
+
 
 def _src(*parts: str) -> str:
     return os.path.join(REPO_ROOT, "src", "repro", *parts)
@@ -366,32 +388,108 @@ def clones(tree: Tree) -> tuple[list[str], str]:
 OPTION_CLASS = re.compile(r"(Config|Policy)$|^FaultPlan$")
 
 
+def _calls(node: ast.AST, cls: ast.ClassDef | None = None,
+           fn: ast.AST | None = None) -> Iterator[tuple]:
+    """``(call, enclosing class, enclosing def of that class)`` of every
+    call under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            yield child, cls, fn
+        if isinstance(child, ast.ClassDef):
+            yield from _calls(child, child, None)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _calls(child, cls, fn or child)
+        else:
+            yield from _calls(child, cls, fn)
+
+
+def _base_names(node: ast.ClassDef) -> list[str]:
+    return [getattr(b, "id", None) or getattr(b, "attr", "")
+            for b in node.bases]
+
+
+def _init_target(node: ast.Call, cls: ast.ClassDef | None, fn,
+                 owner) -> tuple[str | None, int]:
+    """``(class, leading positionals to skip)``: whose ``__init__`` the
+    call runs, if it runs one under the roots."""
+    func = node.func
+    name = getattr(func, "id", None) or getattr(func, "attr", None)
+    if name != "__init__":
+        if name == "cls" and isinstance(func, ast.Name) and cls is not None:
+            in_classmethod = fn is not None and any(
+                getattr(d, "id", None) == "classmethod"
+                for d in fn.decorator_list)
+            return (owner(cls.name) if in_classmethod else None), 0
+        return owner(name), 0
+    if (isinstance(func.value, ast.Call) and cls is not None
+            and getattr(func.value.func, "id", None) == "super"):
+        return next(filter(None, map(owner, _base_names(cls))), None), 0
+    if isinstance(func.value, ast.Name):
+        return owner(func.value.id), 1
+    return None, 0
+
+
 def options(tree: Tree) -> tuple[list[str], str]:
     """Every field of a ``*Config`` / ``*Policy`` / ``FaultPlan``
-    dataclass is set by production code — a file under the roots or
-    :data:`CALLER_ROOTS` — by keyword or position to its constructor, or
-    as a keyword of any ``replace(...)`` (matched by field name), or is in
-    :data:`DEPLOYMENT`.  ``**kwargs`` sets nothing.  A field with no
-    setter, or set only under ``tests/``, is a constant that looks like a
-    choice."""
+    dataclass, and every defaulted ``__init__`` parameter of a class under
+    the roots, is set by production code — a file under the roots or
+    :data:`CALLER_ROOTS` — or is in :data:`DEPLOYMENT` (fields) or
+    :data:`SEAMS` (parameters).  A field or parameter with no setter, or
+    set only under ``tests/``, is a constant that looks like a choice.
+
+    A field is set by keyword or position to its constructor, or as a
+    keyword of any ``replace(...)`` (matched by field name); ``**kwargs``
+    sets no field.  A parameter is set by keyword or position to a call of
+    its class (or of a subclass that inherits its ``__init__``), of
+    ``super().__init__`` in a subclass, of ``Base.__init__(self, ...)`` or
+    of ``cls(...)`` in a classmethod; a call with ``*args`` or ``**kwargs``
+    sets every parameter."""
     declared: dict[str, list[tuple[str, str]]] = {}  # class -> [(field, at)]
+    bases: dict[str, list[str]] = {}  # class -> base names
+    #: class -> (positional parameter names, [(defaulted parameter, at)])
+    inits: dict[str, tuple[list[str], list[tuple[str, str]]]] = {}
     module: dict[str, str] = {}  # class -> path under src/repro
     for src in tree.files:
         for node in src.nodes:
-            if (isinstance(node, ast.ClassDef) and OPTION_CLASS.search(
-                    node.name) and any("dataclass" in ast.unparse(d)
-                                       for d in node.decorator_list)):
-                module[node.name] = os.path.relpath(
-                    src.path, _src()).replace(os.sep, "/")
+            if not isinstance(node, ast.ClassDef):
+                continue
+            module[node.name] = os.path.relpath(
+                src.path, _src()).replace(os.sep, "/")
+            bases[node.name] = _base_names(node)
+            if OPTION_CLASS.search(node.name) and any(
+                    "dataclass" in ast.unparse(d)
+                    for d in node.decorator_list):
                 declared[node.name] = [
                     (stmt.target.id, f"{src.rel}:{stmt.lineno}")
                     for stmt in node.body
                     if isinstance(stmt, ast.AnnAssign)
                     and isinstance(stmt.target, ast.Name)
                     and "ClassVar" not in ast.unparse(stmt.annotation)]
-    # A call's callee is in the file's text: parse only files that could
-    # hold a setter.
-    callees = [name.encode() for name in (*declared, "replace")]
+            for stmt in node.body:
+                if (isinstance(stmt, ast.FunctionDef)
+                        and stmt.name == "__init__"):
+                    args = stmt.args
+                    positional = [*args.posonlyargs, *args.args][1:]
+                    defaulted = positional[len(positional)
+                                           - len(args.defaults):] + [
+                        a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                        if d is not None]
+                    inits[node.name] = (
+                        [a.arg for a in positional],
+                        [(a.arg, f"{src.rel}:{a.lineno}") for a in defaulted])
+
+    def owner(name: str | None, seen: frozenset = frozenset()) -> str | None:
+        """The class under the roots whose ``__init__`` ``name(...)``
+        runs, if any."""
+        if name in inits or name not in bases or name in seen:
+            return name if name in inits else None
+        return next(filter(None, (owner(b, seen | {name})
+                                  for b in bases[name])), None)
+
+    # A call's callee is in the file's text (a ``super().__init__`` or
+    # ``cls(...)`` call sits under a class statement naming its base or
+    # itself): parse only files that could hold a setter.
+    callees = [name.encode() for name in (*bases, "replace")]
     production = set(iter_python_files(tree.roots + [
         os.path.join(REPO_ROOT, d) for d in CALLER_ROOTS]))
     setters: dict[tuple[str, str], bool] = {}  # -> set by production code?
@@ -399,42 +497,60 @@ def options(tree: Tree) -> tuple[list[str], str]:
         [os.path.join(REPO_ROOT, "tests")])])
     for src in tree.parsed(p for p in paths if any(
             name in tree.read(p).data for name in callees)):
-        for node in src.nodes:
-            if not isinstance(node, ast.Call):
-                continue
+        for node, cls, fn in _calls(src.tree):
             name = (getattr(node.func, "id", None)
                     or getattr(node.func, "attr", None))
             named = [kw.arg for kw in node.keywords if kw.arg]
+            n_pos = next((i for i, a in enumerate(node.args)
+                          if isinstance(a, ast.Starred)), len(node.args))
+            hits = []
             if name == "replace":
-                hits = [(cls, f) for cls, fields in declared.items()
+                hits = [(c, f) for c, fields in declared.items()
                         for f, _ in fields if f in named]
             elif name in declared:
                 fields = [f for f, _ in declared[name]]
-                n_pos = next((i for i, a in enumerate(node.args)
-                              if isinstance(a, ast.Starred)), len(node.args))
                 hits = [(name, f) for f in fields[:n_pos] + named]
-            else:
-                continue
+            target, skip = _init_target(node, cls, fn, owner)
+            if target is not None:
+                positional, params = inits[target]
+                every = (n_pos < len(node.args)
+                         or len(named) < len(node.keywords))
+                covered = {*positional[:max(n_pos - skip, 0)], *named}
+                hits += [(target, p) for p, _ in params
+                         if every or p in covered]
             for hit in hits:
                 setters[hit] = setters.get(hit) or src.path in production
-    deployment, found = dict(DEPLOYMENT), []
-    for cls, fields in declared.items():
-        for f, at in fields:
-            by_production = setters.get((cls, f))  # None: no setter at all
-            if deployment.pop(f"{module[cls]}::{cls}.{f}", None) is not None:
-                if by_production:
-                    found.append(f"{at}: DEPLOYMENT entry {cls}.{f} has a "
-                                 "production setter now (drop the entry)")
-            elif by_production is None:
-                found.append(f"{at}: {cls}.{f} has no setter — make it a "
-                             "constant")
-            elif not by_production:
-                found.append(f"{at}: {cls}.{f} is set only by tests — make "
-                             "it a constant")
-    found += _unmatched(tree, "DEPLOYMENT", deployment, "field")
-    n_deployment = len(DEPLOYMENT) - len(deployment)
+    found: list[str] = []
+
+    def judge(table: dict[str, str], table_name: str, kind: str,
+              owned: dict[str, list[tuple[str, str]]]) -> int:
+        """Append the findings over ``owned``; the number of ``table``
+        entries that exempt something."""
+        left = dict(table)
+        for cls, names in owned.items():
+            for n, at in names:
+                by_production = setters.get((cls, n))  # None: no setter
+                if left.pop(f"{module[cls]}::{cls}.{n}", None) is not None:
+                    if by_production:
+                        found.append(f"{at}: {table_name} entry "
+                                     f"{cls}.{n} has a production setter "
+                                     "now (drop the entry)")
+                elif by_production is None:
+                    found.append(f"{at}: {cls}.{n} has no setter — make it "
+                                 "a constant")
+                elif not by_production:
+                    found.append(f"{at}: {cls}.{n} is set only by tests — "
+                                 "make it a constant")
+        found.extend(_unmatched(tree, table_name, left, kind))
+        return len(table) - len(left)
+
+    n_deployment = judge(DEPLOYMENT, "DEPLOYMENT", "field", declared)
+    n_seams = judge(SEAMS, "SEAMS", "parameter",
+                    {cls: params for cls, (_, params) in inits.items()})
     return found, (f"options: {sum(map(len, declared.values()))} fields "
-                   f"({n_deployment} deployment)")
+                   f"({n_deployment} deployment), "
+                   f"{sum(len(p) for _, p in inits.values())} parameters "
+                   f"({n_seams} seams)")
 
 
 def _probe_names(tree: Tree) -> set[str]:
