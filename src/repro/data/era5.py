@@ -142,11 +142,6 @@ class SyntheticReanalysis:
         return clim[doy]
 
     # -- sample access -----------------------------------------------------------
-    def pair(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(x_i, x_{i+1}, forcings_i)`` in physical units."""
-        return (self.fields[i], self.fields[i + 1],
-                self.forcing_provider(self.gcm_step(i)))
-
     def training_batch(self, indices: np.ndarray, state_norm: FieldNormalizer,
                        residual_norm: FieldNormalizer,
                        forcing_norm: FieldNormalizer

@@ -28,8 +28,9 @@ tape-free, is held to.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextvars import ContextVar
 
+from ..scoped import scoped
 from ..tensor import is_grad_enabled
 from .abft import abft_guard, guard_gemm
 from .fused import (
@@ -60,28 +61,21 @@ __all__ = [
     "fused_time_features", "fused_concat_add",
 ]
 
-_ENABLED = True
+_ENABLED = ContextVar("kernels_enabled", default=True)
 
 
 def kernels_enabled() -> bool:
     """Whether consumers should take the planned/fused paths."""
-    return _ENABLED
+    return _ENABLED.get()
 
 
 def _tape_free() -> bool:
     """Whether a module may hand its kernels raw arrays: the kernel layer
     is live and no graph is being recorded (``no_grad``), so a kernel may
     write in place on what the module owns, or has a raw form alone."""
-    return _ENABLED and not is_grad_enabled()
+    return _ENABLED.get() and not is_grad_enabled()
 
 
-@contextmanager
 def disable_kernels():
     """Run the block on the reference (unfused, plan-free) paths."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = False
-    try:
-        yield
-    finally:
-        _ENABLED = previous
+    return scoped(_ENABLED, False)

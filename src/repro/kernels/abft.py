@@ -27,7 +27,10 @@ Numerical contract:
   exponent bit precisely so injected faults always clear the floor.
 
 The guard is off by default and costs
-one module-global check per GEMM; :func:`abft_guard` arms it for a scope.
+one context-variable read per GEMM; :func:`abft_guard` arms it for a
+scope.  Guard and injector are per-thread context variables
+(:mod:`repro.scoped`) a row-shard worker inherits from its caller; the
+workspace arena and FLOP counters stay per thread, merged at the join.
 Fault *injection* (via :func:`repro.resilience.inject_compute`) is
 consulted independently of the guard, so an undefended run can
 demonstrate silent corruption.
@@ -35,7 +38,7 @@ demonstrate silent corruption.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -43,6 +46,7 @@ from ..obs.profile import record_event as _record_event
 from ..obs.profile import span as _span
 from ..resilience.faults import (ComputeCorruption, compute_injector,
                                  count_sdc_detected)
+from ..scoped import scoped
 
 __all__ = ["abft_guard", "guard_gemm", "guards_live"]
 
@@ -51,26 +55,19 @@ __all__ = ["abft_guard", "guard_gemm", "guards_live"]
 #: comfortably clear while an exponent-bit flip overshoots by >1e3x.
 _SAFETY = 8.0
 
-_ENABLED = False
+_ENABLED = ContextVar("abft_guard", default=False)
 
 
-@contextmanager
 def abft_guard(enabled: bool = True):
     """Arm (or explicitly disarm) ABFT verification for the block."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = enabled
-    try:
-        yield
-    finally:
-        _ENABLED = previous
+    return scoped(_ENABLED, enabled)
 
 
 def guards_live() -> bool:
     """Whether :func:`guard_gemm` does anything: ABFT is armed or a compute
     fault injector is installed.  Both address GEMMs by their order in the
     step, so a caller that would reorder guarded GEMMs keeps them serial."""
-    return _ENABLED or compute_injector() is not None
+    return _ENABLED.get() or compute_injector() is not None
 
 
 def _record_detected(label: str, detail: str) -> None:
@@ -139,12 +136,12 @@ def guard_gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     Consults the active compute injector (corrupting ``c`` in place when
     a fault fires — modeling the hardware flipping an output bit), then
     verifies the column checksums when ABFT is armed.  Returns ``c``
-    unchanged on the clean path; the double-global check keeps the
-    unguarded hot path at two attribute loads.
+    unchanged on the clean path; the two switch reads keep the
+    unguarded hot path at two context-variable loads.
     """
     inj = compute_injector()
     if inj is not None and inj.compute_fault("gemm"):
         inj.corrupt_compute(c)
-    if _ENABLED:
+    if _ENABLED.get():
         _verify_gemm(a, b, c, label)
     return c

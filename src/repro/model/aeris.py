@@ -23,6 +23,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import nullcontext
+from contextvars import copy_context
 
 import numpy as np
 
@@ -101,9 +102,10 @@ def _run_row_shards(swin, h: np.ndarray, t_emb: np.ndarray,
     rows: memory freed on a thread other than the main one stays in a
     malloc arena of that thread's own, which keeps its high-water mark, and
     a piece's intermediates are what bound it (DESIGN §10).  An exception
-    of any shard is raised once every shard has finished.  FLOPs a worker
-    executes are booked to the caller's active counters after the join (a
-    thread books to its own)."""
+    of any shard is raised once every shard has finished.  A worker runs
+    in a copy of the caller's context, so under the caller's switches
+    (:mod:`repro.scoped`).  FLOPs a worker executes are booked to the
+    caller's active counters after the join (a thread books to its own)."""
     out = np.empty_like(h)
     counted = flops_enabled()
 
@@ -122,7 +124,8 @@ def _run_row_shards(swin, h: np.ndarray, t_emb: np.ndarray,
                 run_rows(a, b)
         return counter.forward if counted else 0
 
-    workers = [_pool().submit(shard, i) for i in range(1, len(bounds) - 1)]
+    workers = [_pool().submit(copy_context().run, shard, i)
+               for i in range(1, len(bounds) - 1)]
     try:
         shard(0)
     finally:

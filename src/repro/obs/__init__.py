@@ -8,7 +8,7 @@ The measurement substrate behind the reproduction's performance claims
 * :mod:`~repro.obs.trace` — nested timed spans exported as Chrome
   ``trace_event`` JSON (open in ``chrome://tracing`` / Perfetto) or a
   plain-text summary table;
-* :mod:`~repro.obs.profile` — global on/off switch plus the zero-cost
+* :mod:`~repro.obs.profile` — scoped on/off switch plus the zero-cost
   hooks instrumented code calls (``span`` / ``record_event`` /
   ``count`` / ``gauge`` / ``observe``);
 * :mod:`~repro.obs.flight` — bounded ring-buffer flight recorder dumping

@@ -155,13 +155,11 @@ class HealthMonitor:
         self._loss_observed = 0
         # per-tier (fast, slow) deques of SLO miss booleans
         self._burn: dict[str, tuple[deque, deque]] = {}
-        self.observations = 0
 
     # -- online: training -------------------------------------------------
     def observe_step(self, step: int, loss: float,
                      grad_norm: float | None = None) -> None:
         """Feed one training step's loss (and optionally gradient norm)."""
-        self.observations += 1
         if not math.isfinite(loss):
             self.alerts.fire(
                 "train.loss_nonfinite", "critical", "train",
@@ -209,7 +207,6 @@ class HealthMonitor:
     def observe_latency(self, tier: str, latency_s: float,
                         slo_s: float) -> None:
         """Feed one completed request's latency into the burn windows."""
-        self.observations += 1
         fast, slow = self._burn.setdefault(
             tier, (deque(maxlen=BURN_FAST_WINDOW),
                    deque(maxlen=BURN_SLOW_WINDOW)))
@@ -230,7 +227,6 @@ class HealthMonitor:
 
     def observe_queue_depth(self, tier: str, depth: int, cap: int) -> None:
         """Feed one admission-time queue depth against the tier cap."""
-        self.observations += 1
         if cap > 0 and depth >= QUEUE_SATURATION_FRAC * cap:
             self.alerts.fire(
                 "serve.queue_saturation", "warning", "serve",
@@ -260,17 +256,6 @@ class HealthMonitor:
                 f"{int(skipped)} step(s) skipped by the NaN/Inf guard",
                 data={"skipped_steps": int(skipped)})
         return counts
-
-    # -- reporting ---------------------------------------------------------
-    def report(self) -> dict:
-        """JSON-friendly state rollup."""
-        return {
-            "observations": self.observations,
-            "ewma_fast": self._ewma_fast,
-            "ewma_slow": self._ewma_slow,
-            "alert_kinds": sorted(self.alerts.kinds()),
-            "alerts": self.alerts.summary(),
-        }
 
 
 def health_check(report, monitor, injector=None) -> dict:

@@ -215,11 +215,6 @@ class MetricsRegistry:
             self._get(cls, name, data.get("help", ""), **kwargs) \
                 .load(data, merge=merge)
 
-    def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":
-        """Accumulate ``other``'s series into this registry (in place)."""
-        self.load_snapshot(other.snapshot(), merge=True)
-        return self
-
     def to_json(self, indent: int | None = None) -> str:
         return json.dumps(self.snapshot(), indent=indent)
 

@@ -1,4 +1,4 @@
-"""Global observability state + zero-cost profiling hooks.
+"""Scoped observability state + zero-cost profiling hooks.
 
 Tracing/metrics are **off by default**.  Instrumented call sites go
 through the hooks here, which are strict no-ops while disabled:
@@ -15,7 +15,9 @@ through the hooks here, which are strict no-ops while disabled:
   recorder is installed, and :func:`health` returns ``None`` so the
   online detectors cost nothing while monitoring is off.
 
-Enable globally with :func:`enable`, or scoped with ``with observed() as
+The active sinks are context variables (:mod:`repro.scoped`): a thread
+sees its own, and a row-shard worker its caller's.  Enable in the calling
+context with :func:`enable`, or for a block with ``with observed() as
 (tracer, registry): ...``.  The *active* health layer (flight recorder +
 detectors, see :mod:`repro.obs.health`) is a separate opt-in on top:
 :func:`enable_health` / :func:`disable_health`, or everything at once
@@ -27,6 +29,7 @@ event) objects.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from typing import NamedTuple
 
 from .flight import FlightRecorder
@@ -39,53 +42,59 @@ __all__ = ["enable", "disable", "observed", "get_tracer",
            "enable_health", "disable_health", "health", "flight",
            "record_event", "monitored", "MonitoredSession"]
 
-_tracer: Tracer | None = None
-_registry: MetricsRegistry | None = None
-_flight: FlightRecorder | None = None
-_health: HealthMonitor | None = None
+_tracer = ContextVar("obs_tracer", default=None)
+_registry = ContextVar("obs_registry", default=None)
+_flight = ContextVar("obs_flight", default=None)
+_health = ContextVar("obs_health", default=None)
+
+
+def _install(var: ContextVar, given, make):
+    """Set ``var`` to ``given``, else keep what it holds, else ``make()``;
+    returns the value set."""
+    value = given if given is not None else var.get()
+    if value is None:
+        value = make()
+    var.set(value)
+    return value
 
 
 def enable(tracer: Tracer | None = None,
            registry: MetricsRegistry | None = None
            ) -> tuple[Tracer, MetricsRegistry]:
     """Turn instrumentation on; returns the active (tracer, registry)."""
-    global _tracer, _registry
-    _tracer = tracer if tracer is not None else (_tracer or Tracer())
-    _registry = registry if registry is not None \
-        else (_registry or MetricsRegistry())
-    return _tracer, _registry
+    return (_install(_tracer, tracer, Tracer),
+            _install(_registry, registry, MetricsRegistry))
 
 
 def disable() -> None:
     """Turn instrumentation off (recorded data is dropped).  Also turns
     the health layer off — "fully dark" is one call."""
-    global _tracer, _registry
-    _tracer = None
-    _registry = None
+    _tracer.set(None)
+    _registry.set(None)
     disable_health()
 
 
 def get_tracer() -> Tracer | None:
     """The active tracer, or ``None`` while disabled."""
-    return _tracer
+    return _tracer.get()
 
 
 def metrics() -> MetricsRegistry | None:
     """The active metrics registry, or ``None`` while disabled."""
-    return _registry
+    return _registry.get()
 
 
 # Hook parameters are positional-only: a label may be called ``name``.
 def count(name: str, help: str = "", value: float = 1, /, **labels) -> None:
     """Add ``value`` to a counter while enabled; a no-op otherwise."""
-    registry = _registry
+    registry = _registry.get()
     if registry is not None:
         registry.counter(name, help).inc(value, **labels)
 
 
 def gauge(name: str, help: str, value: float, /, **labels) -> None:
     """Set a gauge while enabled; a no-op otherwise."""
-    registry = _registry
+    registry = _registry.get()
     if registry is not None:
         registry.gauge(name, help).set(value, **labels)
 
@@ -93,7 +102,7 @@ def gauge(name: str, help: str, value: float, /, **labels) -> None:
 def observe(name: str, help: str, value: float, /, *,
             buckets: tuple[float, ...] | None = None, **labels) -> None:
     """Add ``value`` to a histogram while enabled; a no-op otherwise."""
-    registry = _registry
+    registry = _registry.get()
     if registry is not None:
         registry.histogram(name, help, buckets or _DEFAULT_BUCKETS) \
             .observe(value, **labels)
@@ -105,35 +114,31 @@ def enable_health(monitor: HealthMonitor | None = None,
                   clock=None) -> tuple[HealthMonitor, FlightRecorder]:
     """Install the flight recorder and health monitor (idempotent: an
     existing instance is kept unless an explicit one is passed)."""
-    global _flight, _health
-    _flight = recorder if recorder is not None \
-        else (_flight or FlightRecorder(clock=clock))
-    _health = monitor if monitor is not None \
-        else (_health or HealthMonitor(clock=clock))
-    return _health, _flight
+    recorder = _install(_flight, recorder, lambda: FlightRecorder(clock=clock))
+    monitor = _install(_health, monitor, lambda: HealthMonitor(clock=clock))
+    return monitor, recorder
 
 
 def disable_health() -> None:
     """Remove the health monitor and flight recorder."""
-    global _flight, _health
-    _flight = None
-    _health = None
+    _flight.set(None)
+    _health.set(None)
 
 
 def health() -> HealthMonitor | None:
     """The active health monitor, or ``None`` while disabled."""
-    return _health
+    return _health.get()
 
 
 def flight() -> FlightRecorder | None:
     """The active flight recorder, or ``None`` while disabled."""
-    return _flight
+    return _flight.get()
 
 
 def record_event(kind: str, subsystem: str = "repro",
                  severity: str = "info", **data) -> None:
     """Record a flight event while enabled; a strict no-op otherwise."""
-    recorder = _flight
+    recorder = _flight.get()
     if recorder is not None:
         recorder.record(kind, subsystem=subsystem, severity=severity,
                         **data)
@@ -155,20 +160,26 @@ class observed:
             trainer.fit(10)
         print(tracer.summary_table())
 
-    Restores the previous global state on exit (including "disabled").
+    Restores the previous state on exit (including "disabled").
     """
 
+    _VARS = (_tracer, _registry)
+
     def __enter__(self) -> tuple[Tracer, MetricsRegistry]:
-        self._saved = (_tracer, _registry)
-        return enable(Tracer(), MetricsRegistry())
+        return self._set(Tracer(), MetricsRegistry())
+
+    def _set(self, *values) -> tuple:
+        self._tokens = [var.set(value)
+                        for var, value in zip(self._VARS, values)]
+        return values
 
     def __exit__(self, *exc) -> None:
-        global _tracer, _registry
-        _tracer, _registry = self._saved
+        for var, token in zip(self._VARS, self._tokens):
+            var.reset(token)
         return None
 
 
-class monitored:
+class monitored(observed):
     """Scoped full-stack enablement: tracing + metrics + flight recorder
     + health monitor::
 
@@ -177,24 +188,19 @@ class monitored:
         print(m.monitor.alerts.summary())
         m.recorder.dump("postmortem.jsonl")
 
-    Restores the previous global state (of all four) on exit.
+    Restores the previous state (of all four) on exit.
     """
+
+    _VARS = (_tracer, _registry, _health, _flight)
 
     def __init__(self, clock=None):
         self._clock = clock
 
     def __enter__(self) -> MonitoredSession:
-        self._saved = (_tracer, _registry, _flight, _health)
         clock = self._clock
-        pair = enable(Tracer(clock=clock), MetricsRegistry())
-        triple = enable_health(HealthMonitor(clock=clock),
-                               FlightRecorder(clock=clock))
-        return MonitoredSession(pair[0], pair[1], triple[0], triple[1])
-
-    def __exit__(self, *exc) -> None:
-        global _tracer, _registry, _flight, _health
-        _tracer, _registry, _flight, _health = self._saved
-        return None
+        return MonitoredSession(*self._set(
+            Tracer(clock=clock), MetricsRegistry(),
+            HealthMonitor(clock=clock), FlightRecorder(clock=clock)))
 
 
 class _NullScope:
@@ -214,6 +220,7 @@ _NULL = _NullScope()
 def span(name: str, track: str = "main", category: str | None = None,
          **attrs):
     """A live tracer span while enabled; the shared null scope otherwise."""
-    if _tracer is None:
+    tracer = _tracer.get()
+    if tracer is None:
         return _NULL
-    return _tracer.span(name, track=track, category=category, **attrs)
+    return tracer.span(name, track=track, category=category, **attrs)

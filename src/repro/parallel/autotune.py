@@ -38,7 +38,6 @@ that moved.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -52,6 +51,7 @@ from ..perf.memory import CHECKPOINT_RECOMPUTE_OVERHEAD, MemoryModel
 from ..perf.pipeline_model import bubble_fraction, simulate_schedule
 from ..perf.scaling import estimate_performance, step_terms
 from ..perf.tradeoff import checkpointing_plan
+from ..resilience.checksum import json_digest
 from .topology import RankTopology
 from .window_parallel import window_sharding
 
@@ -274,7 +274,7 @@ def plan_digest(config: AerisConfig, machine: Machine, world_size: int,
     """Address of a plan's *inputs*: everything :func:`plan_for` is handed.
     What the planner derives from them is checked by re-deriving it
     (:func:`verify_plan`)."""
-    key = {
+    return json_digest({
         "schema": SCHEMA_VERSION,
         "config": config_to_dict(config),
         "machine": dataclasses.asdict(machine),
@@ -283,9 +283,7 @@ def plan_digest(config: AerisConfig, machine: Machine, world_size: int,
         "pipeline": pipeline,
         "micro_batches": list(micro_batches),
         "schedule": schedule,
-    }
-    blob = json.dumps(key, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    })
 
 
 # ---------------------------------------------------------------------------

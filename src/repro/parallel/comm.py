@@ -72,8 +72,8 @@ class CommStats:
 
     def merge(self, other: "CommStats") -> "CommStats":
         """Accumulate ``other``'s counters into this one (in place) —
-        aggregating per-cluster meters, mirroring
-        :meth:`repro.obs.MetricsRegistry.merge`."""
+        aggregating per-cluster meters, as
+        ``MetricsRegistry.load_snapshot(..., merge=True)`` does."""
         for key, v in other.bytes.items():
             self.bytes[key] += v
         for key, v in other.ops.items():

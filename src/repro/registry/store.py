@@ -30,7 +30,6 @@ is what :meth:`ModelRegistry.gc` collects).
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import io
 import json
 import os
@@ -44,7 +43,7 @@ from ..model import Aeris
 from ..model.config import AerisConfig, config_from_dict, config_to_dict
 from ..obs.profile import count, record_event
 from ..resilience.atomic import atomic_write
-from ..resilience.checksum import state_digest
+from ..resilience.checksum import json_digest, state_digest
 
 __all__ = ["RegistryError", "ModelVersion", "ModelRegistry",
            "STATUSES", "TRANSITIONS"]
@@ -103,10 +102,6 @@ def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _json_digest(obj) -> str:
-    return hashlib.sha256(_canonical_json(obj).encode()).hexdigest()
-
-
 def normalizer_digest(norm: FieldNormalizer) -> str:
     """Content address of a normalizer's statistics."""
     return state_digest({"mean": norm.mean, "std": norm.std})
@@ -162,7 +157,7 @@ class ModelRegistry:
         return digest
 
     def _put_json(self, obj) -> str:
-        digest = _json_digest(obj)
+        digest = json_digest(obj)
         path = self._blob_path(digest, "json")
         if not os.path.exists(path):
             atomic_write(path, _canonical_json(obj))
@@ -197,7 +192,7 @@ class ModelRegistry:
         except ValueError as exc:
             raise RegistryError(f"unreadable blob {digest[:12]} at {path}: "
                                 f"{exc}") from exc
-        if _json_digest(obj) != digest:
+        if json_digest(obj) != digest:
             raise RegistryError(
                 f"blob {digest[:12]} content digest mismatch: "
                 "corrupted blob store")
@@ -233,10 +228,6 @@ class ModelRegistry:
             if record["status"] == "live":
                 return vid
         return None
-
-    def latest(self) -> str | None:
-        versions = self.versions()
-        return versions[-1] if versions else None
 
     def lineage(self, version: str) -> list[str]:
         """Ancestry chain, newest first (``version`` included)."""

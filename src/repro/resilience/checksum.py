@@ -26,11 +26,12 @@ for the same ``state_dict``, or version isolation silently breaks.
 from __future__ import annotations
 
 import hashlib
+import json
 import zlib
 
 import numpy as np
 
-__all__ = ["payload_checksum", "content_digest", "state_digest"]
+__all__ = ["payload_checksum", "content_digest", "state_digest", "json_digest"]
 
 
 def payload_checksum(array: np.ndarray) -> int:
@@ -77,3 +78,12 @@ def state_digest(state: dict) -> str:
         h.update(str(a.shape).encode())
         h.update(a.tobytes())
     return h.hexdigest()
+
+
+def json_digest(obj) -> str:
+    """SHA-256 over the canonical JSON of ``obj`` (sorted keys, no
+    whitespace): a plan's inputs, a registry record, a simtest violation
+    set.  Committed plan snapshots, registry blobs and corpus fingerprints
+    are addressed by it, so the serialization must not change."""
+    return hashlib.sha256(json.dumps(
+        obj, sort_keys=True, separators=(",", ":")).encode()).hexdigest()

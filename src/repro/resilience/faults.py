@@ -38,7 +38,7 @@ clear the dead set.
 from __future__ import annotations
 
 from collections import defaultdict
-from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +46,7 @@ import numpy as np
 from ..obs.health import FAULT_CLASSES
 from ..obs.profile import count as _count
 from ..obs.profile import record_event as _record_event
+from ..scoped import scoped
 
 __all__ = [
     "ResilienceError", "RankFailure", "MessageCorruption", "CommTimeout",
@@ -425,30 +426,23 @@ class FaultInjector:
                       severity="warning", fault=kind, step=self.step)
 
 
-# -- global compute-fault scope ------------------------------------------------
+# -- scoped compute-fault source -----------------------------------------------
 # The ABFT-guarded kernels sit far below the trainer and take raw arrays,
-# so the active injector travels through module state rather than every
+# so the active injector travels in a context variable rather than every
 # call signature — same pattern as the obs hooks in repro.obs.profile.
-_COMPUTE_INJECTOR: FaultInjector | None = None
+_COMPUTE_INJECTOR = ContextVar("compute_injector", default=None)
 
 
 def compute_injector() -> FaultInjector | None:
     """The injector whose compute faults guarded kernels must consult
     (``None`` outside an :func:`inject_compute` scope)."""
-    return _COMPUTE_INJECTOR
+    return _COMPUTE_INJECTOR.get()
 
 
-@contextmanager
 def inject_compute(injector: FaultInjector | None):
     """Install ``injector`` as the compute-fault source for the dynamic
     extent of the block (``None`` is a no-op scope)."""
-    global _COMPUTE_INJECTOR
-    previous = _COMPUTE_INJECTOR
-    _COMPUTE_INJECTOR = injector
-    try:
-        yield injector
-    finally:
-        _COMPUTE_INJECTOR = previous
+    return scoped(_COMPUTE_INJECTOR, injector)
 
 
 # -- TraceReport checks: injected vs observed ----------------------------------

@@ -1,0 +1,27 @@
+"""Process switches — grad recording, BF16 matmuls, the kernel layer, the
+ABFT guard, the compute-fault injector, the obs sinks — are
+:class:`contextvars.ContextVar` s, set for a block by :func:`scoped`.  A
+thread reads its own: a plain thread starts at the defaults, and a
+row-shard worker runs in ``copy_context().run``, so under its caller's.
+The workspace arena and FLOP-counter stack stay on ``threading.local``,
+since a worker that inherited them would share one arena, or race on one
+counter, with its caller (FLOPs are merged after the join).
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from contextvars import ContextVar
+
+__all__ = ["scoped"]
+
+
+@contextmanager
+def scoped(var: ContextVar, value):
+    """Set ``var`` to ``value`` for the block (yielding it), then restore
+    whatever the calling context held before."""
+    token = var.set(value)
+    try:
+        yield value
+    finally:
+        var.reset(token)

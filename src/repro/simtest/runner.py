@@ -33,7 +33,6 @@ reproduce exactly.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import shutil
@@ -49,6 +48,7 @@ from ..obs.profile import monitored
 from ..parallel.comm import SimCluster
 from ..parallel.topology import RankTopology
 from ..resilience.atomic import atomic_write
+from ..resilience.checksum import json_digest
 from ..resilience.faults import (ClusterFailure, CommTimeout,
                                  ComputeCorruption, FaultInjector,
                                  FaultPlan, MessageCorruption,
@@ -160,9 +160,7 @@ class RunResult:
 def violations_fingerprint(violations) -> str:
     """SHA-256 over the canonical JSON of the sorted violation set — the
     bit-exactness token replay compares against."""
-    payload = json.dumps([v.to_dict() for v in violations],
-                         sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return json_digest([v.to_dict() for v in violations])
 
 
 class SimRunner:

@@ -6,20 +6,24 @@ weights, primary gradients, and gradient reductions stay in FP32
 emulate it: a BF16 value is an FP32 value whose low 16 mantissa bits are zero.
 Rounding uses round-to-nearest-even, matching hardware behaviour.
 
-A process-global mode switch lets the autograd engine quantize matmul inputs,
-reproducing the paper's precision split (matmul/attention in BF16, everything
-else FP32).
+A mode switch lets the autograd engine quantize matmul inputs, reproducing
+the paper's precision split (matmul/attention in BF16, everything else FP32).
+It is a per-thread context variable (:mod:`repro.scoped`): a row-shard
+worker inherits its caller's setting, while the workspace arena and the FLOP
+counters stay per thread and are merged at the join.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
+from ..scoped import scoped
+
 __all__ = ["round_bf16", "bf16_matmul_enabled", "autocast_bf16"]
 
-_BF16_MATMUL = False
+_BF16_MATMUL = ContextVar("bf16_matmul", default=False)
 
 
 def round_bf16(x: np.ndarray) -> np.ndarray:
@@ -45,10 +49,9 @@ def round_bf16(x: np.ndarray) -> np.ndarray:
 
 def bf16_matmul_enabled() -> bool:
     """True when matmuls should quantize their inputs to BF16."""
-    return _BF16_MATMUL
+    return _BF16_MATMUL.get()
 
 
-@contextmanager
 def autocast_bf16(enabled: bool = True):
     """Enable emulated-BF16 matmul inputs within the block.
 
@@ -57,10 +60,4 @@ def autocast_bf16(enabled: bool = True):
     remains FP32, as on real hardware), while parameters, gradients and
     reductions stay FP32.
     """
-    global _BF16_MATMUL
-    previous = _BF16_MATMUL
-    _BF16_MATMUL = bool(enabled)
-    try:
-        yield
-    finally:
-        _BF16_MATMUL = previous
+    return scoped(_BF16_MATMUL, bool(enabled))

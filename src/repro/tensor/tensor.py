@@ -21,34 +21,28 @@ FP64 explicitly (useful in gradient-check tests).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from ..scoped import scoped
 from .bf16 import bf16_matmul_enabled, round_bf16
 from .flops import add_flops, backward_phase, flops_enabled
 
 __all__ = ["Tensor", "no_grad", "is_grad_enabled", "tensor", "zeros", "ones"]
 
-_GRAD_ENABLED = True
+_GRAD_ENABLED = ContextVar("grad_enabled", default=True)
 _FLOAT32 = np.dtype(np.float32)
 
 
-@contextmanager
 def no_grad():
     """Disable graph construction within the block (inference mode)."""
-    global _GRAD_ENABLED
-    previous = _GRAD_ENABLED
-    _GRAD_ENABLED = False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = previous
+    return scoped(_GRAD_ENABLED, False)
 
 
 def is_grad_enabled() -> bool:
-    return _GRAD_ENABLED
+    return _GRAD_ENABLED.get()
 
 
 def _as_array(value, dtype=None) -> np.ndarray:
@@ -106,7 +100,7 @@ class Tensor:
             self.data = data
         else:
             self.data = _as_array(data, dtype)
-        self.requires_grad = _GRAD_ENABLED and bool(requires_grad)
+        self.requires_grad = _GRAD_ENABLED.get() and bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._backward: Callable[[np.ndarray], None] | None = None
         self._parents: tuple[Tensor, ...] = ()
@@ -155,7 +149,7 @@ class Tensor:
         if type(data) is not np.ndarray:    # a reduction to a NumPy scalar
             data = np.asarray(data)
         out = Tensor(data, dtype=data.dtype)
-        if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+        if _GRAD_ENABLED.get() and any(p.requires_grad for p in parents):
             out.requires_grad = True
             out._parents = tuple(parents)
             out._backward = backward

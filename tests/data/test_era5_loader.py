@@ -64,12 +64,6 @@ class TestArchive:
         # Residual std is much smaller than state std for every channel.
         assert np.all(tiny_norms["residual"].std < tiny_norms["state"].std)
 
-    def test_pair_consistency(self, tiny_archive):
-        x0, x1, forc = tiny_archive.pair(10)
-        np.testing.assert_array_equal(x0, tiny_archive.fields[10])
-        np.testing.assert_array_equal(x1, tiny_archive.fields[11])
-        assert forc.shape == (16, 32, 3)
-
     def test_training_batch_standardized(self, tiny_archive, tiny_norms):
         idx = np.array([5, 20, 40])
         cond, resid, forc = tiny_archive.training_batch(

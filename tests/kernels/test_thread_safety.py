@@ -1,8 +1,9 @@
 """Stress tests of the state the row-shard workers share with the calling
-thread: the workspace arena (one per thread) and the plan caches (one lock
-each).  More threads than cores, a switch interval of a microsecond so the
-interpreter hands over between almost any two bytecodes, and every join
-bounded in time."""
+thread: the workspace arena (one per thread), the plan caches (one lock
+each) and the process switches (one context per thread, a worker's copied
+from its caller).  More threads than cores, a switch interval of a
+microsecond so the interpreter hands over between almost any two bytecodes,
+and every join bounded in time."""
 
 import sys
 import threading
@@ -10,11 +11,13 @@ import threading
 import numpy as np
 import pytest
 
-from repro.kernels import fused_swiglu_forward, plan_cache
+from repro.kernels import (disable_kernels, fused_swiglu_forward,
+                           kernels_enabled, plan_cache)
 from repro.kernels.plan_cache import LRUCache
 from repro.model import Aeris
 from repro.model import aeris as aeris_mod
-from repro.tensor import WorkspaceArena, arena, no_grad
+from repro.tensor import (Tensor, WorkspaceArena, arena, autocast_bf16,
+                          bf16_matmul_enabled, is_grad_enabled, no_grad)
 
 from .test_golden import QUICKSTART, model_inputs, unblind
 
@@ -136,16 +139,87 @@ class TestSplitForwards:
     def test_concurrent_split_forwards_stay_exact(self, fast_switching,
                                                   monkeypatch):
         """Several callers each splitting their forward over the shared
-        pool: every result is the serial one."""
+        pool: every result is the serial one.  Each caller enters
+        ``no_grad`` itself: a thread starts at the default switches."""
         model = unblind(Aeris(QUICKSTART, seed=0))
         args = model_inputs(QUICKSTART, 8)
+        monkeypatch.setattr(aeris_mod, "_CORES", 1)
         with no_grad():
-            monkeypatch.setattr(aeris_mod, "_CORES", 1)
             want = model(*args).numpy()
-            monkeypatch.setattr(aeris_mod, "_CORES", 2)
+        monkeypatch.setattr(aeris_mod, "_CORES", 2)
 
-            def work(i):
+        def work(i):
+            with no_grad():
+                assert len(aeris_mod._row_bounds(8)) > 2
                 for _ in range(2):
                     np.testing.assert_array_equal(model(*args).numpy(), want)
 
-            run_threads(work, n=4)
+        run_threads(work, n=4)
+
+
+class TestSwitches:
+    """A switch a thread sets is its own; a row-shard worker runs under its
+    caller's."""
+
+    def test_no_grad_in_one_thread_leaves_another_taped(self,
+                                                        fast_switching):
+        both_in = threading.Barrier(2, timeout=JOIN_TIMEOUT_S)
+        grads = []
+
+        def work(i):
+            if i == 0:
+                with no_grad():
+                    both_in.wait()      # thread 1 records while this one
+                    both_in.wait()      # is inside no_grad
+                return
+            both_in.wait()
+            x = Tensor(np.arange(3.0), requires_grad=True)
+            loss = (x * x).sum()
+            assert loss.requires_grad
+            loss.backward()
+            grads.append(x.grad)
+            both_in.wait()
+
+        run_threads(work, n=2)
+        np.testing.assert_array_equal(grads[0], [0.0, 2.0, 4.0])
+
+    def test_row_shard_worker_runs_under_callers_switches(self,
+                                                          fast_switching,
+                                                          monkeypatch):
+        """The caller enters its switches while another thread is inside
+        its own and runs the shards after that thread has left them; every
+        shard, on the caller's thread or a worker, reads the caller's."""
+        model = unblind(Aeris(QUICKSTART, seed=0))
+        x_t, t, condition, forcings = model_inputs(QUICKSTART, 8)
+        with no_grad():
+            h = model.embed_stage(x_t, condition, forcings).data
+            t_emb = model.time_embed(t).data
+        seen = []
+        swin = Aeris._swin
+
+        def spy(self, h, t_emb):
+            seen.append((threading.current_thread().name, is_grad_enabled(),
+                         bf16_matmul_enabled(), kernels_enabled()))
+            return swin(self, h, t_emb)
+
+        monkeypatch.setattr(Aeris, "_swin", spy)
+        monkeypatch.setattr(aeris_mod, "_CORES", 2)
+        step = threading.Barrier(2, timeout=JOIN_TIMEOUT_S)
+
+        def work(i):
+            if i == 1:
+                with no_grad(), autocast_bf16(), disable_kernels():
+                    step.wait()
+                    step.wait()
+                step.wait()
+                return
+            step.wait()
+            with no_grad(), autocast_bf16(), disable_kernels():
+                step.wait()
+                step.wait()             # the other thread has left its own
+                aeris_mod._run_row_shards(model._swin, h, t_emb, [0, 4, 8])
+
+        run_threads(work, n=2)
+        assert any(name.startswith("aeris-rows") for name, *_ in seen)
+        assert {tuple(switches) for _, *switches in seen} == {
+            (False, True, False)}

@@ -98,6 +98,15 @@ class TestRecordEventHook:
         obs.record_event("train.step", subsystem="train", step=8)
         assert len(recorder.events()) == 1  # nothing after disable
 
+    def test_enable_health_keeps_an_empty_recorder(self):
+        """An installed recorder is kept even while it holds no events
+        (an empty ring is falsy)."""
+        monitor, recorder = obs.enable_health()
+        assert len(recorder) == 0
+        assert obs.enable_health() == (monitor, recorder)
+        tracer, registry = obs.enable()
+        assert obs.enable() == (tracer, registry)
+
 
 class TestMonitoredScope:
     def test_yields_full_stack_and_restores(self):

@@ -204,14 +204,6 @@ class TestPullDetectors:
         mon.check_faults(reg)
         assert mon.alerts.kinds() == {"train.loss_nonfinite"}
 
-    def test_report_shape(self):
-        mon = _monitor()
-        mon.observe_step(0, 1.0)
-        report = mon.report()
-        assert report["observations"] == 1
-        assert report["ewma_fast"] == 1.0
-        assert report["alert_kinds"] == []
-
 
 class TestAlertManager:
     def test_dedup_within_cooldown(self):

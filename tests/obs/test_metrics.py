@@ -101,7 +101,7 @@ class TestRegistry:
         for reg in (a, b):
             reg.counter("c").inc(2, k="v")
             reg.histogram("h", buckets=(1.0, 2.0)).observe(0.5)
-        a.merge(b)
+        a.load_snapshot(b.snapshot(), merge=True)
         assert a.counter("c").value(k="v") == 4
         s = a.histogram("h", buckets=(1.0, 2.0)).stats()
         assert s["count"] == 2 and s["sum"] == pytest.approx(1.0)

@@ -153,12 +153,12 @@ class TestLintEntrypoint:
             (tree / name).unlink()
         (tree / "caller.py").write_text("from clean import f\n\nf()\n")
         assert lint.main([str(tree)]) == 0
-        assert capsys.readouterr().out.endswith("lint: OK (7 rules)\n")
+        assert capsys.readouterr().out.endswith("lint: OK (8 rules)\n")
 
     def test_registry_covers_every_checker(self):
         assert [name for name, _ in lint.RULES] == [
             "no-print", "bare-except", "metric-names", "seeded-rng",
-            "clones", "options", "dead-names"]
+            "clones", "options", "dead-names", "no-global"]
 
     def test_unparseable_file_is_one_finding(self, tmp_path, capsys):
         """``def f(:`` is one finding and exit 1: not a traceback, and not
@@ -218,6 +218,38 @@ class TestCheckSeededRng:
 
     def test_repo_src_is_clean(self):
         assert run_rule("seeded-rng")[0] == []
+
+
+class TestCheckNoGlobal:
+    def test_global_statement_is_flagged(self, tmp_path):
+        (tmp_path / "switch.py").write_text(
+            '"""A global switch."""\n'
+            "_ON = False\n"
+            "\n"
+            "def turn_on():\n"
+            "    global _ON\n"
+            "    _ON = True\n")
+        assert run_rule("no-global", tmp_path) == (
+            [os.path.relpath(str(tmp_path / "switch.py"), lint.REPO_ROOT)
+             + ":5: global statement (hold the state in a ContextVar, set "
+             "it with repro.scoped)"], "check_no_global: OK (1 root)")
+
+    def test_row_pool_module_is_exempt(self, tmp_path, monkeypatch):
+        """``model/aeris.py`` keeps its pool a module global; the same
+        statement in any other file is a finding."""
+        monkeypatch.setattr(lint, "REPO_ROOT", str(tmp_path))
+        pkg = tmp_path / "src" / "repro"
+        (pkg / "model").mkdir(parents=True)
+        pool = "_POOL = None\n\ndef pool():\n    global _POOL\n"
+        (pkg / "model" / "aeris.py").write_text(pool)
+        (pkg / "model" / "blocks.py").write_text(pool)
+        assert run_rule("no-global")[0] == [
+            os.path.join("src", "repro", "model", "blocks.py")
+            + ":4: global statement (hold the state in a ContextVar, set "
+            "it with repro.scoped)"]
+
+    def test_repo_src_is_clean(self):
+        assert run_rule("no-global")[0] == []
 
 
 class TestCheckClones:
@@ -494,6 +526,20 @@ class TestDeadNames:
         (repo / "examples" / "demo.py").write_text(
             "def run(obj):\n    return obj.lonely()\n")
         assert run_rule("dead-names") == ([], "dead names: 0 flagged, 0 kept")
+
+    def test_same_named_local_keeps_no_method_alive(self, repo):
+        """A bare name credits a top-level def, never a method: a local
+        ``probed`` leaves ``Engine.probed`` dead, ``obj.probed`` revives
+        it."""
+        (repo / "bench_e2e" / "trace.py").write_text("PROBES: tuple = ()\n")
+        (repo / "examples").mkdir()
+        demo = repo / "examples" / "demo.py"
+        demo.write_text("probed = 1\nlonely = probed\n")
+        assert [f.split(": ")[1].split()[0]
+                for f in run_rule("dead-names")[0]] == ["Engine.probed"]
+        demo.write_text("def run(obj):\n    return obj.probed()\n")
+        assert [f.split(": ")[1].split()[0]
+                for f in run_rule("dead-names")[0]] == ["lonely"]
 
     def test_probes_name_is_exempt(self, repo):
         assert "Engine.probed" not in "\n".join(run_rule("dead-names")[0])

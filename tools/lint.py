@@ -43,6 +43,9 @@ KEEP = {
     "parallel/swipe_attention.py::swipe_window_attention":
         "the SWiPe WP x SP sharded attention path (DESIGN §2, README); "
         "tests/parallel/test_swipe_attention.py",
+    "parallel/comm.py::CommStats.merge":
+        "per-cluster meters summed into one (ROADMAP 11(a) merges per-thread "
+        "meters at the join through it); tests/parallel/test_comm_bytes.py",
     "parallel/comm.py::SimCluster.send":
         "the simulated cluster's metered point-to-point send (DESIGN §1, "
         "§2); tests/parallel/test_comm_topology.py",
@@ -329,10 +332,22 @@ def unseeded_rng(src: Source) -> list[tuple[int, str]]:
     return sorted(out)
 
 
+def global_statements(src: Source) -> list[tuple[int, str]]:
+    """A switch is a ``ContextVar`` set for a block by ``repro.scoped``, so
+    a thread sees its own and a row-shard worker its caller's; a module
+    global is shared by every thread at once."""
+    return sorted((node.lineno, "global statement (hold the state in a "
+                   "ContextVar, set it with repro.scoped)")
+                  for node in src.nodes if isinstance(node, ast.Global))
+
+
 def _per_file(tree: Tree, label: str, check,
               exempt: str | None = None) -> tuple[list[str], str]:
+    """``check`` over every file but those under ``exempt`` (a directory,
+    or one file)."""
+    skip = exempt and exempt + os.sep
     found = [f"{src.rel}:{line}: {message}" for src in tree.files
-             if not (exempt and src.path.startswith(exempt + os.sep))
+             if not (skip and (src.path + os.sep).startswith(skip))
              for line, message in check(src)]
     n = len(tree.roots)
     return found, f"{label}: OK ({n} root{'s' if n != 1 else ''})"
@@ -586,18 +601,26 @@ def _defs(module: ast.Module) -> Iterator[tuple[str, ast.AST]]:
 
 def dead_names(tree: Tree) -> tuple[list[str], str]:
     """Every top-level def/class and class-level def under the roots is
-    named by production code — an ``ast.Name`` or ``ast.Attribute`` under
-    :data:`CALLER_ROOTS`; tests, imports and strings do not count — or is
-    a ``PROBES`` target, or is in :data:`KEEP`."""
-    used = {getattr(node, "id", None) or node.attr
-            for src in tree.production for node in src.nodes
-            if isinstance(node, (ast.Name, ast.Attribute))}
+    named by production code under :data:`CALLER_ROOTS` — tests, imports
+    and strings do not count — or is a ``PROBES`` target, or is in
+    :data:`KEEP`.  An attribute ``x.name`` names either kind; a bare
+    ``name`` names only a top-level def (a method is never reached by its
+    bare name, so a local of the same name does not keep it alive)."""
+    attrs, names = set(), set()
+    for src in tree.production:
+        for node in src.nodes:
+            if isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
     probes, keep = _probe_names(tree), dict(KEEP)
     found, kept = [], 0
     for src in tree.files:
         module = os.path.relpath(src.path, _src()).replace(os.sep, "/")
         for qualname, node in _defs(src.tree):
-            at, live = f"{src.rel}:{node.lineno}", node.name in used
+            live = node.name in attrs or (
+                "." not in qualname and node.name in names)
+            at = f"{src.rel}:{node.lineno}"
             if keep.pop(f"{module}::{qualname}", None) is not None:
                 kept += not live
                 if live:
@@ -622,6 +645,9 @@ RULES = (
     ("clones", clones),
     ("options", options),
     ("dead-names", dead_names),
+    ("no-global", lambda tree: _per_file(
+        tree, "check_no_global", global_statements,
+        exempt=_src("model", "aeris.py"))),
 )
 
 
