@@ -9,13 +9,16 @@ interact in physical units.
 There is one sampling path: :meth:`ResidualForecaster.step_members`
 advances ``M`` members through stacked forwards (the model accepts
 ``(B, H, W, C)``; each member keeps its own seeded generator and a row's
-numerics do not depend on its batch), :func:`lockstep_rollout` repeats it,
-and a single member is that path at ``M = 1``.  *How* a residual is drawn
-from the network belongs to the parameterization
-(``flow.sample_residuals``): TrigFlow's DPM-Solver, the EDM baseline's
-Heun sampler and the point baseline's single forward all run under this
-forecaster.  The serving tier (:mod:`repro.serve`) batches across
-*requests* through the same :meth:`~ResidualForecaster.step_members`.
+numerics do not depend on its batch), and a single member is that path at
+``M = 1``.  :func:`step_sharded` runs it over contiguous member groups at
+once, one per usable core (:func:`repro.rows.run_row_shards`), each group
+its whole data step — noise draws, every solver evaluation, the denoise —
+with one join per data step; :func:`lockstep_rollout` repeats that.
+*How* a residual is drawn from the network belongs to the
+parameterization (``flow.sample_residuals``): TrigFlow's DPM-Solver, the
+EDM baseline's Heun sampler and the point baseline's single forward all
+run under this forecaster.  The serving tier (:mod:`repro.serve`)
+batches across *requests* through the same :func:`step_sharded`.
 """
 
 from __future__ import annotations
@@ -27,13 +30,15 @@ import numpy as np
 
 from ..obs.profile import count as _count
 from ..obs.profile import span as _span
+from ..rows import run_row_shards
 from ..tensor import Tensor, no_grad
 from .solver import SolverConfig
 from .trigflow import TrigFlow
 
 __all__ = ["ResidualForecaster", "Normalizer", "bound_network",
            "count_data_steps", "member_seed", "member_rngs",
-           "per_member_indices", "conditioning_rows", "lockstep_rollout"]
+           "per_member_indices", "conditioning_rows", "step_sharded",
+           "lockstep_rollout"]
 
 
 class Normalizer(Protocol):
@@ -123,13 +128,33 @@ def bound_network(model, cond: np.ndarray, forc: np.ndarray):
     return network
 
 
+def step_sharded(stepper, states: np.ndarray,
+                 time_indices: int | Sequence[int],
+                 rngs: Sequence[np.random.Generator]) -> np.ndarray:
+    """``stepper.step_members`` over contiguous groups of the members at
+    once, under ``no_grad`` (:func:`repro.rows.run_row_shards` sizes the
+    groups; one group while a GEMM guard is live).  A member's next state
+    and generator do not depend on which members it is stepped with, so
+    the result is one ``step_members`` call's bit for bit; every forward
+    inside a group runs whole."""
+    rngs = list(rngs)
+    time_indices = per_member_indices(states, time_indices, len(rngs))
+
+    def run(lo: int, hi: int) -> np.ndarray:
+        return stepper.step_members(states[lo:hi], time_indices[lo:hi],
+                                    rngs[lo:hi])
+
+    with no_grad():
+        return run_row_shards(len(rngs), run)
+
+
 def lockstep_rollout(stepper, out: np.ndarray, rngs, start_index: int
                      ) -> np.ndarray:
     """Fill ``out[:, 1:]`` from the initial states ``out[:, 0]``, one
-    ``stepper.step_members`` call per data step."""
+    :func:`step_sharded` call per data step."""
     states = out[:, 0].copy()
     for i in range(out.shape[1] - 1):
-        states = stepper.step_members(states, start_index + i, rngs)
+        states = step_sharded(stepper, states, start_index + i, rngs)
         out[:, i + 1] = states
     return out
 
@@ -242,7 +267,8 @@ class ResidualForecaster:
         ``(n_members, n_steps + 1, H, W, C)``.
 
         ``batched=True`` (default) advances all members in lockstep through
-        one stacked model forward per network evaluation;
+        one stacked model forward per network evaluation and member group
+        (:func:`step_sharded`);
         ``batched=False`` advances them one at a time through the same
         path at ``M = 1`` — bit-identical (asserted by
         ``tests/diffusion``), since every member's noise comes from its

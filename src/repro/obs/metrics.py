@@ -13,12 +13,19 @@ locality="intra")`` keeps an independent series per label set.  A
 :class:`MetricsRegistry` owns the instruments, renders a plain-text table,
 and produces JSON-serializable snapshots that merge across registries —
 the simulated-cluster analogue of aggregating per-rank telemetry.
+
+An update is a read-modify-write of a series, so every update of a
+registry's instruments, and the creation of an instrument, holds the
+registry's one lock: row-shard workers book into their caller's registry
+(:mod:`repro.rows`).  Snapshots and loads are the readers' business,
+after the join.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import threading
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
@@ -42,12 +49,14 @@ class Counter:
         self.name = name
         self.help = help
         self.series: dict[LabelKey, float] = {}
+        self.lock = threading.Lock()    # its registry's, once registered
 
     def inc(self, value: float = 1.0, /, **labels) -> None:
         if value < 0:
             raise ValueError("counters only go up")
         key = _label_key(labels)
-        self.series[key] = self.series.get(key, 0) + value
+        with self.lock:
+            self.series[key] = self.series.get(key, 0) + value
 
     def value(self, **labels) -> float:
         return self.series.get(_label_key(labels), 0)
@@ -76,11 +85,14 @@ class Gauge(Counter):
     kind = "gauge"
 
     def set(self, value: float, /, **labels) -> None:
-        self.series[_label_key(labels)] = float(value)
+        key = _label_key(labels)
+        with self.lock:
+            self.series[key] = float(value)
 
     def inc(self, value: float = 1.0, /, **labels) -> None:
         key = _label_key(labels)
-        self.series[key] = self.series.get(key, 0) + value
+        with self.lock:
+            self.series[key] = self.series.get(key, 0) + value
 
     def load(self, snap: dict, merge: bool = False) -> None:
         for raw_key, v in snap["series"]:
@@ -105,6 +117,7 @@ class Histogram:
         self.help = help
         self.buckets = tuple(sorted(buckets))
         self.series: dict[LabelKey, dict] = {}
+        self.lock = threading.Lock()    # its registry's, once registered
 
     def _cell(self, key: LabelKey) -> dict:
         if key not in self.series:
@@ -114,16 +127,16 @@ class Histogram:
         return self.series[key]
 
     def observe(self, value: float, /, **labels) -> None:
-        cell = self._cell(_label_key(labels))
-        cell["count"] += 1
-        cell["sum"] += value
-        cell["min"] = min(cell["min"], value)
-        cell["max"] = max(cell["max"], value)
-        for i, le in enumerate(self.buckets):
-            if value <= le:
-                cell["bucket_counts"][i] += 1
-                return
-        cell["bucket_counts"][-1] += 1
+        key = _label_key(labels)
+        bucket = next((i for i, le in enumerate(self.buckets) if value <= le),
+                      len(self.buckets))
+        with self.lock:
+            cell = self._cell(key)
+            cell["count"] += 1
+            cell["sum"] += value
+            cell["min"] = min(cell["min"], value)
+            cell["max"] = max(cell["max"], value)
+            cell["bucket_counts"][bucket] += 1
 
     def stats(self, **labels) -> dict:
         """count/sum/mean/min/max for one label set (zeros if unseen)."""
@@ -176,13 +189,18 @@ class MetricsRegistry:
 
     def __init__(self):
         self.instruments: dict[str, object] = {}
+        self.lock = threading.Lock()
 
     def _get(self, cls, name: str, help: str, **kwargs):
         inst = self.instruments.get(name)
         if inst is None:
-            inst = cls(name, help, **kwargs)
-            self.instruments[name] = inst
-        elif not isinstance(inst, cls) or type(inst) is not cls:
+            with self.lock:
+                inst = self.instruments.get(name)
+                if inst is None:
+                    inst = cls(name, help, **kwargs)
+                    inst.lock = self.lock
+                    self.instruments[name] = inst
+        if not isinstance(inst, cls) or type(inst) is not cls:
             raise TypeError(f"{name!r} already registered as "
                             f"{type(inst).__name__}")
         elif not inst.help:

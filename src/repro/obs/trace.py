@@ -69,13 +69,11 @@ class _LiveSpan:
         self.attrs = attrs
 
     def __enter__(self) -> "_LiveSpan":
-        self.tracer._stack.append(self)
         self.start = self.tracer.clock()
         return self
 
     def __exit__(self, *exc) -> None:
         end = self.tracer.clock()
-        self.tracer._stack.pop()
         self.tracer.spans.append(Span(self.name, self.start, end,
                                       track=self.track,
                                       category=self.category,
@@ -89,7 +87,6 @@ class Tracer:
     def __init__(self, clock=None):
         self.clock = clock if clock is not None else time.perf_counter
         self.spans: list[Span] = []
-        self._stack: list[_LiveSpan] = []
 
     # -- recording ---------------------------------------------------------
     def span(self, name: str, track: str = "main",

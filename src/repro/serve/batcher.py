@@ -1,5 +1,5 @@
 """Dynamic micro-batching: coalesce compatible requests into one stacked
-model forward per solver evaluation.
+model forward per solver evaluation and member group.
 
 The model accepts ``(B, H, W, C)`` and every conditioning input (previous
 state, forcings, diffusion time) is per-row, so *any* two requests at the
@@ -8,8 +8,8 @@ different forcing calendars all batch together.  A micro-batch therefore
 groups the head-of-queue request with further same-tier requests (FIFO)
 until the member budget (``max_members``) or request budget
 (``max_requests``) is hit.  One 8-member request then costs one forward
-per solver evaluation instead of eight; eight coalesced 1-member requests
-cost the same one.
+per solver evaluation and group instead of eight (one group on one core,
+two of four rows on two); eight coalesced 1-member requests cost the same.
 
 Batches never mix tiers: the tier fixes the solver schedule (and which
 network runs), which must be uniform across the stack.
@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..diffusion.sampler import member_seed
+from ..diffusion.sampler import member_seed, step_sharded
 from ..obs.profile import count as _count
 from ..obs.profile import observe as _observe
 from ..obs.profile import span as _span
@@ -169,7 +169,9 @@ def execute_batch(batch: MicroBatch, stepper, cache: ForecastCache,
     """Run one micro-batch to completion on ``stepper``: restore each
     member's longest cached prefix, advance every unfinished member
     through stacked forwards — one row per distinct member-state (module
-    docstring) — and cache each new step.  ``weights`` / ``solver`` are the
+    docstring), the rows in member groups on the row pool
+    (:func:`~repro.diffusion.sampler.step_sharded`) — and cache each new
+    step.  ``weights`` / ``solver`` are the
     version's content digests.
 
     Returns ``{"rows", "forwards", "members"}``; ``rows[i]`` holds the
@@ -211,8 +213,8 @@ def execute_batch(batch: MicroBatch, stepper, cache: ForecastCache,
         for task in active:
             flights.setdefault(key(task, task.lead + 1), []).append(task)
         leaders = [flight[0] for flight in flights.values()]
-        new_states = stepper.step_members(
-            np.stack([t.state for t in leaders]),
+        new_states = step_sharded(
+            stepper, np.stack([t.state for t in leaders]),
             [t.pending.request.start_index + t.lead for t in leaders],
             [t.rng for t in leaders])
         forwards += batch.policy.forwards_per_data_step()

@@ -1,7 +1,7 @@
 """Stress tests of the state the row-shard workers share with the calling
 thread: the workspace arena (one per thread), the plan caches (one lock
-each) and the process switches (one context per thread, a worker's copied
-from its caller).  More threads than cores, a switch interval of a
+each), the metrics registry (one lock) and the process switches (one
+context per thread, a worker's copied from its caller).  More threads than cores, a switch interval of a
 microsecond so the interpreter hands over between almost any two bytecodes,
 and every join bounded in time."""
 
@@ -11,11 +11,12 @@ import threading
 import numpy as np
 import pytest
 
+from repro import rows
 from repro.kernels import (disable_kernels, fused_swiglu_forward,
                            kernels_enabled, plan_cache)
 from repro.kernels.plan_cache import LRUCache
 from repro.model import Aeris
-from repro.model import aeris as aeris_mod
+from repro.obs import MetricsRegistry
 from repro.tensor import (Tensor, WorkspaceArena, arena, autocast_bf16,
                           bf16_matmul_enabled, is_grad_enabled, no_grad)
 
@@ -135,6 +136,27 @@ class TestPlanCache:
         assert stats["misses"] - stats["evictions"] == len(cache) <= 4
 
 
+class TestMetrics:
+    def test_no_update_lost_under_two_threads(self, fast_switching):
+        """Pool workers book into their caller's registry: two threads
+        creating and updating the same instruments keep every increment
+        and every observation."""
+        registry = MetricsRegistry()
+        updates = 50_000
+
+        def work(i):
+            for n in range(updates):
+                registry.counter("stress.hits").inc()
+                registry.histogram("stress.values", buckets=(0.5,)) \
+                    .observe(n % 2)
+
+        run_threads(work, n=2)
+        assert registry.counter("stress.hits").total() == 2 * updates
+        cell = registry.histogram("stress.values", buckets=(0.5,)).series[()]
+        assert cell["count"] == 2 * updates
+        assert cell["bucket_counts"] == [updates, updates]
+
+
 class TestSplitForwards:
     def test_concurrent_split_forwards_stay_exact(self, fast_switching,
                                                   monkeypatch):
@@ -143,14 +165,14 @@ class TestSplitForwards:
         ``no_grad`` itself: a thread starts at the default switches."""
         model = unblind(Aeris(QUICKSTART, seed=0))
         args = model_inputs(QUICKSTART, 8)
-        monkeypatch.setattr(aeris_mod, "_CORES", 1)
+        monkeypatch.setattr(rows, "_CORES", 1)
         with no_grad():
             want = model(*args).numpy()
-        monkeypatch.setattr(aeris_mod, "_CORES", 2)
+        monkeypatch.setattr(rows, "_CORES", 2)
 
         def work(i):
             with no_grad():
-                assert len(aeris_mod._row_bounds(8)) > 2
+                assert len(rows._row_bounds(8)) > 2
                 for _ in range(2):
                     np.testing.assert_array_equal(model(*args).numpy(), want)
 
@@ -188,22 +210,16 @@ class TestSwitches:
                                                           monkeypatch):
         """The caller enters its switches while another thread is inside
         its own and runs the shards after that thread has left them; every
-        shard, on the caller's thread or a worker, reads the caller's."""
-        model = unblind(Aeris(QUICKSTART, seed=0))
-        x_t, t, condition, forcings = model_inputs(QUICKSTART, 8)
-        with no_grad():
-            h = model.embed_stage(x_t, condition, forcings).data
-            t_emb = model.time_embed(t).data
+        shard, on the caller's thread or a worker, reads the caller's.  The
+        split is forced: with the kernels off a forward would not split."""
         seen = []
-        swin = Aeris._swin
 
-        def spy(self, h, t_emb):
+        def run(lo, hi):
             seen.append((threading.current_thread().name, is_grad_enabled(),
                          bf16_matmul_enabled(), kernels_enabled()))
-            return swin(self, h, t_emb)
+            return np.arange(lo, hi)
 
-        monkeypatch.setattr(Aeris, "_swin", spy)
-        monkeypatch.setattr(aeris_mod, "_CORES", 2)
+        monkeypatch.setattr(rows, "_row_bounds", lambda n: [0, 4, n])
         step = threading.Barrier(2, timeout=JOIN_TIMEOUT_S)
 
         def work(i):
@@ -217,7 +233,8 @@ class TestSwitches:
             with no_grad(), autocast_bf16(), disable_kernels():
                 step.wait()
                 step.wait()             # the other thread has left its own
-                aeris_mod._run_row_shards(model._swin, h, t_emb, [0, 4, 8])
+                np.testing.assert_array_equal(rows.run_row_shards(8, run),
+                                              np.arange(8))
 
         run_threads(work, n=2)
         assert any(name.startswith("aeris-rows") for name, *_ in seen)

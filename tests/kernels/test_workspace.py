@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from repro import rows
 from repro.kernels import abft_guard, fused_swiglu_forward
 from repro.model import Aeris
-from repro.model import aeris as aeris_mod
 from repro.nn.attention import dot_product_attention
 from repro.resilience import (
     ComputeCorruption,
@@ -238,7 +238,7 @@ class TestArenaInKernels:
         settled after the first forward.  One shard: the row-split forward's
         two arenas hold half each
         (``test_row_parallel.py::TestMemoryRule``)."""
-        monkeypatch.setattr(aeris_mod, "_CORES", 1)
+        monkeypatch.setattr(rows, "_CORES", 1)
         model = Aeris(QUICKSTART, seed=0)
         rng = np.random.default_rng(4)
         args = (Tensor(rng.normal(size=(16, 16, 32, 9)).astype(np.float32)),

@@ -2,7 +2,7 @@
 layers as row shards at once, and every observable of the serial path —
 output bits, FLOP totals, the guarded-GEMM sequence, the memory rule —
 survives the split.  Each case forces the core count both ways by
-monkeypatching ``aeris._CORES``, so it runs the same on a 1-core box."""
+monkeypatching ``rows._CORES``, so it runs the same on a 1-core box."""
 
 import multiprocessing
 import os
@@ -15,9 +15,9 @@ import time
 import numpy as np
 import pytest
 
+from repro import rows
 from repro.kernels import abft, abft_guard
 from repro.model import Aeris
-from repro.model import aeris as aeris_mod
 from repro.resilience import (ComputeFault, FaultInjector, FaultPlan,
                               inject_compute)
 from repro.tensor import Tensor, arena, autocast_bf16, count_flops, no_grad
@@ -35,41 +35,40 @@ def model():
 def one_worker(monkeypatch):
     """A pool of its own with one worker, so every forward's second shard
     runs on the same thread."""
-    monkeypatch.setattr(aeris_mod, "_POOL", None)
-    monkeypatch.setattr(aeris_mod, "_CORES", 2)
+    monkeypatch.setattr(rows, "_POOL", None)
+    monkeypatch.setattr(rows, "_CORES", 2)
     yield
-    if aeris_mod._POOL is not None:
-        aeris_mod._POOL.shutdown(wait=True)
+    if rows._POOL is not None:
+        rows._POOL.shutdown(wait=True)
 
 
 def forward(model, args, cores, monkeypatch):
-    monkeypatch.setattr(aeris_mod, "_CORES", cores)
+    monkeypatch.setattr(rows, "_CORES", cores)
     with no_grad():
         return model(*args).numpy()
 
 
 class TestSelection:
-    @pytest.mark.parametrize("cores, rows, bounds", [
+    @pytest.mark.parametrize("cores, n, bounds", [
         (2, 8, [0, 4, 8]), (2, 9, [0, 4, 9]), (2, 16, [0, 8, 16]),
         (2, 7, [0, 7]), (2, 4, [0, 4]), (2, 1, [0, 1]),
         (3, 18, [0, 6, 12, 18]), (3, 17, [0, 5, 11, 17]), (3, 11, [0, 5, 11]),
         (1, 64, [0, 64])])
-    def test_shards_by_rows_and_cores(self, cores, rows, bounds,
-                                      monkeypatch):
-        monkeypatch.setattr(aeris_mod, "_CORES", cores)
+    def test_shards_by_rows_and_cores(self, cores, n, bounds, monkeypatch):
+        monkeypatch.setattr(rows, "_CORES", cores)
         with no_grad():
-            assert aeris_mod._row_bounds(rows) == bounds
+            assert rows._row_bounds(n) == bounds
 
     def test_a_tape_or_a_live_guard_keeps_one_shard(self, monkeypatch):
-        monkeypatch.setattr(aeris_mod, "_CORES", 2)
-        assert aeris_mod._row_bounds(16) == [0, 16]        # grad enabled
+        monkeypatch.setattr(rows, "_CORES", 2)
+        assert rows._row_bounds(16) == [0, 16]        # grad enabled
         injector = FaultInjector(FaultPlan(events=()))
         with no_grad():
-            assert aeris_mod._row_bounds(16) == [0, 8, 16]
+            assert rows._row_bounds(16) == [0, 8, 16]
             with abft_guard():
-                assert aeris_mod._row_bounds(16) == [0, 16]
+                assert rows._row_bounds(16) == [0, 16]
             with inject_compute(injector):
-                assert aeris_mod._row_bounds(16) == [0, 16]
+                assert rows._row_bounds(16) == [0, 16]
 
 
 class TestExactness:
@@ -172,7 +171,7 @@ class TestFailure:
 
 def _split_forward_in_child(want):
     """Exit 0 iff a split forward in this (forked) process equals ``want``."""
-    aeris_mod._CORES = 2
+    rows._CORES = 2
     model = unblind(Aeris(QUICKSTART, seed=0))
     with no_grad():
         got = model(*model_inputs(QUICKSTART, 8)).numpy()
@@ -184,7 +183,7 @@ def _split_forward_in_child(want):
 def test_a_forked_child_starts_its_own_pool(model, monkeypatch):
     want = forward(model, model_inputs(QUICKSTART, 8), 1, monkeypatch)
     forward(model, model_inputs(QUICKSTART, 8), 2, monkeypatch)
-    assert aeris_mod._POOL is not None      # the parent's workers are up
+    assert rows._POOL is not None      # the parent's workers are up
     child = multiprocessing.get_context("fork").Process(
         target=_split_forward_in_child, args=(want,))
     child.start()
@@ -203,11 +202,11 @@ _LIVE_POOL_SCRIPT = textwrap.dedent("""
 
     import numpy as np
 
+    from repro import rows
     from repro.model import Aeris, AerisConfig
-    from repro.model import aeris
     from repro.tensor import Tensor, no_grad
 
-    aeris._CORES = 2
+    rows._CORES = 2
     config = AerisConfig(
         name="quickstart", height=16, width=32, channels=9,
         forcing_channels=3, dim=32, heads=4, ffn_dim=64, swin_layers=2,
@@ -306,9 +305,8 @@ class TestMemoryRule:
                                                              one_worker,
                                                              monkeypatch):
         """What a 16-row forward leaves pooled on one shard (two 2 MB
-        buffers, ``test_workspace.py``): the caller's 8 rows leave half of
-        it, the worker's 4-row pieces a quarter, settled after the first
-        forward."""
+        buffers, ``test_workspace.py``): each shard's 8 rows, run whole,
+        leave half of it, settled after the first forward."""
         model = Aeris(QUICKSTART, seed=0)
         args = model_inputs(QUICKSTART, 16, seed=4)
         arenas = {}
@@ -330,4 +328,4 @@ class TestMemoryRule:
                                  for ws in arenas.values()))
         assert len(arenas) == 2
         assert all(p == pooled[1] for p in pooled[1:])
-        assert pooled[-1] == [2 ** 20, 2 * 2 ** 20]
+        assert pooled[-1] == [2 * 2 ** 20, 2 * 2 ** 20]

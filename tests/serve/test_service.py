@@ -9,7 +9,9 @@ import os
 import numpy as np
 import pytest
 
+from repro import rows
 from repro.diffusion import SolverConfig
+from repro.model import Aeris
 from repro.obs import TraceReport
 from repro.parallel import SimCluster
 from repro.resilience import (FailStop, FaultInjector, FaultPlan,
@@ -120,10 +122,12 @@ class TestBatching:
         assert svc.pool.n_dispatches == 1
 
     def test_ensemble_served_in_fewer_forwards_than_sequential(
-            self, serve_world, obs_on):
+            self, serve_world, obs_on, monkeypatch):
         """The headline batching win: an 8-member request costs one
-        stacked forward per solver evaluation, not eight."""
+        stacked forward per solver evaluation, not eight (on one core: one
+        member group)."""
         _, forecaster, _, _ = serve_world
+        monkeypatch.setattr(rows, "_CORES", 1)
         svc = make_service(serve_world)
         resp = svc.serve(request(serve_world, n_steps=1, n_members=8))
         registry = obs_on.metrics()
@@ -145,6 +149,30 @@ class TestBatching:
         # Same member-evaluation count either way — batching saves
         # forwards, not math.
         assert registry.counter("sampler.member_forwards").total() == 48
+
+    def test_ensemble_on_two_cores_is_two_member_groups(
+            self, serve_world, obs_on, monkeypatch):
+        """On two cores the 8 members step as two groups of 4, each one
+        stacked forward per solver evaluation: the batch still costs 3
+        forwards a data step, and the forecast is the one-core one."""
+        forwards = []
+        forward = Aeris.forward
+
+        def spy(self, x_t, *args):
+            forwards.append(x_t.shape[0])
+            return forward(self, x_t, *args)
+
+        monkeypatch.setattr(Aeris, "forward", spy)
+        resps = []
+        for cores in (1, 2):
+            monkeypatch.setattr(rows, "_CORES", cores)
+            resps.append(make_service(serve_world).serve(
+                request(serve_world, n_steps=1, n_members=8)))
+        assert forwards == [8] * 3 + [4] * 6
+        assert obs_on.metrics().counter("sampler.model_forwards").total() \
+            == 3 + 2 * 3
+        assert resps[0].batch_forwards == resps[1].batch_forwards == 3
+        np.testing.assert_array_equal(resps[1].forecast, resps[0].forecast)
 
 
 class TestCoalescedResponsesOwnTheirMemory:

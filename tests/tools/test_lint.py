@@ -235,13 +235,13 @@ class TestCheckNoGlobal:
              "it with repro.scoped)"], "check_no_global: OK (1 root)")
 
     def test_row_pool_module_is_exempt(self, tmp_path, monkeypatch):
-        """``model/aeris.py`` keeps its pool a module global; the same
-        statement in any other file is a finding."""
+        """``rows.py`` keeps its pool a module global; the same statement
+        in any other file is a finding."""
         monkeypatch.setattr(lint, "REPO_ROOT", str(tmp_path))
         pkg = tmp_path / "src" / "repro"
         (pkg / "model").mkdir(parents=True)
         pool = "_POOL = None\n\ndef pool():\n    global _POOL\n"
-        (pkg / "model" / "aeris.py").write_text(pool)
+        (pkg / "rows.py").write_text(pool)
         (pkg / "model" / "blocks.py").write_text(pool)
         assert run_rule("no-global")[0] == [
             os.path.join("src", "repro", "model", "blocks.py")
