@@ -4,8 +4,9 @@ detectors, alert reconciliation, terminal dashboard, and exporters.
 
 Everything runs inside ``obs.monitored()``: the elastic supervisor
 trains through a seeded fault plan (a bit flip, a dropped transfer, a
-straggler, a rank death) while the health monitor watches loss, grad
-norms, fault meters, and serve SLOs.  At the end the fired alerts are
+straggler, a rank death), then scores the recovered weights on held-out
+data, while the health monitor watches loss, grad norms, fault meters,
+and serve SLOs.  At the end the fired alerts are
 reconciled against the injector's ledger (every injected fault class
 must have alerted; nothing else may have), the dashboard is rendered,
 and the telemetry is exported for offline reading::
@@ -87,6 +88,7 @@ def main() -> None:
               "1 rank death) ...")
         sup = chaos_train(archive, os.path.join(args.out, "ckpt"))
         print(f"  injected: {dict(sup.injector.injected)}")
+        print(f"  held-out loss after recovery: {sup.validation_loss():.4f}")
 
         print("Serving burst ...")
         serve_burst(archive, trainer)

@@ -20,7 +20,7 @@ from .zero import ZeroOptimizer
 _AUTOTUNE_EXPORTS = ("Candidate", "TunedPlan", "NoFeasibleLayout",
                      "enumerate_candidates", "plan_for", "calibrated_step_s",
                      "load_plan",
-                     "verify_plan", "autotune_check")
+                     "verify_plan")
 
 __all__ = [
     "SimCluster", "CommStats", "comm_check", "RankTopology",

@@ -15,8 +15,8 @@ and defend its own layouts:
    heads, batch), then the :mod:`repro.perf` memory model: a candidate
    whose footprint exceeds the tile budget even with full activation
    checkpointing is recorded as infeasible (with the reason), not
-   silently dropped — :func:`autotune_check` re-checks those
-   records.
+   silently dropped — the records are part of the plan, so
+   :func:`verify_plan` re-derives them leaf by leaf.
 3. **predict** — :func:`repro.perf.estimate_performance` (bubble + comm
    + optimizer/allreduce tail, both layouts) ranks the survivors;
    checkpointing candidates carry the ~1/3 recompute overhead.
@@ -59,7 +59,7 @@ __all__ = [
     "Candidate", "TunedPlan", "NoFeasibleLayout",
     "enumerate_candidates", "plan_for", "calibrated_step_s", "plan_digest",
     "load_plan",
-    "verify_plan", "autotune_check",
+    "verify_plan",
     "resolve_config", "resolve_machine", "CONFIGS", "MACHINES",
 ]
 
@@ -505,84 +505,3 @@ def verify_plan(plan: TunedPlan, config: AerisConfig | None = None,
             drifts.append(f"{path}: snapshot {old!r} vs fresh {now!r}")
     return drifts
 
-
-def autotune_check(report, plan: TunedPlan, topology=None,
-                   config: AerisConfig | None = None,
-                   machine: Machine | None = None) -> dict:
-    """The run must have executed the plan, and the plan must be sound.
-
-    A :class:`repro.obs.TraceReport` check in two directions:
-
-    * **executed = planned** — ``topology`` (the engine's live grid,
-      when given) must be exactly the plan's chosen layout; a run
-      that silently fell back to a hardcoded grid fails here;
-    * **pruning soundness** — the planner's recorded
-      infeasible-candidate examples are re-checked against a fresh
-      enumeration for the same inputs: none of them may appear in
-      today's feasible set (a pruned layout that would actually fit
-      means the pruning constraints drifted from the cost model),
-      and the chosen layout must still be feasible.
-
-    ``config``/``machine`` default to resolving the plan's names
-    (custom configs must be passed explicitly).
-    """
-    config = config if config is not None else resolve_config(
-        plan.config_name)
-    machine = machine if machine is not None else resolve_machine(
-        plan.machine_name)
-    feasible, _, _ = enumerate_candidates(
-        config, machine, plan.world_size, plan.gbs,
-        pipeline=plan.pipeline, micro_batches=plan.micro_batches,
-        schedule=plan.schedule)
-    feasible_keys = {(c.dp, c.pp, tuple(c.wp_grid), c.sp, c.micro_batch)
-                     for c in feasible}
-    chosen = plan.chosen
-    chosen_feasible = (chosen.dp, chosen.pp, tuple(chosen.wp_grid),
-                       chosen.sp, chosen.micro_batch) in feasible_keys
-    topology_matches = None
-    if topology is not None:
-        topology_matches = (
-            topology.dp == chosen.dp and topology.pp == chosen.pp
-            and tuple(topology.wp_grid) == tuple(chosen.wp_grid)
-            and topology.sp == chosen.sp)
-    violations = []
-    for rec in plan.pruned:
-        # Each prune reason rules out an axis combination for *every*
-        # refinement of it, so the recheck matches at that granularity
-        # (an SP rejected for head divisibility must not appear on any
-        # feasible candidate at all, etc.).
-        reason, wp = rec["reason"], tuple(rec["wp_grid"])
-        if reason == "sequence":
-            hit = any(c.sp == rec["sp"] for c in feasible)
-        elif reason == "windows":
-            hit = any(tuple(c.wp_grid) == wp for c in feasible)
-        elif reason == "ranks":
-            hit = any(c.dp == rec["dp"] and tuple(c.wp_grid) == wp
-                      and c.sp == rec["sp"] for c in feasible)
-        elif reason == "batch":
-            hit = any(c.dp == rec["dp"]
-                      and c.micro_batch == rec["micro_batch"]
-                      for c in feasible)
-        else:  # memory: the exact candidate
-            hit = (rec["dp"], rec["pp"], wp, rec["sp"],
-                   rec["micro_batch"]) in feasible_keys
-        if hit:
-            violations.append(rec)
-    agrees = (chosen_feasible and not violations
-              and topology_matches is not False)
-    topo_s = ("-" if topology_matches is None
-              else "match" if topology_matches else "DIVERGED")
-    return {"check": "autotune_plan",
-            "layout": chosen.layout_key,
-            "topology_matches": topology_matches,
-            "chosen_feasible": chosen_feasible,
-            "n_feasible": len(feasible),
-            "pruned_rechecked": len(plan.pruned),
-            "pruned_violations": violations,
-            "agrees": agrees,
-            "summary": f"autotune plan {chosen.layout_key}: executed "
-                       f"topology {topo_s} | chosen "
-                       f"{'feasible' if chosen_feasible else 'INFEASIBLE'}"
-                       f" | {len(plan.pruned)} pruned rechecked, "
-                       f"{len(violations)} violation(s) | "
-                       f"{'OK' if agrees else 'MISMATCH'}"}

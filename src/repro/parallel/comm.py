@@ -7,6 +7,8 @@ buffers inside one process, and meters every byte by primitive (``p2p`` /
 inter-node, given a rank→node mapping).  These counters are what the
 communication-model tests compare against the paper's analytical message
 sizes (``M = b·s·h / SP / WP``), and what the ablation bench reports.
+A point-to-point message (a pipeline stage handoff) is one
+:meth:`SimCluster.transfer` call; the collectives are built on it.
 
 When :mod:`repro.obs` is enabled, every ``CommStats.add`` also increments
 the ``comm.bytes`` / ``comm.ops`` counters (same labels) and every
@@ -69,16 +71,6 @@ class CommStats:
         return sum(v for (p, l), v in self.bytes.items()
                    if (primitive is None or p == primitive)
                    and (locality is None or l == locality))
-
-    def merge(self, other: "CommStats") -> "CommStats":
-        """Accumulate ``other``'s counters into this one (in place) —
-        aggregating per-cluster meters, as
-        ``MetricsRegistry.load_snapshot(..., merge=True)`` does."""
-        for key, v in other.bytes.items():
-            self.bytes[key] += v
-        for key, v in other.ops.items():
-            self.ops[key] += v
-        return self
 
     def as_table(self) -> str:
         """Plain-text table: one row per (primitive, locality) plus a
@@ -192,15 +184,6 @@ class SimCluster:
     def _check_group(self, group: list[int], primitive: str) -> None:
         if self.injector is not None:
             self.injector.raise_if_dead(group, primitive)
-
-    # -- point to point -------------------------------------------------------
-    def send(self, src: int, dst: int, array: np.ndarray) -> np.ndarray:
-        """P2P transfer (PP activations / window-shift fragments)."""
-        if src != dst:
-            with _span("comm.p2p", category="comm", src=src, dst=dst,
-                       nbytes=array.nbytes):
-                self.transfer("p2p", src, dst, array.nbytes, payload=array)
-        return array.copy()
 
     # -- collectives ------------------------------------------------------------
     def alltoall(self, group: list[int], chunks: list[list[np.ndarray]]

@@ -69,7 +69,7 @@ _INDEX_FORMAT = 1
 
 class RegistryError(Exception):
     """Typed failure for registry operations (missing version, illegal
-    transition, digest mismatch, unregisterable checkpoint)."""
+    transition, digest mismatch)."""
 
 
 @dataclass
@@ -100,11 +100,6 @@ class ModelVersion:
 
 def _canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def normalizer_digest(norm: FieldNormalizer) -> str:
-    """Content address of a normalizer's statistics."""
-    return state_digest({"mean": norm.mean, "std": norm.std})
 
 
 class ModelRegistry:
@@ -298,63 +293,6 @@ class ModelRegistry:
         return self.register_state(model.state_dict(), model.config,
                                    state_norm, residual_norm, forcing_norm,
                                    **kwargs)
-
-    def register_from_checkpoint(self, directory: str, *,
-                                 prefer_ema: bool = True,
-                                 version: str | None = None,
-                                 parent: str | None = None,
-                                 source: str | None = None,
-                                 scorecard: dict | None = None
-                                 ) -> ModelVersion:
-        """Register straight from a sharded checkpoint directory.
-
-        Requires the checkpoint manifest to carry the ``lineage`` block
-        that :meth:`repro.train.Trainer.save` embeds (model config +
-        normalizer statistics); pre-lineage checkpoints raise a typed
-        :class:`RegistryError` telling the caller to re-save or register
-        the components explicitly via :meth:`register_state`.
-        """
-        from ..train.checkpoint import read_sharded_checkpoint
-        shards, extra = read_sharded_checkpoint(directory)
-        lineage = extra.get("lineage")
-        if lineage is None:
-            raise RegistryError(
-                f"checkpoint {directory!r} predates lineage manifests; "
-                "re-save it with a current Trainer or use register_state "
-                "with explicit config + normalizers")
-        trained_as = lineage.get("parameterization", "TrigFlow")
-        if trained_as != "TrigFlow":
-            raise RegistryError(
-                f"checkpoint {directory!r} was trained as {trained_as!r}; "
-                "registry versions are served through the TrigFlow solver")
-        config = config_from_dict(lineage["model_config"])
-        norms: dict[str, FieldNormalizer | None] = {}
-        for name in ("state", "residual", "forcing"):
-            stats = lineage["normalizers"].get(name)
-            if stats is None:
-                norms[name] = None
-                continue
-            norm = FieldNormalizer(
-                mean=np.asarray(stats["mean"], dtype=np.float32),
-                std=np.asarray(stats["std"], dtype=np.float32))
-            if normalizer_digest(norm) != stats["digest"]:
-                raise RegistryError(
-                    f"{name} normalizer stats in {directory!r} do not "
-                    "match their recorded digest")
-            norms[name] = norm
-        state = shards.get("ema") if prefer_ema else None
-        if state is None:
-            state = shards.get("model")
-        if state is None:
-            raise RegistryError(
-                f"checkpoint {directory!r} has no model/ema section")
-        return self.register_state(
-            dict(state), config, norms["state"], norms["residual"],
-            norms["forcing"], version=version, parent=parent,
-            step=int(extra.get("step", 0)),
-            seed=int(lineage.get("seed", extra.get("seed", 0))),
-            source=directory if source is None else source,
-            scorecard=scorecard)
 
     # -- lifecycle ---------------------------------------------------------
     def set_status(self, version: str, status: str,

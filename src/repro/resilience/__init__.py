@@ -42,8 +42,8 @@ from .faults import (BitFlip, ClusterFailure, CommTimeout, ComputeCorruption,
 
 _SUPERVISOR_EXPORTS = ("ElasticSupervisor", "SupervisorConfig")
 #: Checkpoint-scrub exports live above repro.train, so they are lazy too.
-_SCRUB_EXPORTS = ("ScrubFinding", "ScrubReport", "latest_valid_checkpoint",
-                  "scrub_checkpoint", "scrub_checkpoints")
+_SCRUB_EXPORTS = ("ScrubFinding", "ScrubReport", "scrub_checkpoint",
+                  "scrub_checkpoints")
 
 __all__ = [
     "atomic_write",

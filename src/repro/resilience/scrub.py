@@ -13,9 +13,10 @@ to *use* the arrays).
 
 Paired with N-replica retention (``TrainerConfig.keep_checkpoints`` /
 :func:`repro.train.prune_checkpoints`) and fall-back resume
-(:meth:`repro.train.Trainer.load_latest`), this closes the state-domain
-corruption loop: scrub finds rot early, retention guarantees an older
-intact generation exists, resume skips past the rotten one bit-exactly.
+(:func:`repro.train.newest_valid_checkpoint`), this closes the
+state-domain corruption loop: scrub finds rot early, retention guarantees
+an older intact generation exists, resume skips past the rotten one
+bit-exactly.
 
 ``tools/scrub_checkpoints.py`` is the operational CLI over this module.
 """
@@ -26,11 +27,10 @@ from dataclasses import dataclass, field
 
 from ..obs.profile import count as _count
 from ..obs.profile import record_event as _record_event
-from ..train.checkpoint import (inspect_sharded_checkpoint,
-                                list_checkpoints, newest_valid_checkpoint)
+from ..train.checkpoint import inspect_sharded_checkpoint, list_checkpoints
 
 __all__ = ["ScrubFinding", "ScrubReport", "scrub_checkpoint",
-           "scrub_checkpoints", "latest_valid_checkpoint"]
+           "scrub_checkpoints"]
 
 
 @dataclass(frozen=True)
@@ -96,9 +96,3 @@ def scrub_checkpoints(root: str) -> list[ScrubReport]:
                           findings=len(report.findings))
     return reports
 
-
-def latest_valid_checkpoint(root: str) -> str | None:
-    """The newest generation under ``root`` that fully reads back and
-    verifies (the one :meth:`repro.train.Trainer.load_latest` would
-    restore), or ``None`` when every generation is rotten."""
-    return newest_valid_checkpoint(root, "resilience")[0]

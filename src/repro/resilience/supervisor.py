@@ -168,7 +168,7 @@ class ElasticSupervisor:
         back to the previous.  Returns the directory used (``None`` means
         restart from scratch)."""
         directory, shards, extra = newest_valid_checkpoint(
-            self.cfg.checkpoint_root, "resilience")
+            self.cfg.checkpoint_root)
         if directory is not None:
             self.engine.restore(shards, extra.get("engine"), where=directory)
         # no valid checkpoint: empty history, a from-scratch restart

@@ -241,20 +241,19 @@ def prune_checkpoints(root: str, keep: int) -> list[str]:
     return removed
 
 
-def newest_valid_checkpoint(root: str, subsystem: str
-                            ) -> tuple[str | None, dict, dict]:
+def newest_valid_checkpoint(root: str) -> tuple[str | None, dict, dict]:
     """``(directory, shards, extra)`` of the newest generation under
     ``root`` that reads back and verifies (``(None, {}, {})`` when none
-    does).  Each corrupted generation stepped over is booked
-    (``<subsystem>.checkpoints_rejected`` + a critical
-    ``checkpoint.corrupt`` event)."""
+    does): the elastic supervisor's fall-back resume.  Each corrupted
+    generation stepped over is booked (``resilience.checkpoints_rejected``
+    + a critical ``checkpoint.corrupt`` event)."""
     for directory in reversed(list_checkpoints(root)):
         try:
             shards, extra = read_sharded_checkpoint(directory)
         except CheckpointCorruption as exc:
-            _count(f"{subsystem}.checkpoints_rejected",
+            _count("resilience.checkpoints_rejected",
                    "corrupted generations skipped on resume")
-            _record_event("checkpoint.corrupt", subsystem=subsystem,
+            _record_event("checkpoint.corrupt", subsystem="resilience",
                           severity="critical", path=directory,
                           detail=str(exc))
             continue
@@ -268,15 +267,13 @@ def checkpoint_lineage(config, state_norm, residual_norm,
     """Lineage block for a checkpoint manifest's ``extra`` dict.
 
     Embeds the model config plus each normalizer's statistics *and* its
-    SHA-256 content digest, so a registry
-    (:meth:`repro.registry.ModelRegistry.register_from_checkpoint`) can
-    reconstruct a servable version from the checkpoint alone and prove
-    the stats were not altered in transit.  Manifests written before
-    this field existed simply lack the ``lineage`` key — readers must
-    treat its absence as "pre-lineage checkpoint", not an error.
-    ``parameterization`` is the class name of the objective the weights
-    were trained under (the registry serves only ``TrigFlow``; lineage
-    written before the key existed is TrigFlow).
+    SHA-256 content digest, so a reader can rebuild the normalizers from
+    the checkpoint alone and prove the stats were not altered in transit.
+    Manifests written before this field existed simply lack the
+    ``lineage`` key — readers must treat its absence as "pre-lineage
+    checkpoint", not an error.  ``parameterization`` is the class name of
+    the objective the weights were trained under (lineage written before
+    the key existed is TrigFlow).
     """
     from ..model.config import config_to_dict
     normalizers = {}

@@ -52,8 +52,7 @@ from ..obs.profile import observe as _observe
 from ..obs.profile import record_event as _record_event
 from ..obs.profile import span as _span
 from ..tensor import Tensor
-from .checkpoint import (CheckpointError, checkpoint_lineage,
-                         newest_valid_checkpoint, prune_checkpoints,
+from .checkpoint import (checkpoint_lineage, prune_checkpoints,
                          read_sharded_checkpoint, restore_training_shards,
                          training_shards, write_sharded_checkpoint)
 from .guard import NonFiniteLoss, StepGuard
@@ -295,9 +294,8 @@ class Trainer:
 
     def save(self, directory: str) -> str:
         """Atomic sharded checkpoint of :meth:`state_payload` plus the
-        rollback tally and the registry lineage (config + digest-stamped
-        normalizer stats, so ``register_from_checkpoint`` needs nothing
-        but this directory)."""
+        rollback tally and the lineage block (config + digest-stamped
+        normalizer stats)."""
         shards, extra = self.state_payload()
         extra["step_retries"] = self.step_retries
         extra["lineage"] = checkpoint_lineage(
@@ -315,20 +313,6 @@ class Trainer:
         ``images_seen``."""
         self.restore(*read_sharded_checkpoint(directory), where=directory)
         return self.images_seen
-
-    def load_latest(self, checkpoint_root: str) -> str:
-        """Restore the newest *valid* checkpoint generation under
-        ``checkpoint_root``, scrubbing backwards past corrupted ones
-        (each rejection is booked and alerted); returns the directory
-        loaded.  Raises :class:`~repro.train.CheckpointError` when no
-        generation survives."""
-        directory, shards, extra = newest_valid_checkpoint(checkpoint_root,
-                                                           "train")
-        if directory is None:
-            raise CheckpointError(
-                f"no valid checkpoint generation under {checkpoint_root}")
-        self.restore(shards, extra, where=directory)
-        return directory
 
     def validation_loss(self, n_batches: int = 4, seed: int = 1234) -> float:
         """Mean weighted diffusion loss over held-out validation samples.

@@ -51,7 +51,7 @@ class TestDisabledIsFree:
         before = Span.allocated
         arrays = [np.ones(8, dtype=np.float32) for _ in range(4)]
         cluster.allreduce([0, 1, 2, 3], arrays)
-        cluster.send(0, 1, arrays[0])
+        cluster.transfer("p2p", 0, 1, arrays[0].nbytes, payload=arrays[0])
         assert Span.allocated == before
         assert cluster.stats.total_bytes() > 0  # metering still works
 

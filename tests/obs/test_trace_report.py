@@ -12,10 +12,9 @@ import pytest
 
 import repro.obs.report
 from repro import obs
-from repro.model import TINY, count_parameters
+from repro.model import count_parameters
 from repro.parallel import (CommStats, RankTopology, SwipeEngine, comm_check,
                             pipeline_check)
-from repro.parallel.autotune import autotune_check, plan_for
 from repro.perf import AURORA, CommModel, bubble_fraction
 from repro.perf.pipeline_model import schedule_1f1b, simulate_timeline
 from repro.resilience import resilience_check, sdc_check
@@ -159,9 +158,10 @@ class TestTraceReportChecks:
             pytest.approx(bubble_fraction(topo.pp, GAS), abs=0.02)
 
 
-#: What the eight ``TraceReport.*_check`` methods of the last commit that
-#: had them (5e75d12) returned, and what ``render()`` printed, for the
-#: subjects ``golden_report`` builds.
+#: What seven of the eight ``TraceReport.*_check`` methods of the last
+#: commit that had them (5e75d12) returned, and what ``render()`` printed,
+#: for the subjects ``golden_report`` builds (the eighth, the autotune
+#: plan check, was deleted with ``autotune_check``).
 GOLDEN = json.loads(
     Path(__file__).with_name("golden_trace_report.json").read_text())
 
@@ -170,7 +170,7 @@ GOLDEN = json.loads(
 def golden_report():
     """Every shipped check, run once over hand-built deterministic
     subjects: a PP=2 x M=2 1F1B timeline, fixed counters, stub
-    service/controller/injector ledgers and a real tiny plan."""
+    service/controller/injector ledgers."""
     tracer = obs.Tracer(clock=StepClock())
     registry = obs.MetricsRegistry()
     for phase, stage, micro, start, end in simulate_timeline(
@@ -225,7 +225,6 @@ def golden_report():
         counts={"shadows": 2, "reassigned": 0}, state="promoted",
         incumbent="v0", candidate="v1", candidate_digest=digest,
         registry=None)
-    plan = plan_for(TINY, AURORA, 32, 8, micro_batches=(1, 2))
 
     report = obs.TraceReport(tracer, registry)
     report.run(pipeline_check, pp=2, n_micro=2)
@@ -237,14 +236,13 @@ def golden_report():
     report.run(deploy_check, service, controller)
     report.run(obs.health_check, obs.HealthMonitor(clock=StepClock()),
                injector)
-    report.run(autotune_check, plan, topology=plan.chosen.topology)
     return report
 
 
 class TestCheckProtocol:
     def test_every_shipped_check_returns_the_uniform_result(self,
                                                             golden_report):
-        assert len(golden_report.checks) == 8
+        assert len(golden_report.checks) == 7
         for result in golden_report.checks:
             assert isinstance(result["check"], str) and result["check"]
             assert isinstance(result["agrees"], bool)

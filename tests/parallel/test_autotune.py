@@ -1,7 +1,6 @@
 """SWiPe layout autotuner: determinism, feasibility, calibration margin,
-snapshot roundtrip + drift detection, and ``autotune_check`` against an
-executed layout (the supervisor end to end is in
-``tests/resilience/test_supervisor.py``).
+snapshot roundtrip + drift detection (a run on the chosen layout, end to
+end, is in ``tests/resilience/test_supervisor.py``).
 
 ``golden_plan_numbers.json`` was recorded from the commit *before* the
 step-time composition moved into :func:`repro.perf.step_terms`
@@ -18,13 +17,11 @@ import os
 import pytest
 
 from repro.model import TINY, count_parameters
-from repro.obs import TraceReport, observed
 from repro.parallel.autotune import (
     CONFIGS,
     NoFeasibleLayout,
     TunedPlan,
     _leaves,
-    autotune_check,
     calibrated_step_s,
     enumerate_candidates,
     load_plan,
@@ -198,13 +195,23 @@ class TestSnapshots:
         ("frontier[2].memory_gb",
          lambda d: d["frontier"][2].update(
              memory_gb=d["frontier"][2]["memory_gb"] + 0.5)),
+        # an unsound prune: the chosen (feasible) layout recorded as
+        # pruned for memory
+        ("pruned[32]",
+         lambda d: d["pruned"].append({
+             "reason": "memory", "detail": "doctored",
+             **{k: d["chosen"][k]
+                for k in ("dp", "pp", "wp_grid", "sp", "micro_batch")}})),
     ])
     def test_every_leaf_is_checked(self, plan, path, edit):
-        # The oracle is whole: any leaf, named by its JSON path.
+        # The oracle is whole: any leaf, named by its JSON path (a doctored
+        # record, by every leaf under its path).
         payload = json.loads(plan.to_json())
         edit(payload)
         drifts = verify_plan(TunedPlan.from_dict(payload))
-        assert [d.split(":")[0] for d in drifts] == [path]
+        paths = [d.split(":")[0] for d in drifts]
+        assert paths and all(p == path or p.startswith(path + ".")
+                             for p in paths)
 
 
 class TestOneCostModel:
@@ -253,37 +260,3 @@ class TestOneCostModel:
             assert got - base == pytest.approx(delta * params / pp / 1e9,
                                                rel=1e-6)
 
-
-class TestAutotuneCheck:
-    def test_passes_on_a_sound_plan(self, plan):
-        with observed() as (tracer, registry):
-            report = TraceReport(tracer=tracer, registry=registry)
-            result = report.run(autotune_check, plan,
-                                topology=plan.chosen.topology)
-        assert result["agrees"]
-        assert result["chosen_feasible"]
-        assert result["pruned_violations"] == []
-        assert result["topology_matches"] is True
-
-    def test_detects_a_diverged_topology(self, plan):
-        other = plan.frontier[1].topology
-        with observed() as (tracer, registry):
-            report = TraceReport(tracer=tracer, registry=registry)
-            result = report.run(autotune_check, plan, topology=other)
-        assert result["topology_matches"] is False
-        assert not result["agrees"]
-
-    def test_detects_an_unsound_prune(self, plan):
-        # Claim a feasible layout was pruned for memory: the recheck
-        # must flag it.
-        doctored = TunedPlan.from_dict(plan.to_dict())
-        c = plan.chosen
-        doctored.pruned = list(doctored.pruned) + [{
-            "reason": "memory", "detail": "doctored", "dp": c.dp,
-            "pp": c.pp, "wp_grid": list(c.wp_grid), "sp": c.sp,
-            "micro_batch": c.micro_batch}]
-        with observed() as (tracer, registry):
-            report = TraceReport(tracer=tracer, registry=registry)
-            result = report.run(autotune_check, doctored)
-        assert result["pruned_violations"]
-        assert not result["agrees"]

@@ -11,16 +11,10 @@ rng = np.random.default_rng(0)
 class TestSimCluster:
     def test_send_meters_bytes(self):
         cluster = SimCluster(4, ranks_per_node=2)
-        a = np.zeros(100, dtype=np.float32)
-        cluster.send(0, 1, a)   # same node
-        cluster.send(0, 2, a)   # different node
+        cluster.transfer("p2p", 0, 1, 400)   # same node
+        cluster.transfer("p2p", 0, 2, 400)   # different node
         assert cluster.stats.total_bytes("p2p", "intra") == 400
         assert cluster.stats.total_bytes("p2p", "inter") == 400
-
-    def test_send_to_self_free(self):
-        cluster = SimCluster(2)
-        cluster.send(0, 0, np.zeros(10, dtype=np.float32))
-        assert cluster.stats.total_bytes() == 0
 
     def test_alltoall_routes_correctly(self):
         cluster = SimCluster(3)

@@ -7,7 +7,6 @@ import pytest
 
 from repro.registry import ModelRegistry, RegistryError, TRANSITIONS
 from repro.resilience import state_digest
-from repro.train.checkpoint import training_shards, write_sharded_checkpoint
 
 
 def register(registry, trainer, **kwargs):
@@ -168,63 +167,3 @@ class TestMaintenance:
             ModelRegistry(registry.root)
         assert registry.index_path in str(excinfo.value)
 
-
-class TestCheckpointRegistration:
-    def test_register_from_checkpoint_prefers_ema(self, registry,
-                                                  reg_world, tmp_path):
-        _, trainer = reg_world
-        path = trainer.save(str(tmp_path / "ckpt"))
-        record = registry.register_from_checkpoint(path, version="ck")
-        assert record.source == path
-        # EMA shadow == fresh-model weights before any fit() step, and is
-        # what forecaster() serves — the registered bytes must match it.
-        state = registry.load_state("ck")
-        ema_model = trainer.forecaster().model
-        for name, array in ema_model.state_dict().items():
-            assert np.array_equal(state[name], array)
-        assert registry.load_config("ck") == trainer.model.config
-
-    def test_pre_lineage_checkpoint_raises_typed_error(self, registry,
-                                                       reg_world, tmp_path):
-        _, trainer = reg_world
-        path = write_sharded_checkpoint(str(tmp_path / "old"),
-                                        training_shards(trainer.model))
-        with pytest.raises(RegistryError, match="lineage"):
-            registry.register_from_checkpoint(path)
-
-    def test_checkpoint_registration_digest_matches_direct(self, registry,
-                                                           reg_world,
-                                                           tmp_path):
-        """The same weights reach the same address through either door."""
-        _, trainer = reg_world
-        path = trainer.save(str(tmp_path / "ckpt"))
-        via_ckpt = registry.register_from_checkpoint(path, version="ck")
-        direct = registry.register_state(
-            trainer.forecaster().model.state_dict(), trainer.model.config,
-            trainer.state_norm, trainer.residual_norm, trainer.forcing_norm,
-            version="direct")
-        assert via_ckpt.weights_digest == direct.weights_digest
-
-    def test_baseline_checkpoint_is_refused(self, registry, reg_world,
-                                            tmp_path):
-        """``registry.forecaster()`` always builds the TrigFlow solver:
-        weights trained under another parameterization must not get in.
-        A lineage block without the key (every checkpoint written before
-        it existed) is TrigFlow."""
-        from repro.baselines import EdmTrainer
-        from repro.model import Aeris
-        from repro.train import read_sharded_checkpoint
-        archive, trainer = reg_world
-        edm = EdmTrainer(Aeris(trainer.model.config, seed=1), archive,
-                         trainer.config)
-        with pytest.raises(RegistryError, match="EdmConfig"):
-            registry.register_from_checkpoint(
-                edm.save(str(tmp_path / "edm")))
-        assert registry.versions() == []
-
-        shards, extra = read_sharded_checkpoint(
-            trainer.save(str(tmp_path / "ckpt")))
-        assert extra["lineage"].pop("parameterization") == "TrigFlow"
-        old = write_sharded_checkpoint(str(tmp_path / "old"), shards,
-                                       extra=extra)
-        assert registry.register_from_checkpoint(old).version == "v0001"

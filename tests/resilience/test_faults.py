@@ -21,6 +21,11 @@ from repro.resilience import (
 from repro.resilience.retry import MAX_BACKOFF_S, MAX_RETRIES, backoff_s
 
 
+def _p2p(cluster, src, dst, payload):
+    """One checksummed point-to-point message, as a pipeline handoff."""
+    cluster.transfer("p2p", src, dst, payload.nbytes, payload=payload)
+
+
 class TestChecksum:
     def test_roundtrip(self):
         a = np.random.default_rng(0).normal(size=(4, 5)).astype(np.float32)
@@ -114,8 +119,10 @@ class TestSelfHealingTransfers:
         cluster = SimCluster(2, injector=inj)
         payload = np.arange(8, dtype=np.float32)
         with observed() as (tracer, registry):
-            out = cluster.send(0, 1, payload)
-            np.testing.assert_array_equal(out, payload)  # healed bit-exactly
+            _p2p(cluster, 0, 1, payload)
+            # healed bit-exactly: the caller's payload is never touched
+            np.testing.assert_array_equal(payload,
+                                          np.arange(8, dtype=np.float32))
             assert registry.counter("comm.faults_detected").total(
                 kind="flip") == 1
             assert registry.counter("comm.retries").total() == 1
@@ -126,20 +133,21 @@ class TestSelfHealingTransfers:
             events=(Drop(step=0, primitive="p2p", nth=0),)))
         cluster = SimCluster(2, injector=inj)
         payload = np.ones(4, dtype=np.float32)
-        out = cluster.send(0, 1, payload)
-        np.testing.assert_array_equal(out, payload)
+        _p2p(cluster, 0, 1, payload)
+        np.testing.assert_array_equal(payload, np.ones(4, dtype=np.float32))
+        assert cluster.stats.total_bytes("p2p") == 2 * payload.nbytes
 
     def test_permanent_corruption_raises_typed_error(self):
         inj = FaultInjector(FaultPlan(seed=0, p_bitflip=1.0))
         cluster = SimCluster(2, injector=inj)
         with pytest.raises(MessageCorruption):
-            cluster.send(0, 1, np.ones(4, dtype=np.float32))
+            _p2p(cluster, 0, 1, np.ones(4, dtype=np.float32))
 
     def test_permanent_drop_raises_timeout(self):
         inj = FaultInjector(FaultPlan(seed=0, p_drop=1.0))
         cluster = SimCluster(2, injector=inj)
         with pytest.raises(CommTimeout):
-            cluster.send(0, 1, np.ones(4, dtype=np.float32))
+            _p2p(cluster, 0, 1, np.ones(4, dtype=np.float32))
 
     def test_dead_rank_fails_every_collective(self):
         inj = FaultInjector(FaultPlan(events=(FailStop(rank=1, step=0),)))
@@ -150,8 +158,8 @@ class TestSelfHealingTransfers:
         with pytest.raises(RankFailure):
             cluster.alltoall([0, 1, 2, 3], [arrays] * 4)
         with pytest.raises(RankFailure):
-            cluster.send(0, 1, arrays[0])
-        cluster.send(0, 2, arrays[0])  # survivors keep talking
+            _p2p(cluster, 0, 1, arrays[0])
+        _p2p(cluster, 0, 2, arrays[0])  # survivors keep talking
 
     def test_straggler_metered_not_retried(self):
         inj = FaultInjector(FaultPlan(
@@ -160,7 +168,7 @@ class TestSelfHealingTransfers:
         cluster = SimCluster(2, injector=inj)
         payload = np.ones(4, dtype=np.float32)
         with observed() as (tracer, registry):
-            cluster.send(0, 1, payload)
+            _p2p(cluster, 0, 1, payload)
             hist = registry.histogram("comm.straggler_s")
             stats = hist.stats(primitive="p2p")
             assert stats["count"] == 1
@@ -171,8 +179,8 @@ class TestSelfHealingTransfers:
         plain = SimCluster(2)
         faulty = SimCluster(2, injector=FaultInjector(FaultPlan()))
         payload = np.ones(16, dtype=np.float32)
-        plain.send(0, 1, payload)
-        faulty.send(0, 1, payload)
+        _p2p(plain, 0, 1, payload)
+        _p2p(faulty, 0, 1, payload)
         assert plain.stats.bytes == faulty.stats.bytes
         assert plain.stats.ops == faulty.stats.ops
 
@@ -189,7 +197,7 @@ class TestJitterAndBudget:
                 FaultPlan(seed=0, p_drop=1.0)))
             with observed() as (_, registry):
                 with pytest.raises(CommTimeout):
-                    cluster.send(0, 1, np.ones(4, dtype=np.float32))
+                    _p2p(cluster, 0, 1, np.ones(4, dtype=np.float32))
                 waits.append(registry.histogram("comm.backoff_s").stats(
                     primitive="p2p"))
             assert sum(cluster.stats.ops.values()) == MAX_RETRIES + 1
@@ -206,7 +214,8 @@ class TestJitterAndBudget:
         cluster = SimCluster(2, injector=inj)
         payload = np.ones(1 << 16, dtype=np.float32)
         with observed() as (_, registry):
-            np.testing.assert_array_equal(cluster.send(0, 1, payload),
-                                          payload)
+            _p2p(cluster, 0, 1, payload)
+            np.testing.assert_array_equal(payload,
+                                          np.ones(1 << 16, dtype=np.float32))
             assert registry.counter("comm.retries").total() == 1
         assert cluster.stats.total_bytes("p2p") == 2 * payload.nbytes

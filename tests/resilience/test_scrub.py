@@ -10,12 +10,9 @@ import numpy as np
 import pytest
 
 import repro.obs as obs
-from repro.resilience import (
-    latest_valid_checkpoint,
-    scrub_checkpoint,
-    scrub_checkpoints,
-)
-from repro.train import prune_checkpoints, write_sharded_checkpoint
+from repro.resilience import scrub_checkpoint, scrub_checkpoints
+from repro.train import (newest_valid_checkpoint, prune_checkpoints,
+                         write_sharded_checkpoint)
 
 TOOLS_DIR = os.path.join(
     os.path.dirname(os.path.dirname(os.path.dirname(
@@ -98,11 +95,22 @@ class TestScrub:
             obs.disable()
 
 
+def _cli_latest(root, capsys, *args):
+    """The scrub CLI's ``latest_valid`` for ``root``."""
+    scrub_cli.main(["--root", str(root), "--json", *args])
+    return json.loads(capsys.readouterr().out)["latest_valid"]
+
+
 class TestLatestValid:
-    def test_skips_rotten_newest(self, tmp_path, generations):
-        assert latest_valid_checkpoint(str(tmp_path)) == generations[-1]
+    """The CLI names the generation the resume walk
+    (:func:`newest_valid_checkpoint`) restores."""
+
+    def test_skips_rotten_newest(self, tmp_path, generations, capsys):
+        assert _cli_latest(tmp_path, capsys) == generations[-1]
+        assert newest_valid_checkpoint(str(tmp_path))[0] == generations[-1]
         _rot_shard(generations[-1])
-        assert latest_valid_checkpoint(str(tmp_path)) == generations[-2]
+        assert _cli_latest(tmp_path, capsys) == generations[-2]
+        assert newest_valid_checkpoint(str(tmp_path))[0] == generations[-2]
 
     @pytest.mark.parametrize("content", ['{"format": 1, "sha', "{}"],
                              ids=["truncated", "empty-object"])
@@ -113,7 +121,6 @@ class TestLatestValid:
         rotten generation, so they cannot disagree about a manifest."""
         with open(os.path.join(generations[-1], "manifest.json"), "w") as fh:
             fh.write(content)
-        assert latest_valid_checkpoint(str(tmp_path)) == generations[-2]
         report = scrub_checkpoint(generations[-1])
         assert not report.ok
         assert "manifest unreadable" in report.findings[0].reason
@@ -121,12 +128,26 @@ class TestLatestValid:
         payload = json.loads(capsys.readouterr().out)
         assert payload["corrupt"] == 1
         assert payload["latest_valid"] == generations[-2]
+        assert payload["latest_valid"] == \
+            newest_valid_checkpoint(str(tmp_path))[0]
         assert [r["ok"] for r in payload["reports"]] == [True, True, False]
 
-    def test_none_when_everything_is_rotten(self, tmp_path, generations):
+    def test_none_when_everything_is_rotten(self, tmp_path, generations,
+                                            capsys):
         for directory in generations:
             _rot_shard(directory)
-        assert latest_valid_checkpoint(str(tmp_path)) is None
+        assert _cli_latest(tmp_path, capsys) is None
+        assert newest_valid_checkpoint(str(tmp_path))[0] is None
+
+    def test_pruned_generation_is_never_latest(self, tmp_path, generations,
+                                               capsys):
+        """``--keep 1`` keeps only the rotten newest: the valid ones the
+        scrub saw are gone, so nothing is left to resume from."""
+        _rot_shard(generations[-1])
+        assert _cli_latest(tmp_path, capsys, "--keep", "1") is None
+        assert newest_valid_checkpoint(str(tmp_path))[0] is None
+        assert sorted(os.listdir(tmp_path)) == [
+            os.path.basename(generations[-1])]
 
 
 class TestRetention:

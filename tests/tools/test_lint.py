@@ -476,14 +476,13 @@ class TestTestsOnlyParameters:
 
 class TestDeadNames:
     """A def that nothing outside tests names is a finding, unless
-    ``KEEP`` lists it or ``PROBES`` patches it by name."""
+    ``PROBES`` patches it by name."""
 
     MOD = os.path.join("src", "repro", "mod.py")
 
     @pytest.fixture
     def repo(self, tmp_path, monkeypatch):
         monkeypatch.setattr(lint, "REPO_ROOT", str(tmp_path))
-        monkeypatch.setattr(lint, "KEEP", {})
         pkg = tmp_path / "src" / "repro"
         pkg.mkdir(parents=True)
         (pkg / "mod.py").write_text(
@@ -511,21 +510,25 @@ class TestDeadNames:
     def test_callerless_def_is_flagged(self, repo):
         assert run_rule("dead-names") == (
             [f"{self.MOD}:1: lonely has no caller outside tests (delete it, "
-             "or KEEP it with its mechanism)"],
-            "dead names: 1 flagged, 0 kept")
+             "or call it from production code)"],
+            "dead names: 1 flagged")
 
     def test_def_called_only_from_tests_is_flagged(self, repo):
+        """No table exempts a def: a test's call is not traffic."""
         (repo / "tests").mkdir()
         (repo / "tests" / "test_mod.py").write_text(
             "from repro import mod\n\nmod.lonely()\n")
-        assert [f.split(": ")[1].split()[0]
-                for f in run_rule("dead-names")[0]] == ["lonely"]
+        assert run_rule("dead-names") == (
+            [f"{self.MOD}:1: lonely has no caller outside tests (delete it, "
+             "or call it from production code)"],
+            "dead names: 1 flagged")
+        assert not hasattr(lint, "KEEP")
 
     def test_attribute_use_elsewhere_keeps_def_live(self, repo):
         (repo / "examples").mkdir()
         (repo / "examples" / "demo.py").write_text(
             "def run(obj):\n    return obj.lonely()\n")
-        assert run_rule("dead-names") == ([], "dead names: 0 flagged, 0 kept")
+        assert run_rule("dead-names") == ([], "dead names: 0 flagged")
 
     def test_same_named_local_keeps_no_method_alive(self, repo):
         """A bare name credits a top-level def, never a method: a local
@@ -547,16 +550,5 @@ class TestDeadNames:
         assert f"{self.MOD}:9: Engine.probed has no caller" in "\n".join(
             run_rule("dead-names")[0])
 
-    def test_stale_keep_entry_is_a_finding(self, repo, monkeypatch):
-        monkeypatch.setattr(lint, "KEEP", {
-            "mod.py::lonely": "a mechanism's sole entry point",
-            "mod.py::helper": "stale: helper has a caller",
-            "mod.py::gone": "stale: no such def"})
-        assert run_rule("dead-names") == (
-            [f"{self.MOD}:13: KEEP entry helper has a caller now (drop the "
-             "entry)", f"{self.MOD}:1: KEEP entry gone names no def"],
-            "dead names: 2 flagged, 1 kept")
-
     def test_repo_has_no_dead_names(self):
-        found, summary = run_rule("dead-names")
-        assert found == [] and summary.endswith(f"{len(lint.KEEP)} kept")
+        assert run_rule("dead-names") == ([], "dead names: 0 flagged")

@@ -6,7 +6,7 @@ import numpy as np
 
 from repro import quickstart_components
 from repro.model.config import config_from_dict
-from repro.registry.store import normalizer_digest
+from repro.resilience import state_digest
 from repro.train import checkpoint_lineage
 from repro.train.checkpoint import (read_sharded_checkpoint,
                                     training_shards,
@@ -37,7 +37,7 @@ class TestLineageBlock:
 
     def test_digests_bind_the_stats(self, tmp_path):
         """The recorded digest is over the float32 stats arrays — the
-        same address ``normalizer_digest`` computes, so tampering with
+        address ``state_digest`` gives the rebuilt stats, so tampering with
         either the numbers or the digest is detectable."""
         trainer = small_trainer()
         lineage = checkpoint_lineage(trainer.model.config,
@@ -51,7 +51,8 @@ class TestLineageBlock:
             rebuilt = FieldNormalizer(
                 mean=np.asarray(stats["mean"], dtype=np.float32),
                 std=np.asarray(stats["std"], dtype=np.float32))
-            assert normalizer_digest(rebuilt) == stats["digest"]
+            assert state_digest({"mean": rebuilt.mean,
+                                 "std": rebuilt.std}) == stats["digest"]
 
     def test_optional_forcing_norm_omitted(self):
         trainer = small_trainer()

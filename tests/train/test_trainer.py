@@ -149,13 +149,13 @@ class TestCheckpointFit:
         with pytest.raises(CheckpointError, match=re.escape(where)):
             trainer.load(where)
 
-    def test_load_latest_name_mismatch_is_typed(self, tmp_path,
-                                                tiny_archive_module):
+    def test_load_name_mismatch_is_typed(self, tmp_path,
+                                         tiny_archive_module):
         where = _other_config_generation(tiny_archive_module, str(tmp_path),
                                          swin_layers=1)
         trainer = Trainer(Aeris(TINY16), tiny_archive_module)
         with pytest.raises(CheckpointError, match=re.escape(where)):
-            trainer.load_latest(str(tmp_path))
+            trainer.load(where)
 
     def test_negative_save_every_rejected(self, tmp_path,
                                           tiny_archive_module):

@@ -32,52 +32,6 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 #: only for option setters.
 CALLER_ROOTS = ("src", "tools", "benchmarks", "bench_e2e", "examples")
 
-#: Defs that stay with no production caller, ``"path under src/repro::
-#: qualname"`` -> the mechanism the name is the sole entry point of, and
-#: the test that pins it.  An entry that names no def, or whose def has a
-#: caller now, is itself a finding.
-KEEP = {
-    "parallel/autotune.py::autotune_check":
-        "the TraceReport check of an executed layout against its plan "
-        "(DESIGN §6, §14); tests/parallel/test_autotune.py",
-    "parallel/swipe_attention.py::swipe_window_attention":
-        "the SWiPe WP x SP sharded attention path (DESIGN §2, README); "
-        "tests/parallel/test_swipe_attention.py",
-    "parallel/comm.py::CommStats.merge":
-        "per-cluster meters summed into one (ROADMAP 11(a) merges per-thread "
-        "meters at the join through it); tests/parallel/test_comm_bytes.py",
-    "parallel/comm.py::SimCluster.send":
-        "the simulated cluster's metered point-to-point send (DESIGN §1, "
-        "§2); tests/parallel/test_comm_topology.py",
-    "parallel/zero.py::ZeroOptimizer.state_bytes_on":
-        "ZeRO-1's per-rank moment bytes, what the owner table saves "
-        "(DESIGN §2); tests/parallel/test_pipeline_zero.py",
-    "train/trainer.py::Trainer.load_latest":
-        "fall-back resume past rotten checkpoint generations (DESIGN §8, "
-        "§12); tests/train/test_resume.py",
-    "train/trainer.py::Trainer.validation_loss":
-        "the fixed-seed held-out loss, booked as train.val_loss (DESIGN "
-        "§8); tests/test_public_api.py, tests/obs/test_golden_metrics.py",
-    "resilience/supervisor.py::ElasticSupervisor.validation_loss":
-        "the re-grid chaos run's validation-loss tolerance (DESIGN §8); "
-        "tests/resilience/test_supervisor.py",
-    "registry/store.py::ModelRegistry.register_from_checkpoint":
-        "a checkpoint lifted into the registry with its lineage checked "
-        "(DESIGN §13); tests/registry/test_store.py",
-    "perf/tradeoff.py::time_to_train":
-        "the paper's '~15 hours for 3M samples' (DESIGN §3); "
-        "tests/perf/test_tradeoff.py",
-    "tensor/bf16.py::autocast_bf16":
-        "BF16 autocast, the paper's mixed precision (DESIGN §1); "
-        "tests/tensor/test_bf16_flops.py",
-    "eval/metrics.py::mae":
-        "latitude-weighted MAE (DESIGN §2, README); "
-        "tests/eval/test_metrics.py",
-    "eval/probabilistic.py::rank_histogram":
-        "ensemble rank histograms (DESIGN §2, README); "
-        "tests/eval/test_metrics.py",
-}
-
 #: Option fields that stay settable with no production setter because they
 #: are a site's capacity, ``"path under src/repro::Class.field"`` -> why,
 #: and the test that varies it.  An entry whose field is gone, or which has
@@ -365,7 +319,7 @@ def metric_names(tree: Tree) -> tuple[list[str], str]:
 
 def _unmatched(tree: Tree, table: str, entries: Iterable[str],
                kind: str) -> list[str]:
-    """A finding for each ``KEEP`` / ``DEPLOYMENT`` entry left over after
+    """A finding for each ``DEPLOYMENT`` / ``SEAMS`` entry left over after
     the walk whose module lies under the roots: it names nothing."""
     found = []
     for entry in entries:
@@ -602,10 +556,10 @@ def _defs(module: ast.Module) -> Iterator[tuple[str, ast.AST]]:
 def dead_names(tree: Tree) -> tuple[list[str], str]:
     """Every top-level def/class and class-level def under the roots is
     named by production code under :data:`CALLER_ROOTS` — tests, imports
-    and strings do not count — or is a ``PROBES`` target, or is in
-    :data:`KEEP`.  An attribute ``x.name`` names either kind; a bare
-    ``name`` names only a top-level def (a method is never reached by its
-    bare name, so a local of the same name does not keep it alive)."""
+    and strings do not count — or is a ``PROBES`` target.  An attribute
+    ``x.name`` names either kind; a bare ``name`` names only a top-level
+    def (a method is never reached by its bare name, so a local of the
+    same name does not keep it alive)."""
     attrs, names = set(), set()
     for src in tree.production:
         for node in src.nodes:
@@ -613,24 +567,13 @@ def dead_names(tree: Tree) -> tuple[list[str], str]:
                 attrs.add(node.attr)
             elif isinstance(node, ast.Name):
                 names.add(node.id)
-    probes, keep = _probe_names(tree), dict(KEEP)
-    found, kept = [], 0
-    for src in tree.files:
-        module = os.path.relpath(src.path, _src()).replace(os.sep, "/")
-        for qualname, node in _defs(src.tree):
-            live = node.name in attrs or (
-                "." not in qualname and node.name in names)
-            at = f"{src.rel}:{node.lineno}"
-            if keep.pop(f"{module}::{qualname}", None) is not None:
-                kept += not live
-                if live:
-                    found.append(f"{at}: KEEP entry {qualname} has a caller "
-                                 "now (drop the entry)")
-            elif not live and qualname not in probes:
-                found.append(f"{at}: {qualname} has no caller outside tests "
-                             "(delete it, or KEEP it with its mechanism)")
-    found += _unmatched(tree, "KEEP", keep, "def")
-    return found, f"dead names: {len(found)} flagged, {kept} kept"
+    probes = _probe_names(tree)
+    found = [f"{src.rel}:{node.lineno}: {qualname} has no caller outside "
+             "tests (delete it, or call it from production code)"
+             for src in tree.files for qualname, node in _defs(src.tree)
+             if node.name not in attrs and qualname not in probes
+             and ("." in qualname or node.name not in names)]
+    return found, f"dead names: {len(found)} flagged"
 
 
 #: ``(name, rule)``; a rule maps the parsed tree to ``(findings, summary)``.

@@ -40,20 +40,22 @@ def main(argv: list[str] | None = None) -> int:
                         help="emit a JSON report instead of text")
     args = parser.parse_args(argv)
 
-    from repro.resilience.scrub import latest_valid_checkpoint, \
-        scrub_checkpoints
+    from repro.resilience.scrub import scrub_checkpoints
     from repro.train import prune_checkpoints
 
     reports = scrub_checkpoints(args.root)
     pruned = prune_checkpoints(args.root, args.keep) if args.keep else []
     corrupt = [r for r in reports if not r.ok]
+    # the generation a resume would restore: newest verified, not pruned
+    latest = next((r.directory for r in reversed(reports)
+                   if r.ok and r.directory not in pruned), None)
 
     if args.json:
         payload = {
             "root": args.root,
             "generations": len(reports),
             "corrupt": len(corrupt),
-            "latest_valid": latest_valid_checkpoint(args.root),
+            "latest_valid": latest,
             "pruned": pruned,
             "reports": [{
                 "directory": r.directory, "ok": r.ok,
@@ -71,7 +73,6 @@ def main(argv: list[str] | None = None) -> int:
         for directory in pruned:
             print(f"pruned {directory}")
         if corrupt:
-            latest = latest_valid_checkpoint(args.root)
             print(f"{len(corrupt)} corrupt generation(s); "
                   f"latest valid: {latest or 'NONE'}", file=sys.stderr)
     return 1 if corrupt else 0
