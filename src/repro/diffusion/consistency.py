@@ -23,8 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..nn import EMA, AdamW, Module
+from ..nn import ConstantLR, Module
 from ..tensor import Tensor
+from ..train.trainer import ONE_RANK, Batch, TrainingEngine
 from .sampler import bound_network
 from .solver import SolverConfig
 from .trigflow import TrigFlow
@@ -51,8 +52,10 @@ class ConsistencyConfig:
     seed: int = 0
 
 
-class ConsistencyDistiller:
-    """Distills a trained TrigFlow teacher into a one-step student.
+class ConsistencyDistiller(TrainingEngine):
+    """Distills a trained TrigFlow teacher into a one-step student: the
+    training engine (:class:`~repro.train.TrainingEngine`) at one rank,
+    on the caller's batches, with the teacher-target jump as its loss.
 
     Both teacher and student share the AERIS call signature
     ``model(x_t, t, cond, forc)``.  The student is typically initialized
@@ -61,15 +64,16 @@ class ConsistencyDistiller:
 
     def __init__(self, teacher: Module, student: Module,
                  config: ConsistencyConfig = ConsistencyConfig()):
+        super().__init__([student], ONE_RANK, schedule=ConstantLR(LR),
+                         weight_decay=0.0,
+                         ema_halflife=EMA_HALFLIFE_IMAGES, seed=config.seed,
+                         noise_offsets=(1, 2), injector=None)
         self.teacher = teacher
         self.student = student
         self.flow = TrigFlow()
         self.config = config
-        self.optimizer = AdamW(student.parameters(), lr=LR, weight_decay=0.0)
-        self.ema = EMA(student, halflife_images=EMA_HALFLIFE_IMAGES)
-        self.rng_t = np.random.default_rng(config.seed + 1)
-        self.rng_z = np.random.default_rng(config.seed + 2)
-        self.history: list[float] = []
+        # no archive: a checkpoint's lineage carries no normalizer stats
+        self.state_norm = self.residual_norm = self.forcing_norm = None
         # Boundary times: log-uniform in tan(t), densest near t_min.
         taus = np.linspace(np.log(self.flow.sigma_min),
                            np.log(self.flow.sigma_max),
@@ -95,13 +99,8 @@ class ConsistencyDistiller:
         return x_t + h * v2
 
     def _student_jump(self, x: np.ndarray, t: np.ndarray, cond: np.ndarray,
-                      forc: np.ndarray, grad: bool):
-        """Student consistency function; Tensor (with graph) if ``grad``."""
-        if grad:
-            out = self.student(Tensor(x / self.flow.sigma_d), Tensor(t),
-                               Tensor(cond), Tensor(forc))
-            ct, st = TrigFlow._angles(t, x.ndim)
-            return Tensor(ct * x) - Tensor(st) * (out * self.flow.sigma_d)
+                      forc: np.ndarray) -> np.ndarray:
+        """The student's consistency function, without a graph."""
         return consistency_jump(
             self.flow, x, self._velocity(self.student, x, t, cond, forc), t)
 
@@ -109,6 +108,10 @@ class ConsistencyDistiller:
     def train_step(self, x0: np.ndarray, cond: np.ndarray,
                    forc: np.ndarray) -> float:
         """``x0``: clean (standardized residual) targets, ``(B, H, W, C)``."""
+        return self._run(lambda: self._draw(x0, cond, forc))
+
+    def _draw(self, x0: np.ndarray, cond: np.ndarray,
+              forc: np.ndarray) -> Batch:
         batch = x0.shape[0]
         # Sample a boundary interval [s, t] per sample.
         idx = self.rng_t.integers(1, len(self.boundaries), size=batch)
@@ -120,16 +123,17 @@ class ConsistencyDistiller:
         # Teacher moves x_t -> x_s along the PFODE; the EMA student's jump
         # from x_s is the (stop-gradient) target.
         x_s = self._teacher_ode_step(x_t, t, s, cond, forc)
-        target = self._student_jump(x_s, s, cond, forc, grad=False)
-        self.optimizer.zero_grad()
-        pred = self._student_jump(x_t, t, cond, forc, grad=True)
-        loss = ((pred - Tensor(target)) ** 2).mean()
-        loss.backward()
-        self.optimizer.step()
-        self.ema.update(self.student, images_per_step=batch)
-        value = loss.item()
-        self.history.append(value)
-        return value
+        target = self._student_jump(x_s, s, cond, forc)
+        ct, st = TrigFlow._angles(t, x_t.ndim)
+
+        def loss(out: Tensor, rows: slice) -> Tensor:
+            """The student's jump from ``x_t`` (with its graph) against
+            the target."""
+            pred = (Tensor((ct * x_t)[rows])
+                    - Tensor(st[rows]) * (out * self.flow.sigma_d))
+            return ((pred - Tensor(target[rows])) ** 2).mean()
+
+        return Batch((x_t / self.flow.sigma_d, t, cond, forc), loss)
 
     # -- one-step inference ----------------------------------------------------
     def sample_one_step(self, cond: np.ndarray, forc: np.ndarray,
@@ -149,7 +153,7 @@ class ConsistencyDistiller:
         c = cond if cond.ndim == 4 else cond[None]
         f = forc if forc.ndim == 4 else forc[None]
         try:
-            out = self._student_jump(x, t, c, f, grad=False)
+            out = self._student_jump(x, t, c, f)
         finally:
             if use_ema:   # also when the forward raised
                 model.load_state_dict(saved)

@@ -7,7 +7,7 @@ from .linear import Linear
 from .module import Module, ModuleList, Parameter
 from .norm import AdaLNModulation, LayerNorm, RMSNorm, modulate
 from .optim import EMA, AdamW
-from .schedule import WarmupConstantDecay
+from .schedule import ConstantLR, WarmupConstantDecay
 from .swiglu import SwiGLU
 
 __all__ = [
@@ -15,6 +15,6 @@ __all__ = [
     "Linear", "RMSNorm", "LayerNorm", "AdaLNModulation", "modulate",
     "SwiGLU", "MultiHeadAttention", "dot_product_attention", "apply_rotary",
     "TimestepEmbedding", "pixel_positional_field",
-    "AdamW", "EMA", "WarmupConstantDecay",
+    "AdamW", "EMA", "WarmupConstantDecay", "ConstantLR",
     "trunc_normal", "zeros", "scaled_init_std",
 ]

@@ -13,9 +13,11 @@ from .module import Module, Parameter
 
 __all__ = ["AdamW", "EMA"]
 
-#: AdamW's moment decays and denominator floor: the paper's values (§VI-B).
+#: AdamW's moment decays, denominator floor and decoupled weight decay:
+#: the paper's values (§VI-B).
 BETAS = (0.85, 0.9)
 EPS = 1e-8
+WEIGHT_DECAY = 0.01
 
 
 class AdamW:
@@ -26,10 +28,8 @@ class AdamW:
     :class:`repro.parallel.ZeroOptimizer` adds an owner per parameter.
     """
 
-    # weight decay: the paper's value (§VI-B), spelled here and nowhere
-    # else — callers that train the paper's way pass ``lr`` only.
     def __init__(self, params: list[Parameter], lr: float = 5e-4,
-                 weight_decay: float = 0.01):
+                 weight_decay: float = WEIGHT_DECAY):
         self.params = list(params)
         self.lr = lr
         self.weight_decay = weight_decay

@@ -1,10 +1,22 @@
-"""Learning-rate schedule from the paper: linear warmup over 50k images,
+"""Learning-rate schedules: the paper's (linear warmup over 50k images,
 constant at the peak, then linear decay to zero over the final 100k of 3M
-total images."""
+total images), and a constant rate for the short runs that do not warm up
+(SWiPe, finetuning, distillation)."""
 
 from __future__ import annotations
 
-__all__ = ["WarmupConstantDecay"]
+from typing import NamedTuple
+
+__all__ = ["WarmupConstantDecay", "ConstantLR"]
+
+
+class ConstantLR(NamedTuple):
+    """One learning rate for every step, as a schedule."""
+
+    lr: float
+
+    def lr_at(self, images_seen: float) -> float:
+        return self.lr
 
 
 class WarmupConstantDecay:

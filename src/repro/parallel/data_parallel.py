@@ -23,9 +23,12 @@ def allreduce_gradients(cluster: SimCluster, dp_group: list[int],
 
     Replicas without a gradient for some parameter contribute zeros (this
     matches frameworks that materialize zero grads before the reduction).
+    A one-rank group has nothing to reduce.
     """
     if len(replicas) != len(dp_group):
         raise ValueError("one replica per DP rank required")
+    if len(dp_group) == 1:
+        return
     param_lists = [list(r.parameters()) for r in replicas]
     n_params = len(param_lists[0])
     if any(len(pl) != n_params for pl in param_lists):

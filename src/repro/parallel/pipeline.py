@@ -2,7 +2,10 @@
 
 The paper isolates data I/O + input embedding into the first stage and
 decoding + output into the last, with one Swin layer per interior stage —
-keeping I/O latency out of the interior stages' bubble.
+keeping I/O latency out of the interior stages' bubble.  The other depth a
+pipeline takes is PP = 1: one stage that runs ``Aeris.forward`` and one
+backward sweep, the single-process step (the training engine's
+:class:`~repro.train.Trainer` runs there).
 
 This executor performs *real* pipelined training numerics: activations are
 detached at stage boundaries, handed to the next stage (metered as PP
@@ -51,7 +54,8 @@ class AerisPipeline:
         are shared, not copied).
     cluster / pp_group:
         Optional metering: activation handoffs are charged as p2p bytes
-        between consecutive ``pp_group`` ranks.
+        between consecutive ``pp_group`` ranks.  The group's length is
+        the stage count, 1 or ``L + 2`` (``L + 2`` without a group).
     name:
         Trace track prefix (``dp0``, ``dp1``, ... inside a SWiPe engine) so
         per-replica timelines stay distinguishable.
@@ -63,7 +67,11 @@ class AerisPipeline:
         self.cluster = cluster
         self.pp_group = pp_group
         self.name = name
-        self.n_stages = model.config.swin_layers + 2
+        self.n_stages = (len(pp_group) if pp_group
+                         else model.config.pp_stages)
+        if self.n_stages not in (1, model.config.pp_stages):
+            raise ValueError(f"{self.n_stages} pipeline stages: the model "
+                             f"runs as 1 or {model.config.pp_stages}")
         self._virtual_clock = None  # end of the last replayed 1F1B timeline
 
     def _meter(self, stage: int, nbytes: int,
@@ -100,7 +108,7 @@ class AerisPipeline:
             total_loss += self._one_microbatch(
                 x_t[sl], t[sl], cond[sl], forc[sl],
                 lambda pred: loss_fn(pred, sl), m)
-        if tracer is not None:
+        if tracer is not None and self.n_stages > 1:
             self._replay_1f1b(tracer, tracer.spans[first:], n_micro)
         return total_loss
 
@@ -141,6 +149,13 @@ class AerisPipeline:
     def _one_microbatch(self, x_t, t, cond, forc, loss_fn,
                         micro: int = 0) -> float:
         model = self.model
+        if self.n_stages == 1:
+            with self._pass("F", 0, micro):
+                loss = loss_fn(model(Tensor(x_t), Tensor(t), Tensor(cond),
+                                     Tensor(forc)))
+            with self._pass("B", 0, micro):
+                loss.backward()
+            return loss.item()
         # Stage 0: I/O + embedding (+ the shared time embedding, which is
         # broadcast to every interior stage).
         with self._pass("F", 0, micro):

@@ -27,8 +27,10 @@ class ZeroOptimizer(AdamW):
     """
 
     def __init__(self, params: list[Parameter], cluster: SimCluster,
-                 dp_group: list[int], lr: float = 5e-4):
-        super().__init__(params, lr=lr)
+                 dp_group: list[int], **adamw):
+        """``adamw``: :class:`~repro.nn.AdamW`'s ``lr`` and
+        ``weight_decay``."""
+        super().__init__(params, **adamw)
         self.cluster = cluster
         self.dp_group = dp_group
         self.dp = len(dp_group)

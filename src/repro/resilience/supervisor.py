@@ -39,14 +39,11 @@ from ..data import SyntheticReanalysis
 from ..model import AerisConfig
 from ..obs.profile import count as _count
 from ..obs.profile import gauge as _gauge
-from ..obs.profile import health as _obs_health
 from ..obs.profile import record_event as _record_event
 from ..obs.profile import span as _span
 from ..parallel.swipe import SwipeEngine
 from ..parallel.topology import RankTopology
-from ..train.checkpoint import (newest_valid_checkpoint,
-                                write_sharded_checkpoint)
-from ..train.trainer import evaluate_validation_loss
+from ..train.checkpoint import newest_valid_checkpoint
 from .faults import (ClusterFailure, FaultInjector, FaultPlan, RankFailure,
                      count_dead_ranks)
 
@@ -85,24 +82,24 @@ class ElasticSupervisor:
         self.topology = topology
         self.injector = FaultInjector(fault_plan if fault_plan is not None
                                       else FaultPlan())
-        self.state_norm = archive.state_normalizer()
-        self.residual_norm = archive.residual_normalizer()
-        self.forcing_norm = archive.forcing_normalizer()
         self.train_indices = archive.split_indices("train")
-        self.history: list[float] = []
         self.recoveries: list[dict] = []
         self.restarts = 0
         self._build_engine()
 
+    @property
+    def history(self) -> list[float]:
+        """Losses of the completed steps (the engine's; a recovery
+        restores them with the checkpoint)."""
+        return self.engine.history
+
     # -- engine lifecycle --------------------------------------------------
     def _build_engine(self) -> None:
-        if self.cfg.global_batch % self.topology.dp:
-            raise ValueError(
-                f"global batch {self.cfg.global_batch} not divisible by "
-                f"DP={self.topology.dp}")
         self.engine = SwipeEngine(self.model_config, self.archive,
                                   self.topology, lr=LR,
                                   seed=self.cfg.seed, injector=self.injector)
+        # a global batch DP does not divide is refused here, not mid-run
+        self.engine.rows_per_replica(self.cfg.global_batch)
         _gauge("resilience.world_size", "ranks in the current grid",
                self.topology.world_size)
 
@@ -116,20 +113,15 @@ class ElasticSupervisor:
             step = len(self.history)
             self.injector.advance(step)
             try:
-                loss = self._train_one(step)
+                self._train_one(step)
             except RankFailure as failure:
                 self._recover(step, failure)
                 continue
-            self.history.append(loss)
-            monitor = _obs_health()
-            if monitor is not None:
-                monitor.observe_step(step, loss)
-            _record_event("train.step", subsystem="resilience", step=step,
-                          loss=loss)
             done = len(self.history)
             if self.cfg.save_every and (done % self.cfg.save_every == 0
                                         or done == n_steps):
-                self._save()
+                self.engine.save(os.path.join(self.cfg.checkpoint_root,
+                                              f"step-{done:08d}"))
         return {"history": list(self.history),
                 "recoveries": list(self.recoveries),
                 "restarts": self.restarts,
@@ -141,38 +133,22 @@ class ElasticSupervisor:
         rng = np.random.default_rng([self.cfg.seed, _BATCH_STREAM, step])
         indices = rng.choice(self.train_indices,
                              size=self.cfg.global_batch, replace=False)
+        engine = self.engine
         cond, residual, forc = self.archive.training_batch(
-            indices, self.state_norm, self.residual_norm, self.forcing_norm)
-        x_t, t, v = self.engine.make_training_pairs(residual)
-        return self.engine.train_step(x_t, t, v, cond, forc,
-                                      gas=self.cfg.gas)
+            indices, engine.state_norm, engine.residual_norm,
+            engine.forcing_norm)
+        x_t, t, v = engine.make_training_pairs(residual)
+        return engine.train_step(x_t, t, v, cond, forc, gas=self.cfg.gas)
 
     # -- checkpointing -----------------------------------------------------
-    def _checkpoint_dir(self, step: int) -> str:
-        return os.path.join(self.cfg.checkpoint_root, f"step-{step:08d}")
-
-    def _save(self) -> str:
-        shards, engine_extra = self.engine.state_payload()
-        extra = {"step": len(self.history),
-                 "history": list(self.history),
-                 "engine": engine_extra}
-        path = write_sharded_checkpoint(
-            self._checkpoint_dir(len(self.history)), shards, extra=extra)
-        _count("resilience.checkpoints", "sharded checkpoints written")
-        _record_event("checkpoint.save", subsystem="resilience", path=path,
-                      step=len(self.history))
-        return path
-
     def _restore_latest(self) -> str | None:
         """Load the newest checkpoint that verifies; corrupt ones fall
         back to the previous.  Returns the directory used (``None`` means
-        restart from scratch)."""
+        restart from scratch: the fresh engine's empty history)."""
         directory, shards, extra = newest_valid_checkpoint(
             self.cfg.checkpoint_root)
         if directory is not None:
-            self.engine.restore(shards, extra.get("engine"), where=directory)
-        # no valid checkpoint: empty history, a from-scratch restart
-        self.history = [float(x) for x in extra.get("history", [])]
+            self.engine.restore(shards, extra, where=directory)
         return directory
 
     # -- recovery ----------------------------------------------------------
@@ -211,10 +187,5 @@ class ElasticSupervisor:
     def validation_loss(self, batch_size: int = 8, n_batches: int = 2,
                         seed: int = 1234) -> float:
         """Fixed-seed held-out loss — directly comparable across faulted
-        and fault-free runs (same evaluator as the reference trainer)."""
-        engine = self.engine
-        return evaluate_validation_loss(
-            engine.replicas[0], self.archive, engine.flow,
-            engine.lat_weights, engine.var_weights, self.state_norm,
-            self.residual_norm, self.forcing_norm, batch_size=batch_size,
-            n_batches=n_batches, seed=seed)
+        and fault-free runs (the trainer's evaluation)."""
+        return self.engine.held_out_loss(batch_size, n_batches, seed)

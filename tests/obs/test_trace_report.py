@@ -152,7 +152,7 @@ class TestTraceReportChecks:
 
     def test_registry_recorded_engine_metrics(self, traced_run):
         _, registry, _, topo = traced_run
-        assert registry.counter("swipe.steps").value() == 1
+        assert registry.counter("train.steps").value() == 1
         assert registry.counter("pp.microbatches").total() == topo.dp * GAS
         assert registry.gauge("pp.bubble").value(pipeline="dp0") == \
             pytest.approx(bubble_fraction(topo.pp, GAS), abs=0.02)

@@ -130,6 +130,7 @@ class TestMain:
         assert found == []
         # The lint once matched registry chains only and would have passed
         # a tree whose writers had all moved to the hooks: it must see them
-        # (66 since the plan route's four bookings went).
+        # (62 since the SWiPe engine's three bookings and the supervisor's
+        # checkpoint counter went into the one training engine's).
         booked = re.search(r"(\d+) booking calls", summary)
-        assert int(booked.group(1)) >= 66
+        assert int(booked.group(1)) >= 62

@@ -1,6 +1,7 @@
 """Unit tests for the repo lint (``tools/lint.py``): its one walk, each row
 of its rule table, and the entry point."""
 
+import functools
 import os
 import sys
 
@@ -14,11 +15,46 @@ sys.path.insert(0, TOOLS_DIR)
 import lint  # noqa: E402
 
 
+#: The repository the lint checks by default.
+REPO_ROOT = lint.REPO_ROOT
+
+
+@functools.lru_cache(maxsize=None)
+def _repo_tree():
+    """``src/repro`` read, parsed and tokenized once per session (a
+    :class:`lint.Tree` caches every file it has read)."""
+    return lint.Tree([lint._src()])
+
+
+#: Every file any case has read, by ``(path, mtime, size)``: the rules
+#: that scan the callers (``options``, ``dead-names``) read the repo's
+#: production files and tests whatever tree a case lints.
+_SOURCES = {}
+
+
+@pytest.fixture(autouse=True)
+def _read_each_file_once(monkeypatch):
+    source = lint.Source
+
+    def cached(path):
+        stat = os.stat(path)
+        key = (path, stat.st_mtime_ns, stat.st_size, lint.REPO_ROOT)
+        if key not in _SOURCES:
+            _SOURCES[key] = source(path)
+        return _SOURCES[key]
+
+    monkeypatch.setattr(lint, "Source", cached)
+
+
 def run_rule(name, *roots):
     """``(findings, summary)`` of one row of ``lint.RULES`` over ``roots``
-    (default: ``src/repro``)."""
-    return dict(lint.RULES)[name](
-        lint.Tree([str(root) for root in roots] or [lint._src()]))
+    (default: ``src/repro`` — the session's tree, unless a case points
+    ``lint.REPO_ROOT`` at a repository of its own)."""
+    if roots or lint.REPO_ROOT != REPO_ROOT:
+        tree = lint.Tree([str(root) for root in roots] or [lint._src()])
+    else:
+        tree = _repo_tree()
+    return dict(lint.RULES)[name](tree)
 
 
 @pytest.fixture
