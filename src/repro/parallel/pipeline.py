@@ -16,9 +16,11 @@ gradients match a monolithic forward/backward to ``rtol=2e-4`` (what
 ``test_gradients_match_monolithic`` holds), not bit-for-bit: microbatch
 accumulation associates the sums differently (ROADMAP fact (viii)).
 
-Execution order inside one process is sequential; the 1F1B/GPipe *timing*
-(bubble fraction) is modeled in :mod:`repro.perf.pipeline_model`, which is
-also where the schedules live.
+One pipeline runs its stages and microbatches one after the other; the
+1F1B/GPipe *timing* (bubble fraction) is modeled in
+:mod:`repro.perf.pipeline_model`, which is also where the schedules live.
+The DP replicas' pipelines of a training step run at once, one group per
+core in forked processes (:func:`repro.rows.run_forked`).
 
 Tracing (:mod:`repro.obs`): when enabled, every stage pass is an
 ``obs.span`` (category ``pp-exec``), and after each ``forward_backward`` the
@@ -27,7 +29,8 @@ stage costs are replayed through
 :func:`repro.perf.pipeline_model.simulate_timeline` onto **per-rank
 1F1B tracks** (category ``pp-1f1b``) — the exported Chrome trace then
 shows the warmup/steady-state/cooldown staircase and the bubble the perf
-model predicts, even though the simulation executes sequentially.  With
+model predicts, even though each pipeline executes its stages in turn
+(and a traced step runs its replicas in one process).  With
 tracing disabled none of this runs (no clock reads, no span objects).
 """
 

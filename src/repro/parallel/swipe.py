@@ -10,7 +10,10 @@ caller's batches, at a constant learning rate with no EMA.  What runs
   at stage boundaries and gradient accumulation over GAS microbatches
   (:class:`~repro.parallel.pipeline.AerisPipeline`).
 * **DP** — real replicated models, split batches, metered FP32 gradient
-  allreduce (:mod:`~repro.parallel.data_parallel`).
+  allreduce (:mod:`~repro.parallel.data_parallel`).  The replicas'
+  forward/backward passes run at once, one group per core, the others in
+  forked processes (:func:`~repro.rows.run_forked`); in one process under
+  a fault injector, a GEMM guard, a FLOP counter or observability.
 * **ZeRO-1** — real sharded optimizer states + allgather accounting
   (:mod:`~repro.parallel.zero`).
 * **WP / SP** — the window/sequence sharded *attention numerics* run

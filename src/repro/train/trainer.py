@@ -3,7 +3,9 @@
 :class:`TrainingEngine` owns everything about a step but the loss:
 zero-grad; forward and backward through one
 :class:`~repro.parallel.AerisPipeline` per DP replica of a
-:class:`~repro.parallel.RankTopology`; the DP allreduce; the ZeRO-1 AdamW
+:class:`~repro.parallel.RankTopology`, the replicas at once on a
+multi-core box (one group per core, the others in forked processes); the
+DP allreduce; the ZeRO-1 AdamW
 update at its schedule's learning rate; the optional EMA; the NaN/Inf
 guard (skip the update, back the LR off); the optional SDC guard
 (:class:`~repro.train.guard.StepGuard`); one ``state_payload`` /
@@ -45,6 +47,7 @@ from ..parallel.data_parallel import allreduce_gradients
 from ..parallel.pipeline import AerisPipeline
 from ..parallel.topology import RankTopology
 from ..parallel.zero import ZeroOptimizer
+from ..rows import run_forked
 from ..tensor import Tensor, no_grad
 from .checkpoint import (checkpoint_lineage, prune_checkpoints,
                          read_sharded_checkpoint, restore_training_shards,
@@ -196,24 +199,63 @@ class TrainingEngine:
     def _forward_backward(self, batch: Batch, gas: int) -> float:
         """Zero-grad, then each replica's rows through its pipeline in
         ``gas`` microbatches (each loss scaled by ``1 / gas``); the mean
-        of the replicas' losses."""
+        of the replicas' losses.
+
+        The replicas run at once in contiguous groups
+        (:func:`~repro.rows.run_forked`): this process runs the first,
+        a forked child each other, and a child's losses, gradients and
+        meter bookings are installed here after the join, the bookings in
+        rank order, as a serial run books them.  Under a fault injector
+        the replicas run here one after the other (faults address
+        transfers by their order in the step)."""
         per = self.rows_per_replica(len(batch.inputs[0]))
         for replica in self.replicas:
             replica.zero_grad()
-        losses = []
-        for d, pipeline in enumerate(self.pipelines):
-            first = d * per
+        stats = self.cluster.stats
 
-            def loss_fn(pred: Tensor, micro: slice, first=first) -> Tensor:
-                rows = slice(first + micro.start, first + micro.stop)
-                return batch.loss(pred, rows) * (1.0 / gas)
+        def run(lo: int, hi: int):
+            """Replicas ``lo:hi``: their losses, gradients (none for the
+            group from 0, which runs in this process) and the meter
+            bookings they made, ``(key, bytes, ops)`` in first-booked
+            order."""
+            ops, nbytes = dict(stats.ops), dict(stats.bytes)
+            losses = [self._replica_forward_backward(batch, gas, d, per)
+                      for d in range(lo, hi)]
+            booked = [(key, stats.bytes[key] - nbytes.get(key, 0),
+                       n - ops.get(key, 0))
+                      for key, n in stats.ops.items() if n != ops.get(key, 0)]
+            grads = [[p.grad for p in self.replicas[d].parameters()]
+                     for d in range(lo, hi)] if lo else []
+            return losses, grads, booked
 
-            with _span("train.forward_backward", category="train",
-                       dp_rank=d):
-                losses.append(pipeline.forward_backward(
-                    *(a[first:first + per] for a in batch.inputs), loss_fn,
-                    n_micro=gas))
-        return float(np.mean(losses))
+        dp = len(self.replicas)
+        groups = ([run(0, dp)] if self.cluster.injector is not None
+                  else run_forked(dp, run))
+        d = len(groups[0][0])
+        for _, group_grads, booked in groups[1:]:
+            for replica_grads in group_grads:
+                for p, grad in zip(self.replicas[d].parameters(),
+                                   replica_grads):
+                    p.grad = grad
+                d += 1
+            for key, nbytes, ops in booked:
+                stats.bytes[key] += nbytes
+                stats.ops[key] += ops
+        return float(np.mean([loss for group in groups for loss in group[0]]))
+
+    def _replica_forward_backward(self, batch: Batch, gas: int, d: int,
+                                  per: int) -> float:
+        """Replica ``d``'s rows of ``batch`` through its pipeline."""
+        first = d * per
+
+        def loss_fn(pred: Tensor, micro: slice) -> Tensor:
+            rows = slice(first + micro.start, first + micro.stop)
+            return batch.loss(pred, rows) * (1.0 / gas)
+
+        with _span("train.forward_backward", category="train", dp_rank=d):
+            return self.pipelines[d].forward_backward(
+                *(a[first:first + per] for a in batch.inputs), loss_fn,
+                n_micro=gas)
 
     def _update(self, images: int) -> None:
         """DP allreduce, the sharded AdamW step at the scheduled LR, the

@@ -1,0 +1,259 @@
+"""Forked DP replicas: a SWiPe step runs replica groups 1… in forked
+children while this process runs group 0, and every observable of the
+serial step — losses, weights, Adam moments, metered bytes and ops in
+booking order, generator states — is equal bit for bit.  Each case forces
+the core count both ways by monkeypatching ``rows._CORES``, so it runs the
+same on a 1-core box."""
+
+import os
+import signal
+import threading
+import warnings
+
+import numpy as np
+import pytest
+
+from repro import obs, rows
+from repro.data import ReanalysisConfig, SyntheticReanalysis
+from repro.kernels import abft_guard
+from repro.parallel import RankTopology, SwipeEngine
+from repro.resilience import FaultInjector, FaultPlan
+from repro.tensor import count_flops
+from repro.train import Batch
+from tests.train.test_trainer import TINY16
+
+ROWS_PER_REPLICA = 4
+
+
+@pytest.fixture(scope="module")
+def archive():
+    return SyntheticReanalysis(ReanalysisConfig(
+        height=16, width=32, train_years=0.3, val_years=0.1, test_years=0.1,
+        seed=3, spinup_steps=40))
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Counts the forks the step makes (the real ``os.fork`` runs)."""
+    made = []
+    real = os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            made.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return made
+
+
+def engine_for(archive, dp, injector=None):
+    topo = RankTopology(dp=dp, pp=TINY16.pp_stages, wp_grid=(1, 1), sp=1)
+    return SwipeEngine(TINY16, archive, topo, lr=1e-3, seed=0,
+                       injector=injector)
+
+
+def swipe_step(engine, archive, k, gas):
+    batch = engine.topology.dp * ROWS_PER_REPLICA
+    idx = archive.split_indices("train")[k * batch:(k + 1) * batch]
+    cond, residual, forc = archive.training_batch(
+        idx, engine.state_norm, engine.residual_norm, engine.forcing_norm)
+    x_t, t, v = engine.make_training_pairs(residual)
+    return engine.train_step(x_t, t, v, cond, forc, gas=gas)
+
+
+def run(archive, dp, gas, cores, monkeypatch, steps=3):
+    monkeypatch.setattr(rows, "_CORES", cores)
+    engine = engine_for(archive, dp)
+    losses = [swipe_step(engine, archive, k, gas) for k in range(steps)]
+    return engine, losses
+
+
+def assert_same_engines(a, b):
+    assert a.history == b.history
+    for ra, rb in zip(a.replicas, b.replicas, strict=True):
+        for (name, pa), pb in zip(ra.named_parameters(), rb.parameters(),
+                                  strict=True):
+            np.testing.assert_array_equal(pa.data, pb.data, err_msg=name)
+    for ma, mb in zip(a.optimizer.exp_avg + a.optimizer.exp_avg_sq,
+                      b.optimizer.exp_avg + b.optimizer.exp_avg_sq,
+                      strict=True):
+        np.testing.assert_array_equal(ma, mb)
+    assert a.optimizer.step_count == b.optimizer.step_count
+    # equal counts, booked in the same order
+    assert list(a.cluster.stats.bytes.items()) == \
+        list(b.cluster.stats.bytes.items())
+    assert list(a.cluster.stats.ops.items()) == \
+        list(b.cluster.stats.ops.items())
+    assert a.state_payload()[1]["rng"] == b.state_payload()[1]["rng"]
+
+
+class TestGroups:
+    @pytest.mark.parametrize("cores, n, bounds", [
+        (2, 2, [0, 1, 2]), (2, 4, [0, 2, 4]), (2, 3, [0, 1, 3]),
+        (3, 4, [0, 1, 2, 4]), (4, 2, [0, 1, 2]), (2, 1, [0, 1]),
+        (1, 4, [0, 4])])
+    def test_groups_by_items_and_cores(self, cores, n, bounds, monkeypatch):
+        monkeypatch.setattr(rows, "_CORES", cores)
+        assert rows._fork_bounds(n) == bounds
+
+    def test_a_foreign_thread_keeps_one_group(self, monkeypatch):
+        monkeypatch.setattr(rows, "_CORES", 2)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, name="foreign")
+        thread.start()
+        try:
+            assert rows._fork_bounds(2) == [0, 2]
+        finally:
+            release.set()
+            thread.join()
+        assert rows._fork_bounds(2) == [0, 1, 2]
+
+
+class TestBitExact:
+    @pytest.mark.parametrize("dp", [2, 4])
+    @pytest.mark.parametrize("gas", [1, 4])
+    def test_forked_equals_serial(self, archive, dp, gas, monkeypatch,
+                                  forks):
+        serial, _ = run(archive, dp, gas, 1, monkeypatch)
+        assert forks == []
+        forked, _ = run(archive, dp, gas, 2, monkeypatch)
+        assert len(forks) == 3                   # one child per step
+        assert_same_engines(serial, forked)
+
+    def test_three_groups(self, archive, monkeypatch, forks):
+        serial, _ = run(archive, 4, 1, 1, monkeypatch, steps=2)
+        forked, _ = run(archive, 4, 1, 3, monkeypatch, steps=2)
+        assert len(forks) == 4                   # two children per step
+        assert_same_engines(serial, forked)
+
+    def test_forked_unobserved_equals_serial_observed(self, archive,
+                                                      monkeypatch, forks):
+        """The dp = 2 twin of ``test_swipe_numerics_identical_enabled_vs_
+        disabled``: observability keeps the step in this process."""
+        monkeypatch.setattr(rows, "_CORES", 2)
+
+        def one_step():
+            engine = engine_for(archive, 2)
+            loss = swipe_step(engine, archive, 0, gas=4)
+            return loss, engine.replicas[1].state_dict(), \
+                dict(engine.cluster.stats.bytes)
+
+        loss_a, state_a, bytes_a = one_step()
+        assert len(forks) == 1
+        with obs.observed():
+            loss_b, state_b, bytes_b = one_step()
+        assert len(forks) == 1
+        assert loss_a == loss_b
+        assert bytes_a == bytes_b
+        for name in state_a:
+            np.testing.assert_array_equal(state_a[name], state_b[name],
+                                          err_msg=name)
+
+
+def replica_batch(engine, loss):
+    """A one-microbatch step of ``dp × 4`` random rows whose loss of rows
+    ``rows`` is ``loss(pred, rows)``."""
+    r = np.random.default_rng(0)
+    n = engine.topology.dp * ROWS_PER_REPLICA
+    shape = (n, TINY16.height, TINY16.width)
+    return Batch((r.normal(size=shape + (TINY16.channels,)).astype(np.float32),
+                  r.uniform(0.2, 1.3, size=n).astype(np.float32),
+                  r.normal(size=shape + (TINY16.channels,)).astype(np.float32),
+                  r.normal(size=shape + (TINY16.forcing_channels,)
+                           ).astype(np.float32)), loss)
+
+
+def in_replica_one(effect):
+    """A loss that runs ``effect()`` for replica 1's rows."""
+    def loss(pred, rows):
+        if rows.start >= ROWS_PER_REPLICA:
+            effect()
+        return (pred * pred).mean()
+    return loss
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestFailures:
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_a_replica_error_is_raised_here(self, archive, cores,
+                                            monkeypatch):
+        monkeypatch.setattr(rows, "_CORES", cores)
+        engine = engine_for(archive, 2)
+
+        def fail():
+            raise ValueError("replica 1 failed")
+
+        batch = replica_batch(engine, in_replica_one(fail))
+        with pytest.raises(ValueError, match="replica 1 failed") as info:
+            engine._run(lambda: batch)
+        if cores == 2 and hasattr(info.value, "add_note"):   # >= 3.11
+            assert "forked child" in "".join(info.value.__notes__)
+        assert_no_child_left()
+
+    def test_a_killed_child_is_a_typed_error(self, archive, monkeypatch):
+        monkeypatch.setattr(rows, "_CORES", 2)
+        engine = engine_for(archive, 2)
+        parent = os.getpid()
+
+        def die():
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        batch = replica_batch(engine, in_replica_one(die))
+        with pytest.raises(ChildProcessError, match="SIGKILL"):
+            engine._run(lambda: batch)
+        assert_no_child_left()
+
+    def test_a_child_warning_is_reissued_here(self, archive, monkeypatch,
+                                              forks):
+        monkeypatch.setattr(rows, "_CORES", 2)
+        engine = engine_for(archive, 2)
+        batch = replica_batch(engine, in_replica_one(
+            lambda: warnings.warn("from replica 1", UserWarning)))
+        with pytest.warns(UserWarning, match="from replica 1"):
+            engine._run(lambda: batch)
+        assert len(forks) == 1
+
+
+class TestStaysSerial:
+    """Each of these paths would lose the child's spans, bookings, FLOPs,
+    guard ordinals or faults, so none of them may fork."""
+
+    @pytest.fixture
+    def no_fork(self, monkeypatch):
+        monkeypatch.setattr(rows, "_CORES", 2)
+
+        def fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", fork)
+
+    def test_the_spy_is_live(self, archive, no_fork):
+        with pytest.raises(AssertionError, match="forked"):
+            swipe_step(engine_for(archive, 2), archive, 0, gas=1)
+
+    def test_abft_guard(self, archive, no_fork):
+        with abft_guard():
+            swipe_step(engine_for(archive, 2), archive, 0, gas=1)
+
+    def test_fault_injector(self, archive, no_fork, monkeypatch):
+        engine = engine_for(archive, 2,
+                            injector=FaultInjector(FaultPlan(events=())))
+        swipe_step(engine, archive, 0, gas=1)
+        serial, _ = run(archive, 2, 1, 1, monkeypatch, steps=1)
+        assert_same_engines(serial, engine)
+
+    def test_observed(self, archive, no_fork):
+        with obs.observed():
+            swipe_step(engine_for(archive, 2), archive, 0, gas=1)
+
+    def test_flop_counting(self, archive, no_fork):
+        with count_flops() as counter:
+            swipe_step(engine_for(archive, 2), archive, 0, gas=1)
+        assert counter.forward > 0
