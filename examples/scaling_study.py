@@ -56,13 +56,12 @@ def simulated_training_demo() -> None:
               f"({'PP activations' if prim == 'p2p' else 'DP gradients' if prim == 'allreduce' else 'ZeRO-1 params'})")
     for shard in range(topo.dp):
         print(f"  ZeRO-1 Adam moments on DP rank {shard}: "
-              f"{engine.zero.state_bytes_on(shard) / 1e6:.3f} MB")
+              f"{engine.optimizer.state_bytes_on(shard) / 1e6:.3f} MB")
 
     # Block 0's attention, sharded over WP windows x SP tokens (Fig. 2).
-    replica = engine.replicas[0]
-    block = replica.layers[0].blocks[0]
+    block = engine.model.layers[0].blocks[0]
     with no_grad():
-        h = replica.embed_stage(Tensor(x_t[:2]), Tensor(cond[:2]),
+        h = engine.model.embed_stage(Tensor(x_t[:2]), Tensor(cond[:2]),
                                 Tensor(forc[:2]))
         single = block.attend(h).numpy()
     cluster = SimCluster(topo.world_size, ranks_per_node=topo.sp)

@@ -64,7 +64,7 @@ class ConsistencyDistiller(TrainingEngine):
 
     def __init__(self, teacher: Module, student: Module,
                  config: ConsistencyConfig = ConsistencyConfig()):
-        super().__init__([student], ONE_RANK, schedule=ConstantLR(LR),
+        super().__init__(student, ONE_RANK, schedule=ConstantLR(LR),
                          weight_decay=0.0,
                          ema_halflife=EMA_HALFLIFE_IMAGES, seed=config.seed,
                          noise_offsets=(1, 2), injector=None)

@@ -37,10 +37,6 @@ class AdamW:
         self.exp_avg = [np.zeros_like(p.data) for p in self.params]
         self.exp_avg_sq = [np.zeros_like(p.data) for p in self.params]
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
     def step(self) -> None:
         self.step_count += 1
         b1, b2 = BETAS

@@ -1,7 +1,9 @@
-"""Data parallelism: replicated models, split batches, gradient allreduce.
+"""Data parallelism: one weight set, split batches, gradient allreduce.
 
-Gradient reductions are performed in FP32 (the paper's mixed-precision rule)
-and averaged across the DP group; the allreduce volume is metered so the
+Every DP replica holds the same weights; a replica is its rows of the
+global batch and the gradient set its pipeline pass leaves.  Gradient
+reductions are performed in FP32 (the paper's mixed-precision rule) and
+averaged across the DP group; the allreduce volume is metered so the
 communication-model tests can check it is *independent of WP* (the paper:
 "the overhead from gradient allreduce remains unchanged" when WP is
 enabled).
@@ -11,35 +13,31 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nn import Module
+from ..nn import Parameter
 from .comm import SimCluster
 
 __all__ = ["allreduce_gradients"]
 
 
 def allreduce_gradients(cluster: SimCluster, dp_group: list[int],
-                        replicas: list[Module]) -> None:
-    """Average parameter gradients across replicas, in place.
+                        grads: list[list[np.ndarray | None]],
+                        params: list[Parameter]) -> None:
+    """Average ``grads`` — one gradient set per DP rank, each in
+    ``params`` order — into ``params``' ``.grad``.
 
-    Replicas without a gradient for some parameter contribute zeros (this
+    A replica without a gradient for some parameter contributes zeros (this
     matches frameworks that materialize zero grads before the reduction).
-    A one-rank group has nothing to reduce.
+    A one-rank group has nothing to reduce: its set is ``params``' own.
     """
-    if len(replicas) != len(dp_group):
-        raise ValueError("one replica per DP rank required")
+    if len(grads) != len(dp_group):
+        raise ValueError("one gradient set per DP rank required")
+    if any(len(g) != len(params) for g in grads):
+        raise ValueError("gradient sets disagree with the parameter count")
     if len(dp_group) == 1:
         return
-    param_lists = [list(r.parameters()) for r in replicas]
-    n_params = len(param_lists[0])
-    if any(len(pl) != n_params for pl in param_lists):
-        raise ValueError("replicas disagree on parameter count")
     dp = len(dp_group)
-    for i in range(n_params):
-        grads = []
-        for pl in param_lists:
-            p = pl[i]
-            grads.append(p.grad if p.grad is not None
-                         else np.zeros_like(p.data))
-        reduced = cluster.allreduce(dp_group, grads)
-        for pl, r in zip(param_lists, reduced):
-            pl[i].grad = r / dp
+    for i, p in enumerate(params):
+        reduced = cluster.allreduce(dp_group, [
+            g[i] if g[i] is not None else np.zeros_like(p.data)
+            for g in grads])
+        p.grad = reduced[0] / dp

@@ -19,8 +19,8 @@ accumulation associates the sums differently (ROADMAP fact (viii)).
 One pipeline runs its stages and microbatches one after the other; the
 1F1B/GPipe *timing* (bubble fraction) is modeled in
 :mod:`repro.perf.pipeline_model`, which is also where the schedules live.
-The DP replicas' pipelines of a training step run at once, one group per
-core in forked processes (:func:`repro.rows.run_forked`).
+A training step's DP replicas each run a pipeline over the one model, at
+once, one group per core in forked processes (:func:`repro.rows.run_forked`).
 
 Tracing (:mod:`repro.obs`): when enabled, every stage pass is an
 ``obs.span`` (category ``pp-exec``), and after each ``forward_backward`` the

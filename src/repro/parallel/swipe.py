@@ -9,8 +9,9 @@ caller's batches, at a constant learning rate with no EMA.  What runs
 * **PP** — real pipelined forward/backward with activation/gradient handoff
   at stage boundaries and gradient accumulation over GAS microbatches
   (:class:`~repro.parallel.pipeline.AerisPipeline`).
-* **DP** — real replicated models, split batches, metered FP32 gradient
-  allreduce (:mod:`~repro.parallel.data_parallel`).  The replicas'
+* **DP** — split batches over one weight set: each replica's rows leave
+  a gradient set, and the sets are averaged by a metered FP32 allreduce
+  (:mod:`~repro.parallel.data_parallel`).  The replicas'
   forward/backward passes run at once, one group per core, the others in
   forked processes (:func:`~repro.rows.run_forked`); in one process under
   a fault injector, a GEMM guard, a FLOP counter or observability.
@@ -52,16 +53,13 @@ class SwipeEngine(TrainingEngine):
     def __init__(self, config: AerisConfig, archive: SyntheticReanalysis,
                  topology: RankTopology, lr: float = 5e-4, seed: int = 0,
                  injector=None):
-        # DP replicas start from identical weights (same seed).
         super().__init__(
-            [Aeris(config, seed=seed) for _ in range(topology.dp)],
-            topology, schedule=ConstantLR(lr), weight_decay=WEIGHT_DECAY,
-            ema_halflife=None, seed=seed, noise_offsets=(100, 900),
-            injector=injector)
+            Aeris(config, seed=seed), topology, schedule=ConstantLR(lr),
+            weight_decay=WEIGHT_DECAY, ema_halflife=None, seed=seed,
+            noise_offsets=(100, 900), injector=injector)
         self._use_archive(archive)
         self.config = config
         self.flow = TrigFlow()
-        self.zero = self.optimizer
 
     def make_training_pairs(self, residual: np.ndarray
                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

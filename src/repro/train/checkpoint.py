@@ -1,8 +1,8 @@
 """Checkpointing: model weights, optimizer state, and EMA shadow weights.
 
 One format (:func:`write_sharded_checkpoint` /
-:func:`read_sharded_checkpoint` over :func:`training_shards` /
-:func:`restore_training_shards`): a directory of per-group ``.npz``
+:func:`read_sharded_checkpoint` over the training engine's
+``state_payload`` / ``restore``): a directory of per-group ``.npz``
 shards plus a ``manifest.json`` carrying a CRC32 per array.  The
 directory is staged under a temp name and renamed into place (an
 overwritten generation is moved aside first and put back if the rename
@@ -11,8 +11,8 @@ fails); loads verify every array against the manifest and raise
 supervisor treats as "fall back to the previous checkpoint".
 
 Typed errors: :class:`CheckpointError` for structural problems (missing
-directory, a model-only checkpoint restored with ``optimizer=``/``ema=``,
-a generation of another model),
+directory, a generation without optimizer state, a generation of another
+model or whose moments or EMA do not fit),
 :class:`CheckpointCorruption` (a subclass) for integrity failures.
 """
 
@@ -24,7 +24,6 @@ import shutil
 
 import numpy as np
 
-from ..nn import EMA, AdamW, Module
 from ..obs.profile import count as _count
 from ..obs.profile import record_event as _record_event
 from ..resilience.checksum import payload_checksum, state_digest
@@ -47,66 +46,6 @@ class CheckpointError(RuntimeError):
 
 class CheckpointCorruption(CheckpointError):
     """A checkpoint failed integrity verification (checksum / unreadable)."""
-
-
-def training_shards(model: Module, optimizer: AdamW | None = None,
-                    ema: EMA | None = None, images_seen: float = 0.0
-                    ) -> dict[str, dict[str, np.ndarray]]:
-    """The training state as ``{section: {name: array}}`` (the shard
-    layout).  The arrays *alias* the live weights, moments and EMA
-    shadow: write them out at once or copy what you keep."""
-    shards = {"meta": {"images_seen": np.asarray(images_seen)},
-              "model": {name: p.data
-                        for name, p in model.named_parameters()}}
-    if optimizer is not None:
-        shards["opt"] = {"step_count": np.asarray(optimizer.step_count)}
-        for i, (m, v) in enumerate(zip(optimizer.exp_avg,
-                                       optimizer.exp_avg_sq)):
-            shards["opt"][f"m/{i}"] = m
-            shards["opt"][f"v/{i}"] = v
-    if ema is not None:
-        shards["ema"] = dict(ema.shadow)
-    return shards
-
-
-def restore_training_shards(shards: dict[str, dict[str, np.ndarray]],
-                            where: str, model: Module,
-                            optimizer: AdamW | None = None,
-                            ema: EMA | None = None) -> float:
-    """Inverse of :func:`training_shards` (values are copied in);
-    returns ``images_seen``.  A generation that does not fit ``model``
-    or ``optimizer`` raises :class:`CheckpointError` naming ``where``."""
-    try:
-        model.load_state_dict(shards.get("model", {}))
-    except (KeyError, ValueError) as exc:
-        raise CheckpointError(f"checkpoint {where} does not fit the model: "
-                              f"{exc.args[0]}") from exc
-    if optimizer is not None:
-        opt = shards.get("opt", {})
-        if "step_count" not in opt:
-            raise CheckpointError(
-                f"checkpoint {where} has no optimizer state (it was saved "
-                "model-only, or with an older format) — pass optimizer=None "
-                "or re-save with the optimizer included")
-        optimizer.step_count = int(opt["step_count"])
-        for i in range(len(optimizer.exp_avg)):
-            if f"m/{i}" not in opt or f"v/{i}" not in opt:
-                raise CheckpointError(
-                    f"checkpoint {where} optimizer state is incomplete "
-                    f"(missing moments for parameter {i})")
-            optimizer.exp_avg[i][...] = opt[f"m/{i}"]
-            optimizer.exp_avg_sq[i][...] = opt[f"v/{i}"]
-    if ema is not None:
-        saved = shards.get("ema", {})
-        missing = [name for name in ema.shadow if name not in saved]
-        if missing:
-            raise CheckpointError(
-                f"checkpoint {where} has no EMA state for "
-                f"{missing[0]!r}{' (and others)' if len(missing) > 1 else ''}"
-                " — pass ema=None or re-save with the EMA included")
-        for name, shadow in ema.shadow.items():
-            shadow[...] = saved[name]
-    return float(shards["meta"]["images_seen"])
 
 
 # -- sharded format (manifest + per-array checksums) ---------------------------

@@ -49,7 +49,7 @@ class MultistepFinetuner(TrainingEngine):
 
     def __init__(self, model: Aeris, archive: SyntheticReanalysis,
                  config: MultistepConfig = MultistepConfig()):
-        super().__init__([model], ONE_RANK, schedule=ConstantLR(config.lr),
+        super().__init__(model, ONE_RANK, schedule=ConstantLR(config.lr),
                          weight_decay=0.0, ema_halflife=None,
                          seed=config.seed, noise_offsets=(1, 2),
                          injector=None)

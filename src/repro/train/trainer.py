@@ -1,13 +1,13 @@
 """The one training engine, and its single-process constructor.
 
-:class:`TrainingEngine` owns everything about a step but the loss:
-zero-grad; forward and backward through one
-:class:`~repro.parallel.AerisPipeline` per DP replica of a
-:class:`~repro.parallel.RankTopology`, the replicas at once on a
-multi-core box (one group per core, the others in forked processes); the
-DP allreduce; the ZeRO-1 AdamW
-update at its schedule's learning rate; the optional EMA; the NaN/Inf
-guard (skip the update, back the LR off); the optional SDC guard
+:class:`TrainingEngine` holds one model, the weights every DP rank of
+a :class:`~repro.parallel.RankTopology` holds, and owns everything about
+a step but the loss: per DP replica (its rows of the batch) a zero-grad,
+forward and backward through an :class:`~repro.parallel.AerisPipeline`
+and the gradient set it leaves, the replicas at once on a multi-core
+box (the others in forked processes); the DP allreduce of the sets; the
+ZeRO-1 AdamW update at its schedule's learning rate; the optional EMA;
+the NaN/Inf guard (skip the update, back the LR off); the optional SDC guard
 (:class:`~repro.train.guard.StepGuard`); one ``state_payload`` /
 ``restore`` pair, so a resumed run continues **bit-exactly**; metrics and
 spans.  A step optimizes the :class:`Batch` its constructor hands it:
@@ -49,9 +49,9 @@ from ..parallel.topology import RankTopology
 from ..parallel.zero import ZeroOptimizer
 from ..rows import run_forked
 from ..tensor import Tensor, no_grad
-from .checkpoint import (checkpoint_lineage, prune_checkpoints,
-                         read_sharded_checkpoint, restore_training_shards,
-                         training_shards, write_sharded_checkpoint)
+from .checkpoint import (CheckpointError, checkpoint_lineage,
+                         prune_checkpoints, read_sharded_checkpoint,
+                         write_sharded_checkpoint)
 from .guard import NonFiniteLoss, StepGuard
 
 __all__ = ["TrainerConfig", "Trainer", "TrainingEngine", "Batch",
@@ -79,8 +79,8 @@ class Batch(NamedTuple):
 
 
 class TrainingEngine:
-    """Optimizes ``replicas`` (one per DP rank of ``topology``, identical
-    weights) with the losses of the batches each step draws.
+    """Optimizes ``model``, the one weight set every DP rank of
+    ``topology`` holds, with the losses of the batches each step draws.
 
     ``schedule.lr_at(images_seen)`` gives the learning rate;
     ``ema_halflife`` (images) keeps an EMA of the weights, ``None`` none.
@@ -90,22 +90,22 @@ class TrainingEngine:
     ranks, per the paper's seeding rule).
     """
 
-    def __init__(self, replicas: list[Aeris], topology: RankTopology, *,
+    def __init__(self, model: Aeris, topology: RankTopology, *,
                  schedule, weight_decay: float, ema_halflife: float | None,
                  seed: int, noise_offsets: tuple[int, int], injector):
         self.topology = topology
-        self.replicas = list(replicas)
-        self.model = self.replicas[0]
+        self.model = model
+        self.replicas = [model] * topology.dp   # the bench oracle's view
         self.injector = injector
         self.cluster = SimCluster(topology.world_size,
                                   ranks_per_node=topology.sp,
                                   injector=injector)
         self.pipelines = [
-            AerisPipeline(replica, self.cluster,
+            AerisPipeline(model, self.cluster,
                           pp_group=[topology.rank_of(d, p, 0, 0)
                                     for p in range(topology.pp)],
                           name=f"dp{d}")
-            for d, replica in enumerate(self.replicas)]
+            for d in range(topology.dp)]
         self.dp_group = topology.dp_group(pp=0, wp=0, sp=0)
         self.schedule = schedule
         self.optimizer = ZeroOptimizer(
@@ -180,7 +180,7 @@ class TrainingEngine:
             with _span("train.data", category="train"):
                 batch = draw()
             images = len(batch.inputs[0])
-            value = self._forward_backward(batch, gas)
+            value, grads = self._forward_backward(batch, gas)
             if not np.isfinite(value):
                 if allow_retry:
                     raise NonFiniteLoss(f"non-finite loss {value!r}")
@@ -190,58 +190,55 @@ class TrainingEngine:
                 self._skip_poisoned_step(value)
             else:
                 with _span("train.optimizer", category="train"):
-                    self._update(images)
+                    self._update(images, grads)
                 self._recover_lr_backoff()
         self.history.append(value)
         self._record_step_metrics(value, images)
         return value
 
-    def _forward_backward(self, batch: Batch, gas: int) -> float:
-        """Zero-grad, then each replica's rows through its pipeline in
-        ``gas`` microbatches (each loss scaled by ``1 / gas``); the mean
-        of the replicas' losses.
+    def _forward_backward(self, batch: Batch, gas: int
+                          ) -> tuple[float, list[list]]:
+        """Each replica's rows through its pipeline in ``gas``
+        microbatches (each loss scaled by ``1 / gas``), from zeroed
+        gradients: the mean of the replicas' losses and, per replica, the
+        parameters' gradients it left.
 
         The replicas run at once in contiguous groups
         (:func:`~repro.rows.run_forked`): this process runs the first,
-        a forked child each other, and a child's losses, gradients and
-        meter bookings are installed here after the join, the bookings in
-        rank order, as a serial run books them.  Under a fault injector
-        the replicas run here one after the other (faults address
-        transfers by their order in the step)."""
+        a forked child each other, and a child's meter bookings are added
+        here after the join in rank order, as a serial run books them.
+        Under a fault injector the replicas run here one after the other
+        (faults address transfers by their order in the step)."""
         per = self.rows_per_replica(len(batch.inputs[0]))
-        for replica in self.replicas:
-            replica.zero_grad()
+        params = self.model.parameters()
         stats = self.cluster.stats
 
         def run(lo: int, hi: int):
-            """Replicas ``lo:hi``: their losses, gradients (none for the
-            group from 0, which runs in this process) and the meter
-            bookings they made, ``(key, bytes, ops)`` in first-booked
-            order."""
+            """Replicas ``lo:hi``: their losses, gradient sets and the
+            meter bookings they made, ``(key, bytes, ops)`` in
+            first-booked order."""
             ops, nbytes = dict(stats.ops), dict(stats.bytes)
-            losses = [self._replica_forward_backward(batch, gas, d, per)
-                      for d in range(lo, hi)]
+            losses, grads = [], []
+            for d in range(lo, hi):
+                self.model.zero_grad()
+                losses.append(self._replica_forward_backward(batch, gas, d,
+                                                             per))
+                grads.append([p.grad for p in params])
             booked = [(key, stats.bytes[key] - nbytes.get(key, 0),
                        n - ops.get(key, 0))
                       for key, n in stats.ops.items() if n != ops.get(key, 0)]
-            grads = [[p.grad for p in self.replicas[d].parameters()]
-                     for d in range(lo, hi)] if lo else []
             return losses, grads, booked
 
-        dp = len(self.replicas)
+        dp = self.topology.dp
         groups = ([run(0, dp)] if self.cluster.injector is not None
                   else run_forked(dp, run))
-        d = len(groups[0][0])
-        for _, group_grads, booked in groups[1:]:
-            for replica_grads in group_grads:
-                for p, grad in zip(self.replicas[d].parameters(),
-                                   replica_grads):
-                    p.grad = grad
-                d += 1
+        for _, _, booked in groups[1:]:
             for key, nbytes, ops in booked:
                 stats.bytes[key] += nbytes
                 stats.ops[key] += ops
-        return float(np.mean([loss for group in groups for loss in group[0]]))
+        return (float(np.mean([loss for group in groups
+                               for loss in group[0]])),
+                [grads for group in groups for grads in group[1]])
 
     def _replica_forward_backward(self, batch: Batch, gas: int, d: int,
                                   per: int) -> float:
@@ -257,15 +254,14 @@ class TrainingEngine:
                 *(a[first:first + per] for a in batch.inputs), loss_fn,
                 n_micro=gas)
 
-    def _update(self, images: int) -> None:
-        """DP allreduce, the sharded AdamW step at the scheduled LR, the
-        updated weights mirrored to every replica, then the EMA."""
-        allreduce_gradients(self.cluster, self.dp_group, self.replicas)
+    def _update(self, images: int, grads: list[list]) -> None:
+        """The replicas' gradient sets allreduced into the model's, the
+        sharded AdamW step at the scheduled LR, then the EMA."""
+        allreduce_gradients(self.cluster, self.dp_group, grads,
+                            self.optimizer.params)
         self.optimizer.lr = (self.schedule.lr_at(self.images_seen)
                              * self.lr_backoff)
         self.optimizer.step()
-        for replica in self.replicas[1:]:
-            replica.load_state_dict(self.model.state_dict())
         self.images_seen += images
         if self.ema is not None:
             self.ema.update(self.model, images_per_step=images)
@@ -343,22 +339,64 @@ class TrainingEngine:
                     "t": [rng.bit_generator.state for rng in self.rngs_t],
                     "z": [rng.bit_generator.state for rng in self.rngs_z]},
         }
-        return training_shards(self.model, self.optimizer, self.ema,
-                               self.images_seen), extra
+        shards = {"meta": {"images_seen": np.asarray(self.images_seen)},
+                  "model": {name: p.data
+                            for name, p in self.model.named_parameters()},
+                  "opt": {"step_count": np.asarray(self.optimizer.step_count),
+                          **self._moments()}}
+        if self.ema is not None:
+            shards["ema"] = dict(self.ema.shadow)
+        return shards, extra
+
+    def _moments(self) -> dict[str, np.ndarray]:
+        """The live Adam moments under their shard keys ``m/<i>``,
+        ``v/<i>`` (``i`` the parameter's index)."""
+        moments = {}
+        for i, (m, v) in enumerate(zip(self.optimizer.exp_avg,
+                                       self.optimizer.exp_avg_sq)):
+            moments[f"m/{i}"], moments[f"v/{i}"] = m, v
+        return moments
 
     def restore(self, shards: dict[str, dict[str, np.ndarray]],
                 extra: dict, where: str = "payload") -> None:
         """Load a :meth:`state_payload` into this engine (values are
-        copied in).  Works across DP degrees: every replica gets the
-        weights, and the noise generators are restored for the replicas
+        copied in).  Works across DP degrees: the weights are every
+        replica's, and the noise generators are restored for the replicas
         that exist (a degraded grid keeps the surviving replicas' streams
-        bit-exact).  A generation that does not fit raises
-        :class:`~repro.train.CheckpointError` naming ``where``; a guarded
-        engine re-retains from the restored state at its next step."""
-        self.images_seen = restore_training_shards(
-            shards, where, self.model, self.optimizer, self.ema)
-        for replica in self.replicas[1:]:
-            replica.load_state_dict(shards["model"])
+        bit-exact).  A generation that does not fit — another model, no
+        optimizer state, a moment or EMA array missing or of another
+        shape — raises :class:`~repro.train.CheckpointError` naming
+        ``where``; a guarded engine re-retains from the restored state at
+        its next step."""
+        opt = shards.get("opt", {})
+        if "step_count" not in opt:
+            raise CheckpointError(f"checkpoint {where} has no optimizer "
+                                  "state (saved model-only, or with an "
+                                  "older format)")
+        live = {"model": {name: p.data
+                          for name, p in self.model.named_parameters()},
+                "opt": self._moments()}
+        if self.ema is not None:
+            live["ema"] = self.ema.shadow
+        unexpected = sorted(set(shards.get("model", {})) - set(live["model"]))
+        if unexpected:
+            raise CheckpointError(f"checkpoint {where} does not fit the "
+                                  f"model: no parameter {unexpected[0]}")
+        for section, arrays in live.items():
+            saved = shards.get(section, {})
+            for key, array in arrays.items():
+                if key not in saved:
+                    raise CheckpointError(
+                        f"checkpoint {where} has no {section}/{key}")
+                if saved[key].shape != array.shape:
+                    raise CheckpointError(
+                        f"checkpoint {where}: {section}/{key} has shape "
+                        f"{saved[key].shape}, the live one {array.shape}")
+        for section, arrays in live.items():    # all checked: copy in
+            for key, array in arrays.items():
+                array[...] = shards[section][key]
+        self.optimizer.step_count = int(opt["step_count"])
+        self.images_seen = float(shards["meta"]["images_seen"])
         self.history = [float(v) for v in extra.get("history", [])]
         self.lr_backoff = float(extra.get("lr_backoff", 1.0))
         self.skipped_steps = int(extra.get("skipped_steps", 0))
@@ -458,7 +496,7 @@ class Trainer(TrainingEngine):
                  config: TrainerConfig = TrainerConfig(),
                  flow: TrigFlow = TrigFlow(), injector=None):
         super().__init__(
-            [model], ONE_RANK,
+            model, ONE_RANK,
             schedule=WarmupConstantDecay(
                 peak_lr=config.peak_lr, warmup_images=config.warmup_images,
                 total_images=config.total_images,
@@ -511,9 +549,9 @@ class Trainer(TrainingEngine):
         weights, per the paper ("using only these weights during
         inference")."""
         model = Aeris(self.model.config)
-        model.load_state_dict(self.model.state_dict())
-        if use_ema:
-            self.ema.copy_to(model)
+        for (name, p), live in zip(model.named_parameters(),
+                                   self.model.parameters()):
+            p.data = (self.ema.shadow[name] if use_ema else live.data).copy()
         model.eval()
         return model
 

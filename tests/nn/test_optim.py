@@ -18,7 +18,7 @@ class TestAdamW:
         p = Parameter(np.zeros(3, dtype=np.float32))
         opt = AdamW([p], lr=0.1, weight_decay=0.0)
         for _ in range(300):
-            opt.zero_grad()
+            p.zero_grad()
             quadratic_loss(p, target).backward()
             opt.step()
         np.testing.assert_allclose(p.data, target, atol=1e-2)
@@ -27,7 +27,7 @@ class TestAdamW:
         p = Parameter(np.full(4, 10.0, dtype=np.float32))
         opt = AdamW([p], lr=0.01, weight_decay=0.5)
         for _ in range(10):
-            opt.zero_grad()
+            p.zero_grad()
             (p * 0.0).sum().backward()  # zero gradient; only decay acts
             opt.step()
         assert np.all(np.abs(p.data) < 10.0)

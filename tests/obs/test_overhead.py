@@ -154,7 +154,7 @@ class TestDisabledIsBitIdentical:
                 archive.forcing_normalizer())
             x_t, t, v = engine.make_training_pairs(residual)
             loss = engine.train_step(x_t, t, v, cond, forc, gas=4)
-            return loss, engine.replicas[0].state_dict(), \
+            return loss, engine.model.state_dict(), \
                 dict(engine.cluster.stats.bytes)
 
         loss_a, state_a, bytes_a = one_step()

@@ -5,6 +5,7 @@ booking order, generator states — is equal bit for bit.  Each case forces
 the core count both ways by monkeypatching ``rows._CORES``, so it runs the
 same on a 1-core box."""
 
+import json
 import os
 import signal
 import threading
@@ -17,7 +18,7 @@ from repro import obs, rows
 from repro.data import ReanalysisConfig, SyntheticReanalysis
 from repro.kernels import abft_guard
 from repro.parallel import RankTopology, SwipeEngine
-from repro.resilience import FaultInjector, FaultPlan
+from repro.resilience import FaultInjector, FaultPlan, state_digest
 from repro.tensor import count_flops
 from repro.train import Batch
 from tests.train.test_trainer import TINY16
@@ -72,10 +73,9 @@ def run(archive, dp, gas, cores, monkeypatch, steps=3):
 
 def assert_same_engines(a, b):
     assert a.history == b.history
-    for ra, rb in zip(a.replicas, b.replicas, strict=True):
-        for (name, pa), pb in zip(ra.named_parameters(), rb.parameters(),
-                                  strict=True):
-            np.testing.assert_array_equal(pa.data, pb.data, err_msg=name)
+    for (name, pa), pb in zip(a.model.named_parameters(),
+                              b.model.parameters(), strict=True):
+        np.testing.assert_array_equal(pa.data, pb.data, err_msg=name)
     for ma, mb in zip(a.optimizer.exp_avg + a.optimizer.exp_avg_sq,
                       b.optimizer.exp_avg + b.optimizer.exp_avg_sq,
                       strict=True):
@@ -137,7 +137,7 @@ class TestBitExact:
         def one_step():
             engine = engine_for(archive, 2)
             loss = swipe_step(engine, archive, 0, gas=4)
-            return loss, engine.replicas[1].state_dict(), \
+            return loss, engine.model.state_dict(), \
                 dict(engine.cluster.stats.bytes)
 
         loss_a, state_a, bytes_a = one_step()
@@ -150,6 +150,46 @@ class TestBitExact:
         for name in state_a:
             np.testing.assert_array_equal(state_a[name], state_b[name],
                                           err_msg=name)
+
+
+def golden_record(archive, dp, gas, injector=None):
+    """``state_digest`` of weights, Adam moments, step count and history
+    after three steps, and the meter's ``(primitive, locality, count)``
+    items in booking order."""
+    engine = engine_for(archive, dp, injector)
+    for k in range(3):
+        swipe_step(engine, archive, k, gas)
+    opt = engine.optimizer
+    arrays = {f"model/{n}": a for n, a in engine.model.state_dict().items()}
+    for i, (m, v) in enumerate(zip(opt.exp_avg, opt.exp_avg_sq)):
+        arrays[f"m/{i}"], arrays[f"v/{i}"] = m, v
+    arrays["history"] = np.asarray(engine.history, dtype=np.float64)
+    arrays["step_count"] = np.asarray(opt.step_count)
+    stats = engine.cluster.stats
+    return {"state": state_digest(arrays),
+            "bytes": [[*key, n] for key, n in stats.bytes.items()],
+            "ops": [[*key, n] for key, n in stats.ops.items()]}
+
+
+class TestGolden:
+    """``golden_dp_steps.json`` was recorded (``golden_record`` per key,
+    ``json.dump(..., indent=1, sort_keys=True)``) when every DP replica
+    was a model of its own, its weights mirrored after each step; one
+    weight set reproduces it on either path."""
+
+    @pytest.mark.parametrize("dp", [2, 4])
+    @pytest.mark.parametrize("gas", [1, 4])
+    @pytest.mark.parametrize("path", ["forked", "serial"])
+    def test_reproduces_the_replicated_models(self, archive, dp, gas, path,
+                                              monkeypatch, forks):
+        monkeypatch.setattr(rows, "_CORES", 2)
+        injector = (FaultInjector(FaultPlan(events=()))
+                    if path == "serial" else None)
+        with open(os.path.join(os.path.dirname(__file__),
+                               "golden_dp_steps.json")) as fh:
+            want = json.load(fh)[f"dp{dp}-gas{gas}"]
+        assert golden_record(archive, dp, gas, injector) == want
+        assert len(forks) == (3 if path == "forked" else 0)
 
 
 def replica_batch(engine, loss):

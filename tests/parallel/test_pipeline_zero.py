@@ -2,13 +2,15 @@
 gradient allreduce, and the composed SWiPe engine must reproduce the
 single-process reference numerics."""
 
+import gc
+
 import numpy as np
 import pytest
 
 from repro.data import TOY_SET
 from repro.diffusion import TrigFlow, weighted_velocity_loss
 from repro.model import Aeris
-from repro.nn import AdamW, Linear
+from repro.nn import AdamW, Linear, Parameter
 from repro.parallel import (
     AerisPipeline,
     RankTopology,
@@ -156,45 +158,45 @@ class TestZeroOptimizer:
 
 class TestDataParallel:
     def test_allreduce_averages_grads(self):
-        factory = lambda: Aeris(TINY16, seed=0)
-        replicas = [factory(), factory()]
+        model = Aeris(TINY16, seed=0)
+        params = model.parameters()
         x_t, t, cond, forc, target = make_inputs(batch=4)
-        # Each replica sees half of the batch.
-        for i, replica in enumerate(replicas):
+        # Each replica sees half of the batch and leaves one gradient set.
+        grads = []
+        for i in range(2):
             sl = slice(i * 2, (i + 1) * 2)
-            pred = replica(Tensor(x_t[sl]), Tensor(t[sl]), Tensor(cond[sl]),
-                           Tensor(forc[sl]))
+            model.zero_grad()
+            pred = model(Tensor(x_t[sl]), Tensor(t[sl]), Tensor(cond[sl]),
+                         Tensor(forc[sl]))
             # Per-replica mean loss; the allreduce *averages* over DP, which
             # together reproduce the full-batch mean gradient.
             ((pred - Tensor(target[sl])) ** 2).mean().backward()
+            grads.append([p.grad for p in params])
         cluster = SimCluster(2)
-        allreduce_gradients(cluster, [0, 1], replicas)
-        # Reference: full batch on a fresh replica.
-        ref = factory()
+        allreduce_gradients(cluster, [0, 1], grads, params)
+        # Reference: full batch on a fresh model.
+        ref = Aeris(TINY16, seed=0)
         pred = ref(Tensor(x_t), Tensor(t), Tensor(cond), Tensor(forc))
         (((pred - Tensor(target)) ** 2).mean()).backward()
-        for (n1, p1), (_, pr) in zip(replicas[0].named_parameters(),
+        for (n1, p1), (_, pr) in zip(model.named_parameters(),
                                      ref.named_parameters()):
             np.testing.assert_allclose(p1.grad, pr.grad, rtol=2e-4,
                                        atol=2e-6, err_msg=n1)
-        # Both replicas hold identical reduced gradients.
-        for (n1, p1), (_, p2) in zip(replicas[0].named_parameters(),
-                                     replicas[1].named_parameters()):
-            np.testing.assert_array_equal(p1.grad, p2.grad, err_msg=n1)
+        # The FP64 ring sum of the two sets, averaged.
+        for p, g0, g1 in zip(params, *grads):
+            np.testing.assert_array_equal(
+                p.grad, (g0.astype(np.float64) + g1).astype(np.float32) / 2)
 
     def test_allreduce_volume_independent_of_model_sharding(self):
         """Gradient allreduce volume depends only on parameter count —
         the paper's claim that WP leaves it unchanged."""
         model = Aeris(TINY16, seed=0)
-        n_bytes = sum(p.data.nbytes for p in model.parameters())
-        replicas = [model, Aeris(TINY16, seed=0)]
-        for replica in replicas:
-            for p in replica.parameters():
-                p.grad = np.zeros_like(p.data)
+        params = model.parameters()
+        n_bytes = sum(p.data.nbytes for p in params)
+        grads = [[np.zeros_like(p.data) for p in params] for _ in range(2)]
         cluster = SimCluster(2)
-        allreduce_gradients(cluster, [0, 1], replicas)
-        expected = sum(int(2 * 1 / 2 * p.data.nbytes) * 2
-                       for p in model.parameters())
+        allreduce_gradients(cluster, [0, 1], grads, params)
+        expected = sum(int(2 * 1 / 2 * p.data.nbytes) * 2 for p in params)
         assert cluster.stats.total_bytes("allreduce") == expected
         assert expected == 2 * n_bytes  # ring with n=2 moves the data once each
 
@@ -227,24 +229,22 @@ class TestSwipeEngine:
         loss = engine.train_step(x_t, t, v, cond, forc, gas=2)
         assert loss == pytest.approx(ref_loss.item(), rel=1e-4)
         for (name, p_ref), p_eng in zip(ref_model.named_parameters(),
-                                        engine.replicas[0].parameters()):
+                                        engine.model.parameters()):
             np.testing.assert_allclose(p_eng.data, p_ref.data, rtol=1e-4,
                                        atol=1e-6, err_msg=name)
 
-    def test_replicas_stay_synchronized(self, tiny_archive):
-        topo = RankTopology(dp=2, pp=TINY16.pp_stages, wp_grid=(1, 1), sp=1)
+    def test_dp4_engine_holds_one_weight_set(self, tiny_archive):
+        """Every DP rank's weights are the one model's: building a DP = 4
+        engine makes exactly one set of parameter arrays."""
+        gc.collect()
+        before = sum(isinstance(o, Parameter) for o in gc.get_objects())
+        topo = RankTopology(dp=4, pp=TINY16.pp_stages, wp_grid=(1, 1), sp=1)
         engine = SwipeEngine(TINY16, tiny_archive, topo, lr=1e-3, seed=0)
-        idx = tiny_archive.split_indices("train")[:4]
-        cond, residual, forc = tiny_archive.training_batch(
-            idx, tiny_archive.state_normalizer(),
-            tiny_archive.residual_normalizer(),
-            tiny_archive.forcing_normalizer())
-        x_t, t, v = engine.make_training_pairs(residual)
-        engine.train_step(x_t, t, v, cond, forc, gas=1)
-        a = engine.replicas[0].state_dict()
-        b = engine.replicas[1].state_dict()
-        for name in a:
-            np.testing.assert_array_equal(a[name], b[name], err_msg=name)
+        gc.collect()
+        made = sum(isinstance(o, Parameter) for o in gc.get_objects())
+        assert made - before == len(engine.model.parameters())
+        assert {id(pipe.model) for pipe in engine.pipelines} == \
+            {id(engine.model)}
 
     def test_comm_stats_populated(self, tiny_archive):
         topo = RankTopology(dp=2, pp=TINY16.pp_stages, wp_grid=(1, 1), sp=1)

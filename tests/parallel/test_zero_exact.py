@@ -116,8 +116,8 @@ def straight(tiny_archive, tmp_path_factory):
         str(tmp_path_factory.mktemp("swipe") / "step-2"),
         *engine.state_payload())
     saved = [[a.copy() for a in arrays] for arrays in (
-        [p.data for p in engine.zero.params], engine.zero.exp_avg,
-        engine.zero.exp_avg_sq)]
+        [p.data for p in engine.optimizer.params], engine.optimizer.exp_avg,
+        engine.optimizer.exp_avg_sq)]
     losses.append(_train_step(engine, tiny_archive, 2))
     return engine, where, saved, losses
 
@@ -128,11 +128,11 @@ class TestEngineCheckpoint:
         _, where, (weights, exp_avg, exp_avg_sq), _ = straight
         engine = _engine(tiny_archive, dp)
         engine.restore(*read_sharded_checkpoint(where), where=where)
-        assert engine.zero.step_count == 2
-        for replica in engine.replicas:
-            for p, want in zip(replica.parameters(), weights):
-                np.testing.assert_array_equal(p.data, want)
-        for got, want in zip(engine.zero.exp_avg + engine.zero.exp_avg_sq,
+        assert engine.optimizer.step_count == 2
+        for p, want in zip(engine.model.parameters(), weights):
+            np.testing.assert_array_equal(p.data, want)
+        opt = engine.optimizer
+        for got, want in zip(opt.exp_avg + opt.exp_avg_sq,
                              exp_avg + exp_avg_sq):
             np.testing.assert_array_equal(got, want)
 
@@ -141,7 +141,7 @@ class TestEngineCheckpoint:
         engine = _engine(tiny_archive, 2)
         engine.restore(*read_sharded_checkpoint(where), where=where)
         assert _train_step(engine, tiny_archive, 2) == losses[2]
-        for p, q in zip(engine.zero.params, reference.zero.params):
+        for p, q in zip(engine.optimizer.params, reference.optimizer.params):
             np.testing.assert_array_equal(p.data, q.data)
 
     def test_missing_moment_raises_typed_through_supervisor(

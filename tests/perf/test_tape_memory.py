@@ -53,9 +53,9 @@ def step(tiny_archive):
                                       trainer.lat_weights,
                                       trainer.var_weights)
 
-    trainer.optimizer.zero_grad()
+    trainer.model.zero_grad()
     forward().backward()                    # every pooled shape once
-    trainer.optimizer.zero_grad()
+    trainer.model.zero_grad()
     return forward
 
 

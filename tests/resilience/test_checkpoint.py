@@ -7,17 +7,19 @@ import os
 import numpy as np
 import pytest
 
-from repro.nn import EMA, AdamW, Linear
+from repro.model import TINY, Aeris
+from repro.nn import ConstantLR
 from repro.train import (
     CheckpointCorruption,
     CheckpointError,
     list_checkpoints,
     prune_checkpoints,
+    TrainingEngine,
     read_sharded_checkpoint,
     write_sharded_checkpoint,
 )
-from repro.train.checkpoint import (MANIFEST_NAME, restore_training_shards,
-                                    training_shards)
+from repro.train.checkpoint import MANIFEST_NAME
+from repro.train.trainer import ONE_RANK
 
 
 def _shards():
@@ -132,42 +134,50 @@ class TestListCheckpoints:
         assert list_checkpoints(str(tmp_path / "absent")) == []
 
 
-class TestHighLevelTrainingCheckpoint:
-    def _training_trio(self, seed=0):
-        model = Linear(6, 5, rng=np.random.default_rng(seed))
-        opt = AdamW(model.parameters(), lr=1e-2)
-        ema = EMA(model, halflife_images=100.0)
-        return model, opt, ema
+def _engine(seed=0):
+    """A one-rank training engine with an EMA whose weights, moments,
+    shadow, step count and image count all come from ``seed``."""
+    engine = TrainingEngine(Aeris(TINY, seed=seed), ONE_RANK,
+                            schedule=ConstantLR(1e-2), weight_decay=0.0,
+                            ema_halflife=100.0, seed=seed,
+                            noise_offsets=(1, 2), injector=None)
+    rng = np.random.default_rng(seed)
+    opt = engine.optimizer
+    for array in (*opt.exp_avg, *opt.exp_avg_sq,
+                  *engine.ema.shadow.values()):
+        array[...] = rng.normal(size=array.shape)
+    opt.step_count, engine.images_seen = 3 + seed, 4.0 + seed
+    return engine
 
+
+class TestHighLevelTrainingCheckpoint:
     def test_full_roundtrip(self, tmp_path):
-        model, opt, ema = self._training_trio()
-        for p in model.parameters():
-            p.grad = np.ones_like(p.data)
-        opt.step()
-        ema.update(model, images_per_step=4)
-        where = write_sharded_checkpoint(
-            str(tmp_path / "ck"),
-            training_shards(model, opt, ema, images_seen=4.0))
-        model2, opt2, ema2 = self._training_trio(seed=1)
-        images = restore_training_shards(read_sharded_checkpoint(where)[0],
-                                         where, model2, opt2, ema2)
-        assert images == 4.0
-        np.testing.assert_array_equal(model2.weight.data, model.weight.data)
-        assert opt2.step_count == opt.step_count
-        np.testing.assert_array_equal(opt2.exp_avg[0], opt.exp_avg[0])
-        for name in ema.shadow:
-            np.testing.assert_array_equal(ema2.shadow[name],
-                                          ema.shadow[name])
+        engine = _engine()
+        where = write_sharded_checkpoint(str(tmp_path / "ck"),
+                                         *engine.state_payload())
+        engine2 = _engine(seed=1)
+        engine2.restore(*read_sharded_checkpoint(where), where=where)
+        assert engine2.images_seen == 4.0
+        assert engine2.optimizer.step_count == 3
+        for (name, p), p2 in zip(engine.model.named_parameters(),
+                                 engine2.model.parameters()):
+            np.testing.assert_array_equal(p2.data, p.data, err_msg=name)
+        for got, want in zip(
+                engine2.optimizer.exp_avg + engine2.optimizer.exp_avg_sq,
+                engine.optimizer.exp_avg + engine.optimizer.exp_avg_sq):
+            np.testing.assert_array_equal(got, want)
+        for name in engine.ema.shadow:
+            np.testing.assert_array_equal(engine2.ema.shadow[name],
+                                          engine.ema.shadow[name])
 
     def test_model_only_checkpoint_gives_clear_error(self, tmp_path):
-        model, opt, ema = self._training_trio()
-        where = write_sharded_checkpoint(str(tmp_path / "ck"),
-                                         training_shards(model))
-        shards, _ = read_sharded_checkpoint(where)
-        model2, opt2, ema2 = self._training_trio()
-        with pytest.raises(CheckpointError, match="optimizer"):
-            restore_training_shards(shards, where, model2, opt2)
-        with pytest.raises(CheckpointError, match="EMA"):
-            restore_training_shards(shards, where, model2, ema=ema2)
-        # Model-only load still works.
-        restore_training_shards(shards, where, model2)
+        shards, extra = _engine().state_payload()
+        for section, match in (("opt", "no optimizer state"),
+                               ("ema", "no ema/")):
+            where = write_sharded_checkpoint(
+                str(tmp_path / section),
+                {k: v for k, v in shards.items() if k != section}, extra)
+            with pytest.raises(CheckpointError, match=match) as info:
+                _engine().restore(*read_sharded_checkpoint(where),
+                                  where=where)
+            assert where in str(info.value)

@@ -9,7 +9,6 @@ from repro.model.config import config_from_dict
 from repro.resilience import state_digest
 from repro.train import checkpoint_lineage
 from repro.train.checkpoint import (read_sharded_checkpoint,
-                                    training_shards,
                                     write_sharded_checkpoint)
 
 
@@ -68,11 +67,14 @@ class TestBackwardCompatibility:
         """A checkpoint written without the lineage field reads back
         exactly as before — the field is additive."""
         trainer = small_trainer()
+        trainer.fit(1)
         path = write_sharded_checkpoint(str(tmp_path / "old"),
-                                        training_shards(trainer.model),
-                                        extra={"step": 5})
+                                        *trainer.state_payload())
         shards, extra = read_sharded_checkpoint(path)
         assert "lineage" not in extra
-        assert extra["step"] == 5
+        assert extra["step"] == 1
+        fresh = small_trainer()
+        fresh.restore(shards, extra, where=path)
+        assert fresh.history == trainer.history
         for name, array in trainer.model.state_dict().items():
-            assert np.array_equal(shards["model"][name], array)
+            assert np.array_equal(fresh.model.state_dict()[name], array)

@@ -146,25 +146,23 @@ def test_resume_at_every_step_matches_uninterrupted(tiny_archive,
 
 
 def test_poisoned_swipe_step_is_skipped_and_backs_off(tiny_archive):
-    """A non-finite loss on one replica skips the whole DP step — no
-    allreduce, no update on any replica, no images — and halves the LR of
-    the next clean step."""
+    """A non-finite loss on one replica — NaN in replica 1's rows of the
+    batch — skips the whole DP step: no allreduce, no update, no images —
+    and halves the LR of the next clean step."""
     engine = _swipe(tiny_archive, TINY16.pp_stages, dp=2)
     _swipe_step(engine, tiny_archive, gas=2)
-    before = [r.state_dict() for r in engine.replicas]
+    before = engine.model.state_dict()
     images, reduced = engine.images_seen, engine.cluster.stats.total_bytes(
         "allreduce")
-    poisoned = next(iter(engine.replicas[1].parameters()))
-    saved = poisoned.data.copy()
-    poisoned.data[...] = np.nan
-    assert not np.isfinite(_swipe_step(engine, tiny_archive, gas=2))
-    poisoned.data[...] = saved
+    cond, residual, forc = _batch(tiny_archive, 4, seed=len(engine.history))
+    x_t, t, v = engine.make_training_pairs(residual)
+    x_t[2:] = np.nan                        # replica 1's rows
+    assert not np.isfinite(engine.train_step(x_t, t, v, cond, forc, gas=2))
     assert engine.skipped_steps == 1
     assert engine.lr_backoff == LR_BACKOFF_FACTOR
     assert engine.images_seen == images
     assert engine.cluster.stats.total_bytes("allreduce") == reduced
-    for replica, state in zip(engine.replicas, before):
-        for name, array in replica.state_dict().items():
-            np.testing.assert_array_equal(array, state[name], err_msg=name)
+    for name, array in engine.model.state_dict().items():
+        np.testing.assert_array_equal(array, before[name], err_msg=name)
     assert np.isfinite(_swipe_step(engine, tiny_archive, gas=2))
     assert engine.optimizer.lr == 1e-3 * LR_BACKOFF_FACTOR

@@ -83,7 +83,7 @@ def _swipe(archive):
     for cond, residual, forc in _batches(archive, 8):
         x_t, t, v = engine.make_training_pairs(residual)
         history.append(engine.train_step(x_t, t, v, cond, forc, gas=2))
-    return _digest(engine.replicas[0], engine.zero, None, history)
+    return _digest(engine.model, engine.optimizer, None, history)
 
 
 def _finetuner(archive):

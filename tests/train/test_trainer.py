@@ -10,10 +10,8 @@ import pytest
 
 from repro.diffusion import SolverConfig
 from repro.model import Aeris, AerisConfig, ParallelLayout
-from repro.nn import EMA, AdamW
 from repro.train import (CheckpointError, Trainer, TrainerConfig,
-                         read_sharded_checkpoint, write_sharded_checkpoint)
-from repro.train.checkpoint import restore_training_shards, training_shards
+                         write_sharded_checkpoint)
 
 TINY16 = AerisConfig(
     name="tiny16", height=16, width=32, channels=9, forcing_channels=3,
@@ -100,35 +98,35 @@ class TestForecasterExport:
 
 
 class TestCheckpoint:
-    def test_roundtrip(self, tmp_path, trained):
-        path = write_sharded_checkpoint(
-            str(tmp_path / "ckpt"),
-            training_shards(trained.model, trained.optimizer, trained.ema,
-                            images_seen=trained.images_seen))
-        model2 = Aeris(TINY16, seed=99)
-        opt2 = AdamW(model2.parameters())
-        ema2 = EMA(model2)
-        images = restore_training_shards(read_sharded_checkpoint(path)[0],
-                                         path, model2, opt2, ema2)
-        assert images == trained.images_seen
+    def test_roundtrip(self, tmp_path, trained, tiny_archive_module):
+        path = write_sharded_checkpoint(str(tmp_path / "ckpt"),
+                                        *trained.state_payload())
+        other = Trainer(Aeris(TINY16, seed=99), tiny_archive_module)
+        assert other.load(path) == trained.images_seen
         for (n1, p1), (n2, p2) in zip(trained.model.named_parameters(),
-                                      model2.named_parameters()):
+                                      other.model.named_parameters()):
             assert n1 == n2
             np.testing.assert_array_equal(p1.data, p2.data)
-        assert opt2.step_count == trained.optimizer.step_count
-        np.testing.assert_array_equal(opt2.exp_avg[0],
+        assert other.optimizer.step_count == trained.optimizer.step_count
+        np.testing.assert_array_equal(other.optimizer.exp_avg[0],
                                       trained.optimizer.exp_avg[0])
-        np.testing.assert_array_equal(ema2.shadow["embed.weight"],
+        np.testing.assert_array_equal(other.ema.shadow["embed.weight"],
                                       trained.ema.shadow["embed.weight"])
+        assert other.history == trained.history
 
-    def test_model_only_checkpoint(self, tmp_path, trained):
-        path = write_sharded_checkpoint(str(tmp_path / "model"),
-                                        training_shards(trained.model))
-        model2 = Aeris(TINY16, seed=3)
-        restore_training_shards(read_sharded_checkpoint(path)[0], path,
-                                model2)
-        np.testing.assert_array_equal(model2.decode.weight.data,
-                                      trained.model.decode.weight.data)
+    def test_model_only_checkpoint(self, tmp_path, trained,
+                                   tiny_archive_module):
+        """A generation of weights alone does not resume a run: it fails
+        typed, naming the directory."""
+        shards, extra = trained.state_payload()
+        path = write_sharded_checkpoint(
+            str(tmp_path / "model"),
+            {k: shards[k] for k in ("meta", "model")}, extra)
+        other = Trainer(Aeris(TINY16, seed=3), tiny_archive_module)
+        with pytest.raises(CheckpointError, match="no optimizer state"):
+            other.load(path)
+        with pytest.raises(CheckpointError, match=re.escape(path)):
+            other.load(path)
 
 
 def _other_config_generation(archive, root, **changes):
@@ -156,6 +154,23 @@ class TestCheckpointFit:
         trainer = Trainer(Aeris(TINY16), tiny_archive_module)
         with pytest.raises(CheckpointError, match=re.escape(where)):
             trainer.load(where)
+
+    @pytest.mark.parametrize("section, key", [
+        ("opt", "m/3"), ("opt", "v/0"), ("ema", "embed.weight")])
+    def test_moment_or_shadow_shape_mismatch_is_typed(
+            self, tmp_path, trained, tiny_archive_module, section, key):
+        """A moment or EMA array that verifies but does not fit its live
+        counterpart fails typed, naming the directory and the key."""
+        shards, extra = trained.state_payload()
+        shards = {sec: dict(arrays) for sec, arrays in shards.items()}
+        shards[section][key] = np.zeros((3, 5, 7), dtype=np.float32)
+        where = write_sharded_checkpoint(str(tmp_path / "step-00000001"),
+                                         shards, extra)
+        trainer = Trainer(Aeris(TINY16), tiny_archive_module)
+        with pytest.raises(CheckpointError,
+                           match=re.escape(f"{section}/{key}")) as info:
+            trainer.load(where)
+        assert where in str(info.value)
 
     def test_negative_save_every_rejected(self, tmp_path,
                                           tiny_archive_module):
