@@ -11,7 +11,7 @@ from .forcings import (
 )
 from .gcm import GcmConfig, GcmState, Heatwave, ToyGCM, TropicalCyclone
 from .grid import LatLonGrid
-from .loader import ShardedWindowLoader, round_robin_assignment
+from .loader import ShardedWindowLoader
 from .normalize import FieldNormalizer
 from .variables import ERA5_FULL, PRESSURE_LEVELS, TOY_SET, Variable, VariableSet
 
@@ -22,5 +22,5 @@ __all__ = [
     "StaticFields", "ForcingProvider", "toa_solar",
     "STEPS_PER_DAY", "STEPS_PER_YEAR", "DAYS_PER_YEAR",
     "ReanalysisConfig", "SyntheticReanalysis",
-    "ShardedWindowLoader", "round_robin_assignment",
+    "ShardedWindowLoader",
 ]

@@ -4,7 +4,8 @@ The measurement substrate behind the reproduction's performance claims
 (the paper's "timers; performance modeling" methodology, Section VI-D):
 
 * :mod:`~repro.obs.metrics` — labeled counters / gauges / histograms in a
-  registry with mergeable JSON snapshots;
+  registry with mergeable JSON snapshots, and the one plain-text table
+  renderer, :func:`text_table`;
 * :mod:`~repro.obs.trace` — nested timed spans exported as Chrome
   ``trace_event`` JSON (open in ``chrome://tracing`` / Perfetto) or a
   plain-text summary table;
@@ -45,7 +46,7 @@ from .export import (events_jsonl, prometheus_text, write_events_jsonl,
 from .flight import SEVERITIES, Event, FlightRecorder
 from .health import (FAULT_ALERT_KINDS, FAULT_CLASSES, HealthMonitor,
                      health_check)
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry, text_table
 from .profile import (MonitoredSession, count, disable, disable_health,
                       enable, enable_health, flight, gauge, get_tracer,
                       health, metrics, monitored, observe,
@@ -54,7 +55,7 @@ from .report import TraceReport
 from .trace import Span, Tracer
 
 __all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry",
+    "Counter", "Gauge", "Histogram", "MetricsRegistry", "text_table",
     "Span", "Tracer",
     "span", "count", "gauge", "observe",
     "enable", "disable", "observed",

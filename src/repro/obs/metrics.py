@@ -27,9 +27,17 @@ import json
 import math
 import threading
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
+__all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "text_table"]
 
 LabelKey = tuple  # tuple of sorted (key, value) pairs
+
+
+def text_table(rows: list[tuple[str, ...]]) -> str:
+    """Plain-text table of string cells, ``rows[0]`` the header."""
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+    rule = tuple("-" * w for w in widths)
+    return "\n".join("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip()
+                     for r in (rows[0], rule, *rows[1:]))
 
 
 def _label_key(labels: dict) -> LabelKey:
@@ -250,8 +258,4 @@ class MetricsRegistry:
             else:
                 for key, v in sorted(inst.series.items()):
                     rows.append((name, _label_str(key), f"{v:.6g}"))
-        widths = [max(len(r[i]) for r in rows) for i in range(3)]
-        lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip()
-                 for r in rows]
-        lines.insert(1, "  ".join("-" * w for w in widths))
-        return "\n".join(lines)
+        return text_table(rows)

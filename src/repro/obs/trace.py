@@ -21,6 +21,8 @@ from __future__ import annotations
 import json
 import time
 
+from .metrics import text_table
+
 __all__ = ["Span", "Tracer"]
 
 
@@ -184,11 +186,7 @@ class Tracer:
             rows.append((name, str(c["count"]), f"{c['total']:.6f}",
                          f"{c['mean']:.6f}", f"{c['min']:.6f}",
                          f"{c['max']:.6f}"))
-        widths = [max(len(r[i]) for r in rows) for i in range(6)]
-        lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip()
-                 for r in rows]
-        lines.insert(1, "  ".join("-" * w for w in widths))
-        return "\n".join(lines)
+        return text_table(rows)
 
 
 def _jsonable(v):

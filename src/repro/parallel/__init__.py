@@ -1,7 +1,6 @@
 """SWiPe parallelism on a simulated, metered cluster."""
 
 from .comm import CommStats, SimCluster, comm_check
-from .data_parallel import allreduce_gradients
 from .domain_parallel import DomainSharding
 from .pipeline import AerisPipeline, pipeline_check
 from .sequence_parallel import shard_sequence, ulysses_attention
@@ -29,7 +28,6 @@ __all__ = [
     "WindowSharding", "window_sharding", "shift_owner_change_bytes",
     "DomainSharding",
     "AerisPipeline", "pipeline_check", "ZeroOptimizer",
-    "allreduce_gradients",
     "SwipeEngine", "swipe_window_attention",
     *_AUTOTUNE_EXPORTS,
 ]

@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..obs.metrics import text_table
 from ..obs.profile import count as _count
 from ..obs.profile import observe as _observe
 from ..obs.profile import record_event as _record_event
@@ -82,17 +83,14 @@ class CommStats:
                          f"{self.bytes[(primitive, locality)]:,}"))
         rows.append(("total", "-", str(sum(self.ops.values())),
                      f"{self.total_bytes():,}"))
-        widths = [max(len(r[i]) for r in rows) for i in range(4)]
-        lines = ["  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip()
-                 for r in rows]
-        lines.insert(1, "  ".join("-" * w for w in widths))
-        return "\n".join(lines)
+        return text_table(rows)
 
 class SimCluster:
     """``n_ranks`` simulated ranks, ``ranks_per_node`` per node.
 
-    All collectives take/return *lists indexed by position in the group* and
-    an explicit ``group`` of global rank ids (so locality can be judged).
+    All collectives take/return *lists indexed by position in the group*
+    (``allreduce`` returns its one sum) and an explicit ``group`` of
+    global rank ids (so locality can be judged).
     """
 
     def __init__(self, n_ranks: int, ranks_per_node: int = 1,
@@ -206,8 +204,9 @@ class SimCluster:
         return [[chunks[i][j].copy() for i in range(n)] for j in range(n)]
 
     def allreduce(self, group: list[int], arrays: list[np.ndarray]
-                  ) -> list[np.ndarray]:
-        """Sum-allreduce. Ring cost: each rank moves 2(n−1)/n of the data.
+                  ) -> np.ndarray:
+        """Sum-allreduce: the one sum every rank holds (FP64, in group
+        order, cast back).  Ring cost: each rank moves 2(n−1)/n of the data.
 
         Bytes are attributed *per ring hop* — link ``group[i] →
         group[(i+1) % n]`` carries ``2(n−1)/n`` of the payload — so a group
@@ -218,19 +217,16 @@ class SimCluster:
         if len(arrays) != n:
             raise ValueError("one array per group rank required")
         self._check_group(group, "allreduce")
-        total = arrays[0].astype(np.float64)
-        for a in arrays[1:]:
-            total = total + a
-        result = total.astype(arrays[0].dtype)
-        nbytes = arrays[0].nbytes
+        result = sum(arrays[1:], arrays[0].astype(np.float64)).astype(
+            arrays[0].dtype)
         if n > 1:
-            per_hop = int(2 * (n - 1) / n * nbytes)
+            per_hop = int(2 * (n - 1) / n * arrays[0].nbytes)
             with _span("comm.allreduce", category="comm", group=n,
                        nbytes=per_hop * n):
                 for i in range(n):
                     self.transfer("allreduce", group[i], group[(i + 1) % n],
                                   per_hop, payload=result)
-        return [result.copy() for _ in range(n)]
+        return result
 
     def allgather(self, group: list[int], arrays: list[np.ndarray]
                   ) -> list[list[np.ndarray]]:

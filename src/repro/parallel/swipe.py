@@ -10,8 +10,9 @@ caller's batches, at a constant learning rate with no EMA.  What runs
   at stage boundaries and gradient accumulation over GAS microbatches
   (:class:`~repro.parallel.pipeline.AerisPipeline`).
 * **DP** — split batches over one weight set: each replica's rows leave
-  a gradient set, and the sets are averaged by a metered FP32 allreduce
-  (:mod:`~repro.parallel.data_parallel`).  The replicas'
+  a gradient set, and the engine's update averages the sets by a metered
+  ring allreduce (an FP64 sum divided by DP,
+  :meth:`~repro.train.TrainingEngine._update`).  The replicas'
   forward/backward passes run at once, one group per core, the others in
   forked processes (:func:`~repro.rows.run_forked`); in one process under
   a fault injector, a GEMM guard, a FLOP counter or observability.

@@ -2,25 +2,35 @@
 
 Swin's attention windows are independent, so an image's windows can be
 distributed across ranks with *no halo exchange*: each rank attends over its
-own windows.  Windows are assigned round-robin in both grid directions
-(Figure 2a), which balances load and batches the data movement caused by the
-alternating window *shift*.
+own windows, round-robin in both grid directions (Figure 2a), which balances
+load and batches the data movement of the alternating window *shift*.
 
 A sharding is an owner table over the rows of the model's own
-:class:`~repro.kernels.WindowPlan` (shift folded in): shard and unshard move
-each rank's rows, so a sharded pass sees the single-process windows.
+:class:`~repro.kernels.WindowPlan` (shift folded in): shard, unshard and the
+WP data loader (:class:`~repro.data.ShardedWindowLoader`) move each rank's
+rows, so a pass sees the single-process windows from the load on.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..data.loader import round_robin_assignment
 from ..kernels import LRUCache, window_plan
 from ..model.windows import window_grid_shape, window_index_grid
 from .comm import SimCluster
 
-__all__ = ["WindowSharding", "window_sharding", "shift_owner_change_bytes"]
+__all__ = ["WindowSharding", "window_sharding", "round_robin_assignment",
+           "shift_owner_change_bytes"]
+
+
+def round_robin_assignment(n_win_h: int, n_win_w: int, wp_grid: tuple[int, int]
+                           ) -> np.ndarray:
+    """Rank of each window, ``(n_win_h, n_win_w)``: window (i, j) belongs to
+    WP rank ``(i mod A) * B + (j mod B)`` — Figure 2a's round robin in both
+    directions, which balances load and batches shifted-window exchanges."""
+    a, b = wp_grid
+    return ((np.arange(n_win_h)[:, None] % a) * b
+            + np.arange(n_win_w)[None, :] % b).astype(np.int64)
 
 
 class WindowSharding:

@@ -3,7 +3,8 @@ distributed optimizer ... custom-built").
 
 Optimizer *states* (Adam moments) are partitioned across the data-parallel
 group: each DP rank owns the moments of its parameter shard, updates that
-shard after the gradient allreduce, and an allgather distributes the updated
+shard after the gradient allreduce (the training engine's, before it calls
+:meth:`ZeroOptimizer.step`), and an allgather distributes the updated
 parameters to everyone.  Model parameters and gradients stay replicated —
 that is what distinguishes ZeRO-1 from ZeRO-2/3.  In one process the
 partition is an owner table over one :class:`~repro.nn.AdamW`'s
@@ -40,8 +41,8 @@ class ZeroOptimizer(AdamW):
         """Each DP rank updates its shard, then parameters are allgathered
         (fault-aware: a dead or faulty DP rank surfaces here too).
 
-        (Gradients are assumed already averaged across DP — see
-        :mod:`repro.parallel.data_parallel`.)
+        (Gradients are assumed already averaged across DP — the engine's
+        :meth:`~repro.train.TrainingEngine._update` does it.)
         """
         super().step()
         if self.dp > 1:

@@ -9,7 +9,8 @@ surfaces as :class:`~repro.resilience.faults.RankFailure` it
 1. **re-grids** — :meth:`RankTopology.degrade` drops the DP replicas that
    contained dead ranks (falling back to shrinking SP, then WP),
 2. **rebuilds** the engine on the surviving-rank topology (the injector's
-   grid is reset: survivors are renumbered),
+   grid is reset: survivors are renumbered; a global batch the new DP does
+   not divide is a :class:`~repro.resilience.faults.ClusterFailure`),
 3. **reloads** the newest checkpoint that passes integrity verification
    (:class:`~repro.train.checkpoint.CheckpointCorruption` falls back to
    the previous one), restoring weights, parameter-ordered optimizer
@@ -86,6 +87,8 @@ class ElasticSupervisor:
         self.recoveries: list[dict] = []
         self.restarts = 0
         self._build_engine()
+        # a global batch DP does not divide is refused here, not mid-run
+        self.engine.rows_per_replica(self.cfg.global_batch)
 
     @property
     def history(self) -> list[float]:
@@ -98,8 +101,6 @@ class ElasticSupervisor:
         self.engine = SwipeEngine(self.model_config, self.archive,
                                   self.topology, lr=LR,
                                   seed=self.cfg.seed, injector=self.injector)
-        # a global batch DP does not divide is refused here, not mid-run
-        self.engine.rows_per_replica(self.cfg.global_batch)
         _gauge("resilience.world_size", "ranks in the current grid",
                self.topology.world_size)
 
@@ -165,6 +166,12 @@ class ElasticSupervisor:
             self.topology = old.degrade(dead)
             self.injector.reset_grid()
             self._build_engine()
+            try:
+                self.engine.rows_per_replica(self.cfg.global_batch)
+            except ValueError as exc:
+                raise ClusterFailure(f"global batch {self.cfg.global_batch} "
+                                     f"does not split over the degraded "
+                                     f"DP={self.topology.dp}") from exc
             restored_from = self._restore_latest()
         record = {"step": step, "dead_ranks": dead,
                   "world_size": [old.world_size, self.topology.world_size],

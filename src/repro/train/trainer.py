@@ -1,19 +1,19 @@
 """The one training engine, and its single-process constructor.
 
-:class:`TrainingEngine` holds one model, the weights every DP rank of
-a :class:`~repro.parallel.RankTopology` holds, and owns everything about
-a step but the loss: per DP replica (its rows of the batch) a zero-grad,
-forward and backward through an :class:`~repro.parallel.AerisPipeline`
-and the gradient set it leaves, the replicas at once on a multi-core
-box (the others in forked processes); the DP allreduce of the sets; the
-ZeRO-1 AdamW update at its schedule's learning rate; the optional EMA;
-the NaN/Inf guard (skip the update, back the LR off); the optional SDC guard
-(:class:`~repro.train.guard.StepGuard`); one ``state_payload`` /
-``restore`` pair, so a resumed run continues **bit-exactly**; metrics and
-spans.  A step optimizes the :class:`Batch` its constructor hands it:
-:class:`Trainer` (the paper's recipe, Section VI-B, at one rank, where
-the pipeline is one ``Aeris.forward`` and ZeRO-1 is plain AdamW; the
-baselines change its ``flow``), :class:`~repro.parallel.SwipeEngine`,
+:class:`TrainingEngine` holds one model, the weights every DP rank of a
+:class:`~repro.parallel.RankTopology` holds, and owns everything about a step
+but the loss: per DP replica (its rows of the batch) a zero-grad, forward and
+backward through an :class:`~repro.parallel.AerisPipeline` and the gradient
+set it leaves, the replicas at once on a multi-core box (the others in forked
+processes); the DP allreduce of the sets on its metered cluster; the ZeRO-1
+AdamW update at its schedule's learning rate; the optional EMA; the NaN/Inf
+guard (skip the update, back the LR off); the optional SDC guard
+(:class:`~repro.train.guard.StepGuard`); one ``state_payload`` / ``restore``
+pair, so a resumed run continues **bit-exactly**; metrics and spans.  A step
+optimizes the :class:`Batch` its constructor hands it: :class:`Trainer` (the
+paper's recipe, Section VI-B, at one rank, where the pipeline is one
+``Aeris.forward`` and ZeRO-1 is plain AdamW; the baselines change its
+``flow``), :class:`~repro.parallel.SwipeEngine`,
 :class:`~repro.train.MultistepFinetuner` and
 :class:`~repro.diffusion.ConsistencyDistiller`.
 """
@@ -43,7 +43,6 @@ from ..obs.profile import observe as _observe
 from ..obs.profile import record_event as _record_event
 from ..obs.profile import span as _span
 from ..parallel.comm import SimCluster
-from ..parallel.data_parallel import allreduce_gradients
 from ..parallel.pipeline import AerisPipeline
 from ..parallel.topology import RankTopology
 from ..parallel.zero import ZeroOptimizer
@@ -255,10 +254,13 @@ class TrainingEngine:
                 n_micro=gas)
 
     def _update(self, images: int, grads: list[list]) -> None:
-        """The replicas' gradient sets allreduced into the model's, the
-        sharded AdamW step at the scheduled LR, then the EMA."""
-        allreduce_gradients(self.cluster, self.dp_group, grads,
-                            self.optimizer.params)
+        """The replicas' gradient sets ring-allreduced (in FP64) into the
+        model's, the sharded AdamW step at the scheduled LR, then the EMA."""
+        if self.topology.dp > 1:
+            for i, p in enumerate(self.optimizer.params):
+                p.grad = self.cluster.allreduce(self.dp_group, [
+                    g[i] if g[i] is not None else np.zeros_like(p.data)
+                    for g in grads]) / self.topology.dp
         self.optimizer.lr = (self.schedule.lr_at(self.images_seen)
                              * self.lr_backoff)
         self.optimizer.step()

@@ -4,13 +4,12 @@ WP-sharded window loader."""
 import numpy as np
 import pytest
 
-from repro.data import (
-    FieldNormalizer,
-    ShardedWindowLoader,
-    TOY_SET,
-    round_robin_assignment,
-)
+from repro.data import FieldNormalizer, ShardedWindowLoader, TOY_SET
 from repro.data.forcings import STEPS_PER_YEAR
+from repro.parallel.window_parallel import (
+    round_robin_assignment,
+    window_sharding,
+)
 
 
 class TestNormalizer:
@@ -127,15 +126,11 @@ class TestRoundRobin:
 
 
 def reassemble(loader: ShardedWindowLoader, shards) -> np.ndarray:
-    """Rebuild the full image from all ranks' shards: the oracle for
-    "the shards cover the image exactly"."""
-    wh, ww = loader.window
-    h, w = loader.grid_shape
-    full = np.empty((h, w, loader.channels), dtype=np.float32)
-    for rank, shard in enumerate(shards):
-        for n, (i, j) in enumerate(loader.windows_for_rank(rank)):
-            full[i * wh:(i + 1) * wh, j * ww:(j + 1) * ww, :] = shard[n]
-    return full
+    """Rebuild the full image from all ranks' shards through the
+    attention's unshard: the oracle for "the shards cover the image
+    exactly"."""
+    return loader.sharding.unshard(
+        [s.reshape(1, len(s), -1, loader.channels) for s in shards])[0]
 
 
 class TestShardedLoader:
@@ -157,8 +152,29 @@ class TestShardedLoader:
         np.testing.assert_array_equal(loader.bytes_read, total // 4)
 
     def test_rank_window_counts_equal(self, loader):
-        counts = [len(loader.windows_for_rank(r)) for r in range(4)]
-        assert len(set(counts)) == 1
+        counts = [len(loader.load(0, r)) for r in range(4)]
+        assert counts == [loader.sharding.windows_per_rank] * 4
+
+    @pytest.mark.parametrize("wp_grid", [(1, 1), (2, 2), (2, 4), (4, 2)])
+    def test_memmap_load_is_the_attention_shard(self, tiny_archive,
+                                                tmp_path, wp_grid):
+        """A rank loads exactly the windows the attention's sharding
+        hands it, so nothing moves between loading and attention; each
+        rank reads 1/WP of the image."""
+        path = str(tmp_path / "fields.npy")
+        np.save(path, tiny_archive.fields[:3])
+        loader = ShardedWindowLoader(np.load(path, mmap_mode="r"),
+                                     window=(4, 4), wp_grid=wp_grid)
+        want = window_sharding((16, 32), (4, 4), wp_grid).shard(
+            tiny_archive.fields[2:3])
+        wp = wp_grid[0] * wp_grid[1]
+        for rank in range(wp):
+            got = loader.load(2, rank)
+            assert got.dtype == np.float32 and got.shape[1:] == (4, 4, len(TOY_SET))
+            np.testing.assert_array_equal(
+                got.reshape(want[rank].shape[1:]), want[rank][0])
+        np.testing.assert_array_equal(loader.bytes_read,
+                                      loader.load_full(2).nbytes // wp)
 
     def test_rejects_indivisible_wp_grid(self, tiny_archive):
         with pytest.raises(ValueError):

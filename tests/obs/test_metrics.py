@@ -144,7 +144,17 @@ class TestRegistry:
         reg = MetricsRegistry()
         reg.counter("comm.bytes").inc(512, primitive="p2p", locality="intra")
         reg.gauge("train.loss").set(0.25)
+        reg.histogram("serve.latency_s").observe(0.5, tier="fast")
         table = reg.as_table()
+        # Byte-identical to the renderer before repro.obs.text_table.
+        assert table == (
+            "metric           labels                        value\n"
+            "---------------  ----------------------------  "
+            "--------------------\n"
+            "comm.bytes       locality=intra,primitive=p2p  512\n"
+            "serve.latency_s  tier=fast                     "
+            "n=1 sum=0.5 mean=0.5\n"
+            "train.loss       -                             0.25")
         assert "comm.bytes" in table
         assert "primitive=p2p" in table
         assert "512" in table

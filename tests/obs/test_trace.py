@@ -98,6 +98,12 @@ class TestSummary:
         assert agg["f"]["mean"] == 1.5
         assert agg["f"]["min"] == 1.0 and agg["f"]["max"] == 2.0
         table = tracer.summary_table()
+        # Byte-identical to the renderer before repro.obs.text_table.
+        assert table == (
+            "span  count  total_s   mean_s    min_s     max_s\n"
+            "----  -----  --------  --------  --------  --------\n"
+            "g     1      5.000000  5.000000  5.000000  5.000000\n"
+            "f     2      3.000000  1.500000  1.000000  2.000000")
         # Sorted by total descending: g (5s) before f (3s).
         assert table.splitlines()[2].startswith("g")
         assert table.splitlines()[3].startswith("f")

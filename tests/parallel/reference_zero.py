@@ -53,8 +53,8 @@ class ReferenceZeroOptimizer:
     def step(self) -> None:
         """Each DP rank updates its shard, then parameters are allgathered.
 
-        (Gradients are assumed already averaged across DP — see
-        :mod:`repro.parallel.data_parallel`.)
+        (Gradients are assumed already averaged across DP — the engine's
+        :meth:`~repro.train.TrainingEngine._update` does it.)
         """
         for opt in self.shard_optimizers:
             opt.step()

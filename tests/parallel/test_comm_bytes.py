@@ -101,6 +101,14 @@ class TestCommStatsHelpers:
         s = self._stats([("p2p", "intra", 1000), ("p2p", "inter", 2000),
                          ("alltoall", "intra", 500)])
         table = s.as_table()
+        # Byte-identical to the renderer before repro.obs.text_table.
+        assert table == (
+            "primitive  locality  ops  bytes\n"
+            "---------  --------  ---  -----\n"
+            "alltoall   intra     1    500\n"
+            "p2p        inter     1    2,000\n"
+            "p2p        intra     1    1,000\n"
+            "total      -         3    3,500")
         lines = table.splitlines()
         assert lines[0].split() == ["primitive", "locality", "ops", "bytes"]
         assert any("p2p" in ln and "intra" in ln and "1,000" in ln
@@ -111,3 +119,6 @@ class TestCommStatsHelpers:
     def test_as_table_empty(self):
         table = CommStats().as_table()
         assert "total" in table and "0" in table
+        assert table == ("primitive  locality  ops  bytes\n"
+                         "---------  --------  ---  -----\n"
+                         "total      -         0    0")

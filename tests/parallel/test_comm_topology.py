@@ -36,8 +36,7 @@ class TestSimCluster:
         cluster = SimCluster(4)
         arrays = [np.full(5, float(i)) for i in range(4)]
         out = cluster.allreduce([0, 1, 2, 3], arrays)
-        for o in out:
-            np.testing.assert_array_equal(o, 6.0)
+        np.testing.assert_array_equal(out, np.full(5, 6.0))
 
     def test_allreduce_ring_volume(self):
         cluster = SimCluster(4)

@@ -17,7 +17,6 @@ from repro.parallel import (
     SimCluster,
     SwipeEngine,
     ZeroOptimizer,
-    allreduce_gradients,
 )
 from repro.perf import AURORA, CommModel
 from repro.tensor import Tensor
@@ -157,10 +156,22 @@ class TestZeroOptimizer:
 
 
 class TestDataParallel:
-    def test_allreduce_averages_grads(self):
-        model = Aeris(TINY16, seed=0)
+    """The engine's DP reduction, run by ``TrainingEngine._update``."""
+
+    @staticmethod
+    def dp2_engine(archive):
+        topo = RankTopology(dp=2, pp=TINY16.pp_stages, wp_grid=(1, 1), sp=1)
+        return SwipeEngine(TINY16, archive, topo, seed=0)
+
+    def test_allreduce_averages_grads(self, tiny_archive):
+        engine = self.dp2_engine(tiny_archive)
+        model = engine.model
         params = model.parameters()
         x_t, t, cond, forc, target = make_inputs(batch=4)
+        # Reference: the full batch through the same weights.
+        pred = model(Tensor(x_t), Tensor(t), Tensor(cond), Tensor(forc))
+        (((pred - Tensor(target)) ** 2).mean()).backward()
+        ref = [p.grad for p in params]
         # Each replica sees half of the batch and leaves one gradient set.
         grads = []
         for i in range(2):
@@ -172,32 +183,30 @@ class TestDataParallel:
             # together reproduce the full-batch mean gradient.
             ((pred - Tensor(target[sl])) ** 2).mean().backward()
             grads.append([p.grad for p in params])
-        cluster = SimCluster(2)
-        allreduce_gradients(cluster, [0, 1], grads, params)
-        # Reference: full batch on a fresh model.
-        ref = Aeris(TINY16, seed=0)
-        pred = ref(Tensor(x_t), Tensor(t), Tensor(cond), Tensor(forc))
-        (((pred - Tensor(target)) ** 2).mean()).backward()
-        for (n1, p1), (_, pr) in zip(model.named_parameters(),
-                                     ref.named_parameters()):
-            np.testing.assert_allclose(p1.grad, pr.grad, rtol=2e-4,
-                                       atol=2e-6, err_msg=n1)
+        engine._update(4, grads)
+        for (n1, p1), pr in zip(model.named_parameters(), ref, strict=True):
+            np.testing.assert_allclose(p1.grad, pr, rtol=2e-4, atol=2e-6,
+                                       err_msg=n1)
         # The FP64 ring sum of the two sets, averaged.
-        for p, g0, g1 in zip(params, *grads):
+        for p, g0, g1 in zip(params, *grads, strict=True):
             np.testing.assert_array_equal(
                 p.grad, (g0.astype(np.float64) + g1).astype(np.float32) / 2)
 
-    def test_allreduce_volume_independent_of_model_sharding(self):
+    def test_allreduce_volume_independent_of_model_sharding(self,
+                                                            tiny_archive):
         """Gradient allreduce volume depends only on parameter count —
-        the paper's claim that WP leaves it unchanged."""
-        model = Aeris(TINY16, seed=0)
-        params = model.parameters()
+        the paper's claim that WP leaves it unchanged; a missing gradient
+        is reduced as zeros."""
+        engine = self.dp2_engine(tiny_archive)
+        params = engine.model.parameters()
         n_bytes = sum(p.data.nbytes for p in params)
-        grads = [[np.zeros_like(p.data) for p in params] for _ in range(2)]
-        cluster = SimCluster(2)
-        allreduce_gradients(cluster, [0, 1], grads, params)
+        grads = [[np.ones_like(p.data) for p in params] for _ in range(2)]
+        grads[1][0] = None
+        engine._update(4, grads)
+        np.testing.assert_array_equal(params[0].grad, 0.5)
+        np.testing.assert_array_equal(params[1].grad, 1.0)
         expected = sum(int(2 * 1 / 2 * p.data.nbytes) * 2 for p in params)
-        assert cluster.stats.total_bytes("allreduce") == expected
+        assert engine.cluster.stats.total_bytes("allreduce") == expected
         assert expected == 2 * n_bytes  # ring with n=2 moves the data once each
 
 

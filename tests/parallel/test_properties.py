@@ -56,7 +56,7 @@ class TestCollectiveProperties:
         cluster = SimCluster(n)
         out = cluster.allreduce(list(range(n)), arrays)
         out_perm = SimCluster(n).allreduce(list(range(n)), arrays[::-1])
-        np.testing.assert_allclose(out[0], out_perm[0], rtol=1e-5)
+        np.testing.assert_allclose(out, out_perm, rtol=1e-5)
 
     @given(st.integers(2, 4))
     @settings(max_examples=20, deadline=None)

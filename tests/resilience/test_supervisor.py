@@ -187,6 +187,22 @@ class TestRecoveryEdgeCases:
         with pytest.raises(ClusterFailure):
             _run(tmp_path, tiny_archive, plan, "ck", max_restarts=0)
 
+    def test_indivisible_regrid_is_a_typed_failure(self, tmp_path,
+                                                   tiny_archive):
+        """Rank 0's death takes DP 4 to 3, which does not divide the
+        global batch of 8: ``run`` ends with ``ClusterFailure``, not the
+        engine's bare ``ValueError``."""
+        sup = ElasticSupervisor(
+            MICRO, tiny_archive,
+            RankTopology(dp=4, pp=MICRO.pp_stages, wp_grid=(1, 1), sp=1),
+            SupervisorConfig(global_batch=8, gas=1,
+                             checkpoint_root=str(tmp_path)),
+            fault_plan=FaultPlan(events=(FailStop(rank=0, step=1),)))
+        with pytest.raises(ClusterFailure, match="global batch 8 .*DP=3") \
+                as info:
+            sup.run(3)
+        assert isinstance(info.value.__cause__, ValueError)
+
     def test_no_checkpoint_restarts_from_scratch(self, tmp_path,
                                                  tiny_archive):
         plan = FaultPlan(events=(FailStop(rank=DEAD_RANK, step=1),))
