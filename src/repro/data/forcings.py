@@ -27,6 +27,9 @@ DAYS_PER_YEAR = 365
 STEPS_PER_YEAR = STEPS_PER_DAY * DAYS_PER_YEAR
 
 _SOLAR_CONSTANT = 1361.0  # W/m^2
+#: The procedural geography's seed and its share of land cells.
+STATIC_SEED = 7
+LAND_FRACTION = 0.3
 
 
 def _smooth_noise(rng: np.random.Generator, height: int, width: int,
@@ -51,14 +54,13 @@ class StaticFields:
     orography: np.ndarray   # (H, W) meters, zero over ocean
 
     @classmethod
-    def generate(cls, grid: LatLonGrid, seed: int = 7,
-                 land_fraction: float = 0.3) -> "StaticFields":
-        rng = np.random.default_rng(seed)
+    def generate(cls, grid: LatLonGrid) -> "StaticFields":
+        rng = np.random.default_rng(STATIC_SEED)
         base = _smooth_noise(rng, grid.height, grid.width, cutoff=3.0)
         # Continents avoid deep polar rows slightly and are favored mid-lat.
         lat_bias = 0.3 * np.cos(np.deg2rad(grid.lats / 1.5))[:, None]
         score = base + lat_bias
-        threshold = np.quantile(score, 1.0 - land_fraction)
+        threshold = np.quantile(score, 1.0 - LAND_FRACTION)
         land = (score > threshold).astype(np.float64)
         rough = _smooth_noise(rng, grid.height, grid.width, cutoff=6.0)
         orography = np.clip(rough, 0.0, 1.3) ** 2 * 2000.0 * land

@@ -51,6 +51,7 @@ TC_MAX_AMPLITUDE = 28.0        # hPa central pressure deficit scale
 TC_RADIUS_DEG = 9.0
 HEATWAVE_RATE_PER_DAY = 0.035
 HEATWAVE_AMPLITUDE = 7.5       # K
+EVENT_RAMP_DAYS = 2.5          # grow / decay time of an event's envelope
 HEATWAVE_RADIUS_DEG = 16.0
 SEED_SPATIAL = 1234            # basis-pattern seed (shared across twins)
 
@@ -403,10 +404,10 @@ class ToyGCM:
         state.heatwaves = survivors
 
     @staticmethod
-    def _event_envelope(age: float, duration: float, ramp: float = 2.5) -> float:
+    def _event_envelope(age: float, duration: float) -> float:
         """Smooth grow-hold-decay profile in [0, 1]."""
-        up = min(1.0, age / ramp)
-        down = min(1.0, max(0.0, (duration - age)) / ramp)
+        up = min(1.0, age / EVENT_RAMP_DAYS)
+        down = min(1.0, max(0.0, (duration - age)) / EVENT_RAMP_DAYS)
         return up * down
 
     def _gaussian_blob(self, lat: float, lon: float, radius_deg: float

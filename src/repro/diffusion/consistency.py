@@ -137,14 +137,9 @@ class ConsistencyDistiller(TrainingEngine):
 
     # -- one-step inference ----------------------------------------------------
     def sample_one_step(self, cond: np.ndarray, forc: np.ndarray,
-                        rng: np.random.Generator,
-                        use_ema: bool = False) -> np.ndarray:
-        """Single-network-evaluation sample: jump from pure noise at
-        ``t = pi/2`` directly to ``t = 0``."""
-        model = self.student
-        if use_ema:
-            saved = model.state_dict()
-            self.ema.copy_to(model)
+                        rng: np.random.Generator) -> np.ndarray:
+        """Single-network-evaluation sample with the live student: jump
+        from pure noise at ``t = pi/2`` directly to ``t = 0``."""
         z = rng.normal(0.0, self.flow.sigma_d,
                        size=cond.shape).astype(np.float32)
         t = np.full(cond.shape[0] if cond.ndim == 4 else 1, np.pi / 2,
@@ -152,11 +147,7 @@ class ConsistencyDistiller(TrainingEngine):
         x = z if cond.ndim == 4 else z[None]
         c = cond if cond.ndim == 4 else cond[None]
         f = forc if forc.ndim == 4 else forc[None]
-        try:
-            out = self._student_jump(x, t, c, f)
-        finally:
-            if use_ema:   # also when the forward raised
-                model.load_state_dict(saved)
+        out = self._student_jump(x, t, c, f)
         return out if cond.ndim == 4 else out[0]
 
     def teacher_sample_cost(self, solver_config: SolverConfig) -> int:

@@ -40,6 +40,11 @@ __all__ = ["ResidualForecaster", "Normalizer", "bound_network",
            "per_member_indices", "conditioning_rows", "step_sharded",
            "lockstep_rollout"]
 
+#: Initial-condition perturbation amplitude of every ensemble member but
+#: the control (:meth:`ResidualForecaster.perturbed_initial_condition`);
+#: 0 runs the paper's unperturbed ensembles.
+IC_PERTURBATION = 0.0
+
 
 class Normalizer(Protocol):
     """Z-score normalization protocol (implemented by
@@ -260,10 +265,9 @@ class ResidualForecaster:
     def ensemble_rollout(self, state0: np.ndarray, n_steps: int,
                          n_members: int, seed: int = 0,
                          start_index: int = 0,
-                         ic_perturbation: float = 0.0,
                          batched: bool = True) -> np.ndarray:
-        """Ensemble by resampling the noise per member (and optionally
-        perturbing initial conditions):
+        """Ensemble by resampling the noise per member (and perturbing
+        initial conditions by :data:`IC_PERTURBATION`):
         ``(n_members, n_steps + 1, H, W, C)``.
 
         ``batched=True`` (default) advances all members in lockstep through
@@ -281,10 +285,10 @@ class ResidualForecaster:
                        dtype=np.float32)
         for m, rng in enumerate(rngs):
             start = state0
-            if ic_perturbation > 0.0 and m > 0:
+            if IC_PERTURBATION > 0.0 and m > 0:
                 # Member 0 stays unperturbed (the control member).
                 start = self.perturbed_initial_condition(state0, rng,
-                                                         ic_perturbation)
+                                                         IC_PERTURBATION)
             out[m, 0] = start
         with _span("sampler.ensemble_rollout", category="diffusion",
                    n_steps=n_steps, members=n_members,

@@ -13,15 +13,14 @@ NINO34_BOX = (-5.0, 5.0, 190.0, 240.0)
 
 
 def nino34_index(fields: np.ndarray, grid: LatLonGrid,
-                 climatology: np.ndarray | None = None,
-                 sst_channel: int | None = None) -> np.ndarray:
+                 climatology: np.ndarray | None = None) -> np.ndarray:
     """Area-mean SST (anomaly) over the Niño 3.4 box.
 
     ``fields``: ``(..., H, W, C)``; returns the index with the trailing three
     axes reduced. If ``climatology`` (same trailing shape) is given, the
     anomaly w.r.t. it is computed — the standard index definition.
     """
-    c = sst_channel if sst_channel is not None else TOY_SET.index("SST")
+    c = TOY_SET.index("SST")
     sst = fields[..., c]
     if climatology is not None:
         sst = sst - climatology[..., c]

@@ -10,11 +10,11 @@ from ..data import LatLonGrid, TOY_SET
 __all__ = ["point_series", "heatwave_detected", "heatwave_hit_rate"]
 
 
-def point_series(fields: np.ndarray, grid: LatLonGrid, lat: float, lon: float,
-                 channel: int | None = None) -> np.ndarray:
-    """Time series at the grid cell nearest (lat, lon): ``(T,)``."""
-    c = channel if channel is not None else TOY_SET.index("T2M")
-    return fields[:, grid.lat_index(lat), grid.lon_index(lon), c]
+def point_series(fields: np.ndarray, grid: LatLonGrid, lat: float,
+                 lon: float) -> np.ndarray:
+    """T2M time series at the grid cell nearest (lat, lon): ``(T,)``."""
+    return fields[:, grid.lat_index(lat), grid.lon_index(lon),
+                  TOY_SET.index("T2M")]
 
 
 def heatwave_detected(series: np.ndarray, climatology: np.ndarray,

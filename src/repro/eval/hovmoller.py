@@ -9,21 +9,23 @@ from ..data import LatLonGrid, TOY_SET
 
 __all__ = ["hovmoller", "propagation_speed"]
 
+#: The paper's equatorial band, 10°S–10°N (degrees).
+LAT_BAND = (-10.0, 10.0)
+
 
 def hovmoller(fields: np.ndarray, grid: LatLonGrid,
-              lat_band: tuple[float, float] = (-10.0, 10.0),
-              channel: int | None = None,
               climatology: np.ndarray | None = None) -> np.ndarray:
-    """``(T, H, W, C)`` -> ``(T, W)``: anomaly averaged over a latitude band.
+    """``(T, H, W, C)`` -> ``(T, W)``: U850 anomaly averaged over
+    :data:`LAT_BAND`.
 
     Band averaging is cosine-latitude weighted, matching the paper's
     "averaged between 10°N and 10°S".
     """
-    c = channel if channel is not None else TOY_SET.index("U850")
+    c = TOY_SET.index("U850")
     data = fields[..., c]
     if climatology is not None:
         data = data - climatology[..., c]
-    rows = np.nonzero(grid.band_mask(*lat_band).any(axis=1))[0]
+    rows = np.nonzero(grid.band_mask(*LAT_BAND).any(axis=1))[0]
     w = grid.latitude_weights()[rows]
     return (data[:, rows, :] * w[None, :, None]).sum(axis=1) / w.sum()
 

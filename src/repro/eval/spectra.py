@@ -11,6 +11,9 @@ import numpy as np
 
 __all__ = ["zonal_power_spectrum", "sharpness_ratio"]
 
+#: :func:`sharpness_ratio`'s band: the top half of the zonal wavenumbers.
+K_MIN_FRAC = 0.5
+
 
 def zonal_power_spectrum(field: np.ndarray) -> np.ndarray:
     """Mean power per zonal wavenumber.
@@ -22,8 +25,7 @@ def zonal_power_spectrum(field: np.ndarray) -> np.ndarray:
     return spec.mean(axis=-2)
 
 
-def sharpness_ratio(forecast: np.ndarray, reference: np.ndarray,
-                    k_min_frac: float = 0.5) -> float:
+def sharpness_ratio(forecast: np.ndarray, reference: np.ndarray) -> float:
     """Power ratio forecast/reference in the top (smallest-scale) band.
 
     1.0 = spectrally faithful; << 1 = blurred (the deterministic-model
@@ -34,7 +36,7 @@ def sharpness_ratio(forecast: np.ndarray, reference: np.ndarray,
     # Flatten leading axes and average spectra before the band ratio.
     ps_f = ps_f.reshape(-1, ps_f.shape[-1]).mean(axis=0)
     ps_r = ps_r.reshape(-1, ps_r.shape[-1]).mean(axis=0)
-    k0 = int(len(ps_f) * k_min_frac)
+    k0 = int(len(ps_f) * K_MIN_FRAC)
     band_f = ps_f[k0:].sum()
     band_r = ps_r[k0:].sum()
     return float(band_f / max(band_r, 1e-30))

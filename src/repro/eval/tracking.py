@@ -12,6 +12,8 @@ from ..data import LatLonGrid, TOY_SET
 __all__ = ["TrackPoint", "track_cyclone", "track_error_km"]
 
 _EARTH_RADIUS_KM = 6371.0
+#: Radius of the disc searched around the previous track point (degrees).
+SEARCH_RADIUS_DEG = 15.0
 
 
 @dataclass(frozen=True)
@@ -30,8 +32,7 @@ def _local_wind_speed(fields: np.ndarray) -> np.ndarray:
 
 
 def track_cyclone(fields: np.ndarray, grid: LatLonGrid,
-                  start_lat: float, start_lon: float,
-                  search_radius_deg: float = 15.0) -> list[TrackPoint]:
+                  start_lat: float, start_lon: float) -> list[TrackPoint]:
     """Track the storm nearest (start_lat, start_lon) through ``(T, H, W, C)``.
 
     At each step the tracker searches a disc around the previous position
@@ -48,13 +49,13 @@ def track_cyclone(fields: np.ndarray, grid: LatLonGrid,
         dlon = np.abs(grid.lons[None, :] - lon)
         dlon = np.minimum(dlon, 360.0 - dlon) * np.cos(np.deg2rad(lat))
         dist = np.sqrt(dlat ** 2 + dlon ** 2)
-        disc = dist <= search_radius_deg
+        disc = dist <= SEARCH_RADIUS_DEG
         if not disc.any():
             break
         masked = np.where(disc, mslp, np.inf)
         i, j = np.unravel_index(np.argmin(masked), masked.shape)
         lat, lon = float(grid.lats[i]), float(grid.lons[j])
-        near = dist <= search_radius_deg
+        near = dist <= SEARCH_RADIUS_DEG
         track.append(TrackPoint(step=step, lat=lat, lon=lon,
                                 min_mslp=float(mslp[i, j]),
                                 max_wind=float(wind[step][near].max())))

@@ -58,9 +58,9 @@ _SAFETY = 8.0
 _ENABLED = ContextVar("abft_guard", default=False)
 
 
-def abft_guard(enabled: bool = True):
-    """Arm (or explicitly disarm) ABFT verification for the block."""
-    return scoped(_ENABLED, enabled)
+def abft_guard():
+    """Arm ABFT verification for the block."""
+    return scoped(_ENABLED, True)
 
 
 def guards_live() -> bool:

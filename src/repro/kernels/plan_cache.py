@@ -99,9 +99,8 @@ def plan_cache_stats() -> dict[str, dict[str, int]]:
     return {name: cache.stats() for name, cache in sorted(_REGISTRY.items())}
 
 
-def clear_plan_caches(reset_stats: bool = True) -> None:
-    """Drop every cached plan (and, by default, zero the counters)."""
+def clear_plan_caches() -> None:
+    """Drop every cached plan and zero the counters."""
     for cache in _REGISTRY.values():
         cache.clear()
-        if reset_stats:
-            cache.reset_stats()
+        cache.reset_stats()

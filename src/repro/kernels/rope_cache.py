@@ -1,7 +1,7 @@
 """Memoized axial 2D RoPE rotation tables.
 
 Every Swin block (and every SWiPe sharded attention call) needs the same
-``(cos, sin)`` tables for a given ``(window, head_dim, base, dtype)`` —
+``(cos, sin)`` tables for a given ``(window, head_dim)`` —
 the tables depend only on within-window token coordinates, so shifted and
 unshifted windows, all blocks of a model, and all models of a process can
 share one pair of read-only arrays.  The builder delegates to the canonical
@@ -25,21 +25,17 @@ __all__ = ["rope_tables"]
 _ROPE_TABLES = LRUCache("rope_tables", maxsize=32)
 
 
-def rope_tables(window: tuple[int, int], head_dim: int, base: float = 100.0,
-                dtype=np.float32) -> tuple[np.ndarray, np.ndarray]:
-    """Cached, read-only ``(cos, sin)`` tables of shape
-    ``(wh*ww, head_dim // 2)``; keyed by ``(window, head_dim, base, dtype)``."""
-    window = (int(window[0]), int(window[1]))
-    dtype = np.dtype(dtype)
-    key = (window, int(head_dim), float(base), dtype.str)
+def rope_tables(window: tuple[int, int], head_dim: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Cached, read-only float32 ``(cos, sin)`` tables of shape
+    ``(wh*ww, head_dim // 2)``; keyed by ``(window, head_dim)``."""
+    key = ((int(window[0]), int(window[1])), int(head_dim))
 
     def build() -> tuple[np.ndarray, np.ndarray]:
         # Imported lazily: repro.nn (our importer's package) is itself
         # imported by repro.model, so a top-level import would be circular.
         from ..model.rope import axial_rope_table
-        cos, sin = axial_rope_table(window, head_dim, base)
-        cos = cos.astype(dtype, copy=False)
-        sin = sin.astype(dtype, copy=False)
+        cos, sin = axial_rope_table(*key)
         cos.setflags(write=False)
         sin.setflags(write=False)
         return cos, sin

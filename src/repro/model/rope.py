@@ -15,10 +15,15 @@ import numpy as np
 
 __all__ = ["axial_rope_table"]
 
+#: Frequency base.  Windows are small (30–60 tokens per axis), so a much
+#: smaller base than the LLM-conventional 10000 keeps the highest
+#: wavelength comparable to the window extent.
+ROPE_BASE = 100.0
 
-def axial_rope_table(window: tuple[int, int], head_dim: int,
-                     base: float = 100.0) -> tuple[np.ndarray, np.ndarray]:
-    """Build (cos, sin) tables of shape ``(wh*ww, head_dim // 2)``.
+
+def axial_rope_table(window: tuple[int, int], head_dim: int
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Build float32 (cos, sin) tables of shape ``(wh*ww, head_dim // 2)``.
 
     Parameters
     ----------
@@ -26,16 +31,12 @@ def axial_rope_table(window: tuple[int, int], head_dim: int,
         (wh, ww) window shape; the table covers its row-major token order.
     head_dim:
         Per-head feature count; must be divisible by 4 (two axes × pairs).
-    base:
-        Frequency base. Windows are small (30–60 tokens per axis), so a much
-        smaller base than the LLM-conventional 10000 keeps the highest
-        wavelength comparable to the window extent.
     """
     if head_dim % 4:
         raise ValueError("head_dim must be divisible by 4 for axial 2D RoPE")
     wh, ww = window
     quarter = head_dim // 4
-    freqs = base ** (-np.arange(quarter) / quarter)   # (quarter,)
+    freqs = ROPE_BASE ** (-np.arange(quarter) / quarter)   # (quarter,)
     rows = np.repeat(np.arange(wh), ww)               # token row, row-major
     cols = np.tile(np.arange(ww), wh)                 # token column
     row_angles = rows[:, None] * freqs[None, :]       # (T, quarter)

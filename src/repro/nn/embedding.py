@@ -21,7 +21,11 @@ __all__ = [
 ]
 
 
-def pixel_positional_field(height: int, width: int, n_freqs: int = 4) -> np.ndarray:
+#: Latitude/longitude harmonics of :func:`pixel_positional_field`.
+PIXEL_FIELD_FREQS = 4
+
+
+def pixel_positional_field(height: int, width: int) -> np.ndarray:
     """A fixed ``(height, width)`` sinusoidal field added to every channel.
 
     Combines a few latitude/longitude harmonics so each pixel receives a
@@ -31,9 +35,9 @@ def pixel_positional_field(height: int, width: int, n_freqs: int = 4) -> np.ndar
     y = np.linspace(0.0, 1.0, height, endpoint=False)[:, None]
     x = np.linspace(0.0, 1.0, width, endpoint=False)[None, :]
     field = np.zeros((height, width), dtype=np.float32)
-    for k in range(1, n_freqs + 1):
+    for k in range(1, PIXEL_FIELD_FREQS + 1):
         field += np.sin(2 * np.pi * k * y) / k + np.cos(2 * np.pi * k * x) / k
-    field *= 0.1 / n_freqs
+    field *= 0.1 / PIXEL_FIELD_FREQS
     return field.astype(np.float32)
 
 

@@ -11,12 +11,14 @@ import numpy as np
 
 __all__ = ["trunc_normal", "zeros", "scaled_init_std"]
 
+#: :func:`trunc_normal` resamples draws beyond this many standard deviations.
+TRUNC_BOUND = 2.0
 
-def trunc_normal(shape, std: float, rng: np.random.Generator,
-                 bound: float = 2.0) -> np.ndarray:
-    """Normal(0, std) truncated at ±``bound``·std via resampling."""
+
+def trunc_normal(shape, std: float, rng: np.random.Generator) -> np.ndarray:
+    """Normal(0, std) truncated at ±``TRUNC_BOUND``·std via resampling."""
     out = rng.normal(0.0, std, size=shape)
-    limit = bound * std
+    limit = TRUNC_BOUND * std
     bad = np.abs(out) > limit
     while bad.any():
         out[bad] = rng.normal(0.0, std, size=int(bad.sum()))

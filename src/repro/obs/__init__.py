@@ -33,8 +33,7 @@ Everything is **off by default** and strictly free when off::
     from repro import obs
     with obs.monitored() as m:
         trainer.fit(10)
-    print(obs.render_dashboard(m.registry, m.tracer, m.monitor,
-                               m.recorder))
+    print(obs.render_dashboard())
     obs.write_prometheus(m.registry, "metrics.prom")
     m.recorder.dump("flight.jsonl")
 """

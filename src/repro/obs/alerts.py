@@ -124,12 +124,8 @@ class AlertManager:
     def kinds(self) -> set[str]:
         return {a.kind for a in self.alerts}
 
-    def select(self, kind: str | None = None,
-               min_severity: str = "info") -> list[Alert]:
-        floor = SEVERITIES.index(min_severity)
-        return [a for a in self.alerts
-                if (kind is None or a.kind == kind)
-                and SEVERITIES.index(a.severity) >= floor]
+    def select(self, kind: str) -> list[Alert]:
+        return [a for a in self.alerts if a.kind == kind]
 
     def summary(self) -> dict:
         """JSON-friendly rollup (stable ordering by first firing)."""

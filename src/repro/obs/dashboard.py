@@ -14,7 +14,7 @@ flight files; :mod:`examples.monitor_training` renders it live.
 
 from __future__ import annotations
 
-from .metrics import MetricsRegistry
+from .metrics import MetricsRegistry, _label_str
 
 __all__ = ["render_dashboard"]
 
@@ -27,34 +27,31 @@ def _rule(title: str) -> str:
 
 
 def _num(value: float) -> str:
+    """An integral value as an int, anything else (NaN and ±inf too) in
+    ``%.6g``."""
     as_float = float(value)
-    if as_float == int(as_float) and abs(as_float) < 1e15:
+    if abs(as_float) < 1e15 and as_float == int(as_float):
         return str(int(as_float))
     return f"{as_float:.6g}"
 
 
-def _counter_rows(registry: MetricsRegistry, name: str) -> list[str]:
+def _value(inst, key) -> str:
+    return _num(inst.series[key])
+
+
+def _hist_stats(inst, key) -> str:
+    s = inst.stats(**dict(key))
+    return f"n={s['count']} mean={s['mean']:.6g} max={s['max']:.6g}"
+
+
+def _rows(registry: MetricsRegistry, name: str, cell) -> list[str]:
+    """One row per label set of instrument ``name``: its labels, then
+    ``cell(instrument, key)``."""
     inst = registry.instruments.get(name)
     if inst is None or not getattr(inst, "series", None):
         return []
-    rows = []
-    for key in sorted(inst.series):
-        label = ",".join(f"{k}={v}" for k, v in key) or "-"
-        rows.append(f"  {name}  {label:<28s} {_num(inst.series[key])}")
-    return rows
-
-
-def _hist_rows(registry: MetricsRegistry, name: str) -> list[str]:
-    inst = registry.instruments.get(name)
-    if inst is None or not getattr(inst, "series", None):
-        return []
-    rows = []
-    for key in sorted(inst.series):
-        label = ",".join(f"{k}={v}" for k, v in key) or "-"
-        s = inst.stats(**dict(key))
-        rows.append(f"  {name}  {label:<28s} n={s['count']} "
-                    f"mean={s['mean']:.6g} max={s['max']:.6g}")
-    return rows
+    return [f"  {name}  {_label_str(key):<28s} {cell(inst, key)}"
+            for key in sorted(inst.series)]
 
 
 _SECTIONS = (
@@ -88,20 +85,20 @@ def _plan_cache_rows(stats: dict | None) -> list[str]:
 
 
 def render_dashboard(registry: MetricsRegistry | None = None,
-                     tracer=None, monitor=None, recorder=None,
-                     plan_caches: dict | None = None,
+                     recorder=None, plan_caches: dict | None = None,
                      tail: int = 8) -> str:
-    """Render the panel from whatever telemetry objects are provided.
+    """Render the panel from the given registry and flight recorder and
+    the globally enabled tracer and health monitor.
 
-    Any argument left ``None`` falls back to the globally enabled
-    instance (and its section is omitted if there is none).  Pass
+    A registry or recorder left ``None`` falls back to the globally
+    enabled instance; a section is omitted if there is none.  Pass
     ``plan_caches={}`` to suppress the kernel-cache section (e.g. when
     rendering from exported files on another machine).
     """
     from .profile import flight, get_tracer, health, metrics
     registry = registry if registry is not None else metrics()
-    tracer = tracer if tracer is not None else get_tracer()
-    monitor = monitor if monitor is not None else health()
+    tracer = get_tracer()
+    monitor = health()
     recorder = recorder if recorder is not None else flight()
 
     lines = ["=" * _RULE_WIDTH,
@@ -112,9 +109,9 @@ def render_dashboard(registry: MetricsRegistry | None = None,
         for title, counters, hists in _SECTIONS:
             rows: list[str] = []
             for name in counters:
-                rows.extend(_counter_rows(registry, name))
+                rows.extend(_rows(registry, name, _value))
             for name in hists:
-                rows.extend(_hist_rows(registry, name))
+                rows.extend(_rows(registry, name, _hist_stats))
             if rows:
                 lines.append(_rule(title))
                 lines.extend(rows)

@@ -52,9 +52,10 @@ def _labels(key, extra: list[tuple[str, str]] | None = None) -> str:
 
 
 def _fmt(value: float) -> str:
-    if isinstance(value, float) and math.isinf(value):
-        return "+Inf" if value > 0 else "-Inf"
     as_float = float(value)
+    if not math.isfinite(as_float):  # the text format's spellings
+        return "NaN" if math.isnan(as_float) else (
+            "+Inf" if as_float > 0 else "-Inf")
     if as_float == int(as_float) and abs(as_float) < 1e15:
         return str(int(as_float))
     return repr(as_float)
@@ -123,7 +124,7 @@ def write_events_jsonl(events, path: str) -> str:
     return _atomic(path, events_jsonl(events))
 
 
-def write_metrics_json(registry: MetricsRegistry, path: str,
-                       indent: int | None = 2) -> str:
-    """Atomically write the registry's JSON snapshot; returns ``path``."""
-    return _atomic(path, registry.to_json(indent=indent))
+def write_metrics_json(registry: MetricsRegistry, path: str) -> str:
+    """Atomically write the registry's JSON snapshot, indented; returns
+    ``path``."""
+    return _atomic(path, registry.to_json(indent=2))

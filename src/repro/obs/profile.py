@@ -48,22 +48,20 @@ _flight = ContextVar("obs_flight", default=None)
 _health = ContextVar("obs_health", default=None)
 
 
-def _install(var: ContextVar, given, make):
-    """Set ``var`` to ``given``, else keep what it holds, else ``make()``;
-    returns the value set."""
-    value = given if given is not None else var.get()
+def _install(var: ContextVar, make):
+    """Keep what ``var`` holds, else set it to ``make()``; returns the
+    value it holds."""
+    value = var.get()
     if value is None:
         value = make()
-    var.set(value)
+        var.set(value)
     return value
 
 
-def enable(tracer: Tracer | None = None,
-           registry: MetricsRegistry | None = None
-           ) -> tuple[Tracer, MetricsRegistry]:
-    """Turn instrumentation on; returns the active (tracer, registry)."""
-    return (_install(_tracer, tracer, Tracer),
-            _install(_registry, registry, MetricsRegistry))
+def enable() -> tuple[Tracer, MetricsRegistry]:
+    """Turn instrumentation on (idempotent: an existing instance is kept);
+    returns the active (tracer, registry)."""
+    return _install(_tracer, Tracer), _install(_registry, MetricsRegistry)
 
 
 def disable() -> None:
@@ -109,13 +107,11 @@ def observe(name: str, help: str, value: float, /, *,
 
 
 # -- active health layer (flight recorder + online detectors) ------------------
-def enable_health(monitor: HealthMonitor | None = None,
-                  recorder: FlightRecorder | None = None,
-                  clock=None) -> tuple[HealthMonitor, FlightRecorder]:
+def enable_health() -> tuple[HealthMonitor, FlightRecorder]:
     """Install the flight recorder and health monitor (idempotent: an
-    existing instance is kept unless an explicit one is passed)."""
-    recorder = _install(_flight, recorder, lambda: FlightRecorder(clock=clock))
-    monitor = _install(_health, monitor, lambda: HealthMonitor(clock=clock))
+    existing instance is kept)."""
+    recorder = _install(_flight, FlightRecorder)
+    monitor = _install(_health, HealthMonitor)
     return monitor, recorder
 
 

@@ -109,16 +109,13 @@ class Tracer:
         self.spans.clear()
 
     def select(self, category: str | None = None,
-               track_prefix: str | None = None,
-               name: str | None = None) -> list[Span]:
+               track_prefix: str | None = None) -> list[Span]:
         """Filter recorded spans (used by :class:`~repro.obs.report.TraceReport`)."""
         out = []
         for s in self.spans:
             if category is not None and s.category != category:
                 continue
             if track_prefix is not None and not s.track.startswith(track_prefix):
-                continue
-            if name is not None and s.name != name:
                 continue
             out.append(s)
         return out

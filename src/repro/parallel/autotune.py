@@ -65,10 +65,12 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-#: Resolvable names for snapshot verification (custom configs must be
-#: passed explicitly to :func:`verify_plan`).
+#: Resolvable names for snapshot verification.
 CONFIGS: dict[str, AerisConfig] = {"tiny": TINY, "small": SMALL, **TABLE_II}
 MACHINES: dict[str, Machine] = {"aurora": AURORA, "lumi": LUMI}
+
+#: Relative tolerance :func:`verify_plan` allows a float leaf.
+VERIFY_REL_TOL = 1e-9
 
 #: Detailed pruned-candidate records kept per plan (full counts are
 #: always kept; examples are capped so huge sweeps stay small on disk).
@@ -468,23 +470,21 @@ def _leaves(node, path=""):
         yield path, node
 
 
-def verify_plan(plan: TunedPlan, config: AerisConfig | None = None,
-                machine: Machine | None = None,
-                rel_tol: float = 1e-9) -> list[str]:
-    """Re-derive ``plan`` from its inputs; return the drift findings.
+def verify_plan(plan: TunedPlan) -> list[str]:
+    """Re-derive ``plan`` from the config and machine it names; return
+    the drift findings.
 
     Empty list = the snapshot still describes what the planner would
     derive today.  Two kinds of finding: a stale input digest (the
     recorded address is not that of the inputs the snapshot names), and
     one per leaf that the re-derivation does not reproduce, named by its
-    JSON path — floats to ``rel_tol``, every other leaf exactly.
-    Calibration is ignored (wall-clock measurements are not content).
+    JSON path — floats to :data:`VERIFY_REL_TOL`, every other leaf
+    exactly.  Calibration is ignored (wall-clock measurements are not
+    content).
     """
-    config = config if config is not None else resolve_config(
-        plan.config_name)
-    machine = machine if machine is not None else resolve_machine(
-        plan.machine_name)
-    fresh = plan_for(config, machine, plan.world_size, plan.gbs,
+    fresh = plan_for(resolve_config(plan.config_name),
+                     resolve_machine(plan.machine_name),
+                     plan.world_size, plan.gbs,
                      pipeline=plan.pipeline,
                      micro_batches=plan.micro_batches,
                      schedule=plan.schedule,
@@ -500,7 +500,7 @@ def verify_plan(plan: TunedPlan, config: AerisConfig | None = None,
             continue
         old, now = snap.get(path, "<absent>"), new.get(path, "<absent>")
         close = (isinstance(old, float) and isinstance(now, float)
-                 and math.isclose(old, now, rel_tol=rel_tol))
+                 and math.isclose(old, now, rel_tol=VERIFY_REL_TOL))
         if old != now and not close:
             drifts.append(f"{path}: snapshot {old!r} vs fresh {now!r}")
     return drifts

@@ -67,11 +67,9 @@ class CommStats:
         _count("comm.ops", "simulated collective operations", 1,
                primitive=primitive, locality=locality)
 
-    def total_bytes(self, primitive: str | None = None,
-                    locality: str | None = None) -> int:
-        return sum(v for (p, l), v in self.bytes.items()
-                   if (primitive is None or p == primitive)
-                   and (locality is None or l == locality))
+    def total_bytes(self, primitive: str | None = None) -> int:
+        return sum(v for (p, _), v in self.bytes.items()
+                   if primitive is None or p == primitive)
 
     def as_table(self) -> str:
         """Plain-text table: one row per (primitive, locality) plus a

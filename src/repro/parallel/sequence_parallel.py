@@ -22,12 +22,12 @@ from .comm import SimCluster
 __all__ = ["shard_sequence", "ulysses_attention"]
 
 
-def shard_sequence(tokens: np.ndarray, sp: int, axis: int = -3) -> list[np.ndarray]:
-    """Split the token axis (default: third-from-last of ``(..., T, H, hd)``)
-    into ``sp`` contiguous shards."""
-    if tokens.shape[axis] % sp:
-        raise ValueError(f"token axis {tokens.shape[axis]} not divisible by SP={sp}")
-    return [chunk.copy() for chunk in np.split(tokens, sp, axis=axis)]
+def shard_sequence(tokens: np.ndarray, sp: int) -> list[np.ndarray]:
+    """Split the token axis (third-from-last of ``(..., T, H, hd)``) into
+    ``sp`` contiguous shards."""
+    if tokens.shape[-3] % sp:
+        raise ValueError(f"token axis {tokens.shape[-3]} not divisible by SP={sp}")
+    return [chunk.copy() for chunk in np.split(tokens, sp, axis=-3)]
 
 
 def ulysses_attention(cluster: SimCluster, sp_group: list[int],

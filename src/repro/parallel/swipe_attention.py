@@ -37,8 +37,7 @@ __all__ = ["swipe_window_attention"]
 def swipe_window_attention(image: np.ndarray, attention, window: tuple[int, int],
                            topology: RankTopology,
                            cluster: SimCluster | None = None,
-                           shifted: bool = False, dp: int = 0, pp: int = 0
-                           ) -> np.ndarray:
+                           shifted: bool = False) -> np.ndarray:
     """Run one windowed multi-head attention under WP x SP sharding.
 
     Parameters
@@ -49,8 +48,8 @@ def swipe_window_attention(image: np.ndarray, attention, window: tuple[int, int]
         A trained :class:`repro.nn.MultiHeadAttention` whose weights are
         used (its qkv/out projections and head layout).
     window / topology:
-        Window shape and the DP×PP×WP×SP layout; ``dp``/``pp`` select the
-        executing instance/stage for locality accounting.
+        Window shape and the DP×PP×WP×SP layout; the ranks of DP instance
+        0, pipeline stage 0 execute it (for locality accounting).
     """
     sp = topology.sp
     step, ragged = divmod(window[0] * window[1], sp)
@@ -84,7 +83,7 @@ def swipe_window_attention(image: np.ndarray, attention, window: tuple[int, int]
                                sin[rows, None, None, :])
             packed.append(qkv)
         attn = ulysses_attention(
-            cluster, topology.sp_group(dp, pp, wp_rank),
+            cluster, topology.sp_group(0, 0, wp_rank),
             *([qkv[:, :, part] for qkv in packed] for part in range(3)))
         # Output projection on each SP rank's token shard, then re-join.
         out_shards.append(np.concatenate(

@@ -145,23 +145,21 @@ def estimate_performance(config: AerisConfig, machine: Machine,
         ef_sustained=ef_sustained, ef_peak=ef_peak)
 
 
-def _topology_for(config: AerisConfig, dp: int,
-                  sp: int | None = None) -> RankTopology:
+def _topology_for(config: AerisConfig, dp: int) -> RankTopology:
     layout = config.layout
     return RankTopology(dp=dp, pp=layout.pp, wp_grid=layout.wp_grid,
-                        sp=sp if sp is not None else layout.sp)
+                        sp=layout.sp)
 
 
 def weak_scaling_series(config: AerisConfig, machine: Machine,
-                        dp_values: list[int],
-                        gas: int | None = None) -> list[PerfEstimate]:
-    """Increase DP (and GBS with it) at fixed model-parallel layout —
-    Figure 4's weak scaling."""
-    gas = gas if gas is not None else config.layout.gas
+                        dp_values: list[int]) -> list[PerfEstimate]:
+    """Increase DP (and GBS with it, ``gas`` per replica) at fixed
+    model-parallel layout — Figure 4's weak scaling."""
     out = []
     for dp in dp_values:
         topo = _topology_for(config, dp)
-        out.append(estimate_performance(config, machine, topo, gbs=gas * dp))
+        out.append(estimate_performance(config, machine, topo,
+                                        gbs=config.layout.gas * dp))
     return out
 
 
@@ -190,13 +188,12 @@ def strong_scaling_wp(config: AerisConfig, machine: Machine, gbs: int,
     return out
 
 
-def scaling_efficiency(series: list[PerfEstimate],
-                       resource=lambda e: e.nodes) -> list[float]:
-    """Throughput efficiency of each point relative to perfect scaling from
-    the first point."""
+def scaling_efficiency(series: list[PerfEstimate]) -> list[float]:
+    """Throughput efficiency of each point relative to perfect scaling
+    (throughput proportional to nodes) from the first point."""
     base = series[0]
     out = []
     for e in series:
-        ideal = base.images_per_sec * resource(e) / resource(base)
+        ideal = base.images_per_sec * e.nodes / base.nodes
         out.append(e.images_per_sec / ideal)
     return out

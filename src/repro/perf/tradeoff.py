@@ -21,13 +21,15 @@ from .memory import CHECKPOINT_RECOMPUTE_OVERHEAD, MemoryModel
 
 __all__ = ["time_to_train", "checkpointing_plan", "CheckpointingPlan"]
 
+#: Samples of one training run ("complete training for 3M samples").
+TRAIN_IMAGES = 3_000_000
 
-def time_to_train(images_per_sec: float, total_images: float = 3_000_000
-                  ) -> float:
-    """Wall-clock hours to see ``total_images`` at a sustained rate."""
+
+def time_to_train(images_per_sec: float) -> float:
+    """Wall-clock hours to see :data:`TRAIN_IMAGES` at a sustained rate."""
     if images_per_sec <= 0:
         raise ValueError("throughput must be positive")
-    return total_images / images_per_sec / 3600.0
+    return TRAIN_IMAGES / images_per_sec / 3600.0
 
 
 @dataclass(frozen=True)

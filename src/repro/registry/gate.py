@@ -90,22 +90,20 @@ def evaluate_gate(candidate_card: dict, incumbent_card: dict | None,
 
 
 def gate_version(registry: ModelRegistry, candidate: str,
-                 incumbent: str | None = None,
                  config: GateConfig = GateConfig()) -> GateDecision:
-    """Gate a registered candidate and apply the resulting transition.
+    """Gate a registered candidate against the registry's current
+    ``live`` version and apply the resulting transition.
 
     ``registered`` → ``servable`` on pass, ``registered`` → ``rejected``
     on fail; the decision is booked as ``registry.gate_decisions`` and a
-    ``registry.gate`` event either way.  The incumbent defaults to the
-    registry's current ``live`` version.
+    ``registry.gate`` event either way.
     """
     record = registry.get(candidate)
     if record.scorecard is None:
         raise RegistryError(
             f"candidate {candidate!r} has no scorecard; attach one "
             "before gating")
-    if incumbent is None:
-        incumbent = registry.live()
+    incumbent = registry.live()
     incumbent_card = None
     if incumbent is not None:
         incumbent_card = registry.get(incumbent).scorecard

@@ -79,8 +79,6 @@ class ModelVersion:
 
     version: str
     status: str = "registered"
-    created_step: int = 0
-    seed: int = 0
     parent: str | None = None
     source: str = ""
     weights_digest: str = ""
@@ -247,7 +245,7 @@ class ModelRegistry:
                        residual_norm: FieldNormalizer,
                        forcing_norm: FieldNormalizer | None = None, *,
                        version: str | None = None, parent: str | None = None,
-                       step: int = 0, seed: int = 0, source: str = "",
+                       source: str = "",
                        scorecard: dict | None = None) -> ModelVersion:
         """Register a raw ``state_dict`` + config + normalizers.
 
@@ -274,25 +272,16 @@ class ModelRegistry:
                     {"mean": norm.mean, "std": norm.std})
 
         record = ModelVersion(
-            version=version, status="registered", created_step=int(step),
-            seed=int(seed), parent=parent, source=source,
+            version=version, status="registered", parent=parent,
+            source=source,
             weights_digest=weights, config_digest=cfg,
             artifacts=artifacts, scorecard=scorecard)
         self._index["versions"][version] = record.to_dict()
         self._save_index()
         self._book("register", version, parent=parent or "",
-                   weights=weights[:12], step=int(step))
+                   weights=weights[:12])
         return record
 
-    def register(self, model, state_norm: FieldNormalizer,
-                 residual_norm: FieldNormalizer,
-                 forcing_norm: FieldNormalizer | None = None,
-                 **kwargs) -> ModelVersion:
-        """Register a live model object (uses ``model.config`` and
-        ``model.state_dict()``)."""
-        return self.register_state(model.state_dict(), model.config,
-                                   state_norm, residual_norm, forcing_norm,
-                                   **kwargs)
 
     # -- lifecycle ---------------------------------------------------------
     def set_status(self, version: str, status: str,

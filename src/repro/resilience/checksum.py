@@ -55,10 +55,7 @@ def content_digest(array: np.ndarray) -> str:
     change — doing so would orphan every stored blob and cache entry.
     """
     h = hashlib.sha256()
-    a = np.ascontiguousarray(array)
-    h.update(str(a.dtype).encode())
-    h.update(str(a.shape).encode())
-    h.update(a.tobytes())
+    _hash_array(h, array)
     return h.hexdigest()
 
 
@@ -73,11 +70,17 @@ def state_digest(state: dict) -> str:
     h = hashlib.sha256()
     for name, array in sorted(state.items()):
         h.update(name.encode())
-        a = np.ascontiguousarray(array)
-        h.update(str(a.dtype).encode())
-        h.update(str(a.shape).encode())
-        h.update(a.tobytes())
+        _hash_array(h, array)
     return h.hexdigest()
+
+
+def _hash_array(h, array: np.ndarray) -> None:
+    """Feed ``h`` one array's dtype string, shape tuple repr, then raw
+    bytes (the layout every digest here is pinned to)."""
+    a = np.ascontiguousarray(array)
+    h.update(str(a.dtype).encode())
+    h.update(str(a.shape).encode())
+    h.update(a.tobytes())
 
 
 def json_digest(obj) -> str:

@@ -11,7 +11,7 @@ others (contrast :func:`repro.train.read_sharded_checkpoint`, which
 fail-stops on the first of the same problems because its caller is about
 to *use* the arrays).
 
-Paired with N-replica retention (``TrainerConfig.keep_checkpoints`` /
+Paired with N-replica retention (``tools/scrub_checkpoints.py --keep``,
 :func:`repro.train.prune_checkpoints`) and fall-back resume
 (:func:`repro.train.newest_valid_checkpoint`), this closes the
 state-domain corruption loop: scrub finds rot early, retention guarantees

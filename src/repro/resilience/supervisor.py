@@ -45,6 +45,7 @@ from ..obs.profile import span as _span
 from ..parallel.swipe import SwipeEngine
 from ..parallel.topology import RankTopology
 from ..train.checkpoint import newest_valid_checkpoint
+from ..train.trainer import VALIDATION_SEED
 from .faults import (ClusterFailure, FaultInjector, FaultPlan, RankFailure,
                      count_dead_ranks)
 
@@ -56,6 +57,10 @@ _BATCH_STREAM = 7777
 
 #: Learning rate of every supervised run (constant: chaos runs are short).
 LR = 1e-3
+
+#: :meth:`ElasticSupervisor.validation_loss`'s batch size and batches.
+VALIDATION_BATCH_SIZE = 8
+VALIDATION_BATCHES = 2
 
 
 @dataclass(frozen=True)
@@ -191,8 +196,8 @@ class ElasticSupervisor:
                       restored_from=restored_from)
 
     # -- evaluation --------------------------------------------------------
-    def validation_loss(self, batch_size: int = 8, n_batches: int = 2,
-                        seed: int = 1234) -> float:
+    def validation_loss(self) -> float:
         """Fixed-seed held-out loss — directly comparable across faulted
         and fault-free runs (the trainer's evaluation)."""
-        return self.engine.held_out_loss(batch_size, n_batches, seed)
+        return self.engine.held_out_loss(VALIDATION_BATCH_SIZE,
+                                         VALIDATION_BATCHES, VALIDATION_SEED)

@@ -149,8 +149,7 @@ class DeploymentController:
                version=response.version, status=response.status)
 
     # -- rollout -------------------------------------------------------------
-    def start_canary(self, version: str, forecaster=None,
-                     student=None) -> None:
+    def start_canary(self, version: str, forecaster=None) -> None:
         """Load ``version`` and start routing canary traffic to it.
 
         ``forecaster`` defaults to materializing the version from the
@@ -174,7 +173,7 @@ class DeploymentController:
                                  "materialize one from")
             forecaster = self.registry.forecaster(
                 version, forcing_fn=self.service.base.forcing_fn)
-        binding = self.versions.add(version, forecaster, student)
+        binding = self.versions.add(version, forecaster)
         self.candidate = version
         self.candidate_digest = binding.weights_digest
         skew = (record is not None

@@ -32,6 +32,10 @@ from ..obs.profile import span as _span
 
 __all__ = ["BoundViolation", "ForecastValidator", "book_quarantine"]
 
+#: :meth:`ForecastValidator.from_normalizer`'s bound, in archive standard
+#: deviations either side of the mean.
+Z_MAX = 8.0
+
 
 @dataclass(frozen=True)
 class BoundViolation:
@@ -52,30 +56,26 @@ class ForecastValidator:
     """Per-variable finiteness + physical-bounds check on ``(..., C)``
     forecasts.
 
-    ``lower`` / ``upper`` are per-channel physical bounds; ``names``
-    labels channels in violation reports (defaults to ``ch<i>``).
+    ``lower`` / ``upper`` are per-channel physical bounds; violation
+    reports label channel ``i`` as ``ch<i>``.
     """
 
-    def __init__(self, lower, upper, names=None):
+    def __init__(self, lower, upper):
         self.lower = np.asarray(lower, dtype=np.float64).reshape(-1)
         self.upper = np.asarray(upper, dtype=np.float64).reshape(-1)
         if self.lower.shape != self.upper.shape:
             raise ValueError("lower/upper must have one bound per channel")
         if np.any(self.lower > self.upper):
             raise ValueError("lower bound above upper bound")
-        self.names = (list(names) if names is not None
-                      else [f"ch{i}" for i in range(self.lower.size)])
-        if len(self.names) != self.lower.size:
-            raise ValueError("one name per channel required")
+        self.names = [f"ch{i}" for i in range(self.lower.size)]
 
     @classmethod
-    def from_normalizer(cls, norm, z_max: float = 8.0,
-                        names=None) -> "ForecastValidator":
-        """Bounds from archive statistics: ``mean ± z_max·std`` per
+    def from_normalizer(cls, norm) -> "ForecastValidator":
+        """Bounds from archive statistics: ``mean ± Z_MAX·std`` per
         channel (``norm`` is a :class:`repro.data.FieldNormalizer`)."""
         mean = np.asarray(norm.mean, dtype=np.float64).reshape(-1)
         std = np.asarray(norm.std, dtype=np.float64).reshape(-1)
-        return cls(mean - z_max * std, mean + z_max * std, names=names)
+        return cls(mean - Z_MAX * std, mean + Z_MAX * std)
 
     @property
     def channels(self) -> int:

@@ -52,7 +52,7 @@ def bf16_matmul_enabled() -> bool:
     return _BF16_MATMUL.get()
 
 
-def autocast_bf16(enabled: bool = True):
+def autocast_bf16():
     """Enable emulated-BF16 matmul inputs within the block.
 
     Mirrors the paper's mixed-precision setup: inside the context every
@@ -60,4 +60,4 @@ def autocast_bf16(enabled: bool = True):
     remains FP32, as on real hardware), while parameters, gradients and
     reductions stay FP32.
     """
-    return scoped(_BF16_MATMUL, bool(enabled))
+    return scoped(_BF16_MATMUL, True)

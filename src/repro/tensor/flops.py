@@ -65,8 +65,8 @@ def add_flops(n: int) -> None:
 
 
 @contextmanager
-def count_flops(counter: FlopCounter | None = None):
-    """Context manager activating FLOP accounting.
+def count_flops():
+    """Context manager activating FLOP accounting into a new counter.
 
     Yields the counter so callers can inspect ``counter.forward`` /
     ``counter.backward`` afterwards::
@@ -76,7 +76,7 @@ def count_flops(counter: FlopCounter | None = None):
             loss.backward()
         print(fc.forward, fc.backward)
     """
-    counter = counter if counter is not None else FlopCounter()
+    counter = FlopCounter()
     _stack().append(counter)
     try:
         yield counter

@@ -21,7 +21,6 @@ paper's recipe, Section VI-B, at one rank, where the pipeline is one
 from __future__ import annotations
 
 import functools
-import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -49,8 +48,7 @@ from ..parallel.zero import ZeroOptimizer
 from ..rows import run_forked
 from ..tensor import Tensor, no_grad
 from .checkpoint import (CheckpointError, checkpoint_lineage,
-                         prune_checkpoints, read_sharded_checkpoint,
-                         write_sharded_checkpoint)
+                         read_sharded_checkpoint, write_sharded_checkpoint)
 from .guard import NonFiniteLoss, StepGuard
 
 __all__ = ["TrainerConfig", "Trainer", "TrainingEngine", "Batch",
@@ -66,6 +64,11 @@ EMA_HALFLIFE_IMAGES = 2_000.0
 
 #: The single-process topology: one rank, one pipeline stage.
 ONE_RANK = RankTopology(dp=1, pp=1, wp_grid=(1, 1), sp=1)
+
+#: :meth:`Trainer.validation_loss`'s batches, and the seed of the
+#: generators every held-out evaluation draws from.
+VALIDATION_BATCHES = 4
+VALIDATION_SEED = 1234
 
 
 class Batch(NamedTuple):
@@ -479,8 +482,6 @@ class TrainerConfig:
     guarded: bool = False
     #: rollback-and-recompute attempts per step before escalating.
     max_step_retries: int = 2
-    #: keep only the newest N autosaved checkpoint generations (0 = all).
-    keep_checkpoints: int = 0
 
 
 class Trainer(TrainingEngine):
@@ -524,26 +525,16 @@ class Trainer(TrainingEngine):
         return Batch((x_in, t_in, cond, forc),
                      self._regression(target, out_scale))
 
-    def fit(self, n_steps: int, save_every: int = 0,
-            checkpoint_root: str | None = None) -> list[float]:
-        """Run ``n_steps``; optionally autosave a sharded checkpoint every
-        ``save_every`` steps into ``checkpoint_root/step-<n>``."""
-        if save_every < 0 or (save_every and not checkpoint_root):
-            raise ValueError(f"save_every={save_every}: must be >= 0, and "
-                             "a positive value needs a checkpoint_root")
+    def fit(self, n_steps: int) -> list[float]:
+        """Run ``n_steps``; returns the loss history."""
         for _ in range(n_steps):
             self.train_step()
-            if save_every and len(self.history) % save_every == 0:
-                self.save(os.path.join(checkpoint_root,
-                                       f"step-{len(self.history):08d}"))
-                if self.config.keep_checkpoints:
-                    prune_checkpoints(checkpoint_root,
-                                      keep=self.config.keep_checkpoints)
         return self.history
 
-    def validation_loss(self, n_batches: int = 4, seed: int = 1234) -> float:
+    def validation_loss(self) -> float:
         """:meth:`held_out_loss` at the training batch size."""
-        return self.held_out_loss(self.config.batch_size, n_batches, seed)
+        return self.held_out_loss(self.config.batch_size, VALIDATION_BATCHES,
+                                  VALIDATION_SEED)
 
     # -- inference export ------------------------------------------------------
     def inference_model(self, use_ema: bool = True) -> Aeris:

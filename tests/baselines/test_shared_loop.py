@@ -21,6 +21,7 @@ from repro.diffusion import weighted_velocity_loss
 from repro.model import Aeris
 from repro.tensor import Tensor, no_grad
 from repro.train import Trainer, TrainerConfig
+from repro.train import trainer as trainer_module
 from tests.train.test_trainer import TINY16
 
 GOLDEN = os.path.join(os.path.dirname(__file__),
@@ -117,16 +118,18 @@ def _by_hand(trainer, objective, n_batches=2, seed=1234):
     return float(np.mean(losses))
 
 
-def test_validation_loss_is_each_trainers_own_objective(tiny_archive):
+def test_validation_loss_is_each_trainers_own_objective(tiny_archive,
+                                                        monkeypatch):
+    monkeypatch.setattr(trainer_module, "VALIDATION_BATCHES", 2)
     model = Aeris(TINY16, seed=5)  # the same weights under all three
     cases = [(Trainer(model, tiny_archive, CFG), _trigflow_loss),
              (EdmTrainer(model, tiny_archive, CFG), _edm_loss),
              (DeterministicTrainer(model, tiny_archive, CFG), _point_loss)]
     values = []
     for trainer, objective in cases:
-        value = trainer.validation_loss(n_batches=2)
+        value = trainer.validation_loss()
         np.testing.assert_allclose(value, _by_hand(trainer, objective),
                                    rtol=1e-4, err_msg=type(trainer).__name__)
-        assert value == trainer.validation_loss(n_batches=2)  # fixed seeds
+        assert value == trainer.validation_loss()  # fixed seeds
         values.append(value)
     assert len({round(v, 3) for v in values}) == 3, values

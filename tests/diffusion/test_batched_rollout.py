@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro import quickstart_components
-from repro.diffusion import SolverConfig
+from repro.diffusion import SolverConfig, sampler
 
 
 @pytest.fixture(scope="module")
@@ -29,12 +29,12 @@ def world():
     (SolverConfig(n_steps=3, churn=0.5), 0.0),
     (SolverConfig(n_steps=2), 0.2),
 ], ids=["plain", "churn", "ic_perturbation"])
-def test_batched_equals_sequential(world, solver, ic):
+def test_batched_equals_sequential(world, solver, ic, monkeypatch):
     archive, trainer, idx = world
     fc = trainer.forecaster(solver)
     state0 = archive.fields[idx]
-    kwargs = dict(n_steps=2, n_members=3, seed=11, start_index=idx,
-                  ic_perturbation=ic)
+    monkeypatch.setattr(sampler, "IC_PERTURBATION", ic)
+    kwargs = dict(n_steps=2, n_members=3, seed=11, start_index=idx)
     batched = fc.ensemble_rollout(state0, **kwargs)
     sequential = fc.ensemble_rollout(state0, batched=False, **kwargs)
     assert batched.dtype == sequential.dtype == np.float32

@@ -92,45 +92,6 @@ class TestDistiller:
         # One-step student = 1 network evaluation -> 20x cheaper.
         assert teacher_cost // 1 >= 20
 
-    def test_ema_option_restores_weights(self, distiller):
-        _, cond, forc = make_inputs(batch=1)
-        before = distiller.student.state_dict()
-        distiller.sample_one_step(cond, forc, np.random.default_rng(5),
-                                  use_ema=True)
-        after = distiller.student.state_dict()
-        for k in before:
-            np.testing.assert_array_equal(before[k], after[k])
-
-
-    def test_ema_option_restores_weights_when_the_forward_raises(self):
-        """An exception in the EMA forward (a typed ``ComputeCorruption``,
-        a shape error) must not leave the student holding EMA weights for
-        every later ``train_step``."""
-        class RaisesOnce(Aeris):
-            armed = False
-
-            def forward(self, *args, **kwargs):
-                if self.armed:
-                    self.armed = False
-                    raise RuntimeError("injected forward failure")
-                return super().forward(*args, **kwargs)
-
-        student = RaisesOnce(TINY16, seed=0)
-        distiller = ConsistencyDistiller(Aeris(TINY16, seed=0), student,
-                                         config=ConsistencyConfig(seed=0))
-        x0, cond, forc = make_inputs(batch=1)
-        distiller.train_step(x0, cond, forc)   # EMA != live weights now
-        before = student.state_dict()
-        assert any(not np.array_equal(before[k], distiller.ema.shadow[k])
-                   for k in before)
-        student.armed = True
-        with pytest.raises(RuntimeError, match="injected"):
-            distiller.sample_one_step(cond, forc, np.random.default_rng(5),
-                                      use_ema=True)
-        after = student.state_dict()
-        for k in before:
-            np.testing.assert_array_equal(before[k], after[k])
-
 
 class TestDistilledVsTeacherOnGaussian:
     def test_distillation_matches_teacher_distribution(self):

@@ -15,7 +15,8 @@ import pytest
 
 from repro import obs
 from repro.baselines import DeterministicTrainer, EdmConfig, EdmTrainer
-from repro.diffusion import DpmSolver2S, SolverConfig, TrigFlow, member_rngs
+from repro.diffusion import (DpmSolver2S, SolverConfig, TrigFlow,
+                             member_rngs, sampler)
 from repro.model import Aeris
 from repro.serve import OneStepForecaster
 
@@ -112,14 +113,17 @@ class TestEnsemble:
         ("single", 16, 1, 0.1, False),
     ])
     def test_ensemble_rollout_equals_the_parents_member_loop(
-            self, serve_world, solver, members, n_steps, ic, batched):
+            self, serve_world, solver, members, n_steps, ic, batched,
+            monkeypatch):
         archive, _, _, idx = serve_world
         shipped, reference = pair(serve_world, solver)
+        monkeypatch.setattr(sampler, "IC_PERTURBATION", ic)
         kwargs = dict(n_steps=n_steps, n_members=members, seed=11,
-                      start_index=idx, ic_perturbation=ic)
+                      start_index=idx)
         got = shipped.ensemble_rollout(archive.fields[idx], batched=batched,
                                        **kwargs)
-        want = reference.ensemble_rollout(archive.fields[idx], **kwargs)
+        want = reference.ensemble_rollout(archive.fields[idx],
+                                          ic_perturbation=ic, **kwargs)
         assert got.dtype == want.dtype == np.float32
         assert np.array_equal(got, want)
 

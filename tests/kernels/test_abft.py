@@ -149,8 +149,8 @@ class TestGuardToggle:
         assert not armed()
         with abft_guard():
             assert armed()
-            with abft_guard(False):
-                assert not armed()
+            with abft_guard():
+                assert armed()
             assert armed()
         assert not armed()
 

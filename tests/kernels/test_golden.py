@@ -36,7 +36,6 @@ from repro.nn import (
 from repro.nn.attention import apply_rotary, dot_product_attention
 from repro.resilience import inject_compute
 from repro.tensor import (
-    FlopCounter,
     Tensor,
     autocast_bf16,
     count_flops,
@@ -44,6 +43,7 @@ from repro.tensor import (
     stack,
 )
 from repro.train import Trainer, TrainerConfig
+from tests.switches import maybe
 
 rng = np.random.default_rng(7)
 
@@ -123,7 +123,7 @@ class TestFusedAttention:
     @pytest.mark.parametrize("bf16", [False, True])
     def test_forward_bit_exact(self, bf16):
         q, k, v = _qkv()
-        with autocast_bf16(bf16):
+        with maybe(autocast_bf16, bf16):
             ref = dot_product_attention(q, k, v)
             fused = packed_attention(q, k, v)
         np.testing.assert_array_equal(fused.numpy(), ref.numpy())
@@ -136,7 +136,7 @@ class TestFusedAttention:
         for name, core in (("ref", dot_product_attention),
                            ("fused", packed_attention)):
             q, k, v = _qkv(shape)
-            with autocast_bf16(bf16):
+            with maybe(autocast_bf16, bf16):
                 core(q, k, v).backward(g)
             grads[name] = (q.grad, k.grad, v.grad)
         for a, b in zip(grads["ref"], grads["fused"]):
@@ -149,8 +149,7 @@ class TestFusedAttention:
         for name, core in (("ref", dot_product_attention),
                            ("fused", packed_attention)):
             q, k, v = _qkv(shape)
-            fc = FlopCounter()
-            with count_flops(fc):
+            with count_flops() as fc:
                 core(q, k, v).backward(g)
             counts[name] = fc.total
         assert counts["fused"] == counts["ref"] > 0
@@ -288,7 +287,7 @@ class TestAttentionLayouts:
             attn = MultiHeadAttention(SMALL.dim, SMALL.heads,
                                       rng=np.random.default_rng(6))
             leaf = Tensor(x, requires_grad=True)
-            with autocast_bf16(bf16), abft_guard():
+            with maybe(autocast_bf16, bf16), abft_guard():
                 if kernels:
                     out = attn(leaf, cos, sin)
                 else:
@@ -314,9 +313,9 @@ class TestAttentionLayouts:
                     got = {}
                     for fused in (False, True):
                         base = Tensor(data.copy(), requires_grad=grad)
-                        fc = FlopCounter()
-                        with autocast_bf16(bf16), abft_guard(guard), \
-                                count_flops(fc):
+                        with maybe(autocast_bf16, bf16), \
+                                maybe(abft_guard, guard), \
+                                count_flops() as fc:
                             if grad:
                                 out = _attend(base, layout, cos, sin, fused)
                                 out.backward(g)
@@ -408,7 +407,7 @@ class TestFusedSwiGLU:
     def test_inference_forward_bit_exact(self, bf16):
         ffn = SwiGLU(12, 24, rng=np.random.default_rng(3))
         x = Tensor(rng.normal(size=(4, 10, 12)).astype(np.float32))
-        with no_grad(), autocast_bf16(bf16):
+        with no_grad(), maybe(autocast_bf16, bf16):
             with disable_kernels():
                 ref = ffn(x).numpy()
             fused = fused_swiglu_forward(x, ffn.gate.weight.data,
@@ -536,7 +535,7 @@ class TestTapeFreeKernels:
         return x, _poison(x)
 
     def _check(self, fn, bf16):
-        with autocast_bf16(bf16):
+        with maybe(autocast_bf16, bf16):
             (fast, fast_flops), (ref, ref_flops) = _fast_and_reference(fn)
         if isinstance(fast, Tensor):
             fast, ref = (fast,), (ref,)
@@ -549,7 +548,7 @@ class TestTapeFreeKernels:
         chain — outputs, every input and parameter gradient (NaN/inf
         position for position), forward and backward FLOPs, and the guard
         calls a taped step may make (``guards``; the chain makes none)."""
-        with autocast_bf16(bf16):
+        with maybe(autocast_bf16, bf16):
             taped, ref = _taped_and_reference(call, arrays, params)
         for got, want in zip(taped[:3], ref[:3]):
             assert len(got) == len(want)
@@ -651,7 +650,7 @@ class TestTapeFreeKernels:
         x = _strided((self.BATCH, *tokens, 6, self.DIM), 15, layout)
         for rope_args in ((), rope):
             self._check(lambda: attn(Tensor(x), *rope_args), bf16)
-            with autocast_bf16(bf16):
+            with maybe(autocast_bf16, bf16):
                 taped = attn(Tensor(x), *rope_args)
                 with no_grad():
                     raw = attn(Tensor(x), *rope_args)
@@ -694,7 +693,7 @@ class TestRawKernelForms:
     @pytest.mark.parametrize("bf16", [False, True])
     def test_attention_core_on_raw_arrays(self, bf16):
         q, k, v = _qkv()
-        with no_grad(), autocast_bf16(bf16), abft_guard():
+        with no_grad(), maybe(autocast_bf16, bf16), abft_guard():
             expect = packed_attention(q, k, v).numpy()
             out = packed_attention(q.data, k.data, v.data)
         assert type(out) is np.ndarray
@@ -908,7 +907,7 @@ class TestModelGolden:
                 return False
 
         injector = CountingInjector()
-        with no_grad(), autocast_bf16(bf16):
+        with no_grad(), maybe(autocast_bf16, bf16):
             with count_flops() as fast_flops:
                 fast = model(*args).numpy()
             with disable_kernels(), count_flops() as ref_flops:

@@ -18,6 +18,7 @@ from repro.nn import MultiHeadAttention
 from repro.parallel import RankTopology, SwipeEngine
 from repro.tensor import Tensor, autocast_bf16, count_flops, no_grad
 from repro.train import Trainer, TrainerConfig
+from tests.switches import maybe
 from tests.train.test_trainer import TINY16
 
 from . import reference_attention
@@ -58,7 +59,7 @@ def _taped_step(bf16: bool, guard: bool, monkeypatch, reference: bool):
         patch.setattr(fused_module, "guard_gemm",
                       lambda a, b, c, label: (labels.append(label),
                                               guard_gemm(a, b, c, label))[1])
-        with autocast_bf16(bf16), abft_guard(guard), \
+        with maybe(autocast_bf16, bf16), maybe(abft_guard, guard), \
                 count_flops() as flops:
             out = model(*model_inputs(QUICKSTART, 2))
             loss = (out * out).mean()
@@ -102,7 +103,7 @@ def test_zero_gradients_keep_their_sign_bytes(bf16, rope, monkeypatch):
                               reference_attention.attention_forward)
             _capture(attn.qkv, seen)
             leaf = Tensor(x, requires_grad=True)
-            with autocast_bf16(bf16):
+            with maybe(autocast_bf16, bf16):
                 attn(leaf, *args).backward(g)
         got.append((seen, leaf.grad.tobytes(),
                     [p.grad.tobytes() for p in attn.parameters()]))

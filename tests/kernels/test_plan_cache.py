@@ -88,15 +88,12 @@ class TestRopeCacheInvalidation:
         b = rope_tables((4, 4), 8)
         assert a[0] is b[0] and a[1] is b[1]
 
-    def test_window_head_dim_base_dtype_each_invalidate(self):
+    def test_window_and_head_dim_each_invalidate(self):
         cos, _ = rope_tables((4, 4), 8)
         assert rope_tables((4, 8), 8)[0] is not cos            # window
         assert rope_tables((4, 4), 16)[0] is not cos           # head_dim
-        assert rope_tables((4, 4), 8, base=50.0)[0] is not cos  # base
-        assert rope_tables((4, 4), 8,
-                           dtype=np.float64)[0] is not cos     # dtype
-        assert rope_tables((4, 4), 8, dtype=np.float64)[0].dtype == np.float64
-        assert len(_ROPE_TABLES) == 5
+        assert cos.dtype == np.float32
+        assert len(_ROPE_TABLES) == 3
 
 
 class TestRegistry:

@@ -21,6 +21,7 @@ from repro.model import Aeris
 from repro.resilience import (ComputeFault, FaultInjector, FaultPlan,
                               inject_compute)
 from repro.tensor import Tensor, arena, autocast_bf16, count_flops, no_grad
+from tests.switches import maybe
 
 from ..kernels.test_golden import (BLOCK_GUARD_LABELS, QUICKSTART,
                                    model_inputs, unblind)
@@ -81,7 +82,7 @@ class TestExactness:
         args = list(model_inputs(QUICKSTART, rows))
         if not per_row_t:
             args[1] = Tensor(np.array([0.7], np.float32))
-        with autocast_bf16(bf16):
+        with maybe(autocast_bf16, bf16):
             serial = forward(model, args, 1, monkeypatch)
             split = forward(model, args, 2, monkeypatch)
             three = forward(model, args, 3, monkeypatch)

@@ -2,15 +2,21 @@
 (both deterministic under :class:`StepClock`), atomic write behaviour."""
 
 import json
+import os
 
+import numpy as np
 import pytest
 
 from repro import obs
-from repro.obs import (FlightRecorder, HealthMonitor, MetricsRegistry,
-                       Tracer, events_jsonl, prometheus_text,
+from repro.model import Aeris
+from repro.obs import (FlightRecorder, MetricsRegistry,
+                       events_jsonl, prometheus_text,
                        render_dashboard, write_events_jsonl,
                        write_metrics_json, write_prometheus)
+from repro.obs.dashboard import _SECTIONS
+from repro.train import Trainer, TrainerConfig
 from tests.clock import StepClock
+from tests.train.test_trainer import TINY16
 
 
 @pytest.fixture(autouse=True)
@@ -145,15 +151,11 @@ GOLDEN_DASHBOARD = """\
 class TestDashboard:
     def test_golden_render(self):
         registry = _registry()
-        recorder = FlightRecorder(clock=StepClock())
-        monitor = HealthMonitor(clock=StepClock())
-        recorder.record("train.step", subsystem="train", step=3)
-        # Route the alert into this recorder via the global hook.
-        obs.enable_health(monitor=monitor, recorder=recorder)
-        monitor.observe_step(3, float("nan"))
-        obs.disable_health()
-        panel = render_dashboard(registry=registry, recorder=recorder,
-                                 monitor=monitor, plan_caches={})
+        with obs.monitored(clock=StepClock()) as m:
+            m.recorder.record("train.step", subsystem="train", step=3)
+            # Routed into the session's recorder via the global hook.
+            m.monitor.observe_step(3, float("nan"))
+            panel = render_dashboard(registry=registry, plan_caches={})
         assert panel == GOLDEN_DASHBOARD
 
     def test_render_is_deterministic(self):
@@ -162,14 +164,73 @@ class TestDashboard:
         assert a == b
 
     def test_no_alerts_section_says_none(self):
-        monitor = HealthMonitor(clock=StepClock())
-        panel = render_dashboard(registry=MetricsRegistry(),
-                                 monitor=monitor, plan_caches={})
+        with obs.monitored(clock=StepClock()):
+            panel = render_dashboard(registry=MetricsRegistry(),
+                                     plan_caches={})
         assert "(none fired)" in panel
 
     def test_spans_section_from_tracer(self):
-        tracer = Tracer(clock=StepClock())
-        tracer.add_span("stage", 0.0, 1.0, track="pp0")
-        panel = render_dashboard(registry=MetricsRegistry(),
-                                 tracer=tracer, plan_caches={})
+        with obs.observed() as (tracer, _):
+            tracer.add_span("stage", 0.0, 1.0, track="pp0")
+            panel = render_dashboard(registry=MetricsRegistry(),
+                                     plan_caches={})
         assert "-- spans" in panel and "stage" in panel
+
+
+#: Every row :func:`render_dashboard` writes for :func:`every_row_registry`,
+#: recorded from the renderer before its counter and histogram rows shared
+#: one walk.
+GOLDEN_ROWS = os.path.join(os.path.dirname(__file__), "golden_dashboard.txt")
+
+
+def every_row_registry() -> MetricsRegistry:
+    """Each instrument a dashboard section names: unlabeled and under two
+    label sets, values integral, fractional, negative and past ``1e15``."""
+    reg = MetricsRegistry()
+    values = (12, 0.625, -1.25, 2.5e15, 1e-7, 3.0)
+    labels = ({}, {"tier": "fast"}, {"rank": "3", "tier": "high"})
+    for i, (_, gauges, hists) in enumerate(_SECTIONS):
+        for j, name in enumerate(gauges):
+            for k, label in enumerate(labels):
+                reg.gauge(name, "g").set(values[(i + j + k) % 6], **label)
+        for name in hists:
+            for k, label in enumerate(labels):
+                for value in values[k:k + 3]:
+                    reg.histogram(name, "h", buckets=(0.1, 1.0)).observe(
+                        value, **label)
+    return reg
+
+
+class TestDashboardRows:
+    def test_every_row_is_the_recorded_text(self):
+        with open(GOLDEN_ROWS) as fh:
+            golden = fh.read()
+        assert render_dashboard(registry=every_row_registry(),
+                                plan_caches={}) == golden
+
+
+class TestNonFiniteValues:
+    """A NaN-guarded step sets ``train.loss`` to NaN; every exporter
+    still renders."""
+
+    def test_exporters_render_a_poisoned_step(self, tiny_archive):
+        trainer = Trainer(Aeris(TINY16, seed=0), tiny_archive,
+                          TrainerConfig(batch_size=2))
+        with obs.monitored(clock=StepClock()) as m:
+            next(iter(trainer.model.parameters())).data[...] = np.nan
+            assert not np.isfinite(trainer.train_step())
+            prom = prometheus_text(m.registry)
+            panel = render_dashboard(plan_caches={})
+        assert "train_loss NaN" in prom.splitlines()
+        assert "  train.loss  -                            nan" in \
+            panel.splitlines()
+
+    def test_infinities_keep_their_spelling(self):
+        reg = MetricsRegistry()
+        reg.gauge("train.loss").set(float("inf"))
+        reg.gauge("train.grad_norm").set(float("-inf"))
+        assert "train_loss +Inf" in prometheus_text(reg).splitlines()
+        assert "train_grad_norm -Inf" in prometheus_text(reg).splitlines()
+        panel = render_dashboard(registry=reg, plan_caches={})
+        assert "  train.grad_norm  -                            -inf" in \
+            panel.splitlines()

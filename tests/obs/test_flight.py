@@ -89,8 +89,7 @@ class TestRecordEventHook:
         assert obs.flight() is None
 
     def test_routes_to_enabled_recorder(self):
-        monitor, recorder = obs.enable_health(
-            recorder=FlightRecorder(clock=StepClock()))
+        monitor, recorder = obs.enable_health()
         obs.record_event("train.step", subsystem="train", step=7)
         assert [e.data for e in recorder.events(kind="train.step")] == \
             [{"step": 7}]

@@ -25,6 +25,7 @@ from repro.resilience import ComputeFault, FaultInjector, FaultPlan
 from repro.serve import (BatcherConfig, DeployConfig, DeploymentController,
                          ForecastValidator, ServiceConfig)
 from repro.train import Trainer
+from repro.train.trainer import VALIDATION_SEED
 from tests.clock import StepClock
 from tests.resilience.test_sdc import CHAOS_EVENTS, GUARDED
 from tests.serve.test_deploy import candidate_forecaster
@@ -72,7 +73,7 @@ def golden_scenario(tiny_archive, serve_world, tmp_path) -> dict:
             injector=FaultInjector(FaultPlan(events=CHAOS_EVENTS, seed=0)))
         with abft_guard():
             trainer.fit(5)
-        trainer.validation_loss(n_batches=1)
+        trainer.held_out_loss(trainer.config.batch_size, 1, VALIDATION_SEED)
         trainer.save(str(tmp_path / "ckpt"))
 
         svc = make_service(

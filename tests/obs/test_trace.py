@@ -41,7 +41,7 @@ class TestTracer:
         assert s.duration == 3.0
         assert tracer.select(category="pp-1f1b") == [s]
         assert tracer.select(track_prefix="rank") == [s]
-        assert tracer.select(name="other") == []
+        assert tracer.select(category="other") == []
 
 class TestChromeExport:
     def _events(self, tracer):
@@ -117,7 +117,7 @@ class TestHooks:
         assert a is b  # the shared singleton: nothing allocated
 
     def test_enabled_scope_records(self):
-        tracer, _ = obs.enable(Tracer(clock=StepClock()))
+        tracer, _ = obs.enable()
         with obs.span("x", k="v"):
             pass
         assert tracer.spans[0].name == "x"

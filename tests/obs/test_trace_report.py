@@ -34,9 +34,8 @@ def _observability_off():
 @pytest.fixture(scope="module")
 def traced_run(tiny_archive):
     """One traced SWiPe step: returns (tracer, registry, engine, topo)."""
-    tracer = obs.Tracer()
-    registry = obs.MetricsRegistry()
-    obs.enable(tracer, registry)
+    obs.disable()
+    tracer, registry = obs.enable()
     try:
         topo = RankTopology(dp=2, pp=TINY16.pp_stages, wp_grid=(1, 1), sp=1)
         engine = SwipeEngine(TINY16, tiny_archive, topo, lr=1e-3, seed=0)

@@ -20,8 +20,8 @@ class TestAllreduceRingLocality:
         arrays = [np.zeros(100, dtype=np.float32) for _ in range(4)]
         cluster.allreduce([0, 1, 2, 3], arrays)
         per_hop = int(2 * 3 / 4 * nbytes)
-        assert cluster.stats.total_bytes("allreduce", "intra") == 2 * per_hop
-        assert cluster.stats.total_bytes("allreduce", "inter") == 2 * per_hop
+        assert cluster.stats.bytes[("allreduce", "intra")] == 2 * per_hop
+        assert cluster.stats.bytes[("allreduce", "inter")] == 2 * per_hop
 
     def test_total_ring_volume_unchanged(self):
         cluster = SimCluster(4, ranks_per_node=2)
@@ -33,8 +33,8 @@ class TestAllreduceRingLocality:
         cluster = SimCluster(4, ranks_per_node=4)
         arrays = [np.zeros(10, dtype=np.float32) for _ in range(4)]
         cluster.allreduce([0, 1, 2, 3], arrays)
-        assert cluster.stats.total_bytes("allreduce", "inter") == 0
-        assert cluster.stats.total_bytes("allreduce", "intra") > 0
+        assert cluster.stats.bytes[("allreduce", "inter")] == 0
+        assert cluster.stats.bytes[("allreduce", "intra")] > 0
 
     def test_ring_follows_group_ordering(self):
         """Locality is judged along the *given* ring order: [0, 2, 1, 3]
@@ -42,7 +42,7 @@ class TestAllreduceRingLocality:
         cluster = SimCluster(4, ranks_per_node=2)
         arrays = [np.zeros(10, dtype=np.float32) for _ in range(4)]
         cluster.allreduce([0, 2, 1, 3], arrays)
-        assert cluster.stats.total_bytes("allreduce", "intra") == 0
+        assert cluster.stats.bytes[("allreduce", "intra")] == 0
 
 
 class TestRetryByteAccounting:

@@ -13,8 +13,8 @@ class TestSimCluster:
         cluster = SimCluster(4, ranks_per_node=2)
         cluster.transfer("p2p", 0, 1, 400)   # same node
         cluster.transfer("p2p", 0, 2, 400)   # different node
-        assert cluster.stats.total_bytes("p2p", "intra") == 400
-        assert cluster.stats.total_bytes("p2p", "inter") == 400
+        assert cluster.stats.bytes[("p2p", "intra")] == 400
+        assert cluster.stats.bytes[("p2p", "inter")] == 400
 
     def test_alltoall_routes_correctly(self):
         cluster = SimCluster(3)

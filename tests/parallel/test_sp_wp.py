@@ -70,8 +70,8 @@ class TestUlysses:
         ulysses_attention(cluster, list(range(sp)),
                           shard_sequence(q, sp), shard_sequence(k, sp),
                           shard_sequence(v, sp))
-        assert cluster.stats.total_bytes("alltoall", "inter") == 0
-        assert cluster.stats.total_bytes("alltoall", "intra") > 0
+        assert cluster.stats.bytes[("alltoall", "inter")] == 0
+        assert cluster.stats.bytes[("alltoall", "intra")] > 0
 
     def test_rejects_indivisible_heads(self):
         q, k, v = self._qkv(heads=3)

@@ -27,6 +27,7 @@ from repro.parallel import (
 )
 from repro.perf import AURORA, CommModel
 from repro.tensor import Tensor, autocast_bf16, count_flops, no_grad
+from tests.switches import maybe
 
 rng = np.random.default_rng(0)
 
@@ -106,7 +107,7 @@ class TestSwipeAttention:
         topo = RankTopology(dp=1, pp=1, wp_grid=wp_grid, sp=sp)
         image = np.random.default_rng(1).normal(
             size=(2,) + grid + (dim,)).astype(np.float32)
-        with autocast_bf16(bf16):
+        with maybe(autocast_bf16, bf16):
             out = swipe_window_attention(image, attention, window, topo,
                                          shifted=shifted)
             ref = reference(attention, image, shifted, window)
@@ -148,7 +149,7 @@ class TestSwipeAttention:
                 comm_check, cluster.stats,
                 predicted={"alltoall": 4 * m * (sp - 1) * topo.wp}, rel_tol=0)
         assert result["agrees"], result["summary"]
-        assert cluster.stats.total_bytes("alltoall", "inter") == 0
+        assert cluster.stats.bytes[("alltoall", "inter")] == 0
 
     def test_sp_alltoall_stays_intra_node(self, attention):
         topo = RankTopology(dp=1, pp=1, wp_grid=(2, 2), sp=2)
@@ -156,8 +157,8 @@ class TestSwipeAttention:
         image = rng.normal(size=(1,) + GRID + (DIM,)).astype(np.float32)
         swipe_window_attention(image, attention, WINDOW, topo,
                                cluster=cluster, shifted=False)
-        assert cluster.stats.total_bytes("alltoall", "inter") == 0
-        assert cluster.stats.total_bytes("alltoall", "intra") > 0
+        assert cluster.stats.bytes[("alltoall", "inter")] == 0
+        assert cluster.stats.bytes[("alltoall", "intra")] > 0
 
     def test_unshifted_needs_no_p2p(self, attention):
         topo = RankTopology(dp=1, pp=1, wp_grid=(2, 2), sp=2)

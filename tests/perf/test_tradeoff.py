@@ -17,7 +17,7 @@ class TestTimeToTrain:
     def test_paper_15_hour_claim(self):
         """'At this pace [50 samples/s] ... approximately 15 hours to
         complete training for 3M samples'."""
-        hours = time_to_train(50.0, 3_000_000)
+        hours = time_to_train(50.0)
         assert 14.0 < hours < 18.0
 
     def test_modeled_40b_full_run(self):

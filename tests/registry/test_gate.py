@@ -6,6 +6,7 @@ import pytest
 from repro.registry import (GateConfig, RegistryError, build_scorecard,
                             evaluate_gate, gate_version)
 from repro.registry.gate import GATED_METRICS
+from tests.registry.test_store import register
 
 
 def card(crps=1.0, rmse=1.0, **extra):
@@ -50,9 +51,8 @@ class TestEvaluateGate:
 
 class TestGateVersion:
     def register_with_card(self, registry, trainer, version, **card_kwargs):
-        registry.register(trainer.model, trainer.state_norm,
-                          trainer.residual_norm, trainer.forcing_norm,
-                          version=version, scorecard=card(**card_kwargs))
+        register(registry, trainer, version=version,
+                 scorecard=card(**card_kwargs))
 
     def test_first_candidate_passes_and_becomes_servable(self, registry,
                                                          reg_world):
@@ -76,8 +76,7 @@ class TestGateVersion:
 
     def test_gate_requires_scorecards(self, registry, reg_world):
         _, trainer = reg_world
-        registry.register(trainer.model, trainer.state_norm,
-                          trainer.residual_norm, version="bare")
+        register(registry, trainer, version="bare")
         with pytest.raises(RegistryError, match="no scorecard"):
             gate_version(registry, "bare")
 
@@ -90,8 +89,7 @@ class TestBuildScorecard:
         for metric in ("rmse", "crps", "ssr"):
             assert np.isfinite(scorecard["summary"][metric])
         # The card survives the registry's JSON round trip unchanged.
-        record = registry.register(
-            trainer.model, trainer.state_norm, trainer.residual_norm,
-            version="scored", scorecard=scorecard)
+        record = register(registry, trainer, version="scored",
+                          scorecard=scorecard)
         import json
         assert json.loads(json.dumps(record.scorecard)) == scorecard

@@ -10,19 +10,19 @@ from repro.resilience import state_digest
 
 
 def register(registry, trainer, **kwargs):
-    return registry.register(trainer.model, trainer.state_norm,
-                             trainer.residual_norm, trainer.forcing_norm,
-                             **kwargs)
+    """Register ``trainer``'s live model and normalizers."""
+    return registry.register_state(
+        trainer.model.state_dict(), trainer.model.config, trainer.state_norm,
+        trainer.residual_norm, trainer.forcing_norm, **kwargs)
 
 
 class TestRegistration:
     def test_roundtrip(self, registry, reg_world):
         _, trainer = reg_world
-        record = register(registry, trainer, source="unit-test", step=7,
-                          seed=3)
+        record = register(registry, trainer, source="unit-test")
         assert record.version == "v0001"
         assert record.status == "registered"
-        assert record.created_step == 7 and record.seed == 3
+        assert record.source == "unit-test"
         assert record.weights_digest == state_digest(
             trainer.model.state_dict())
         assert record.version in registry

@@ -12,10 +12,9 @@ from repro.serve import ForecastValidator, ServiceConfig, service
 from tests.serve.test_service import make_service, request
 
 
-def _validator(serve_world, z_max=8.0):
+def _validator(serve_world):
     archive, _, _, _ = serve_world
-    return ForecastValidator.from_normalizer(archive.state_normalizer(),
-                                             z_max=z_max)
+    return ForecastValidator.from_normalizer(archive.state_normalizer())
 
 
 def _poison_injector(step=0, nth=0):
@@ -31,19 +30,18 @@ class TestForecastValidator:
         assert v.validate(np.zeros((3, 4, 2), dtype=np.float32)) == []
 
     def test_violations_localized_per_channel(self):
-        v = ForecastValidator(lower=[-1.0, -1.0], upper=[1.0, 1.0],
-                              names=["t2m", "z500"])
+        v = ForecastValidator(lower=[-1.0, -1.0], upper=[1.0, 1.0])
         forecast = np.zeros((4, 2))
         forecast[0, 0] = np.nan
         forecast[1, 1] = 5.0
         forecast[2, 1] = -3.0
         found = {(bv.name, bv.kind): bv for bv in v.validate(forecast)}
-        assert set(found) == {("t2m", "nonfinite"), ("z500", "above"),
-                              ("z500", "below")}
-        assert found[("z500", "above")].worst == 5.0
-        assert found[("z500", "below")].worst == -3.0
-        assert found[("z500", "above")].count == 1
-        assert "z500[1] above x1" in found[("z500", "above")].render()
+        assert set(found) == {("ch0", "nonfinite"), ("ch1", "above"),
+                              ("ch1", "below")}
+        assert found[("ch1", "above")].worst == 5.0
+        assert found[("ch1", "below")].worst == -3.0
+        assert found[("ch1", "above")].count == 1
+        assert "ch1[1] above x1" in found[("ch1", "above")].render()
 
     def test_infinities_are_nonfinite_not_above(self):
         v = ForecastValidator(lower=[-1.0], upper=[1.0])
@@ -55,9 +53,9 @@ class TestForecastValidator:
     def test_from_normalizer_bounds(self, serve_world):
         archive, _, _, _ = serve_world
         norm = archive.state_normalizer()
-        v = ForecastValidator.from_normalizer(norm, z_max=4.0)
-        np.testing.assert_allclose(v.lower, norm.mean - 4.0 * norm.std)
-        np.testing.assert_allclose(v.upper, norm.mean + 4.0 * norm.std)
+        v = ForecastValidator.from_normalizer(norm)
+        np.testing.assert_allclose(v.lower, norm.mean - 8.0 * norm.std)
+        np.testing.assert_allclose(v.upper, norm.mean + 8.0 * norm.std)
         assert v.channels == norm.mean.size
 
     def test_validation_errors(self):
@@ -65,8 +63,6 @@ class TestForecastValidator:
             ForecastValidator(lower=[0.0], upper=[1.0, 2.0])
         with pytest.raises(ValueError, match="lower bound above"):
             ForecastValidator(lower=[2.0], upper=[1.0])
-        with pytest.raises(ValueError, match="one name per channel"):
-            ForecastValidator(lower=[0.0], upper=[1.0], names=["a", "b"])
         v = ForecastValidator(lower=[0.0, 0.0], upper=[1.0, 1.0])
         with pytest.raises(ValueError, match="channels"):
             v.validate(np.zeros((2, 3)))

@@ -5,13 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.tensor import (
-    FlopCounter,
     Tensor,
     autocast_bf16,
     bf16_matmul_enabled,
     count_flops,
     round_bf16,
 )
+from tests.switches import maybe
 
 
 class TestRoundBf16:
@@ -63,8 +63,8 @@ class TestAutocast:
         assert not bf16_matmul_enabled()
         with autocast_bf16():
             assert bf16_matmul_enabled()
-            with autocast_bf16(False):
-                assert not bf16_matmul_enabled()
+            with autocast_bf16():
+                assert bf16_matmul_enabled()
             assert bf16_matmul_enabled()
         assert not bf16_matmul_enabled()
 
@@ -87,7 +87,7 @@ class TestAutocast:
 
         def grad_of(wm, use_bf16):
             wt = Tensor(wm, requires_grad=True)
-            with autocast_bf16(use_bf16):
+            with maybe(autocast_bf16, use_bf16):
                 loss = ((Tensor(x) @ wt) ** 2).mean()
                 loss.backward()
             return wt.grad.copy()
@@ -121,8 +121,7 @@ class TestFlopCounter:
 
     def test_nested_counters_both_updated(self):
         a, b = Tensor(np.ones((2, 2))), Tensor(np.ones((2, 2)))
-        outer = FlopCounter()
-        with count_flops(outer):
+        with count_flops() as outer:
             with count_flops() as inner:
                 _ = a @ b
             _ = a @ b

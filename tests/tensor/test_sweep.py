@@ -25,6 +25,7 @@ from repro.tensor.flops import backward_phase
 from repro.train import Trainer, TrainerConfig
 from tests.kernels.reference_attention import attention_forward
 from tests.kernels.test_golden import QUICKSTART, model_inputs, unblind
+from tests.switches import maybe
 
 
 def _accumulate(node: Tensor, grad: np.ndarray) -> None:
@@ -213,7 +214,7 @@ def test_quickstart_train_step_matches_the_reference_sweep(
         monkeypatch.setattr(Tensor, "backward", sweep)
         trainer = Trainer(unblind(Aeris(QUICKSTART, seed=0)), tiny_archive,
                           TrainerConfig(batch_size=2, seed=0))
-        with autocast_bf16(bf16):
+        with maybe(autocast_bf16, bf16):
             if kernels:
                 loss = trainer.train_step()
             else:

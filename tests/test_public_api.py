@@ -28,7 +28,7 @@ class TestPublicApi:
                                                        seed=7)
         loss0 = trainer.train_step()
         assert np.isfinite(loss0)
-        val = trainer.validation_loss(n_batches=1)
+        val = trainer.validation_loss()
         assert np.isfinite(val)
         fc = trainer.forecaster(repro.SolverConfig(n_steps=2))
         ic = int(archive.split_indices("test")[0])
@@ -38,6 +38,6 @@ class TestPublicApi:
 
     def test_validation_loss_reproducible(self):
         _, trainer = repro.quickstart_components(train_years=0.3, seed=8)
-        a = trainer.validation_loss(n_batches=2)
-        b = trainer.validation_loss(n_batches=2)
+        a = trainer.validation_loss()
+        b = trainer.validation_loss()
         assert a == b

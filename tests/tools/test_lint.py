@@ -359,8 +359,8 @@ class TestCheckOptions:
         found, summary = run_rule("options")
         assert found == []
         words = summary.split()
-        assert int(words[1]) <= 78  # 143 once; do not regrow
-        assert int(words[5]) <= 90  # 124 once; do not regrow
+        assert int(words[1]) <= 77  # 143 once; do not regrow
+        assert int(words[5]) <= 284  # 341 once; do not regrow
         assert summary.endswith(
             f"({len(lint.DEPLOYMENT)} deployment), {words[5]} parameters "
             f"({len(lint.SEAMS)} seams)")
@@ -508,6 +508,98 @@ class TestTestsOnlyParameters:
             f"{self.MOD}:2: SEAMS entry Engine.knob has a production "
             "setter now (drop the entry)",
             f"{self.MOD}:1: SEAMS entry Engine.gone names no parameter"]
+
+
+
+class TestDefParameters:
+    """Every defaulted parameter of every def is an option too, resolved
+    by name: a call of any def of that name may set it."""
+
+    MOD = os.path.join("src", "repro", "fns.py")
+    FNS = ("def scale(x, factor=2.0):\n"
+           "    return x * factor\n"
+           "\n"
+           "\n"
+           "class Grid:\n"
+           "    def select(self, kind=None, *, limit=10):\n"
+           "        return kind, limit\n"
+           "\n"
+           "\n"
+           "class Tracer:\n"
+           "    def select(self, category=None):\n"
+           "        return category\n")
+    SET_BY_TESTS = [f"{name} is set only by tests — make it a constant"
+                    for name in ("scale.factor", "Grid.select.kind",
+                                 "Grid.select.limit",
+                                 "Tracer.select.category")]
+
+    @pytest.fixture
+    def repo(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(lint, "REPO_ROOT", str(tmp_path))
+        monkeypatch.setattr(lint, "DEPLOYMENT", {})
+        monkeypatch.setattr(lint, "SEAMS", {})
+        pkg = tmp_path / "src" / "repro"
+        pkg.mkdir(parents=True)
+        (pkg / "fns.py").write_text(self.FNS)
+        (tmp_path / "tests").mkdir()
+        (tmp_path / "tests" / "test_fns.py").write_text(
+            "from repro.fns import Grid, scale\n\n"
+            "scale(1, factor=3)\nGrid().select('a', limit=2)\n")
+        (tmp_path / "examples").mkdir()
+        return tmp_path
+
+    @staticmethod
+    def found():
+        """The options findings, ``path:line: `` stripped."""
+        return [f.split(": ", 1)[1] for f in run_rule("options")[0]]
+
+    def test_parameter_set_only_by_a_test_is_a_finding(self, repo):
+        assert self.found() == self.SET_BY_TESTS
+        assert run_rule("options")[1].endswith(
+            ", 4 parameters (0 seams)")
+        (repo / "tests" / "test_fns.py").write_text("")
+        assert self.found()[-1] == (
+            "Tracer.select.category has no setter — make it a constant")
+
+    def test_a_def_passed_by_reference_counts_as_set(self, repo):
+        demo = repo / "examples" / "demo.py"
+        demo.write_text("from repro.fns import scale\n\n"
+                        "doubled = list(map(scale, [1, 2]))\n")
+        assert self.found() == self.SET_BY_TESTS[1:]
+        demo.write_text("import functools\n\n\ndef bind(grid):\n"
+                        "    return functools.partial(grid.select)\n")
+        assert self.found() == self.SET_BY_TESTS[:1]
+
+    def test_a_double_star_kwargs_call_counts_as_set(self, repo):
+        (repo / "examples" / "demo.py").write_text(
+            "from repro.fns import scale\n\n\ndef run(**kw):\n"
+            "    return scale(1, **kw)\n")
+        assert self.found() == self.SET_BY_TESTS[1:]
+
+    def test_a_shared_method_name_resolves_conservatively(self, repo):
+        """``tracer.select('x')`` may be either ``select``: it sets the
+        first positional parameter of both."""
+        (repo / "examples" / "demo.py").write_text(
+            "def first(tracer):\n    return tracer.select('x')\n")
+        assert self.found() == [self.SET_BY_TESTS[0],
+                                self.SET_BY_TESTS[2]]
+
+    def test_stale_seams_entry_is_a_finding(self, repo, monkeypatch):
+        (repo / "examples" / "demo.py").write_text(
+            "from repro.fns import scale\n\nscale(1, 4.0)\n")
+        monkeypatch.setattr(lint, "SEAMS", {
+            "fns.py::scale.factor": "stale: examples/demo.py sets it",
+            "fns.py::Tracer.select.category": "a seam; tests/test_fns.py",
+            "fns.py::scale.gone": "stale: no such parameter"})
+        assert run_rule("options") == (
+            [f"{self.MOD}:1: SEAMS entry scale.factor has a production "
+             "setter now (drop the entry)",
+             f"{self.MOD}:6: Grid.select.kind is set only by tests — make "
+             "it a constant",
+             f"{self.MOD}:6: Grid.select.limit is set only by tests — make "
+             "it a constant",
+             f"{self.MOD}:1: SEAMS entry scale.gone names no parameter"],
+            "options: 0 fields (0 deployment), 4 parameters (2 seams)")
 
 
 class TestDeadNames:

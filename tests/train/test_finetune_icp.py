@@ -4,33 +4,18 @@ the paper's Section VII-C improvement levers."""
 import numpy as np
 import pytest
 
-from repro.diffusion import SolverConfig
+from repro.diffusion import SolverConfig, sampler
 from repro.eval import spread_skill_ratio
 from repro.model import Aeris
-from repro.train import (
-    MultistepConfig,
-    MultistepFinetuner,
-    Trainer,
-    TrainerConfig,
-)
+from repro.train import MultistepConfig, MultistepFinetuner
 from tests.train.test_trainer import TINY16
-
-
-@pytest.fixture(scope="module")
-def pretrained(tiny_archive):
-    trainer = Trainer(Aeris(TINY16, seed=0), tiny_archive,
-                      TrainerConfig(batch_size=4, peak_lr=3e-3,
-                                    warmup_images=40, total_images=40_000,
-                                    decay_images=400, seed=5))
-    trainer.fit(80)
-    return trainer
 
 
 class TestMultistepFinetuning:
     @pytest.mark.slow
-    def test_finetune_runs_and_learns(self, tiny_archive, pretrained):
+    def test_finetune_runs_and_learns(self, tiny_archive, trained):
         model = Aeris(TINY16, seed=0)
-        model.load_state_dict(pretrained.model.state_dict())
+        model.load_state_dict(trained.model.state_dict())
         ft = MultistepFinetuner(model, tiny_archive,
                                 MultistepConfig(rollout_steps=2,
                                                 batch_size=4, lr=1e-3,
@@ -39,10 +24,10 @@ class TestMultistepFinetuning:
         assert np.isfinite(losses).all()
         assert np.mean(losses[-10:]) <= np.mean(losses[:10]) * 1.05
 
-    def test_gradients_flow_through_unroll(self, tiny_archive, pretrained):
+    def test_gradients_flow_through_unroll(self, tiny_archive, trained):
         """All parameters must receive gradients through the K-step chain."""
         model = Aeris(TINY16, seed=0)
-        model.load_state_dict(pretrained.model.state_dict())
+        model.load_state_dict(trained.model.state_dict())
         ft = MultistepFinetuner(model, tiny_archive,
                                 MultistepConfig(rollout_steps=3,
                                                 batch_size=2, seed=1))
@@ -51,15 +36,15 @@ class TestMultistepFinetuning:
         # AdamW zeroed? train_step steps the optimizer, so check history.
         assert len(ft.history) == 1
 
-    def test_deeper_unroll_changes_objective(self, tiny_archive, pretrained):
+    def test_deeper_unroll_changes_objective(self, tiny_archive, trained):
         model = Aeris(TINY16, seed=0)
-        model.load_state_dict(pretrained.model.state_dict())
+        model.load_state_dict(trained.model.state_dict())
         l1 = MultistepFinetuner(model, tiny_archive,
                                 MultistepConfig(rollout_steps=1,
                                                 batch_size=4, lr=0.0,
                                                 seed=2)).train_step()
         model2 = Aeris(TINY16, seed=0)
-        model2.load_state_dict(pretrained.model.state_dict())
+        model2.load_state_dict(trained.model.state_dict())
         l2 = MultistepFinetuner(model2, tiny_archive,
                                 MultistepConfig(rollout_steps=3,
                                                 batch_size=4, lr=0.0,
@@ -78,8 +63,8 @@ class TestMultistepFinetuning:
 
 class TestIcPerturbation:
     def test_perturbation_scales_with_amplitude(self, tiny_archive,
-                                                pretrained):
-        fc = pretrained.forecaster(SolverConfig(n_steps=2))
+                                                trained):
+        fc = trained.forecaster(SolverConfig(n_steps=2))
         state0 = tiny_archive.fields[0]
         rng = np.random.default_rng(0)
         small = fc.perturbed_initial_condition(state0,
@@ -90,27 +75,29 @@ class TestIcPerturbation:
         d_large = np.abs(large - state0).mean()
         assert d_large == pytest.approx(10 * d_small, rel=1e-4)
 
-    def test_control_member_unperturbed(self, tiny_archive, pretrained):
-        fc = pretrained.forecaster(SolverConfig(n_steps=2))
+    def test_control_member_unperturbed(self, tiny_archive, trained,
+                                        monkeypatch):
+        fc = trained.forecaster(SolverConfig(n_steps=2))
         idx = int(tiny_archive.split_indices("test")[0])
         state0 = tiny_archive.fields[idx]
         base = fc.ensemble_rollout(state0, 1, 2, seed=9, start_index=idx)
-        pert = fc.ensemble_rollout(state0, 1, 2, seed=9, start_index=idx,
-                                   ic_perturbation=0.5)
+        monkeypatch.setattr(sampler, "IC_PERTURBATION", 0.5)
+        pert = fc.ensemble_rollout(state0, 1, 2, seed=9, start_index=idx)
         # Member 0 identical; member 1 starts from a different IC.
         np.testing.assert_array_equal(base[0, 0], pert[0, 0])
         assert np.abs(base[1, 0] - pert[1, 0]).max() > 1e-4
 
-    def test_perturbations_increase_spread(self, tiny_archive, pretrained):
+    def test_perturbations_increase_spread(self, tiny_archive, trained,
+                                           monkeypatch):
         """The paper's expectation: IC perturbations raise the spread/skill
         ratio (toward better calibration)."""
-        fc = pretrained.forecaster(SolverConfig(n_steps=2))
+        fc = trained.forecaster(SolverConfig(n_steps=2))
         idx = int(tiny_archive.split_indices("test")[5])
         state0 = tiny_archive.fields[idx]
         truth = tiny_archive.fields[idx + 4]
         base = fc.ensemble_rollout(state0, 4, 3, seed=2, start_index=idx)
-        pert = fc.ensemble_rollout(state0, 4, 3, seed=2, start_index=idx,
-                                   ic_perturbation=1.0)
+        monkeypatch.setattr(sampler, "IC_PERTURBATION", 1.0)
+        pert = fc.ensemble_rollout(state0, 4, 3, seed=2, start_index=idx)
         c = 5  # Z500
         ssr_base = spread_skill_ratio(base[:, -1, ..., c], truth[..., c],
                                       tiny_archive.grid)

@@ -10,7 +10,7 @@ import pytest
 
 from repro.diffusion import SolverConfig
 from repro.model import Aeris, AerisConfig, ParallelLayout
-from repro.train import (CheckpointError, Trainer, TrainerConfig,
+from repro.train import (CheckpointError, Trainer,
                          write_sharded_checkpoint)
 
 TINY16 = AerisConfig(
@@ -18,17 +18,6 @@ TINY16 = AerisConfig(
     dim=32, heads=4, ffn_dim=64, swin_layers=2, blocks_per_layer=2,
     window=(4, 4), time_freqs=8,
     layout=ParallelLayout(wp=4, wp_grid=(2, 2), pp=4, sp=2, gas=2))
-
-
-@pytest.fixture(scope="module")
-def trained(tiny_archive_module):
-    model = Aeris(TINY16, seed=0)
-    trainer = Trainer(model, tiny_archive_module,
-                      TrainerConfig(batch_size=4, peak_lr=3e-3,
-                                    warmup_images=40, total_images=40_000,
-                                    decay_images=400, seed=0))
-    trainer.fit(120)
-    return trainer
 
 
 @pytest.fixture(scope="module")
@@ -171,18 +160,3 @@ class TestCheckpointFit:
                            match=re.escape(f"{section}/{key}")) as info:
             trainer.load(where)
         assert where in str(info.value)
-
-    def test_negative_save_every_rejected(self, tmp_path,
-                                          tiny_archive_module):
-        trainer = Trainer(Aeris(TINY16), tiny_archive_module,
-                          TrainerConfig(batch_size=2))
-        with pytest.raises(ValueError, match="save_every"):
-            trainer.fit(2, save_every=-2, checkpoint_root=str(tmp_path))
-        assert trainer.history == [] and not os.listdir(tmp_path)
-
-    def test_save_every_without_root_rejected(self, tiny_archive_module):
-        trainer = Trainer(Aeris(TINY16), tiny_archive_module,
-                          TrainerConfig(batch_size=2))
-        with pytest.raises(ValueError, match="checkpoint_root"):
-            trainer.fit(2, save_every=1)
-        assert trainer.history == []

@@ -43,10 +43,8 @@ DEPLOYMENT = {
     "serve/batcher.py::BatcherConfig.max_members":
         "member rows per stacked forward (DESIGN §11); "
         "tests/obs/test_golden_metrics.py, tests/serve/test_service.py",
-    "train/trainer.py::TrainerConfig.keep_checkpoints":
-        "checkpoint generations retained on disk (DESIGN §8); "
-        "tests/train/test_resume.py",
 }
+
 
 #: Constructor parameters that stay settable with no production setter
 #: because tests substitute a collaborator through them, ``"path under
@@ -398,54 +396,80 @@ def _init_target(node: ast.Call, cls: ast.ClassDef | None, fn,
     return None, 0
 
 
+def _functions(node: ast.AST, prefix: str = "",
+               cls: ast.ClassDef | None = None) -> Iterator[tuple]:
+    """``(qualname, def, class it is a method of)`` of every def under
+    ``node``, nested ones too."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.ClassDef):
+            yield from _functions(child, f"{prefix}{child.name}.", child)
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield f"{prefix}{child.name}", child, cls
+            yield from _functions(child, f"{prefix}{child.name}.")
+        else:
+            yield from _functions(child, prefix, cls)
+
+
 def options(tree: Tree) -> tuple[list[str], str]:
     """Every field of a ``*Config`` / ``*Policy`` / ``FaultPlan``
-    dataclass, and every defaulted ``__init__`` parameter of a class under
-    the roots, is set by production code — a file under the roots or
-    :data:`CALLER_ROOTS` — or is in :data:`DEPLOYMENT` (fields) or
-    :data:`SEAMS` (parameters).  A field or parameter with no setter, or
-    set only under ``tests/``, is a constant that looks like a choice.
+    dataclass, and every defaulted parameter of every def under the roots
+    (``__init__``, method, function, nested helper), is set by production
+    code — a file under the roots or :data:`CALLER_ROOTS` — or is in
+    :data:`DEPLOYMENT` (fields) or :data:`SEAMS` (parameters).  A field or
+    parameter with no setter, or set only under ``tests/``, is a constant
+    that looks like a choice.
 
     A field is set by keyword or position to its constructor, or as a
     keyword of any ``replace(...)`` (matched by field name); ``**kwargs``
-    sets no field.  A parameter is set by keyword or position to a call of
-    its class (or of a subclass that inherits its ``__init__``), of
-    ``super().__init__`` in a subclass, of ``Base.__init__(self, ...)`` or
-    of ``cls(...)`` in a classmethod; a call with ``*args`` or ``**kwargs``
-    sets every parameter."""
-    declared: dict[str, list[tuple[str, str]]] = {}  # class -> [(field, at)]
+    sets no field.  A parameter is set by keyword or position to a call
+    of its def, resolved by name to every def of that name (an
+    ``__init__`` through its class, a subclass that inherits it,
+    ``super().__init__`` in a subclass, ``Base.__init__(self, ...)`` or
+    ``cls(...)`` in a classmethod).  A call with ``*args`` or ``**kwargs``
+    sets every parameter, and so does naming a def as a value
+    (``run(check)``, ``partial(self._step)``): whatever calls it may pass
+    anything."""
+    #: class -> (its site, [(field, at)]); a site is ``path::qualname``
+    declared: dict[str, tuple[str, list[tuple[str, str]]]] = {}
     bases: dict[str, list[str]] = {}  # class -> base names
-    #: class -> (positional parameter names, [(defaulted parameter, at)])
-    inits: dict[str, tuple[list[str], list[tuple[str, str]]]] = {}
-    module: dict[str, str] = {}  # class -> path under src/repro
+    #: (site, positional parameter names, [(defaulted parameter, at)],
+    #: whether ``Class.name(self, ...)`` passes ``self`` positionally)
+    inits: dict[str, tuple] = {}  # class -> its ``__init__``
+    named: dict[str, list[tuple]] = {}  # def name -> every other def
     for src in tree.files:
+        module = os.path.relpath(src.path, _src()).replace(os.sep, "/")
         for node in src.nodes:
             if not isinstance(node, ast.ClassDef):
                 continue
-            module[node.name] = os.path.relpath(
-                src.path, _src()).replace(os.sep, "/")
             bases[node.name] = _base_names(node)
             if OPTION_CLASS.search(node.name) and any(
                     "dataclass" in ast.unparse(d)
                     for d in node.decorator_list):
-                declared[node.name] = [
+                declared[node.name] = (f"{module}::{node.name}", [
                     (stmt.target.id, f"{src.rel}:{stmt.lineno}")
                     for stmt in node.body
                     if isinstance(stmt, ast.AnnAssign)
                     and isinstance(stmt.target, ast.Name)
-                    and "ClassVar" not in ast.unparse(stmt.annotation)]
-            for stmt in node.body:
-                if (isinstance(stmt, ast.FunctionDef)
-                        and stmt.name == "__init__"):
-                    args = stmt.args
-                    positional = [*args.posonlyargs, *args.args][1:]
-                    defaulted = positional[len(positional)
-                                           - len(args.defaults):] + [
-                        a for a, d in zip(args.kwonlyargs, args.kw_defaults)
-                        if d is not None]
-                    inits[node.name] = (
-                        [a.arg for a in positional],
-                        [(a.arg, f"{src.rel}:{a.lineno}") for a in defaulted])
+                    and "ClassVar" not in ast.unparse(stmt.annotation)])
+        for qual, fn, cls in _functions(src.tree):
+            decorators = {getattr(d, "id", None) for d in fn.decorator_list}
+            bound = cls is not None and "staticmethod" not in decorators
+            args = fn.args
+            positional = [*args.posonlyargs, *args.args][bound:]
+            defaulted = positional[len(positional)
+                                   - len(args.defaults):] + [
+                a for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                if d is not None]
+            init = cls is not None and fn.name == "__init__"
+            sig = (f"{module}::{qual.removesuffix('.__init__')}"
+                   if init else f"{module}::{qual}",
+                   [a.arg for a in positional],
+                   [(a.arg, f"{src.rel}:{a.lineno}") for a in defaulted],
+                   bound and "classmethod" not in decorators)
+            if init:
+                inits[cls.name] = sig
+            else:
+                named.setdefault(fn.name, []).append(sig)
 
     def owner(name: str | None, seen: frozenset = frozenset()) -> str | None:
         """The class under the roots whose ``__init__`` ``name(...)``
@@ -455,70 +479,83 @@ def options(tree: Tree) -> tuple[list[str], str]:
         return next(filter(None, (owner(b, seen | {name})
                                   for b in bases[name])), None)
 
-    # A call's callee is in the file's text (a ``super().__init__`` or
-    # ``cls(...)`` call sits under a class statement naming its base or
-    # itself): parse only files that could hold a setter.
-    callees = [name.encode() for name in (*bases, "replace")]
     production = set(iter_python_files(tree.roots + [
         os.path.join(REPO_ROOT, d) for d in CALLER_ROOTS]))
     setters: dict[tuple[str, str], bool] = {}  # -> set by production code?
     paths = dict.fromkeys([*production, *iter_python_files(
         [os.path.join(REPO_ROOT, "tests")])])
-    for src in tree.parsed(p for p in paths if any(
-            name in tree.read(p).data for name in callees)):
+    for src in tree.parsed(paths):
+        hits = []
         for node, cls, fn in _calls(src.tree):
-            name = (getattr(node.func, "id", None)
-                    or getattr(node.func, "attr", None))
-            named = [kw.arg for kw in node.keywords if kw.arg]
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            keywords = [kw.arg for kw in node.keywords if kw.arg]
             n_pos = next((i for i, a in enumerate(node.args)
                           if isinstance(a, ast.Starred)), len(node.args))
-            hits = []
             if name == "replace":
-                hits = [(c, f) for c, fields in declared.items()
-                        for f, _ in fields if f in named]
+                hits += [(site, f) for site, fields in declared.values()
+                         for f, _ in fields if f in keywords]
             elif name in declared:
-                fields = [f for f, _ in declared[name]]
-                hits = [(name, f) for f in fields[:n_pos] + named]
+                site, fields = declared[name]
+                hits += [(site, f) for f in
+                         [f for f, _ in fields][:n_pos] + keywords]
             target, skip = _init_target(node, cls, fn, owner)
-            if target is not None:
-                positional, params = inits[target]
-                every = (n_pos < len(node.args)
-                         or len(named) < len(node.keywords))
-                covered = {*positional[:max(n_pos - skip, 0)], *named}
-                hits += [(target, p) for p, _ in params
+            via_class = (isinstance(func, ast.Attribute)
+                         and getattr(func.value, "id", None) in bases)
+            every = (n_pos < len(node.args)
+                     or len(keywords) < len(node.keywords))
+            for (site, positional, params, _), skip in (
+                    [(inits[target], skip)] if target is not None else
+                    [(sig, int(sig[3] and via_class))
+                     for sig in named.get(name, ())]):
+                covered = {*positional[:max(n_pos - skip, 0)], *keywords}
+                hits += [(site, p) for p, _ in params
                          if every or p in covered]
-            for hit in hits:
-                setters[hit] = setters.get(hit) or src.path in production
+        # A def named as a value — not called, not an attribute's owner.
+        passed = {id(n.func) for n in src.nodes if isinstance(n, ast.Call)
+                  } | {id(n.value) for n in src.nodes
+                       if isinstance(n, ast.Attribute)}
+        hits += [(site, p) for n in src.nodes
+                 if isinstance(n, (ast.Name, ast.Attribute))
+                 and isinstance(n.ctx, ast.Load) and id(n) not in passed
+                 for site, _, params, _ in named.get(
+                     getattr(n, "id", None) or n.attr, ())
+                 for p, _ in params]
+        for hit in hits:
+            setters[hit] = setters.get(hit) or src.path in production
     found: list[str] = []
 
     def judge(table: dict[str, str], table_name: str, kind: str,
-              owned: dict[str, list[tuple[str, str]]]) -> int:
-        """Append the findings over ``owned``; the number of ``table``
-        entries that exempt something."""
+              owned: Iterable[tuple[str, list[tuple[str, str]]]]) -> int:
+        """Append the findings over ``owned``, ``(site, [(name, at)])``;
+        the number of ``table`` entries that exempt something."""
         left = dict(table)
-        for cls, names in owned.items():
+        for site, names in owned:
+            qual = site.split("::")[1]
             for n, at in names:
-                by_production = setters.get((cls, n))  # None: no setter
-                if left.pop(f"{module[cls]}::{cls}.{n}", None) is not None:
+                by_production = setters.get((site, n))  # None: no setter
+                if left.pop(f"{site}.{n}", None) is not None:
                     if by_production:
                         found.append(f"{at}: {table_name} entry "
-                                     f"{cls}.{n} has a production setter "
+                                     f"{qual}.{n} has a production setter "
                                      "now (drop the entry)")
                 elif by_production is None:
-                    found.append(f"{at}: {cls}.{n} has no setter — make it "
+                    found.append(f"{at}: {qual}.{n} has no setter — make it "
                                  "a constant")
                 elif not by_production:
-                    found.append(f"{at}: {cls}.{n} is set only by tests — "
+                    found.append(f"{at}: {qual}.{n} is set only by tests — "
                                  "make it a constant")
         found.extend(_unmatched(tree, table_name, left, kind))
         return len(table) - len(left)
 
-    n_deployment = judge(DEPLOYMENT, "DEPLOYMENT", "field", declared)
+    sigs = [*inits.values(), *(s for group in named.values() for s in group)]
+    n_deployment = judge(DEPLOYMENT, "DEPLOYMENT", "field",
+                         declared.values())
     n_seams = judge(SEAMS, "SEAMS", "parameter",
-                    {cls: params for cls, (_, params) in inits.items()})
-    return found, (f"options: {sum(map(len, declared.values()))} fields "
-                   f"({n_deployment} deployment), "
-                   f"{sum(len(p) for _, p in inits.values())} parameters "
+                    [(site, params) for site, _, params, _ in sigs])
+    return found, (f"options: {sum(len(f) for _, f in declared.values())} "
+                   f"fields ({n_deployment} deployment), "
+                   f"{sum(len(s[2]) for s in sigs)} parameters "
                    f"({n_seams} seams)")
 
 

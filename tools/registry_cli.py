@@ -52,7 +52,7 @@ def cmd_list(registry, args) -> int:
         return 0
     for r in rows:
         live = "*" if r.status == "live" else " "
-        print(f"{live} {r.version:<12} {r.status:<12} step {r.created_step:<8}"
+        print(f"{live} {r.version:<12} {r.status:<12}"
               f" parent {r.parent or '-':<12} {r.weights_digest[:12]}  "
               f"{_summary_text(r.scorecard)}")
     stats = registry.stats()
@@ -76,7 +76,6 @@ def cmd_show(registry, args) -> int:
     print(f"version  {record.version} ({record.status})")
     print(f"lineage  {' <- '.join(chain)}")
     print(f"source   {record.source or '-'}")
-    print(f"step     {record.created_step}   seed {record.seed}")
     for name in sorted(record.artifacts):
         print(f"artifact {name:<14} {record.artifacts[name]}")
     print(f"skill    {_summary_text(record.scorecard)}")
