@@ -117,9 +117,10 @@ def main() -> None:
                            os.path.join(args.out, "flight.jsonl"))
         with open(os.path.join(args.out, "dashboard.txt"), "w") as fh:
             fh.write(panel)
+        alerts = m.monitor.alerts.summary()
         print(f"  {len(m.recorder)} flight events, "
-              f"{m.monitor.alerts.fired} alert firings "
-              f"({len(m.monitor.alerts.alerts)} after dedup)")
+              f"{alerts['total_firings']} alert firings "
+              f"({len(alerts['alerts'])} after dedup)")
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Quickstart: train a tiny AERIS on the synthetic reanalysis, make an
-ensemble forecast and score it (RMSE, MAE, CRPS, spread-skill, the rank
-histogram of Fig. 5a), then re-run the forecast with BF16 matmuls.
+ensemble forecast and score it (RMSE, MAE, bias, ACC, CRPS, spread-skill,
+the rank histogram of Fig. 5a), then re-run the forecast with BF16
+matmuls.
 
 Runs in ~1 minute on a laptop::
 
@@ -11,7 +12,7 @@ import numpy as np
 
 from repro import SolverConfig, quickstart_components
 from repro.data import TOY_SET
-from repro.eval import (crps_ensemble, ensemble_mean_rmse, mae,
+from repro.eval import (acc, bias, crps_ensemble, ensemble_mean_rmse, mae,
                         rank_histogram, spread_skill_ratio)
 from repro.tensor import autocast_bf16
 
@@ -36,13 +37,16 @@ def main() -> None:
                                       n_members=5, seed=0, start_index=ic)
     truth = archive.fields[ic:ic + 9]
 
-    z = TOY_SET.index("Z500")
+    z, clim = TOY_SET.index("Z500"), archive.daily_climatology()
     for lead in (4, 8):
         e = ens[:, lead, ..., z]
         t = truth[lead, ..., z]
+        m, c = e.mean(axis=0), archive.climatology_at(clim, ic + lead)[..., z]
         print(f"  +{lead * 6:3d}h Z500: ens-mean RMSE "
               f"{ensemble_mean_rmse(e, t, archive.grid):6.2f} m, MAE "
-              f"{mae(e.mean(axis=0), t, archive.grid):6.2f} m, CRPS "
+              f"{mae(m, t, archive.grid):6.2f} m, bias "
+              f"{bias(m, t, archive.grid):+6.2f} m, ACC "
+              f"{acc(m, t, c, archive.grid):.2f}, CRPS "
               f"{crps_ensemble(e, t, archive.grid):6.2f} m, SSR "
               f"{spread_skill_ratio(e, t, archive.grid):.2f}")
     # Fig. 5a: a U shape (truth outside the members) is under-dispersion

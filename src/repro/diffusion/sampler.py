@@ -190,7 +190,7 @@ class ResidualForecaster:
     residual_norm: Normalizer
     forcing_fn: Callable[[int], np.ndarray]
     forcing_norm: Normalizer | None = None
-    flow: TrigFlow = field(default_factory=TrigFlow)
+    flow: object = field(default_factory=TrigFlow)
     solver_config: SolverConfig = field(default_factory=SolverConfig)
 
     def _network(self, cond: np.ndarray, forc: np.ndarray):

@@ -117,11 +117,6 @@ class AerisConfig:
         return self.window[0] * self.window[1]
 
     @property
-    def n_windows(self) -> int:
-        h, w = self.grid
-        return (h // self.window[0]) * (w // self.window[1])
-
-    @property
     def in_channels(self) -> int:
         """Noisy-residual + initial-condition + forcings, concatenated
         channel-wise (paper: x_hat_t = [x_t, x_{i-1}, x_f])."""

@@ -12,8 +12,8 @@ The measurement substrate behind the reproduction's performance claims
 * :mod:`~repro.obs.profile` — scoped on/off switch plus the zero-cost
   hooks instrumented code calls (``span`` / ``record_event`` /
   ``count`` / ``gauge`` / ``observe``);
-* :mod:`~repro.obs.flight` — bounded ring-buffer flight recorder dumping
-  JSONL post-mortems;
+* :mod:`~repro.obs.flight` — bounded ring-buffer flight recorder, dumped
+  as JSONL post-mortems by :func:`write_events_jsonl`;
 * :mod:`~repro.obs.health` — online anomaly detectors (loss NaN/spike/
   plateau, gradient explosion, queue saturation, multi-window SLO burn, injected fault classes) firing
   typed, deduplicated alerts;
@@ -35,7 +35,7 @@ Everything is **off by default** and strictly free when off::
         trainer.fit(10)
     print(obs.render_dashboard())
     obs.write_prometheus(m.registry, "metrics.prom")
-    m.recorder.dump("flight.jsonl")
+    obs.write_events_jsonl(m.recorder.events(), "flight.jsonl")
 """
 
 from .alerts import Alert, AlertManager

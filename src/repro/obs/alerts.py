@@ -124,9 +124,6 @@ class AlertManager:
     def kinds(self) -> set[str]:
         return {a.kind for a in self.alerts}
 
-    def select(self, kind: str) -> list[Alert]:
-        return [a for a in self.alerts if a.kind == kind]
-
     def summary(self) -> dict:
         """JSON-friendly rollup (stable ordering by first firing)."""
         return {"total_firings": self.fired, "routed": self.routed,

@@ -7,8 +7,9 @@ fired alerts — survive as structured records.  The
 :class:`FlightRecorder` keeps exactly that: a ``deque(maxlen=capacity)``
 of :class:`Event` records (oldest events fall off the back, so memory is
 bounded no matter how long the run), dumped as JSONL by
-:meth:`FlightRecorder.dump` (an atomic write, so a crash mid-dump never
-truncates a previous post-mortem).
+``write_events_jsonl(recorder.events(), path)`` of :mod:`repro.obs.export`
+(an atomic write, so a crash mid-dump never truncates a previous
+post-mortem).
 
 Recording is routed through :func:`repro.obs.profile.record_event`,
 which is a strict no-op while the recorder is disabled — the same
@@ -19,7 +20,6 @@ pin it flat while disabled).
 
 from __future__ import annotations
 
-import json
 import time
 from collections import deque
 
@@ -116,15 +116,3 @@ class FlightRecorder:
     def tail(self, n: int = 10) -> list[Event]:
         """The ``n`` most recent events, oldest of them first."""
         return list(self._ring)[-n:]
-
-    # -- post-mortem export ------------------------------------------------
-    def to_jsonl(self) -> str:
-        """One JSON object per line, oldest first; trailing newline."""
-        return "".join(json.dumps(e.to_dict()) + "\n" for e in self._ring)
-
-    def dump(self, path: str) -> str:
-        """Write the post-mortem JSONL atomically; returns ``path``."""
-        # Imported lazily: repro.resilience transitively imports the obs
-        # hooks, so a module-level import here would be a cycle.
-        from ..resilience.atomic import atomic_write
-        return atomic_write(path, self.to_jsonl())

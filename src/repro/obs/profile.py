@@ -182,7 +182,7 @@ class monitored(observed):
         with monitored() as m:
             trainer.fit(100)
         print(m.monitor.alerts.summary())
-        m.recorder.dump("postmortem.jsonl")
+        write_events_jsonl(m.recorder.events(), "postmortem.jsonl")
 
     Restores the previous state (of all four) on exit.
     """

@@ -34,7 +34,8 @@ class TraceReport:
 
     def __init__(self, tracer: Tracer | None = None,
                  registry: MetricsRegistry | None = None):
-        self.tracer = tracer if tracer is not None else get_tracer()
+        self.tracer: Tracer = (tracer if tracer is not None
+                               else get_tracer())
         self.registry = registry if registry is not None else metrics()
         if self.tracer is None:
             raise ValueError("no tracer: pass one or obs.enable() first")
@@ -57,8 +58,8 @@ class TraceReport:
             out["metrics"] = self.registry.snapshot()
         return out
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     def render(self) -> str:
         """Human-readable report block."""

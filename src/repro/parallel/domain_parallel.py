@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..kernels import plan_merge, plan_partition, window_plan
+from ..kernels import plan_merge, window_plan
 from ..model.windows import window_grid_shape
 from ..tensor import Tensor
 from .comm import SimCluster
@@ -66,10 +66,6 @@ class DomainSharding:
         """Per-rank contiguous ``(B, tile_h, tile_w, D)`` tiles."""
         return [plan_merge(Tensor(stack), self._tile).data
                 for stack in self.windows.shard(image)]
-
-    def unshard(self, shards: list[np.ndarray]) -> np.ndarray:
-        return self.windows.unshard(
-            [plan_partition(Tensor(tile), self._tile).data for tile in shards])
 
     # -- halo machinery -----------------------------------------------------
     def halo_bytes_per_exchange(self, batch: int, channels: int,

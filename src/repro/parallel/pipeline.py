@@ -41,6 +41,7 @@ import numpy as np
 from ..model import Aeris
 from ..obs.profile import count as _count, gauge as _gauge, get_tracer
 from ..obs.profile import span as _span
+from ..obs.report import TraceReport
 from ..tensor import Tensor
 from .comm import SimCluster
 
@@ -212,8 +213,8 @@ class AerisPipeline:
         return loss.item()
 
 
-def pipeline_check(report, pp: int, n_micro: int, schedule: str = "1f1b",
-                   category: str = "pp-1f1b",
+def pipeline_check(report: TraceReport, pp: int, n_micro: int,
+                   schedule: str = "1f1b", category: str = "pp-1f1b",
                    track_prefix: str | None = None,
                    tol_simulated: float = 0.02,
                    tol_closed_form: float = 0.2) -> dict:

@@ -333,19 +333,16 @@ class ModelRegistry:
         model.eval()
         return model
 
-    def forecaster(self, version: str, forcing_fn, flow=None,
-                   solver_config=None):
-        """Build a ready-to-serve :class:`ResidualForecaster`."""
+    def forecaster(self, version: str, forcing_fn):
+        """Build a ready-to-serve :class:`ResidualForecaster` (TrigFlow,
+        the paper's solver defaults)."""
         from ..diffusion.sampler import ResidualForecaster
         return ResidualForecaster(
             model=self.load_model(version),
             state_norm=self.load_normalizer(version, "state"),
             residual_norm=self.load_normalizer(version, "residual"),
             forcing_fn=forcing_fn,
-            forcing_norm=self.load_normalizer(version, "forcing"),
-            **({"flow": flow} if flow is not None else {}),
-            **({"solver_config": solver_config}
-               if solver_config is not None else {}))
+            forcing_norm=self.load_normalizer(version, "forcing"))
 
     # -- maintenance -------------------------------------------------------
     def referenced_blobs(self) -> set:

@@ -46,6 +46,7 @@ import numpy as np
 from ..obs.health import FAULT_CLASSES
 from ..obs.profile import count as _count
 from ..obs.profile import record_event as _record_event
+from ..obs.report import TraceReport
 from ..scoped import scoped
 
 __all__ = [
@@ -462,7 +463,7 @@ def _reconcile(report, injector, kinds, handled=()):
     return per_kind
 
 
-def resilience_check(report, injector: FaultInjector) -> dict:
+def resilience_check(report: TraceReport, injector: FaultInjector) -> dict:
     """Every fault the injector dealt must be *observed* somewhere.
 
     A :class:`repro.obs.TraceReport` check reconciling
@@ -488,7 +489,7 @@ def resilience_check(report, injector: FaultInjector) -> dict:
                        f"{'OK' if agrees else 'MISMATCH'}"}
 
 
-def sdc_check(report, injector: FaultInjector) -> dict:
+def sdc_check(report: TraceReport, injector: FaultInjector) -> dict:
     """Every *compute-domain* corruption dealt must be detected — and
     every detection must have closed with a recovery.
 

@@ -37,6 +37,7 @@ from ..data import TOY_SET
 from ..diffusion import ResidualForecaster
 from ..obs.profile import count as _count
 from ..obs.profile import record_event as _record_event
+from ..obs.report import TraceReport
 from ..resilience import ResilienceError
 from .api import ForecastRequest, ForecastResponse, Rejected, Timeout
 from .batcher import BatcherConfig, MicroBatch, MicroBatcher, execute_batch
@@ -122,13 +123,11 @@ class ForecastService:
         self.tally = {"submitted": 0, "accepted": 0, "rejected": 0,
                       "completed": 0, "timeout": 0, "failed": 0}
 
-    def stepper(self, tier: str, version: str | None = None):
-        """The stepper serving ``tier`` for ``version`` (default active).
-        Useful for comparing served output against a direct rollout —
-        they are bit-identical for the same seed."""
-        return self.versions.bindings[
-            version if version is not None
-            else self.versions.active].steppers[tier]
+    def stepper(self, tier: str):
+        """The stepper serving ``tier`` for the active version.  Useful
+        for comparing served output against a direct rollout — they are
+        bit-identical for the same seed."""
+        return self.versions.bindings[self.versions.active].steppers[tier]
 
     # -- accounting ----------------------------------------------------------
     def _book(self, event: str, tier: str, **labels) -> None:
@@ -328,17 +327,13 @@ class ForecastService:
                     version=batch.version, **row), end)
         return responses
 
-    def serve(self, request: ForecastRequest) -> ForecastResponse:
-        """Synchronous single-request convenience."""
-        return self.run([request], start_s=request.arrival_s)[0]
-
     def stats(self) -> dict:
         return {"tally": dict(self.tally), "cache": self.cache.stats(),
                 "workers": self.pool.stats(), "slo": self.slo.summary(),
                 "versions": self.versions.stats()}
 
 
-def serve_check(report, service: ForecastService) -> dict:
+def serve_check(report: TraceReport, service: ForecastService) -> dict:
     """Every request the service admitted must be answered somewhere.
 
     A :class:`repro.obs.TraceReport` check reconciling the service's

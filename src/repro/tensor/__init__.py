@@ -8,15 +8,13 @@ from .tensor import (
     concat,
     is_grad_enabled,
     no_grad,
-    ones,
     split,
     stack,
-    where,
     zeros,
 )
 
 __all__ = [
-    "Tensor", "zeros", "ones", "concat", "stack", "split", "where",
+    "Tensor", "zeros", "concat", "stack", "split",
     "no_grad", "is_grad_enabled",
     "FlopCounter", "count_flops", "add_flops", "flops_enabled",
     "round_bf16", "autocast_bf16", "bf16_matmul_enabled",

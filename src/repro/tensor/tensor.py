@@ -335,10 +335,6 @@ class Tensor:
         return Tensor._make(data, (self, other), backward)
 
     # -- elementwise functions ------------------------------------------
-    def exp(self):
-        data = np.exp(self.data)
-        return Tensor._make(data, (self,), lambda g: (g * data,))
-
     def log(self):
         return Tensor._make(np.log(self.data), (self,), lambda g: (g / self.data,))
 
@@ -348,14 +344,6 @@ class Tensor:
     def cos(self):
         return Tensor._make(np.cos(self.data), (self,), lambda g: (-g * np.sin(self.data),))
 
-    def sqrt(self):
-        data = np.sqrt(self.data)
-        return Tensor._make(data, (self,), lambda g: (g * 0.5 / data,))
-
-    def tanh(self):
-        data = np.tanh(self.data)
-        return Tensor._make(data, (self,), lambda g: (g * (1.0 - data * data),))
-
     def silu(self):
         """SiLU/swish activation, the gate of SwiGLU."""
         sig = 1.0 / (1.0 + np.exp(-self.data))
@@ -363,10 +351,6 @@ class Tensor:
         def backward(g):
             return (g * sig * (1.0 + self.data * (1.0 - sig)),)
         return Tensor._make(data, (self,), backward)
-
-    def abs(self):
-        sign = np.sign(self.data)
-        return Tensor._make(np.abs(self.data), (self,), lambda g: (g * sign,))
 
     def clip(self, low: float | None, high: float | None):
         data = np.clip(self.data, low, high)
@@ -401,11 +385,6 @@ class Tensor:
             for a in axes:
                 count *= self.shape[a % self.ndim]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
-
-    def var(self, axis=None, keepdims: bool = False):
-        mu = self.mean(axis=axis, keepdims=True)
-        centered = self - mu
-        return (centered * centered).mean(axis=axis, keepdims=keepdims)
 
     def max(self, axis=None, keepdims: bool = False):
         """Maximum reduction; gradient flows to (all) argmax positions equally."""
@@ -469,15 +448,6 @@ class Tensor:
             return (full,)
         return Tensor._make(data, (self,), backward)
 
-    def pad(self, pad_width):
-        """Zero padding (NumPy ``pad_width`` convention)."""
-        data = np.pad(self.data, pad_width)
-        def backward(g):
-            slices = tuple(slice(before, g.shape[i] - after)
-                           for i, (before, after) in enumerate(pad_width))
-            return (g[slices],)
-        return Tensor._make(data, (self,), backward)
-
     # -- composite ops used by attention -----------------------------------
     def softmax(self, axis: int = -1):
         shifted = self.data - self.data.max(axis=axis, keepdims=True)
@@ -500,12 +470,8 @@ class Tensor:
 
 # -- module-level constructors and free functions ------------------------
 
-def zeros(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=requires_grad)
-
-
-def ones(shape, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones(shape, dtype=np.float32), requires_grad=requires_grad)
+def zeros(shape) -> Tensor:
+    return Tensor(np.zeros(shape, dtype=np.float32))
 
 
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
@@ -532,27 +498,11 @@ def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     return Tensor._make(data, tensors, backward)
 
 
-def split(t: Tensor, sections: int, axis: int = 0) -> list[Tensor]:
-    """Split into ``sections`` equal chunks along ``axis``."""
-    size = t.shape[axis]
+def split(t: Tensor, sections: int) -> list[Tensor]:
+    """Split into ``sections`` equal chunks along the first axis."""
+    size = t.shape[0]
     if size % sections:
         raise ValueError(f"axis of size {size} not divisible into {sections}")
     step = size // sections
-    outs = []
-    for i in range(sections):
-        idx = [slice(None)] * t.ndim
-        idx[axis] = slice(i * step, (i + 1) * step)
-        outs.append(t[tuple(idx)])
-    return outs
+    return [t[i * step:(i + 1) * step] for i in range(sections)]
 
-
-def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    a, b = Tensor._coerce(a), Tensor._coerce(b)
-    cond = np.asarray(condition, dtype=bool)
-    data = np.where(cond, a.data, b.data)
-    def backward(g):
-        return (_unbroadcast(np.where(cond, g, 0.0), a.shape)
-                if a.requires_grad else None,
-                _unbroadcast(np.where(cond, 0.0, g), b.shape)
-                if b.requires_grad else None)
-    return Tensor._make(data, (a, b), backward)

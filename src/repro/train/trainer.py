@@ -497,7 +497,7 @@ class Trainer(TrainingEngine):
 
     def __init__(self, model: Aeris, archive: SyntheticReanalysis,
                  config: TrainerConfig = TrainerConfig(),
-                 flow: TrigFlow = TrigFlow(), injector=None):
+                 flow=TrigFlow(), injector=None):
         super().__init__(
             model, ONE_RANK,
             schedule=WarmupConstantDecay(
@@ -537,24 +537,22 @@ class Trainer(TrainingEngine):
                                   VALIDATION_SEED)
 
     # -- inference export ------------------------------------------------------
-    def inference_model(self, use_ema: bool = True) -> Aeris:
-        """A copy of the model in ``eval()`` mode; by default with EMA
-        weights, per the paper ("using only these weights during
-        inference")."""
+    def inference_model(self) -> Aeris:
+        """A copy of the model in ``eval()`` mode with the EMA weights, per
+        the paper ("using only these weights during inference")."""
         model = Aeris(self.model.config)
-        for (name, p), live in zip(model.named_parameters(),
-                                   self.model.parameters()):
-            p.data = (self.ema.shadow[name] if use_ema else live.data).copy()
+        for name, p in model.named_parameters():
+            p.data = self.ema.shadow[name].copy()
         model.eval()
         return model
 
-    def forecaster(self, solver_config: SolverConfig = SolverConfig(),
-                   use_ema: bool = True) -> ResidualForecaster:
+    def forecaster(self, solver_config: SolverConfig = SolverConfig()
+                   ) -> ResidualForecaster:
         """The forecaster this parameterization samples with
         (``solver_config`` is the TrigFlow solver's; the baselines'
         samplers do not read it)."""
         return ResidualForecaster(
-            model=self.inference_model(use_ema),
+            model=self.inference_model(),
             state_norm=self.state_norm,
             residual_norm=self.residual_norm,
             forcing_fn=lambda i: self.archive.forcing_provider(

@@ -79,7 +79,8 @@ class TestAlertFidelity:
         assert len(m.recorder.events(kind="alert")) >= len(
             SUPERVISOR_FAULTS)
         # Rank death is page-worthy: critical, not a warning.
-        critical = m.monitor.alerts.select("resilience.rank_failure")
+        critical = [a for a in m.monitor.alerts.alerts
+                    if a.kind == "resilience.rank_failure"]
         assert critical and critical[0].severity == "critical"
 
     def test_fault_free_run_fires_no_fault_alerts(self, tmp_path,

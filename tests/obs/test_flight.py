@@ -7,7 +7,7 @@ from importlib import import_module
 import pytest
 
 from repro import obs
-from repro.obs import Event, FlightRecorder
+from repro.obs import Event, FlightRecorder, write_events_jsonl
 from tests.clock import StepClock
 
 #: The module, which ``repro.obs.flight`` (the accessor) shadows.
@@ -68,7 +68,7 @@ class TestJsonl:
         rec.record("train.step", subsystem="train", step=0, loss=1.5)
         rec.record("alert", subsystem="obs", severity="critical", k="v")
         path = str(tmp_path / "flight.jsonl")
-        assert rec.dump(path) == path
+        assert write_events_jsonl(rec.events(), path) == path
         lines = [json.loads(line)
                  for line in open(path).read().splitlines()]
         assert lines == [e.to_dict() for e in rec.events()]
@@ -77,7 +77,7 @@ class TestJsonl:
     def test_dump_leaves_no_temp_files(self, tmp_path):
         rec = FlightRecorder(clock=StepClock())
         rec.record("tick")
-        rec.dump(str(tmp_path / "f.jsonl"))
+        write_events_jsonl(rec.events(), str(tmp_path / "f.jsonl"))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["f.jsonl"]
 
 

@@ -21,6 +21,11 @@ def _observability_off():
     obs.disable()
 
 
+def _of(alerts: AlertManager, kind: str) -> list:
+    """The alerts of one kind."""
+    return [a for a in alerts.alerts if a.kind == kind]
+
+
 def _monitor() -> HealthMonitor:
     return HealthMonitor(clock=StepClock())
 
@@ -32,7 +37,7 @@ class TestLossDetectors:
             mon.observe_step(i, 1.0)
         mon.observe_step(LOSS_WINDOW, float("nan"))
         assert [a.severity for a in
-                mon.alerts.select("train.loss_nonfinite")] == ["critical"]
+                _of(mon.alerts, "train.loss_nonfinite")] == ["critical"]
         # window still usable after the NaN
         mon.observe_step(LOSS_WINDOW + 1, 1.0)
         assert "train.loss_spike" not in mon.alerts.kinds()
@@ -42,7 +47,7 @@ class TestLossDetectors:
         for i in range(LOSS_WINDOW):
             mon.observe_step(i, 1.0 + 0.01 * (i % 2))
         mon.observe_step(LOSS_WINDOW, 50.0)
-        spikes = mon.alerts.select("train.loss_spike")
+        spikes = _of(mon.alerts, "train.loss_spike")
         assert len(spikes) == 1 and spikes[0].severity == "warning"
         assert spikes[0].data["z"] > 8.0
 
@@ -58,7 +63,7 @@ class TestLossDetectors:
             mon.observe_step(i, 1.0)
         assert "train.loss_plateau" not in mon.alerts.kinds()
         mon.observe_step(PLATEAU_STEPS - 1, 1.0)
-        plateau = mon.alerts.select("train.loss_plateau")
+        plateau = _of(mon.alerts, "train.loss_plateau")
         assert len(plateau) == 1 and plateau[0].severity == "info"
 
 
@@ -68,9 +73,9 @@ class TestGradDetector:
         for i in range(GRAD_WINDOW):
             mon.observe_step(i, 1.0, grad_norm=2.0 + 0.01 * i)
         mon.observe_step(GRAD_WINDOW, 1.0, grad_norm=500.0)
-        assert len(mon.alerts.select("train.grad_explosion")) == 1
+        assert len(_of(mon.alerts, "train.grad_explosion")) == 1
         mon.observe_step(GRAD_WINDOW + 1, 1.0, grad_norm=float("inf"))
-        assert mon.alerts.select("train.grad_explosion")[0].count == 2
+        assert _of(mon.alerts, "train.grad_explosion")[0].count == 2
 
 
 class TestServeDetectors:
@@ -83,7 +88,7 @@ class TestServeDetectors:
             mon.observe_latency("fast", 5.0, slo_s=1.0)
         assert "serve.slo_burn" not in mon.alerts.kinds()
         mon.observe_latency("fast", 5.0, slo_s=1.0)  # slow 7/128 = 1.09x
-        burns = mon.alerts.select("serve.slo_burn")
+        burns = _of(mon.alerts, "serve.slo_burn")
         assert burns and burns[0].severity == "critical"
         assert dict(burns[0].labels) == {"tier": "fast"}
 
@@ -171,7 +176,7 @@ class TestPullDetectors:
                           "sdc_opt": 0, "sdc_forecast": 0}
         assert mon.alerts.kinds() == {"comm.bitflip", "comm.straggler",
                                       "resilience.rank_failure"}
-        assert mon.alerts.select("resilience.rank_failure")[0].severity \
+        assert _of(mon.alerts, "resilience.rank_failure")[0].severity \
             == "critical"
 
     def test_check_faults_maps_sdc_meters_to_alert_kinds(self):
@@ -190,7 +195,7 @@ class TestPullDetectors:
                                       "serve.forecast_sdc"}
         # Silent data corruption is always page-worthy.
         for kind in mon.alerts.kinds():
-            assert mon.alerts.select(kind)[0].severity == "critical"
+            assert _of(mon.alerts, kind)[0].severity == "critical"
 
     def test_check_faults_clean_registry_fires_nothing(self):
         mon = _monitor()
@@ -229,8 +234,8 @@ class TestAlertManager:
         mgr.fire("k", "warning", "serve", "m", tier="fast")
         mgr.fire("k", "warning", "serve", "m", tier="high")
         assert len(mgr.alerts) == 2
-        assert len(mgr.select("k")) == 2
-        assert {a.severity for a in mgr.select("k")} == {"warning"}
+        assert len(_of(mgr, "k")) == 2
+        assert {a.severity for a in _of(mgr, "k")} == {"warning"}
 
     def test_bad_severity_rejected(self):
         with pytest.raises(ValueError):

@@ -18,9 +18,12 @@ def sharding():
 
 class TestSharding:
     def test_shard_unshard_roundtrip(self, sharding):
+        """The 2 x 2 tiles, laid back side by side, are the image."""
         image = rng.normal(size=(2, 8, 16, 5)).astype(np.float32)
-        np.testing.assert_array_equal(
-            sharding.unshard(sharding.shard(image)), image)
+        tiles = sharding.shard(image)
+        np.testing.assert_array_equal(np.concatenate(
+            [np.concatenate(tiles[r * 2:r * 2 + 2], axis=2)
+             for r in range(2)], axis=1), image)
 
     def test_tiles_are_contiguous(self, sharding):
         image = np.arange(8 * 16, dtype=np.float32).reshape(1, 8, 16, 1)

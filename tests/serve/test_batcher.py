@@ -204,11 +204,11 @@ class TestSingleFlight:
 
     def serve(self, serve_world, tier, warm, **config):
         from repro.serve import ServiceConfig
-        from .test_service import make_service, request
+        from .test_service import make_service, request, serve
         svc = make_service(serve_world, with_student=True,
                            config=ServiceConfig(**config))
         if warm:    # member 0's first two leads are cached beforehand
-            svc.serve(request(serve_world, tier=tier, n_members=1,
+            serve(svc, request(serve_world, tier=tier, n_members=1,
                               n_steps=2, seed=self.SEED))
         steppers = svc.versions.bindings[svc.versions.active].steppers
         spy = steppers[tier] = SpyStepper(steppers[tier])

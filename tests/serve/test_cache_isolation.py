@@ -12,6 +12,7 @@ from repro.diffusion import SolverConfig
 from repro.model import Aeris
 from repro.serve import ForecastRequest, ForecastService, TierPolicy, \
     TierRouter
+from tests.serve.test_service import serve
 
 ROUTER = TierRouter().with_policy(TierPolicy(
     name="standard", priority=1, solver_config=SolverConfig(n_steps=2)))
@@ -49,10 +50,10 @@ class TestDifferentWeights:
     def test_no_shared_entries(self, serve_world):
         svc, archive, idx = two_version_service(serve_world)
         pin(svc, "v1")
-        first = svc.serve(request(archive, idx, seed=1))
+        first = serve(svc, request(archive, idx, seed=1))
         entries_v1 = len(svc.cache)
         pin(svc, "v2")
-        other = svc.serve(request(archive, idx, seed=1))
+        other = serve(svc, request(archive, idx, seed=1))
         # The identical request on the other version is a full miss and
         # doubles the resident set — nothing crossed the digest boundary.
         assert first.cache_hits == 0 and other.cache_hits == 0
@@ -62,14 +63,14 @@ class TestDifferentWeights:
     def test_no_cross_version_prefix_resumption(self, serve_world):
         svc, archive, idx = two_version_service(serve_world)
         pin(svc, "v1")
-        svc.serve(request(archive, idx, seed=1, n_steps=2))
+        serve(svc, request(archive, idx, seed=1, n_steps=2))
         pin(svc, "v2")
-        longer = svc.serve(request(archive, idx, seed=1, n_steps=3))
+        longer = serve(svc, request(archive, idx, seed=1, n_steps=3))
         assert longer.cache_hits == 0
         # And the resumption the other version must NOT provide still
         # works within a version.
         pin(svc, "v1")
-        resumed = svc.serve(request(archive, idx, seed=1, n_steps=3))
+        resumed = serve(svc, request(archive, idx, seed=1, n_steps=3))
         assert resumed.cache_hits == 4  # 2 members x 2-step prefix
 
     def test_each_version_bit_identical_to_its_direct_rollout(
@@ -77,8 +78,9 @@ class TestDifferentWeights:
         svc, archive, idx = two_version_service(serve_world)
         for version in ("v1", "v2"):
             pin(svc, version)
-            resp = svc.serve(request(archive, idx, seed=5))
-            direct = svc.stepper("standard", version).ensemble_rollout(
+            resp = serve(svc, request(archive, idx, seed=5))
+            stepper = svc.versions.bindings[version].steppers["standard"]
+            direct = stepper.ensemble_rollout(
                 archive.fields[idx], n_steps=2, n_members=2, seed=5,
                 start_index=idx)
             assert np.array_equal(resp.forecast, direct)
@@ -91,9 +93,9 @@ class TestSameWeights:
         svc, archive, idx = two_version_service(serve_world,
                                                 same_weights=True)
         pin(svc, "v1")
-        first = svc.serve(request(archive, idx, seed=1))
+        first = serve(svc, request(archive, idx, seed=1))
         pin(svc, "v2")
-        again = svc.serve(request(archive, idx, seed=1))
+        again = serve(svc, request(archive, idx, seed=1))
         assert first.cache_hits == 0
         assert again.cache_hits == 4  # full hit through the other label
         assert np.array_equal(first.forecast, again.forecast)

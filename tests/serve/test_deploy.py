@@ -14,6 +14,7 @@ from repro.resilience import (FailStop, FaultInjector, FaultPlan,
 from repro.serve import (BatcherConfig, DeployConfig, DeploymentController,
                          ForecastRequest, ForecastService, ServiceConfig,
                          TierPolicy, TierRouter, deploy_check, serve_check)
+from tests.serve.test_service import serve
 
 ROUTER = TierRouter().with_policy(TierPolicy(
     name="standard", priority=1, solver_config=SolverConfig(n_steps=2)))
@@ -50,7 +51,8 @@ def incumbent_truth_fn(svc, version="v1"):
     incumbent's shadow RMSE ~0 — any real candidate divergence is then a
     deterministic skill regression (no training required)."""
     def truth(req):
-        return svc.stepper(req.tier, version).ensemble_rollout(
+        stepper = svc.versions.bindings[version].steppers[req.tier]
+        return stepper.ensemble_rollout(
             np.asarray(req.init_state, dtype=np.float32), req.n_steps,
             n_members=req.n_members, seed=req.seed,
             start_index=req.start_index).mean(axis=0)
@@ -85,7 +87,7 @@ class TestCleanRollout:
         controller.start_canary("v2", candidate)
         svc.run(traffic(serve_world, 12))
         assert controller.state == "promoted"
-        resp = svc.serve(ForecastRequest(
+        resp = serve(svc, ForecastRequest(
             init_state=archive.fields[idx], start_index=idx, n_steps=2,
             n_members=3, seed=77))
         direct = type(candidate)(

@@ -9,7 +9,7 @@ from repro.obs import TraceReport
 from repro.resilience import (ComputeFault, FaultInjector, FaultPlan,
                               sdc_check)
 from repro.serve import ForecastValidator, ServiceConfig, service
-from tests.serve.test_service import make_service, request
+from tests.serve.test_service import make_service, request, serve
 
 
 def _validator(serve_world):
@@ -74,8 +74,8 @@ class TestGuardedService:
         guarded = make_service(serve_world,
                                validator=_validator(serve_world))
         req = request(serve_world, seed=11)
-        plain = bare.serve(req)
-        checked = guarded.serve(request(serve_world, seed=11))
+        plain = serve(bare, req)
+        checked = serve(guarded, request(serve_world, seed=11))
         assert checked.ok and checked.quarantines == 0
         np.testing.assert_array_equal(checked.forecast, plain.forecast)
         assert guarded.tally["failed"] == 0
@@ -83,13 +83,13 @@ class TestGuardedService:
     def test_poisoned_forecast_quarantined_and_healed(self, serve_world,
                                                       obs_on):
         _, recorder = obs_on.enable_health()
-        clean = make_service(serve_world).serve(request(serve_world,
+        clean = serve(make_service(serve_world), request(serve_world,
                                                         seed=11))
         injector = _poison_injector()
         svc = make_service(serve_world, validator=_validator(serve_world),
                            injector=injector,
                            config=ServiceConfig(n_workers=2))
-        resp = svc.serve(request(serve_world, seed=11))
+        resp = serve(svc, request(serve_world, seed=11))
         assert resp.status == "completed"
         assert resp.quarantines == 1
         # Healed bit-exactly: the re-run reproduces the clean forecast.
@@ -113,7 +113,7 @@ class TestGuardedService:
             serve_world, validator=_validator(serve_world),
             injector=_poison_injector(),
             config=ServiceConfig(n_workers=2))
-        resp = svc.serve(request(serve_world, seed=11))
+        resp = serve(svc, request(serve_world, seed=11))
         assert resp.status == "failed"
         assert "guardrails" in resp.error
         assert svc.tally["failed"] == 1 and svc.tally["completed"] == 0
@@ -121,10 +121,10 @@ class TestGuardedService:
     def test_undefended_service_serves_the_corruption(self, serve_world):
         """No validator: the poisoned forecast reaches the caller as a
         completed response — the baseline the guardrails exist to close."""
-        clean = make_service(serve_world).serve(request(serve_world,
+        clean = serve(make_service(serve_world), request(serve_world,
                                                         seed=11))
         svc = make_service(serve_world, injector=_poison_injector())
-        resp = svc.serve(request(serve_world, seed=11))
+        resp = serve(svc, request(serve_world, seed=11))
         assert resp.status == "completed" and resp.quarantines == 0
         assert not np.array_equal(resp.forecast, clean.forecast)
 
@@ -133,7 +133,7 @@ class TestGuardedService:
         svc = make_service(serve_world, validator=_validator(serve_world),
                            injector=injector,
                            config=ServiceConfig(n_workers=2))
-        resp = svc.serve(request(serve_world, seed=11))
+        resp = serve(svc, request(serve_world, seed=11))
         assert resp.status == "completed"
         result = TraceReport().run(sdc_check, injector)
         assert result["agrees"], result

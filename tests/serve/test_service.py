@@ -34,6 +34,11 @@ def make_service(serve_world, with_student=False, **kwargs):
                            **kwargs)
 
 
+def serve(svc, req):
+    """One request through :meth:`ForecastService.run`, answered."""
+    return svc.run([req], start_s=req.arrival_s)[0]
+
+
 def request(serve_world, **kwargs):
     archive, _, _, idx = serve_world
     kwargs.setdefault("init_state", archive.fields[idx])
@@ -46,7 +51,7 @@ class TestDeterminism:
     def test_served_standard_tier_matches_direct_rollout(self, serve_world):
         archive, forecaster, _, idx = serve_world
         svc = make_service(serve_world)
-        resp = svc.serve(request(serve_world, n_members=3, seed=7))
+        resp = serve(svc, request(serve_world, n_members=3, seed=7))
         assert resp.ok and resp.forecast.dtype == np.float32
         direct = type(forecaster)(
             model=forecaster.model, state_norm=forecaster.state_norm,
@@ -61,7 +66,7 @@ class TestDeterminism:
     def test_served_fast_tier_matches_one_step_student(self, serve_world):
         archive, forecaster, student, idx = serve_world
         svc = make_service(serve_world, with_student=True)
-        resp = svc.serve(request(serve_world, tier="fast", n_members=2,
+        resp = serve(svc, request(serve_world, tier="fast", n_members=2,
                                  seed=5))
         assert resp.ok
         direct = OneStepForecaster(
@@ -76,8 +81,8 @@ class TestDeterminism:
 
     def test_variable_subsetting(self, serve_world):
         svc = make_service(serve_world)
-        full = svc.serve(request(serve_world, seed=3))
-        subset = svc.serve(request(serve_world, seed=3,
+        full = serve(svc, request(serve_world, seed=3))
+        subset = serve(svc, request(serve_world, seed=3,
                                    variables=("V10", "Z500")))
         assert subset.ok and subset.forecast.shape[-1] == 2
         assert np.array_equal(subset.forecast, full.forecast[..., [2, 5]])
@@ -86,8 +91,8 @@ class TestDeterminism:
 class TestCachingThroughService:
     def test_repeat_query_is_all_hits_and_bit_identical(self, serve_world):
         svc = make_service(serve_world)
-        first = svc.serve(request(serve_world, n_members=2, seed=1))
-        again = svc.serve(request(serve_world, n_members=2, seed=1))
+        first = serve(svc, request(serve_world, n_members=2, seed=1))
+        again = serve(svc, request(serve_world, n_members=2, seed=1))
         assert first.cache_hits == 0 and first.cache_misses == 2
         assert again.cache_hits == 4 and again.cache_misses == 0  # 2m x 2l
         assert np.array_equal(first.forecast, again.forecast)
@@ -95,8 +100,8 @@ class TestCachingThroughService:
     def test_longer_query_resumes_from_cached_prefix(self, serve_world):
         archive, _, _, idx = serve_world
         svc = make_service(serve_world)
-        svc.serve(request(serve_world, n_steps=2, n_members=2, seed=1))
-        longer = svc.serve(request(serve_world, n_steps=3, n_members=2,
+        serve(svc, request(serve_world, n_steps=2, n_members=2, seed=1))
+        longer = serve(svc, request(serve_world, n_steps=3, n_members=2,
                                    seed=1))
         assert longer.cache_hits == 4  # the 2-step prefix of both members
         direct = svc.stepper("standard").ensemble_rollout(
@@ -106,8 +111,8 @@ class TestCachingThroughService:
 
     def test_different_seed_does_not_hit(self, serve_world):
         svc = make_service(serve_world)
-        svc.serve(request(serve_world, seed=1))
-        other = svc.serve(request(serve_world, seed=2))
+        serve(svc, request(serve_world, seed=1))
+        other = serve(svc, request(serve_world, seed=2))
         assert other.cache_hits == 0
 
 
@@ -129,7 +134,7 @@ class TestBatching:
         _, forecaster, _, _ = serve_world
         monkeypatch.setattr(rows, "_CORES", 1)
         svc = make_service(serve_world)
-        resp = svc.serve(request(serve_world, n_steps=1, n_members=8))
+        resp = serve(svc, request(serve_world, n_steps=1, n_members=8))
         registry = obs_on.metrics()
         forwards = registry.counter("sampler.model_forwards")
         served = forwards.total()
@@ -166,7 +171,7 @@ class TestBatching:
         resps = []
         for cores in (1, 2):
             monkeypatch.setattr(rows, "_CORES", cores)
-            resps.append(make_service(serve_world).serve(
+            resps.append(serve(make_service(serve_world), 
                 request(serve_world, n_steps=1, n_members=8)))
         assert forwards == [8] * 3 + [4] * 6
         assert obs_on.metrics().counter("sampler.model_forwards").total() \
@@ -207,7 +212,7 @@ class TestCoalescedResponsesOwnTheirMemory:
         assert not np.array_equal(first.forecast, direct)
         np.testing.assert_array_equal(twin.forecast, direct)
         np.testing.assert_array_equal(short.forecast, direct[:1, :2])
-        again = svc.serve(reqs[0])
+        again = serve(svc, reqs[0])
         assert again.cache_hits == 4 and again.cache_misses == 0
         np.testing.assert_array_equal(again.forecast, direct)
 
@@ -249,18 +254,18 @@ class TestBackpressure:
 
     def test_unavailable_tier_rejected(self, serve_world):
         svc = make_service(serve_world)  # no student
-        resp = svc.serve(request(serve_world, tier="fast"))
+        resp = serve(svc, request(serve_world, tier="fast"))
         assert resp.status == "rejected" and "tier_unavailable" in resp.error
 
     def test_bad_shape_rejected(self, serve_world):
         svc = make_service(serve_world)
         bad = np.zeros((2, 2, 9), dtype=np.float32)
-        resp = svc.serve(ForecastRequest(init_state=bad, n_steps=1))
+        resp = serve(svc, ForecastRequest(init_state=bad, n_steps=1))
         assert resp.status == "rejected" and "bad_shape" in resp.error
 
     def test_unknown_variable_rejected(self, serve_world):
         svc = make_service(serve_world)
-        resp = svc.serve(request(serve_world, variables=("nope",)))
+        resp = serve(svc, request(serve_world, variables=("nope",)))
         assert resp.status == "rejected"
         assert "unknown_variable" in resp.error
 
@@ -352,13 +357,13 @@ class TestObservability:
 
     def test_serve_check_catches_lost_requests(self, serve_world, obs_on):
         svc = make_service(serve_world)
-        svc.serve(request(serve_world))
+        serve(svc, request(serve_world))
         svc.tally["completed"] -= 1  # simulate a dropped response
         assert not TraceReport().run(serve_check, svc)["agrees"]
 
     def test_stats_surface(self, serve_world):
         svc = make_service(serve_world)
-        svc.serve(request(serve_world, n_members=2))
+        serve(svc, request(serve_world, n_members=2))
         stats = svc.stats()
         assert stats["tally"]["completed"] == 1
         assert stats["cache"]["entries"] == 4

@@ -19,7 +19,6 @@ from repro.tensor import (
     autocast_bf16,
     concat,
     stack,
-    where,
 )
 from repro.tensor.flops import backward_phase
 from repro.train import Trainer, TrainerConfig
@@ -119,7 +118,7 @@ def _binary(rng, a, b):
         return a * b
     if kind == 3:
         return a / (b * b + 1.5)
-    return where(a.data > b.data, a, b)
+    return (a - b).clip(0.0, None) + b      # max(a, b): a masked gradient
 
 
 def _unary(rng, a):
@@ -129,7 +128,7 @@ def _unary(rng, a):
     if kind == 1:
         return a.silu()
     if kind == 2:
-        return a.tanh() * 0.5 + 1.0         # scalar coercions
+        return a.sin() * 0.5 + 1.0          # scalar coercions
     if kind == 3:                           # a broadcast row: reduced
         return a + a.mean(axis=-1, keepdims=True)   # by `_unbroadcast`
     if kind == 4:                           # views

@@ -57,11 +57,6 @@ class TestForecasterExport:
         ema_weight = trained.ema.shadow["embed.weight"]
         np.testing.assert_array_equal(fc.model.embed.weight.data, ema_weight)
 
-    def test_raw_weights_option(self, trained):
-        fc = trained.forecaster(use_ema=False)
-        np.testing.assert_array_equal(fc.model.embed.weight.data,
-                                      trained.model.embed.weight.data)
-
     def test_forecast_step_produces_physical_state(self, trained,
                                                    tiny_archive_module):
         archive = tiny_archive_module
