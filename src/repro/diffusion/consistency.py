@@ -125,15 +125,16 @@ class ConsistencyDistiller(TrainingEngine):
         x_s = self._teacher_ode_step(x_t, t, s, cond, forc)
         target = self._student_jump(x_s, s, cond, forc)
         ct, st = TrigFlow._angles(t, x_t.ndim)
+        return Batch((x_t / self.flow.sigma_d, t, cond, forc),
+                     (ct * x_t, st, target))
 
-        def loss(out: Tensor, rows: slice) -> Tensor:
-            """The student's jump from ``x_t`` (with its graph) against
-            the target."""
-            pred = (Tensor((ct * x_t)[rows])
-                    - Tensor(st[rows]) * (out * self.flow.sigma_d))
-            return ((pred - Tensor(target[rows])) ** 2).mean()
-
-        return Batch((x_t / self.flow.sigma_d, t, cond, forc), loss)
+    def _loss(self, out: Tensor, rows: slice, ct_x_t: np.ndarray,
+              st: np.ndarray, target: np.ndarray) -> Tensor:
+        """The student's jump ``cos t · x_t − sin t · σ_d · out`` from
+        ``x_t`` (with its graph) against the target."""
+        pred = (Tensor(ct_x_t[rows])
+                - Tensor(st[rows]) * (out * self.flow.sigma_d))
+        return ((pred - Tensor(target[rows])) ** 2).mean()
 
     # -- one-step inference ----------------------------------------------------
     def sample_one_step(self, cond: np.ndarray, forc: np.ndarray,

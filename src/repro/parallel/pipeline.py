@@ -20,7 +20,9 @@ One pipeline runs its stages and microbatches one after the other; the
 1F1B/GPipe *timing* (bubble fraction) is modeled in
 :mod:`repro.perf.pipeline_model`, which is also where the schedules live.
 A training step's DP replicas each run a pipeline over the one model, at
-once, one group per core in forked processes (:func:`repro.rows.run_forked`).
+once, one group per core, the groups past the first on kept worker
+processes that hold their own copy of the model and are sent its weights
+each step (:class:`repro.rows.KeptWorkers`).
 
 Tracing (:mod:`repro.obs`): when enabled, every stage pass is an
 ``obs.span`` (category ``pp-exec``), and after each ``forward_backward`` the

@@ -13,9 +13,10 @@ caller's batches, at a constant learning rate with no EMA.  What runs
   a gradient set, and the engine's update averages the sets by a metered
   ring allreduce (an FP64 sum divided by DP,
   :meth:`~repro.train.TrainingEngine._update`).  The replicas'
-  forward/backward passes run at once, one group per core, the others in
-  forked processes (:func:`~repro.rows.run_forked`); in one process under
-  a fault injector, a GEMM guard, a FLOP counter or observability.
+  forward/backward passes run at once, one group per core, the others on
+  worker processes forked at the first step and kept, sent each step's
+  weights and batch (:class:`~repro.rows.KeptWorkers`); in one process
+  under a fault injector, a GEMM guard, a FLOP counter or observability.
 * **ZeRO-1** — real sharded optimizer states + allgather accounting
   (:mod:`~repro.parallel.zero`).
 * **WP / SP** — the window/sequence sharded *attention numerics* run
@@ -84,6 +85,5 @@ class SwipeEngine(TrainingEngine):
                    cond: np.ndarray, forc: np.ndarray, gas: int) -> float:
         """Full SWiPe step over a global batch. Returns the mean loss."""
         sigma_d = self.flow.sigma_d
-        batch = Batch((x_t / sigma_d, t, cond, forc),
-                      self._regression(v_target, sigma_d))
+        batch = Batch((x_t / sigma_d, t, cond, forc), (v_target, sigma_d))
         return self._run(lambda: batch, gas)

@@ -1,6 +1,6 @@
 """Row-parallel execution: contiguous runs of independent batch rows at
-once, one per usable core — on threads for tape-free inference, in forked
-processes for a training step's data-parallel replicas.
+once, one per usable core — on threads for tape-free inference, on kept
+worker processes for a training step's data-parallel replicas.
 
 :func:`run_row_shards` is called at the outermost call whose rows are
 independent, so a split is made once and each shard does as much as it
@@ -15,11 +15,14 @@ Every row's arithmetic is the serial path's, so a split result is equal to
 the unsplit one bit for bit.  NumPy drops the GIL in the ufunc loops and
 GEMMs that hold the time.
 
-:func:`run_forked` is the training step's split: a taped forward/backward
-holds the GIL between its small GEMMs (two taped steps on two threads run
-×1.03), so the DP replicas of a SWiPe step run in processes instead — the
-caller one group of replicas, one forked child each other group, each
-child handing its result back through a pipe (DESIGN §10).
+:class:`KeptWorkers` is the training step's split: a taped
+forward/backward holds the GIL between its small GEMMs (two taped steps on
+two threads run ×1.03), so the DP replicas of a SWiPe step run in
+processes instead — the caller one group of replicas, one worker each
+other group.  A worker is forked once, at its owner's first split, and
+kept: each step sends it the weights and the batch down a pipe and reads
+its result back from another, so no step pays a fork's copy-on-write
+faults (DESIGN §10).
 """
 
 from __future__ import annotations
@@ -31,19 +34,23 @@ import threading
 import traceback
 import warnings
 from concurrent.futures import ThreadPoolExecutor, wait
-from contextlib import nullcontext
+import struct
+import weakref
+from contextlib import ExitStack, nullcontext
 from contextvars import ContextVar, copy_context
 from typing import Callable
 
 import numpy as np
 
-from .kernels import _tape_free
+from .kernels import _ENABLED as _KERNELS, _tape_free
 from .kernels.abft import guards_live
 from .obs.profile import flight, get_tracer, health, metrics
 from .scoped import scoped
+from .tensor.bf16 import _BF16_MATMUL
 from .tensor.flops import add_flops, count_flops, flops_enabled
+from .tensor.tensor import _GRAD_ENABLED
 
-__all__ = ["run_row_shards", "run_forked"]
+__all__ = ["run_row_shards", "KeptWorkers"]
 
 #: Fewest batch rows a shard is given.  Measured (DESIGN §10), two shards
 #: lose at 2 rows (×0.81), gain from 4, and gain ×1.4–1.8 from 8; at 4 the
@@ -62,6 +69,18 @@ _POOL_PREFIX = "aeris-rows"
 
 #: Set while a shard runs, in its caller's thread and in the worker.
 _IN_SHARD = ContextVar("rows_in_shard", default=False)
+
+#: The switches that reach a kept worker's arithmetic, sent with each
+#: request: grad recording, BF16 matmuls and the kernel layer.  (A GEMM
+#: guard, a compute-fault injector or an obs sink keeps a split in one
+#: process, :func:`_fork_bounds`.)
+_SWITCHES = (_GRAD_ENABLED, _BF16_MATMUL, _KERNELS)
+
+#: The kept workers of every owner in this process.
+_KEPT: "weakref.WeakSet[KeptWorkers]" = weakref.WeakSet()
+
+#: A message's length, before it on a kept worker's pipes.
+_LENGTH = struct.Struct("<Q")
 
 
 def _row_bounds(rows: int) -> list[int]:
@@ -88,9 +107,13 @@ def _pool() -> ThreadPoolExecutor:
 
 def _forget_pool() -> None:
     """A forked child has none of its parent's threads: it starts a pool of
-    its own (a task handed to the inherited one would never run)."""
+    its own (a task handed to the inherited one would never run).  It
+    closes its copies of the kept workers' pipes, so each worker still
+    sees the end of its requests when its owner closes them."""
     global _POOL, _POOL_LOCK
     _POOL, _POOL_LOCK = None, threading.Lock()
+    for kept in list(_KEPT):
+        kept._drop()
 
 
 if hasattr(os, "register_at_fork"):
@@ -160,75 +183,146 @@ def _fork_bounds(n: int) -> list[int]:
     return [n * i // groups for i in range(groups + 1)]
 
 
-def _child(write: int, run: Callable[[int, int], object], lo: int,
+def _send(fd: int, data: bytes) -> None:
+    """``data`` down ``fd``, after its length."""
+    os.write(fd, _LENGTH.pack(len(data)))    # below PIPE_BUF: one write
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _read(fd: int, size: int) -> bytearray | None:
+    """``size`` bytes from ``fd``; ``None`` at end of file before them."""
+    data = bytearray(size)
+    view, got = memoryview(data), 0
+    while got < size:
+        n = os.readv(fd, [view[got:]])
+        if not n:
+            return None
+        got += n
+    return data
+
+
+def _receive(fd: int) -> bytearray | None:
+    """One :func:`_send` message from ``fd``; ``None`` if the writer went
+    first."""
+    head = _read(fd, _LENGTH.size)
+    return head and _read(fd, _LENGTH.unpack(head)[0])
+
+
+def _serve(requests: int, replies: int, run: Callable, lo: int,
            hi: int) -> None:
-    """A forked child's whole life: ``run(lo, hi)`` under the inherited
-    warning filters, ``(("ok", result) | ("raise", exc, traceback),
-    warnings)`` pickled down ``write``, then ``os._exit`` (no atexit
-    handler, no inherited buffer flushed, no tape freed); status 1 if
-    that could not be sent."""
+    """A kept worker's whole life: per request read from ``requests`` —
+    ``(request, switches, warning filters)``, pickled — ``run(lo, hi,
+    request)`` under those switches and filters, then ``(("ok", result) |
+    ("raise", exc, traceback), warnings)`` pickled down ``replies``.  At
+    the end of ``requests`` (its owner retired it) ``os._exit(0)``: no
+    atexit handler, no inherited buffer flushed, no tape freed; status 1
+    if a reply could not be sent."""
     status = 1
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            try:
-                outcome = ("ok", run(lo, hi))
-            except BaseException as exc:  # noqa: BLE001 — sent to the caller
-                outcome = ("raise", exc, traceback.format_exc())
-        data = pickle.dumps(
-            (outcome, [(w.message, w.category, w.filename, w.lineno)
-                       for w in caught]), pickle.HIGHEST_PROTOCOL)
-        with os.fdopen(write, "wb") as pipe:
-            pipe.write(data)
+        while (message := _receive(requests)) is not None:
+            request, switches, filters = pickle.loads(message)
+            with ExitStack() as stack:
+                for var, value in zip(_SWITCHES, switches):
+                    stack.enter_context(scoped(var, value))
+                caught = stack.enter_context(
+                    warnings.catch_warnings(record=True))
+                warnings.filters[:] = filters
+                try:
+                    outcome = ("ok", run(lo, hi, request))
+                except BaseException as exc:  # noqa: BLE001 — sent home
+                    outcome = ("raise", exc, traceback.format_exc())
+            _send(replies, pickle.dumps(
+                (outcome, [(w.message, w.category, w.filename, w.lineno)
+                           for w in caught]), pickle.HIGHEST_PROTOCOL))
         status = 0
     finally:
         os._exit(status)
 
 
-def _join(pid: int, read: int) -> tuple[bytes, int]:
-    """What a child sent down ``read`` and its wait status, once it has
-    exited."""
-    with os.fdopen(read, "rb") as pipe:
-        data = pipe.read()
-    return data, os.waitpid(pid, 0)[1]
+class KeptWorkers:
+    """The processes that run a split's groups past the first, forked at
+    its first split (:func:`_fork_bounds`) and kept: each :meth:`run`
+    sends every worker one request and runs the first group here.
 
+    Its owner retires them with :meth:`close` — when it is finalised,
+    which ``weakref.finalize`` also does at interpreter exit — and
+    :meth:`run` retires them itself when the split's groups change or a
+    group fails.  A process forked later (a worker of another owner)
+    closes its copies of these pipes (:func:`_forget_pool`), so a worker
+    sees the end of its requests when its owner closes them."""
 
-def _outcome(data: bytes, status: int, pid: int, lo: int, hi: int):
-    """A child's ``(outcome, warnings)``; one that sent none died, and
-    its outcome is a ``ChildProcessError`` saying how."""
-    if data:
-        return pickle.loads(data)
-    how = (f"killed by {signal.Signals(os.WTERMSIG(status)).name}"
-           if os.WIFSIGNALED(status)
-           else f"exited with status {os.waitstatus_to_exitcode(status)}")
-    return ("raise", ChildProcessError(
-        f"forked child {pid} running items {lo}:{hi} {how}"), None), []
+    def __init__(self):
+        self._bounds: list[int] = []
+        self.pids: list[int] = []
+        self._requests: list[int] = []   # this end of each worker's pipes
+        self._replies: list[int] = []
 
+    def run(self, n: int, run: Callable[[int, int, object], object],
+            request) -> list:
+        """``run(lo, hi, request)`` — items ``lo:hi`` of ``n``
+        independent ones — over contiguous groups at once
+        (:func:`_fork_bounds`), or once over ``[0, n]``: this process runs
+        the first group, a kept worker each other.  Returns the groups'
+        results in order.
 
-def run_forked(n: int, run: Callable[[int, int], object]) -> list:
-    """``run(lo, hi)`` — items ``lo:hi`` of ``n`` independent ones — over
-    contiguous groups at once (:func:`_fork_bounds`), or once over
-    ``[0, n]``: the caller runs the first group, one forked child each
-    other.  Returns the groups' results in order.
+        A worker runs ``run`` as it was when the worker was forked, on
+        ``request`` pickled, under the caller's switches (``_SWITCHES``)
+        and warning filters at this call; ``run`` must take what changes
+        from ``request`` and return what the caller needs, since whatever
+        else a worker changes stays in the worker.  Warnings a worker
+        records are re-issued here in its order.  An exception of a
+        worker (or a ``ChildProcessError`` for one that died) is raised
+        once every group has finished, the first group's first, and
+        retires the workers."""
+        bounds = _fork_bounds(n)
+        if bounds != self._bounds:
+            self.close()
+        if len(bounds) == 2:
+            return [run(0, n, request)]
+        try:
+            if not self.pids:
+                self._fork(bounds, run)
+            message = pickle.dumps(
+                (request, [var.get() for var in _SWITCHES], warnings.filters),
+                pickle.HIGHEST_PROTOCOL)
+            for i, fd in enumerate(self._requests):
+                try:
+                    _send(fd, message)
+                except BrokenPipeError:
+                    raise self._died(i) from None
+            results = [run(bounds[0], bounds[1], request)]
+            replies = [_receive(fd) for fd in self._replies]
+            outcomes = [pickle.loads(data) if data is not None
+                        else (("raise", self._died(i), None), [])
+                        for i, data in enumerate(replies)]
+        except BaseException:
+            self.close()
+            raise
+        for _, issued in outcomes:
+            for text, category, filename, lineno in issued:
+                warnings.warn_explicit(text, category, filename, lineno)
+        for outcome, _ in outcomes:
+            if outcome[0] == "raise":
+                self.close()
+                exc, where = outcome[1], outcome[2]
+                if where is not None and hasattr(exc, "add_note"):
+                    exc.add_note(f"raised in a forked worker:\n{where}")
+                raise exc
+            results.append(outcome[1])
+        return results
 
-    A child inherits everything ``run`` reads copy-on-write and hands back
-    only its pickled result, so ``run`` must return what the caller needs
-    of the child's work; whatever else the child changes is lost with it.
-    Warnings a child records are re-issued here in its order.  Every child
-    is reaped, also when the caller's group raises; an exception of a child
-    (or a ``ChildProcessError`` for one that died) is raised once every
-    child has been joined, the first group's first."""
-    bounds = _fork_bounds(n)
-    if len(bounds) == 2:
-        return [run(0, n)]
-    children: list[tuple[int, int, int, int]] = []
-    try:
+    def _fork(self, bounds: list[int], run: Callable) -> None:
+        self._bounds = bounds
+        _KEPT.add(self)
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            read, write = os.pipe()
+            fds = (*os.pipe(), *os.pipe())   # requests r/w, replies r/w
             # CPython >= 3.12 warns on a fork while other threads exist.
             # Here they are idle row-pool workers (_fork_bounds): blocked
-            # on their work queue, holding nothing the child takes, and
-            # forgotten by the child (_forget_pool).  OpenBLAS stops its
-            # own threads before a fork (its pthread_atfork handler).
+            # on their work queue, holding nothing the worker takes, and
+            # forgotten by it (_forget_pool).  OpenBLAS stops its own
+            # threads before a fork (its pthread_atfork handler).
             try:
                 with warnings.catch_warnings():
                     warnings.filterwarnings(
@@ -237,29 +331,42 @@ def run_forked(n: int, run: Callable[[int, int], object]) -> list:
                         DeprecationWarning)
                     pid = os.fork()
             except BaseException:
-                os.close(read)
-                os.close(write)
+                for fd in fds:
+                    os.close(fd)
                 raise
             if pid == 0:
-                os.close(read)
-                for _, earlier, _, _ in children:
-                    os.close(earlier)
-                _child(write, run, lo, hi)
-            os.close(write)
-            children.append((pid, read, lo, hi))
-        results = [run(bounds[0], bounds[1])]
-    finally:
-        joined = [_join(pid, read) for pid, read, _, _ in children]
-    outcomes = [_outcome(data, status, pid, lo, hi) for (data, status),
-                (pid, _, lo, hi) in zip(joined, children)]
-    for outcome, issued in outcomes:
-        for message, category, filename, lineno in issued:
-            warnings.warn_explicit(message, category, filename, lineno)
-    for outcome, _ in outcomes:
-        if outcome[0] == "raise":
-            exc, where = outcome[1], outcome[2]
-            if where is not None and hasattr(exc, "add_note"):
-                exc.add_note(f"raised in a forked child:\n{where}")
-            raise exc
-        results.append(outcome[1])
-    return results
+                os.close(fds[1])
+                os.close(fds[2])
+                _serve(fds[0], fds[3], run, lo, hi)
+            os.close(fds[0])
+            os.close(fds[3])
+            self.pids.append(pid)
+            self._requests.append(fds[1])
+            self._replies.append(fds[2])
+
+    def _died(self, i: int) -> ChildProcessError:
+        """Worker ``i``, which hung up: reaped, and how it ended."""
+        pid, self.pids[i] = self.pids[i], 0
+        status = os.waitpid(pid, 0)[1]
+        how = (f"killed by {signal.Signals(os.WTERMSIG(status)).name}"
+               if os.WIFSIGNALED(status)
+               else f"exited with status {os.waitstatus_to_exitcode(status)}")
+        lo, hi = self._bounds[i + 1], self._bounds[i + 2]
+        return ChildProcessError(
+            f"forked worker {pid} running items {lo}:{hi} {how}")
+
+    def close(self) -> None:
+        """Retire the workers: close their pipes (each worker reads the
+        end of its requests and exits) and reap them."""
+        pids = self.pids
+        self._drop()
+        for pid in filter(None, pids):
+            os.waitpid(pid, 0)
+
+    def _drop(self) -> None:
+        """Close this end of the workers' pipes and forget them, unreaped
+        (all a forked child does with its copy)."""
+        for fd in self._requests + self._replies:
+            os.close(fd)
+        self._bounds, self.pids, self._requests, self._replies = [], [], [], []
+        _KEPT.discard(self)

@@ -10,11 +10,10 @@ from .tensor import (
     no_grad,
     split,
     stack,
-    zeros,
 )
 
 __all__ = [
-    "Tensor", "zeros", "concat", "stack", "split",
+    "Tensor", "concat", "stack", "split",
     "no_grad", "is_grad_enabled",
     "FlopCounter", "count_flops", "add_flops", "flops_enabled",
     "round_bf16", "autocast_bf16", "bf16_matmul_enabled",

@@ -30,7 +30,7 @@ from ..scoped import scoped
 from .bf16 import bf16_matmul_enabled, round_bf16
 from .flops import add_flops, backward_phase, flops_enabled
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled", "tensor", "zeros", "ones"]
+__all__ = ["Tensor", "no_grad", "is_grad_enabled"]
 
 _GRAD_ENABLED = ContextVar("grad_enabled", default=True)
 _FLOAT32 = np.dtype(np.float32)
@@ -469,10 +469,6 @@ class Tensor:
 
 
 # -- module-level constructors and free functions ------------------------
-
-def zeros(shape) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=np.float32))
-
 
 def concat(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     tensors = list(tensors)

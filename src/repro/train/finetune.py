@@ -13,7 +13,7 @@ with shared noise), which keeps the computational graph differentiable
 through all K steps in our autograd engine.  The finetuner is the training
 engine (:class:`~repro.train.TrainingEngine`) at one rank with the K-step
 unroll as its loss: the engine's one-stage pipeline runs the first
-forward, the loss the other ``K - 1``.
+forward, :meth:`MultistepFinetuner._loss` the other ``K - 1``.
 """
 
 from __future__ import annotations
@@ -94,24 +94,32 @@ class MultistepFinetuner(TrainingEngine):
         # units: + (residual_std * sigma_res + mu_res) / sigma_state.
         res_scale = self.residual_norm.std / self.state_norm.std
         res_shift = self.residual_norm.mean / self.state_norm.std
+        return Batch((x_in, t_in, state0, forcs[0]),
+                     (x_in, t_in, state0, np.stack(forcs), np.stack(targets),
+                      res_scale, res_shift))
 
-        def loss(pred: Tensor, rows: slice) -> Tensor:
-            state = Tensor(state0[rows])
-            total = None
-            for step in range(k):
-                if step:
-                    pred = self.model(Tensor(x_in[rows]), Tensor(t_in[rows]),
-                                      state, Tensor(forcs[step][rows]))
-                residual_std = self._mean_residual(pred)
-                step_loss = weighted_velocity_loss(
-                    residual_std, targets[step][rows], self.lat_weights,
-                    self.var_weights)
-                total = step_loss if total is None else total + step_loss
-                state = (state + residual_std * Tensor(res_scale)
-                         + Tensor(res_shift))
-            return total * (1.0 / k)
-
-        return Batch((x_in, t_in, state0, forcs[0]), loss)
+    def _loss(self, pred: Tensor, rows: slice, x_in: np.ndarray,
+              t_in: np.ndarray, state0: np.ndarray, forcs: np.ndarray,
+              targets: np.ndarray, res_scale: np.ndarray,
+              res_shift: np.ndarray) -> Tensor:
+        """The K-step unroll from ``pred``, the first step's output: the
+        mean over steps of the residual loss, each later step a forward of
+        the model on the state the earlier ones advanced."""
+        k = len(targets)
+        state = Tensor(state0[rows])
+        total = None
+        for step in range(k):
+            if step:
+                pred = self.model(Tensor(x_in[rows]), Tensor(t_in[rows]),
+                                  state, Tensor(forcs[step][rows]))
+            residual_std = self._mean_residual(pred)
+            step_loss = weighted_velocity_loss(
+                residual_std, targets[step][rows], self.lat_weights,
+                self.var_weights)
+            total = step_loss if total is None else total + step_loss
+            state = (state + residual_std * Tensor(res_scale)
+                     + Tensor(res_shift))
+        return total * (1.0 / k)
 
     def fit(self, n_steps: int) -> list[float]:
         for _ in range(n_steps):

@@ -4,23 +4,25 @@
 :class:`~repro.parallel.RankTopology` holds, and owns everything about a step
 but the loss: per DP replica (its rows of the batch) a zero-grad, forward and
 backward through an :class:`~repro.parallel.AerisPipeline` and the gradient
-set it leaves, the replicas at once on a multi-core box (the others in forked
-processes); the DP allreduce of the sets on its metered cluster; the ZeRO-1
-AdamW update at its schedule's learning rate; the optional EMA; the NaN/Inf
-guard (skip the update, back the LR off); the optional SDC guard
-(:class:`~repro.train.guard.StepGuard`); one ``state_payload`` / ``restore``
-pair, so a resumed run continues **bit-exactly**; metrics and spans.  A step
-optimizes the :class:`Batch` its constructor hands it: :class:`Trainer` (the
-paper's recipe, Section VI-B, at one rank, where the pipeline is one
-``Aeris.forward`` and ZeRO-1 is plain AdamW; the baselines change its
-``flow``), :class:`~repro.parallel.SwipeEngine`,
-:class:`~repro.train.MultistepFinetuner` and
-:class:`~repro.diffusion.ConsistencyDistiller`.
+set it leaves, the replicas at once on a multi-core box (the others on worker
+processes it forks once and keeps); the DP allreduce of the sets on its
+metered cluster; the ZeRO-1 AdamW update at its schedule's learning rate; the
+optional EMA; the NaN/Inf guard (skip the update, back the LR off); the
+optional SDC guard (:class:`~repro.train.guard.StepGuard`); one
+``state_payload`` / ``restore`` pair, so a resumed run continues
+**bit-exactly**; metrics and spans.  A step optimizes the engine's ``_loss``
+over the :class:`Batch` its constructor hands it, a value of arrays that a
+worker process is sent: :class:`Trainer` (the paper's recipe, Section VI-B,
+at one rank, where the pipeline is one ``Aeris.forward`` and ZeRO-1 is plain
+AdamW; the baselines change its ``flow``),
+:class:`~repro.parallel.SwipeEngine`, :class:`~repro.train.MultistepFinetuner`
+and :class:`~repro.diffusion.ConsistencyDistiller`.
 """
 
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -45,7 +47,7 @@ from ..parallel.comm import SimCluster
 from ..parallel.pipeline import AerisPipeline
 from ..parallel.topology import RankTopology
 from ..parallel.zero import ZeroOptimizer
-from ..rows import run_forked
+from ..rows import KeptWorkers
 from ..tensor import Tensor, no_grad
 from .checkpoint import (CheckpointError, checkpoint_lineage,
                          read_sharded_checkpoint, write_sharded_checkpoint)
@@ -72,12 +74,13 @@ VALIDATION_SEED = 1234
 
 
 class Batch(NamedTuple):
-    """One step's work: the network inputs ``(x_in, t_in, cond, forc)``
-    over the global batch, and ``loss(pred, rows)``, the loss of the
-    network output ``pred`` for global batch rows ``rows`` (a slice)."""
+    """One step's work, arrays only: the network inputs ``(x_in, t_in,
+    cond, forc)`` over the global batch, and ``extra``, what the engine's
+    loss reads besides the network output: ``engine._loss(pred, rows,
+    *extra)`` for global batch rows ``rows`` (a slice)."""
 
     inputs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-    loss: Callable[[Tensor, slice], Tensor]
+    extra: tuple
 
 
 class TrainingEngine:
@@ -132,6 +135,10 @@ class TrainingEngine:
         self._clean_streak = 0
         self.step_retries = 0
         self.guard: StepGuard | None = None
+        # the DP replica groups' worker processes, forked at the first
+        # split step and retired with the engine (at exit too)
+        self.workers = KeptWorkers()
+        weakref.finalize(self, self.workers.close)
 
     def _use_archive(self, archive: SyntheticReanalysis) -> None:
         """Train on ``archive``: its loss weights, and its normalizers on
@@ -154,12 +161,14 @@ class TrainingEngine:
     def forcing_norm(self):
         return self.archive.forcing_normalizer()
 
-    def _regression(self, target: np.ndarray, out_scale) -> Callable:
-        """The flows' loss: the weighted MSE of ``pred * out_scale``
-        against ``target``."""
-        return lambda pred, rows: weighted_velocity_loss(
-            pred * out_scale, target[rows], self.lat_weights,
-            self.var_weights)
+    def _loss(self, pred: Tensor, rows: slice, target: np.ndarray,
+              out_scale) -> Tensor:
+        """The loss of the network output ``pred`` for global batch rows
+        ``rows``, from the step's ``Batch.extra``; here the flows' weighted
+        MSE of ``pred * out_scale`` against ``target``.  A loop with
+        another objective overrides it."""
+        return weighted_velocity_loss(pred * out_scale, target[rows],
+                                      self.lat_weights, self.var_weights)
 
     def rows_per_replica(self, batch: int) -> int:
         """Rows per DP replica of a global batch of ``batch`` rows."""
@@ -206,34 +215,18 @@ class TrainingEngine:
         parameters' gradients it left.
 
         The replicas run at once in contiguous groups
-        (:func:`~repro.rows.run_forked`): this process runs the first,
-        a forked child each other, and a child's meter bookings are added
-        here after the join in rank order, as a serial run books them.
-        Under a fault injector the replicas run here one after the other
-        (faults address transfers by their order in the step)."""
-        per = self.rows_per_replica(len(batch.inputs[0]))
-        params = self.model.parameters()
-        stats = self.cluster.stats
-
-        def run(lo: int, hi: int):
-            """Replicas ``lo:hi``: their losses, gradient sets and the
-            meter bookings they made, ``(key, bytes, ops)`` in
-            first-booked order."""
-            ops, nbytes = dict(stats.ops), dict(stats.bytes)
-            losses, grads = [], []
-            for d in range(lo, hi):
-                self.model.zero_grad()
-                losses.append(self._replica_forward_backward(batch, gas, d,
-                                                             per))
-                grads.append([p.grad for p in params])
-            booked = [(key, stats.bytes[key] - nbytes.get(key, 0),
-                       n - ops.get(key, 0))
-                      for key, n in stats.ops.items() if n != ops.get(key, 0)]
-            return losses, grads, booked
-
+        (:class:`~repro.rows.KeptWorkers`): this process runs the first,
+        a kept worker each other, sent the weights and the batch, and a
+        worker's meter bookings are added here after the join in rank
+        order, as a serial run books them.  Under a fault injector the
+        replicas run here one after the other (faults address transfers
+        by their order in the step)."""
         dp = self.topology.dp
-        groups = ([run(0, dp)] if self.cluster.injector is not None
-                  else run_forked(dp, run))
+        request = ([p.data for p in self.model.parameters()], batch, gas)
+        groups = ([self._replicas(0, dp, request)]
+                  if self.cluster.injector is not None
+                  else self.workers.run(dp, self._replicas, request))
+        stats = self.cluster.stats
         for _, _, booked in groups[1:]:
             for key, nbytes, ops in booked:
                 stats.bytes[key] += nbytes
@@ -242,6 +235,30 @@ class TrainingEngine:
                                for loss in group[0]])),
                 [grads for group in groups for grads in group[1]])
 
+    def _replicas(self, lo: int, hi: int, request: tuple) -> tuple:
+        """Replicas ``lo:hi`` of the step ``request = (weights, batch,
+        gas)``, on ``weights`` (copied into the model where they are not
+        its own arrays, as in a worker): their losses, gradient sets and
+        the meter bookings they made, ``(key, bytes, ops)`` in
+        first-booked order."""
+        weights, batch, gas = request
+        params = self.model.parameters()
+        for p, w in zip(params, weights, strict=True):
+            if p.data is not w:
+                p.data[...] = w
+        per = self.rows_per_replica(len(batch.inputs[0]))
+        stats = self.cluster.stats
+        ops, nbytes = dict(stats.ops), dict(stats.bytes)
+        losses, grads = [], []
+        for d in range(lo, hi):
+            self.model.zero_grad()
+            losses.append(self._replica_forward_backward(batch, gas, d, per))
+            grads.append([p.grad for p in params])
+        booked = [(key, stats.bytes[key] - nbytes.get(key, 0),
+                   n - ops.get(key, 0))
+                  for key, n in stats.ops.items() if n != ops.get(key, 0)]
+        return losses, grads, booked
+
     def _replica_forward_backward(self, batch: Batch, gas: int, d: int,
                                   per: int) -> float:
         """Replica ``d``'s rows of ``batch`` through its pipeline."""
@@ -249,7 +266,7 @@ class TrainingEngine:
 
         def loss_fn(pred: Tensor, micro: slice) -> Tensor:
             rows = slice(first + micro.start, first + micro.stop)
-            return batch.loss(pred, rows) * (1.0 / gas)
+            return self._loss(pred, rows, *batch.extra) * (1.0 / gas)
 
         with _span("train.forward_backward", category="train", dp_rank=d):
             return self.pipelines[d].forward_backward(
@@ -438,8 +455,9 @@ class TrainingEngine:
                     no_grad():
                 pred = self.model(Tensor(x_in), Tensor(t_in), Tensor(cond),
                                   Tensor(forc))
-                losses.append(self._regression(target, out_scale)(
-                    pred, slice(None)).item())
+                # the flows' regression, whatever this loop optimizes
+                losses.append(TrainingEngine._loss(
+                    self, pred, slice(None), target, out_scale).item())
         mean = float(np.mean(losses))
         _gauge("train.val_loss", "last validation loss", mean)
         return mean
@@ -522,8 +540,7 @@ class Trainer(TrainingEngine):
             indices, self.state_norm, self.residual_norm, self.forcing_norm)
         x_in, t_in, target, out_scale = self.flow.network_pair(
             residual, self.rng_t, self.rng_z)
-        return Batch((x_in, t_in, cond, forc),
-                     self._regression(target, out_scale))
+        return Batch((x_in, t_in, cond, forc), (target, out_scale))
 
     def fit(self, n_steps: int) -> list[float]:
         """Run ``n_steps``; returns the loss history."""

@@ -1,13 +1,18 @@
-"""Forked DP replicas: a SWiPe step runs replica groups 1… in forked
-children while this process runs group 0, and every observable of the
-serial step — losses, weights, Adam moments, metered bytes and ops in
-booking order, generator states — is equal bit for bit.  Each case forces
-the core count both ways by monkeypatching ``rows._CORES``, so it runs the
-same on a 1-core box."""
+"""Forked DP replicas: a SWiPe step runs replica groups 1… on worker
+processes, forked at the engine's first split step and kept, while this
+process runs group 0, and every observable of the serial step — losses,
+weights, Adam moments, metered bytes and ops in booking order, generator
+states — is equal bit for bit.  Each case forces the core count both ways
+by monkeypatching ``rows._CORES``, so it runs the same on a 1-core box.
+The workers are retired and reaped when the engine is finalised, at exit,
+when the split's groups change and when a group fails."""
 
+import gc
 import json
 import os
 import signal
+import subprocess
+import sys
 import threading
 import warnings
 
@@ -16,21 +21,27 @@ import pytest
 
 from repro import obs, rows
 from repro.data import ReanalysisConfig, SyntheticReanalysis
-from repro.kernels import abft_guard
+from repro.kernels import abft_guard, disable_kernels
 from repro.parallel import RankTopology, SwipeEngine
 from repro.resilience import FaultInjector, FaultPlan, state_digest
-from repro.tensor import count_flops
+from repro.tensor import autocast_bf16, count_flops
 from repro.train import Batch
 from tests.train.test_trainer import TINY16
 
 ROWS_PER_REPLICA = 4
+REPO = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+
+
+def small_archive():
+    return SyntheticReanalysis(ReanalysisConfig(
+        height=16, width=32, train_years=0.3, val_years=0.1, test_years=0.1,
+        seed=3, spinup_steps=40))
 
 
 @pytest.fixture(scope="module")
 def archive():
-    return SyntheticReanalysis(ReanalysisConfig(
-        height=16, width=32, train_years=0.3, val_years=0.1, test_years=0.1,
-        seed=3, spinup_steps=40))
+    return small_archive()
 
 
 @pytest.fixture
@@ -49,19 +60,22 @@ def forks(monkeypatch):
     return made
 
 
-def engine_for(archive, dp, injector=None):
+def engine_for(archive, dp, injector=None, cls=SwipeEngine):
     topo = RankTopology(dp=dp, pp=TINY16.pp_stages, wp_grid=(1, 1), sp=1)
-    return SwipeEngine(TINY16, archive, topo, lr=1e-3, seed=0,
-                       injector=injector)
+    return cls(TINY16, archive, topo, lr=1e-3, seed=0, injector=injector)
 
 
-def swipe_step(engine, archive, k, gas):
+def step_args(engine, archive, k):
+    """``train_step``'s arrays for the ``k``-th batch of the archive."""
     batch = engine.topology.dp * ROWS_PER_REPLICA
     idx = archive.split_indices("train")[k * batch:(k + 1) * batch]
     cond, residual, forc = archive.training_batch(
         idx, engine.state_norm, engine.residual_norm, engine.forcing_norm)
-    x_t, t, v = engine.make_training_pairs(residual)
-    return engine.train_step(x_t, t, v, cond, forc, gas=gas)
+    return (*engine.make_training_pairs(residual), cond, forc)
+
+
+def swipe_step(engine, archive, k, gas):
+    return engine.train_step(*step_args(engine, archive, k), gas=gas)
 
 
 def run(archive, dp, gas, cores, monkeypatch, steps=3):
@@ -119,14 +133,30 @@ class TestBitExact:
         serial, _ = run(archive, dp, gas, 1, monkeypatch)
         assert forks == []
         forked, _ = run(archive, dp, gas, 2, monkeypatch)
-        assert len(forks) == 3                   # one child per step
+        assert len(forks) == 1                   # one worker per engine
         assert_same_engines(serial, forked)
 
     def test_three_groups(self, archive, monkeypatch, forks):
         serial, _ = run(archive, 4, 1, 1, monkeypatch, steps=2)
         forked, _ = run(archive, 4, 1, 3, monkeypatch, steps=2)
-        assert len(forks) == 4                   # two children per step
+        assert len(forks) == 2                   # two workers per engine
         assert_same_engines(serial, forked)
+
+    @pytest.mark.parametrize("switch", [autocast_bf16, disable_kernels])
+    def test_a_worker_runs_under_the_callers_switches(self, archive, switch,
+                                                      monkeypatch, forks):
+        """The worker is forked outside ``switch``; the next step runs
+        inside it on both processes, as the serial step does."""
+        engines = []
+        for cores in (1, 2):
+            monkeypatch.setattr(rows, "_CORES", cores)
+            engine = engine_for(archive, 2)
+            swipe_step(engine, archive, 0, gas=1)
+            with switch():
+                swipe_step(engine, archive, 1, gas=1)
+            engines.append(engine)
+        assert len(forks) == 1
+        assert_same_engines(*engines)
 
     def test_forked_unobserved_equals_serial_observed(self, archive,
                                                       monkeypatch, forks):
@@ -189,29 +219,133 @@ class TestGolden:
                                "golden_dp_steps.json")) as fh:
             want = json.load(fh)[f"dp{dp}-gas{gas}"]
         assert golden_record(archive, dp, gas, injector) == want
-        assert len(forks) == (3 if path == "forked" else 0)
+        assert len(forks) == (1 if path == "forked" else 0)
 
 
-def replica_batch(engine, loss):
-    """A one-microbatch step of ``dp × 4`` random rows whose loss of rows
-    ``rows`` is ``loss(pred, rows)``."""
+def assert_reaped(pids):
+    """Each of ``pids`` is no child of this process (any more)."""
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
+#: Run in a fresh interpreter: two forked steps, then the worker's pid.
+TWO_STEPS = """
+from repro import rows
+from tests.parallel.test_forked_replicas import (engine_for, small_archive,
+                                                 swipe_step)
+rows._CORES = 2
+archive = small_archive()
+engine = engine_for(archive, 2)
+for k in range(2):
+    swipe_step(engine, archive, k, gas=1)
+print(engine.workers.pids[0])
+"""
+
+
+class TestKeptWorkers:
+    def test_the_worker_ends_with_the_interpreter(self):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [os.path.join(REPO, "src"), REPO])}
+        done = subprocess.run([sys.executable, "-c", TWO_STEPS], cwd=REPO,
+                              env=env, capture_output=True, text=True,
+                              check=True)
+        pid = int(done.stdout.split()[-1])
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+    def test_a_finalised_engine_reaps_its_worker(self, archive,
+                                                 monkeypatch, forks):
+        monkeypatch.setattr(rows, "_CORES", 2)
+        engine = engine_for(archive, 2)
+        swipe_step(engine, archive, 0, gas=1)
+        assert engine.workers.pids == forks
+        del engine
+        gc.collect()
+        assert_reaped(forks)
+
+    def test_cores_change_between_steps(self, archive, monkeypatch, forks):
+        """2 → 3 → 1 cores: one worker, then two, then none."""
+        serial, _ = run(archive, 4, 1, 1, monkeypatch)
+        engine = engine_for(archive, 4)
+        for k, cores in enumerate((2, 3, 1)):
+            monkeypatch.setattr(rows, "_CORES", cores)
+            swipe_step(engine, archive, k, gas=1)
+        assert len(forks) == 3 and engine.workers.pids == []
+        assert_reaped(forks)
+        assert_same_engines(serial, engine)
+
+    def test_a_restore_partway_stays_bit_exact(self, archive, monkeypatch,
+                                               forks):
+        """The worker is sent the restored weights with the next step."""
+        monkeypatch.setattr(rows, "_CORES", 2)
+        engine = engine_for(archive, 2)
+        for k in (5, 6):                        # another trajectory
+            swipe_step(engine, archive, k, gas=1)
+        monkeypatch.setattr(rows, "_CORES", 1)
+        serial = engine_for(archive, 2)
+        for k in range(2):
+            swipe_step(serial, archive, k, gas=1)
+        engine.restore(*serial.state_payload())
+        for k in (2, 3):
+            swipe_step(serial, archive, k, gas=1)
+        monkeypatch.setattr(rows, "_CORES", 2)
+        for k in (2, 3):
+            swipe_step(engine, archive, k, gas=1)
+        assert len(forks) == 1
+        assert_same_engines(serial, engine)
+
+    def test_a_killed_worker_is_a_typed_error_then_reforked(
+            self, archive, monkeypatch, forks):
+        serial, _ = run(archive, 2, 1, 1, monkeypatch)
+        monkeypatch.setattr(rows, "_CORES", 2)
+        engine = engine_for(archive, 2)
+        swipe_step(engine, archive, 0, gas=1)
+        pid = engine.workers.pids[0]
+        os.kill(pid, signal.SIGKILL)
+        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, unreaped
+        args = step_args(engine, archive, 1)
+        with pytest.raises(ChildProcessError, match="SIGKILL"):
+            engine.train_step(*args, gas=1)
+        assert engine.workers.pids == []
+        assert_reaped([pid])
+        engine.train_step(*args, gas=1)        # the same batch, re-forked
+        swipe_step(engine, archive, 2, gas=1)
+        assert len(forks) == 2
+        assert_same_engines(serial, engine)
+
+
+class InReplicaOne(SwipeEngine):
+    """A SWiPe engine whose loss runs ``effect()`` for replica 1's rows
+    (set before the first step: a worker runs the engine it was forked
+    with)."""
+
+    def effect(self):
+        pass
+
+    def _loss(self, pred, rows):
+        if rows.start >= ROWS_PER_REPLICA:
+            self.effect()
+        return (pred * pred).mean()
+
+
+def replica_step(archive, effect, engine=None):
+    """One one-microbatch step of ``dp × 4`` random rows on ``engine``, a
+    dp = 2 :class:`InReplicaOne` engine running ``effect`` (a new one by
+    default); the engine."""
+    if engine is None:
+        engine = engine_for(archive, 2, cls=InReplicaOne)
+        engine.effect = effect
     r = np.random.default_rng(0)
     n = engine.topology.dp * ROWS_PER_REPLICA
     shape = (n, TINY16.height, TINY16.width)
-    return Batch((r.normal(size=shape + (TINY16.channels,)).astype(np.float32),
-                  r.uniform(0.2, 1.3, size=n).astype(np.float32),
-                  r.normal(size=shape + (TINY16.channels,)).astype(np.float32),
-                  r.normal(size=shape + (TINY16.forcing_channels,)
-                           ).astype(np.float32)), loss)
-
-
-def in_replica_one(effect):
-    """A loss that runs ``effect()`` for replica 1's rows."""
-    def loss(pred, rows):
-        if rows.start >= ROWS_PER_REPLICA:
-            effect()
-        return (pred * pred).mean()
-    return loss
+    batch = Batch((r.normal(size=shape + (TINY16.channels,)).astype(np.float32),
+                   r.uniform(0.2, 1.3, size=n).astype(np.float32),
+                   r.normal(size=shape + (TINY16.channels,)).astype(np.float32),
+                   r.normal(size=shape + (TINY16.forcing_channels,)
+                            ).astype(np.float32)), ())
+    engine._run(lambda: batch)
+    return engine
 
 
 def assert_no_child_left():
@@ -224,41 +358,55 @@ class TestFailures:
     def test_a_replica_error_is_raised_here(self, archive, cores,
                                             monkeypatch):
         monkeypatch.setattr(rows, "_CORES", cores)
-        engine = engine_for(archive, 2)
 
         def fail():
             raise ValueError("replica 1 failed")
 
-        batch = replica_batch(engine, in_replica_one(fail))
         with pytest.raises(ValueError, match="replica 1 failed") as info:
-            engine._run(lambda: batch)
+            replica_step(archive, fail)
         if cores == 2 and hasattr(info.value, "add_note"):   # >= 3.11
-            assert "forked child" in "".join(info.value.__notes__)
+            assert "forked worker" in "".join(info.value.__notes__)
         assert_no_child_left()
 
     def test_a_killed_child_is_a_typed_error(self, archive, monkeypatch):
         monkeypatch.setattr(rows, "_CORES", 2)
-        engine = engine_for(archive, 2)
         parent = os.getpid()
 
         def die():
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
 
-        batch = replica_batch(engine, in_replica_one(die))
         with pytest.raises(ChildProcessError, match="SIGKILL"):
-            engine._run(lambda: batch)
+            replica_step(archive, die)
         assert_no_child_left()
 
     def test_a_child_warning_is_reissued_here(self, archive, monkeypatch,
-                                              forks):
+                                               forks):
         monkeypatch.setattr(rows, "_CORES", 2)
-        engine = engine_for(archive, 2)
-        batch = replica_batch(engine, in_replica_one(
-            lambda: warnings.warn("from replica 1", UserWarning)))
         with pytest.warns(UserWarning, match="from replica 1"):
-            engine._run(lambda: batch)
+            engine = replica_step(archive, lambda: warnings.warn(
+                "from replica 1", UserWarning))
+        assert len(forks) == 1 and engine.workers.pids == forks
+
+    def test_a_worker_runs_under_the_callers_warning_filters(
+            self, archive, monkeypatch, forks):
+        """Forked under the default filters, the worker raises its warning
+        once the caller's filters make it an error."""
+        monkeypatch.setattr(rows, "_CORES", 2)
+
+        def warn():
+            warnings.warn("from replica 1", UserWarning)
+
+        with pytest.warns(UserWarning, match="from replica 1"):
+            engine = replica_step(archive, warn)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)
+            with pytest.raises(UserWarning, match="from replica 1") as info:
+                replica_step(archive, warn, engine)
+        if hasattr(info.value, "add_note"):                   # >= 3.11
+            assert "forked worker" in "".join(info.value.__notes__)
         assert len(forks) == 1
+        assert_no_child_left()
 
 
 class TestStaysSerial:

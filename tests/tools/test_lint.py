@@ -780,6 +780,24 @@ class TestDeadNames:
         assert [f.split(": ")[1].split()[0]
                 for f in run_rule("dead-names")[0]] == ["lonely"]
 
+    def test_an_imported_name_reaches_its_modules_def_only(self, repo):
+        """``from repro.other import lonely`` keeps ``other.lonely`` alive,
+        not ``mod.lonely``; a re-export is followed to the def it names."""
+        pkg = repo / "src" / "repro"
+        (pkg / "other.py").write_text("def lonely():\n    return 2\n")
+        (repo / "examples").mkdir()
+        demo = repo / "examples" / "demo.py"
+        demo.write_text("from repro.other import lonely\n\nlonely()\n")
+        assert run_rule("dead-names")[0] == [
+            f"{self.MOD}:1: lonely has no caller outside tests (delete it, "
+            "or call it from production code)"]
+        (pkg / "__init__.py").write_text("from .mod import lonely\n")
+        demo.write_text("from repro import lonely\n\nlonely()\n")
+        assert run_rule("dead-names")[0] == [
+            f"{os.path.join('src', 'repro', 'other.py')}:1: lonely has no "
+            "caller outside tests (delete it, or call it from production "
+            "code)"]
+
     def test_probes_name_is_exempt(self, repo):
         assert "Engine.probed" not in "\n".join(run_rule("dead-names")[0])
         (repo / "bench_e2e" / "trace.py").write_text("PROBES: tuple = ()\n")

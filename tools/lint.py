@@ -111,7 +111,7 @@ class Source:
 
     @functools.cached_property
     def scoped(self) -> "Scoped":
-        return Scoped(self.tree)
+        return Scoped(self.tree, self.path)
 
 
 class Tree:
@@ -376,6 +376,9 @@ class Scope:
                  node: ast.ClassDef | None = None):
         #: A class body's class, or the class a method's body belongs to.
         self.kind, self.parent, self.node = kind, parent, node
+        #: The file of the module (set on the module's scope by
+        #: :class:`Scoped`; every scope in it shares it).
+        self.file: str | None = parent and parent.file
         self.binds: dict[str, list[tuple]] = {}
         self.outer: set[str] = set()  # ``global`` / ``nonlocal`` names
 
@@ -407,13 +410,14 @@ class Scoped:
     it is read in, every call, and every ``self.attr`` or class-body
     binding, ``(class, attr, kind, payload, scope)``."""
 
-    def __init__(self, module: ast.Module):
+    def __init__(self, module: ast.Module, path: str):
         self.sites: list[tuple[ast.AST, Scope]] = []
         self.calls: list[tuple[ast.Call, Scope]] = []
         self.stores: list[tuple] = []
         self.called: set[int] = set()  # ``id`` of each call's callee
         self.receivers: set[int] = set()  # ``id`` of each ``x`` of ``x.m``
         self.module = Scope("module", None)
+        self.module.file = path
         values: dict[int, tuple] = {}  # target -> (kind, payload)
         pending: list[tuple[list, Scope]] = [(module.body, self.module)]
         while pending:
@@ -607,6 +611,7 @@ class Resolver:
     else reaches every def of the name."""
 
     def __init__(self, tree: Tree):
+        self.tree = tree
         self.defs: dict[int, Def] = {}  # ``id`` of the node -> its def
         self.top: dict[str, list[Def]] = {}
         self.members: dict[str, list[Def]] = {}
@@ -639,6 +644,7 @@ class Resolver:
         self._mros: dict[str, list[str]] = {}
         self._found: dict[tuple[str, str], Def | None] = {}
         self._named: dict[tuple, list[tuple[Def, bool]]] = {}
+        self._imported: dict[tuple, list[Def]] = {}
         self._parsed: dict[int, ast.AST] = {}  # string annotation -> AST
 
     # -- classes ------------------------------------------------------------
@@ -708,20 +714,72 @@ class Resolver:
         return self._named[key]
 
     def _bare(self, name: str, owner: Scope | None) -> list[tuple[Def, bool]]:
-        binds = owner.binds[name] if owner else []
-        imported = {p[2] for kind, p, _ in binds
-                    if kind == "import" and not self.foreign(p)}
-        if owner is None or owner.kind == "module":
-            if binds and all(kind == "import" and self.foreign(p)
-                             for kind, p, _ in binds):
-                return []
-            imported.add(name)
-        out = [(d, False) for n in sorted(filter(None, imported))
-               for d in self.top.get(n, ())]
-        if owner is not None and owner.kind == "function":
-            out += [(self.defs[id(p)], False) for kind, p, _ in binds
-                    if kind == "def" and id(p) in self.defs]
-        return out
+        """The defs a bare name reaches: what each import that binds it in
+        ``owner`` imports, and a def a function binds; every top-level def
+        of the name where a module binds it otherwise, or nothing binds it
+        (a builtin, a star import)."""
+        if owner is None:
+            return [(d, False) for d in self.top.get(name, ())]
+        out: dict[int, Def] = {}
+        for kind, p, _ in owner.binds[name]:
+            if kind == "import":
+                out.update((id(d), d) for d in self._imports(p, owner))
+            elif owner.kind == "module":
+                out.update((id(d), d) for d in self.top.get(name, ()))
+            elif (kind == "def" and owner.kind == "function"
+                  and id(p) in self.defs):
+                out[id(p)] = self.defs[id(p)]
+        return [(d, False) for d in out.values()]
+
+    def _imports(self, payload: tuple, scope: Scope) -> list[Def]:
+        """The defs under the roots ``from module import name`` binds in
+        ``scope``'s file: the module's own top-level def of ``name``, or
+        what the module imports as ``name``, followed.  Every top-level
+        def of the name where the module is no file of the repo or binds
+        no ``name`` (a lazy ``__getattr__`` export); none for a module
+        from outside the repo or an ``import module``."""
+        level, module, name = payload
+        if self.foreign(payload) or name is None:
+            return []
+        key = (level, module, name, scope.file)
+        if key not in self._imported:
+            self._imported[key] = []  # a cycle reaches nothing more
+            path = self._module_file(level, module, scope.file)
+            binds = path and self.tree.read(path).scoped.module.binds.get(name)
+            if not binds:
+                found = list(self.top.get(name, ()))
+            else:
+                found = [d for kind, p, where in binds for d in (
+                    self._imports(p, where) if kind == "import"
+                    else [self.defs[id(p)]] if kind == "def"
+                    and id(p) in self.defs else [])]
+            self._imported[key] = found
+        return self._imported[key]
+
+    @staticmethod
+    def _module_file(level: int, module: str, importer: str | None
+                     ) -> str | None:
+        """The file of ``module`` (``level`` dots before it) imported from
+        ``importer``, if it is one in the repo; ``repro`` and ``tests``
+        are the absolute roots."""
+        parts = module.split(".") if module else []
+        if level:
+            if importer is None:
+                return None
+            base = os.path.dirname(importer)
+            for _ in range(level - 1):
+                base = os.path.dirname(base)
+        elif parts[:1] == ["repro"]:
+            base = os.path.join(REPO_ROOT, "src")
+        elif parts[:1] == ["tests"]:
+            base = REPO_ROOT
+        else:
+            return None
+        stem = os.path.join(base, *parts)
+        for path in (f"{stem}.py", os.path.join(stem, "__init__.py")):
+            if os.path.isfile(path):
+                return path
+        return None
 
     def callee(self, call: ast.Call, scope: Scope) -> list[tuple[Def, int]]:
         """``(def, leading positionals it skips)`` each def a call may run:
