@@ -61,6 +61,8 @@ K-reduction keeps its order:
 
 from __future__ import annotations
 
+from contextvars import ContextVar
+
 import numpy as np
 
 from ..tensor import Tensor, is_grad_enabled
@@ -85,6 +87,13 @@ _TRANSPOSED_MAX_BELOW = 64
 #: 256 KB of float32, L2-resident, so pooled scratch does not grow with
 #: the batch.
 _BLOCK = 1 << 16
+
+
+#: The row split a training step runs in: ``None`` (serial), or its
+#: :class:`repro.rows.KeptWorkers` — a worker, which holds the batch's
+#: first rows and sends, or its caller, which holds the last and receives
+#: (:func:`_over_rows`).  Set by the training engine around a split step.
+_ROW_SPLIT = ContextVar("row_split", default=None)
 
 
 def _scratch(elems: int, dtype) -> np.ndarray:
@@ -122,7 +131,7 @@ def _gemm(a: np.ndarray, b: np.ndarray, label: str | None = None,
     if bf16_matmul_enabled():
         a, right = round_bf16(a), round_bf16(right)
         b = np.swapaxes(right, -1, -2) if transpose_b else right
-    out = np.matmul(a, right, out=out)
+    out = _matmul(a, right, out)
     if label is not None:
         guard_gemm(a, right, out, label)
     if flops_enabled():
@@ -142,18 +151,67 @@ def _gemm_backward(g: np.ndarray, a: np.ndarray, b: np.ndarray,
     gq = round_bf16(g) if bf16_matmul_enabled() else g
     if flops_enabled():
         add_flops((4 if a.ndim > 1 else 2) * g.size * a.shape[-1])
-    ga = gq @ b.T if need_a else None
+    ga = _matmul(gq, b.T, None) if need_a else None
     if not need_b:
         return ga, None
     if a.ndim <= 2:
-        return ga, np.outer(a, gq) if a.ndim == 1 else a.T @ gq
+        return ga, np.outer(a, gq) if a.ndim == 1 else _over_rows(a, gq, None)
     ws = arena()
     batched = ws.get(a.shape[:-2] + b.shape, np.result_type(a, gq))
     try:
         np.matmul(np.swapaxes(a, -1, -2), gq, out=batched)
-        return ga, _unbroadcast(batched, b.shape)
+        return ga, _over_rows(batched, None, b.shape)
     finally:
         ws.release(batched)
+
+
+def _matmul(a: np.ndarray, b: np.ndarray,
+            out: np.ndarray | None) -> np.ndarray:
+    """``np.matmul(a, b, out=out)``.  In a row split a one-row 2-D ``a``
+    (the time embedding's and the adaLN projections' operands, which no
+    caller hands an ``out``) is multiplied as two copies of the row: NumPy
+    hands a one-row product to gemv, whose sums can differ in the last bit
+    from that row of the gemm a serial step of two or more rows runs
+    (measured on a (1, 96) @ (96, 32) product); gemm's rows do not depend
+    on how many there are."""
+    if (out is None and a.ndim == 2 and len(a) == 1
+            and _ROW_SPLIT.get() is not None):
+        return np.matmul(np.concatenate([a, a]), b)[:1]
+    return np.matmul(a, b, out=out)
+
+
+def _over_rows(a: np.ndarray, g: np.ndarray | None,
+               shape: tuple | None) -> np.ndarray | None:
+    """A parameter's gradient, reduced over the step's batch rows: ``a.T
+    @ g`` for a 2-D weight (its K is the rows), or ``a`` summed over its
+    leading axes down to ``shape``.  Serial, exactly that expression.
+
+    In a row split (:data:`_ROW_SPLIT`) the reduction keeps the serial
+    order across the two processes, the worker's part first.  The worker
+    sends its part — for the GEMM its rows of ``a`` and ``g``, which the
+    caller concatenates before its own and multiplies once; for the sum
+    its own sum, the serial chain's prefix (NumPy adds leading-axis items
+    one after another), which the caller's sum continues with its own
+    items in order — and keeps no gradient (``None``).  Both sweep the
+    same graph, so the caller's ``k``-th reduction reads the worker's
+    ``k``-th message."""
+    split = _ROW_SPLIT.get()
+    if split is None:
+        return _unbroadcast(a, shape) if g is None else a.T @ g
+    if g is not None:
+        if split.in_worker:
+            split.put((a, g))
+            return None
+        a_first, g_first = split.take()
+        return np.concatenate([a_first, a]).T @ np.concatenate([g_first, g])
+    if a.shape[a.ndim - len(shape):] != shape:
+        raise ValueError(f"a row split sums leading axes only, not "
+                         f"{a.shape} to {shape}")
+    if split.in_worker:
+        split.put(_unbroadcast(a, shape))
+        return None
+    items = a.reshape((-1,) + shape)
+    return np.concatenate([split.take()[None], items]).sum(axis=0)
 
 
 def rotate_pairs(x: np.ndarray, cos: np.ndarray, sin: np.ndarray,
@@ -421,7 +479,7 @@ def fused_linear(x, weight, bias=None):
         return out
 
     def backward(g):
-        g_bias = _unbroadcast(g, bias.shape) \
+        g_bias = _over_rows(g, None, bias.shape) \
             if bias is not None and bias.requires_grad else None
         return _gemm_backward(g, a, b, x.requires_grad,
                               weight.requires_grad) + (g_bias,)
@@ -564,7 +622,7 @@ def fused_norm_modulate(x, weight, eps: float, alpha=None, beta=None):
                                        ).reshape(aa.shape)
             g = g * scale
         if weight.requires_grad:
-            g_weight = _unbroadcast(g * normed, wa.shape)
+            g_weight = _over_rows(g * normed, None, wa.shape)
         if not x.requires_grad:
             return (None, None, None, g_weight, g_alpha, g_beta)
         g = g * wa

@@ -1,6 +1,7 @@
 """Row-parallel execution: contiguous runs of independent batch rows at
 once, one per usable core — on threads for tape-free inference, on kept
-worker processes for a training step's data-parallel replicas.
+worker processes for a training step's data-parallel replicas or, in a
+one-replica step, its batch rows.
 
 :func:`run_row_shards` is called at the outermost call whose rows are
 independent, so a split is made once and each shard does as much as it
@@ -19,10 +20,12 @@ GEMMs that hold the time.
 forward/backward holds the GIL between its small GEMMs (two taped steps on
 two threads run ×1.03), so the DP replicas of a SWiPe step run in
 processes instead — the caller one group of replicas, one worker each
-other group.  A worker is forked once, at its owner's first split, and
-kept: each step sends it the weights and the batch down a pipe and reads
-its result back from another, so no step pays a fork's copy-on-write
-faults (DESIGN §10).
+other group.  A one-replica step splits its rows in two the same way, the
+worker streaming what the caller's reductions over rows need
+(:meth:`KeptWorkers.put`, :meth:`KeptWorkers.take`).  A worker is forked
+once, at its owner's first split, and kept: each step sends it the
+weights and the batch down a pipe and reads its result back from another,
+so no step pays a fork's copy-on-write faults (DESIGN §10).
 """
 
 from __future__ import annotations
@@ -191,38 +194,61 @@ def _send(fd: int, data: bytes) -> None:
         view = view[os.write(fd, view):]
 
 
-def _read(fd: int, size: int) -> bytearray | None:
-    """``size`` bytes from ``fd``; ``None`` at end of file before them."""
-    data = bytearray(size)
-    view, got = memoryview(data), 0
-    while got < size:
-        n = os.readv(fd, [view[got:]])
-        if not n:
+def _post(fd: int, message) -> None:
+    """``message`` pickled down ``fd``."""
+    _send(fd, pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
+
+
+class _Reader:
+    """The reading end of a pipe of :func:`_send` messages, with one
+    receive buffer kept for all of them and grown on demand."""
+
+    def __init__(self, fd: int):
+        self.fd = fd
+        self._buffer = bytearray(_LENGTH.size)
+
+    def receive(self):
+        """The next message, unpickled from a view of the buffer (its
+        arrays are copies: nothing aliases the buffer); ``None`` if the
+        writer went first."""
+        if not self._fill(_LENGTH.size):
             return None
-        got += n
-    return data
+        size = _LENGTH.unpack_from(self._buffer)[0]
+        if size > len(self._buffer):
+            self._buffer = bytearray(size)
+        if not self._fill(size):
+            return None
+        return pickle.loads(memoryview(self._buffer)[:size])
+
+    def _fill(self, size: int) -> bool:
+        """The buffer's first ``size`` bytes from the pipe; ``False`` at
+        end of file before them."""
+        view, got = memoryview(self._buffer), 0
+        while got < size:
+            n = os.readv(self.fd, [view[got:size]])
+            if not n:
+                return False
+            got += n
+        return True
 
 
-def _receive(fd: int) -> bytearray | None:
-    """One :func:`_send` message from ``fd``; ``None`` if the writer went
-    first."""
-    head = _read(fd, _LENGTH.size)
-    return head and _read(fd, _LENGTH.unpack(head)[0])
-
-
-def _serve(requests: int, replies: int, run: Callable, lo: int,
-           hi: int) -> None:
+def _serve(kept: "KeptWorkers", requests: int, replies: int, run: Callable,
+           lo: int, hi: int) -> None:
     """A kept worker's whole life: per request read from ``requests`` —
-    ``(request, switches, warning filters)``, pickled — ``run(lo, hi,
-    request)`` under those switches and filters, then ``(("ok", result) |
-    ("raise", exc, traceback), warnings)`` pickled down ``replies``.  At
-    the end of ``requests`` (its owner retired it) ``os._exit(0)``: no
-    atexit handler, no inherited buffer flushed, no tape freed; status 1
-    if a reply could not be sent."""
+    ``(request, switches, warning filters)`` — ``run(lo, hi, request)``
+    under those switches and filters, then one reply down ``replies``,
+    ``("ok", result, warnings)`` or ``("raise", (exc, traceback),
+    warnings)``, after the ``("part", item, [])`` messages
+    :meth:`KeptWorkers.put` sent during the run.  At the end of
+    ``requests`` (its owner retired it) ``os._exit(0)``: no atexit
+    handler, no inherited buffer flushed, no tape freed; status 1 if a
+    reply could not be sent."""
     status = 1
     try:
-        while (message := _receive(requests)) is not None:
-            request, switches, filters = pickle.loads(message)
+        kept._stream = replies
+        reader = _Reader(requests)
+        while (message := reader.receive()) is not None:
+            request, switches, filters = message
             with ExitStack() as stack:
                 for var, value in zip(_SWITCHES, switches):
                     stack.enter_context(scoped(var, value))
@@ -230,12 +256,11 @@ def _serve(requests: int, replies: int, run: Callable, lo: int,
                     warnings.catch_warnings(record=True))
                 warnings.filters[:] = filters
                 try:
-                    outcome = ("ok", run(lo, hi, request))
+                    reply = ("ok", run(lo, hi, request))
                 except BaseException as exc:  # noqa: BLE001 — sent home
-                    outcome = ("raise", exc, traceback.format_exc())
-            _send(replies, pickle.dumps(
-                (outcome, [(w.message, w.category, w.filename, w.lineno)
-                           for w in caught]), pickle.HIGHEST_PROTOCOL))
+                    reply = ("raise", (exc, traceback.format_exc()))
+            _post(replies, (*reply, [(w.message, w.category, w.filename,
+                                      w.lineno) for w in caught]))
         status = 0
     finally:
         os._exit(status)
@@ -244,20 +269,33 @@ def _serve(requests: int, replies: int, run: Callable, lo: int,
 class KeptWorkers:
     """The processes that run a split's groups past the first, forked at
     its first split (:func:`_fork_bounds`) and kept: each :meth:`run`
-    sends every worker one request and runs the first group here.
+    sends every worker one request and runs the first group here.  During
+    a run a worker may also stream items to the caller (:meth:`put`,
+    :meth:`take`), which a row split of one training step uses.
 
     Its owner retires them with :meth:`close` — when it is finalised,
     which ``weakref.finalize`` also does at interpreter exit — and
     :meth:`run` retires them itself when the split's groups change or a
-    group fails.  A process forked later (a worker of another owner)
-    closes its copies of these pipes (:func:`_forget_pool`), so a worker
-    sees the end of its requests when its owner closes them."""
+    group fails; another owner's first split retires them too, so a
+    process keeps one owner's workers at a time.  A process forked later
+    (a worker of another owner) closes its copies of these pipes
+    (:func:`_forget_pool`), so a worker sees the end of its requests when
+    its owner closes them."""
 
     def __init__(self):
         self._bounds: list[int] = []
         self.pids: list[int] = []
         self._requests: list[int] = []   # this end of each worker's pipes
-        self._replies: list[int] = []
+        self._replies: list[_Reader] = []
+        #: In a worker: its reply pipe, which :meth:`put` writes.
+        self._stream: int | None = None
+
+    @property
+    def in_worker(self) -> bool:
+        """Whether this is a worker's copy, running a group past the
+        first (it :meth:`put` s), rather than its caller (which
+        :meth:`take` s)."""
+        return self._stream is not None
 
     def run(self, n: int, run: Callable[[int, int, object], object],
             request) -> list:
@@ -293,27 +331,60 @@ class KeptWorkers:
                 except BrokenPipeError:
                     raise self._died(i) from None
             results = [run(bounds[0], bounds[1], request)]
-            replies = [_receive(fd) for fd in self._replies]
-            outcomes = [pickle.loads(data) if data is not None
-                        else (("raise", self._died(i), None), [])
-                        for i, data in enumerate(replies)]
+            replies = [self._reply(i) for i in range(len(self._replies))]
         except BaseException:
             self.close()
             raise
-        for _, issued in outcomes:
-            for text, category, filename, lineno in issued:
-                warnings.warn_explicit(text, category, filename, lineno)
-        for outcome, _ in outcomes:
-            if outcome[0] == "raise":
+        for _, _, issued in replies:
+            _reissue(issued)
+        for i, (kind, value, _) in enumerate(replies):
+            if kind != "ok":
+                error = self._error(i, kind, value)
                 self.close()
-                exc, where = outcome[1], outcome[2]
-                if where is not None and hasattr(exc, "add_note"):
-                    exc.add_note(f"raised in a forked worker:\n{where}")
-                raise exc
-            results.append(outcome[1])
+                raise error
+            results.append(value)
         return results
 
+    def put(self, item) -> None:
+        """In a worker, during :meth:`run`: send ``item`` to the caller,
+        whose next :meth:`take` returns it."""
+        _post(self._stream, ("part", item, []))
+
+    def take(self):
+        """In the caller, during :meth:`run`: the next item the first
+        worker :meth:`put` this run.  A worker that raised or died instead
+        raises its exception here (a ``ChildProcessError`` for a death)."""
+        kind, value, issued = self._reply(0)
+        if kind == "part":
+            return value
+        _reissue(issued)
+        raise self._error(0, kind, value)
+
+    def _reply(self, i: int) -> tuple:
+        """Worker ``i``'s next message; for a worker that hung up, its
+        ``ChildProcessError`` as a ``"raise"`` reply."""
+        message = self._replies[i].receive()
+        if message is None:
+            return ("raise", (self._died(i), None), [])
+        return message
+
+    def _error(self, i: int, kind: str, value) -> BaseException:
+        """The exception a reply other than the one expected stands for:
+        a worker's own, with its traceback noted, or a ``RuntimeError``
+        where worker ``i`` is out of step with its caller."""
+        if kind != "raise":
+            return RuntimeError(
+                f"forked worker {self.pids[i]} sent a {kind!r} reply out "
+                "of step with its caller")
+        exc, where = value
+        if where is not None and hasattr(exc, "add_note"):
+            exc.add_note(f"raised in a forked worker:\n{where}")
+        return exc
+
     def _fork(self, bounds: list[int], run: Callable) -> None:
+        for other in list(_KEPT):       # one owner's workers at a time
+            if other is not self:
+                other.close()
         self._bounds = bounds
         _KEPT.add(self)
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
@@ -337,12 +408,12 @@ class KeptWorkers:
             if pid == 0:
                 os.close(fds[1])
                 os.close(fds[2])
-                _serve(fds[0], fds[3], run, lo, hi)
+                _serve(self, fds[0], fds[3], run, lo, hi)
             os.close(fds[0])
             os.close(fds[3])
             self.pids.append(pid)
             self._requests.append(fds[1])
-            self._replies.append(fds[2])
+            self._replies.append(_Reader(fds[2]))
 
     def _died(self, i: int) -> ChildProcessError:
         """Worker ``i``, which hung up: reaped, and how it ended."""
@@ -366,7 +437,13 @@ class KeptWorkers:
     def _drop(self) -> None:
         """Close this end of the workers' pipes and forget them, unreaped
         (all a forked child does with its copy)."""
-        for fd in self._requests + self._replies:
+        for fd in self._requests + [reader.fd for reader in self._replies]:
             os.close(fd)
         self._bounds, self.pids, self._requests, self._replies = [], [], [], []
         _KEPT.discard(self)
+
+
+def _reissue(issued: list) -> None:
+    """Warnings a worker recorded, issued here in its order."""
+    for text, category, filename, lineno in issued:
+        warnings.warn_explicit(text, category, filename, lineno)

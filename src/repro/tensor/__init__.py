@@ -8,12 +8,11 @@ from .tensor import (
     concat,
     is_grad_enabled,
     no_grad,
-    split,
     stack,
 )
 
 __all__ = [
-    "Tensor", "concat", "stack", "split",
+    "Tensor", "concat", "stack",
     "no_grad", "is_grad_enabled",
     "FlopCounter", "count_flops", "add_flops", "flops_enabled",
     "round_bf16", "autocast_bf16", "bf16_matmul_enabled",

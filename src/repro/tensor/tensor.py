@@ -493,12 +493,3 @@ def stack(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
                      for i, t in enumerate(tensors))
     return Tensor._make(data, tensors, backward)
 
-
-def split(t: Tensor, sections: int) -> list[Tensor]:
-    """Split into ``sections`` equal chunks along the first axis."""
-    size = t.shape[0]
-    if size % sections:
-        raise ValueError(f"axis of size {size} not divisible into {sections}")
-    step = size // sections
-    return [t[i * step:(i + 1) * step] for i in range(sections)]
-

@@ -47,6 +47,11 @@ class MultistepConfig:
 class MultistepFinetuner(TrainingEngine):
     """Finetunes a trained AERIS with K-step rollout losses."""
 
+    #: The unroll runs the model again inside the loss, on the loss's rows:
+    #: a row split would run those forwards on the whole batch in each
+    #: process, so the step stays in one.
+    rowwise_loss = False
+
     def __init__(self, model: Aeris, archive: SyntheticReanalysis,
                  config: MultistepConfig = MultistepConfig()):
         super().__init__(model, ONE_RANK, schedule=ConstantLR(config.lr),

@@ -33,6 +33,8 @@ from ..diffusion.loss import weighted_velocity_loss
 from ..diffusion.sampler import ResidualForecaster
 from ..diffusion.solver import SolverConfig
 from ..diffusion.trigflow import TrigFlow
+from ..kernels import kernels_enabled
+from ..kernels.fused import _ROW_SPLIT
 from ..model import Aeris
 from ..nn import EMA, WarmupConstantDecay
 from ..nn.optim import WEIGHT_DECAY
@@ -48,7 +50,8 @@ from ..parallel.pipeline import AerisPipeline
 from ..parallel.topology import RankTopology
 from ..parallel.zero import ZeroOptimizer
 from ..rows import KeptWorkers
-from ..tensor import Tensor, no_grad
+from ..scoped import scoped
+from ..tensor import Tensor, concat, no_grad
 from .checkpoint import (CheckpointError, checkpoint_lineage,
                          read_sharded_checkpoint, write_sharded_checkpoint)
 from .guard import NonFiniteLoss, StepGuard
@@ -161,6 +164,10 @@ class TrainingEngine:
     def forcing_norm(self):
         return self.archive.forcing_normalizer()
 
+    #: Whether ``_loss`` is a mean of each row's own terms, so that a step
+    #: may split its rows across two processes (:meth:`_halves`).
+    rowwise_loss = True
+
     def _loss(self, pred: Tensor, rows: slice, target: np.ndarray,
               out_scale) -> Tensor:
         """The loss of the network output ``pred`` for global batch rows
@@ -218,14 +225,20 @@ class TrainingEngine:
         (:class:`~repro.rows.KeptWorkers`): this process runs the first,
         a kept worker each other, sent the weights and the batch, and a
         worker's meter bookings are added here after the join in rank
-        order, as a serial run books them.  Under a fault injector the
-        replicas run here one after the other (faults address transfers
-        by their order in the step)."""
+        order, as a serial run books them.  One replica of one microbatch
+        at one rank splits its rows instead (:meth:`_halves`).  Under a
+        fault injector the replicas run here one after the other (faults
+        address transfers by their order in the step)."""
         dp = self.topology.dp
         request = ([p.data for p in self.model.parameters()], batch, gas)
-        groups = ([self._replicas(0, dp, request)]
-                  if self.cluster.injector is not None
-                  else self.workers.run(dp, self._replicas, request))
+        if self.cluster.injector is not None:
+            groups = [self._replicas(0, dp, request)]
+        elif (self.rowwise_loss and self.topology.world_size == 1
+              and gas == 1 and len(batch.inputs[0]) >= 2
+              and kernels_enabled()):
+            groups = self.workers.run(2, self._halves, request)
+        else:
+            groups = self.workers.run(dp, self._replicas, request)
         stats = self.cluster.stats
         for _, _, booked in groups[1:]:
             for key, nbytes, ops in booked:
@@ -242,10 +255,7 @@ class TrainingEngine:
         the meter bookings they made, ``(key, bytes, ops)`` in
         first-booked order."""
         weights, batch, gas = request
-        params = self.model.parameters()
-        for p, w in zip(params, weights, strict=True):
-            if p.data is not w:
-                p.data[...] = w
+        params = self._load(weights)
         per = self.rows_per_replica(len(batch.inputs[0]))
         stats = self.cluster.stats
         ops, nbytes = dict(stats.ops), dict(stats.bytes)
@@ -258,6 +268,59 @@ class TrainingEngine:
                    n - ops.get(key, 0))
                   for key, n in stats.ops.items() if n != ops.get(key, 0)]
         return losses, grads, booked
+
+    def _load(self, weights: list[np.ndarray]) -> list:
+        """The model's parameters, ``weights`` copied in where they are
+        not its own arrays (in a worker)."""
+        params = self.model.parameters()
+        for p, w in zip(params, weights, strict=True):
+            if p.data is not w:
+                p.data[...] = w
+        return params
+
+    def _halves(self, lo: int, hi: int, request: tuple) -> tuple:
+        """Half ``lo`` of a row split of the one-replica, one-microbatch
+        step ``request``, as :meth:`_replicas` returns it (both halves,
+        ``[0, 2]``, is the whole step, here).  The kept worker (half 1)
+        runs the first ``n // 2`` rows, this process (half 0) the rest;
+        each reduction over rows of a parameter's gradient keeps the
+        serial order across them (:func:`repro.kernels.fused._over_rows`),
+        so the gradients this process is left with are the serial step's.
+
+        The loss is ``_loss`` over the whole batch, on the network output
+        with the other half's rows beside this half's: the worker sends
+        its rows first, so this process computes the serial loss value,
+        and the worker puts zeros where this process's rows go, whose
+        terms it never reads.  A mean seeds every row's gradient with the whole
+        batch's ``1 / count`` — ``mean()`` is ``sum() * (1.0 / count)`` —
+        so each half's rows get the serial step's seed: a loop whose loss
+        is not each row's own terms clears ``rowwise_loss``."""
+        if hi - lo == 2:
+            return self._replicas(0, 1, request)
+        weights, batch, gas = request
+        params = self._load(weights)
+        n = len(batch.inputs[0])
+        worker = self.workers.in_worker
+        mine = slice(0, n // 2) if worker else slice(n // 2, n)
+
+        def loss_fn(pred: Tensor, _micro: slice) -> Tensor:
+            if worker:
+                self.workers.put(pred.data)
+                parts = [pred, Tensor(np.zeros((n - n // 2,) + pred.shape[1:],
+                                               pred.dtype))]
+            else:
+                parts = [Tensor(self.workers.take()), pred]
+            return self._loss(concat(parts), slice(0, n),
+                              *batch.extra) * (1.0 / gas)
+
+        self.model.zero_grad()
+        with _span("train.forward_backward", category="train", dp_rank=0), \
+                scoped(_ROW_SPLIT, self.workers):
+            loss = self.pipelines[0].forward_backward(
+                *(a[mine] for a in batch.inputs), loss_fn, n_micro=1)
+        if worker:
+            return [], [], []
+        return [loss], [[p.grad for p in params]], []
 
     def _replica_forward_backward(self, batch: Batch, gas: int, d: int,
                                   per: int) -> float:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, concat, no_grad, split, stack
+from repro.tensor import Tensor, concat, no_grad, stack
 from tests.gradcheck import check_gradients
 
 rng = np.random.default_rng(0)
@@ -132,12 +132,6 @@ class TestShapes:
     def test_stack(self):
         check_gradients(lambda ts: (stack(ts, axis=0) ** 2).sum(),
                         [rng.normal(size=(2, 3)), rng.normal(size=(2, 3))])
-
-    def test_split_roundtrip(self):
-        def fn(ts):
-            parts = split(ts[0], 3)
-            return sum((p ** 2).sum() * (i + 1) for i, p in enumerate(parts))
-        check_gradients(fn, [rng.normal(size=(6, 2))])
 
 
 class TestSoftmax:

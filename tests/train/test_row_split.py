@@ -1,0 +1,294 @@
+"""A one-replica, one-microbatch training step splits its batch rows over
+two processes: a kept worker runs the first rows, this process the last,
+and every reduction over rows of a parameter's gradient keeps the serial
+order across them.  Every observable of the serial step — loss history,
+weights, Adam moments, EMA shadow, generator states — is equal bit for
+bit.  Each case forces the core count both ways by monkeypatching
+``rows._CORES``, so it runs the same on a 1-core box."""
+
+import os
+import signal
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+from repro import obs, rows
+from repro.baselines import DeterministicTrainer
+from repro.diffusion import ConsistencyConfig, ConsistencyDistiller
+from repro.kernels import abft_guard, disable_kernels
+from repro.model import Aeris
+from repro.resilience import FaultInjector, FaultPlan
+from repro.tensor import autocast_bf16, count_flops
+from repro.train import (MultistepConfig, MultistepFinetuner, Trainer,
+                         TrainerConfig)
+from tests.diffusion.test_consistency import make_inputs
+from tests.parallel.test_forked_replicas import (  # noqa: F401
+    assert_reaped, forks)
+from tests.train.test_trainer import TINY16
+
+REPO = os.path.dirname(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))))
+STEPS = 5
+
+
+def trainer_for(archive, batch, cls=Trainer, injector=None):
+    config = TrainerConfig(batch_size=batch, peak_lr=3e-3, warmup_images=40,
+                           total_images=40_000, decay_images=400, seed=0)
+    extra = {} if injector is None else {"injector": injector}
+    return cls(Aeris(TINY16, seed=0), archive, config, **extra)
+
+
+def fitted(archive, batch, cores, monkeypatch, cls=Trainer, steps=STEPS):
+    monkeypatch.setattr(rows, "_CORES", cores)
+    trainer = trainer_for(archive, batch, cls)
+    trainer.fit(steps)
+    return trainer
+
+
+def assert_same_trainers(a, b):
+    assert a.history == b.history
+    for (name, pa), pb in zip(a.model.named_parameters(),
+                              b.model.parameters(), strict=True):
+        np.testing.assert_array_equal(pa.data, pb.data, err_msg=name)
+    for ma, mb in zip(a.optimizer.exp_avg + a.optimizer.exp_avg_sq,
+                      b.optimizer.exp_avg + b.optimizer.exp_avg_sq,
+                      strict=True):
+        np.testing.assert_array_equal(ma, mb)
+    assert a.optimizer.step_count == b.optimizer.step_count
+    assert a.ema.shadow.keys() == b.ema.shadow.keys()
+    for name, shadow in a.ema.shadow.items():
+        np.testing.assert_array_equal(shadow, b.ema.shadow[name],
+                                      err_msg=name)
+    assert a.images_seen == b.images_seen
+    assert a.state_payload()[1]["rng"] == b.state_payload()[1]["rng"]
+
+
+class TestBitExact:
+    @pytest.mark.parametrize("batch", [2, 3, 4, 8])
+    def test_split_equals_serial(self, tiny_archive, batch, monkeypatch,
+                                 forks):
+        """Batch 3 is one row on the worker and two here."""
+        serial = fitted(tiny_archive, batch, 1, monkeypatch)
+        assert forks == []
+        split = fitted(tiny_archive, batch, 2, monkeypatch)
+        assert len(forks) == 1 and split.workers.pids == forks
+        assert_same_trainers(serial, split)
+
+    def test_bf16_autocast(self, tiny_archive, monkeypatch, forks):
+        with autocast_bf16():
+            serial = fitted(tiny_archive, 4, 1, monkeypatch)
+            split = fitted(tiny_archive, 4, 2, monkeypatch)
+        assert len(forks) == 1
+        assert_same_trainers(serial, split)
+
+    def test_deterministic_baseline(self, tiny_archive, monkeypatch, forks):
+        serial = fitted(tiny_archive, 4, 1, monkeypatch,
+                        cls=DeterministicTrainer)
+        split = fitted(tiny_archive, 4, 2, monkeypatch,
+                       cls=DeterministicTrainer)
+        assert len(forks) == 1
+        assert_same_trainers(serial, split)
+
+    def test_consistency_distiller(self, monkeypatch, forks):
+        """The student's jump against the target is each row's own terms:
+        the distiller splits too."""
+        x0, cond, forc = make_inputs(batch=4)
+        distillers = []
+        for cores in (1, 2):
+            monkeypatch.setattr(rows, "_CORES", cores)
+            distiller = ConsistencyDistiller(Aeris(TINY16, seed=0),
+                                             Aeris(TINY16, seed=0),
+                                             ConsistencyConfig(seed=0))
+            for _ in range(STEPS):
+                distiller.train_step(x0, cond, forc)
+            distillers.append(distiller)
+        assert len(forks) == 1
+        assert_same_trainers(*distillers)
+
+    def test_kernels_off_stays_serial(self, tiny_archive, monkeypatch,
+                                      forks):
+        """The Tensor chains sum their parameters' gradients in the
+        autograd core, which no split folds: the step runs here."""
+        with disable_kernels():
+            serial = fitted(tiny_archive, 4, 1, monkeypatch)
+            other = fitted(tiny_archive, 4, 2, monkeypatch)
+        assert forks == []
+        assert_same_trainers(serial, other)
+
+    def test_a_restore_partway(self, tiny_archive, monkeypatch, forks):
+        """The worker is sent the restored weights with the next step."""
+        split = fitted(tiny_archive, 4, 2, monkeypatch, steps=2)
+        monkeypatch.setattr(rows, "_CORES", 1)
+        serial = trainer_for(tiny_archive, 4)
+        serial.fit(3)
+        split.restore(*serial.state_payload())
+        serial.fit(3)
+        monkeypatch.setattr(rows, "_CORES", 2)
+        split.fit(3)
+        assert len(forks) == 1
+        assert_same_trainers(serial, split)
+
+    def test_cores_two_one_two(self, tiny_archive, monkeypatch, forks):
+        serial = fitted(tiny_archive, 4, 1, monkeypatch, steps=6)
+        trainer = trainer_for(tiny_archive, 4)
+        for cores in (2, 1, 2):
+            monkeypatch.setattr(rows, "_CORES", cores)
+            trainer.fit(2)
+        assert len(forks) == 2 and trainer.workers.pids == forks[1:]
+        assert_reaped(forks[:1])
+        assert_same_trainers(serial, trainer)
+
+
+class DiesOnce(Trainer):
+    """A trainer whose kept worker kills itself inside its first step
+    after ``marker`` appears (set before the first step: a worker runs the
+    trainer it was forked from)."""
+
+    marker = ""
+
+    def _loss(self, pred, rows, *extra):
+        if self.workers.in_worker and os.path.exists(self.marker):
+            os.remove(self.marker)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return super()._loss(pred, rows, *extra)
+
+
+class RaisesInWorker(Trainer):
+    def _loss(self, pred, rows, *extra):
+        if self.workers.in_worker:
+            raise ValueError("worker rows failed")
+        return super()._loss(pred, rows, *extra)
+
+
+class TestFailures:
+    def test_a_worker_killed_mid_step(self, tiny_archive, tmp_path,
+                                      monkeypatch, forks):
+        """The death is a typed error raised from inside the step, the
+        state is as before it (the failed draw aside), and the next step,
+        on a new worker, is the serial one."""
+        monkeypatch.setattr(rows, "_CORES", 1)
+        serial = trainer_for(tiny_archive, 4)
+        serial.fit(2)
+        serial._draw()                    # the batch the failed step drew
+        serial.fit(2)
+        monkeypatch.setattr(rows, "_CORES", 2)
+        trainer = trainer_for(tiny_archive, 4, cls=DiesOnce)
+        trainer.marker = str(tmp_path / "die")
+        trainer.fit(2)
+        pid = trainer.workers.pids[0]
+        open(trainer.marker, "w").close()
+        with pytest.raises(ChildProcessError, match="SIGKILL"):
+            trainer.train_step()
+        assert trainer.workers.pids == [] and len(trainer.history) == 2
+        assert_reaped([pid])
+        trainer.fit(2)
+        assert len(forks) == 2
+        assert_same_trainers(serial, trainer)
+
+    def test_a_worker_error_is_raised_here(self, tiny_archive, monkeypatch):
+        monkeypatch.setattr(rows, "_CORES", 2)
+        trainer = trainer_for(tiny_archive, 4, cls=RaisesInWorker)
+        with pytest.raises(ValueError, match="worker rows failed") as info:
+            trainer.train_step()
+        if hasattr(info.value, "add_note"):                   # >= 3.11
+            assert "forked worker" in "".join(info.value.__notes__)
+        assert trainer.workers.pids == [] and trainer.history == []
+
+
+class TestStaysSerial:
+    """A GEMM guard or a compute-fault injector addresses GEMMs by their
+    order in the step; a FLOP counter or an obs sink would lose the
+    worker's half.  None of them may fork, and each step is the serial
+    one."""
+
+    @pytest.fixture
+    def no_fork(self, monkeypatch):
+        monkeypatch.setattr(rows, "_CORES", 2)
+
+        def fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", fork)
+
+    def test_the_spy_is_live(self, tiny_archive, no_fork):
+        with pytest.raises(AssertionError, match="forked"):
+            trainer_for(tiny_archive, 4).fit(1)
+
+    def test_abft_guard(self, tiny_archive, no_fork):
+        with abft_guard():
+            trainer_for(tiny_archive, 4).fit(1)
+
+    def test_fault_injector(self, tiny_archive, no_fork):
+        trainer_for(tiny_archive, 4,
+                    injector=FaultInjector(FaultPlan(events=()))).fit(1)
+
+    def test_flop_counting(self, tiny_archive, no_fork):
+        with count_flops() as counter:
+            trainer_for(tiny_archive, 4).fit(1)
+        assert counter.forward > 0
+
+    def test_observed(self, tiny_archive, no_fork):
+        with obs.observed():
+            trainer_for(tiny_archive, 4).fit(1)
+
+    def test_one_row(self, tiny_archive, no_fork):
+        trainer_for(tiny_archive, 1).fit(1)
+
+    def test_multistep_finetuner(self, tiny_archive, no_fork):
+        """Its loss runs the model again, on the loss's rows."""
+        MultistepFinetuner(Aeris(TINY16, seed=0), tiny_archive,
+                           MultistepConfig(rollout_steps=2, batch_size=4)
+                           ).fit(1)
+
+
+#: Run in a fresh interpreter: ten trainers stepped in turn, then every
+#: worker pid any of them forked.
+TEN_TRAINERS = """
+import os
+from repro import rows
+from repro.data import ReanalysisConfig, SyntheticReanalysis
+from tests.train.test_row_split import trainer_for
+rows._CORES = 2
+made = []
+real = os.fork
+def fork():
+    pid = real()
+    if pid:
+        made.append(pid)
+    return pid
+os.fork = fork
+archive = SyntheticReanalysis(ReanalysisConfig(
+    height=16, width=32, train_years=0.1, val_years=0.05, test_years=0.05,
+    seed=0, spinup_steps=20))
+trainers = []
+for _ in range(10):
+    trainers.append(trainer_for(archive, 4))
+    trainers[-1].fit(1)
+def alive(pid):
+    try:
+        return os.waitpid(pid, os.WNOHANG) == (0, 0)
+    except ChildProcessError:                    # reaped
+        return False
+live = [pid for pid in made if alive(pid)]
+assert len(live) <= rows._CORES - 1, live
+assert live == trainers[-1].workers.pids, (live, trainers[-1].workers.pids)
+print(*made)
+"""
+
+
+class TestKeptWorkersBound:
+    def test_one_owners_workers_live_and_none_outlive_the_interpreter(self):
+        """Each trainer's first split retires the previous trainer's
+        worker; the last is reaped at exit."""
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [os.path.join(REPO, "src"), REPO])}
+        done = subprocess.run([sys.executable, "-c", TEN_TRAINERS], cwd=REPO,
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        pids = [int(pid) for pid in done.stdout.split()]
+        assert len(pids) == 10
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
