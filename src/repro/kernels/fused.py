@@ -131,7 +131,7 @@ def _gemm(a: np.ndarray, b: np.ndarray, label: str | None = None,
     if bf16_matmul_enabled():
         a, right = round_bf16(a), round_bf16(right)
         b = np.swapaxes(right, -1, -2) if transpose_b else right
-    out = _matmul(a, right, out)
+    out = np.matmul(a, right, out=out)
     if label is not None:
         guard_gemm(a, right, out, label)
     if flops_enabled():
@@ -151,7 +151,7 @@ def _gemm_backward(g: np.ndarray, a: np.ndarray, b: np.ndarray,
     gq = round_bf16(g) if bf16_matmul_enabled() else g
     if flops_enabled():
         add_flops((4 if a.ndim > 1 else 2) * g.size * a.shape[-1])
-    ga = _matmul(gq, b.T, None) if need_a else None
+    ga = gq @ b.T if need_a else None
     if not need_b:
         return ga, None
     if a.ndim <= 2:
@@ -163,21 +163,6 @@ def _gemm_backward(g: np.ndarray, a: np.ndarray, b: np.ndarray,
         return ga, _over_rows(batched, None, b.shape)
     finally:
         ws.release(batched)
-
-
-def _matmul(a: np.ndarray, b: np.ndarray,
-            out: np.ndarray | None) -> np.ndarray:
-    """``np.matmul(a, b, out=out)``.  In a row split a one-row 2-D ``a``
-    (the time embedding's and the adaLN projections' operands, which no
-    caller hands an ``out``) is multiplied as two copies of the row: NumPy
-    hands a one-row product to gemv, whose sums can differ in the last bit
-    from that row of the gemm a serial step of two or more rows runs
-    (measured on a (1, 96) @ (96, 32) product); gemm's rows do not depend
-    on how many there are."""
-    if (out is None and a.ndim == 2 and len(a) == 1
-            and _ROW_SPLIT.get() is not None):
-        return np.matmul(np.concatenate([a, a]), b)[:1]
-    return np.matmul(a, b, out=out)
 
 
 def _over_rows(a: np.ndarray, g: np.ndarray | None,

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 
+from ..resilience.atomic import atomic_write
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 __all__ = ["prometheus_text", "write_prometheus", "events_jsonl",
@@ -108,23 +109,17 @@ def events_jsonl(events) -> str:
 
 
 # -- atomic writers ------------------------------------------------------------
-def _atomic(path: str, text: str) -> str:
-    # Lazy import: repro.resilience transitively imports the obs hooks.
-    from ..resilience.atomic import atomic_write
-    return atomic_write(path, text)
-
-
 def write_prometheus(registry: MetricsRegistry, path: str) -> str:
     """Atomically write :func:`prometheus_text`; returns ``path``."""
-    return _atomic(path, prometheus_text(registry))
+    return atomic_write(path, prometheus_text(registry))
 
 
 def write_events_jsonl(events, path: str) -> str:
     """Atomically write :func:`events_jsonl`; returns ``path``."""
-    return _atomic(path, events_jsonl(events))
+    return atomic_write(path, events_jsonl(events))
 
 
 def write_metrics_json(registry: MetricsRegistry, path: str) -> str:
     """Atomically write the registry's JSON snapshot, indented; returns
     ``path``."""
-    return _atomic(path, registry.to_json(indent=2))
+    return atomic_write(path, registry.to_json(indent=2))

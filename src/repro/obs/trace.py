@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import time
 
+from ..resilience.atomic import atomic_write
 from .metrics import text_table
 
 __all__ = ["Span", "Tracer"]
@@ -153,9 +154,6 @@ class Tracer:
         return meta + events
 
     def write_chrome(self, path: str) -> None:
-        # Imported lazily: repro.resilience transitively imports the obs
-        # hooks, so a module-level import here would be a cycle.
-        from ..resilience.atomic import atomic_write
         atomic_write(path, json.dumps(self.to_chrome()))
 
     # -- text summary ------------------------------------------------------

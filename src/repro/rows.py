@@ -37,7 +37,6 @@ import threading
 import traceback
 import warnings
 from concurrent.futures import ThreadPoolExecutor, wait
-import struct
 import weakref
 from contextlib import ExitStack, nullcontext
 from contextvars import ContextVar, copy_context
@@ -81,10 +80,6 @@ _SWITCHES = (_GRAD_ENABLED, _BF16_MATMUL, _KERNELS)
 
 #: The kept workers of every owner in this process.
 _KEPT: "weakref.WeakSet[KeptWorkers]" = weakref.WeakSet()
-
-#: A message's length, before it on a kept worker's pipes.
-_LENGTH = struct.Struct("<Q")
-
 
 def _row_bounds(rows: int) -> list[int]:
     """Shard boundaries of a split of ``rows`` rows:
@@ -186,69 +181,25 @@ def _fork_bounds(n: int) -> list[int]:
     return [n * i // groups for i in range(groups + 1)]
 
 
-def _send(fd: int, data: bytes) -> None:
-    """``data`` down ``fd``, after its length."""
-    os.write(fd, _LENGTH.pack(len(data)))    # below PIPE_BUF: one write
-    view = memoryview(data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _post(fd: int, message) -> None:
-    """``message`` pickled down ``fd``."""
-    _send(fd, pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
-
-
-class _Reader:
-    """The reading end of a pipe of :func:`_send` messages, with one
-    receive buffer kept for all of them and grown on demand."""
-
-    def __init__(self, fd: int):
-        self.fd = fd
-        self._buffer = bytearray(_LENGTH.size)
-
-    def receive(self):
-        """The next message, unpickled from a view of the buffer (its
-        arrays are copies: nothing aliases the buffer); ``None`` if the
-        writer went first."""
-        if not self._fill(_LENGTH.size):
-            return None
-        size = _LENGTH.unpack_from(self._buffer)[0]
-        if size > len(self._buffer):
-            self._buffer = bytearray(size)
-        if not self._fill(size):
-            return None
-        return pickle.loads(memoryview(self._buffer)[:size])
-
-    def _fill(self, size: int) -> bool:
-        """The buffer's first ``size`` bytes from the pipe; ``False`` at
-        end of file before them."""
-        view, got = memoryview(self._buffer), 0
-        while got < size:
-            n = os.readv(self.fd, [view[got:size]])
-            if not n:
-                return False
-            got += n
-        return True
-
-
-def _serve(kept: "KeptWorkers", requests: int, replies: int, run: Callable,
+def _serve(kept: "KeptWorkers", requests, replies, run: Callable,
            lo: int, hi: int) -> None:
-    """A kept worker's whole life: per request read from ``requests`` —
+    """A kept worker's whole life: per request received on ``requests`` —
     ``(request, switches, warning filters)`` — ``run(lo, hi, request)``
-    under those switches and filters, then one reply down ``replies``,
+    under those switches and filters, then one reply sent on ``replies``,
     ``("ok", result, warnings)`` or ``("raise", (exc, traceback),
     warnings)``, after the ``("part", item, [])`` messages
-    :meth:`KeptWorkers.put` sent during the run.  At the end of
-    ``requests`` (its owner retired it) ``os._exit(0)``: no atexit
+    :meth:`KeptWorkers.put` sent during the run.  When its owner hangs up
+    ``requests`` (it retired the worker) ``os._exit(0)``: no atexit
     handler, no inherited buffer flushed, no tape freed; status 1 if a
     reply could not be sent."""
     status = 1
     try:
         kept._stream = replies
-        reader = _Reader(requests)
-        while (message := reader.receive()) is not None:
-            request, switches, filters = message
+        while True:
+            try:
+                request, switches, filters = requests.recv()
+            except EOFError:
+                break
             with ExitStack() as stack:
                 for var, value in zip(_SWITCHES, switches):
                     stack.enter_context(scoped(var, value))
@@ -259,8 +210,8 @@ def _serve(kept: "KeptWorkers", requests: int, replies: int, run: Callable,
                     reply = ("ok", run(lo, hi, request))
                 except BaseException as exc:  # noqa: BLE001 — sent home
                     reply = ("raise", (exc, traceback.format_exc()))
-            _post(replies, (*reply, [(w.message, w.category, w.filename,
-                                      w.lineno) for w in caught]))
+            replies.send((*reply, [(w.message, w.category, w.filename,
+                                    w.lineno) for w in caught]))
         status = 0
     finally:
         os._exit(status)
@@ -284,11 +235,16 @@ class KeptWorkers:
 
     def __init__(self):
         self._bounds: list[int] = []
-        self.pids: list[int] = []
-        self._requests: list[int] = []   # this end of each worker's pipes
-        self._replies: list[_Reader] = []
-        #: In a worker: its reply pipe, which :meth:`put` writes.
-        self._stream: int | None = None
+        self._workers: list = []          # their multiprocessing.Process
+        self._requests: list = []         # this end of each worker's pipes
+        self._replies: list = []
+        #: In a worker: its reply pipe, which :meth:`put` sends on.
+        self._stream = None
+
+    @property
+    def pids(self) -> list[int]:
+        """The workers' process ids, in group order."""
+        return [worker.pid for worker in self._workers]
 
     @property
     def in_worker(self) -> bool:
@@ -320,14 +276,14 @@ class KeptWorkers:
         if len(bounds) == 2:
             return [run(0, n, request)]
         try:
-            if not self.pids:
+            if not self._workers:
                 self._fork(bounds, run)
             message = pickle.dumps(
                 (request, [var.get() for var in _SWITCHES], warnings.filters),
                 pickle.HIGHEST_PROTOCOL)
-            for i, fd in enumerate(self._requests):
+            for i, requests in enumerate(self._requests):
                 try:
-                    _send(fd, message)
+                    requests.send_bytes(message)
                 except BrokenPipeError:
                     raise self._died(i) from None
             results = [run(bounds[0], bounds[1], request)]
@@ -348,7 +304,7 @@ class KeptWorkers:
     def put(self, item) -> None:
         """In a worker, during :meth:`run`: send ``item`` to the caller,
         whose next :meth:`take` returns it."""
-        _post(self._stream, ("part", item, []))
+        self._stream.send(("part", item, []))
 
     def take(self):
         """In the caller, during :meth:`run`: the next item the first
@@ -363,10 +319,10 @@ class KeptWorkers:
     def _reply(self, i: int) -> tuple:
         """Worker ``i``'s next message; for a worker that hung up, its
         ``ChildProcessError`` as a ``"raise"`` reply."""
-        message = self._replies[i].receive()
-        if message is None:
+        try:
+            return self._replies[i].recv()
+        except EOFError:
             return ("raise", (self._died(i), None), [])
-        return message
 
     def _error(self, i: int, kind: str, value) -> BaseException:
         """The exception a reply other than the one expected stands for:
@@ -382,13 +338,25 @@ class KeptWorkers:
         return exc
 
     def _fork(self, bounds: list[int], run: Callable) -> None:
+        import multiprocessing      # here: ≈ 0.75 MB that serving never needs
+
         for other in list(_KEPT):       # one owner's workers at a time
             if other is not self:
                 other.close()
         self._bounds = bounds
         _KEPT.add(self)
+        context = multiprocessing.get_context("fork")
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            fds = (*os.pipe(), *os.pipe())   # requests r/w, replies r/w
+            requests, self_requests = context.Pipe(duplex=False)
+            self_replies, replies = context.Pipe(duplex=False)
+            # registered first: the child closes these ends (_forget_pool)
+            self._requests.append(self_requests)
+            self._replies.append(self_replies)
+            # daemon: multiprocessing's exit hook, which may run before
+            # the owner's finalizer, would join a non-daemon worker that
+            # still waits for requests; it terminates a daemon one.
+            worker = context.Process(target=_serve, daemon=True, args=(
+                self, requests, replies, run, lo, hi))
             # CPython >= 3.12 warns on a fork while other threads exist.
             # Here they are idle row-pool workers (_fork_bounds): blocked
             # on their work queue, holding nothing the worker takes, and
@@ -400,46 +368,38 @@ class KeptWorkers:
                         "ignore",
                         r"This process \(pid=\d+\) is multi-threaded",
                         DeprecationWarning)
-                    pid = os.fork()
-            except BaseException:
-                for fd in fds:
-                    os.close(fd)
-                raise
-            if pid == 0:
-                os.close(fds[1])
-                os.close(fds[2])
-                _serve(self, fds[0], fds[3], run, lo, hi)
-            os.close(fds[0])
-            os.close(fds[3])
-            self.pids.append(pid)
-            self._requests.append(fds[1])
-            self._replies.append(_Reader(fds[2]))
+                    worker.start()
+            finally:
+                requests.close()
+                replies.close()
+            self._workers.append(worker)
 
     def _died(self, i: int) -> ChildProcessError:
         """Worker ``i``, which hung up: reaped, and how it ended."""
-        pid, self.pids[i] = self.pids[i], 0
-        status = os.waitpid(pid, 0)[1]
-        how = (f"killed by {signal.Signals(os.WTERMSIG(status)).name}"
-               if os.WIFSIGNALED(status)
-               else f"exited with status {os.waitstatus_to_exitcode(status)}")
+        worker = self._workers[i]
+        worker.join()
+        code = worker.exitcode
+        how = (f"killed by {signal.Signals(-code).name}" if code < 0
+               else f"exited with status {code}")
         lo, hi = self._bounds[i + 1], self._bounds[i + 2]
         return ChildProcessError(
-            f"forked worker {pid} running items {lo}:{hi} {how}")
+            f"forked worker {worker.pid} running items {lo}:{hi} {how}")
 
     def close(self) -> None:
         """Retire the workers: close their pipes (each worker reads the
         end of its requests and exits) and reap them."""
-        pids = self.pids
+        workers = self._workers
         self._drop()
-        for pid in filter(None, pids):
-            os.waitpid(pid, 0)
+        for worker in workers:
+            worker.join()
 
     def _drop(self) -> None:
         """Close this end of the workers' pipes and forget them, unreaped
         (all a forked child does with its copy)."""
-        for fd in self._requests + [reader.fd for reader in self._replies]:
-            os.close(fd)
-        self._bounds, self.pids, self._requests, self._replies = [], [], [], []
+        for connection in self._requests + self._replies:
+            connection.close()
+        self._bounds, self._workers = [], []
+        self._requests, self._replies = [], []
         _KEPT.discard(self)
 
 

@@ -226,15 +226,16 @@ class TrainingEngine:
         a kept worker each other, sent the weights and the batch, and a
         worker's meter bookings are added here after the join in rank
         order, as a serial run books them.  One replica of one microbatch
-        at one rank splits its rows instead (:meth:`_halves`).  Under a
-        fault injector the replicas run here one after the other (faults
+        of 4 rows or more at one rank splits its rows instead
+        (:meth:`_halves`; each half ≥ 2 rows, DESIGN §10).  Under a fault
+        injector the replicas run here one after the other (faults
         address transfers by their order in the step)."""
         dp = self.topology.dp
         request = ([p.data for p in self.model.parameters()], batch, gas)
         if self.cluster.injector is not None:
             groups = [self._replicas(0, dp, request)]
         elif (self.rowwise_loss and self.topology.world_size == 1
-              and gas == 1 and len(batch.inputs[0]) >= 2
+              and gas == 1 and len(batch.inputs[0]) >= 4
               and kernels_enabled()):
             groups = self.workers.run(2, self._halves, request)
         else:

@@ -66,10 +66,10 @@ def assert_same_trainers(a, b):
 
 
 class TestBitExact:
-    @pytest.mark.parametrize("batch", [2, 3, 4, 8])
+    @pytest.mark.parametrize("batch", [4, 5, 8])
     def test_split_equals_serial(self, tiny_archive, batch, monkeypatch,
                                  forks):
-        """Batch 3 is one row on the worker and two here."""
+        """Batch 5 is two rows on the worker and three here."""
         serial = fitted(tiny_archive, batch, 1, monkeypatch)
         assert forks == []
         split = fitted(tiny_archive, batch, 2, monkeypatch)
@@ -233,8 +233,10 @@ class TestStaysSerial:
         with obs.observed():
             trainer_for(tiny_archive, 4).fit(1)
 
-    def test_one_row(self, tiny_archive, no_fork):
-        trainer_for(tiny_archive, 1).fit(1)
+    @pytest.mark.parametrize("batch", [1, 2, 3])
+    def test_under_four_rows(self, tiny_archive, batch, no_fork):
+        """A one-row half does not pay for its process."""
+        trainer_for(tiny_archive, batch).fit(1)
 
     def test_multistep_finetuner(self, tiny_archive, no_fork):
         """Its loss runs the model again, on the loss's rows."""
@@ -243,14 +245,13 @@ class TestStaysSerial:
                            ).fit(1)
 
 
-#: Run in a fresh interpreter: ten trainers stepped in turn, then every
-#: worker pid any of them forked.
-TEN_TRAINERS = """
+#: The start of a script run in a fresh interpreter: the tiny archive, and
+#: ``made``, the pids of the workers forked from here on.
+FORKS_SPIED = """
 import os
 from repro import rows
 from repro.data import ReanalysisConfig, SyntheticReanalysis
-from tests.train.test_row_split import trainer_for
-rows._CORES = 2
+from tests.train.test_row_split import assert_same_trainers, trainer_for
 made = []
 real = os.fork
 def fork():
@@ -262,6 +263,11 @@ os.fork = fork
 archive = SyntheticReanalysis(ReanalysisConfig(
     height=16, width=32, train_years=0.1, val_years=0.05, test_years=0.05,
     seed=0, spinup_steps=20))
+"""
+
+#: Ten trainers stepped in turn, then every worker pid any of them forked.
+TEN_TRAINERS = FORKS_SPIED + """
+rows._CORES = 2
 trainers = []
 for _ in range(10):
     trainers.append(trainer_for(archive, 4))
@@ -277,18 +283,55 @@ assert live == trainers[-1].workers.pids, (live, trainers[-1].workers.pids)
 print(*made)
 """
 
+#: Under the spawn start method, a serial trainer and a split one stepped
+#: alike; then the forks the split made.
+UNDER_SPAWN = """
+import multiprocessing
+multiprocessing.set_start_method("spawn")
+""" + FORKS_SPIED + """
+trainers = []
+for cores in (1, 2):
+    rows._CORES = cores
+    trainers.append(trainer_for(archive, 4))
+    trainers[-1].fit(2)
+assert_same_trainers(*trainers)
+assert made == trainers[1].workers.pids, (made, trainers[1].workers.pids)
+print(*made)
+"""
+
+
+def in_fresh_interpreter(script: str) -> str:
+    """``script``'s standard output, run by a new interpreter here."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.join(REPO, "src"), REPO])}
+    done = subprocess.run([sys.executable, "-c", script], cwd=REPO, env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
 
 class TestKeptWorkersBound:
     def test_one_owners_workers_live_and_none_outlive_the_interpreter(self):
         """Each trainer's first split retires the previous trainer's
         worker; the last is reaped at exit."""
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            [os.path.join(REPO, "src"), REPO])}
-        done = subprocess.run([sys.executable, "-c", TEN_TRAINERS], cwd=REPO,
-                              env=env, capture_output=True, text=True)
-        assert done.returncode == 0, done.stderr
-        pids = [int(pid) for pid in done.stdout.split()]
+        pids = [int(pid)
+                for pid in in_fresh_interpreter(TEN_TRAINERS).split()]
         assert len(pids) == 10
         for pid in pids:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
+
+
+class TestStandardLibrary:
+    def test_forks_under_any_start_method(self):
+        """Python 3.14 defaults to ``forkserver``: the workers fork
+        whatever the process's start method."""
+        assert len(in_fresh_interpreter(UNDER_SPAWN).split()) == 1
+
+    def test_importing_leaves_multiprocessing_unloaded(self):
+        """Only a split step imports it (about 0.75 MB)."""
+        assert in_fresh_interpreter(
+            "import sys, repro, repro.serve, repro.train\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'multiprocessing'))"
+        ).split() == ["[]"]
