@@ -6,9 +6,10 @@ microbatches under full observability, then:
 * writes ``swipe_trace.json`` — open it in ``chrome://tracing`` or
   https://ui.perfetto.dev to see the per-rank 1F1B staircase and its
   bubble;
-* prints the span summary, the metrics table, and the ``TraceReport``
-  cross-check of observed bubble fraction / collective bytes against the
-  :mod:`repro.perf` analytical model.
+* writes ``swipe_report.json`` — the ``TraceReport``: its cross-checks of
+  the observed bubble fraction / collective bytes against the
+  :mod:`repro.perf` analytical model, the span summary and the metrics;
+* prints the report, the metrics table and the comm meter.
 
 ::
 
@@ -23,6 +24,7 @@ from repro.model import ParallelLayout
 from repro.parallel import (RankTopology, SwipeEngine, comm_check,
                             pipeline_check)
 from repro.perf import AURORA, CommModel
+from repro.resilience import atomic_write
 
 CONFIG = AerisConfig(
     name="trace-demo", height=16, width=32, channels=9, forcing_channels=3,
@@ -61,6 +63,8 @@ def main() -> None:
             comm_check, engine.cluster.stats,
             predicted={"allreduce":
                        comm.grad_allreduce_bytes() * topo.pp * topo.dp})
+        atomic_write("swipe_report.json", report.to_json())
+        print("Wrote swipe_report.json (the TraceReport).")
         print()
         print(report.render())
         print()

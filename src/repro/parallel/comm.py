@@ -99,6 +99,9 @@ class SimCluster:
         self.ranks_per_node = ranks_per_node
         self.stats = CommStats()
         self.injector = injector
+        #: In a kept worker (:class:`repro.rows.KeptWorkers`): the current
+        #: request's transfers, which its caller makes after the join.
+        self.log: list | None = None
 
     def node_of(self, rank: int) -> int:
         return rank // self.ranks_per_node
@@ -120,7 +123,15 @@ class SimCluster:
         :class:`~repro.resilience.CommTimeout` /
         :class:`~repro.resilience.MessageCorruption`.  A healed transfer
         is bit-exact: the caller's payload is never modified.
+
+        In a kept worker (``log`` set) the transfer is only logged, its
+        payload with it under an injector: the worker's caller makes it,
+        in rank order, so every booking and fault is the serial step's.
         """
+        if self.log is not None:
+            self.log.append((primitive, src, dst, nbytes,
+                             None if self.injector is None else payload))
+            return
         locality = self._locality(src, dst)
         inj = self.injector
         if inj is None:

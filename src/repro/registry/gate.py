@@ -45,11 +45,6 @@ class GateDecision:
     comparisons: list = field(default_factory=list)
     reasons: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {"passed": self.passed, "candidate": self.candidate,
-                "incumbent": self.incumbent,
-                "comparisons": self.comparisons, "reasons": self.reasons}
-
 
 def _aggregate(scorecard: dict, metric: str) -> float | None:
     value = scorecard.get("summary", {}).get(metric)

@@ -224,27 +224,22 @@ class TrainingEngine:
         The replicas run at once in contiguous groups
         (:class:`~repro.rows.KeptWorkers`): this process runs the first,
         a kept worker each other, sent the weights and the batch, and a
-        worker's meter bookings are added here after the join in rank
-        order, as a serial run books them.  One replica of one microbatch
-        of 4 rows or more at one rank splits its rows instead
-        (:meth:`_halves`; each half ≥ 2 rows, DESIGN §10).  Under a fault
-        injector the replicas run here one after the other (faults
-        address transfers by their order in the step)."""
-        dp = self.topology.dp
+        worker's transfers are made here after the join in rank order,
+        as a serial run makes them (its faults and bookings too).  One
+        replica of one microbatch of 4 rows or more at one rank splits
+        its rows instead (:meth:`_halves`; each half ≥ 2 rows, DESIGN
+        §10)."""
         request = ([p.data for p in self.model.parameters()], batch, gas)
-        if self.cluster.injector is not None:
-            groups = [self._replicas(0, dp, request)]
-        elif (self.rowwise_loss and self.topology.world_size == 1
-              and gas == 1 and len(batch.inputs[0]) >= 4
-              and kernels_enabled()):
+        if (self.rowwise_loss and self.topology.world_size == 1
+                and gas == 1 and len(batch.inputs[0]) >= 4
+                and kernels_enabled()):
             groups = self.workers.run(2, self._halves, request)
         else:
-            groups = self.workers.run(dp, self._replicas, request)
-        stats = self.cluster.stats
-        for _, _, booked in groups[1:]:
-            for key, nbytes, ops in booked:
-                stats.bytes[key] += nbytes
-                stats.ops[key] += ops
+            groups = self.workers.run(self.topology.dp, self._replicas,
+                                      request)
+        for _, _, log in groups[1:]:
+            for transfer in log:
+                self.cluster.transfer(*transfer)
         return (float(np.mean([loss for group in groups
                                for loss in group[0]])),
                 [grads for group in groups for grads in group[1]])
@@ -252,23 +247,19 @@ class TrainingEngine:
     def _replicas(self, lo: int, hi: int, request: tuple) -> tuple:
         """Replicas ``lo:hi`` of the step ``request = (weights, batch,
         gas)``, on ``weights`` (copied into the model where they are not
-        its own arrays, as in a worker): their losses, gradient sets and
-        the meter bookings they made, ``(key, bytes, ops)`` in
-        first-booked order."""
+        its own arrays, as in a worker): their losses, gradient sets and,
+        in a worker, the transfers they logged for the caller to make
+        (``SimCluster.log``)."""
         weights, batch, gas = request
         params = self._load(weights)
         per = self.rows_per_replica(len(batch.inputs[0]))
-        stats = self.cluster.stats
-        ops, nbytes = dict(stats.ops), dict(stats.bytes)
+        log = self.cluster.log = [] if self.workers.in_worker else None
         losses, grads = [], []
         for d in range(lo, hi):
             self.model.zero_grad()
             losses.append(self._replica_forward_backward(batch, gas, d, per))
             grads.append([p.grad for p in params])
-        booked = [(key, stats.bytes[key] - nbytes.get(key, 0),
-                   n - ops.get(key, 0))
-                  for key, n in stats.ops.items() if n != ops.get(key, 0)]
-        return losses, grads, booked
+        return losses, grads, log
 
     def _load(self, weights: list[np.ndarray]) -> list:
         """The model's parameters, ``weights`` copied in where they are

@@ -2,8 +2,9 @@
 processes, forked at the engine's first split step and kept, while this
 process runs group 0, and every observable of the serial step — losses,
 weights, Adam moments, metered bytes and ops in booking order, generator
-states — is equal bit for bit.  Each case forces the core count both ways
-by monkeypatching ``rows._CORES``, so it runs the same on a 1-core box.
+states, the faults an injector deals — is equal bit for bit.  Each case
+forces the core count both ways by monkeypatching ``rows._CORES``, so it
+runs the same on a 1-core box.
 The workers are retired and reaped when the engine is finalised, at exit,
 when the split's groups change and when a group fails."""
 
@@ -23,7 +24,8 @@ from repro import obs, rows
 from repro.data import ReanalysisConfig, SyntheticReanalysis
 from repro.kernels import abft_guard, disable_kernels
 from repro.parallel import RankTopology, SwipeEngine
-from repro.resilience import FaultInjector, FaultPlan, state_digest
+from repro.resilience import (BitFlip, Drop, FailStop, FaultInjector,
+                              FaultPlan, RankFailure, Straggle, state_digest)
 from repro.tensor import autocast_bf16, count_flops
 from repro.train import Batch
 from tests.train.test_trainer import TINY16
@@ -182,11 +184,11 @@ class TestBitExact:
                                           err_msg=name)
 
 
-def golden_record(archive, dp, gas, injector=None):
+def golden_record(archive, dp, gas):
     """``state_digest`` of weights, Adam moments, step count and history
     after three steps, and the meter's ``(primitive, locality, count)``
     items in booking order."""
-    engine = engine_for(archive, dp, injector)
+    engine = engine_for(archive, dp)
     for k in range(3):
         swipe_step(engine, archive, k, gas)
     opt = engine.optimizer
@@ -212,13 +214,11 @@ class TestGolden:
     @pytest.mark.parametrize("path", ["forked", "serial"])
     def test_reproduces_the_replicated_models(self, archive, dp, gas, path,
                                               monkeypatch, forks):
-        monkeypatch.setattr(rows, "_CORES", 2)
-        injector = (FaultInjector(FaultPlan(events=()))
-                    if path == "serial" else None)
+        monkeypatch.setattr(rows, "_CORES", 2 if path == "forked" else 1)
         with open(os.path.join(os.path.dirname(__file__),
                                "golden_dp_steps.json")) as fh:
             want = json.load(fh)[f"dp{dp}-gas{gas}"]
-        assert golden_record(archive, dp, gas, injector) == want
+        assert golden_record(archive, dp, gas) == want
         assert len(forks) == (1 if path == "forked" else 0)
 
 
@@ -409,9 +409,80 @@ class TestFailures:
         assert_no_child_left()
 
 
+#: p2p transfers one replica makes per microbatch: a handoff forward and
+#: a gradient back at each stage boundary.
+P2P_PER_REPLICA = 2 * (TINY16.pp_stages - 1)
+
+#: Scheduled transients in the caller's replica 0, in replica 1 (a
+#: worker's) and in the allreduce at each of three steps, over seeded
+#: background rates.
+TRANSIENTS = FaultPlan(
+    events=tuple(event for step in range(3) for event in (
+        Drop(step=step, primitive="p2p", nth=step),
+        BitFlip(step=step, primitive="p2p", nth=P2P_PER_REPLICA + step),
+        Straggle(step=step, primitive="*", nth=P2P_PER_REPLICA + 1,
+                 delay_s=0.02),
+        BitFlip(step=step, primitive="allreduce", nth=1))),
+    seed=5, p_bitflip=0.05, p_drop=0.05, p_straggle=0.05)
+
+
+def faulted_run(archive, dp, cores, plan, monkeypatch, steps=3):
+    """``steps`` one-microbatch steps on ``cores`` under ``plan``, each
+    step's faults dealt as a supervisor deals them; the engine and the
+    ``RankFailure`` that ended the run, if one did."""
+    monkeypatch.setattr(rows, "_CORES", cores)
+    engine = engine_for(archive, dp, FaultInjector(plan))
+    try:
+        for k in range(steps):
+            engine.injector.advance(k)
+            swipe_step(engine, archive, k, gas=1)
+    except RankFailure as failure:
+        return engine, failure
+    return engine, None
+
+
+def assert_same_faults(a, b):
+    assert dict(a.injector.injected) == dict(b.injector.injected)
+    assert a.injector.rng.bit_generator.state == \
+        b.injector.rng.bit_generator.state
+
+
+class TestFaults:
+    """A worker logs its transfers and the caller makes them after the
+    join, in rank order: every fault lands where the serial step deals
+    it, and every booking is the serial step's."""
+
+    @pytest.mark.parametrize("dp, cores", [(2, 2), (4, 3)])
+    def test_transients_forked_equal_serial(self, archive, dp, cores,
+                                            monkeypatch, forks):
+        serial, _ = faulted_run(archive, dp, 1, TRANSIENTS, monkeypatch)
+        assert forks == []
+        forked, _ = faulted_run(archive, dp, cores, TRANSIENTS, monkeypatch)
+        assert len(forks) == cores - 1
+        assert {"flip", "drop", "straggler"} <= set(serial.injector.injected)
+        assert_same_engines(serial, forked)
+        assert_same_faults(serial, forked)
+
+    @pytest.mark.parametrize("dp, cores, replica", [
+        (2, 2, 0), (2, 2, 1), (4, 3, 1)])
+    def test_a_fail_stop_raises_as_serial(self, archive, dp, cores, replica,
+                                          monkeypatch, forks):
+        """A rank of the caller's replica dies, or one of a worker's (at
+        dp = 4, before the other worker's transfers are made)."""
+        rank = RankTopology(dp=dp, pp=TINY16.pp_stages, wp_grid=(1, 1),
+                            sp=1).rank_of(replica, 1, 0, 0)
+        plan = FaultPlan(events=(FailStop(rank=rank, step=1),))
+        serial, want = faulted_run(archive, dp, 1, plan, monkeypatch)
+        forked, got = faulted_run(archive, dp, cores, plan, monkeypatch)
+        assert len(forks) == cores - 1
+        assert want is not None and str(got) == str(want)
+        assert_same_engines(serial, forked)
+        assert_same_faults(serial, forked)
+
+
 class TestStaysSerial:
-    """Each of these paths would lose the child's spans, bookings, FLOPs,
-    guard ordinals or faults, so none of them may fork."""
+    """Each of these paths would lose the child's spans, FLOPs or guard
+    ordinals, so none of them may fork."""
 
     @pytest.fixture
     def no_fork(self, monkeypatch):
@@ -429,13 +500,6 @@ class TestStaysSerial:
     def test_abft_guard(self, archive, no_fork):
         with abft_guard():
             swipe_step(engine_for(archive, 2), archive, 0, gas=1)
-
-    def test_fault_injector(self, archive, no_fork, monkeypatch):
-        engine = engine_for(archive, 2,
-                            injector=FaultInjector(FaultPlan(events=())))
-        swipe_step(engine, archive, 0, gas=1)
-        serial, _ = run(archive, 2, 1, 1, monkeypatch, steps=1)
-        assert_same_engines(serial, engine)
 
     def test_observed(self, archive, no_fork):
         with obs.observed():

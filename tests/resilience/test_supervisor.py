@@ -11,6 +11,7 @@ import os
 import numpy as np
 import pytest
 
+from repro import rows
 from repro.model import AerisConfig
 from repro.obs import TraceReport, observed, prometheus_text
 from repro.parallel import RankTopology
@@ -29,6 +30,7 @@ from repro.resilience import (
 from repro.resilience.supervisor import ElasticSupervisor, SupervisorConfig
 from repro.serve import ServeWorkerPool
 from repro.train.checkpoint import list_checkpoints
+from tests.parallel.test_forked_replicas import forks  # noqa: F401
 
 CHAOS_SEED = int(os.environ.get("CHAOS_SEED", "0"))
 
@@ -148,15 +150,53 @@ class TestElasticRecovery:
         assert len(found) >= N_STEPS  # every step saved (some twice)
 
 
+class TestForkedChaos:
+    def test_forked_equals_serial(self, tmp_path, tiny_archive, monkeypatch,
+                                  forks):
+        """Unobserved, a supervised step runs DP replica 1 on a kept
+        worker, whose transfers the caller makes: transients, the
+        fail-stop and its re-grid are the one-process run's."""
+        plan = FaultPlan(
+            events=(BitFlip(step=1, primitive="p2p", nth=10),   # replica 1
+                    Drop(step=2, primitive="p2p", nth=1),
+                    Straggle(step=1, primitive="*", nth=3, delay_s=0.03),
+                    FailStop(rank=DEAD_RANK, step=3)),
+            seed=CHAOS_SEED, p_bitflip=0.01, p_drop=0.01, p_straggle=0.01)
+        runs = []
+        for cores in (1, 2):
+            monkeypatch.setattr(rows, "_CORES", cores)
+            runs.append(_run(tmp_path, tiny_archive, plan, f"cores{cores}"))
+        assert len(forks) >= 1
+        (serial, a), (forked, b) = runs
+        for out in (a, b):
+            for rec in out["recoveries"]:
+                rec["restored_from"] = os.path.basename(rec["restored_from"])
+        assert len(a["recoveries"]) == 1
+        assert a == b
+        assert dict(serial.injector.injected) == \
+            dict(forked.injector.injected)
+        assert serial.injector.rng.bit_generator.state == \
+            forked.injector.rng.bit_generator.state
+        for (name, pa), pb in zip(serial.engine.model.named_parameters(),
+                                  forked.engine.model.parameters(),
+                                  strict=True):
+            np.testing.assert_array_equal(pa.data, pb.data, err_msg=name)
+        for meter in ("bytes", "ops"):
+            assert list(getattr(serial.engine.cluster.stats, meter).items()) \
+                == list(getattr(forked.engine.cluster.stats, meter).items())
+
+
 class TestRecoveryEdgeCases:
     def test_corrupt_newest_checkpoint_falls_back(self, tmp_path,
                                                   tiny_archive):
         sup, _ = _run(tmp_path, tiny_archive, None, "ck", n_steps=3)
         newest = list_checkpoints(sup.cfg.checkpoint_root)[-1]
         shard = os.path.join(newest, "model.npz")
-        raw = bytearray(open(shard, "rb").read())
+        with open(shard, "rb") as fh:
+            raw = bytearray(fh.read())
         raw[-30] ^= 0xFF
-        open(shard, "wb").write(bytes(raw))
+        with open(shard, "wb") as fh:
+            fh.write(bytes(raw))
         restored = sup._restore_latest()
         assert os.path.basename(restored) == "step-00000002"
         assert len(sup.history) == 2
@@ -170,7 +210,8 @@ class TestRecoveryEdgeCases:
         sup, _ = _run(tmp_path, tiny_archive, None, "ck", n_steps=3)
         manifest = os.path.join(
             list_checkpoints(sup.cfg.checkpoint_root)[-1], "manifest.json")
-        text = open(manifest).read()
+        with open(manifest) as fh:
+            text = fh.read()
         with open(manifest, "w") as fh:
             fh.write(text[:len(text) // 2] if rot == "truncated" else "{}")
         with monitored() as session:

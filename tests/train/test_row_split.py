@@ -107,6 +107,18 @@ class TestBitExact:
         assert len(forks) == 1
         assert_same_trainers(*distillers)
 
+    def test_a_fault_injector(self, tiny_archive, monkeypatch, forks):
+        """One rank makes no transfers: an injector changes nothing."""
+        trainers = []
+        for cores in (1, 2):
+            monkeypatch.setattr(rows, "_CORES", cores)
+            trainer = trainer_for(tiny_archive, 4, injector=FaultInjector(
+                FaultPlan(seed=1, p_bitflip=0.5, p_drop=0.5)))
+            trainer.fit(STEPS)
+            trainers.append(trainer)
+        assert len(forks) == 1 and not trainers[1].injector.injected
+        assert_same_trainers(*trainers)
+
     def test_kernels_off_stays_serial(self, tiny_archive, monkeypatch,
                                       forks):
         """The Tensor chains sum their parameters' gradients in the
@@ -198,10 +210,9 @@ class TestFailures:
 
 
 class TestStaysSerial:
-    """A GEMM guard or a compute-fault injector addresses GEMMs by their
-    order in the step; a FLOP counter or an obs sink would lose the
-    worker's half.  None of them may fork, and each step is the serial
-    one."""
+    """A GEMM guard addresses GEMMs by their order in the step; a FLOP
+    counter or an obs sink would lose the worker's half.  None of them may
+    fork, and each step is the serial one."""
 
     @pytest.fixture
     def no_fork(self, monkeypatch):
@@ -219,10 +230,6 @@ class TestStaysSerial:
     def test_abft_guard(self, tiny_archive, no_fork):
         with abft_guard():
             trainer_for(tiny_archive, 4).fit(1)
-
-    def test_fault_injector(self, tiny_archive, no_fork):
-        trainer_for(tiny_archive, 4,
-                    injector=FaultInjector(FaultPlan(events=()))).fit(1)
 
     def test_flop_counting(self, tiny_archive, no_fork):
         with count_flops() as counter:
