@@ -15,9 +15,9 @@ caller's batches, at a constant learning rate with no EMA.  What runs
   :meth:`~repro.train.TrainingEngine._update`).  The replicas'
   forward/backward passes run at once, one group per core, the others on
   worker processes forked at the first step and kept, sent each step's
-  weights and batch, their transfers (and faults) made by the caller
-  (:class:`~repro.rows.KeptWorkers`); in one process under a GEMM
-  guard, a FLOP counter or observability.
+  batch (the weights are shared), their transfers (and faults) made by
+  the caller (:class:`~repro.rows.KeptWorkers`); in one process under a
+  GEMM guard, a FLOP counter or observability.
 * **ZeRO-1** — real sharded optimizer states + allgather accounting
   (:mod:`~repro.parallel.zero`).
 * **WP / SP** — the window/sequence sharded *attention numerics* run

@@ -162,7 +162,7 @@ class ModelRegistry:
             raise RegistryError(f"missing blob {digest[:12]} (npz)")
         import zipfile  # np.load imports it for every .npz anyway
         try:
-            with np.load(path) as npz:
+            with open(path, "rb") as f, np.load(f) as npz:
                 arrays = {k: npz[k] for k in npz.files}
         except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
             raise RegistryError(

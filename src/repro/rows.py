@@ -23,9 +23,9 @@ processes instead — the caller one group of replicas, one worker each
 other group.  A one-replica step splits its rows in two the same way, the
 worker streaming what the caller's reductions over rows need
 (:meth:`KeptWorkers.put`, :meth:`KeptWorkers.take`).  A worker is forked
-once, at its owner's first split, and kept: each step sends it the
-weights and the batch down a pipe and reads its result back from another,
-so no step pays a fork's copy-on-write faults (DESIGN §10).
+once, at its owner's first split, and kept: each step sends it the batch
+down a pipe (the weights are shared) and reads its result back from
+another, so no step pays a fork's copy-on-write faults (DESIGN §10).
 """
 
 from __future__ import annotations
@@ -264,12 +264,12 @@ class KeptWorkers:
         A worker runs ``run`` as it was when the worker was forked, on
         ``request`` pickled, under the caller's switches (``_SWITCHES``)
         and warning filters at this call; ``run`` must take what changes
-        from ``request`` and return what the caller needs, since whatever
-        else a worker changes stays in the worker.  Warnings a worker
-        records are re-issued here in its order.  An exception of a
-        worker (or a ``ChildProcessError`` for one that died) is raised
-        once every group has finished, the first group's first, and
-        retires the workers."""
+        from ``request`` (or a shared mapping made before the fork) and
+        return what the caller needs: the rest of what a worker changes
+        stays in it.  Warnings a worker records are re-issued here in its
+        order.  An exception of a worker (or a ``ChildProcessError`` for
+        one that died) is raised once every group has finished, the first
+        group's first, and retires the workers."""
         bounds = _fork_bounds(n)
         if bounds != self._bounds:
             self.close()

@@ -117,7 +117,8 @@ def inspect_sharded_checkpoint(directory: str
     problems: list[tuple[str, str, str]] = []
     for fname, expected in promised.items():
         try:
-            with np.load(os.path.join(directory, fname)) as data:
+            with open(os.path.join(directory, fname), "rb") as f, \
+                    np.load(f) as data:
                 arrays = {name: data[name] for name in data.files}
         except Exception as exc:
             problems.append((fname, "-", f"shard unreadable: {exc}"))

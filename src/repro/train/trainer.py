@@ -223,13 +223,14 @@ class TrainingEngine:
 
         The replicas run at once in contiguous groups
         (:class:`~repro.rows.KeptWorkers`): this process runs the first,
-        a kept worker each other, sent the weights and the batch, and a
-        worker's transfers are made here after the join in rank order,
-        as a serial run makes them (its faults and bookings too).  One
-        replica of one microbatch of 4 rows or more at one rank splits
-        its rows instead (:meth:`_halves`; each half ≥ 2 rows, DESIGN
-        §10)."""
-        request = ([p.data for p in self.model.parameters()], batch, gas)
+        a kept worker each other, sent the batch (the weights are shared,
+        :class:`~repro.nn.optim.FlatParams`); a worker's transfers are made
+        here after the join in rank order, as a serial run makes them (its
+        faults and bookings too).  One replica of one microbatch of 4 rows
+        or more at one rank splits its rows instead (:meth:`_halves`; each
+        half ≥ 2 rows, DESIGN §10)."""
+        self.optimizer.seat.check()
+        request = (batch, gas)
         if (self.rowwise_loss and self.topology.world_size == 1
                 and gas == 1 and len(batch.inputs[0]) >= 4
                 and kernels_enabled()):
@@ -245,30 +246,24 @@ class TrainingEngine:
                 [grads for group in groups for grads in group[1]])
 
     def _replicas(self, lo: int, hi: int, request: tuple) -> tuple:
-        """Replicas ``lo:hi`` of the step ``request = (weights, batch,
-        gas)``, on ``weights`` (copied into the model where they are not
-        its own arrays, as in a worker): their losses, gradient sets and,
-        in a worker, the transfers they logged for the caller to make
-        (``SimCluster.log``)."""
-        weights, batch, gas = request
-        params = self._load(weights)
+        """Replicas ``lo:hi`` of the step ``request = (batch, gas)``: their
+        losses, gradient sets and, in a worker, the transfers they logged
+        for the caller to make (``SimCluster.log``)."""
+        batch, gas = request
         per = self.rows_per_replica(len(batch.inputs[0]))
         log = self.cluster.log = [] if self.workers.in_worker else None
         losses, grads = [], []
         for d in range(lo, hi):
-            self.model.zero_grad()
+            params = self._params()
             losses.append(self._replica_forward_backward(batch, gas, d, per))
             grads.append([p.grad for p in params])
         return losses, grads, log
 
-    def _load(self, weights: list[np.ndarray]) -> list:
-        """The model's parameters, ``weights`` copied in where they are
-        not its own arrays (in a worker)."""
-        params = self.model.parameters()
-        for p, w in zip(params, weights, strict=True):
-            if p.data is not w:
-                p.data[...] = w
-        return params
+    def _params(self) -> list:
+        """The seated parameters, gradients cleared, read-only in a worker."""
+        for p in self.optimizer.params:
+            p.grad, p.data.flags.writeable = None, not self.workers.in_worker
+        return self.optimizer.params
 
     def _halves(self, lo: int, hi: int, request: tuple) -> tuple:
         """Half ``lo`` of a row split of the one-replica, one-microbatch
@@ -289,8 +284,8 @@ class TrainingEngine:
         is not each row's own terms clears ``rowwise_loss``."""
         if hi - lo == 2:
             return self._replicas(0, 1, request)
-        weights, batch, gas = request
-        params = self._load(weights)
+        batch, gas = request
+        params = self._params()
         n = len(batch.inputs[0])
         worker = self.workers.in_worker
         mine = slice(0, n // 2) if worker else slice(n // 2, n)
@@ -305,7 +300,6 @@ class TrainingEngine:
             return self._loss(concat(parts), slice(0, n),
                               *batch.extra) * (1.0 / gas)
 
-        self.model.zero_grad()
         with _span("train.forward_backward", category="train", dp_rank=0), \
                 scoped(_ROW_SPLIT, self.workers):
             loss = self.pipelines[0].forward_backward(
@@ -341,7 +335,7 @@ class TrainingEngine:
         self.optimizer.step()
         self.images_seen += images
         if self.ema is not None:
-            self.ema.update(self.model, images_per_step=images)
+            self.ema.update(images_per_step=images)
 
     # -- NaN/Inf guard ----------------------------------------------------
     def _skip_poisoned_step(self, value: float) -> None:
@@ -376,7 +370,7 @@ class TrainingEngine:
         if _obs_metrics() is None and monitor is None:
             return
         sq = 0.0
-        for p in self.model.parameters():
+        for p in self.optimizer.params:
             if p.grad is not None:
                 sq += float(np.sum(np.square(p.grad, dtype=np.float64)))
         grad_norm = float(np.sqrt(sq))
@@ -401,11 +395,11 @@ class TrainingEngine:
         """``(shards, extra)`` — the *complete* loop state: weights,
         optimizer moments and step count, EMA, ``images_seen``, loss
         history, NaN-guard state and every generator state, so
-        :meth:`restore` + more steps replays bit-exactly.  ``shards`` is
-        the :func:`~repro.train.write_sharded_checkpoint` layout
-        (parameter-ordered whatever the DP degree) and aliases the live
-        arrays (copy what you keep); ``extra`` is JSON-ready.
-        """
+        :meth:`restore` + more steps replays bit-exactly.  ``shards``, the
+        :func:`~repro.train.write_sharded_checkpoint` layout (moments
+        ``m/<i>``, ``v/<i>`` for parameter ``i`` whatever the DP degree),
+        aliases the live arrays (copy what you keep); ``extra`` is
+        JSON-ready."""
         extra = {
             "step": len(self.history),
             "history": list(self.history),
@@ -416,23 +410,17 @@ class TrainingEngine:
                     "t": [rng.bit_generator.state for rng in self.rngs_t],
                     "z": [rng.bit_generator.state for rng in self.rngs_z]},
         }
+        opt = self.optimizer
         shards = {"meta": {"images_seen": np.asarray(self.images_seen)},
                   "model": {name: p.data
                             for name, p in self.model.named_parameters()},
-                  "opt": {"step_count": np.asarray(self.optimizer.step_count),
-                          **self._moments()}}
+                  "opt": {"step_count": np.asarray(opt.step_count),
+                          **{f"{k}/{i}": a for i, pair in enumerate(zip(
+                              opt.exp_avg, opt.exp_avg_sq))
+                             for k, a in zip("mv", pair)}}}
         if self.ema is not None:
             shards["ema"] = dict(self.ema.shadow)
         return shards, extra
-
-    def _moments(self) -> dict[str, np.ndarray]:
-        """The live Adam moments under their shard keys ``m/<i>``,
-        ``v/<i>`` (``i`` the parameter's index)."""
-        moments = {}
-        for i, (m, v) in enumerate(zip(self.optimizer.exp_avg,
-                                       self.optimizer.exp_avg_sq)):
-            moments[f"m/{i}"], moments[f"v/{i}"] = m, v
-        return moments
 
     def restore(self, shards: dict[str, dict[str, np.ndarray]],
                 extra: dict, where: str = "payload") -> None:
@@ -450,11 +438,7 @@ class TrainingEngine:
             raise CheckpointError(f"checkpoint {where} has no optimizer "
                                   "state (saved model-only, or with an "
                                   "older format)")
-        live = {"model": {name: p.data
-                          for name, p in self.model.named_parameters()},
-                "opt": self._moments()}
-        if self.ema is not None:
-            live["ema"] = self.ema.shadow
+        live = self.state_payload()[0]
         unexpected = sorted(set(shards.get("model", {})) - set(live["model"]))
         if unexpected:
             raise CheckpointError(f"checkpoint {where} does not fit the "
@@ -613,8 +597,7 @@ class Trainer(TrainingEngine):
         """A copy of the model in ``eval()`` mode with the EMA weights, per
         the paper ("using only these weights during inference")."""
         model = Aeris(self.model.config)
-        for name, p in model.named_parameters():
-            p.data = self.ema.shadow[name].copy()
+        self.ema.copy_to(model)
         model.eval()
         return model
 

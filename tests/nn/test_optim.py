@@ -56,7 +56,7 @@ class TestEMA:
         # between its start and the (constant) current weights.
         start = ema.shadow["weight"].copy()
         layer.weight.data = start + 1.0
-        ema.update(layer, images_per_step=100.0)
+        ema.update(images_per_step=100.0)
         np.testing.assert_allclose(ema.shadow["weight"], start + 0.5, rtol=1e-6)
 
     def test_copy_to_model(self):
@@ -72,7 +72,7 @@ class TestEMA:
         ema = EMA(layer, halflife_images=10.0)
         layer.weight.data = np.full_like(layer.weight.data, 7.0)
         for _ in range(100):
-            ema.update(layer, images_per_step=10.0)
+            ema.update(images_per_step=10.0)
         np.testing.assert_allclose(ema.shadow["weight"], 7.0, rtol=1e-5)
 
 

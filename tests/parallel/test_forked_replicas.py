@@ -23,6 +23,7 @@ import pytest
 from repro import obs, rows
 from repro.data import ReanalysisConfig, SyntheticReanalysis
 from repro.kernels import abft_guard, disable_kernels
+from repro.model import Aeris
 from repro.parallel import RankTopology, SwipeEngine
 from repro.resilience import (BitFlip, Drop, FailStop, FaultInjector,
                               FaultPlan, RankFailure, Straggle, state_digest)
@@ -277,7 +278,8 @@ class TestKeptWorkers:
 
     def test_a_restore_partway_stays_bit_exact(self, archive, monkeypatch,
                                                forks):
-        """The worker is sent the restored weights with the next step."""
+        """The restore writes the weights in their shared mapping, where
+        the worker reads them at the next step."""
         monkeypatch.setattr(rows, "_CORES", 2)
         engine = engine_for(archive, 2)
         for k in (5, 6):                        # another trajectory
@@ -294,6 +296,38 @@ class TestKeptWorkers:
             swipe_step(engine, archive, k, gas=1)
         assert len(forks) == 1
         assert_same_engines(serial, engine)
+
+    @pytest.mark.parametrize("how", ["load_state_dict", "rebind"])
+    def test_a_split_after_rebound_weights(self, archive, how, monkeypatch,
+                                           forks):
+        """The worker reads the weights in their shared mapping: weights
+        rebound between steps are seated back into it before the split."""
+        engines = []
+        for cores in (1, 2):
+            monkeypatch.setattr(rows, "_CORES", cores)
+            engine = engine_for(archive, 2)
+            swipe_step(engine, archive, 0, gas=1)
+            rebind(engine, how, seed=5)
+            for k in (1, 2):
+                swipe_step(engine, archive, k, gas=1)
+            engines.append(engine)
+        assert len(forks) == 1
+        assert_same_engines(*engines)
+
+    def test_stress_more_workers_than_cores(self, archive, monkeypatch,
+                                            forks):
+        """Three workers and the caller on this box's cores, 30 steps, the
+        weights rebound every other: equal to serial throughout."""
+        engines = []
+        for cores in (1, 4):
+            monkeypatch.setattr(rows, "_CORES", cores)
+            engine = engine_for(archive, 4)
+            for k in range(30):
+                swipe_step(engine, archive, k % 4, gas=1)
+                rebind(engine, ("load_state_dict", "rebind")[k % 2], seed=k)
+            engines.append(engine)
+        assert len(forks) == 3
+        assert_same_engines(*engines)
 
     def test_a_killed_worker_is_a_typed_error_then_reforked(
             self, archive, monkeypatch, forks):
@@ -313,6 +347,17 @@ class TestKeptWorkers:
         swipe_step(engine, archive, 2, gas=1)
         assert len(forks) == 2
         assert_same_engines(serial, engine)
+
+
+def rebind(engine, how: str, seed: int) -> None:
+    """Other weights for ``engine``'s model, by ``load_state_dict`` or by
+    ``p.data = …``."""
+    other = Aeris(TINY16, seed=seed)
+    if how == "load_state_dict":
+        engine.model.load_state_dict(other.state_dict())
+    else:
+        for p, q in zip(engine.model.parameters(), other.parameters()):
+            p.data = q.data * 0.5
 
 
 class InReplicaOne(SwipeEngine):
@@ -366,6 +411,26 @@ class TestFailures:
             replica_step(archive, fail)
         if cores == 2 and hasattr(info.value, "add_note"):   # >= 3.11
             assert "forked worker" in "".join(info.value.__notes__)
+        assert_no_child_left()
+
+    def test_a_worker_writing_a_weight_raises_here(self, archive,
+                                                   monkeypatch):
+        """A worker's weights are read-only views of the caller's."""
+        monkeypatch.setattr(rows, "_CORES", 2)
+        engine = engine_for(archive, 2, cls=InReplicaOne)
+        weight = engine.model.parameters()[0]
+        before = weight.data.copy()
+
+        def write():
+            weight.data[...] = 0.0
+
+        engine.effect = write
+        with pytest.raises(ValueError, match="read-only") as info:
+            replica_step(archive, None, engine)
+        if hasattr(info.value, "add_note"):                   # >= 3.11
+            assert "forked worker" in "".join(info.value.__notes__)
+        np.testing.assert_array_equal(weight.data, before)
+        assert engine.history == []
         assert_no_child_left()
 
     def test_a_killed_child_is_a_typed_error(self, archive, monkeypatch):

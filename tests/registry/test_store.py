@@ -7,6 +7,7 @@ import pytest
 
 from repro.registry import ModelRegistry, RegistryError, TRANSITIONS
 from repro.resilience import state_digest
+from tests.resilience.test_checkpoint import resource_warnings, truncate
 
 
 def register(registry, trainer, **kwargs):
@@ -154,6 +155,14 @@ class TestMaintenance:
             registry.load_state(record.version)
         with pytest.raises(RegistryError, match="unreadable blob"):
             registry.forecaster(record.version, forcing_fn=None)
+
+    def test_a_truncated_blob_leaks_no_handle(self, registry, reg_world):
+        _, trainer = reg_world
+        record = register(registry, trainer)
+        truncate(registry._blob_path(record.weights_digest, "arrays"))
+        findings, leaked = resource_warnings(registry.verify)
+        assert len(findings) == 1 and "unreadable" in findings[0]
+        assert leaked == []
 
     def test_torn_index_is_typed(self, registry, reg_world):
         _, trainer = reg_world

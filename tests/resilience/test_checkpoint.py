@@ -1,8 +1,10 @@
 """Sharded-checkpoint integrity: manifest checksums, corruption
 detection, atomic directory replacement, and ordering."""
 
+import gc
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from repro.train import (
     read_sharded_checkpoint,
     write_sharded_checkpoint,
 )
-from repro.train.checkpoint import MANIFEST_NAME
+from repro.train.checkpoint import MANIFEST_NAME, inspect_sharded_checkpoint
 from repro.train.trainer import ONE_RANK
 
 
@@ -29,6 +31,24 @@ def _shards():
                   "b": rng.normal(size=4).astype(np.float32)},
         "opt": {"step_count": np.asarray(7)},
     }
+
+
+def truncate(path: str) -> None:
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(blob[:len(blob) // 2])
+
+
+def resource_warnings(fn):
+    """``fn()`` and the ``ResourceWarning`` s (files left open) it left,
+    once the garbage is collected."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        result = fn()
+        gc.collect()
+    return result, [str(w.message) for w in caught
+                    if issubclass(w.category, ResourceWarning)]
 
 
 class TestShardedRoundtrip:
@@ -106,6 +126,17 @@ class TestCorruptionDetection:
             np.savez(fh, **tampered)
         with pytest.raises(CheckpointCorruption):
             read_sharded_checkpoint(where)
+
+    def test_a_truncated_shard_is_a_problem_and_leaks_no_handle(
+            self, tmp_path):
+        where = str(tmp_path / "ck")
+        write_sharded_checkpoint(where, _shards())
+        truncate(os.path.join(where, "model.npz"))
+        (shards, _, problems), leaked = resource_warnings(
+            lambda: inspect_sharded_checkpoint(where))
+        assert [p[:2] for p in problems] == [("model.npz", "-")]
+        assert "shard unreadable" in problems[0][2]
+        assert set(shards) == {"opt"} and leaked == []
 
     def test_missing_directory_is_checkpoint_error(self, tmp_path):
         with pytest.raises(CheckpointError):

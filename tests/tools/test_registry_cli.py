@@ -17,6 +17,8 @@ import registry_cli  # noqa: E402
 from repro.data.normalize import FieldNormalizer  # noqa: E402
 from repro.model import TINY  # noqa: E402
 from repro.registry import ModelRegistry  # noqa: E402
+from tests.resilience.test_checkpoint import (  # noqa: E402
+    resource_warnings, truncate)
 
 
 @pytest.fixture
@@ -97,6 +99,14 @@ class TestGc:
         np.savez(path, w=np.zeros(6, dtype=np.float32))
         code, _, err = run(["--root", root, "gc"], capsys)
         assert code == 1 and "CORRUPT" in err
+
+    def test_gc_of_a_truncated_blob_leaks_no_handle(self, root, capsys):
+        registry = ModelRegistry(root)
+        truncate(registry._blob_path(registry.get("a").weights_digest,
+                                     "arrays"))
+        (code, _, err), leaked = resource_warnings(
+            lambda: run(["--root", root, "gc"], capsys))
+        assert code == 1 and "unreadable blob" in err and leaked == []
 
     def test_gc_reports_truncated_blob(self, root, capsys):
         registry = ModelRegistry(root)

@@ -6,10 +6,13 @@ weights, Adam moments, EMA shadow, generator states — is equal bit for
 bit.  Each case forces the core count both ways by monkeypatching
 ``rows._CORES``, so it runs the same on a 1-core box."""
 
+import dataclasses
 import os
+import pickle
 import signal
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -130,7 +133,8 @@ class TestBitExact:
         assert_same_trainers(serial, other)
 
     def test_a_restore_partway(self, tiny_archive, monkeypatch, forks):
-        """The worker is sent the restored weights with the next step."""
+        """The restore writes the weights in their shared mapping, where
+        the kept worker reads them at the next step."""
         split = fitted(tiny_archive, 4, 2, monkeypatch, steps=2)
         monkeypatch.setattr(rows, "_CORES", 1)
         serial = trainer_for(tiny_archive, 4)
@@ -151,6 +155,144 @@ class TestBitExact:
         assert len(forks) == 2 and trainer.workers.pids == forks[1:]
         assert_reaped(forks[:1])
         assert_same_trainers(serial, trainer)
+
+
+def new_weights(trainer, how: str, payload) -> None:
+    """Give ``trainer`` other weights between steps, ``how``: rebound by
+    ``load_state_dict`` or ``p.data = …``, written in place by ``restore``
+    (of ``payload``), or ``"none"``."""
+    other = Aeris(TINY16, seed=7)
+    if how == "none":
+        return
+    if how == "load_state_dict":
+        trainer.model.load_state_dict(other.state_dict())
+    elif how == "rebind":
+        for p, q in zip(trainer.model.parameters(), other.parameters()):
+            p.data = q.data * 0.5
+    else:
+        trainer.restore(*payload)
+
+
+def copied_payload(trainer):
+    shards, extra = trainer.state_payload()
+    return ({section: {k: a.copy() for k, a in arrays.items()}
+             for section, arrays in shards.items()}, extra)
+
+
+class TestSharedWeights:
+    """The worker reads the weights in the shared mapping the optimizer
+    seats them in: each step sends it the batch alone, and weights the
+    caller changes between steps reach it however they were changed."""
+
+    @pytest.mark.parametrize("how", ["load_state_dict", "rebind", "restore"])
+    def test_a_split_after_new_weights(self, tiny_archive, how, monkeypatch,
+                                       forks):
+        monkeypatch.setattr(rows, "_CORES", 1)
+        donor = trainer_for(tiny_archive, 4)
+        donor.fit(3)
+        payload = copied_payload(donor)
+        trainers = []
+        for cores in (1, 2):
+            monkeypatch.setattr(rows, "_CORES", cores)
+            trainer = trainer_for(tiny_archive, 4)
+            trainer.fit(2)
+            new_weights(trainer, how, payload)
+            trainer.fit(2)
+            trainers.append(trainer)
+        assert len(forks) == 1
+        assert_same_trainers(*trainers)
+
+    def test_two_trainers_on_one_model_in_turn(self, tiny_archive,
+                                               monkeypatch, forks):
+        """The second adopts the first's seat; each split retires the
+        other's worker, and every step equals serial."""
+        pairs = []
+        for cores in (1, 2):
+            monkeypatch.setattr(rows, "_CORES", cores)
+            first = trainer_for(tiny_archive, 4)
+            second = Trainer(first.model, tiny_archive, dataclasses.replace(
+                first.config, seed=1))
+            assert second.optimizer.seat.flat is first.optimizer.seat.flat
+            for _ in range(3):
+                first.fit(1)
+                second.fit(1)
+            pairs.append((first, second))
+        assert len(forks) == 6
+        for serial, split in zip(*pairs):
+            assert_same_trainers(serial, split)
+
+    def test_a_worker_writing_a_weight_raises_here(self, tiny_archive,
+                                                   monkeypatch):
+        monkeypatch.setattr(rows, "_CORES", 2)
+        trainer = trainer_for(tiny_archive, 4, cls=WritesAWeight)
+        before = copied_payload(trainer)[0]["model"]
+        with pytest.raises(ValueError, match="read-only") as info:
+            trainer.train_step()
+        if hasattr(info.value, "add_note"):                   # >= 3.11
+            assert "forked worker" in "".join(info.value.__notes__)
+        assert trainer.workers.pids == [] and trainer.history == []
+        for name, p in trainer.model.named_parameters():
+            np.testing.assert_array_equal(p.data, before[name], err_msg=name)
+            assert p.data.flags.writeable
+
+    def test_the_request_holds_no_weights(self, tiny_archive, monkeypatch,
+                                          forks):
+        """The worker is sent the batch, the switches and the warning
+        filters: no parameter array (the batch and a few hundred bytes)."""
+        monkeypatch.setattr(rows, "_CORES", 2)
+        sent = []
+
+        def dumps(obj, protocol):
+            sent.append(pickle.dumps(obj, protocol))
+            return sent[-1]
+
+        monkeypatch.setattr(rows, "pickle", types.SimpleNamespace(
+            dumps=dumps, HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL))
+        trainer = trainer_for(tiny_archive, 4)
+        batches = []
+        trainer._draw = lambda draw=trainer._draw: batches.append(draw()) \
+            or batches[-1]
+        trainer.fit(2)
+        assert len(forks) == 1 and len(sent) == 2
+        for message, batch in zip(sent, batches):
+            request, switches, _ = pickle.loads(message)
+            got, gas = request
+            assert gas == 1
+            arrays = [np.asarray(a) for a in (*batch.inputs, *batch.extra)]
+            assert [np.asarray(a).tobytes()
+                    for a in (*got.inputs, *got.extra)] == \
+                [a.tobytes() for a in arrays]
+            assert len(pickle.dumps(request, pickle.HIGHEST_PROTOCOL)) < \
+                sum(a.nbytes for a in arrays) + 512
+            assert len(switches) == len(rows._SWITCHES)
+
+    def test_stress_rebinds_and_restores(self, tiny_archive, monkeypatch,
+                                         forks):
+        """200 split steps, the weights rebound, reloaded or restored
+        every few: equal to the serial run throughout (a worker reading a
+        stale or half-written weight would not be)."""
+        monkeypatch.setattr(rows, "_CORES", 1)
+        donor = trainer_for(tiny_archive, 4)
+        donor.fit(1)
+        payload = copied_payload(donor)
+        trainers = []
+        for cores in (1, 2):
+            monkeypatch.setattr(rows, "_CORES", cores)
+            trainer = trainer_for(tiny_archive, 4)
+            for k in range(40):
+                trainer.fit(5)
+                new_weights(trainer, ("rebind", "load_state_dict",
+                                      "restore", "none")[k % 4], payload)
+            trainers.append(trainer)
+        assert len(forks) == 1
+        assert_same_trainers(*trainers)
+
+
+class WritesAWeight(Trainer):
+    def _loss(self, pred, rows, *extra):
+        if self.workers.in_worker:
+            self.model.parameters()[0].data[...] = 0.0
+        return super()._loss(pred, rows, *extra)
 
 
 class DiesOnce(Trainer):
