@@ -11,9 +11,10 @@ advances ``M`` members through stacked forwards (the model accepts
 ``(B, H, W, C)``; each member keeps its own seeded generator and a row's
 numerics do not depend on its batch), and a single member is that path at
 ``M = 1``.  :func:`step_sharded` runs it over contiguous member groups at
-once, one per usable core (:func:`repro.rows.run_row_shards`), each group
-its whole data step — noise draws, every solver evaluation, the denoise —
-with one join per data step; :func:`lockstep_rollout` repeats that.
+once, one per usable core, the caller one group and a kept worker process
+each other (:class:`repro.rows.KeptWorkers`), each group its whole data
+step — noise draws, every solver evaluation, the denoise — with one join
+per data step; :func:`lockstep_rollout` repeats that.
 *How* a residual is drawn from the network belongs to the
 parameterization (``flow.sample_residuals``): TrigFlow's DPM-Solver, the
 EDM baseline's Heun sampler and the point baseline's single forward all
@@ -23,14 +24,17 @@ batches across *requests* through the same :func:`step_sharded`.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
+from ..nn.module import Module
+from ..nn.optim import FlatParams
 from ..obs.profile import count as _count
 from ..obs.profile import span as _span
-from ..rows import run_row_shards
+from ..rows import KeptWorkers
 from ..tensor import Tensor, no_grad
 from .solver import SolverConfig
 from .trigflow import TrigFlow
@@ -133,24 +137,78 @@ def bound_network(model, cond: np.ndarray, forc: np.ndarray):
     return network
 
 
+#: The member groups' kept workers, one per core past the first, shared
+#: by every stepper of this process.
+_GROUPS = KeptWorkers()
+
+#: The steppers ``_GROUPS``' workers were forked with, by ``id``: a weak
+#: reference, the values of its fields then, and its weights' seat in the
+#: shared mapping (what a worker reads them from).
+_FORKED: dict[int, tuple[weakref.ref, tuple, FlatParams]] = {}
+
+
+def _seat(stepper) -> None:
+    """Seat ``stepper``'s weights in the shared mapping, rebound arrays
+    copied back in.  A stepper the workers were not forked with, or whose
+    fields were rebound since (``stepper.model = …``), is entered in
+    ``_FORKED`` and the workers are retired: the next split forks them
+    anew, knowing it."""
+    key, fields = id(stepper), tuple(vars(stepper).values())
+    entry = _FORKED.get(key)
+    if (entry is None or entry[0]() is not stepper
+            or len(entry[1]) != len(fields)
+            or any(a is not b for a, b in zip(entry[1], fields))):
+        entry = _FORKED[key] = (
+            weakref.ref(stepper, lambda _, key=key: _FORKED.pop(key, None)),
+            fields, FlatParams(stepper.model.parameters()))
+        _GROUPS.close()
+    entry[2].check()
+
+
+def _step_group(lo: int, hi: int, request: tuple) -> tuple:
+    """Members ``lo:hi`` of a data step, ``request = (stepper id, states,
+    time indices, generators)``: their next states and the generators'
+    states after them."""
+    key, states, time_indices, rngs = request
+    out = _FORKED[key][0]().step_members(states, time_indices, rngs)
+    return out, [None if rng is None else rng.bit_generator.state
+                 for rng in rngs]
+
+
 def step_sharded(stepper, states: np.ndarray,
                  time_indices: int | Sequence[int],
                  rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """``stepper.step_members`` over contiguous groups of the members at
-    once, under ``no_grad`` (:func:`repro.rows.run_row_shards` sizes the
-    groups; one group while a GEMM guard is live).  A member's next state
-    and generator do not depend on which members it is stepped with, so
-    the result is one ``step_members`` call's bit for bit; every forward
-    inside a group runs whole."""
+    once, under ``no_grad``: this process steps the first group, a kept
+    worker each other (:class:`repro.rows.KeptWorkers`), sent the group's
+    state rows, time indices and generators; the generators' states it
+    sends back are written into the caller's.  A member's next state and
+    generator do not depend on which members it is stepped with, so the
+    result is one ``step_members`` call's bit for bit; every forward
+    inside a group runs whole.
+
+    The workers read the weights from the shared mapping (:func:`_seat`,
+    checked before each step).  One member, a model that is not a
+    :class:`~repro.nn.Module`, and every fallback of
+    :func:`repro.rows._fork_bounds` (a GEMM guard, a FLOP counter, an obs
+    sink, another thread) step in one call here."""
     rngs = list(rngs)
     time_indices = per_member_indices(states, time_indices, len(rngs))
-
-    def run(lo: int, hi: int) -> np.ndarray:
-        return stepper.step_members(states[lo:hi], time_indices[lo:hi],
-                                    rngs[lo:hi])
-
     with no_grad():
-        return run_row_shards(len(rngs), run)
+        if len(rngs) < 2 or not isinstance(getattr(stepper, "model", None),
+                                           Module):
+            return stepper.step_members(states, time_indices, rngs)
+        _seat(stepper)
+        groups = _GROUPS.run(len(rngs), _step_group, lambda lo, hi: (
+            id(stepper), states[lo:hi], time_indices[lo:hi], rngs[lo:hi]))
+    if len(groups) == 1:
+        return groups[0][0]
+    first = len(groups[0][0])
+    for rng, state in zip(rngs[first:], (state for _, sent in groups[1:]
+                                         for state in sent)):
+        if rng is not None:
+            rng.bit_generator.state = state
+    return np.concatenate([out for out, _ in groups])
 
 
 def lockstep_rollout(stepper, out: np.ndarray, rngs, start_index: int

@@ -70,18 +70,30 @@ class Module:
         return {name: p.data.copy() for name, p in self.named_parameters()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]) -> None:
+        """Load ``state``'s arrays, cast to each parameter's dtype, into
+        the parameters' own arrays: a load overwrites each parameter's
+        current array in place (a view of it — a shared mapping's seat,
+        :class:`repro.nn.optim.FlatParams` — sees the new values; an array
+        taken from ``p.data`` before the load does too), rebinding only
+        a read-only one to a copy.  Names and shapes are checked before
+        anything is written."""
         own = dict(self.named_parameters())
         missing = set(own) - set(state)
         unexpected = set(state) - set(own)
         if missing or unexpected:
             raise KeyError(f"state mismatch: missing={sorted(missing)}, "
                            f"unexpected={sorted(unexpected)}")
+        values = {name: np.asarray(state[name], dtype=param.data.dtype)
+                  for name, param in own.items()}
         for name, param in own.items():
-            value = np.asarray(state[name], dtype=param.data.dtype)
-            if value.shape != param.data.shape:
+            if values[name].shape != param.data.shape:
                 raise ValueError(f"shape mismatch for {name}: "
-                                 f"{value.shape} vs {param.data.shape}")
-            param.data = value.copy()
+                                 f"{values[name].shape} vs {param.data.shape}")
+        for name, param in own.items():
+            if param.data.flags.writeable:
+                param.data[...] = values[name]
+            else:
+                param.data = values[name].copy()
 
     # -- call --------------------------------------------------------------
     def forward(self, *args, **kwargs):

@@ -1,31 +1,30 @@
 """Row-parallel execution: contiguous runs of independent batch rows at
-once, one per usable core — on threads for tape-free inference, on kept
-worker processes for a training step's data-parallel replicas or, in a
+once, one per usable core — on threads for the Swin layers of a direct
+tape-free forward, on kept worker processes for a data step's ensemble
+member groups and a training step's data-parallel replicas or, in a
 one-replica step, its batch rows.
 
-:func:`run_row_shards` is called at the outermost call whose rows are
-independent, so a split is made once and each shard does as much as it
-can alone.  It has two callers: :func:`repro.diffusion.sampler.step_sharded`
-runs a whole data step per group of ensemble members (noise draws, every
-solver evaluation, the denoise), and ``Aeris._swin`` runs the Swin layers
-of a direct tape-free forward (a validation batch, a warm-up forward).
-Inside a shard a nested call runs whole, so a forward inside a member
-group submits nothing: one pool worker never waits on itself.
+:func:`run_row_shards` runs ``Aeris._swin``'s layers over row shards on
+threads (a validation batch, a warm-up forward): NumPy drops the GIL in
+the ufunc loops and GEMMs that hold the time.  Inside a shard or a group a
+nested call runs whole, so a forward inside a member group splits nothing:
+one worker never waits on itself.
 
-Every row's arithmetic is the serial path's, so a split result is equal to
-the unsplit one bit for bit.  NumPy drops the GIL in the ufunc loops and
-GEMMs that hold the time.
-
-:class:`KeptWorkers` is the training step's split: a taped
-forward/backward holds the GIL between its small GEMMs (two taped steps on
-two threads run ×1.03), so the DP replicas of a SWiPe step run in
-processes instead — the caller one group of replicas, one worker each
-other group.  A one-replica step splits its rows in two the same way, the
+:class:`KeptWorkers` runs groups of items in processes — the caller one
+group, one worker each other: :func:`repro.diffusion.sampler.step_sharded`
+a data step per group of ensemble members (noise draws, every solver
+evaluation, the denoise), the training engine a group of DP replicas (a
+taped forward/backward holds the GIL between its small GEMMs: two taped
+steps on two threads run ×1.03), or half of a one-replica step's rows, the
 worker streaming what the caller's reductions over rows need
 (:meth:`KeptWorkers.put`, :meth:`KeptWorkers.take`).  A worker is forked
-once, at its owner's first split, and kept: each step sends it the batch
-down a pipe (the weights are shared) and reads its result back from
-another, so no step pays a fork's copy-on-write faults (DESIGN §10).
+once, at its owner's first split, and kept: each run sends it its group's
+bounds and request down a pipe (the weights are shared) and reads its
+result back from another, so no run pays a fork's copy-on-write faults
+(DESIGN §10).
+
+Every row's arithmetic is the serial path's, so a split result is equal to
+the unsplit one bit for bit.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ _POOL: ThreadPoolExecutor | None = None
 _POOL_LOCK = threading.Lock()
 _POOL_PREFIX = "aeris-rows"
 
-#: Set while a shard runs, in its caller's thread and in the worker.
+#: Set while a shard or a group runs, in its caller and in the worker.
 _IN_SHARD = ContextVar("rows_in_shard", default=False)
 
 #: The switches that reach a kept worker's arithmetic, sent with each
@@ -163,12 +162,13 @@ def _fork_bounds(n: int) -> list[int]:
     """Group boundaries of a forked split of ``n`` items:
     ``min(cores, n)`` contiguous groups, as even as can be, the caller's
     (the first) never the larger.  One group, ``[0, n]``, when there is no
-    ``os.fork``, inside a row shard, while a GEMM guard, a FLOP counter or
-    any :mod:`repro.obs` sink is live (a child's spans, bookings, FLOPs and
-    guard ordinals would be lost with it), or while a thread other than
-    the caller and idle row-pool workers runs (it could hold a lock the
-    child needs; an idle pool worker holds none, and no pool task is in
-    flight: the only submitter is a caller outside a shard, and it is us)."""
+    ``os.fork``, inside a row shard or a group, while a GEMM guard, a FLOP
+    counter or any :mod:`repro.obs` sink is live (a child's spans,
+    bookings, FLOPs and guard ordinals would be lost with it), or while a
+    thread other than the caller and idle row-pool workers runs (it could
+    hold a lock the child needs; an idle pool worker holds none, and no
+    pool task is in flight: the only submitter is a caller outside a
+    shard, and it is us)."""
     groups = min(_CORES, n)
     if (groups < 2 or not hasattr(os, "fork") or _IN_SHARD.get()
             or guards_live() or flops_enabled()
@@ -181,27 +181,27 @@ def _fork_bounds(n: int) -> list[int]:
     return [n * i // groups for i in range(groups + 1)]
 
 
-def _serve(kept: "KeptWorkers", requests, replies, run: Callable,
-           lo: int, hi: int) -> None:
+def _serve(kept: "KeptWorkers", requests, replies, run: Callable) -> None:
     """A kept worker's whole life: per request received on ``requests`` —
-    ``(request, switches, warning filters)`` — ``run(lo, hi, request)``
-    under those switches and filters, then one reply sent on ``replies``,
-    ``("ok", result, warnings)`` or ``("raise", (exc, traceback),
-    warnings)``, after the ``("part", item, [])`` messages
-    :meth:`KeptWorkers.put` sent during the run.  When its owner hangs up
-    ``requests`` (it retired the worker) ``os._exit(0)``: no atexit
-    handler, no inherited buffer flushed, no tape freed; status 1 if a
-    reply could not be sent."""
+    ``(lo, hi, request, switches, warning filters)`` — ``run(lo, hi,
+    request)`` under ``_IN_SHARD``, those switches and filters, then one
+    reply sent on ``replies``, ``("ok", result, warnings)`` or ``("raise",
+    (exc, traceback), warnings)``, after the ``("part", item, [])``
+    messages :meth:`KeptWorkers.put` sent during the run.  When its owner
+    hangs up ``requests`` (it retired the worker) ``os._exit(0)``: no
+    atexit handler, no inherited buffer flushed, no tape freed; status 1
+    if a reply could not be sent."""
     status = 1
     try:
         kept._stream = replies
         while True:
             try:
-                request, switches, filters = requests.recv()
+                lo, hi, request, switches, filters = requests.recv()
             except EOFError:
                 break
             with ExitStack() as stack:
-                for var, value in zip(_SWITCHES, switches):
+                for var, value in zip((_IN_SHARD,) + _SWITCHES,
+                                      (True, *switches)):
                     stack.enter_context(scoped(var, value))
                 caught = stack.enter_context(
                     warnings.catch_warnings(record=True))
@@ -220,21 +220,24 @@ def _serve(kept: "KeptWorkers", requests, replies, run: Callable,
 class KeptWorkers:
     """The processes that run a split's groups past the first, forked at
     its first split (:func:`_fork_bounds`) and kept: each :meth:`run`
-    sends every worker one request and runs the first group here.  During
-    a run a worker may also stream items to the caller (:meth:`put`,
-    :meth:`take`), which a row split of one training step uses.
+    sends every worker it needs its group's bounds and request and runs
+    the first group here.  During a run a worker may also stream items to
+    the caller (:meth:`put`, :meth:`take`), which a row split of one
+    training step uses.
 
     Its owner retires them with :meth:`close` — when it is finalised,
     which ``weakref.finalize`` also does at interpreter exit — and
-    :meth:`run` retires them itself when the split's groups change or a
-    group fails; another owner's first split retires them too, so a
-    process keeps one owner's workers at a time.  A process forked later
-    (a worker of another owner) closes its copies of these pipes
-    (:func:`_forget_pool`), so a worker sees the end of its requests when
-    its owner closes them."""
+    :meth:`run` retires them itself when it is given another ``run`` or
+    the core count changed since the fork, or a group fails; another
+    owner's first split retires them too, so a process keeps one owner's
+    workers at a time.  A process forked later (a worker of another
+    owner) closes its copies of these pipes (:func:`_forget_pool`), so a
+    worker sees the end of its requests when its owner closes them."""
 
     def __init__(self):
-        self._bounds: list[int] = []
+        self._bounds: list[int] = []      # of the last split
+        self._run: tuple | None = None    # what the workers run (_key)
+        self._cores = 0                   # _CORES when they were forked
         self._workers: list = []          # their multiprocessing.Process
         self._requests: list = []         # this end of each worker's pipes
         self._replies: list = []
@@ -254,40 +257,45 @@ class KeptWorkers:
         return self._stream is not None
 
     def run(self, n: int, run: Callable[[int, int, object], object],
-            request) -> list:
-        """``run(lo, hi, request)`` — items ``lo:hi`` of ``n``
+            request: Callable[[int, int], object]) -> list:
+        """``run(lo, hi, request(lo, hi))`` — items ``lo:hi`` of ``n``
         independent ones — over contiguous groups at once
-        (:func:`_fork_bounds`), or once over ``[0, n]``: this process runs
-        the first group, a kept worker each other.  Returns the groups'
-        results in order.
+        (:func:`_fork_bounds`), each under ``_IN_SHARD``, this process the
+        first and a kept worker each other; or once over ``[0, n]``, here.
+        Returns the groups' results in order.
 
-        A worker runs ``run`` as it was when the worker was forked, on
-        ``request`` pickled, under the caller's switches (``_SWITCHES``)
-        and warning filters at this call; ``run`` must take what changes
-        from ``request`` (or a shared mapping made before the fork) and
-        return what the caller needs: the rest of what a worker changes
-        stays in it.  Warnings a worker records are re-issued here in its
-        order.  An exception of a worker (or a ``ChildProcessError`` for
-        one that died) is raised once every group has finished, the first
-        group's first, and retires the workers."""
+        A worker runs ``run`` as it was when the worker was forked, on its
+        ``request(lo, hi)`` pickled, under the caller's switches
+        (``_SWITCHES``) and warning filters at this call; ``run`` must take
+        what changes from its request (or a shared mapping made before the
+        fork) and return what the caller needs: the rest of what a worker
+        changes stays in it.  Warnings a worker records are re-issued here
+        in its order.  An exception of a worker (or a
+        ``ChildProcessError`` for one that died) is raised once every
+        group has finished, the first group's first, and retires the
+        workers."""
         bounds = _fork_bounds(n)
-        if bounds != self._bounds:
+        if self._workers and (_key(run) != self._run
+                              or _CORES != self._cores):
             self.close()
         if len(bounds) == 2:
-            return [run(0, n, request)]
+            return [run(0, n, request(0, n))]
         try:
-            if not self._workers:
-                self._fork(bounds, run)
-            message = pickle.dumps(
-                (request, [var.get() for var in _SWITCHES], warnings.filters),
-                pickle.HIGHEST_PROTOCOL)
-            for i, requests in enumerate(self._requests):
+            self._fork(len(bounds) - 2, run)
+            self._bounds = bounds
+            switches = [var.get() for var in _SWITCHES]
+            for i, (lo, hi) in enumerate(zip(bounds[1:-1], bounds[2:])):
+                message = pickle.dumps(
+                    (lo, hi, request(lo, hi), switches, warnings.filters),
+                    pickle.HIGHEST_PROTOCOL)
                 try:
-                    requests.send_bytes(message)
+                    self._requests[i].send_bytes(message)
                 except BrokenPipeError:
                     raise self._died(i) from None
-            results = [run(bounds[0], bounds[1], request)]
-            replies = [self._reply(i) for i in range(len(self._replies))]
+            with scoped(_IN_SHARD, True):
+                results = [run(bounds[0], bounds[1],
+                               request(bounds[0], bounds[1]))]
+            replies = [self._reply(i) for i in range(len(bounds) - 2)]
         except BaseException:
             self.close()
             raise
@@ -337,16 +345,19 @@ class KeptWorkers:
             exc.add_note(f"raised in a forked worker:\n{where}")
         return exc
 
-    def _fork(self, bounds: list[int], run: Callable) -> None:
+    def _fork(self, count: int, run: Callable) -> None:
+        """Workers up to ``count``, each to run ``run``."""
+        if len(self._workers) >= count:
+            return
         import multiprocessing      # here: ≈ 0.75 MB that serving never needs
 
         for other in list(_KEPT):       # one owner's workers at a time
             if other is not self:
                 other.close()
-        self._bounds = bounds
+        self._run, self._cores = _key(run), _CORES
         _KEPT.add(self)
         context = multiprocessing.get_context("fork")
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+        while len(self._workers) < count:
             requests, self_requests = context.Pipe(duplex=False)
             self_replies, replies = context.Pipe(duplex=False)
             # registered first: the child closes these ends (_forget_pool)
@@ -356,7 +367,7 @@ class KeptWorkers:
             # the owner's finalizer, would join a non-daemon worker that
             # still waits for requests; it terminates a daemon one.
             worker = context.Process(target=_serve, daemon=True, args=(
-                self, requests, replies, run, lo, hi))
+                self, requests, replies, run))
             # CPython >= 3.12 warns on a fork while other threads exist.
             # Here they are idle row-pool workers (_fork_bounds): blocked
             # on their work queue, holding nothing the worker takes, and
@@ -398,9 +409,16 @@ class KeptWorkers:
         (all a forked child does with its copy)."""
         for connection in self._requests + self._replies:
             connection.close()
-        self._bounds, self._workers = [], []
+        self._bounds, self._run, self._workers = [], None, []
         self._requests, self._replies = [], []
         _KEPT.discard(self)
+
+
+def _key(run: Callable) -> tuple:
+    """What tells ``run`` from another: its function and, for a bound
+    method, the ``id`` of its owner (not the owner: a worker's owner is
+    finalised while its workers live)."""
+    return getattr(run, "__func__", run), id(getattr(run, "__self__", None))
 
 
 def _reissue(issued: list) -> None:

@@ -169,10 +169,10 @@ def execute_batch(batch: MicroBatch, stepper, cache: ForecastCache,
     """Run one micro-batch to completion on ``stepper``: restore each
     member's longest cached prefix, advance every unfinished member
     through stacked forwards — one row per distinct member-state (module
-    docstring), the rows in member groups on the row pool
+    docstring), the rows in member groups on the kept worker processes
     (:func:`~repro.diffusion.sampler.step_sharded`) — and cache each new
-    step.  ``weights`` / ``solver`` are the
-    version's content digests.
+    step, a read-only view of the step's output.  ``weights`` /
+    ``solver`` are the version's content digests.
 
     Returns ``{"rows", "forwards", "members"}``; ``rows[i]`` holds the
     :class:`~repro.serve.ForecastResponse` fields ``forecast`` (a fresh
@@ -217,6 +217,8 @@ def execute_batch(batch: MicroBatch, stepper, cache: ForecastCache,
             stepper, np.stack([t.state for t in leaders]),
             [t.pending.request.start_index + t.lead for t in leaders],
             [t.rng for t in leaders])
+        # read-only: the cache adopts each row instead of copying it
+        new_states.flags.writeable = False
         forwards += batch.policy.forwards_per_data_step()
         coalesced += len(active) - len(leaders)
         for (address, flight), state in zip(flights.items(), new_states):

@@ -84,8 +84,10 @@ class ForecastCache:
 
     ``get``/``put`` are O(1); eviction walks the LRU tail until the
     resident set fits.  Entries larger than the whole budget are refused
-    (counted, not stored).  Stored states are copied on the way in so a
-    caller mutating its arrays cannot corrupt cached content.
+    (counted, not stored).  A writeable state is copied on the way in, so
+    a caller mutating its arrays cannot corrupt cached content; a
+    read-only one is adopted as it is (its owner has marked it so: no
+    copy, and a write to the cached state raises).
     """
 
     def __init__(self, max_bytes: int):
@@ -139,7 +141,9 @@ class ForecastCache:
             self.current_bytes -= evicted.nbytes
             self.evictions += 1
             self._book("evict")
-        self._entries[key] = CacheEntry(key=key, state=np.array(state),
+        if state.flags.writeable:
+            state = np.array(state)
+        self._entries[key] = CacheEntry(key=key, state=state,
                                         rng_state=rng_state, nbytes=nbytes)
         self.current_bytes += nbytes
         self._book("put")

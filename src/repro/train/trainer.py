@@ -223,21 +223,31 @@ class TrainingEngine:
 
         The replicas run at once in contiguous groups
         (:class:`~repro.rows.KeptWorkers`): this process runs the first,
-        a kept worker each other, sent the batch (the weights are shared,
-        :class:`~repro.nn.optim.FlatParams`); a worker's transfers are made
-        here after the join in rank order, as a serial run makes them (its
-        faults and bookings too).  One replica of one microbatch of 4 rows
-        or more at one rank splits its rows instead (:meth:`_halves`; each
-        half ≥ 2 rows, DESIGN §10)."""
+        a kept worker each other, sent its group's rows of the network
+        inputs and the whole ``extra`` (``_loss`` reads it by global row;
+        the weights are shared, :class:`~repro.nn.optim.FlatParams`); a
+        worker's transfers are made here after the join in rank order, as
+        a serial run makes them (its faults and bookings too).  One replica
+        of one microbatch of 4 rows or more at one rank splits its rows
+        instead (:meth:`_halves`; each half ≥ 2 rows, DESIGN §10)."""
         self.optimizer.seat.check()
-        request = (batch, gas)
+        n = len(batch.inputs[0])
+
+        def request(rows: slice) -> tuple:
+            return (Batch(tuple(a[rows] for a in batch.inputs), batch.extra),
+                    gas, rows.start, n)
+
         if (self.rowwise_loss and self.topology.world_size == 1
-                and gas == 1 and len(batch.inputs[0]) >= 4
-                and kernels_enabled()):
-            groups = self.workers.run(2, self._halves, request)
+                and gas == 1 and n >= 4 and kernels_enabled()):
+            halves = {(0, 2): slice(0, n), (0, 1): slice(n // 2, n),
+                      (1, 2): slice(0, n // 2)}
+            groups = self.workers.run(2, self._halves, lambda lo, hi: request(
+                halves[lo, hi]))
         else:
+            per = self.rows_per_replica(n)
             groups = self.workers.run(self.topology.dp, self._replicas,
-                                      request)
+                                      lambda lo, hi: request(
+                                          slice(lo * per, hi * per)))
         for _, _, log in groups[1:]:
             for transfer in log:
                 self.cluster.transfer(*transfer)
@@ -246,16 +256,18 @@ class TrainingEngine:
                 [grads for group in groups for grads in group[1]])
 
     def _replicas(self, lo: int, hi: int, request: tuple) -> tuple:
-        """Replicas ``lo:hi`` of the step ``request = (batch, gas)``: their
-        losses, gradient sets and, in a worker, the transfers they logged
-        for the caller to make (``SimCluster.log``)."""
-        batch, gas = request
-        per = self.rows_per_replica(len(batch.inputs[0]))
+        """Replicas ``lo:hi`` of the step ``request = (batch, gas, first,
+        n)`` — ``batch.inputs`` holds global rows ``first:`` of ``n`` —
+        their losses, gradient sets and, in a worker, the transfers they
+        logged for the caller to make (``SimCluster.log``)."""
+        batch, gas, first, n = request
+        per = self.rows_per_replica(n)
         log = self.cluster.log = [] if self.workers.in_worker else None
         losses, grads = [], []
         for d in range(lo, hi):
             params = self._params()
-            losses.append(self._replica_forward_backward(batch, gas, d, per))
+            losses.append(self._replica_forward_backward(
+                batch, gas, d, per, first))
             grads.append([p.grad for p in params])
         return losses, grads, log
 
@@ -268,9 +280,9 @@ class TrainingEngine:
     def _halves(self, lo: int, hi: int, request: tuple) -> tuple:
         """Half ``lo`` of a row split of the one-replica, one-microbatch
         step ``request``, as :meth:`_replicas` returns it (both halves,
-        ``[0, 2]``, is the whole step, here).  The kept worker (half 1)
-        runs the first ``n // 2`` rows, this process (half 0) the rest;
-        each reduction over rows of a parameter's gradient keeps the
+        ``[0, 2]``, is the whole step, here).  The kept worker (half 1) is
+        sent and runs the first ``n // 2`` rows, this process (half 0) the
+        rest; each reduction over rows of a parameter's gradient keeps the
         serial order across them (:func:`repro.kernels.fused._over_rows`),
         so the gradients this process is left with are the serial step's.
 
@@ -284,11 +296,9 @@ class TrainingEngine:
         is not each row's own terms clears ``rowwise_loss``."""
         if hi - lo == 2:
             return self._replicas(0, 1, request)
-        batch, gas = request
+        batch, gas, _, n = request
         params = self._params()
-        n = len(batch.inputs[0])
         worker = self.workers.in_worker
-        mine = slice(0, n // 2) if worker else slice(n // 2, n)
 
         def loss_fn(pred: Tensor, _micro: slice) -> Tensor:
             if worker:
@@ -303,24 +313,25 @@ class TrainingEngine:
         with _span("train.forward_backward", category="train", dp_rank=0), \
                 scoped(_ROW_SPLIT, self.workers):
             loss = self.pipelines[0].forward_backward(
-                *(a[mine] for a in batch.inputs), loss_fn, n_micro=1)
+                *batch.inputs, loss_fn, n_micro=1)
         if worker:
             return [], [], []
         return [loss], [[p.grad for p in params]], []
 
     def _replica_forward_backward(self, batch: Batch, gas: int, d: int,
-                                  per: int) -> float:
-        """Replica ``d``'s rows of ``batch`` through its pipeline."""
-        first = d * per
+                                  per: int, first: int) -> float:
+        """Replica ``d``'s rows of ``batch``, whose inputs start at global
+        row ``first``, through its pipeline."""
+        start = d * per
 
         def loss_fn(pred: Tensor, micro: slice) -> Tensor:
-            rows = slice(first + micro.start, first + micro.stop)
+            rows = slice(start + micro.start, start + micro.stop)
             return self._loss(pred, rows, *batch.extra) * (1.0 / gas)
 
         with _span("train.forward_backward", category="train", dp_rank=d):
             return self.pipelines[d].forward_backward(
-                *(a[first:first + per] for a in batch.inputs), loss_fn,
-                n_micro=gas)
+                *(a[start - first:start - first + per] for a in batch.inputs),
+                loss_fn, n_micro=gas)
 
     def _update(self, images: int, grads: list[list]) -> None:
         """The replicas' gradient sets ring-allreduced (in FP64) into the

@@ -51,6 +51,27 @@ class TestModule:
         with pytest.raises(ValueError):
             layer.load_state_dict(state)
 
+    def test_load_state_dict_overwrites_each_array_in_place(self):
+        """A load writes into each parameter's own array (a view of it
+        sees the new values), cast to its dtype; a read-only array is
+        rebound to a copy; a bad shape anywhere writes nothing."""
+        a, b = Linear(4, 3, rng=np.random.default_rng(1)), \
+            Linear(4, 3, rng=np.random.default_rng(2))
+        weight, view = b.weight.data, b.weight.data[1:]
+        b.bias.data.flags.writeable = False
+        state = {k: v.astype(np.float64) for k, v in a.state_dict().items()}
+        b.load_state_dict(state)
+        assert b.weight.data is weight and b.weight.data.dtype == np.float32
+        np.testing.assert_array_equal(view, a.weight.data[1:])
+        assert b.bias.data.flags.writeable
+        np.testing.assert_array_equal(b.bias.data, a.bias.data)
+        before = b.state_dict()
+        bad = {"weight": np.zeros((3, 4)), "bias": np.zeros(3) + 5}
+        with pytest.raises(ValueError, match="shape mismatch"):
+            b.load_state_dict(bad)
+        for name, value in b.state_dict().items():
+            np.testing.assert_array_equal(value, before[name])
+
     def test_module_list(self):
         layers = ModuleList([Linear(2, 2) for _ in range(3)])
         assert len(layers) == 3

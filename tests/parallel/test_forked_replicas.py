@@ -6,15 +6,17 @@ states, the faults an injector deals — is equal bit for bit.  Each case
 forces the core count both ways by monkeypatching ``rows._CORES``, so it
 runs the same on a 1-core box.
 The workers are retired and reaped when the engine is finalised, at exit,
-when the split's groups change and when a group fails."""
+when the core count changes and when a group fails."""
 
 import gc
 import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
 import threading
+import types
 import warnings
 
 import numpy as np
@@ -144,6 +146,33 @@ class TestBitExact:
         forked, _ = run(archive, 4, 1, 3, monkeypatch, steps=2)
         assert len(forks) == 2                   # two workers per engine
         assert_same_engines(serial, forked)
+
+    def test_a_worker_is_sent_only_its_replicas_rows(self, archive,
+                                                     monkeypatch, forks):
+        """Each worker is sent its replicas' rows of the network inputs
+        (and the whole ``extra``, which ``_loss`` reads by global row)."""
+        sent = []
+
+        def dumps(obj, protocol):
+            sent.append(obj)
+            return pickle.dumps(obj, protocol)
+
+        monkeypatch.setattr(rows, "pickle", types.SimpleNamespace(
+            dumps=dumps, HIGHEST_PROTOCOL=pickle.HIGHEST_PROTOCOL))
+        monkeypatch.setattr(rows, "_CORES", 3)
+        engine = engine_for(archive, 4)
+        args = step_args(engine, archive, 0)
+        engine.train_step(*args, gas=1)
+        x_t, t, v_target, cond, forc = args
+        inputs = (x_t / engine.flow.sigma_d, t, cond, forc)
+        assert [(lo, hi) for lo, hi, *_ in sent] == [(1, 2), (2, 4)]
+        for lo, hi, (batch, gas, first, n), *_ in sent:
+            mine = slice(lo * ROWS_PER_REPLICA, hi * ROWS_PER_REPLICA)
+            assert (gas, first, n) == (1, mine.start, 4 * ROWS_PER_REPLICA)
+            for got, whole in zip(batch.inputs, inputs, strict=True):
+                np.testing.assert_array_equal(got, whole[mine])
+            np.testing.assert_array_equal(batch.extra[0], v_target)
+        assert len(forks) == 2
 
     @pytest.mark.parametrize("switch", [autocast_bf16, disable_kernels])
     def test_a_worker_runs_under_the_callers_switches(self, archive, switch,

@@ -1,6 +1,7 @@
 """Content-addressed cache: exactness, byte budget, invalidation."""
 
 import numpy as np
+import pytest
 
 from repro.diffusion import SolverConfig
 from repro.serve import (ForecastCache, array_digest, forecast_key,
@@ -70,6 +71,19 @@ class TestForecastCache:
         fresh = make_state(seed=2)
         assert np.array_equal(entry.state, fresh)
         assert entry.state.dtype == fresh.dtype
+
+    def test_a_read_only_state_is_adopted_and_stays_read_only(self):
+        """A step's output rows, marked read-only, are cached as they are:
+        no copy, and a write to the cached state raises."""
+        cache = ForecastCache(max_bytes=1 << 20)
+        rows = np.stack([make_state(seed=2), make_state(seed=3)])
+        rows.flags.writeable = False
+        cache.put("k", rows[1], rng_state())
+        entry = cache.get("k")
+        assert np.shares_memory(entry.state, rows)
+        with pytest.raises(ValueError, match="read-only"):
+            entry.state[0, 0, 0] = 999.0
+        np.testing.assert_array_equal(entry.state, make_state(seed=3))
 
     def test_miss_counts(self):
         cache = ForecastCache(max_bytes=1 << 20)

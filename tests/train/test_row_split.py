@@ -237,8 +237,10 @@ class TestSharedWeights:
 
     def test_the_request_holds_no_weights(self, tiny_archive, monkeypatch,
                                           forks):
-        """The worker is sent the batch, the switches and the warning
-        filters: no parameter array (the batch and a few hundred bytes)."""
+        """The worker is sent its bounds, its rows of the network inputs
+        (the first ``n // 2``), the whole ``extra``, the switches and the
+        warning filters: no parameter array (those arrays and a few
+        hundred bytes)."""
         monkeypatch.setattr(rows, "_CORES", 2)
         sent = []
 
@@ -255,10 +257,11 @@ class TestSharedWeights:
         trainer.fit(2)
         assert len(forks) == 1 and len(sent) == 2
         for message, batch in zip(sent, batches):
-            request, switches, _ = pickle.loads(message)
-            got, gas = request
-            assert gas == 1
-            arrays = [np.asarray(a) for a in (*batch.inputs, *batch.extra)]
+            lo, hi, request, switches, _ = pickle.loads(message)
+            got, gas, first, n = request
+            assert (lo, hi, gas, first, n) == (1, 2, 1, 0, 4)
+            arrays = [np.asarray(a) for a in (*(a[:2] for a in batch.inputs),
+                                              *batch.extra)]
             assert [np.asarray(a).tobytes()
                     for a in (*got.inputs, *got.extra)] == \
                 [a.tobytes() for a in arrays]
