@@ -29,8 +29,8 @@ Numerical contract:
 The guard is off by default and costs
 one context-variable read per GEMM; :func:`abft_guard` arms it for a
 scope.  Guard and injector are per-thread context variables
-(:mod:`repro.scoped`) a row-shard worker inherits from its caller; the
-workspace arena and FLOP counters stay per thread, merged at the join.
+(:mod:`repro.scoped`); the workspace arena and FLOP counters stay per
+thread.
 Fault *injection* (via :func:`repro.resilience.inject_compute`) is
 consulted independently of the guard, so an undefended run can
 demonstrate silent corruption.

@@ -12,9 +12,9 @@ Every cache self-registers in a module-level registry so
 :func:`plan_cache_stats` can expose hit/miss/eviction counts to benchmarks
 and :func:`clear_plan_caches` can reset the world between tests.
 
-A lookup runs under the cache's lock: the row-shard workers of
-:mod:`repro.model.aeris` look plans up at the same time as the calling
-thread, and the counters stay exact (hits + misses = lookups).
+A lookup runs under the cache's lock: threads a caller starts may look
+plans up at once, and the counters stay exact (hits + misses =
+lookups).
 """
 
 from __future__ import annotations

@@ -9,13 +9,10 @@ The network estimates the TrigFlow velocity for the *residual*
 ``x_0 = x_i − x_{i-1}``; conditioning (previous state and forcings) is
 concatenated channel-wise with the noisy sample.
 
-A tape-free forward runs its Swin layers through
-:func:`repro.rows.run_row_shards`: as contiguous row shards at once when it
-is called directly with enough rows, whole inside a member group of
-:func:`repro.diffusion.sampler.step_sharded`.  Every row's arithmetic is
-the serial path's, so the result is equal to it bit for bit; the embed,
-the time embedding and the decode run once, on all rows, in the calling
-thread.
+Every row's arithmetic is independent of the call's other rows, so rows
+``lo:hi`` of an n-row forward equal a forward of rows ``lo:hi`` bit for bit:
+what lets :func:`repro.diffusion.sampler.step_sharded` and the training
+engine split a batch across kept worker processes (:mod:`repro.rows`).
 """
 
 from __future__ import annotations
@@ -25,7 +22,6 @@ import numpy as np
 from ..kernels import _tape_free, fused_concat_add
 from ..nn import LayerNorm, Linear, Module, ModuleList, TimestepEmbedding
 from ..nn import pixel_positional_field
-from ..rows import run_row_shards
 from ..tensor import Tensor, concat
 from .blocks import SwinLayer
 from .config import AerisConfig
@@ -101,26 +97,10 @@ class Aeris(Module):
         """Last pipeline stage: final norm + linear back to pixel space."""
         return self._unpatchify(self.decode(self.final_norm(h)))
 
-    def _swin(self, h: Tensor, t_emb: Tensor) -> Tensor:
-        """The Swin layers.  Tape-free, through :func:`run_row_shards`:
-        each shard reads its rows of ``h`` (and of ``t_emb``, unless it is
-        one row for all) through views."""
-        if not _tape_free():
-            for layer in self.layers:
-                h = layer(h, t_emb)
-            return h
-        per_row_t = len(t_emb.data) == len(h.data)
-
-        def run(lo: int, hi: int) -> np.ndarray:
-            x = Tensor(h.data[lo:hi])
-            t = Tensor(t_emb.data[lo:hi] if per_row_t else t_emb.data)
-            for layer in self.layers:
-                x = layer(x, t)
-            return x.data
-
-        return Tensor(run_row_shards(len(h.data), run))
-
     def forward(self, x_t: Tensor, t: Tensor, condition: Tensor,
                 forcings: Tensor) -> Tensor:
         h = self.embed_stage(x_t, condition, forcings)
-        return self.decode_stage(self._swin(h, self.time_embed(t)))
+        t_emb = self.time_embed(t)
+        for layer in self.layers:
+            h = layer(h, t_emb)
+        return self.decode_stage(h)

@@ -16,9 +16,9 @@ the simulated-cluster analogue of aggregating per-rank telemetry.
 
 An update is a read-modify-write of a series, so every update of a
 registry's instruments, and the creation of an instrument, holds the
-registry's one lock: row-shard workers book into their caller's registry
-(:mod:`repro.rows`).  Snapshots and loads are the readers' business,
-after the join.
+registry's one lock: threads a caller starts may book into one registry
+at once.  Snapshots and loads are the readers' business, after the
+join.
 """
 
 from __future__ import annotations

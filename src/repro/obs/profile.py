@@ -16,10 +16,10 @@ through the hooks here, which are strict no-ops while disabled:
   online detectors cost nothing while monitoring is off.
 
 The active sinks are context variables (:mod:`repro.scoped`): a thread
-sees its own, and a row-shard worker its caller's.  Enable in the calling
-context with :func:`enable`, or for a block with ``with observed() as
-(tracer, registry): ...``.  The *active* health layer (flight recorder +
-detectors, see :mod:`repro.obs.health`) is a separate opt-in on top:
+sees its own.  Enable in the calling context with :func:`enable`, or for
+a block with ``with observed() as (tracer, registry): ...``.  The
+*active* health layer (flight recorder + detectors, see
+:mod:`repro.obs.health`) is a separate opt-in on top:
 :func:`enable_health` / :func:`disable_health`, or everything at once
 with ``with monitored() as m: ...``.  The hot-path contract is verified
 by ``tests/obs/test_overhead.py``: with tracing disabled, instrumented

@@ -1,14 +1,7 @@
-"""Row-parallel execution: contiguous runs of independent batch rows at
-once, one per usable core — on threads for the Swin layers of a direct
-tape-free forward, on kept worker processes for a data step's ensemble
+"""Row-parallel execution: contiguous runs of independent items at once,
+one per usable core, on kept worker processes — a data step's ensemble
 member groups and a training step's data-parallel replicas or, in a
-one-replica step, its batch rows.
-
-:func:`run_row_shards` runs ``Aeris._swin``'s layers over row shards on
-threads (a validation batch, a warm-up forward): NumPy drops the GIL in
-the ufunc loops and GEMMs that hold the time.  Inside a shard or a group a
-nested call runs whole, so a forward inside a member group splits nothing:
-one worker never waits on itself.
+one-replica step, its batch rows.  Nothing here starts a thread.
 
 :class:`KeptWorkers` runs groups of items in processes — the caller one
 group, one worker each other: :func:`repro.diffusion.sampler.step_sharded`
@@ -17,14 +10,16 @@ evaluation, the denoise), the training engine a group of DP replicas (a
 taped forward/backward holds the GIL between its small GEMMs: two taped
 steps on two threads run ×1.03), or half of a one-replica step's rows, the
 worker streaming what the caller's reductions over rows need
-(:meth:`KeptWorkers.put`, :meth:`KeptWorkers.take`).  A worker is forked
-once, at its owner's first split, and kept: each run sends it its group's
-bounds and request down a pipe (the weights are shared) and reads its
-result back from another, so no run pays a fork's copy-on-write faults
+(:meth:`KeptWorkers.put`, :meth:`KeptWorkers.take`).  Inside a group a
+nested split runs whole: one worker never waits on itself.  A worker is
+forked once, at its owner's first split, and kept: each run sends it its
+group's bounds and request down a pipe (the weights are shared) and reads
+its result back from another, so no run pays a fork's copy-on-write faults
 (DESIGN §10).
 
-Every row's arithmetic is the serial path's, so a split result is equal to
-the unsplit one bit for bit.
+Every row's arithmetic is the serial path's (a forward's rows do not
+depend on how many rows the call has), so a split result is equal to the
+unsplit one bit for bit.
 """
 
 from __future__ import annotations
@@ -35,40 +30,27 @@ import signal
 import threading
 import traceback
 import warnings
-from concurrent.futures import ThreadPoolExecutor, wait
 import weakref
-from contextlib import ExitStack, nullcontext
-from contextvars import ContextVar, copy_context
+from contextlib import ExitStack
+from contextvars import ContextVar
 from typing import Callable
 
-import numpy as np
-
-from .kernels import _ENABLED as _KERNELS, _tape_free
+from .kernels import _ENABLED as _KERNELS
 from .kernels.abft import guards_live
 from .obs.profile import flight, get_tracer, health, metrics
 from .scoped import scoped
 from .tensor.bf16 import _BF16_MATMUL
-from .tensor.flops import add_flops, count_flops, flops_enabled
+from .tensor.flops import flops_enabled
 from .tensor.tensor import _GRAD_ENABLED
 
-__all__ = ["run_row_shards", "KeptWorkers"]
+__all__ = ["KeptWorkers"]
 
-#: Fewest batch rows a shard is given.  Measured (DESIGN §10), two shards
-#: lose at 2 rows (×0.81), gain from 4, and gain ×1.4–1.8 from 8; at 4 the
-#: 1–4-row forwards of a lightly loaded service stay on one core.
-_MIN_SHARD_ROWS = 4
-
-#: Cores this process may run on: one shard per core, and a 1-core box
+#: Cores this process may run on: one group per core, and a 1-core box
 #: never splits.
 _CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
     else os.cpu_count() or 1
 
-#: The shard workers, started by the first split.
-_POOL: ThreadPoolExecutor | None = None
-_POOL_LOCK = threading.Lock()
-_POOL_PREFIX = "aeris-rows"
-
-#: Set while a shard or a group runs, in its caller and in the worker.
+#: Set while a group runs, in its caller and in the worker.
 _IN_SHARD = ContextVar("rows_in_shard", default=False)
 
 #: The switches that reach a kept worker's arithmetic, sent with each
@@ -80,102 +62,33 @@ _SWITCHES = (_GRAD_ENABLED, _BF16_MATMUL, _KERNELS)
 #: The kept workers of every owner in this process.
 _KEPT: "weakref.WeakSet[KeptWorkers]" = weakref.WeakSet()
 
-def _row_bounds(rows: int) -> list[int]:
-    """Shard boundaries of a split of ``rows`` rows:
-    ``min(cores, rows // _MIN_SHARD_ROWS)`` contiguous shards, as even as
-    can be, the calling thread's (the first) never the larger.  One shard,
-    ``[0, rows]``, inside a shard, when a tape is recorded, or when a GEMM
-    guard is live: an ABFT check or a compute fault injector addresses
-    guarded GEMMs by their order in the step."""
-    shards = min(_CORES, rows // _MIN_SHARD_ROWS)
-    if shards < 2 or _IN_SHARD.get() or not _tape_free() or guards_live():
-        return [0, rows]
-    return [rows * i // shards for i in range(shards + 1)]
 
-
-def _pool() -> ThreadPoolExecutor:
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = ThreadPoolExecutor(max(1, _CORES - 1),
-                                       thread_name_prefix=_POOL_PREFIX)
-        return _POOL
-
-
-def _forget_pool() -> None:
-    """A forked child has none of its parent's threads: it starts a pool of
-    its own (a task handed to the inherited one would never run).  It
-    closes its copies of the kept workers' pipes, so each worker still
-    sees the end of its requests when its owner closes them."""
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
+def _close_inherited_pipes() -> None:
+    """A forked child closes its copies of the kept workers' pipes, so
+    each worker still sees the end of its requests when its owner closes
+    them."""
     for kept in list(_KEPT):
         kept._drop()
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def run_row_shards(rows: int,
-                   run: Callable[[int, int], np.ndarray]) -> np.ndarray:
-    """``run(lo, hi)`` — rows ``lo:hi`` of a result — over contiguous
-    shards of ``rows`` rows at once (:func:`_row_bounds`), or once over
-    ``[0, rows]``: the calling thread runs the first shard, the pool the
-    rest.  Returns the shards' results in row order, concatenated (one
-    shard's as it is).
-
-    Each shard runs whole, under ``_IN_SHARD``, in a copy of the caller's
-    context, so under the caller's switches (:mod:`repro.scoped`).  FLOPs a
-    worker executes are booked to the caller's active counters after the
-    join (a thread books to its own), and an exception of any shard is
-    raised once every shard has finished."""
-    bounds = _row_bounds(rows)
-    if len(bounds) == 2:
-        return run(0, rows)
-    counted = flops_enabled()
-
-    def worker(lo: int, hi: int) -> tuple[np.ndarray, int]:
-        with scoped(_IN_SHARD, True), \
-                count_flops() if counted else nullcontext() as counter:
-            part = run(lo, hi)
-        return part, counter.forward if counted else 0
-
-    workers = [_pool().submit(copy_context().run, worker, lo, hi)
-               for lo, hi in zip(bounds[1:-1], bounds[2:])]
-    try:
-        with scoped(_IN_SHARD, True):
-            parts = [run(bounds[0], bounds[1])]
-    finally:
-        wait(workers)
-    flops = 0
-    for w in workers:
-        part, booked = w.result()
-        parts.append(part)
-        flops += booked
-    if flops:
-        add_flops(flops)
-    return np.concatenate(parts)
+    os.register_at_fork(after_in_child=_close_inherited_pipes)
 
 
 def _fork_bounds(n: int) -> list[int]:
     """Group boundaries of a forked split of ``n`` items:
     ``min(cores, n)`` contiguous groups, as even as can be, the caller's
     (the first) never the larger.  One group, ``[0, n]``, when there is no
-    ``os.fork``, inside a row shard or a group, while a GEMM guard, a FLOP
-    counter or any :mod:`repro.obs` sink is live (a child's spans,
-    bookings, FLOPs and guard ordinals would be lost with it), or while a
-    thread other than the caller and idle row-pool workers runs (it could
-    hold a lock the child needs; an idle pool worker holds none, and no
-    pool task is in flight: the only submitter is a caller outside a
-    shard, and it is us)."""
+    ``os.fork``, inside a group, while a GEMM guard, a FLOP counter or any
+    :mod:`repro.obs` sink is live (a child's spans, bookings, FLOPs and
+    guard ordinals would be lost with it), or while any thread other than
+    the caller runs (it could hold a lock the child needs)."""
     groups = min(_CORES, n)
     if (groups < 2 or not hasattr(os, "fork") or _IN_SHARD.get()
             or guards_live() or flops_enabled()
             or any(sink() is not None
                    for sink in (get_tracer, metrics, health, flight))
             or any(t is not threading.current_thread()
-                   and not t.name.startswith(_POOL_PREFIX)
                    for t in threading.enumerate())):
         return [0, n]
     return [n * i // groups for i in range(groups + 1)]
@@ -231,8 +144,9 @@ class KeptWorkers:
     the core count changed since the fork, or a group fails; another
     owner's first split retires them too, so a process keeps one owner's
     workers at a time.  A process forked later (a worker of another
-    owner) closes its copies of these pipes (:func:`_forget_pool`), so a
-    worker sees the end of its requests when its owner closes them."""
+    owner) closes its copies of these pipes
+    (:func:`_close_inherited_pipes`), so a worker sees the end of its
+    requests when its owner closes them."""
 
     def __init__(self):
         self._bounds: list[int] = []      # of the last split
@@ -360,7 +274,8 @@ class KeptWorkers:
         while len(self._workers) < count:
             requests, self_requests = context.Pipe(duplex=False)
             self_replies, replies = context.Pipe(duplex=False)
-            # registered first: the child closes these ends (_forget_pool)
+            # registered first: the child closes these ends
+            # (_close_inherited_pipes)
             self._requests.append(self_requests)
             self._replies.append(self_replies)
             # daemon: multiprocessing's exit hook, which may run before
@@ -368,11 +283,11 @@ class KeptWorkers:
             # still waits for requests; it terminates a daemon one.
             worker = context.Process(target=_serve, daemon=True, args=(
                 self, requests, replies, run))
-            # CPython >= 3.12 warns on a fork while other threads exist.
-            # Here they are idle row-pool workers (_fork_bounds): blocked
-            # on their work queue, holding nothing the worker takes, and
-            # forgotten by it (_forget_pool).  OpenBLAS stops its own
-            # threads before a fork (its pthread_atfork handler).
+            # CPython >= 3.12 warns on a fork while the process has other
+            # OS threads.  No Python thread but the caller runs here
+            # (_fork_bounds); a BLAS library's own threads may: OpenBLAS
+            # stops its before a fork (its pthread_atfork handler), another
+            # BLAS need not.
             try:
                 with warnings.catch_warnings():
                     warnings.filterwarnings(

@@ -1,11 +1,11 @@
 """Process switches — grad recording, BF16 matmuls, the kernel layer, the
 ABFT guard, the compute-fault injector, the obs sinks — are
 :class:`contextvars.ContextVar` s, set for a block by :func:`scoped`.  A
-thread reads its own: a plain thread starts at the defaults, and a
-row-shard worker runs in ``copy_context().run``, so under its caller's.
-The workspace arena and FLOP-counter stack stay on ``threading.local``,
-since a worker that inherited them would share one arena, or race on one
-counter, with its caller (FLOPs are merged after the join).
+thread reads its own: a plain thread starts at the defaults.  A kept
+worker process (:mod:`repro.rows`) is sent its caller's grad, BF16 and
+kernel switches with each request.  The workspace arena and FLOP-counter
+stack stay on ``threading.local``: a thread that inherited them would
+share one arena, or race on one counter, with its starter.
 """
 
 from __future__ import annotations

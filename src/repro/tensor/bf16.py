@@ -8,9 +8,8 @@ Rounding uses round-to-nearest-even, matching hardware behaviour.
 
 A mode switch lets the autograd engine quantize matmul inputs, reproducing
 the paper's precision split (matmul/attention in BF16, everything else FP32).
-It is a per-thread context variable (:mod:`repro.scoped`): a row-shard
-worker inherits its caller's setting, while the workspace arena and the FLOP
-counters stay per thread and are merged at the join.
+It is a per-thread context variable (:mod:`repro.scoped`); the workspace
+arena and the FLOP counters are per thread too.
 """
 
 from __future__ import annotations

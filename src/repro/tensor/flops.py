@@ -4,11 +4,9 @@ The paper (Section VI-D) determines sustained/peak FLOPS with an *analytical*
 model of the transformer.  To validate that model we instrument the autograd
 engine: every matmul (the compute-dominant operation, exactly as the paper
 assumes) reports its operation count to every :class:`FlopCounter` active
-in the calling thread — the counter stack is per thread.  A row-shard
-worker of :mod:`repro.model.aeris` counts into a counter of its own, which
-the caller books into its counters after the join.  Tests then check the
-analytical model in :mod:`repro.perf.flops` against counts measured on a
-live tiny model.
+in the calling thread — the counter stack is per thread.  Tests then check
+the analytical model in :mod:`repro.perf.flops` against counts measured on
+a live tiny model.
 """
 
 from __future__ import annotations

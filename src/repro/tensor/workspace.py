@@ -27,11 +27,10 @@ gradients; DESIGN §10 has the numbers); the one open allocator note is the
 serve path's fresh multi-row forward intermediates.
 
 ``arena()`` returns the calling thread's instance: the main thread's is
-the module's ``_ARENA``, and every other thread (a row-shard worker of
-:mod:`repro.model.aeris`) gets one of its own, so a buffer is never handed
-to two threads.  ``stats()`` feeds the benchmark sidecars
-(``bytes_served`` vs ``bytes_allocated`` is the reuse win) and counts the
-main thread's arena only.
+the module's ``_ARENA``, and every other thread gets one of its own, so
+a buffer is never handed to two threads.  ``stats()`` feeds the benchmark
+sidecars (``bytes_served`` vs ``bytes_allocated`` is the reuse win) and
+counts the main thread's arena only.
 """
 
 from __future__ import annotations

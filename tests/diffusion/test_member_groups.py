@@ -246,36 +246,33 @@ class TestAccounting:
     def test_a_forward_inside_a_group_submits_nothing(self, serve_world,
                                                       monkeypatch):
         """Each group's forwards run whole (``_IN_SHARD``), here and in
-        the worker, which was forked with these spies: a forward there
-        that split its rows or reached the row pool would raise, and its
-        error be raised here."""
+        the worker, which was forked with these spies: a split a forward
+        asked for inside a group is one group, or the worker's assertion
+        error is raised here."""
         _, forecaster, _, idx = serve_world
         stepper = replace(forecaster, solver_config=SolverConfig(2))
         monkeypatch.setattr(rows, "_CORES", 2)
-        bounds, row_bounds = [], rows._row_bounds
+        bounds, fork_bounds = [], rows._fork_bounds
 
-        def whole(n):
-            bounds.append((n, row_bounds(n)))
-            assert bounds[-1][1] == [0, n], "a forward split its rows"
+        def spied(n):
+            bounds.append((n, fork_bounds(n)))
             return bounds[-1][1]
 
-        def no_pool():
-            raise AssertionError("a forward reached the row pool")
-
-        monkeypatch.setattr(rows, "_row_bounds", whole)
-        monkeypatch.setattr(rows, "_pool", no_pool)
+        monkeypatch.setattr(rows, "_fork_bounds", spied)
         forwards = []
         forward = Aeris.forward
 
         def spy(self, x_t, *args):
-            forwards.append(x_t.shape[0])
+            n = x_t.shape[0]
+            forwards.append(n)
+            assert rows._fork_bounds(n) == [0, n], "a nested split"
             return forward(self, x_t, *args)
 
         monkeypatch.setattr(Aeris, "forward", spy)
         step_sharded(stepper, member_states(serve_world, 16), idx,
                      member_rngs(16, 0))
         assert forwards == [8] * 3
-        assert bounds == [(8, [0, 8])] * 3
+        assert bounds == [(16, [0, 8, 16])] + [(8, [0, 8])] * 3
 
     @pytest.mark.parametrize("guard", ["abft", "injector"])
     def test_a_live_guard_keeps_one_group(self, serve_world, guard, calls,

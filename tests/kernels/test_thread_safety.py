@@ -1,9 +1,9 @@
-"""Stress tests of the state the row-shard workers share with the calling
-thread: the workspace arena (one per thread), the plan caches (one lock
-each), the metrics registry (one lock) and the process switches (one
-context per thread, a worker's copied from its caller).  More threads than cores, a switch interval of a
-microsecond so the interpreter hands over between almost any two bytecodes,
-and every join bounded in time."""
+"""Stress tests of the state threads a caller starts share: the workspace
+arena (one per thread), the plan caches (one lock each), the metrics
+registry (one lock) and the process switches (one context per thread).
+More threads than cores, a switch interval of a microsecond so the
+interpreter hands over between almost any two bytecodes, and every join
+bounded in time.  The package itself starts no thread."""
 
 import sys
 import threading
@@ -12,13 +12,11 @@ import numpy as np
 import pytest
 
 from repro import rows
-from repro.kernels import (disable_kernels, fused_swiglu_forward,
-                           kernels_enabled, plan_cache)
+from repro.kernels import fused_swiglu_forward, plan_cache
 from repro.kernels.plan_cache import LRUCache
 from repro.model import Aeris
 from repro.obs import MetricsRegistry
-from repro.tensor import (Tensor, WorkspaceArena, arena, autocast_bf16,
-                          bf16_matmul_enabled, is_grad_enabled, no_grad)
+from repro.tensor import Tensor, WorkspaceArena, arena, no_grad
 
 from .test_golden import QUICKSTART, model_inputs, unblind
 
@@ -138,9 +136,8 @@ class TestPlanCache:
 
 class TestMetrics:
     def test_no_update_lost_under_two_threads(self, fast_switching):
-        """Pool workers book into their caller's registry: two threads
-        creating and updating the same instruments keep every increment
-        and every observation."""
+        """Two threads creating and updating the same instruments keep
+        every increment and every observation."""
         registry = MetricsRegistry()
         updates = 50_000
 
@@ -157,31 +154,38 @@ class TestMetrics:
         assert cell["bucket_counts"] == [updates, updates]
 
 
-class TestSplitForwards:
-    def test_concurrent_split_forwards_stay_exact(self, fast_switching,
-                                                  monkeypatch):
-        """Several callers each splitting their forward over the shared
-        pool: every result is the serial one.  Each caller enters
-        ``no_grad`` itself: a thread starts at the default switches."""
+class TestConcurrentForwards:
+    def test_concurrent_forwards_stay_exact(self, fast_switching,
+                                            monkeypatch):
+        """Two foreign threads running forwards of one model at once: every
+        result is the one-thread one.  Each enters ``no_grad`` itself: a
+        thread starts at the default switches."""
         model = unblind(Aeris(QUICKSTART, seed=0))
         args = model_inputs(QUICKSTART, 8)
-        monkeypatch.setattr(rows, "_CORES", 1)
+        monkeypatch.setattr(rows, "_CORES", 2)
         with no_grad():
             want = model(*args).numpy()
-        monkeypatch.setattr(rows, "_CORES", 2)
 
         def work(i):
             with no_grad():
-                assert len(rows._row_bounds(8)) > 2
                 for _ in range(2):
                     np.testing.assert_array_equal(model(*args).numpy(), want)
 
-        run_threads(work, n=4)
+        run_threads(work, n=2)
+
+    def test_a_forward_starts_no_thread(self, monkeypatch):
+        """A 16-row tape-free forward on a 2-core box runs in the calling
+        thread alone."""
+        model = Aeris(QUICKSTART, seed=0)
+        monkeypatch.setattr(rows, "_CORES", 2)
+        before = threading.enumerate()
+        with no_grad():
+            model(*model_inputs(QUICKSTART, 16))
+        assert threading.enumerate() == before
 
 
 class TestSwitches:
-    """A switch a thread sets is its own; a row-shard worker runs under its
-    caller's."""
+    """A switch a thread sets is its own."""
 
     def test_no_grad_in_one_thread_leaves_another_taped(self,
                                                         fast_switching):
@@ -204,39 +208,3 @@ class TestSwitches:
 
         run_threads(work, n=2)
         np.testing.assert_array_equal(grads[0], [0.0, 2.0, 4.0])
-
-    def test_row_shard_worker_runs_under_callers_switches(self,
-                                                          fast_switching,
-                                                          monkeypatch):
-        """The caller enters its switches while another thread is inside
-        its own and runs the shards after that thread has left them; every
-        shard, on the caller's thread or a worker, reads the caller's.  The
-        split is forced: with the kernels off a forward would not split."""
-        seen = []
-
-        def run(lo, hi):
-            seen.append((threading.current_thread().name, is_grad_enabled(),
-                         bf16_matmul_enabled(), kernels_enabled()))
-            return np.arange(lo, hi)
-
-        monkeypatch.setattr(rows, "_row_bounds", lambda n: [0, 4, n])
-        step = threading.Barrier(2, timeout=JOIN_TIMEOUT_S)
-
-        def work(i):
-            if i == 1:
-                with no_grad(), autocast_bf16(), disable_kernels():
-                    step.wait()
-                    step.wait()
-                step.wait()
-                return
-            step.wait()
-            with no_grad(), autocast_bf16(), disable_kernels():
-                step.wait()
-                step.wait()             # the other thread has left its own
-                np.testing.assert_array_equal(rows.run_row_shards(8, run),
-                                              np.arange(8))
-
-        run_threads(work, n=2)
-        assert any(name.startswith("aeris-rows") for name, *_ in seen)
-        assert {tuple(switches) for _, *switches in seen} == {
-            (False, True, False)}

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro import rows
 from repro.kernels import abft_guard, fused_swiglu_forward
 from repro.model import Aeris
 from repro.nn.attention import dot_product_attention
@@ -230,15 +229,12 @@ class TestArenaInKernels:
         fused_swiglu_forward(x, w_gate, w_up, w_down)
         assert glob.stats()["misses"] == 0
 
-    def test_pooled_bytes_steady_and_budgeted_at_16_rows(self, monkeypatch):
+    def test_pooled_bytes_steady_and_budgeted_at_16_rows(self):
         """The RSS guard: rotary, K^T and max scratch all go through one
         256 KB block, and at most two requests are ever outstanding (score
         matrix + block, or the two SwiGLU hidden buffers), so what a 16-row
         forward of the quickstart model leaves pooled is two 2 MB buffers —
-        settled after the first forward.  One shard: the row-split forward's
-        two arenas hold half each
-        (``test_row_parallel.py::TestMemoryRule``)."""
-        monkeypatch.setattr(rows, "_CORES", 1)
+        settled after the first forward."""
         model = Aeris(QUICKSTART, seed=0)
         rng = np.random.default_rng(4)
         args = (Tensor(rng.normal(size=(16, 16, 32, 9)).astype(np.float32)),

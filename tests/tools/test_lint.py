@@ -270,17 +270,15 @@ class TestCheckNoGlobal:
              + ":5: global statement (hold the state in a ContextVar, set "
              "it with repro.scoped)"], "check_no_global: OK (1 root)")
 
-    def test_row_pool_module_is_exempt(self, tmp_path, monkeypatch):
-        """``rows.py`` keeps its pool a module global; the same statement
-        in any other file is a finding."""
+    def test_rows_module_is_not_exempt(self, tmp_path, monkeypatch):
+        """``rows.py`` is held to the rule like any other file."""
         monkeypatch.setattr(lint, "REPO_ROOT", str(tmp_path))
         pkg = tmp_path / "src" / "repro"
-        (pkg / "model").mkdir(parents=True)
-        pool = "_POOL = None\n\ndef pool():\n    global _POOL\n"
-        (pkg / "rows.py").write_text(pool)
-        (pkg / "model" / "blocks.py").write_text(pool)
+        pkg.mkdir(parents=True)
+        (pkg / "rows.py").write_text("_ON = None\n\ndef on():\n"
+                                     "    global _ON\n")
         assert run_rule("no-global")[0] == [
-            os.path.join("src", "repro", "model", "blocks.py")
+            os.path.join("src", "repro", "rows.py")
             + ":4: global statement (hold the state in a ContextVar, set "
             "it with repro.scoped)"]
 

@@ -296,8 +296,8 @@ def unseeded_rng(src: Source) -> list[tuple[int, str]]:
 
 def global_statements(src: Source) -> list[tuple[int, str]]:
     """A switch is a ``ContextVar`` set for a block by ``repro.scoped``, so
-    a thread sees its own and a row-shard worker its caller's; a module
-    global is shared by every thread at once."""
+    a thread sees its own; a module global is shared by every thread at
+    once."""
     return sorted((node.lineno, "global statement (hold the state in a "
                    "ContextVar, set it with repro.scoped)")
                   for node in src.nodes if isinstance(node, ast.Global))
@@ -305,11 +305,11 @@ def global_statements(src: Source) -> list[tuple[int, str]]:
 
 def _per_file(tree: Tree, label: str, check,
               exempt: str | None = None) -> tuple[list[str], str]:
-    """``check`` over every file but those under ``exempt`` (a directory,
-    or one file)."""
+    """``check`` over every file but those under the directory
+    ``exempt``."""
     skip = exempt and exempt + os.sep
     found = [f"{src.rel}:{line}: {message}" for src in tree.files
-             if not (skip and (src.path + os.sep).startswith(skip))
+             if not (skip and src.path.startswith(skip))
              for line, message in check(src)]
     n = len(tree.roots)
     return found, f"{label}: OK ({n} root{'s' if n != 1 else ''})"
@@ -1181,9 +1181,8 @@ RULES = (
     ("clones", clones),
     ("options", options),
     ("dead-names", dead_names),
-    ("no-global", lambda tree: _per_file(
-        tree, "check_no_global", global_statements,
-        exempt=_src("rows.py"))),
+    ("no-global", lambda tree: _per_file(tree, "check_no_global",
+                                         global_statements)),
 )
 
 
