@@ -12,7 +12,7 @@ advances ``M`` members through stacked forwards (the model accepts
 numerics do not depend on its batch), and a single member is that path at
 ``M = 1``.  :func:`step_sharded` runs it over contiguous member groups at
 once, one per usable core, the caller one group and a kept worker process
-each other (:class:`repro.rows.KeptWorkers`), each group its whole data
+each other (:data:`repro.rows.WORKERS`), each group its whole data
 step — noise draws, every solver evaluation, the denoise — with one join
 per data step; :func:`lockstep_rollout` repeats that.
 *How* a residual is drawn from the network belongs to the
@@ -24,7 +24,6 @@ batches across *requests* through the same :func:`step_sharded`.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence
 
@@ -34,7 +33,7 @@ from ..nn.module import Module
 from ..nn.optim import FlatParams
 from ..obs.profile import count as _count
 from ..obs.profile import span as _span
-from ..rows import KeptWorkers
+from ..rows import WORKERS, enter
 from ..tensor import Tensor, no_grad
 from .solver import SolverConfig
 from .trigflow import TrigFlow
@@ -137,40 +136,12 @@ def bound_network(model, cond: np.ndarray, forc: np.ndarray):
     return network
 
 
-#: The member groups' kept workers, one per core past the first, shared
-#: by every stepper of this process.
-_GROUPS = KeptWorkers()
-
-#: The steppers ``_GROUPS``' workers were forked with, by ``id``: a weak
-#: reference, the values of its fields then, and its weights' seat in the
-#: shared mapping (what a worker reads them from).
-_FORKED: dict[int, tuple[weakref.ref, tuple, FlatParams]] = {}
-
-
-def _seat(stepper) -> None:
-    """Seat ``stepper``'s weights in the shared mapping, rebound arrays
-    copied back in.  A stepper the workers were not forked with, or whose
-    fields were rebound since (``stepper.model = …``), is entered in
-    ``_FORKED`` and the workers are retired: the next split forks them
-    anew, knowing it."""
-    key, fields = id(stepper), tuple(vars(stepper).values())
-    entry = _FORKED.get(key)
-    if (entry is None or entry[0]() is not stepper
-            or len(entry[1]) != len(fields)
-            or any(a is not b for a, b in zip(entry[1], fields))):
-        entry = _FORKED[key] = (
-            weakref.ref(stepper, lambda _, key=key: _FORKED.pop(key, None)),
-            fields, FlatParams(stepper.model.parameters()))
-        _GROUPS.close()
-    entry[2].check()
-
-
-def _step_group(lo: int, hi: int, request: tuple) -> tuple:
-    """Members ``lo:hi`` of a data step, ``request = (stepper id, states,
-    time indices, generators)``: their next states and the generators'
-    states after them."""
-    key, states, time_indices, rngs = request
-    out = _FORKED[key][0]().step_members(states, time_indices, rngs)
+def _step_group(stepper, lo: int, hi: int, request: tuple) -> tuple:
+    """Members ``lo:hi`` of a data step, ``request = (states, time
+    indices, generators)``: their next states and the generators' states
+    after them."""
+    states, time_indices, rngs = request
+    out = stepper.step_members(states, time_indices, rngs)
     return out, [None if rng is None else rng.bit_generator.state
                  for rng in rngs]
 
@@ -180,16 +151,18 @@ def step_sharded(stepper, states: np.ndarray,
                  rngs: Sequence[np.random.Generator]) -> np.ndarray:
     """``stepper.step_members`` over contiguous groups of the members at
     once, under ``no_grad``: this process steps the first group, a kept
-    worker each other (:class:`repro.rows.KeptWorkers`), sent the group's
-    state rows, time indices and generators; the generators' states it
-    sends back are written into the caller's.  A member's next state and
+    worker each other (:data:`repro.rows.WORKERS`), sent the group's state
+    rows, time indices and generators; the generators' states it sends
+    back are written into the caller's.  A member's next state and
     generator do not depend on which members it is stepped with, so the
     result is one ``step_members`` call's bit for bit; every forward
     inside a group runs whole.
 
-    The workers read the weights from the shared mapping (:func:`_seat`,
-    checked before each step).  One member, a model that is not a
-    :class:`~repro.nn.Module`, and every fallback of
+    The stepper is the split's owner (:func:`repro.rows.enter`, checked
+    before each step): the workers read its model's weights from the
+    shared mapping, and a stepper whose fields were rebound since
+    (``stepper.model = …``) re-forks them.  One member, a model that is
+    not a :class:`~repro.nn.Module`, and every fallback of
     :func:`repro.rows._fork_bounds` (a GEMM guard, a FLOP counter, an obs
     sink, another thread) step in one call here."""
     rngs = list(rngs)
@@ -198,9 +171,10 @@ def step_sharded(stepper, states: np.ndarray,
         if len(rngs) < 2 or not isinstance(getattr(stepper, "model", None),
                                            Module):
             return stepper.step_members(states, time_indices, rngs)
-        _seat(stepper)
-        groups = _GROUPS.run(len(rngs), _step_group, lambda lo, hi: (
-            id(stepper), states[lo:hi], time_indices[lo:hi], rngs[lo:hi]))
+        enter(stepper, lambda: FlatParams(stepper.model.parameters()),
+              tuple(vars(stepper).values()))
+        groups = WORKERS.run(stepper, _step_group, len(rngs), lambda lo, hi: (
+            states[lo:hi], time_indices[lo:hi], rngs[lo:hi]))
     if len(groups) == 1:
         return groups[0][0]
     first = len(groups[0][0])

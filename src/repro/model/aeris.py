@@ -11,8 +11,9 @@ concatenated channel-wise with the noisy sample.
 
 Every row's arithmetic is independent of the call's other rows, so rows
 ``lo:hi`` of an n-row forward equal a forward of rows ``lo:hi`` bit for bit:
-what lets :func:`repro.diffusion.sampler.step_sharded` and the training
-engine split a batch across kept worker processes (:mod:`repro.rows`).
+what lets :func:`repro.diffusion.sampler.step_sharded`, the training engine
+and a no-grad :meth:`Aeris.forward` itself split a batch across kept worker
+processes (:mod:`repro.rows`).
 """
 
 from __future__ import annotations
@@ -22,11 +23,19 @@ import numpy as np
 from ..kernels import _tape_free, fused_concat_add
 from ..nn import LayerNorm, Linear, Module, ModuleList, TimestepEmbedding
 from ..nn import pixel_positional_field
+from ..nn.optim import FlatParams
+from ..rows import WORKERS, _fork_bounds, enter
 from ..tensor import Tensor, concat
 from .blocks import SwinLayer
 from .config import AerisConfig
 
 __all__ = ["Aeris"]
+
+#: Rows from which a no-grad forward splits (:meth:`Aeris.forward`).  Two
+#: groups save about half the forward (9 rows 28 → 14 ms), but a model's
+#: first split forks the kept worker anew (≈ 12–17 ms and ≈ 1 100
+#: copy-on-write faults): from 8 rows one forward repays it (DESIGN §10).
+_SPLIT_ROWS = 8
 
 
 class Aeris(Module):
@@ -99,6 +108,34 @@ class Aeris(Module):
 
     def forward(self, x_t: Tensor, t: Tensor, condition: Tensor,
                 forcings: Tensor) -> Tensor:
+        """The velocity estimate.  A no-grad forward of ``_SPLIT_ROWS`` rows
+        or more that no outer split covers runs its rows in contiguous
+        groups at once, the model their owner
+        (:data:`repro.rows.WORKERS`): this process the first group, a
+        kept worker each other, sent the group's rows of the inputs (``t``
+        whole when it is one time for every row), each group through
+        :meth:`_rows`.  A row's output does not depend on its group, so
+        the result is the whole forward's bit for bit; inside a member
+        group or a row half, and under every fallback of
+        :func:`repro.rows._fork_bounds`, the forward runs whole."""
+        n = len(x_t.data)
+        if n >= _SPLIT_ROWS and _tape_free() and len(_fork_bounds(n)) > 2:
+            enter(self, lambda: FlatParams(self.parameters()), ())
+            shared = t.data.shape[:1] != (n,)
+            return Tensor(np.concatenate(WORKERS.run(
+                self, Aeris._group, n, lambda lo, hi: (
+                    x_t.data[lo:hi], t.data if shared else t.data[lo:hi],
+                    condition.data[lo:hi], forcings.data[lo:hi]))))
+        return self._rows(x_t, t, condition, forcings)
+
+    def _group(self, lo: int, hi: int, inputs: tuple) -> np.ndarray:
+        """Rows ``lo:hi`` of a split forward, from their rows of the
+        inputs: their output rows."""
+        return self._rows(*map(Tensor, inputs)).data
+
+    def _rows(self, x_t: Tensor, t: Tensor, condition: Tensor,
+              forcings: Tensor) -> Tensor:
+        """The forward over every row it is given, in this process."""
         h = self.embed_stage(x_t, condition, forcings)
         t_emb = self.time_embed(t)
         for layer in self.layers:

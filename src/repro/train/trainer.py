@@ -22,7 +22,6 @@ and :class:`~repro.diffusion.ConsistencyDistiller`.
 from __future__ import annotations
 
 import functools
-import weakref
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -49,7 +48,7 @@ from ..parallel.comm import SimCluster
 from ..parallel.pipeline import AerisPipeline
 from ..parallel.topology import RankTopology
 from ..parallel.zero import ZeroOptimizer
-from ..rows import KeptWorkers
+from ..rows import WORKERS, enter
 from ..scoped import scoped
 from ..tensor import Tensor, concat, no_grad
 from .checkpoint import (CheckpointError, checkpoint_lineage,
@@ -138,10 +137,6 @@ class TrainingEngine:
         self._clean_streak = 0
         self.step_retries = 0
         self.guard: StepGuard | None = None
-        # the DP replica groups' worker processes, forked at the first
-        # split step and retired with the engine (at exit too)
-        self.workers = KeptWorkers()
-        weakref.finalize(self, self.workers.close)
 
     def _use_archive(self, archive: SyntheticReanalysis) -> None:
         """Train on ``archive``: its loss weights, and its normalizers on
@@ -222,15 +217,16 @@ class TrainingEngine:
         parameters' gradients it left.
 
         The replicas run at once in contiguous groups
-        (:class:`~repro.rows.KeptWorkers`): this process runs the first,
-        a kept worker each other, sent its group's rows of the network
-        inputs and the whole ``extra`` (``_loss`` reads it by global row;
-        the weights are shared, :class:`~repro.nn.optim.FlatParams`); a
+        (:data:`repro.rows.WORKERS`, the engine their owner): this process
+        runs the first, a kept worker each other, sent its group's rows of
+        the network inputs and the whole ``extra`` (``_loss`` reads it by
+        global row; the weights are shared, the optimizer's
+        :class:`~repro.nn.optim.FlatParams`); a
         worker's transfers are made here after the join in rank order, as
         a serial run makes them (its faults and bookings too).  One replica
         of one microbatch of 4 rows or more at one rank splits its rows
         instead (:meth:`_halves`; each half ≥ 2 rows, DESIGN §10)."""
-        self.optimizer.seat.check()
+        enter(self, lambda: self.optimizer.seat, ())
         n = len(batch.inputs[0])
 
         def request(rows: slice) -> tuple:
@@ -241,13 +237,13 @@ class TrainingEngine:
                 and gas == 1 and n >= 4 and kernels_enabled()):
             halves = {(0, 2): slice(0, n), (0, 1): slice(n // 2, n),
                       (1, 2): slice(0, n // 2)}
-            groups = self.workers.run(2, self._halves, lambda lo, hi: request(
-                halves[lo, hi]))
+            groups = WORKERS.run(self, TrainingEngine._halves, 2,
+                                 lambda lo, hi: request(halves[lo, hi]))
         else:
             per = self.rows_per_replica(n)
-            groups = self.workers.run(self.topology.dp, self._replicas,
-                                      lambda lo, hi: request(
-                                          slice(lo * per, hi * per)))
+            groups = WORKERS.run(self, TrainingEngine._replicas,
+                                 self.topology.dp, lambda lo, hi: request(
+                                     slice(lo * per, hi * per)))
         for _, _, log in groups[1:]:
             for transfer in log:
                 self.cluster.transfer(*transfer)
@@ -262,7 +258,7 @@ class TrainingEngine:
         logged for the caller to make (``SimCluster.log``)."""
         batch, gas, first, n = request
         per = self.rows_per_replica(n)
-        log = self.cluster.log = [] if self.workers.in_worker else None
+        log = self.cluster.log = [] if WORKERS.in_worker else None
         losses, grads = [], []
         for d in range(lo, hi):
             params = self._params()
@@ -274,7 +270,7 @@ class TrainingEngine:
     def _params(self) -> list:
         """The seated parameters, gradients cleared, read-only in a worker."""
         for p in self.optimizer.params:
-            p.grad, p.data.flags.writeable = None, not self.workers.in_worker
+            p.grad, p.data.flags.writeable = None, not WORKERS.in_worker
         return self.optimizer.params
 
     def _halves(self, lo: int, hi: int, request: tuple) -> tuple:
@@ -298,20 +294,20 @@ class TrainingEngine:
             return self._replicas(0, 1, request)
         batch, gas, _, n = request
         params = self._params()
-        worker = self.workers.in_worker
+        worker = WORKERS.in_worker
 
         def loss_fn(pred: Tensor, _micro: slice) -> Tensor:
             if worker:
-                self.workers.put(pred.data)
+                WORKERS.put(pred.data)
                 parts = [pred, Tensor(np.zeros((n - n // 2,) + pred.shape[1:],
                                                pred.dtype))]
             else:
-                parts = [Tensor(self.workers.take()), pred]
+                parts = [Tensor(WORKERS.take()), pred]
             return self._loss(concat(parts), slice(0, n),
                               *batch.extra) * (1.0 / gas)
 
         with _span("train.forward_backward", category="train", dp_rank=0), \
-                scoped(_ROW_SPLIT, self.workers):
+                scoped(_ROW_SPLIT, WORKERS):
             loss = self.pipelines[0].forward_backward(
                 *batch.inputs, loss_fn, n_micro=1)
         if worker:

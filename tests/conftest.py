@@ -1,13 +1,24 @@
 """Shared fixtures: a small synthetic reanalysis reused across test modules
-(generation takes a few seconds, so it is session-scoped), and the small
-untrained model pair the serve tests share."""
+(generation takes a few seconds, so it is session-scoped), the small
+untrained model pair the serve tests share, and a kept-worker set retired
+around every test."""
 
 import numpy as np
 import pytest
 
-from repro import quickstart_components
+from repro import quickstart_components, rows
 from repro.data import ReanalysisConfig, SyntheticReanalysis
 from repro.model import Aeris
+
+
+@pytest.fixture(autouse=True)
+def retired_workers():
+    """Each test starts and ends with no kept worker: a worker runs the
+    code and the owners it was forked with, so a test's monkeypatches
+    never reach another test's splits."""
+    rows.WORKERS.close()
+    yield
+    rows.WORKERS.close()
 
 
 @pytest.fixture(scope="session")

@@ -19,7 +19,7 @@ import pytest
 
 from repro import obs, rows
 from repro.baselines import DeterministicTrainer, EdmConfig, EdmTrainer
-from repro.diffusion import SolverConfig, member_rngs, sampler
+from repro.diffusion import SolverConfig, member_rngs
 from repro.diffusion.sampler import (ResidualForecaster, lockstep_rollout,
                                      step_sharded)
 from repro.kernels import abft_guard
@@ -34,15 +34,6 @@ from .test_one_path_exact import FIELDS, same_stream
 #: Counters booked per member, whatever the grouping.
 PER_MEMBER = ("sampler.member_forwards", "sampler.data_steps",
               "solver.steps")
-
-
-@pytest.fixture(autouse=True)
-def fresh_workers():
-    """Each case forks its own workers (a worker runs the code it was
-    forked with) and leaves none behind."""
-    sampler._GROUPS.close()
-    yield
-    sampler._GROUPS.close()
 
 
 @pytest.fixture(params=["standard", "high", "fast"])
@@ -322,12 +313,12 @@ class TestKeptWorkers:
         for stepper in steppers.values():
             split_equals_serial(serve_world, stepper, 2, 2, monkeypatch)
         assert len(forks) == 3
-        pids = sampler._GROUPS.pids
+        pids = rows.WORKERS.pids
         for seed, members in enumerate((1, 2, 4, 10, 2)):
             for stepper in steppers.values():
                 split_equals_serial(serve_world, stepper, members, 2,
                                     monkeypatch, seed)
-        assert len(forks) == 3 and sampler._GROUPS.pids == pids
+        assert len(forks) == 3 and rows.WORKERS.pids == pids
 
     def test_a_new_version_forks_once(self, serve_world, forks,
                                       monkeypatch):
@@ -422,19 +413,19 @@ class TestFailure:
             assert finished == [4]
             if hasattr(info.value, "add_note"):              # >= 3.11
                 assert "forked worker" in "".join(info.value.__notes__)
-        assert sampler._GROUPS.pids == []
+        assert rows.WORKERS.pids == []
 
     def test_a_killed_worker_is_a_typed_error_then_reforked(
             self, serve_world, forks, monkeypatch):
         _, forecaster, _, idx = serve_world
         stepper = replace(forecaster, solver_config=SolverConfig(2))
         split_equals_serial(serve_world, stepper, 4, 2, monkeypatch)
-        pid = sampler._GROUPS.pids[0]
+        pid = rows.WORKERS.pids[0]
         os.kill(pid, signal.SIGKILL)
         os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, unreaped
         with pytest.raises(ChildProcessError, match="SIGKILL"):
             step_sharded(stepper, member_states(serve_world, 4), idx,
                          member_rngs(4, 0))
-        assert sampler._GROUPS.pids == []
+        assert rows.WORKERS.pids == []
         split_equals_serial(serve_world, stepper, 4, 2, monkeypatch)
         assert len(forks) == 2

@@ -174,8 +174,8 @@ class TestConcurrentForwards:
         run_threads(work, n=2)
 
     def test_a_forward_starts_no_thread(self, monkeypatch):
-        """A 16-row tape-free forward on a 2-core box runs in the calling
-        thread alone."""
+        """A 16-row tape-free forward on a 2-core box starts no thread: its
+        second row group runs on a kept worker process."""
         model = Aeris(QUICKSTART, seed=0)
         monkeypatch.setattr(rows, "_CORES", 2)
         before = threading.enumerate()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import rows
 from repro.kernels import abft_guard, fused_swiglu_forward
 from repro.model import Aeris
 from repro.nn.attention import dot_product_attention
@@ -229,12 +230,14 @@ class TestArenaInKernels:
         fused_swiglu_forward(x, w_gate, w_up, w_down)
         assert glob.stats()["misses"] == 0
 
-    def test_pooled_bytes_steady_and_budgeted_at_16_rows(self):
+    def test_pooled_bytes_steady_and_budgeted_at_16_rows(self, monkeypatch):
         """The RSS guard: rotary, K^T and max scratch all go through one
         256 KB block, and at most two requests are ever outstanding (score
         matrix + block, or the two SwiGLU hidden buffers), so what a 16-row
         forward of the quickstart model leaves pooled is two 2 MB buffers —
-        settled after the first forward."""
+        settled after the first forward.  One core: the forward runs whole
+        here, not in row groups."""
+        monkeypatch.setattr(rows, "_CORES", 1)
         model = Aeris(QUICKSTART, seed=0)
         rng = np.random.default_rng(4)
         args = (Tensor(rng.normal(size=(16, 16, 32, 9)).astype(np.float32)),
@@ -251,13 +254,14 @@ class TestArenaInKernels:
         assert len(set(pooled[1:])) == 1
         assert pooled[-1] == 4 * 2 ** 20
 
-    def test_pooled_bytes_over_serving_batch_shapes(self):
+    def test_pooled_bytes_over_serving_batch_shapes(self, monkeypatch):
         """Pooled scratch is served by capacity, so a service that sees
         many batch sizes pays for the largest only: whatever the order,
         no more stays pooled than 18 rows alone leave (a score matrix's
         worth twice over — the two SwiGLU hidden buffers are that size, and
         the 256 KB block fits in either).  Keyed by shape, this sequence
-        left 21 889 024 bytes."""
+        left 21 889 024 bytes.  One core: each forward runs whole."""
+        monkeypatch.setattr(rows, "_CORES", 1)
         model = Aeris(QUICKSTART, seed=0)
         glob = arena()
 

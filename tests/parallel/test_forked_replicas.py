@@ -5,8 +5,9 @@ weights, Adam moments, metered bytes and ops in booking order, generator
 states, the faults an injector deals — is equal bit for bit.  Each case
 forces the core count both ways by monkeypatching ``rows._CORES``, so it
 runs the same on a 1-core box.
-The workers are retired and reaped when the engine is finalised, at exit,
-when the core count changes and when a group fails."""
+The process's one worker set (``rows.WORKERS``) re-forks for a new engine,
+and is retired and reaped at exit, when the core count changes and when a
+group fails."""
 
 import gc
 import json
@@ -269,7 +270,7 @@ archive = small_archive()
 engine = engine_for(archive, 2)
 for k in range(2):
     swipe_step(engine, archive, k, gas=1)
-print(engine.workers.pids[0])
+print(rows.WORKERS.pids[0])
 """
 
 
@@ -284,15 +285,20 @@ class TestKeptWorkers:
         with pytest.raises(ProcessLookupError):
             os.kill(pid, 0)
 
-    def test_a_finalised_engine_reaps_its_worker(self, archive,
-                                                 monkeypatch, forks):
+    def test_a_new_engine_reforks_and_reaps_the_old_worker(
+            self, archive, monkeypatch, forks):
+        """The set outlives a finalised owner; the next owner's first
+        split retires its worker and forks one that knows both."""
         monkeypatch.setattr(rows, "_CORES", 2)
         engine = engine_for(archive, 2)
         swipe_step(engine, archive, 0, gas=1)
-        assert engine.workers.pids == forks
+        assert rows.WORKERS.pids == forks
         del engine
         gc.collect()
-        assert_reaped(forks)
+        assert rows.WORKERS.pids == forks
+        swipe_step(engine_for(archive, 2), archive, 0, gas=1)
+        assert len(forks) == 2 and rows.WORKERS.pids == forks[1:]
+        assert_reaped(forks[:1])
 
     def test_cores_change_between_steps(self, archive, monkeypatch, forks):
         """2 → 3 → 1 cores: one worker, then two, then none."""
@@ -301,7 +307,7 @@ class TestKeptWorkers:
         for k, cores in enumerate((2, 3, 1)):
             monkeypatch.setattr(rows, "_CORES", cores)
             swipe_step(engine, archive, k, gas=1)
-        assert len(forks) == 3 and engine.workers.pids == []
+        assert len(forks) == 3 and rows.WORKERS.pids == []
         assert_reaped(forks)
         assert_same_engines(serial, engine)
 
@@ -309,18 +315,20 @@ class TestKeptWorkers:
                                                forks):
         """The restore writes the weights in their shared mapping, where
         the worker reads them at the next step."""
-        monkeypatch.setattr(rows, "_CORES", 2)
-        engine = engine_for(archive, 2)
-        for k in (5, 6):                        # another trajectory
-            swipe_step(engine, archive, k, gas=1)
         monkeypatch.setattr(rows, "_CORES", 1)
         serial = engine_for(archive, 2)
         for k in range(2):
             swipe_step(serial, archive, k, gas=1)
-        engine.restore(*serial.state_payload())
+        shards, extra = serial.state_payload()
+        payload = ({section: {k: a.copy() for k, a in arrays.items()}
+                    for section, arrays in shards.items()}, extra)
         for k in (2, 3):
             swipe_step(serial, archive, k, gas=1)
         monkeypatch.setattr(rows, "_CORES", 2)
+        engine = engine_for(archive, 2)
+        for k in (5, 6):                        # another trajectory
+            swipe_step(engine, archive, k, gas=1)
+        engine.restore(*payload)
         for k in (2, 3):
             swipe_step(engine, archive, k, gas=1)
         assert len(forks) == 1
@@ -364,13 +372,13 @@ class TestKeptWorkers:
         monkeypatch.setattr(rows, "_CORES", 2)
         engine = engine_for(archive, 2)
         swipe_step(engine, archive, 0, gas=1)
-        pid = engine.workers.pids[0]
+        pid = rows.WORKERS.pids[0]
         os.kill(pid, signal.SIGKILL)
         os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # dead, unreaped
         args = step_args(engine, archive, 1)
         with pytest.raises(ChildProcessError, match="SIGKILL"):
             engine.train_step(*args, gas=1)
-        assert engine.workers.pids == []
+        assert rows.WORKERS.pids == []
         assert_reaped([pid])
         engine.train_step(*args, gas=1)        # the same batch, re-forked
         swipe_step(engine, archive, 2, gas=1)
@@ -480,7 +488,7 @@ class TestFailures:
         with pytest.warns(UserWarning, match="from replica 1"):
             engine = replica_step(archive, lambda: warnings.warn(
                 "from replica 1", UserWarning))
-        assert len(forks) == 1 and engine.workers.pids == forks
+        assert len(forks) == 1 and rows.WORKERS.pids == forks
 
     def test_a_worker_runs_under_the_callers_warning_filters(
             self, archive, monkeypatch, forks):

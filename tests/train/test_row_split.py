@@ -19,10 +19,12 @@ import pytest
 
 from repro import obs, rows
 from repro.baselines import DeterministicTrainer
-from repro.diffusion import ConsistencyConfig, ConsistencyDistiller
+from repro.diffusion import (ConsistencyConfig, ConsistencyDistiller,
+                             SolverConfig)
 from repro.kernels import abft_guard, disable_kernels
 from repro.model import Aeris
 from repro.resilience import FaultInjector, FaultPlan
+from repro.rows import WORKERS
 from repro.tensor import autocast_bf16, count_flops
 from repro.train import (MultistepConfig, MultistepFinetuner, Trainer,
                          TrainerConfig)
@@ -76,7 +78,7 @@ class TestBitExact:
         serial = fitted(tiny_archive, batch, 1, monkeypatch)
         assert forks == []
         split = fitted(tiny_archive, batch, 2, monkeypatch)
-        assert len(forks) == 1 and split.workers.pids == forks
+        assert len(forks) == 1 and rows.WORKERS.pids == forks
         assert_same_trainers(serial, split)
 
     def test_bf16_autocast(self, tiny_archive, monkeypatch, forks):
@@ -135,13 +137,13 @@ class TestBitExact:
     def test_a_restore_partway(self, tiny_archive, monkeypatch, forks):
         """The restore writes the weights in their shared mapping, where
         the kept worker reads them at the next step."""
-        split = fitted(tiny_archive, 4, 2, monkeypatch, steps=2)
         monkeypatch.setattr(rows, "_CORES", 1)
         serial = trainer_for(tiny_archive, 4)
         serial.fit(3)
-        split.restore(*serial.state_payload())
+        payload = copied_payload(serial)
         serial.fit(3)
-        monkeypatch.setattr(rows, "_CORES", 2)
+        split = fitted(tiny_archive, 4, 2, monkeypatch, steps=2)
+        split.restore(*payload)
         split.fit(3)
         assert len(forks) == 1
         assert_same_trainers(serial, split)
@@ -152,9 +154,39 @@ class TestBitExact:
         for cores in (2, 1, 2):
             monkeypatch.setattr(rows, "_CORES", cores)
             trainer.fit(2)
-        assert len(forks) == 2 and trainer.workers.pids == forks[1:]
+        assert len(forks) == 2 and rows.WORKERS.pids == forks[1:]
         assert_reaped(forks[:1])
         assert_same_trainers(serial, trainer)
+
+
+class TestOwnersShareOneSet:
+    def test_steps_validation_and_rollouts_in_turn(self, tiny_archive,
+                                                   monkeypatch, forks):
+        """``fit(1)``, ``validation_loss()`` and a 4-member ensemble
+        rollout at batch 8, five times in turn: the one set forks once per
+        owner, on its first use — the engine, the model the validation's
+        8-row forwards run, the forecaster — not at every switch, and
+        every value is the serial run's."""
+        runs = []
+        for cores in (1, 2):
+            monkeypatch.setattr(rows, "_CORES", cores)
+            trainer = trainer_for(tiny_archive, 8)
+            forecaster = trainer.forecaster(SolverConfig(2))
+            idx = int(tiny_archive.split_indices("test")[0])
+            values, counts = [], []
+            for k in range(5):
+                trainer.fit(1)
+                values.append(trainer.validation_loss())
+                values.append(forecaster.ensemble_rollout(
+                    tiny_archive.fields[idx], n_steps=1, n_members=4,
+                    seed=k, start_index=idx))
+                counts.append(len(forks))
+            runs.append((trainer, values, counts))
+        (serial, want, none), (split, got, counts) = runs
+        assert none == [0] * 5 and counts == [3] * 5
+        assert_same_trainers(serial, split)
+        for a, b in zip(want, got, strict=True):
+            np.testing.assert_array_equal(a, b)
 
 
 def new_weights(trainer, how: str, payload) -> None:
@@ -204,8 +236,8 @@ class TestSharedWeights:
 
     def test_two_trainers_on_one_model_in_turn(self, tiny_archive,
                                                monkeypatch, forks):
-        """The second adopts the first's seat; each split retires the
-        other's worker, and every step equals serial."""
+        """The second adopts the first's seat; the one set re-forks once
+        for each, not at every switch, and every step equals serial."""
         pairs = []
         for cores in (1, 2):
             monkeypatch.setattr(rows, "_CORES", cores)
@@ -217,7 +249,7 @@ class TestSharedWeights:
                 first.fit(1)
                 second.fit(1)
             pairs.append((first, second))
-        assert len(forks) == 6
+        assert len(forks) == 2
         for serial, split in zip(*pairs):
             assert_same_trainers(serial, split)
 
@@ -230,7 +262,7 @@ class TestSharedWeights:
             trainer.train_step()
         if hasattr(info.value, "add_note"):                   # >= 3.11
             assert "forked worker" in "".join(info.value.__notes__)
-        assert trainer.workers.pids == [] and trainer.history == []
+        assert rows.WORKERS.pids == [] and trainer.history == []
         for name, p in trainer.model.named_parameters():
             np.testing.assert_array_equal(p.data, before[name], err_msg=name)
             assert p.data.flags.writeable
@@ -257,7 +289,7 @@ class TestSharedWeights:
         trainer.fit(2)
         assert len(forks) == 1 and len(sent) == 2
         for message, batch in zip(sent, batches):
-            lo, hi, request, switches, _ = pickle.loads(message)
+            lo, hi, request, _, _, switches, _ = pickle.loads(message)
             got, gas, first, n = request
             assert (lo, hi, gas, first, n) == (1, 2, 1, 0, 4)
             arrays = [np.asarray(a) for a in (*(a[:2] for a in batch.inputs),
@@ -293,7 +325,7 @@ class TestSharedWeights:
 
 class WritesAWeight(Trainer):
     def _loss(self, pred, rows, *extra):
-        if self.workers.in_worker:
+        if WORKERS.in_worker:
             self.model.parameters()[0].data[...] = 0.0
         return super()._loss(pred, rows, *extra)
 
@@ -306,7 +338,7 @@ class DiesOnce(Trainer):
     marker = ""
 
     def _loss(self, pred, rows, *extra):
-        if self.workers.in_worker and os.path.exists(self.marker):
+        if WORKERS.in_worker and os.path.exists(self.marker):
             os.remove(self.marker)
             os.kill(os.getpid(), signal.SIGKILL)
         return super()._loss(pred, rows, *extra)
@@ -314,7 +346,7 @@ class DiesOnce(Trainer):
 
 class RaisesInWorker(Trainer):
     def _loss(self, pred, rows, *extra):
-        if self.workers.in_worker:
+        if WORKERS.in_worker:
             raise ValueError("worker rows failed")
         return super()._loss(pred, rows, *extra)
 
@@ -334,11 +366,11 @@ class TestFailures:
         trainer = trainer_for(tiny_archive, 4, cls=DiesOnce)
         trainer.marker = str(tmp_path / "die")
         trainer.fit(2)
-        pid = trainer.workers.pids[0]
+        pid = rows.WORKERS.pids[0]
         open(trainer.marker, "w").close()
         with pytest.raises(ChildProcessError, match="SIGKILL"):
             trainer.train_step()
-        assert trainer.workers.pids == [] and len(trainer.history) == 2
+        assert rows.WORKERS.pids == [] and len(trainer.history) == 2
         assert_reaped([pid])
         trainer.fit(2)
         assert len(forks) == 2
@@ -351,7 +383,7 @@ class TestFailures:
             trainer.train_step()
         if hasattr(info.value, "add_note"):                   # >= 3.11
             assert "forked worker" in "".join(info.value.__notes__)
-        assert trainer.workers.pids == [] and trainer.history == []
+        assert rows.WORKERS.pids == [] and trainer.history == []
 
 
 class TestStaysSerial:
@@ -431,7 +463,7 @@ def alive(pid):
         return False
 live = [pid for pid in made if alive(pid)]
 assert len(live) <= rows._CORES - 1, live
-assert live == trainers[-1].workers.pids, (live, trainers[-1].workers.pids)
+assert live == rows.WORKERS.pids, (live, rows.WORKERS.pids)
 print(*made)
 """
 
@@ -447,7 +479,7 @@ for cores in (1, 2):
     trainers.append(trainer_for(archive, 4))
     trainers[-1].fit(2)
 assert_same_trainers(*trainers)
-assert made == trainers[1].workers.pids, (made, trainers[1].workers.pids)
+assert made == rows.WORKERS.pids, (made, rows.WORKERS.pids)
 print(*made)
 """
 
@@ -463,9 +495,9 @@ def in_fresh_interpreter(script: str) -> str:
 
 
 class TestKeptWorkersBound:
-    def test_one_owners_workers_live_and_none_outlive_the_interpreter(self):
-        """Each trainer's first split retires the previous trainer's
-        worker; the last is reaped at exit."""
+    def test_one_set_lives_and_none_outlive_the_interpreter(self):
+        """Each new trainer's first split re-forks the one set, retiring
+        the previous worker; the last is reaped at exit."""
         pids = [int(pid)
                 for pid in in_fresh_interpreter(TEN_TRAINERS).split()]
         assert len(pids) == 10
